@@ -10,7 +10,6 @@ import (
 	"privinf/internal/field"
 	"privinf/internal/garble"
 	"privinf/internal/obs"
-	"privinf/internal/ot"
 	"privinf/internal/ss"
 	"privinf/internal/transport"
 )
@@ -36,8 +35,7 @@ type Client struct {
 	// (NewClientWithShared); either way the Client only reads it.
 	shared *ClientShared
 
-	otSend *ot.ExtSender
-	otRecv *ot.ExtReceiver
+	otEndpoint
 
 	// pres is the FIFO buffer of completed pre-computes; RunOffline
 	// appends one, RunOnline consumes the oldest.
@@ -92,8 +90,8 @@ func NewClientWithShared(conn transport.MsgConn, cfg Config, shared *ClientShare
 
 // setupKeys obtains the session HE keys (fresh keygen, or the pair the
 // HEKeyGen seam supplies) and sends the public key — the key-dependent
-// setup work every full handshake pays. Resumed sessions with a cached
-// pair skip this entirely (SetupResumeKeys).
+// setup work every full handshake pays. Resumed sessions install their
+// cached pair instead (SetupResumed).
 func (c *Client) setupKeys() error {
 	var pk bfv.PublicKey
 	c.sk, pk = c.cfg.keyGen(c.cfg.HEParams, c.entropy)
@@ -114,17 +112,7 @@ func (c *Client) Setup() error {
 	if err := c.setupKeys(); err != nil {
 		return err
 	}
-	var err error
-	switch c.cfg.Variant {
-	case ServerGarbler:
-		c.otRecv, err = ot.NewExtReceiver(c.conn, c.entropy)
-	case ClientGarbler:
-		c.otSend, err = ot.NewExtSender(c.conn, c.entropy)
-	}
-	if err != nil {
-		return fmt.Errorf("delphi: client OT setup: %w", err)
-	}
-	return nil
+	return c.setupOT(c.conn, c.cfg.Variant == ClientGarbler, nil, nil, c.entropy)
 }
 
 // RunOffline executes the client side of one pre-compute.

@@ -7,7 +7,6 @@ import (
 
 	"privinf/internal/bfv"
 	"privinf/internal/garble"
-	"privinf/internal/ot"
 )
 
 // HE key reuse across sessions. A full handshake's per-session BFV keygen
@@ -95,48 +94,28 @@ func (c *Client) useKeys(keys HEKeyPair) error {
 	return nil
 }
 
-// SetupResumeKeys is SetupResume with the per-session HE keys replaced by
-// a cached reusable pair: no keygen runs and the public key does NOT cross
-// the wire, so the peer must run the matching SetupResumeKeyless. This is
-// the wire-v4 resumed fast path: OT streams expand from cached seeds and
-// the session's only setup cost is installing the pair.
-func (c *Client) SetupResumeKeys(res *OTResume, nonce []byte, keys HEKeyPair) error {
+// SetupResumed is Setup for a session resumed from cached state: the HE
+// keys are a cached reusable pair (no keygen runs and the public key does
+// NOT cross the wire) and the OT streams expand from res under nonce (no
+// base OTs), so the session's only setup cost is installing the pair. The
+// peer must run the server's SetupResumed with its matching state and the
+// same nonce.
+func (c *Client) SetupResumed(res *OTResume, nonce []byte, keys HEKeyPair) error {
 	if err := c.useKeys(keys); err != nil {
 		return err
 	}
 	if res == nil {
 		return fmt.Errorf("delphi: client resume: nil OT state")
 	}
-	var err error
-	switch c.cfg.Variant {
-	case ServerGarbler:
-		c.otRecv, err = ot.ResumeReceiver(c.conn, res.Receiver, nonce)
-	case ClientGarbler:
-		c.otSend, err = ot.ResumeSender(c.conn, res.Sender, nonce)
-	}
-	if err != nil {
-		return fmt.Errorf("delphi: client OT resume: %w", err)
-	}
-	return nil
+	return c.setupOT(c.conn, c.cfg.Variant == ClientGarbler, res, nonce, c.entropy)
 }
 
-// SetupResumeKeyless is the server half of a key-reuse resumed session: no
-// public key is received (the server computes on ciphertexts only and
-// never needs it), and OT setup expands from cached material. Pairs with
-// the client's SetupResumeKeys.
-func (s *Server) SetupResumeKeyless(res *OTResume, nonce []byte) error {
+// SetupResumed is the server half of a resumed session: no public key is
+// received (the server computes on ciphertexts only and never needs it),
+// and OT setup expands from cached material.
+func (s *Server) SetupResumed(res *OTResume, nonce []byte) error {
 	if res == nil {
 		return fmt.Errorf("delphi: server resume: nil OT state")
 	}
-	var err error
-	switch s.cfg.Variant {
-	case ServerGarbler:
-		s.otSend, err = ot.ResumeSender(s.conn, res.Sender, nonce)
-	case ClientGarbler:
-		s.otRecv, err = ot.ResumeReceiver(s.conn, res.Receiver, nonce)
-	}
-	if err != nil {
-		return fmt.Errorf("delphi: server OT resume: %w", err)
-	}
-	return nil
+	return s.setupOT(s.conn, s.cfg.Variant == ServerGarbler, res, nonce, s.entropy)
 }

@@ -102,12 +102,12 @@ func TestHEKeyPairValidate(t *testing.T) {
 	}
 }
 
-// TestSetupResumeKeysMatchesPlaintext: the wire-v4 resumed fast path —
+// TestSetupResumedMatchesPlaintext: the resumed fast path —
 // cached OT material and a derived, reused HE key pair, with no keygen and
 // no public-key flight — produces inference outputs bit-identical to
 // plaintext evaluation (and therefore to every other correct session, the
 // fresh-keygen path included), in both variants.
-func TestSetupResumeKeysMatchesPlaintext(t *testing.T) {
+func TestSetupResumedMatchesPlaintext(t *testing.T) {
 	f := field.New(field.P20)
 	model, err := nn.DemoMLP(f, 7)
 	if err != nil {
@@ -141,8 +141,8 @@ func TestSetupResumeKeysMatchesPlaintext(t *testing.T) {
 			}
 			nonce := []byte("resume-keys-nonce")
 			errCh := make(chan error, 1)
-			go func() { errCh <- server.SetupResumeKeyless(srvRes, nonce) }()
-			if err := client.SetupResumeKeys(cliRes, nonce, keys); err != nil {
+			go func() { errCh <- server.SetupResumed(srvRes, nonce) }()
+			if err := client.SetupResumed(cliRes, nonce, keys); err != nil {
 				t.Fatal(err)
 			}
 			if err := <-errCh; err != nil {
@@ -162,9 +162,10 @@ func TestSetupResumeKeysMatchesPlaintext(t *testing.T) {
 	}
 }
 
-// TestSetupResumeKeysRejectsBadState: a mismatched pair and a nil OT state
-// both fail before any protocol traffic.
-func TestSetupResumeKeysRejectsBadState(t *testing.T) {
+// TestSetupResumedRejectsBadState: a mismatched key pair, a nil OT state and
+// a state for the wrong role (a sender state under a variant that makes
+// this party the receiver) all fail before any protocol traffic.
+func TestSetupResumedRejectsBadState(t *testing.T) {
 	params := testHEParams(t)
 	smaller, err := bfv.NewParams(params.N/2, params.T)
 	if err != nil {
@@ -184,17 +185,33 @@ func TestSetupResumeKeysRejectsBadState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	first := newSession(t, ClientGarbler, model, 0)
+	senderRes := first.client.OTResume() // CG client exports a Sender state
+	if senderRes.Sender == nil || senderRes.Receiver != nil {
+		t.Fatalf("CG client state: %+v, want sender-only", senderRes)
+	}
+
 	cfg := Config{Variant: ClientGarbler, HEParams: params}
 	cc, _ := transport.Pipe()
 	client, err := NewClient(cc, cfg, MetaOf(model), newSeeded(2008))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := client.SetupResumeKeys(&OTResume{}, []byte("n"), wrongKeys); err == nil {
+	if err := client.SetupResumed(senderRes, []byte("n"), wrongKeys); err == nil {
 		t.Fatal("wrong-degree pair accepted")
 	}
-	if err := client.SetupResumeKeys(nil, []byte("n"), goodKeys); err == nil {
+	if err := client.SetupResumed(nil, []byte("n"), goodKeys); err == nil {
 		t.Fatal("nil OT state accepted")
+	}
+	if err := client.SetupResumed(senderRes, nil, goodKeys); err == nil {
+		t.Fatal("empty session nonce accepted")
+	}
+	sgClient, err := NewClient(cc, Config{Variant: ServerGarbler, HEParams: params}, MetaOf(model), newSeeded(2009))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sgClient.SetupResumed(senderRes, []byte("n"), goodKeys); err == nil {
+		t.Fatal("sender state accepted for a receiver role")
 	}
 
 	_, sc := transport.Pipe()
@@ -202,7 +219,10 @@ func TestSetupResumeKeysRejectsBadState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := server.SetupResumeKeyless(nil, []byte("n")); err == nil {
+	if err := server.SetupResumed(nil, []byte("n")); err == nil {
 		t.Fatal("server accepted nil OT state")
+	}
+	if err := server.SetupResumed(senderRes, []byte("n")); err == nil {
+		t.Fatal("server accepted a sender state for its receiver role")
 	}
 }

@@ -2,10 +2,12 @@ package delphi
 
 import (
 	"fmt"
+	"io"
 
 	"privinf/internal/bfv"
 	"privinf/internal/boolcirc"
 	"privinf/internal/ot"
+	"privinf/internal/transport"
 )
 
 // ClientShared is the client-side analog of SharedModel: the immutable,
@@ -189,76 +191,47 @@ func UnmarshalOTResume(data []byte) (*OTResume, error) {
 	return r, nil
 }
 
-// OTResume exports the client's resumable base-OT material after a
-// successful Setup (nil before Setup). Cache it alongside the server's
-// resumption ticket and pass it to SetupResume on the next session.
-func (c *Client) OTResume() *OTResume {
-	switch {
-	case c.otRecv != nil:
-		return &OTResume{Receiver: c.otRecv.State()}
-	case c.otSend != nil:
-		return &OTResume{Sender: c.otSend.State()}
-	}
-	return nil
+// otEndpoint is a party's OT-extension role for the session. The garbler
+// is always the OT sender and the evaluator the receiver, whichever party
+// that is under the variant, so exactly one field is set after setup.
+type otEndpoint struct {
+	otSend *ot.ExtSender
+	otRecv *ot.ExtReceiver
 }
 
-// OTResume exports the server's resumable base-OT material after a
-// successful Setup (nil before Setup).
-func (s *Server) OTResume() *OTResume {
+// setupOT establishes the endpoint over conn. A nil res runs the base OTs
+// (a full handshake); otherwise the extension streams expand locally from
+// res under the per-session nonce both parties agreed on in their
+// application-level handshake, and nothing crosses the wire. res must be
+// this party's OTResume export from an earlier session against the same
+// peer; a state for the other role fails as a nil state.
+func (o *otEndpoint) setupOT(conn transport.MsgConn, garbler bool, res *OTResume, nonce []byte, entropy io.Reader) (err error) {
 	switch {
-	case s.otSend != nil:
-		return &OTResume{Sender: s.otSend.State()}
-	case s.otRecv != nil:
-		return &OTResume{Receiver: s.otRecv.State()}
-	}
-	return nil
-}
-
-// SetupResume is Setup with the base OTs replaced by local expansion from
-// cached material: HE keys are still generated and the public key still
-// crosses the wire (keys are per-session), but the ~kappa public-key
-// operations and their three network flights disappear. res must be this
-// party's export from a previous session against the same peer, and nonce
-// must be the fresh per-session value both parties agreed on in their
-// application-level handshake.
-func (c *Client) SetupResume(res *OTResume, nonce []byte) error {
-	if err := c.setupKeys(); err != nil {
-		return err
-	}
-	if res == nil {
-		return fmt.Errorf("delphi: client resume: nil OT state")
-	}
-	var err error
-	switch c.cfg.Variant {
-	case ServerGarbler:
-		c.otRecv, err = ot.ResumeReceiver(c.conn, res.Receiver, nonce)
-	case ClientGarbler:
-		c.otSend, err = ot.ResumeSender(c.conn, res.Sender, nonce)
+	case garbler && res == nil:
+		o.otSend, err = ot.NewExtSender(conn, entropy)
+	case garbler:
+		o.otSend, err = ot.ResumeSender(conn, res.Sender, nonce)
+	case res == nil:
+		o.otRecv, err = ot.NewExtReceiver(conn, entropy)
+	default:
+		o.otRecv, err = ot.ResumeReceiver(conn, res.Receiver, nonce)
 	}
 	if err != nil {
-		return fmt.Errorf("delphi: client OT resume: %w", err)
+		return fmt.Errorf("delphi: OT setup: %w", err)
 	}
 	return nil
 }
 
-// SetupResume is the server-side half of a resumed session; see the client
-// method.
-func (s *Server) SetupResume(res *OTResume, nonce []byte) error {
-	if err := s.recvClientKey(); err != nil {
-		return err
-	}
-	if res == nil {
-		return fmt.Errorf("delphi: server resume: nil OT state")
-	}
-	var err error
-	switch s.cfg.Variant {
-	case ServerGarbler:
-		s.otSend, err = ot.ResumeSender(s.conn, res.Sender, nonce)
-	case ClientGarbler:
-		s.otRecv, err = ot.ResumeReceiver(s.conn, res.Receiver, nonce)
-	}
-	if err != nil {
-		return fmt.Errorf("delphi: server OT resume: %w", err)
+// OTResume exports the party's resumable base-OT material after a
+// successful setup (nil before). Cache it — the client beside the
+// server's resumption ticket, the server under that ticket — and pass it
+// to SetupResumed on the next session.
+func (o *otEndpoint) OTResume() *OTResume {
+	switch {
+	case o.otSend != nil:
+		return &OTResume{Sender: o.otSend.State()}
+	case o.otRecv != nil:
+		return &OTResume{Receiver: o.otRecv.State()}
 	}
 	return nil
 }

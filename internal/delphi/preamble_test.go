@@ -9,66 +9,6 @@ import (
 	"privinf/internal/transport"
 )
 
-// newResumedSession runs one full session to harvest both parties' OT
-// resumption states, then opens a second session over a fresh pipe with
-// SetupResume on both sides.
-func newResumedSession(t *testing.T, variant Variant, model *nn.Lowered, nonce []byte) *session {
-	t.Helper()
-	first := newSession(t, variant, model, 0)
-	cliRes, srvRes := first.client.OTResume(), first.server.OTResume()
-	if cliRes == nil || srvRes == nil {
-		t.Fatal("OTResume returned nil after a completed Setup")
-	}
-
-	params, err := bfv.NewParams(bfv.DefaultN, model.F.P())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Variant: variant, HEParams: params}
-	cc, sc := transport.Pipe()
-	server, err := NewServerShared(sc, cfg, first.server.shared, newSeeded(1003))
-	if err != nil {
-		t.Fatal(err)
-	}
-	client, err := NewClientWithShared(cc, cfg, first.client.shared, newSeeded(2004))
-	if err != nil {
-		t.Fatal(err)
-	}
-	errCh := make(chan error, 1)
-	go func() { errCh <- server.SetupResume(srvRes, nonce) }()
-	if err := client.SetupResume(cliRes, nonce); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-errCh; err != nil {
-		t.Fatal(err)
-	}
-	return &session{client: client, server: server, model: model}
-}
-
-// TestResumedSessionMatchesPlaintext: a session resumed from cached OT
-// material (no base OTs) and shared client/server artifacts produces
-// inference outputs bit-exact with plaintext evaluation, in both variants.
-func TestResumedSessionMatchesPlaintext(t *testing.T) {
-	f := field.New(field.P20)
-	model, err := nn.DemoMLP(f, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, variant := range []Variant{ServerGarbler, ClientGarbler} {
-		t.Run(variant.String(), func(t *testing.T) {
-			s := newResumedSession(t, variant, model, []byte("resume-nonce-1"))
-			x := randomInput(f, model.InputLen(), 17)
-			got, _, _, _, _ := s.inferPrivately(t, x)
-			want := model.Forward(x)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("output %d: private %d, plaintext %d", i, got[i], want[i])
-				}
-			}
-		})
-	}
-}
-
 // TestClientSharedReuseAcrossSessions: one ClientShared serves several
 // sequential sessions (what a repeat client's preamble cache does) and the
 // artifact reports a nonzero budgetable footprint.
@@ -160,39 +100,5 @@ func TestClientSharedValidation(t *testing.T) {
 	}
 	if !meta.Equal(MetaOf(model)) {
 		t.Fatal("Equal rejected an identical metadata")
-	}
-}
-
-// TestSetupResumeRejectsMismatchedState: a state for the wrong role (e.g. a
-// receiver state under a variant that needs a sender) fails cleanly.
-func TestSetupResumeRejectsMismatchedState(t *testing.T) {
-	f := field.New(field.P20)
-	model, err := nn.DemoMLP(f, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := newSession(t, ClientGarbler, model, 0)
-	cliRes := first.client.OTResume() // CG client exports a Sender state
-	if cliRes.Sender == nil || cliRes.Receiver != nil {
-		t.Fatalf("CG client state: %+v, want sender-only", cliRes)
-	}
-
-	params, err := bfv.NewParams(bfv.DefaultN, model.F.P())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc, sc := transport.Pipe()
-	cfg := Config{Variant: ServerGarbler, HEParams: params}
-	client, err := NewClient(cc, cfg, MetaOf(model), newSeeded(5005))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Drain the public key the client sends before failing.
-	go sc.Recv()
-	if err := client.SetupResume(cliRes, []byte("n")); err == nil {
-		t.Fatal("SetupResume accepted a sender state for a receiver role")
-	}
-	if err := client.SetupResume(nil, []byte("n")); err == nil {
-		t.Fatal("SetupResume accepted a nil state")
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"privinf/internal/field"
 	"privinf/internal/garble"
 	"privinf/internal/nn"
-	"privinf/internal/ot"
 	"privinf/internal/ss"
 	"privinf/internal/transport"
 )
@@ -32,9 +31,7 @@ type Server struct {
 	// either way the Server only reads it.
 	shared *SharedModel
 
-	// OT endpoints (role depends on variant).
-	otSend *ot.ExtSender
-	otRecv *ot.ExtReceiver
+	otEndpoint
 
 	// pres is the FIFO buffer of completed pre-computes; RunOffline
 	// appends one, RunOnline consumes the oldest. This is the pre-compute
@@ -114,38 +111,20 @@ func buildCircuits(meta ModelMeta) []*boolcirc.Circuit {
 	return out
 }
 
-// recvClientKey receives and validates the client's per-session HE public
-// key — the key-dependent setup work both the full and the resumed paths
-// pay.
-func (s *Server) recvClientKey() error {
+// Setup runs the session handshake: receives and validates the client's
+// per-session HE public key and performs base-OT setup. The model-side work
+// (weight encoding, circuit building) lives in the SharedModel artifact, so
+// Setup does no per-session model processing.
+func (s *Server) Setup() error {
 	pkRaw, err := s.conn.Recv()
 	if err != nil {
 		return fmt.Errorf("delphi: server setup: %w", err)
 	}
 	var pk bfv.PublicKey
-	return pk.UnmarshalBinary(pkRaw)
-}
-
-// Setup runs the session handshake: receives the client's HE public key and
-// performs base-OT setup. The model-side work (weight encoding, circuit
-// building) lives in the SharedModel artifact, so Setup does no per-session
-// model processing.
-func (s *Server) Setup() error {
-	if err := s.recvClientKey(); err != nil {
+	if err := pk.UnmarshalBinary(pkRaw); err != nil {
 		return err
 	}
-	var err error
-	switch s.cfg.Variant {
-	case ServerGarbler:
-		// Server garbles, so it is the OT sender.
-		s.otSend, err = ot.NewExtSender(s.conn, s.entropy)
-	case ClientGarbler:
-		s.otRecv, err = ot.NewExtReceiver(s.conn, s.entropy)
-	}
-	if err != nil {
-		return fmt.Errorf("delphi: server OT setup: %w", err)
-	}
-	return nil
+	return s.setupOT(s.conn, s.cfg.Variant == ServerGarbler, nil, nil, s.entropy)
 }
 
 // RunOffline executes the server side of one pre-compute.

@@ -3,58 +3,95 @@ package fleet
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"testing"
 
 	"privinf/internal/serve"
 	"privinf/internal/transport"
 )
 
-// wireTagCtrl and wireVersion mirror the serve package's wire constants;
-// the test speaks raw bytes on purpose — it plays a peer that is not this
-// codebase.
+// The wire constants below mirror the serve package's; the test speaks raw
+// bytes on purpose — it plays a peer that is not this codebase.
 const (
 	wireTagCtrl = 0x01
+	wireOpHello = 0x01
 	wireVersion = 4
 )
 
-// TestRouterGarbageOpcodeRejected: a connection through the router that
-// opens with a well-formed control frame carrying a garbage opcode gets the
-// same typed bad_hello rejection a direct connection gets — unwrapping to
-// serve.ErrBadFrame — instead of being silently dropped or hanging the
-// front tier.
-func TestRouterGarbageOpcodeRejected(t *testing.T) {
-	_, front := startFleet(t, testModel(t, 51), 1)
+// rawHello is a hello control frame claiming the given wire version.
+func rawHello(version int) []byte {
+	return append([]byte{wireTagCtrl, wireOpHello}, fmt.Sprintf(`{"version":%d}`, version)...)
+}
 
-	conn, err := front.Dial()
-	if err != nil {
-		t.Fatal(err)
-	}
+// rejectCode sends an opening's frames on conn and returns the typed code
+// of the rejection that answers it.
+func rejectCode(t *testing.T, conn *transport.Conn, frames [][]byte) string {
+	t.Helper()
 	defer conn.Close()
-	if err := transport.SendPreamble(conn, transport.Preamble{Version: wireVersion}); err != nil {
-		t.Fatal(err)
-	}
-	if err := conn.Send([]byte{wireTagCtrl, 0xEE, 'j', 'u', 'n', 'k'}); err != nil {
-		t.Fatal(err)
+	for _, f := range frames {
+		if err := conn.Send(f); err != nil {
+			t.Fatal(err)
+		}
 	}
 	f, err := conn.Recv()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("no answer to the opening: %v", err)
 	}
 	if len(f) < 2 || f[0] != wireTagCtrl {
 		t.Fatalf("answer frame %v is not a control frame", f)
 	}
 	var rej struct {
-		Code    string `json:"code"`
-		Message string `json:"message"`
+		Code string `json:"code"`
 	}
 	if err := json.Unmarshal(f[2:], &rej); err != nil {
 		t.Fatalf("answer body %q is not a rejection: %v", f[2:], err)
 	}
-	if rej.Code != "bad_hello" {
-		t.Fatalf("reject code %q, want bad_hello", rej.Code)
+	return rej.Code
+}
+
+// TestBadOpeningSameAnswerDirectAndRouted: every malformed or
+// version-skewed opening gets the same typed rejection whether it reaches
+// an engine directly or through the router's peek — one parser, one
+// answer, never a silent drop. Openings that cannot be parsed are bad_hello
+// (serve.ErrBadFrame); well-formed ones at another wire version are
+// version_mismatch (serve.ErrVersionMismatch).
+func TestBadOpeningSameAnswerDirectAndRouted(t *testing.T) {
+	model := testModel(t, 51)
+	eng := newEngine(t, model)
+	t.Cleanup(func() { eng.Close() })
+	direct := transport.NewPipeListener()
+	go eng.Serve(direct)
+	_, routed := startFleet(t, model, 1)
+
+	preamble := func(version uint32) []byte { return transport.Preamble{Version: version}.Encode() }
+	cases := []struct {
+		name   string
+		frames [][]byte
+		want   error
+	}{
+		{"empty frame", [][]byte{{}}, serve.ErrBadFrame},
+		{"garbage", [][]byte{[]byte("GET / HTTP/1.1")}, serve.ErrBadFrame},
+		{"truncated preamble", [][]byte{preamble(wireVersion)[:8]}, serve.ErrBadFrame},
+		{"garbage opcode in a v4 preamble", [][]byte{preamble(wireVersion), {wireTagCtrl, 0xEE, 'j', 'u', 'n', 'k'}}, serve.ErrBadFrame},
+		{"garbage after a v4 preamble", [][]byte{preamble(wireVersion), {0x5A}}, serve.ErrBadFrame},
+		{"preamble v3", [][]byte{preamble(3)}, serve.ErrVersionMismatch},
+		{"bare v2 hello", [][]byte{rawHello(2)}, serve.ErrVersionMismatch},
+		{"v3 hello inside a v4 preamble", [][]byte{preamble(wireVersion), rawHello(3)}, serve.ErrVersionMismatch},
 	}
-	if !errors.Is(&serve.HandshakeError{Code: rej.Code}, serve.ErrBadFrame) {
-		t.Fatal("bad_hello rejection must map to serve.ErrBadFrame")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var codes [2]string
+			for i, ln := range []*transport.PipeListener{direct, routed} {
+				conn, err := ln.Dial()
+				if err != nil {
+					t.Fatal(err)
+				}
+				codes[i] = rejectCode(t, conn, tc.frames)
+			}
+			if codes[0] != codes[1] || !errors.Is(&serve.HandshakeError{Code: codes[0]}, tc.want) {
+				t.Fatalf("rejected with %q direct and %q routed, want one code matching %v", codes[0], codes[1], tc.want)
+			}
+		})
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"privinf/internal/delphi"
 	"privinf/internal/transport"
 )
 
@@ -41,57 +40,12 @@ func TestMuxBadFrameTyped(t *testing.T) {
 	}
 }
 
-// TestGarbageOpcodeBeforeHello: a connection that opens with a well-formed
-// control frame carrying an opcode the handshake does not know gets the
-// typed bad_hello rejection — which unwraps to ErrBadFrame — instead of a
-// silent drop.
-func TestGarbageOpcodeBeforeHello(t *testing.T) {
-	_, ln := pipeEngine(t, Config{
-		Model:       testModel(t, 91),
-		Variant:     delphi.ClientGarbler,
-		LPHEWorkers: 2,
-	})
-
-	conn, err := ln.Dial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := transport.SendPreamble(conn, transport.Preamble{Version: wireVersion}); err != nil {
-		t.Fatal(err)
-	}
-	if err := sendCtrl(conn, 0xEE, []byte("junk")); err != nil {
-		t.Fatal(err)
-	}
-	op, body, err := recvCtrl(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if op != opReject {
-		t.Fatalf("got opcode %d, want opReject", op)
-	}
-	var rej rejectMsg
-	if err := unmarshalJSON(body, &rej); err != nil {
-		t.Fatal(err)
-	}
-	if rej.Code != rejectBadHello {
-		t.Fatalf("reject code %q, want %q", rej.Code, rejectBadHello)
-	}
-	if !errors.Is(&HandshakeError{Code: rej.Code}, ErrBadFrame) {
-		t.Fatal("bad_hello rejection must map to ErrBadFrame")
-	}
-}
-
 // TestGarbageOpcodeInSession: an unknown client opcode injected into an
 // established session makes the engine answer with opErr carrying the
 // ErrBadFrame text and tear the session down — the client observes the
 // server's typed complaint, not a hang or a silently eaten frame.
 func TestGarbageOpcodeInSession(t *testing.T) {
-	eng, ln := pipeEngine(t, Config{
-		Model:       testModel(t, 92),
-		Variant:     delphi.ClientGarbler,
-		LPHEWorkers: 2,
-	})
+	eng, ln := pipeEngine(t, testConfig(testModel(t, 92)))
 
 	conn, err := ln.Dial()
 	if err != nil {

@@ -19,19 +19,10 @@ import (
 // session count grows — connect cost no longer contains per-session weight
 // encoding.
 func BenchmarkSessionConnect(b *testing.B) {
-	model, err := nn.DemoMLP(field.New(field.P20), 5)
-	if err != nil {
-		b.Fatal(err)
-	}
+	model := testModel(b, 5)
 	for _, sessions := range []int{1, 8} {
 		b.Run(fmt.Sprintf("sessions=%d", sessions), func(b *testing.B) {
-			eng, err := New(Config{Model: model, Variant: delphi.ClientGarbler, LPHEWorkers: len(model.Linear)})
-			if err != nil {
-				b.Fatal(err)
-			}
-			ln := transport.NewPipeListener()
-			go eng.Serve(ln)
-			defer eng.Close()
+			_, ln := pipeEngine(b, testConfig(model))
 
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -43,13 +34,8 @@ func BenchmarkSessionConnect(b *testing.B) {
 					wg.Add(1)
 					go func(k int) {
 						defer wg.Done()
-						conn, err := ln.Dial()
-						if err != nil {
-							errs <- err
-							return
-						}
-						clients[k], err = Connect(conn)
-						if err != nil {
+						var err error
+						if clients[k], err = dialPipe(ln); err != nil {
 							errs <- err
 						}
 					}(k)
@@ -81,29 +67,9 @@ func BenchmarkSessionConnect(b *testing.B) {
 // replaces circuit/plan construction. The acceptance bar is resumed ≥ 5×
 // faster than cold; in practice the gap is far larger.
 func BenchmarkSessionResume(b *testing.B) {
-	model, err := nn.DemoMLP(field.New(field.P20), 5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng, err := New(Config{Model: model, Variant: delphi.ClientGarbler, LPHEWorkers: len(model.Linear)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ln := transport.NewPipeListener()
-	go eng.Serve(ln)
-	defer eng.Close()
-
-	connect := func(b *testing.B, p *Preamble) *Client {
-		conn, err := ln.Dial()
-		if err != nil {
-			b.Fatal(err)
-		}
-		c, err := Connect(conn, WithPreamble(p))
-		if err != nil {
-			b.Fatal(err)
-		}
-		return c
-	}
+	model := testModel(b, 5)
+	_, ln := pipeEngine(b, testConfig(model))
+	connect := func(b *testing.B, p *Preamble) *Client { return connectPreamble(b, ln, "", p) }
 
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
@@ -137,10 +103,7 @@ func BenchmarkSessionResume(b *testing.B) {
 // cold build (full weight encode + circuit build after eviction or first
 // use). The gap is what the byte budget trades away per eviction.
 func BenchmarkRegistryHitVsColdBuild(b *testing.B) {
-	model, err := nn.DemoMLP(field.New(field.P20), 6)
-	if err != nil {
-		b.Fatal(err)
-	}
+	model := testModel(b, 6)
 
 	b.Run("hit", func(b *testing.B) {
 		reg := NewRegistry(0)
@@ -250,14 +213,8 @@ func BenchmarkArtifactLoadVsBuild(b *testing.B) {
 // models, so every Get is a miss: memory-only pays a rebuild, store-backed
 // pays a disk reload.
 func BenchmarkRegistrySpillReload(b *testing.B) {
-	modelA, err := nn.DemoMLP(field.New(field.P20), 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	modelB, err := nn.DemoMLP(field.New(field.P20), 9)
-	if err != nil {
-		b.Fatal(err)
-	}
+	modelA := testModel(b, 8)
+	modelB := testModel(b, 9)
 	artA, err := buildArtifact(modelA)
 	if err != nil {
 		b.Fatal(err)
@@ -310,10 +267,7 @@ func BenchmarkRegistrySpillReload(b *testing.B) {
 // construction dominates, and the delta against BenchmarkSessionResume's
 // in-process resumed tier is what persistence itself costs.
 func BenchmarkSessionResumeColdProcess(b *testing.B) {
-	model, err := nn.DemoMLP(field.New(field.P20), 5)
-	if err != nil {
-		b.Fatal(err)
-	}
+	model := testModel(b, 5)
 	cfg := Config{
 		Model:       model,
 		Variant:     delphi.ClientGarbler,
@@ -334,15 +288,7 @@ func BenchmarkSessionResumeColdProcess(b *testing.B) {
 	ln := transport.NewPipeListener()
 	go eng.Serve(ln)
 	p := NewPreamble()
-	conn, err := ln.Dial()
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := Connect(conn, WithPreamble(p))
-	if err != nil {
-		b.Fatal(err)
-	}
-	c.Close()
+	connectPreamble(b, ln, "", p).Close()
 	if err := ps.Save("bench-client", p); err != nil {
 		b.Fatal(err)
 	}
@@ -363,14 +309,7 @@ func BenchmarkSessionResumeColdProcess(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		conn, err := ln.Dial()
-		if err != nil {
-			b.Fatal(err)
-		}
-		c, err := Connect(conn, WithPreamble(p2))
-		if err != nil {
-			b.Fatal(err)
-		}
+		c := connectPreamble(b, ln, "", p2)
 		b.StopTimer()
 		if !c.Resumed() {
 			b.Fatal("post-restart connect did not resume")

@@ -62,12 +62,8 @@ type pcResult struct {
 	err    error
 }
 
-// ConnectOptions is the resolved connect configuration an Option mutates.
-// Callers normally compose options (WithModel, WithEntropy, WithPreamble)
-// instead of filling it directly; the struct stays exported for the
-// deprecated DialOpts/ConnectOpts wrappers and for callers that build
-// option sets programmatically via WithOptions.
-type ConnectOptions struct {
+// connectOptions is the resolved connect configuration an Option mutates.
+type connectOptions struct {
 	// Model names the registry entry to request; empty means the engine's
 	// default model.
 	Model string
@@ -82,20 +78,20 @@ type ConnectOptions struct {
 }
 
 // Option configures a Dial or Connect call.
-type Option func(*ConnectOptions)
+type Option func(*connectOptions)
 
 // WithModel requests the named model from the engine's registry (empty
 // means the engine's default model). An engine that does not know the name
 // rejects the handshake with an error matching errors.Is(err,
 // ErrUnknownModel).
 func WithModel(name string) Option {
-	return func(o *ConnectOptions) { o.Model = name }
+	return func(o *connectOptions) { o.Model = name }
 }
 
 // WithEntropy seeds the session's randomness from r; the default (and a
 // nil r) is crypto/rand.
 func WithEntropy(r io.Reader) Option {
-	return func(o *ConnectOptions) { o.Entropy = r }
+	return func(o *connectOptions) { o.Entropy = r }
 }
 
 // WithPreamble attaches a client's reusable session-preamble state: its
@@ -104,24 +100,7 @@ func WithEntropy(r io.Reader) Option {
 // construction, and the preamble is updated in place with whatever this
 // handshake produces. A nil p is a plain cold connect.
 func WithPreamble(p *Preamble) Option {
-	return func(o *ConnectOptions) { o.Preamble = p }
-}
-
-// WithOptions applies a pre-built options struct wholesale, for callers
-// that assemble connect configuration programmatically. Later options
-// still override its fields.
-func WithOptions(opts ConnectOptions) Option {
-	return func(o *ConnectOptions) { *o = opts }
-}
-
-func resolveOptions(opts []Option) ConnectOptions {
-	var o ConnectOptions
-	for _, opt := range opts {
-		if opt != nil {
-			opt(&o)
-		}
-	}
-	return o
+	return func(o *connectOptions) { o.Preamble = p }
 }
 
 // Dial connects to an engine over TCP and runs the session handshake. With
@@ -149,42 +128,13 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 // errors.Is(err, ErrVersionMismatch). A rejected resumption ticket does
 // not fail the connect — the session falls back to the full base-OT path;
 // ResumeOutcome reports what happened.
-func Connect(conn *transport.Conn, opts ...Option) (*Client, error) {
-	return connect(conn, resolveOptions(opts))
-}
-
-// DialModel connects to an engine over TCP and requests the named model.
-//
-// Deprecated: use Dial(addr, WithModel(model), WithEntropy(entropy)).
-func DialModel(addr, model string, entropy io.Reader) (*Client, error) {
-	return Dial(addr, WithModel(model), WithEntropy(entropy))
-}
-
-// DialOpts is Dial with a pre-built options struct.
-//
-// Deprecated: use Dial with WithModel/WithEntropy/WithPreamble (or
-// WithOptions for a pre-built struct).
-func DialOpts(addr string, opts ConnectOptions) (*Client, error) {
-	return Dial(addr, WithOptions(opts))
-}
-
-// ConnectModel is Connect requesting the named model.
-//
-// Deprecated: use Connect(conn, WithModel(model), WithEntropy(entropy)).
-func ConnectModel(conn *transport.Conn, model string, entropy io.Reader) (*Client, error) {
-	return Connect(conn, WithModel(model), WithEntropy(entropy))
-}
-
-// ConnectOpts is Connect with a pre-built options struct.
-//
-// Deprecated: use Connect with WithModel/WithEntropy/WithPreamble (or
-// WithOptions for a pre-built struct).
-func ConnectOpts(conn *transport.Conn, opts ConnectOptions) (*Client, error) {
-	return Connect(conn, WithOptions(opts))
-}
-
-// connect runs the session handshake with resolved options.
-func connect(conn *transport.Conn, opts ConnectOptions) (*Client, error) {
+func Connect(conn *transport.Conn, options ...Option) (*Client, error) {
+	var opts connectOptions
+	for _, opt := range options {
+		if opt != nil {
+			opt(&opts)
+		}
+	}
 	var ticket []byte
 	var state *delphi.OTResume
 	if opts.Preamble != nil {
@@ -245,7 +195,7 @@ func connect(conn *transport.Conn, opts ConnectOptions) (*Client, error) {
 	// building the endpoint. A resumed session reuses the cached pair from
 	// the ticket's generation — the server validated its public key at
 	// ticket issue and keeps no copy, so neither keygen nor the key flight
-	// runs (wire v4). A full handshake with a preamble derives the next
+	// runs. A full handshake with a preamble derives the next
 	// generation from the master seed (fresh derivation nonce) and sends
 	// its public key through the normal Setup path via Config.HEKeyGen.
 	var resumeKeys delphi.HEKeyPair
@@ -276,27 +226,23 @@ func connect(conn *transport.Conn, opts ConnectOptions) (*Client, error) {
 			return keys.SK, keys.PK
 		}
 	}
+	// The client-side model artifact (plans, circuits) comes from the
+	// preamble's cache when there is one, and is built for this session
+	// otherwise.
+	var cs *delphi.ClientShared
 	if opts.Preamble != nil {
-		cs, err := opts.Preamble.sharedFor(w.Model, params, w.Meta)
-		if err != nil {
-			c.m.close(err)
-			return nil, err
-		}
-		c.cli, err = delphi.NewClientWithShared(dataConn{c.m}, dcfg, cs, entropy)
-		if err != nil {
-			c.m.close(err)
-			return nil, err
-		}
+		cs, err = opts.Preamble.sharedFor(w.Model, params, w.Meta)
 	} else {
-		c.cli, err = delphi.NewClient(dataConn{c.m}, dcfg, w.Meta, entropy)
-		if err != nil {
-			c.m.close(err)
-			return nil, err
-		}
+		cs, err = delphi.NewClientShared(params, w.Meta)
 	}
-	if w.Resumed {
-		err = c.cli.SetupResumeKeys(state, joinNonce(nonce, w.Nonce), resumeKeys)
-	} else {
+	if err == nil {
+		c.cli, err = delphi.NewClientWithShared(dataConn{c.m}, dcfg, cs, entropy)
+	}
+	switch {
+	case err != nil:
+	case w.Resumed:
+		err = c.cli.SetupResumed(state, joinNonce(nonce, w.Nonce), resumeKeys)
+	default:
 		err = c.cli.Setup()
 		if err == nil && opts.Preamble != nil && len(w.Ticket) > 0 {
 			opts.Preamble.storeTicket(w.Ticket, c.cli.OTResume())

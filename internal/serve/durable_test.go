@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"privinf/internal/delphi"
+	"privinf/internal/nn"
 )
 
 // Cross-restart battery for durable session state: each test crashes one
@@ -20,22 +21,19 @@ import (
 // seed, same ticket directory across "restarts".
 func durableConfig(t *testing.T, dir string, seed int64) Config {
 	t.Helper()
-	return Config{
-		Model:       testModel(t, seed),
-		Variant:     delphi.ClientGarbler,
-		LPHEWorkers: 2,
-		TicketDir:   dir,
-	}
+	cfg := testConfig(testModel(t, seed))
+	cfg.TicketDir = dir
+	return cfg
 }
 
-// inferOnce runs one inference through a connected client.
-func inferOnce(t *testing.T, c *Client, x []uint64) []uint64 {
+// inferOnce runs one inference on a fixed input through a connected client
+// and requires it bit-exact with plaintext evaluation — so a pre-crash and
+// a post-restart call that both pass produced identical outputs.
+func inferOnce(t *testing.T, c *Client, model *nn.Lowered) {
 	t.Helper()
-	out, _, _, err := c.Infer(x)
-	if err != nil {
+	if _, err := inferExact(c, model, 1); err != nil {
 		t.Fatal(err)
 	}
-	return out
 }
 
 // heGeneration snapshots the preamble's HE derivation state: the nonce
@@ -55,16 +53,11 @@ func TestEngineRestartKeepsResumedPath(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableConfig(t, dir, 160)
 	model := cfg.Model
-	x := make([]uint64, model.InputLen())
-	for j := range x {
-		x[j] = uint64((j*5 + 1) % 16)
-	}
-	want := model.Forward(x)
 
 	eng1, ln1 := pipeEngine(t, cfg)
 	p := NewPreamble()
 	cold := connectPreamble(t, ln1, "", p)
-	coldOut := inferOnce(t, cold, x)
+	inferOnce(t, cold, model)
 	cold.Close()
 	if err := eng1.Close(); err != nil { // flushes ticket write-throughs
 		t.Fatal(err)
@@ -88,12 +81,7 @@ func TestEngineRestartKeepsResumedPath(t *testing.T) {
 	if nonceAfter, _ := heGeneration(p); nonceAfter != nonceBefore {
 		t.Fatalf("resumed connect bumped the HE nonce %d→%d: keygen ran", nonceBefore, nonceAfter)
 	}
-	out := inferOnce(t, c, x)
-	for j := range want {
-		if coldOut[j] != want[j] || out[j] != coldOut[j] {
-			t.Fatalf("output %d: cold %d, post-restart %d, plaintext %d", j, coldOut[j], out[j], want[j])
-		}
-	}
+	inferOnce(t, c, model)
 	if st := eng2.Stats(); st.Tickets.Resumed != 1 {
 		t.Fatalf("restarted engine resumed counter = %d, want 1", st.Tickets.Resumed)
 	}
@@ -105,15 +93,11 @@ func TestEngineRestartKeepsResumedPath(t *testing.T) {
 func TestClientRestartKeepsResumedPath(t *testing.T) {
 	cfg := durableConfig(t, t.TempDir(), 161)
 	model := cfg.Model
-	x := make([]uint64, model.InputLen())
-	for j := range x {
-		x[j] = uint64((j*3 + 2) % 16)
-	}
 	_, ln := pipeEngine(t, cfg)
 
 	p := NewPreamble()
 	cold := connectPreamble(t, ln, "", p)
-	coldOut := inferOnce(t, cold, x)
+	inferOnce(t, cold, model)
 	cold.Close()
 
 	ps, err := NewPreambleStore(t.TempDir())
@@ -140,12 +124,7 @@ func TestClientRestartKeepsResumedPath(t *testing.T) {
 	if nonceAfter, _ := heGeneration(p2); nonceAfter != nonceBefore {
 		t.Fatal("resumed connect from disk state re-derived HE keys")
 	}
-	out := inferOnce(t, c, x)
-	for j := range coldOut {
-		if out[j] != coldOut[j] {
-			t.Fatalf("output %d: post-restart %d, cold session produced %d", j, out[j], coldOut[j])
-		}
-	}
+	inferOnce(t, c, model)
 }
 
 // TestBothPartiesRestartResume is the tentpole acceptance test: both
@@ -156,16 +135,11 @@ func TestBothPartiesRestartResume(t *testing.T) {
 	ticketDir := t.TempDir()
 	cfg := durableConfig(t, ticketDir, 162)
 	model := cfg.Model
-	x := make([]uint64, model.InputLen())
-	for j := range x {
-		x[j] = uint64((j*7 + 3) % 16)
-	}
-	want := model.Forward(x)
 
 	eng1, ln1 := pipeEngine(t, cfg)
 	p := NewPreamble()
 	cold := connectPreamble(t, ln1, "", p)
-	coldOut := inferOnce(t, cold, x)
+	inferOnce(t, cold, model)
 	cold.Close()
 
 	ps, err := NewPreambleStore(t.TempDir())
@@ -197,12 +171,7 @@ func TestBothPartiesRestartResume(t *testing.T) {
 	if nonceAfter, _ := heGeneration(p2); nonceAfter != nonceBefore {
 		t.Fatal("double-restart resumed connect re-derived HE keys")
 	}
-	out := inferOnce(t, c, x)
-	for j := range want {
-		if coldOut[j] != want[j] || out[j] != coldOut[j] {
-			t.Fatalf("output %d: cold %d, post-restart %d, plaintext %d", j, coldOut[j], out[j], want[j])
-		}
-	}
+	inferOnce(t, c, model)
 	st := eng2.Stats()
 	if st.Tickets.Loaded != 1 || st.Tickets.Resumed != 1 || st.Tickets.LoadErrors != 0 {
 		t.Fatalf("restarted engine ticket stats %+v, want loaded=1 resumed=1", st.Tickets)
@@ -229,14 +198,10 @@ func TestCorruptTicketFileFallsBack(t *testing.T) {
 	if err != nil || len(files) != 1 {
 		t.Fatalf("ticket dir holds %d records (%v), want 1", len(files), err)
 	}
-	data, err := os.ReadFile(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0x01
-	if err := os.WriteFile(files[0], data, 0o600); err != nil {
-		t.Fatal(err)
-	}
+	rewriteFile(t, files[0], func(b []byte) []byte {
+		b[len(b)/2] ^= 0x01
+		return b
+	})
 
 	eng2, ln2 := pipeEngine(t, cfg)
 	st := eng2.Stats()
@@ -251,16 +216,7 @@ func TestCorruptTicketFileFallsBack(t *testing.T) {
 	if resumed, code := c.ResumeOutcome(); resumed || code != resumeUnknownTicket {
 		t.Fatalf("resumed=%v reject=%q, want typed %q fallback", resumed, code, resumeUnknownTicket)
 	}
-	x := make([]uint64, model.InputLen())
-	for j := range x {
-		x[j] = uint64(j % 11)
-	}
-	out := inferOnce(t, c, x)
-	for j, w := range model.Forward(x) {
-		if out[j] != w {
-			t.Fatalf("fallback session output %d diverged", j)
-		}
-	}
+	inferOnce(t, c, model)
 	c.Close()
 
 	// The fallback's fresh ticket works — and is durable again.
@@ -311,7 +267,7 @@ func TestCorruptPreambleFallsBackFresh(t *testing.T) {
 	if err := ps.Save("c", p); err != nil {
 		t.Fatal(err)
 	}
-	corruptPreambleFile(t, ps, "c", func(b []byte) []byte {
+	rewriteFile(t, ps.Path("c"), func(b []byte) []byte {
 		b[storeHeaderBytes+32] ^= 0x80
 		return b
 	})

@@ -14,7 +14,8 @@ import (
 
 // Shared on-disk framing for the serve package's durable state: model
 // artifacts (ArtifactStore), resumption tickets (ticketStore) and client
-// preambles (PreambleStore) all persist as
+// preambles (PreambleStore) — three instantiations of durableStore — all
+// persist as
 //
 //	magic (4 bytes) | format version (u32) | payload length (u64) |
 //	CRC-32C(payload) (u32) | payload
@@ -29,25 +30,19 @@ import (
 // falling back cleanly.
 
 // frameSpec is one durable format's identity: its magic, current version,
-// a label for error text, and the typed sentinels its readers surface.
+// a label for error text, the extension its published files carry, the
+// mode its directory is created with, and the typed sentinels its readers
+// surface.
 type frameSpec struct {
 	magic   [4]byte
 	version uint32
 	label   string
+	suffix  string
+	dirMode fs.FileMode
 	// Typed failure sentinels, matched with errors.Is by callers.
 	errNotFound error
 	errCorrupt  error
 	errVersion  error
-}
-
-// frameHeader builds the fixed header for a payload.
-func (sp frameSpec) frameHeader(payload []byte) [storeHeaderBytes]byte {
-	var header [storeHeaderBytes]byte
-	copy(header[0:4], sp.magic[:])
-	binary.LittleEndian.PutUint32(header[4:], sp.version)
-	binary.LittleEndian.PutUint64(header[8:], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(header[16:], storeChecksum(payload))
-	return header
 }
 
 // writeFramed atomically publishes a framed payload at dst: temp file in
@@ -59,23 +54,24 @@ func (sp frameSpec) frameHeader(payload []byte) [storeHeaderBytes]byte {
 // published secret-material file (tickets, preambles) is never readable
 // beyond its owner.
 func (sp frameSpec) writeFramed(dir, name, dst string, payload []byte) error {
-	header := sp.frameHeader(payload)
+	var header [storeHeaderBytes]byte
+	copy(header[0:4], sp.magic[:])
+	binary.LittleEndian.PutUint32(header[4:], sp.version)
+	binary.LittleEndian.PutUint64(header[8:], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(header[16:], storeChecksum(payload))
 	tmp, err := os.CreateTemp(dir, "."+url.PathEscape(name)+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("serve: %s: %w", sp.label, err)
 	}
 	tmpName := tmp.Name()
-	if _, err := tmp.Write(header[:]); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("serve: %s: write %q: %w", sp.label, name, err)
+	_, err = tmp.Write(header[:])
+	if err == nil {
+		_, err = tmp.Write(payload)
 	}
-	if _, err := tmp.Write(payload); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("serve: %s: write %q: %w", sp.label, name, err)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
+	if err != nil {
 		os.Remove(tmpName)
 		return fmt.Errorf("serve: %s: write %q: %w", sp.label, name, err)
 	}
@@ -120,25 +116,17 @@ func (sp frameSpec) readFramed(path, name string) ([]byte, error) {
 	return payload, nil
 }
 
-// escapedPath maps an arbitrary name into dir with the store's suffix,
-// URL-path-escaped so names with separators stay within the directory.
-func escapedPath(dir, name, suffix string) string {
-	return filepath.Join(dir, url.PathEscape(name)+suffix)
-}
-
 // sweepTempFiles removes orphaned atomic-write temp files (".<name>.tmp-*")
 // older than tempMaxAge from dir — the debris a writer crashed between
 // CreateTemp and Rename leaves behind. Published files always end in
 // publishedSuffix and are never touched. Best-effort: a file that vanishes
-// mid-sweep or cannot be removed is simply skipped. Returns the number
-// removed.
-func sweepTempFiles(dir, publishedSuffix string) int {
+// mid-sweep or cannot be removed is simply skipped.
+func sweepTempFiles(dir, publishedSuffix string) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return 0
+		return
 	}
 	cutoff := time.Now().Add(-tempMaxAge)
-	removed := 0
 	for _, ent := range entries {
 		name := ent.Name()
 		if ent.IsDir() || !strings.HasPrefix(name, ".") || !strings.Contains(name, ".tmp-") {
@@ -151,11 +139,8 @@ func sweepTempFiles(dir, publishedSuffix string) int {
 		if err != nil || info.ModTime().After(cutoff) {
 			continue
 		}
-		if os.Remove(filepath.Join(dir, name)) == nil {
-			removed++
-		}
+		os.Remove(filepath.Join(dir, name))
 	}
-	return removed
 }
 
 // binWriter appends little-endian fields to a growing buffer — the serve

@@ -1,0 +1,128 @@
+package serve
+
+import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"privinf/internal/bfv"
+	"privinf/internal/delphi"
+	"privinf/internal/field"
+	"privinf/internal/nn"
+)
+
+// On-disk compatibility goldens: testdata/golden holds one file per durable
+// format (PIAF artifact, PITK ticket record, PIPB preamble), written from
+// the fixed inputs below by the three hand-written stores at commit 61793ac,
+// the last commit before they became one durableStore. The test proves no
+// byte on disk has moved since. Regenerate only for a deliberate
+// format-version bump:
+//
+//	go test ./internal/serve -run TestGoldenFiles -update
+var updateGolden = flag.Bool("update", false, "rewrite testdata/golden from the current code")
+
+// goldenRingN keeps the committed files small: the formats do not depend
+// on the ring degree, only the payload sizes do.
+const goldenRingN = 64
+
+// goldenNet is a fixed 2-layer toy network (4 → 3 → ReLU → 2), spelled out
+// so the artifact bytes depend on no random source.
+func goldenNet() *nn.Lowered {
+	return &nn.Lowered{
+		F:    field.New(field.P20),
+		Frac: 4,
+		Linear: []nn.LinearSpec{
+			{W: [][]uint64{{1, 2, 3, 4}, {5, 6, 7, 8}, {9, 10, 11, 12}}, B: []uint64{1, 2, 3}},
+			{W: [][]uint64{{3, 1, 2}, {2, 3, 1}}, B: []uint64{4, 5}},
+		},
+		Shifts: []uint{4},
+	}
+}
+
+func goldenParams(t *testing.T) bfv.Params {
+	t.Helper()
+	params, err := bfv.NewParams(goldenRingN, field.P20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return params
+}
+
+var goldenExpiry = time.Unix(4102444800, 123456789) // 2100-01-01, far from any test clock
+
+// goldenTicket is a fixed ticket record.
+func goldenTicket(t *testing.T) ticketRecord {
+	return testTicketRecord(t, 7, goldenExpiry)
+}
+
+// goldenPreamble is a preamble populated the way a real repeat client's
+// is — ticket + OT state, a derived HE key generation, one cached client
+// artifact — from fixed inputs.
+func goldenPreamble(t *testing.T) *Preamble {
+	t.Helper()
+	params := goldenParams(t)
+	p := NewPreamble()
+	cs, err := delphi.NewClientShared(params, delphi.MetaOf(goldenNet()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.shared["toy"] = cs
+	p.storeTicket(goldenTicket(t).id, goldenTicket(t).state)
+	if _, err := p.freshHEKeys(params, &seqEntropy{}); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// checkGolden proves one format's bytes have not moved: the store writes
+// the row's fixed value to exactly the committed file, and loads the
+// committed file and re-saves it byte-identically.
+func checkGolden[T any](t *testing.T, file string, row storeRow[T]) {
+	ds, err := row.open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.save("golden", row.value(t)); err != nil {
+		t.Fatal(err)
+	}
+	written, err := os.ReadFile(ds.path("golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	goldenPath := filepath.Join("testdata", "golden", file)
+	if *updateGolden {
+		if err := os.WriteFile(goldenPath, written, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	golden, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(written, golden) {
+		t.Fatalf("writing the fixed input produced %d bytes that differ from the %d-byte golden file", len(written), len(golden))
+	}
+
+	if err := os.WriteFile(ds.path("golden"), golden, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	v, err := ds.load("golden", row.unmarshal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.save("resaved", v); err != nil {
+		t.Fatal(err)
+	}
+	if resaved, err := os.ReadFile(ds.path("resaved")); err != nil || !bytes.Equal(resaved, golden) {
+		t.Fatalf("load + re-save of the golden file is not byte-identical (err %v)", err)
+	}
+}
+
+func TestGoldenFiles(t *testing.T) {
+	t.Run("artifact", func(t *testing.T) { checkGolden(t, "toy.piart", artifactRow()) })
+	t.Run("ticket", func(t *testing.T) { checkGolden(t, "ticket.pitk", ticketRow()) })
+	t.Run("preamble", func(t *testing.T) { checkGolden(t, "client.pipre", preambleRow()) })
+}

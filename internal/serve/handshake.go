@@ -1,10 +1,213 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 
+	"privinf/internal/delphi"
+	"privinf/internal/obs"
 	"privinf/internal/transport"
 )
+
+// readHello reads and validates a connection's opening: an optional
+// transport preamble frame, then the hello control frame. It is the one
+// place the opening is parsed — a direct engine connection and a fleet
+// router's peek both come through here, so the same bad opening gets the
+// same answer on either path. An opening that cannot be parsed (an
+// undecodable preamble, a frame that is not a hello, a hello whose JSON
+// does not decode) is answered on conn with the typed bad_hello rejection;
+// a well-formed preamble or hello at another wire version with the typed
+// version rejection. Either way the error is returned and the caller just
+// drops the connection. frames are the opening's raw frames in arrival
+// order, copied (a received frame aliases transport-owned memory), for a
+// front tier to replay.
+func readHello(conn *transport.Conn) (hello helloMsg, frames [][]byte, err error) {
+	f, err := conn.Recv()
+	if err != nil {
+		return hello, nil, err
+	}
+	if transport.IsPreamble(f) {
+		pre, err := transport.DecodePreamble(f)
+		if err != nil {
+			return hello, nil, rejectOpening(conn, rejectBadHello, "serve: malformed preamble")
+		}
+		if pre.Version != wireVersion {
+			return hello, nil, rejectOpening(conn, rejectVersion, versionText(int(pre.Version)))
+		}
+		frames = append(frames, append([]byte(nil), f...))
+		if f, err = conn.Recv(); err != nil {
+			return hello, nil, err
+		}
+	}
+	op, body, err := parseCtrl(f)
+	if err != nil || op != opHello || unmarshalJSON(body, &hello) != nil {
+		return hello, nil, rejectOpening(conn, rejectBadHello, "serve: malformed hello")
+	}
+	if hello.Version != wireVersion {
+		return hello, nil, rejectOpening(conn, rejectVersion, versionText(hello.Version))
+	}
+	return hello, append(frames, append([]byte(nil), f...)), nil
+}
+
+func versionText(client int) string {
+	return fmt.Sprintf("serve: client speaks wire version %d, server speaks %d", client, wireVersion)
+}
+
+// rejectOpening answers a bad opening with a typed rejection and returns
+// the error the client will see.
+func rejectOpening(conn transport.MsgConn, code, message string) error {
+	sendReject(conn, code, message)
+	return &HandshakeError{Code: code, Message: message}
+}
+
+// handshake runs one accepted connection from its opening to a session
+// ready for the session loop: hello, ticket settle, admission, artifact
+// resolve, welcome, delphi setup. It returns nil when the connection was
+// answered with a rejection or an error, or died; the caller drops it.
+func (e *Engine) handshake(conn *transport.Conn, addr string) *session {
+	// The handshake happens on the raw connection, before the demultiplexer.
+	hello, _, err := readHello(conn)
+	if err != nil {
+		return nil
+	}
+	if e.draining.Load() {
+		sendReject(conn, rejectDraining, "serve: engine is draining, not accepting new sessions")
+		return nil
+	}
+	name := hello.Model
+	if name == "" {
+		name = e.defaultModel
+	}
+	if name == "" {
+		sendReject(conn, rejectUnknownModel, "serve: hello named no model and the engine has no default model")
+		return nil
+	}
+	// Settle the session preamble: a presented ticket either resumes OT
+	// setup from cached seed material or is rejected with a typed code and
+	// the session falls back to the full base-OT path on this same
+	// connection. Full handshakes get a fresh ticket reserved here (it
+	// rides in the welcome) and published once setup produces its state.
+	var (
+		resume       *delphi.OTResume
+		resumeReject string
+		newTicket    []byte
+		serverNonce  []byte
+	)
+	if len(hello.Ticket) > 0 {
+		switch {
+		case e.tickets == nil:
+			resumeReject = resumeDisabled
+		case len(hello.Nonce) == 0:
+			resumeReject = resumeBadNonce
+		default:
+			resume, resumeReject = e.tickets.redeem(hello.Ticket, name)
+		}
+	}
+	if resume != nil {
+		serverNonce = randomID(e.entropy)
+	} else if e.tickets != nil {
+		newTicket = e.tickets.reserve()
+	}
+	// Establishment tier for the resume-tier counter: a redeemed ticket,
+	// a typed resume rejection that fell back to the full path, or a
+	// plain full handshake.
+	tier := tierFull
+	switch {
+	case resume != nil:
+		tier = tierResumed
+	case resumeReject != "":
+		tier = resumeReject
+	}
+	obsResume.With(tier).Inc()
+	// Full setups (artifact resolve + base OTs + HE keygen) are the
+	// engine's admission-controlled work: at most SetupWorkers run at
+	// once, excess cold connects queue here. Resumed sessions skip the
+	// bound — seed expansion costs ~nothing, so reconnect latency stays
+	// flat even under a cold-connect storm.
+	if resume == nil && e.setupSem != nil {
+		select {
+		case e.setupSem <- struct{}{}:
+		case <-e.done:
+			return nil
+		}
+		defer func() { <-e.setupSem }()
+	}
+	// Resolving the artifact may build it (a registry miss); that cost is
+	// paid here, on this connection's goroutine, so other sessions keep
+	// serving while a cold model encodes.
+	artifact, err := e.reg.Get(name)
+	if err != nil {
+		if errors.Is(err, ErrUnknownModel) {
+			sendReject(conn, rejectUnknownModel, err.Error())
+		} else {
+			obsHandshakes.With(outcomeEngineErr).Inc()
+			sendCtrl(conn, opErr, []byte(err.Error()))
+		}
+		return nil
+	}
+	welcome := marshalJSON(welcomeMsg{
+		Version:      wireVersion,
+		Variant:      int(e.cfg.Variant),
+		RingN:        artifact.Params().N,
+		Model:        name,
+		Meta:         artifact.Meta(),
+		Resumed:      resume != nil,
+		ResumeReject: resumeReject,
+		Ticket:       newTicket,
+		Nonce:        serverNonce,
+	})
+	if err := sendCtrl(conn, opWelcome, welcome); err != nil {
+		return nil
+	}
+
+	if remote := conn.RemoteAddr(); remote != "" {
+		addr = remote
+	}
+	s := &session{
+		addr:    addr,
+		model:   name,
+		resumed: resume != nil,
+		eng:     e,
+		m:       newMux(conn),
+		refill:  make(chan struct{}, 1),
+	}
+	// GarbleFunc routes the session's offline ReLU garbling through the
+	// engine's coalescer, so concurrent refills of one model garble as one
+	// batch instead of per-session.
+	dcfg := delphi.Config{
+		Variant:     e.cfg.Variant,
+		HEParams:    artifact.Params(),
+		LPHEWorkers: e.cfg.LPHEWorkers,
+		GarbleFunc:  e.garbler.submit,
+	}
+	setupTier := tierFull
+	if resume != nil {
+		setupTier = tierResumed
+	}
+	setupSpan := obs.StartSpan(obsSetup.With(setupTier))
+	s.srv, err = delphi.NewServerShared(dataConn{s.m}, dcfg, artifact, e.entropy)
+	switch {
+	case err != nil:
+	case resume != nil:
+		// Both halves contribute to the per-session nonce, so neither party
+		// can force a stream replay on the other. A resumed client reuses
+		// the key pair this engine validated at ticket issue, so no public
+		// key crosses the wire here.
+		err = s.srv.SetupResumed(resume, joinNonce(hello.Nonce, serverNonce))
+	default:
+		err = s.srv.Setup()
+		if err == nil && newTicket != nil {
+			e.tickets.insert(newTicket, s.srv.OTResume(), name)
+		}
+	}
+	if err != nil {
+		obsHandshakes.With(outcomeSetupError).Inc()
+		s.fail(err)
+		return nil
+	}
+	setupSpan.End()
+	return s
+}
 
 // Front-tier handshake support: a fleet router terminates nothing — it
 // peeks the client's opening frames to learn where the session wants to go
@@ -28,49 +231,16 @@ type ClientHello struct {
 	frames [][]byte // preamble + hello, in arrival order
 }
 
-// PeekClientHello reads and validates a connection's opening frames (the
-// wire-v3 transport preamble and the hello). Malformed openings and wire
-// version mismatches are answered on conn with the same typed rejection an
-// engine would send, and returned as an error; the caller should just drop
-// the connection.
+// PeekClientHello reads and validates a connection's opening frames (see
+// readHello). Malformed openings and wire version mismatches are answered
+// on conn with the same typed rejection an engine sends, and returned as an
+// error; the caller should just drop the connection.
 func PeekClientHello(conn *transport.Conn) (*ClientHello, error) {
-	f, err := conn.Recv()
+	hello, frames, err := readHello(conn)
 	if err != nil {
 		return nil, err
 	}
-	h := &ClientHello{}
-	var op byte
-	var body []byte
-	if transport.IsPreamble(f) {
-		pre, err := transport.DecodePreamble(f)
-		if err != nil || pre.Version != wireVersion {
-			sendReject(conn, rejectVersion, fmt.Sprintf("serve: client speaks wire version %d, server speaks %d", pre.Version, wireVersion))
-			return nil, fmt.Errorf("serve: peek hello: %w", ErrVersionMismatch)
-		}
-		// Copy before retaining: the frame slice aliases transport-owned
-		// memory that a buffer-reusing transport may recycle after return.
-		h.frames = append(h.frames, append([]byte(nil), f...))
-		if f, err = conn.Recv(); err != nil {
-			return nil, err
-		}
-	}
-	if op, body, err = parseCtrl(f); err != nil {
-		sendReject(conn, rejectBadHello, "serve: malformed hello")
-		return nil, err
-	}
-	var hello helloMsg
-	if op != opHello || unmarshalJSON(body, &hello) != nil {
-		sendReject(conn, rejectBadHello, "serve: malformed hello")
-		return nil, fmt.Errorf("serve: peek hello: expected hello, got opcode %d", op)
-	}
-	if hello.Version != wireVersion {
-		sendReject(conn, rejectVersion, fmt.Sprintf("serve: client speaks wire version %d, server speaks %d", hello.Version, wireVersion))
-		return nil, fmt.Errorf("serve: peek hello: %w", ErrVersionMismatch)
-	}
-	h.frames = append(h.frames, append([]byte(nil), f...))
-	h.Model = hello.Model
-	h.Ticket = hello.Ticket
-	return h, nil
+	return &ClientHello{Model: hello.Model, Ticket: hello.Ticket, frames: frames}, nil
 }
 
 // Replay writes the captured opening frames to a backend connection, so
@@ -109,10 +279,7 @@ func PeekWelcome(conn *transport.Conn) (*WelcomeInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &WelcomeInfo{}
-	f := make([]byte, 0, 2+len(body))
-	f = append(f, tagCtrl, op)
-	w.Frame = append(f, body...)
+	w := &WelcomeInfo{Frame: ctrlFrame(op, body)}
 	if op != opWelcome {
 		return w, nil
 	}

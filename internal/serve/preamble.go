@@ -26,7 +26,7 @@ import (
 //     keygen and the public-key flight (the server validated and discarded
 //     this pk at ticket issue — it computes only on ciphertexts).
 //
-// Pass one Preamble to every ConnectOpts/DialOpts call of a logical
+// Pass one Preamble (WithPreamble) to every Connect/Dial call of a logical
 // client; it is updated in place after each handshake (fresh ticket on a
 // full handshake, artifact cache fills on first use of a model). Safe for
 // concurrent use. A Preamble holds secret OT correlation material and HE

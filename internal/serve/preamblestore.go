@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"os"
 	"sort"
 
 	"privinf/internal/bfv"
@@ -30,7 +29,7 @@ import (
 // (encryption at rest) is the deployment's responsibility — see
 // docs/invariants.md.
 type PreambleStore struct {
-	dir string
+	ds *durableStore[*Preamble]
 }
 
 // Sentinel errors distinguishing the preamble store's failure modes; match
@@ -54,12 +53,12 @@ const preambleFormatVersion = 1
 // preambleSuffix is the extension every published preamble file carries.
 const preambleSuffix = ".pipre"
 
-var preambleMagic = [4]byte{'P', 'I', 'P', 'B'}
-
 var preambleFrame = frameSpec{
-	magic:       preambleMagic,
+	magic:       [4]byte{'P', 'I', 'P', 'B'},
 	version:     preambleFormatVersion,
 	label:       "preamble store",
+	suffix:      preambleSuffix,
+	dirMode:     0o700,
 	errNotFound: ErrPreambleNotFound,
 	errCorrupt:  ErrPreambleCorrupt,
 	errVersion:  ErrPreambleVersion,
@@ -69,25 +68,19 @@ var preambleFrame = frameSpec{
 // at dir and sweeps orphaned temp files from crashed atomic writes. The
 // directory is created 0700: every file holds secret key material.
 func NewPreambleStore(dir string) (*PreambleStore, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("serve: preamble store: empty directory")
+	ds, err := openDurableStore(preambleFrame, dir, (*Preamble).MarshalBinary)
+	if err != nil {
+		return nil, err
 	}
-	if err := os.MkdirAll(dir, 0o700); err != nil {
-		return nil, fmt.Errorf("serve: preamble store: %w", err)
-	}
-	ps := &PreambleStore{dir: dir}
-	sweepTempFiles(dir, preambleSuffix)
-	return ps, nil
+	return &PreambleStore{ds: ds}, nil
 }
 
 // Dir returns the store's root directory.
-func (ps *PreambleStore) Dir() string { return ps.dir }
+func (ps *PreambleStore) Dir() string { return ps.ds.dir }
 
 // Path returns the file path a client name maps to (URL-path-escaped, like
 // artifact names).
-func (ps *PreambleStore) Path(name string) string {
-	return escapedPath(ps.dir, name, preambleSuffix)
-}
+func (ps *PreambleStore) Path(name string) string { return ps.ds.path(name) }
 
 // Save atomically persists a snapshot of the preamble under name,
 // replacing any previous version. Call it after a successful connect (the
@@ -96,39 +89,20 @@ func (ps *PreambleStore) Save(name string, p *Preamble) error {
 	if p == nil {
 		return fmt.Errorf("serve: preamble store: nil preamble %q", name)
 	}
-	payload, err := p.MarshalBinary()
-	if err != nil {
-		return fmt.Errorf("serve: preamble store: encode %q: %w", name, err)
-	}
-	return preambleFrame.writeFramed(ps.dir, name, ps.Path(name), payload)
+	return ps.ds.save(name, p)
 }
 
 // Load reads, verifies and decodes the preamble stored under name. Absent
-// files return ErrPreambleNotFound; damaged or incompatible files return
-// errors matching ErrPreambleCorrupt or ErrPreambleVersion. Callers treat
-// every error the same way: start from NewPreamble.
+// files return ErrPreambleNotFound; damaged or incompatible files —
+// including an intact payload the codec rejects — return errors matching
+// ErrPreambleCorrupt or ErrPreambleVersion. Callers treat every error the
+// same way: start from NewPreamble.
 func (ps *PreambleStore) Load(name string) (*Preamble, error) {
-	payload, err := preambleFrame.readFramed(ps.Path(name), name)
-	if err != nil {
-		return nil, err
-	}
-	p, err := UnmarshalPreamble(payload)
-	if err != nil {
-		// The checksum held, so the payload is intact but semantically
-		// unusable — still a corrupt-class failure for fallback purposes.
-		return nil, fmt.Errorf("%w: %q: %v", ErrPreambleCorrupt, name, err)
-	}
-	return p, nil
+	return ps.ds.load(name, UnmarshalPreamble)
 }
 
 // Forget deletes the stored preamble for name, if any.
-func (ps *PreambleStore) Forget(name string) error {
-	err := os.Remove(ps.Path(name))
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return err
-	}
-	return nil
-}
+func (ps *PreambleStore) Forget(name string) error { return ps.ds.remove(name) }
 
 // MarshalBinary encodes a snapshot of the preamble for UnmarshalPreamble:
 // the ticket/OT-state pair, the HE master seed, derivation nonce and

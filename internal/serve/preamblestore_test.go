@@ -1,10 +1,6 @@
 package serve
 
 import (
-	"bytes"
-	"errors"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"privinf/internal/bfv"
@@ -21,225 +17,6 @@ func (s *seqEntropy) Read(p []byte) (int, error) {
 		p[i] = s.b
 	}
 	return len(p), nil
-}
-
-// testPreambleFull builds a preamble populated the way a real repeat
-// client's is: ticket + OT state, a derived HE key generation, and one
-// cached client artifact.
-func testPreambleFull(t *testing.T) (*Preamble, bfv.Params) {
-	t.Helper()
-	model := testModel(t, 150)
-	params := mustParams(t, model)
-	p := NewPreamble()
-	cs, err := delphi.NewClientShared(params, delphi.MetaOf(model))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.shared["mlp"] = cs
-	id := make([]byte, ticketIDBytes)
-	for i := range id {
-		id[i] = byte(0xA0 + i)
-	}
-	p.storeTicket(id, testOTResume(t, 50))
-	if _, err := p.freshHEKeys(params, &seqEntropy{}); err != nil {
-		t.Fatal(err)
-	}
-	return p, params
-}
-
-// TestPreambleStoreRoundTrip: Save → Load reproduces the preamble —
-// byte-identical canonical encoding, a usable ticket, the cached HE key
-// generation, and the client artifact — and Forget leaves a typed miss.
-func TestPreambleStoreRoundTrip(t *testing.T) {
-	ps, err := NewPreambleStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, params := testPreambleFull(t)
-	if err := ps.Save("client-a", p); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ps.Load("client-a")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	wantEnc, err := p.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotEnc, err := got.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(wantEnc, gotEnc) {
-		t.Fatal("loaded preamble's canonical encoding diverged from the saved one")
-	}
-	if !got.HasTicket() {
-		t.Fatal("ticket did not survive the store")
-	}
-	keys, ok := got.resumeHEKeys(params)
-	if !ok {
-		t.Fatal("cached HE key generation did not survive the store")
-	}
-	if err := keys.Validate(params); err != nil {
-		t.Fatal(err)
-	}
-	wantKeys, _ := p.resumeHEKeys(params)
-	gotSK, _ := keys.SK.MarshalBinary()
-	wantSK, _ := wantKeys.SK.MarshalBinary()
-	if !bytes.Equal(gotSK, wantSK) {
-		t.Fatal("reloaded secret key diverged")
-	}
-	got.mu.Lock()
-	cs := got.shared["mlp"]
-	got.mu.Unlock()
-	if cs == nil || !cs.Meta().Equal(p.shared["mlp"].Meta()) {
-		t.Fatal("client artifact did not survive the store")
-	}
-
-	if err := ps.Forget("client-a"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ps.Load("client-a"); !errors.Is(err, ErrPreambleNotFound) {
-		t.Fatalf("Load after Forget = %v, want ErrPreambleNotFound", err)
-	}
-}
-
-// TestPreambleStoreNameEscaping: hostile client names map to files inside
-// the store directory and round-trip.
-func TestPreambleStoreNameEscaping(t *testing.T) {
-	ps, err := NewPreambleStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewPreamble()
-	for _, name := range []string{"tenants/prod/alice", "../escape", "a b%c"} {
-		if got := ps.Path(name); filepath.Dir(got) != ps.Dir() {
-			t.Fatalf("name %q maps outside the store: %s", name, got)
-		}
-		if err := ps.Save(name, p); err != nil {
-			t.Fatalf("save %q: %v", name, err)
-		}
-		if _, err := ps.Load(name); err != nil {
-			t.Fatalf("load %q: %v", name, err)
-		}
-	}
-}
-
-// corruptPreambleFile rewrites the stored preamble for name through f.
-func corruptPreambleFile(t *testing.T, ps *PreambleStore, name string, f func([]byte) []byte) {
-	t.Helper()
-	path := ps.Path(name)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, f(data), 0o600); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPreambleStoreDetectsTruncation: a file cut anywhere loads as the
-// typed corrupt sentinel — the client starts fresh instead of resuming
-// from garbage.
-func TestPreambleStoreDetectsTruncation(t *testing.T) {
-	p, _ := testPreambleFull(t)
-	for _, frac := range []float64{0, 0.2, 0.5, 0.99} {
-		ps, err := NewPreambleStore(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ps.Save("c", p); err != nil {
-			t.Fatal(err)
-		}
-		corruptPreambleFile(t, ps, "c", func(b []byte) []byte {
-			return b[:int(float64(len(b))*frac)]
-		})
-		if _, err := ps.Load("c"); !errors.Is(err, ErrPreambleCorrupt) {
-			t.Fatalf("truncation to %.0f%%: Load = %v, want ErrPreambleCorrupt", frac*100, err)
-		}
-	}
-}
-
-// TestPreambleStoreDetectsBitFlips: a flipped byte in the magic, checksum
-// or payload is caught by the frame before the codec runs.
-func TestPreambleStoreDetectsBitFlips(t *testing.T) {
-	p, _ := testPreambleFull(t)
-	offsets := map[string]int{
-		"magic":    0,
-		"checksum": 17,
-		"payload":  storeHeaderBytes + 64,
-	}
-	for which, off := range offsets {
-		ps, err := NewPreambleStore(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ps.Save("c", p); err != nil {
-			t.Fatal(err)
-		}
-		corruptPreambleFile(t, ps, "c", func(b []byte) []byte {
-			b[off] ^= 0x40
-			return b
-		})
-		if _, err := ps.Load("c"); !errors.Is(err, ErrPreambleCorrupt) {
-			t.Fatalf("%s flip: Load = %v, want ErrPreambleCorrupt", which, err)
-		}
-	}
-}
-
-// TestPreambleStoreDetectsVersionMismatch: a future-format file is the
-// version sentinel, not corruption and not a miss.
-func TestPreambleStoreDetectsVersionMismatch(t *testing.T) {
-	ps, err := NewPreambleStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, _ := testPreambleFull(t)
-	if err := ps.Save("c", p); err != nil {
-		t.Fatal(err)
-	}
-	corruptPreambleFile(t, ps, "c", func(b []byte) []byte {
-		b[4] = preambleFormatVersion + 1
-		return b
-	})
-	_, err = ps.Load("c")
-	if !errors.Is(err, ErrPreambleVersion) {
-		t.Fatalf("Load = %v, want ErrPreambleVersion", err)
-	}
-	if errors.Is(err, ErrPreambleCorrupt) || errors.Is(err, ErrPreambleNotFound) {
-		t.Fatal("version mismatch must not match the other sentinels")
-	}
-}
-
-// TestPreambleStoreEmptyDir: a fresh store misses cleanly.
-func TestPreambleStoreEmptyDir(t *testing.T) {
-	ps, err := NewPreambleStore(filepath.Join(t.TempDir(), "nested", "dir"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ps.Load("anything"); !errors.Is(err, ErrPreambleNotFound) {
-		t.Fatalf("Load from empty store = %v, want ErrPreambleNotFound", err)
-	}
-}
-
-// TestUnmarshalPreambleTruncationSweep: every prefix of a full encoding
-// errors — never panics, never yields a half-decoded preamble.
-func TestUnmarshalPreambleTruncationSweep(t *testing.T) {
-	p, _ := testPreambleFull(t)
-	enc, err := p.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := UnmarshalPreamble(enc); err != nil {
-		t.Fatalf("pristine encoding rejected: %v", err)
-	}
-	for i := 0; i < len(enc); i++ {
-		if _, err := UnmarshalPreamble(enc[:i]); err == nil {
-			t.Fatalf("truncation to %d of %d bytes accepted", i, len(enc))
-		}
-	}
 }
 
 // TestUnmarshalPreambleRejectsSemanticDamage: payloads whose frame and

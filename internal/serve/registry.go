@@ -58,15 +58,10 @@ type Registry struct {
 	lru     *list.List // of *regEntry; front = most recently used resident
 	bytes   int64
 
-	// Background spill writer state: disk writes (write-through after a
-	// build, spill-before-drop at eviction) run on a lazily started worker
-	// goroutine, so neither the miss path nor an evicting Get waits on the
-	// disk. spillQ is the pending jobs, spillActive whether a worker is
-	// draining it, pendingSpills the queued+in-flight count Flush waits on.
-	spillQ        []spillJob
-	spillActive   bool
-	pendingSpills int
-	spillDone     *sync.Cond // signalled when pendingSpills reaches zero
+	// disk is the background spill writer: disk writes (write-through after
+	// a build, spill-before-drop at eviction) ride its worker, so neither
+	// the miss path nor an evicting Get waits on the disk.
+	disk *writeBehind
 
 	hits, misses, evictions uint64
 	spills, reloads         uint64
@@ -99,15 +94,6 @@ type regEntry struct {
 	loadErrors, spillErrors uint64
 }
 
-// spillJob is one deferred disk write: an artifact evicted (or registered)
-// before the store held a current copy. Writes happen outside the registry
-// lock; the job carries the artifact pointer because the entry may already
-// have dropped it.
-type spillJob struct {
-	entry *regEntry
-	art   *delphi.SharedModel
-}
-
 // NewRegistry returns an empty memory-only registry holding built artifacts
 // under budgetBytes (<= 0 means unbounded).
 func NewRegistry(budgetBytes int64) *Registry {
@@ -125,7 +111,7 @@ func NewRegistryWithStore(budgetBytes int64, store *ArtifactStore) *Registry {
 		entries: map[string]*regEntry{},
 		lru:     list.New(),
 	}
-	r.spillDone = sync.NewCond(&r.mu)
+	r.disk = newWriteBehind(&r.mu)
 	return r
 }
 
@@ -140,8 +126,7 @@ func (r *Registry) Store() *ArtifactStore { return r.store }
 func (r *Registry) SetBudget(budgetBytes int64) {
 	r.mu.Lock()
 	r.budget = budgetBytes
-	jobs := r.evictOver(nil)
-	r.enqueueSpills(jobs)
+	r.evictOver(nil)
 	r.mu.Unlock()
 }
 
@@ -185,16 +170,9 @@ func (r *Registry) RegisterArtifact(name string, art *delphi.SharedModel) error 
 		r.mu.Unlock()
 		return fmt.Errorf("serve: registry: model %q already registered", name)
 	}
-	e := &regEntry{name: name, model: art.Model(), art: art, size: int64(art.SizeBytes())}
+	e := &regEntry{name: name, model: art.Model()}
 	r.entries[name] = e
-	e.elem = r.lru.PushFront(e)
-	r.bytes += e.size
-	jobs := r.evictOver(e)
-	if r.store != nil && !e.spilling {
-		e.spilling = true
-		jobs = append(jobs, spillJob{entry: e, art: art})
-	}
-	r.enqueueSpills(jobs)
+	r.admit(e, art)
 	r.mu.Unlock()
 	return nil
 }
@@ -287,21 +265,8 @@ func (r *Registry) Get(name string) (*delphi.SharedModel, error) {
 			r.reloads++
 			obsRegistryReload.Inc()
 		}
-		e.art = res.art
-		e.size = int64(res.art.SizeBytes())
 		e.spilled = res.reloaded
-		e.elem = r.lru.PushFront(e)
-		r.bytes += e.size
-		jobs := r.evictOver(e)
-		if r.store != nil && !res.reloaded && !e.spilling {
-			// Write-through rides the background writer: the first request
-			// gets its artifact as soon as the build finishes, and the disk
-			// copy (which makes a later eviction a free drop and the next
-			// restart a load) follows asynchronously.
-			e.spilling = true
-			jobs = append(jobs, spillJob{entry: e, art: res.art})
-		}
-		r.enqueueSpills(jobs)
+		r.admit(e, res.art)
 		r.mu.Unlock()
 		return res.art, nil
 	}
@@ -348,63 +313,54 @@ func (r *Registry) resolve(e *regEntry) resolveResult {
 	return res
 }
 
-// enqueueSpills hands deferred disk writes (write-throughs of fresh
-// builds, evicted artifacts the store does not hold yet) to the background
-// spill writer, starting one if none is draining. Called with r.mu held.
-func (r *Registry) enqueueSpills(jobs []spillJob) {
-	if len(jobs) == 0 {
-		return
-	}
-	r.spillQ = append(r.spillQ, jobs...)
-	r.pendingSpills += len(jobs)
-	if !r.spillActive {
-		r.spillActive = true
-		//lint:allow goroutineleak spillActive gates one worker at a time and Flush joins it via pendingSpills; it exits when the queue drains
-		go r.spillWorker()
-	}
+// admit makes art e's resident artifact: it joins the LRU and the byte
+// budget (evicting others past it, never e itself), and unless the store
+// already holds it (a reload) its write-through is queued on the
+// background writer — the request that built it gets its artifact as soon
+// as the build finishes, and the disk copy (which makes a later eviction a
+// free drop and the next restart a load) follows asynchronously. Called
+// with r.mu held.
+func (r *Registry) admit(e *regEntry, art *delphi.SharedModel) {
+	e.art, e.size = art, int64(art.SizeBytes())
+	e.elem = r.lru.PushFront(e)
+	r.bytes += e.size
+	r.evictOver(e)
+	r.spill(e, art)
 }
 
-// spillWorker drains the spill queue, writing outside the registry lock,
-// and exits when the queue empties (no long-lived goroutine per registry).
-// Outcomes fold into the spill counters; Flush waits on pendingSpills.
-func (r *Registry) spillWorker() {
-	r.mu.Lock()
-	for len(r.spillQ) > 0 {
-		job := r.spillQ[0]
-		r.spillQ = r.spillQ[1:]
-		r.mu.Unlock()
-		err := r.store.Save(job.entry.name, job.art)
-		r.mu.Lock()
-		job.entry.spilling = false
-		if err != nil {
-			job.entry.spillErrors++
-			r.spillErrors++
-			obsRegistrySpillError.Inc()
-		} else {
-			job.entry.spilled = true
-			job.entry.spills++
-			r.spills++
-			obsRegistrySpill.Inc()
-		}
-		r.pendingSpills--
-		if r.pendingSpills == 0 {
-			r.spillDone.Broadcast()
-		}
+// spill queues a write of e's artifact on the background spill writer
+// unless the store already holds a current copy (spilled) or a write of it
+// is already queued (spilling — a concurrent eviction must not queue, and
+// count, a duplicate). The job carries the artifact pointer because the
+// entry may drop it before the write runs; the outcome folds into the
+// spill counters under r.mu. Called with r.mu held.
+func (r *Registry) spill(e *regEntry, art *delphi.SharedModel) {
+	if r.store == nil || e.spilled || e.spilling {
+		return
 	}
-	r.spillActive = false
-	r.mu.Unlock()
+	e.spilling = true
+	r.disk.enqueue(writeJob{
+		run: func() error { return r.store.Save(e.name, art) },
+		done: func(err error) {
+			e.spilling = false
+			if err != nil {
+				e.spillErrors++
+				r.spillErrors++
+				obsRegistrySpillError.Inc()
+			} else {
+				e.spilled = true
+				e.spills++
+				r.spills++
+				obsRegistrySpill.Inc()
+			}
+		},
+	})
 }
 
 // Flush blocks until every queued background disk write has completed —
 // the barrier restart-sensitive callers (and tests) use before trusting
 // the store's contents or the spill counters.
-func (r *Registry) Flush() {
-	r.mu.Lock()
-	for r.pendingSpills > 0 {
-		r.spillDone.Wait()
-	}
-	r.mu.Unlock()
-}
+func (r *Registry) Flush() { r.disk.flush() }
 
 // buildArtifact encodes one model into its shared artifact under the
 // protocol's default HE parameters.
@@ -419,26 +375,22 @@ func buildArtifact(model *nn.Lowered) (*delphi.SharedModel, error) {
 // evictOver drops least-recently-used resident artifacts until the byte
 // budget holds, never evicting hold (the artifact the caller is about to
 // hand out) or entries pinned with Registry.Pin. With a store, an eviction
-// whose disk copy is not current becomes a spill job for the caller to
-// queue — eviction itself only ever drops memory. Called with r.mu held.
-func (r *Registry) evictOver(hold *regEntry) []spillJob {
+// whose disk copy is not current queues a spill first — eviction itself
+// only ever drops memory. Called with r.mu held.
+func (r *Registry) evictOver(hold *regEntry) {
 	if r.budget <= 0 {
-		return nil
+		return
 	}
-	var jobs []spillJob
 	for r.bytes > r.budget {
 		el := r.lru.Back()
 		for el != nil && (el.Value.(*regEntry) == hold || el.Value.(*regEntry).pinned) {
 			el = el.Prev()
 		}
 		if el == nil {
-			return jobs
+			return
 		}
 		e := el.Value.(*regEntry)
-		if r.store != nil && !e.spilled && !e.spilling {
-			e.spilling = true
-			jobs = append(jobs, spillJob{entry: e, art: e.art})
-		}
+		r.spill(e, e.art)
 		r.lru.Remove(el)
 		e.elem = nil
 		e.art = nil
@@ -448,7 +400,6 @@ func (r *Registry) evictOver(hold *regEntry) []spillJob {
 		r.evictions++
 		obsRegistryEviction.Inc()
 	}
-	return jobs
 }
 
 // Has reports whether name is registered (resident or not).

@@ -17,6 +17,9 @@ func storeBackedRegistry(t *testing.T, dir string, budget int64, names map[strin
 		t.Fatal(err)
 	}
 	reg := NewRegistryWithStore(budget, st)
+	// Join the background spill writer before the test's TempDir is removed
+	// (cleanups run last-registered first, and dir was created before this).
+	t.Cleanup(reg.Flush)
 	for name, seed := range names {
 		if err := reg.Register(name, testModel(t, seed)); err != nil {
 			t.Fatal(err)
@@ -121,7 +124,7 @@ func TestRegistryFallsBackOnDamagedStore(t *testing.T) {
 				t.Fatal(err)
 			}
 			seeder.Flush()
-			corruptFile(t, seeder.Store(), "m", damage)
+			rewriteFile(t, seeder.Store().Path("m"), damage)
 
 			reg := storeBackedRegistry(t, dir, 0, map[string]int64{"m": 123})
 			art, err := reg.Get("m")

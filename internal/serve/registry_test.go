@@ -234,17 +234,7 @@ func TestEngineServesTwoModelsConcurrently(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	eng, err := New(Config{
-		Registry:    reg,
-		Variant:     delphi.ClientGarbler,
-		LPHEWorkers: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln := transport.NewPipeListener()
-	go eng.Serve(ln)
-	t.Cleanup(func() { eng.Close() })
+	eng, ln := pipeEngine(t, Config{Registry: reg, Variant: delphi.ClientGarbler, LPHEWorkers: 2})
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 4)
@@ -253,12 +243,7 @@ func TestEngineServesTwoModelsConcurrently(t *testing.T) {
 			wg.Add(1)
 			go func(name string, model *nn.Lowered, k int) {
 				defer wg.Done()
-				conn, err := ln.Dial()
-				if err != nil {
-					errs <- err
-					return
-				}
-				c, err := Connect(conn, WithModel(name))
+				c, err := dialPipe(ln, WithModel(name))
 				if err != nil {
 					errs <- fmt.Errorf("%s/%d connect: %w", name, k, err)
 					return
@@ -268,21 +253,8 @@ func TestEngineServesTwoModelsConcurrently(t *testing.T) {
 					errs <- fmt.Errorf("session asked for %q, welcome says %q", name, c.Model())
 					return
 				}
-				x := make([]uint64, model.InputLen())
-				for j := range x {
-					x[j] = uint64((j*5 + k) % 13)
-				}
-				out, _, _, err := c.Infer(x)
-				if err != nil {
+				if _, err := inferExact(c, model, k); err != nil {
 					errs <- fmt.Errorf("%s/%d infer: %w", name, k, err)
-					return
-				}
-				want := model.Forward(x)
-				for j := range want {
-					if out[j] != want[j] {
-						errs <- fmt.Errorf("%s/%d: output %d = %d, want %d", name, k, j, out[j], want[j])
-						return
-					}
 				}
 			}(name, model, k)
 		}
@@ -331,17 +303,7 @@ func TestEngineEvictionUnderChurn(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	eng, err := New(Config{
-		Registry:    reg,
-		Variant:     delphi.ClientGarbler,
-		LPHEWorkers: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln := transport.NewPipeListener()
-	go eng.Serve(ln)
-	t.Cleanup(func() { eng.Close() })
+	eng, ln := pipeEngine(t, Config{Registry: reg, Variant: delphi.ClientGarbler, LPHEWorkers: 2})
 
 	const sessions = 8
 	var wg sync.WaitGroup
@@ -355,32 +317,14 @@ func TestEngineEvictionUnderChurn(t *testing.T) {
 		go func(name string, i int) {
 			defer wg.Done()
 			model := models[name]
-			conn, err := ln.Dial()
-			if err != nil {
-				errs <- err
-				return
-			}
-			c, err := Connect(conn, WithModel(name))
+			c, err := dialPipe(ln, WithModel(name))
 			if err != nil {
 				errs <- fmt.Errorf("session %d (%s) connect: %w", i, name, err)
 				return
 			}
 			defer c.Close()
-			x := make([]uint64, model.InputLen())
-			for j := range x {
-				x[j] = uint64((j + i) % 11)
-			}
-			out, _, _, err := c.Infer(x)
-			if err != nil {
+			if _, err := inferExact(c, model, i); err != nil {
 				errs <- fmt.Errorf("session %d (%s) infer: %w", i, name, err)
-				return
-			}
-			want := model.Forward(x)
-			for j := range want {
-				if out[j] != want[j] {
-					errs <- fmt.Errorf("session %d (%s): output %d diverged", i, name, j)
-					return
-				}
 			}
 		}(name, i)
 	}
@@ -406,11 +350,7 @@ func TestEngineEvictionUnderChurn(t *testing.T) {
 // gets the typed rejection, distinguishable from every other failure with
 // errors.Is.
 func TestUnknownModelHandshakeRejected(t *testing.T) {
-	eng, ln := startEngine(t, Config{
-		Model:       testModel(t, 101),
-		Variant:     delphi.ClientGarbler,
-		LPHEWorkers: 2,
-	})
+	eng, ln := startEngine(t, testConfig(testModel(t, 101)))
 	_ = eng
 	_, err := Dial(ln.Addr(), WithModel("no-such-model"))
 	if !errors.Is(err, ErrUnknownModel) {
@@ -439,19 +379,8 @@ func TestUnknownModelHandshakeRejected(t *testing.T) {
 // default rejects unnamed hellos instead of guessing.
 func TestNoDefaultModelRejected(t *testing.T) {
 	reg := registryWith(t, 0, map[string]int64{"a": 102, "b": 103})
-	eng, err := New(Config{Registry: reg, Variant: delphi.ClientGarbler, LPHEWorkers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln := transport.NewPipeListener()
-	go eng.Serve(ln)
-	t.Cleanup(func() { eng.Close() })
-
-	conn, err := ln.Dial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Connect(conn); !errors.Is(err, ErrUnknownModel) {
+	_, ln := pipeEngine(t, Config{Registry: reg, Variant: delphi.ClientGarbler, LPHEWorkers: 2})
+	if _, err := dialPipe(ln); !errors.Is(err, ErrUnknownModel) {
 		t.Fatalf("unnamed hello to no-default engine = %v, want ErrUnknownModel", err)
 	}
 }

@@ -13,20 +13,32 @@ import (
 
 // connectPreamble opens a session through a preamble over an in-process
 // listener.
-func connectPreamble(t *testing.T, ln *transport.PipeListener, model string, p *Preamble) *Client {
+func connectPreamble(t testing.TB, ln *transport.PipeListener, model string, p *Preamble) *Client {
 	t.Helper()
-	conn, err := ln.Dial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := Connect(conn, WithModel(model), WithPreamble(p))
+	c, err := dialPipe(ln, WithModel(model), WithPreamble(p))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
 }
 
-func pipeEngine(t *testing.T, cfg Config) (*Engine, *transport.PipeListener) {
+// dialPipe opens a session over an in-process listener. It never touches a
+// testing.T, so client goroutines may call it.
+func dialPipe(ln *transport.PipeListener, opts ...Option) (*Client, error) {
+	conn, err := ln.Dial()
+	if err != nil {
+		return nil, err
+	}
+	c, err := Connect(conn, opts...)
+	if err != nil {
+		conn.Close()
+	}
+	return c, err
+}
+
+// pipeEngine starts an engine on an in-process listener and closes it with
+// the test.
+func pipeEngine(t testing.TB, cfg Config) (*Engine, *transport.PipeListener) {
 	t.Helper()
 	eng, err := New(cfg)
 	if err != nil {
@@ -47,17 +59,7 @@ func TestSessionResumeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, ln := pipeEngine(t, Config{
-		Model:       model,
-		Variant:     delphi.ClientGarbler,
-		LPHEWorkers: len(model.Linear),
-	})
-
-	x := make([]uint64, model.InputLen())
-	for j := range x {
-		x[j] = uint64((j*7 + 3) % 16)
-	}
-	want := model.Forward(x)
+	eng, ln := pipeEngine(t, testConfig(model))
 
 	p := NewPreamble()
 	cold := connectPreamble(t, ln, "", p)
@@ -67,9 +69,8 @@ func TestSessionResumeRoundTrip(t *testing.T) {
 	if !p.HasTicket() {
 		t.Fatal("full handshake issued no resumption ticket")
 	}
-	coldOut, _, _, err := cold.Infer(x)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := inferExact(cold, model, 3); err != nil {
+		t.Fatalf("cold session: %v", err)
 	}
 	cold.Close()
 
@@ -78,17 +79,9 @@ func TestSessionResumeRoundTrip(t *testing.T) {
 	if got, code := resumed.ResumeOutcome(); !got || code != "" {
 		t.Fatalf("reconnect resumed=%v reject=%q, want resumed cleanly", got, code)
 	}
-	resumedOut, _, _, err := resumed.Infer(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range want {
-		if coldOut[j] != want[j] {
-			t.Fatalf("cold output %d = %d, want %d", j, coldOut[j], want[j])
-		}
-		if resumedOut[j] != coldOut[j] {
-			t.Fatalf("resumed output %d = %d, cold session produced %d", j, resumedOut[j], coldOut[j])
-		}
+	// Same input, both bit-exact with plaintext: identical to each other.
+	if _, err := inferExact(resumed, model, 3); err != nil {
+		t.Fatalf("resumed session: %v", err)
 	}
 
 	st := eng.Stats()
@@ -110,11 +103,7 @@ func TestSessionResumeRoundTrip(t *testing.T) {
 // expired_ticket outcome, the session falls back to full base OTs on the
 // same connection, and the fallback issues a fresh ticket that works.
 func TestResumeExpiredTicket(t *testing.T) {
-	eng, ln := pipeEngine(t, Config{
-		Model:       testModel(t, 62),
-		Variant:     delphi.ClientGarbler,
-		LPHEWorkers: 2,
-	})
+	eng, ln := pipeEngine(t, testConfig(testModel(t, 62)))
 
 	p := NewPreamble()
 	connectPreamble(t, ln, "", p).Close()
@@ -148,11 +137,7 @@ func TestResumeExpiredTicket(t *testing.T) {
 // serves verified inferences.
 func TestResumeUnknownTicket(t *testing.T) {
 	model := testModel(t, 63)
-	eng, ln := pipeEngine(t, Config{
-		Model:       model,
-		Variant:     delphi.ClientGarbler,
-		LPHEWorkers: 2,
-	})
+	eng, ln := pipeEngine(t, testConfig(model))
 
 	p := NewPreamble()
 	p.mu.Lock()
@@ -164,18 +149,8 @@ func TestResumeUnknownTicket(t *testing.T) {
 	if resumed, code := c.ResumeOutcome(); resumed || code != resumeUnknownTicket {
 		t.Fatalf("resumed=%v reject=%q, want fallback with %q", resumed, code, resumeUnknownTicket)
 	}
-	x := make([]uint64, model.InputLen())
-	for j := range x {
-		x[j] = uint64(j % 9)
-	}
-	out, _, _, err := c.Infer(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j, w := range model.Forward(x) {
-		if out[j] != w {
-			t.Fatalf("fallback session output %d diverged", j)
-		}
+	if _, err := inferExact(c, model, 0); err != nil {
+		t.Fatalf("fallback session: %v", err)
 	}
 	if st := eng.Stats(); st.Tickets.Unknown != 1 {
 		t.Fatalf("unknown counter = %d, want 1", st.Tickets.Unknown)
@@ -369,11 +344,7 @@ func TestPreambleSharedArtifactsAcrossModels(t *testing.T) {
 // ForgetTicket the next connect runs full base OTs (no resume) but the
 // cached client artifact is still reused.
 func TestPreambleForgetTicketKeepsArtifacts(t *testing.T) {
-	_, ln := pipeEngine(t, Config{
-		Model:       testModel(t, 69),
-		Variant:     delphi.ClientGarbler,
-		LPHEWorkers: 2,
-	})
+	_, ln := pipeEngine(t, testConfig(testModel(t, 69)))
 
 	p := NewPreamble()
 	connectPreamble(t, ln, "", p).Close()

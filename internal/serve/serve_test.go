@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -12,7 +13,7 @@ import (
 	"privinf/internal/transport"
 )
 
-func testModel(t *testing.T, seed int64) *nn.Lowered {
+func testModel(t testing.TB, seed int64) *nn.Lowered {
 	t.Helper()
 	model, err := nn.DemoMLP(field.New(field.P20), seed)
 	if err != nil {
@@ -34,6 +35,42 @@ func startEngine(t *testing.T, cfg Config) (*Engine, transport.Listener) {
 	go eng.Serve(ln)
 	t.Cleanup(func() { eng.Close() })
 	return eng, ln
+}
+
+// testConfig is the configuration most engine tests start from: one model,
+// Client-Garbler, full layer-parallel HE, no background refills.
+func testConfig(model *nn.Lowered) Config {
+	return Config{Model: model, Variant: delphi.ClientGarbler, LPHEWorkers: len(model.Linear)}
+}
+
+// testInput is a deterministic in-range input for model, varied by salt.
+func testInput(model *nn.Lowered, salt int) []uint64 {
+	x := make([]uint64, model.InputLen())
+	for j := range x {
+		x[j] = uint64((j*3 + salt) % 13)
+	}
+	return x
+}
+
+// inferExact runs one inference on testInput(model, salt) and returns its
+// output, or an error when the inference fails, is not bit-exact with
+// plaintext evaluation, or comes back without both parties' online
+// reports. It never touches a testing.T, so client goroutines may call it.
+func inferExact(c *Client, model *nn.Lowered, salt int) ([]uint64, error) {
+	x := testInput(model, salt)
+	out, cliRep, srvRep, err := c.Infer(x)
+	if err != nil {
+		return nil, err
+	}
+	if cliRep.Duration <= 0 || srvRep.Duration <= 0 {
+		return nil, errors.New("empty online reports")
+	}
+	for j, w := range model.Forward(x) {
+		if out[j] != w {
+			return nil, fmt.Errorf("output %d = %d, plaintext inference gives %d", j, out[j], w)
+		}
+	}
+	return out, nil
 }
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -78,24 +115,8 @@ func TestConcurrentClientsOverTCP(t *testing.T) {
 			}
 			defer c.Close()
 			for k := 0; k < infersPerClient; k++ {
-				x := make([]uint64, model.InputLen())
-				for j := range x {
-					x[j] = uint64((j + ci + k) % 17)
-				}
-				out, cliRep, srvRep, err := c.Infer(x)
-				if err != nil {
+				if _, err := inferExact(c, model, ci+k); err != nil {
 					errs <- fmt.Errorf("client %d infer %d: %w", ci, k, err)
-					return
-				}
-				want := model.Forward(x)
-				for j := range want {
-					if out[j] != want[j] {
-						errs <- fmt.Errorf("client %d infer %d: output %d = %d, want %d", ci, k, j, out[j], want[j])
-						return
-					}
-				}
-				if cliRep.Duration <= 0 || srvRep.Duration <= 0 {
-					errs <- fmt.Errorf("client %d infer %d: empty online reports", ci, k)
 					return
 				}
 			}
@@ -156,19 +177,8 @@ func TestExplicitPrecomputeAndBuffering(t *testing.T) {
 
 	// Three inferences: two consume the buffer, the third runs on-the-fly.
 	for i := 0; i < 3; i++ {
-		x := make([]uint64, model.InputLen())
-		for j := range x {
-			x[j] = uint64((j * (i + 2)) % 13)
-		}
-		out, _, _, err := c.Infer(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := model.Forward(x)
-		for j := range want {
-			if out[j] != want[j] {
-				t.Fatalf("inference %d diverged at output %d", i, j)
-			}
+		if _, err := inferExact(c, model, i); err != nil {
+			t.Fatalf("inference %d: %v", i, err)
 		}
 	}
 	if c.Buffered() != 0 {
@@ -222,8 +232,7 @@ func TestStorageBudgetRespected(t *testing.T) {
 		t.Fatalf("buffered %d (inflight %d), want exactly the budget of 4", st.TotalBuffered, st.RefillsInFlight)
 	}
 	// An inference consumes a slot; the freed budget must be re-granted.
-	x := make([]uint64, model.InputLen())
-	if _, _, _, err := cs[0].Infer(x); err != nil {
+	if _, err := inferExact(cs[0], model, 0); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 30*time.Second, "refill after consumption", func() bool {

@@ -32,17 +32,11 @@ func TestConcurrentSessionsShareArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(Config{
+	eng, ln := pipeEngine(t, Config{
 		Artifact:    artifact,
 		Variant:     delphi.ClientGarbler,
 		LPHEWorkers: len(model.Linear),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln := transport.NewPipeListener()
-	go eng.Serve(ln)
-	t.Cleanup(func() { eng.Close() })
 
 	const sessions = 8
 	var wg sync.WaitGroup
@@ -51,32 +45,14 @@ func TestConcurrentSessionsShareArtifact(t *testing.T) {
 		wg.Add(1)
 		go func(ci int) {
 			defer wg.Done()
-			conn, err := ln.Dial()
-			if err != nil {
-				errs <- fmt.Errorf("session %d dial: %w", ci, err)
-				return
-			}
-			c, err := Connect(conn)
+			c, err := dialPipe(ln)
 			if err != nil {
 				errs <- fmt.Errorf("session %d connect: %w", ci, err)
 				return
 			}
 			defer c.Close()
-			x := make([]uint64, model.InputLen())
-			for j := range x {
-				x[j] = uint64((j*7 + ci) % 19)
-			}
-			out, _, _, err := c.Infer(x)
-			if err != nil {
+			if _, err := inferExact(c, model, ci); err != nil {
 				errs <- fmt.Errorf("session %d infer: %w", ci, err)
-				return
-			}
-			want := model.Forward(x)
-			for j := range want {
-				if out[j] != want[j] {
-					errs <- fmt.Errorf("session %d: output %d = %d, want %d", ci, j, out[j], want[j])
-					return
-				}
 			}
 		}(ci)
 	}
@@ -102,33 +78,13 @@ func TestArtifactSharedAcrossEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		eng, err := New(Config{Artifact: artifact, Variant: delphi.ServerGarbler, LPHEWorkers: 2})
+		eng, ln := pipeEngine(t, Config{Artifact: artifact, Variant: delphi.ServerGarbler, LPHEWorkers: 2})
+		c, err := dialPipe(ln)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ln := transport.NewPipeListener()
-		go eng.Serve(ln)
-		conn, err := ln.Dial()
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := Connect(conn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := make([]uint64, model.InputLen())
-		for j := range x {
-			x[j] = uint64((j + i) % 11)
-		}
-		out, _, _, err := c.Infer(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := model.Forward(x)
-		for j := range want {
-			if out[j] != want[j] {
-				t.Fatalf("engine %d: output %d = %d, want %d", i, j, out[j], want[j])
-			}
+		if _, err := inferExact(c, model, i); err != nil {
+			t.Fatalf("engine %d: %v", i, err)
 		}
 		c.Close()
 		eng.Close()

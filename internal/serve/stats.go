@@ -1,0 +1,236 @@
+package serve
+
+import (
+	"sort"
+	"time"
+)
+
+// modelTotals accumulates one model's retired-session phase history.
+type modelTotals struct {
+	precomputes, inferences   uint64
+	offlineTotal, onlineTotal time.Duration
+}
+
+// SessionStats is one session's metrics snapshot.
+type SessionStats struct {
+	ID   uint64
+	Addr string
+	// Model is the registry name of the model this session serves.
+	Model string
+	// Resumed marks a session whose OT setup was expanded from a
+	// resumption ticket instead of running base OTs.
+	Resumed bool
+	// Buffered is the session's current pre-compute buffer depth.
+	Buffered int
+	// QueueDepth counts inference requests accepted but not yet finished.
+	QueueDepth int
+	// Precomputes and Inferences count completed phases.
+	Precomputes uint64
+	Inferences  uint64
+	// MeanOffline and MeanOnline are mean phase latencies.
+	MeanOffline time.Duration
+	MeanOnline  time.Duration
+	// BytesSent and BytesRecv are the connection totals, framing included.
+	BytesSent uint64
+	BytesRecv uint64
+}
+
+// ModelStats is one registered model's slice of the engine: its live
+// sessions and their aggregate buffer fill, plus the registry's artifact
+// cache counters for the model.
+type ModelStats struct {
+	Name string
+	// Sessions counts currently connected sessions serving this model;
+	// Buffered is their aggregate pre-compute buffer depth.
+	Sessions int
+	Buffered int
+	// Queue telemetry — the per-model signals a fleet autoscaler's queue
+	// model consumes. QueueDepth is the number of inference requests
+	// accepted but not yet finished across the model's live sessions;
+	// Inferences and Precomputes are lifetime phase counts (disconnected
+	// sessions included); MeanOnline and MeanOffline are the lifetime mean
+	// phase latencies (the online one is the queue model's service time).
+	QueueDepth  int
+	Inferences  uint64
+	Precomputes uint64
+	MeanOnline  time.Duration
+	MeanOffline time.Duration
+	// Resident reports whether the built artifact is currently held by the
+	// registry, and SizeBytes its footprint (0 when evicted or not yet
+	// built). Sessions opened before an eviction keep serving from the
+	// evicted artifact. OnDisk reports whether THIS process has confirmed a
+	// current copy in the backing store (written or reloaded since start-up);
+	// it is false for a model whose file exists but has not been resolved
+	// yet this run, and always false on memory-only registries.
+	Resident  bool
+	OnDisk    bool
+	SizeBytes int64
+	// Hits, Misses and Evictions are the registry's lifetime counters for
+	// this model: a miss paid an artifact resolve (disk reload or rebuild),
+	// an eviction dropped the built artifact under byte-budget pressure.
+	Hits, Misses, Evictions uint64
+	// Pinned reports whether the artifact is exempt from LRU eviction
+	// (Registry.Pin / Config.PinDefaultModel).
+	Pinned bool
+	// Spills, Reloads, LoadErrors and SpillErrors are the disk layer's
+	// counters for this model (see RegistryStats).
+	Spills, Reloads         uint64
+	LoadErrors, SpillErrors uint64
+	// TicketsIssued, Resumes and ResumeRejects are the resumption cache's
+	// counters attributed to sessions of this model (the seed material
+	// itself is model-independent; attribution follows the session's
+	// requested model).
+	TicketsIssued uint64
+	Resumes       uint64
+	ResumeRejects uint64
+}
+
+// Stats is an engine-wide metrics snapshot.
+type Stats struct {
+	Sessions []SessionStats // sorted by session ID
+	// Models partitions the engine per registered model — session counts,
+	// buffer fill, registry hit/miss/eviction counters — sorted by name.
+	Models []ModelStats
+	// ActiveSessions is the number of connected sessions.
+	ActiveSessions int
+	// TotalBuffered is the global buffered pre-compute count. Background
+	// refills never push it past a positive StorageBudget (in-flight
+	// refills included in the budget accounting), but explicit
+	// client-requested pre-computes bypass the budget and can exceed it.
+	TotalBuffered int
+	// RefillsInFlight counts scheduled offline phases currently running.
+	RefillsInFlight  int
+	TotalPrecomputes uint64
+	TotalInferences  uint64
+	// RegistryBudget and RegistryBytes are the artifact cache's byte budget
+	// (<= 0 unbounded) and current resident footprint; the counters are
+	// registry lifetime totals across all models. The Spill/Reload/LoadError
+	// counters are the disk layer's totals (zero without an artifact store).
+	RegistryBudget      int64
+	RegistryBytes       int64
+	RegistryHits        uint64
+	RegistryMisses      uint64
+	RegistryEvictions   uint64
+	RegistrySpills      uint64
+	RegistryReloads     uint64
+	RegistryLoadErrors  uint64
+	RegistrySpillErrors uint64
+	// Tickets is the OT resumption cache's snapshot (zero-valued when
+	// resumption is disabled).
+	Tickets TicketStats
+	// Garbling coalescer counters: GarbleRequests is per-layer garbling
+	// requests routed through the engine's batch garbler, GarbleBatches the
+	// GarbleBatch passes it ran, and GarbleCoalesced the requests that
+	// shared a pass with at least one other session's (0 when offline
+	// phases never overlapped).
+	GarbleRequests  uint64
+	GarbleBatches   uint64
+	GarbleCoalesced uint64
+}
+
+// Stats snapshots per-session, per-model and aggregate metrics. Lifetime
+// totals include sessions that have since disconnected.
+func (e *Engine) Stats() Stats {
+	buffered, bufferedByModel, inflight := e.sched.snapshot()
+	rst := e.reg.Stats()
+
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	sess := make([]*session, 0, len(e.sessions))
+	for _, s := range e.sessions {
+		sess = append(sess, s)
+	}
+
+	st := Stats{
+		ActiveSessions:      len(sess),
+		RefillsInFlight:     inflight,
+		TotalPrecomputes:    e.retiredPrecomputes,
+		TotalInferences:     e.retiredInferences,
+		RegistryBudget:      rst.Budget,
+		RegistryBytes:       rst.BytesResident,
+		RegistryHits:        rst.Hits,
+		RegistryMisses:      rst.Misses,
+		RegistryEvictions:   rst.Evictions,
+		RegistrySpills:      rst.Spills,
+		RegistryReloads:     rst.Reloads,
+		RegistryLoadErrors:  rst.LoadErrors,
+		RegistrySpillErrors: rst.SpillErrors,
+		GarbleRequests:      e.garbler.requests.Load(),
+		GarbleBatches:       e.garbler.batches.Load(),
+		GarbleCoalesced:     e.garbler.coalesced.Load(),
+	}
+	var ticketModels map[string]ticketModelCounters
+	if e.tickets != nil {
+		st.Tickets, ticketModels = e.tickets.stats()
+	}
+	// Partition the engine per model: start from the registry's per-model
+	// cache counters and the retired-session history, then fold in each
+	// live session and the resumption cache's per-model counters. Phase
+	// totals accumulate in side maps so the means divide once at the end.
+	st.Models = rst.Models // already sorted by name
+	byModel := make(map[string]*ModelStats, len(st.Models))
+	offTotals := make(map[string]time.Duration, len(st.Models))
+	onTotals := make(map[string]time.Duration, len(st.Models))
+	for i := range st.Models {
+		ms := &st.Models[i]
+		ms.Buffered = bufferedByModel[ms.Name] // scheduler's per-model partition
+		if tc, ok := ticketModels[ms.Name]; ok {
+			ms.TicketsIssued = tc.issued
+			ms.Resumes = tc.resumed
+			ms.ResumeRejects = tc.rejected
+		}
+		if mt := e.retiredByModel[ms.Name]; mt != nil {
+			ms.Precomputes = mt.precomputes
+			ms.Inferences = mt.inferences
+			offTotals[ms.Name] = mt.offlineTotal
+			onTotals[ms.Name] = mt.onlineTotal
+		}
+		byModel[ms.Name] = ms
+	}
+	for _, s := range sess {
+		s.statMu.Lock()
+		ss := SessionStats{
+			ID:          s.id,
+			Addr:        s.addr,
+			Model:       s.model,
+			Resumed:     s.resumed,
+			Buffered:    buffered[s],
+			QueueDepth:  int(s.queued.Load()),
+			Precomputes: s.precomputes,
+			Inferences:  s.inferences,
+			BytesSent:   s.m.conn.SentBytes(),
+			BytesRecv:   s.m.conn.RecvBytes(),
+		}
+		offTot, onTot := s.offlineTotal, s.onlineTotal
+		if s.precomputes > 0 {
+			ss.MeanOffline = s.offlineTotal / time.Duration(s.precomputes)
+		}
+		if s.inferences > 0 {
+			ss.MeanOnline = s.onlineTotal / time.Duration(s.inferences)
+		}
+		s.statMu.Unlock()
+		st.Sessions = append(st.Sessions, ss)
+		st.TotalBuffered += ss.Buffered
+		st.TotalPrecomputes += ss.Precomputes
+		st.TotalInferences += ss.Inferences
+		if ms := byModel[ss.Model]; ms != nil {
+			ms.Sessions++
+			ms.QueueDepth += ss.QueueDepth
+			ms.Precomputes += ss.Precomputes
+			ms.Inferences += ss.Inferences
+			offTotals[ss.Model] += offTot
+			onTotals[ss.Model] += onTot
+		}
+	}
+	for i := range st.Models {
+		ms := &st.Models[i]
+		if ms.Precomputes > 0 {
+			ms.MeanOffline = offTotals[ms.Name] / time.Duration(ms.Precomputes)
+		}
+		if ms.Inferences > 0 {
+			ms.MeanOnline = onTotals[ms.Name] / time.Duration(ms.Inferences)
+		}
+	}
+	sort.Slice(st.Sessions, func(i, j int) bool { return st.Sessions[i].ID < st.Sessions[j].ID })
+	return st
+}

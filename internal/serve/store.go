@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io/fs"
-	"net/url"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -49,7 +47,7 @@ import (
 // serving a rotating model population no longer grows the directory
 // unboundedly.
 type ArtifactStore struct {
-	dir string
+	ds *durableStore[*delphi.SharedModel]
 	// diskBudget caps total artifact-file bytes in dir; <= 0 unbounded.
 	// Save triggers a sweep past it, and Sweep can be called directly.
 	diskBudget int64
@@ -79,8 +77,6 @@ var (
 // rebuilds and Save overwrites the stale file).
 const storeFormatVersion = 1
 
-var storeMagic = [4]byte{'P', 'I', 'A', 'F'}
-
 // storeChecksum is the payload checksum: CRC-32C over the payload bytes.
 func storeChecksum(payload []byte) uint32 {
 	return crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli))
@@ -101,15 +97,11 @@ func NewArtifactStore(dir string) (*ArtifactStore, error) {
 // Save sweeps least-recently-modified files past the budget. Opening also
 // deletes orphaned temp files left by crashed atomic writes.
 func NewArtifactStoreBudget(dir string, diskBudget int64) (*ArtifactStore, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("serve: artifact store: empty directory")
+	ds, err := openDurableStore(artifactFrame, dir, (*delphi.SharedModel).MarshalBinary)
+	if err != nil {
+		return nil, err
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("serve: artifact store: %w", err)
-	}
-	st := &ArtifactStore{dir: dir, diskBudget: diskBudget}
-	st.sweepTemp()
-	return st, nil
+	return &ArtifactStore{ds: ds, diskBudget: diskBudget}, nil
 }
 
 // tempMaxAge is how old a temp file must be before the startup sweep
@@ -117,16 +109,11 @@ func NewArtifactStoreBudget(dir string, diskBudget int64) (*ArtifactStore, error
 // directory finishes (or fails) its write-then-rename in well under this.
 const tempMaxAge = time.Hour
 
-// artifactSuffix is the extension every published artifact file carries.
+// artifactSuffix is the extension every published artifact file carries. A
+// model whose escaped name happens to start with "." and contain ".tmp-"
+// must not be mistaken for crash debris; the suffix is what tells them
+// apart.
 const artifactSuffix = ".piart"
-
-// sweepTemp removes orphaned atomic-write temp files older than
-// tempMaxAge. A published artifact always ends in artifactSuffix; a model
-// whose escaped name happens to start with "." and contain ".tmp-" must
-// not be mistaken for crash debris.
-func (st *ArtifactStore) sweepTemp() int {
-	return sweepTempFiles(st.dir, artifactSuffix)
-}
 
 // Sweep deletes least-recently-modified artifact files until the
 // directory's artifact bytes fit budget (<= 0 sweeps nothing). The
@@ -147,7 +134,7 @@ func (st *ArtifactStore) Sweep(budget int64) (int, error) {
 		return 0, nil
 	}
 	defer st.sweeping.Store(false)
-	entries, err := os.ReadDir(st.dir)
+	entries, err := st.ds.list()
 	if err != nil {
 		return 0, fmt.Errorf("serve: artifact store sweep: %w", err)
 	}
@@ -159,14 +146,11 @@ func (st *ArtifactStore) Sweep(budget int64) (int, error) {
 	var files []file
 	var total int64
 	for _, ent := range entries {
-		if ent.IsDir() || !strings.HasSuffix(ent.Name(), artifactSuffix) {
-			continue
-		}
 		info, err := ent.Info()
 		if err != nil {
 			continue // vanished mid-listing
 		}
-		files = append(files, file{path: filepath.Join(st.dir, ent.Name()), size: info.Size(), mtime: info.ModTime()})
+		files = append(files, file{path: filepath.Join(st.ds.dir, ent.Name()), size: info.Size(), mtime: info.ModTime()})
 		total += info.Size()
 	}
 	sort.Slice(files, func(i, j int) bool { return files[i].mtime.Before(files[j].mtime) })
@@ -186,14 +170,12 @@ func (st *ArtifactStore) Sweep(budget int64) (int, error) {
 }
 
 // Dir returns the store's root directory.
-func (st *ArtifactStore) Dir() string { return st.dir }
+func (st *ArtifactStore) Dir() string { return st.ds.dir }
 
 // Path returns the file path an artifact name maps to. Names are
 // URL-path-escaped so arbitrary registry names (slashes included) stay
 // within the store directory.
-func (st *ArtifactStore) Path(name string) string {
-	return filepath.Join(st.dir, url.PathEscape(name)+artifactSuffix)
-}
+func (st *ArtifactStore) Path(name string) string { return st.ds.path(name) }
 
 // Has reports whether an artifact file exists under name (without
 // validating it).
@@ -203,20 +185,16 @@ func (st *ArtifactStore) Has(name string) bool {
 }
 
 // Remove deletes the stored artifact for name, if any.
-func (st *ArtifactStore) Remove(name string) error {
-	err := os.Remove(st.Path(name))
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return err
-	}
-	return nil
-}
+func (st *ArtifactStore) Remove(name string) error { return st.ds.remove(name) }
 
-// artifactFrame is the ArtifactStore's on-disk framing identity (see
+// artifactFrame is the ArtifactStore's on-disk format identity (see
 // framing.go — tickets and preambles share the write/verify discipline).
 var artifactFrame = frameSpec{
-	magic:       storeMagic,
+	magic:       [4]byte{'P', 'I', 'A', 'F'},
 	version:     storeFormatVersion,
 	label:       "artifact store",
+	suffix:      artifactSuffix,
+	dirMode:     0o755,
 	errNotFound: ErrArtifactNotFound,
 	errCorrupt:  ErrArtifactCorrupt,
 	errVersion:  ErrArtifactVersion,
@@ -229,19 +207,13 @@ func (st *ArtifactStore) Save(name string, art *delphi.SharedModel) error {
 	if art == nil {
 		return fmt.Errorf("serve: artifact store: nil artifact %q", name)
 	}
-	payload, err := art.MarshalBinary()
-	if err != nil {
-		return fmt.Errorf("serve: artifact store: encode %q: %w", name, err)
-	}
-	if err := artifactFrame.writeFramed(st.dir, name, st.Path(name), payload); err != nil {
+	if err := st.ds.save(name, art); err != nil {
 		return err
 	}
-	if st.diskBudget > 0 {
-		// Keep the directory under its budget; the just-published file is
-		// the newest and therefore never the one swept. Sweep failures do
-		// not fail the Save — the write itself succeeded.
-		st.Sweep(st.diskBudget)
-	}
+	// Keep the directory under its budget (none: Sweep is a no-op); the
+	// just-published file is the newest and therefore never the one swept.
+	// Sweep failures do not fail the Save — the write itself succeeded.
+	st.Sweep(st.diskBudget)
 	return nil
 }
 
@@ -249,18 +221,10 @@ func (st *ArtifactStore) Save(name string, art *delphi.SharedModel) error {
 // attaching it to its source model (the registry retains the model for the
 // life of a registration; the store persists only the expensive encoded
 // form). Absent files return ErrArtifactNotFound; damaged or incompatible
-// files return errors matching ErrArtifactCorrupt or ErrArtifactVersion.
+// files — including an intact payload that is wrong for this model or
+// codec — return errors matching ErrArtifactCorrupt or ErrArtifactVersion.
 func (st *ArtifactStore) Load(name string, model *nn.Lowered) (*delphi.SharedModel, error) {
-	payload, err := artifactFrame.readFramed(st.Path(name), name)
-	if err != nil {
-		return nil, err
-	}
-	art, err := delphi.UnmarshalSharedModel(payload, model)
-	if err != nil {
-		// The checksum held, so the payload is intact but semantically wrong
-		// for this model or codec — still a corrupt-class failure for
-		// fallback purposes.
-		return nil, fmt.Errorf("%w: %q: %v", ErrArtifactCorrupt, name, err)
-	}
-	return art, nil
+	return st.ds.load(name, func(payload []byte) (*delphi.SharedModel, error) {
+		return delphi.UnmarshalSharedModel(payload, model)
+	})
 }

@@ -52,29 +52,15 @@ type ticketCache struct {
 
 	// store is the optional disk half (nil = memory-only): live tickets are
 	// written through so a restarted engine keeps serving the resumed fast
-	// path. Disk writes ride a lazily started background worker — the same
-	// idiom as the registry's spill writer — so insert and redeem never
-	// block on I/O (and never perform I/O under tc.mu). persistQ is the
-	// pending jobs, persistActive whether a worker is draining it,
-	// pendingPersists the queued+in-flight count flush waits on.
-	store           *ticketStore
-	persistQ        []ticketPersistJob
-	persistActive   bool
-	pendingPersists int
-	persistDone     *sync.Cond // signalled when pendingPersists reaches zero
+	// path. Disk operations ride the disk queue's background worker, so
+	// insert and redeem never block on I/O (and never perform I/O under
+	// tc.mu).
+	store *ticketStore
+	disk  *writeBehind
 
 	issued, resumed, expired, unknown, evicted uint64
 	loaded, loadErrors, persisted, persistErrs uint64
 	perModel                                   map[string]*ticketModelCounters
-}
-
-// ticketPersistJob is one deferred disk operation: a write-through of a
-// live ticket (payload pre-encoded under the lock — pure CPU on a few KiB)
-// or a deletion (nil payload) of a dropped one. Jobs apply in queue order,
-// so the file always converges to the cache's final state for that id.
-type ticketPersistJob struct {
-	id      []byte
-	payload []byte // nil = delete the record
 }
 
 // ticketModelCounters partition the cache's traffic by the model the
@@ -100,9 +86,6 @@ func newTicketCache(ttl time.Duration, budget int64, entropy io.Reader) *ticketC
 	if budget == 0 {
 		budget = DefaultTicketBudget
 	}
-	if entropy == nil {
-		entropy = rand.Reader
-	}
 	tc := &ticketCache{
 		ttl:      ttl,
 		budget:   budget,
@@ -112,7 +95,7 @@ func newTicketCache(ttl time.Duration, budget int64, entropy io.Reader) *ticketC
 		entropy:  entropy,
 		perModel: map[string]*ticketModelCounters{},
 	}
-	tc.persistDone = sync.NewCond(&tc.mu)
+	tc.disk = newWriteBehind(&tc.mu)
 	return tc
 }
 
@@ -195,18 +178,20 @@ func (tc *ticketCache) insert(id []byte, state *delphi.OTResume, model string) {
 	tc.issued++
 	tc.model(model).issued++
 	obsTicketIssued.Inc()
-	if tc.budget > 0 {
-		for tc.bytes > tc.budget {
-			back := tc.lru.Back()
-			if back == nil || back.Value.(*ticketEntry) == e {
-				break
-			}
-			tc.drop(back.Value.(*ticketEntry))
-			tc.evicted++
-			obsTicketEvicted.Inc()
-		}
-	}
+	tc.evictOver()
 	tc.enqueueSave(e)
+}
+
+// evictOver drops least-recently-used tickets until the byte budget holds.
+// The most recently used entry — on insert, the one just published —
+// always survives, so a single over-budget ticket never empties the cache
+// outright. Caller holds tc.mu.
+func (tc *ticketCache) evictOver() {
+	for tc.budget > 0 && tc.bytes > tc.budget && tc.lru.Len() > 1 {
+		tc.drop(tc.lru.Back().Value.(*ticketEntry))
+		tc.evicted++
+		obsTicketEvicted.Inc()
+	}
 }
 
 // redeem exchanges a presented ticket for its cached seed material. On
@@ -247,98 +232,46 @@ func (tc *ticketCache) redeem(id []byte, model string) (*delphi.OTResume, string
 	return e.state, ""
 }
 
-// remove deletes a ticket (a reserved id whose session setup failed, so
-// the welcome promised a ticket that never gained state — removing is a
-// no-op then — or an explicit invalidation).
-func (tc *ticketCache) remove(id []byte) {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	if e, ok := tc.entries[string(id)]; ok {
-		tc.drop(e)
-	}
-}
-
 // drop unlinks an entry and queues the deletion of its disk record —
-// however a ticket dies (expiry, eviction, explicit removal), its secret
+// however a ticket dies (expiry, eviction), its secret
 // seeds leave the disk with it. Caller holds tc.mu.
 func (tc *ticketCache) drop(e *ticketEntry) {
 	delete(tc.entries, e.id)
 	tc.lru.Remove(e.elem)
 	tc.bytes -= e.size
-	if tc.store != nil {
-		tc.enqueuePersist(ticketPersistJob{id: []byte(e.id)})
+	if store, id := tc.store, []byte(e.id); store != nil {
+		tc.persist(func() error { return store.remove(id) })
 	}
 }
 
-// enqueueSave queues a write-through of a live entry. The payload is
-// encoded here, under tc.mu — pure CPU over a few KiB, no I/O — so the
-// worker writes a snapshot even if the entry mutates afterwards. Caller
-// holds tc.mu.
+// enqueueSave queues a write-through of a live entry. The record is
+// snapshotted here, under tc.mu (the OT state itself is immutable), so the
+// worker writes this instant's expiry even if the entry slides afterwards.
+// Caller holds tc.mu.
 func (tc *ticketCache) enqueueSave(e *ticketEntry) {
-	if tc.store == nil {
-		return
-	}
-	payload, err := marshalTicketRecord(ticketRecord{id: []byte(e.id), expires: e.expires, state: e.state})
-	if err != nil {
-		tc.persistErrs++
-		return
-	}
-	tc.enqueuePersist(ticketPersistJob{id: []byte(e.id), payload: payload})
-}
-
-// enqueuePersist queues one disk job and ensures a worker is draining the
-// queue. Caller holds tc.mu.
-func (tc *ticketCache) enqueuePersist(job ticketPersistJob) {
-	tc.persistQ = append(tc.persistQ, job)
-	tc.pendingPersists++
-	if !tc.persistActive {
-		tc.persistActive = true
-		//lint:allow goroutineleak persistActive gates one worker at a time and flush joins it via pendingPersists; it exits when the queue drains
-		go tc.persistWorker()
+	if store := tc.store; store != nil {
+		rec := ticketRecord{id: []byte(e.id), expires: e.expires, state: e.state}
+		tc.persist(func() error { return store.save(rec) })
 	}
 }
 
-// persistWorker drains the persist queue, touching the disk outside tc.mu,
-// and exits when the queue empties (no long-lived goroutine per cache).
-// Outcomes fold into the persist counters; flush waits on pendingPersists.
-func (tc *ticketCache) persistWorker() {
-	tc.mu.Lock()
-	for len(tc.persistQ) > 0 {
-		job := tc.persistQ[0]
-		tc.persistQ = tc.persistQ[1:]
-		store := tc.store
-		tc.mu.Unlock()
-		var err error
-		if job.payload == nil {
-			err = store.remove(job.id)
-		} else {
-			err = store.savePayload(job.id, job.payload)
-		}
-		tc.mu.Lock()
+// persist queues one disk operation; jobs apply in queue order, so a
+// ticket's file always converges to the cache's final state for that id.
+// The outcome folds into the persist counters. Caller holds tc.mu.
+func (tc *ticketCache) persist(run func() error) {
+	tc.disk.enqueue(writeJob{run: run, done: func(err error) {
 		if err != nil {
 			tc.persistErrs++
 		} else {
 			tc.persisted++
 		}
-		tc.pendingPersists--
-		if tc.pendingPersists == 0 {
-			tc.persistDone.Broadcast()
-		}
-	}
-	tc.persistActive = false
-	tc.mu.Unlock()
+	}})
 }
 
 // flush blocks until every queued background disk write has completed —
 // the barrier clean shutdown (and tests) use before trusting the store's
 // contents or the persist counters.
-func (tc *ticketCache) flush() {
-	tc.mu.Lock()
-	for tc.pendingPersists > 0 {
-		tc.persistDone.Wait()
-	}
-	tc.mu.Unlock()
-}
+func (tc *ticketCache) flush() { tc.disk.flush() }
 
 // attachStore wires the disk half in and reloads its surviving records:
 // the restarted engine's live tickets, minus those whose TTL lapsed while
@@ -375,19 +308,7 @@ func (tc *ticketCache) attachStore(ts *ticketStore) {
 		e.elem = tc.lru.PushBack(e)
 		tc.bytes += e.size
 	}
-	if tc.budget > 0 {
-		for tc.bytes > tc.budget {
-			back := tc.lru.Back()
-			// Same over-budget-singleton tolerance as insert: the budget
-			// never empties the cache outright.
-			if back == nil || tc.lru.Len() == 1 {
-				break
-			}
-			tc.drop(back.Value.(*ticketEntry))
-			tc.evicted++
-			obsTicketEvicted.Inc()
-		}
-	}
+	tc.evictOver()
 }
 
 // TicketStats is a resumption-cache metrics snapshot.

@@ -26,7 +26,7 @@ import (
 // version-skewed records can never become redeemable again — removing them
 // converts a permanent load error into a clean miss).
 type ticketStore struct {
-	dir string
+	ds *durableStore[ticketRecord]
 }
 
 // Sentinel errors distinguishing the ticket store's failure modes; match
@@ -50,12 +50,12 @@ const ticketFormatVersion = 1
 // ticketSuffix is the extension every published ticket record carries.
 const ticketSuffix = ".pitk"
 
-var ticketMagic = [4]byte{'P', 'I', 'T', 'K'}
-
 var ticketFrame = frameSpec{
-	magic:       ticketMagic,
+	magic:       [4]byte{'P', 'I', 'T', 'K'},
 	version:     ticketFormatVersion,
 	label:       "ticket store",
+	suffix:      ticketSuffix,
+	dirMode:     0o700,
 	errNotFound: ErrTicketNotFound,
 	errCorrupt:  ErrTicketCorrupt,
 	errVersion:  ErrTicketVersion,
@@ -65,15 +65,11 @@ var ticketFrame = frameSpec{
 // dir and sweeps orphaned temp files from crashed atomic writes. The
 // directory is created 0700: every record holds secret seed material.
 func newTicketStore(dir string) (*ticketStore, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("serve: ticket store: empty directory")
+	ds, err := openDurableStore(ticketFrame, dir, marshalTicketRecord)
+	if err != nil {
+		return nil, err
 	}
-	if err := os.MkdirAll(dir, 0o700); err != nil {
-		return nil, fmt.Errorf("serve: ticket store: %w", err)
-	}
-	ts := &ticketStore{dir: dir}
-	sweepTempFiles(dir, ticketSuffix)
-	return ts, nil
+	return &ticketStore{ds: ds}, nil
 }
 
 // ticketRecord is one persisted ticket: its identifier, absolute expiry,
@@ -128,36 +124,18 @@ func unmarshalTicketRecord(payload []byte) (ticketRecord, error) {
 	}, nil
 }
 
-// path returns the file a ticket id maps to.
-func (ts *ticketStore) path(id []byte) string {
-	return filepath.Join(ts.dir, hex.EncodeToString(id)+ticketSuffix)
-}
+// path returns the file a ticket id maps to: records are named by the hex
+// of the identifier.
+func (ts *ticketStore) path(id []byte) string { return ts.ds.path(hex.EncodeToString(id)) }
 
 // save atomically publishes one ticket record, replacing any previous
 // version (a redeem that slid the expiry re-persists the same ticket).
 func (ts *ticketStore) save(rec ticketRecord) error {
-	payload, err := marshalTicketRecord(rec)
-	if err != nil {
-		return err
-	}
-	return ts.savePayload(rec.id, payload)
-}
-
-// savePayload publishes a pre-encoded record payload — the background
-// persist worker encodes under the cache lock and writes here outside it.
-func (ts *ticketStore) savePayload(id, payload []byte) error {
-	name := hex.EncodeToString(id)
-	return ticketFrame.writeFramed(ts.dir, name, ts.path(id), payload)
+	return ts.ds.save(hex.EncodeToString(rec.id), rec)
 }
 
 // remove deletes the record for a ticket id, if any.
-func (ts *ticketStore) remove(id []byte) error {
-	err := os.Remove(ts.path(id))
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return err
-	}
-	return nil
-}
+func (ts *ticketStore) remove(id []byte) error { return ts.ds.remove(hex.EncodeToString(id)) }
 
 // ticketLoadStats is what loadAll found on disk.
 type ticketLoadStats struct {
@@ -174,37 +152,25 @@ type ticketLoadStats struct {
 // surfaced (the cache falls back to fresh handshakes for that client).
 func (ts *ticketStore) loadAll(now time.Time) ([]ticketRecord, ticketLoadStats) {
 	var st ticketLoadStats
-	entries, err := os.ReadDir(ts.dir)
+	entries, err := ts.ds.list()
 	if err != nil {
 		return nil, st
 	}
 	var recs []ticketRecord
 	for _, ent := range entries {
-		name := ent.Name()
-		if ent.IsDir() || !strings.HasSuffix(name, ticketSuffix) {
-			continue
-		}
-		path := filepath.Join(ts.dir, name)
-		key := strings.TrimSuffix(name, ticketSuffix)
-		payload, err := ticketFrame.readFramed(path, key)
-		if err != nil {
+		path := filepath.Join(ts.ds.dir, ent.Name())
+		rec, err := ts.ds.loadFile(path, strings.TrimSuffix(ent.Name(), ticketSuffix), unmarshalTicketRecord)
+		switch {
+		case err != nil:
 			st.corrupt++
 			os.Remove(path)
-			continue
-		}
-		rec, err := unmarshalTicketRecord(payload)
-		if err != nil {
-			st.corrupt++
-			os.Remove(path)
-			continue
-		}
-		if !now.Before(rec.expires) {
+		case !now.Before(rec.expires):
 			st.expired++
 			os.Remove(path)
-			continue
+		default:
+			recs = append(recs, rec)
+			st.loaded++
 		}
-		recs = append(recs, rec)
-		st.loaded++
 	}
 	return recs, st
 }

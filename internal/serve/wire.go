@@ -24,18 +24,14 @@ import (
 // may interleave with data frames at any point because the demultiplexer
 // routes the two tags to separate queues.
 const (
-	// wireVersion 2 added model-addressed handshakes (helloMsg.Model,
-	// welcomeMsg.Model) and typed handshake rejections (opReject).
-	// wireVersion 3 added the session preamble: every connection opens with
-	// a transport.Preamble frame (version gating before any JSON), hellos
-	// may carry an OT resumption ticket plus a client nonce, and welcomes
-	// answer with the typed resumption outcome, a fresh ticket, and the
-	// server nonce.
-	// wireVersion 4 removed the HE public-key flight from resumed sessions:
-	// an accepted ticket means the client reuses the key pair the server
-	// already validated at ticket issue, so after a Resumed welcome the
-	// first data frames are protocol traffic, not the public key. Full
-	// handshakes still carry the key flight unchanged.
+	// wireVersion is the one wire version both ends must speak: a
+	// connection opens with a transport.Preamble frame carrying it (gating
+	// the version before any JSON is parsed) and the hello repeats it; any
+	// other value in either place is rejected with rejectVersion. Under it,
+	// hellos may carry an OT resumption ticket plus a client nonce, welcomes
+	// answer with the typed resumption outcome, a fresh ticket and the server
+	// nonce, and a Resumed welcome is followed directly by protocol traffic
+	// — only full handshakes carry the HE public-key flight.
 	wireVersion = 4
 
 	tagData byte = 0x00
@@ -202,10 +198,14 @@ func sendReject(c transport.MsgConn, code, message string) error {
 }
 
 func sendCtrl(c transport.MsgConn, op byte, body []byte) error {
+	return c.Send(ctrlFrame(op, body))
+}
+
+// ctrlFrame assembles a control frame: tag, opcode, body.
+func ctrlFrame(op byte, body []byte) []byte {
 	f := make([]byte, 0, 2+len(body))
 	f = append(f, tagCtrl, op)
-	f = append(f, body...)
-	return c.Send(f)
+	return append(f, body...)
 }
 
 // recvCtrl reads one frame and requires it to be a control frame; it is

@@ -78,21 +78,8 @@ func NewLocalSession(model *Model, variant Variant, opts ...SessionOption) (*Ses
 	case model != nil && artifact.Model() != model:
 		return nil, fmt.Errorf("privinf: WithArtifact artifact was built from a different model")
 	}
-	return newLocalSession(artifact, variant, o.entropy)
-}
-
-// NewLocalSessionShared starts an in-process serving engine on a pre-built
-// model artifact.
-//
-// Deprecated: use NewLocalSession(nil, variant, WithArtifact(artifact),
-// WithEntropy(entropy)).
-func NewLocalSessionShared(artifact *SharedModel, variant Variant, entropy io.Reader) (*Session, error) {
-	return NewLocalSession(nil, variant, WithArtifact(artifact), WithEntropy(entropy))
-}
-
-func newLocalSession(artifact *SharedModel, variant Variant, entropy io.Reader) (*Session, error) {
-	model := artifact.Model()
-	entropy = delphi.LockedEntropy(entropy)
+	model = artifact.Model()
+	entropy := delphi.LockedEntropy(o.entropy)
 	eng, err := serve.New(serve.Config{
 		Artifact:    artifact,
 		Variant:     variant,
@@ -203,14 +190,6 @@ type LocalEngineConfig struct {
 	DebugAddr string
 }
 
-// NewLocalEngineConfig starts an in-process multi-model engine.
-//
-// Deprecated: use NewLocalEngine — it now takes the full configuration
-// struct directly.
-func NewLocalEngineConfig(cfg LocalEngineConfig) (*LocalEngine, error) {
-	return NewLocalEngine(cfg)
-}
-
 // NewLocalEngine starts an in-process engine serving every model in
 // cfg.Models, keyed by the names sessions will request. Built artifacts
 // (encoded weights, ReLU circuits) live under cfg.BudgetBytes with LRU
@@ -303,13 +282,6 @@ func (e *LocalEngine) Connect(name string, opts ...ConnectOption) (*Session, err
 		return nil, err
 	}
 	return &Session{engine: e.eng, client: client, model: e.models[name]}, nil
-}
-
-// ConnectPreamble is Connect through a client preamble.
-//
-// Deprecated: use Connect(name, WithPreamble(p)).
-func (e *LocalEngine) ConnectPreamble(name string, p *Preamble) (*Session, error) {
-	return e.Connect(name, WithPreamble(p))
 }
 
 // Stats snapshots the engine's metrics, partitioned per model (session

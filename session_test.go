@@ -178,10 +178,10 @@ func TestEngineRestartServesReloadedArtifact(t *testing.T) {
 	}
 }
 
-// TestDeprecatedTopLevelWrappers keeps the one-release compatibility shims
-// working: NewLocalSessionShared, NewLocalEngineConfig and ConnectPreamble
-// must behave exactly like the option/config constructors they delegate to.
-func TestDeprecatedTopLevelWrappers(t *testing.T) {
+// TestSessionWithArtifact: a session opened on a pre-built artifact (nil
+// model) serves verified inferences, and an artifact paired with a model it
+// was not built from is refused.
+func TestSessionWithArtifact(t *testing.T) {
 	model, err := NewDemoMLP(21)
 	if err != nil {
 		t.Fatal(err)
@@ -190,10 +190,11 @@ func TestDeprecatedTopLevelWrappers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := NewLocalSessionShared(artifact, ClientGarbler, newSeeded(22))
+	sess, err := NewLocalSession(nil, ClientGarbler, WithArtifact(artifact), WithEntropy(newSeeded(22)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer sess.Close()
 	x := make([]uint64, model.InputLen())
 	for j := range x {
 		x[j] = uint64(j % 13)
@@ -201,29 +202,11 @@ func TestDeprecatedTopLevelWrappers(t *testing.T) {
 	if res, err := sess.Infer(x); err != nil || !res.Verified {
 		t.Fatalf("shared-session inference: verified=%v err=%v", res != nil && res.Verified, err)
 	}
-	sess.Close()
-
-	eng, err := NewLocalEngineConfig(LocalEngineConfig{
-		Models:  map[string]*Model{"m": model},
-		Variant: ClientGarbler,
-		Entropy: newSeeded(23),
-	})
+	other, err := NewDemoMLP(23)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
-	p := NewPreamble()
-	s1, err := eng.ConnectPreamble("m", p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1.Close()
-	s2, err := eng.ConnectPreamble("m", p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if !s2.Resumed() {
-		t.Fatal("ConnectPreamble reconnect did not resume")
+	if _, err := NewLocalSession(other, ClientGarbler, WithArtifact(artifact)); err == nil {
+		t.Fatal("artifact accepted for a model it was not built from")
 	}
 }
