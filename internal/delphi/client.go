@@ -6,23 +6,14 @@ import (
 	"time"
 
 	"privinf/internal/bfv"
-	"privinf/internal/boolcirc"
-	"privinf/internal/field"
-	"privinf/internal/garble"
 	"privinf/internal/obs"
-	"privinf/internal/ss"
 	"privinf/internal/transport"
 )
 
 // Client is the data-owning party. It learns only the final inference
 // output; the server's weights never leave the server.
 type Client struct {
-	conn    transport.MsgConn
-	cfg     Config
-	meta    ModelMeta
-	f       field.Field
-	entropy io.Reader
-	sharing *ss.Sharing
+	party
 
 	sk      bfv.SecretKey
 	enc     *bfv.Encryptor
@@ -35,8 +26,6 @@ type Client struct {
 	// (NewClientWithShared); either way the Client only reads it.
 	shared *ClientShared
 
-	otEndpoint
-
 	// pres is the FIFO buffer of completed pre-computes; RunOffline
 	// appends one, RunOnline consumes the oldest.
 	pres []*clientPre
@@ -44,10 +33,22 @@ type Client struct {
 
 // clientPre is one buffered pre-compute's client-side state.
 type clientPre struct {
-	r      [][]uint64          // masks r_i per linear layer
-	cshare [][]uint64          // c_i = W_i r_i - s_i per linear layer
-	stored []storedLayer       // SG: evaluator-side storage
-	encs   [][]garble.Encoding // CG: garbler encodings
+	r      [][]uint64 // masks r_i per linear layer
+	cshare [][]uint64 // c_i = W_i r_i - s_i per linear layer
+	gcPre
+}
+
+// gcInputs lists, per ReLU layer, the circuit input values the client
+// knows offline, unit-major: b = c_i[u], then r = r_{i+1}[u].
+func (pre *clientPre) gcInputs() [][]uint64 {
+	out := make([][]uint64, len(pre.r)-1)
+	for layer := range out {
+		out[layer] = make([]uint64, 0, 2*len(pre.cshare[layer]))
+		for u, b := range pre.cshare[layer] {
+			out[layer] = append(out[layer], b, pre.r[layer+1][u])
+		}
+	}
+	return out
 }
 
 // NewClient constructs the client side with a private model artifact — the
@@ -71,21 +72,11 @@ func NewClientWithShared(conn transport.MsgConn, cfg Config, shared *ClientShare
 	if shared == nil {
 		return nil, fmt.Errorf("delphi: nil shared client artifact")
 	}
-	if cfg.HEParams.T != shared.params.T || cfg.HEParams.N != shared.params.N {
-		return nil, fmt.Errorf("delphi: session HE params (N=%d, T=%d) != artifact params (N=%d, T=%d)",
-			cfg.HEParams.N, cfg.HEParams.T, shared.params.N, shared.params.T)
+	p, err := newParty(conn, cfg, shared.params, shared.meta, shared.circuits, entropy)
+	if err != nil {
+		return nil, err
 	}
-	c := &Client{
-		conn:    conn,
-		cfg:     cfg,
-		meta:    shared.meta,
-		f:       shared.meta.fieldOf(),
-		entropy: entropy,
-		encoder: bfv.NewEncoder(cfg.HEParams),
-		shared:  shared,
-	}
-	c.sharing = ss.New(c.f, entropy)
-	return c, nil
+	return &Client{party: p, encoder: bfv.NewEncoder(cfg.HEParams), shared: shared}, nil
 }
 
 // setupKeys obtains the session HE keys (fresh keygen, or the pair the
@@ -112,7 +103,7 @@ func (c *Client) Setup() error {
 	if err := c.setupKeys(); err != nil {
 		return err
 	}
-	return c.setupOT(c.conn, c.cfg.Variant == ClientGarbler, nil, nil, c.entropy)
+	return c.setupOT(c.cfg.Variant == ClientGarbler, nil, nil)
 }
 
 // RunOffline executes the client side of one pre-compute.
@@ -131,19 +122,17 @@ func (c *Client) RunOffline() (OfflineReport, error) {
 	gcStart := time.Now()
 	var err error
 	switch c.cfg.Variant {
-	case ServerGarbler:
-		err = c.offlineReceiveGC(pre)
+	case ServerGarbler: // evaluator: store the circuits, fetch the b and r labels by OT
+		pre.stored, err = c.receiveGC(false)
 		rep.GCDuration = time.Since(gcStart)
 		if err == nil {
 			otStart := time.Now()
-			err = c.offlineOTReceive(pre)
+			err = c.fetchKnown(pre.stored, pre.gcInputs())
 			rep.OTDuration = time.Since(otStart)
 		}
-		for _, l := range pre.stored {
-			rep.GCStoreBytes += l.bytes
-		}
-	case ClientGarbler:
-		err = c.offlineGarbleSend(pre)
+		rep.GCStoreBytes = pre.storeBytes()
+	case ClientGarbler: // garbler: ship the circuits with the b and r labels
+		pre.encs, err = c.garbleAndShip(pre.gcInputs())
 		rep.GCDuration = time.Since(gcStart)
 	}
 	if err != nil {
@@ -199,113 +188,6 @@ func (c *Client) offlineHE(pre *clientPre) error {
 	return nil
 }
 
-// offlineReceiveGC (Server-Garbler) stores the garbled circuits — the
-// 18.2 KB/ReLU client-storage burden the paper's Figure 3 quantifies.
-func (c *Client) offlineReceiveGC(pre *clientPre) error {
-	pre.stored = make([]storedLayer, c.meta.NumReLULayers())
-	for layer := 0; layer < c.meta.NumReLULayers(); layer++ {
-		circ := c.shared.circuits[layer]
-		units := c.meta.Dims[layer].Out
-		payload, err := c.conn.Recv()
-		if err != nil {
-			return fmt.Errorf("delphi: recv GC layer %d: %w", layer, err)
-		}
-		tb := garble.TableBytes(circ)
-		perUnit := tb + garble.LabelSize + len(circ.Outputs)
-		if len(payload) != units*perUnit {
-			return fmt.Errorf("delphi: GC layer %d payload %d bytes, want %d", layer, len(payload), units*perUnit)
-		}
-		st := storedLayer{
-			tables:  make([][]garble.Label, units),
-			decode:  make([][]byte, units),
-			constLb: make([]garble.Label, units),
-			known:   make([][]garble.Label, units),
-			bytes:   uint64(len(payload)),
-		}
-		off := 0
-		for u := 0; u < units; u++ {
-			tbl, err := decodeLabels(payload[off:off+tb], tb/garble.LabelSize)
-			if err != nil {
-				return err
-			}
-			off += tb
-			st.tables[u] = tbl
-			copy(st.constLb[u][:], payload[off:off+garble.LabelSize])
-			off += garble.LabelSize
-			st.decode[u] = append([]byte(nil), payload[off:off+len(circ.Outputs)]...)
-			off += len(circ.Outputs)
-		}
-		pre.stored[layer] = st
-	}
-	return nil
-}
-
-// offlineOTReceive (Server-Garbler) obtains labels for the client's
-// offline-known inputs: its HE share c_i and the next-layer mask r_{i+1}.
-func (c *Client) offlineOTReceive(pre *clientPre) error {
-	width := c.f.Bits()
-	for layer := 0; layer < c.meta.NumReLULayers(); layer++ {
-		units := c.meta.Dims[layer].Out
-		choices := make([]bool, 0, units*2*width)
-		for u := 0; u < units; u++ {
-			choices = append(choices, boolcirc.PackBits(pre.cshare[layer][u], width)...)
-			choices = append(choices, boolcirc.PackBits(pre.r[layer+1][u], width)...)
-		}
-		msgs, err := c.otRecv.Receive(choices)
-		if err != nil {
-			return fmt.Errorf("delphi: offline OT layer %d: %w", layer, err)
-		}
-		labels := otToLabels(msgs)
-		st := &pre.stored[layer]
-		for u := 0; u < units; u++ {
-			st.known[u] = labels[u*2*width : (u+1)*2*width]
-		}
-		st.bytes += uint64(len(labels) * garble.LabelSize)
-	}
-	return nil
-}
-
-// offlineGarbleSend (Client-Garbler) garbles every ReLU unit on the client
-// and ships tables plus the garbler's own active input labels to the
-// server, which becomes the storing party.
-func (c *Client) offlineGarbleSend(pre *clientPre) error {
-	width := c.f.Bits()
-	pre.encs = make([][]garble.Encoding, c.meta.NumReLULayers())
-	for layer := 0; layer < c.meta.NumReLULayers(); layer++ {
-		circ := c.shared.circuits[layer]
-		units := c.meta.Dims[layer].Out
-		pre.encs[layer] = make([]garble.Encoding, units)
-		perUnit := garble.TableBytes(circ) + garble.LabelSize + len(circ.Outputs) + 2*width*garble.LabelSize
-		payload := make([]byte, 0, units*perUnit)
-		bases := make([]uint64, units)
-		for u := range bases {
-			bases[u] = gateBase(layer, u)
-		}
-		for u, g := range c.cfg.garbleBatch(circ, c.entropy, bases) {
-			pre.encs[layer][u] = g.Encoding
-			payload = append(payload, encodeLabels(g.Tables)...)
-			constLb := g.Encoding.EncodeInput(boolcirc.ConstOne, true)
-			payload = append(payload, constLb[:]...)
-			payload = append(payload, g.DecodeBits...)
-			// Garbler-known inputs: b = c_i bits, then r = r_{i+1} bits.
-			bBits := boolcirc.PackBits(pre.cshare[layer][u], width)
-			rBits := boolcirc.PackBits(pre.r[layer+1][u], width)
-			for k, bit := range bBits {
-				lb := g.Encoding.EncodeInput(1+width+k, bit)
-				payload = append(payload, lb[:]...)
-			}
-			for k, bit := range rBits {
-				lb := g.Encoding.EncodeInput(1+2*width+k, bit)
-				payload = append(payload, lb[:]...)
-			}
-		}
-		if err := c.conn.Send(payload); err != nil {
-			return fmt.Errorf("delphi: send GC layer %d: %w", layer, err)
-		}
-	}
-	return nil
-}
-
 // RunOnline executes the client side of one inference on input x
 // (field-encoded, length Dims[0].In), consuming the current pre-compute.
 // It returns the network output shares reconstructed — the inference
@@ -333,48 +215,26 @@ func (c *Client) RunOnline(x []uint64) ([]uint64, OnlineReport, error) {
 	width := c.f.Bits()
 	for layer := 0; layer < c.meta.NumReLULayers(); layer++ {
 		layerSpan := obs.StartSpan(obsClientOnlineLayer)
-		units := c.meta.Dims[layer].Out
 		switch c.cfg.Variant {
-		case ServerGarbler:
-			// Receive the garbler's share labels, evaluate, return the
-			// decoded masked activations.
+		case ServerGarbler: // evaluator: a labels arrive direct, the decoded bits go back
 			raw, err := c.conn.Recv()
 			if err != nil {
 				return nil, rep, err
 			}
-			aLabels, err := decodeLabels(raw, units*width)
+			aLabels, err := decodeLabels(raw, c.meta.Dims[layer].Out*width)
 			if err != nil {
 				return nil, rep, err
 			}
-			circ := c.shared.circuits[layer]
-			st := pre.stored[layer]
-			outBits := make([]bool, 0, units*width)
-			inputs := make([]garble.Label, circ.NumInputs)
-			for u := 0; u < units; u++ {
-				inputs[boolcirc.ConstOne] = st.constLb[u]
-				copy(inputs[1:1+width], aLabels[u*width:(u+1)*width])
-				copy(inputs[1+width:], st.known[u])
-				bits, err := garble.Eval(circ, st.tables[u], st.decode[u], inputs, gateBase(layer, u))
-				if err != nil {
-					return nil, rep, fmt.Errorf("delphi: eval layer %d unit %d: %w", layer, u, err)
-				}
-				outBits = append(outBits, bits...)
-			}
-			if err := c.conn.Send(encodeBits(outBits)); err != nil {
+			bits, err := c.evaluateLayer(pre.stored[layer], layer, aLabels)
+			if err != nil {
 				return nil, rep, err
 			}
-		case ClientGarbler:
-			// Serve the server's online OT for its share labels.
-			pairs := make([][2]garble.Label, 0, units*width)
-			for u := 0; u < units; u++ {
-				enc := pre.encs[layer][u]
-				for k := 0; k < width; k++ {
-					f0, f1 := enc.LabelPair(1 + k)
-					pairs = append(pairs, [2]garble.Label{f0, f1})
-				}
+			if err := c.conn.Send(encodeBits(bits)); err != nil {
+				return nil, rep, err
 			}
-			if err := c.otSend.Send(labelsToOT(pairs)); err != nil {
-				return nil, rep, fmt.Errorf("delphi: online OT layer %d: %w", layer, err)
+		case ClientGarbler: // garbler: serve the server's OT for its a labels
+			if err := c.otSendLabels(layer, pre.encs[layer], 1, width); err != nil {
+				return nil, rep, err
 			}
 		}
 		layerSpan.End()

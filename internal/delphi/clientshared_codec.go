@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"privinf/internal/bfv"
-	"privinf/internal/boolcirc"
 )
 
 // Binary codec for ClientShared, the client half of artifact persistence:
@@ -30,45 +29,9 @@ func (cs *ClientShared) MarshalBinary() ([]byte, error) {
 		capacity += int(c.SizeBytes()) + 64
 	}
 	w := codecWriter{buf: make([]byte, 0, capacity)}
-	w.u64(clientSharedCodecVersion)
-	w.u64(uint64(cs.params.N))
-	w.u64(cs.params.T)
-
-	w.u64(cs.meta.P)
-	w.u64(uint64(cs.meta.Frac))
-	w.u64(uint64(len(cs.meta.Dims)))
-	for _, d := range cs.meta.Dims {
-		w.u64(uint64(d.In))
-		w.u64(uint64(d.Out))
-	}
-	w.u64(uint64(len(cs.meta.Shifts)))
-	for _, s := range cs.meta.Shifts {
-		w.u64(uint64(s))
-	}
-
-	// Circuits, deduplicated by pointer — buildCircuits shares one circuit
-	// across layers with equal shift, and the codec preserves that sharing
-	// (same scheme as the SharedModel codec).
-	unique := make([]*boolcirc.Circuit, 0, len(cs.circuits))
-	index := make(map[*boolcirc.Circuit]uint64, len(cs.circuits))
-	for _, c := range cs.circuits {
-		if _, ok := index[c]; !ok {
-			index[c] = uint64(len(unique))
-			unique = append(unique, c)
-		}
-	}
-	w.u64(uint64(len(unique)))
-	for _, c := range unique {
-		raw, err := c.MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		w.u64(uint64(len(raw)))
-		w.bytes(raw)
-	}
-	w.u64(uint64(len(cs.circuits)))
-	for _, c := range cs.circuits {
-		w.u64(index[c])
+	w.header(clientSharedCodecVersion, cs.params, cs.meta)
+	if err := w.circuits(cs.circuits); err != nil {
+		return nil, err
 	}
 	return w.buf, nil
 }
@@ -77,98 +40,16 @@ func (cs *ClientShared) MarshalBinary() ([]byte, error) {
 // revalidating the metadata and re-deriving the matvec plans from it.
 func UnmarshalClientShared(data []byte) (*ClientShared, error) {
 	r := codecReader{buf: data}
-	if v := r.u64(); r.err == nil && v != clientSharedCodecVersion {
-		return nil, fmt.Errorf("delphi: codec: client artifact codec version %d, want %d", v, clientSharedCodecVersion)
-	}
-	n := int(r.u64())
-	t := r.u64()
-	if r.err != nil {
-		return nil, r.err
-	}
-	params, err := bfv.NewParams(n, t)
+	params, meta, err := r.header(clientSharedCodecVersion)
 	if err != nil {
-		return nil, fmt.Errorf("delphi: codec: %w", err)
-	}
-
-	var meta ModelMeta
-	meta.P = r.u64()
-	meta.Frac = uint(r.u64())
-	numDims := int(r.u64())
-	if r.err != nil {
-		return nil, r.err
-	}
-	if numDims <= 0 || numDims > r.remaining()/16 {
-		return nil, fmt.Errorf("delphi: codec: %d layer dims inconsistent with payload", numDims)
-	}
-	meta.Dims = make([]LayerDim, numDims)
-	for i := range meta.Dims {
-		meta.Dims[i] = LayerDim{In: int(r.u64()), Out: int(r.u64())}
-	}
-	numShifts := int(r.u64())
-	if r.err != nil {
-		return nil, r.err
-	}
-	if numShifts < 0 || numShifts > r.remaining()/8 {
-		return nil, fmt.Errorf("delphi: codec: %d shifts inconsistent with payload", numShifts)
-	}
-	if numShifts > 0 {
-		meta.Shifts = make([]uint, numShifts)
-		for i := range meta.Shifts {
-			meta.Shifts[i] = uint(r.u64())
-		}
-	}
-	if r.err != nil {
-		return nil, r.err
+		return nil, err
 	}
 	if err := meta.Validate(); err != nil {
 		return nil, fmt.Errorf("delphi: codec: %w", err)
 	}
-	if params.T != meta.P {
-		return nil, fmt.Errorf("delphi: codec: HE plaintext modulus %d != model field %d", params.T, meta.P)
-	}
-
-	numUnique := int(r.u64())
-	if r.err != nil {
-		return nil, r.err
-	}
-	if numUnique < 0 || numUnique > numDims {
-		return nil, fmt.Errorf("delphi: codec: %d unique circuits for %d layers", numUnique, numDims)
-	}
-	unique := make([]*boolcirc.Circuit, numUnique)
-	for i := range unique {
-		clen := int(r.u64())
-		raw := r.take(clen)
-		if r.err != nil {
-			return nil, r.err
-		}
-		unique[i] = new(boolcirc.Circuit)
-		if err := unique[i].UnmarshalBinary(raw); err != nil {
-			return nil, err
-		}
-	}
-	numCircuits := int(r.u64())
-	if r.err != nil {
-		return nil, r.err
-	}
-	if numCircuits != meta.NumReLULayers() {
-		return nil, fmt.Errorf("delphi: codec: %d circuit layers, want %d", numCircuits, meta.NumReLULayers())
-	}
-	var circuits []*boolcirc.Circuit
-	if numCircuits > 0 {
-		circuits = make([]*boolcirc.Circuit, numCircuits)
-	}
-	for i := range circuits {
-		idx := r.u64()
-		if r.err != nil {
-			return nil, r.err
-		}
-		if idx >= uint64(numUnique) {
-			return nil, fmt.Errorf("delphi: codec: circuit layer %d references table entry %d of %d", i, idx, numUnique)
-		}
-		circuits[i] = unique[idx]
-	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("delphi: codec: %d trailing bytes", r.remaining())
+	circuits, err := r.circuits(meta.NumReLULayers())
+	if err != nil {
+		return nil, err
 	}
 
 	cs := &ClientShared{params: params, meta: meta, circuits: circuits}

@@ -112,23 +112,9 @@ func (sm *SharedModel) MarshalBinary() ([]byte, error) {
 		capacity += int(c.SizeBytes()) + 64
 	}
 	w := codecWriter{buf: make([]byte, 0, capacity)}
-	w.u64(sharedModelCodecVersion)
-	w.u64(uint64(sm.params.N))
-	w.u64(sm.params.T)
-
-	// Meta (P, Frac, Dims, Shifts). Redundant with the model handed to the
-	// decoder — that redundancy is the mismatch check.
-	w.u64(sm.meta.P)
-	w.u64(uint64(sm.meta.Frac))
-	w.u64(uint64(len(sm.meta.Dims)))
-	for _, d := range sm.meta.Dims {
-		w.u64(uint64(d.In))
-		w.u64(uint64(d.Out))
-	}
-	w.u64(uint64(len(sm.meta.Shifts)))
-	for _, s := range sm.meta.Shifts {
-		w.u64(uint64(s))
-	}
+	// The metadata is redundant with the model handed to the decoder —
+	// that redundancy is the mismatch check.
+	w.header(sharedModelCodecVersion, sm.params, sm.meta)
 	w.u64(modelWeightsDigest(sm.model))
 
 	w.u64(uint64(len(sm.plans)))
@@ -151,28 +137,8 @@ func (sm *SharedModel) MarshalBinary() ([]byte, error) {
 		}
 	}
 
-	// Circuits, deduplicated by pointer: buildCircuits shares one circuit
-	// across layers with equal shift, and the codec preserves that sharing.
-	unique := make([]*boolcirc.Circuit, 0, len(sm.circuits))
-	index := make(map[*boolcirc.Circuit]uint64, len(sm.circuits))
-	for _, c := range sm.circuits {
-		if _, ok := index[c]; !ok {
-			index[c] = uint64(len(unique))
-			unique = append(unique, c)
-		}
-	}
-	w.u64(uint64(len(unique)))
-	for _, c := range unique {
-		raw, err := c.MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		w.u64(uint64(len(raw)))
-		w.bytes(raw)
-	}
-	w.u64(uint64(len(sm.circuits)))
-	for _, c := range sm.circuits {
-		w.u64(index[c])
+	if err := w.circuits(sm.circuits); err != nil {
+		return nil, err
 	}
 	return w.buf, nil
 }
@@ -189,49 +155,11 @@ func UnmarshalSharedModel(data []byte, model *nn.Lowered) (*SharedModel, error) 
 		return nil, err
 	}
 	r := codecReader{buf: data}
-	if v := r.u64(); r.err == nil && v != sharedModelCodecVersion {
-		return nil, fmt.Errorf("delphi: codec: artifact codec version %d, want %d", v, sharedModelCodecVersion)
-	}
-	n := int(r.u64())
-	t := r.u64()
-	if r.err != nil {
-		return nil, r.err
-	}
-	params, err := bfv.NewParams(n, t)
+	params, meta, err := r.header(sharedModelCodecVersion)
 	if err != nil {
-		return nil, fmt.Errorf("delphi: codec: %w", err)
+		return nil, err
 	}
-
-	var meta ModelMeta
-	meta.P = r.u64()
-	meta.Frac = uint(r.u64())
-	numDims := int(r.u64())
-	if r.err != nil {
-		return nil, r.err
-	}
-	if numDims <= 0 || numDims > r.remaining()/16 {
-		return nil, fmt.Errorf("delphi: codec: %d layer dims inconsistent with payload", numDims)
-	}
-	meta.Dims = make([]LayerDim, numDims)
-	for i := range meta.Dims {
-		meta.Dims[i] = LayerDim{In: int(r.u64()), Out: int(r.u64())}
-	}
-	numShifts := int(r.u64())
-	if r.err != nil {
-		return nil, r.err
-	}
-	if numShifts < 0 || numShifts > r.remaining()/8 {
-		return nil, fmt.Errorf("delphi: codec: %d shifts inconsistent with payload", numShifts)
-	}
-	if numShifts > 0 {
-		meta.Shifts = make([]uint, numShifts)
-		for i := range meta.Shifts {
-			meta.Shifts[i] = uint(r.u64())
-		}
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
+	numDims := len(meta.Dims)
 	if want := MetaOf(model); !reflect.DeepEqual(meta, want) {
 		return nil, fmt.Errorf("delphi: codec: stored model metadata does not match the supplied model (stored %d layers over p=%d, model %d layers over p=%d)",
 			len(meta.Dims), meta.P, len(want.Dims), want.P)
@@ -246,9 +174,6 @@ func UnmarshalSharedModel(data []byte, model *nn.Lowered) (*SharedModel, error) 
 		// cleanly and serve the OLD weights, so this is the only line of
 		// defense.
 		return nil, fmt.Errorf("delphi: codec: stored weight digest %016x does not match the supplied model's %016x (stale artifact for a retrained model?)", digest, want)
-	}
-	if params.T != meta.P {
-		return nil, fmt.Errorf("delphi: codec: HE plaintext modulus %d != model field %d", params.T, meta.P)
 	}
 
 	numPlans := int(r.u64())
@@ -356,48 +281,9 @@ func UnmarshalSharedModel(data []byte, model *nn.Lowered) (*SharedModel, error) 
 		}
 	}
 
-	numUnique := int(r.u64())
-	if r.err != nil {
-		return nil, r.err
-	}
-	if numUnique < 0 || numUnique > numDims {
-		return nil, fmt.Errorf("delphi: codec: %d unique circuits for %d layers", numUnique, numDims)
-	}
-	unique := make([]*boolcirc.Circuit, numUnique)
-	for i := range unique {
-		clen := int(r.u64())
-		raw := r.take(clen)
-		if r.err != nil {
-			return nil, r.err
-		}
-		unique[i] = new(boolcirc.Circuit)
-		if err := unique[i].UnmarshalBinary(raw); err != nil {
-			return nil, err
-		}
-	}
-	numCircuits := int(r.u64())
-	if r.err != nil {
-		return nil, r.err
-	}
-	if numCircuits != meta.NumReLULayers() {
-		return nil, fmt.Errorf("delphi: codec: %d circuit layers, want %d", numCircuits, meta.NumReLULayers())
-	}
-	var circuits []*boolcirc.Circuit
-	if numCircuits > 0 {
-		circuits = make([]*boolcirc.Circuit, numCircuits)
-	}
-	for i := range circuits {
-		idx := r.u64()
-		if r.err != nil {
-			return nil, r.err
-		}
-		if idx >= uint64(numUnique) {
-			return nil, fmt.Errorf("delphi: codec: circuit layer %d references table entry %d of %d", i, idx, numUnique)
-		}
-		circuits[i] = unique[idx]
-	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("delphi: codec: %d trailing bytes", r.remaining())
+	circuits, err := r.circuits(meta.NumReLULayers())
+	if err != nil {
+		return nil, err
 	}
 
 	sm := &SharedModel{
@@ -425,6 +311,53 @@ func (w *codecWriter) u64(v uint64) {
 }
 
 func (w *codecWriter) bytes(b []byte) { w.buf = append(w.buf, b...) }
+
+// header writes what both artifact codecs open with: the codec version, the
+// HE parameter identity (N, T) and the public model metadata.
+func (w *codecWriter) header(version uint64, params bfv.Params, meta ModelMeta) {
+	w.u64(version)
+	w.u64(uint64(params.N))
+	w.u64(params.T)
+	w.u64(meta.P)
+	w.u64(uint64(meta.Frac))
+	w.u64(uint64(len(meta.Dims)))
+	for _, d := range meta.Dims {
+		w.u64(uint64(d.In))
+		w.u64(uint64(d.Out))
+	}
+	w.u64(uint64(len(meta.Shifts)))
+	for _, s := range meta.Shifts {
+		w.u64(uint64(s))
+	}
+}
+
+// circuits writes the per-layer ReLU circuits both artifacts end with,
+// deduplicated by pointer: buildCircuits shares one circuit across layers
+// with equal shift, and the codec preserves that sharing.
+func (w *codecWriter) circuits(circuits []*boolcirc.Circuit) error {
+	unique := make([]*boolcirc.Circuit, 0, len(circuits))
+	index := make(map[*boolcirc.Circuit]uint64, len(circuits))
+	for _, c := range circuits {
+		if _, ok := index[c]; !ok {
+			index[c] = uint64(len(unique))
+			unique = append(unique, c)
+		}
+	}
+	w.u64(uint64(len(unique)))
+	for _, c := range unique {
+		raw, err := c.MarshalBinary()
+		if err != nil {
+			return err
+		}
+		w.u64(uint64(len(raw)))
+		w.bytes(raw)
+	}
+	w.u64(uint64(len(circuits)))
+	for _, c := range circuits {
+		w.u64(index[c])
+	}
+	return nil
+}
 
 // codecReader consumes little-endian fields with sticky error tracking, so
 // a truncated payload surfaces as one error instead of a slice panic.
@@ -462,4 +395,104 @@ func (r *codecReader) take(n int) []byte {
 	b := r.buf[r.off : r.off+n]
 	r.off += n
 	return b
+}
+
+// header reads what codecWriter.header wrote, rejecting any other version,
+// HE parameters that do not build, and metadata the payload cannot hold.
+func (r *codecReader) header(version uint64) (bfv.Params, ModelMeta, error) {
+	var meta ModelMeta
+	if v := r.u64(); r.err == nil && v != version {
+		return bfv.Params{}, meta, fmt.Errorf("delphi: codec: artifact codec version %d, want %d", v, version)
+	}
+	n := int(r.u64())
+	t := r.u64()
+	if r.err != nil {
+		return bfv.Params{}, meta, r.err
+	}
+	params, err := bfv.NewParams(n, t)
+	if err != nil {
+		return params, meta, fmt.Errorf("delphi: codec: %w", err)
+	}
+	meta.P = r.u64()
+	meta.Frac = uint(r.u64())
+	numDims := int(r.u64())
+	if r.err != nil {
+		return params, meta, r.err
+	}
+	if numDims <= 0 || numDims > r.remaining()/16 {
+		return params, meta, fmt.Errorf("delphi: codec: %d layer dims inconsistent with payload", numDims)
+	}
+	meta.Dims = make([]LayerDim, numDims)
+	for i := range meta.Dims {
+		meta.Dims[i] = LayerDim{In: int(r.u64()), Out: int(r.u64())}
+	}
+	numShifts := int(r.u64())
+	if r.err != nil {
+		return params, meta, r.err
+	}
+	if numShifts < 0 || numShifts > r.remaining()/8 {
+		return params, meta, fmt.Errorf("delphi: codec: %d shifts inconsistent with payload", numShifts)
+	}
+	if numShifts > 0 {
+		meta.Shifts = make([]uint, numShifts)
+		for i := range meta.Shifts {
+			meta.Shifts[i] = uint(r.u64())
+		}
+	}
+	if r.err != nil {
+		return params, meta, r.err
+	}
+	if params.T != meta.P {
+		return params, meta, fmt.Errorf("delphi: codec: HE plaintext modulus %d != model field %d", params.T, meta.P)
+	}
+	return params, meta, nil
+}
+
+// circuits reads what codecWriter.circuits wrote — it must be the
+// payload's tail — for a model of the given number of ReLU layers.
+func (r *codecReader) circuits(layers int) ([]*boolcirc.Circuit, error) {
+	numUnique := int(r.u64())
+	if r.err != nil {
+		return nil, r.err
+	}
+	if numUnique < 0 || numUnique > layers+1 {
+		return nil, fmt.Errorf("delphi: codec: %d unique circuits for %d layers", numUnique, layers+1)
+	}
+	unique := make([]*boolcirc.Circuit, numUnique)
+	for i := range unique {
+		clen := int(r.u64())
+		raw := r.take(clen)
+		if r.err != nil {
+			return nil, r.err
+		}
+		unique[i] = new(boolcirc.Circuit)
+		if err := unique[i].UnmarshalBinary(raw); err != nil {
+			return nil, err
+		}
+	}
+	numCircuits := int(r.u64())
+	if r.err != nil {
+		return nil, r.err
+	}
+	if numCircuits != layers {
+		return nil, fmt.Errorf("delphi: codec: %d circuit layers, want %d", numCircuits, layers)
+	}
+	var circuits []*boolcirc.Circuit
+	if numCircuits > 0 {
+		circuits = make([]*boolcirc.Circuit, numCircuits)
+	}
+	for i := range circuits {
+		idx := r.u64()
+		if r.err != nil {
+			return nil, r.err
+		}
+		if idx >= uint64(numUnique) {
+			return nil, fmt.Errorf("delphi: codec: circuit layer %d references table entry %d of %d", i, idx, numUnique)
+		}
+		circuits[i] = unique[idx]
+	}
+	if r.remaining() != 0 {
+		return nil, fmt.Errorf("delphi: codec: %d trailing bytes", r.remaining())
+	}
+	return circuits, nil
 }

@@ -1,18 +1,38 @@
 // Package delphi implements the end-to-end hybrid private-inference
-// protocol the paper characterizes (§2.2, Figure 2): homomorphic encryption
+// protocol the paper characterizes (§2.2, Figure 2). Homomorphic encryption
 // generates additive shares of every linear layer in an input-independent
 // offline phase; the online phase evaluates linear layers on secret shares
-// and ReLU layers with garbled circuits, whose input labels move either
-// directly (garbler's own share) or by oblivious transfer.
+// and ReLU layers with garbled circuits.
 //
-// Both protocol variants are provided:
+// The garbled-circuit layer has exactly two roles, each written once
+// (roles.go) on the state Client and Server share:
 //
-//   - ServerGarbler — the DELPHI baseline: the server garbles ReLUs offline,
-//     the client stores the circuits (18.2 KB/ReLU of client storage) and
-//     evaluates them online, label OTs run offline.
-//   - ClientGarbler — the paper's first optimization (§5.1, Figure 6): roles
-//     reverse, garbled circuits live on the server, the powerful server
-//     evaluates online, and the server's input labels move by OT online.
+//   - The garbler garbles every ReLU unit offline and ships tables,
+//     const-one label and decode bits (garbleAndShip). It is the OT sender.
+//     For each circuit input it either sends the active label directly —
+//     when it holds the value itself — or offers both labels by OT
+//     (otSendLabels) when the evaluator holds it.
+//   - The evaluator receives and stores the circuits (receiveGC, the one
+//     payload parser) — the 18.2 KB/ReLU storage burden of Figure 3 — is
+//     the OT receiver (otRecvLabels), and evaluates online (evaluateLayer).
+//
+// A ReLU unit takes a, the server's share of the layer output (known only
+// online), and b and r, the client's share c_i and next mask r_{i+1} (known
+// offline). The two protocol variants are the same protocol with the roles
+// swapped (§5.1, Figure 6), which decides who stores and how each input's
+// labels travel:
+//
+//	                       ServerGarbler (DELPHI)     ClientGarbler (§5.1)
+//	garbler, OT sender     server                     client
+//	evaluator, GC storage  client                     server
+//	b, r labels (offline)  by OT, after the circuits  direct, with the circuits
+//	a labels (online)      direct, server → client    by OT, client → server
+//	ReLU output bits       client decodes, returns    server decodes, keeps
+//
+// RunOffline and RunOnline on both endpoints are one switch on the variant
+// whose arms pick the role calls of the column above; the wire layout, the
+// evaluator's allocation behaviour and the label ordering live in the role
+// code and so change in one place for both variants.
 //
 // The implementation is functional end-to-end: a Client/Server pair
 // connected by a transport.Conn produces inference outputs bit-exact with

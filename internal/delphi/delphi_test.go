@@ -1,6 +1,7 @@
 package delphi
 
 import (
+	"io"
 	"math/rand"
 	"testing"
 
@@ -23,6 +24,15 @@ func (s *seededReader) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// newTestServer builds a server session on a private model artifact.
+func newTestServer(conn transport.MsgConn, cfg Config, model *nn.Lowered, entropy io.Reader) (*Server, error) {
+	shared, err := NewSharedModel(cfg.HEParams, model)
+	if err != nil {
+		return nil, err
+	}
+	return NewServerShared(conn, cfg, shared, entropy)
+}
+
 // session wires a client and server over an in-process pipe.
 type session struct {
 	client *Client
@@ -32,13 +42,19 @@ type session struct {
 
 func newSession(t *testing.T, variant Variant, model *nn.Lowered, lpheWorkers int) *session {
 	t.Helper()
+	cc, sc := transport.Pipe()
+	return newSessionOn(t, variant, model, lpheWorkers, cc, sc)
+}
+
+// newSessionOn is newSession over caller-supplied connections.
+func newSessionOn(t *testing.T, variant Variant, model *nn.Lowered, lpheWorkers int, cc, sc transport.MsgConn) *session {
+	t.Helper()
 	params, err := bfv.NewParams(bfv.DefaultN, model.F.P())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{Variant: variant, HEParams: params, LPHEWorkers: lpheWorkers}
-	cc, sc := transport.Pipe()
-	server, err := NewServer(sc, cfg, model, newSeeded(1001))
+	server, err := newTestServer(sc, cfg, model, newSeeded(1001))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,6 +77,14 @@ func newSession(t *testing.T, variant Variant, model *nn.Lowered, lpheWorkers in
 // inferPrivately runs one offline+online round and returns output + reports.
 func (s *session) inferPrivately(t *testing.T, x []uint64) ([]uint64, OfflineReport, OfflineReport, OnlineReport, OnlineReport) {
 	t.Helper()
+	cliOff, srvOff := s.offline(t)
+	out, cliOn, srvOn := s.online(t, x)
+	return out, cliOff, srvOff, cliOn, srvOn
+}
+
+// offline runs one pre-compute on both parties.
+func (s *session) offline(t *testing.T) (cli, srv OfflineReport) {
+	t.Helper()
 	type offRes struct {
 		rep OfflineReport
 		err error
@@ -70,7 +94,7 @@ func (s *session) inferPrivately(t *testing.T, x []uint64) ([]uint64, OfflineRep
 		rep, err := s.server.RunOffline()
 		offCh <- offRes{rep, err}
 	}()
-	cliOff, err := s.client.RunOffline()
+	cli, err := s.client.RunOffline()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +102,12 @@ func (s *session) inferPrivately(t *testing.T, x []uint64) ([]uint64, OfflineRep
 	if so.err != nil {
 		t.Fatal(so.err)
 	}
+	return cli, so.rep
+}
 
+// online runs one inference on both parties, consuming a pre-compute.
+func (s *session) online(t *testing.T, x []uint64) (out []uint64, cli, srv OnlineReport) {
+	t.Helper()
 	type onRes struct {
 		rep OnlineReport
 		err error
@@ -88,7 +117,7 @@ func (s *session) inferPrivately(t *testing.T, x []uint64) ([]uint64, OfflineRep
 		rep, err := s.server.RunOnline()
 		onCh <- onRes{rep, err}
 	}()
-	out, cliOn, err := s.client.RunOnline(x)
+	out, cli, err := s.client.RunOnline(x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +125,7 @@ func (s *session) inferPrivately(t *testing.T, x []uint64) ([]uint64, OfflineRep
 	if sn.err != nil {
 		t.Fatal(sn.err)
 	}
-	return out, cliOff, so.rep, cliOn, sn.rep
+	return out, cli, sn.rep
 }
 
 func randomInput(f field.Field, n int, seed int64) []uint64 {
@@ -292,7 +321,7 @@ func TestConfigFieldMismatch(t *testing.T) {
 	params := bfv.MustParams(bfv.DefaultN, field.P17) // wrong field
 	cfg := Config{Variant: ServerGarbler, HEParams: params}
 	cc, sc := transport.Pipe()
-	if _, err := NewServer(sc, cfg, model, nil); err == nil {
+	if _, err := newTestServer(sc, cfg, model, nil); err == nil {
 		t.Error("server must reject mismatched HE field")
 	}
 	if _, err := NewClient(cc, cfg, MetaOf(model), nil); err == nil {
@@ -333,7 +362,7 @@ func BenchmarkDelphiOfflineMLP(b *testing.B) {
 	params := bfv.MustParams(bfv.DefaultN, f.P())
 	cfg := Config{Variant: ServerGarbler, HEParams: params}
 	cc, sc := transport.Pipe()
-	server, _ := NewServer(sc, cfg, model, newSeeded(41))
+	server, _ := newTestServer(sc, cfg, model, newSeeded(41))
 	client, _ := NewClient(cc, cfg, MetaOf(model), newSeeded(42))
 	done := make(chan error, 1)
 	go func() { done <- server.Setup() }()
@@ -385,7 +414,7 @@ func BenchmarkDelphiOnlineMLP(b *testing.B) {
 		b.Run(variant.String(), func(b *testing.B) {
 			cfg := Config{Variant: variant, HEParams: params}
 			cc, sc := transport.Pipe()
-			server, _ := NewServer(sc, cfg, model, newSeeded(51))
+			server, _ := newTestServer(sc, cfg, model, newSeeded(51))
 			client, _ := NewClient(cc, cfg, MetaOf(model), newSeeded(52))
 			done := make(chan error, 1)
 			go func() { done <- server.Setup() }()

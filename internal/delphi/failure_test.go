@@ -28,7 +28,7 @@ func TestOverTCP(t *testing.T) {
 	}
 	defer cleanup()
 
-	server, err := NewServer(srvConn, cfg, model, newSeeded(1))
+	server, err := newTestServer(srvConn, cfg, model, newSeeded(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,50 +83,63 @@ func TestOverTCP(t *testing.T) {
 	}
 }
 
-// TestClientRejectsMalformedGCPayload injects a wrong-length garbled
-// circuit message.
-func TestClientRejectsMalformedGCPayload(t *testing.T) {
-	f := field.New(field.P20)
-	model, err := nn.DemoMLP(f, 3)
+// TestEvaluatorRejectsMalformedGCPayload feeds wrong-length garbled-circuit
+// messages to the storing party of each variant. Both run the one
+// receive-and-store role, so the cases are one table over who evaluates.
+func TestEvaluatorRejectsMalformedGCPayload(t *testing.T) {
+	model, err := nn.DemoMLP(field.New(field.P20), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := bfv.MustParams(bfv.DefaultN, f.P())
-	cfg := Config{Variant: ServerGarbler, HEParams: params}
-	cliConn, atkConn := transport.Pipe()
-	client, err := NewClient(cliConn, cfg, MetaOf(model), newSeeded(4))
+	params := bfv.MustParams(bfv.DefaultN, model.F.P())
+	width := model.F.Bits()
+	shared, err := NewSharedModel(params, model)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := atkConn.Send([]byte{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	err = client.offlineReceiveGC(&clientPre{})
-	if err == nil || !strings.Contains(err.Error(), "payload") {
-		t.Fatalf("want payload-size error, got %v", err)
-	}
-}
-
-// TestServerRejectsMalformedGCPayload mirrors the check for the
-// Client-Garbler storing path.
-func TestServerRejectsMalformedGCPayload(t *testing.T) {
-	f := field.New(field.P20)
-	model, err := nn.DemoMLP(f, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	params := bfv.MustParams(bfv.DefaultN, f.P())
-	cfg := Config{Variant: ClientGarbler, HEParams: params}
-	srvConn, atkConn := transport.Pipe()
-	server, err := NewServer(srvConn, cfg, model, newSeeded(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := atkConn.Send(make([]byte, 10)); err != nil {
-		t.Fatal(err)
-	}
-	if err := server.offlineReceiveGC(&serverPre{}); err == nil {
-		t.Fatal("want payload-size error")
+	for _, ev := range []struct {
+		name    string
+		variant Variant
+		known   int // labels the garbler ships per unit beside the circuit
+	}{
+		{"evaluator=client", ServerGarbler, 0},
+		{"evaluator=server", ClientGarbler, 2 * width},
+	} {
+		want := model.Linear[0].Out() * gcUnitBytes(shared.circuits[0], ev.known)
+		for _, tc := range []struct {
+			name string
+			size int
+		}{
+			{"short payload", 3},
+			{"long payload", want + 1},
+			{"truncated label block", want - garble.LabelSize/2},
+		} {
+			t.Run(ev.name+"/"+tc.name, func(t *testing.T) {
+				cfg := Config{Variant: ev.variant, HEParams: params}
+				conn, atkConn := transport.Pipe()
+				var p *party
+				if ev.variant == ServerGarbler {
+					client, err := NewClient(conn, cfg, MetaOf(model), newSeeded(4))
+					if err != nil {
+						t.Fatal(err)
+					}
+					p = &client.party
+				} else {
+					server, err := NewServerShared(conn, cfg, shared, newSeeded(5))
+					if err != nil {
+						t.Fatal(err)
+					}
+					p = &server.party
+				}
+				if err := atkConn.Send(make([]byte, tc.size)); err != nil {
+					t.Fatal(err)
+				}
+				_, err := p.receiveGC(ev.known > 0)
+				if err == nil || !strings.Contains(err.Error(), "payload") {
+					t.Fatalf("want payload-size error, got %v", err)
+				}
+			})
+		}
 	}
 }
 
@@ -141,7 +154,7 @@ func TestOfflineHERejectsGarbageCiphertext(t *testing.T) {
 	params := bfv.MustParams(bfv.DefaultN, f.P())
 	cfg := Config{Variant: ServerGarbler, HEParams: params}
 	srvConn, atkConn := transport.Pipe()
-	server, err := NewServer(srvConn, cfg, model, newSeeded(6))
+	server, err := newTestServer(srvConn, cfg, model, newSeeded(6))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,7 +107,7 @@ func (c *Client) SetupResumed(res *OTResume, nonce []byte, keys HEKeyPair) error
 	if res == nil {
 		return fmt.Errorf("delphi: client resume: nil OT state")
 	}
-	return c.setupOT(c.conn, c.cfg.Variant == ClientGarbler, res, nonce, c.entropy)
+	return c.setupOT(c.cfg.Variant == ClientGarbler, res, nonce)
 }
 
 // SetupResumed is the server half of a resumed session: no public key is
@@ -117,5 +117,5 @@ func (s *Server) SetupResumed(res *OTResume, nonce []byte) error {
 	if res == nil {
 		return fmt.Errorf("delphi: server resume: nil OT state")
 	}
-	return s.setupOT(s.conn, s.cfg.Variant == ServerGarbler, res, nonce, s.entropy)
+	return s.setupOT(s.cfg.Variant == ServerGarbler, res, nonce)
 }

@@ -215,7 +215,7 @@ func TestSetupResumedRejectsBadState(t *testing.T) {
 	}
 
 	_, sc := transport.Pipe()
-	server, err := NewServer(sc, cfg, model, newSeeded(1009))
+	server, err := newTestServer(sc, cfg, model, newSeeded(1009))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,12 +2,10 @@ package delphi
 
 import (
 	"fmt"
-	"io"
 
 	"privinf/internal/bfv"
 	"privinf/internal/boolcirc"
 	"privinf/internal/ot"
-	"privinf/internal/transport"
 )
 
 // ClientShared is the client-side analog of SharedModel: the immutable,
@@ -189,49 +187,4 @@ func UnmarshalOTResume(data []byte) (*OTResume, error) {
 		return nil, fmt.Errorf("delphi: OT resume state has %d trailing bytes", len(rest))
 	}
 	return r, nil
-}
-
-// otEndpoint is a party's OT-extension role for the session. The garbler
-// is always the OT sender and the evaluator the receiver, whichever party
-// that is under the variant, so exactly one field is set after setup.
-type otEndpoint struct {
-	otSend *ot.ExtSender
-	otRecv *ot.ExtReceiver
-}
-
-// setupOT establishes the endpoint over conn. A nil res runs the base OTs
-// (a full handshake); otherwise the extension streams expand locally from
-// res under the per-session nonce both parties agreed on in their
-// application-level handshake, and nothing crosses the wire. res must be
-// this party's OTResume export from an earlier session against the same
-// peer; a state for the other role fails as a nil state.
-func (o *otEndpoint) setupOT(conn transport.MsgConn, garbler bool, res *OTResume, nonce []byte, entropy io.Reader) (err error) {
-	switch {
-	case garbler && res == nil:
-		o.otSend, err = ot.NewExtSender(conn, entropy)
-	case garbler:
-		o.otSend, err = ot.ResumeSender(conn, res.Sender, nonce)
-	case res == nil:
-		o.otRecv, err = ot.NewExtReceiver(conn, entropy)
-	default:
-		o.otRecv, err = ot.ResumeReceiver(conn, res.Receiver, nonce)
-	}
-	if err != nil {
-		return fmt.Errorf("delphi: OT setup: %w", err)
-	}
-	return nil
-}
-
-// OTResume exports the party's resumable base-OT material after a
-// successful setup (nil before). Cache it — the client beside the
-// server's resumption ticket, the server under that ticket — and pass it
-// to SetupResumed on the next session.
-func (o *otEndpoint) OTResume() *OTResume {
-	switch {
-	case o.otSend != nil:
-		return &OTResume{Sender: o.otSend.State()}
-	case o.otRecv != nil:
-		return &OTResume{Receiver: o.otRecv.State()}
-	}
-	return nil
 }

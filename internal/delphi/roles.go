@@ -1,0 +1,327 @@
+package delphi
+
+import (
+	"fmt"
+	"io"
+
+	"privinf/internal/bfv"
+	"privinf/internal/boolcirc"
+	"privinf/internal/field"
+	"privinf/internal/garble"
+	"privinf/internal/ot"
+	"privinf/internal/ss"
+	"privinf/internal/transport"
+)
+
+// party is the session state Client and Server share, and the receiver of
+// the two garbled-circuit roles. Which party plays which role is the whole
+// difference between the protocol variants, so each role is written once
+// here and the endpoints only choose.
+//
+// A ReLU unit's circuit inputs are [const-one | a | b | r], width bits each:
+// a is the server's share of the layer output (known online), b the
+// client's share c_i and r its next mask r_{i+1} (both known offline).
+type party struct {
+	conn     transport.MsgConn
+	cfg      Config
+	meta     ModelMeta
+	f        field.Field
+	entropy  io.Reader
+	sharing  *ss.Sharing
+	circuits []*boolcirc.Circuit // per ReLU layer, from the party's model artifact
+
+	otSend *ot.ExtSender   // set on the garbler
+	otRecv *ot.ExtReceiver // set on the evaluator
+}
+
+// newParty checks the session parameters against the artifact's and builds
+// the shared state.
+func newParty(conn transport.MsgConn, cfg Config, params bfv.Params, meta ModelMeta, circuits []*boolcirc.Circuit, entropy io.Reader) (party, error) {
+	if cfg.HEParams.T != params.T || cfg.HEParams.N != params.N {
+		return party{}, fmt.Errorf("delphi: session HE params (N=%d, T=%d) != artifact params (N=%d, T=%d)",
+			cfg.HEParams.N, cfg.HEParams.T, params.N, params.T)
+	}
+	f := meta.fieldOf()
+	return party{conn: conn, cfg: cfg, meta: meta, f: f, entropy: entropy, sharing: ss.New(f, entropy), circuits: circuits}, nil
+}
+
+// setupOT establishes the party's OT-extension role for the session. The
+// garbler is always the OT sender and the evaluator the receiver, whichever
+// endpoint that is under the variant, so exactly one of otSend/otRecv is set
+// afterwards. A nil res runs the base OTs (a full handshake); otherwise the
+// extension streams expand locally from res under the per-session nonce
+// both parties agreed on in their application-level handshake, and nothing
+// crosses the wire. res must be this party's OTResume export from an
+// earlier session against the same peer; a state for the other role fails
+// as a nil state.
+func (p *party) setupOT(garbler bool, res *OTResume, nonce []byte) (err error) {
+	switch {
+	case garbler && res == nil:
+		p.otSend, err = ot.NewExtSender(p.conn, p.entropy)
+	case garbler:
+		p.otSend, err = ot.ResumeSender(p.conn, res.Sender, nonce)
+	case res == nil:
+		p.otRecv, err = ot.NewExtReceiver(p.conn, p.entropy)
+	default:
+		p.otRecv, err = ot.ResumeReceiver(p.conn, res.Receiver, nonce)
+	}
+	if err != nil {
+		return fmt.Errorf("delphi: OT setup: %w", err)
+	}
+	return nil
+}
+
+// OTResume exports the party's resumable base-OT material after a
+// successful setup (nil before). Cache it — the client beside the
+// server's resumption ticket, the server under that ticket — and pass it
+// to SetupResumed on the next session.
+func (p *party) OTResume() *OTResume {
+	switch {
+	case p.otSend != nil:
+		return &OTResume{Sender: p.otSend.State()}
+	case p.otRecv != nil:
+		return &OTResume{Receiver: p.otRecv.State()}
+	}
+	return nil
+}
+
+// buildCircuits constructs the per-ReLU-layer circuits (public, so both
+// parties build the same ones); layers with equal shift share one.
+func buildCircuits(meta ModelMeta) []*boolcirc.Circuit {
+	out := make([]*boolcirc.Circuit, meta.NumReLULayers())
+	cache := map[uint]*boolcirc.Circuit{}
+	for i := range out {
+		shift := meta.Shifts[i]
+		c, ok := cache[shift]
+		if !ok {
+			c = boolcirc.BuildReLU(boolcirc.ReLUSpec{P: meta.P, Frac: shift})
+			cache[shift] = c
+		}
+		out[i] = c
+	}
+	return out
+}
+
+// gcPre is the garbled-circuit half of one buffered pre-compute: the
+// garbler keeps encs, the evaluator keeps stored.
+type gcPre struct {
+	encs   [][]garble.Encoding // per ReLU layer, per unit
+	stored []storedLayer       // per ReLU layer
+}
+
+// storedLayer is what the evaluator holds per ReLU layer between phases —
+// the storage burden the paper's Figure 3 quantifies (18.2 KB/ReLU).
+type storedLayer struct {
+	tables  [][]garble.Label // per unit
+	decode  [][]byte         // per unit
+	constLb []garble.Label   // per unit: active const-one label
+	// known holds the labels of the b and r inputs, 2*width per unit:
+	// shipped with the circuit by a client garbler, fetched by offline OT
+	// from a server garbler (fetchKnown).
+	known [][]garble.Label
+	bytes uint64
+}
+
+// storeBytes totals the evaluator's storage for one pre-compute.
+func (g *gcPre) storeBytes() (n uint64) {
+	for _, l := range g.stored {
+		n += l.bytes
+	}
+	return n
+}
+
+// gcUnitBytes is the wire size of one garbled unit followed by known of the
+// garbler's own active input labels.
+func gcUnitBytes(circ *boolcirc.Circuit, known int) int {
+	return garble.TableBytes(circ) + garble.LabelSize + len(circ.Outputs) + known*garble.LabelSize
+}
+
+// garbleAndShip is the garbler's offline role: garble every ReLU unit and
+// send, per layer, one payload of units × (tables | const-one label |
+// decode bits | own labels). own[layer] lists the b and r values the
+// garbler already knows, unit-major; a nil own (the server garbler, whose a
+// input only exists online) ships none.
+func (p *party) garbleAndShip(own [][]uint64) ([][]garble.Encoding, error) {
+	width := p.f.Bits()
+	known := 0
+	if own != nil {
+		known = 2 * width
+	}
+	encs := make([][]garble.Encoding, len(p.circuits))
+	for layer, circ := range p.circuits {
+		units := p.meta.Dims[layer].Out
+		encs[layer] = make([]garble.Encoding, units)
+		payload := make([]byte, 0, units*gcUnitBytes(circ, known))
+		bases := make([]uint64, units)
+		for u := range bases {
+			bases[u] = gateBase(layer, u)
+		}
+		// All units of the layer garble as one batch; a serving engine's
+		// GarbleFunc may additionally coalesce units across sessions.
+		for u, g := range p.cfg.garbleBatch(circ, p.entropy, bases) {
+			encs[layer][u] = g.Encoding
+			payload = append(payload, encodeLabels(g.Tables)...)
+			payload = appendActive(payload, g.Encoding, boolcirc.ConstOne, 1, 1) // the wire that carries 1
+			payload = append(payload, g.DecodeBits...)
+			if own != nil {
+				payload = appendActive(payload, g.Encoding, 1+width, width, own[layer][2*u], own[layer][2*u+1])
+			}
+		}
+		if err := p.conn.Send(payload); err != nil {
+			return nil, fmt.Errorf("delphi: send GC layer %d: %w", layer, err)
+		}
+	}
+	return encs, nil
+}
+
+// appendActive appends the garbler's active labels for vals, width bits
+// each, little-endian, on consecutive circuit inputs starting at first.
+func appendActive(dst []byte, enc garble.Encoding, first, width int, vals ...uint64) []byte {
+	for i, v := range vals {
+		for k := 0; k < width; k++ {
+			lb := enc.EncodeInput(first+i*width+k, v>>uint(k)&1 == 1)
+			dst = append(dst, lb[:]...)
+		}
+	}
+	return dst
+}
+
+// sendActive is the garbler's direct-label leg: the active labels of every
+// unit's a input, for the share values the garbler itself holds.
+func (p *party) sendActive(encs []garble.Encoding, vals []uint64) error {
+	width := p.f.Bits()
+	payload := make([]byte, 0, len(vals)*width*garble.LabelSize)
+	for u, enc := range encs {
+		payload = appendActive(payload, enc, 1, width, vals[u])
+	}
+	return p.conn.Send(payload)
+}
+
+// receiveGC is the evaluator's offline role: receive and store every
+// layer's garbled units. withKnown says whether the garbler ships its own
+// b and r labels along (a client garbler does).
+func (p *party) receiveGC(withKnown bool) ([]storedLayer, error) {
+	known := 0
+	if withKnown {
+		known = 2 * p.f.Bits()
+	}
+	stored := make([]storedLayer, len(p.circuits))
+	for layer, circ := range p.circuits {
+		payload, err := p.conn.Recv()
+		if err != nil {
+			return nil, fmt.Errorf("delphi: recv GC layer %d: %w", layer, err)
+		}
+		if stored[layer], err = parseGCLayer(circ, p.meta.Dims[layer].Out, known, payload); err != nil {
+			return nil, fmt.Errorf("delphi: GC layer %d: %w", layer, err)
+		}
+	}
+	return stored, nil
+}
+
+// parseGCLayer is the one decoder of garbleAndShip's payload. Nothing is
+// allocated before the length matches the public layer shape exactly.
+func parseGCLayer(circ *boolcirc.Circuit, units, known int, payload []byte) (storedLayer, error) {
+	if want := units * gcUnitBytes(circ, known); len(payload) != want {
+		return storedLayer{}, fmt.Errorf("payload %d bytes, want %d", len(payload), want)
+	}
+	st := storedLayer{
+		tables:  make([][]garble.Label, units),
+		decode:  make([][]byte, units),
+		constLb: make([]garble.Label, units),
+		known:   make([][]garble.Label, units),
+		bytes:   uint64(len(payload)),
+	}
+	next := func(n int) []byte {
+		head := payload[:n]
+		payload = payload[n:]
+		return head
+	}
+	for u := 0; u < units; u++ {
+		st.tables[u] = labelsOf(next(garble.TableBytes(circ)))
+		copy(st.constLb[u][:], next(garble.LabelSize))
+		st.decode[u] = append([]byte(nil), next(len(circ.Outputs))...)
+		if known > 0 {
+			st.known[u] = labelsOf(next(known * garble.LabelSize))
+		}
+	}
+	return st, nil
+}
+
+// evaluateLayer is the evaluator's online role: evaluate the stored units
+// of one ReLU layer on the a labels just obtained, returning the decoded
+// output bits (the masked next-layer input), width per unit.
+func (p *party) evaluateLayer(st storedLayer, layer int, aLabels []garble.Label) ([]bool, error) {
+	width := p.f.Bits()
+	circ := p.circuits[layer]
+	out := make([]bool, 0, len(st.tables)*width)
+	inputs := make([]garble.Label, circ.NumInputs)
+	for u := range st.tables {
+		inputs[boolcirc.ConstOne] = st.constLb[u]
+		copy(inputs[1:1+width], aLabels[u*width:(u+1)*width])
+		copy(inputs[1+width:], st.known[u])
+		bits, err := garble.Eval(circ, st.tables[u], st.decode[u], inputs, gateBase(layer, u))
+		if err != nil {
+			return nil, fmt.Errorf("delphi: eval layer %d unit %d: %w", layer, u, err)
+		}
+		out = append(out, bits...)
+	}
+	return out, nil
+}
+
+// otSendLabels is the garbler's OT leg: offer both labels of circuit inputs
+// [first, first+n) of every unit of a layer. Server-Garbler runs it offline
+// for b and r, Client-Garbler online for a.
+func (p *party) otSendLabels(layer int, encs []garble.Encoding, first, n int) error {
+	pairs := make([][2]garble.Label, 0, len(encs)*n)
+	for _, enc := range encs {
+		for k := first; k < first+n; k++ {
+			f0, f1 := enc.LabelPair(k)
+			pairs = append(pairs, [2]garble.Label{f0, f1})
+		}
+	}
+	if err := p.otSend.Send(labelsToOT(pairs)); err != nil {
+		return fmt.Errorf("delphi: label OT layer %d: %w", layer, err)
+	}
+	return nil
+}
+
+// otRecvLabels is the evaluator's OT leg: obtain the active labels for the
+// bits of vals (width each, little-endian) without revealing them.
+func (p *party) otRecvLabels(layer int, vals []uint64) ([]garble.Label, error) {
+	msgs, err := p.otRecv.Receive(valueBits(vals, p.f.Bits()))
+	if err != nil {
+		return nil, fmt.Errorf("delphi: label OT layer %d: %w", layer, err)
+	}
+	return otToLabels(msgs), nil
+}
+
+// offerKnown is the server garbler's offline OT: every layer's b and r
+// labels, which a client garbler would have shipped with the circuits.
+func (p *party) offerKnown(encs [][]garble.Encoding) error {
+	width := p.f.Bits()
+	for layer := range encs {
+		if err := p.otSendLabels(layer, encs[layer], 1+width, 2*width); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fetchKnown is offerKnown's evaluator side: obtain the labels for the b
+// and r values own[layer] lists, unit-major, and store them beside the
+// circuits.
+func (p *party) fetchKnown(stored []storedLayer, own [][]uint64) error {
+	for layer := range stored {
+		labels, err := p.otRecvLabels(layer, own[layer])
+		if err != nil {
+			return err
+		}
+		st := &stored[layer]
+		per := 2 * p.f.Bits()
+		for u := range st.known {
+			st.known[u] = labels[u*per : (u+1)*per]
+		}
+		st.bytes += uint64(len(labels) * garble.LabelSize)
+	}
+	return nil
+}

@@ -31,7 +31,7 @@ func BenchmarkSessionSetup(b *testing.B) {
 	b.Run("per-session-encode", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := NewServer(sc, cfg, model, nil); err != nil {
+			if _, err := newTestServer(sc, cfg, model, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -128,7 +128,7 @@ func BenchmarkOfflinePhase(b *testing.B) {
 			cfg := Config{Variant: variant, HEParams: params, LPHEWorkers: len(model.Linear)}
 			cc, sc := transport.Pipe()
 			entropy := LockedEntropy(newSeeded(7))
-			server, err := NewServer(sc, cfg, model, entropy)
+			server, err := newTestServer(sc, cfg, model, entropy)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -43,11 +43,16 @@ func decodeLabels(data []byte, want int) ([]garble.Label, error) {
 	if len(data) != garble.LabelSize*want {
 		return nil, fmt.Errorf("delphi: label payload %d bytes, want %d", len(data), garble.LabelSize*want)
 	}
-	out := make([]garble.Label, want)
+	return labelsOf(data), nil
+}
+
+// labelsOf copies the whole labels in data out of the wire buffer.
+func labelsOf(data []byte) []garble.Label {
+	out := make([]garble.Label, len(data)/garble.LabelSize)
 	for i := range out {
 		copy(out[i][:], data[i*garble.LabelSize:])
 	}
-	return out, nil
+	return out
 }
 
 func encodeBits(bits []bool) []byte {
@@ -97,11 +102,20 @@ func gateBase(layer, unit int) uint64 {
 }
 
 // valueBits returns the little-endian width-bit decomposition of each
-// element of v, concatenated.
+// element of v, concatenated — the OT choice bits for v's labels.
 func valueBits(v []uint64, width int) []bool {
 	out := make([]bool, 0, len(v)*width)
 	for _, x := range v {
 		out = append(out, boolcirc.PackBits(x, width)...)
+	}
+	return out
+}
+
+// bitsToValues is valueBits' inverse.
+func bitsToValues(bits []bool, width int) []uint64 {
+	out := make([]uint64, len(bits)/width)
+	for u := range out {
+		out[u] = boolcirc.UnpackBits(bits[u*width : (u+1)*width])
 	}
 	return out
 }

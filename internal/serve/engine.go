@@ -44,17 +44,6 @@ type Config struct {
 	// exactly one; with several models and no default, unnamed hellos are
 	// rejected.
 	DefaultModel string
-	// RegistryBudget is the artifact byte budget applied when the engine
-	// builds its own registry from Model/Artifact (<= 0 unbounded). Ignored
-	// when Registry is set — the caller's registry carries its own budget.
-	RegistryBudget int64
-	// ArtifactDir, when non-empty, backs the engine's private registry with
-	// a disk artifact store rooted there (see ArtifactStore): misses load
-	// from disk before building, builds are written through, and eviction
-	// spills instead of dropping. Applies to the Model/Artifact
-	// configurations; mutually exclusive with Registry — a caller-built
-	// registry carries its own store (NewRegistryWithStore).
-	ArtifactDir string
 
 	// Model is the single network to serve (the one-model configuration):
 	// the engine wraps it in a private registry under DefaultModelName.
@@ -92,12 +81,6 @@ type Config struct {
 	// ~no compute, so a full fleet still reconnects fast). 0 means
 	// unbounded.
 	SetupWorkers int
-	// ModelWeights sets the scheduler's per-model refill shares: the
-	// global storage budget is split between models with live sessions in
-	// proportion to weight, so a hot model's refill demand cannot starve a
-	// cold model's buffers. Unnamed models weigh 1; weights <= 0 are
-	// treated as 1. Nil gives every model equal weight.
-	ModelWeights map[string]float64
 	// TicketTTL bounds how long an OT resumption ticket stays redeemable
 	// (redeeming slides the window). 0 uses DefaultTicketTTL; < 0 disables
 	// resumption entirely — every connect runs full base OTs.
@@ -120,10 +103,6 @@ type Config struct {
 	// LRU eviction and pre-builds it at engine construction, so the
 	// highest-traffic entry never pays the cold-build latency spike.
 	PinDefaultModel bool
-	// ArtifactDiskBudget caps the artifact store directory's bytes when
-	// ArtifactDir is set: every write sweeps least-recently-modified
-	// artifact files past the budget. <= 0 means unbounded.
-	ArtifactDiskBudget int64
 	// Entropy seeds all cryptographic randomness; nil means crypto/rand.
 	// It is locked internally so concurrent sessions may share it.
 	Entropy io.Reader
@@ -188,9 +167,6 @@ func New(cfg Config) (*Engine, error) {
 		if cfg.Model != nil || cfg.Artifact != nil {
 			return nil, fmt.Errorf("serve: cfg.Registry is mutually exclusive with cfg.Model/cfg.Artifact")
 		}
-		if cfg.ArtifactDir != "" {
-			return nil, fmt.Errorf("serve: cfg.Registry is mutually exclusive with cfg.ArtifactDir; back the registry itself with NewRegistryWithStore")
-		}
 		if reg.Len() == 0 {
 			return nil, fmt.Errorf("serve: empty model registry")
 		}
@@ -198,14 +174,7 @@ func New(cfg Config) (*Engine, error) {
 		if cfg.Artifact != nil && cfg.Model != nil && cfg.Artifact.Model() != cfg.Model {
 			return nil, fmt.Errorf("serve: cfg.Artifact was built from a different model than cfg.Model")
 		}
-		var store *ArtifactStore
-		if cfg.ArtifactDir != "" {
-			var err error
-			if store, err = NewArtifactStoreBudget(cfg.ArtifactDir, cfg.ArtifactDiskBudget); err != nil {
-				return nil, err
-			}
-		}
-		reg = NewRegistryWithStore(cfg.RegistryBudget, store)
+		reg = NewRegistry(0)
 		switch {
 		case cfg.Artifact != nil:
 			if err := reg.RegisterArtifact(DefaultModelName, cfg.Artifact); err != nil {
@@ -254,7 +223,7 @@ func New(cfg Config) (*Engine, error) {
 		reg:            reg,
 		defaultModel:   defaultModel,
 		entropy:        delphi.LockedEntropy(cfg.Entropy),
-		sched:          newScheduler(cfg.BufferPerSession, cfg.StorageBudget, cfg.OfflineWorkers, cfg.ModelWeights),
+		sched:          newScheduler(cfg.BufferPerSession, cfg.StorageBudget, cfg.OfflineWorkers),
 		sessions:       map[uint64]*session{},
 		conns:          map[*transport.Conn]struct{}{},
 		retiredByModel: map[string]*modelTotals{},

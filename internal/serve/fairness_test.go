@@ -52,15 +52,15 @@ func fillOf(sc *scheduler, sessions []*session) []int {
 // TestSchedulerFairnessHotColdModels is the refill-fairness regression: a
 // hot model with three sessions must not starve a cold model's lone
 // client. Under the old global largest-deficit policy the budget of 8
-// spreads evenly (2 per session, cold gets 2); under weighted max-min
-// fairness with equal weights each model gets half the budget, so the cold
+// spreads evenly (2 per session, cold gets 2); under max-min
+// fairness each model gets half the budget, so the cold
 // client fills to capacity.
 func TestSchedulerFairnessHotColdModels(t *testing.T) {
 	const (
 		capacity = 4
 		budget   = 8
 	)
-	sc := newScheduler(capacity, budget, 1, nil)
+	sc := newScheduler(capacity, budget, 1)
 	cold := fakeSession("cold")
 	sessions := []*session{cold, fakeSession("hot"), fakeSession("hot"), fakeSession("hot")}
 	settle(sc, sessions)
@@ -78,34 +78,12 @@ func TestSchedulerFairnessHotColdModels(t *testing.T) {
 	}
 }
 
-// TestSchedulerWeightedQuotas checks that explicit weights divide the
-// storage budget proportionally: weight 3 on the cold model gives its lone
-// session three quarters of the budget against the hot model's quarter.
-func TestSchedulerWeightedQuotas(t *testing.T) {
-	const (
-		capacity = 8
-		budget   = 8
-	)
-	sc := newScheduler(capacity, budget, 1, map[string]float64{"cold": 3, "hot": 1})
-	cold := fakeSession("cold")
-	sessions := []*session{cold, fakeSession("hot"), fakeSession("hot"), fakeSession("hot")}
-	settle(sc, sessions)
-
-	fill := fillOf(sc, sessions)
-	if fill[0] != 6 {
-		t.Errorf("cold session buffered %d, want 6 of 8 at weight 3:1 (fill %v)", fill[0], fill)
-	}
-	if hot := fill[1] + fill[2] + fill[3]; hot != 2 {
-		t.Errorf("hot model buffered %d total, want 2 (fill %v)", hot, fill)
-	}
-}
-
 // TestSchedulerSetBudgetGrows checks the autoscaler's runtime budget lever:
 // raising the budget after quiescence hands out the newly admitted refills
 // without any other event.
 func TestSchedulerSetBudgetGrows(t *testing.T) {
 	const capacity = 3
-	sc := newScheduler(capacity, 2, 1, nil)
+	sc := newScheduler(capacity, 2, 1)
 	sessions := []*session{fakeSession("m"), fakeSession("m")}
 	settle(sc, sessions)
 	if got := sc.used(); got != 2 {

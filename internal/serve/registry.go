@@ -62,10 +62,6 @@ type Registry struct {
 	// a build, spill-before-drop at eviction) ride its worker, so neither
 	// the miss path nor an evicting Get waits on the disk.
 	disk *writeBehind
-
-	hits, misses, evictions uint64
-	spills, reloads         uint64
-	loadErrors, spillErrors uint64
 }
 
 // regEntry is one registered model. The source model persists for the life
@@ -220,7 +216,6 @@ func (r *Registry) Get(name string) (*delphi.SharedModel, error) {
 		}
 		if e.art != nil {
 			e.hits++
-			r.hits++
 			obsRegistryHit.Inc()
 			r.lru.MoveToFront(e.elem)
 			art := e.art
@@ -242,7 +237,6 @@ func (r *Registry) Get(name string) (*delphi.SharedModel, error) {
 		e.building = true
 		e.ready = make(chan struct{})
 		e.misses++
-		r.misses++
 		obsRegistryMiss.Inc()
 		r.mu.Unlock()
 
@@ -253,7 +247,6 @@ func (r *Registry) Get(name string) (*delphi.SharedModel, error) {
 		close(e.ready)
 		if res.loadFailed {
 			e.loadErrors++
-			r.loadErrors++
 			obsRegistryLoadError.Inc()
 		}
 		if res.err != nil {
@@ -262,7 +255,6 @@ func (r *Registry) Get(name string) (*delphi.SharedModel, error) {
 		}
 		if res.reloaded {
 			e.reloads++
-			r.reloads++
 			obsRegistryReload.Inc()
 		}
 		e.spilled = res.reloaded
@@ -345,12 +337,10 @@ func (r *Registry) spill(e *regEntry, art *delphi.SharedModel) {
 			e.spilling = false
 			if err != nil {
 				e.spillErrors++
-				r.spillErrors++
 				obsRegistrySpillError.Inc()
 			} else {
 				e.spilled = true
 				e.spills++
-				r.spills++
 				obsRegistrySpill.Inc()
 			}
 		},
@@ -397,7 +387,6 @@ func (r *Registry) evictOver(hold *regEntry) {
 		r.bytes -= e.size
 		e.size = 0
 		e.evictions++
-		r.evictions++
 		obsRegistryEviction.Inc()
 	}
 }
@@ -459,18 +448,17 @@ type RegistryStats struct {
 func (r *Registry) Stats() RegistryStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st := RegistryStats{
-		Budget:        r.budget,
-		BytesResident: r.bytes,
-		Hits:          r.hits,
-		Misses:        r.misses,
-		Evictions:     r.evictions,
-		Spills:        r.spills,
-		Reloads:       r.reloads,
-		LoadErrors:    r.loadErrors,
-		SpillErrors:   r.spillErrors,
-	}
+	st := RegistryStats{Budget: r.budget, BytesResident: r.bytes}
 	for _, e := range r.entries {
+		// Entries are never unregistered, so the registry totals are the
+		// sums of the per-model rows.
+		st.Hits += e.hits
+		st.Misses += e.misses
+		st.Evictions += e.evictions
+		st.Spills += e.spills
+		st.Reloads += e.reloads
+		st.LoadErrors += e.loadErrors
+		st.SpillErrors += e.spillErrors
 		st.Models = append(st.Models, ModelStats{
 			Name:        e.name,
 			Resident:    e.art != nil,

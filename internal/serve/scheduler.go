@@ -19,12 +19,11 @@ import (
 // runs), and the per-model partition of buffer fill is reported through
 // snapshot for Stats.
 //
-// The pick policy is two-level. Across models it is weighted max-min
-// fairness: each model owns a weight (Config.ModelWeights, default 1), and
-// among models with a refillable session the scheduler picks the one with
-// the smallest normalized storage use (committed pre-computes ÷ weight), so
-// a hot model with many sessions cannot monopolize the budget and starve a
-// cold model's lone client. Within the picked model it is the simulator's
+// The pick policy is two-level. Across models it is equal-share max-min
+// fairness: among models with a refillable session the scheduler picks the
+// one with the smallest storage use (committed pre-computes), so a hot
+// model with many sessions cannot monopolize the budget and starve a cold
+// model's lone client. Within the picked model it is the simulator's
 // largest-deficit rule (sim.NeediestClient), so per-model the live engine
 // makes exactly the decisions internal/sim's multi-client predictions
 // assume — and with a single model the two-level policy degenerates to the
@@ -42,17 +41,14 @@ type scheduler struct {
 	// workers bounds concurrent scheduled offline phases.
 	workers  int
 	inflight int
-	// weights are the per-model fairness weights; models absent from the
-	// map weigh 1. Non-positive weights are treated as 1.
-	weights  map[string]float64
 	sessions []*session
 }
 
-func newScheduler(capacity, budget, workers int, weights map[string]float64) *scheduler {
+func newScheduler(capacity, budget, workers int) *scheduler {
 	if workers < 1 {
 		workers = 1
 	}
-	return &scheduler{capacity: capacity, budget: budget, workers: workers, weights: weights}
+	return &scheduler{capacity: capacity, budget: budget, workers: workers}
 }
 
 // setBudget replaces the storage budget at runtime (the autoscaler's
@@ -131,27 +127,20 @@ func (sc *scheduler) used() int {
 	return n
 }
 
-func (sc *scheduler) weight(model string) float64 {
-	if w, ok := sc.weights[model]; ok && w > 0 {
-		return w
-	}
-	return 1
-}
-
-// pick chooses the next session to refill: weighted max-min fair across
-// models, largest-deficit within the picked model. Called with sc.mu held.
-// Returns nil when no session is refillable (all at capacity or granted).
+// pick chooses the next session to refill: max-min fair across models,
+// largest-deficit within the picked model. Called with sc.mu held. Returns
+// nil when no session is refillable (all at capacity or granted).
 func (sc *scheduler) pick() *session {
-	// Per-model normalized use. Counting in-flight grants against the
-	// granting model keeps consecutive picks from piling onto one model
-	// before any of its refills complete.
-	use := make(map[string]float64)
+	// Per-model use. Counting in-flight grants against the granting model
+	// keeps consecutive picks from piling onto one model before any of its
+	// refills complete.
+	use := make(map[string]int)
 	for _, s := range sc.sessions {
 		n := s.bufCount
 		if s.granted {
 			n++
 		}
-		use[s.model] += float64(n)
+		use[s.model] += n
 	}
 
 	best := ""
@@ -160,7 +149,7 @@ func (sc *scheduler) pick() *session {
 			continue
 		}
 		m := s.model
-		if best == "" || use[m]/sc.weight(m) < use[best]/sc.weight(best) {
+		if best == "" || use[m] < use[best] {
 			best = m
 		}
 	}

@@ -198,6 +198,7 @@ func TestTicketCacheReloadAcrossRestart(t *testing.T) {
 	}
 	tc2 := newTicketCache(time.Hour, -1, nil)
 	tc2.attachStore(ts2)
+	defer tc2.flush() // the redeem's write-behind save must land before TempDir cleanup
 	st, _ := tc2.stats()
 	if st.Loaded != 1 || st.LoadErrors != 0 || st.Tickets != 1 {
 		t.Fatalf("restarted cache stats %+v, want one loaded ticket", st)
@@ -229,6 +230,7 @@ func TestTicketCacheLoadRespectsBudget(t *testing.T) {
 	}
 	tc := newTicketCache(time.Hour, 1, nil) // any real state exceeds 1 byte
 	tc.attachStore(ts)
+	defer tc.flush() // the evictions' disk removes must land before TempDir cleanup
 	st, _ := tc.stats()
 	if st.Loaded != 4 {
 		t.Fatalf("loaded %d records, want 4", st.Loaded)
@@ -252,6 +254,7 @@ func TestTicketCacheLoadRespectsBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	tc2.attachStore(ts2)
+	defer tc2.flush() // so must the redeem's write-behind save
 	got, reject := tc2.redeem(id, "m")
 	if reject != "" {
 		t.Fatalf("redeem rejected with %q", reject)

@@ -68,21 +68,11 @@ type mcState struct {
 	queue    []*mcRequest
 	serving  bool
 
-	latencies []float64
-	qwaits    []float64
-	offwaits  []float64
+	samples
 }
 
 // RunMultiClient runs one multi-client simulation.
-func RunMultiClient(cfg MultiClientConfig) (Stats, error) {
-	st, snap, err := runMultiClient(cfg)
-	if err != nil {
-		return st, err
-	}
-	st.P50Latency = snap.P50().Seconds()
-	st.P99Latency = snap.P99().Seconds()
-	return st, nil
-}
+func RunMultiClient(cfg MultiClientConfig) (Stats, error) { return RunManyMultiClient(cfg, 1) }
 
 // runMultiClient executes one simulation, returning the stats alongside
 // the latency histogram snapshot RunManyMultiClient merges across seeds.
@@ -110,16 +100,8 @@ func runMultiClient(cfg MultiClientConfig) (Stats, obs.HistogramSnapshot, error)
 	}
 	st.refill()
 	st.eng.Run()
-
-	n := len(st.latencies)
-	out := Stats{Requests: n, MeanOnline: cfg.OnlineSeconds}
-	if n == 0 {
-		return out, obs.HistogramSnapshot{}, nil
-	}
-	out.MeanLatency = mean(st.latencies)
-	out.MeanQueueWait = mean(st.qwaits)
-	out.MeanOffline = mean(st.offwaits)
-	return out, latencySnapshot(st.latencies), nil
+	out, snap := st.stats(cfg.OnlineSeconds)
+	return out, snap, nil
 }
 
 // refill starts pipelines for the neediest clients while server slots and
@@ -181,10 +163,7 @@ func (s *mcState) serve() {
 	r.started = now
 	s.refill()
 	s.eng.Schedule(s.cfg.OnlineSeconds, func() {
-		done := s.eng.Now()
-		s.latencies = append(s.latencies, done-r.arrived)
-		s.qwaits = append(s.qwaits, r.eligible-r.arrived)
-		s.offwaits = append(s.offwaits, r.started-r.eligible)
+		s.record(r.arrived, r.eligible, r.started, s.eng.Now())
 		s.serving = false
 		s.serve()
 	})
@@ -192,31 +171,9 @@ func (s *mcState) serve() {
 
 // RunManyMultiClient averages runs with distinct seeds.
 func RunManyMultiClient(cfg MultiClientConfig, runs int) (Stats, error) {
-	if runs < 1 {
-		runs = 1
-	}
-	var agg Stats
-	var merged obs.HistogramSnapshot
-	for i := 0; i < runs; i++ {
+	return runMany(runs, cfg.Seed, 104729, func(seed int64) (Stats, obs.HistogramSnapshot, error) {
 		c := cfg
-		c.Seed = cfg.Seed + int64(i)*104729
-		st, snap, err := runMultiClient(c)
-		if err != nil {
-			return Stats{}, err
-		}
-		agg.Requests += st.Requests
-		agg.MeanLatency += st.MeanLatency
-		agg.MeanQueueWait += st.MeanQueueWait
-		agg.MeanOffline += st.MeanOffline
-		agg.MeanOnline += st.MeanOnline
-		merged.Merge(snap)
-	}
-	f := float64(runs)
-	agg.MeanLatency /= f
-	agg.MeanQueueWait /= f
-	agg.MeanOffline /= f
-	agg.MeanOnline /= f
-	agg.P50Latency = merged.P50().Seconds()
-	agg.P99Latency = merged.P99().Seconds()
-	return agg, nil
+		c.Seed = seed
+		return runMultiClient(c)
+	})
 }

@@ -113,21 +113,69 @@ type piState struct {
 	queue    []*request
 	serving  bool
 
+	samples
+}
+
+// samples collects the per-request timings of one run; both simulators
+// record into one and close the run through its stats.
+type samples struct {
 	latencies []float64
 	qwaits    []float64
 	offwaits  []float64
 }
 
-// Run executes one simulation and returns its statistics.
-func Run(cfg Config) (Stats, error) {
-	st, snap, err := run(cfg)
-	if err != nil {
-		return st, err
-	}
-	st.P50Latency = snap.P50().Seconds()
-	st.P99Latency = snap.P99().Seconds()
-	return st, nil
+// record files a request that completes now.
+func (s *samples) record(arrived, eligible, started, now float64) {
+	s.latencies = append(s.latencies, now-arrived)
+	s.qwaits = append(s.qwaits, eligible-arrived)
+	s.offwaits = append(s.offwaits, started-eligible)
 }
+
+// stats closes one run: the means, plus the latency histogram snapshot
+// runMany merges across seeds.
+func (s *samples) stats(onlineSeconds float64) (Stats, obs.HistogramSnapshot) {
+	out := Stats{Requests: len(s.latencies), MeanOnline: onlineSeconds}
+	if out.Requests == 0 {
+		return out, obs.HistogramSnapshot{}
+	}
+	out.MeanLatency = mean(s.latencies)
+	out.MeanQueueWait = mean(s.qwaits)
+	out.MeanOffline = mean(s.offwaits)
+	return out, latencySnapshot(s.latencies)
+}
+
+// runMany averages runs of one simulation under seeds seed, seed+stride,
+// seed+2·stride, …; the quantiles are read off the merged histogram.
+func runMany(runs int, seed, stride int64, one func(seed int64) (Stats, obs.HistogramSnapshot, error)) (Stats, error) {
+	if runs < 1 {
+		runs = 1
+	}
+	var agg Stats
+	var merged obs.HistogramSnapshot
+	for i := 0; i < runs; i++ {
+		st, snap, err := one(seed + int64(i)*stride)
+		if err != nil {
+			return Stats{}, err
+		}
+		agg.Requests += st.Requests
+		agg.MeanLatency += st.MeanLatency
+		agg.MeanQueueWait += st.MeanQueueWait
+		agg.MeanOffline += st.MeanOffline
+		agg.MeanOnline += st.MeanOnline
+		merged.Merge(snap)
+	}
+	f := float64(runs)
+	agg.MeanLatency /= f
+	agg.MeanQueueWait /= f
+	agg.MeanOffline /= f
+	agg.MeanOnline /= f
+	agg.P50Latency = merged.P50().Seconds()
+	agg.P99Latency = merged.P99().Seconds()
+	return agg, nil
+}
+
+// Run executes one simulation and returns its statistics.
+func Run(cfg Config) (Stats, error) { return RunMany(cfg, 1) }
 
 // run executes one simulation, returning the stats alongside the latency
 // histogram snapshot RunMany merges across seeds.
@@ -153,16 +201,8 @@ func run(cfg Config) (Stats, obs.HistogramSnapshot, error) {
 
 	st.refill()
 	st.eng.Run()
-
-	n := len(st.latencies)
-	out := Stats{Requests: n, MeanOnline: cfg.OnlineSeconds}
-	if n == 0 {
-		return out, obs.HistogramSnapshot{}, nil
-	}
-	out.MeanLatency = mean(st.latencies)
-	out.MeanQueueWait = mean(st.qwaits)
-	out.MeanOffline = mean(st.offwaits)
-	return out, latencySnapshot(st.latencies), nil
+	out, snap := st.stats(cfg.OnlineSeconds)
+	return out, snap, nil
 }
 
 func mean(xs []float64) float64 {
@@ -229,43 +269,18 @@ func (s *piState) serve() {
 }
 
 func (s *piState) complete(r *request) {
-	now := s.eng.Now()
-	s.latencies = append(s.latencies, now-r.arrived)
-	s.qwaits = append(s.qwaits, r.eligible-r.arrived)
-	s.offwaits = append(s.offwaits, r.started-r.eligible)
+	s.record(r.arrived, r.eligible, r.started, s.eng.Now())
 	s.serving = false
 	s.serve()
 }
 
 // RunMany averages runs with distinct seeds (the paper uses 50).
 func RunMany(cfg Config, runs int) (Stats, error) {
-	if runs < 1 {
-		runs = 1
-	}
-	var agg Stats
-	var merged obs.HistogramSnapshot
-	for i := 0; i < runs; i++ {
+	return runMany(runs, cfg.Seed, 7919, func(seed int64) (Stats, obs.HistogramSnapshot, error) {
 		c := cfg
-		c.Seed = cfg.Seed + int64(i)*7919
-		st, snap, err := run(c)
-		if err != nil {
-			return Stats{}, err
-		}
-		agg.Requests += st.Requests
-		agg.MeanLatency += st.MeanLatency
-		agg.MeanQueueWait += st.MeanQueueWait
-		agg.MeanOffline += st.MeanOffline
-		agg.MeanOnline += st.MeanOnline
-		merged.Merge(snap)
-	}
-	f := float64(runs)
-	agg.MeanLatency /= f
-	agg.MeanQueueWait /= f
-	agg.MeanOffline /= f
-	agg.MeanOnline /= f
-	agg.P50Latency = merged.P50().Seconds()
-	agg.P99Latency = merged.P99().Seconds()
-	return agg, nil
+		c.Seed = seed
+		return run(c)
+	})
 }
 
 // FromScenario derives a simulation Config from a cost scenario, a client

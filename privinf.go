@@ -22,7 +22,6 @@
 package privinf
 
 import (
-	"fmt"
 	"io"
 
 	"privinf/internal/bfv"
@@ -32,7 +31,6 @@ import (
 	"privinf/internal/field"
 	"privinf/internal/nn"
 	"privinf/internal/sim"
-	"privinf/internal/transport"
 )
 
 // Re-exported domain types. Aliases keep the public surface small while the
@@ -155,84 +153,20 @@ func RunLocalInference(model *Model, variant delphi.Variant, x []uint64, entropy
 // artifact (PrepareModel), so repeated calls skip the per-call weight
 // encoding. entropy may be nil (crypto/rand).
 func RunLocalInferenceShared(shared *SharedModel, variant delphi.Variant, x []uint64, entropy io.Reader) (*InferenceResult, error) {
-	model := shared.Model()
-	params := shared.Params()
-	cfg := delphi.Config{Variant: variant, HEParams: params, LPHEWorkers: len(model.Linear)}
-	clientConn, serverConn := transport.Pipe()
-
-	// The two parties run on concurrent goroutines; a shared deterministic
-	// entropy source must be serialized.
-	entropy = delphi.LockedEntropy(entropy)
-	server, err := delphi.NewServerShared(serverConn, cfg, shared, entropy)
+	s, err := NewLocalSession(nil, variant, WithArtifact(shared), WithEntropy(entropy))
 	if err != nil {
 		return nil, err
 	}
-	client, err := delphi.NewClient(clientConn, cfg, delphi.MetaOf(model), entropy)
+	defer s.Close()
+	cliOff, srvOff, err := s.Precompute()
 	if err != nil {
 		return nil, err
 	}
-
-	serverErr := make(chan error, 1)
-	go func() { serverErr <- server.Setup() }()
-	if err := client.Setup(); err != nil {
-		return nil, err
+	res, err := s.Infer(x)
+	if res != nil {
+		res.ClientOffline, res.ServerOffline = cliOff, srvOff
 	}
-	if err := <-serverErr; err != nil {
-		return nil, err
-	}
-
-	res := &InferenceResult{}
-	type offline struct {
-		rep delphi.OfflineReport
-		err error
-	}
-	offCh := make(chan offline, 1)
-	go func() {
-		rep, err := server.RunOffline()
-		offCh <- offline{rep, err}
-	}()
-	if res.ClientOffline, err = client.RunOffline(); err != nil {
-		return nil, err
-	}
-	off := <-offCh
-	if off.err != nil {
-		return nil, off.err
-	}
-	res.ServerOffline = off.rep
-
-	type online struct {
-		rep delphi.OnlineReport
-		err error
-	}
-	onCh := make(chan online, 1)
-	go func() {
-		rep, err := server.RunOnline()
-		onCh <- online{rep, err}
-	}()
-	out, onRep, err := client.RunOnline(x)
-	if err != nil {
-		return nil, err
-	}
-	on := <-onCh
-	if on.err != nil {
-		return nil, on.err
-	}
-	res.ClientOnline, res.ServerOnline = onRep, on.rep
-	res.Output = out
-	res.Predicted = nn.Argmax(model.F, out)
-
-	want := model.Forward(x)
-	res.Verified = true
-	for i := range want {
-		if out[i] != want[i] {
-			res.Verified = false
-			break
-		}
-	}
-	if !res.Verified {
-		return res, fmt.Errorf("privinf: private output diverged from plaintext inference")
-	}
-	return res, nil
+	return res, err
 }
 
 // Quantize maps a real value in [-1, 1] to a field element at the model's
