@@ -112,16 +112,14 @@ type Decision struct {
 type Autoscaler struct {
 	cfg AutoscalerConfig
 
-	// prev holds each replica's last-seen per-model lifetime counters, so
-	// a period's arrivals are the deltas. Keyed by replica ID — a removed
-	// replica's history dies with it (its retired sessions' counts would
-	// otherwise re-arrive as a phantom burst).
-	prev map[int]map[string]uint64
-	// prevOnline holds each model's last-seen online-latency histogram
-	// snapshot (serve.OnlineLatency); a period's service-time measurement
-	// is the snapshot delta. First sighting records a baseline and
-	// measures nothing, mirroring prev.
-	prevOnline map[string]obs.HistogramSnapshot
+	// prev holds each replica's last-seen per-model online-latency
+	// histogram snapshot (Engine.OnlineLatency); a period's measurement is
+	// the snapshot delta, its count the arrivals and its buckets the
+	// service-time window. Keyed by replica ID — a removed replica's
+	// history dies with it — and read only off the router's own replicas,
+	// so another fleet in the process never leaks into the window. A
+	// replica's first sighting records baselines and measures nothing.
+	prev map[int]map[string]obs.HistogramSnapshot
 	// below counts consecutive periods with desired < current.
 	below int
 }
@@ -160,11 +158,7 @@ func NewAutoscaler(cfg AutoscalerConfig) (*Autoscaler, error) {
 		}
 		cfg.ServiceTime = func(model string) time.Duration { return profiled[model] }
 	}
-	return &Autoscaler{
-		cfg:        cfg,
-		prev:       map[int]map[string]uint64{},
-		prevOnline: map[string]obs.HistogramSnapshot{},
-	}, nil
+	return &Autoscaler{cfg: cfg, prev: map[int]map[string]obs.HistogramSnapshot{}}, nil
 }
 
 // Run executes control periods until ctx ends.
@@ -203,7 +197,7 @@ func (a *Autoscaler) Tick(ctx context.Context) (Decision, error) {
 			return d, err
 		}
 		d.ScaledUp = true
-		obsScale.With(actionUp).Inc()
+		a.cfg.Router.met.scale.With(actionUp).Inc()
 	case d.Desired < d.Current:
 		a.below++
 		if a.below >= a.cfg.ShrinkAfter {
@@ -217,7 +211,7 @@ func (a *Autoscaler) Tick(ctx context.Context) (Decision, error) {
 					return d, fmt.Errorf("fleet: scale-down drain: %w", err)
 				}
 				d.ScaledDown = true
-				obsScale.With(actionDown).Inc()
+				a.cfg.Router.met.scale.With(actionDown).Inc()
 			}
 		}
 	default:
@@ -228,12 +222,14 @@ func (a *Autoscaler) Tick(ctx context.Context) (Decision, error) {
 	return d, nil
 }
 
-// measure reads every in-process replica's per-model telemetry, turns
-// lifetime counters into this period's arrival rates, and reads each
-// model's service time off its online-latency histogram window.
+// measure reads every in-process replica's per-model telemetry: this
+// period's slice of each replica's online-latency histogram gives the
+// model's arrivals (the slice's count) and, merged across replicas, its
+// service-time window.
 func (a *Autoscaler) measure(reps []*Replica) []ModelLoad {
 	period := a.cfg.Period.Seconds()
 	agg := map[string]*ModelLoad{}
+	window := map[string]*obs.HistogramSnapshot{}
 	for _, rep := range reps {
 		if rep.eng == nil {
 			continue // remote replicas expose no telemetry
@@ -242,7 +238,7 @@ func (a *Autoscaler) measure(reps []*Replica) []ModelLoad {
 		last := a.prev[rep.ID]
 		fresh := last == nil // first sighting: record baselines, count no arrivals
 		if fresh {
-			last = map[string]uint64{}
+			last = map[string]obs.HistogramSnapshot{}
 			a.prev[rep.ID] = last
 		}
 		for _, ms := range st.Models {
@@ -250,29 +246,25 @@ func (a *Autoscaler) measure(reps []*Replica) []ModelLoad {
 			if l == nil {
 				l = &ModelLoad{Model: ms.Name}
 				agg[ms.Name] = l
+				window[ms.Name] = &obs.HistogramSnapshot{}
 			}
-			if !fresh && ms.Inferences > last[ms.Name] {
-				l.Arrival += float64(ms.Inferences-last[ms.Name]) / period
+			snap := rep.eng.OnlineLatency(ms.Name).Snapshot()
+			if !fresh {
+				delta := snap.Sub(last[ms.Name])
+				l.Arrival += float64(delta.Count) / period
+				window[ms.Name].Merge(delta)
 			}
-			last[ms.Name] = ms.Inferences
+			last[ms.Name] = snap
 			l.Backlog += ms.QueueDepth
 		}
 	}
 	loads := make([]ModelLoad, 0, len(agg))
 	for _, l := range agg {
-		// Service time comes from the model's online-latency histogram:
-		// this period's window is the snapshot delta against the last
-		// tick's baseline. The histogram is process-wide, so one window
-		// covers every in-process replica serving the model.
-		snap := serve.OnlineLatency(l.Model).Snapshot()
-		if prev, seen := a.prevOnline[l.Model]; seen {
-			if delta := snap.Sub(prev); delta.Total() > 0 {
-				l.Service = delta.Mean()
-				l.ServiceP50 = delta.P50()
-				l.ServiceP99 = delta.P99()
-			}
+		if w := window[l.Model]; w.Total() > 0 {
+			l.Service = w.Mean()
+			l.ServiceP50 = w.P50()
+			l.ServiceP99 = w.P99()
 		}
-		a.prevOnline[l.Model] = snap
 		if l.Service <= 0 {
 			if a.cfg.ServiceTime != nil {
 				l.Service = a.cfg.ServiceTime(l.Model)
@@ -324,7 +316,7 @@ func victim(reps []*Replica) *Replica {
 		if rep.eng == nil {
 			continue
 		}
-		if v == nil || rep.load.Load() < v.load.Load() {
+		if v == nil || rep.load.Value() < v.load.Value() {
 			v = rep
 		}
 	}

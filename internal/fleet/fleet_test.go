@@ -484,3 +484,41 @@ func TestAutoscalerColdProfileSizing(t *testing.T) {
 		t.Fatalf("default service time sized %d replicas, want 1", n)
 	}
 }
+
+// TestAutoscalerIgnoresOtherFleets: an autoscaler sizes its fleet from its
+// own replicas' latency histograms. Two routers in one process serve the
+// same model name; loading one must leave the idle one's service time on
+// its cold estimate, with no measured window.
+func TestAutoscalerIgnoresOtherFleets(t *testing.T) {
+	model := testModel(t, 59)
+	_, busyLn := startFleet(t, model, 1)
+	idle, _ := startFleet(t, model, 1)
+	a, err := NewAutoscaler(AutoscalerConfig{
+		Router: idle,
+		Spawn:  func() (*serve.Engine, error) { return newEngine(t, model), nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := a.Tick(ctx); err != nil { // baselines
+		t.Fatal(err)
+	}
+	c := dialFleet(t, busyLn)
+	defer c.Close()
+	for i := 0; i < 3; i++ {
+		if _, _, _, err := c.Infer(testInput(model, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, err := a.Tick(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Loads) != 1 {
+		t.Fatalf("loads %+v, want the one served model", d.Loads)
+	}
+	if l := d.Loads[0]; l.Service != DefaultServiceTime || l.ServiceP50 != 0 || l.ServiceP99 != 0 || l.Arrival != 0 {
+		t.Fatalf("idle fleet measured %+v, want the cold default %v and an empty window", l, DefaultServiceTime)
+	}
+}

@@ -38,6 +38,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"privinf/internal/obs"
 	"privinf/internal/serve"
 	"privinf/internal/transport"
 )
@@ -75,19 +76,10 @@ type Replica struct {
 	addr string
 	dial func() (*transport.Conn, error)
 
-	// idLabel is the replica's obs gauge label (ID, stringified once).
-	idLabel string
-
-	// load counts live proxied sessions (handshaking included).
-	load atomic.Int64
+	// load counts live proxied sessions (handshaking included): the
+	// replica's child of the router's pi_replica_load gauge.
+	load *obs.Gauge
 	live atomic.Bool
-}
-
-// addLoad moves the replica's live-session count and its obs gauge
-// together.
-func (r *Replica) addLoad(d int64) {
-	r.load.Add(d)
-	obsRepLoad.With(r.idLabel).Add(d)
 }
 
 // Engine returns the replica's in-process engine, nil for TCP backends.
@@ -97,7 +89,7 @@ func (r *Replica) Engine() *serve.Engine { return r.eng }
 func (r *Replica) Addr() string { return r.addr }
 
 // Load returns the replica's live proxied-session count.
-func (r *Replica) Load() int { return int(r.load.Load()) }
+func (r *Replica) Load() int { return int(r.load.Value()) }
 
 // Router is the fleet front tier. Zero replicas is legal (every connect is
 // rejected no_backend) — the autoscaler's MinReplicas keeps real fleets
@@ -118,11 +110,8 @@ type Router struct {
 	// shutdown leaves nothing running.
 	wg sync.WaitGroup
 
-	connects  atomic.Uint64
-	retries   atomic.Uint64
-	spills    atomic.Uint64
-	sticky    atomic.Uint64
-	noBackend atomic.Uint64
+	// met holds every instrument the router counts on; Stats reads them.
+	met *routerMetrics
 }
 
 // NewRouter returns a router with no replicas.
@@ -133,7 +122,7 @@ func NewRouter(cfg Config) *Router {
 	if cfg.MaxTickets <= 0 {
 		cfg.MaxTickets = DefaultMaxTickets
 	}
-	return &Router{cfg: cfg, tickets: map[string]*Replica{}, conns: map[*transport.Conn]struct{}{}}
+	return &Router{cfg: cfg, tickets: map[string]*Replica{}, conns: map[*transport.Conn]struct{}{}, met: newRouterMetrics()}
 }
 
 // AddEngine registers an in-process engine as a replica: the router
@@ -173,10 +162,10 @@ func (r *Router) add(rep *Replica) error {
 	}
 	rep.ID = r.nextID
 	r.nextID++
-	rep.idLabel = strconv.Itoa(rep.ID)
+	rep.load = r.met.repLoad.With(strconv.Itoa(rep.ID))
 	rep.live.Store(true)
 	r.replicas = append(r.replicas, rep)
-	obsReplicas.Add(1)
+	r.met.replicas.Add(1)
 	return nil
 }
 
@@ -196,7 +185,7 @@ func (r *Router) Remove(ctx context.Context, rep *Replica) error {
 	for i, t := range r.replicas {
 		if t == rep {
 			r.replicas = append(r.replicas[:i], r.replicas[i+1:]...)
-			obsReplicas.Add(-1)
+			r.met.replicas.Add(-1)
 			break
 		}
 	}
@@ -297,7 +286,7 @@ func (r *Router) Close() error {
 	r.fronts = nil
 	r.tickets = map[string]*Replica{}
 	r.closed = true
-	obsReplicas.Add(-int64(len(reps)))
+	r.met.replicas.Add(-int64(len(reps)))
 	r.mu.Unlock()
 	for _, ln := range fronts {
 		ln.Close()
@@ -315,15 +304,15 @@ func (r *Router) Close() error {
 		c.Close()
 	}
 	r.wg.Wait()
+	r.met.retire() // the router's history folds into the process view
 	return nil
 }
 
 // handle places one inbound connection: peek the opening, try candidates
 // in placement order, splice on success.
 func (r *Router) handle(conn *transport.Conn) {
-	r.connects.Add(1)
-	obsConnects.Inc()
-	hello, err := serve.PeekClientHello(conn)
+	r.met.connects.Inc()
+	hello, err := serve.PeekClientHello(conn, r.met.reg)
 	if err != nil {
 		conn.Close()
 		return
@@ -336,18 +325,17 @@ func (r *Router) handle(conn *transport.Conn) {
 		}
 		tried++
 		if tried > 1 {
-			r.retries.Add(1)
-			obsRetries.Inc()
+			r.met.retries.Inc()
 		}
-		rep.addLoad(1)
+		rep.load.Add(1)
 		back, welcome, err := r.open(conn, hello, rep)
 		if err != nil {
-			rep.addLoad(-1)
+			rep.load.Add(-1)
 			continue // replica died mid-handshake: retry on the next one
 		}
 		if !welcome {
 			// Typed rejection forwarded to the client; nothing to splice.
-			rep.addLoad(-1)
+			rep.load.Add(-1)
 			back.Close()
 			conn.Close()
 			return
@@ -355,9 +343,8 @@ func (r *Router) handle(conn *transport.Conn) {
 		r.splice(conn, back, rep)
 		return
 	}
-	r.noBackend.Add(1)
-	obsPlacements.With(tierNoBackend).Inc()
-	serve.RejectNoBackend(conn, "fleet: no live replica could take the session")
+	r.met.noBackend.Inc()
+	serve.RejectNoBackend(conn, r.met.reg, "fleet: no live replica could take the session")
 	conn.Close()
 }
 
@@ -407,8 +394,7 @@ func (r *Router) place(hello *serve.ClientHello, skip int) *Replica {
 		if rep := r.tickets[string(hello.Ticket)]; rep != nil && rep.live.Load() {
 			order = append(order, rep)
 			if skip == 0 {
-				r.sticky.Add(1)
-				obsPlacements.With(tierSticky).Inc()
+				r.met.sticky.Inc()
 				return rep
 			}
 		}
@@ -419,7 +405,7 @@ func (r *Router) place(hello *serve.ClientHello, skip int) *Replica {
 
 	rest := append([]*Replica(nil), r.replicas...)
 	sort.Slice(rest, func(i, j int) bool {
-		li, lj := rest[i].load.Load(), rest[j].load.Load()
+		li, lj := rest[i].load.Value(), rest[j].load.Value()
 		if li != lj {
 			return li < lj
 		}
@@ -430,14 +416,11 @@ func (r *Router) place(hello *serve.ClientHello, skip int) *Replica {
 	spilled := false
 	total := int64(0)
 	for _, rep := range r.replicas {
-		total += rep.load.Load()
+		total += rep.load.Value()
 	}
 	fair := float64(total)/float64(len(r.replicas)) + 1
-	if float64(primary.load.Load()) > r.cfg.SpillFactor*fair {
+	if float64(primary.load.Value()) > r.cfg.SpillFactor*fair {
 		if spill := rest[0]; spill != primary {
-			if skip == len(order) {
-				r.spills.Add(1)
-			}
 			primary = spill
 			spilled = true
 		}
@@ -456,11 +439,11 @@ func (r *Router) place(hello *serve.ClientHello, skip int) *Replica {
 	rep := order[skip]
 	switch {
 	case rep != primary:
-		obsPlacements.With(tierFallback).Inc()
+		r.met.placements.With(tierFallback).Inc()
 	case spilled:
-		obsPlacements.With(tierSpill).Inc()
+		r.met.spill.Inc()
 	default:
-		obsPlacements.With(tierHashed).Inc()
+		r.met.placements.With(tierHashed).Inc()
 	}
 	return rep
 }
@@ -505,7 +488,7 @@ func (r *Router) learn(hello *serve.ClientHello, w *serve.WelcomeInfo, rep *Repl
 // splice forwards the already-received welcome frame and then copies
 // frames in both directions until either side closes.
 func (r *Router) splice(cli, back *transport.Conn, rep *Replica) {
-	defer rep.addLoad(-1)
+	defer rep.load.Add(-1)
 	halt := func() { cli.Close(); back.Close() }
 	done := make(chan struct{})
 	go func() {
@@ -551,14 +534,17 @@ type ReplicaStats struct {
 	Load int
 }
 
-// Stats snapshots the router's counters and live replica set.
+// Stats snapshots the router's counters and live replica set. The
+// counters are reads of the router's obs instruments: TicketRoutes,
+// SpillRoutes and NoBackend are the sticky, spill and no_backend children
+// of pi_router_placements_total.
 func (r *Router) Stats() Stats {
 	st := Stats{
-		Connects:     r.connects.Load(),
-		Retries:      r.retries.Load(),
-		NoBackend:    r.noBackend.Load(),
-		TicketRoutes: r.sticky.Load(),
-		SpillRoutes:  r.spills.Load(),
+		Connects:     r.met.connects.Value(),
+		Retries:      r.met.retries.Value(),
+		NoBackend:    r.met.noBackend.Value(),
+		TicketRoutes: r.met.sticky.Value(),
+		SpillRoutes:  r.met.spill.Value(),
 	}
 	r.mu.Lock()
 	for _, rep := range r.replicas {

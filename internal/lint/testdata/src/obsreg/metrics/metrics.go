@@ -15,6 +15,9 @@ const (
 	metricGoodDepth      = "pi_good_depth"
 	metricGoodVecSeconds = "pi_good_vec_seconds"
 	metricDupTotal       = "pi_dup_total"
+	metricOwnedTotal     = "pi_owned_total"
+	metricOwnedDepth     = "pi_owned_depth"
+	metricSharedTotal    = "pi_shared_total"
 )
 
 // Good: package-level constants, one registration site each.
@@ -23,6 +26,29 @@ var (
 	goodGauge   = obs.Default().Gauge(metricGoodDepth, "Current depth.")
 	goodVec     = obs.Default().HistogramVec(metricGoodVecSeconds, "Timed things.", "model")
 )
+
+// Good: a component registers its instruments once, in its constructor, on
+// a registry it owns or is handed. The analyzer checks the name constant,
+// not the receiver, so this is the same shape as the package-level form.
+type owner struct {
+	events *obs.Vec
+	depth  *obs.Gauge
+	shared *obs.Vec
+}
+
+func newOwner(reg *obs.Registry) *owner {
+	return &owner{
+		events: reg.CounterVec(metricOwnedTotal, "Owned events.", "model", "event"),
+		depth:  obs.NewRegistry().Gauge(metricOwnedDepth, "Owned depth."),
+		shared: reg.CounterVec(metricSharedTotal, "Events two owners count."),
+	}
+}
+
+// Bad: a second constructor registering the same constant — the two
+// owners' families collide in any view that includes both.
+func newOtherOwner(reg *obs.Registry) *owner {
+	return &owner{shared: reg.CounterVec(metricSharedTotal, "Events two owners count.")} // want "registered more than once"
+}
 
 // Bad: a literal name has no greppable constant.
 var litCounter = obs.Default().Counter("pi_literal_total", "Literal-named.") // want "not a string literal"

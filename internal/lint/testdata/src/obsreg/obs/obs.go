@@ -10,6 +10,9 @@ type Registry struct{}
 // Default returns the process-wide registry.
 func Default() *Registry { return &Registry{} }
 
+// NewRegistry returns a registry a component owns.
+func NewRegistry() *Registry { return &Registry{} }
+
 // Counter, Gauge and Histogram stand in for the real metric types.
 type (
 	Counter   struct{}
@@ -22,6 +25,6 @@ func (r *Registry) Counter(name, help string) *Counter     { return &Counter{} }
 func (r *Registry) Gauge(name, help string) *Gauge         { return &Gauge{} }
 func (r *Registry) Histogram(name, help string) *Histogram { return &Histogram{} }
 
-func (r *Registry) CounterVec(name, help, label string) *Vec   { return &Vec{} }
-func (r *Registry) GaugeVec(name, help, label string) *Vec     { return &Vec{} }
-func (r *Registry) HistogramVec(name, help, label string) *Vec { return &Vec{} }
+func (r *Registry) CounterVec(name, help string, labels ...string) *Vec   { return &Vec{} }
+func (r *Registry) GaugeVec(name, help string, labels ...string) *Vec     { return &Vec{} }
+func (r *Registry) HistogramVec(name, help string, labels ...string) *Vec { return &Vec{} }

@@ -75,6 +75,25 @@ func (h *Histogram) RecordValue(ns int64) {
 	}
 }
 
+// Count returns the number of observations recorded.
+func (h *Histogram) Count() uint64 { return h.count.Load() }
+
+// Sum returns the total of the recorded durations; with Count it gives
+// an owner's Stats a lifetime mean without copying the buckets.
+func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
+
+// absorb adds o's observations into h (a retired registry's history
+// folding into the view that included it).
+func (h *Histogram) absorb(o *Histogram) {
+	for i := range o.buckets {
+		if c := o.buckets[i].Load(); c != 0 {
+			h.buckets[i].Add(c)
+		}
+	}
+	h.count.Add(o.count.Load())
+	h.sum.Add(o.sum.Load())
+}
+
 // Snapshot copies the current bucket state. Under concurrent Record
 // the copy is not a single atomic cut — counts may be off by the
 // handful of records in flight — but every recorded value lands in

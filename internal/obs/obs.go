@@ -5,15 +5,18 @@
 // per-layer online, wire read/write).
 //
 // Everything here is stdlib-only and safe for concurrent use. Metrics
-// live in a Registry; the process-wide Default registry is what the
-// serving layers (engine, fleet router, transport, delphi clients)
-// publish onto and what serve.DebugServer exposes as Prometheus text
-// at /metrics.
+// live in a Registry. A component that counts something (a serving
+// engine, an artifact registry, a fleet router) owns a Registry, bumps
+// only its instruments, and reads its Stats back off them; the
+// process-wide Default registry includes those (Registry.Include),
+// holds the transport and delphi-client families directly, and is what
+// serve.DebugServer exposes as Prometheus text at /metrics.
 //
-// Instrumentation is on by default. SetEnabled(false) turns the timing
-// paths (spans, wire accounting) into a single atomic load — the
-// disabled-path cost is pinned by BenchmarkSpanDisabled and gated in
-// CI's perf-gate job at <= 10 ns/op and 0 allocs/op.
+// Instrumentation is on by default. SetEnabled(false) turns the spans —
+// the time.Now calls — into a single atomic load; the disabled-path
+// cost is pinned by BenchmarkSpanDisabled and gated in CI's perf-gate
+// job at <= 10 ns/op and 0 allocs/op. Counters, gauges and direct
+// Histogram.Record calls are not gated: owners' Stats are reads of them.
 package obs
 
 import (

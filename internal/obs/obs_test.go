@@ -236,6 +236,142 @@ func TestWritePrometheusShape(t *testing.T) {
 	}
 }
 
+// TestMultiLabelVec pins the vec families keyed by more than one label:
+// series export in label-value tuple order with keys in registration order,
+// values are escaped once, a histogram's le bound comes last, and a family
+// re-registered under other keys (or asked for the wrong number of values)
+// panics like a kind mismatch does.
+func TestMultiLabelVec(t *testing.T) {
+	r := NewRegistry()
+	v := r.CounterVec("pi_test_events_total", "events", "model", "event")
+	v.With("b", "hit").Add(2)
+	v.With("a", "miss").Inc()
+	v.With("ab", "hit").Inc()
+	v.With("a", `q"\`+"\n").Add(5)
+	if v.With("b", "hit") != r.CounterVec("pi_test_events_total", "events", "model", "event").With("b", "hit") {
+		t.Fatal("multi-label children must be stable across re-registration")
+	}
+	r.HistogramVec("pi_test_phase_seconds", "phases", "model", "phase").With("a", "he").Record(time.Millisecond)
+
+	var order []string
+	v.Each(func(values []string, c *Counter) { order = append(order, strings.Join(values, "/")) })
+	if got, want := strings.Join(order, " "), "a/miss a/q\"\\\n ab/hit b/hit"; got != want {
+		t.Fatalf("Each order %q, want %q", got, want)
+	}
+
+	var sb strings.Builder
+	if err := WritePrometheus(&sb, r); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	lines := []string{
+		`pi_test_events_total{model="a",event="miss"} 1`,
+		`pi_test_events_total{model="a",event="q\"\\\n"} 5`,
+		`pi_test_events_total{model="ab",event="hit"} 1`,
+		`pi_test_events_total{model="b",event="hit"} 2`,
+	}
+	if !strings.Contains(out, strings.Join(lines, "\n")+"\n") {
+		t.Fatalf("series missing or out of tuple order, want consecutive\n%s\ngot:\n%s", strings.Join(lines, "\n"), out)
+	}
+	for _, want := range []string{
+		`pi_test_phase_seconds_bucket{model="a",phase="he",le="+Inf"} 1`,
+		`pi_test_phase_seconds_count{model="a",phase="he"} 1`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("prometheus output missing %q:\n%s", want, out)
+		}
+	}
+
+	for name, bad := range map[string]func(){
+		"other label keys":   func() { r.CounterVec("pi_test_events_total", "events", "event") },
+		"other kind":         func() { r.GaugeVec("pi_test_events_total", "events", "model", "event") },
+		"too few values":     func() { v.With("a") },
+		"unlabeled as a vec": func() { r.Counter("pi_test_events_total", "events") },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s must panic", name)
+				}
+			}()
+			bad()
+		}()
+	}
+}
+
+// TestIncludeMergesAndRetires: a view that includes two registries holding
+// the same families reports their sum, picks up a registry included after
+// the first Gather, and retiring one leaves every counter and histogram
+// total where it was while the retired registry's gauge level goes away.
+func TestIncludeMergesAndRetires(t *testing.T) {
+	view := NewRegistry()
+	view.Counter("pi_test_own_total", "the view's own").Add(1)
+	build := func(n uint64) (*Registry, *Gauge) {
+		r := NewRegistry()
+		r.CounterVec("pi_test_events_total", "events", "model", "event").With("a", "hit").Add(n)
+		r.HistogramVec("pi_test_seconds", "latency", "model").With("a").Record(time.Duration(n) * time.Millisecond)
+		g := r.Gauge("pi_test_live", "live")
+		g.Set(int64(n))
+		return r, g
+	}
+	total := func() (events, live float64, lat HistogramSnapshot) {
+		for _, f := range view.Gather() {
+			for _, s := range f.Samples {
+				switch f.Name {
+				case "pi_test_events_total":
+					events += s.Value
+				case "pi_test_live":
+					live += s.Value
+				case "pi_test_seconds":
+					lat.Merge(*s.Hist)
+				}
+			}
+		}
+		return
+	}
+
+	r1, _ := build(2)
+	retire1 := view.Include(r1)
+	if events, live, lat := total(); events != 2 || live != 2 || lat.Count != 1 {
+		t.Fatalf("one registry: events %v live %v latency n=%d", events, live, lat.Count)
+	}
+	r2, _ := build(5)
+	view.Include(r2)
+	events, live, lat := total()
+	if events != 7 || live != 7 || lat.Count != 2 || lat.Sum != int64(7*time.Millisecond) {
+		t.Fatalf("two registries: events %v live %v latency n=%d sum=%d", events, live, lat.Count, lat.Sum)
+	}
+	if fams := view.Gather(); len(fams) != 4 || len(fams[0].Samples) != 1 {
+		t.Fatalf("same-named families must merge into one with one series per label tuple: %+v", fams)
+	}
+
+	retire1()
+	events, live, lat = total()
+	if events != 7 || lat.Count != 2 || lat.Sum != int64(7*time.Millisecond) {
+		t.Fatalf("after retire: events %v latency n=%d sum=%d, want the totals unchanged", events, lat.Count, lat.Sum)
+	}
+	if live != 5 {
+		t.Fatalf("after retire: live %v, want only the remaining registry's level 5", live)
+	}
+	if len(view.included) != 1 {
+		t.Fatalf("the view still holds %d registries, want only the live one", len(view.included))
+	}
+	r1.CounterVec("pi_test_events_total", "events", "model", "event").With("a", "hit").Inc()
+	if events, _, _ := total(); events != 7 {
+		t.Fatalf("a retired registry still reaches the view: events %v", events)
+	}
+
+	clash := NewRegistry()
+	clash.Gauge("pi_test_events_total", "same name, other kind")
+	view.Include(clash)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("one name under two kinds in a view must panic")
+		}
+	}()
+	view.Gather()
+}
+
 // BenchmarkSpanDisabled pins the disabled-instrumentation cost: the
 // perf-gate CI job asserts <= 10 ns/op and 0 allocs/op on this
 // benchmark.

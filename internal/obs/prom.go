@@ -28,12 +28,13 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// labelPair renders `{key="value"}` or "" for unlabeled samples, with
-// extra appended inside the braces (used for histogram le bounds).
-func labelPair(key, value, extra string) string {
+// labelPairs renders `{k1="v1",k2="v2"}` in key order, or "" for
+// unlabeled samples, with extra appended last inside the braces (used
+// for histogram le bounds).
+func labelPairs(keys, values []string, extra string) string {
 	var parts []string
-	if key != "" {
-		parts = append(parts, fmt.Sprintf(`%s=%q`, key, escapeLabel(value)))
+	for i, key := range keys {
+		parts = append(parts, fmt.Sprintf(`%s="%s"`, key, escapeLabel(values[i])))
 	}
 	if extra != "" {
 		parts = append(parts, extra)
@@ -57,7 +58,7 @@ func WritePrometheus(w io.Writer, r *Registry) error {
 		for _, s := range f.Samples {
 			if s.Hist == nil {
 				if _, err := fmt.Fprintf(w, "%s%s %s\n",
-					f.Name, labelPair(f.Label, s.Label, ""), formatFloat(s.Value)); err != nil {
+					f.Name, labelPairs(f.Labels, s.Labels, ""), formatFloat(s.Value)); err != nil {
 					return err
 				}
 				continue
@@ -70,20 +71,20 @@ func WritePrometheus(w io.Writer, r *Registry) error {
 				cum += c
 				le := fmt.Sprintf(`le="%s"`, formatFloat(float64(bucketUpper(i))/nsPerSecond))
 				if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-					f.Name, labelPair(f.Label, s.Label, le), cum); err != nil {
+					f.Name, labelPairs(f.Labels, s.Labels, le), cum); err != nil {
 					return err
 				}
 			}
 			if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-				f.Name, labelPair(f.Label, s.Label, `le="+Inf"`), cum); err != nil {
+				f.Name, labelPairs(f.Labels, s.Labels, `le="+Inf"`), cum); err != nil {
 				return err
 			}
 			if _, err := fmt.Fprintf(w, "%s_sum%s %s\n",
-				f.Name, labelPair(f.Label, s.Label, ""), formatFloat(float64(s.Hist.Sum)/nsPerSecond)); err != nil {
+				f.Name, labelPairs(f.Labels, s.Labels, ""), formatFloat(float64(s.Hist.Sum)/nsPerSecond)); err != nil {
 				return err
 			}
 			if _, err := fmt.Fprintf(w, "%s_count%s %d\n",
-				f.Name, labelPair(f.Label, s.Label, ""), s.Hist.Count); err != nil {
+				f.Name, labelPairs(f.Labels, s.Labels, ""), s.Hist.Count); err != nil {
 				return err
 			}
 		}
@@ -95,8 +96,8 @@ func WritePrometheus(w io.Writer, r *Registry) error {
 // report count plus second-valued summary statistics instead of raw
 // buckets.
 type JSONSample struct {
-	Label string   `json:"label,omitempty"`
-	Value *float64 `json:"value,omitempty"`
+	Labels []string `json:"labels,omitempty"` // values, parallel to the family's keys
+	Value  *float64 `json:"value,omitempty"`
 
 	Count *uint64  `json:"count,omitempty"`
 	Sum   *float64 `json:"sum_seconds,omitempty"`
@@ -111,7 +112,7 @@ type JSONFamily struct {
 	Name    string       `json:"name"`
 	Kind    string       `json:"kind"`
 	Help    string       `json:"help,omitempty"`
-	Label   string       `json:"label,omitempty"`
+	Labels  []string     `json:"labels,omitempty"`
 	Samples []JSONSample `json:"samples"`
 }
 
@@ -121,11 +122,11 @@ func WriteJSON(w io.Writer, r *Registry) error {
 	fams := r.Gather()
 	out := make([]JSONFamily, 0, len(fams))
 	for _, f := range fams {
-		jf := JSONFamily{Name: f.Name, Kind: f.Kind, Help: f.Help, Label: f.Label}
+		jf := JSONFamily{Name: f.Name, Kind: f.Kind, Help: f.Help, Labels: f.Labels}
 		for _, s := range f.Samples {
 			if s.Hist == nil {
 				v := s.Value
-				jf.Samples = append(jf.Samples, JSONSample{Label: s.Label, Value: &v})
+				jf.Samples = append(jf.Samples, JSONSample{Labels: s.Labels, Value: &v})
 				continue
 			}
 			count := s.Hist.Count
@@ -135,7 +136,7 @@ func WriteJSON(w io.Writer, r *Registry) error {
 			p99 := s.Hist.P99().Seconds()
 			p999 := s.Hist.P999().Seconds()
 			jf.Samples = append(jf.Samples, JSONSample{
-				Label: s.Label, Count: &count, Sum: &sum, Mean: &mean,
+				Labels: s.Labels, Count: &count, Sum: &sum, Mean: &mean,
 				P50: &p50, P99: &p99, P999: &p999,
 			})
 		}

@@ -2,7 +2,10 @@ package obs
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -20,9 +23,8 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
 // Gauge is an atomic instantaneous value. Prefer Add with balanced
-// deltas over Set when several components share one gauge (e.g. every
-// engine in a test process bumping the same buffer-depth gauge): the
-// deltas compose, a Set from one component clobbers the others.
+// deltas over Set when several call sites share one gauge: the deltas
+// compose, a Set from one site clobbers the others.
 type Gauge struct{ v atomic.Int64 }
 
 // Set overwrites the gauge.
@@ -42,6 +44,18 @@ const (
 	kindHistogram
 )
 
+// new returns a zero metric of kind k.
+func (k metricKind) new() any {
+	switch k {
+	case kindCounter:
+		return &Counter{}
+	case kindGauge:
+		return &Gauge{}
+	default:
+		return NewHistogram()
+	}
+}
+
 func (k metricKind) String() string {
 	switch k {
 	case kindCounter:
@@ -53,44 +67,81 @@ func (k metricKind) String() string {
 	}
 }
 
-// family is one registered metric name: its metadata plus the
-// label-value-keyed children. Unlabeled metrics are a family with an
-// empty label key and a single child under the empty value.
-type family struct {
-	name  string
-	help  string
-	label string // label key, "" for unlabeled
-	kind  metricKind
+// labelSep joins a series' label values into its map key. NUL sorts
+// below every label byte, so sorting keys sorts value tuples.
+const labelSep = "\x00"
 
-	mu       sync.RWMutex
-	children map[string]any // label value -> *Counter | *Gauge | *Histogram
+// series is one child of a family: its label values and its
+// *Counter, *Gauge or *Histogram.
+type series struct {
+	values []string
+	m      any
 }
 
-func (f *family) child(value string, make func() any) any {
+// family is one registered metric name: its metadata plus the
+// label-value-keyed children. Unlabeled metrics are a family with no
+// label keys and a single child under the empty key.
+type family struct {
+	name   string
+	help   string
+	labels []string // label keys, nil for unlabeled
+	kind   metricKind
+
+	mu       sync.RWMutex
+	children map[string]*series
+}
+
+func (f *family) child(values []string) any {
+	if len(values) != len(f.labels) {
+		panic(fmt.Sprintf("obs: metric %q takes labels %q, got values %q", f.name, f.labels, values))
+	}
+	var key string
+	if len(values) == 1 {
+		key = values[0] // the common case skips the join's allocation
+	} else {
+		key = strings.Join(values, labelSep)
+	}
 	f.mu.RLock()
-	c, ok := f.children[value]
+	s, ok := f.children[key]
 	f.mu.RUnlock()
 	if ok {
-		return c
+		return s.m
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if c, ok := f.children[value]; ok {
-		return c
+	if s, ok := f.children[key]; ok {
+		return s.m
 	}
-	c = make()
-	f.children[value] = c
-	return c
+	s = &series{values: slices.Clone(values), m: f.kind.new()}
+	f.children[key] = s
+	return s.m
 }
 
-// Registry holds named metric families. Registration is idempotent:
-// asking for an existing name with the same kind and label key returns
-// the existing family (several engines in one process share series on
-// the Default registry); a kind or label mismatch panics, since that
-// is a metric-naming bug the obsreg analyzer exists to prevent.
+// sorted returns the family's children in label-value order.
+func (f *family) sorted() []*series {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	out := make([]*series, 0, len(f.children))
+	for _, k := range slices.Sorted(maps.Keys(f.children)) {
+		out = append(out, f.children[k])
+	}
+	return out
+}
+
+// Registry holds named metric families. Each component that counts
+// something (an engine, a router) builds its instruments on a Registry
+// of its own, so its Stats are reads of exactly its own events; Include
+// assembles component registries into a wider view, and the
+// process-wide Default view is what /metrics serves.
+//
+// Registration is idempotent: asking for an existing name with the same
+// kind and label keys returns the existing family; a kind or label
+// mismatch panics, since that is a metric-naming bug the obsreg
+// analyzer exists to prevent.
 type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
+	included []*Registry
 }
 
 // NewRegistry returns an empty registry.
@@ -98,96 +149,161 @@ func NewRegistry() *Registry {
 	return &Registry{families: map[string]*family{}}
 }
 
-// defaultRegistry is the process-wide registry every serving layer
-// publishes onto; serve.DebugServer exposes it at /metrics.
+// defaultRegistry is the process view: the transport and client
+// families live on it directly, every serving component's registry is
+// included in it, and serve.DebugServer exposes it at /metrics.
 var defaultRegistry = NewRegistry()
 
 // Default returns the process-wide registry.
 func Default() *Registry { return defaultRegistry }
 
-func (r *Registry) register(name, help, label string, kind metricKind) *family {
-	r.mu.RLock()
+func (r *Registry) register(name, help string, kind metricKind, labels []string) *family {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.registerLocked(name, help, kind, labels)
+}
+
+// registerLocked is register for a caller that holds r.mu for writing.
+func (r *Registry) registerLocked(name, help string, kind metricKind, labels []string) *family {
 	f, ok := r.families[name]
-	r.mu.RUnlock()
 	if !ok {
-		r.mu.Lock()
-		f, ok = r.families[name]
-		if !ok {
-			f = &family{name: name, help: help, label: label, kind: kind, children: map[string]any{}}
-			r.families[name] = f
-		}
-		r.mu.Unlock()
+		f = &family{name: name, help: help, labels: labels, kind: kind, children: map[string]*series{}}
+		r.families[name] = f
 	}
-	if f.kind != kind || f.label != label {
-		panic(fmt.Sprintf("obs: metric %q re-registered as %s(label=%q), was %s(label=%q)",
-			name, kind, label, f.kind, f.label))
+	if f.kind != kind || !slices.Equal(f.labels, labels) {
+		panic(fmt.Sprintf("obs: metric %q registered as %s(labels=%q) and as %s(labels=%q)",
+			name, f.kind, f.labels, kind, labels))
 	}
 	return f
 }
 
 // Counter registers (or returns) an unlabeled counter.
 func (r *Registry) Counter(name, help string) *Counter {
-	f := r.register(name, help, "", kindCounter)
-	return f.child("", func() any { return &Counter{} }).(*Counter)
+	return r.register(name, help, kindCounter, nil).child(nil).(*Counter)
 }
 
 // Gauge registers (or returns) an unlabeled gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.register(name, help, "", kindGauge)
-	return f.child("", func() any { return &Gauge{} }).(*Gauge)
+	return r.register(name, help, kindGauge, nil).child(nil).(*Gauge)
 }
 
 // Histogram registers (or returns) an unlabeled histogram.
 func (r *Registry) Histogram(name, help string) *Histogram {
-	f := r.register(name, help, "", kindHistogram)
-	return f.child("", func() any { return NewHistogram() }).(*Histogram)
+	return r.register(name, help, kindHistogram, nil).child(nil).(*Histogram)
 }
 
-// CounterVec is a counter family keyed by one label.
-type CounterVec struct{ f *family }
+// Vec is a metric family keyed by one or more labels; T is Counter,
+// Gauge or Histogram.
+type Vec[T any] struct{ f *family }
 
-// CounterVec registers (or returns) a counter family with one label key.
-func (r *Registry) CounterVec(name, help, label string) *CounterVec {
-	return &CounterVec{f: r.register(name, help, label, kindCounter)}
+// The three vec kinds a Registry hands out.
+type (
+	CounterVec   = Vec[Counter]
+	GaugeVec     = Vec[Gauge]
+	HistogramVec = Vec[Histogram]
+)
+
+// CounterVec registers (or returns) a counter family with the given
+// label keys.
+func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
+	return &CounterVec{r.register(name, help, kindCounter, labels)}
 }
 
-// With returns the counter for a label value, creating it on first use.
-func (v *CounterVec) With(value string) *Counter {
-	return v.f.child(value, func() any { return &Counter{} }).(*Counter)
+// GaugeVec registers (or returns) a gauge family with the given label
+// keys.
+func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
+	return &GaugeVec{r.register(name, help, kindGauge, labels)}
 }
 
-// GaugeVec is a gauge family keyed by one label.
-type GaugeVec struct{ f *family }
-
-// GaugeVec registers (or returns) a gauge family with one label key.
-func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
-	return &GaugeVec{f: r.register(name, help, label, kindGauge)}
+// HistogramVec registers (or returns) a histogram family with the
+// given label keys.
+func (r *Registry) HistogramVec(name, help string, labels ...string) *HistogramVec {
+	return &HistogramVec{r.register(name, help, kindHistogram, labels)}
 }
 
-// With returns the gauge for a label value, creating it on first use.
-func (v *GaugeVec) With(value string) *Gauge {
-	return v.f.child(value, func() any { return &Gauge{} }).(*Gauge)
+// With returns the series for one value per label key, in key order,
+// creating it on first use. Hot paths resolve their series once and
+// keep the pointer.
+func (v *Vec[T]) With(values ...string) *T {
+	return v.f.child(values).(*T)
 }
 
-// HistogramVec is a histogram family keyed by one label.
-type HistogramVec struct{ f *family }
-
-// HistogramVec registers (or returns) a histogram family with one
-// label key.
-func (r *Registry) HistogramVec(name, help, label string) *HistogramVec {
-	return &HistogramVec{f: r.register(name, help, label, kindHistogram)}
+// Each calls fn for every series seen so far, in label-value order —
+// how an owner's Stats sums or partitions a family without creating
+// series as a side effect.
+func (v *Vec[T]) Each(fn func(values []string, m *T)) {
+	for _, s := range v.f.sorted() {
+		fn(s.values, s.m.(*T))
+	}
 }
 
-// With returns the histogram for a label value, creating it on first
-// use.
-func (v *HistogramVec) With(value string) *Histogram {
-	return v.f.child(value, func() any { return NewHistogram() }).(*Histogram)
+// Include makes child's series part of r's view: Gather on r reports
+// each family as the merge of r's own series and every included
+// registry's (counters and gauges summed, histograms merged per label
+// tuple), so a component mounted after a scraper started shows up with
+// no re-wiring. The returned function retires child when its owner
+// closes: child's counters and histograms are folded into r's own
+// series and child leaves the view in one step under r's lock, so r's
+// totals never run backwards and r holds nothing of child afterwards.
+// A retired owner has no level, so its gauges are dropped. Retire after
+// the owner's last increment; retiring again is a no-op.
+func (r *Registry) Include(child *Registry) (retire func()) {
+	r.mu.Lock()
+	r.included = append(r.included, child)
+	r.mu.Unlock()
+	return func() {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		i := slices.Index(r.included, child)
+		if i < 0 {
+			return
+		}
+		r.included = slices.Delete(r.included, i, i+1)
+		child.walk(func(f *family) {
+			if f.kind != kindGauge {
+				r.foldLocked(f)
+			}
+		})
+	}
+}
+
+// walk calls fn for every family visible from r: its own, then those
+// of the registries it includes. r.mu is read-held throughout, so an
+// included registry is seen either live or already folded in, never
+// both and never neither.
+func (r *Registry) walk(fn func(*family)) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, f := range r.families {
+		fn(f)
+	}
+	for _, c := range r.included {
+		c.walk(fn)
+	}
+}
+
+// foldLocked adds f's series into r's family of the same name, created
+// when absent; the same name under another kind or label keys panics,
+// as a re-registration would. Caller holds r.mu for writing.
+func (r *Registry) foldLocked(f *family) {
+	own := r.registerLocked(f.name, f.help, f.kind, f.labels)
+	for _, s := range f.sorted() {
+		dst := own.child(s.values)
+		switch m := s.m.(type) {
+		case *Counter:
+			dst.(*Counter).Add(m.Value())
+		case *Gauge:
+			dst.(*Gauge).Add(m.Value())
+		case *Histogram:
+			dst.(*Histogram).absorb(m)
+		}
+	}
 }
 
 // Sample is one exported series value inside a family.
 type Sample struct {
-	// Label is the label value ("" for unlabeled metrics).
-	Label string
+	// Labels are the label values, parallel to Family.Labels.
+	Labels []string
 	// Value holds the counter count or gauge level; unset for
 	// histograms.
 	Value float64
@@ -200,43 +316,32 @@ type Family struct {
 	Name    string
 	Help    string
 	Kind    string
-	Label   string // label key, "" for unlabeled
+	Labels  []string // label keys, nil for unlabeled
 	Samples []Sample
 }
 
-// Gather snapshots every family, sorted by name (and samples by label
-// value) so exports are deterministic.
+// Gather snapshots every family visible from r (see Include), sorted
+// by name and samples by label values so exports are deterministic:
+// the view is summed into a scratch registry, which is then read out.
 func (r *Registry) Gather() []Family {
-	r.mu.RLock()
-	fams := make([]*family, 0, len(r.families))
-	for _, f := range r.families {
-		fams = append(fams, f)
-	}
-	r.mu.RUnlock()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-
-	out := make([]Family, 0, len(fams))
-	for _, f := range fams {
-		ef := Family{Name: f.name, Help: f.help, Kind: f.kind.String(), Label: f.label}
-		f.mu.RLock()
-		values := make([]string, 0, len(f.children))
-		for v := range f.children {
-			values = append(values, v)
-		}
-		sort.Strings(values)
-		for _, v := range values {
-			switch c := f.children[v].(type) {
+	sum := NewRegistry()
+	r.walk(sum.foldLocked) // sum is not shared yet: no lock to hold
+	out := make([]Family, 0, len(sum.families))
+	for _, f := range sum.families {
+		ef := Family{Name: f.name, Help: f.help, Kind: f.kind.String(), Labels: f.labels}
+		for _, s := range f.sorted() {
+			switch m := s.m.(type) {
 			case *Counter:
-				ef.Samples = append(ef.Samples, Sample{Label: v, Value: float64(c.Value())})
+				ef.Samples = append(ef.Samples, Sample{Labels: s.values, Value: float64(m.Value())})
 			case *Gauge:
-				ef.Samples = append(ef.Samples, Sample{Label: v, Value: float64(c.Value())})
+				ef.Samples = append(ef.Samples, Sample{Labels: s.values, Value: float64(m.Value())})
 			case *Histogram:
-				s := c.Snapshot()
-				ef.Samples = append(ef.Samples, Sample{Label: v, Hist: &s})
+				snap := m.Snapshot()
+				ef.Samples = append(ef.Samples, Sample{Labels: s.values, Hist: &snap})
 			}
 		}
-		f.mu.RUnlock()
 		out = append(out, ef)
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }

@@ -12,9 +12,11 @@ import (
 	"privinf/internal/obs"
 )
 
-// DebugServer is the live observability endpoint: it serves the
-// process-wide obs registry as Prometheus text at /metrics, a JSON
-// snapshot at /statusz, and the stdlib profiler under /debug/pprof/.
+// DebugServer is the live observability endpoint: it serves the process
+// view (obs.Default merged with every live engine's, artifact registry's
+// and router's own registry, plus what closed ones left behind) as
+// Prometheus text at /metrics, a JSON snapshot at /statusz, and the stdlib
+// profiler under /debug/pprof/.
 // Wire it up with pirun -debug-addr or privinf.LocalEngineConfig;
 // cmd/piload scrapes it to split its connect-latency report by phase.
 type DebugServer struct {
@@ -25,8 +27,8 @@ type DebugServer struct {
 }
 
 // NewDebugServer listens on addr (":0" picks a free port — read it
-// back with Addr) and serves until Close. It exposes obs.Default(),
-// the registry every serving layer publishes onto.
+// back with Addr) and serves until Close. Components built after it
+// started appear in its view with no re-wiring.
 func NewDebugServer(addr string) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -4,11 +4,13 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"privinf/internal/delphi"
 	"privinf/internal/nn"
+	"privinf/internal/obs"
 )
 
 // Cross-restart battery for durable session state: each test crashes one
@@ -181,7 +183,9 @@ func TestBothPartiesRestartResume(t *testing.T) {
 // TestCorruptTicketFileFallsBack: a damaged record in TicketDir is counted
 // as a load error and deleted; the affected client falls back to a typed
 // unknown_ticket full handshake that still serves correct inferences and
-// re-issues a working ticket.
+// re-issues a working ticket. A failing store shows where operators look:
+// load and persist failures are events of pi_tickets_total, and TicketStats
+// is a read of them.
 func TestCorruptTicketFileFallsBack(t *testing.T) {
 	ticketDir := t.TempDir()
 	cfg := durableConfig(t, ticketDir, 163)
@@ -224,6 +228,30 @@ func TestCorruptTicketFileFallsBack(t *testing.T) {
 	defer c2.Close()
 	if !c2.Resumed() {
 		t.Fatal("reconnect after fallback re-issue should resume")
+	}
+
+	// Lose the directory under the running engine: the next ticket's
+	// write-through cannot land.
+	eng2.tickets.flush()
+	if err := os.RemoveAll(ticketDir); err != nil {
+		t.Fatal(err)
+	}
+	connectPreamble(t, ln2, "", NewPreamble()).Close()
+	eng2.tickets.flush()
+	if st := eng2.Stats().Tickets; st.LoadErrors != 1 || st.PersistErrors != 1 {
+		t.Fatalf("ticket stats %+v, want one load error and one persist error", st)
+	}
+	var metrics strings.Builder
+	if err := obs.WritePrometheus(&metrics, eng2.met.reg); err != nil {
+		t.Fatal(err)
+	}
+	for _, series := range []string{
+		`pi_tickets_total{model="",event="load_error"} 1`,
+		`pi_tickets_total{model="",event="persist_error"} 1`,
+	} {
+		if !strings.Contains(metrics.String(), series+"\n") {
+			t.Errorf("engine /metrics view missing %s:\n%s", series, metrics.String())
+		}
 	}
 }
 

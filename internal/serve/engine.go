@@ -133,6 +133,10 @@ type Engine struct {
 	// draining marks an engine that rejects new handshakes while existing
 	// sessions run to completion (Drain).
 	draining atomic.Bool
+	// met holds every instrument the engine counts on, on an obs registry
+	// of its own: Stats reads them, /metrics sums them with the other
+	// components', and Close folds them into the process view.
+	met *engineMetrics
 
 	mu        sync.Mutex
 	sessions  map[uint64]*session
@@ -140,13 +144,6 @@ type Engine struct {
 	listeners []transport.Listener
 	nextID    uint64
 	closed    bool
-	// Lifetime totals folded in from disconnected sessions, so Stats
-	// reports engine history, not just currently connected clients. The
-	// per-model map partitions the same history for the queue telemetry
-	// ModelStats exports.
-	retiredPrecomputes uint64
-	retiredInferences  uint64
-	retiredByModel     map[string]*modelTotals
 
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -160,7 +157,7 @@ type Engine struct {
 // pre-built cfg.Artifact or RegisterArtifact entry is reused as-is; lazy
 // entries are built on first request) and every session of that model
 // serves from the same immutable copy.
-func New(cfg Config) (*Engine, error) {
+func New(cfg Config) (_ *Engine, err error) {
 	reg := cfg.Registry
 	defaultModel := cfg.DefaultModel
 	if reg != nil {
@@ -175,6 +172,11 @@ func New(cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("serve: cfg.Artifact was built from a different model than cfg.Model")
 		}
 		reg = NewRegistry(0)
+		defer func() {
+			if err != nil {
+				reg.retire() // a private registry dies with the failed construction
+			}
+		}()
 		switch {
 		case cfg.Artifact != nil:
 			if err := reg.RegisterArtifact(DefaultModelName, cfg.Artifact); err != nil {
@@ -218,28 +220,34 @@ func New(cfg Config) (*Engine, error) {
 			return nil, err
 		}
 	}
+	if cfg.TicketTTL < 0 && cfg.TicketDir != "" {
+		return nil, fmt.Errorf("serve: cfg.TicketDir requires resumption enabled (TicketTTL >= 0)")
+	}
+	var store *ticketStore
+	if cfg.TicketDir != "" {
+		if store, err = newTicketStore(cfg.TicketDir); err != nil {
+			return nil, err
+		}
+	}
+	// Nothing below fails, so the instruments mounted here are always
+	// retired by Close.
+	met := newEngineMetrics()
 	e := &Engine{
-		cfg:            cfg,
-		reg:            reg,
-		defaultModel:   defaultModel,
-		entropy:        delphi.LockedEntropy(cfg.Entropy),
-		sched:          newScheduler(cfg.BufferPerSession, cfg.StorageBudget, cfg.OfflineWorkers),
-		sessions:       map[uint64]*session{},
-		conns:          map[*transport.Conn]struct{}{},
-		retiredByModel: map[string]*modelTotals{},
-		done:           make(chan struct{}),
+		cfg:          cfg,
+		reg:          reg,
+		defaultModel: defaultModel,
+		entropy:      delphi.LockedEntropy(cfg.Entropy),
+		sched:        newScheduler(cfg.BufferPerSession, cfg.StorageBudget, cfg.OfflineWorkers, met.buffered),
+		met:          met,
+		sessions:     map[uint64]*session{},
+		conns:        map[*transport.Conn]struct{}{},
+		done:         make(chan struct{}),
 	}
 	if cfg.TicketTTL >= 0 {
-		e.tickets = newTicketCache(cfg.TicketTTL, cfg.TicketBudget, e.entropy)
-		if cfg.TicketDir != "" {
-			ts, err := newTicketStore(cfg.TicketDir)
-			if err != nil {
-				return nil, err
-			}
-			e.tickets.attachStore(ts)
+		e.tickets = newTicketCache(cfg.TicketTTL, cfg.TicketBudget, e.entropy, met.tickets)
+		if store != nil {
+			e.tickets.attachStore(store)
 		}
-	} else if cfg.TicketDir != "" {
-		return nil, fmt.Errorf("serve: cfg.TicketDir requires resumption enabled (TicketTTL >= 0)")
 	}
 	if cfg.SetupWorkers > 0 {
 		e.setupSem = make(chan struct{}, cfg.SetupWorkers)
@@ -311,7 +319,7 @@ func (e *Engine) handle(conn *transport.Conn, addr string) {
 		s.m.close(errors.New("serve: engine closed"))
 		return
 	}
-	obsHandshakes.With(outcomeOK).Inc()
+	e.met.handshakes.With(outcomeOK).Inc()
 	e.sched.register(s)
 	defer func() {
 		e.sched.unregister(s)
@@ -330,7 +338,7 @@ func (e *Engine) addSession(s *session) bool {
 	e.nextID++
 	s.id = e.nextID
 	e.sessions[s.id] = s
-	obsSessions.Add(1)
+	e.met.sessions.Add(1)
 	return true
 }
 
@@ -338,20 +346,7 @@ func (e *Engine) removeSession(s *session) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	delete(e.sessions, s.id)
-	obsSessions.Add(-1)
-	s.statMu.Lock()
-	e.retiredPrecomputes += s.precomputes
-	e.retiredInferences += s.inferences
-	mt := e.retiredByModel[s.model]
-	if mt == nil {
-		mt = &modelTotals{}
-		e.retiredByModel[s.model] = mt
-	}
-	mt.precomputes += s.precomputes
-	mt.inferences += s.inferences
-	mt.offlineTotal += s.offlineTotal
-	mt.onlineTotal += s.onlineTotal
-	s.statMu.Unlock()
+	e.met.sessions.Add(-1)
 }
 
 // Draining reports whether the engine is refusing new sessions (Drain).
@@ -434,6 +429,13 @@ func (e *Engine) Close() error {
 	// restart over the same ticket directory must find every live ticket.
 	if e.tickets != nil {
 		e.tickets.flush()
+	}
+	// Every event has been counted: fold the final counts into the process
+	// view, so /metrics keeps the engine's history and the autoscaler can
+	// cycle replicas without the view holding on to their registries.
+	e.met.retire()
+	if e.cfg.Registry == nil {
+		e.reg.retire() // the one-model configuration's private registry
 	}
 	return nil
 }

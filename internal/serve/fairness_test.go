@@ -1,6 +1,10 @@
 package serve
 
-import "testing"
+import (
+	"testing"
+
+	"privinf/internal/obs"
+)
 
 // Scheduler fairness tests drive the refill scheduler directly with fake
 // sessions: a grant is "completed" by draining the session's refill channel
@@ -60,7 +64,7 @@ func TestSchedulerFairnessHotColdModels(t *testing.T) {
 		capacity = 4
 		budget   = 8
 	)
-	sc := newScheduler(capacity, budget, 1)
+	sc := newScheduler(capacity, budget, 1, &obs.Gauge{})
 	cold := fakeSession("cold")
 	sessions := []*session{cold, fakeSession("hot"), fakeSession("hot"), fakeSession("hot")}
 	settle(sc, sessions)
@@ -83,7 +87,7 @@ func TestSchedulerFairnessHotColdModels(t *testing.T) {
 // without any other event.
 func TestSchedulerSetBudgetGrows(t *testing.T) {
 	const capacity = 3
-	sc := newScheduler(capacity, 2, 1)
+	sc := newScheduler(capacity, 2, 1, &obs.Gauge{})
 	sessions := []*session{fakeSession("m"), fakeSession("m")}
 	settle(sc, sessions)
 	if got := sc.used(); got != 2 {

@@ -19,7 +19,6 @@ package serve
 import (
 	"crypto/rand"
 	"io"
-	"sync/atomic"
 
 	"privinf/internal/boolcirc"
 	"privinf/internal/garble"
@@ -41,13 +40,6 @@ type garbleReq struct {
 type batchGarbler struct {
 	eng   *Engine
 	reqCh chan garbleReq
-
-	// Counters for Stats: requests is session-layer garbling requests
-	// served through the coalescer, batches the GarbleBatch passes run, and
-	// coalesced the requests that shared a pass with at least one other.
-	requests  atomic.Uint64
-	batches   atomic.Uint64
-	coalesced atomic.Uint64
 }
 
 func newBatchGarbler(e *Engine) *batchGarbler {
@@ -138,13 +130,12 @@ func (b *batchGarbler) serve(group []garbleReq) {
 		panic("serve: engine entropy source failed: " + err.Error())
 	}
 	out := garble.GarbleBatch(group[0].circ, garble.NewPRG(seed), bases)
-	b.requests.Add(uint64(len(group)))
-	b.batches.Add(1)
-	obsGarbleRequest.Add(uint64(len(group)))
-	obsGarbleBatch.Inc()
+	// pi_garble_total: requests served through the coalescer, GarbleBatch
+	// passes run, and requests that shared a pass with at least one other.
+	b.eng.met.garbleRequests.Add(uint64(len(group)))
+	b.eng.met.garbleBatches.Inc()
 	if len(group) > 1 {
-		b.coalesced.Add(uint64(len(group)))
-		obsGarbleCoalesced.Add(uint64(len(group)))
+		b.eng.met.garbleCoalesced.Add(uint64(len(group)))
 	}
 	off := 0
 	for _, r := range group {

@@ -101,16 +101,17 @@ func TestGarbleServeCoalescedGroup(t *testing.T) {
 		{circ: c, bases: []uint64{1 << 44}, reply: make(chan []*garble.Garbled, 1)},
 		{circ: c, bases: []uint64{2 << 44, 2<<44 | 1<<22, 2<<44 | 2<<22}, reply: make(chan []*garble.Garbled, 1)},
 	}
-	before := bg.batches.Load()
+	before := eng.Stats().GarbleBatches
 	bg.serve(reqs)
 	for _, r := range reqs {
 		checkInstances(t, c, <-r.reply, r.bases)
 	}
-	if got := bg.batches.Load() - before; got != 1 {
+	st := eng.Stats()
+	if got := st.GarbleBatches - before; got != 1 {
 		t.Fatalf("group garbled in %d passes, want 1", got)
 	}
-	if bg.coalesced.Load() != 3 {
-		t.Fatalf("coalesced counter %d, want 3", bg.coalesced.Load())
+	if st.GarbleCoalesced != 3 {
+		t.Fatalf("coalesced counter %d, want 3", st.GarbleCoalesced)
 	}
 }
 
@@ -138,7 +139,7 @@ func TestGarbleSubmitAfterClose(t *testing.T) {
 			}
 		}
 	}
-	if eng.garbler.requests.Load() != 0 {
+	if eng.Stats().GarbleRequests != 0 {
 		t.Fatalf("fallback path incremented the worker's counters")
 	}
 }

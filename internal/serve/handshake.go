@@ -20,8 +20,8 @@ import (
 // version rejection. Either way the error is returned and the caller just
 // drops the connection. frames are the opening's raw frames in arrival
 // order, copied (a received frame aliases transport-owned memory), for a
-// front tier to replay.
-func readHello(conn *transport.Conn) (hello helloMsg, frames [][]byte, err error) {
+// front tier to replay. Rejections are counted on reg, the caller's.
+func readHello(conn *transport.Conn, reg *obs.Registry) (hello helloMsg, frames [][]byte, err error) {
 	f, err := conn.Recv()
 	if err != nil {
 		return hello, nil, err
@@ -29,10 +29,10 @@ func readHello(conn *transport.Conn) (hello helloMsg, frames [][]byte, err error
 	if transport.IsPreamble(f) {
 		pre, err := transport.DecodePreamble(f)
 		if err != nil {
-			return hello, nil, rejectOpening(conn, rejectBadHello, "serve: malformed preamble")
+			return hello, nil, rejectOpening(conn, reg, rejectBadHello, "serve: malformed preamble")
 		}
 		if pre.Version != wireVersion {
-			return hello, nil, rejectOpening(conn, rejectVersion, versionText(int(pre.Version)))
+			return hello, nil, rejectOpening(conn, reg, rejectVersion, versionText(int(pre.Version)))
 		}
 		frames = append(frames, append([]byte(nil), f...))
 		if f, err = conn.Recv(); err != nil {
@@ -41,10 +41,10 @@ func readHello(conn *transport.Conn) (hello helloMsg, frames [][]byte, err error
 	}
 	op, body, err := parseCtrl(f)
 	if err != nil || op != opHello || unmarshalJSON(body, &hello) != nil {
-		return hello, nil, rejectOpening(conn, rejectBadHello, "serve: malformed hello")
+		return hello, nil, rejectOpening(conn, reg, rejectBadHello, "serve: malformed hello")
 	}
 	if hello.Version != wireVersion {
-		return hello, nil, rejectOpening(conn, rejectVersion, versionText(hello.Version))
+		return hello, nil, rejectOpening(conn, reg, rejectVersion, versionText(hello.Version))
 	}
 	return hello, append(frames, append([]byte(nil), f...)), nil
 }
@@ -55,8 +55,8 @@ func versionText(client int) string {
 
 // rejectOpening answers a bad opening with a typed rejection and returns
 // the error the client will see.
-func rejectOpening(conn transport.MsgConn, code, message string) error {
-	sendReject(conn, code, message)
+func rejectOpening(conn transport.MsgConn, reg *obs.Registry, code, message string) error {
+	sendReject(conn, reg, code, message)
 	return &HandshakeError{Code: code, Message: message}
 }
 
@@ -66,12 +66,12 @@ func rejectOpening(conn transport.MsgConn, code, message string) error {
 // answered with a rejection or an error, or died; the caller drops it.
 func (e *Engine) handshake(conn *transport.Conn, addr string) *session {
 	// The handshake happens on the raw connection, before the demultiplexer.
-	hello, _, err := readHello(conn)
+	hello, _, err := readHello(conn, e.met.reg)
 	if err != nil {
 		return nil
 	}
 	if e.draining.Load() {
-		sendReject(conn, rejectDraining, "serve: engine is draining, not accepting new sessions")
+		sendReject(conn, e.met.reg, rejectDraining, "serve: engine is draining, not accepting new sessions")
 		return nil
 	}
 	name := hello.Model
@@ -79,7 +79,7 @@ func (e *Engine) handshake(conn *transport.Conn, addr string) *session {
 		name = e.defaultModel
 	}
 	if name == "" {
-		sendReject(conn, rejectUnknownModel, "serve: hello named no model and the engine has no default model")
+		sendReject(conn, e.met.reg, rejectUnknownModel, "serve: hello named no model and the engine has no default model")
 		return nil
 	}
 	// Settle the session preamble: a presented ticket either resumes OT
@@ -108,17 +108,16 @@ func (e *Engine) handshake(conn *transport.Conn, addr string) *session {
 	} else if e.tickets != nil {
 		newTicket = e.tickets.reserve()
 	}
-	// Establishment tier for the resume-tier counter: a redeemed ticket,
-	// a typed resume rejection that fell back to the full path, or a
-	// plain full handshake.
-	tier := tierFull
+	// setupTier is how the session is established; the resume-tier counter
+	// refines full into the typed rejection that fell back to it.
+	setupTier, tier := tierFull, tierFull
 	switch {
 	case resume != nil:
-		tier = tierResumed
+		setupTier, tier = tierResumed, tierResumed
 	case resumeReject != "":
 		tier = resumeReject
 	}
-	obsResume.With(tier).Inc()
+	e.met.resume.With(tier).Inc()
 	// Full setups (artifact resolve + base OTs + HE keygen) are the
 	// engine's admission-controlled work: at most SetupWorkers run at
 	// once, excess cold connects queue here. Resumed sessions skip the
@@ -138,9 +137,9 @@ func (e *Engine) handshake(conn *transport.Conn, addr string) *session {
 	artifact, err := e.reg.Get(name)
 	if err != nil {
 		if errors.Is(err, ErrUnknownModel) {
-			sendReject(conn, rejectUnknownModel, err.Error())
+			sendReject(conn, e.met.reg, rejectUnknownModel, err.Error())
 		} else {
-			obsHandshakes.With(outcomeEngineErr).Inc()
+			e.met.handshakes.With(outcomeEngineErr).Inc()
 			sendCtrl(conn, opErr, []byte(err.Error()))
 		}
 		return nil
@@ -170,6 +169,12 @@ func (e *Engine) handshake(conn *transport.Conn, addr string) *session {
 		eng:     e,
 		m:       newMux(conn),
 		refill:  make(chan struct{}, 1),
+
+		offlineHE:     e.met.offlineHE.With(name),
+		offlineGarble: e.met.offlineGarble.With(name),
+		offlineOT:     e.met.offlineOT.With(name),
+		offline:       e.met.offline.With(name),
+		online:        e.met.online.With(name),
 	}
 	// GarbleFunc routes the session's offline ReLU garbling through the
 	// engine's coalescer, so concurrent refills of one model garble as one
@@ -180,11 +185,7 @@ func (e *Engine) handshake(conn *transport.Conn, addr string) *session {
 		LPHEWorkers: e.cfg.LPHEWorkers,
 		GarbleFunc:  e.garbler.submit,
 	}
-	setupTier := tierFull
-	if resume != nil {
-		setupTier = tierResumed
-	}
-	setupSpan := obs.StartSpan(obsSetup.With(setupTier))
+	setupSpan := obs.StartSpan(e.met.setup.With(setupTier))
 	s.srv, err = delphi.NewServerShared(dataConn{s.m}, dcfg, artifact, e.entropy)
 	switch {
 	case err != nil:
@@ -201,7 +202,7 @@ func (e *Engine) handshake(conn *transport.Conn, addr string) *session {
 		}
 	}
 	if err != nil {
-		obsHandshakes.With(outcomeSetupError).Inc()
+		e.met.handshakes.With(outcomeSetupError).Inc()
 		s.fail(err)
 		return nil
 	}
@@ -233,10 +234,11 @@ type ClientHello struct {
 
 // PeekClientHello reads and validates a connection's opening frames (see
 // readHello). Malformed openings and wire version mismatches are answered
-// on conn with the same typed rejection an engine sends, and returned as an
+// on conn with the same typed rejection an engine sends (counted as a
+// handshake outcome on reg, the front tier's registry), and returned as an
 // error; the caller should just drop the connection.
-func PeekClientHello(conn *transport.Conn) (*ClientHello, error) {
-	hello, frames, err := readHello(conn)
+func PeekClientHello(conn *transport.Conn, reg *obs.Registry) (*ClientHello, error) {
+	hello, frames, err := readHello(conn, reg)
 	if err != nil {
 		return nil, err
 	}
@@ -295,7 +297,8 @@ func PeekWelcome(conn *transport.Conn) (*WelcomeInfo, error) {
 
 // RejectNoBackend answers a peeked client hello with the typed no_backend
 // rejection (clients match it with errors.Is(err, ErrNoBackend)) — the
-// front tier's answer when no live replica can take the session.
-func RejectNoBackend(conn transport.MsgConn, message string) error {
-	return sendReject(conn, rejectNoBackend, message)
+// front tier's answer when no live replica can take the session, counted
+// as a handshake outcome on reg.
+func RejectNoBackend(conn transport.MsgConn, reg *obs.Registry, message string) error {
+	return sendReject(conn, reg, rejectNoBackend, message)
 }

@@ -1,17 +1,20 @@
 package serve
 
 import (
-	"privinf/internal/obs"
 	"time"
+
+	"privinf/internal/obs"
 )
 
-// Metric names the serving engine publishes on the process-wide obs
-// registry (obs.Default). Names are package-level constants registered
-// exactly once — the obsreg analyzer enforces this shape repo-wide.
-// The phase histograms mirror the paper's runtime decomposition:
-// offline-HE (linear-layer share generation), garbling, OT extension,
-// and the online phase; docs/observability.md maps each to the paper's
-// figures.
+// Metric names the serving stack publishes. An event is counted in
+// exactly one place — an instrument on the obs registry of the component
+// that paid for it — and Engine.Stats / Registry.Stats are typed reads of
+// those instruments, so /metrics and Stats cannot disagree. Names are
+// package-level constants registered exactly once (the obsreg analyzer
+// enforces this shape repo-wide). The phase histograms mirror the paper's
+// runtime decomposition: offline-HE (linear-layer share generation),
+// garbling, OT extension, and the online phase; docs/observability.md
+// maps each to the paper's figures.
 const (
 	metricOfflineHESeconds     = "pi_offline_he_seconds"
 	metricOfflineGarbleSeconds = "pi_offline_garble_seconds"
@@ -39,65 +42,86 @@ const (
 	tierResumed       = "resumed"
 )
 
-// The engine's obs instruments. These are process-wide: every engine
-// in the process (a fleet's replicas, a test's engines) shares them,
-// which is exactly the aggregate view a scrape wants. Per-engine
-// introspection stays on Engine.Stats, whose counters live in the
-// engine structs.
-var (
-	obsOfflineHE     = obs.Default().HistogramVec(metricOfflineHESeconds, "Offline HE linear-layer share generation latency by model.", "model")
-	obsOfflineGarble = obs.Default().HistogramVec(metricOfflineGarbleSeconds, "Offline ReLU circuit garbling latency by model.", "model")
-	obsOfflineOT     = obs.Default().HistogramVec(metricOfflineOTSeconds, "Offline OT-extension transfer latency by model.", "model")
-	obsOffline       = obs.Default().HistogramVec(metricOfflineSeconds, "End-to-end offline (pre-compute) phase latency by model.", "model")
-	obsOnline        = obs.Default().HistogramVec(metricOnlineSeconds, "Online inference phase latency by model.", "model")
-	obsSetup         = obs.Default().HistogramVec(metricSetupSeconds, "Session setup latency by tier (full = base OTs + HE keygen, resumed = ticket seed expansion).", "tier")
-	obsHandshakes    = obs.Default().CounterVec(metricHandshakesTotal, "Handshake outcomes: ok, typed rejection codes, or setup/engine errors.", "outcome")
-	obsResume        = obs.Default().CounterVec(metricResumeTotal, "Session establishment tiers: resumed (ticket redeemed), full (base OTs), or a resume-reject code that fell back to full.", "tier")
-	obsSessions      = obs.Default().Gauge(metricSessionsActive, "Currently connected sessions.")
-	obsBuffered      = obs.Default().Gauge(metricPrecomputeBuffered, "Buffered pre-computes across all sessions (the client-storage commitment).")
-	obsTickets       = obs.Default().CounterVec(metricTicketsTotal, "Resumption ticket cache events: issued, resumed, expired, unknown, evicted.", "event")
-	obsRegistry      = obs.Default().CounterVec(metricRegistryTotal, "Model artifact registry events: hit, miss, eviction, spill, reload, load_error, spill_error.", "event")
-	obsGarble        = obs.Default().CounterVec(metricGarbleTotal, "Garble coalescer events: request (per-layer garbling request), batch (GarbleBatch pass), coalesced (request that shared a pass).", "event")
+// Event label values of pi_tickets_total. Events a session's hello
+// caused carry its model; the rest (prune, load sweep, eviction, disk
+// traffic) carry model="" — a ticket is model-independent.
+const (
+	ticketIssued       = "issued"
+	ticketResumed      = "resumed"
+	ticketExpired      = "expired"
+	ticketUnknown      = "unknown"
+	ticketEvicted      = "evicted"
+	ticketLoaded       = "loaded"
+	ticketLoadError    = "load_error"
+	ticketPersisted    = "persisted"
+	ticketPersistError = "persist_error"
 )
 
-// Registry / ticket / garbler counter children, resolved once so hot
-// paths skip the label lookup.
-var (
-	obsRegistryHit        = obsRegistry.With("hit")
-	obsRegistryMiss       = obsRegistry.With("miss")
-	obsRegistryEviction   = obsRegistry.With("eviction")
-	obsRegistrySpill      = obsRegistry.With("spill")
-	obsRegistryReload     = obsRegistry.With("reload")
-	obsRegistryLoadError  = obsRegistry.With("load_error")
-	obsRegistrySpillError = obsRegistry.With("spill_error")
-
-	obsTicketIssued  = obsTickets.With("issued")
-	obsTicketResumed = obsTickets.With("resumed")
-	obsTicketExpired = obsTickets.With("expired")
-	obsTicketUnknown = obsTickets.With("unknown")
-	obsTicketEvicted = obsTickets.With("evicted")
-
-	obsGarbleRequest   = obsGarble.With("request")
-	obsGarbleBatch     = obsGarble.With("batch")
-	obsGarbleCoalesced = obsGarble.With("coalesced")
-)
-
-// recordOffline files one offline report into the per-model phase
-// histograms.
-func recordOffline(model string, he, gc, ot, total time.Duration) {
-	if !obs.Enabled() {
-		return
-	}
-	obsOfflineHE.With(model).Record(he)
-	obsOfflineGarble.With(model).Record(gc)
-	obsOfflineOT.With(model).Record(ot)
-	obsOffline.With(model).Record(total)
+// mount returns a fresh obs registry included in the process view
+// (/metrics sums it with every other component's) and the function that
+// retires it when its owner closes: the final counts fold into the
+// process view, which therefore never runs backwards, and the registry
+// becomes unreachable (obs.Registry.Include).
+func mount() (*obs.Registry, func()) {
+	reg := obs.NewRegistry()
+	return reg, obs.Default().Include(reg)
 }
 
-// OnlineLatency returns the process-wide online-phase latency
-// histogram for a model — the distribution a fleet autoscaler's
-// sizing consumes (windowed via HistogramSnapshot.Sub) in place of
-// lifetime counter deltas.
-func OnlineLatency(model string) *obs.Histogram {
-	return obsOnline.With(model)
+// engineMetrics are the instruments one Engine owns, built once in New.
+// Every engine event site bumps one of these and nothing else.
+type engineMetrics struct {
+	reg    *obs.Registry
+	retire func()
+
+	offlineHE, offlineGarble, offlineOT, offline, online *obs.HistogramVec // by model
+	setup                                                *obs.HistogramVec // by tier
+	handshakes, resume                                   *obs.CounterVec
+	sessions, buffered                                   *obs.Gauge
+	tickets                                              *obs.CounterVec // by model, event
+	garbleRequests, garbleBatches, garbleCoalesced       *obs.Counter
+}
+
+func newEngineMetrics() *engineMetrics {
+	reg, retire := mount()
+	garble := reg.CounterVec(metricGarbleTotal, "Garble coalescer events: request (per-layer garbling request), batch (GarbleBatch pass), coalesced (request that shared a pass).", "event")
+	return &engineMetrics{
+		reg:             reg,
+		retire:          retire,
+		offlineHE:       reg.HistogramVec(metricOfflineHESeconds, "Offline HE linear-layer share generation latency by model.", "model"),
+		offlineGarble:   reg.HistogramVec(metricOfflineGarbleSeconds, "Offline ReLU circuit garbling latency by model.", "model"),
+		offlineOT:       reg.HistogramVec(metricOfflineOTSeconds, "Offline OT-extension transfer latency by model.", "model"),
+		offline:         reg.HistogramVec(metricOfflineSeconds, "End-to-end offline (pre-compute) phase latency by model.", "model"),
+		online:          reg.HistogramVec(metricOnlineSeconds, "Online inference phase latency by model.", "model"),
+		setup:           reg.HistogramVec(metricSetupSeconds, "Session setup latency by tier (full = base OTs + HE keygen, resumed = ticket seed expansion).", "tier"),
+		handshakes:      handshakeOutcomes(reg),
+		resume:          reg.CounterVec(metricResumeTotal, "Session establishment tiers: resumed (ticket redeemed), full (base OTs), or a resume-reject code that fell back to full.", "tier"),
+		sessions:        reg.Gauge(metricSessionsActive, "Currently connected sessions."),
+		buffered:        reg.Gauge(metricPrecomputeBuffered, "Buffered pre-computes across all sessions (the client-storage commitment)."),
+		tickets:         reg.CounterVec(metricTicketsTotal, "Resumption ticket cache events: issued, resumed, expired, unknown, evicted, loaded, load_error, persisted, persist_error.", "model", "event"),
+		garbleRequests:  garble.With("request"),
+		garbleBatches:   garble.With("batch"),
+		garbleCoalesced: garble.With("coalesced"),
+	}
+}
+
+// handshakeOutcomes is pi_handshakes_total on reg: an engine's, or a front
+// tier's for the openings it rejects itself (readHello, RejectNoBackend).
+func handshakeOutcomes(reg *obs.Registry) *obs.CounterVec {
+	return reg.CounterVec(metricHandshakesTotal, "Handshake outcomes: ok, typed rejection codes, or setup/engine errors.", "outcome")
+}
+
+// OnlineLatency returns this engine's online-phase latency histogram for
+// a model — the distribution a fleet autoscaler's sizing consumes, per
+// replica and windowed via HistogramSnapshot.Sub, in place of lifetime
+// counter deltas.
+func (e *Engine) OnlineLatency(model string) *obs.Histogram {
+	return e.met.online.With(model)
+}
+
+// mean is total/n, 0 when nothing was counted.
+func mean(total time.Duration, n uint64) time.Duration {
+	if n == 0 {
+		return 0
+	}
+	return total / time.Duration(n)
 }

@@ -10,6 +10,7 @@ import (
 	"privinf/internal/bfv"
 	"privinf/internal/delphi"
 	"privinf/internal/nn"
+	"privinf/internal/obs"
 )
 
 // Registry is the engine's named-model artifact cache: it maps model names
@@ -62,6 +63,15 @@ type Registry struct {
 	// a build, spill-before-drop at eviction) ride its worker, so neither
 	// the miss path nor an evicting Get waits on the disk.
 	disk *writeBehind
+
+	// events is pi_registry_total{model,event} on an obs registry this
+	// artifact registry owns: N engines sharing the registry count its
+	// events once, and Stats reads the same counters /metrics exports.
+	// retire folds them into the process view; an engine calls it on Close
+	// for the private registry it built, a caller-built registry is
+	// process-lived.
+	events *obs.CounterVec
+	retire func()
 }
 
 // regEntry is one registered model. The source model persists for the life
@@ -85,9 +95,8 @@ type regEntry struct {
 	building bool
 	ready    chan struct{} // closed when an in-flight resolve finishes
 
-	hits, misses, evictions uint64
-	spills, reloads         uint64
-	loadErrors, spillErrors uint64
+	// The model's children of pi_registry_total, resolved at registration.
+	hit, miss, eviction, spill, reload, loadError, spillError *obs.Counter
 }
 
 // NewRegistry returns an empty memory-only registry holding built artifacts
@@ -101,11 +110,14 @@ func NewRegistry(budgetBytes int64) *Registry {
 // disk load before building, built artifacts are written through to disk,
 // and eviction spills instead of dropping.
 func NewRegistryWithStore(budgetBytes int64, store *ArtifactStore) *Registry {
+	reg, retire := mount()
 	r := &Registry{
 		budget:  budgetBytes,
 		store:   store,
 		entries: map[string]*regEntry{},
 		lru:     list.New(),
+		events:  reg.CounterVec(metricRegistryTotal, "Model artifact registry events: hit, miss, eviction, spill, reload, load_error, spill_error.", "model", "event"),
+		retire:  retire,
 	}
 	r.disk = newWriteBehind(&r.mu)
 	return r
@@ -144,7 +156,7 @@ func (r *Registry) Register(name string, model *nn.Lowered) error {
 	if _, ok := r.entries[name]; ok {
 		return fmt.Errorf("serve: registry: model %q already registered", name)
 	}
-	r.entries[name] = &regEntry{name: name, model: model}
+	r.entries[name] = r.newEntry(name, model)
 	return nil
 }
 
@@ -166,11 +178,25 @@ func (r *Registry) RegisterArtifact(name string, art *delphi.SharedModel) error 
 		r.mu.Unlock()
 		return fmt.Errorf("serve: registry: model %q already registered", name)
 	}
-	e := &regEntry{name: name, model: art.Model()}
+	e := r.newEntry(name, art.Model())
 	r.entries[name] = e
 	r.admit(e, art)
 	r.mu.Unlock()
 	return nil
+}
+
+func (r *Registry) newEntry(name string, model *nn.Lowered) *regEntry {
+	return &regEntry{
+		name:       name,
+		model:      model,
+		hit:        r.events.With(name, "hit"),
+		miss:       r.events.With(name, "miss"),
+		eviction:   r.events.With(name, "eviction"),
+		spill:      r.events.With(name, "spill"),
+		reload:     r.events.With(name, "reload"),
+		loadError:  r.events.With(name, "load_error"),
+		spillError: r.events.With(name, "spill_error"),
+	}
 }
 
 // Pin exempts a registered model's artifact from LRU eviction, so the
@@ -215,8 +241,7 @@ func (r *Registry) Get(name string) (*delphi.SharedModel, error) {
 			return nil, fmt.Errorf("%w: %q", ErrUnknownModel, name)
 		}
 		if e.art != nil {
-			e.hits++
-			obsRegistryHit.Inc()
+			e.hit.Inc()
 			r.lru.MoveToFront(e.elem)
 			art := e.art
 			r.mu.Unlock()
@@ -236,8 +261,7 @@ func (r *Registry) Get(name string) (*delphi.SharedModel, error) {
 
 		e.building = true
 		e.ready = make(chan struct{})
-		e.misses++
-		obsRegistryMiss.Inc()
+		e.miss.Inc()
 		r.mu.Unlock()
 
 		res := r.resolve(e)
@@ -246,16 +270,14 @@ func (r *Registry) Get(name string) (*delphi.SharedModel, error) {
 		e.building = false
 		close(e.ready)
 		if res.loadFailed {
-			e.loadErrors++
-			obsRegistryLoadError.Inc()
+			e.loadError.Inc()
 		}
 		if res.err != nil {
 			r.mu.Unlock()
 			return nil, res.err
 		}
 		if res.reloaded {
-			e.reloads++
-			obsRegistryReload.Inc()
+			e.reload.Inc()
 		}
 		e.spilled = res.reloaded
 		r.admit(e, res.art)
@@ -336,12 +358,10 @@ func (r *Registry) spill(e *regEntry, art *delphi.SharedModel) {
 		done: func(err error) {
 			e.spilling = false
 			if err != nil {
-				e.spillErrors++
-				obsRegistrySpillError.Inc()
+				e.spillError.Inc()
 			} else {
 				e.spilled = true
-				e.spills++
-				obsRegistrySpill.Inc()
+				e.spill.Inc()
 			}
 		},
 	})
@@ -386,8 +406,7 @@ func (r *Registry) evictOver(hold *regEntry) {
 		e.art = nil
 		r.bytes -= e.size
 		e.size = 0
-		e.evictions++
-		obsRegistryEviction.Inc()
+		e.eviction.Inc()
 	}
 }
 
@@ -450,29 +469,30 @@ func (r *Registry) Stats() RegistryStats {
 	defer r.mu.Unlock()
 	st := RegistryStats{Budget: r.budget, BytesResident: r.bytes}
 	for _, e := range r.entries {
-		// Entries are never unregistered, so the registry totals are the
-		// sums of the per-model rows.
-		st.Hits += e.hits
-		st.Misses += e.misses
-		st.Evictions += e.evictions
-		st.Spills += e.spills
-		st.Reloads += e.reloads
-		st.LoadErrors += e.loadErrors
-		st.SpillErrors += e.spillErrors
-		st.Models = append(st.Models, ModelStats{
+		ms := ModelStats{
 			Name:        e.name,
 			Resident:    e.art != nil,
 			OnDisk:      e.spilled,
 			Pinned:      e.pinned,
 			SizeBytes:   e.size,
-			Hits:        e.hits,
-			Misses:      e.misses,
-			Evictions:   e.evictions,
-			Spills:      e.spills,
-			Reloads:     e.reloads,
-			LoadErrors:  e.loadErrors,
-			SpillErrors: e.spillErrors,
-		})
+			Hits:        e.hit.Value(),
+			Misses:      e.miss.Value(),
+			Evictions:   e.eviction.Value(),
+			Spills:      e.spill.Value(),
+			Reloads:     e.reload.Value(),
+			LoadErrors:  e.loadError.Value(),
+			SpillErrors: e.spillError.Value(),
+		}
+		// Entries are never unregistered, so the registry totals are the
+		// sums of the per-model rows.
+		st.Hits += ms.Hits
+		st.Misses += ms.Misses
+		st.Evictions += ms.Evictions
+		st.Spills += ms.Spills
+		st.Reloads += ms.Reloads
+		st.LoadErrors += ms.LoadErrors
+		st.SpillErrors += ms.SpillErrors
+		st.Models = append(st.Models, ms)
 	}
 	sort.Slice(st.Models, func(i, j int) bool { return st.Models[i].Name < st.Models[j].Name })
 	return st

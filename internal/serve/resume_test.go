@@ -229,7 +229,7 @@ func TestTicketCacheEvictionUnderBudget(t *testing.T) {
 // secret seed material dies with its TTL even for clients that never
 // reconnect.
 func TestTicketCachePrunesExpiredOnInsert(t *testing.T) {
-	tc := newTicketCache(time.Minute, -1, nil)
+	tc := testTicketCache(time.Minute, -1)
 	state := &delphi.OTResume{}
 	base := time.Now()
 	now := base
@@ -241,7 +241,7 @@ func TestTicketCachePrunesExpiredOnInsert(t *testing.T) {
 	fresh := tc.reserve()
 	tc.insert(fresh, state, "m")
 
-	st, _ := tc.stats()
+	st := tc.stats(nil)
 	if st.Tickets != 1 {
 		t.Fatalf("cache holds %d tickets after prune, want only the fresh one", st.Tickets)
 	}

@@ -3,6 +3,7 @@ package serve
 import (
 	"sync"
 
+	"privinf/internal/obs"
 	"privinf/internal/sim"
 )
 
@@ -42,13 +43,16 @@ type scheduler struct {
 	workers  int
 	inflight int
 	sessions []*session
+	// buffered is the engine's pi_precompute_buffered gauge, moved in step
+	// with the sessions' bufCount.
+	buffered *obs.Gauge
 }
 
-func newScheduler(capacity, budget, workers int) *scheduler {
+func newScheduler(capacity, budget, workers int, buffered *obs.Gauge) *scheduler {
 	if workers < 1 {
 		workers = 1
 	}
-	return &scheduler{capacity: capacity, budget: budget, workers: workers}
+	return &scheduler{capacity: capacity, budget: budget, workers: workers, buffered: buffered}
 }
 
 // setBudget replaces the storage budget at runtime (the autoscaler's
@@ -84,7 +88,7 @@ func (sc *scheduler) unregister(s *session) {
 	}
 	// The departing session takes its buffered pre-computes with it;
 	// keep the global depth gauge in step with used().
-	obsBuffered.Add(-int64(s.bufCount))
+	sc.buffered.Add(-int64(s.bufCount))
 	sc.kick()
 }
 
@@ -94,7 +98,7 @@ func (sc *scheduler) added(s *session) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	s.bufCount++
-	obsBuffered.Add(1)
+	sc.buffered.Add(1)
 }
 
 // grantDone retires a scheduled grant, successful or not.
@@ -114,7 +118,7 @@ func (sc *scheduler) consumed(s *session) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	s.bufCount--
-	obsBuffered.Add(-1)
+	sc.buffered.Add(-1)
 	sc.kick()
 }
 
@@ -208,16 +212,14 @@ func (sc *scheduler) kick() {
 	}
 }
 
-// snapshot returns buffered pre-compute counts for Stats, partitioned two
-// ways under one lock acquisition: per session, and aggregated per model.
-func (sc *scheduler) snapshot() (buffered map[*session]int, byModel map[string]int, inflight int) {
+// snapshot returns each session's buffered pre-compute count and the
+// refills in flight for Stats, under one lock acquisition.
+func (sc *scheduler) snapshot() (buffered map[*session]int, inflight int) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	buffered = make(map[*session]int, len(sc.sessions))
-	byModel = make(map[string]int)
 	for _, s := range sc.sessions {
 		buffered[s] = s.bufCount
-		byModel[s.model] += s.bufCount
 	}
-	return buffered, byModel, sc.inflight
+	return buffered, sc.inflight
 }

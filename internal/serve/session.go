@@ -23,6 +23,9 @@ type session struct {
 	eng     *Engine
 	m       *mux
 	srv     *delphi.Server
+	// The model's phase histograms on the engine's registry, resolved once
+	// at session creation so recording a phase costs no label lookup.
+	offlineHE, offlineGarble, offlineOT, offline, online *obs.Histogram
 
 	refill chan struct{}
 
@@ -137,7 +140,10 @@ func (s *session) precompute(cause byte) error {
 	s.precomputes++
 	s.offlineTotal += rep.Duration
 	s.statMu.Unlock()
-	recordOffline(s.model, rep.HEDuration, rep.GCDuration, rep.OTDuration, rep.Duration)
+	s.offlineHE.Record(rep.HEDuration)
+	s.offlineGarble.Record(rep.GCDuration)
+	s.offlineOT.Record(rep.OTDuration)
+	s.offline.Record(rep.Duration)
 	s.eng.sched.added(s)
 	if cause == causeRequested {
 		return sendCtrl(s.m.conn, opPrecomputeAck, marshalJSON(rep))
@@ -164,9 +170,7 @@ func (s *session) handleInfer() error {
 	s.inferences++
 	s.onlineTotal += rep.Duration
 	s.statMu.Unlock()
-	if obs.Enabled() {
-		obsOnline.With(s.model).Record(rep.Duration)
-	}
+	s.online.Record(rep.Duration)
 	s.eng.sched.consumed(s)
 	return sendCtrl(s.m.conn, opInferAck, marshalJSON(rep))
 }

@@ -3,13 +3,9 @@ package serve
 import (
 	"sort"
 	"time"
-)
 
-// modelTotals accumulates one model's retired-session phase history.
-type modelTotals struct {
-	precomputes, inferences   uint64
-	offlineTotal, onlineTotal time.Duration
-}
+	"privinf/internal/obs"
+)
 
 // SessionStats is one session's metrics snapshot.
 type SessionStats struct {
@@ -128,10 +124,12 @@ type Stats struct {
 	GarbleCoalesced uint64
 }
 
-// Stats snapshots per-session, per-model and aggregate metrics. Lifetime
-// totals include sessions that have since disconnected.
+// Stats snapshots per-session, per-model and aggregate metrics. Every
+// lifetime count is a read of the engine's (and its registry's) obs
+// instruments — the series /metrics exports — so totals include sessions
+// that have since disconnected and hold with obs.SetEnabled(false).
 func (e *Engine) Stats() Stats {
-	buffered, bufferedByModel, inflight := e.sched.snapshot()
+	buffered, inflight := e.sched.snapshot()
 	rst := e.reg.Stats()
 
 	e.mu.Lock()
@@ -144,8 +142,6 @@ func (e *Engine) Stats() Stats {
 	st := Stats{
 		ActiveSessions:      len(sess),
 		RefillsInFlight:     inflight,
-		TotalPrecomputes:    e.retiredPrecomputes,
-		TotalInferences:     e.retiredInferences,
 		RegistryBudget:      rst.Budget,
 		RegistryBytes:       rst.BytesResident,
 		RegistryHits:        rst.Hits,
@@ -155,37 +151,33 @@ func (e *Engine) Stats() Stats {
 		RegistryReloads:     rst.Reloads,
 		RegistryLoadErrors:  rst.LoadErrors,
 		RegistrySpillErrors: rst.SpillErrors,
-		GarbleRequests:      e.garbler.requests.Load(),
-		GarbleBatches:       e.garbler.batches.Load(),
-		GarbleCoalesced:     e.garbler.coalesced.Load(),
-	}
-	var ticketModels map[string]ticketModelCounters
-	if e.tickets != nil {
-		st.Tickets, ticketModels = e.tickets.stats()
+		GarbleRequests:      e.met.garbleRequests.Value(),
+		GarbleBatches:       e.met.garbleBatches.Value(),
+		GarbleCoalesced:     e.met.garbleCoalesced.Value(),
 	}
 	// Partition the engine per model: start from the registry's per-model
-	// cache counters and the retired-session history, then fold in each
-	// live session and the resumption cache's per-model counters. Phase
-	// totals accumulate in side maps so the means divide once at the end.
+	// cache counters, read the model's phase history off its offline and
+	// online histograms and its resumption traffic off the ticket events,
+	// then fold in each live session's state.
 	st.Models = rst.Models // already sorted by name
 	byModel := make(map[string]*ModelStats, len(st.Models))
-	offTotals := make(map[string]time.Duration, len(st.Models))
-	onTotals := make(map[string]time.Duration, len(st.Models))
 	for i := range st.Models {
-		ms := &st.Models[i]
-		ms.Buffered = bufferedByModel[ms.Name] // scheduler's per-model partition
-		if tc, ok := ticketModels[ms.Name]; ok {
-			ms.TicketsIssued = tc.issued
-			ms.Resumes = tc.resumed
-			ms.ResumeRejects = tc.rejected
+		byModel[st.Models[i].Name] = &st.Models[i]
+	}
+	e.met.offline.Each(func(lv []string, h *obs.Histogram) {
+		st.TotalPrecomputes += h.Count()
+		if ms := byModel[lv[0]]; ms != nil {
+			ms.Precomputes, ms.MeanOffline = h.Count(), mean(h.Sum(), h.Count())
 		}
-		if mt := e.retiredByModel[ms.Name]; mt != nil {
-			ms.Precomputes = mt.precomputes
-			ms.Inferences = mt.inferences
-			offTotals[ms.Name] = mt.offlineTotal
-			onTotals[ms.Name] = mt.onlineTotal
+	})
+	e.met.online.Each(func(lv []string, h *obs.Histogram) {
+		st.TotalInferences += h.Count()
+		if ms := byModel[lv[0]]; ms != nil {
+			ms.Inferences, ms.MeanOnline = h.Count(), mean(h.Sum(), h.Count())
 		}
-		byModel[ms.Name] = ms
+	})
+	if e.tickets != nil {
+		st.Tickets = e.tickets.stats(byModel)
 	}
 	for _, s := range sess {
 		s.statMu.Lock()
@@ -198,37 +190,18 @@ func (e *Engine) Stats() Stats {
 			QueueDepth:  int(s.queued.Load()),
 			Precomputes: s.precomputes,
 			Inferences:  s.inferences,
+			MeanOffline: mean(s.offlineTotal, s.precomputes),
+			MeanOnline:  mean(s.onlineTotal, s.inferences),
 			BytesSent:   s.m.conn.SentBytes(),
 			BytesRecv:   s.m.conn.RecvBytes(),
-		}
-		offTot, onTot := s.offlineTotal, s.onlineTotal
-		if s.precomputes > 0 {
-			ss.MeanOffline = s.offlineTotal / time.Duration(s.precomputes)
-		}
-		if s.inferences > 0 {
-			ss.MeanOnline = s.onlineTotal / time.Duration(s.inferences)
 		}
 		s.statMu.Unlock()
 		st.Sessions = append(st.Sessions, ss)
 		st.TotalBuffered += ss.Buffered
-		st.TotalPrecomputes += ss.Precomputes
-		st.TotalInferences += ss.Inferences
 		if ms := byModel[ss.Model]; ms != nil {
 			ms.Sessions++
+			ms.Buffered += ss.Buffered
 			ms.QueueDepth += ss.QueueDepth
-			ms.Precomputes += ss.Precomputes
-			ms.Inferences += ss.Inferences
-			offTotals[ss.Model] += offTot
-			onTotals[ss.Model] += onTot
-		}
-	}
-	for i := range st.Models {
-		ms := &st.Models[i]
-		if ms.Precomputes > 0 {
-			ms.MeanOffline = offTotals[ms.Name] / time.Duration(ms.Precomputes)
-		}
-		if ms.Inferences > 0 {
-			ms.MeanOnline = onTotals[ms.Name] / time.Duration(ms.Inferences)
 		}
 	}
 	sort.Slice(st.Sessions, func(i, j int) bool { return st.Sessions[i].ID < st.Sessions[j].ID })

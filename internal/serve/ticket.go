@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"privinf/internal/delphi"
+	"privinf/internal/obs"
 )
 
 // Resumption ticket cache defaults (see Config.TicketTTL / TicketBudget).
@@ -58,16 +59,12 @@ type ticketCache struct {
 	store *ticketStore
 	disk  *writeBehind
 
-	issued, resumed, expired, unknown, evicted uint64
-	loaded, loadErrors, persisted, persistErrs uint64
-	perModel                                   map[string]*ticketModelCounters
-}
-
-// ticketModelCounters partition the cache's traffic by the model the
-// session requested (the seed material itself is model-independent — one
-// ticket serves every model the engine hosts).
-type ticketModelCounters struct {
-	issued, resumed, rejected uint64
+	// events is the engine's pi_tickets_total{model,event}: the one place
+	// the cache's traffic is counted, partitioned by the model the session
+	// requested (the seed material itself is model-independent — one
+	// ticket serves every model the engine hosts — so events no hello
+	// caused carry model="").
+	events *obs.CounterVec
 }
 
 // ticketEntry is one cached client correlation.
@@ -79,7 +76,7 @@ type ticketEntry struct {
 	elem    *list.Element
 }
 
-func newTicketCache(ttl time.Duration, budget int64, entropy io.Reader) *ticketCache {
+func newTicketCache(ttl time.Duration, budget int64, entropy io.Reader, events *obs.CounterVec) *ticketCache {
 	if ttl == 0 {
 		ttl = DefaultTicketTTL
 	}
@@ -87,25 +84,16 @@ func newTicketCache(ttl time.Duration, budget int64, entropy io.Reader) *ticketC
 		budget = DefaultTicketBudget
 	}
 	tc := &ticketCache{
-		ttl:      ttl,
-		budget:   budget,
-		entries:  map[string]*ticketEntry{},
-		lru:      list.New(),
-		now:      time.Now,
-		entropy:  entropy,
-		perModel: map[string]*ticketModelCounters{},
+		ttl:     ttl,
+		budget:  budget,
+		entries: map[string]*ticketEntry{},
+		lru:     list.New(),
+		now:     time.Now,
+		entropy: entropy,
+		events:  events,
 	}
 	tc.disk = newWriteBehind(&tc.mu)
 	return tc
-}
-
-func (tc *ticketCache) model(name string) *ticketModelCounters {
-	c := tc.perModel[name]
-	if c == nil {
-		c = &ticketModelCounters{}
-		tc.perModel[name] = c
-	}
-	return c
 }
 
 // randomID returns 16 fresh random bytes from src — a ticket identifier or
@@ -163,8 +151,7 @@ func (tc *ticketCache) insert(id []byte, state *delphi.OTResume, model string) {
 	for _, old := range tc.entries {
 		if !now.Before(old.expires) {
 			tc.drop(old)
-			tc.expired++
-			obsTicketExpired.Inc()
+			tc.events.With("", ticketExpired).Inc()
 		}
 	}
 	if old, ok := tc.entries[e.id]; ok {
@@ -175,9 +162,7 @@ func (tc *ticketCache) insert(id []byte, state *delphi.OTResume, model string) {
 	tc.entries[e.id] = e
 	e.elem = tc.lru.PushFront(e)
 	tc.bytes += e.size
-	tc.issued++
-	tc.model(model).issued++
-	obsTicketIssued.Inc()
+	tc.events.With(model, ticketIssued).Inc()
 	tc.evictOver()
 	tc.enqueueSave(e)
 }
@@ -189,8 +174,7 @@ func (tc *ticketCache) insert(id []byte, state *delphi.OTResume, model string) {
 func (tc *ticketCache) evictOver() {
 	for tc.budget > 0 && tc.bytes > tc.budget && tc.lru.Len() > 1 {
 		tc.drop(tc.lru.Back().Value.(*ticketEntry))
-		tc.evicted++
-		obsTicketEvicted.Inc()
+		tc.events.With("", ticketEvicted).Inc()
 	}
 }
 
@@ -204,9 +188,7 @@ func (tc *ticketCache) redeem(id []byte, model string) (*delphi.OTResume, string
 	defer tc.mu.Unlock()
 	e, ok := tc.entries[string(id)]
 	if !ok {
-		tc.unknown++
-		obsTicketUnknown.Inc()
-		tc.model(model).rejected++
+		tc.events.With(model, ticketUnknown).Inc()
 		return nil, resumeUnknownTicket
 	}
 	// A ticket is dead AT its expiry instant: a lookup at exactly t = TTL
@@ -216,16 +198,12 @@ func (tc *ticketCache) redeem(id []byte, model string) (*delphi.OTResume, string
 	// rejected live could resurrect through a restart.
 	if !tc.now().Before(e.expires) {
 		tc.drop(e)
-		tc.expired++
-		obsTicketExpired.Inc()
-		tc.model(model).rejected++
+		tc.events.With(model, ticketExpired).Inc()
 		return nil, resumeExpiredTicket
 	}
 	e.expires = tc.now().Add(tc.ttl)
 	tc.lru.MoveToFront(e.elem)
-	tc.resumed++
-	tc.model(model).resumed++
-	obsTicketResumed.Inc()
+	tc.events.With(model, ticketResumed).Inc()
 	// The slid expiry is durable state: re-persist so a restart honors the
 	// refreshed window rather than the stale one on disk.
 	tc.enqueueSave(e)
@@ -261,9 +239,9 @@ func (tc *ticketCache) enqueueSave(e *ticketEntry) {
 func (tc *ticketCache) persist(run func() error) {
 	tc.disk.enqueue(writeJob{run: run, done: func(err error) {
 		if err != nil {
-			tc.persistErrs++
+			tc.events.With("", ticketPersistError).Inc()
 		} else {
-			tc.persisted++
+			tc.events.With("", ticketPersisted).Inc()
 		}
 	}})
 }
@@ -289,10 +267,9 @@ func (tc *ticketCache) attachStore(ts *ticketStore) {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
 	tc.store = ts
-	tc.loaded += uint64(st.loaded)
-	tc.loadErrors += uint64(st.corrupt)
-	tc.expired += uint64(st.expired)
-	obsTicketExpired.Add(uint64(st.expired))
+	tc.events.With("", ticketLoaded).Add(uint64(st.loaded))
+	tc.events.With("", ticketLoadError).Add(uint64(st.corrupt))
+	tc.events.With("", ticketExpired).Add(uint64(st.expired))
 	for _, rec := range recs {
 		if _, ok := tc.entries[string(rec.id)]; ok {
 			// A live entry outranks its own stale disk copy.
@@ -335,27 +312,31 @@ type TicketStats struct {
 	Loaded, LoadErrors, Persisted, PersistErrors uint64
 }
 
-func (tc *ticketCache) stats() (TicketStats, map[string]ticketModelCounters) {
+// stats reads the cache's occupancy and its event counters: each event's
+// total over models into the snapshot, and the events a model's sessions
+// caused into that model's row of byModel.
+func (tc *ticketCache) stats(byModel map[string]*ModelStats) TicketStats {
 	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	st := TicketStats{
-		TTL:           tc.ttl,
-		Budget:        tc.budget,
-		Tickets:       len(tc.entries),
-		Bytes:         tc.bytes,
-		Issued:        tc.issued,
-		Resumed:       tc.resumed,
-		Expired:       tc.expired,
-		Unknown:       tc.unknown,
-		Evicted:       tc.evicted,
-		Loaded:        tc.loaded,
-		LoadErrors:    tc.loadErrors,
-		Persisted:     tc.persisted,
-		PersistErrors: tc.persistErrs,
+	st := TicketStats{TTL: tc.ttl, Budget: tc.budget, Tickets: len(tc.entries), Bytes: tc.bytes}
+	tc.mu.Unlock()
+	total := map[string]*uint64{
+		ticketIssued: &st.Issued, ticketResumed: &st.Resumed, ticketExpired: &st.Expired,
+		ticketUnknown: &st.Unknown, ticketEvicted: &st.Evicted, ticketLoaded: &st.Loaded,
+		ticketLoadError: &st.LoadErrors, ticketPersisted: &st.Persisted, ticketPersistError: &st.PersistErrors,
 	}
-	models := make(map[string]ticketModelCounters, len(tc.perModel))
-	for name, c := range tc.perModel {
-		models[name] = *c
-	}
-	return st, models
+	tc.events.Each(func(lv []string, c *obs.Counter) {
+		model, event, n := lv[0], lv[1], c.Value()
+		*total[event] += n
+		if ms := byModel[model]; ms != nil {
+			switch event {
+			case ticketIssued:
+				ms.TicketsIssued += n
+			case ticketResumed:
+				ms.Resumes += n
+			case ticketUnknown, ticketExpired:
+				ms.ResumeRejects += n
+			}
+		}
+	})
+	return st
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"privinf/internal/delphi"
+	"privinf/internal/obs"
 	"privinf/internal/ot"
 )
 
@@ -123,6 +124,11 @@ func TestTicketStoreLoadSweeps(t *testing.T) {
 	}
 }
 
+// testTicketCache builds a cache that counts on a registry of its own.
+func testTicketCache(ttl time.Duration, budget int64) *ticketCache {
+	return newTicketCache(ttl, budget, nil, obs.NewRegistry().CounterVec(metricTicketsTotal, "", "model", "event"))
+}
+
 // TestTicketCacheWriteThrough: inserts and redeems write through to the
 // attached store in the background (flush joins), a redeem's slid expiry
 // replaces the stale one on disk, and a ticket's death (here: expiry at
@@ -133,7 +139,7 @@ func TestTicketCacheWriteThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc := newTicketCache(time.Minute, -1, nil)
+	tc := testTicketCache(time.Minute, -1)
 	base := time.Now().Round(0)
 	now := base
 	tc.mu.Lock()
@@ -147,7 +153,7 @@ func TestTicketCacheWriteThrough(t *testing.T) {
 	if _, err := os.Stat(ts.path(id)); err != nil {
 		t.Fatalf("insert did not write through: %v", err)
 	}
-	st, _ := tc.stats()
+	st := tc.stats(nil)
 	if st.Persisted == 0 || st.PersistErrors != 0 {
 		t.Fatalf("persist counters %+v after write-through", st)
 	}
@@ -185,7 +191,7 @@ func TestTicketCacheReloadAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc1 := newTicketCache(time.Hour, -1, nil)
+	tc1 := testTicketCache(time.Hour, -1)
 	tc1.attachStore(ts1)
 	state := testOTResume(t, 14)
 	id := tc1.reserve()
@@ -196,10 +202,10 @@ func TestTicketCacheReloadAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc2 := newTicketCache(time.Hour, -1, nil)
+	tc2 := testTicketCache(time.Hour, -1)
 	tc2.attachStore(ts2)
 	defer tc2.flush() // the redeem's write-behind save must land before TempDir cleanup
-	st, _ := tc2.stats()
+	st := tc2.stats(nil)
 	if st.Loaded != 1 || st.LoadErrors != 0 || st.Tickets != 1 {
 		t.Fatalf("restarted cache stats %+v, want one loaded ticket", st)
 	}
@@ -228,10 +234,10 @@ func TestTicketCacheLoadRespectsBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tc := newTicketCache(time.Hour, 1, nil) // any real state exceeds 1 byte
+	tc := testTicketCache(time.Hour, 1) // any real state exceeds 1 byte
 	tc.attachStore(ts)
 	defer tc.flush() // the evictions' disk removes must land before TempDir cleanup
-	st, _ := tc.stats()
+	st := tc.stats(nil)
 	if st.Loaded != 4 {
 		t.Fatalf("loaded %d records, want 4", st.Loaded)
 	}
@@ -242,7 +248,7 @@ func TestTicketCacheLoadRespectsBudget(t *testing.T) {
 	// Live entry vs stale disk copy: the resident state wins.
 	live := testOTResume(t, 30)
 	diskState := testOTResume(t, 31)
-	tc2 := newTicketCache(time.Hour, -1, nil)
+	tc2 := testTicketCache(time.Hour, -1)
 	id := tc2.reserve()
 	tc2.insert(id, live, "m")
 	dir2 := t.TempDir()
@@ -273,7 +279,7 @@ func TestTicketCacheLoadRespectsBudget(t *testing.T) {
 // resumed from a ticket the insert prune (and the restart load sweep)
 // would already have declared dead.
 func TestTicketExpiryAtExactTTLBoundary(t *testing.T) {
-	tc := newTicketCache(time.Minute, -1, nil)
+	tc := testTicketCache(time.Minute, -1)
 	base := time.Now().Round(0)
 	now := base
 	tc.mu.Lock()
@@ -295,7 +301,7 @@ func TestTicketExpiryAtExactTTLBoundary(t *testing.T) {
 	if state, reject := tc.redeem(id, "m"); state != nil || reject != resumeExpiredTicket {
 		t.Fatalf("redeem at t=TTL: state=%v reject=%q, want typed %q", state, reject, resumeExpiredTicket)
 	}
-	st, _ := tc.stats()
+	st := tc.stats(nil)
 	if st.Expired != 1 || st.Tickets != 0 {
 		t.Fatalf("stats %+v after boundary expiry, want expired=1 tickets=0", st)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"privinf/internal/delphi"
+	"privinf/internal/obs"
 	"privinf/internal/transport"
 )
 
@@ -192,8 +193,11 @@ func (e *HandshakeError) Unwrap() error {
 	return nil
 }
 
-func sendReject(c transport.MsgConn, code, message string) error {
-	obsHandshakes.With(code).Inc()
+// sendReject answers a handshake with a typed rejection and counts the
+// outcome on the rejecting component's registry (an engine's, or the front
+// tier's that peeked the opening).
+func sendReject(c transport.MsgConn, reg *obs.Registry, code, message string) error {
+	handshakeOutcomes(reg).With(code).Inc()
 	return sendCtrl(c, opReject, marshalJSON(rejectMsg{Code: code, Message: message}))
 }
 

@@ -46,65 +46,3 @@ func TestShareAlgebraProperties(t *testing.T) {
 		}
 	}
 }
-
-func TestBeaverMultiplicationProperty(t *testing.T) {
-	f := field.New(field.P17)
-	sh := New(f, newSeeded(71))
-	check := func(xs, ys []uint16) bool {
-		n := len(xs)
-		if len(ys) < n {
-			n = len(ys)
-		}
-		if n == 0 {
-			return true
-		}
-		x := make([]uint64, n)
-		y := make([]uint64, n)
-		for i := 0; i < n; i++ {
-			x[i] = uint64(xs[i]) % f.P()
-			y[i] = uint64(ys[i]) % f.P()
-		}
-		t1, t2 := localTriples(sh, n)
-		x1, x2 := sh.Share(x)
-		y1, y2 := sh.Share(y)
-		d1, e1 := sh.MaskedOpen(x1, y1, t1)
-		d2, e2 := sh.MaskedOpen(x2, y2, t2)
-		d := sh.Reconstruct(d1, d2)
-		e := sh.Reconstruct(e1, e2)
-		z := sh.Reconstruct(sh.MulShare(d, e, t1, true), sh.MulShare(d, e, t2, false))
-		for i := 0; i < n; i++ {
-			if z[i] != f.Mul(x[i], y[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMaskedOpenHidesInputs(t *testing.T) {
-	// d = x - a with uniform a is uniform: two different secrets produce
-	// unequal masked openings with overwhelming probability.
-	f := field.New(field.P20)
-	sh := New(f, newSeeded(72))
-	const n = 64
-	t1, _ := localTriples(sh, n)
-	x := make([]uint64, n) // all zeros
-	y := make([]uint64, n)
-	for i := range y {
-		y[i] = 1
-	}
-	d0, _ := sh.MaskedOpen(x, x, t1)
-	d1, _ := sh.MaskedOpen(y, y, t1)
-	diff := 0
-	for i := range d0 {
-		if d0[i] != d1[i] {
-			diff++
-		}
-	}
-	if diff != n {
-		t.Fatalf("masked openings differ at %d/%d positions; expected all", diff, n)
-	}
-}

@@ -1,9 +1,9 @@
 // Package ss implements additive secret sharing over the PI plaintext field
-// (§2.1.2 of the paper): a value x splits into shares r and x-r; additions
-// are local; multiplications consume Beaver triples generated offline with
-// homomorphic encryption (beaver.go). The DELPHI protocol layer uses the
-// same share algebra for its linear layers, with the server's model weights
-// in the clear on the server side.
+// (§2.1.2 of the paper): a value x splits into shares r and x-r, and
+// additions are local. The DELPHI protocol layer draws its linear-layer
+// masks from the same uniform sampler, with the server's model weights in
+// the clear on the server side; the paper's networks are all-ReLU, so no
+// share-by-share multiplication exists here.
 package ss
 
 import (
@@ -14,8 +14,7 @@ import (
 	"privinf/internal/field"
 )
 
-// Sharing provides share/reconstruct and the Beaver multiplication algebra
-// over one field.
+// Sharing provides uniform sampling and share/reconstruct over one field.
 type Sharing struct {
 	F   field.Field
 	src io.Reader
@@ -63,40 +62,5 @@ func (s *Sharing) Share(x []uint64) (s1, s2 []uint64) {
 func (s *Sharing) Reconstruct(s1, s2 []uint64) []uint64 {
 	out := make([]uint64, len(s1))
 	s.F.AddVec(out, s1, s2)
-	return out
-}
-
-// Triple is one party's share of a Beaver triple (a, b, c) with c = a·b.
-type Triple struct {
-	A, B, C []uint64
-}
-
-// Len returns the number of triples held.
-func (t Triple) Len() int { return len(t.A) }
-
-// MaskedOpen computes this party's share of (x-a, y-b), the values the two
-// parties exchange to multiply with a triple.
-func (s *Sharing) MaskedOpen(x, y []uint64, t Triple) (d, e []uint64) {
-	d = make([]uint64, len(x))
-	e = make([]uint64, len(y))
-	s.F.SubVec(d, x, t.A)
-	s.F.SubVec(e, y, t.B)
-	return d, e
-}
-
-// MulShare computes this party's share of x·y given the opened values
-// d = x-a and e = y-b (full values, after exchanging shares) and the
-// party's triple share. Exactly one party passes addDE=true to add the
-// public d·e term.
-func (s *Sharing) MulShare(d, e []uint64, t Triple, addDE bool) []uint64 {
-	f := s.F
-	out := make([]uint64, len(d))
-	for i := range out {
-		v := f.Add(t.C[i], f.Add(f.Mul(d[i], t.B[i]), f.Mul(e[i], t.A[i])))
-		if addDE {
-			v = f.Add(v, f.Mul(d[i], e[i]))
-		}
-		out[i] = v
-	}
 	return out
 }

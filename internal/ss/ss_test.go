@@ -5,9 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"privinf/internal/bfv"
 	"privinf/internal/field"
-	"privinf/internal/transport"
 )
 
 type seededReader struct{ rng *rand.Rand }
@@ -81,120 +79,4 @@ func TestLinearHomomorphism(t *testing.T) {
 			t.Fatalf("index %d: additive homomorphism broken", i)
 		}
 	}
-}
-
-// localTriples builds correct triples without HE, for algebra-only tests.
-func localTriples(sh *Sharing, n int) (Triple, Triple) {
-	f := sh.F
-	a := sh.RandomVec(n)
-	b := sh.RandomVec(n)
-	c := make([]uint64, n)
-	for i := range c {
-		c[i] = f.Mul(a[i], b[i])
-	}
-	a1, a2 := sh.Share(a)
-	b1, b2 := sh.Share(b)
-	c1, c2 := sh.Share(c)
-	return Triple{A: a1, B: b1, C: c1}, Triple{A: a2, B: b2, C: c2}
-}
-
-func TestBeaverMultiplicationAlgebra(t *testing.T) {
-	sh := New(field.New(field.P17), newSeeded(4))
-	f := sh.F
-	const n = 16
-	t1, t2 := localTriples(sh, n)
-
-	x := sh.RandomVec(n)
-	y := sh.RandomVec(n)
-	x1, x2 := sh.Share(x)
-	y1, y2 := sh.Share(y)
-
-	// Each party computes masked openings, then they exchange and add.
-	d1, e1 := sh.MaskedOpen(x1, y1, t1)
-	d2, e2 := sh.MaskedOpen(x2, y2, t2)
-	d := sh.Reconstruct(d1, d2)
-	e := sh.Reconstruct(e1, e2)
-
-	z1 := sh.MulShare(d, e, t1, true)
-	z2 := sh.MulShare(d, e, t2, false)
-	got := sh.Reconstruct(z1, z2)
-	for i := range x {
-		if got[i] != f.Mul(x[i], y[i]) {
-			t.Fatalf("index %d: %d * %d = %d, got %d", i, x[i], y[i], f.Mul(x[i], y[i]), got[i])
-		}
-	}
-}
-
-func TestHEBeaverTripleGeneration(t *testing.T) {
-	params := bfv.MustParams(bfv.DefaultN, field.P17)
-	f := field.New(field.P17)
-	shC := New(f, newSeeded(5))
-	shS := New(f, newSeeded(6))
-	a, b := transport.Pipe()
-
-	const n = 5000 // spans two ciphertext batches
-	type result struct {
-		tr  Triple
-		err error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		tr, err := ServerGenTriples(b, params, shS, n, newSeeded(7))
-		ch <- result{tr, err}
-	}()
-	tC, err := ClientGenTriples(a, params, shC, n, newSeeded(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := <-ch
-	if res.err != nil {
-		t.Fatal(res.err)
-	}
-	tS := res.tr
-
-	if tC.Len() != n || tS.Len() != n {
-		t.Fatalf("triple lengths %d/%d, want %d", tC.Len(), tS.Len(), n)
-	}
-	for i := 0; i < n; i++ {
-		av := f.Add(tC.A[i], tS.A[i])
-		bv := f.Add(tC.B[i], tS.B[i])
-		cv := f.Add(tC.C[i], tS.C[i])
-		if cv != f.Mul(av, bv) {
-			t.Fatalf("triple %d: c != a*b (%d != %d*%d)", i, cv, av, bv)
-		}
-	}
-}
-
-func TestTripleGenFieldMismatch(t *testing.T) {
-	params := bfv.MustParams(bfv.DefaultN, field.P17)
-	sh := New(field.New(field.P20), newSeeded(9))
-	a, _ := transport.Pipe()
-	if _, err := ClientGenTriples(a, params, sh, 10, newSeeded(10)); err == nil {
-		t.Fatal("mismatched field must be rejected")
-	}
-	if _, err := ServerGenTriples(a, params, sh, 10, newSeeded(11)); err == nil {
-		t.Fatal("mismatched field must be rejected")
-	}
-}
-
-func BenchmarkHETripleGen4096(b *testing.B) {
-	params := bfv.MustParams(bfv.DefaultN, field.P17)
-	f := field.New(field.P17)
-	for i := 0; i < b.N; i++ {
-		x, y := transport.Pipe()
-		shC := New(f, newSeeded(12))
-		shS := New(f, newSeeded(13))
-		errCh := make(chan error, 1)
-		go func() {
-			_, err := ServerGenTriples(y, params, shS, params.N, newSeeded(14))
-			errCh <- err
-		}()
-		if _, err := ClientGenTriples(x, params, shC, params.N, newSeeded(15)); err != nil {
-			b.Fatal(err)
-		}
-		if err := <-errCh; err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(bfv.DefaultN), "triples/op")
 }
