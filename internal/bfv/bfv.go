@@ -25,8 +25,8 @@ type Ciphertext struct {
 
 // Plaintext is an unencrypted ring element. Whether it is in the
 // coefficient or NTT domain depends on how it will be used: operands of
-// MulPlain must be in the NTT domain (see Encoder.EncodeMulNTT), operands
-// of AddPlain in the scaled NTT domain.
+// AccumulateMulPlain must be in the NTT domain (see Encoder.EncodeMulNTT),
+// operands of SubPlainInto in the scaled NTT domain.
 type Plaintext struct {
 	coeffs []uint64
 }
@@ -288,64 +288,25 @@ func (d *Decryptor) NoiseBudget(ct Ciphertext, m []uint64) int {
 	return bits.Len64(limit) - bits.Len64(maxNoise)
 }
 
-// AddCt returns a + b.
-func AddCt(p Params, a, b Ciphertext) Ciphertext {
-	out := Ciphertext{c0: make([]uint64, p.N), c1: make([]uint64, p.N)}
-	ringq.AddInto(out.c0, a.c0, b.c0)
-	ringq.AddInto(out.c1, a.c1, b.c1)
-	return out
-}
-
 // AddCtInto accumulates b into a in place.
 func AddCtInto(a *Ciphertext, b Ciphertext) {
 	ringq.AddInto(a.c0, a.c0, b.c0)
 	ringq.AddInto(a.c1, a.c1, b.c1)
 }
 
-// SubCt returns a - b.
-func SubCt(p Params, a, b Ciphertext) Ciphertext {
-	out := Ciphertext{c0: make([]uint64, p.N), c1: make([]uint64, p.N)}
-	ringq.SubInto(out.c0, a.c0, b.c0)
-	ringq.SubInto(out.c1, a.c1, b.c1)
-	return out
-}
-
-// AddPlain returns ct + pt where pt was prepared with EncodeAddNTT
-// (Delta-scaled, NTT domain).
-func AddPlain(p Params, ct Ciphertext, pt Plaintext) Ciphertext {
-	out := Ciphertext{c0: make([]uint64, p.N), c1: append([]uint64(nil), ct.c1...)}
-	ringq.AddInto(out.c0, ct.c0, pt.coeffs)
-	return out
-}
-
-// SubPlain returns ct - pt where pt was prepared with EncodeAddNTT.
-func SubPlain(p Params, ct Ciphertext, pt Plaintext) Ciphertext {
-	out := Ciphertext{c0: make([]uint64, p.N), c1: append([]uint64(nil), ct.c1...)}
-	ringq.SubInto(out.c0, ct.c0, pt.coeffs)
-	return out
-}
-
-// SubPlainInto subtracts pt (prepared with EncodeAddNTT) from ct in place,
-// avoiding the two ring-degree allocations SubPlain pays. Used by the
-// matvec hot path, where the accumulator is dead after the subtraction.
+// SubPlainInto subtracts pt (prepared with EncodeAddNTT: Delta-scaled, NTT
+// domain) from ct in place. Used by the matvec hot path, where the
+// accumulator is dead after the subtraction.
 func SubPlainInto(ct *Ciphertext, pt Plaintext) {
 	ringq.SubInto(ct.c0, ct.c0, pt.coeffs)
 }
 
-// MulPlain returns ct * pt where pt was prepared with EncodeMulNTT
-// (centered lift, NTT domain). The product decrypts to the negacyclic
-// convolution of the two messages mod T. This is the only multiplication
-// the DELPHI offline phase requires.
-func MulPlain(p Params, ct Ciphertext, pt Plaintext) Ciphertext {
-	out := Ciphertext{c0: make([]uint64, p.N), c1: make([]uint64, p.N)}
-	ringq.MulInto(out.c0, ct.c0, pt.coeffs)
-	ringq.MulInto(out.c1, ct.c1, pt.coeffs)
-	return out
-}
-
-// MulPlainAddInto accumulates ct*pt into acc with fully reduced arithmetic.
-// The matvec hot path uses AccumulateMulPlain instead; this remains as the
-// reference kernel the lazy path is tested against.
+// MulPlainAddInto accumulates ct*pt into acc with fully reduced arithmetic,
+// where pt was prepared with EncodeMulNTT (centered lift, NTT domain): the
+// product decrypts to the negacyclic convolution of the two messages mod T,
+// the only multiplication the DELPHI offline phase requires. The matvec hot
+// path uses AccumulateMulPlain instead; this remains as the reference kernel
+// the lazy path is tested against.
 func MulPlainAddInto(acc *Ciphertext, ct Ciphertext, pt Plaintext) {
 	for i := range acc.c0 {
 		acc.c0[i] = ringq.Add(acc.c0[i], ringq.Mul(ct.c0[i], pt.coeffs[i]))

@@ -9,7 +9,22 @@ import (
 )
 
 // testParams uses the P17 field, the default for the real-crypto protocol.
-var testParams = MustParams(DefaultN, field.P17)
+var testParams = mustParams(DefaultN, field.P17)
+
+func mustParams(n int, t uint64) Params {
+	p, err := NewParams(n, t)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// mulPlain is ct*pt through the fully reduced reference kernel.
+func mulPlain(p Params, ct Ciphertext, pt Plaintext) Ciphertext {
+	acc := ZeroCiphertext(p)
+	MulPlainAddInto(&acc, ct, pt)
+	return acc
+}
 
 // seededReader adapts math/rand to io.Reader for reproducible tests.
 type seededReader struct{ rng *rand.Rand }
@@ -96,19 +111,17 @@ func TestHomomorphicAdd(t *testing.T) {
 
 	a := randomMessage(rng, p, p.N)
 	b := randomMessage(rng, p, p.N)
-	sum := dec.DecryptCoeffs(AddCt(p, enc.EncryptCoeffs(a), enc.EncryptCoeffs(b)))
-	diff := dec.DecryptCoeffs(SubCt(p, enc.EncryptCoeffs(a), enc.EncryptCoeffs(b)))
+	ct := enc.EncryptCoeffs(a)
+	AddCtInto(&ct, enc.EncryptCoeffs(b))
+	sum := dec.DecryptCoeffs(ct)
 	for i := range a {
 		if sum[i] != f.Add(a[i], b[i]) {
 			t.Fatalf("add coeff %d: got %d want %d", i, sum[i], f.Add(a[i], b[i]))
 		}
-		if diff[i] != f.Sub(a[i], b[i]) {
-			t.Fatalf("sub coeff %d: got %d want %d", i, diff[i], f.Sub(a[i], b[i]))
-		}
 	}
 }
 
-func TestAddSubPlain(t *testing.T) {
+func TestSubPlainInto(t *testing.T) {
 	p := testParams
 	f := field.New(p.T)
 	rng := rand.New(rand.NewSource(9))
@@ -121,12 +134,9 @@ func TestAddSubPlain(t *testing.T) {
 	b := randomMessage(rng, p, p.N)
 	pt := e.EncodeAddNTT(b)
 	ct := enc.EncryptCoeffs(a)
-	sum := dec.DecryptCoeffs(AddPlain(p, ct, pt))
-	diff := dec.DecryptCoeffs(SubPlain(p, ct, pt))
+	SubPlainInto(&ct, pt)
+	diff := dec.DecryptCoeffs(ct)
 	for i := range a {
-		if sum[i] != f.Add(a[i], b[i]) {
-			t.Fatalf("addplain coeff %d: got %d want %d", i, sum[i], f.Add(a[i], b[i]))
-		}
 		if diff[i] != f.Sub(a[i], b[i]) {
 			t.Fatalf("subplain coeff %d: got %d want %d", i, diff[i], f.Sub(a[i], b[i]))
 		}
@@ -134,7 +144,7 @@ func TestAddSubPlain(t *testing.T) {
 }
 
 // plainNegacyclicModT computes the negacyclic product of a and b mod t,
-// the reference for MulPlain.
+// the reference for ciphertext-plaintext multiplication.
 func plainNegacyclicModT(f field.Field, a, b []uint64) []uint64 {
 	n := len(a)
 	out := make([]uint64, n)
@@ -173,7 +183,7 @@ func TestMulPlainSparse(t *testing.T) {
 		b[rng.Intn(p.N)] = rng.Uint64() % p.T
 	}
 	want := plainNegacyclicModT(f, a, b)
-	got := dec.DecryptCoeffs(MulPlain(p, enc.EncryptCoeffs(a), e.EncodeMulNTT(b)))
+	got := dec.DecryptCoeffs(mulPlain(p, enc.EncryptCoeffs(a), e.EncodeMulNTT(b)))
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("mulplain coeff %d: got %d want %d", i, got[i], want[i])
@@ -193,7 +203,7 @@ func TestMulPlainDenseNoiseBudget(t *testing.T) {
 
 	a := randomMessage(rng, p, p.N)
 	b := randomMessage(rng, p, p.N)
-	ct := MulPlain(p, enc.EncryptCoeffs(a), e.EncodeMulNTT(b))
+	ct := mulPlain(p, enc.EncryptCoeffs(a), e.EncodeMulNTT(b))
 	f := field.New(p.T)
 	want := plainNegacyclicModT(f, a, b)
 	got := dec.DecryptCoeffs(ct)
@@ -204,44 +214,6 @@ func TestMulPlainDenseNoiseBudget(t *testing.T) {
 	}
 	if budget := dec.NoiseBudget(ct, want); budget < 1 {
 		t.Fatalf("post-multiplication budget %d, want >= 1", budget)
-	}
-}
-
-func TestBatchEncoderRoundTrip(t *testing.T) {
-	p := testParams
-	be := NewBatchEncoder(p)
-	rng := rand.New(rand.NewSource(18))
-	slots := randomMessage(rng, p, p.N)
-	got := be.DecodeCoeffs(be.EncodeCoeffs(slots))
-	for i := range slots {
-		if got[i] != slots[i] {
-			t.Fatalf("slot %d: got %d want %d", i, got[i], slots[i])
-		}
-	}
-}
-
-func TestBatchSlotwiseSemantics(t *testing.T) {
-	// Encrypt batched a, multiply by batched plaintext b: slots multiply
-	// pointwise. This validates the SIMD path the ss Beaver-triple
-	// generator uses.
-	p := testParams
-	f := field.New(p.T)
-	be := NewBatchEncoder(p)
-	rng := rand.New(rand.NewSource(19))
-	sk, pk := KeyGen(p, newSeeded(20))
-	enc := NewEncryptor(p, pk, newSeeded(21))
-	dec := NewDecryptor(p, sk)
-	e := NewEncoder(p)
-
-	a := randomMessage(rng, p, p.N)
-	b := randomMessage(rng, p, p.N)
-	ct := enc.EncryptCoeffs(be.EncodeCoeffs(a))
-	pt := e.EncodeMulNTT(be.EncodeCoeffs(b))
-	got := be.DecodeCoeffs(dec.DecryptCoeffs(MulPlain(p, ct, pt)))
-	for i := range a {
-		if got[i] != f.Mul(a[i], b[i]) {
-			t.Fatalf("slot %d: got %d want %d", i, got[i], f.Mul(a[i], b[i]))
-		}
 	}
 }
 
@@ -321,7 +293,7 @@ func TestMatVecWithMask(t *testing.T) {
 	pts := pl.EncodeMatrix(e, w)
 	res := pl.Apply(pts, cts)
 	for oc := range res {
-		res[oc] = SubPlain(p, res[oc], pl.MaskPlaintext(e, s, oc))
+		SubPlainInto(&res[oc], pl.MaskPlaintext(e, s, oc))
 	}
 	decs := make([][]uint64, len(res))
 	for i := range res {
@@ -471,16 +443,17 @@ func BenchmarkDecrypt(b *testing.B) {
 	}
 }
 
-func BenchmarkMulPlain(b *testing.B) {
+func BenchmarkMulPlainAddInto(b *testing.B) {
 	p := testParams
 	_, pk := KeyGen(p, newSeeded(44))
 	enc := NewEncryptor(p, pk, newSeeded(45))
 	e := NewEncoder(p)
 	ct := enc.EncryptCoeffs(make([]uint64, p.N))
 	pt := e.EncodeMulNTT(make([]uint64, p.N))
+	acc := ZeroCiphertext(p)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MulPlain(p, ct, pt)
+		MulPlainAddInto(&acc, ct, pt)
 	}
 }
 

@@ -1,9 +1,6 @@
 package bfv
 
-import (
-	"privinf/internal/field"
-	"privinf/internal/ringq"
-)
+import "privinf/internal/ringq"
 
 // Encoder converts between application values (field elements mod T) and
 // ring plaintexts in the representations the homomorphic operators expect.
@@ -14,10 +11,10 @@ type Encoder struct {
 // NewEncoder returns an encoder for the given parameters.
 func NewEncoder(p Params) *Encoder { return &Encoder{params: p} }
 
-// EncodeMulNTT prepares a plaintext multiplicand for MulPlain: coefficients
-// are lifted to Z_q using the centered representation (values above T/2 map
-// to negatives), which halves the worst-case noise growth, then transformed
-// to the NTT domain.
+// EncodeMulNTT prepares a plaintext multiplicand for AccumulateMulPlain:
+// coefficients are lifted to Z_q using the centered representation (values
+// above T/2 map to negatives), which halves the worst-case noise growth,
+// then transformed to the NTT domain.
 func (e *Encoder) EncodeMulNTT(m []uint64) Plaintext {
 	p := e.params
 	out := make([]uint64, p.N)
@@ -36,7 +33,7 @@ func (e *Encoder) EncodeMulNTT(m []uint64) Plaintext {
 	return Plaintext{coeffs: out}
 }
 
-// EncodeAddNTT prepares a plaintext summand for AddPlain/SubPlain:
+// EncodeAddNTT prepares a plaintext summand for SubPlainInto:
 // coefficients are scaled by Delta and transformed to the NTT domain.
 func (e *Encoder) EncodeAddNTT(m []uint64) Plaintext {
 	p := e.params
@@ -49,138 +46,4 @@ func (e *Encoder) EncodeAddNTT(m []uint64) Plaintext {
 	}
 	p.ntt.Forward(out)
 	return Plaintext{coeffs: out}
-}
-
-// BatchEncoder provides SIMD slot packing: N field values map to one
-// plaintext such that ciphertext addition and plaintext multiplication act
-// slot-wise. It relies on T ≡ 1 mod 2N so Z_T contains a negacyclic NTT of
-// size N: encoding is the inverse transform mod T, decoding the forward
-// transform, making polynomial (negacyclic) products pointwise on slots.
-type BatchEncoder struct {
-	params Params
-	f      field.Field
-	psiFwd []uint64 // bit-reversed powers of the 2N-th root mod T
-	psiInv []uint64
-	nInv   uint64
-	logN   int
-}
-
-// NewBatchEncoder builds slot tables for the parameter set.
-func NewBatchEncoder(p Params) *BatchEncoder {
-	f := field.New(p.T)
-	n := p.N
-	psi := findRoot2N(f, uint64(2*n))
-	psiInv := f.Inv(psi)
-
-	b := &BatchEncoder{
-		params: p,
-		f:      f,
-		psiFwd: make([]uint64, n),
-		psiInv: make([]uint64, n),
-		nInv:   f.Inv(uint64(n)),
-		logN:   log2(n),
-	}
-	fwd, inv := uint64(1), uint64(1)
-	for i := 0; i < n; i++ {
-		r := int(reverseBits(uint32(i), b.logN))
-		b.psiFwd[r] = fwd
-		b.psiInv[r] = inv
-		fwd = f.Mul(fwd, psi)
-		inv = f.Mul(inv, psiInv)
-	}
-	return b
-}
-
-// Slots returns the SIMD width (the ring degree).
-func (b *BatchEncoder) Slots() int { return b.params.N }
-
-// EncodeCoeffs maps slot values (mod T) to the polynomial whose negacyclic
-// evaluations are those values, i.e. an inverse NTT mod T.
-func (b *BatchEncoder) EncodeCoeffs(slots []uint64) []uint64 {
-	n := b.params.N
-	if len(slots) > n {
-		panic("bfv: more slots than ring degree")
-	}
-	a := make([]uint64, n)
-	copy(a, slots)
-	b.inverseModT(a)
-	return a
-}
-
-// DecodeCoeffs maps polynomial coefficients back to slot values.
-func (b *BatchEncoder) DecodeCoeffs(coeffs []uint64) []uint64 {
-	a := append([]uint64(nil), coeffs...)
-	b.forwardModT(a)
-	return a
-}
-
-func (b *BatchEncoder) forwardModT(a []uint64) {
-	f, n := b.f, b.params.N
-	half := n >> 1
-	for m := 1; m <= half; m <<= 1 {
-		step := n / (2 * m)
-		for i := 0; i < m; i++ {
-			w := b.psiFwd[m+i]
-			base := 2 * i * step
-			for j := base; j < base+step; j++ {
-				u := a[j]
-				v := f.Mul(a[j+step], w)
-				a[j] = f.Add(u, v)
-				a[j+step] = f.Sub(u, v)
-			}
-		}
-	}
-}
-
-func (b *BatchEncoder) inverseModT(a []uint64) {
-	f, n := b.f, b.params.N
-	for m := n >> 1; m >= 1; m >>= 1 {
-		step := n / (2 * m)
-		for i := 0; i < m; i++ {
-			w := b.psiInv[m+i]
-			base := 2 * i * step
-			for j := base; j < base+step; j++ {
-				u := a[j]
-				v := a[j+step]
-				a[j] = f.Add(u, v)
-				a[j+step] = f.Mul(f.Sub(u, v), w)
-			}
-		}
-	}
-	for i := range a {
-		a[i] = f.Mul(a[i], b.nInv)
-	}
-}
-
-// findRoot2N locates a primitive 2n-th root of unity mod T by raising
-// candidate generators to (T-1)/2n and checking the order.
-func findRoot2N(f field.Field, order uint64) uint64 {
-	exp := (f.P() - 1) / order
-	for g := uint64(2); ; g++ {
-		cand := f.Exp(g, exp)
-		if cand == 1 {
-			continue
-		}
-		// cand has order dividing 2n; primitive iff cand^n = -1.
-		if f.Exp(cand, order/2) == f.P()-1 {
-			return cand
-		}
-	}
-}
-
-func log2(n int) int {
-	k := 0
-	for 1<<k < n {
-		k++
-	}
-	return k
-}
-
-func reverseBits(v uint32, width int) uint32 {
-	var r uint32
-	for i := 0; i < width; i++ {
-		r = (r << 1) | (v & 1)
-		v >>= 1
-	}
-	return r
 }

@@ -1,0 +1,57 @@
+package bfv
+
+import (
+	"crypto/sha256"
+	"encoding"
+	"flag"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/codec.golden from the current implementation")
+
+// TestCodecGolden pins the byte layout of every bfv wire and disk record —
+// one value of each type under a fixed seed — against digests generated
+// through the hand-written per-type codecs that preceded internal/bin.
+// Each line is "type bytes sha256".
+func TestCodecGolden(t *testing.T) {
+	p := testParams
+	sk, pk := KeyGen(p, newSeeded(41))
+	m := randomMessage(rand.New(rand.NewSource(42)), p, p.N)
+	records := []struct {
+		name string
+		v    encoding.BinaryMarshaler
+	}{
+		{"ciphertext", NewEncryptor(p, pk, newSeeded(43)).EncryptCoeffs(m)},
+		{"plaintext", NewEncoder(p).EncodeMulNTT(m)},
+		{"secretkey", sk},
+		{"publickey", pk},
+		{"matvecplan", PlanMatVec(p, 100, 8192)},
+	}
+	var got strings.Builder
+	for _, rec := range records {
+		raw, err := rec.v.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&got, "%s %d %x\n", rec.name, len(raw), sha256.Sum256(raw))
+	}
+
+	path := filepath.Join("testdata", "codec.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("bfv encodings changed (run with -update only for a deliberate format bump)\ngot:\n%swant:\n%s", got.String(), want)
+	}
+}

@@ -183,7 +183,7 @@ func (pl MatVecPlan) ResultSlot(r int) (ct, coeff int) {
 }
 
 // MaskPlaintext encodes a mask vector s (length Out) for output ciphertext
-// oc, placing s[r] at row r's result coefficient, for AddPlain/SubPlain.
+// oc, placing s[r] at row r's result coefficient, for SubPlainInto.
 func (pl MatVecPlan) MaskPlaintext(e *Encoder, s []uint64, oc int) Plaintext {
 	buf := getScratch(pl.Params.N)
 	defer putScratch(buf)

@@ -90,16 +90,6 @@ func NewParams(n int, t uint64) (Params, error) {
 	}, nil
 }
 
-// MustParams is NewParams that panics on error, for package-level defaults
-// and tests where the parameters are compile-time constants.
-func MustParams(n int, t uint64) Params {
-	p, err := NewParams(n, t)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // Delta returns floor(q/t).
 func (p Params) Delta() uint64 { return p.delta }
 

@@ -1,54 +1,52 @@
 package bfv
 
 import (
-	"encoding/binary"
 	"fmt"
+
+	"privinf/internal/bin"
 )
 
 // Serialization uses a fixed little-endian layout so ciphertexts and public
-// keys can cross the client-server transport. The degree is embedded as a
-// sanity check against parameter mismatches between the two parties.
+// keys can cross the client-server transport: every ring record is its
+// degree followed by one or two coefficient vectors of that degree. The
+// degree is embedded as a sanity check against parameter mismatches between
+// the two parties.
+
+// marshalPolys encodes a record of degree-len(a) vectors (b may be nil) in
+// one exact-size allocation.
+func marshalPolys(a, b []uint64) ([]byte, error) {
+	w := bin.Writer{Buf: make([]byte, 0, 8+8*(len(a)+len(b)))}
+	w.U64(uint64(len(a)))
+	w.U64s(a)
+	w.U64s(b)
+	return w.Buf, nil
+}
+
+// readDegree opens a record that must hold exactly polys vectors: the
+// stored degree has to account for every remaining byte, so a wild degree
+// cannot reach an allocation.
+func readDegree(r *bin.Reader, what string, polys int) (int, error) {
+	total := r.Remaining()
+	n := r.Count(8 * polys)
+	if r.Err() != nil || n == 0 || r.Remaining() != 8*polys*n {
+		return 0, fmt.Errorf("bfv: %s of %d bytes is not a whole degree-%d record", what, total, n)
+	}
+	return n, nil
+}
 
 // MarshalBinary encodes the ciphertext.
-func (ct Ciphertext) MarshalBinary() ([]byte, error) {
-	n := len(ct.c0)
-	out := make([]byte, 8+16*n)
-	binary.LittleEndian.PutUint64(out, uint64(n))
-	off := 8
-	for _, v := range ct.c0 {
-		binary.LittleEndian.PutUint64(out[off:], v)
-		off += 8
-	}
-	for _, v := range ct.c1 {
-		binary.LittleEndian.PutUint64(out[off:], v)
-		off += 8
-	}
-	return out, nil
-}
+func (ct Ciphertext) MarshalBinary() ([]byte, error) { return marshalPolys(ct.c0, ct.c1) }
 
 // UnmarshalBinary decodes a ciphertext produced by MarshalBinary.
 func (ct *Ciphertext) UnmarshalBinary(data []byte) error {
-	if len(data) < 8 {
-		return fmt.Errorf("bfv: ciphertext truncated")
+	r := bin.NewReader(data)
+	n, err := readDegree(&r, "ciphertext", 2)
+	if err != nil {
+		return err
 	}
-	// Compare against a degree derived from the actual payload length, so a
-	// wild stored degree cannot overflow the size arithmetic and slip past
-	// into allocation.
-	n := int(binary.LittleEndian.Uint64(data))
-	if rem := len(data) - 8; n <= 0 || rem%16 != 0 || n != rem/16 {
-		return fmt.Errorf("bfv: ciphertext length %d inconsistent with degree %d", len(data), n)
-	}
-	ct.c0 = make([]uint64, n)
-	ct.c1 = make([]uint64, n)
-	off := 8
-	for i := range ct.c0 {
-		ct.c0[i] = binary.LittleEndian.Uint64(data[off:])
-		off += 8
-	}
-	for i := range ct.c1 {
-		ct.c1[i] = binary.LittleEndian.Uint64(data[off:])
-		off += 8
-	}
+	ct.c0, ct.c1 = make([]uint64, n), make([]uint64, n)
+	r.U64s(ct.c0)
+	r.U64s(ct.c1)
 	return nil
 }
 
@@ -56,33 +54,25 @@ func (ct *Ciphertext) UnmarshalBinary(data []byte) error {
 // domain it is in — the domain is a property of how the plaintext will be
 // used, not of the encoding). Model-artifact persistence serializes the
 // NTT-domain weight plaintexts this way.
-func (p Plaintext) MarshalBinary() ([]byte, error) {
-	return p.AppendBinary(make([]byte, 0, 8+8*len(p.coeffs)))
-}
+func (p Plaintext) MarshalBinary() ([]byte, error) { return marshalPolys(p.coeffs, nil) }
 
 // AppendBinary appends the MarshalBinary encoding to b and returns the
 // extended slice (encoding.BinaryAppender). Artifact serialization encodes
 // thousands of weight plaintexts into one buffer; appending in place
 // avoids a per-plaintext temporary.
 func (p Plaintext) AppendBinary(b []byte) ([]byte, error) {
-	var w [8]byte
-	binary.LittleEndian.PutUint64(w[:], uint64(len(p.coeffs)))
-	b = append(b, w[:]...)
-	for _, v := range p.coeffs {
-		binary.LittleEndian.PutUint64(w[:], v)
-		b = append(b, w[:]...)
-	}
-	return b, nil
+	w := bin.Writer{Buf: b}
+	w.U64(uint64(len(p.coeffs)))
+	w.U64s(p.coeffs)
+	return w.Buf, nil
 }
 
 // UnmarshalBinary decodes a plaintext produced by MarshalBinary.
 func (p *Plaintext) UnmarshalBinary(data []byte) error {
-	if len(data) < 8 {
-		return fmt.Errorf("bfv: plaintext truncated")
-	}
-	n := int(binary.LittleEndian.Uint64(data))
-	if rem := len(data) - 8; n <= 0 || rem%8 != 0 || n != rem/8 {
-		return fmt.Errorf("bfv: plaintext length %d inconsistent with degree %d", len(data), n)
+	r := bin.NewReader(data)
+	n, err := readDegree(&r, "plaintext", 1)
+	if err != nil {
+		return err
 	}
 	return p.UnmarshalBinaryBuffer(data, make([]uint64, n))
 }
@@ -93,20 +83,15 @@ func (p *Plaintext) UnmarshalBinary(data []byte) error {
 // their buffers from one backing array, which replaces per-plaintext
 // allocation, zeroing, and GC tracking with a single slab.
 func (p *Plaintext) UnmarshalBinaryBuffer(data []byte, buf []uint64) error {
-	if len(data) < 8 {
-		return fmt.Errorf("bfv: plaintext truncated")
-	}
-	n := int(binary.LittleEndian.Uint64(data))
-	if rem := len(data) - 8; n <= 0 || rem%8 != 0 || n != rem/8 {
-		return fmt.Errorf("bfv: plaintext length %d inconsistent with degree %d", len(data), n)
+	r := bin.NewReader(data)
+	n, err := readDegree(&r, "plaintext", 1)
+	if err != nil {
+		return err
 	}
 	if n != len(buf) {
 		return fmt.Errorf("bfv: plaintext degree %d does not fit buffer of %d", n, len(buf))
 	}
-	body := data[8:]
-	for i := range buf {
-		buf[i] = binary.LittleEndian.Uint64(body[i*8:])
-	}
+	r.U64s(buf)
 	p.coeffs = buf
 	return nil
 }
@@ -121,42 +106,32 @@ const MatVecPlanBytes = 6 * 8
 // parameters are stored as (N, T) and revalidated on decode, so a plan
 // round-trips through disk without trusting the file.
 func (pl MatVecPlan) MarshalBinary() ([]byte, error) {
-	out := make([]byte, MatVecPlanBytes)
-	binary.LittleEndian.PutUint64(out[0:], uint64(pl.Params.N))
-	binary.LittleEndian.PutUint64(out[8:], pl.Params.T)
-	binary.LittleEndian.PutUint64(out[16:], uint64(pl.In))
-	binary.LittleEndian.PutUint64(out[24:], uint64(pl.Out))
-	binary.LittleEndian.PutUint64(out[32:], uint64(pl.Chunk))
-	binary.LittleEndian.PutUint64(out[40:], uint64(pl.RowsPer))
-	return out, nil
+	w := bin.Writer{Buf: make([]byte, 0, MatVecPlanBytes)}
+	w.U64s([]uint64{uint64(pl.Params.N), pl.Params.T, uint64(pl.In), uint64(pl.Out), uint64(pl.Chunk), uint64(pl.RowsPer)})
+	return w.Buf, nil
 }
 
 // UnmarshalBinary decodes a plan produced by MarshalBinary, reconstructing
 // the HE parameters (NewParams revalidates them) and checking the packing
 // geometry against what PlanMatVec would choose for the same shape.
 func (pl *MatVecPlan) UnmarshalBinary(data []byte) error {
-	if len(data) != MatVecPlanBytes {
-		return fmt.Errorf("bfv: matvec plan payload %d bytes, want %d", len(data), MatVecPlanBytes)
+	var f [MatVecPlanBytes / 8]uint64
+	r := bin.NewReader(data)
+	r.U64s(f[:])
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("bfv: matvec plan payload %d bytes, want %d: %w", len(data), MatVecPlanBytes, err)
 	}
-	n := int(binary.LittleEndian.Uint64(data[0:]))
-	t := binary.LittleEndian.Uint64(data[8:])
-	params, err := NewParams(n, t)
+	params, err := NewParams(int(f[0]), f[1])
 	if err != nil {
 		return fmt.Errorf("bfv: matvec plan: %w", err)
 	}
-	got := MatVecPlan{
-		Params:  params,
-		In:      int(binary.LittleEndian.Uint64(data[16:])),
-		Out:     int(binary.LittleEndian.Uint64(data[24:])),
-		Chunk:   int(binary.LittleEndian.Uint64(data[32:])),
-		RowsPer: int(binary.LittleEndian.Uint64(data[40:])),
-	}
+	got := MatVecPlan{Params: params, In: int(f[2]), Out: int(f[3]), Chunk: int(f[4]), RowsPer: int(f[5])}
 	if got.In <= 0 || got.Out <= 0 {
 		return fmt.Errorf("bfv: matvec plan shape %dx%d invalid", got.Out, got.In)
 	}
 	if want := PlanMatVec(params, got.Out, got.In); got.Chunk != want.Chunk || got.RowsPer != want.RowsPer {
 		return fmt.Errorf("bfv: matvec plan geometry (chunk=%d, rowsPer=%d) inconsistent with shape %dx%d under N=%d",
-			got.Chunk, got.RowsPer, got.Out, got.In, n)
+			got.Chunk, got.RowsPer, got.Out, got.In, params.N)
 	}
 	*pl = got
 	return nil
@@ -166,72 +141,32 @@ func (pl *MatVecPlan) UnmarshalBinary(data []byte) error {
 // vector). A secret key at rest is key material: callers persisting one
 // (a client preamble store) own the file-permission and at-rest-protection
 // story — the codec itself is plaintext.
-func (sk SecretKey) MarshalBinary() ([]byte, error) {
-	n := len(sk.s)
-	out := make([]byte, 8+8*n)
-	binary.LittleEndian.PutUint64(out, uint64(n))
-	off := 8
-	for _, v := range sk.s {
-		binary.LittleEndian.PutUint64(out[off:], v)
-		off += 8
-	}
-	return out, nil
-}
+func (sk SecretKey) MarshalBinary() ([]byte, error) { return marshalPolys(sk.s, nil) }
 
 // UnmarshalBinary decodes a secret key produced by MarshalBinary.
 func (sk *SecretKey) UnmarshalBinary(data []byte) error {
-	if len(data) < 8 {
-		return fmt.Errorf("bfv: secret key truncated")
-	}
-	n := int(binary.LittleEndian.Uint64(data))
-	if rem := len(data) - 8; n <= 0 || rem%8 != 0 || n != rem/8 {
-		return fmt.Errorf("bfv: secret key length %d inconsistent with degree %d", len(data), n)
+	r := bin.NewReader(data)
+	n, err := readDegree(&r, "secret key", 1)
+	if err != nil {
+		return err
 	}
 	sk.s = make([]uint64, n)
-	off := 8
-	for i := range sk.s {
-		sk.s[i] = binary.LittleEndian.Uint64(data[off:])
-		off += 8
-	}
+	r.U64s(sk.s)
 	return nil
 }
 
 // MarshalBinary encodes the public key.
-func (pk PublicKey) MarshalBinary() ([]byte, error) {
-	n := len(pk.b)
-	out := make([]byte, 8+16*n)
-	binary.LittleEndian.PutUint64(out, uint64(n))
-	off := 8
-	for _, v := range pk.b {
-		binary.LittleEndian.PutUint64(out[off:], v)
-		off += 8
-	}
-	for _, v := range pk.a {
-		binary.LittleEndian.PutUint64(out[off:], v)
-		off += 8
-	}
-	return out, nil
-}
+func (pk PublicKey) MarshalBinary() ([]byte, error) { return marshalPolys(pk.b, pk.a) }
 
 // UnmarshalBinary decodes a public key produced by MarshalBinary.
 func (pk *PublicKey) UnmarshalBinary(data []byte) error {
-	if len(data) < 8 {
-		return fmt.Errorf("bfv: public key truncated")
+	r := bin.NewReader(data)
+	n, err := readDegree(&r, "public key", 2)
+	if err != nil {
+		return err
 	}
-	n := int(binary.LittleEndian.Uint64(data))
-	if rem := len(data) - 8; n <= 0 || rem%16 != 0 || n != rem/16 {
-		return fmt.Errorf("bfv: public key length %d inconsistent with degree %d", len(data), n)
-	}
-	pk.b = make([]uint64, n)
-	pk.a = make([]uint64, n)
-	off := 8
-	for i := range pk.b {
-		pk.b[i] = binary.LittleEndian.Uint64(data[off:])
-		off += 8
-	}
-	for i := range pk.a {
-		pk.a[i] = binary.LittleEndian.Uint64(data[off:])
-		off += 8
-	}
+	pk.b, pk.a = make([]uint64, n), make([]uint64, n)
+	r.U64s(pk.b)
+	r.U64s(pk.a)
 	return nil
 }

@@ -142,7 +142,7 @@ func TestMatVecPlanUnmarshalRejectsDamage(t *testing.T) {
 // NTT-domain coefficients, under both demo fields.
 func TestEncodedMatrixRoundTrip(t *testing.T) {
 	for _, p := range []uint64{field.P17, field.P20} {
-		params := MustParams(DefaultN, p)
+		params := mustParams(DefaultN, p)
 		rng := rand.New(rand.NewSource(int64(p)))
 		pl := PlanMatVec(params, 12, 300)
 		w := make([][]uint64, pl.Out)

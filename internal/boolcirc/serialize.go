@@ -1,8 +1,9 @@
 package boolcirc
 
 import (
-	"encoding/binary"
 	"fmt"
+
+	"privinf/internal/bin"
 )
 
 // Binary serialization for circuits, used by model-artifact persistence:
@@ -21,71 +22,53 @@ const (
 
 // MarshalBinary encodes the circuit.
 func (c *Circuit) MarshalBinary() ([]byte, error) {
-	out := make([]byte, circuitHeaderBytes+gateBytes*len(c.Gates)+8*len(c.Outputs))
-	binary.LittleEndian.PutUint64(out[0:], uint64(c.NumInputs))
-	binary.LittleEndian.PutUint64(out[8:], uint64(c.NumWires))
-	binary.LittleEndian.PutUint64(out[16:], uint64(len(c.Gates)))
-	binary.LittleEndian.PutUint64(out[24:], uint64(len(c.Outputs)))
-	off := circuitHeaderBytes
+	w := bin.Writer{Buf: make([]byte, 0, circuitHeaderBytes+gateBytes*len(c.Gates)+8*len(c.Outputs))}
+	w.U64(uint64(c.NumInputs))
+	w.U64(uint64(c.NumWires))
+	w.U64(uint64(len(c.Gates)))
+	w.U64(uint64(len(c.Outputs)))
 	for _, g := range c.Gates {
-		binary.LittleEndian.PutUint64(out[off:], uint64(g.Op))
-		binary.LittleEndian.PutUint64(out[off+8:], uint64(g.A))
-		binary.LittleEndian.PutUint64(out[off+16:], uint64(g.B))
-		binary.LittleEndian.PutUint64(out[off+24:], uint64(g.Out))
-		off += gateBytes
+		w.U64(uint64(g.Op))
+		w.U64(uint64(g.A))
+		w.U64(uint64(g.B))
+		w.U64(uint64(g.Out))
 	}
-	for _, w := range c.Outputs {
-		binary.LittleEndian.PutUint64(out[off:], uint64(w))
-		off += 8
+	for _, o := range c.Outputs {
+		w.U64(uint64(o))
 	}
-	return out, nil
+	return w.Buf, nil
 }
 
 // UnmarshalBinary decodes a circuit produced by MarshalBinary, validating
 // the topology.
 func (c *Circuit) UnmarshalBinary(data []byte) error {
-	if len(data) < circuitHeaderBytes {
-		return fmt.Errorf("boolcirc: circuit truncated")
+	r := bin.NewReader(data)
+	numInputs := int(r.U64())
+	numWires := int(r.U64())
+	// Both counts are bounded by what the payload can still carry as they
+	// are read, so a wild header cannot overflow the size arithmetic below
+	// or reach an allocation.
+	numGates := r.Count(gateBytes)
+	numOutputs := r.Count(8)
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("boolcirc: circuit header: %w", err)
 	}
-	numInputs := int(binary.LittleEndian.Uint64(data[0:]))
-	numWires := int(binary.LittleEndian.Uint64(data[8:]))
-	numGates := int(binary.LittleEndian.Uint64(data[16:]))
-	numOutputs := int(binary.LittleEndian.Uint64(data[24:]))
-	if numInputs < 1 || numWires < numInputs || numGates < 0 || numOutputs < 0 {
-		return fmt.Errorf("boolcirc: circuit header inconsistent (inputs=%d, wires=%d, gates=%d, outputs=%d)",
-			numInputs, numWires, numGates, numOutputs)
-	}
-	// Bound the counts by what the payload can actually carry before any
-	// size arithmetic, so a wild header cannot overflow the total and slip
-	// past into allocation.
-	body := len(data) - circuitHeaderBytes
-	if numGates > body/gateBytes || numOutputs > body/8 {
-		return fmt.Errorf("boolcirc: header claims %d gates and %d outputs, more than %d payload bytes can hold",
-			numGates, numOutputs, body)
-	}
-	if numWires != numInputs+numGates {
+	if numInputs < 1 || numWires < numInputs || numWires != numInputs+numGates {
 		return fmt.Errorf("boolcirc: %d wires for %d inputs and %d gates", numWires, numInputs, numGates)
 	}
-	want := circuitHeaderBytes + gateBytes*numGates + 8*numOutputs
-	if len(data) != want {
-		return fmt.Errorf("boolcirc: circuit payload %d bytes, want %d", len(data), want)
+	if want := gateBytes*numGates + 8*numOutputs; r.Remaining() != want {
+		return fmt.Errorf("boolcirc: circuit body %d bytes, want %d", r.Remaining(), want)
 	}
 	var gates []Gate
 	if numGates > 0 {
 		gates = make([]Gate, numGates)
 	}
-	off := circuitHeaderBytes
 	for i := range gates {
-		g := Gate{
-			Op:  Op(binary.LittleEndian.Uint64(data[off:])),
-			A:   int(binary.LittleEndian.Uint64(data[off+8:])),
-			B:   int(binary.LittleEndian.Uint64(data[off+16:])),
-			Out: int(binary.LittleEndian.Uint64(data[off+24:])),
+		op := r.U64() // checked at full width: Op is narrower than the word
+		if op != uint64(XOR) && op != uint64(AND) {
+			return fmt.Errorf("boolcirc: gate %d has unknown op %d", i, op)
 		}
-		off += gateBytes
-		if g.Op != XOR && g.Op != AND {
-			return fmt.Errorf("boolcirc: gate %d has unknown op %d", i, g.Op)
-		}
+		g := Gate{Op: Op(op), A: int(r.U64()), B: int(r.U64()), Out: int(r.U64())}
 		// Gates are emitted in topological order with dense output wires:
 		// gate i writes wire numInputs+i and may read any earlier wire.
 		if g.Out != numInputs+i {
@@ -101,8 +84,7 @@ func (c *Circuit) UnmarshalBinary(data []byte) error {
 		outputs = make([]int, numOutputs)
 	}
 	for i := range outputs {
-		w := int(binary.LittleEndian.Uint64(data[off:]))
-		off += 8
+		w := int(r.U64())
 		if w < 0 || w >= numWires {
 			return fmt.Errorf("boolcirc: output %d references wire %d of %d", i, w, numWires)
 		}

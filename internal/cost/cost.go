@@ -58,6 +58,28 @@ type Scenario struct {
 	ReLUFactor float64 // divides the ReLU count (PI-friendly networks)
 }
 
+// BaselineScenario returns the paper's Server-Garbler baseline (sequential
+// HE, even wireless split) for an architecture: Atom client, EPYC server,
+// 1 Gb/s.
+func BaselineScenario(a nn.Arch) Scenario {
+	return Scenario{
+		Arch: a, Proto: ServerGarbler,
+		Client: device.Atom, Server: device.EPYC,
+		LinkBps: 1e9, UploadFrac: 0.5,
+	}
+}
+
+// ProposedScenario returns the paper's optimized configuration —
+// Client-Garbler with layer-parallel HE and WSA-optimal slot allocation
+// (UploadFrac 0) — on the same devices and link.
+func ProposedScenario(a nn.Arch) Scenario {
+	return Scenario{
+		Arch: a, Proto: ClientGarbler,
+		Client: device.Atom, Server: device.EPYC,
+		LinkBps: 1e9, LPHE: true,
+	}
+}
+
 func (s Scenario) norm() Scenario {
 	if s.GCSpeedup == 0 {
 		s.GCSpeedup = 1

@@ -24,29 +24,27 @@ func within(t *testing.T, name string, got, want, relTol float64) {
 	}
 }
 
+// allArchs is every (network, dataset) pair the paper characterizes.
+func allArchs(t *testing.T) []nn.Arch {
+	t.Helper()
+	var out []nn.Arch
+	for _, d := range nn.Datasets {
+		for _, n := range nn.NetworkNames {
+			a, err := nn.NewArch(n, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
 func r18Tiny() nn.Arch { return nn.NewResNet18(nn.TinyImageNet) }
 
-func baseSG() Scenario {
-	return Scenario{
-		Arch:       r18Tiny(),
-		Proto:      ServerGarbler,
-		Client:     device.Atom,
-		Server:     device.EPYC,
-		LinkBps:    1e9,
-		UploadFrac: 0.5,
-	}
-}
+func baseSG() Scenario { return BaselineScenario(r18Tiny()) }
 
-func proposedCG() Scenario {
-	return Scenario{
-		Arch:    r18Tiny(),
-		Proto:   ClientGarbler,
-		Client:  device.Atom,
-		Server:  device.EPYC,
-		LinkBps: 1e9,
-		LPHE:    true,
-	}
-}
+func proposedCG() Scenario { return ProposedScenario(r18Tiny()) }
 
 // TestSimulatorValidation mirrors §3's validation against DELPHI: the
 // modeled compute legs must match the paper's measurements (which the
@@ -181,7 +179,7 @@ func TestFigure3Storage(t *testing.T) {
 		"ResNet-32/ImageNet":     271,
 		"ResNet-18/ImageNet":     498,
 	}
-	for _, a := range nn.AllArchs() {
+	for _, a := range allArchs(t) {
 		within(t, "storage "+a.String(), Figure3ClientStorageGB(a), want[a.String()], 0.07)
 	}
 }

@@ -208,7 +208,7 @@ func (c *Client) RunOnline(x []uint64) ([]uint64, OnlineReport, error) {
 	// Send x - r_0.
 	d := make([]uint64, len(x))
 	c.f.SubVec(d, x, pre.r[0])
-	if err := c.conn.Send(encodeVec(d)); err != nil {
+	if err := c.sendVec(d); err != nil {
 		return nil, rep, err
 	}
 
@@ -241,12 +241,8 @@ func (c *Client) RunOnline(x []uint64) ([]uint64, OnlineReport, error) {
 	}
 
 	// Final layer: receive the server's share and reconstruct.
-	raw, err := c.conn.Recv()
-	if err != nil {
-		return nil, rep, err
-	}
 	last := len(c.meta.Dims) - 1
-	ys, err := decodeVec(raw, c.meta.Dims[last].Out)
+	ys, err := c.recvVec(c.meta.Dims[last].Out)
 	if err != nil {
 		return nil, rep, err
 	}

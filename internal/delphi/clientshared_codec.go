@@ -1,9 +1,8 @@
 package delphi
 
 import (
-	"fmt"
-
 	"privinf/internal/bfv"
+	"privinf/internal/bin"
 )
 
 // Binary codec for ClientShared, the client half of artifact persistence:
@@ -28,26 +27,26 @@ func (cs *ClientShared) MarshalBinary() ([]byte, error) {
 	for _, c := range cs.circuits {
 		capacity += int(c.SizeBytes()) + 64
 	}
-	w := codecWriter{buf: make([]byte, 0, capacity)}
-	w.header(clientSharedCodecVersion, cs.params, cs.meta)
-	if err := w.circuits(cs.circuits); err != nil {
+	w := &bin.Writer{Buf: make([]byte, 0, capacity)}
+	writeHeader(w, clientSharedCodecVersion, cs.params, cs.meta)
+	if err := writeCircuits(w, cs.circuits); err != nil {
 		return nil, err
 	}
-	return w.buf, nil
+	return w.Buf, nil
 }
 
 // UnmarshalClientShared decodes an artifact produced by MarshalBinary,
 // revalidating the metadata and re-deriving the matvec plans from it.
 func UnmarshalClientShared(data []byte) (*ClientShared, error) {
-	r := codecReader{buf: data}
-	params, meta, err := r.header(clientSharedCodecVersion)
+	r := bin.NewReader(data)
+	params, meta, err := readHeader(&r, clientSharedCodecVersion)
 	if err != nil {
 		return nil, err
 	}
 	if err := meta.Validate(); err != nil {
-		return nil, fmt.Errorf("delphi: codec: %w", err)
+		return nil, codecErr(err)
 	}
-	circuits, err := r.circuits(meta.NumReLULayers())
+	circuits, err := readCircuits(&r, meta.NumReLULayers())
 	if err != nil {
 		return nil, err
 	}

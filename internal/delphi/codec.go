@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"privinf/internal/bfv"
+	"privinf/internal/bin"
 	"privinf/internal/boolcirc"
 	"privinf/internal/nn"
 )
@@ -111,36 +112,36 @@ func (sm *SharedModel) MarshalBinary() ([]byte, error) {
 	for _, c := range sm.circuits {
 		capacity += int(c.SizeBytes()) + 64
 	}
-	w := codecWriter{buf: make([]byte, 0, capacity)}
+	w := &bin.Writer{Buf: make([]byte, 0, capacity)}
 	// The metadata is redundant with the model handed to the decoder —
 	// that redundancy is the mismatch check.
-	w.header(sharedModelCodecVersion, sm.params, sm.meta)
-	w.u64(modelWeightsDigest(sm.model))
+	writeHeader(w, sharedModelCodecVersion, sm.params, sm.meta)
+	w.U64(modelWeightsDigest(sm.model))
 
-	w.u64(uint64(len(sm.plans)))
+	w.U64(uint64(len(sm.plans)))
 	for _, pl := range sm.plans {
 		raw, err := pl.MarshalBinary()
 		if err != nil {
 			return nil, err
 		}
-		w.bytes(raw)
+		w.Bytes(raw)
 	}
 
-	w.u64(uint64(len(sm.weights)))
+	w.U64(uint64(len(sm.weights)))
 	for _, layer := range sm.weights {
-		w.u64(uint64(len(layer)))
+		w.U64(uint64(len(layer)))
 		for _, pt := range layer {
 			var err error
-			if w.buf, err = pt.AppendBinary(w.buf); err != nil {
+			if w.Buf, err = pt.AppendBinary(w.Buf); err != nil {
 				return nil, err
 			}
 		}
 	}
 
-	if err := w.circuits(sm.circuits); err != nil {
+	if err := writeCircuits(w, sm.circuits); err != nil {
 		return nil, err
 	}
-	return w.buf, nil
+	return w.Buf, nil
 }
 
 // UnmarshalSharedModel decodes an artifact produced by MarshalBinary and
@@ -154,8 +155,8 @@ func UnmarshalSharedModel(data []byte, model *nn.Lowered) (*SharedModel, error) 
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
-	r := codecReader{buf: data}
-	params, meta, err := r.header(sharedModelCodecVersion)
+	r := bin.NewReader(data)
+	params, meta, err := readHeader(&r, sharedModelCodecVersion)
 	if err != nil {
 		return nil, err
 	}
@@ -164,9 +165,9 @@ func UnmarshalSharedModel(data []byte, model *nn.Lowered) (*SharedModel, error) 
 		return nil, fmt.Errorf("delphi: codec: stored model metadata does not match the supplied model (stored %d layers over p=%d, model %d layers over p=%d)",
 			len(meta.Dims), meta.P, len(want.Dims), want.P)
 	}
-	digest := r.u64()
-	if r.err != nil {
-		return nil, r.err
+	digest := r.U64()
+	if r.Err() != nil {
+		return nil, codecErr(r.Err())
 	}
 	if want := modelWeightsDigest(model); digest != want {
 		// Same architecture, different weights: a retrained or reseeded
@@ -176,20 +177,16 @@ func UnmarshalSharedModel(data []byte, model *nn.Lowered) (*SharedModel, error) 
 		return nil, fmt.Errorf("delphi: codec: stored weight digest %016x does not match the supplied model's %016x (stale artifact for a retrained model?)", digest, want)
 	}
 
-	numPlans := int(r.u64())
-	if r.err != nil {
-		return nil, r.err
+	numPlans := r.Count(bfv.MatVecPlanBytes)
+	if r.Err() != nil {
+		return nil, codecErr(r.Err())
 	}
 	if numPlans != numDims {
 		return nil, fmt.Errorf("delphi: codec: %d plans for %d layers", numPlans, numDims)
 	}
 	plans := make([]bfv.MatVecPlan, numPlans)
 	for i := range plans {
-		raw := r.take(bfv.MatVecPlanBytes)
-		if r.err != nil {
-			return nil, r.err
-		}
-		if err := plans[i].UnmarshalBinary(raw); err != nil {
+		if err := plans[i].UnmarshalBinary(r.Take(bfv.MatVecPlanBytes)); err != nil {
 			return nil, err
 		}
 		if plans[i].Params.N != params.N || plans[i].Params.T != params.T {
@@ -202,9 +199,9 @@ func UnmarshalSharedModel(data []byte, model *nn.Lowered) (*SharedModel, error) 
 		}
 	}
 
-	numWeightLayers := int(r.u64())
-	if r.err != nil {
-		return nil, r.err
+	numWeightLayers := r.Count(8)
+	if r.Err() != nil {
+		return nil, codecErr(r.Err())
 	}
 	if numWeightLayers != numDims {
 		return nil, fmt.Errorf("delphi: codec: %d weight layers for %d layers", numWeightLayers, numDims)
@@ -222,20 +219,16 @@ func UnmarshalSharedModel(data []byte, model *nn.Lowered) (*SharedModel, error) 
 	}
 	var jobs []ptJob
 	for i := range weights {
-		count := int(r.u64())
-		if r.err != nil {
-			return nil, r.err
+		count := r.Count(8 + 8*params.N)
+		if r.Err() != nil {
+			return nil, codecErr(r.Err())
 		}
 		if want := plans[i].NumOutputCts() * plans[i].NumInputCts(); count != want {
 			return nil, fmt.Errorf("delphi: codec: layer %d has %d weight plaintexts, want %d", i, count, want)
 		}
 		weights[i] = make([]bfv.Plaintext, count)
 		for j := 0; j < count; j++ {
-			raw := r.take(8 + 8*params.N)
-			if r.err != nil {
-				return nil, r.err
-			}
-			jobs = append(jobs, ptJob{layer: i, idx: j, raw: raw})
+			jobs = append(jobs, ptJob{layer: i, idx: j, raw: r.Take(8 + 8*params.N)})
 		}
 	}
 	// All coefficient vectors come from one pointer-free slab: one
@@ -281,7 +274,7 @@ func UnmarshalSharedModel(data []byte, model *nn.Lowered) (*SharedModel, error) 
 		}
 	}
 
-	circuits, err := r.circuits(meta.NumReLULayers())
+	circuits, err := readCircuits(&r, meta.NumReLULayers())
 	if err != nil {
 		return nil, err
 	}
@@ -299,42 +292,32 @@ func UnmarshalSharedModel(data []byte, model *nn.Lowered) (*SharedModel, error) 
 	return sm, nil
 }
 
-// codecWriter appends little-endian fields to a growing buffer.
-type codecWriter struct {
-	buf []byte
-}
+// codecErr names this codec in a cursor failure.
+func codecErr(err error) error { return fmt.Errorf("delphi: codec: %w", err) }
 
-func (w *codecWriter) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	w.buf = append(w.buf, b[:]...)
-}
-
-func (w *codecWriter) bytes(b []byte) { w.buf = append(w.buf, b...) }
-
-// header writes what both artifact codecs open with: the codec version, the
-// HE parameter identity (N, T) and the public model metadata.
-func (w *codecWriter) header(version uint64, params bfv.Params, meta ModelMeta) {
-	w.u64(version)
-	w.u64(uint64(params.N))
-	w.u64(params.T)
-	w.u64(meta.P)
-	w.u64(uint64(meta.Frac))
-	w.u64(uint64(len(meta.Dims)))
+// writeHeader writes what both artifact codecs open with: the codec
+// version, the HE parameter identity (N, T) and the public model metadata.
+func writeHeader(w *bin.Writer, version uint64, params bfv.Params, meta ModelMeta) {
+	w.U64(version)
+	w.U64(uint64(params.N))
+	w.U64(params.T)
+	w.U64(meta.P)
+	w.U64(uint64(meta.Frac))
+	w.U64(uint64(len(meta.Dims)))
 	for _, d := range meta.Dims {
-		w.u64(uint64(d.In))
-		w.u64(uint64(d.Out))
+		w.U64(uint64(d.In))
+		w.U64(uint64(d.Out))
 	}
-	w.u64(uint64(len(meta.Shifts)))
+	w.U64(uint64(len(meta.Shifts)))
 	for _, s := range meta.Shifts {
-		w.u64(uint64(s))
+		w.U64(uint64(s))
 	}
 }
 
-// circuits writes the per-layer ReLU circuits both artifacts end with,
+// writeCircuits writes the per-layer ReLU circuits both artifacts end with,
 // deduplicated by pointer: buildCircuits shares one circuit across layers
 // with equal shift, and the codec preserves that sharing.
-func (w *codecWriter) circuits(circuits []*boolcirc.Circuit) error {
+func writeCircuits(w *bin.Writer, circuits []*boolcirc.Circuit) error {
 	unique := make([]*boolcirc.Circuit, 0, len(circuits))
 	index := make(map[*boolcirc.Circuit]uint64, len(circuits))
 	for _, c := range circuits {
@@ -343,104 +326,54 @@ func (w *codecWriter) circuits(circuits []*boolcirc.Circuit) error {
 			unique = append(unique, c)
 		}
 	}
-	w.u64(uint64(len(unique)))
+	w.U64(uint64(len(unique)))
 	for _, c := range unique {
 		raw, err := c.MarshalBinary()
 		if err != nil {
 			return err
 		}
-		w.u64(uint64(len(raw)))
-		w.bytes(raw)
+		w.Blob(raw)
 	}
-	w.u64(uint64(len(circuits)))
+	w.U64(uint64(len(circuits)))
 	for _, c := range circuits {
-		w.u64(index[c])
+		w.U64(index[c])
 	}
 	return nil
 }
 
-// codecReader consumes little-endian fields with sticky error tracking, so
-// a truncated payload surfaces as one error instead of a slice panic.
-type codecReader struct {
-	buf []byte
-	off int
-	err error
-}
-
-var errCodecTruncated = fmt.Errorf("delphi: codec: payload truncated")
-
-func (r *codecReader) remaining() int { return len(r.buf) - r.off }
-
-func (r *codecReader) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.remaining() < 8 {
-		r.err = errCodecTruncated
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *codecReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.remaining() < n {
-		r.err = errCodecTruncated
-		return nil
-	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-// header reads what codecWriter.header wrote, rejecting any other version,
-// HE parameters that do not build, and metadata the payload cannot hold.
-func (r *codecReader) header(version uint64) (bfv.Params, ModelMeta, error) {
+// readHeader reads what writeHeader wrote, rejecting any other version, HE
+// parameters that do not build, and metadata the payload cannot hold.
+func readHeader(r *bin.Reader, version uint64) (bfv.Params, ModelMeta, error) {
 	var meta ModelMeta
-	if v := r.u64(); r.err == nil && v != version {
+	if v := r.U64(); r.Err() == nil && v != version {
 		return bfv.Params{}, meta, fmt.Errorf("delphi: codec: artifact codec version %d, want %d", v, version)
 	}
-	n := int(r.u64())
-	t := r.u64()
-	if r.err != nil {
-		return bfv.Params{}, meta, r.err
+	n := int(r.U64())
+	t := r.U64()
+	if r.Err() != nil {
+		return bfv.Params{}, meta, codecErr(r.Err())
 	}
 	params, err := bfv.NewParams(n, t)
 	if err != nil {
-		return params, meta, fmt.Errorf("delphi: codec: %w", err)
+		return params, meta, codecErr(err)
 	}
-	meta.P = r.u64()
-	meta.Frac = uint(r.u64())
-	numDims := int(r.u64())
-	if r.err != nil {
-		return params, meta, r.err
-	}
-	if numDims <= 0 || numDims > r.remaining()/16 {
-		return params, meta, fmt.Errorf("delphi: codec: %d layer dims inconsistent with payload", numDims)
-	}
-	meta.Dims = make([]LayerDim, numDims)
+	meta.P = r.U64()
+	meta.Frac = uint(r.U64())
+	meta.Dims = make([]LayerDim, r.Count(16))
 	for i := range meta.Dims {
-		meta.Dims[i] = LayerDim{In: int(r.u64()), Out: int(r.u64())}
+		meta.Dims[i] = LayerDim{In: int(r.U64()), Out: int(r.U64())}
 	}
-	numShifts := int(r.u64())
-	if r.err != nil {
-		return params, meta, r.err
-	}
-	if numShifts < 0 || numShifts > r.remaining()/8 {
-		return params, meta, fmt.Errorf("delphi: codec: %d shifts inconsistent with payload", numShifts)
-	}
-	if numShifts > 0 {
+	if numShifts := r.Count(8); numShifts > 0 {
 		meta.Shifts = make([]uint, numShifts)
 		for i := range meta.Shifts {
-			meta.Shifts[i] = uint(r.u64())
+			meta.Shifts[i] = uint(r.U64())
 		}
 	}
-	if r.err != nil {
-		return params, meta, r.err
+	if r.Err() != nil {
+		return params, meta, codecErr(r.Err())
+	}
+	if len(meta.Dims) == 0 {
+		return params, meta, fmt.Errorf("delphi: codec: no layer dims")
 	}
 	if params.T != meta.P {
 		return params, meta, fmt.Errorf("delphi: codec: HE plaintext modulus %d != model field %d", params.T, meta.P)
@@ -448,31 +381,30 @@ func (r *codecReader) header(version uint64) (bfv.Params, ModelMeta, error) {
 	return params, meta, nil
 }
 
-// circuits reads what codecWriter.circuits wrote — it must be the
-// payload's tail — for a model of the given number of ReLU layers.
-func (r *codecReader) circuits(layers int) ([]*boolcirc.Circuit, error) {
-	numUnique := int(r.u64())
-	if r.err != nil {
-		return nil, r.err
+// readCircuits reads what writeCircuits wrote — it must be the payload's
+// tail — for a model of the given number of ReLU layers.
+func readCircuits(r *bin.Reader, layers int) ([]*boolcirc.Circuit, error) {
+	numUnique := r.Count(8)
+	if r.Err() != nil {
+		return nil, codecErr(r.Err())
 	}
-	if numUnique < 0 || numUnique > layers+1 {
+	if numUnique > layers+1 {
 		return nil, fmt.Errorf("delphi: codec: %d unique circuits for %d layers", numUnique, layers+1)
 	}
 	unique := make([]*boolcirc.Circuit, numUnique)
 	for i := range unique {
-		clen := int(r.u64())
-		raw := r.take(clen)
-		if r.err != nil {
-			return nil, r.err
+		raw := r.Blob()
+		if r.Err() != nil {
+			return nil, codecErr(r.Err())
 		}
 		unique[i] = new(boolcirc.Circuit)
 		if err := unique[i].UnmarshalBinary(raw); err != nil {
 			return nil, err
 		}
 	}
-	numCircuits := int(r.u64())
-	if r.err != nil {
-		return nil, r.err
+	numCircuits := r.Count(8)
+	if r.Err() != nil {
+		return nil, codecErr(r.Err())
 	}
 	if numCircuits != layers {
 		return nil, fmt.Errorf("delphi: codec: %d circuit layers, want %d", numCircuits, layers)
@@ -481,18 +413,24 @@ func (r *codecReader) circuits(layers int) ([]*boolcirc.Circuit, error) {
 	if numCircuits > 0 {
 		circuits = make([]*boolcirc.Circuit, numCircuits)
 	}
+	// Only writeCircuits' own encoding is admitted: layers name table entries
+	// in first-use order and every entry is named.
+	used := 0
 	for i := range circuits {
-		idx := r.u64()
-		if r.err != nil {
-			return nil, r.err
+		idx := r.U64()
+		if idx >= uint64(numUnique) || idx > uint64(used) {
+			return nil, fmt.Errorf("delphi: codec: circuit layer %d references table entry %d of %d (%d in use)", i, idx, numUnique, used)
 		}
-		if idx >= uint64(numUnique) {
-			return nil, fmt.Errorf("delphi: codec: circuit layer %d references table entry %d of %d", i, idx, numUnique)
+		if idx == uint64(used) {
+			used++
 		}
 		circuits[i] = unique[idx]
 	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("delphi: codec: %d trailing bytes", r.remaining())
+	if used != numUnique {
+		return nil, fmt.Errorf("delphi: codec: %d of %d table circuits unused", numUnique-used, numUnique)
+	}
+	if err := r.Done(); err != nil {
+		return nil, codecErr(err)
 	}
 	return circuits, nil
 }

@@ -105,10 +105,12 @@ func (m ModelMeta) Validate() error {
 	if len(m.Shifts) != len(m.Dims)-1 {
 		return fmt.Errorf("delphi: %d shifts for %d linear layers", len(m.Shifts), len(m.Dims))
 	}
-	for i := 1; i < len(m.Dims); i++ {
-		if m.Dims[i].In != m.Dims[i-1].Out {
-			return fmt.Errorf("delphi: layer %d in=%d != layer %d out=%d",
-				i, m.Dims[i].In, i-1, m.Dims[i-1].Out)
+	for i, d := range m.Dims {
+		if d.In < 1 || d.Out < 1 {
+			return fmt.Errorf("delphi: layer %d shape %dx%d is not positive", i, d.Out, d.In)
+		}
+		if i > 0 && d.In != m.Dims[i-1].Out {
+			return fmt.Errorf("delphi: layer %d in=%d != layer %d out=%d", i, d.In, i-1, m.Dims[i-1].Out)
 		}
 	}
 	return nil
@@ -168,15 +170,6 @@ func (c Config) keyGen(p bfv.Params, src io.Reader) (bfv.SecretKey, bfv.PublicKe
 		return c.HEKeyGen(p, src)
 	}
 	return bfv.KeyGen(p, src)
-}
-
-// DefaultConfig returns a Server-Garbler session over the model's field.
-func DefaultConfig(meta ModelMeta) (Config, error) {
-	params, err := bfv.NewParams(bfv.DefaultN, meta.P)
-	if err != nil {
-		return Config{}, err
-	}
-	return Config{Variant: ServerGarbler, HEParams: params}, nil
 }
 
 // OfflineReport summarizes one offline (pre-compute) phase.

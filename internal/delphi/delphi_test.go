@@ -46,6 +46,15 @@ func newSession(t *testing.T, variant Variant, model *nn.Lowered, lpheWorkers in
 	return newSessionOn(t, variant, model, lpheWorkers, cc, sc)
 }
 
+// heParams is the default-degree HE parameter set over plaintext modulus p.
+func heParams(p uint64) bfv.Params {
+	params, err := bfv.NewParams(bfv.DefaultN, p)
+	if err != nil {
+		panic(err)
+	}
+	return params
+}
+
 // newSessionOn is newSession over caller-supplied connections.
 func newSessionOn(t *testing.T, variant Variant, model *nn.Lowered, lpheWorkers int, cc, sc transport.MsgConn) *session {
 	t.Helper()
@@ -318,7 +327,7 @@ func TestConfigFieldMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := bfv.MustParams(bfv.DefaultN, field.P17) // wrong field
+	params := heParams(field.P17) // wrong field
 	cfg := Config{Variant: ServerGarbler, HEParams: params}
 	cc, sc := transport.Pipe()
 	if _, err := newTestServer(sc, cfg, model, nil); err == nil {
@@ -359,7 +368,7 @@ func BenchmarkDelphiOfflineMLP(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	params := bfv.MustParams(bfv.DefaultN, f.P())
+	params := heParams(f.P())
 	cfg := Config{Variant: ServerGarbler, HEParams: params}
 	cc, sc := transport.Pipe()
 	server, _ := newTestServer(sc, cfg, model, newSeeded(41))
@@ -409,7 +418,7 @@ func BenchmarkDelphiOnlineMLP(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	params := bfv.MustParams(bfv.DefaultN, f.P())
+	params := heParams(f.P())
 	for _, variant := range []Variant{ServerGarbler, ClientGarbler} {
 		b.Run(variant.String(), func(b *testing.B) {
 			cfg := Config{Variant: variant, HEParams: params}

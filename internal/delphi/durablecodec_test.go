@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"privinf/internal/bin"
 	"privinf/internal/field"
 	"privinf/internal/nn"
 	"privinf/internal/ot"
@@ -153,6 +154,17 @@ func TestClientSharedCodecRejectsDamage(t *testing.T) {
 	binary.LittleEndian.PutUint64(badIndex[len(badIndex)-8:], 999)
 	if _, err := UnmarshalClientShared(badIndex); err == nil {
 		t.Error("decode accepted an out-of-range circuit reference")
+	}
+
+	// A well-formed payload whose one layer is 0x0 must fail validation, not
+	// divide by zero laying out its matvec plan.
+	var degenerate bin.Writer
+	writeHeader(&degenerate, clientSharedCodecVersion, params, ModelMeta{P: params.T, Frac: 4, Dims: []LayerDim{{In: 0, Out: 0}}})
+	if err := writeCircuits(&degenerate, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := UnmarshalClientShared(degenerate.Buf); err == nil {
+		t.Error("decode accepted a layer with non-positive dims")
 	}
 
 	for _, cut := range []int{0, 4, 17, 100, len(raw) / 2, len(raw) - 1} {

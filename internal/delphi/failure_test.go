@@ -1,10 +1,10 @@
 package delphi
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
-	"privinf/internal/bfv"
 	"privinf/internal/field"
 	"privinf/internal/garble"
 	"privinf/internal/nn"
@@ -19,7 +19,7 @@ func TestOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := bfv.MustParams(bfv.DefaultN, f.P())
+	params := heParams(f.P())
 	cfg := Config{Variant: ClientGarbler, HEParams: params}
 
 	cliConn, srvConn, cleanup, err := transport.TCPPair()
@@ -91,7 +91,7 @@ func TestEvaluatorRejectsMalformedGCPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := bfv.MustParams(bfv.DefaultN, model.F.P())
+	params := heParams(model.F.P())
 	width := model.F.Bits()
 	shared, err := NewSharedModel(params, model)
 	if err != nil {
@@ -151,7 +151,7 @@ func TestOfflineHERejectsGarbageCiphertext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := bfv.MustParams(bfv.DefaultN, f.P())
+	params := heParams(f.P())
 	cfg := Config{Variant: ServerGarbler, HEParams: params}
 	srvConn, atkConn := transport.Pipe()
 	server, err := newTestServer(srvConn, cfg, model, newSeeded(6))
@@ -169,17 +169,19 @@ func TestOfflineHERejectsGarbageCiphertext(t *testing.T) {
 // Wire-encoding round trips and validation.
 func TestWireEncodings(t *testing.T) {
 	v := []uint64{0, 1, 1 << 62, 42}
-	got, err := decodeVec(encodeVec(v), len(v))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range v {
-		if got[i] != v[i] {
-			t.Fatalf("vec round trip at %d", i)
+	ca, cb := transport.Pipe()
+	a, b := party{conn: ca}, party{conn: cb}
+	for _, want := range []int{len(v), 3, 5} {
+		if err := a.sendVec(v); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, err := decodeVec(encodeVec(v), 3); err == nil {
-		t.Fatal("length mismatch must error")
+		got, err := b.recvVec(want)
+		if (err == nil) != (want == len(v)) {
+			t.Fatalf("recvVec(%d) of a %d-word vector: err = %v", want, len(v), err)
+		}
+		if err == nil && !reflect.DeepEqual(got, v) {
+			t.Fatalf("vec round trip: got %v, want %v", got, v)
+		}
 	}
 
 	bits := []bool{true, false, true, true, false, false, false, true, true}

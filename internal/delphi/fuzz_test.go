@@ -1,11 +1,15 @@
 package delphi
 
 import (
+	"encoding"
 	"testing"
 
+	"privinf/internal/bfv"
+	"privinf/internal/bin/bintest"
 	"privinf/internal/boolcirc"
 	"privinf/internal/field"
 	"privinf/internal/garble"
+	"privinf/internal/ot"
 )
 
 // FuzzGCLayerPayload drives the one garbled-layer decoder with
@@ -57,4 +61,34 @@ func FuzzGCLayerPayload(f *testing.F) {
 			t.Fatalf("evaluator holds %d bytes for a %d-byte layer", held, len(payload))
 		}
 	})
+}
+
+func FuzzClientSharedUnmarshal(f *testing.F) {
+	// A toy field and a one-gate stand-in for the ReLU circuit (the codec
+	// checks topology, not function) keep the seed a few hundred bytes, so
+	// the engine mutates the header and the index table instead of
+	// minimizing kilobytes of gates.
+	params, err := bfv.NewParams(8, 17)
+	if err != nil {
+		f.Fatal(err)
+	}
+	b := boolcirc.NewBuilder(2)
+	b.SetOutputs([]int{b.And(b.Input(0), b.Input(1))})
+	gate := b.Finish()
+	cs := &ClientShared{
+		params:   params,
+		meta:     ModelMeta{P: 17, Frac: 1, Dims: []LayerDim{{In: 3, Out: 2}, {In: 2, Out: 2}, {In: 2, Out: 1}}, Shifts: []uint{1, 1}},
+		circuits: []*boolcirc.Circuit{gate, gate},
+	}
+	raw, err := cs.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	bintest.FuzzRoundTrip(f, raw, func(data []byte) (encoding.BinaryMarshaler, error) { return UnmarshalClientShared(data) })
+}
+
+func FuzzOTResumeUnmarshal(f *testing.F) {
+	both := append(append([]byte{otResumeSender | otResumeReceiver},
+		patternedOTBytes(ot.SenderStateBytes, 7)...), patternedOTBytes(ot.ReceiverStateBytes, 9)...)
+	bintest.FuzzRoundTrip(f, both, func(data []byte) (encoding.BinaryMarshaler, error) { return UnmarshalOTResume(data) })
 }

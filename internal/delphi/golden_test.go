@@ -16,7 +16,7 @@ import (
 	"privinf/internal/transport"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/gc_wire.golden from the current implementation")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from the current implementation")
 
 // hashConn digests every payload the client sends (c2s) and receives (s2c),
 // in order, so a phase's two byte streams pin down frame order, frame
@@ -95,5 +95,43 @@ func TestGCWireGolden(t *testing.T) {
 	}
 	if got.String() != string(want) {
 		t.Fatalf("GC wire streams changed (run with -update only for a deliberate wire bump)\ngot:\n%swant:\n%s", got.String(), want)
+	}
+}
+
+// TestOTResumeGolden pins the byte layout of both roles' resumable base-OT
+// state after one seeded setup against digests generated through the
+// hand-written codec that preceded internal/bin. Each line is
+// "party bytes sha256".
+func TestOTResumeGolden(t *testing.T) {
+	model, err := nn.DemoMLP(field.New(field.P20), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc, sc := transport.Pipe()
+	s := newSessionOn(t, ServerGarbler, model, 0, cc, sc)
+	var got strings.Builder
+	for _, rec := range []struct {
+		name  string
+		state *OTResume
+	}{{"client", s.client.OTResume()}, {"server", s.server.OTResume()}} {
+		raw, err := rec.state.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&got, "%s %d %x\n", rec.name, len(raw), sha256.Sum256(raw))
+	}
+
+	path := filepath.Join("testdata", "otresume.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("OT resume encodings changed (run with -update only for a deliberate format bump)\ngot:\n%swant:\n%s", got.String(), want)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"privinf/internal/bfv"
+	"privinf/internal/bin"
 	"privinf/internal/boolcirc"
 	"privinf/internal/ot"
 )
@@ -121,8 +122,7 @@ const (
 // secret seed material — persistence (a ticket store, a preamble store)
 // owns framing, integrity, and at-rest protection.
 func (r *OTResume) MarshalBinary() ([]byte, error) {
-	var flags byte
-	size := 1
+	flags, size := byte(0), 1
 	if r.Sender != nil {
 		flags |= otResumeSender
 		size += ot.SenderStateBytes
@@ -131,60 +131,52 @@ func (r *OTResume) MarshalBinary() ([]byte, error) {
 		flags |= otResumeReceiver
 		size += ot.ReceiverStateBytes
 	}
-	out := make([]byte, 0, size)
-	out = append(out, flags)
+	w := bin.Writer{Buf: make([]byte, 0, size)}
+	w.Bytes([]byte{flags})
 	if r.Sender != nil {
 		raw, err := r.Sender.MarshalBinary()
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, raw...)
+		w.Bytes(raw)
 	}
 	if r.Receiver != nil {
 		raw, err := r.Receiver.MarshalBinary()
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, raw...)
+		w.Bytes(raw)
 	}
-	return out, nil
+	return w.Buf, nil
 }
 
 // UnmarshalOTResume decodes state produced by OTResume.MarshalBinary,
 // rejecting unknown flags, short payloads and trailing bytes — a damaged
 // record errors instead of resuming from garbage seeds.
 func UnmarshalOTResume(data []byte) (*OTResume, error) {
-	if len(data) < 1 {
-		return nil, fmt.Errorf("delphi: OT resume state truncated")
+	rd := bin.NewReader(data)
+	flags := rd.Take(1)
+	if rd.Err() != nil {
+		return nil, fmt.Errorf("delphi: OT resume state: %w", rd.Err())
 	}
-	flags := data[0]
-	if flags&^(otResumeSender|otResumeReceiver) != 0 {
-		return nil, fmt.Errorf("delphi: OT resume state has unknown flags %#x", flags)
+	if flags[0]&^(otResumeSender|otResumeReceiver) != 0 {
+		return nil, fmt.Errorf("delphi: OT resume state has unknown flags %#x", flags[0])
 	}
-	rest := data[1:]
 	r := &OTResume{}
-	if flags&otResumeSender != 0 {
-		if len(rest) < ot.SenderStateBytes {
-			return nil, fmt.Errorf("delphi: OT resume state truncated")
-		}
+	if flags[0]&otResumeSender != 0 {
 		r.Sender = &ot.SenderState{}
-		if err := r.Sender.UnmarshalBinary(rest[:ot.SenderStateBytes]); err != nil {
+		if err := r.Sender.UnmarshalBinary(rd.Take(ot.SenderStateBytes)); err != nil {
 			return nil, err
 		}
-		rest = rest[ot.SenderStateBytes:]
 	}
-	if flags&otResumeReceiver != 0 {
-		if len(rest) < ot.ReceiverStateBytes {
-			return nil, fmt.Errorf("delphi: OT resume state truncated")
-		}
+	if flags[0]&otResumeReceiver != 0 {
 		r.Receiver = &ot.ReceiverState{}
-		if err := r.Receiver.UnmarshalBinary(rest[:ot.ReceiverStateBytes]); err != nil {
+		if err := r.Receiver.UnmarshalBinary(rd.Take(ot.ReceiverStateBytes)); err != nil {
 			return nil, err
 		}
-		rest = rest[ot.ReceiverStateBytes:]
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("delphi: OT resume state has %d trailing bytes", len(rest))
+	if err := rd.Done(); err != nil {
+		return nil, fmt.Errorf("delphi: OT resume state: %w", err)
 	}
 	return r, nil
 }

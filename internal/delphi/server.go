@@ -194,13 +194,9 @@ func (s *Server) RunOnline() (OnlineReport, error) {
 	pre := s.pres[0]
 	s.pres = s.pres[1:]
 
-	raw, err := s.conn.Recv()
+	d, err := s.recvVec(s.meta.Dims[0].In)
 	if err != nil {
 		return rep, fmt.Errorf("delphi: online recv input share: %w", err)
-	}
-	d, err := decodeVec(raw, s.meta.Dims[0].In)
-	if err != nil {
-		return rep, err
 	}
 
 	width := s.f.Bits()
@@ -211,7 +207,7 @@ func (s *Server) RunOnline() (OnlineReport, error) {
 		s.f.AddVec(ys, ys, pre.masks[i])
 
 		if i == L-1 {
-			if err := s.conn.Send(encodeVec(ys)); err != nil {
+			if err := s.sendVec(ys); err != nil {
 				return rep, err
 			}
 			break

@@ -1,9 +1,9 @@
 package delphi
 
 import (
-	"encoding/binary"
 	"fmt"
 
+	"privinf/internal/bin"
 	"privinf/internal/boolcirc"
 	"privinf/internal/garble"
 	"privinf/internal/ot"
@@ -12,21 +12,25 @@ import (
 // Wire encodings for protocol messages: field vectors as 8-byte words,
 // labels as raw 16-byte blocks, bit vectors packed 8 per byte.
 
-func encodeVec(v []uint64) []byte {
-	out := make([]byte, 8*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(out[8*i:], x)
-	}
-	return out
+// sendVec ships a field vector.
+func (p *party) sendVec(v []uint64) error {
+	w := bin.Writer{Buf: make([]byte, 0, 8*len(v))}
+	w.U64s(v)
+	return p.conn.Send(w.Buf)
 }
 
-func decodeVec(data []byte, want int) ([]uint64, error) {
-	if len(data) != 8*want {
-		return nil, fmt.Errorf("delphi: vector payload %d bytes, want %d", len(data), 8*want)
+// recvVec receives a field vector of exactly want words; want is the
+// public layer shape, never a number the peer chose.
+func (p *party) recvVec(want int) ([]uint64, error) {
+	raw, err := p.conn.Recv()
+	if err != nil {
+		return nil, err
 	}
 	out := make([]uint64, want)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(data[8*i:])
+	r := bin.NewReader(raw)
+	r.U64s(out)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("delphi: vector payload %d bytes, want %d: %w", len(raw), 8*want, err)
 	}
 	return out, nil
 }

@@ -19,7 +19,7 @@ import (
 // and steady-state pre-compute throughput.
 func ScheduleAblation() string {
 	a := nn.NewResNet18(nn.TinyImageNet)
-	s := proposedCG(a)
+	s := cost.ProposedScenario(a)
 	t := newTable("Ablation: offline schedules (Client-Garbler, ResNet-18/TinyImageNet)")
 	t.row("storage GB", "schedule", "pipelines", "offline s", "pre-computes/hour")
 	for _, gb := range []int64{16, 32, 64, 140} {
@@ -55,7 +55,7 @@ func ScheduleAblation() string {
 // (§5.2's discussion): aggregate throughput scales with the client count
 // while each client's storage stays small.
 func MultiClientStudy(runs int) string {
-	s := proposedCG(nn.NewResNet18(nn.TinyImageNet))
+	s := cost.ProposedScenario(nn.NewResNet18(nn.TinyImageNet))
 	rlp := s.RLPBreakdown()
 	online := s.Compute().Online()
 

@@ -12,7 +12,6 @@ import (
 
 	"privinf/internal/calib"
 	"privinf/internal/cost"
-	"privinf/internal/device"
 	"privinf/internal/nn"
 	"privinf/internal/wireless"
 )
@@ -53,27 +52,11 @@ func archPairs(datasets ...nn.Dataset) []nn.Arch {
 	return out
 }
 
-func baselineSG(a nn.Arch) cost.Scenario {
-	return cost.Scenario{
-		Arch: a, Proto: cost.ServerGarbler,
-		Client: device.Atom, Server: device.EPYC,
-		LinkBps: 1e9, UploadFrac: 0.5,
-	}
-}
-
-func proposedCG(a nn.Arch) cost.Scenario {
-	return cost.Scenario{
-		Arch: a, Proto: cost.ClientGarbler,
-		Client: device.Atom, Server: device.EPYC,
-		LinkBps: 1e9, LPHE: true, // UploadFrac 0 = WSA-optimal
-	}
-}
-
 // Figure2 reproduces the protocol-phase annotations of Figure 2 for
 // ResNet-18/TinyImageNet: per-phase storage and communication.
 func Figure2() string {
 	a := nn.NewResNet18(nn.TinyImageNet)
-	s := baselineSG(a)
+	s := cost.BaselineScenario(a)
 	off, on := s.CommProfiles()
 	t := newTable("Figure 2: Server-Garbler protocol annotations (ResNet-18, TinyImageNet)")
 	t.row("quantity", "value")
@@ -106,7 +89,7 @@ func Figure4() string {
 	t := newTable("Figure 4: compute latency per inference (minutes)")
 	t.row("dataset", "network", "HE.Eval", "GC.Eval", "GC.Garble")
 	for _, a := range archPairs(nn.CIFAR100, nn.TinyImageNet) {
-		b := baselineSG(a).Compute()
+		b := cost.BaselineScenario(a).Compute()
 		t.row(a.Dataset, a.Name,
 			fmt.Sprintf("%.2f", b.OffHE/60),
 			fmt.Sprintf("%.2f", b.OnEval/60),
@@ -119,7 +102,7 @@ func Figure4() string {
 // ResNet-18/TinyImageNet at an even TDD split.
 func Figure5() string {
 	a := nn.NewResNet18(nn.TinyImageNet)
-	off, on := baselineSG(a).CommProfiles()
+	off, on := cost.BaselineScenario(a).CommProfiles()
 	p := off.Add(on)
 	t := newTable("Figure 5: communication latency vs bandwidth (ResNet-18, TinyImageNet, even split)")
 	t.row("bandwidth Mbps", "upload min", "download min", "total min")
@@ -138,7 +121,7 @@ func Figure5() string {
 // ResNet-18/TinyImageNet at 1 Gb/s.
 func Table1() string {
 	a := nn.NewResNet18(nn.TinyImageNet)
-	b := baselineSG(a).Compute()
+	b := cost.BaselineScenario(a).Compute()
 	t := newTable("Table 1: Server-Garbler totals, ResNet-18 on TinyImageNet (seconds)")
 	t.row("phase", "GC", "HE", "SS", "Comms", "Total")
 	t.row("Offline",
@@ -194,9 +177,9 @@ func Figure11() string {
 	a := nn.NewResNet18(nn.TinyImageNet)
 	fracs := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
 
-	sgOff, sgOn := baselineSG(a).CommProfiles()
+	sgOff, sgOn := cost.BaselineScenario(a).CommProfiles()
 	sgP := sgOff.Add(sgOn)
-	cgS := proposedCG(a)
+	cgS := cost.ProposedScenario(a)
 	cgOff, cgOn := cgS.CommProfiles()
 	cgP := cgOff.Add(cgOn)
 
@@ -219,7 +202,7 @@ func Figure11() string {
 func Figure14() string {
 	a := nn.NewResNet18(nn.TinyImageNet)
 
-	sgStar := baselineSG(a)
+	sgStar := cost.BaselineScenario(a)
 	sgStar.LPHE = true
 	sgStar.UploadFrac = 0
 
@@ -228,7 +211,7 @@ func Figure14() string {
 		return [3]string{name, fmt.Sprintf("%.0f", b.Total()), fmt.Sprintf("%.0f%%", b.OfflineFraction()*100)}
 	}
 
-	cg := proposedCG(a)
+	cg := cost.ProposedScenario(a)
 	fase := cg
 	fase.GCSpeedup = 19
 	gc100 := cg
@@ -259,8 +242,8 @@ func Figure14() string {
 // EnergyTable reproduces the §5.1 energy analysis.
 func EnergyTable() string {
 	a := nn.NewResNet18(nn.TinyImageNet)
-	sg := baselineSG(a).ClientEnergyJoules()
-	cg := proposedCG(a).ClientEnergyJoules()
+	sg := cost.BaselineScenario(a).ClientEnergyJoules()
+	cg := cost.ProposedScenario(a).ClientEnergyJoules()
 	t := newTable("Client GC energy per inference (ResNet-18, TinyImageNet)")
 	t.row("protocol", "role", "energy J", "per 10k ReLUs")
 	t.row("Server-Garbler", "evaluator", fmt.Sprintf("%.0f", sg),

@@ -29,7 +29,7 @@ func simPoint(cfg sim.Config, perMin float64, runs int) sim.Stats {
 // latency decomposed into online, offline, and queueing components.
 func Figure7(runs int) string {
 	a := nn.NewResNet18(nn.TinyImageNet)
-	s := baselineSG(a)
+	s := cost.BaselineScenario(a)
 	b := s.Compute()
 	cfg := sim.Config{
 		OfflineSeconds:         b.Offline(),
@@ -56,7 +56,7 @@ func Figure7(runs int) string {
 // Figure10 reproduces LPHE vs RLP under client-storage budgets.
 func Figure10(runs int) string {
 	a := nn.NewResNet18(nn.TinyImageNet)
-	s := proposedCG(a)
+	s := cost.ProposedScenario(a)
 	rates := map[int64][]float64{
 		8:   {104, 54, 37, 28, 22, 19},
 		16:  {104, 54, 37, 28, 22, 19},
@@ -99,7 +99,7 @@ func Figure12(runs int) string {
 	t.row("pair", "config", "per-rate mean latency ->", "", "", "", "", "")
 	for _, a := range archPairs(nn.CIFAR100, nn.TinyImageNet) {
 		rates := fig12Rates[a.String()]
-		sg := baselineSG(a)
+		sg := cost.BaselineScenario(a)
 		sgB := sg.Compute()
 		for _, gb := range []int64{16, 32, 64} {
 			cfg := sim.Config{
@@ -117,7 +117,7 @@ func Figure12(runs int) string {
 			}
 			t.row(cells...)
 		}
-		cfg := sim.FromScenario(proposedCG(a), 16*int64(cost.GB), sim.LPHE, device.Atom)
+		cfg := sim.FromScenario(cost.ProposedScenario(a), 16*int64(cost.GB), sim.LPHE, device.Atom)
 		cells := []string{a.String(), "Proposed 16GB"}
 		for _, denom := range rates {
 			st := simPoint(cfg, 1/denom, runs)

@@ -309,10 +309,3 @@ func Eval(c *boolcirc.Circuit, tables []Label, decode []byte, inputs []Label, ga
 func TableBytes(c *boolcirc.Circuit) int {
 	return 2 * LabelSize * c.NumAND()
 }
-
-// NaiveTableBytes returns the table size under classic 4-row Yao garbling
-// (4 ciphertexts per gate, XOR not free) — the ablation baseline for
-// BenchmarkGarbleTableSize.
-func NaiveTableBytes(c *boolcirc.Circuit) int {
-	return 4 * LabelSize * len(c.Gates)
-}

@@ -120,6 +120,10 @@ func TestFreeXOROffsetInvariant(t *testing.T) {
 	}
 }
 
+// naiveTableBytes is the table size under classic 4-row Yao garbling (4
+// ciphertexts per gate, XOR not free) — the ablation baseline.
+func naiveTableBytes(c *boolcirc.Circuit) int { return 4 * LabelSize * len(c.Gates) }
+
 func TestTableSizes(t *testing.T) {
 	spec := boolcirc.ReLUSpec{P: field.P17, Frac: 0}
 	c := boolcirc.BuildReLU(spec)
@@ -129,8 +133,8 @@ func TestTableSizes(t *testing.T) {
 	}
 	// Half-gates must beat naive 4-row garbling by well over 2x on this
 	// XOR-heavy circuit.
-	if TableBytes(c)*2 >= NaiveTableBytes(c) {
-		t.Fatalf("half-gates %d B vs naive %d B: expected > 2x saving", TableBytes(c), NaiveTableBytes(c))
+	if TableBytes(c)*2 >= naiveTableBytes(c) {
+		t.Fatalf("half-gates %d B vs naive %d B: expected > 2x saving", TableBytes(c), naiveTableBytes(c))
 	}
 }
 
@@ -262,7 +266,7 @@ func BenchmarkGarbleTableSize(b *testing.B) {
 	spec := boolcirc.ReLUSpec{P: field.P20, Frac: 6}
 	c := boolcirc.BuildReLU(spec)
 	b.ReportMetric(float64(TableBytes(c)), "halfgate-bytes")
-	b.ReportMetric(float64(NaiveTableBytes(c)), "naive-bytes")
+	b.ReportMetric(float64(naiveTableBytes(c)), "naive-bytes")
 	for i := 0; i < b.N; i++ {
 		_ = TableBytes(c)
 	}

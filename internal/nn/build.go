@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"fmt"
 	"math/rand"
 
 	"privinf/internal/field"
@@ -231,18 +230,4 @@ func DemoMLP(f field.Field, seed int64) (*Lowered, error) {
 	b.AddFC(16, rng, 3).AddReLU()
 	b.AddFC(10, rng, 3)
 	return b.Build()
-}
-
-// QuantizeInput maps real-valued inputs in [0, 1] to fixed-point field
-// elements at the model's scale.
-func QuantizeInput(f field.Field, frac uint, x []float64) ([]uint64, error) {
-	q := field.FixedPoint{F: f, Frac: frac}
-	out := make([]uint64, len(x))
-	for i, v := range x {
-		if v < -1 || v > 1 {
-			return nil, fmt.Errorf("nn: input %d = %v outside [-1, 1]", i, v)
-		}
-		out[i] = q.Encode(v)
-	}
-	return out, nil
 }

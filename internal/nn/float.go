@@ -1,7 +1,5 @@
 package nn
 
-import "math"
-
 // Float reference inference: evaluates the lowered network in real
 // arithmetic, decoding the quantized weights back to their real values.
 // This is the oracle for quantization-fidelity checks — the private
@@ -16,7 +14,7 @@ func (m *Lowered) decodeWeight(w uint64) float64 {
 }
 
 // ForwardFloat runs real-valued inference on a real-valued input (the same
-// input Forward would receive after QuantizeInput, but unquantized).
+// input Forward would receive after fixed-point encoding, but unquantized).
 // Pooling that was folded into truncation appears here as the matching
 // power-of-two rescale, so outputs are comparable to
 // Forward(...)/2^(Frac + accumulated pool bits).
@@ -46,22 +44,4 @@ func (m *Lowered) ForwardFloat(x []float64) []float64 {
 		cur = out
 	}
 	return cur
-}
-
-// ArgmaxFloat returns the index of the largest real-valued output,
-// ignoring NaNs.
-func ArgmaxFloat(out []float64) int {
-	best := -1
-	for i, v := range out {
-		if math.IsNaN(v) {
-			continue
-		}
-		if best < 0 || v > out[best] {
-			best = i
-		}
-	}
-	if best < 0 {
-		return 0
-	}
-	return best
 }

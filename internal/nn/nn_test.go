@@ -7,6 +7,22 @@ import (
 	"privinf/internal/field"
 )
 
+// allArchs is every (network, dataset) pair the paper characterizes.
+func allArchs(t *testing.T) []Arch {
+	t.Helper()
+	var out []Arch
+	for _, d := range Datasets {
+		for _, n := range NetworkNames {
+			a, err := NewArch(n, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
 // TestReLUCountsMatchPaper pins the exact activation counts behind every
 // storage/compute figure. These reproduce Figure 3 via 18.2 KB/ReLU:
 // e.g. ResNet-18/TinyImageNet = 2,228,224 ReLUs = 40.6 GB ≈ the paper's 41.
@@ -22,7 +38,7 @@ func TestReLUCountsMatchPaper(t *testing.T) {
 		"VGG-16/TinyImageNet":    1114112,
 		"VGG-16/ImageNet":        13555712,
 	}
-	for _, a := range AllArchs() {
+	for _, a := range allArchs(t) {
 		w, ok := want[a.String()]
 		if !ok {
 			t.Errorf("unexpected arch %s", a)
@@ -42,7 +58,7 @@ func TestLinearLayerCounts(t *testing.T) {
 		"ResNet-32": 31,
 		"VGG-16":    15,
 	}
-	for _, a := range AllArchs() {
+	for _, a := range allArchs(t) {
 		if got := a.NumLinear(); got != want[a.Name] {
 			t.Errorf("%s: %d linear jobs, want %d", a, got, want[a.Name])
 		}
@@ -66,7 +82,7 @@ func TestArchOrdering(t *testing.T) {
 }
 
 func TestHEJobGeometry(t *testing.T) {
-	for _, a := range AllArchs() {
+	for _, a := range allArchs(t) {
 		for _, j := range a.HELinearJobs() {
 			if j.InVec <= 0 || j.OutVec <= 0 || j.KernelElems <= 0 || j.OutPixels <= 0 {
 				t.Errorf("%s job %q has non-positive dimension: %+v", a, j.Label, j)
@@ -247,20 +263,6 @@ func TestValidateCatchesMismatch(t *testing.T) {
 	empty := &Lowered{F: f}
 	if err := empty.Validate(); err == nil {
 		t.Fatal("empty model must be rejected")
-	}
-}
-
-func TestQuantizeInput(t *testing.T) {
-	f := field.New(field.P20)
-	x, err := QuantizeInput(f, 4, []float64{0, 0.5, 1, -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x[0] != 0 || x[1] != 8 || x[2] != 16 || f.ToInt64(x[3]) != -16 {
-		t.Errorf("quantized %v", x)
-	}
-	if _, err := QuantizeInput(f, 4, []float64{2}); err == nil {
-		t.Fatal("out-of-range input must error")
 	}
 }
 

@@ -150,18 +150,3 @@ func NewArch(name string, d Dataset) (Arch, error) {
 	}
 	return Arch{}, fmt.Errorf("nn: unknown network %q", name)
 }
-
-// AllArchs returns every (network, dataset) pair the paper characterizes.
-func AllArchs() []Arch {
-	var out []Arch
-	for _, d := range Datasets {
-		for _, n := range NetworkNames {
-			a, err := NewArch(n, d)
-			if err != nil {
-				panic(err) // unreachable: names come from NetworkNames
-			}
-			out = append(out, a)
-		}
-	}
-	return out
-}

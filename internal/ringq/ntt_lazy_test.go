@@ -181,7 +181,7 @@ func TestReduce128LazyMatchesReduce128(t *testing.T) {
 	}
 }
 
-func TestMulAddLazyIntoMatchesMulAddInto(t *testing.T) {
+func TestMulAddLazyIntoMatchesReduced(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	n := 256
 	acc := make([]uint64, n)
@@ -190,7 +190,9 @@ func TestMulAddLazyIntoMatchesMulAddInto(t *testing.T) {
 		a := randPoly(rng, n)
 		b := randPoly(rng, n)
 		MulAddLazyInto(acc, a, b)
-		MulAddInto(want, a, b)
+		for i := range want {
+			want[i] = Add(want[i], Mul(a[i], b[i]))
+		}
 	}
 	Canonicalize(acc)
 	for i := range want {

@@ -8,11 +8,6 @@ type Poly struct {
 	Coeffs []uint64
 }
 
-// NewPoly returns a zero polynomial of degree n.
-func NewPoly(n int) Poly {
-	return Poly{Coeffs: make([]uint64, n)}
-}
-
 // Copy returns a deep copy of p.
 func (p Poly) Copy() Poly {
 	c := make([]uint64, len(p.Coeffs))
@@ -52,20 +47,6 @@ func SubInto(out, a, b []uint64) {
 func MulInto(out, a, b []uint64) {
 	for i := range out {
 		out[i] = Mul(a[i], b[i])
-	}
-}
-
-// MulAddInto sets out += a * b elementwise.
-func MulAddInto(out, a, b []uint64) {
-	for i := range out {
-		out[i] = Add(out[i], Mul(a[i], b[i]))
-	}
-}
-
-// ScalarMulInto sets out = a * s elementwise.
-func ScalarMulInto(out, a []uint64, s uint64) {
-	for i := range out {
-		out[i] = Mul(a[i], s)
 	}
 }
 

@@ -82,11 +82,6 @@ func Mul(a, b uint64) uint64 {
 	return reduce128(hi, lo)
 }
 
-// MulAdd returns (a*b + c) mod Q. Inputs must be < Q.
-func MulAdd(a, b, c uint64) uint64 {
-	return Add(Mul(a, b), c)
-}
-
 // Exp returns a^e mod Q by square-and-multiply.
 func Exp(a, e uint64) uint64 {
 	result := uint64(1)

@@ -6,6 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"privinf/internal/bfv"
+	"privinf/internal/delphi"
+	"privinf/internal/field"
 	"privinf/internal/transport"
 )
 
@@ -74,4 +77,26 @@ func TestGarbageOpcodeInSession(t *testing.T) {
 	waitFor(t, 5*time.Second, "engine to retire the failed session", func() bool {
 		return eng.Stats().ActiveSessions == 0
 	})
+}
+
+// TestConnectRejectsDegenerateWelcome: a server whose welcome describes a
+// layer with non-positive dims is speaking something else — Connect fails
+// with ErrBadFrame instead of dividing by zero laying out the layer's
+// matvec plan.
+func TestConnectRejectsDegenerateWelcome(t *testing.T) {
+	cli, srv := transport.Pipe()
+	defer cli.Close()
+	defer srv.Close()
+	w := welcomeMsg{
+		Version: wireVersion,
+		RingN:   bfv.DefaultN,
+		Meta:    delphi.ModelMeta{P: field.P20, Frac: 4, Dims: []delphi.LayerDim{{In: 0, Out: 0}}},
+	}
+	// The pipe buffers, so the fake server can answer before it is asked.
+	if err := sendCtrl(srv, opWelcome, marshalJSON(w)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Connect(cli, nil); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("Connect error = %v, want ErrBadFrame", err)
+	}
 }

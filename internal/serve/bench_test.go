@@ -179,7 +179,7 @@ func BenchmarkArtifactLoadVsBuild(b *testing.B) {
 	})
 
 	b.Run("load", func(b *testing.B) {
-		store, err := NewArtifactStore(b.TempDir())
+		store, err := NewArtifactStoreBudget(b.TempDir(), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -250,7 +250,7 @@ func BenchmarkRegistrySpillReload(b *testing.B) {
 
 	b.Run("store=none", func(b *testing.B) { run(b, nil) })
 	b.Run("store=disk", func(b *testing.B) {
-		store, err := NewArtifactStore(b.TempDir())
+		store, err := NewArtifactStoreBudget(b.TempDir(), 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -182,7 +182,7 @@ func Connect(conn *transport.Conn, options ...Option) (*Client, error) {
 		return nil, fmt.Errorf("serve: server speaks version %d, want %d", w.Version, wireVersion)
 	}
 	if err := w.Meta.Validate(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: welcome: %v", ErrBadFrame, err)
 	}
 	if w.Resumed && state == nil {
 		return nil, fmt.Errorf("serve: server resumed a ticket this client holds no state for")

@@ -56,7 +56,7 @@ func unwrap[S any, T any](open func(string) (S, error), ds func(S) *durableStore
 func artifactRow() storeRow[*delphi.SharedModel] {
 	model := goldenNet()
 	return storeRow[*delphi.SharedModel]{
-		open: unwrap(NewArtifactStore, func(st *ArtifactStore) *durableStore[*delphi.SharedModel] { return st.ds }),
+		open: unwrap(func(dir string) (*ArtifactStore, error) { return NewArtifactStoreBudget(dir, 0) }, func(st *ArtifactStore) *durableStore[*delphi.SharedModel] { return st.ds }),
 		value: func(t *testing.T) *delphi.SharedModel {
 			art, err := delphi.NewSharedModel(goldenParams(t), model)
 			if err != nil {

@@ -142,70 +142,3 @@ func sweepTempFiles(dir, publishedSuffix string) {
 		os.Remove(filepath.Join(dir, name))
 	}
 }
-
-// binWriter appends little-endian fields to a growing buffer — the serve
-// package's codec writer for durable payloads (ticket records, preambles).
-type binWriter struct {
-	buf []byte
-}
-
-func (w *binWriter) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	w.buf = append(w.buf, b[:]...)
-}
-
-// blob writes a length-prefixed byte string.
-func (w *binWriter) blob(b []byte) {
-	w.u64(uint64(len(b)))
-	w.buf = append(w.buf, b...)
-}
-
-// binReader consumes little-endian fields with sticky error tracking, so a
-// truncated or hostile payload surfaces as one typed error instead of a
-// slice panic.
-type binReader struct {
-	buf []byte
-	off int
-	err error
-}
-
-var errPayloadTruncated = errors.New("serve: codec: payload truncated")
-
-func (r *binReader) remaining() int { return len(r.buf) - r.off }
-
-func (r *binReader) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.remaining() < 8 {
-		r.err = errPayloadTruncated
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *binReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.remaining() < n {
-		r.err = errPayloadTruncated
-		return nil
-	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-// blob reads a length-prefixed byte string written by binWriter.blob.
-func (r *binReader) blob() []byte {
-	n := r.u64()
-	if r.err == nil && n > uint64(r.remaining()) {
-		r.err = errPayloadTruncated
-		return nil
-	}
-	return r.take(int(n))
-}

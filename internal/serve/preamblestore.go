@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"privinf/internal/bfv"
+	"privinf/internal/bin"
 	"privinf/internal/delphi"
 )
 
@@ -112,24 +113,24 @@ func (ps *PreambleStore) Forget(name string) error { return ps.ds.remove(name) }
 func (p *Preamble) MarshalBinary() ([]byte, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var w binWriter
-	w.blob(p.ticket)
+	var w bin.Writer
+	w.Blob(p.ticket)
 	if p.state != nil {
 		raw, err := p.state.MarshalBinary()
 		if err != nil {
 			return nil, err
 		}
-		w.u64(1)
-		w.blob(raw)
+		w.U64(1)
+		w.Blob(raw)
 	} else {
-		w.u64(0)
+		w.U64(0)
 	}
-	w.blob(p.heSeed)
-	w.u64(p.heNonce)
+	w.Blob(p.heSeed)
+	w.U64(p.heNonce)
 	if p.heKeys != nil {
-		w.u64(1)
-		w.u64(uint64(p.heParams.N))
-		w.u64(p.heParams.T)
+		w.U64(1)
+		w.U64(uint64(p.heParams.N))
+		w.U64(p.heParams.T)
 		sk, err := p.heKeys.SK.MarshalBinary()
 		if err != nil {
 			return nil, err
@@ -138,26 +139,26 @@ func (p *Preamble) MarshalBinary() ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		w.blob(sk)
-		w.blob(pk)
+		w.Blob(sk)
+		w.Blob(pk)
 	} else {
-		w.u64(0)
+		w.U64(0)
 	}
 	names := make([]string, 0, len(p.shared))
 	for name := range p.shared {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	w.u64(uint64(len(names)))
+	w.U64(uint64(len(names)))
 	for _, name := range names {
 		raw, err := p.shared[name].MarshalBinary()
 		if err != nil {
 			return nil, err
 		}
-		w.blob([]byte(name))
-		w.blob(raw)
+		w.Blob([]byte(name))
+		w.Blob(raw)
 	}
-	return w.buf, nil
+	return w.Buf, nil
 }
 
 // UnmarshalPreamble decodes a payload produced by Preamble.MarshalBinary,
@@ -166,21 +167,21 @@ func (p *Preamble) MarshalBinary() ([]byte, error) {
 // are revalidated and rebuilt through the delphi codec, and a cached key
 // pair is degree-checked against its recorded parameter set.
 func UnmarshalPreamble(data []byte) (*Preamble, error) {
-	r := binReader{buf: data}
+	r := bin.NewReader(data)
 	p := NewPreamble()
-	if ticket := r.blob(); len(ticket) > 0 {
-		if r.err == nil && len(ticket) != ticketIDBytes {
+	if ticket := r.Blob(); len(ticket) > 0 {
+		if r.Err() == nil && len(ticket) != ticketIDBytes {
 			return nil, fmt.Errorf("serve: preamble ticket is %d bytes, want %d", len(ticket), ticketIDBytes)
 		}
 		p.ticket = append([]byte(nil), ticket...)
 	}
-	if hasState := r.u64(); r.err == nil && hasState != 0 {
+	if hasState := r.U64(); r.Err() == nil && hasState != 0 {
 		if hasState != 1 {
 			return nil, fmt.Errorf("serve: preamble OT-state flag %d", hasState)
 		}
-		raw := r.blob()
-		if r.err != nil {
-			return nil, r.err
+		raw := r.Blob()
+		if r.Err() != nil {
+			return nil, fmt.Errorf("serve: preamble: %w", r.Err())
 		}
 		state, err := delphi.UnmarshalOTResume(raw)
 		if err != nil {
@@ -188,23 +189,23 @@ func UnmarshalPreamble(data []byte) (*Preamble, error) {
 		}
 		p.state = state
 	}
-	if seed := r.blob(); len(seed) > 0 {
-		if r.err == nil && len(seed) != heSeedBytes {
+	if seed := r.Blob(); len(seed) > 0 {
+		if r.Err() == nil && len(seed) != heSeedBytes {
 			return nil, fmt.Errorf("serve: preamble HE seed is %d bytes, want %d", len(seed), heSeedBytes)
 		}
 		p.heSeed = append([]byte(nil), seed...)
 	}
-	p.heNonce = r.u64()
-	if hasKeys := r.u64(); r.err == nil && hasKeys != 0 {
+	p.heNonce = r.U64()
+	if hasKeys := r.U64(); r.Err() == nil && hasKeys != 0 {
 		if hasKeys != 1 {
 			return nil, fmt.Errorf("serve: preamble HE-keys flag %d", hasKeys)
 		}
-		n := int(r.u64())
-		t := r.u64()
-		skRaw := r.blob()
-		pkRaw := r.blob()
-		if r.err != nil {
-			return nil, r.err
+		n := int(r.U64())
+		t := r.U64()
+		skRaw := r.Blob()
+		pkRaw := r.Blob()
+		if r.Err() != nil {
+			return nil, fmt.Errorf("serve: preamble: %w", r.Err())
 		}
 		params, err := bfv.NewParams(n, t)
 		if err != nil {
@@ -222,18 +223,11 @@ func UnmarshalPreamble(data []byte) (*Preamble, error) {
 		}
 		p.heKeys, p.heParams = &keys, params
 	}
-	numShared := int(r.u64())
-	if r.err != nil {
-		return nil, r.err
-	}
-	if numShared < 0 || numShared > r.remaining()/16 {
-		return nil, fmt.Errorf("serve: preamble claims %d shared artifacts for %d remaining bytes", numShared, r.remaining())
-	}
-	for i := 0; i < numShared; i++ {
-		name := r.blob()
-		raw := r.blob()
-		if r.err != nil {
-			return nil, r.err
+	for i, numShared := 0, r.Count(16); i < numShared; i++ {
+		name := r.Blob()
+		raw := r.Blob()
+		if r.Err() != nil {
+			return nil, fmt.Errorf("serve: preamble: %w", r.Err())
 		}
 		if len(name) == 0 {
 			return nil, fmt.Errorf("serve: preamble shared artifact %d has empty name", i)
@@ -247,8 +241,8 @@ func UnmarshalPreamble(data []byte) (*Preamble, error) {
 		}
 		p.shared[string(name)] = cs
 	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("serve: preamble has %d trailing bytes", r.remaining())
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("serve: preamble: %w", err)
 	}
 	// A ticket without its OT state (or vice versa) cannot resume; reject
 	// the pairing violation rather than persist a half-usable credential.

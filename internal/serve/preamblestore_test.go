@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"privinf/internal/bfv"
+	"privinf/internal/bin"
 	"privinf/internal/delphi"
 )
 
@@ -28,92 +29,92 @@ func TestUnmarshalPreambleRejectsSemanticDamage(t *testing.T) {
 		t.Fatal(err)
 	}
 	ticket := make([]byte, ticketIDBytes)
-	emptyTail := func(w *binWriter) { // seed | nonce | keys flag | shared count
-		w.blob(nil)
-		w.u64(0)
-		w.u64(0)
-		w.u64(0)
+	emptyTail := func(w *bin.Writer) { // seed | nonce | keys flag | shared count
+		w.Blob(nil)
+		w.U64(0)
+		w.U64(0)
+		w.U64(0)
 	}
-	cases := map[string]func(w *binWriter){
-		"short ticket": func(w *binWriter) {
-			w.blob(ticket[:8])
-			w.u64(1)
-			w.blob(stateRaw)
+	cases := map[string]func(w *bin.Writer){
+		"short ticket": func(w *bin.Writer) {
+			w.Blob(ticket[:8])
+			w.U64(1)
+			w.Blob(stateRaw)
 			emptyTail(w)
 		},
-		"hostile OT-state flag": func(w *binWriter) {
-			w.blob(ticket)
-			w.u64(2)
+		"hostile OT-state flag": func(w *bin.Writer) {
+			w.Blob(ticket)
+			w.U64(2)
 		},
-		"ticket without OT state": func(w *binWriter) {
-			w.blob(ticket)
-			w.u64(0)
+		"ticket without OT state": func(w *bin.Writer) {
+			w.Blob(ticket)
+			w.U64(0)
 			emptyTail(w)
 		},
-		"OT state without ticket": func(w *binWriter) {
-			w.blob(nil)
-			w.u64(1)
-			w.blob(stateRaw)
+		"OT state without ticket": func(w *bin.Writer) {
+			w.Blob(nil)
+			w.U64(1)
+			w.Blob(stateRaw)
 			emptyTail(w)
 		},
-		"short HE seed": func(w *binWriter) {
-			w.blob(nil)
-			w.u64(0)
-			w.blob(make([]byte, 16))
-			w.u64(0)
-			w.u64(0)
-			w.u64(0)
+		"short HE seed": func(w *bin.Writer) {
+			w.Blob(nil)
+			w.U64(0)
+			w.Blob(make([]byte, 16))
+			w.U64(0)
+			w.U64(0)
+			w.U64(0)
 		},
-		"hostile HE-keys flag": func(w *binWriter) {
-			w.blob(nil)
-			w.u64(0)
-			w.blob(nil)
-			w.u64(0)
-			w.u64(3)
+		"hostile HE-keys flag": func(w *bin.Writer) {
+			w.Blob(nil)
+			w.U64(0)
+			w.Blob(nil)
+			w.U64(0)
+			w.U64(3)
 		},
-		"invalid HE params": func(w *binWriter) {
-			w.blob(nil)
-			w.u64(0)
-			w.blob(nil)
-			w.u64(0)
-			w.u64(1)
-			w.u64(3) // N not a power of two
-			w.u64(bfv.DefaultN)
-			w.blob(nil)
-			w.blob(nil)
+		"invalid HE params": func(w *bin.Writer) {
+			w.Blob(nil)
+			w.U64(0)
+			w.Blob(nil)
+			w.U64(0)
+			w.U64(1)
+			w.U64(3) // N not a power of two
+			w.U64(bfv.DefaultN)
+			w.Blob(nil)
+			w.Blob(nil)
 		},
-		"hostile artifact count": func(w *binWriter) {
-			w.blob(nil)
-			w.u64(0)
-			w.blob(nil)
-			w.u64(0)
-			w.u64(0)
-			w.u64(1 << 40)
+		"hostile artifact count": func(w *bin.Writer) {
+			w.Blob(nil)
+			w.U64(0)
+			w.Blob(nil)
+			w.U64(0)
+			w.U64(0)
+			w.U64(1 << 40)
 		},
-		"empty artifact name": func(w *binWriter) {
-			w.blob(nil)
-			w.u64(0)
-			w.blob(nil)
-			w.u64(0)
-			w.u64(0)
-			w.u64(1)
-			w.blob(nil)
-			w.blob(nil)
+		"empty artifact name": func(w *bin.Writer) {
+			w.Blob(nil)
+			w.U64(0)
+			w.Blob(nil)
+			w.U64(0)
+			w.U64(0)
+			w.U64(1)
+			w.Blob(nil)
+			w.Blob(nil)
 		},
-		"trailing bytes": func(w *binWriter) {
-			w.blob(nil)
-			w.u64(0)
-			w.blob(nil)
-			w.u64(0)
-			w.u64(0)
-			w.u64(0)
-			w.buf = append(w.buf, 0xCC)
+		"trailing bytes": func(w *bin.Writer) {
+			w.Blob(nil)
+			w.U64(0)
+			w.Blob(nil)
+			w.U64(0)
+			w.U64(0)
+			w.U64(0)
+			w.Buf = append(w.Buf, 0xCC)
 		},
 	}
 	for name, build := range cases {
-		var w binWriter
+		var w bin.Writer
 		build(&w)
-		if _, err := UnmarshalPreamble(w.buf); err == nil {
+		if _, err := UnmarshalPreamble(w.Buf); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -132,18 +133,18 @@ func TestUnmarshalPreambleRejectsDuplicateArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var w binWriter
-	w.blob(nil)
-	w.u64(0)
-	w.blob(nil)
-	w.u64(0)
-	w.u64(0)
-	w.u64(2)
+	var w bin.Writer
+	w.Blob(nil)
+	w.U64(0)
+	w.Blob(nil)
+	w.U64(0)
+	w.U64(0)
+	w.U64(2)
 	for i := 0; i < 2; i++ {
-		w.blob([]byte("m"))
-		w.blob(csRaw)
+		w.Blob([]byte("m"))
+		w.Blob(csRaw)
 	}
-	if _, err := UnmarshalPreamble(w.buf); err == nil {
+	if _, err := UnmarshalPreamble(w.Buf); err == nil {
 		t.Fatal("duplicate artifact names accepted")
 	}
 }

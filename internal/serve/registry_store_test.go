@@ -12,7 +12,7 @@ import (
 // models registered lazily.
 func storeBackedRegistry(t *testing.T, dir string, budget int64, names map[string]int64) *Registry {
 	t.Helper()
-	st, err := NewArtifactStore(dir)
+	st, err := NewArtifactStoreBudget(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

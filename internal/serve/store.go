@@ -86,12 +86,6 @@ func storeChecksum(payload []byte) uint32 {
 // payload length, CRC-32C digest.
 const storeHeaderBytes = 4 + 4 + 8 + 4
 
-// NewArtifactStore opens (creating if necessary) an artifact store rooted
-// at dir, with no disk budget.
-func NewArtifactStore(dir string) (*ArtifactStore, error) {
-	return NewArtifactStoreBudget(dir, 0)
-}
-
 // NewArtifactStoreBudget opens an artifact store whose directory is kept
 // under diskBudget bytes of artifact files (<= 0 means unbounded): every
 // Save sweeps least-recently-modified files past the budget. Opening also

@@ -25,7 +25,7 @@ func testCNN(t *testing.T, seed int64) *nn.Lowered {
 // (different architecture ⇒ different metadata) fails as corrupt-class, not
 // as a panic or a silently wrong artifact. A nil artifact is refused.
 func TestArtifactStoreLoadBindsModel(t *testing.T) {
-	st, err := NewArtifactStore(t.TempDir())
+	st, err := NewArtifactStoreBudget(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestArtifactStoreLoadBindsModel(t *testing.T) {
 // artifact files until the directory fits the budget, never the newest.
 func TestArtifactStoreSweepBudget(t *testing.T) {
 	dir := t.TempDir()
-	st, err := NewArtifactStore(dir)
+	st, err := NewArtifactStoreBudget(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestArtifactStoreDiskBudgetOnSave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe, err := NewArtifactStore(t.TempDir())
+	probe, err := NewArtifactStoreBudget(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"privinf/internal/bin"
 	"privinf/internal/delphi"
 )
 
@@ -90,25 +91,22 @@ func marshalTicketRecord(rec ticketRecord) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var w binWriter
-	w.u64(uint64(rec.expires.UnixNano()))
-	w.blob(rec.id)
-	w.blob(raw)
-	return w.buf, nil
+	var w bin.Writer
+	w.U64(uint64(rec.expires.UnixNano()))
+	w.Blob(rec.id)
+	w.Blob(raw)
+	return w.Buf, nil
 }
 
 // unmarshalTicketRecord decodes a record payload, rejecting truncated
 // fields, hostile lengths and trailing bytes.
 func unmarshalTicketRecord(payload []byte) (ticketRecord, error) {
-	r := binReader{buf: payload}
-	expires := int64(r.u64())
-	id := r.blob()
-	raw := r.blob()
-	if r.err != nil {
-		return ticketRecord{}, r.err
-	}
-	if r.remaining() != 0 {
-		return ticketRecord{}, fmt.Errorf("serve: ticket record has %d trailing bytes", r.remaining())
+	r := bin.NewReader(payload)
+	expires := int64(r.U64())
+	id := r.Blob()
+	raw := r.Blob()
+	if err := r.Done(); err != nil {
+		return ticketRecord{}, fmt.Errorf("serve: ticket record: %w", err)
 	}
 	if len(id) != ticketIDBytes {
 		return ticketRecord{}, fmt.Errorf("serve: ticket record id is %d bytes, want %d", len(id), ticketIDBytes)

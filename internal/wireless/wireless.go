@@ -19,12 +19,6 @@ type Link struct {
 	UploadFrac float64
 }
 
-// NewLink returns a link with an even split, the default provisioning the
-// paper shows is sub-optimal for PI.
-func NewLink(totalBps float64) Link {
-	return Link{TotalBps: totalBps, UploadFrac: 0.5}
-}
-
 // UploadBps returns the upload bandwidth.
 func (l Link) UploadBps() float64 { return l.TotalBps * l.UploadFrac }
 
@@ -81,21 +75,6 @@ func OptimalUploadFrac(p Profile) float64 {
 		f = 1 - min
 	}
 	return f
-}
-
-// OptimalSlots returns the best slot allocation at TDD granularity
-// (k upload slots out of `slots`, k in [1, slots-1]) and its transfer time.
-func OptimalSlots(p Profile, totalBps float64, slots int) (upSlots int, seconds float64) {
-	best := -1
-	bestT := 0.0
-	for k := 1; k < slots; k++ {
-		l := Link{TotalBps: totalBps, UploadFrac: float64(k) / float64(slots)}
-		t := l.TransferSeconds(p.UpBytes, p.DownBytes)
-		if best < 0 || t < bestT {
-			best, bestT = k, t
-		}
-	}
-	return best, bestT
 }
 
 // Sweep evaluates the transfer time at each upload fraction in fracs,

@@ -77,18 +77,6 @@ func TestOptimalIsActuallyOptimal(t *testing.T) {
 	}
 }
 
-func TestOptimalSlots(t *testing.T) {
-	p := Profile{UpBytes: 1e6, DownBytes: 16e6}
-	up, secs := OptimalSlots(p, 1e9, 10)
-	if up != 2 {
-		t.Errorf("optimal upload slots %d, want 2 (20%%)", up)
-	}
-	cont := Link{TotalBps: 1e9, UploadFrac: 0.2}.TransferSeconds(p.UpBytes, p.DownBytes)
-	if math.Abs(secs-cont) > 1e-9 {
-		t.Errorf("slot time %f != continuous-at-0.2 %f", secs, cont)
-	}
-}
-
 func TestSweepShape(t *testing.T) {
 	// A download-heavy profile improves monotonically as download slots
 	// grow until the optimum, then worsens — Figure 11's U shape.

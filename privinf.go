@@ -204,20 +204,8 @@ func SimulateMultiClient(cfg MultiClientConfig, runs int) (WorkloadStats, error)
 // ProposedScenario returns the paper's optimized configuration —
 // Client-Garbler with layer-parallel HE and WSA-optimal slot allocation —
 // for an architecture at 1 Gb/s.
-func ProposedScenario(a Arch) Scenario {
-	return Scenario{
-		Arch: a, Proto: cost.ClientGarbler,
-		Client: device.Atom, Server: device.EPYC,
-		LinkBps: 1e9, LPHE: true,
-	}
-}
+func ProposedScenario(a Arch) Scenario { return cost.ProposedScenario(a) }
 
 // BaselineScenario returns the Server-Garbler baseline (sequential HE,
 // even wireless split) for an architecture at 1 Gb/s.
-func BaselineScenario(a Arch) Scenario {
-	return Scenario{
-		Arch: a, Proto: cost.ServerGarbler,
-		Client: device.Atom, Server: device.EPYC,
-		LinkBps: 1e9, UploadFrac: 0.5,
-	}
-}
+func BaselineScenario(a Arch) Scenario { return cost.BaselineScenario(a) }
