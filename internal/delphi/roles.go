@@ -255,11 +255,12 @@ func (p *party) evaluateLayer(st storedLayer, layer int, aLabels []garble.Label)
 	circ := p.circuits[layer]
 	out := make([]bool, 0, len(st.tables)*width)
 	inputs := make([]garble.Label, circ.NumInputs)
+	var ev garble.Evaluator // one hasher and one wire workspace for the layer
 	for u := range st.tables {
 		inputs[boolcirc.ConstOne] = st.constLb[u]
 		copy(inputs[1:1+width], aLabels[u*width:(u+1)*width])
 		copy(inputs[1+width:], st.known[u])
-		bits, err := garble.Eval(circ, st.tables[u], st.decode[u], inputs, gateBase(layer, u))
+		bits, err := ev.Eval(circ, st.tables[u], st.decode[u], inputs, gateBase(layer, u))
 		if err != nil {
 			return nil, fmt.Errorf("delphi: eval layer %d unit %d: %w", layer, u, err)
 		}
@@ -279,7 +280,7 @@ func (p *party) otSendLabels(layer int, encs []garble.Encoding, first, n int) er
 			pairs = append(pairs, [2]garble.Label{f0, f1})
 		}
 	}
-	if err := p.otSend.Send(labelsToOT(pairs)); err != nil {
+	if err := p.otSend.Send(pairs); err != nil {
 		return fmt.Errorf("delphi: label OT layer %d: %w", layer, err)
 	}
 	return nil
@@ -288,11 +289,11 @@ func (p *party) otSendLabels(layer int, encs []garble.Encoding, first, n int) er
 // otRecvLabels is the evaluator's OT leg: obtain the active labels for the
 // bits of vals (width each, little-endian) without revealing them.
 func (p *party) otRecvLabels(layer int, vals []uint64) ([]garble.Label, error) {
-	msgs, err := p.otRecv.Receive(valueBits(vals, p.f.Bits()))
+	labels, err := p.otRecv.Receive(valueBits(vals, p.f.Bits()))
 	if err != nil {
 		return nil, fmt.Errorf("delphi: label OT layer %d: %w", layer, err)
 	}
-	return otToLabels(msgs), nil
+	return labels, nil
 }
 
 // offerKnown is the server garbler's offline OT: every layer's b and r

@@ -6,7 +6,6 @@ import (
 	"privinf/internal/bin"
 	"privinf/internal/boolcirc"
 	"privinf/internal/garble"
-	"privinf/internal/ot"
 )
 
 // Wire encodings for protocol messages: field vectors as 8-byte words,
@@ -80,25 +79,6 @@ func decodeBits(data []byte, want int) ([]bool, error) {
 	return out, nil
 }
 
-// labelsToOT converts garbled label pairs to OT messages (same 16-byte
-// representation).
-func labelsToOT(pairs [][2]garble.Label) [][2]ot.Message {
-	out := make([][2]ot.Message, len(pairs))
-	for i, p := range pairs {
-		out[i][0] = ot.Message(p[0])
-		out[i][1] = ot.Message(p[1])
-	}
-	return out
-}
-
-func otToLabels(ms []ot.Message) []garble.Label {
-	out := make([]garble.Label, len(ms))
-	for i, m := range ms {
-		out[i] = garble.Label(m)
-	}
-	return out
-}
-
 // gateBase returns the hash-tweak base for a ReLU unit, unique per
 // (layer, unit) and identical on both parties.
 func gateBase(layer, unit int) uint64 {
@@ -110,7 +90,9 @@ func gateBase(layer, unit int) uint64 {
 func valueBits(v []uint64, width int) []bool {
 	out := make([]bool, 0, len(v)*width)
 	for _, x := range v {
-		out = append(out, boolcirc.PackBits(x, width)...)
+		for k := 0; k < width; k++ {
+			out = append(out, x>>uint(k)&1 == 1)
+		}
 	}
 	return out
 }

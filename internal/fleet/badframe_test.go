@@ -15,7 +15,7 @@ import (
 const (
 	wireTagCtrl = 0x01
 	wireOpHello = 0x01
-	wireVersion = 4
+	wireVersion = 5
 )
 
 // rawHello is a hello control frame claiming the given wire version.
@@ -72,11 +72,15 @@ func TestBadOpeningSameAnswerDirectAndRouted(t *testing.T) {
 		{"empty frame", [][]byte{{}}, serve.ErrBadFrame},
 		{"garbage", [][]byte{[]byte("GET / HTTP/1.1")}, serve.ErrBadFrame},
 		{"truncated preamble", [][]byte{preamble(wireVersion)[:8]}, serve.ErrBadFrame},
-		{"garbage opcode in a v4 preamble", [][]byte{preamble(wireVersion), {wireTagCtrl, 0xEE, 'j', 'u', 'n', 'k'}}, serve.ErrBadFrame},
-		{"garbage after a v4 preamble", [][]byte{preamble(wireVersion), {0x5A}}, serve.ErrBadFrame},
+		{"garbage opcode in a v5 preamble", [][]byte{preamble(wireVersion), {wireTagCtrl, 0xEE, 'j', 'u', 'n', 'k'}}, serve.ErrBadFrame},
+		{"garbage after a v5 preamble", [][]byte{preamble(wireVersion), {0x5A}}, serve.ErrBadFrame},
 		{"preamble v3", [][]byte{preamble(3)}, serve.ErrVersionMismatch},
+		// v4 is the previous release: same frames, SHA-256 in the OT
+		// extension where v5 hashes with fixed-key AES.
+		{"preamble v4", [][]byte{preamble(4)}, serve.ErrVersionMismatch},
 		{"bare v2 hello", [][]byte{rawHello(2)}, serve.ErrVersionMismatch},
-		{"v3 hello inside a v4 preamble", [][]byte{preamble(wireVersion), rawHello(3)}, serve.ErrVersionMismatch},
+		{"v3 hello inside a v5 preamble", [][]byte{preamble(wireVersion), rawHello(3)}, serve.ErrVersionMismatch},
+		{"v4 hello inside a v5 preamble", [][]byte{preamble(wireVersion), rawHello(4)}, serve.ErrVersionMismatch},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

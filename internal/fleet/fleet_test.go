@@ -385,6 +385,20 @@ func TestAutoscalerLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The server counts a request out of its queue just after the client
+	// has the result, so a tick taken straight away can still see a backlog
+	// of 1 — which, under this TargetWait, scales up one period early.
+	queued := func() (n int) {
+		for _, ms := range r.Replicas()[0].Engine().Stats().Models {
+			n += ms.QueueDepth
+		}
+		return n
+	}
+	for deadline := time.Now().Add(5 * time.Second); queued() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("queue never drained after the last inference returned")
+		}
+	}
 	// First tick records baselines (deltas need a previous sample), so
 	// load the fleet again before the deciding tick.
 	if _, err := a.Tick(ctx); err != nil {

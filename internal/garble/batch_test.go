@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"privinf/internal/boolcirc"
@@ -188,6 +189,42 @@ func TestGarbleBatchWithPRGReplays(t *testing.T) {
 	for i := range a {
 		if !garbledEqual(a[i], b[i]) {
 			t.Fatalf("instance %d not replayed identically from the same seed", i)
+		}
+	}
+}
+
+// TestEvaluatorReuse: one Evaluator run over a big circuit, then a small one,
+// then the big one again — its workspace full of the previous circuit's
+// labels each time — decodes exactly what a fresh Evaluator does, and a warm
+// call allocates nothing but the bits it returns.
+func TestEvaluatorReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(60))
+	big := boolcirc.BuildReLU(boolcirc.ReLUSpec{P: field.P20, Frac: 6})
+	small := randomCircuit(rng, 6, 40)
+	var ev Evaluator
+	for trial, c := range []*boolcirc.Circuit{big, small, big, small, big} {
+		base := uint64(trial) << 32
+		g := Garble(c, newSeeded(int64(61+trial)), base)
+		inputs := make([]Label, c.NumInputs)
+		for i := range inputs {
+			inputs[i] = g.Encoding.EncodeInput(i, i == boolcirc.ConstOne || rng.Intn(2) == 1)
+		}
+		for i := range ev.active {
+			ev.active[i] = Label{0xFF, 0xFF, 0xFF, 0xFF}
+		}
+		got, err := ev.Eval(c, g.Tables, g.DecodeBits, inputs, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := new(Evaluator).Eval(c, g.Tables, g.DecodeBits, inputs, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: reused evaluator decoded %v, a fresh one %v", trial, got, want)
+		}
+		if n := testing.AllocsPerRun(5, func() { ev.Eval(c, g.Tables, g.DecodeBits, inputs, base) }); trial > 0 && n > 1 {
+			t.Fatalf("trial %d: warm Eval allocates %v times, want at most 1", trial, n)
 		}
 	}
 }

@@ -53,14 +53,14 @@ func (e Encoding) LabelPair(i int) (Label, Label) {
 // nothing at all via GarbleInto when the destination is reused. A Garbler
 // is not safe for concurrent use; GarbleBatch gives each worker its own.
 type Garbler struct {
-	h      hasher
+	h      Hasher
 	false0 []Label
 	rbuf   []byte
 }
 
 // NewGarbler returns a Garbler with its fixed-key hasher initialized.
 func NewGarbler() *Garbler {
-	return &Garbler{h: newHasher()}
+	return &Garbler{h: NewHasher()}
 }
 
 // Garble garbles the circuit. src supplies label randomness (nil means
@@ -80,7 +80,7 @@ func Garble(c *boolcirc.Circuit, src io.Reader, gateIndexBase uint64) *Garbled {
 // label per input wire).
 func (g *Garbler) GarbleInto(dst *Garbled, c *boolcirc.Circuit, src io.Reader, gateIndexBase uint64) {
 	if g.h.block == nil {
-		g.h = newHasher()
+		g.h = NewHasher()
 	}
 	need := (1 + c.NumInputs) * LabelSize
 	if cap(g.rbuf) < need {
@@ -140,10 +140,10 @@ func (g *Garbler) garbleCore(dst *Garbled, c *boolcirc.Circuit, rnd []byte, gate
 			// Each distinct (label, tweak) pair is hashed exactly once:
 			// four AES calls per AND gate, where the pre-dedup code paid
 			// six (h(a0,j0) three times, h(b0,j1) twice).
-			ha0 := h.hash(a0, j0)
-			ha1 := h.hash(a1, j0)
-			hb0 := h.hash(b0, j1)
-			hb1 := h.hash(b1, j1)
+			ha0 := h.Hash(a0, j0)
+			ha1 := h.Hash(a1, j0)
+			hb0 := h.Hash(b0, j1)
+			hb1 := h.Hash(b1, j1)
 
 			// Generator half gate.
 			tg := ha0.xor(ha1)
@@ -251,19 +251,47 @@ func GarbleBatch(c *boolcirc.Circuit, src io.Reader, bases []uint64) []*Garbled 
 	return out
 }
 
+// Evaluator evaluates garbled circuits through reusable scratch: one fixed-key
+// hasher and one active-label workspace that grows to the largest circuit
+// seen, so a warm Eval allocates only the bits it returns. The zero value is
+// ready; an Evaluator is not safe for concurrent use.
+type Evaluator struct {
+	h      Hasher
+	active []Label
+}
+
+// evaluators serves the one-shot Eval, so callers without an Evaluator of
+// their own still pay for a key schedule and a workspace once, not per call.
+var evaluators = sync.Pool{New: func() any { return new(Evaluator) }}
+
+// Eval evaluates one garbled circuit on a pooled Evaluator.
+func Eval(c *boolcirc.Circuit, tables []Label, decode []byte, inputs []Label, gateIndexBase uint64) ([]bool, error) {
+	e := evaluators.Get().(*Evaluator)
+	defer evaluators.Put(e)
+	return e.Eval(c, tables, decode, inputs, gateIndexBase)
+}
+
 // Eval evaluates the garbled circuit given active labels for every input
 // (including the constant-one wire, whose true label the garbler always
 // supplies). It returns the decoded output bits.
-func Eval(c *boolcirc.Circuit, tables []Label, decode []byte, inputs []Label, gateIndexBase uint64) ([]bool, error) {
+func (e *Evaluator) Eval(c *boolcirc.Circuit, tables []Label, decode []byte, inputs []Label, gateIndexBase uint64) ([]bool, error) {
 	if len(inputs) != c.NumInputs {
 		return nil, fmt.Errorf("garble: got %d input labels, want %d", len(inputs), c.NumInputs)
 	}
 	if len(tables) != 2*c.NumAND() {
 		return nil, fmt.Errorf("garble: got %d table entries, want %d", len(tables), 2*c.NumAND())
 	}
-	h := newHasher()
+	if e.h.block == nil {
+		e.h = NewHasher()
+	}
+	h := &e.h
 
-	active := make([]Label, c.NumWires)
+	// Every gate writes its output wire before any later gate reads it, so
+	// labels a previous circuit left in the workspace are never observed.
+	if cap(e.active) < c.NumWires {
+		e.active = make([]Label, c.NumWires)
+	}
+	active := e.active[:c.NumWires]
 	copy(active, inputs)
 
 	ti := 0
@@ -284,11 +312,11 @@ func Eval(c *boolcirc.Circuit, tables []Label, decode []byte, inputs []Label, ga
 			j1 := gateIndex + 1
 			gateIndex += 2
 
-			wg := h.hash(a, j0)
+			wg := h.Hash(a, j0)
 			if sa == 1 {
 				wg = wg.xor(tg)
 			}
-			we := h.hash(b, j1)
+			we := h.Hash(b, j1)
 			if sb == 1 {
 				we = we.xor(te.xor(a))
 			}

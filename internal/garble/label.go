@@ -55,14 +55,15 @@ func (a Label) double() Label {
 	return out
 }
 
-// hasher is the fixed-key-AES correlation-robust hash. The in/out scratch
-// blocks live in the struct so the slices handed to cipher.Block.Encrypt
-// (an interface call the escape analyzer cannot see through) never force a
-// per-hash heap allocation: the hasher escapes once at construction and
-// every hash call after that is allocation-free. Methods use a pointer
-// receiver and are NOT safe for concurrent use; each garbling/evaluating
-// goroutine owns its hasher.
-type hasher struct {
+// Hasher is the fixed-key-AES correlation-robust hash, the one symmetric
+// primitive of the garbling scheme and of internal/ot's extension. The
+// in/out scratch blocks live in the struct so the slices handed to
+// cipher.Block.Encrypt (an interface call the escape analyzer cannot see
+// through) never force a per-hash heap allocation: hold a Hasher by value
+// in a heap object and every Hash call is allocation-free. Methods use a
+// pointer receiver and are NOT safe for concurrent use; each garbling,
+// evaluating or OT goroutine owns its Hasher.
+type Hasher struct {
 	block   cipher.Block
 	in, out [LabelSize]byte
 }
@@ -74,16 +75,18 @@ var fixedKey = [16]byte{
 	0x44, 0x0b, 0x8f, 0x72, 0xe1, 0x95, 0x3a, 0xc6,
 }
 
-func newHasher() hasher {
+// NewHasher returns a Hasher keyed with the public fixed key.
+func NewHasher() Hasher {
 	block, err := aes.NewCipher(fixedKey[:])
 	if err != nil {
 		panic("garble: aes init failed: " + err.Error())
 	}
-	return hasher{block: block}
+	return Hasher{block: block}
 }
 
-// hash computes H(x, index) = π(σ(x) ⊕ i) ⊕ σ(x) ⊕ i.
-func (h *hasher) hash(x Label, index uint64) Label {
+// Hash computes H(x, index) = π(σ(x) ⊕ i) ⊕ σ(x) ⊕ i. Callers partition the
+// tweak space: garbling uses gate indices below 2^63, internal/ot sets bit 63.
+func (h *Hasher) Hash(x Label, index uint64) Label {
 	t := x.double()
 	// in = σ(x) ⊕ i, with the index in the low 8 bytes (little-endian).
 	inLo := binary.LittleEndian.Uint64(t[0:8]) ^ index

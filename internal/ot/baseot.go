@@ -1,9 +1,58 @@
 // Package ot implements 1-out-of-2 oblivious transfer: a handful of
 // public-key base OTs (Chou–Orlandi style over a classic Diffie-Hellman
-// group) extended to millions of fast symmetric-key OTs with the IKNP
-// protocol, exactly the structure §2.1.4 of the paper describes. The PI
-// protocol uses OT to deliver garbled-circuit input labels for the
-// evaluator's share bits.
+// group, baseot.go) extended to any number of symmetric-key OTs with the
+// IKNP protocol (iknp.go), the structure §2.1.4 of the paper describes. The
+// PI protocol uses it to deliver garbled-circuit input labels for the
+// evaluator's share bits; under Client-Garbler that transfer is on the online
+// path, so the extension is written as a kernel.
+//
+// # The extension kernel
+//
+// One batch of m OTs works on a bit matrix of kappa = 128 rows by m columns,
+// row i being the next m bits of the AES-CTR stream keyed with base-OT seed
+// i. Rows are padded to whole bytes (mBytes = ⌈m/8⌉; a stream advances
+// mBytes per batch, so padding bits are spent, never reused) and held
+// row-major in one flat slab: row i is slab[i*mBytes:(i+1)*mBytes], column j
+// of it is bit j%8 (least significant first) of byte j/8. A Message holds
+// one column: bit i%8 of byte i/8 is row i. The same order packs the choice
+// bits r, the sender's correlation bits s, and each row of the correction
+// frame u the receiver sends (kappa rows of mBytes bytes, row-major; row i is
+// t_i ⊕ PRG(k_i^1) ⊕ r, built in one pass). The sender's answer y is m pairs
+// of 16-byte ciphertexts, y_j^0 then y_j^1.
+//
+// transpose turns rows into columns on 8×8 bit tiles: one byte from each of 8
+// rows gathered into a uint64, three masked shift-xor rounds, one byte
+// scattered to each of 8 Messages. The column byte is the outer loop, so a
+// step reads one byte of all 128 rows and completes 8 Messages.
+//
+// The per-OT pad is H(column, tweak) with H the fixed-key-AES hash of
+// internal/garble (garble.Hasher, one held by value per endpoint) and tweak
+// the session-wide OT index with bit 63 set. Garbling tweaks are gate
+// indices below 2^63, so no (input, tweak) pair the extension hashes can
+// also be a garbling query. docs/invariants.md says why that hash suffices.
+//
+// # Buffers
+//
+// A batch's buffers (slab, transposed columns, packed choice bits, the u or y
+// frame it builds) are allocated by the batch and dropped with it: seven
+// allocations a round whatever m is, none per OT. Keeping them on the
+// endpoint between batches was measured and bought 0.08 ms of an 11.2 ms
+// inference for 3 MiB (9 %) of resident set per serving process, so they
+// are not kept (docs/perf.md). None of them aliases a frame returned by
+// Recv, which belongs to the transport. Receive returns a slice the caller
+// owns — the transpose writes columns straight into it and the pads are
+// XORed in place — and Send only reads its argument. Neither endpoint is
+// safe for concurrent use.
+//
+// # Errors
+//
+// A frame of the wrong length is a *FrameSizeError, raised before anything
+// is indexed by it. Whatever the cause, the first failed Send or Receive
+// poisons its endpoint: the parties' streams and OT index are out of step
+// from then on and a later batch would deliver garbage labels, so every
+// later call — empty batches included — returns the first error and touches
+// neither the connection nor the streams. Recover with a new session
+// (ResumeSender/ResumeReceiver under a fresh nonce, resume.go).
 package ot
 
 import (
@@ -14,15 +63,16 @@ import (
 	"io"
 	"math/big"
 
+	"privinf/internal/garble"
 	"privinf/internal/transport"
 )
 
 // KeySize is the OT message size in bytes; it matches the garbled-circuit
 // label size so labels transfer without re-encryption.
-const KeySize = 16
+const KeySize = garble.LabelSize
 
-// Message is one OT payload (a wire label).
-type Message [KeySize]byte
+// Message is one OT payload: a wire label, under its OT name.
+type Message = garble.Label
 
 // modp1536 is the RFC 3526 group 5 prime (1536-bit MODP). A classic DH
 // group keeps the base OT in pure stdlib (math/big); only 128 base OTs run

@@ -1,0 +1,71 @@
+package ot
+
+import (
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"privinf/internal/transport"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from the current implementation")
+
+// TestIKNPGolden pins the extension's wire bytes on seeded endpoints, fresh
+// and resumed, over batch sizes on both sides of every byte and tile
+// boundary: per batch the receiver's correction frame u, the sender's
+// ciphertext frame y and a digest of the delivered messages, each line
+// "endpoints frame bytes sha256". The u and got lines were generated by the
+// bit-at-a-time, slice-per-row implementation that preceded the tiled kernel
+// and have never changed; the y lines moved once, with the extension's hash
+// (wire v5).
+func TestIKNPGolden(t *testing.T) {
+	s0, r0 := setupExtension(t)
+	var got strings.Builder
+	run := func(tag string, s *ExtSender, r *ExtReceiver, us, ys *frames) {
+		rng := rand.New(rand.NewSource(40))
+		for i, m := range []int{1, 7, 64, 300, 2560, 129} {
+			msgs := runBatch(t, s, r, randomPairs(rng, m), randomChoices(rng, m))
+			h := sha256.New()
+			for _, msg := range msgs {
+				h.Write(msg[:])
+			}
+			u, y := us.sent[i], ys.sent[i]
+			fmt.Fprintf(&got, "%s u %d %x\n%s y %d %x\n%s got %d %x\n",
+				tag, len(u), sha256.Sum256(u), tag, len(y), sha256.Sum256(y), tag, m, h.Sum(nil))
+		}
+	}
+	ys, us := &frames{MsgConn: s0.conn}, &frames{MsgConn: r0.conn}
+	s0.conn, r0.conn = ys, us
+	run("fresh", s0, r0, us, ys)
+
+	a, b := transport.Pipe()
+	ys, us = &frames{MsgConn: a}, &frames{MsgConn: b}
+	s1, err := ResumeSender(ys, s0.State(), []byte("golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1, err := ResumeReceiver(us, r0.State(), []byte("golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run("resumed", s1, r1, us, ys)
+
+	path := filepath.Join("testdata", "iknp.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("IKNP wire bytes changed (run with -update only for a deliberate wire bump)\ngot:\n%swant:\n%s", got.String(), want)
+	}
+}

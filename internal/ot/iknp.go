@@ -4,17 +4,21 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/rand"
-	"crypto/sha256"
-	"encoding/binary"
+	"crypto/subtle"
 	"fmt"
 	"io"
 
+	"privinf/internal/garble"
 	"privinf/internal/transport"
 )
 
 // kappa is the computational security parameter: the number of base OTs and
 // the IKNP matrix width.
 const kappa = 128
+
+// otTweak marks the extension's hash tweaks (OT index with bit 63 set), so
+// none collides with a garbling gate index, which stays below 2^63.
+const otTweak = 1 << 63
 
 // ExtSender is the sender side of IKNP OT extension. One public-key base-OT
 // setup (where it plays base *receiver*) amortizes over any number of
@@ -23,9 +27,9 @@ const kappa = 128
 // for each of the evaluator's input bits.
 type ExtSender struct {
 	conn    transport.MsgConn
-	s       [kappa]bool // secret correlation bits
-	sBlock  Message     // s packed into 16 bytes
+	sBlock  Message // secret correlation bits s, bit i at byte i/8, bit i%8
 	streams [kappa]cipher.Stream
+	h       garble.Hasher
 	otIndex uint64 // global OT counter for hash-tweak uniqueness
 	// master holds the base-OT seeds for State export (resumption); the
 	// streams above are stateful and cannot be rewound, so the raw seeds
@@ -33,24 +37,22 @@ type ExtSender struct {
 	// seeds, not the nonce-derived per-session ones, so a re-exported
 	// state stays interchangeable with the first session's.
 	master [kappa]Message
+	err    error // first Send failure, sticky
 }
 
 // NewExtSender runs base-OT setup over conn. The peer must concurrently run
 // NewExtReceiver. src may be nil (crypto/rand).
 func NewExtSender(conn transport.MsgConn, src io.Reader) (*ExtSender, error) {
-	s := &ExtSender{conn: conn}
+	s := &ExtSender{conn: conn, h: garble.NewHasher()}
 	if src == nil {
 		src = rand.Reader
 	}
-	var sb [kappa / 8]byte
-	if _, err := io.ReadFull(src, sb[:]); err != nil {
+	if _, err := io.ReadFull(src, s.sBlock[:]); err != nil {
 		return nil, fmt.Errorf("ot: entropy: %w", err)
 	}
-	copy(s.sBlock[:], sb[:])
 	choices := make([]bool, kappa)
 	for i := range choices {
-		choices[i] = sb[i/8]>>(uint(i)%8)&1 == 1
-		s.s[i] = choices[i]
+		choices[i] = bit(s.sBlock[:], i)
 	}
 	seeds, err := BaseReceive(conn, choices, src)
 	if err != nil {
@@ -63,8 +65,17 @@ func NewExtSender(conn transport.MsgConn, src io.Reader) (*ExtSender, error) {
 	return s, nil
 }
 
-// Send transfers pairs[j][bit] for the receiver's j-th choice bit.
+// Send transfers pairs[j][bit] for the receiver's j-th choice bit. The first
+// failure poisons the endpoint: the two parties' streams are out of step
+// from then on, so every later call returns that error and moves no bytes.
 func (s *ExtSender) Send(pairs [][2]Message) error {
+	if s.err == nil {
+		s.err = s.send(pairs)
+	}
+	return s.err
+}
+
+func (s *ExtSender) send(pairs [][2]Message) error {
 	m := len(pairs)
 	if m == 0 {
 		return nil
@@ -72,38 +83,38 @@ func (s *ExtSender) Send(pairs [][2]Message) error {
 	mBytes := (m + 7) / 8
 
 	// Receive the correction matrix u (kappa rows of m bits).
-	uRaw, err := s.conn.Recv()
+	u, err := s.conn.Recv()
 	if err != nil {
 		return err
 	}
-	if len(uRaw) != kappa*mBytes {
-		return fmt.Errorf("ot: correction matrix is %d bytes, want %d", len(uRaw), kappa*mBytes)
+	if len(u) != kappa*mBytes {
+		return &FrameSizeError{Frame: "u", Got: len(u), Want: kappa * mBytes}
 	}
 
-	// q_i = PRG(k_i) ⊕ s_i * u_i  (rows), then transpose to per-OT rows.
-	qRows := make([][]byte, kappa)
-	for i := 0; i < kappa; i++ {
-		row := make([]byte, mBytes)
-		s.streams[i].XORKeyStream(row, row)
-		if s.s[i] {
-			u := uRaw[i*mBytes : (i+1)*mBytes]
-			for b := range row {
-				row[b] ^= u[b]
-			}
+	// q_i = PRG(k_i) ⊕ s_i·u_i: the keystream is XORed over u_i or zeros.
+	// The batch's buffers are its own and never alias the frame.
+	rows := make([]byte, kappa*mBytes)
+	for i := range s.streams {
+		row := rows[i*mBytes : (i+1)*mBytes]
+		if bit(s.sBlock[:], i) {
+			copy(row, u[i*mBytes:])
 		}
-		qRows[i] = row
+		s.streams[i].XORKeyStream(row, row)
 	}
-	q := transposeToBlocks(qRows, m)
+	cols := make([]Message, m)
+	transpose(cols, rows, mBytes)
 
-	out := make([]byte, 0, 2*KeySize*m)
-	for j := 0; j < m; j++ {
-		y0 := xorMsg(pairs[j][0], crHash(s.otIndex+uint64(j), q[j]))
-		y1 := xorMsg(pairs[j][1], crHash(s.otIndex+uint64(j), xorMsg(q[j], s.sBlock)))
-		out = append(out, y0[:]...)
-		out = append(out, y1[:]...)
+	y := make([]byte, 2*KeySize*m)
+	for j, q := range cols {
+		yj := y[2*KeySize*j : 2*KeySize*(j+1)]
+		tweak := otTweak | (s.otIndex + uint64(j))
+		h0 := s.h.Hash(q, tweak)
+		h1 := s.h.Hash(xorMsg(q, s.sBlock), tweak)
+		subtle.XORBytes(yj[:KeySize], pairs[j][0][:], h0[:])
+		subtle.XORBytes(yj[KeySize:], pairs[j][1][:], h1[:])
 	}
 	s.otIndex += uint64(m)
-	return s.conn.Send(out)
+	return s.conn.Send(y)
 }
 
 // ExtReceiver is the receiver side of IKNP OT extension; it plays base
@@ -112,15 +123,17 @@ type ExtReceiver struct {
 	conn     transport.MsgConn
 	streams0 [kappa]cipher.Stream
 	streams1 [kappa]cipher.Stream
+	h        garble.Hasher
 	otIndex  uint64
 	// master holds both base-OT seed pairs for State export (resumption).
 	master [kappa][2]Message
+	err    error // first Receive failure, sticky
 }
 
 // NewExtReceiver runs base-OT setup over conn. The peer must concurrently
 // run NewExtSender. src may be nil (crypto/rand).
 func NewExtReceiver(conn transport.MsgConn, src io.Reader) (*ExtReceiver, error) {
-	r := &ExtReceiver{conn: conn}
+	r := &ExtReceiver{conn: conn, h: garble.NewHasher()}
 	if src == nil {
 		src = rand.Reader
 	}
@@ -144,8 +157,18 @@ func NewExtReceiver(conn transport.MsgConn, src io.Reader) (*ExtReceiver, error)
 	return r, nil
 }
 
-// Receive obtains the message selected by each choice bit.
+// Receive obtains the message selected by each choice bit, in a slice the
+// caller owns. The first failure poisons the endpoint like ExtSender.Send.
 func (r *ExtReceiver) Receive(choices []bool) ([]Message, error) {
+	if r.err != nil {
+		return nil, r.err
+	}
+	out, err := r.receive(choices)
+	r.err = err
+	return out, err
+}
+
+func (r *ExtReceiver) receive(choices []bool) ([]Message, error) {
 	m := len(choices)
 	if m == 0 {
 		return nil, nil
@@ -159,45 +182,50 @@ func (r *ExtReceiver) Receive(choices []bool) ([]Message, error) {
 		}
 	}
 
-	// t_i = PRG(k_i^0); u_i = t_i ⊕ PRG(k_i^1) ⊕ r.
-	tRows := make([][]byte, kappa)
-	uOut := make([]byte, 0, kappa*mBytes)
-	for i := 0; i < kappa; i++ {
-		t := make([]byte, mBytes)
+	// t_i = PRG(k_i^0); u_i = t_i ⊕ r ⊕ PRG(k_i^1).
+	rows := make([]byte, kappa*mBytes)
+	u := make([]byte, kappa*mBytes)
+	for i := range r.streams0 {
+		t, ui := rows[i*mBytes:(i+1)*mBytes], u[i*mBytes:(i+1)*mBytes]
 		r.streams0[i].XORKeyStream(t, t)
-		u := make([]byte, mBytes)
-		r.streams1[i].XORKeyStream(u, u)
-		for b := range u {
-			u[b] ^= t[b] ^ rBits[b]
-		}
-		tRows[i] = t
-		uOut = append(uOut, u...)
+		subtle.XORBytes(ui, t, rBits)
+		r.streams1[i].XORKeyStream(ui, ui)
 	}
-	if err := r.conn.Send(uOut); err != nil {
+	if err := r.conn.Send(u); err != nil {
 		return nil, err
 	}
-	tBlocks := transposeToBlocks(tRows, m)
+	out := make([]Message, m)
+	transpose(out, rows, mBytes)
 
-	enc, err := r.conn.Recv()
+	y, err := r.conn.Recv()
 	if err != nil {
 		return nil, err
 	}
-	if len(enc) != 2*KeySize*m {
-		return nil, fmt.Errorf("ot: sender sent %d bytes, want %d", len(enc), 2*KeySize*m)
+	if len(y) != 2*KeySize*m {
+		return nil, &FrameSizeError{Frame: "y", Got: len(y), Want: 2 * KeySize * m}
 	}
-
-	out := make([]Message, m)
 	for j, c := range choices {
-		off := j * 2 * KeySize
+		off := 2 * KeySize * j
 		if c {
 			off += KeySize
 		}
-		var y Message
-		copy(y[:], enc[off:off+KeySize])
-		out[j] = xorMsg(y, crHash(r.otIndex+uint64(j), tBlocks[j]))
+		h := r.h.Hash(out[j], otTweak|(r.otIndex+uint64(j)))
+		subtle.XORBytes(out[j][:], y[off:off+KeySize], h[:])
 	}
 	r.otIndex += uint64(m)
 	return out, nil
+}
+
+// FrameSizeError reports an extension frame ("u", the receiver's correction
+// matrix, or "y", the sender's ciphertexts) whose length does not fit the
+// batch. It is raised before the frame is read.
+type FrameSizeError struct {
+	Frame     string
+	Got, Want int
+}
+
+func (e *FrameSizeError) Error() string {
+	return fmt.Sprintf("ot: %s frame is %d bytes, want %d", e.Frame, e.Got, e.Want)
 }
 
 // newPRG builds an AES-CTR stream from a 16-byte seed. Streams are stateful
@@ -211,32 +239,39 @@ func newPRG(seed Message) cipher.Stream {
 	return cipher.NewCTR(block, iv[:])
 }
 
-// crHash is the correlation-robust hash applied to matrix rows:
-// SHA-256(index || row) truncated to a message.
-func crHash(index uint64, row Message) Message {
-	h := sha256.New()
-	var idx [8]byte
-	binary.LittleEndian.PutUint64(idx[:], index)
-	h.Write(idx[:])
-	h.Write(row[:])
-	var out Message
-	copy(out[:], h.Sum(nil))
-	return out
-}
+// bit reports bit i of a little-endian packed bit string.
+func bit(b []byte, i int) bool { return b[i/8]>>(uint(i)%8)&1 == 1 }
 
-// transposeToBlocks converts kappa rows of m bits into m 16-byte rows
-// (row j holds bit j of every input row).
-func transposeToBlocks(rows [][]byte, m int) []Message {
-	out := make([]Message, m)
-	for i := 0; i < kappa; i++ {
-		row := rows[i]
-		byteIdx := i / 8
-		bit := byte(1) << (uint(i) % 8)
-		for j := 0; j < m; j++ {
-			if row[j/8]>>(uint(j)%8)&1 == 1 {
-				out[j][byteIdx] |= bit
+// transpose writes the bit matrix rows (kappa rows of mBytes bytes, bit j of
+// row i at byte j/8, bit j%8) column-wise: bit i of dst[j] becomes bit j of
+// row i, for every j < len(dst). It works on 8×8 bit tiles — one byte from
+// each of 8 rows in, one byte to each of 8 blocks out — with the column byte
+// in the outer loop, so the 16 tiles of one step fill 8 whole blocks.
+func transpose(dst []Message, rows []byte, mBytes int) {
+	for c := 0; c < mBytes; c++ {
+		tile := dst[8*c : min(8*c+8, len(dst))]
+		for g := 0; g < kappa/8; g++ {
+			var x uint64
+			for k := 0; k < 8; k++ {
+				x |= uint64(rows[(8*g+k)*mBytes+c]) << (8 * k)
+			}
+			x = transpose8x8(x)
+			for b := range tile {
+				tile[b][g] = byte(x >> (8 * b))
 			}
 		}
 	}
-	return out
+}
+
+// transpose8x8 transposes an 8×8 bit matrix held one row per byte (row k in
+// byte k, column b at bit b): three rounds that swap ever larger off-diagonal
+// blocks (Hacker's Delight §7-3).
+func transpose8x8(x uint64) uint64 {
+	t := (x ^ x>>7) & 0x00AA00AA00AA00AA
+	x ^= t ^ t<<7
+	t = (x ^ x>>14) & 0x0000CCCC0000CCCC
+	x ^= t ^ t<<14
+	t = (x ^ x>>28) & 0x00000000F0F0F0F0
+	x ^= t ^ t<<28
+	return x
 }

@@ -100,7 +100,7 @@ func TestBaseOTAllChoicePatterns(t *testing.T) {
 	}
 }
 
-func setupExtension(t *testing.T) (*ExtSender, *ExtReceiver) {
+func setupExtension(t testing.TB) (*ExtSender, *ExtReceiver) {
 	t.Helper()
 	a, b := transport.Pipe()
 	sCh := make(chan *ExtSender, 1)
@@ -239,66 +239,43 @@ func TestExtensionCommunicationVolume(t *testing.T) {
 	}
 }
 
-func TestTransposeToBlocks(t *testing.T) {
-	rows := make([][]byte, kappa)
-	for i := range rows {
-		rows[i] = make([]byte, 2) // 16 columns
+// BenchmarkOTExtension is the label OT of one demo-CNN inference under
+// Client-Garbler: one batch per ReLU layer (256 and 128 units of 20-bit
+// shares) on one endpoint pair, the sender on a goroutine that outlives the
+// loop so allocs/op is the extension's own.
+func BenchmarkOTExtension(b *testing.B) {
+	s, r := setupExtension(b)
+	rng := rand.New(rand.NewSource(17))
+	sizes := []int{5120, 2560}
+	pairs := make([][][2]Message, len(sizes))
+	choices := make([][]bool, len(sizes))
+	total := 0
+	for l, m := range sizes {
+		pairs[l], choices[l] = randomPairs(rng, m), randomChoices(rng, m)
+		total += m
 	}
-	// Set bit (row 5, col 3) and (row 127, col 15).
-	rows[5][0] = 1 << 3
-	rows[127][1] = 1 << 7
-	blocks := transposeToBlocks(rows, 16)
-	if blocks[3][0]&(1<<5) == 0 {
-		t.Error("bit (5,3) not transposed")
-	}
-	if blocks[15][15]&(1<<7) == 0 {
-		t.Error("bit (127,15) not transposed")
-	}
-	var set int
-	for _, b := range blocks {
-		for _, v := range b {
-			for ; v != 0; v &= v - 1 {
-				set++
+	batches := make(chan [][2]Message)
+	errs := make(chan error)
+	go func() {
+		for p := range batches {
+			errs <- s.Send(p)
+		}
+	}()
+	defer close(batches)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for l := range sizes {
+			batches <- pairs[l]
+			if _, err := r.Receive(choices[l]); err != nil {
+				b.Fatal(err)
+			}
+			if err := <-errs; err != nil {
+				b.Fatal(err)
 			}
 		}
 	}
-	if set != 2 {
-		t.Errorf("transpose produced %d set bits, want 2", set)
-	}
-}
-
-func BenchmarkOTExtension(b *testing.B) {
-	a, c := transport.Pipe()
-	sCh := make(chan *ExtSender, 1)
-	go func() {
-		s, err := NewExtSender(a, newSeeded(15))
-		if err != nil {
-			panic(err)
-		}
-		sCh <- s
-	}()
-	r, err := NewExtReceiver(c, newSeeded(16))
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := <-sCh
-
-	rng := rand.New(rand.NewSource(17))
-	const n = 1024
-	pairs := randomPairs(rng, n)
-	choices := randomChoices(rng, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		errCh := make(chan error, 1)
-		go func() { errCh <- s.Send(pairs) }()
-		if _, err := r.Receive(choices); err != nil {
-			b.Fatal(err)
-		}
-		if err := <-errCh; err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(n), "OTs/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*total), "ns/OT")
 }
 
 func BenchmarkBaseOT(b *testing.B) {

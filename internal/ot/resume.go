@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 
+	"privinf/internal/garble"
 	"privinf/internal/transport"
 )
 
@@ -84,9 +85,8 @@ func ResumeSender(conn transport.MsgConn, st *SenderState, nonce []byte) (*ExtSe
 	if len(nonce) == 0 {
 		return nil, fmt.Errorf("ot: resume sender: empty session nonce")
 	}
-	s := &ExtSender{conn: conn, sBlock: st.sBlock, master: st.seeds}
+	s := &ExtSender{conn: conn, h: garble.NewHasher(), sBlock: st.sBlock, master: st.seeds}
 	for i := 0; i < kappa; i++ {
-		s.s[i] = st.sBlock[i/8]>>(uint(i)%8)&1 == 1
 		s.streams[i] = newPRG(deriveSeed(st.seeds[i], nonce))
 	}
 	return s, nil
@@ -101,7 +101,7 @@ func ResumeReceiver(conn transport.MsgConn, st *ReceiverState, nonce []byte) (*E
 	if len(nonce) == 0 {
 		return nil, fmt.Errorf("ot: resume receiver: empty session nonce")
 	}
-	r := &ExtReceiver{conn: conn, master: st.seeds}
+	r := &ExtReceiver{conn: conn, h: garble.NewHasher(), master: st.seeds}
 	for i := 0; i < kappa; i++ {
 		r.streams0[i] = newPRG(deriveSeed(st.seeds[i][0], nonce))
 		r.streams1[i] = newPRG(deriveSeed(st.seeds[i][1], nonce))

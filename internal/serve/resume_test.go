@@ -257,40 +257,42 @@ func TestTicketCachePrunesExpiredOnInsert(t *testing.T) {
 }
 
 // TestPreambleVersionMismatchRejected: a connection preamble speaking
-// another wire version is rejected with the typed version code before any
-// JSON is parsed — the v3 half of the version gate (the legacy v2-peer
-// half lives in TestWireVersionMismatchRejected).
+// another wire version — a legacy one, or the release just before this
+// one — is rejected with the typed version code before any JSON is parsed
+// (the hello half of the version gate lives in
+// TestWireVersionMismatchRejected).
 func TestPreambleVersionMismatchRejected(t *testing.T) {
 	_, ln := startEngine(t, Config{
 		Model:       testModel(t, 66),
 		Variant:     delphi.ClientGarbler,
 		LPHEWorkers: 2,
 	})
-
-	conn, err := transport.Dial(ln.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := transport.SendPreamble(conn, transport.Preamble{Version: 2}); err != nil {
-		t.Fatal(err)
-	}
-	op, body, err := recvCtrl(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if op != opReject {
-		t.Fatalf("got opcode %d, want opReject", op)
-	}
-	var rej rejectMsg
-	if err := unmarshalJSON(body, &rej); err != nil {
-		t.Fatal(err)
-	}
-	if rej.Code != rejectVersion {
-		t.Fatalf("reject code %q, want %q", rej.Code, rejectVersion)
-	}
-	if !errors.Is(&HandshakeError{Code: rej.Code}, ErrVersionMismatch) {
-		t.Fatal("preamble version rejection must map to ErrVersionMismatch")
+	for _, version := range []uint32{2, wireVersion - 1} {
+		conn, err := transport.Dial(ln.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if err := transport.SendPreamble(conn, transport.Preamble{Version: version}); err != nil {
+			t.Fatal(err)
+		}
+		op, body, err := recvCtrl(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if op != opReject {
+			t.Fatalf("preamble v%d: got opcode %d, want opReject", version, op)
+		}
+		var rej rejectMsg
+		if err := unmarshalJSON(body, &rej); err != nil {
+			t.Fatal(err)
+		}
+		if rej.Code != rejectVersion {
+			t.Fatalf("preamble v%d: reject code %q, want %q", version, rej.Code, rejectVersion)
+		}
+		if !errors.Is(&HandshakeError{Code: rej.Code}, ErrVersionMismatch) {
+			t.Fatal("preamble version rejection must map to ErrVersionMismatch")
+		}
 	}
 }
 

@@ -32,8 +32,11 @@ const (
 	// hellos may carry an OT resumption ticket plus a client nonce, welcomes
 	// answer with the typed resumption outcome, a fresh ticket and the server
 	// nonce, and a Resumed welcome is followed directly by protocol traffic
-	// — only full handshakes carry the HE public-key flight.
-	wireVersion = 4
+	// — only full handshakes carry the HE public-key flight. Version 5 is
+	// version 4's frames with the OT extension's ciphertexts hashed by
+	// fixed-key AES instead of SHA-256; durable state (tickets, preambles,
+	// artifacts) holds seeds, never ciphertexts, and carries across.
+	wireVersion = 5
 
 	tagData byte = 0x00
 	tagCtrl byte = 0x01
