@@ -1,10 +1,38 @@
-// Package ot implements 1-out-of-2 oblivious transfer: a handful of
-// public-key base OTs (Chou–Orlandi style over a classic Diffie-Hellman
-// group, baseot.go) extended to any number of symmetric-key OTs with the
-// IKNP protocol (iknp.go), the structure §2.1.4 of the paper describes. The
-// PI protocol uses it to deliver garbled-circuit input labels for the
-// evaluator's share bits; under Client-Garbler that transfer is on the online
-// path, so the extension is written as a kernel.
+// Package ot implements 1-out-of-2 oblivious transfer: kappa = 128 public-key
+// base OTs (Chou–Orlandi random OT over NIST P-256, baseot.go) extended to
+// any number of symmetric-key OTs with the IKNP protocol (iknp.go), the
+// structure §2.1.4 of the paper describes. The PI protocol uses it to deliver
+// garbled-circuit input labels for the evaluator's share bits; under
+// Client-Garbler that transfer is on the online path, so the extension is
+// written as a kernel.
+//
+// # Base OT
+//
+// IKNP needs only random seeds from its base OTs, so they are random OTs:
+// nobody chooses the messages, the protocol hands them out. Roles are
+// swapped against the extension: the extension receiver is the base sender
+// and ends with both seeds of every OT, the extension sender is the base
+// chooser and ends with the seed its correlation bit s_i selects. Two flights:
+//
+//   - base sender → chooser, "base A": A = aG, one 33-byte compressed point;
+//   - chooser → base sender, "base B": kappa compressed points
+//     B_i = b_iG, plus A where s_i = 1 (4,224 bytes).
+//
+// The chooser's seed is KDF(i, A, B_i, b_iA). The base sender's seeds are
+// k0 = KDF(i, A, B_i, aB_i) and k1 = KDF(i, A, B_i, aB_i − T) with T = aA
+// computed once, so each OT costs it one scalar multiplication and one
+// addition. KDF is SHA-256 over a domain tag, the OT index and the three
+// points' compressed encodings, truncated to a seed. Scalars are uniform in
+// [1, n), so no point this code sends is the identity (a B_i that comes out
+// as the identity is redrawn).
+//
+// Every point a peer sends is validated before it is used, in this order:
+// the frame length (a *FrameSizeError), then every point of the frame
+// decoded by elliptic.UnmarshalCompressed (on the curve, canonical, never
+// the identity; P-256 has cofactor 1, so that is group membership), and
+// only then any curve arithmetic — crypto/elliptic panics on a point that is
+// not on the curve. docs/invariants.md says why a semi-honest random OT is
+// enough here.
 //
 // # The extension kernel
 //
@@ -55,8 +83,10 @@
 // (ResumeSender/ResumeReceiver under a fresh nonce, resume.go).
 package ot
 
+//lint:file-ignore SA1019 crypto/elliptic's ScalarMult, ScalarBaseMult and Add are deprecated as low-level APIs, but they are the only standard-library P-256 point addition, which the chooser's B = bG + A needs (docs/invariants.md)
+
 import (
-	"crypto/rand"
+	"crypto/elliptic"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -74,151 +104,129 @@ const KeySize = garble.LabelSize
 // Message is one OT payload: a wire label, under its OT name.
 type Message = garble.Label
 
-// modp1536 is the RFC 3526 group 5 prime (1536-bit MODP). A classic DH
-// group keeps the base OT in pure stdlib (math/big); only 128 base OTs run
-// per session, so the exponentiation cost is a fixed, small setup charge.
-const modp1536Hex = "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD1" +
-	"29024E088A67CC74020BBEA63B139B22514A08798E3404DD" +
-	"EF9519B3CD3A431B302B0A6DF25F14374FE1356D6D51C245" +
-	"E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED" +
-	"EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3D" +
-	"C2007CB8A163BF0598DA48361C55D39A69163FA8FD24CF5F" +
-	"83655D23DCA3AD961C62F356208552BB9ED529077096966D" +
-	"670C354E4ABC9804F1746C08CA237327FFFFFFFFFFFFFFFF"
+// pointBytes is a compressed P-256 point: prefix 0x02/0x03, then x.
+const pointBytes = 33
 
-var (
-	groupP = mustHexBig(modp1536Hex)
-	groupG = big.NewInt(2)
-	// groupQ = (p-1)/2, the order of the subgroup of squares.
-	groupQ = new(big.Int).Rsh(new(big.Int).Sub(groupP, big.NewInt(1)), 1)
-)
+// baseKDFTag separates the base-OT key derivation from every other SHA-256
+// use in the repository.
+const baseKDFTag = "privinf/ot-base/v6"
 
-func mustHexBig(s string) *big.Int {
-	v, ok := new(big.Int).SetString(s, 16)
-	if !ok {
-		panic("ot: bad group constant")
+var curve = elliptic.P256()
+
+// randScalar draws a scalar uniform in [1, n): 32 big-endian bytes from
+// src, redrawn while zero or not below the group order (a P-256 draw is
+// rejected with probability below 2^-32).
+func randScalar(src io.Reader) ([]byte, error) {
+	k := make([]byte, 32)
+	for {
+		if _, err := io.ReadFull(src, k); err != nil {
+			return nil, fmt.Errorf("ot: entropy: %w", err)
+		}
+		if v := new(big.Int).SetBytes(k); v.Sign() > 0 && v.Cmp(curve.Params().N) < 0 {
+			return k, nil
+		}
 	}
-	return v
 }
 
-func randScalar(src io.Reader) *big.Int {
-	if src == nil {
-		src = rand.Reader
+// isIdentity reports whether an affine result of crypto/elliptic is the
+// point at infinity, which it returns as (0, 0).
+func isIdentity(x, y *big.Int) bool { return x.Sign() == 0 && y.Sign() == 0 }
+
+// baseKDF derives OT i's seed from the transcript points A and B (their wire
+// encodings) and the shared point (x, y). The shared point is the identity
+// only on the base sender's k1 side when a peer sent B_i = A; it is then
+// hashed as 33 zero bytes, which no compressed point encodes to.
+func baseKDF(i int, a, b []byte, x, y *big.Int) Message {
+	in := binary.BigEndian.AppendUint64([]byte(baseKDFTag), uint64(i))
+	in = append(append(in, a...), b...)
+	if isIdentity(x, y) {
+		in = append(in, make([]byte, pointBytes)...)
+	} else {
+		in = append(in, elliptic.MarshalCompressed(curve, x, y)...)
 	}
-	v, err := rand.Int(src, groupQ)
+	sum := sha256.Sum256(in)
+	return Message(sum[:KeySize])
+}
+
+// baseSend is the base sender's side of kappa random OTs over conn (the
+// extension receiver runs it): it returns both seeds of every OT.
+func baseSend(conn transport.MsgConn, src io.Reader) ([kappa][2]Message, error) {
+	var seeds [kappa][2]Message
+	a, err := randScalar(src)
 	if err != nil {
-		panic("ot: entropy source failed: " + err.Error())
+		return seeds, err
 	}
-	return v
-}
-
-// deriveKey hashes a group element (plus the OT index and a direction tag)
-// into a pad for one message.
-func deriveKey(elem *big.Int, index int) Message {
-	h := sha256.New()
-	var idx [8]byte
-	binary.BigEndian.PutUint64(idx[:], uint64(index))
-	h.Write(idx[:])
-	h.Write(elem.Bytes())
-	var out Message
-	copy(out[:], h.Sum(nil))
-	return out
-}
-
-func xorMsg(a, b Message) Message {
-	var out Message
-	for i := range a {
-		out[i] = a[i] ^ b[i]
+	ax, ay := curve.ScalarBaseMult(a)
+	aRaw := elliptic.MarshalCompressed(curve, ax, ay)
+	if err := conn.Send(aRaw); err != nil {
+		return seeds, err
 	}
-	return out
-}
-
-// BaseSend runs the sender side of n base OTs over conn, transferring
-// pairs[i][choice] obliviously. src may be nil (crypto/rand).
-func BaseSend(conn transport.MsgConn, pairs [][2]Message, src io.Reader) error {
-	a := randScalar(src)
-	bigA := new(big.Int).Exp(groupG, a, groupP)
-	if err := conn.Send(bigA.Bytes()); err != nil {
-		return err
-	}
-
-	// A^-a mod p, used to derive the choice-1 keys.
-	aInvExp := new(big.Int).Exp(bigA, a, groupP)
-	aInvExp.ModInverse(aInvExp, groupP)
+	// −T = −aA, computed while the chooser works.
+	tx, ty := curve.ScalarMult(ax, ay, a)
+	ty.Sub(curve.Params().P, ty)
 
 	raw, err := conn.Recv()
 	if err != nil {
-		return err
+		return seeds, err
 	}
-	elemLen := (groupP.BitLen() + 7) / 8
-	if len(raw) != elemLen*len(pairs) {
-		return fmt.Errorf("ot: base OT receiver sent %d bytes, want %d", len(raw), elemLen*len(pairs))
+	if len(raw) != kappa*pointBytes {
+		return seeds, &FrameSizeError{Frame: "base B", Got: len(raw), Want: kappa * pointBytes}
 	}
-
-	out := make([]byte, 0, 2*KeySize*len(pairs))
-	for i := range pairs {
-		bI := new(big.Int).SetBytes(raw[i*elemLen : (i+1)*elemLen])
-		if bI.Cmp(big.NewInt(1)) <= 0 || bI.Cmp(groupP) >= 0 {
-			return fmt.Errorf("ot: base OT element %d out of range", i)
+	var bx, by [kappa]*big.Int
+	for i := range bx {
+		if bx[i], by[i] = elliptic.UnmarshalCompressed(curve, raw[i*pointBytes:(i+1)*pointBytes]); bx[i] == nil {
+			return seeds, fmt.Errorf("ot: base OT %d: peer point B is not a compressed P-256 point", i)
 		}
-		bA := new(big.Int).Exp(bI, a, groupP) // B^a
-		k0 := deriveKey(bA, i)
-		k1 := deriveKey(new(big.Int).Mod(new(big.Int).Mul(bA, aInvExp), groupP), i) // (B/A)^a
-		e0 := xorMsg(k0, pairs[i][0])
-		e1 := xorMsg(k1, pairs[i][1])
-		out = append(out, e0[:]...)
-		out = append(out, e1[:]...)
 	}
-	return conn.Send(out)
+	for i := range seeds {
+		b := raw[i*pointBytes : (i+1)*pointBytes]
+		px, py := curve.ScalarMult(bx[i], by[i], a)
+		seeds[i][0] = baseKDF(i, aRaw, b, px, py)
+		qx, qy := curve.Add(px, py, tx, ty)
+		seeds[i][1] = baseKDF(i, aRaw, b, qx, qy)
+	}
+	return seeds, nil
 }
 
-// BaseReceive runs the receiver side of len(choices) base OTs, returning
-// the chosen message of each pair.
-func BaseReceive(conn transport.MsgConn, choices []bool, src io.Reader) ([]Message, error) {
-	rawA, err := conn.Recv()
+// baseReceive is the chooser's side of kappa random OTs over conn (the
+// extension sender runs it): OT i delivers the seed bit i of choices selects.
+func baseReceive(conn transport.MsgConn, choices Message, src io.Reader) ([kappa]Message, error) {
+	var seeds [kappa]Message
+	aRaw, err := conn.Recv()
 	if err != nil {
-		return nil, err
+		return seeds, err
 	}
-	bigA := new(big.Int).SetBytes(rawA)
-	if bigA.Cmp(big.NewInt(1)) <= 0 || bigA.Cmp(groupP) >= 0 {
-		return nil, fmt.Errorf("ot: base OT sender element out of range")
+	if len(aRaw) != pointBytes {
+		return seeds, &FrameSizeError{Frame: "base A", Got: len(aRaw), Want: pointBytes}
+	}
+	ax, ay := elliptic.UnmarshalCompressed(curve, aRaw)
+	if ax == nil {
+		return seeds, fmt.Errorf("ot: base OT: peer point A is not a compressed P-256 point")
 	}
 
-	elemLen := (groupP.BitLen() + 7) / 8
-	buf := make([]byte, 0, elemLen*len(choices))
-	secrets := make([]*big.Int, len(choices))
-	for i, c := range choices {
-		b := randScalar(src)
-		secrets[i] = b
-		bI := new(big.Int).Exp(groupG, b, groupP)
-		if c {
-			bI.Mul(bI, bigA).Mod(bI, groupP)
+	var b [kappa][]byte
+	out := make([]byte, 0, kappa*pointBytes)
+	for i := range b {
+		for {
+			if b[i], err = randScalar(src); err != nil {
+				return seeds, err
+			}
+			x, y := curve.ScalarBaseMult(b[i])
+			if bit(choices[:], i) {
+				x, y = curve.Add(x, y, ax, ay)
+			}
+			if !isIdentity(x, y) {
+				out = append(out, elliptic.MarshalCompressed(curve, x, y)...)
+				break
+			}
 		}
-		elem := bI.FillBytes(make([]byte, elemLen))
-		buf = append(buf, elem...)
 	}
-	if err := conn.Send(buf); err != nil {
-		return nil, err
+	if err := conn.Send(out); err != nil {
+		return seeds, err
 	}
-
-	enc, err := conn.Recv()
-	if err != nil {
-		return nil, err
+	for i := range seeds {
+		sx, sy := curve.ScalarMult(ax, ay, b[i])
+		seeds[i] = baseKDF(i, aRaw, out[i*pointBytes:(i+1)*pointBytes], sx, sy)
 	}
-	if len(enc) != 2*KeySize*len(choices) {
-		return nil, fmt.Errorf("ot: base OT sender sent %d bytes, want %d", len(enc), 2*KeySize*len(choices))
-	}
-
-	out := make([]Message, len(choices))
-	for i, c := range choices {
-		k := deriveKey(new(big.Int).Exp(bigA, secrets[i], groupP), i) // A^b
-		var e Message
-		off := i * 2 * KeySize
-		if c {
-			off += KeySize
-		}
-		copy(e[:], enc[off:off+KeySize])
-		out[i] = xorMsg(k, e)
-	}
-	return out, nil
+	return seeds, nil
 }

@@ -2,8 +2,11 @@ package ot
 
 import (
 	"bytes"
+	"encoding"
 	"reflect"
 	"testing"
+
+	"privinf/internal/bin/bintest"
 )
 
 // TestSenderStateCodecRoundTrip: every seed byte survives the trip, and the
@@ -121,4 +124,27 @@ func TestResumedStateMatchesExported(t *testing.T) {
 	if !reflect.DeepEqual(rst, rgot) {
 		t.Fatal("exported receiver state did not survive persistence")
 	}
+}
+
+// patterned is n bytes of a fixed pattern, a stand-in for seed material.
+func patterned(n int, seed byte) []byte {
+	out := make([]byte, n)
+	for i := range out {
+		out[i] = seed + byte(i*7)
+	}
+	return out
+}
+
+func FuzzSenderStateUnmarshal(f *testing.F) {
+	bintest.FuzzRoundTrip(f, patterned(SenderStateBytes, 3), func(data []byte) (encoding.BinaryMarshaler, error) {
+		st := &SenderState{}
+		return st, st.UnmarshalBinary(data)
+	})
+}
+
+func FuzzReceiverStateUnmarshal(f *testing.F) {
+	bintest.FuzzRoundTrip(f, patterned(ReceiverStateBytes, 5), func(data []byte) (encoding.BinaryMarshaler, error) {
+		st := &ReceiverState{}
+		return st, st.UnmarshalBinary(data)
+	})
 }

@@ -10,21 +10,58 @@ import (
 	"strings"
 	"testing"
 
+	"privinf/internal/garble"
 	"privinf/internal/transport"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from the current implementation")
 
-// TestIKNPGolden pins the extension's wire bytes on seeded endpoints, fresh
-// and resumed, over batch sizes on both sides of every byte and tile
-// boundary: per batch the receiver's correction frame u, the sender's
-// ciphertext frame y and a digest of the delivered messages, each line
-// "endpoints frame bytes sha256". The u and got lines were generated by the
-// bit-at-a-time, slice-per-row implementation that preceded the tiled kernel
-// and have never changed; the y lines moved once, with the extension's hash
-// (wire v5).
+// goldenStates loads testdata/states.bin: the SenderState and then the
+// ReceiverState that setupExtension produced under wire v5 (MODP base OTs),
+// written with the state codecs. They pin the extension's inputs, so the
+// IKNP golden covers the extension and not the base OT that made its seeds.
+func goldenStates(t *testing.T) (*SenderState, *ReceiverState) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "states.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw) != SenderStateBytes+ReceiverStateBytes {
+		t.Fatalf("states.bin is %d bytes, want %d", len(raw), SenderStateBytes+ReceiverStateBytes)
+	}
+	ss, rs := &SenderState{}, &ReceiverState{}
+	if err := ss.UnmarshalBinary(raw[:SenderStateBytes]); err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.UnmarshalBinary(raw[SenderStateBytes:]); err != nil {
+		t.Fatal(err)
+	}
+	return ss, rs
+}
+
+// masterPair builds the endpoints a full setup ending in ss and rs would
+// have: streams expanded from the master seeds as they are, not from
+// nonce-derived ones.
+func masterPair(a, b transport.MsgConn, ss *SenderState, rs *ReceiverState) (*ExtSender, *ExtReceiver) {
+	s := &ExtSender{conn: a, h: garble.NewHasher(), sBlock: ss.sBlock, master: ss.seeds}
+	r := &ExtReceiver{conn: b, h: garble.NewHasher(), master: rs.seeds}
+	for i := 0; i < kappa; i++ {
+		s.streams[i] = newPRG(ss.seeds[i])
+		r.streams0[i], r.streams1[i] = newPRG(rs.seeds[i][0]), newPRG(rs.seeds[i][1])
+	}
+	return s, r
+}
+
+// TestIKNPGolden pins the extension's wire bytes on fixed base-OT states,
+// fresh (master seeds) and resumed, over batch sizes on both sides of every
+// byte and tile boundary: per batch the receiver's correction frame u, the
+// sender's ciphertext frame y and a digest of the delivered messages, each
+// line "endpoints frame bytes sha256". The u and got lines were generated by
+// the bit-at-a-time, slice-per-row implementation that preceded the tiled
+// kernel and have never changed; the y lines moved once, with the
+// extension's hash (wire v5).
 func TestIKNPGolden(t *testing.T) {
-	s0, r0 := setupExtension(t)
+	ss, rs := goldenStates(t)
 	var got strings.Builder
 	run := func(tag string, s *ExtSender, r *ExtReceiver, us, ys *frames) {
 		rng := rand.New(rand.NewSource(40))
@@ -39,17 +76,18 @@ func TestIKNPGolden(t *testing.T) {
 				tag, len(u), sha256.Sum256(u), tag, len(y), sha256.Sum256(y), tag, m, h.Sum(nil))
 		}
 	}
-	ys, us := &frames{MsgConn: s0.conn}, &frames{MsgConn: r0.conn}
-	s0.conn, r0.conn = ys, us
+	a, b := transport.Pipe()
+	ys, us := &frames{MsgConn: a}, &frames{MsgConn: b}
+	s0, r0 := masterPair(ys, us, ss, rs)
 	run("fresh", s0, r0, us, ys)
 
-	a, b := transport.Pipe()
+	a, b = transport.Pipe()
 	ys, us = &frames{MsgConn: a}, &frames{MsgConn: b}
-	s1, err := ResumeSender(ys, s0.State(), []byte("golden"))
+	s1, err := ResumeSender(ys, ss, []byte("golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := ResumeReceiver(us, r0.State(), []byte("golden"))
+	r1, err := ResumeReceiver(us, rs, []byte("golden"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,16 +50,12 @@ func NewExtSender(conn transport.MsgConn, src io.Reader) (*ExtSender, error) {
 	if _, err := io.ReadFull(src, s.sBlock[:]); err != nil {
 		return nil, fmt.Errorf("ot: entropy: %w", err)
 	}
-	choices := make([]bool, kappa)
-	for i := range choices {
-		choices[i] = bit(s.sBlock[:], i)
-	}
-	seeds, err := BaseReceive(conn, choices, src)
+	seeds, err := baseReceive(conn, s.sBlock, src)
 	if err != nil {
 		return nil, fmt.Errorf("ot: extension sender base OT: %w", err)
 	}
+	s.master = seeds
 	for i, seed := range seeds {
-		s.master[i] = seed
 		s.streams[i] = newPRG(seed)
 	}
 	return s, nil
@@ -137,22 +133,14 @@ func NewExtReceiver(conn transport.MsgConn, src io.Reader) (*ExtReceiver, error)
 	if src == nil {
 		src = rand.Reader
 	}
-	var pairs [kappa][2]Message
-	for i := range pairs {
-		if _, err := io.ReadFull(src, pairs[i][0][:]); err != nil {
-			return nil, fmt.Errorf("ot: entropy: %w", err)
-		}
-		if _, err := io.ReadFull(src, pairs[i][1][:]); err != nil {
-			return nil, fmt.Errorf("ot: entropy: %w", err)
-		}
-	}
-	if err := BaseSend(conn, pairs[:], src); err != nil {
+	seeds, err := baseSend(conn, src)
+	if err != nil {
 		return nil, fmt.Errorf("ot: extension receiver base OT: %w", err)
 	}
-	r.master = pairs
-	for i := range pairs {
-		r.streams0[i] = newPRG(pairs[i][0])
-		r.streams1[i] = newPRG(pairs[i][1])
+	r.master = seeds
+	for i := range seeds {
+		r.streams0[i] = newPRG(seeds[i][0])
+		r.streams1[i] = newPRG(seeds[i][1])
 	}
 	return r, nil
 }
@@ -216,9 +204,11 @@ func (r *ExtReceiver) receive(choices []bool) ([]Message, error) {
 	return out, nil
 }
 
-// FrameSizeError reports an extension frame ("u", the receiver's correction
-// matrix, or "y", the sender's ciphertexts) whose length does not fit the
-// batch. It is raised before the frame is read.
+// FrameSizeError reports a frame whose length does not fit what it carries:
+// an extension frame ("u", the receiver's correction matrix, or "y", the
+// sender's ciphertexts) against its batch, or a base-OT flight ("base A",
+// one point, or "base B", kappa points). It is raised before the frame is
+// read.
 type FrameSizeError struct {
 	Frame     string
 	Got, Want int
@@ -241,6 +231,15 @@ func newPRG(seed Message) cipher.Stream {
 
 // bit reports bit i of a little-endian packed bit string.
 func bit(b []byte, i int) bool { return b[i/8]>>(uint(i)%8)&1 == 1 }
+
+// xorMsg returns a ⊕ b.
+func xorMsg(a, b Message) Message {
+	var out Message
+	for i := range a {
+		out[i] = a[i] ^ b[i]
+	}
+	return out
+}
 
 // transpose writes the bit matrix rows (kappa rows of mBytes bytes, bit j of
 // row i at byte j/8, bit j%8) column-wise: bit i of dst[j] becomes bit j of

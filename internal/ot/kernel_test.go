@@ -154,17 +154,8 @@ func TestKernelMatchesOracle(t *testing.T) {
 		for _, h := range hashes {
 			ka, kb := transport.Pipe()
 			ks, kr := &frames{MsgConn: ka}, &frames{MsgConn: kb}
-			var s *ExtSender
-			var r *ExtReceiver
-			if nonce == nil {
-				// A fresh endpoint expands the master seeds directly.
-				s = &ExtSender{conn: ks, h: garble.NewHasher(), sBlock: ss.sBlock, master: ss.seeds}
-				r = &ExtReceiver{conn: kr, h: garble.NewHasher(), master: rs.seeds}
-				for i := 0; i < kappa; i++ {
-					s.streams[i] = newPRG(ss.seeds[i])
-					r.streams0[i], r.streams1[i] = newPRG(rs.seeds[i][0]), newPRG(rs.seeds[i][1])
-				}
-			} else {
+			s, r := masterPair(ks, kr, ss, rs)
+			if nonce != nil {
 				var err error
 				if s, err = ResumeSender(ks, ss, nonce); err != nil {
 					t.Fatal(err)

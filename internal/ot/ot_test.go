@@ -60,43 +60,49 @@ func checkTransfer(t *testing.T, pairs [][2]Message, choices []bool, got []Messa
 	}
 }
 
-func TestBaseOT(t *testing.T) {
+// runBaseOT runs kappa random base OTs over a pipe, each party on its own
+// seeded stream, and checks that OT i gave the chooser the base sender's
+// seed that bit i of choices selects and never the other one.
+func runBaseOT(t *testing.T, choices Message, sendSeed, recvSeed int64) {
+	t.Helper()
 	a, b := transport.Pipe()
-	rng := rand.New(rand.NewSource(1))
-	pairs := randomPairs(rng, 16)
-	choices := randomChoices(rng, 16)
-
-	errCh := make(chan error, 1)
-	go func() { errCh <- BaseSend(a, pairs, newSeeded(2)) }()
-	got, err := BaseReceive(b, choices, newSeeded(3))
+	type sent struct {
+		seeds [kappa][2]Message
+		err   error
+	}
+	sCh := make(chan sent, 1)
+	go func() {
+		seeds, err := baseSend(a, newSeeded(sendSeed))
+		sCh <- sent{seeds, err}
+	}()
+	got, err := baseReceive(b, choices, newSeeded(recvSeed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := <-errCh; err != nil {
-		t.Fatal(err)
+	s := <-sCh
+	if s.err != nil {
+		t.Fatal(s.err)
 	}
-	checkTransfer(t, pairs, choices, got)
+	bits := make([]bool, kappa)
+	for i := range bits {
+		bits[i] = bit(choices[:], i)
+	}
+	checkTransfer(t, s.seeds[:], bits, got[:])
+}
+
+func TestBaseOT(t *testing.T) {
+	var choices Message
+	rand.New(rand.NewSource(1)).Read(choices[:])
+	runBaseOT(t, choices, 2, 3)
 }
 
 func TestBaseOTAllChoicePatterns(t *testing.T) {
-	for _, pattern := range [][]bool{
-		{false, false, false},
-		{true, true, true},
-		{true, false, true},
-	} {
-		a, b := transport.Pipe()
-		rng := rand.New(rand.NewSource(4))
-		pairs := randomPairs(rng, len(pattern))
-		errCh := make(chan error, 1)
-		go func() { errCh <- BaseSend(a, pairs, newSeeded(5)) }()
-		got, err := BaseReceive(b, pattern, newSeeded(6))
-		if err != nil {
-			t.Fatal(err)
+	for _, fill := range []byte{0x00, 0xFF, 0x55} {
+		var choices Message
+		for i := range choices {
+			choices[i] = fill
 		}
-		if err := <-errCh; err != nil {
-			t.Fatal(err)
-		}
-		checkTransfer(t, pairs, pattern, got)
+		runBaseOT(t, choices, 5, 6)
 	}
 }
 
@@ -278,16 +284,17 @@ func BenchmarkOTExtension(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*total), "ns/OT")
 }
 
+// BenchmarkBaseOT is one full handshake's base OTs: kappa random OTs, both
+// parties on one pipe.
 func BenchmarkBaseOT(b *testing.B) {
-	rng := rand.New(rand.NewSource(18))
-	pairs := randomPairs(rng, kappa)
-	choices := randomChoices(rng, kappa)
-	b.ResetTimer()
+	var choices Message
+	rand.New(rand.NewSource(18)).Read(choices[:])
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		x, y := transport.Pipe()
 		errCh := make(chan error, 1)
-		go func() { errCh <- BaseSend(x, pairs, newSeeded(19)) }()
-		if _, err := BaseReceive(y, choices, newSeeded(20)); err != nil {
+		go func() { _, err := baseSend(x, newSeeded(19)); errCh <- err }()
+		if _, err := baseReceive(y, choices, newSeeded(20)); err != nil {
 			b.Fatal(err)
 		}
 		if err := <-errCh; err != nil {

@@ -8,8 +8,8 @@ import (
 	"privinf/internal/transport"
 )
 
-// OT resumption: the expensive part of IKNP setup is the kappa public-key
-// base OTs (~0.6 s of modular exponentiation per session). Their output —
+// OT resumption: the public-key part of IKNP setup is the kappa base OTs
+// (two flights and 256 P-256 scalar multiplications per session). Their output —
 // the sender's secret correlation bits s plus one PRG seed per column on
 // the sender side, both seeds per column on the receiver side — is
 // input-independent, so a party that completes one full setup can cache it

@@ -329,44 +329,50 @@ func TestTicketDirRequiresResumption(t *testing.T) {
 	}
 }
 
-// TestWire4StateResumesUnderWire5: durable state carries across the wire
-// bump, because it holds seeds and the bump changed only how ciphertexts
-// are derived from them. testdata/wire4 is what the last wire-v4 commit
-// left after one cold Client-Garbler session on testModel(170): the
-// engine's ticket directory and the client's preamble file (saved with its
-// cached model artifact dropped, which keeps the file small and makes the
-// reconnect rebuild it). A v5 engine loads the ticket, the v5 client
-// resumes on it — no base OTs, no keygen — and the inference, whose online
-// phase is label OT on the resumed seeds, is bit-exact.
-func TestWire4StateResumesUnderWire5(t *testing.T) {
-	dir := t.TempDir() // the stores sweep and rewrite their directories
-	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "wire4"))); err != nil {
-		t.Fatal(err)
+// TestOlderWireStateResumes: durable state carries across wire bumps,
+// because it holds seeds and neither bump changed them — v5 changed how the
+// OT extension hashes its ciphertexts, v6 the base OT that makes the seeds
+// in a full handshake. testdata/wire4 and testdata/wire5 are what the last
+// commit of each release left after one cold Client-Garbler session on
+// testModel(170): the engine's ticket directory and the client's preamble
+// file (saved with its cached model artifact dropped, which keeps the file
+// small and makes the reconnect rebuild it). The current engine loads the
+// ticket, the current client resumes on it — no base OTs, no keygen — and
+// the inference, whose online phase is label OT on the resumed seeds, is
+// bit-exact.
+func TestOlderWireStateResumes(t *testing.T) {
+	for _, release := range []string{"wire4", "wire5"} {
+		t.Run(release, func(t *testing.T) {
+			dir := t.TempDir() // the stores sweep and rewrite their directories
+			if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", release))); err != nil {
+				t.Fatal(err)
+			}
+			cfg := durableConfig(t, filepath.Join(dir, "tickets"), 170)
+			eng, ln := pipeEngine(t, cfg)
+			if st := eng.Stats(); st.Tickets.Loaded != 1 || st.Tickets.LoadErrors != 0 || st.Tickets.Expired != 0 {
+				t.Fatalf("engine over the %s ticket dir: %+v, want one clean load", release, st.Tickets)
+			}
+			ps, err := NewPreambleStore(filepath.Join(dir, "preamble"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := ps.Load(release)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nonceBefore, hadKeys := heGeneration(p)
+			if !hadKeys {
+				t.Fatalf("%s preamble carries no HE key generation", release)
+			}
+			c := connectPreamble(t, ln, "", p)
+			defer c.Close()
+			if resumed, code := c.ResumeOutcome(); !resumed || code != "" {
+				t.Fatalf("connect on %s state resumed=%v reject=%q, want clean resume", release, resumed, code)
+			}
+			if nonceAfter, _ := heGeneration(p); nonceAfter != nonceBefore {
+				t.Fatalf("resumed connect bumped the HE nonce %d→%d: keygen ran", nonceBefore, nonceAfter)
+			}
+			inferOnce(t, c, cfg.Model)
+		})
 	}
-	cfg := durableConfig(t, filepath.Join(dir, "tickets"), 170)
-	eng, ln := pipeEngine(t, cfg)
-	if st := eng.Stats(); st.Tickets.Loaded != 1 || st.Tickets.LoadErrors != 0 || st.Tickets.Expired != 0 {
-		t.Fatalf("v5 engine over the v4 ticket dir: %+v, want one clean load", st.Tickets)
-	}
-	ps, err := NewPreambleStore(filepath.Join(dir, "preamble"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := ps.Load("wire4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	nonceBefore, hadKeys := heGeneration(p)
-	if !hadKeys {
-		t.Fatal("v4 preamble carries no HE key generation")
-	}
-	c := connectPreamble(t, ln, "", p)
-	defer c.Close()
-	if resumed, code := c.ResumeOutcome(); !resumed || code != "" {
-		t.Fatalf("connect on v4 state resumed=%v reject=%q, want clean resume", resumed, code)
-	}
-	if nonceAfter, _ := heGeneration(p); nonceAfter != nonceBefore {
-		t.Fatalf("resumed connect bumped the HE nonce %d→%d: keygen ran", nonceBefore, nonceAfter)
-	}
-	inferOnce(t, c, cfg.Model)
 }

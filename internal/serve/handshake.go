@@ -106,7 +106,8 @@ func (e *Engine) handshake(conn *transport.Conn, addr string) *session {
 	if resume != nil {
 		serverNonce = randomID(e.entropy)
 	} else if e.tickets != nil {
-		newTicket = e.tickets.reserve()
+		newTicket = e.tickets.reserve(name)
+		defer e.tickets.settle(newTicket)
 	}
 	// setupTier is how the session is established; the resume-tier counter
 	// refines full into the typed rejection that fell back to it.
@@ -198,7 +199,7 @@ func (e *Engine) handshake(conn *transport.Conn, addr string) *session {
 	default:
 		err = s.srv.Setup()
 		if err == nil && newTicket != nil {
-			e.tickets.insert(newTicket, s.srv.OTResume(), name)
+			e.tickets.insert(newTicket, s.srv.OTResume())
 		}
 	}
 	if err != nil {

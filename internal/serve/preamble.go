@@ -16,7 +16,7 @@ import (
 //
 //   - the OT resumption ticket from its last full handshake, paired with
 //     the client-side seed material it resumes from, so reconnects skip
-//     the ~0.6 s of public-key base OTs entirely; and
+//     the public-key base OTs entirely; and
 //   - per-model shared client artifacts (delphi.ClientShared: ReLU
 //     circuits + matvec plans, no secrets), the client-side analog of the
 //     server's SharedModel, built once per model and reused across all of

@@ -107,6 +107,9 @@ func TestResumeExpiredTicket(t *testing.T) {
 
 	p := NewPreamble()
 	connectPreamble(t, ln, "", p).Close()
+	// The client, base-OT chooser under Client-Garbler, can finish setup
+	// before the engine publishes the ticket; publish it on the real clock.
+	eng.tickets.flush()
 
 	// Lapse the ticket deterministically through the cache's clock seam
 	// rather than sleeping against a real TTL.
@@ -235,11 +238,11 @@ func TestTicketCachePrunesExpiredOnInsert(t *testing.T) {
 	now := base
 	tc.now = func() time.Time { return now }
 
-	stale := tc.reserve()
-	tc.insert(stale, state, "m")
+	stale := tc.reserve("m")
+	tc.insert(stale, state)
 	now = base.Add(2 * time.Minute) // past the TTL
-	fresh := tc.reserve()
-	tc.insert(fresh, state, "m")
+	fresh := tc.reserve("m")
+	tc.insert(fresh, state)
 
 	st := tc.stats(nil)
 	if st.Tickets != 1 {
@@ -256,39 +259,49 @@ func TestTicketCachePrunesExpiredOnInsert(t *testing.T) {
 	}
 }
 
-// TestPreambleVersionMismatchRejected: a connection preamble speaking
-// another wire version — a legacy one, or the release just before this
-// one — is rejected with the typed version code before any JSON is parsed
-// (the hello half of the version gate lives in
-// TestWireVersionMismatchRejected).
+// TestPreambleVersionMismatchRejected: an opening at another wire version —
+// a legacy preamble, the release just before this one, or its hello inside
+// a current preamble — is rejected with the typed version code (the bare
+// hello half of the version gate lives in TestWireVersionMismatchRejected).
 func TestPreambleVersionMismatchRejected(t *testing.T) {
 	_, ln := startEngine(t, Config{
 		Model:       testModel(t, 66),
 		Variant:     delphi.ClientGarbler,
 		LPHEWorkers: 2,
 	})
-	for _, version := range []uint32{2, wireVersion - 1} {
+	preamble := func(version uint32) []byte { return transport.Preamble{Version: version}.Encode() }
+	for _, tc := range []struct {
+		name   string
+		frames [][]byte
+	}{
+		{"preamble v2", [][]byte{preamble(2)}},
+		{"preamble v4", [][]byte{preamble(4)}},
+		{"preamble v5", [][]byte{preamble(5)}},
+		{"v5 hello inside a v6 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 5}))}},
+	} {
 		conn, err := transport.Dial(ln.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		if err := transport.SendPreamble(conn, transport.Preamble{Version: version}); err != nil {
-			t.Fatal(err)
+		for _, f := range tc.frames {
+			if err := conn.Send(f); err != nil {
+				t.Fatal(err)
+			}
 		}
 		op, body, err := recvCtrl(conn)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if op != opReject {
-			t.Fatalf("preamble v%d: got opcode %d, want opReject", version, op)
+			t.Fatalf("%s: got opcode %d, want opReject", tc.name, op)
 		}
 		var rej rejectMsg
 		if err := unmarshalJSON(body, &rej); err != nil {
 			t.Fatal(err)
 		}
 		if rej.Code != rejectVersion {
-			t.Fatalf("preamble v%d: reject code %q, want %q", version, rej.Code, rejectVersion)
+			t.Fatalf("%s: reject code %q, want %q", tc.name, rej.Code, rejectVersion)
 		}
 		if !errors.Is(&HandshakeError{Code: rej.Code}, ErrVersionMismatch) {
 			t.Fatal("preamble version rejection must map to ErrVersionMismatch")

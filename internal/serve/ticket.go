@@ -43,6 +43,15 @@ type ticketCache struct {
 	entries map[string]*ticketEntry
 	lru     *list.List // of *ticketEntry; front = most recently used
 
+	// pending holds reserved tickets whose full handshake is still making
+	// their seeds; settled (on mu) is broadcast as each one settles. The
+	// welcome hands the ticket out first, and a Client-Garbler client, the
+	// base-OT chooser, sends the last setup flight and may reconnect while
+	// the engine still derives its seeds from it: redeem waits for the
+	// settle instead of answering unknown_ticket.
+	pending map[string]bool
+	settled *sync.Cond
+
 	// now is a test seam for expiry.
 	now func() time.Time
 
@@ -87,12 +96,14 @@ func newTicketCache(ttl time.Duration, budget int64, entropy io.Reader, events *
 		ttl:     ttl,
 		budget:  budget,
 		entries: map[string]*ticketEntry{},
+		pending: map[string]bool{},
 		lru:     list.New(),
 		now:     time.Now,
 		entropy: entropy,
 		events:  events,
 	}
 	tc.disk = newWriteBehind(&tc.mu)
+	tc.settled = sync.NewCond(&tc.mu)
 	return tc
 }
 
@@ -120,16 +131,33 @@ func joinNonce(client, server []byte) []byte {
 	return append(out, server...)
 }
 
-// reserve generates a fresh opaque ticket identifier. The entry is not in
-// the cache yet — the welcome carries the ticket before the OT setup that
+// reserve generates a fresh opaque ticket identifier for a full handshake
+// on model, counts it issued and marks it pending. The entry is not in the
+// cache yet — the welcome carries the ticket before the OT setup that
 // produces its seed material completes; insert publishes it afterwards.
-func (tc *ticketCache) reserve() []byte {
-	return randomID(tc.entropy)
+// Every reservation ends in settle.
+func (tc *ticketCache) reserve(model string) []byte {
+	id := randomID(tc.entropy)
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	tc.pending[string(id)] = true
+	tc.events.With(model, ticketIssued).Inc()
+	return id
+}
+
+// settle ends a reservation, whether or not insert published it, and wakes
+// every redeem waiting on it. Settling twice is harmless.
+func (tc *ticketCache) settle(id []byte) {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	delete(tc.pending, string(id))
+	tc.settled.Broadcast()
 }
 
 // insert publishes seed material under a reserved ticket and evicts LRU
 // entries past the byte budget (never the one just inserted).
-func (tc *ticketCache) insert(id []byte, state *delphi.OTResume, model string) {
+func (tc *ticketCache) insert(id []byte, state *delphi.OTResume) {
+	defer tc.settle(id)
 	if state == nil {
 		return
 	}
@@ -144,7 +172,9 @@ func (tc *ticketCache) insert(id []byte, state *delphi.OTResume, model string) {
 	// Prune lapsed tickets eagerly: secret correlation seeds must not
 	// outlive their TTL just because the holder never reconnects and the
 	// byte budget never bites. Inserts happen at most once per full
-	// handshake (~0.6 s of base OTs each), so a linear scan is free.
+	// handshake, whose base OTs and HE keygen take tens of milliseconds,
+	// and the default budget holds about a thousand entries, so the scan
+	// costs microseconds against that.
 	// Not-Before, not After: a ticket is dead AT its expiry instant, the
 	// same boundary redeem enforces.
 	now := tc.now()
@@ -162,7 +192,6 @@ func (tc *ticketCache) insert(id []byte, state *delphi.OTResume, model string) {
 	tc.entries[e.id] = e
 	e.elem = tc.lru.PushFront(e)
 	tc.bytes += e.size
-	tc.events.With(model, ticketIssued).Inc()
 	tc.evictOver()
 	tc.enqueueSave(e)
 }
@@ -186,6 +215,9 @@ func (tc *ticketCache) evictOver() {
 func (tc *ticketCache) redeem(id []byte, model string) (*delphi.OTResume, string) {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
+	for tc.pending[string(id)] {
+		tc.settled.Wait()
+	}
 	e, ok := tc.entries[string(id)]
 	if !ok {
 		tc.events.With(model, ticketUnknown).Inc()
@@ -246,10 +278,18 @@ func (tc *ticketCache) persist(run func() error) {
 	}})
 }
 
-// flush blocks until every queued background disk write has completed —
-// the barrier clean shutdown (and tests) use before trusting the store's
-// contents or the persist counters.
-func (tc *ticketCache) flush() { tc.disk.flush() }
+// flush blocks until every ticket reserved so far has settled and every
+// queued background disk write has completed — the barrier clean shutdown
+// (and tests) use before trusting the store's contents or the persist
+// counters.
+func (tc *ticketCache) flush() {
+	tc.mu.Lock()
+	for len(tc.pending) > 0 {
+		tc.settled.Wait()
+	}
+	tc.mu.Unlock()
+	tc.disk.flush()
+}
 
 // attachStore wires the disk half in and reloads its surviving records:
 // the restarted engine's live tickets, minus those whose TTL lapsed while

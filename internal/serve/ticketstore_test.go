@@ -147,8 +147,8 @@ func TestTicketCacheWriteThrough(t *testing.T) {
 	tc.mu.Unlock()
 	tc.attachStore(ts)
 
-	id := tc.reserve()
-	tc.insert(id, testOTResume(t, 13), "m")
+	id := tc.reserve("m")
+	tc.insert(id, testOTResume(t, 13))
 	tc.flush()
 	if _, err := os.Stat(ts.path(id)); err != nil {
 		t.Fatalf("insert did not write through: %v", err)
@@ -194,8 +194,8 @@ func TestTicketCacheReloadAcrossRestart(t *testing.T) {
 	tc1 := testTicketCache(time.Hour, -1)
 	tc1.attachStore(ts1)
 	state := testOTResume(t, 14)
-	id := tc1.reserve()
-	tc1.insert(id, state, "m")
+	id := tc1.reserve("m")
+	tc1.insert(id, state)
 	tc1.flush()
 
 	ts2, err := newTicketStore(dir)
@@ -249,8 +249,8 @@ func TestTicketCacheLoadRespectsBudget(t *testing.T) {
 	live := testOTResume(t, 30)
 	diskState := testOTResume(t, 31)
 	tc2 := testTicketCache(time.Hour, -1)
-	id := tc2.reserve()
-	tc2.insert(id, live, "m")
+	id := tc2.reserve("m")
+	tc2.insert(id, live)
 	dir2 := t.TempDir()
 	ts2, err := newTicketStore(dir2)
 	if err != nil {
@@ -286,8 +286,8 @@ func TestTicketExpiryAtExactTTLBoundary(t *testing.T) {
 	tc.now = func() time.Time { return now }
 	tc.mu.Unlock()
 
-	id := tc.reserve()
-	tc.insert(id, testOTResume(t, 40), "m")
+	id := tc.reserve("m")
+	tc.insert(id, testOTResume(t, 40))
 
 	// One instant before the boundary: still a hit (and the hit slides the
 	// window from this now).
@@ -308,5 +308,45 @@ func TestTicketExpiryAtExactTTLBoundary(t *testing.T) {
 	// And it stays dead: the drop is permanent, not a transient reject.
 	if _, reject := tc.redeem(id, "m"); reject != resumeUnknownTicket {
 		t.Fatalf("second redeem = %q, want %q (entry dropped)", reject, resumeUnknownTicket)
+	}
+}
+
+// TestRedeemWaitsForPendingTicket: a ticket handed out in a welcome whose
+// handshake is still making its seeds is not unknown. A redeem that arrives
+// meanwhile waits for the settle: it resumes once the handshake publishes
+// the state, and answers unknown_ticket if the handshake gave up; flush
+// returns only after both have settled.
+func TestRedeemWaitsForPendingTicket(t *testing.T) {
+	tc := testTicketCache(time.Hour, -1)
+	state := testOTResume(t, 50)
+	published, abandoned := tc.reserve("m"), tc.reserve("m")
+	type outcome struct {
+		state  *delphi.OTResume
+		reject string
+	}
+	got := make([]chan outcome, 2)
+	for i, id := range [][]byte{published, abandoned} {
+		got[i] = make(chan outcome, 1)
+		go func() {
+			st, reject := tc.redeem(id, "m")
+			got[i] <- outcome{st, reject}
+		}()
+	}
+	flushed := make(chan struct{})
+	go func() {
+		tc.flush()
+		close(flushed)
+	}()
+	tc.insert(published, state)
+	tc.settle(abandoned)
+	if o := <-got[0]; o.state != state || o.reject != "" {
+		t.Fatalf("redeem of the published ticket = %v, %q; want its state", o.state, o.reject)
+	}
+	if o := <-got[1]; o.state != nil || o.reject != resumeUnknownTicket {
+		t.Fatalf("redeem of the abandoned ticket = %v, %q; want %q", o.state, o.reject, resumeUnknownTicket)
+	}
+	<-flushed
+	if st := tc.stats(nil); st.Issued != 2 || st.Resumed != 1 || st.Unknown != 1 {
+		t.Fatalf("ticket stats %+v, want issued 2 (at hand-out), resumed 1, unknown 1", st)
 	}
 }

@@ -32,11 +32,14 @@ const (
 	// hellos may carry an OT resumption ticket plus a client nonce, welcomes
 	// answer with the typed resumption outcome, a fresh ticket and the server
 	// nonce, and a Resumed welcome is followed directly by protocol traffic
-	// — only full handshakes carry the HE public-key flight. Version 5 is
-	// version 4's frames with the OT extension's ciphertexts hashed by
-	// fixed-key AES instead of SHA-256; durable state (tickets, preambles,
-	// artifacts) holds seeds, never ciphertexts, and carries across.
-	wireVersion = 5
+	// — only full handshakes carry the HE public-key flight. Version 6 is
+	// version 5 with the full handshake's base OT as two flights of P-256
+	// points (33 + 4,224 bytes) instead of three of MODP-1536 elements and
+	// encrypted seed pairs (192 + 24,576 + 4,096 bytes); version 5 hashed the
+	// OT extension's ciphertexts with fixed-key AES where 4 used SHA-256.
+	// Durable state (tickets, preambles, artifacts) holds seeds, never group
+	// elements or ciphertexts, and carries across both bumps.
+	wireVersion = 6
 
 	tagData byte = 0x00
 	tagCtrl byte = 0x01

@@ -127,9 +127,8 @@ type LocalEngine struct {
 // LocalEngine.Connect via WithPreamble (or serve.Connect/serve.Dial via
 // serve.WithPreamble for remote engines) on every connect of a logical
 // client: the first session runs a full handshake and fills it, every
-// later session resumes — skipping the ~0.6 s of public-key base OTs, the
-// BFV keygen and public-key transfer, and all client-side model
-// processing.
+// later session resumes — skipping the public-key base OTs, the BFV
+// keygen and public-key transfer, and all client-side model processing.
 type Preamble = serve.Preamble
 
 // NewPreamble returns an empty session preamble.
