@@ -248,25 +248,27 @@ func parseGCLayer(circ *boolcirc.Circuit, units, known int, payload []byte) (sto
 }
 
 // evaluateLayer is the evaluator's online role: evaluate the stored units
-// of one ReLU layer on the a labels just obtained, returning the decoded
-// output bits (the masked next-layer input), width per unit.
+// of one ReLU layer on the a labels just obtained, as one batch, returning
+// the decoded output bits (the masked next-layer input), width per unit.
 func (p *party) evaluateLayer(st storedLayer, layer int, aLabels []garble.Label) ([]bool, error) {
 	width := p.f.Bits()
 	circ := p.circuits[layer]
-	out := make([]bool, 0, len(st.tables)*width)
-	inputs := make([]garble.Label, circ.NumInputs)
-	var ev garble.Evaluator // one hasher and one wire workspace for the layer
-	for u := range st.tables {
-		inputs[boolcirc.ConstOne] = st.constLb[u]
-		copy(inputs[1:1+width], aLabels[u*width:(u+1)*width])
-		copy(inputs[1+width:], st.known[u])
-		bits, err := ev.Eval(circ, st.tables[u], st.decode[u], inputs, gateBase(layer, u))
-		if err != nil {
-			return nil, fmt.Errorf("delphi: eval layer %d unit %d: %w", layer, u, err)
-		}
-		out = append(out, bits...)
+	units := len(st.tables)
+	inputs := make([]garble.Label, units*circ.NumInputs)
+	bases := make([]uint64, units)
+	for u := range bases {
+		in := inputs[u*circ.NumInputs : (u+1)*circ.NumInputs]
+		in[boolcirc.ConstOne] = st.constLb[u]
+		copy(in[1:1+width], aLabels[u*width:(u+1)*width])
+		copy(in[1+width:], st.known[u])
+		bases[u] = gateBase(layer, u)
 	}
-	return out, nil
+	var ev garble.Evaluator
+	bits, err := ev.EvalBatch(circ, st.tables, st.decode, inputs, bases)
+	if err != nil {
+		return nil, fmt.Errorf("delphi: eval layer %d: %w", layer, err)
+	}
+	return bits, nil
 }
 
 // otSendLabels is the garbler's OT leg: offer both labels of circuit inputs

@@ -111,6 +111,39 @@ func BenchmarkSharedModelBuild(b *testing.B) {
 	}
 }
 
+// benchPair brings up a set-up client and server for model over a pipe.
+func benchPair(b *testing.B, variant Variant, model *nn.Lowered) (*Client, *Server) {
+	params, err := bfv.NewParams(bfv.DefaultN, model.F.P())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{Variant: variant, HEParams: params, LPHEWorkers: len(model.Linear)}
+	cc, sc := transport.Pipe()
+	entropy := LockedEntropy(newSeeded(7))
+	server, err := newTestServer(sc, cfg, model, entropy)
+	if err != nil {
+		b.Fatal(err)
+	}
+	client, err := NewClient(cc, cfg, MetaOf(model), entropy)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bothSides(b, server.Setup, client.Setup)
+	return client, server
+}
+
+// bothSides runs the server's and the client's half of one step together.
+func bothSides(b *testing.B, server, client func() error) {
+	errCh := make(chan error, 1)
+	go func() { errCh <- server() }()
+	if err := client(); err != nil {
+		b.Fatal(err)
+	}
+	if err := <-errCh; err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkOfflinePhase runs full offline rounds (HE share generation,
 // garbling, OTs) through an established pair, per variant. allocs/op tracks
 // the steady-state allocation rate the bfv scratch pooling targets.
@@ -121,43 +154,12 @@ func BenchmarkOfflinePhase(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			params, err := bfv.NewParams(bfv.DefaultN, model.F.P())
-			if err != nil {
-				b.Fatal(err)
-			}
-			cfg := Config{Variant: variant, HEParams: params, LPHEWorkers: len(model.Linear)}
-			cc, sc := transport.Pipe()
-			entropy := LockedEntropy(newSeeded(7))
-			server, err := newTestServer(sc, cfg, model, entropy)
-			if err != nil {
-				b.Fatal(err)
-			}
-			client, err := NewClient(cc, cfg, MetaOf(model), entropy)
-			if err != nil {
-				b.Fatal(err)
-			}
-			errCh := make(chan error, 1)
-			go func() { errCh <- server.Setup() }()
-			if err := client.Setup(); err != nil {
-				b.Fatal(err)
-			}
-			if err := <-errCh; err != nil {
-				b.Fatal(err)
-			}
-
+			client, server := benchPair(b, variant, model)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				go func() {
-					_, err := server.RunOffline()
-					errCh <- err
-				}()
-				if _, err := client.RunOffline(); err != nil {
-					b.Fatal(err)
-				}
-				if err := <-errCh; err != nil {
-					b.Fatal(err)
-				}
+				bothSides(b, func() error { _, err := server.RunOffline(); return err },
+					func() error { _, err := client.RunOffline(); return err })
 				// Drop the buffered pre-computes so b.N rounds don't
 				// accumulate garbled-circuit storage; the buffer is not
 				// what this benchmark measures.
@@ -165,5 +167,31 @@ func BenchmarkOfflinePhase(b *testing.B) {
 				client.pres = client.pres[:0]
 			}
 		})
+	}
+}
+
+// BenchmarkOnlinePhase times Client-Garbler inferences on the demo CNN, the
+// online phase only: the input share, per ReLU layer the label OT and the
+// server's evaluation of the layer's 256 or 128 units, and the output. Each
+// inference's offline phase runs with the timer stopped.
+func BenchmarkOnlinePhase(b *testing.B) {
+	model, err := nn.DemoCNN(field.New(field.P20), 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	client, server := benchPair(b, ClientGarbler, model)
+	x := make([]uint64, model.Linear[0].In())
+	for i := range x {
+		x[i] = uint64(i * 37 % 19)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		bothSides(b, func() error { _, err := server.RunOffline(); return err },
+			func() error { _, err := client.RunOffline(); return err })
+		b.StartTimer()
+		bothSides(b, func() error { _, err := server.RunOnline(); return err },
+			func() error { _, _, err := client.RunOnline(x); return err })
 	}
 }

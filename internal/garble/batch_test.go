@@ -2,9 +2,11 @@ package garble
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"privinf/internal/boolcirc"
@@ -58,7 +60,8 @@ func TestGarbleIntoMatchesGarble(t *testing.T) {
 // TestGarbleBatchMatchesSequential is the core batch equivalence property:
 // GarbleBatch on one entropy stream must be bit-identical to sequential
 // Garble calls consuming the same stream, for assorted circuit shapes,
-// batch sizes (straddling the worker-pool cutoff), and tweak bases.
+// batch sizes (straddling the chunk size), and tweak bases — with one worker
+// and with a pool, whose workers claim chunks out of order.
 func TestGarbleBatchMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	circs := []*boolcirc.Circuit{
@@ -66,31 +69,32 @@ func TestGarbleBatchMatchesSequential(t *testing.T) {
 		randomCircuit(rng, 5, 40),
 		randomCircuit(rng, 2, 7),
 	}
-	for ci, c := range circs {
-		for _, n := range []int{0, 1, 2, 9, 17} {
-			bases := make([]uint64, n)
-			for i := range bases {
-				// Mirror delphi's gateBase layout: arbitrary, non-uniform.
-				bases[i] = uint64(ci)<<44 | uint64(i*3)<<22
-			}
-			seed := int64(ci*100 + n)
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for ci, c := range circs {
+				for _, n := range []int{0, 1, 2, 9, 17, 2*chunk + 3} {
+					bases := unitBases(ci, n)
+					seed := int64(ci*100 + n)
 
-			seq := make([]*Garbled, n)
-			stream := newSeeded(seed)
-			for i := range seq {
-				seq[i] = Garble(c, stream, bases[i])
-			}
+					seq := make([]*Garbled, n)
+					stream := newSeeded(seed)
+					for i := range seq {
+						seq[i] = Garble(c, stream, bases[i])
+					}
 
-			got := GarbleBatch(c, newSeeded(seed), bases)
-			if len(got) != n {
-				t.Fatalf("circuit %d n=%d: got %d instances", ci, n, len(got))
-			}
-			for i := range seq {
-				if !garbledEqual(seq[i], got[i]) {
-					t.Fatalf("circuit %d n=%d: instance %d differs from sequential garbling", ci, n, i)
+					got := GarbleBatch(c, newSeeded(seed), bases)
+					if len(got) != n {
+						t.Fatalf("circuit %d n=%d: got %d instances", ci, n, len(got))
+					}
+					for i := range seq {
+						if !garbledEqual(seq[i], got[i]) {
+							t.Fatalf("circuit %d n=%d: instance %d differs from sequential garbling", ci, n, i)
+						}
+					}
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -194,8 +198,8 @@ func TestGarbleBatchWithPRGReplays(t *testing.T) {
 }
 
 // TestEvaluatorReuse: one Evaluator run over a big circuit, then a small one,
-// then the big one again — its workspace full of the previous circuit's
-// labels each time — decodes exactly what a fresh Evaluator does, and a warm
+// then the big one again — its slab full of garbage each time — decodes
+// exactly what a fresh Evaluator does, and a warm
 // call allocates nothing but the bits it returns.
 func TestEvaluatorReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(60))
@@ -209,8 +213,8 @@ func TestEvaluatorReuse(t *testing.T) {
 		for i := range inputs {
 			inputs[i] = g.Encoding.EncodeInput(i, i == boolcirc.ConstOne || rng.Intn(2) == 1)
 		}
-		for i := range ev.active {
-			ev.active[i] = Label{0xFF, 0xFF, 0xFF, 0xFF}
+		for i := range ev.wires {
+			ev.wires[i] = 0xFF
 		}
 		got, err := ev.Eval(c, g.Tables, g.DecodeBits, inputs, base)
 		if err != nil {

@@ -2,6 +2,7 @@ package garble
 
 import (
 	"crypto/rand"
+	"crypto/subtle"
 	"fmt"
 	"io"
 	"runtime"
@@ -47,21 +48,59 @@ func (e Encoding) LabelPair(i int) (Label, Label) {
 	return e.Inputs[i], e.Inputs[i].xor(e.R)
 }
 
-// Garbler garbles circuits through reusable scratch (wire-label workspace,
-// bulk-entropy buffer, and the fixed-key hasher's AES blocks), so repeated
-// garbling allocates nothing beyond each instance's retained outputs — and
-// nothing at all via GarbleInto when the destination is reused. A Garbler
-// is not safe for concurrent use; GarbleBatch gives each worker its own.
-type Garbler struct {
+// chunk is the number of units one pass over a gate list carries: enough for
+// the gate decode and the hash call to amortise, few enough that a ReLU's
+// slab (≈ 780 wires × 16 units × 16 bytes) stays in cache.
+const chunk = 16
+
+// workspace is the scratch of one pass: the hasher, the wire-major label slab
+// and an AND gate's hash run with its tweaks. It grows to the largest chunk
+// seen; Garbler and Evaluator each own one.
+type workspace struct {
 	h      Hasher
-	false0 []Label
-	rbuf   []byte
+	wires  []byte
+	stage  []Label
+	tweaks []uint64
 }
 
-// NewGarbler returns a Garbler with its fixed-key hasher initialized.
-func NewGarbler() *Garbler {
-	return &Garbler{h: NewHasher()}
+// prepare sizes the workspace for k units of c with perAND hashes per unit
+// and AND gate, and returns the slab's row length (one wire across the chunk).
+// The slab is not cleared: every gate writes its output wire before a later
+// gate reads it, and inputs are written first.
+func (w *workspace) prepare(c *boolcirc.Circuit, k, perAND int) int {
+	if w.h.block == nil {
+		w.h = NewHasher()
+	}
+	row := k * LabelSize
+	w.wires = grow(w.wires, c.NumWires*row)
+	w.stage = grow(w.stage, perAND*k)
+	w.tweaks = grow(w.tweaks, perAND*k)
+	return row
 }
+
+// grow returns s resized to n, reallocated only when its capacity is short.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// slot returns unit u's label in a slab row.
+func slot(row []byte, u int) *Label { return (*Label)(row[u*LabelSize:]) }
+
+// Garbler garbles circuits through reusable scratch (the workspace and a
+// bulk-entropy buffer), so repeated garbling allocates nothing beyond each
+// instance's retained outputs — and nothing at all via GarbleInto when the
+// destination is reused. The zero value is ready; a Garbler is not safe for
+// concurrent use, and GarbleBatch gives each worker its own.
+type Garbler struct {
+	workspace
+	rbuf []byte
+}
+
+// NewGarbler returns a Garbler.
+func NewGarbler() *Garbler { return new(Garbler) }
 
 // Garble garbles the circuit. src supplies label randomness (nil means
 // crypto/rand). gateIndexBase offsets the hash tweak so that multiple
@@ -74,176 +113,148 @@ func Garble(c *boolcirc.Circuit, src io.Reader, gateIndexBase uint64) *Garbled {
 
 // GarbleInto garbles c into dst, reusing dst's existing storage when its
 // capacity suffices (Tables, DecodeBits and Encoding.Inputs are resized,
-// never aliased to Garbler scratch). Output is bit-identical to Garble on
-// the same entropy stream: the bulk entropy read consumes exactly the bytes
-// the sequential per-label reads did, in the same order (R first, then one
-// label per input wire).
+// never aliased to Garbler scratch). It is GarbleBatch's core on one unit:
+// the entropy read is (1 + NumInputs)×16 bytes, R first, then one label per
+// input wire.
 func (g *Garbler) GarbleInto(dst *Garbled, c *boolcirc.Circuit, src io.Reader, gateIndexBase uint64) {
-	if g.h.block == nil {
-		g.h = NewHasher()
-	}
-	need := (1 + c.NumInputs) * LabelSize
-	if cap(g.rbuf) < need {
-		g.rbuf = make([]byte, need)
-	}
-	buf := g.rbuf[:need]
+	g.rbuf = grow(g.rbuf, (1+c.NumInputs)*LabelSize)
+	readEntropy(src, g.rbuf)
+	g.garbleCore([]*Garbled{dst}, c, g.rbuf, []uint64{gateIndexBase})
+}
+
+func readEntropy(src io.Reader, buf []byte) {
 	if src == nil {
 		src = rand.Reader
 	}
 	if _, err := io.ReadFull(src, buf); err != nil {
 		panic("garble: entropy source failed: " + err.Error())
 	}
-	g.garbleCore(dst, c, buf, gateIndexBase)
 }
 
-// garbleCore runs the half-gates pass over c with instance randomness rnd
-// (R's bytes followed by the input labels' bytes), writing into dst.
-func (g *Garbler) garbleCore(dst *Garbled, c *boolcirc.Circuit, rnd []byte, gateIndexBase uint64) {
-	h := &g.h
-
-	// Global offset with color bit forced to 1 (point-and-permute).
-	var r Label
-	copy(r[:], rnd[:LabelSize])
-	r[0] |= 1
-
-	if cap(g.false0) < c.NumWires {
-		g.false0 = make([]Label, c.NumWires)
-	}
-	false0 := g.false0[:c.NumWires]
-	for i := 0; i < c.NumInputs; i++ {
-		copy(false0[i][:], rnd[(1+i)*LabelSize:(2+i)*LabelSize])
-	}
-
+// garbleCore runs the half-gates pass over c for one chunk of units at once:
+// unit u has tweak base bases[u], randomness rnd[u·per:(u+1)·per] (R's bytes
+// followed by the input labels' bytes) and output dsts[u].
+func (g *Garbler) garbleCore(dsts []*Garbled, c *boolcirc.Circuit, rnd []byte, bases []uint64) {
+	k := len(dsts)
+	row := g.prepare(c, k, 4)
+	wires, stage, tweaks := g.wires, g.stage, g.tweaks
+	per := (1 + c.NumInputs) * LabelSize
 	nand := c.NumAND()
-	if cap(dst.Tables) < 2*nand {
-		dst.Tables = make([]Label, 0, 2*nand)
-	}
-	tables := dst.Tables[:0]
-	gateIndex := gateIndexBase
 
+	var rs [chunk]words
+	for u, dst := range dsts {
+		in := rnd[u*per : (u+1)*per]
+		// Global offset with color bit forced to 1 (point-and-permute).
+		rs[u] = load((*Label)(in))
+		rs[u].lo |= 1
+		for w := 0; w < c.NumInputs; w++ {
+			copy(wires[w*row+u*LabelSize:], in[(1+w)*LabelSize:(2+w)*LabelSize])
+		}
+		dst.Tables = grow(dst.Tables, 2*nand)
+	}
+
+	t := 0 // table index of the next AND gate, and its tweak offset
 	for _, gt := range c.Gates {
+		a := wires[gt.A*row : (gt.A+1)*row]
+		b := wires[gt.B*row : (gt.B+1)*row]
+		out := wires[gt.Out*row : (gt.Out+1)*row]
 		switch gt.Op {
 		case boolcirc.XOR:
-			false0[gt.Out] = false0[gt.A].xor(false0[gt.B])
+			subtle.XORBytes(out, a, b)
 		case boolcirc.AND:
-			a0 := false0[gt.A]
-			b0 := false0[gt.B]
-			pa := a0.color()
-			pb := b0.color()
-			j0 := gateIndex
-			j1 := gateIndex + 1
-			gateIndex += 2
-
-			a1 := a0.xor(r)
-			b1 := b0.xor(r)
-
-			// Each distinct (label, tweak) pair is hashed exactly once:
-			// four AES calls per AND gate, where the pre-dedup code paid
-			// six (h(a0,j0) three times, h(b0,j1) twice).
-			ha0 := h.Hash(a0, j0)
-			ha1 := h.Hash(a1, j0)
-			hb0 := h.Hash(b0, j1)
-			hb1 := h.Hash(b1, j1)
-
-			// Generator half gate.
-			tg := ha0.xor(ha1)
-			if pb == 1 {
-				tg = tg.xor(r)
+			// Each distinct (label, tweak) pair is hashed exactly once: a0
+			// and a0 ⊕ R under j0, b0 and b0 ⊕ R under j1 = j0 + 1.
+			for u := 0; u < k; u++ {
+				a0, b0 := load(slot(a, u)), load(slot(b, u))
+				a0.store(&stage[4*u])
+				a0.xor(rs[u]).store(&stage[4*u+1])
+				b0.store(&stage[4*u+2])
+				b0.xor(rs[u]).store(&stage[4*u+3])
+				j0 := bases[u] + uint64(t)
+				tweaks[4*u], tweaks[4*u+1], tweaks[4*u+2], tweaks[4*u+3] = j0, j0, j0+1, j0+1
 			}
-			wg := ha0
-			if pa == 1 {
-				wg = wg.xor(tg)
+			g.h.HashBatch(stage, stage, tweaks)
+			for u, dst := range dsts {
+				a0, b0 := load(slot(a, u)), load(slot(b, u))
+				pa, pb := a0.colorMask(), b0.colorMask()
+				ha0, ha1 := load(&stage[4*u]), load(&stage[4*u+1])
+				hb0, hb1 := load(&stage[4*u+2]), load(&stage[4*u+3])
+				// Generator half gate: tg = H(a0) ⊕ H(a1) ⊕ pb·R, wg =
+				// H(a0) ⊕ pa·tg.
+				tg := ha0.xor(ha1).xor(rs[u].and(pb))
+				wg := ha0.xor(tg.and(pa))
+				// Evaluator half gate: te = H(b0) ⊕ H(b1) ⊕ a0, and we is
+				// H(b0), or H(b1) when b0's color is set.
+				te := hb0.xor(hb1).xor(a0)
+				we := hb0.xor(hb0.xor(hb1).and(pb))
+				tg.store(&dst.Tables[t])
+				te.store(&dst.Tables[t+1])
+				wg.xor(we).store(slot(out, u))
 			}
-
-			// Evaluator half gate.
-			te := hb0.xor(hb1).xor(a0)
-			we := hb0
-			if pb == 1 {
-				we = we.xor(te.xor(a0))
-			}
-
-			false0[gt.Out] = wg.xor(we)
-			tables = append(tables, tg, te)
+			t += 2
 		default:
 			panic("garble: unknown gate op")
 		}
 	}
-	dst.Tables = tables
 
-	if cap(dst.DecodeBits) < len(c.Outputs) {
-		dst.DecodeBits = make([]byte, len(c.Outputs))
+	// dst owns its decode bits and encoding; the slab is scratch the next
+	// chunk overwrites.
+	for u, dst := range dsts {
+		dst.DecodeBits = grow(dst.DecodeBits, len(c.Outputs))
+		for i, w := range c.Outputs {
+			dst.DecodeBits[i] = wires[w*row+u*LabelSize] & 1
+		}
+		dst.Encoding.Inputs = grow(dst.Encoding.Inputs, c.NumInputs)
+		for w := range dst.Encoding.Inputs {
+			dst.Encoding.Inputs[w] = *slot(wires[w*row:], u)
+		}
+		rs[u].store(&dst.Encoding.R)
 	}
-	decode := dst.DecodeBits[:len(c.Outputs)]
-	for i, w := range c.Outputs {
-		decode[i] = false0[w].color()
-	}
-	dst.DecodeBits = decode
-
-	// dst owns its encoding storage; false0 is Garbler scratch that the
-	// next instance overwrites.
-	if cap(dst.Encoding.Inputs) < c.NumInputs {
-		dst.Encoding.Inputs = make([]Label, c.NumInputs)
-	}
-	ins := dst.Encoding.Inputs[:c.NumInputs]
-	copy(ins, false0[:c.NumInputs])
-	dst.Encoding.Inputs = ins
-	dst.Encoding.R = r
 }
-
-// batchMinInstances is the batch size below which spawning workers costs
-// more than the garbling they'd overlap.
-const batchMinInstances = 3
 
 // GarbleBatch garbles len(bases) instances of one circuit in a single pass:
 // the instance entropy is drawn from src with one bulk read (in the exact
 // order sequential Garble calls would consume it, so outputs are
 // bit-identical to garbling each instance in turn on the same stream), and
-// the instances then fan out across a worker pool, each worker reusing one
-// Garbler's scratch and hasher across all instances it claims. bases[i] is
-// instance i's gateIndexBase. Per-instance outputs are independently
-// allocated so callers can retain or release them individually.
+// the instances are garbled a chunk at a time, the chunks fanned out across a
+// worker pool with one Garbler per worker. bases[i] is instance i's
+// gateIndexBase. Per-instance outputs are independently allocated so callers
+// can retain or release them individually.
 func GarbleBatch(c *boolcirc.Circuit, src io.Reader, bases []uint64) []*Garbled {
-	out := make([]*Garbled, len(bases))
-	if len(bases) == 0 {
+	n := len(bases)
+	out := make([]*Garbled, n)
+	if n == 0 {
 		return out
 	}
 	per := (1 + c.NumInputs) * LabelSize
-	buf := make([]byte, len(bases)*per)
-	if src == nil {
-		src = rand.Reader
-	}
-	if _, err := io.ReadFull(src, buf); err != nil {
-		panic("garble: entropy source failed: " + err.Error())
-	}
+	buf := make([]byte, n*per)
+	readEntropy(src, buf)
 
-	workers := runtime.GOMAXPROCS(0)
-	if len(bases) < workers {
-		workers = len(bases)
+	chunks := (n + chunk - 1) / chunk
+	run := func(g *Garbler, i int) {
+		lo, hi := i*chunk, min((i+1)*chunk, n)
+		for u := lo; u < hi; u++ {
+			out[u] = &Garbled{}
+		}
+		g.garbleCore(out[lo:hi], c, buf[lo*per:hi*per], bases[lo:hi])
 	}
-	if workers <= 1 || len(bases) < batchMinInstances {
+	workers := min(runtime.GOMAXPROCS(0), chunks)
+	if workers <= 1 {
 		g := NewGarbler()
-		for i := range bases {
-			dst := &Garbled{}
-			g.garbleCore(dst, c, buf[i*per:(i+1)*per], bases[i])
-			out[i] = dst
+		for i := 0; i < chunks; i++ {
+			run(g, i)
 		}
 		return out
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
-	for k := 0; k < workers; k++ {
+	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
 			g := NewGarbler()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(bases) {
-					return
-				}
-				dst := &Garbled{}
-				g.garbleCore(dst, c, buf[i*per:(i+1)*per], bases[i])
-				out[i] = dst
+			for i := int(next.Add(1)) - 1; i < chunks; i = int(next.Add(1)) - 1 {
+				run(g, i)
 			}
 		}()
 	}
@@ -251,13 +262,12 @@ func GarbleBatch(c *boolcirc.Circuit, src io.Reader, bases []uint64) []*Garbled 
 	return out
 }
 
-// Evaluator evaluates garbled circuits through reusable scratch: one fixed-key
-// hasher and one active-label workspace that grows to the largest circuit
-// seen, so a warm Eval allocates only the bits it returns. The zero value is
-// ready; an Evaluator is not safe for concurrent use.
+// Evaluator evaluates garbled circuits through a reusable workspace that
+// grows to the largest chunk seen, so a warm Eval or EvalBatch allocates only
+// the bits it returns. The zero value is ready; an Evaluator is not safe for
+// concurrent use.
 type Evaluator struct {
-	h      Hasher
-	active []Label
+	workspace
 }
 
 // evaluators serves the one-shot Eval, so callers without an Evaluator of
@@ -273,62 +283,85 @@ func Eval(c *boolcirc.Circuit, tables []Label, decode []byte, inputs []Label, ga
 
 // Eval evaluates the garbled circuit given active labels for every input
 // (including the constant-one wire, whose true label the garbler always
-// supplies). It returns the decoded output bits.
+// supplies). It returns the decoded output bits. It is EvalBatch on one unit.
 func (e *Evaluator) Eval(c *boolcirc.Circuit, tables []Label, decode []byte, inputs []Label, gateIndexBase uint64) ([]bool, error) {
-	if len(inputs) != c.NumInputs {
-		return nil, fmt.Errorf("garble: got %d input labels, want %d", len(inputs), c.NumInputs)
-	}
-	if len(tables) != 2*c.NumAND() {
-		return nil, fmt.Errorf("garble: got %d table entries, want %d", len(tables), 2*c.NumAND())
-	}
-	if e.h.block == nil {
-		e.h = NewHasher()
-	}
-	h := &e.h
+	return e.EvalBatch(c, [][]Label{tables}, [][]byte{decode}, inputs, []uint64{gateIndexBase})
+}
 
-	// Every gate writes its output wire before any later gate reads it, so
-	// labels a previous circuit left in the workspace are never observed.
-	if cap(e.active) < c.NumWires {
-		e.active = make([]Label, c.NumWires)
+// EvalBatch evaluates len(bases) garbled instances of c: unit u has tables
+// tables[u], decode bits decode[u], tweak base bases[u] and active input
+// labels inputs[u·NumInputs:(u+1)·NumInputs]. It returns the decoded output
+// bits unit-major, len(c.Outputs) per unit. Every unit is checked before any
+// is evaluated, and an error names the first malformed one.
+func (e *Evaluator) EvalBatch(c *boolcirc.Circuit, tables [][]Label, decode [][]byte, inputs []Label, bases []uint64) ([]bool, error) {
+	n, nOut := len(bases), len(c.Outputs)
+	if len(tables) != n || len(decode) != n {
+		return nil, fmt.Errorf("garble: %d units but %d tables and %d decode slices", n, len(tables), len(decode))
 	}
-	active := e.active[:c.NumWires]
-	copy(active, inputs)
+	if len(inputs) != n*c.NumInputs {
+		return nil, fmt.Errorf("garble: got %d input labels for %d units, want %d", len(inputs), n, n*c.NumInputs)
+	}
+	nand := c.NumAND()
+	for u := 0; u < n; u++ {
+		if len(tables[u]) != 2*nand {
+			return nil, fmt.Errorf("garble: unit %d: got %d table entries, want %d", u, len(tables[u]), 2*nand)
+		}
+		if len(decode[u]) != nOut {
+			return nil, fmt.Errorf("garble: unit %d: got %d decode bits, want %d", u, len(decode[u]), nOut)
+		}
+	}
+	out := make([]bool, n*nOut)
+	for lo := 0; lo < n; lo += chunk {
+		hi := min(lo+chunk, n)
+		e.evalCore(out[lo*nOut:hi*nOut], c, tables[lo:hi], decode[lo:hi], inputs[lo*c.NumInputs:hi*c.NumInputs], bases[lo:hi])
+	}
+	return out, nil
+}
 
-	ti := 0
-	gateIndex := gateIndexBase
-	for _, g := range c.Gates {
-		switch g.Op {
-		case boolcirc.XOR:
-			active[g.Out] = active[g.A].xor(active[g.B])
-		case boolcirc.AND:
-			a := active[g.A]
-			b := active[g.B]
-			sa := a.color()
-			sb := b.color()
-			tg := tables[ti]
-			te := tables[ti+1]
-			ti += 2
-			j0 := gateIndex
-			j1 := gateIndex + 1
-			gateIndex += 2
-
-			wg := h.Hash(a, j0)
-			if sa == 1 {
-				wg = wg.xor(tg)
-			}
-			we := h.Hash(b, j1)
-			if sb == 1 {
-				we = we.xor(te.xor(a))
-			}
-			active[g.Out] = wg.xor(we)
+// evalCore evaluates one chunk of already validated units into bits.
+func (e *Evaluator) evalCore(bits []bool, c *boolcirc.Circuit, tables [][]Label, decode [][]byte, inputs []Label, bases []uint64) {
+	k := len(bases)
+	row := e.prepare(c, k, 2)
+	wires, stage, tweaks := e.wires, e.stage, e.tweaks
+	for u := 0; u < k; u++ {
+		for w, l := range inputs[u*c.NumInputs : (u+1)*c.NumInputs] {
+			*slot(wires[w*row:], u) = l
 		}
 	}
 
-	out := make([]bool, len(c.Outputs))
-	for i, w := range c.Outputs {
-		out[i] = active[w].color()^decode[i] == 1
+	t := 0 // table index of the next AND gate, and its tweak offset
+	for _, g := range c.Gates {
+		a := wires[g.A*row : (g.A+1)*row]
+		b := wires[g.B*row : (g.B+1)*row]
+		out := wires[g.Out*row : (g.Out+1)*row]
+		switch g.Op {
+		case boolcirc.XOR:
+			subtle.XORBytes(out, a, b)
+		case boolcirc.AND:
+			for u := 0; u < k; u++ {
+				load(slot(a, u)).store(&stage[2*u])
+				load(slot(b, u)).store(&stage[2*u+1])
+				j0 := bases[u] + uint64(t)
+				tweaks[2*u], tweaks[2*u+1] = j0, j0+1
+			}
+			e.h.HashBatch(stage, stage, tweaks)
+			for u := 0; u < k; u++ {
+				la, lb := load(slot(a, u)), load(slot(b, u))
+				tg, te := load(&tables[u][t]), load(&tables[u][t+1])
+				wg := load(&stage[2*u]).xor(tg.and(la.colorMask()))
+				we := load(&stage[2*u+1]).xor(te.xor(la).and(lb.colorMask()))
+				wg.xor(we).store(slot(out, u))
+			}
+			t += 2
+		}
 	}
-	return out, nil
+
+	nOut := len(c.Outputs)
+	for u := 0; u < k; u++ {
+		for i, w := range c.Outputs {
+			bits[u*nOut+i] = wires[w*row+u*LabelSize]&1^decode[u][i] == 1
+		}
+	}
 }
 
 // TableBytes returns the size in bytes of the garbled tables for c — what

@@ -1,7 +1,9 @@
 package garble
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -149,6 +151,61 @@ func TestEvalInputValidation(t *testing.T) {
 	if _, err := Eval(c, g.Tables[:0], g.DecodeBits, make([]Label, c.NumInputs), 0); err == nil {
 		t.Fatal("short tables should error")
 	}
+
+	// A decode slice of the wrong length is an error, not an index panic.
+	relu := boolcirc.BuildReLU(boolcirc.ReLUSpec{P: field.P17, Frac: 2})
+	bases := []uint64{0, 1 << 22, 2 << 22, 3 << 22}
+	gs := GarbleBatch(relu, newSeeded(8), bases)
+	inputs := make([]Label, len(bases)*relu.NumInputs)
+	for u, g := range gs {
+		for i := 0; i < relu.NumInputs; i++ {
+			inputs[u*relu.NumInputs+i] = g.Encoding.EncodeInput(i, i == boolcirc.ConstOne)
+		}
+	}
+	one := inputs[:relu.NumInputs]
+	for _, decode := range [][]byte{gs[0].DecodeBits[:3], append(gs[0].DecodeBits[:len(gs[0].DecodeBits):len(gs[0].DecodeBits)], 0), nil} {
+		if _, err := Eval(relu, gs[0].Tables, decode, one, 0); err == nil {
+			t.Fatalf("%d decode bits for %d outputs should error", len(decode), len(relu.Outputs))
+		}
+	}
+
+	// EvalBatch checks every unit before it evaluates any — a fresh
+	// Evaluator still has no slab afterwards — and names the bad unit.
+	cases := map[string]func(tables [][]Label, decode [][]byte) ([][]Label, [][]byte, []Label, string){
+		"short decode": func(tb [][]Label, d [][]byte) ([][]Label, [][]byte, []Label, string) {
+			d[3] = d[3][:3]
+			return tb, d, inputs, "unit 3"
+		},
+		"long tables": func(tb [][]Label, d [][]byte) ([][]Label, [][]byte, []Label, string) {
+			tb[2] = append(tb[2][:len(tb[2]):len(tb[2])], Label{})
+			return tb, d, inputs, "unit 2"
+		},
+		"missing tables": func(tb [][]Label, d [][]byte) ([][]Label, [][]byte, []Label, string) {
+			tb[1] = nil
+			return tb, d, inputs, "unit 1"
+		},
+		"short inputs": func(tb [][]Label, d [][]byte) ([][]Label, [][]byte, []Label, string) {
+			return tb, d, inputs[:len(inputs)-1], "input labels"
+		},
+		"one unit short": func(tb [][]Label, d [][]byte) ([][]Label, [][]byte, []Label, string) {
+			return tb[:3], d, inputs, "units"
+		},
+	}
+	for name, damage := range cases {
+		tables, decode, in, want := damage(unitTables(gs))
+		var ev Evaluator
+		_, err := ev.EvalBatch(relu, tables, decode, in, bases)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: error %v, want one naming %q", name, err, want)
+		}
+		if ev.wires != nil {
+			t.Fatalf("%s: evaluation started before the batch was validated", name)
+		}
+	}
+	tables, decode := unitTables(gs)
+	if _, err := new(Evaluator).EvalBatch(relu, tables, decode, inputs, bases); err != nil {
+		t.Fatalf("undamaged batch: %v", err)
+	}
 }
 
 func TestWrongLabelGivesWrongOutput(t *testing.T) {
@@ -201,10 +258,18 @@ func TestGateIndexBaseIsolation(t *testing.T) {
 }
 
 func TestDoubleLinear(t *testing.T) {
-	// σ(x ⊕ y) = σ(x) ⊕ σ(y): linearity required by the half-gates hash.
-	check := func(xb, yb [16]byte) bool {
-		x, y := Label(xb), Label(yb)
-		return x.xor(y).double() == x.double().xor(y.double())
+	// σ(x ⊕ y) = σ(x) ⊕ σ(y): linearity required by the half-gates hash,
+	// and the word form equals the byte-array form it replaced.
+	check := func(xh, xl, yh, yl uint64) bool {
+		sh, sl := double(xh^yh, xl^yl)
+		ah, al := double(xh, xl)
+		bh, bl := double(yh, yl)
+		var x Label
+		binary.BigEndian.PutUint64(x[0:8], xh)
+		binary.BigEndian.PutUint64(x[8:16], xl)
+		d := oracleDouble(x)
+		return sh == ah^bh && sl == al^bl &&
+			binary.BigEndian.Uint64(d[0:8]) == ah && binary.BigEndian.Uint64(d[8:16]) == al
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Fatal(err)
@@ -230,10 +295,12 @@ func BenchmarkGarbleReLU(b *testing.B) {
 }
 
 func BenchmarkGarbleBatchReLU(b *testing.B) {
-	// 32 instances per batch — the cross-session refill shape.
+	// 32 instances per batch — the cross-session refill shape — on the
+	// AES-CTR stream a serving engine hands GarbleBatch, so the test
+	// reader's byte-at-a-time cost is not what is timed.
 	spec := boolcirc.ReLUSpec{P: field.P20, Frac: 6}
 	c := boolcirc.BuildReLU(spec)
-	src := newSeeded(14)
+	src := NewPRG([LabelSize]byte{14})
 	bases := make([]uint64, 32)
 	for i := range bases {
 		bases[i] = uint64(i) << 22

@@ -1,0 +1,220 @@
+package garble
+
+import (
+	"bytes"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"privinf/internal/boolcirc"
+	"privinf/internal/field"
+	"privinf/internal/nn"
+)
+
+// unitCounts straddle the chunk boundary: none, one, a chunk short of one
+// unit, a full chunk, one past it, and two chunks and a partial third.
+var unitCounts = []int{0, 1, chunk - 1, chunk, chunk + 1, 2*chunk + 3}
+
+// oracleCircuits are the shapes the cores are compared on: the ReLU at both
+// primes and random DAGs of every gate kind.
+func oracleCircuits() []*boolcirc.Circuit {
+	rng := rand.New(rand.NewSource(70))
+	circs := []*boolcirc.Circuit{
+		boolcirc.BuildReLU(boolcirc.ReLUSpec{P: field.P17, Frac: 2}),
+		boolcirc.BuildReLU(boolcirc.ReLUSpec{P: field.P20, Frac: 6}),
+	}
+	for i := 0; i < 6; i++ {
+		circs = append(circs, randomCircuit(rng, 1+rng.Intn(10), 1+rng.Intn(80)))
+	}
+	return circs
+}
+
+// activeInputs draws each unit's input bits (const-one set) and returns them
+// with the flat unit-major active labels EvalBatch takes.
+func activeInputs(rng *rand.Rand, c *boolcirc.Circuit, gs []*Garbled) ([][]bool, []Label) {
+	bits := make([][]bool, len(gs))
+	flat := make([]Label, 0, len(gs)*c.NumInputs)
+	for u, g := range gs {
+		bits[u] = make([]bool, c.NumInputs)
+		for i := range bits[u] {
+			bits[u][i] = i == boolcirc.ConstOne || rng.Intn(2) == 1
+			flat = append(flat, g.Encoding.EncodeInput(i, bits[u][i]))
+		}
+	}
+	return bits, flat
+}
+
+// unitTables splits garbled units into the per-unit tables and decode bits
+// EvalBatch takes.
+func unitTables(gs []*Garbled) ([][]Label, [][]byte) {
+	tables, decode := make([][]Label, len(gs)), make([][]byte, len(gs))
+	for u, g := range gs {
+		tables[u], decode[u] = g.Tables, g.DecodeBits
+	}
+	return tables, decode
+}
+
+// unitBases mirrors delphi's gateBase layout: arbitrary, non-uniform.
+func unitBases(ci, n int) []uint64 {
+	bases := make([]uint64, n)
+	for u := range bases {
+		bases[u] = uint64(ci)<<44 | uint64(u*3)<<22
+	}
+	return bases
+}
+
+// TestCoresMatchOracle: on every shape and unit count, GarbleBatch produces
+// the tables, decode bits and encodings the per-unit reference garbler
+// produces from the same entropy stream, one GarbleInto per unit does too,
+// and EvalBatch on those units decodes exactly what the reference evaluator
+// does unit by unit — which is also the plain circuit's output.
+func TestCoresMatchOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	for ci, c := range oracleCircuits() {
+		per := (1 + c.NumInputs) * LabelSize
+		for _, n := range unitCounts {
+			bases := unitBases(ci, n)
+			rnd := make([]byte, n*per)
+			newSeeded(int64(ci*100 + n)).Read(rnd)
+
+			got := GarbleBatch(c, newSeeded(int64(ci*100+n)), bases)
+			g := NewGarbler()
+			into := &Garbled{}
+			for u := range bases {
+				want := oracleGarble(c, rnd[u*per:(u+1)*per], bases[u])
+				if !garbledEqual(got[u], want) {
+					t.Fatalf("circuit %d n=%d: GarbleBatch unit %d differs from the reference", ci, n, u)
+				}
+				g.GarbleInto(into, c, bytes.NewReader(rnd[u*per:(u+1)*per]), bases[u])
+				if !garbledEqual(into, want) {
+					t.Fatalf("circuit %d n=%d: GarbleInto unit %d differs from the reference", ci, n, u)
+				}
+			}
+
+			bits, flat := activeInputs(rng, c, got)
+			tables, decode := unitTables(got)
+			var ev Evaluator
+			out, err := ev.EvalBatch(c, tables, decode, flat, bases)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nOut := len(c.Outputs)
+			if len(out) != n*nOut {
+				t.Fatalf("circuit %d n=%d: %d output bits, want %d", ci, n, len(out), n*nOut)
+			}
+			for u := range got {
+				want := oracleEval(c, tables[u], decode[u], flat[u*c.NumInputs:(u+1)*c.NumInputs], bases[u])
+				if !reflect.DeepEqual(out[u*nOut:(u+1)*nOut], want) {
+					t.Fatalf("circuit %d n=%d: EvalBatch unit %d decodes %v, the reference %v", ci, n, u, out[u*nOut:(u+1)*nOut], want)
+				}
+				if plain := c.Eval(bits[u]); !reflect.DeepEqual(want, plain) {
+					t.Fatalf("circuit %d n=%d: unit %d decodes %v, plain evaluation %v", ci, n, u, want, plain)
+				}
+			}
+		}
+	}
+}
+
+// TestHashBatchMatchesHash: a run hashed at once equals each label hashed
+// alone, by Hash and by the pre-batch one-block hash, into a separate
+// destination and in place.
+func TestHashBatchMatchesHash(t *testing.T) {
+	rng := rand.New(rand.NewSource(72))
+	h, ref := NewHasher(), newOracleHasher()
+	for _, n := range []int{0, 1, 2, 3, 64, 1000} {
+		src := make([]Label, n)
+		tweaks := make([]uint64, n)
+		for k := range src {
+			rng.Read(src[k][:])
+			tweaks[k] = rng.Uint64()
+		}
+		want := make([]Label, n)
+		for k := range src {
+			want[k] = ref.Hash(src[k], tweaks[k])
+			if one := h.Hash(src[k], tweaks[k]); one != want[k] {
+				t.Fatalf("n=%d label %d: Hash differs from the one-block reference", n, k)
+			}
+		}
+		dst := make([]Label, n)
+		h.HashBatch(dst, src, tweaks)
+		if !reflect.DeepEqual(dst, want) {
+			t.Fatalf("n=%d: HashBatch into a separate destination differs", n)
+		}
+		h.HashBatch(src, src, tweaks)
+		if !reflect.DeepEqual(src, want) {
+			t.Fatalf("n=%d: HashBatch in place differs", n)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("HashBatch accepted a short tweak slice")
+		}
+	}()
+	h.HashBatch(make([]Label, 2), make([]Label, 2), make([]uint64, 1))
+}
+
+// TestEvalBatchAllocs: a warm Evaluator allocates the bits EvalBatch returns
+// and nothing else, whatever the number of units.
+func TestEvalBatchAllocs(t *testing.T) {
+	c := boolcirc.BuildReLU(boolcirc.ReLUSpec{P: field.P20, Frac: 6})
+	rng := rand.New(rand.NewSource(73))
+	var ev Evaluator
+	var counts []float64
+	for _, n := range []int{chunk + 1, 1, chunk, 3*chunk + 5} {
+		bases := unitBases(0, n)
+		gs := GarbleBatch(c, newSeeded(int64(n)), bases)
+		_, flat := activeInputs(rng, c, gs)
+		tables, decode := unitTables(gs)
+		counts = append(counts, testing.AllocsPerRun(5, func() {
+			if _, err := ev.EvalBatch(c, tables, decode, flat, bases); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	for _, n := range counts {
+		if n != 1 {
+			t.Fatalf("allocs per EvalBatch at n = %d, 1, %d, %d: %v, want 1 each", chunk+1, chunk, 3*chunk+5, counts)
+		}
+	}
+}
+
+// TestGarbleIntoAllocs: the scheduler-refill path, one Garbler and one
+// destination reused, allocates nothing.
+func TestGarbleIntoAllocs(t *testing.T) {
+	c := boolcirc.BuildReLU(boolcirc.ReLUSpec{P: field.P20, Frac: 6})
+	g, dst := NewGarbler(), &Garbled{}
+	src := NewPRG([LabelSize]byte{1})
+	g.GarbleInto(dst, c, src, 0)
+	if n := testing.AllocsPerRun(5, func() { g.GarbleInto(dst, c, src, 0) }); n != 0 {
+		t.Fatalf("warm GarbleInto allocates %v times, want 0", n)
+	}
+}
+
+// demoCNNLayer is the demo CNN's first ReLU layer: its circuit and its width
+// (256 units), as delphi builds them.
+func demoCNNLayer(tb testing.TB) (*boolcirc.Circuit, int) {
+	m, err := nn.DemoCNN(field.New(field.P20), 5)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return boolcirc.BuildReLU(boolcirc.ReLUSpec{P: m.F.P(), Frac: m.Shifts[0]}), m.Linear[0].Out()
+}
+
+// BenchmarkEvalLayer is what the Client-Garbler server does online per demo
+// CNN layer: one EvalBatch over its 256 units.
+func BenchmarkEvalLayer(b *testing.B) {
+	c, n := demoCNNLayer(b)
+	bases := unitBases(0, n)
+	gs := GarbleBatch(c, NewPRG([LabelSize]byte{2}), bases)
+	_, flat := activeInputs(rand.New(rand.NewSource(74)), c, gs)
+	tables, decode := unitTables(gs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var ev Evaluator // one per layer, as delphi holds it
+		if _, err := ev.EvalBatch(c, tables, decode, flat, bases); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/unit")
+}

@@ -97,20 +97,41 @@ func (s *ExtSender) send(pairs [][2]Message) error {
 		}
 		s.streams[i].XORKeyStream(row, row)
 	}
-	cols := make([]Message, m)
-	transpose(cols, rows, mBytes)
+	// The pads of OT j are q_j at 2j and q_j ⊕ s at 2j+1: transposed into
+	// the lower half, then spread from the top down so no q_j is overwritten
+	// before it is read.
+	pads := make([]Message, 2*m)
+	transpose(pads[:m], rows, mBytes)
+	for j := m - 1; j >= 0; j-- {
+		pads[2*j] = pads[j]
+		subtle.XORBytes(pads[2*j+1][:], pads[j][:], s.sBlock[:])
+	}
+	hashPads(&s.h, pads, s.otIndex, 2)
 
 	y := make([]byte, 2*KeySize*m)
-	for j, q := range cols {
+	for j := range pairs {
 		yj := y[2*KeySize*j : 2*KeySize*(j+1)]
-		tweak := otTweak | (s.otIndex + uint64(j))
-		h0 := s.h.Hash(q, tweak)
-		h1 := s.h.Hash(xorMsg(q, s.sBlock), tweak)
-		subtle.XORBytes(yj[:KeySize], pairs[j][0][:], h0[:])
-		subtle.XORBytes(yj[KeySize:], pairs[j][1][:], h1[:])
+		subtle.XORBytes(yj[:KeySize], pairs[j][0][:], pads[2*j][:])
+		subtle.XORBytes(yj[KeySize:], pairs[j][1][:], pads[2*j+1][:])
 	}
 	s.otIndex += uint64(m)
 	return s.conn.Send(y)
+}
+
+// otChunk bounds the run of tweaks hashPads builds on its stack.
+const otChunk = 256
+
+// hashPads replaces every pad with its hash, pad i under the tweak of OT
+// first + i/perOT, one HashBatch call per otChunk pads.
+func hashPads(h *garble.Hasher, pads []Message, first uint64, perOT int) {
+	var tweaks [otChunk]uint64
+	for lo := 0; lo < len(pads); lo += otChunk {
+		run := pads[lo:min(lo+otChunk, len(pads))]
+		for i := range run {
+			tweaks[i] = otTweak | (first + uint64((lo+i)/perOT))
+		}
+		h.HashBatch(run, run, tweaks[:len(run)])
+	}
 }
 
 // ExtReceiver is the receiver side of IKNP OT extension; it plays base
@@ -182,8 +203,10 @@ func (r *ExtReceiver) receive(choices []bool) ([]Message, error) {
 	if err := r.conn.Send(u); err != nil {
 		return nil, err
 	}
+	// The pads H(t_j) are ready before the sender's answer arrives.
 	out := make([]Message, m)
 	transpose(out, rows, mBytes)
+	hashPads(&r.h, out, r.otIndex, 1)
 
 	y, err := r.conn.Recv()
 	if err != nil {
@@ -197,8 +220,7 @@ func (r *ExtReceiver) receive(choices []bool) ([]Message, error) {
 		if c {
 			off += KeySize
 		}
-		h := r.h.Hash(out[j], otTweak|(r.otIndex+uint64(j)))
-		subtle.XORBytes(out[j][:], y[off:off+KeySize], h[:])
+		subtle.XORBytes(out[j][:], y[off:off+KeySize], out[j][:])
 	}
 	r.otIndex += uint64(m)
 	return out, nil
@@ -231,15 +253,6 @@ func newPRG(seed Message) cipher.Stream {
 
 // bit reports bit i of a little-endian packed bit string.
 func bit(b []byte, i int) bool { return b[i/8]>>(uint(i)%8)&1 == 1 }
-
-// xorMsg returns a ⊕ b.
-func xorMsg(a, b Message) Message {
-	var out Message
-	for i := range a {
-		out[i] = a[i] ^ b[i]
-	}
-	return out
-}
 
 // transpose writes the bit matrix rows (kappa rows of mBytes bytes, bit j of
 // row i at byte j/8, bit j%8) column-wise: bit i of dst[j] becomes bit j of

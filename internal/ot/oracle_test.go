@@ -31,6 +31,15 @@ func transposeToBlocks(rows [][]byte, m int) []Message {
 	return out
 }
 
+// xorMsg returns a ⊕ b.
+func xorMsg(a, b Message) Message {
+	var out Message
+	for i := range a {
+		out[i] = a[i] ^ b[i]
+	}
+	return out
+}
+
 // sha256Hash is SHA-256(index || row) truncated to a message.
 func sha256Hash(index uint64, row Message) Message {
 	h := sha256.New()
