@@ -46,9 +46,7 @@ import (
 	"time"
 
 	"privinf/internal/bfv"
-	"privinf/internal/boolcirc"
 	"privinf/internal/field"
-	"privinf/internal/garble"
 	"privinf/internal/nn"
 )
 
@@ -137,13 +135,6 @@ type Config struct {
 	// layers sequentially (the baseline); len(Dims) gives full
 	// layer-parallel HE (§5.2).
 	LPHEWorkers int
-	// GarbleFunc garbles the instances of one ReLU layer (bases[i] is
-	// instance i's gate-tweak base). nil means garble.GarbleBatch on the
-	// session's own entropy. A serving engine injects a function here to
-	// coalesce garbling across sessions of one model (see internal/serve);
-	// any replacement must be bit-identical to sequential garbling on the
-	// stream it draws from, which GarbleBatch guarantees.
-	GarbleFunc func(c *boolcirc.Circuit, src io.Reader, bases []uint64) []*garble.Garbled
 	// HEKeyGen generates (or returns) the client's session HE key pair.
 	// nil means bfv.KeyGen on the session's entropy — fresh per-session
 	// keys, the baseline. A preamble-carrying client injects a function
@@ -152,15 +143,6 @@ type Config struct {
 	// later resumed sessions reuse without any key flight. Server sessions
 	// ignore the field.
 	HEKeyGen func(p bfv.Params, src io.Reader) (bfv.SecretKey, bfv.PublicKey)
-}
-
-// garbleBatch resolves the garbling seam: the injected GarbleFunc if any,
-// else garble.GarbleBatch.
-func (c Config) garbleBatch(circ *boolcirc.Circuit, src io.Reader, bases []uint64) []*garble.Garbled {
-	if c.GarbleFunc != nil {
-		return c.GarbleFunc(circ, src, bases)
-	}
-	return garble.GarbleBatch(circ, src, bases)
 }
 
 // keyGen resolves the HE keygen seam: the injected HEKeyGen if any, else

@@ -156,9 +156,8 @@ func (p *party) garbleAndShip(own [][]uint64) ([][]garble.Encoding, error) {
 		for u := range bases {
 			bases[u] = gateBase(layer, u)
 		}
-		// All units of the layer garble as one batch; a serving engine's
-		// GarbleFunc may additionally coalesce units across sessions.
-		for u, g := range p.cfg.garbleBatch(circ, p.entropy, bases) {
+		// All units of the layer garble as one batch.
+		for u, g := range garble.GarbleBatch(circ, p.entropy, bases) {
 			encs[layer][u] = g.Encoding
 			payload = append(payload, encodeLabels(g.Tables)...)
 			payload = appendActive(payload, g.Encoding, boolcirc.ConstOne, 1, 1) // the wire that carries 1

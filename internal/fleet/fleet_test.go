@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -242,6 +243,37 @@ func TestRouterTicketFallbackAfterScaleDown(t *testing.T) {
 	}
 	if !reflect.DeepEqual(out, coldOut) {
 		t.Error("fallback session's output diverged from the original's")
+	}
+}
+
+// TestRemoveDropsReplicaLoadSeries: a removed replica's pi_replica_load
+// series goes with it, so autoscaler cycles do not pile up series.
+func TestRemoveDropsReplicaLoadSeries(t *testing.T) {
+	r := NewRouter(Config{})
+	t.Cleanup(func() { r.Close() })
+	live, err := r.AddAddr("127.0.0.1:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		rep, err := r.AddAddr("127.0.0.1:1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Remove(context.Background(), rep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var ids []string
+	for _, f := range r.met.reg.Gather() {
+		if f.Name == metricReplicaLoad {
+			for _, s := range f.Samples {
+				ids = append(ids, s.Labels[0])
+			}
+		}
+	}
+	if want := []string{strconv.Itoa(live.ID)}; !reflect.DeepEqual(ids, want) {
+		t.Fatalf("pi_replica_load series for replicas %q, want only the live %q", ids, want)
 	}
 }
 

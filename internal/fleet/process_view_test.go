@@ -131,9 +131,6 @@ func TestProcessViewIsSumOfComponents(t *testing.T) {
 			st := eng.Stats()
 			want.TotalInferences += st.TotalInferences
 			want.TotalPrecomputes += st.TotalPrecomputes
-			want.GarbleRequests += st.GarbleRequests
-			want.GarbleBatches += st.GarbleBatches
-			want.GarbleCoalesced += st.GarbleCoalesced
 			want.Tickets.Issued += st.Tickets.Issued
 			want.Tickets.Resumed += st.Tickets.Resumed
 			want.Tickets.Expired += st.Tickets.Expired
@@ -148,9 +145,6 @@ func TestProcessViewIsSumOfComponents(t *testing.T) {
 			{"pi_online_seconds_count", nil, want.TotalInferences},
 			{"pi_offline_seconds_count", nil, want.TotalPrecomputes},
 			{"pi_offline_he_seconds_count", nil, want.TotalPrecomputes},
-			{"pi_garble_total", []string{`event="request"`}, want.GarbleRequests},
-			{"pi_garble_total", []string{`event="batch"`}, want.GarbleBatches},
-			{"pi_garble_total", []string{`event="coalesced"`}, want.GarbleCoalesced},
 			{"pi_tickets_total", []string{`event="issued"`}, want.Tickets.Issued},
 			{"pi_tickets_total", []string{`event="resumed"`}, want.Tickets.Resumed},
 			{"pi_tickets_total", []string{`event="expired"`}, want.Tickets.Expired},

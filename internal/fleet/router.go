@@ -186,6 +186,7 @@ func (r *Router) Remove(ctx context.Context, rep *Replica) error {
 		if t == rep {
 			r.replicas = append(r.replicas[:i], r.replicas[i+1:]...)
 			r.met.replicas.Add(-1)
+			r.met.repLoad.Delete(strconv.Itoa(rep.ID))
 			break
 		}
 	}

@@ -21,9 +21,9 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/stats.golden.jso
 // testdata/stats.golden.json was written at commit 2ee280d, when the router
 // kept each count in an atomic field next to its obs mirror (and guarded
 // the two spill counts by different predicates); the test proves the
-// instrument-backed Stats() is the same view. Durations are zeroed; no
-// session is live at the snapshot. Regenerate only when the scenario
-// changes:
+// instrument-backed Stats() is the same view. It was regenerated once since,
+// to drop a counter of the engine's deleted garbling coalescer. Durations are zeroed; no session
+// is live at the snapshot. Regenerate only when the scenario changes:
 //
 //	go test ./internal/fleet -run TestStatsGolden -update
 func TestStatsGolden(t *testing.T) {

@@ -228,6 +228,16 @@ func (v *Vec[T]) With(values ...string) *T {
 	return v.f.child(values).(*T)
 }
 
+// Delete drops the series for one value per label key, if it exists, so a
+// label whose subject is gone (a removed replica) stops being exported.
+// A pointer With returned earlier keeps working but is no longer read.
+func (v *Vec[T]) Delete(values ...string) {
+	key := strings.Join(values, labelSep)
+	v.f.mu.Lock()
+	defer v.f.mu.Unlock()
+	delete(v.f.children, key)
+}
+
 // Each calls fn for every series seen so far, in label-value order —
 // how an owner's Stats sums or partitions a family without creating
 // series as a side effect.

@@ -127,9 +127,6 @@ type Engine struct {
 	// setupSem bounds concurrent full session setups (Config.SetupWorkers);
 	// nil means unbounded.
 	setupSem chan struct{}
-	// garbler coalesces offline ReLU garbling across concurrent sessions of
-	// one model into shared GarbleBatch passes (see garbler.go).
-	garbler *batchGarbler
 	// draining marks an engine that rejects new handshakes while existing
 	// sessions run to completion (Drain).
 	draining atomic.Bool
@@ -252,9 +249,6 @@ func New(cfg Config) (_ *Engine, err error) {
 	if cfg.SetupWorkers > 0 {
 		e.setupSem = make(chan struct{}, cfg.SetupWorkers)
 	}
-	e.garbler = newBatchGarbler(e)
-	e.wg.Add(1)
-	go e.garbler.run()
 	return e, nil
 }
 

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
 
 	"privinf/internal/delphi"
@@ -82,6 +81,13 @@ func (e *Engine) handshake(conn *transport.Conn, addr string) *session {
 		sendReject(conn, e.met.reg, rejectUnknownModel, "serve: hello named no model and the engine has no default model")
 		return nil
 	}
+	// The name is peer-controlled and labels the ticket counters, so it is
+	// validated before the ticket cache sees it: an unknown model mints no
+	// series and reserves no ticket.
+	if !e.reg.Has(name) {
+		sendReject(conn, e.met.reg, rejectUnknownModel, fmt.Sprintf("%v: %q", ErrUnknownModel, name))
+		return nil
+	}
 	// Settle the session preamble: a presented ticket either resumes OT
 	// setup from cached seed material or is rejected with a typed code and
 	// the session falls back to the full base-OT path on this same
@@ -134,15 +140,13 @@ func (e *Engine) handshake(conn *transport.Conn, addr string) *session {
 	}
 	// Resolving the artifact may build it (a registry miss); that cost is
 	// paid here, on this connection's goroutine, so other sessions keep
-	// serving while a cold model encodes.
+	// serving while a cold model encodes. The name is registered (checked
+	// above, and registrations are never removed), so an error here is the
+	// engine's own.
 	artifact, err := e.reg.Get(name)
 	if err != nil {
-		if errors.Is(err, ErrUnknownModel) {
-			sendReject(conn, e.met.reg, rejectUnknownModel, err.Error())
-		} else {
-			e.met.handshakes.With(outcomeEngineErr).Inc()
-			sendCtrl(conn, opErr, []byte(err.Error()))
-		}
+		e.met.handshakes.With(outcomeEngineErr).Inc()
+		sendCtrl(conn, opErr, []byte(err.Error()))
 		return nil
 	}
 	welcome := marshalJSON(welcomeMsg{
@@ -177,14 +181,10 @@ func (e *Engine) handshake(conn *transport.Conn, addr string) *session {
 		offline:       e.met.offline.With(name),
 		online:        e.met.online.With(name),
 	}
-	// GarbleFunc routes the session's offline ReLU garbling through the
-	// engine's coalescer, so concurrent refills of one model garble as one
-	// batch instead of per-session.
 	dcfg := delphi.Config{
 		Variant:     e.cfg.Variant,
 		HEParams:    artifact.Params(),
 		LPHEWorkers: e.cfg.LPHEWorkers,
-		GarbleFunc:  e.garbler.submit,
 	}
 	setupSpan := obs.StartSpan(e.met.setup.With(setupTier))
 	s.srv, err = delphi.NewServerShared(dataConn{s.m}, dcfg, artifact, e.entropy)

@@ -28,7 +28,6 @@ const (
 	metricPrecomputeBuffered   = "pi_precompute_buffered"
 	metricTicketsTotal         = "pi_tickets_total"
 	metricRegistryTotal        = "pi_registry_total"
-	metricGarbleTotal          = "pi_garble_total"
 )
 
 // Handshake outcome and resume-tier label values that have no wire
@@ -78,29 +77,24 @@ type engineMetrics struct {
 	handshakes, resume                                   *obs.CounterVec
 	sessions, buffered                                   *obs.Gauge
 	tickets                                              *obs.CounterVec // by model, event
-	garbleRequests, garbleBatches, garbleCoalesced       *obs.Counter
 }
 
 func newEngineMetrics() *engineMetrics {
 	reg, retire := mount()
-	garble := reg.CounterVec(metricGarbleTotal, "Garble coalescer events: request (per-layer garbling request), batch (GarbleBatch pass), coalesced (request that shared a pass).", "event")
 	return &engineMetrics{
-		reg:             reg,
-		retire:          retire,
-		offlineHE:       reg.HistogramVec(metricOfflineHESeconds, "Offline HE linear-layer share generation latency by model.", "model"),
-		offlineGarble:   reg.HistogramVec(metricOfflineGarbleSeconds, "Offline ReLU circuit garbling latency by model.", "model"),
-		offlineOT:       reg.HistogramVec(metricOfflineOTSeconds, "Offline OT-extension transfer latency by model.", "model"),
-		offline:         reg.HistogramVec(metricOfflineSeconds, "End-to-end offline (pre-compute) phase latency by model.", "model"),
-		online:          reg.HistogramVec(metricOnlineSeconds, "Online inference phase latency by model.", "model"),
-		setup:           reg.HistogramVec(metricSetupSeconds, "Session setup latency by tier (full = base OTs + HE keygen, resumed = ticket seed expansion).", "tier"),
-		handshakes:      handshakeOutcomes(reg),
-		resume:          reg.CounterVec(metricResumeTotal, "Session establishment tiers: resumed (ticket redeemed), full (base OTs), or a resume-reject code that fell back to full.", "tier"),
-		sessions:        reg.Gauge(metricSessionsActive, "Currently connected sessions."),
-		buffered:        reg.Gauge(metricPrecomputeBuffered, "Buffered pre-computes across all sessions (the client-storage commitment)."),
-		tickets:         reg.CounterVec(metricTicketsTotal, "Resumption ticket cache events: issued, resumed, expired, unknown, evicted, loaded, load_error, persisted, persist_error.", "model", "event"),
-		garbleRequests:  garble.With("request"),
-		garbleBatches:   garble.With("batch"),
-		garbleCoalesced: garble.With("coalesced"),
+		reg:           reg,
+		retire:        retire,
+		offlineHE:     reg.HistogramVec(metricOfflineHESeconds, "Offline HE linear-layer share generation latency by model.", "model"),
+		offlineGarble: reg.HistogramVec(metricOfflineGarbleSeconds, "Offline ReLU circuit garbling latency by model.", "model"),
+		offlineOT:     reg.HistogramVec(metricOfflineOTSeconds, "Offline OT-extension transfer latency by model.", "model"),
+		offline:       reg.HistogramVec(metricOfflineSeconds, "End-to-end offline (pre-compute) phase latency by model.", "model"),
+		online:        reg.HistogramVec(metricOnlineSeconds, "Online inference phase latency by model.", "model"),
+		setup:         reg.HistogramVec(metricSetupSeconds, "Session setup latency by tier (full = base OTs + HE keygen, resumed = ticket seed expansion).", "tier"),
+		handshakes:    handshakeOutcomes(reg),
+		resume:        reg.CounterVec(metricResumeTotal, "Session establishment tiers: resumed (ticket redeemed), full (base OTs), or a resume-reject code that fell back to full.", "tier"),
+		sessions:      reg.Gauge(metricSessionsActive, "Currently connected sessions."),
+		buffered:      reg.Gauge(metricPrecomputeBuffered, "Buffered pre-computes across all sessions (the client-storage commitment)."),
+		tickets:       reg.CounterVec(metricTicketsTotal, "Resumption ticket cache events: issued, resumed, expired, unknown, evicted, loaded, load_error, persisted, persist_error.", "model", "event"),
 	}
 }
 

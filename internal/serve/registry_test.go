@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -372,6 +373,37 @@ func TestUnknownModelHandshakeRejected(t *testing.T) {
 	defer c.Close()
 	if c.Model() != DefaultModelName {
 		t.Fatalf("default session serves %q, want %q", c.Model(), DefaultModelName)
+	}
+}
+
+// TestUnknownModelTouchesNoTicket: a hello naming an unregistered model is
+// rejected before the ticket cache sees the name, with or without a valid
+// ticket — no ticket is issued, and the peer-chosen name labels no series.
+func TestUnknownModelTouchesNoTicket(t *testing.T) {
+	eng, ln := pipeEngine(t, testConfig(testModel(t, 105)))
+	p := NewPreamble()
+	connectPreamble(t, ln, DefaultModelName, p).Close()
+	issued := eng.Stats().Tickets.Issued
+
+	for _, opts := range [][]Option{
+		{WithModel("ghost-cold")},
+		{WithModel("ghost-ticket"), WithPreamble(p)},
+	} {
+		if _, err := dialPipe(ln, opts...); !errors.Is(err, ErrUnknownModel) {
+			t.Fatalf("dial a ghost model = %v, want ErrUnknownModel", err)
+		}
+	}
+	if got := eng.Stats().Tickets.Issued; got != issued {
+		t.Errorf("tickets issued %d after ghost hellos, want %d", got, issued)
+	}
+	for _, f := range eng.met.reg.Gather() {
+		for _, s := range f.Samples {
+			for _, v := range s.Labels {
+				if strings.HasPrefix(v, "ghost") {
+					t.Errorf("%s has a series labelled %q", f.Name, v)
+				}
+			}
+		}
 	}
 }
 

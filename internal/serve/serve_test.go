@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -185,14 +186,23 @@ func TestExplicitPrecomputeAndBuffering(t *testing.T) {
 		t.Fatalf("buffer should be drained, have %d", c.Buffered())
 	}
 	st = eng.Stats()
-	// Server-Garbler offline phases route garbling through the engine's
-	// coalescer: one request per ReLU layer per pre-compute.
-	if st.GarbleRequests == 0 || st.GarbleBatches == 0 {
-		t.Fatalf("garbling coalescer saw %d requests in %d batches, want > 0",
-			st.GarbleRequests, st.GarbleBatches)
-	}
 	if st.TotalInferences != 3 || st.TotalPrecomputes != 3 {
 		t.Fatalf("stats %d inferences / %d precomputes, want 3/3", st.TotalInferences, st.TotalPrecomputes)
+	}
+}
+
+// TestNewStartsNoGoroutine: a one-model engine does nothing in the
+// background until Serve hands it a connection.
+func TestNewStartsNoGoroutine(t *testing.T) {
+	model := testModel(t, 74)
+	before := runtime.NumGoroutine()
+	eng, err := New(Config{Model: model, Variant: delphi.ServerGarbler})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("New started %d goroutines", after-before)
 	}
 }
 

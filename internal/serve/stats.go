@@ -114,13 +114,11 @@ type Stats struct {
 	// Tickets is the OT resumption cache's snapshot (zero-valued when
 	// resumption is disabled).
 	Tickets TicketStats
-	// Garbling coalescer counters: GarbleRequests is per-layer garbling
-	// requests routed through the engine's batch garbler, GarbleBatches the
-	// GarbleBatch passes it ran, and GarbleCoalesced the requests that
-	// shared a pass with at least one other session's (0 when offline
-	// phases never overlapped).
+	// GarbleRequests and GarbleCoalesced are always zero. They counted an
+	// engine-wide garbling coalescer that no longer exists (each session
+	// garbles its own layers) and stay only for readers that still load
+	// them.
 	GarbleRequests  uint64
-	GarbleBatches   uint64
 	GarbleCoalesced uint64
 }
 
@@ -151,9 +149,6 @@ func (e *Engine) Stats() Stats {
 		RegistryReloads:     rst.Reloads,
 		RegistryLoadErrors:  rst.LoadErrors,
 		RegistrySpillErrors: rst.SpillErrors,
-		GarbleRequests:      e.met.garbleRequests.Value(),
-		GarbleBatches:       e.met.garbleBatches.Value(),
-		GarbleCoalesced:     e.met.garbleCoalesced.Value(),
 	}
 	// Partition the engine per model: start from the registry's per-model
 	// cache counters, read the model's phase history off its offline and

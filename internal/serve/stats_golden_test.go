@@ -8,10 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"privinf/internal/boolcirc"
 	"privinf/internal/delphi"
-	"privinf/internal/field"
-	"privinf/internal/garble"
 	"privinf/internal/obs"
 )
 
@@ -19,13 +16,14 @@ import (
 // every counted event once or twice: a cold connect, an explicit
 // pre-compute, a buffered and an on-the-fly inference, a reconnect on a
 // ticket, an unknown and an expired ticket, an eviction + spill + reload
-// through a one-artifact registry budget, ticket-store persistence, and a
-// coalesced garble batch. testdata/stats.golden.json was written at commit
-// 2ee280d, when every count had a struct field of its own next to its obs
-// mirror; the test proves Stats() read from the instruments is the same
-// view — with span timing on and with obs.SetEnabled(false), which gates
-// time.Now calls, never a count. Durations and the live session's
-// connection byte totals (which carry JSON-encoded durations) are zeroed.
+// through a one-artifact registry budget, and ticket-store persistence.
+// testdata/stats.golden.json was written at commit 2ee280d, when every count
+// had a struct field of its own next to its obs mirror, and regenerated only
+// to drop the garbling coalescer's counters with the coalescer; the test
+// proves Stats() read from the instruments is the same view — with span
+// timing on and with obs.SetEnabled(false), which gates time.Now calls,
+// never a count. Durations and the live session's connection byte totals
+// (which carry JSON-encoded durations) are zeroed.
 // Regenerate only when the scenario itself changes:
 //
 //	go test ./internal/serve -run TestStatsGolden -update
@@ -131,15 +129,6 @@ func statsScenario(t *testing.T) Stats {
 		t.Fatal(err)
 	}
 	defer c.Close()
-
-	// One coalesced garble pass: three same-circuit requests, one batch.
-	circ := boolcirc.BuildReLU(boolcirc.ReLUSpec{P: field.P17, Frac: 1})
-	group := []garbleReq{
-		{circ: circ, bases: []uint64{0, 1 << 22}, reply: make(chan []*garble.Garbled, 1)},
-		{circ: circ, bases: []uint64{1 << 44}, reply: make(chan []*garble.Garbled, 1)},
-		{circ: circ, bases: []uint64{2 << 44}, reply: make(chan []*garble.Garbled, 1)},
-	}
-	eng.garbler.serve(group)
 
 	reg.Flush()
 	eng.tickets.flush()
