@@ -84,8 +84,12 @@ func NewClientWithShared(conn transport.MsgConn, cfg Config, shared *ClientShare
 // setup work every full handshake pays. Resumed sessions install their
 // cached pair instead (SetupResumed).
 func (c *Client) setupKeys() error {
+	keyGen := c.cfg.HEKeyGen
+	if keyGen == nil {
+		keyGen = bfv.KeyGen
+	}
 	var pk bfv.PublicKey
-	c.sk, pk = c.cfg.keyGen(c.cfg.HEParams, c.entropy)
+	c.sk, pk = keyGen(c.cfg.HEParams, c.entropy)
 	c.enc = bfv.NewEncryptor(c.cfg.HEParams, pk, c.entropy)
 	c.dec = bfv.NewDecryptor(c.cfg.HEParams, c.sk)
 	raw, err := pk.MarshalBinary()

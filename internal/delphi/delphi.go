@@ -46,7 +46,6 @@ import (
 	"time"
 
 	"privinf/internal/bfv"
-	"privinf/internal/field"
 	"privinf/internal/nn"
 )
 
@@ -145,15 +144,6 @@ type Config struct {
 	HEKeyGen func(p bfv.Params, src io.Reader) (bfv.SecretKey, bfv.PublicKey)
 }
 
-// keyGen resolves the HE keygen seam: the injected HEKeyGen if any, else
-// bfv.KeyGen.
-func (c Config) keyGen(p bfv.Params, src io.Reader) (bfv.SecretKey, bfv.PublicKey) {
-	if c.HEKeyGen != nil {
-		return c.HEKeyGen(p, src)
-	}
-	return bfv.KeyGen(p, src)
-}
-
 // OfflineReport summarizes one offline (pre-compute) phase.
 type OfflineReport struct {
 	Duration     time.Duration
@@ -171,6 +161,3 @@ type OnlineReport struct {
 	BytesSent uint64
 	BytesRecv uint64
 }
-
-// fieldOf returns the shared arithmetic field.
-func (m ModelMeta) fieldOf() field.Field { return field.New(m.P) }

@@ -63,7 +63,9 @@ func (h *hashConn) cut(variant Variant, phase string) string {
 // size-identical. Each line is "variant phase direction bytes sha256". The
 // digests were regenerated, every byte count unchanged, when the P-256 base
 // OT (wire v6) changed how much each party's setup draws from its seeded
-// stream, which shifts every later draw.
+// stream, which shifts every later draw; and again, every byte count
+// unchanged, when the garbler began expanding each layer's labels from a
+// 16-byte seed instead of reading them from its stream.
 func TestGCWireGolden(t *testing.T) {
 	model, err := nn.DemoMLP(field.New(field.P20), 7)
 	if err != nil {

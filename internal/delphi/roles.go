@@ -1,6 +1,7 @@
 package delphi
 
 import (
+	"crypto/rand"
 	"fmt"
 	"io"
 
@@ -41,7 +42,7 @@ func newParty(conn transport.MsgConn, cfg Config, params bfv.Params, meta ModelM
 		return party{}, fmt.Errorf("delphi: session HE params (N=%d, T=%d) != artifact params (N=%d, T=%d)",
 			cfg.HEParams.N, cfg.HEParams.T, params.N, params.T)
 	}
-	f := meta.fieldOf()
+	f := field.New(meta.P)
 	return party{conn: conn, cfg: cfg, meta: meta, f: f, entropy: entropy, sharing: ss.New(f, entropy), circuits: circuits}, nil
 }
 
@@ -140,12 +141,17 @@ func gcUnitBytes(circ *boolcirc.Circuit, known int) int {
 // send, per layer, one payload of units × (tables | const-one label |
 // decode bits | own labels). own[layer] lists the b and r values the
 // garbler already knows, unit-major; a nil own (the server garbler, whose a
-// input only exists online) ships none.
+// input only exists online) ships none. Each layer's Δ and input labels are
+// AES-CTR output under a fresh 16-byte seed from the party's entropy.
 func (p *party) garbleAndShip(own [][]uint64) ([][]garble.Encoding, error) {
 	width := p.f.Bits()
 	known := 0
 	if own != nil {
 		known = 2 * width
+	}
+	src := p.entropy
+	if src == nil {
+		src = rand.Reader
 	}
 	encs := make([][]garble.Encoding, len(p.circuits))
 	for layer, circ := range p.circuits {
@@ -156,8 +162,12 @@ func (p *party) garbleAndShip(own [][]uint64) ([][]garble.Encoding, error) {
 		for u := range bases {
 			bases[u] = gateBase(layer, u)
 		}
+		var seed [garble.LabelSize]byte
+		if _, err := io.ReadFull(src, seed[:]); err != nil {
+			return nil, fmt.Errorf("delphi: GC layer %d seed: %w", layer, err)
+		}
 		// All units of the layer garble as one batch.
-		for u, g := range garble.GarbleBatch(circ, p.entropy, bases) {
+		for u, g := range garble.GarbleBatch(circ, garble.NewPRG(seed), bases) {
 			encs[layer][u] = g.Encoding
 			payload = append(payload, encodeLabels(g.Tables)...)
 			payload = appendActive(payload, g.Encoding, boolcirc.ConstOne, 1, 1) // the wire that carries 1

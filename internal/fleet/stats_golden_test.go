@@ -22,8 +22,9 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/stats.golden.jso
 // kept each count in an atomic field next to its obs mirror (and guarded
 // the two spill counts by different predicates); the test proves the
 // instrument-backed Stats() is the same view. It was regenerated once since,
-// to drop a counter of the engine's deleted garbling coalescer. Durations are zeroed; no session
-// is live at the snapshot. Regenerate only when the scenario changes:
+// to drop a counter of the engine's deleted garbling coalescer. Durations
+// are zeroed; no session is live at the snapshot. Regenerate only when the
+// scenario changes:
 //
 //	go test ./internal/fleet -run TestStatsGolden -update
 func TestStatsGolden(t *testing.T) {

@@ -8,12 +8,12 @@ import (
 
 // NewPRG expands a 128-bit seed into a deterministic byte stream with
 // AES-CTR under a zero IV — the same expansion internal/ot uses for its
-// extension streams. It is the entropysafe-clean seam for GarbleBatch's
-// shared wire-label streams: a serving engine draws one seed per batch from
-// its injected entropy source and hands the PRG to GarbleBatch, so bulk
-// label material never touches ambient randomness and batches replay
-// deterministically in tests. The returned reader never fails and is not
-// safe for concurrent use.
+// extension streams. It is the entropysafe-clean source of GarbleBatch's
+// wire labels: the delphi garbler draws one seed per layer from its
+// injected entropy source and hands the PRG to GarbleBatch, so bulk label
+// material costs one short entropy read and replays deterministically in
+// tests. The returned reader never fails and is not safe for concurrent
+// use.
 func NewPRG(seed [LabelSize]byte) io.Reader {
 	block, err := aes.NewCipher(seed[:])
 	if err != nil {
