@@ -123,23 +123,7 @@ func (c *Client) RunOffline() (OfflineReport, error) {
 	}
 	rep.HEDuration = time.Since(heStart)
 
-	gcStart := time.Now()
-	var err error
-	switch c.cfg.Variant {
-	case ServerGarbler: // evaluator: store the circuits, fetch the b and r labels by OT
-		pre.stored, err = c.receiveGC(false)
-		rep.GCDuration = time.Since(gcStart)
-		if err == nil {
-			otStart := time.Now()
-			err = c.fetchKnown(pre.stored, pre.gcInputs())
-			rep.OTDuration = time.Since(otStart)
-		}
-		rep.GCStoreBytes = pre.storeBytes()
-	case ClientGarbler: // garbler: ship the circuits with the b and r labels
-		pre.encs, err = c.garbleAndShip(pre.gcInputs())
-		rep.GCDuration = time.Since(gcStart)
-	}
-	if err != nil {
+	if err := c.offlineGC(&pre.gcPre, c.cfg.Variant == ClientGarbler, pre.gcInputs(), &rep); err != nil {
 		return rep, err
 	}
 	c.pres = append(c.pres, pre)
@@ -236,8 +220,8 @@ func (c *Client) RunOnline(x []uint64) ([]uint64, OnlineReport, error) {
 			if err := c.conn.Send(encodeBits(bits)); err != nil {
 				return nil, rep, err
 			}
-		case ClientGarbler: // garbler: serve the server's OT for its a labels
-			if err := c.otSendLabels(layer, pre.encs[layer], 1, width); err != nil {
+		case ClientGarbler: // garbler: derandomize the server's precomputed OTs for its a labels
+			if err := c.otSendLabels(layer, pre.sendOTs[layer]); err != nil {
 				return nil, rep, err
 			}
 		}

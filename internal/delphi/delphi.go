@@ -11,10 +11,12 @@
 //     const-one label and decode bits (garbleAndShip). It is the OT sender.
 //     For each circuit input it either sends the active label directly —
 //     when it holds the value itself — or offers both labels by OT
-//     (otSendLabels) when the evaluator holds it.
+//     (offerKnown, precomputeOffer + otSendLabels) when the evaluator holds
+//     it.
 //   - The evaluator receives and stores the circuits (receiveGC, the one
 //     payload parser) — the 18.2 KB/ReLU storage burden of Figure 3 — is
-//     the OT receiver (otRecvLabels), and evaluates online (evaluateLayer).
+//     the OT receiver (fetchKnown, precomputeFetch + otRecvLabels), and
+//     evaluates online (evaluateLayer).
 //
 // A ReLU unit takes a, the server's share of the layer output (known only
 // online), and b and r, the client's share c_i and next mask r_{i+1} (known
@@ -26,13 +28,15 @@
 //	garbler, OT sender     server                     client
 //	evaluator, GC storage  client                     server
 //	b, r labels (offline)  by OT, after the circuits  direct, with the circuits
-//	a labels (online)      direct, server → client    by OT, client → server
+//	a labels (online)      direct, server → client    random OT offline, then
+//	                                                  d bits up, pair down
 //	ReLU output bits       client decodes, returns    server decodes, keeps
 //
-// RunOffline and RunOnline on both endpoints are one switch on the variant
-// whose arms pick the role calls of the column above; the wire layout, the
-// evaluator's allocation behaviour and the label ordering live in the role
-// code and so change in one place for both variants.
+// The offline garbled-circuit leg of both endpoints (offlineGC) and
+// RunOnline on each are one switch on the variant whose arms pick the role
+// calls of the column above; the wire layout, the evaluator's allocation
+// behaviour and the label ordering live in the role code and so change in
+// one place for both variants.
 //
 // The implementation is functional end-to-end: a Client/Server pair
 // connected by a transport.Conn produces inference outputs bit-exact with
@@ -146,13 +150,18 @@ type Config struct {
 
 // OfflineReport summarizes one offline (pre-compute) phase.
 type OfflineReport struct {
-	Duration     time.Duration
-	HEDuration   time.Duration
-	GCDuration   time.Duration // garbling or receiving+storing, per role
-	OTDuration   time.Duration
-	BytesSent    uint64
-	BytesRecv    uint64
-	GCStoreBytes uint64 // garbled tables this party must hold until online
+	Duration   time.Duration
+	HEDuration time.Duration
+	GCDuration time.Duration // garbling or receiving+storing, per role
+	OTDuration time.Duration // the label OTs run offline, either variant
+	BytesSent  uint64
+	BytesRecv  uint64
+	// GCStoreBytes is the garbled-circuit state this party holds from the
+	// pre-compute until its online phase: stored tables, decode bits and
+	// labels, and precomputed label-OT state (a client garbler's 32 B per
+	// OT plus one offset per unit, its evaluator's pad and choice bit). A
+	// server garbler's own encodings are not counted.
+	GCStoreBytes uint64
 }
 
 // OnlineReport summarizes one online inference.

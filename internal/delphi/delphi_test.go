@@ -8,6 +8,7 @@ import (
 	"privinf/internal/bfv"
 	"privinf/internal/field"
 	"privinf/internal/nn"
+	"privinf/internal/ot"
 	"privinf/internal/transport"
 )
 
@@ -226,7 +227,8 @@ func TestMultipleInferencesPerSession(t *testing.T) {
 
 func TestStorageShiftsToServer(t *testing.T) {
 	// The Client-Garbler protocol's whole point (§5.1): GC storage moves
-	// from client to server.
+	// from client to server, and what the client keeps instead — its
+	// precomputed OT state — stays at least 5× below what it gave up.
 	f := field.New(field.P20)
 	model, err := nn.DemoMLP(f, 13)
 	if err != nil {
@@ -240,21 +242,40 @@ func TestStorageShiftsToServer(t *testing.T) {
 	cg := newSession(t, ClientGarbler, model, 0)
 	_, cgCliOff, cgSrvOff, _, _ := cg.inferPrivately(t, xin)
 
-	if sgCliOff.GCStoreBytes == 0 {
-		t.Error("SG: client must store garbled circuits")
+	// The evaluator stores every unit's tables, const-one label, decode bits
+	// and b, r labels; under Client-Garbler each party also holds its half
+	// of the a-label OTs: the evaluator a pad and a choice bit per OT, the
+	// garbler two bound pads per OT and one free-XOR offset per unit.
+	width := f.Bits()
+	var circuits, evalOTs, garbleOTs uint64
+	for l, circ := range cg.server.circuits {
+		units := cg.server.meta.Dims[l].Out
+		ots := units * width
+		circuits += uint64(units * gcUnitBytes(circ, 2*width))
+		evalOTs += uint64(ots*ot.KeySize + (ots+7)/8)
+		garbleOTs += uint64(2*ots*ot.KeySize + units*ot.KeySize)
 	}
-	if sgSrvOff.GCStoreBytes != 0 {
-		t.Error("SG: server should not store garbled tables")
+	for _, c := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"SG client", sgCliOff.GCStoreBytes, circuits},
+		{"SG server", sgSrvOff.GCStoreBytes, 0},
+		{"CG client", cgCliOff.GCStoreBytes, garbleOTs},
+		{"CG server", cgSrvOff.GCStoreBytes, circuits + evalOTs},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s stores %d bytes, want %d", c.name, c.got, c.want)
+		}
 	}
-	if cgSrvOff.GCStoreBytes == 0 {
-		t.Error("CG: server must store garbled circuits")
+	if 5*cgCliOff.GCStoreBytes > sgCliOff.GCStoreBytes {
+		t.Errorf("CG client stores %d, not 5× below the SG client's %d", cgCliOff.GCStoreBytes, sgCliOff.GCStoreBytes)
 	}
-	if cgCliOff.GCStoreBytes != 0 {
-		t.Error("CG: client should not store garbled tables")
-	}
-	// CG moves at least the table bytes across.
-	if cgSrvOff.GCStoreBytes < sgCliOff.GCStoreBytes {
-		t.Errorf("CG server stores %d < SG client %d", cgSrvOff.GCStoreBytes, sgCliOff.GCStoreBytes)
+	// Both variants run label OTs offline now, so both report their time.
+	for _, rep := range []OfflineReport{sgCliOff, sgSrvOff, cgCliOff, cgSrvOff} {
+		if rep.OTDuration <= 0 {
+			t.Errorf("offline report %+v has no OT duration", rep)
+		}
 	}
 }
 
@@ -283,9 +304,9 @@ func TestCommunicationAsymmetry(t *testing.T) {
 func TestOnlineCommunicationGrowsUnderCG(t *testing.T) {
 	// §6.1: "Client-Garbler increases online communication latency due to
 	// OT (27.1 seconds to 101 seconds)" — the online OT (one correction
-	// matrix row plus two masked labels per share bit) outweighs SG's
-	// plain label download. The win comes from server-side evaluation,
-	// not from online bytes.
+	// bit plus two masked labels per share bit, its extension precomputed)
+	// outweighs SG's plain label download. The win comes from server-side
+	// evaluation, not from online bytes.
 	f := field.New(field.P20)
 	model, err := nn.DemoMLP(f, 19)
 	if err != nil {

@@ -65,7 +65,13 @@ func (h *hashConn) cut(variant Variant, phase string) string {
 // OT (wire v6) changed how much each party's setup draws from its seeded
 // stream, which shifts every later draw; and again, every byte count
 // unchanged, when the garbler began expanding each layer's labels from a
-// 16-byte seed instead of reading them from its stream.
+// 16-byte seed instead of reading them from its stream. Wire v7 moved
+// Client-Garbler's a-label OT extension offline: cg offline s2c grew by
+// exactly its u frames and cg online s2c shrank to the d frames (one bit an
+// OT) and the output share, while both c2s streams kept every byte and
+// digest — the z frames equal the chosen-OT y frames they replace, since
+// d = a ⊕ c selects the same pads the receiver's choices a did — and the sg
+// lines did not move.
 func TestGCWireGolden(t *testing.T) {
 	model, err := nn.DemoMLP(field.New(field.P20), 7)
 	if err != nil {

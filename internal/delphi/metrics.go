@@ -22,10 +22,10 @@ const (
 var (
 	obsClientOfflineHE     = obs.Default().Histogram(metricClientOfflineHESeconds, "Client offline HE leg: mask encryption, upload, share decryption.")
 	obsClientOfflineGarble = obs.Default().Histogram(metricClientOfflineGarbleSeconds, "Client offline GC leg: garbling (Client-Garbler) or receiving and storing circuits (Server-Garbler).")
-	obsClientOfflineOT     = obs.Default().Histogram(metricClientOfflineOTSeconds, "Client offline OT-extension leg (Server-Garbler label transfer).")
+	obsClientOfflineOT     = obs.Default().Histogram(metricClientOfflineOTSeconds, "Client offline label-OT leg: the b and r labels (Server-Garbler) or the a labels' random OTs (Client-Garbler).")
 	obsClientOffline       = obs.Default().Histogram(metricClientOfflineSeconds, "Client offline phase, end to end, per pre-compute.")
 	obsClientOnline        = obs.Default().Histogram(metricClientOnlineSeconds, "Client online inference, end to end.")
-	obsClientOnlineLayer   = obs.Default().Histogram(metricClientOnlineLayerSeconds, "One ReLU layer of the client's online phase (GC evaluation or online OT serve).")
+	obsClientOnlineLayer   = obs.Default().Histogram(metricClientOnlineLayerSeconds, "One ReLU layer of the client's online phase (GC evaluation, or the a labels' OT derandomization).")
 )
 
 // recordClientOffline mirrors a finished offline report onto the obs
@@ -36,8 +36,6 @@ func recordClientOffline(rep OfflineReport) {
 	}
 	obsClientOfflineHE.Record(rep.HEDuration)
 	obsClientOfflineGarble.Record(rep.GCDuration)
-	if rep.OTDuration > 0 {
-		obsClientOfflineOT.Record(rep.OTDuration)
-	}
+	obsClientOfflineOT.Record(rep.OTDuration)
 	obsClientOffline.Record(rep.Duration)
 }

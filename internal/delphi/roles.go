@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"fmt"
 	"io"
+	"time"
 
 	"privinf/internal/bfv"
 	"privinf/internal/boolcirc"
@@ -103,11 +104,16 @@ func buildCircuits(meta ModelMeta) []*boolcirc.Circuit {
 	return out
 }
 
-// gcPre is the garbled-circuit half of one buffered pre-compute: the
-// garbler keeps encs, the evaluator keeps stored.
+// gcPre is the garbled-circuit half of one buffered pre-compute. The
+// evaluator keeps stored. A server garbler keeps encs, for the a labels it
+// sends direct; under Client-Garbler each party keeps instead its half of the
+// a-label OTs, one batch per ReLU layer, made offline and consumed online.
 type gcPre struct {
-	encs   [][]garble.Encoding // per ReLU layer, per unit
-	stored []storedLayer       // per ReLU layer
+	encs    [][]garble.Encoding // per ReLU layer, per unit
+	stored  []storedLayer       // per ReLU layer
+	sendOTs []*ot.SenderOTs     // per ReLU layer, on a client garbler
+	recvOTs []*ot.ReceiverOTs   // per ReLU layer, on its evaluator
+	otBytes uint64              // the OT batches' footprint
 }
 
 // storedLayer is what the evaluator holds per ReLU layer between phases —
@@ -123,8 +129,11 @@ type storedLayer struct {
 	bytes uint64
 }
 
-// storeBytes totals the evaluator's storage for one pre-compute.
-func (g *gcPre) storeBytes() (n uint64) {
+// storeBytes totals the garbled-circuit state one pre-compute holds until
+// online: stored circuits and labels, and precomputed OT state. A server
+// garbler's own encodings are not counted.
+func (g *gcPre) storeBytes() uint64 {
+	n := g.otBytes
 	for _, l := range g.stored {
 		n += l.bytes
 	}
@@ -280,10 +289,60 @@ func (p *party) evaluateLayer(st storedLayer, layer int, aLabels []garble.Label)
 	return bits, nil
 }
 
-// otSendLabels is the garbler's OT leg: offer both labels of circuit inputs
-// [first, first+n) of every unit of a layer. Server-Garbler runs it offline
-// for b and r, Client-Garbler online for a.
-func (p *party) otSendLabels(layer int, encs []garble.Encoding, first, n int) error {
+// offlineGC is the garbled-circuit leg of a pre-compute on either endpoint,
+// timed into rep: the circuits (garbleAndShip, receiveGC), then the label
+// OTs that run offline. own lists the client's b and r values per layer
+// (nil on the server).
+func (p *party) offlineGC(pre *gcPre, garbler bool, own [][]uint64, rep *OfflineReport) error {
+	cg, start := p.cfg.Variant == ClientGarbler, time.Now()
+	var err error
+	if garbler {
+		pre.encs, err = p.garbleAndShip(own)
+	} else {
+		pre.stored, err = p.receiveGC(cg)
+	}
+	rep.GCDuration = time.Since(start)
+	if err != nil {
+		return err
+	}
+	start = time.Now()
+	switch {
+	case !cg && garbler:
+		err = p.offerKnown(pre.encs)
+	case !cg:
+		err = p.fetchKnown(pre.stored, own)
+	case garbler: // keeps the OTs bound to its labels, not the encodings
+		err = p.precomputeOffer(pre, pre.encs)
+		pre.encs = nil
+	default:
+		err = p.precomputeFetch(pre)
+	}
+	rep.OTDuration = time.Since(start)
+	rep.GCStoreBytes = pre.storeBytes()
+	return err
+}
+
+// The label OTs. Server-Garbler runs its b and r OTs offline, chosen on the
+// values the client already knows (offerKnown, fetchKnown). Client-Garbler's
+// a OTs wait for a value only known online, so they run offline as random
+// OTs (precomputeOffer, precomputeFetch) and online as one derandomization
+// each (otSendLabels, otRecvLabels).
+
+// offerKnown is the server garbler's offline OT: every layer's b and r
+// labels, which a client garbler would have shipped with the circuits.
+func (p *party) offerKnown(encs [][]garble.Encoding) error {
+	width := p.f.Bits()
+	for layer := range encs {
+		if err := p.otSend.Send(labelPairs(encs[layer], 1+width, 2*width)); err != nil {
+			return fmt.Errorf("delphi: label OT layer %d: %w", layer, err)
+		}
+	}
+	return nil
+}
+
+// labelPairs lists both labels of circuit inputs [first, first+n) of every
+// unit, unit-major: what the garbler offers by OT.
+func labelPairs(encs []garble.Encoding, first, n int) [][2]garble.Label {
 	pairs := make([][2]garble.Label, 0, len(encs)*n)
 	for _, enc := range encs {
 		for k := first; k < first+n; k++ {
@@ -291,32 +350,7 @@ func (p *party) otSendLabels(layer int, encs []garble.Encoding, first, n int) er
 			pairs = append(pairs, [2]garble.Label{f0, f1})
 		}
 	}
-	if err := p.otSend.Send(pairs); err != nil {
-		return fmt.Errorf("delphi: label OT layer %d: %w", layer, err)
-	}
-	return nil
-}
-
-// otRecvLabels is the evaluator's OT leg: obtain the active labels for the
-// bits of vals (width each, little-endian) without revealing them.
-func (p *party) otRecvLabels(layer int, vals []uint64) ([]garble.Label, error) {
-	labels, err := p.otRecv.Receive(valueBits(vals, p.f.Bits()))
-	if err != nil {
-		return nil, fmt.Errorf("delphi: label OT layer %d: %w", layer, err)
-	}
-	return labels, nil
-}
-
-// offerKnown is the server garbler's offline OT: every layer's b and r
-// labels, which a client garbler would have shipped with the circuits.
-func (p *party) offerKnown(encs [][]garble.Encoding) error {
-	width := p.f.Bits()
-	for layer := range encs {
-		if err := p.otSendLabels(layer, encs[layer], 1+width, 2*width); err != nil {
-			return err
-		}
-	}
-	return nil
+	return pairs
 }
 
 // fetchKnown is offerKnown's evaluator side: obtain the labels for the b
@@ -324,9 +358,9 @@ func (p *party) offerKnown(encs [][]garble.Encoding) error {
 // circuits.
 func (p *party) fetchKnown(stored []storedLayer, own [][]uint64) error {
 	for layer := range stored {
-		labels, err := p.otRecvLabels(layer, own[layer])
+		labels, err := p.otRecv.Receive(valueBits(own[layer], p.f.Bits()))
 		if err != nil {
-			return err
+			return fmt.Errorf("delphi: label OT layer %d: %w", layer, err)
 		}
 		st := &stored[layer]
 		per := 2 * p.f.Bits()
@@ -336,4 +370,50 @@ func (p *party) fetchKnown(stored []storedLayer, own [][]uint64) error {
 		st.bytes += uint64(len(labels) * garble.LabelSize)
 	}
 	return nil
+}
+
+// precomputeOffer is the client garbler's offline half of the a OTs: per
+// layer one batch of random OTs bound to every unit's a-input label pairs,
+// width to a unit and all offset by its free-XOR Δ, so the encodings can go.
+func (p *party) precomputeOffer(pre *gcPre, encs [][]garble.Encoding) error {
+	width := p.f.Bits()
+	for layer := range encs {
+		b, err := p.otSend.Precompute(labelPairs(encs[layer], 1, width), width)
+		if err != nil {
+			return fmt.Errorf("delphi: label OT layer %d: %w", layer, err)
+		}
+		pre.sendOTs, pre.otBytes = append(pre.sendOTs, b), pre.otBytes+b.SizeBytes()
+	}
+	return nil
+}
+
+// precomputeFetch is precomputeOffer's evaluator side: per layer one batch
+// of random OTs on choice bits from the party's entropy.
+func (p *party) precomputeFetch(pre *gcPre) error {
+	for layer := range p.circuits {
+		b, err := p.otRecv.Precompute(p.meta.Dims[layer].Out*p.f.Bits(), p.entropy)
+		if err != nil {
+			return fmt.Errorf("delphi: label OT layer %d: %w", layer, err)
+		}
+		pre.recvOTs, pre.otBytes = append(pre.recvOTs, b), pre.otBytes+b.SizeBytes()
+	}
+	return nil
+}
+
+// otSendLabels is the client garbler's online leg of a layer's a OTs.
+func (p *party) otSendLabels(layer int, b *ot.SenderOTs) error {
+	if err := p.otSend.SendPrecomputed(b); err != nil {
+		return fmt.Errorf("delphi: label OT layer %d: %w", layer, err)
+	}
+	return nil
+}
+
+// otRecvLabels is the evaluator's online leg: obtain the active labels for
+// the bits of vals (width each, little-endian) without revealing them.
+func (p *party) otRecvLabels(layer int, b *ot.ReceiverOTs, vals []uint64) ([]garble.Label, error) {
+	labels, err := p.otRecv.ReceivePrecomputed(b, valueBits(vals, p.f.Bits()))
+	if err != nil {
+		return nil, fmt.Errorf("delphi: label OT layer %d: %w", layer, err)
+	}
+	return labels, nil
 }

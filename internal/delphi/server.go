@@ -76,23 +76,7 @@ func (s *Server) RunOffline() (OfflineReport, error) {
 	}
 	rep.HEDuration = time.Since(heStart)
 
-	gcStart := time.Now()
-	var err error
-	switch s.cfg.Variant {
-	case ServerGarbler: // garbler: ship the circuits bare, offer the b and r labels by OT
-		pre.encs, err = s.garbleAndShip(nil)
-		rep.GCDuration = time.Since(gcStart)
-		if err == nil {
-			otStart := time.Now()
-			err = s.offerKnown(pre.encs)
-			rep.OTDuration = time.Since(otStart)
-		}
-	case ClientGarbler: // evaluator: store the circuits and the b and r labels shipped with them
-		pre.stored, err = s.receiveGC(true)
-		rep.GCDuration = time.Since(gcStart)
-		rep.GCStoreBytes = pre.storeBytes()
-	}
-	if err != nil {
+	if err := s.offlineGC(&pre.gcPre, s.cfg.Variant == ServerGarbler, nil, &rep); err != nil {
 		return rep, err
 	}
 	s.pres = append(s.pres, pre)
@@ -228,8 +212,8 @@ func (s *Server) RunOnline() (OnlineReport, error) {
 			if bits, err = decodeBits(bitsRaw, len(ys)*width); err != nil {
 				return rep, err
 			}
-		case ClientGarbler: // evaluator: a labels come by OT, then evaluate
-			aLabels, err := s.otRecvLabels(i, ys)
+		case ClientGarbler: // evaluator: a labels come by derandomized OT, then evaluate
+			aLabels, err := s.otRecvLabels(i, pre.recvOTs[i], ys)
 			if err != nil {
 				return rep, err
 			}

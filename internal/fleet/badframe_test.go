@@ -15,7 +15,7 @@ import (
 const (
 	wireTagCtrl = 0x01
 	wireOpHello = 0x01
-	wireVersion = 6
+	wireVersion = 7
 )
 
 // rawHello is a hello control frame claiming the given wire version.
@@ -72,20 +72,28 @@ func TestBadOpeningSameAnswerDirectAndRouted(t *testing.T) {
 		{"empty frame", [][]byte{{}}, serve.ErrBadFrame},
 		{"garbage", [][]byte{[]byte("GET / HTTP/1.1")}, serve.ErrBadFrame},
 		{"truncated preamble", [][]byte{preamble(wireVersion)[:8]}, serve.ErrBadFrame},
-		{"garbage opcode in a v6 preamble", [][]byte{preamble(wireVersion), {wireTagCtrl, 0xEE, 'j', 'u', 'n', 'k'}}, serve.ErrBadFrame},
-		{"garbage after a v6 preamble", [][]byte{preamble(wireVersion), {0x5A}}, serve.ErrBadFrame},
+		{"garbage opcode in a v7 preamble", [][]byte{preamble(wireVersion), {wireTagCtrl, 0xEE, 'j', 'u', 'n', 'k'}}, serve.ErrBadFrame},
+		{"garbage after a v7 preamble", [][]byte{preamble(wireVersion), {0x5A}}, serve.ErrBadFrame},
 		{"preamble v3", [][]byte{preamble(3)}, serve.ErrVersionMismatch},
 		{"preamble v4", [][]byte{preamble(4)}, serve.ErrVersionMismatch},
-		// v5 is the previous release: its extension frames are v6's, its
-		// base OT is three flights of MODP-1536 where v6 sends two of P-256.
 		{"preamble v5", [][]byte{preamble(5)}, serve.ErrVersionMismatch},
+		// v6 is the previous release: its handshake is v7's, its
+		// Client-Garbler label OT runs the whole extension online where v7
+		// sends one correction bit an OT against a precomputed batch.
+		{"preamble v6", [][]byte{preamble(6)}, serve.ErrVersionMismatch},
 		{"bare v2 hello", [][]byte{rawHello(2)}, serve.ErrVersionMismatch},
-		{"v3 hello inside a v6 preamble", [][]byte{preamble(wireVersion), rawHello(3)}, serve.ErrVersionMismatch},
-		{"v4 hello inside a v6 preamble", [][]byte{preamble(wireVersion), rawHello(4)}, serve.ErrVersionMismatch},
-		{"v5 hello inside a v6 preamble", [][]byte{preamble(wireVersion), rawHello(5)}, serve.ErrVersionMismatch},
-		// A v5 client's openings, whatever follows the preamble: the gate
-		// answers before anything after it is read, so what v5 itself
-		// rejected as a bad frame is now a version mismatch.
+		{"v3 hello inside a v7 preamble", [][]byte{preamble(wireVersion), rawHello(3)}, serve.ErrVersionMismatch},
+		{"v4 hello inside a v7 preamble", [][]byte{preamble(wireVersion), rawHello(4)}, serve.ErrVersionMismatch},
+		{"v5 hello inside a v7 preamble", [][]byte{preamble(wireVersion), rawHello(5)}, serve.ErrVersionMismatch},
+		{"v6 hello inside a v7 preamble", [][]byte{preamble(wireVersion), rawHello(6)}, serve.ErrVersionMismatch},
+		// Older clients' openings, whatever follows the preamble: the gate
+		// answers before anything after it is read, so what a release itself
+		// rejected as a bad frame is a version mismatch here.
+		{"garbage opcode in a v6 preamble", [][]byte{preamble(6), {wireTagCtrl, 0xEE, 'j', 'u', 'n', 'k'}}, serve.ErrVersionMismatch},
+		{"garbage after a v6 preamble", [][]byte{preamble(6), {0x5A}}, serve.ErrVersionMismatch},
+		{"v3 hello inside a v6 preamble", [][]byte{preamble(6), rawHello(3)}, serve.ErrVersionMismatch},
+		{"v4 hello inside a v6 preamble", [][]byte{preamble(6), rawHello(4)}, serve.ErrVersionMismatch},
+		{"v5 hello inside a v6 preamble", [][]byte{preamble(6), rawHello(5)}, serve.ErrVersionMismatch},
 		{"garbage opcode in a v5 preamble", [][]byte{preamble(5), {wireTagCtrl, 0xEE, 'j', 'u', 'n', 'k'}}, serve.ErrVersionMismatch},
 		{"garbage after a v5 preamble", [][]byte{preamble(5), {0x5A}}, serve.ErrVersionMismatch},
 		{"v3 hello inside a v5 preamble", [][]byte{preamble(5), rawHello(3)}, serve.ErrVersionMismatch},

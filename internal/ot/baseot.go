@@ -2,9 +2,9 @@
 // base OTs (Chou–Orlandi random OT over NIST P-256, baseot.go) extended to
 // any number of symmetric-key OTs with the IKNP protocol (iknp.go), the
 // structure §2.1.4 of the paper describes. The PI protocol uses it to deliver
-// garbled-circuit input labels for the evaluator's share bits; under
-// Client-Garbler that transfer is on the online path, so the extension is
-// written as a kernel.
+// garbled-circuit input labels for the evaluator's share bits. The extension
+// is written as a kernel; under Client-Garbler it runs offline as random OTs
+// and only a one-bit derandomization is left on the online path.
 //
 // # Base OT
 //
@@ -59,28 +59,46 @@
 // indices below 2^63, so no (input, tweak) pair the extension hashes can
 // also be a garbling query. docs/invariants.md says why that hash suffices.
 //
+// # Precomputed OTs
+//
+// One extension (extend, u → pads) is a random OT: the receiver ends with
+// the pad m_c = H(t_j) of its choice bit c, the sender with both pads m0 =
+// H(q_j) and m1 = H(q_j ⊕ s). Send and Receive run it on the receiver's
+// real choices and answer at once for correction bits d = 0. Precompute runs
+// it ahead of use on uniformly random choices and binds the sender's pads to
+// its pairs as x0 ⊕ m0 and x0 ⊕ m1, with x1 = x0 ⊕ delta held once per group
+// of OTs. Online, SendPrecomputed and ReceivePrecomputed exchange two frames:
+// "d", the receiver's d = a ⊕ c for its real choices a, packed like r, and
+// "z", laid out like y: x0 ⊕ m_d then x1 ⊕ m_{1−d}. No PRG, transpose or
+// hash runs online. Both kinds share the extend step, the sender's answer
+// and the receiver's open, so a chosen OT is byte for byte a random OT
+// derandomized with d = 0. A precomputed batch is used once.
+//
 // # Buffers
 //
 // A batch's buffers (slab, transposed columns, packed choice bits, the u or y
-// frame it builds) are allocated by the batch and dropped with it: seven
-// allocations a round whatever m is, none per OT. Keeping them on the
+// frame it builds) are allocated by the batch and dropped with it: a fixed
+// number of allocations a round whatever m is, none per OT. Keeping them on the
 // endpoint between batches was measured and bought 0.08 ms of an 11.2 ms
 // inference for 3 MiB (9 %) of resident set per serving process, so they
 // are not kept (docs/perf.md). None of them aliases a frame returned by
 // Recv, which belongs to the transport. Receive returns a slice the caller
 // owns — the transpose writes columns straight into it and the pads are
-// XORed in place — and Send only reads its argument. Neither endpoint is
+// XORed in place — and Send only reads its argument; ReceivePrecomputed
+// returns the batch's own pad storage, opened in place. Neither endpoint is
 // safe for concurrent use.
 //
 // # Errors
 //
 // A frame of the wrong length is a *FrameSizeError, raised before anything
-// is indexed by it. Whatever the cause, the first failed Send or Receive
-// poisons its endpoint: the parties' streams and OT index are out of step
-// from then on and a later batch would deliver garbage labels, so every
-// later call — empty batches included — returns the first error and touches
-// neither the connection nor the streams. Recover with a new session
-// (ResumeSender/ResumeReceiver under a fresh nonce, resume.go).
+// is indexed by it. Whatever the cause, the first failed call that moves
+// bytes (Send, Receive, either Precompute, SendPrecomputed,
+// ReceivePrecomputed) poisons its endpoint: the parties' streams and OT
+// index are out of step from then on and a later batch would deliver
+// garbage labels, so every later call — empty batches included — returns
+// the first error and touches neither the connection nor the streams.
+// Recover with a new session (ResumeSender/ResumeReceiver under a fresh
+// nonce, resume.go).
 package ot
 
 //lint:file-ignore SA1019 crypto/elliptic's ScalarMult, ScalarBaseMult and Add are deprecated as low-level APIs, but they are the only standard-library P-256 point addition, which the chooser's B = bG + A needs (docs/invariants.md)

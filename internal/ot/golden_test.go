@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"privinf/internal/garble"
 	"privinf/internal/transport"
 )
 
@@ -43,13 +42,7 @@ func goldenStates(t *testing.T) (*SenderState, *ReceiverState) {
 // have: streams expanded from the master seeds as they are, not from
 // nonce-derived ones.
 func masterPair(a, b transport.MsgConn, ss *SenderState, rs *ReceiverState) (*ExtSender, *ExtReceiver) {
-	s := &ExtSender{conn: a, h: garble.NewHasher(), sBlock: ss.sBlock, master: ss.seeds}
-	r := &ExtReceiver{conn: b, h: garble.NewHasher(), master: rs.seeds}
-	for i := 0; i < kappa; i++ {
-		s.streams[i] = newPRG(ss.seeds[i])
-		r.streams0[i], r.streams1[i] = newPRG(rs.seeds[i][0]), newPRG(rs.seeds[i][1])
-	}
-	return s, r
+	return newSender(a, ss, nil), newReceiver(b, rs, nil)
 }
 
 // TestIKNPGolden pins the extension's wire bytes on fixed base-OT states,

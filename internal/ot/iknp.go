@@ -5,6 +5,7 @@ import (
 	"crypto/cipher"
 	"crypto/rand"
 	"crypto/subtle"
+	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -26,65 +27,150 @@ const otTweak = 1 << 63
 // protocol the garbler is the extension sender: it transfers the label pair
 // for each of the evaluator's input bits.
 type ExtSender struct {
-	conn    transport.MsgConn
-	sBlock  Message // secret correlation bits s, bit i at byte i/8, bit i%8
+	conn transport.MsgConn
+	// st is the base-OT outcome, kept for State export (resumption): the
+	// streams below are stateful and cannot be rewound. On a resumed
+	// sender it holds the original master seeds, not the nonce-derived
+	// per-session ones, so a re-exported state stays interchangeable with
+	// the first session's.
+	st      SenderState
 	streams [kappa]cipher.Stream
 	h       garble.Hasher
 	otIndex uint64 // global OT counter for hash-tweak uniqueness
-	// master holds the base-OT seeds for State export (resumption); the
-	// streams above are stateful and cannot be rewound, so the raw seeds
-	// are retained. On a resumed sender these are the original master
-	// seeds, not the nonce-derived per-session ones, so a re-exported
-	// state stays interchangeable with the first session's.
-	master [kappa]Message
-	err    error // first Send failure, sticky
+	err     error  // first failure, sticky
 }
 
 // NewExtSender runs base-OT setup over conn. The peer must concurrently run
 // NewExtReceiver. src may be nil (crypto/rand).
 func NewExtSender(conn transport.MsgConn, src io.Reader) (*ExtSender, error) {
-	s := &ExtSender{conn: conn, h: garble.NewHasher()}
 	if src == nil {
 		src = rand.Reader
 	}
-	if _, err := io.ReadFull(src, s.sBlock[:]); err != nil {
+	st := &SenderState{}
+	if _, err := io.ReadFull(src, st.sBlock[:]); err != nil {
 		return nil, fmt.Errorf("ot: entropy: %w", err)
 	}
-	seeds, err := baseReceive(conn, s.sBlock, src)
-	if err != nil {
+	var err error
+	if st.seeds, err = baseReceive(conn, st.sBlock, src); err != nil {
 		return nil, fmt.Errorf("ot: extension sender base OT: %w", err)
 	}
-	s.master = seeds
-	for i, seed := range seeds {
-		s.streams[i] = newPRG(seed)
-	}
-	return s, nil
+	return newSender(conn, st, nil), nil
 }
 
-// Send transfers pairs[j][bit] for the receiver's j-th choice bit. The first
-// failure poisons the endpoint: the two parties' streams are out of step
-// from then on, so every later call returns that error and moves no bytes.
+// Send transfers pairs[j][bit] for the receiver's j-th choice bit: one
+// extension whose choices the receiver embedded in u, its pads bound to the
+// pairs and answered for correction bits d = 0. The first failure poisons
+// the endpoint: the two parties' streams are out of step from then on, so
+// every later call returns that error and moves no bytes.
 func (s *ExtSender) Send(pairs [][2]Message) error {
-	if s.err == nil {
-		s.err = s.send(pairs)
-	}
-	return s.err
+	return sticky(&s.err, len(pairs), func() error {
+		w, err := s.extend(pairs)
+		if err != nil {
+			return err
+		}
+		return s.conn.Send(answer(w, nil, nil, 1))
+	})
 }
 
-func (s *ExtSender) send(pairs [][2]Message) error {
-	m := len(pairs)
-	if m == 0 {
-		return nil
+// sticky runs f on a batch of m > 0 OTs unless *err holds an earlier
+// failure, and keeps f's: the endpoint's poisoning rule in one place.
+func sticky(err *error, m int, f func() error) error {
+	if *err == nil && m > 0 {
+		*err = f()
 	}
-	mBytes := (m + 7) / 8
+	return *err
+}
 
-	// Receive the correction matrix u (kappa rows of m bits).
+// SenderOTs is a batch of random OTs extended ahead of their use and bound
+// to the pairs they will transfer: OT j holds w = (x0 ⊕ m0, x1 ⊕ m1) for its
+// pair and its pads (m0, m1). The pairs come in groups of per OTs that share
+// one offset x0 ⊕ x1, kept once; under free-XOR a garbled unit's label pairs
+// are such a group, so a garbler's batch holds 32 bytes an OT plus 16 a
+// unit, and no encoding.
+type SenderOTs struct {
+	w, delta []Message
+	per      int
+	spent    bool
+}
+
+// SizeBytes reports the batch's resident footprint.
+func (b *SenderOTs) SizeBytes() uint64 { return uint64(len(b.w)+len(b.delta)) * KeySize }
+
+// Precompute runs len(pairs) random OTs, answering the receiver's
+// Precompute, and binds them to pairs, whose OTs j and k share an offset
+// whenever j/per = k/per (per ≥ 1). SendPrecomputed transfers the batch.
+// Failures poison the endpoint as in Send.
+func (s *ExtSender) Precompute(pairs [][2]Message, per int) (*SenderOTs, error) {
+	b := &SenderOTs{per: per, delta: make([]Message, (len(pairs)+per-1)/per)}
+	for g := range b.delta {
+		xor(&b.delta[g], &pairs[g*per][0], &pairs[g*per][1])
+	}
+	return b, sticky(&s.err, len(pairs), func() (err error) {
+		b.w, err = s.extend(pairs)
+		return err
+	})
+}
+
+// SendPrecomputed is a batch's online leg: it receives the correction bits
+// d = a ⊕ c, one per OT, and answers with the pairs masked by the pads d
+// selects. A batch is sent once: a second answer on the same pads would
+// give away both messages. Failures poison the endpoint as in Send.
+func (s *ExtSender) SendPrecomputed(b *SenderOTs) error {
+	if b.spent {
+		return fmt.Errorf("ot: batch of %d OTs already sent", len(b.w)/2)
+	}
+	b.spent = true
+	return sticky(&s.err, len(b.w), func() error {
+		d, err := s.conn.Recv()
+		if err != nil {
+			return err
+		}
+		if want := (len(b.w)/2 + 7) / 8; len(d) != want {
+			return &FrameSizeError{Frame: "d", Got: len(d), Want: want}
+		}
+		return s.conn.Send(answer(b.w, d, b.delta, b.per))
+	})
+}
+
+// answer is the sender's reply to correction bits d (nil: all zero) on pads
+// w bound to their pairs: x0 ⊕ m0 at 2j and x1 ⊕ m1 at 2j+1, which is the
+// reply to d_j = 0. Where d_j = 1 the reply is x0 ⊕ m1 then x1 ⊕ m0: the
+// two swapped, each XORed with x0 ⊕ x1 = delta[j/per].
+func answer(w []Message, d []byte, delta []Message, per int) []byte {
+	y := make([]byte, KeySize*len(w))
+	for j := 0; j < len(w)/2; j++ {
+		z0, z1 := (*Message)(y[2*KeySize*j:]), (*Message)(y[2*KeySize*j+KeySize:])
+		if d != nil && bit(d, j) {
+			xor(z0, &w[2*j+1], &delta[j/per])
+			xor(z1, &w[2*j], &delta[j/per])
+		} else {
+			*z0, *z1 = w[2*j], w[2*j+1]
+		}
+	}
+	return y
+}
+
+// xor sets *dst = *a ⊕ *b a word at a time; dst may be a or b. Pointers,
+// not values: a 16-byte array passed and returned by value costs several
+// times the XOR.
+func xor(dst, a, b *Message) {
+	le := binary.LittleEndian
+	le.PutUint64(dst[:8], le.Uint64(a[:8])^le.Uint64(b[:8]))
+	le.PutUint64(dst[8:], le.Uint64(a[8:])^le.Uint64(b[8:]))
+}
+
+// extend is the sender's half of one extension of len(pairs) > 0 OTs: it
+// receives the correction matrix u and returns the pads bound to the
+// pairs, x0 ⊕ m0 for OT j at 2j and x1 ⊕ m1 at 2j+1.
+func (s *ExtSender) extend(pairs [][2]Message) ([]Message, error) {
+	m := len(pairs)
+	mBytes := (m + 7) / 8
 	u, err := s.conn.Recv()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if len(u) != kappa*mBytes {
-		return &FrameSizeError{Frame: "u", Got: len(u), Want: kappa * mBytes}
+		return nil, &FrameSizeError{Frame: "u", Got: len(u), Want: kappa * mBytes}
 	}
 
 	// q_i = PRG(k_i) ⊕ s_i·u_i: the keystream is XORed over u_i or zeros.
@@ -92,7 +178,7 @@ func (s *ExtSender) send(pairs [][2]Message) error {
 	rows := make([]byte, kappa*mBytes)
 	for i := range s.streams {
 		row := rows[i*mBytes : (i+1)*mBytes]
-		if bit(s.sBlock[:], i) {
+		if bit(s.st.sBlock[:], i) {
 			copy(row, u[i*mBytes:])
 		}
 		s.streams[i].XORKeyStream(row, row)
@@ -104,18 +190,15 @@ func (s *ExtSender) send(pairs [][2]Message) error {
 	transpose(pads[:m], rows, mBytes)
 	for j := m - 1; j >= 0; j-- {
 		pads[2*j] = pads[j]
-		subtle.XORBytes(pads[2*j+1][:], pads[j][:], s.sBlock[:])
+		xor(&pads[2*j+1], &pads[2*j], &s.st.sBlock)
 	}
 	hashPads(&s.h, pads, s.otIndex, 2)
-
-	y := make([]byte, 2*KeySize*m)
-	for j := range pairs {
-		yj := y[2*KeySize*j : 2*KeySize*(j+1)]
-		subtle.XORBytes(yj[:KeySize], pairs[j][0][:], pads[2*j][:])
-		subtle.XORBytes(yj[KeySize:], pairs[j][1][:], pads[2*j+1][:])
-	}
 	s.otIndex += uint64(m)
-	return s.conn.Send(y)
+	for j := range pairs {
+		xor(&pads[2*j], &pads[2*j], &pairs[j][0])
+		xor(&pads[2*j+1], &pads[2*j+1], &pairs[j][1])
+	}
+	return pads, nil
 }
 
 // otChunk bounds the run of tweaks hashPads builds on its stack.
@@ -137,20 +220,17 @@ func hashPads(h *garble.Hasher, pads []Message, first uint64, perOT int) {
 // ExtReceiver is the receiver side of IKNP OT extension; it plays base
 // *sender* during setup.
 type ExtReceiver struct {
-	conn     transport.MsgConn
-	streams0 [kappa]cipher.Stream
-	streams1 [kappa]cipher.Stream
-	h        garble.Hasher
-	otIndex  uint64
-	// master holds both base-OT seed pairs for State export (resumption).
-	master [kappa][2]Message
-	err    error // first Receive failure, sticky
+	conn               transport.MsgConn
+	st                 ReceiverState // both base-OT seed pairs, for State export
+	streams0, streams1 [kappa]cipher.Stream
+	h                  garble.Hasher
+	otIndex            uint64
+	err                error // first failure, sticky
 }
 
 // NewExtReceiver runs base-OT setup over conn. The peer must concurrently
 // run NewExtSender. src may be nil (crypto/rand).
 func NewExtReceiver(conn transport.MsgConn, src io.Reader) (*ExtReceiver, error) {
-	r := &ExtReceiver{conn: conn, h: garble.NewHasher()}
 	if src == nil {
 		src = rand.Reader
 	}
@@ -158,39 +238,82 @@ func NewExtReceiver(conn transport.MsgConn, src io.Reader) (*ExtReceiver, error)
 	if err != nil {
 		return nil, fmt.Errorf("ot: extension receiver base OT: %w", err)
 	}
-	r.master = seeds
-	for i := range seeds {
-		r.streams0[i] = newPRG(seeds[i][0])
-		r.streams1[i] = newPRG(seeds[i][1])
-	}
-	return r, nil
+	return newReceiver(conn, &ReceiverState{seeds: seeds}, nil), nil
 }
 
 // Receive obtains the message selected by each choice bit, in a slice the
 // caller owns. The first failure poisons the endpoint like ExtSender.Send.
 func (r *ExtReceiver) Receive(choices []bool) ([]Message, error) {
-	if r.err != nil {
-		return nil, r.err
+	var out []Message
+	err := sticky(&r.err, len(choices), func() (err error) {
+		if out, err = r.extend(pack(choices), len(choices)); err == nil {
+			err = r.open(out, choices, "y")
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	out, err := r.receive(choices)
-	r.err = err
-	return out, err
+	return out, nil
 }
 
-func (r *ExtReceiver) receive(choices []bool) ([]Message, error) {
-	m := len(choices)
-	if m == 0 {
-		return nil, nil
-	}
-	mBytes := (m + 7) / 8
+// ReceiverOTs is a batch of random OTs extended ahead of their use: random
+// choice bits c, packed, and the pad m_c of each OT.
+type ReceiverOTs struct {
+	c     []byte
+	mc    []Message
+	spent bool
+}
 
-	rBits := make([]byte, mBytes)
-	for j, c := range choices {
-		if c {
-			rBits[j/8] |= 1 << (uint(j) % 8)
+// SizeBytes reports the batch's resident footprint.
+func (b *ReceiverOTs) SizeBytes() uint64 { return uint64(len(b.mc)*KeySize + len(b.c)) }
+
+// Precompute runs m random OTs on choice bits drawn from src (nil means
+// crypto/rand), sending the u frame the sender's Precompute answers.
+// Failures poison the endpoint as in Receive.
+func (r *ExtReceiver) Precompute(m int, src io.Reader) (*ReceiverOTs, error) {
+	if src == nil {
+		src = rand.Reader
+	}
+	b := &ReceiverOTs{c: make([]byte, (m+7)/8)}
+	if _, err := io.ReadFull(src, b.c); err != nil {
+		return nil, fmt.Errorf("ot: entropy: %w", err)
+	}
+	return b, sticky(&r.err, m, func() (err error) {
+		b.c[len(b.c)-1] &= 0xFF >> (7 - (m-1)%8) // no choice bits past m
+		b.mc, err = r.extend(b.c, m)
+		return err
+	})
+}
+
+// ReceivePrecomputed is a batch's online leg: it sends d = a ⊕ c for the
+// choices a and opens the sender's answer with the stored pads, into the
+// batch's own storage, which it returns. A batch is received once. Failures
+// poison the endpoint as in Receive.
+func (r *ExtReceiver) ReceivePrecomputed(b *ReceiverOTs, choices []bool) ([]Message, error) {
+	if b.spent || len(choices) != len(b.mc) {
+		return nil, fmt.Errorf("ot: %d choices for a batch of %d OTs, spent %v", len(choices), len(b.mc), b.spent)
+	}
+	b.spent = true
+	err := sticky(&r.err, len(choices), func() error {
+		d := pack(choices)
+		subtle.XORBytes(d, d, b.c)
+		if err := r.conn.Send(d); err != nil {
+			return err
 		}
+		return r.open(b.mc, choices, "z")
+	})
+	if err != nil {
+		return nil, err
 	}
+	return b.mc, nil
+}
 
+// extend is the receiver's half of one extension of m > 0 OTs on the
+// packed choice bits rBits: it sends u and returns each OT's pad of the
+// chosen message, H(t_j).
+func (r *ExtReceiver) extend(rBits []byte, m int) ([]Message, error) {
+	mBytes := len(rBits)
 	// t_i = PRG(k_i^0); u_i = t_i ⊕ r ⊕ PRG(k_i^1).
 	rows := make([]byte, kappa*mBytes)
 	u := make([]byte, kappa*mBytes)
@@ -204,33 +327,52 @@ func (r *ExtReceiver) receive(choices []bool) ([]Message, error) {
 		return nil, err
 	}
 	// The pads H(t_j) are ready before the sender's answer arrives.
-	out := make([]Message, m)
-	transpose(out, rows, mBytes)
-	hashPads(&r.h, out, r.otIndex, 1)
+	pads := make([]Message, m)
+	transpose(pads, rows, mBytes)
+	hashPads(&r.h, pads, r.otIndex, 1)
+	r.otIndex += uint64(m)
+	return pads, nil
+}
 
+// open receives the sender's answer to choices (frame "y" or "z") and turns
+// each OT's pad into its chosen message in place: half a_j of the answer ⊕
+// pad.
+func (r *ExtReceiver) open(pads []Message, choices []bool, frame string) error {
 	y, err := r.conn.Recv()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if len(y) != 2*KeySize*m {
-		return nil, &FrameSizeError{Frame: "y", Got: len(y), Want: 2 * KeySize * m}
+	if want := 2 * KeySize * len(choices); len(y) != want {
+		return &FrameSizeError{Frame: frame, Got: len(y), Want: want}
 	}
 	for j, c := range choices {
-		off := 2 * KeySize * j
-		if c {
-			off += KeySize
-		}
-		subtle.XORBytes(out[j][:], y[off:off+KeySize], out[j][:])
+		xor(&pads[j], (*Message)(y[2*KeySize*j+KeySize*b2i(c):]), &pads[j])
 	}
-	r.otIndex += uint64(m)
-	return out, nil
+	return nil
+}
+
+// pack packs bits in the kernel's order: bit j at byte j/8, bit j%8.
+func pack(bits []bool) []byte {
+	out := make([]byte, (len(bits)+7)/8)
+	for j, b := range bits {
+		out[j/8] |= byte(b2i(b)) << (j % 8)
+	}
+	return out
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // FrameSizeError reports a frame whose length does not fit what it carries:
 // an extension frame ("u", the receiver's correction matrix, or "y", the
-// sender's ciphertexts) against its batch, or a base-OT flight ("base A",
-// one point, or "base B", kappa points). It is raised before the frame is
-// read.
+// sender's ciphertexts) against its batch, a precomputed batch's online
+// frame ("d", the receiver's correction bits, or "z", the sender's answer),
+// or a base-OT flight ("base A", one point, or "base B", kappa points). It
+// is raised before the frame is read.
 type FrameSizeError struct {
 	Frame     string
 	Got, Want int

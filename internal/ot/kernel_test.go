@@ -250,11 +250,12 @@ func (c *cutConn) Recv() ([]byte, error) {
 	return p, err
 }
 
-// TestPoisonedEndpoints: a u or y frame of the wrong size — one byte short,
-// one long, empty — is a typed *FrameSizeError raised before any scratch is
-// indexed (the warm-up batch is smaller than the damaged one, so nothing
-// sized by it could hold the batch), and it poisons the endpoint: every later call, empty batches
-// included, returns the same error without touching the connection.
+// TestPoisonedEndpoints: a u, y, d or z frame of the wrong size — one byte
+// short, one long, empty — is a typed *FrameSizeError raised before any
+// scratch is indexed (the warm-up batch is smaller than the damaged one, so
+// nothing sized by it could hold the batch), and it poisons the endpoint:
+// every later call, empty batches included, returns the same error without
+// touching the connection.
 func TestPoisonedEndpoints(t *testing.T) {
 	cuts := map[string]func([]byte) []byte{
 		"one byte short": func(p []byte) []byte { return p[:len(p)-1] },
@@ -265,38 +266,59 @@ func TestPoisonedEndpoints(t *testing.T) {
 	ss, rs := s0.State(), r0.State()
 	rng := rand.New(rand.NewSource(54))
 	const warm, m = 40, 300
+	// Which endpoint receives each frame, and which of its received frames
+	// is the damaged batch's: a precomputed batch's sender has received both
+	// batches' u frames and the warm-up's d before it.
+	frames := []struct {
+		name    string
+		bySend  bool
+		n, want int
+	}{
+		{"u", true, 2, kappa * ((m + 7) / 8)},
+		{"y", false, 2, 2 * KeySize * m},
+		{"d", true, 4, (m + 7) / 8},
+		{"z", false, 2, 2 * KeySize * m},
+	}
 	for name, cut := range cuts {
-		for _, frame := range []string{"u", "y"} {
+		for _, fr := range frames {
 			a, b := transport.Pipe()
-			// Each endpoint's second received frame is the damaged batch's.
 			sc, rc := &cutConn{MsgConn: a, cut: cut}, &cutConn{MsgConn: b, cut: cut}
-			if frame == "u" {
-				sc.n = 2
+			if fr.bySend {
+				sc.n = fr.n
 			} else {
-				rc.n = 2
+				rc.n = fr.n
 			}
-			s, err := ResumeSender(sc, ss, []byte(name+frame))
+			s, err := ResumeSender(sc, ss, []byte(name+fr.name))
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := ResumeReceiver(rc, rs, []byte(name+frame))
+			r, err := ResumeReceiver(rc, rs, []byte(name+fr.name))
 			if err != nil {
 				t.Fatal(err)
 			}
-			runBatch(t, s, r, randomPairs(rng, warm), randomChoices(rng, warm))
 
 			pairs, choices := randomPairs(rng, m), randomChoices(rng, m)
 			sendErr, recvErr := make(chan error, 1), make(chan error, 1)
-			go func() { sendErr <- s.Send(pairs) }()
-			go func() { _, err := r.Receive(choices); recvErr <- err }()
+			if fr.name == "u" || fr.name == "y" {
+				runBatch(t, s, r, randomPairs(rng, warm), randomChoices(rng, warm))
+				go func() { sendErr <- s.Send(pairs) }()
+				go func() { _, err := r.Receive(choices); recvErr <- err }()
+			} else {
+				warmPairs := randomPairs(rng, warm)
+				sw, rw := precompute(t, s, r, warmPairs, 1)
+				sb, rb := precompute(t, s, r, pairs, 2)
+				runPrecomputed(t, s, r, sw, rw, warmPairs, randomChoices(rng, warm))
+				go func() { sendErr <- s.SendPrecomputed(sb) }()
+				go func() { _, err := r.ReceivePrecomputed(rb, choices); recvErr <- err }()
+			}
 			var first error
-			if frame == "u" {
+			if fr.bySend {
 				// The sender fails and answers nothing; the receiver is
 				// released by closing the link, and is poisoned by that.
 				first = <-sendErr
 				a.Close()
 				if err := <-recvErr; err == nil {
-					t.Fatalf("%s u: receiver returned labels without a y frame", name)
+					t.Fatalf("%s %s: receiver returned labels without an answer", name, fr.name)
 				}
 			} else {
 				first = <-recvErr
@@ -305,26 +327,176 @@ func TestPoisonedEndpoints(t *testing.T) {
 				}
 			}
 			var fe *FrameSizeError
-			want := map[string]int{"u": kappa * ((m + 7) / 8), "y": 2 * KeySize * m}[frame]
-			if !errors.As(first, &fe) || fe.Frame != frame || fe.Want != want || fe.Got == want {
-				t.Fatalf("%s %s: error %v, want a FrameSizeError for %d bytes", name, frame, first, want)
+			if !errors.As(first, &fe) || fe.Frame != fr.name || fe.Want != fr.want || fe.Got == fr.want {
+				t.Fatalf("%s %s: error %v, want a FrameSizeError for %d bytes", name, fr.name, first, fr.want)
 			}
 
 			sent, recvd := a.SentBytes()+b.SentBytes(), a.RecvBytes()+b.RecvBytes()
-			for _, k := range []int{0, 5, 0} {
-				var again error
-				if frame == "u" {
-					again = s.Send(randomPairs(rng, k))
+			for _, k := range []int{0, 5} {
+				var again []error
+				if fr.bySend {
+					pairs := randomPairs(rng, k)
+					_, err := s.Precompute(pairs, 1)
+					again = append(again, s.Send(pairs), err,
+						s.SendPrecomputed(&SenderOTs{w: make([]Message, 2*k), delta: offsets(pairs), per: 1}))
 				} else {
-					_, again = r.Receive(randomChoices(rng, k))
+					_, err1 := r.Receive(randomChoices(rng, k))
+					_, err2 := r.Precompute(k, newSeeded(3))
+					_, err3 := r.ReceivePrecomputed(&ReceiverOTs{c: make([]byte, (k+7)/8), mc: make([]Message, k)}, randomChoices(rng, k))
+					again = append(again, err1, err2, err3)
 				}
-				if again != first {
-					t.Fatalf("%s %s: batch of %d after the failure returned %v, want the first error", name, frame, k, again)
+				for i, err := range again {
+					if err != first {
+						t.Fatalf("%s %s: call %d on a batch of %d after the failure returned %v, want the first error", name, fr.name, i, k, err)
+					}
 				}
 			}
 			if a.SentBytes()+b.SentBytes() != sent || a.RecvBytes()+b.RecvBytes() != recvd {
-				t.Fatalf("%s %s: a poisoned endpoint moved bytes", name, frame)
+				t.Fatalf("%s %s: a poisoned endpoint moved bytes", name, fr.name)
 			}
+		}
+	}
+}
+
+// offsets lists each pair's offset x0 ⊕ x1, the one group per OT that
+// unrelated random pairs need.
+func offsets(pairs [][2]Message) []Message {
+	delta := make([]Message, len(pairs))
+	for j, p := range pairs {
+		xor(&delta[j], &p[0], &p[1])
+	}
+	return delta
+}
+
+// precompute runs one batch of random OTs bound to pairs on both endpoints,
+// the receiver's choice bits drawn from a stream seeded with seed.
+func precompute(t *testing.T, s *ExtSender, r *ExtReceiver, pairs [][2]Message, seed int64) (*SenderOTs, *ReceiverOTs) {
+	t.Helper()
+	type res struct {
+		b   *SenderOTs
+		err error
+	}
+	ch := make(chan res, 1)
+	go func() { b, err := s.Precompute(pairs, 1); ch <- res{b, err} }()
+	rb, err := r.Precompute(len(pairs), newSeeded(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb := <-ch
+	if sb.err != nil {
+		t.Fatal(sb.err)
+	}
+	return sb.b, rb
+}
+
+// runPrecomputed runs a batch's online legs and checks the transfer.
+func runPrecomputed(t *testing.T, s *ExtSender, r *ExtReceiver, sb *SenderOTs, rb *ReceiverOTs, pairs [][2]Message, choices []bool) []Message {
+	t.Helper()
+	errCh := make(chan error, 1)
+	go func() { errCh <- s.SendPrecomputed(sb) }()
+	got, err := r.ReceivePrecomputed(rb, choices)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errCh; err != nil {
+		t.Fatal(err)
+	}
+	checkTransfer(t, pairs, choices, got)
+	return got
+}
+
+// TestRandomOTMatchesChosen: random OTs made ahead of use and derandomized
+// online deliver pairs[j][a_j] for random choices a, fresh and resumed, over
+// batch sizes on both sides of a byte boundary up to a demo-CNN layer. A
+// chosen-OT pair on the same base-OT states, run through the same batches,
+// is the oracle: the sender's z frames equal its y frames byte for byte,
+// since d = a ⊕ c selects the pads the choices a would have.
+func TestRandomOTMatchesChosen(t *testing.T) {
+	ss, rs := goldenStates(t)
+	for _, nonce := range [][]byte{nil, []byte("random-vs-chosen")} {
+		pair := func() (*ExtSender, *ExtReceiver, *frames) {
+			a, b := transport.Pipe()
+			fa := &frames{MsgConn: a}
+			if nonce == nil {
+				s, r := masterPair(fa, b, ss, rs)
+				return s, r, fa
+			}
+			s, err := ResumeSender(fa, ss, nonce)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := ResumeReceiver(b, rs, nonce)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s, r, fa
+		}
+		cs, cr, cf := pair()
+		ps, pr, pf := pair()
+		rng := rand.New(rand.NewSource(55))
+		for i, m := range []int{1, 7, 8, 9, 2560, 5120} {
+			pairs, choices := randomPairs(rng, m), randomChoices(rng, m)
+			want := runBatch(t, cs, cr, pairs, choices)
+			sb, rb := precompute(t, ps, pr, pairs, int64(i))
+			got := runPrecomputed(t, ps, pr, sb, rb, pairs, choices)
+			if !equalMessages(got, want) {
+				t.Fatalf("resumed=%v m=%d: random OT delivered other messages than chosen OT", nonce != nil, m)
+			}
+			if !bytes.Equal(pf.sent[i], cf.sent[i]) {
+				t.Fatalf("resumed=%v m=%d: z frame differs from the chosen OT's y frame", nonce != nil, m)
+			}
+			if rb.SizeBytes() != uint64(KeySize*m+(m+7)/8) || sb.SizeBytes() != uint64(3*KeySize*m) {
+				t.Fatalf("m=%d: batches report %d and %d bytes", m, sb.SizeBytes(), rb.SizeBytes())
+			}
+			if err := ps.SendPrecomputed(sb); err == nil {
+				t.Fatalf("m=%d: a spent batch was sent again: %v", m, err)
+			}
+			if _, err := pr.ReceivePrecomputed(rb, choices); err == nil {
+				t.Fatalf("m=%d: a spent batch was received again: %v", m, err)
+			}
+		}
+	}
+}
+
+// TestPrecomputedAllocs gates the online leg of a precomputed batch — the
+// receiver's d frame, the sender's answer and the two frames in flight — at
+// a constant, whatever the batch size: nothing is allocated per OT.
+func TestPrecomputedAllocs(t *testing.T) {
+	s, r := setupExtension(t)
+	ab, ba := make(chan []byte, 1), make(chan []byte, 1)
+	s.conn, r.conn = chanConn{in: ba, out: ab}, chanConn{in: ab, out: ba}
+	batches := make(chan *SenderOTs)
+	errs := make(chan error)
+	go func() {
+		for b := range batches {
+			errs <- s.SendPrecomputed(b)
+		}
+	}()
+	defer close(batches)
+	rng := rand.New(rand.NewSource(56))
+	const runs = 10
+	var counts []float64
+	for _, m := range []int{2560, 64, 512, 2560} { // the first warms the runtime
+		// AllocsPerRun calls its function runs+1 times, each on a fresh batch.
+		sbs, rbs := make([]*SenderOTs, runs+1), make([]*ReceiverOTs, runs+1)
+		for i := range sbs {
+			sbs[i], rbs[i] = precompute(t, s, r, randomPairs(rng, m), int64(i))
+		}
+		choices, i := randomChoices(rng, m), 0
+		counts = append(counts, testing.AllocsPerRun(runs, func() {
+			batches <- sbs[i]
+			if _, err := r.ReceivePrecomputed(rbs[i], choices); err != nil {
+				t.Error(err)
+			}
+			if err := <-errs; err != nil {
+				t.Error(err)
+			}
+			i++
+		}))
+	}
+	for _, n := range counts[1:] {
+		if n > 4 || n != counts[1] {
+			t.Fatalf("allocs per online leg at m=64, 512, 2560: %v, want equal and at most 4", counts[1:])
 		}
 	}
 }

@@ -71,18 +71,12 @@ type oracleReceiver struct {
 // pair: a nil nonce expands the master seeds themselves (a fresh setup),
 // anything else the nonce-derived ones (a resumed session).
 func newOracles(a, b transport.MsgConn, ss *SenderState, rs *ReceiverState, nonce []byte, hash func(uint64, Message) Message) (*oracleSender, *oracleReceiver) {
-	seed := func(master Message) Message {
-		if nonce == nil {
-			return master
-		}
-		return deriveSeed(master, nonce)
-	}
 	s := &oracleSender{conn: a, sBlock: ss.sBlock, hash: hash}
 	r := &oracleReceiver{conn: b, hash: hash}
 	for i := 0; i < kappa; i++ {
-		s.streams[i] = newPRG(seed(ss.seeds[i]))
-		r.streams0[i] = newPRG(seed(rs.seeds[i][0]))
-		r.streams1[i] = newPRG(seed(rs.seeds[i][1]))
+		s.streams[i] = newPRG(deriveSeed(ss.seeds[i], nonce))
+		r.streams0[i] = newPRG(deriveSeed(rs.seeds[i][0], nonce))
+		r.streams1[i] = newPRG(deriveSeed(rs.seeds[i][1], nonce))
 	}
 	return s, r
 }

@@ -245,10 +245,11 @@ func TestExtensionCommunicationVolume(t *testing.T) {
 	}
 }
 
-// BenchmarkOTExtension is the label OT of one demo-CNN inference under
-// Client-Garbler: one batch per ReLU layer (256 and 128 units of 20-bit
-// shares) on one endpoint pair, the sender on a goroutine that outlives the
-// loop so allocs/op is the extension's own.
+// BenchmarkOTExtension is a chosen OT of the a labels of one demo-CNN
+// inference: one batch per ReLU layer (256 and 128 units of 20-bit shares)
+// on one endpoint pair, the sender on a goroutine that outlives the loop so
+// allocs/op is the extension's own. Client-Garbler pays the same extension
+// offline, in Precompute; the online leg left is BenchmarkOTOnline.
 func BenchmarkOTExtension(b *testing.B) {
 	s, r := setupExtension(b)
 	rng := rand.New(rand.NewSource(17))
@@ -282,6 +283,53 @@ func BenchmarkOTExtension(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*total), "ns/OT")
+}
+
+// BenchmarkOTOnline is what is left of BenchmarkOTExtension on the online
+// path once the OTs are precomputed: the d and z legs of one demo-CNN
+// inference's two batches. Each op's batches are precomputed with the timer
+// stopped.
+func BenchmarkOTOnline(b *testing.B) {
+	s, r := setupExtension(b)
+	rng := rand.New(rand.NewSource(21))
+	sizes := []int{5120, 2560}
+	pairs, choices := make([][][2]Message, len(sizes)), make([][]bool, len(sizes))
+	for l, m := range sizes {
+		pairs[l], choices[l] = randomPairs(rng, m), randomChoices(rng, m)
+	}
+	jobs := make(chan func() error)
+	errs := make(chan error)
+	go func() {
+		for f := range jobs {
+			errs <- f()
+		}
+	}()
+	defer close(jobs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for l, m := range sizes {
+			b.StopTimer()
+			var sb *SenderOTs
+			jobs <- func() (err error) { sb, err = s.Precompute(pairs[l], 1); return }
+			rb, err := r.Precompute(m, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := <-errs; err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			jobs <- func() error { return s.SendPrecomputed(sb) }
+			if _, err := r.ReceivePrecomputed(rb, choices[l]); err != nil {
+				b.Fatal(err)
+			}
+			if err := <-errs; err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(sizes[0]+sizes[1])), "ns/OT")
 }
 
 // BenchmarkBaseOT is one full handshake's base OTs: kappa random OTs, both

@@ -50,20 +50,25 @@ func (st *ReceiverState) SizeBytes() int64 { return KeySize * kappa * 2 }
 // State exports the sender's resumable base-OT material. The returned
 // state is a copy; it stays valid after the session ends.
 func (s *ExtSender) State() *SenderState {
-	st := &SenderState{sBlock: s.sBlock, seeds: s.master}
-	return st
+	st := s.st
+	return &st
 }
 
 // State exports the receiver's resumable base-OT material.
 func (r *ExtReceiver) State() *ReceiverState {
-	return &ReceiverState{seeds: r.master}
+	st := r.st
+	return &st
 }
 
 // deriveSeed maps a master seed to a per-session seed under a session
 // nonce: SHA-256(tag || master || nonce) truncated to a PRG key. Distinct
 // nonces give computationally independent streams, so one cached base-OT
-// outcome serves any number of resumed sessions.
+// outcome serves any number of resumed sessions. A nil nonce is the session
+// that ran the base OTs, which expands the master seed itself.
 func deriveSeed(master Message, nonce []byte) Message {
+	if nonce == nil {
+		return master
+	}
 	h := sha256.New()
 	h.Write([]byte("privinf/ot-resume/v1"))
 	h.Write(master[:])
@@ -79,32 +84,36 @@ func deriveSeed(master Message, nonce []byte) Message {
 // matching ReceiverState under the same nonce, and the nonce must be
 // unique per resumed session (reuse would replay identical streams).
 func ResumeSender(conn transport.MsgConn, st *SenderState, nonce []byte) (*ExtSender, error) {
-	if st == nil {
-		return nil, fmt.Errorf("ot: resume sender: nil state")
+	if st == nil || len(nonce) == 0 {
+		return nil, fmt.Errorf("ot: resume sender: nil state or empty session nonce")
 	}
-	if len(nonce) == 0 {
-		return nil, fmt.Errorf("ot: resume sender: empty session nonce")
-	}
-	s := &ExtSender{conn: conn, h: garble.NewHasher(), sBlock: st.sBlock, master: st.seeds}
-	for i := 0; i < kappa; i++ {
-		s.streams[i] = newPRG(deriveSeed(st.seeds[i], nonce))
-	}
-	return s, nil
+	return newSender(conn, st, nonce), nil
 }
 
 // ResumeReceiver reconstructs an extension receiver from cached base-OT
 // material; see ResumeSender.
 func ResumeReceiver(conn transport.MsgConn, st *ReceiverState, nonce []byte) (*ExtReceiver, error) {
-	if st == nil {
-		return nil, fmt.Errorf("ot: resume receiver: nil state")
+	if st == nil || len(nonce) == 0 {
+		return nil, fmt.Errorf("ot: resume receiver: nil state or empty session nonce")
 	}
-	if len(nonce) == 0 {
-		return nil, fmt.Errorf("ot: resume receiver: empty session nonce")
+	return newReceiver(conn, st, nonce), nil
+}
+
+// newSender builds a sender on the base-OT outcome st, its streams keyed
+// with the session's seeds under nonce.
+func newSender(conn transport.MsgConn, st *SenderState, nonce []byte) *ExtSender {
+	s := &ExtSender{conn: conn, st: *st, h: garble.NewHasher()}
+	for i, seed := range st.seeds {
+		s.streams[i] = newPRG(deriveSeed(seed, nonce))
 	}
-	r := &ExtReceiver{conn: conn, h: garble.NewHasher(), master: st.seeds}
-	for i := 0; i < kappa; i++ {
-		r.streams0[i] = newPRG(deriveSeed(st.seeds[i][0], nonce))
-		r.streams1[i] = newPRG(deriveSeed(st.seeds[i][1], nonce))
+	return s
+}
+
+// newReceiver is newSender's receiver side.
+func newReceiver(conn transport.MsgConn, st *ReceiverState, nonce []byte) *ExtReceiver {
+	r := &ExtReceiver{conn: conn, st: *st, h: garble.NewHasher()}
+	for i, pair := range st.seeds {
+		r.streams0[i], r.streams1[i] = newPRG(deriveSeed(pair[0], nonce)), newPRG(deriveSeed(pair[1], nonce))
 	}
-	return r, nil
+	return r
 }

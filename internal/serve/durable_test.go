@@ -330,18 +330,19 @@ func TestTicketDirRequiresResumption(t *testing.T) {
 }
 
 // TestOlderWireStateResumes: durable state carries across wire bumps,
-// because it holds seeds and neither bump changed them — v5 changed how the
-// OT extension hashes its ciphertexts, v6 the base OT that makes the seeds
-// in a full handshake. testdata/wire4 and testdata/wire5 are what the last
-// commit of each release left after one cold Client-Garbler session on
-// testModel(170): the engine's ticket directory and the client's preamble
-// file (saved with its cached model artifact dropped, which keeps the file
-// small and makes the reconnect rebuild it). The current engine loads the
-// ticket, the current client resumes on it — no base OTs, no keygen — and
-// the inference, whose online phase is label OT on the resumed seeds, is
-// bit-exact.
+// because it holds seeds and no bump changed them — v5 changed how the OT
+// extension hashes its ciphertexts, v6 the base OT that makes the seeds in
+// a full handshake, v7 the online OT, which now derandomizes random OTs
+// precomputed offline on the same seeds. testdata/wire4, wire5 and wire6
+// are what the last commit of each release left after one cold
+// Client-Garbler session on testModel(170): the engine's ticket directory
+// and the client's preamble file (saved with its cached model artifact
+// dropped, which keeps the file small and makes the reconnect rebuild it).
+// The current engine loads the ticket, the current client resumes on it —
+// no base OTs, no keygen — and the inference, whose label OTs expand the
+// resumed seeds, is bit-exact.
 func TestOlderWireStateResumes(t *testing.T) {
-	for _, release := range []string{"wire4", "wire5"} {
+	for _, release := range []string{"wire4", "wire5", "wire6"} {
 		t.Run(release, func(t *testing.T) {
 			dir := t.TempDir() // the stores sweep and rewrite their directories
 			if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", release))); err != nil {

@@ -277,7 +277,9 @@ func TestPreambleVersionMismatchRejected(t *testing.T) {
 		{"preamble v2", [][]byte{preamble(2)}},
 		{"preamble v4", [][]byte{preamble(4)}},
 		{"preamble v5", [][]byte{preamble(5)}},
-		{"v5 hello inside a v6 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 5}))}},
+		{"preamble v6", [][]byte{preamble(6)}},
+		{"v5 hello inside a v7 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 5}))}},
+		{"v6 hello inside a v7 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 6}))}},
 	} {
 		conn, err := transport.Dial(ln.Addr())
 		if err != nil {

@@ -32,14 +32,18 @@ const (
 	// hellos may carry an OT resumption ticket plus a client nonce, welcomes
 	// answer with the typed resumption outcome, a fresh ticket and the server
 	// nonce, and a Resumed welcome is followed directly by protocol traffic
-	// — only full handshakes carry the HE public-key flight. Version 6 is
-	// version 5 with the full handshake's base OT as two flights of P-256
-	// points (33 + 4,224 bytes) instead of three of MODP-1536 elements and
-	// encrypted seed pairs (192 + 24,576 + 4,096 bytes); version 5 hashed the
-	// OT extension's ciphertexts with fixed-key AES where 4 used SHA-256.
-	// Durable state (tickets, preambles, artifacts) holds seeds, never group
-	// elements or ciphertexts, and carries across both bumps.
-	wireVersion = 6
+	// — only full handshakes carry the HE public-key flight. Version 7 is
+	// version 6 with Client-Garbler's a-label OT extension moved into the
+	// offline phase as random OTs (the evaluator's u frames follow the
+	// circuits), leaving online one d frame up (a bit an OT) and one z frame
+	// down per ReLU layer where 6 sent u up and y down. Version 6 had the
+	// full handshake's base OT as two flights of P-256 points (33 + 4,224
+	// bytes) instead of three of MODP-1536 elements and encrypted seed pairs
+	// (192 + 24,576 + 4,096 bytes); version 5 hashed the OT extension's
+	// ciphertexts with fixed-key AES where 4 used SHA-256. Durable state
+	// (tickets, preambles, artifacts) holds seeds, never group elements,
+	// ciphertexts or precomputed OTs, and carries across every bump.
+	wireVersion = 7
 
 	tagData byte = 0x00
 	tagCtrl byte = 0x01

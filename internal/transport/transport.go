@@ -24,6 +24,11 @@ const frameOverhead = 4
 // below this, so larger values indicate corruption.
 const maxFrame = 1 << 30
 
+// recvChunk is the most Recv allocates for a frame before any of its bytes
+// have arrived. Every frame the protocol sends is below it (the largest, a
+// demo-CNN garbled layer, is ≈ 1.5 MB), so they take one allocation.
+const recvChunk = 4 << 20
+
 // writevMin is the payload size at which a network send switches from
 // copying into the reusable frame buffer to vectored I/O (net.Buffers):
 // header and payload go out in one writev syscall with the payload read
@@ -163,10 +168,21 @@ func (c *Conn) Recv() ([]byte, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
 	}
-	payload := make([]byte, n)
-	//lint:allow lockio rmu IS the read path: it keeps header and payload reads of one frame contiguous on the stream
-	if _, err := io.ReadFull(c.r, payload); err != nil {
-		return nil, fmt.Errorf("transport: recv payload: %w", err)
+	// The header is the peer's word only: allocate at most recvChunk up
+	// front and double, capped at n, as the bytes actually arrive.
+	payload := make([]byte, min(int(n), recvChunk))
+	for off := 0; ; {
+		//lint:allow lockio rmu IS the read path: it keeps header and payload reads of one frame contiguous on the stream
+		k, err := io.ReadFull(c.r, payload[off:])
+		if err != nil {
+			return nil, fmt.Errorf("transport: recv payload: %w", err)
+		}
+		if off += k; off == int(n) {
+			break
+		}
+		grown := make([]byte, min(2*off, int(n)))
+		copy(grown, payload)
+		payload = grown
 	}
 	span.End()
 	c.recv.Add(uint64(n) + frameOverhead)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -231,6 +232,49 @@ func TestRecvRejectsOversizedFrame(t *testing.T) {
 	c := &Conn{w: q, r: q}
 	if _, err := c.Recv(); err == nil {
 		t.Fatal("oversized frame should be rejected")
+	}
+}
+
+// TestRecvAllocatesOnlyWhatArrives: a peer that claims a 1 GiB frame and
+// then closes costs an error and at most one recvChunk, not the gigabyte.
+func TestRecvAllocatesOnlyWhatArrives(t *testing.T) {
+	q := newQueueStream()
+	if _, err := q.Write([]byte{0, 0, 0, 0x40}); err != nil { // 1 GiB, the limit
+		t.Fatal(err)
+	}
+	q.Close()
+	c := &Conn{w: q, r: q}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := c.Recv()
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a frame cut short after its header was accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 8<<20 {
+		t.Fatalf("Recv allocated %d bytes for a frame that never arrived", grew)
+	}
+}
+
+// TestRecvGrowsFramesExactly: frames on both sides of recvChunk round-trip
+// byte for byte.
+func TestRecvGrowsFramesExactly(t *testing.T) {
+	a, b := Pipe()
+	for _, n := range []int{0, 1, recvChunk - 1, recvChunk, recvChunk + 1} {
+		msg := make([]byte, n)
+		for i := range msg {
+			msg[i] = byte(i*7 + i>>12)
+		}
+		if err := a.Send(msg); err != nil {
+			t.Fatal(err)
+		}
+		got, err := b.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, msg) {
+			t.Fatalf("frame of %d bytes came back as %d different bytes", n, len(got))
+		}
 	}
 }
 

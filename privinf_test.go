@@ -55,12 +55,25 @@ func TestRunLocalInferenceClientGarbler(t *testing.T) {
 	if !res.Verified {
 		t.Fatal("client-garbler inference did not verify")
 	}
-	// The storage burden must sit on the server under Client-Garbler.
-	if res.ServerOffline.GCStoreBytes == 0 {
-		t.Error("server should store garbled circuits under Client-Garbler")
+	sg, err := RunLocalInference(model, ServerGarbler, x, newSeeded(4))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.ClientOffline.GCStoreBytes != 0 {
-		t.Error("client should not store garbled tables under Client-Garbler")
+	// The storage burden sits on the server under Client-Garbler: the
+	// circuits a Server-Garbler client stores, plus a 16-byte pad and a
+	// choice bit per precomputed label OT. The client keeps its half of
+	// those OTs: two 16-byte pads per OT and a free-XOR offset per ReLU.
+	var server, client uint64
+	for _, l := range model.Linear[:len(model.Linear)-1] {
+		ots := uint64(l.Out() * model.F.Bits())
+		server += 16*ots + (ots+7)/8
+		client += 32*ots + 16*uint64(l.Out())
+	}
+	if got, want := res.ServerOffline.GCStoreBytes, sg.ClientOffline.GCStoreBytes+server; got != want {
+		t.Errorf("Client-Garbler server stores %d bytes, want %d", got, want)
+	}
+	if got, want := res.ClientOffline.GCStoreBytes, client; got != want {
+		t.Errorf("Client-Garbler client stores %d bytes, want %d", got, want)
 	}
 }
 
