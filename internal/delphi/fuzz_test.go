@@ -9,6 +9,7 @@ import (
 	"privinf/internal/boolcirc"
 	"privinf/internal/field"
 	"privinf/internal/garble"
+	"privinf/internal/nn"
 	"privinf/internal/ot"
 )
 
@@ -85,6 +86,39 @@ func FuzzClientSharedUnmarshal(f *testing.F) {
 		f.Fatal(err)
 	}
 	bintest.FuzzRoundTrip(f, raw, func(data []byte) (encoding.BinaryMarshaler, error) { return UnmarshalClientShared(data) })
+}
+
+func FuzzSharedModelUnmarshal(f *testing.F) {
+	// A toy field and ring (N = 8, p = 17) give three plans and one 72-byte
+	// weight plaintext a layer; the one-gate stand-in for the ReLU circuit
+	// FuzzClientSharedUnmarshal uses keeps the seed under 1 KB.
+	params, err := bfv.NewParams(8, 17)
+	if err != nil {
+		f.Fatal(err)
+	}
+	model := &nn.Lowered{
+		F:    field.New(17),
+		Frac: 1,
+		Linear: []nn.LinearSpec{
+			{W: [][]uint64{{1, 2, 3}, {4, 5, 6}}, B: []uint64{7, 8}},
+			{W: [][]uint64{{9, 10}, {11, 12}}, B: []uint64{13, 14}},
+			{W: [][]uint64{{15, 16}}, B: []uint64{0}},
+		},
+		Shifts: []uint{1, 1},
+	}
+	sm, err := NewSharedModel(params, model)
+	if err != nil {
+		f.Fatal(err)
+	}
+	b := boolcirc.NewBuilder(2)
+	b.SetOutputs([]int{b.And(b.Input(0), b.Input(1))})
+	gate := b.Finish()
+	sm.circuits = []*boolcirc.Circuit{gate, gate}
+	raw, err := sm.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	bintest.FuzzRoundTrip(f, raw, func(data []byte) (encoding.BinaryMarshaler, error) { return UnmarshalSharedModel(data, model) })
 }
 
 func FuzzOTResumeUnmarshal(f *testing.F) {

@@ -30,36 +30,34 @@ type Client struct {
 	resumeReject string
 
 	buffered atomic.Int64
+	// lastOffline is the client's report of the latest offline phase, which
+	// a requested pre-compute's ack answers with. The loop owns it.
+	lastOffline delphi.OfflineReport
 
+	// sendMu puts requests on the wire in the order their calls are queued.
+	// It is held across the send, like the connection's own write lock the
+	// frame waits on anyway; the loop never takes it.
+	sendMu sync.Mutex
 	mu     sync.Mutex
 	err    error
-	inferQ []*inferCall
-	pcQ    []*pcCall
+	// calls is the FIFO of pending Infer and Precompute calls. The server
+	// answers requests in the order they arrived, so every answer is for
+	// the head.
+	calls []*call
 
 	loopDone  chan struct{}
 	closeOnce sync.Once
 }
 
-type inferCall struct {
-	x  []uint64
-	ch chan inferResult
-}
-
-type inferResult struct {
-	out    []uint64
-	client delphi.OnlineReport
-	server delphi.OnlineReport
-	err    error
-}
-
-type pcCall struct {
-	ch chan pcResult
-}
-
-type pcResult struct {
-	client delphi.OfflineReport
-	server delphi.OfflineReport
-	err    error
+// call is one pending Infer or Precompute. Until done is closed, every field
+// but x and done belongs to the loop.
+type call struct {
+	next           byte // the server opcode that advances this call
+	x, out         []uint64
+	cliOn, srvOn   delphi.OnlineReport
+	cliOff, srvOff delphi.OfflineReport
+	err            error
+	done           chan struct{}
 }
 
 // connectOptions is the resolved connect configuration an Option mutates.
@@ -286,111 +284,89 @@ func (c *Client) Buffered() int { return int(c.buffered.Load()) }
 // protocol phases run here, serialized.
 func (c *Client) loop() {
 	defer close(c.loopDone)
-	var (
-		lastOffline delphi.OfflineReport
-		cur         *inferCall
-		curOut      []uint64
-		curRep      delphi.OnlineReport
-	)
 	for {
 		cm, err := c.m.ctrl.pop()
+		if err == nil {
+			err = c.handle(cm)
+		}
 		if err != nil {
 			c.fail(err)
 			return
 		}
-		switch cm.op {
-		case opPrecompute:
-			rep, err := c.cli.RunOffline()
-			if err != nil {
-				c.fail(err)
-				return
-			}
-			lastOffline = rep
-			c.buffered.Add(1)
-		case opPrecomputeAck:
-			var srvRep delphi.OfflineReport
-			if err := unmarshalJSON(cm.body, &srvRep); err != nil {
-				c.fail(err)
-				return
-			}
-			w := c.popPC()
-			if w == nil {
-				c.fail(errors.New("serve: unsolicited precompute ack"))
-				return
-			}
-			w.ch <- pcResult{client: lastOffline, server: srvRep}
-		case opGoInfer:
-			w := c.popInfer()
-			if w == nil {
-				c.fail(errors.New("serve: unsolicited go-infer"))
-				return
-			}
-			out, rep, err := c.cli.RunOnline(w.x)
-			if err != nil {
-				w.ch <- inferResult{err: err}
-				c.fail(err)
-				return
-			}
-			c.buffered.Add(-1)
-			cur, curOut, curRep = w, out, rep
-		case opInferAck:
-			if cur == nil {
-				c.fail(errors.New("serve: unsolicited infer ack"))
-				return
-			}
-			var srvRep delphi.OnlineReport
-			if err := unmarshalJSON(cm.body, &srvRep); err != nil {
-				c.fail(err)
-				return
-			}
-			cur.ch <- inferResult{out: curOut, client: curRep, server: srvRep}
-			cur = nil
-		case opErr:
-			c.fail(fmt.Errorf("serve: server error: %s", cm.body))
-			return
-		default:
-			c.fail(fmt.Errorf("%w: unexpected server opcode %d", ErrBadFrame, cm.op))
-			return
+	}
+}
+
+// handle serves one server directive. A background opPrecompute answers no
+// call; the other phase directives advance the call at the FIFO's head.
+func (c *Client) handle(cm ctrlMsg) error {
+	switch cm.op {
+	case opPrecompute:
+		rep, err := c.cli.RunOffline()
+		if err != nil {
+			return err
 		}
-	}
-}
-
-func (c *Client) popInfer() *inferCall {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.inferQ) == 0 {
+		c.lastOffline = rep
+		c.buffered.Add(1)
 		return nil
+	case opGoInfer, opInferAck, opPrecomputeAck:
+		return c.advance(cm)
+	case opErr:
+		return fmt.Errorf("serve: server error: %s", cm.body)
+	default:
+		return fmt.Errorf("%w: unexpected server opcode %d", ErrBadFrame, cm.op)
 	}
-	w := c.inferQ[0]
-	c.inferQ = c.inferQ[1:]
-	return w
 }
 
-func (c *Client) popPC() *pcCall {
+// advance moves the FIFO's head call one step, answering it on its last.
+// The head must be waiting for exactly cm's opcode: an answer for a call of
+// the other kind, or for no call, is ErrBadFrame.
+func (c *Client) advance(cm ctrlMsg) error {
+	var w *call
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.pcQ) == 0 {
-		return nil
+	if len(c.calls) > 0 {
+		w = c.calls[0]
 	}
-	w := c.pcQ[0]
-	c.pcQ = c.pcQ[1:]
-	return w
+	c.mu.Unlock()
+	if w == nil || w.next != cm.op {
+		return fmt.Errorf("%w: server opcode %d answers no pending call", ErrBadFrame, cm.op)
+	}
+	var err error
+	if cm.op == opGoInfer {
+		if w.out, w.cliOn, err = c.cli.RunOnline(w.x); err == nil {
+			c.buffered.Add(-1)
+			w.next = opInferAck
+		}
+		return err
+	}
+	if cm.op == opInferAck {
+		err = unmarshalJSON(cm.body, &w.srvOn)
+	} else {
+		w.cliOff = c.lastOffline
+		err = unmarshalJSON(cm.body, &w.srvOff)
+	}
+	if err != nil {
+		return err
+	}
+	c.mu.Lock()
+	c.calls = c.calls[1:]
+	c.mu.Unlock()
+	close(w.done)
+	return nil
 }
 
-// fail terminates the session, answering every pending call with err.
+// fail terminates the session, answering every pending call with err. Only
+// the loop calls it, so no call is answered twice.
 func (c *Client) fail(err error) {
 	c.mu.Lock()
 	if c.err == nil {
 		c.err = err
 	}
-	inferQ, pcQ := c.inferQ, c.pcQ
-	c.inferQ, c.pcQ = nil, nil
+	calls := c.calls
+	c.calls = nil
 	c.mu.Unlock()
-	for _, w := range inferQ {
-		w.ch <- inferResult{err: err}
-	}
-	for _, w := range pcQ {
-		w.ch <- pcResult{err: err}
+	for _, w := range calls {
+		w.err = err
+		close(w.done)
 	}
 	c.m.close(err)
 }
@@ -403,44 +379,42 @@ func (c *Client) Infer(x []uint64) ([]uint64, delphi.OnlineReport, delphi.Online
 	if len(x) != c.meta.Dims[0].In {
 		return nil, delphi.OnlineReport{}, delphi.OnlineReport{}, fmt.Errorf("serve: input length %d, want %d", len(x), c.meta.Dims[0].In)
 	}
-	call := &inferCall{x: append([]uint64(nil), x...), ch: make(chan inferResult, 1)}
-	if err := c.enqueue(func() { c.inferQ = append(c.inferQ, call) }, opInferReq); err != nil {
-		return nil, delphi.OnlineReport{}, delphi.OnlineReport{}, err
-	}
-	r := <-call.ch
-	return r.out, r.client, r.server, r.err
+	w := c.do(opInferReq, &call{next: opGoInfer, x: append([]uint64(nil), x...)})
+	return w.out, w.cliOn, w.srvOn, w.err
 }
 
 // Precompute explicitly buffers one pre-compute ahead of requests,
 // regardless of the engine's background scheduler. It returns the client's
 // and server's offline reports.
 func (c *Client) Precompute() (client, server delphi.OfflineReport, err error) {
-	call := &pcCall{ch: make(chan pcResult, 1)}
-	if err := c.enqueue(func() { c.pcQ = append(c.pcQ, call) }, opPrecomputeReq); err != nil {
-		return delphi.OfflineReport{}, delphi.OfflineReport{}, err
-	}
-	r := <-call.ch
-	return r.client, r.server, r.err
+	w := c.do(opPrecomputeReq, &call{next: opPrecomputeAck})
+	return w.cliOff, w.srvOff, w.err
 }
 
-// enqueue registers a pending call under the lock, then sends its request.
-// The waiter must be queued before the request leaves: the server's
-// response directive can only follow the request, so the loop always finds
-// the waiter.
-func (c *Client) enqueue(push func(), op byte) error {
+// do queues w, sends its request and waits for the answer. The call is
+// queued before its request leaves, so the loop always finds it, and
+// sendMu keeps requests on the wire in queue order. A failed send closes
+// the mux; the loop then fails every pending call, this one included.
+func (c *Client) do(op byte, w *call) *call {
+	w.done = make(chan struct{})
+	c.sendMu.Lock()
 	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.mu.Unlock()
-		return err
+	failed := c.err
+	if failed == nil {
+		c.calls = append(c.calls, w)
 	}
-	push()
 	c.mu.Unlock()
-	if err := sendCtrl(c.m.conn, op, nil); err != nil {
-		c.fail(err)
-		return err
+	if failed != nil {
+		c.sendMu.Unlock()
+		w.err = failed
+		return w
 	}
-	return nil
+	if err := sendCtrl(c.m.conn, op, nil); err != nil {
+		c.m.close(err)
+	}
+	c.sendMu.Unlock()
+	<-w.done
+	return w
 }
 
 // Close says goodbye and tears the session down. Pending calls fail.

@@ -3,7 +3,10 @@
 // sessions over a transport listener (TCP or in-process pipe), keeps each
 // session's pre-compute buffer filled by a background scheduler operating
 // under a global client-storage budget and a bounded offline worker pool,
-// and reports per-session and aggregate metrics.
+// and reports per-session and aggregate metrics. Each session end is one
+// loop over one queue: the server's control mailbox carries the client's
+// requests and the scheduler's refill grants alike, and the client keeps
+// one FIFO of its pending calls.
 //
 // This is the deployment shape the paper's arrival-rate analysis (§3–§5)
 // models: pre-computes are produced ahead of Poisson-arriving requests,
@@ -19,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -135,9 +139,10 @@ type Engine struct {
 	// components', and Close folds them into the process view.
 	met *engineMetrics
 
-	mu        sync.Mutex
-	sessions  map[uint64]*session
-	conns     map[*transport.Conn]struct{}
+	mu sync.Mutex
+	// conns maps every accepted connection to its session, nil while the
+	// connection is handshaking.
+	conns     map[*transport.Conn]*session
 	listeners []transport.Listener
 	nextID    uint64
 	closed    bool
@@ -236,8 +241,7 @@ func New(cfg Config) (_ *Engine, err error) {
 		entropy:      delphi.LockedEntropy(cfg.Entropy),
 		sched:        newScheduler(cfg.BufferPerSession, cfg.StorageBudget, cfg.OfflineWorkers, met.buffered),
 		met:          met,
-		sessions:     map[uint64]*session{},
-		conns:        map[*transport.Conn]struct{}{},
+		conns:        map[*transport.Conn]*session{},
 		done:         make(chan struct{}),
 	}
 	if cfg.TicketTTL >= 0 {
@@ -292,15 +296,14 @@ func (e *Engine) handle(conn *transport.Conn, addr string) {
 
 	// Track the connection from the start so Close can cut a session loose
 	// even mid-handshake.
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
+	if !e.track(conn, nil) {
 		return
 	}
-	e.conns[conn] = struct{}{}
-	e.mu.Unlock()
 	defer func() {
 		e.mu.Lock()
+		if e.conns[conn] != nil {
+			e.met.sessions.Add(-1)
+		}
 		delete(e.conns, conn)
 		e.mu.Unlock()
 	}()
@@ -309,39 +312,35 @@ func (e *Engine) handle(conn *transport.Conn, addr string) {
 	if s == nil {
 		return
 	}
-	if !e.addSession(s) {
-		s.m.close(errors.New("serve: engine closed"))
+	if !e.track(conn, s) {
+		s.m.close(errEngineClosed)
 		return
 	}
 	e.met.handshakes.With(outcomeOK).Inc()
 	e.sched.register(s)
-	defer func() {
-		e.sched.unregister(s)
-		e.removeSession(s)
-	}()
+	defer e.sched.unregister(s)
 
 	s.run()
 }
 
-func (e *Engine) addSession(s *session) bool {
+// track maps conn to s (nil while handshaking), numbering a new session.
+// It reports false once the engine is closed.
+func (e *Engine) track(conn *transport.Conn, s *session) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
 		return false
 	}
-	e.nextID++
-	s.id = e.nextID
-	e.sessions[s.id] = s
-	e.met.sessions.Add(1)
+	if s != nil {
+		e.nextID++
+		s.id = e.nextID
+		e.met.sessions.Add(1)
+	}
+	e.conns[conn] = s
 	return true
 }
 
-func (e *Engine) removeSession(s *session) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	delete(e.sessions, s.id)
-	e.met.sessions.Add(-1)
-}
+var errEngineClosed = errors.New("serve: engine closed")
 
 // Draining reports whether the engine is refusing new sessions (Drain).
 func (e *Engine) Draining() bool { return e.draining.Load() }
@@ -395,24 +394,20 @@ func (e *Engine) Close() error {
 	e.closed = true
 	close(e.done)
 	lns := append([]transport.Listener(nil), e.listeners...)
-	sess := make([]*session, 0, len(e.sessions))
-	for _, s := range e.sessions {
-		sess = append(sess, s)
-	}
-	conns := make([]*transport.Conn, 0, len(e.conns))
-	for c := range e.conns {
-		conns = append(conns, c)
-	}
+	conns := maps.Clone(e.conns)
 	e.mu.Unlock()
 
 	for _, ln := range lns {
 		ln.Close()
 	}
-	for _, s := range sess {
-		s.m.close(errors.New("serve: engine closed"))
-	}
-	for _, c := range conns {
-		c.Close()
+	// Closing a session's mux ends its loop; closing a handshaking
+	// connection fails the handshake.
+	for c, s := range conns {
+		if s != nil {
+			s.m.close(errEngineClosed)
+		} else {
+			c.Close()
+		}
 	}
 	e.wg.Wait()
 	// Clean shutdown drains the registry's background disk writes, so a

@@ -7,12 +7,12 @@ import (
 )
 
 // Scheduler fairness tests drive the refill scheduler directly with fake
-// sessions: a grant is "completed" by draining the session's refill channel
-// and reporting the pre-compute back, so every scenario is a deterministic
-// sequential replay of the pick policy.
+// sessions: a grant is "completed" by popping it from the session's control
+// mailbox and reporting the pre-compute back, so every scenario is a
+// deterministic sequential replay of the pick policy.
 
 func fakeSession(model string) *session {
-	return &session{model: model, refill: make(chan struct{}, 1)}
+	return &session{model: model, m: &mux{ctrl: newMailbox[ctrlMsg]()}}
 }
 
 // settle registers the sessions and completes grants until the scheduler
@@ -29,13 +29,13 @@ func drain(sc *scheduler, sessions []*session) {
 	for {
 		progressed := false
 		for _, s := range sessions {
-			select {
-			case <-s.refill:
-				sc.added(s)
-				sc.grantDone(s)
-				progressed = true
-			default:
+			if s.m.ctrl.count(func(cm ctrlMsg) bool { return cm.grant }) == 0 {
+				continue
 			}
+			s.m.ctrl.pop() // fake sessions receive nothing but grants
+			sc.added(s)
+			sc.grantDone(s)
+			progressed = true
 		}
 		if !progressed {
 			return

@@ -173,7 +173,6 @@ func (e *Engine) handshake(conn *transport.Conn, addr string) *session {
 		resumed: resume != nil,
 		eng:     e,
 		m:       newMux(conn),
-		refill:  make(chan struct{}, 1),
 
 		offlineHE:     e.met.offlineHE.With(name),
 		offlineGarble: e.met.offlineGarble.With(name),

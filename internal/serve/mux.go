@@ -52,6 +52,19 @@ func (m *mailbox[T]) pop() (T, error) {
 	return v, nil
 }
 
+// count reports how many queued values satisfy f.
+func (m *mailbox[T]) count(f func(T) bool) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	n := 0
+	for _, v := range m.q {
+		if f(v) {
+			n++
+		}
+	}
+	return n
+}
+
 func (m *mailbox[T]) close(err error) {
 	if err == nil {
 		err = io.EOF

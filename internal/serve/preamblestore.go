@@ -76,9 +76,6 @@ func NewPreambleStore(dir string) (*PreambleStore, error) {
 	return &PreambleStore{ds: ds}, nil
 }
 
-// Dir returns the store's root directory.
-func (ps *PreambleStore) Dir() string { return ps.ds.dir }
-
 // Path returns the file path a client name maps to (URL-path-escaped, like
 // artifact names).
 func (ps *PreambleStore) Path(name string) string { return ps.ds.path(name) }

@@ -187,7 +187,9 @@ func (sc *scheduler) pick() *session {
 // kick hands out refill grants while worker slots and budget remain.
 // Called with sc.mu held. A session never holds more than one grant: its
 // phases are serialized on one connection, so a second concurrent grant
-// could not run anyway.
+// could not run anyway. A grant is an entry pushed into the session's
+// control mailbox, served in turn with the client's requests; a closed
+// mailbox drops it, and unregister releases it.
 func (sc *scheduler) kick() {
 	if sc.capacity <= 0 || sc.budget == 0 {
 		return
@@ -202,13 +204,7 @@ func (sc *scheduler) kick() {
 		}
 		s.granted = true
 		sc.inflight++
-		select {
-		case s.refill <- struct{}{}:
-		default:
-			// Invariant: granted==false implies the grant channel is empty,
-			// so this send always succeeds; the default arm only documents
-			// that kick must never block.
-		}
+		s.m.ctrl.push(ctrlMsg{grant: true})
 	}
 }
 

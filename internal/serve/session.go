@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"privinf/internal/delphi"
@@ -27,83 +26,38 @@ type session struct {
 	// at session creation so recording a phase costs no label lookup.
 	offlineHE, offlineGarble, offlineOT, offline, online *obs.Histogram
 
-	refill chan struct{}
-
 	// Scheduler state, guarded by the scheduler's mutex.
 	bufCount int
 	granted  bool
 
-	// Metrics. queued counts inference requests accepted but not finished.
-	queued atomic.Int64
-
-	statMu       sync.Mutex
+	statMu sync.Mutex
+	// serving marks an inference request popped from the control mailbox
+	// whose ack has not been sent; with the requests still queued there it
+	// makes QueueDepth.
+	serving      bool
 	precomputes  uint64
 	inferences   uint64
 	offlineTotal time.Duration
 	onlineTotal  time.Duration
 }
 
-// startCtrlPump moves control messages from the mux onto a selectable
-// channel, counting accepted inference requests in s.queued. sdone unblocks
-// it when the session loop exits for any reason; a message the pump had
-// already counted but could not deliver is un-counted on that path, so a
-// torn-down session never reports a stale positive QueueDepth.
-func (s *session) startCtrlPump(sdone <-chan struct{}) <-chan ctrlMsg {
-	ctrlCh := make(chan ctrlMsg)
-	go func() {
-		defer close(ctrlCh)
-		for {
-			cm, err := s.m.ctrl.pop()
-			if err != nil {
-				return
-			}
-			if cm.op == opInferReq {
-				s.queued.Add(1)
-			}
-			select {
-			case ctrlCh <- cm:
-			case <-sdone:
-				if cm.op == opInferReq {
-					s.queued.Add(-1)
-				}
-				return
-			}
-		}
-	}()
-	return ctrlCh
-}
-
-// run is the session loop: it serializes this session's protocol phases,
-// interleaving scheduler refills with client requests.
+// run is the session loop. One queue, the control mailbox, holds the
+// client's requests and the scheduler's refill grants in arrival order; the
+// loop serves them one at a time until the mailbox closes (the client hung
+// up, the connection died, or Engine.Close closed the mux) or one fails.
 func (s *session) run() {
-	sdone := make(chan struct{})
-	defer close(sdone)
-	ctrlCh := s.startCtrlPump(sdone)
-
 	for {
-		select {
-		case <-s.refill:
-			err := s.precompute(causeScheduled)
-			s.eng.sched.grantDone(s)
-			if err != nil {
+		cm, err := s.m.ctrl.pop()
+		if err != nil {
+			s.m.close(err)
+			return
+		}
+		if err := s.handle(cm); err != nil {
+			if errors.Is(err, errBye) {
+				s.m.close(io.EOF)
+			} else {
 				s.fail(err)
-				return
 			}
-		case cm, ok := <-ctrlCh:
-			if !ok {
-				s.m.close(io.EOF) // client hung up or connection died
-				return
-			}
-			if err := s.handleCtrl(cm); err != nil {
-				if errors.Is(err, errBye) {
-					s.m.close(io.EOF)
-				} else {
-					s.fail(err)
-				}
-				return
-			}
-		case <-s.eng.done:
-			s.m.close(errors.New("serve: engine closed"))
 			return
 		}
 	}
@@ -111,12 +65,15 @@ func (s *session) run() {
 
 var errBye = errors.New("serve: client said goodbye")
 
-func (s *session) handleCtrl(cm ctrlMsg) error {
+func (s *session) handle(cm ctrlMsg) error {
+	if cm.grant {
+		err := s.precompute(causeScheduled)
+		s.eng.sched.grantDone(s)
+		return err
+	}
 	switch cm.op {
 	case opInferReq:
-		err := s.handleInfer()
-		s.queued.Add(-1)
-		return err
+		return s.handleInfer()
 	case opPrecomputeReq:
 		return s.precompute(causeRequested)
 	case opBye:
@@ -154,6 +111,9 @@ func (s *session) precompute(cause byte) error {
 // handleInfer serves one inference request, paying an inline offline phase
 // first when the buffer is empty (the paper's on-the-fly case).
 func (s *session) handleInfer() error {
+	s.statMu.Lock()
+	s.serving = true
+	s.statMu.Unlock()
 	if s.srv.Buffered() == 0 {
 		if err := s.precompute(causeInline); err != nil {
 			return err
@@ -167,6 +127,7 @@ func (s *session) handleInfer() error {
 		return err
 	}
 	s.statMu.Lock()
+	s.serving = false // the request stops counting before its ack leaves
 	s.inferences++
 	s.onlineTotal += rep.Duration
 	s.statMu.Unlock()

@@ -18,7 +18,8 @@ type SessionStats struct {
 	Resumed bool
 	// Buffered is the session's current pre-compute buffer depth.
 	Buffered int
-	// QueueDepth counts inference requests accepted but not yet finished.
+	// QueueDepth counts the session's inference requests that are queued
+	// or being served; a request stops counting before its result is sent.
 	QueueDepth int
 	// Precomputes and Inferences count completed phases.
 	Precomputes uint64
@@ -41,8 +42,8 @@ type ModelStats struct {
 	Sessions int
 	Buffered int
 	// Queue telemetry — the per-model signals a fleet autoscaler's queue
-	// model consumes. QueueDepth is the number of inference requests
-	// accepted but not yet finished across the model's live sessions;
+	// model consumes. QueueDepth is the sum of the model's live sessions'
+	// SessionStats.QueueDepth;
 	// Inferences and Precomputes are lifetime phase counts (disconnected
 	// sessions included); MeanOnline and MeanOffline are the lifetime mean
 	// phase latencies (the online one is the queue model's service time).
@@ -132,13 +133,7 @@ func (e *Engine) Stats() Stats {
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	sess := make([]*session, 0, len(e.sessions))
-	for _, s := range e.sessions {
-		sess = append(sess, s)
-	}
-
 	st := Stats{
-		ActiveSessions:      len(sess),
 		RefillsInFlight:     inflight,
 		RegistryBudget:      rst.Budget,
 		RegistryBytes:       rst.BytesResident,
@@ -174,7 +169,10 @@ func (e *Engine) Stats() Stats {
 	if e.tickets != nil {
 		st.Tickets = e.tickets.stats(byModel)
 	}
-	for _, s := range sess {
+	for _, s := range e.conns {
+		if s == nil {
+			continue // still handshaking
+		}
 		s.statMu.Lock()
 		ss := SessionStats{
 			ID:          s.id,
@@ -182,7 +180,7 @@ func (e *Engine) Stats() Stats {
 			Model:       s.model,
 			Resumed:     s.resumed,
 			Buffered:    buffered[s],
-			QueueDepth:  int(s.queued.Load()),
+			QueueDepth:  s.queueDepth(),
 			Precomputes: s.precomputes,
 			Inferences:  s.inferences,
 			MeanOffline: mean(s.offlineTotal, s.precomputes),
@@ -192,6 +190,7 @@ func (e *Engine) Stats() Stats {
 		}
 		s.statMu.Unlock()
 		st.Sessions = append(st.Sessions, ss)
+		st.ActiveSessions++
 		st.TotalBuffered += ss.Buffered
 		if ms := byModel[ss.Model]; ms != nil {
 			ms.Sessions++
@@ -201,4 +200,14 @@ func (e *Engine) Stats() Stats {
 	}
 	sort.Slice(st.Sessions, func(i, j int) bool { return st.Sessions[i].ID < st.Sessions[j].ID })
 	return st
+}
+
+// queueDepth is the number of inference requests waiting in the session's
+// control mailbox plus the one being served. Called with s.statMu held.
+func (s *session) queueDepth() int {
+	n := s.m.ctrl.count(func(cm ctrlMsg) bool { return cm.op == opInferReq })
+	if s.serving {
+		n++
+	}
+	return n
 }

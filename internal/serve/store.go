@@ -178,9 +178,6 @@ func (st *ArtifactStore) Has(name string) bool {
 	return err == nil
 }
 
-// Remove deletes the stored artifact for name, if any.
-func (st *ArtifactStore) Remove(name string) error { return st.ds.remove(name) }
-
 // artifactFrame is the ArtifactStore's on-disk format identity (see
 // framing.go — tickets and preambles share the write/verify discipline).
 var artifactFrame = frameSpec{

@@ -21,9 +21,10 @@ import (
 // stream is announced by a server→client directive (opPrecompute,
 // opGoInfer), so both ends always agree on what the next data frames mean.
 // Client→server control frames (opInferReq, opPrecomputeReq, opBye) are
-// requests, which the server answers with directives in its own order; they
-// may interleave with data frames at any point because the demultiplexer
-// routes the two tags to separate queues.
+// requests, which the server answers strictly in arrival order, with its
+// own background opPrecompute directives between them; they may interleave
+// with data frames at any point because the demultiplexer routes the two
+// tags to separate queues.
 const (
 	// wireVersion is the one wire version both ends must speak: a
 	// connection opens with a transport.Preamble frame carrying it (gating
@@ -74,9 +75,14 @@ const (
 	causeInline                // on-the-fly: an inference found an empty buffer
 )
 
+// ctrlMsg is one entry of a session end's control queue: a control frame
+// from the peer or, on the server, a refill grant from the scheduler. Only
+// scheduler.kick sets grant; mux.read never does, so no frame a peer sends
+// can pose as a grant.
 type ctrlMsg struct {
-	op   byte
-	body []byte
+	op    byte
+	body  []byte
+	grant bool
 }
 
 // helloMsg opens the handshake. Model names the registry entry the client

@@ -197,13 +197,6 @@ func (c *Conn) SentBytes() uint64 { return c.sent.Load() }
 // RecvBytes returns the total bytes read, including framing.
 func (c *Conn) RecvBytes() uint64 { return c.recv.Load() }
 
-// ResetCounters zeroes both direction counters (used to attribute traffic
-// to protocol phases).
-func (c *Conn) ResetCounters() {
-	c.sent.Store(0)
-	c.recv.Store(0)
-}
-
 // Close closes the underlying stream(s), if closable. A blocked Recv on the
 // peer unblocks with an error.
 func (c *Conn) Close() error {

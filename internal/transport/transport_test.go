@@ -46,23 +46,22 @@ func TestPipeBatchSendsDoNotDeadlock(t *testing.T) {
 
 func TestByteAccounting(t *testing.T) {
 	a, b := Pipe()
-	payload := make([]byte, 123)
-	if err := a.Send(payload); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Recv(); err != nil {
-		t.Fatal(err)
-	}
-	want := uint64(123 + frameOverhead)
-	if a.SentBytes() != want {
-		t.Errorf("SentBytes = %d, want %d", a.SentBytes(), want)
-	}
-	if b.RecvBytes() != want {
-		t.Errorf("RecvBytes = %d, want %d", b.RecvBytes(), want)
-	}
-	a.ResetCounters()
-	if a.SentBytes() != 0 {
-		t.Error("ResetCounters did not zero sent")
+	// Counters only grow, so each frame is measured as a before/after delta.
+	for _, n := range []int{123, 7} {
+		sent, recv := a.SentBytes(), b.RecvBytes()
+		if err := a.Send(make([]byte, n)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Recv(); err != nil {
+			t.Fatal(err)
+		}
+		want := uint64(n + frameOverhead)
+		if got := a.SentBytes() - sent; got != want {
+			t.Errorf("%d-byte frame: SentBytes grew %d, want %d", n, got, want)
+		}
+		if got := b.RecvBytes() - recv; got != want {
+			t.Errorf("%d-byte frame: RecvBytes grew %d, want %d", n, got, want)
+		}
 	}
 }
 

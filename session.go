@@ -280,7 +280,9 @@ func (e *LocalEngine) Connect(name string, opts ...ConnectOption) (*Session, err
 		conn.Close()
 		return nil, err
 	}
-	return &Session{engine: e.eng, client: client, model: e.models[name]}, nil
+	// The engine resolves an empty name to its default model; look the
+	// model up under the name it resolved.
+	return &Session{engine: e.eng, client: client, model: e.models[client.Model()]}, nil
 }
 
 // Stats snapshots the engine's metrics, partitioned per model (session

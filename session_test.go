@@ -106,6 +106,32 @@ func TestSessionPreambleResume(t *testing.T) {
 	}
 }
 
+// TestLocalEngineConnectDefaultModel: a one-model engine serves an unnamed
+// connect its only model, and the session verifies against that model.
+func TestLocalEngineConnectDefaultModel(t *testing.T) {
+	model, err := NewDemoMLP(14)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewLocalEngine(LocalEngineConfig{Models: map[string]*Model{"only": model}, Variant: ClientGarbler, Entropy: newSeeded(15)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	s, err := eng.Connect("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.Model() != "only" {
+		t.Fatalf("unnamed connect served model %q, want %q", s.Model(), "only")
+	}
+	res, err := s.Infer(make([]uint64, model.InputLen()))
+	if err != nil || !res.Verified {
+		t.Fatalf("inference: verified=%v err=%v", res != nil && res.Verified, err)
+	}
+}
+
 func TestSessionRejectsInvalidModel(t *testing.T) {
 	bad := &Model{}
 	if _, err := NewLocalSession(bad, ServerGarbler); err == nil {
