@@ -21,7 +21,8 @@
 //	durable       both processes restart: the engine reloads its tickets
 //	              from -style TicketDir persistence, the client reloads its
 //	              preamble from a PreambleStore, and the very first connect
-//	              of the new processes still takes the resumed fast path.
+//	              of the new processes still takes the resumed fast path;
+//	              the client artifact, derived state, is rebuilt.
 //
 // The example times all four tiers, proves the resumed and post-restart
 // sessions' inferences are bit-identical to the cold session's, and prints

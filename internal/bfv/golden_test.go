@@ -30,7 +30,6 @@ func TestCodecGolden(t *testing.T) {
 		{"plaintext", NewEncoder(p).EncodeMulNTT(m)},
 		{"secretkey", sk},
 		{"publickey", pk},
-		{"matvecplan", PlanMatVec(p, 100, 8192)},
 	}
 	var got strings.Builder
 	for _, rec := range records {

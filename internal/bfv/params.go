@@ -45,7 +45,7 @@ const DefaultN = 4096
 
 // MaxRingDegree bounds the ring degree NewParams accepts. Real HE parameter
 // sets stop well short of this; the bound exists so degree fields read from
-// untrusted bytes (deserialized plans and artifacts route through
+// untrusted bytes (welcomes, preambles and artifacts route through
 // NewParams) cannot demand gigabyte NTT tables or overflow the
 // primitive-root search before validation rejects them.
 const MaxRingDegree = 1 << 17
@@ -55,8 +55,7 @@ const MaxRingDegree = 1 << 17
 // power tables); they depend only on N, are immutable after construction,
 // and are already shared by every copy of a Params value, so handing the
 // same tables to every caller is safe and makes repeated NewParams calls —
-// one per matvec plan when decoding a persisted model artifact — O(1)
-// after the first. Keying by N alone (not (N, T)) bounds the cache to the
+// one per handshake and per artifact load — O(1) after the first. Keying by N alone (not (N, T)) bounds the cache to the
 // handful of power-of-two degrees under MaxRingDegree even though T is
 // reachable from wire and artifact-file input.
 var nttCache sync.Map // int -> *ringq.NTT

@@ -96,47 +96,6 @@ func (p *Plaintext) UnmarshalBinaryBuffer(data []byte, buf []uint64) error {
 	return nil
 }
 
-// MatVecPlanBytes is the fixed serialized size of a MatVecPlan: N, T, In,
-// Out, Chunk, RowsPer as 8-byte words. Exposed so enclosing codecs
-// (delphi's SharedModel format) can frame plan records without a length
-// prefix.
-const MatVecPlanBytes = 6 * 8
-
-// MarshalBinary encodes the plan's parameters and packing geometry. The HE
-// parameters are stored as (N, T) and revalidated on decode, so a plan
-// round-trips through disk without trusting the file.
-func (pl MatVecPlan) MarshalBinary() ([]byte, error) {
-	w := bin.Writer{Buf: make([]byte, 0, MatVecPlanBytes)}
-	w.U64s([]uint64{uint64(pl.Params.N), pl.Params.T, uint64(pl.In), uint64(pl.Out), uint64(pl.Chunk), uint64(pl.RowsPer)})
-	return w.Buf, nil
-}
-
-// UnmarshalBinary decodes a plan produced by MarshalBinary, reconstructing
-// the HE parameters (NewParams revalidates them) and checking the packing
-// geometry against what PlanMatVec would choose for the same shape.
-func (pl *MatVecPlan) UnmarshalBinary(data []byte) error {
-	var f [MatVecPlanBytes / 8]uint64
-	r := bin.NewReader(data)
-	r.U64s(f[:])
-	if err := r.Done(); err != nil {
-		return fmt.Errorf("bfv: matvec plan payload %d bytes, want %d: %w", len(data), MatVecPlanBytes, err)
-	}
-	params, err := NewParams(int(f[0]), f[1])
-	if err != nil {
-		return fmt.Errorf("bfv: matvec plan: %w", err)
-	}
-	got := MatVecPlan{Params: params, In: int(f[2]), Out: int(f[3]), Chunk: int(f[4]), RowsPer: int(f[5])}
-	if got.In <= 0 || got.Out <= 0 {
-		return fmt.Errorf("bfv: matvec plan shape %dx%d invalid", got.Out, got.In)
-	}
-	if want := PlanMatVec(params, got.Out, got.In); got.Chunk != want.Chunk || got.RowsPer != want.RowsPer {
-		return fmt.Errorf("bfv: matvec plan geometry (chunk=%d, rowsPer=%d) inconsistent with shape %dx%d under N=%d",
-			got.Chunk, got.RowsPer, got.Out, got.In, params.N)
-	}
-	*pl = got
-	return nil
-}
-
 // MarshalBinary encodes the secret key (its NTT-domain coefficient
 // vector). A secret key at rest is key material: callers persisting one
 // (a client preamble store) own the file-permission and at-rest-protection

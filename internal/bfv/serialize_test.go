@@ -69,74 +69,6 @@ func TestPlaintextUnmarshalRejectsDamage(t *testing.T) {
 	}
 }
 
-// TestMatVecPlanRoundTrip: plans for a spread of matrix shapes (chunked
-// inputs, packed outputs, degenerate single-row) round-trip to deep-equal
-// values, including the reconstructed Params.
-func TestMatVecPlanRoundTrip(t *testing.T) {
-	shapes := []struct{ out, in int }{
-		{10, 64}, {64, 4096}, {100, 8192}, {1, 1}, {4096, 10}, {17, 300},
-	}
-	for _, s := range shapes {
-		pl := PlanMatVec(testParams, s.out, s.in)
-		raw, err := pl.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got MatVecPlan
-		if err := got.UnmarshalBinary(raw); err != nil {
-			t.Fatalf("shape %dx%d: %v", s.out, s.in, err)
-		}
-		if !reflect.DeepEqual(pl, got) {
-			t.Fatalf("shape %dx%d did not round-trip: %+v vs %+v", s.out, s.in, pl, got)
-		}
-	}
-}
-
-// TestMatVecPlanUnmarshalRejectsDamage: wrong length, invalid parameters,
-// and geometry inconsistent with the stored shape are all rejected — a
-// corrupted plan must not drive the packing math out of bounds.
-func TestMatVecPlanUnmarshalRejectsDamage(t *testing.T) {
-	pl := PlanMatVec(testParams, 64, 4096)
-	raw, err := pl.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var got MatVecPlan
-	if err := got.UnmarshalBinary(raw[:len(raw)-1]); err == nil {
-		t.Error("unmarshal accepted a truncated plan")
-	}
-
-	badParams := append([]byte(nil), raw...)
-	badParams[0] = 0xFF // N no longer a power of two
-	if err := got.UnmarshalBinary(badParams); err == nil {
-		t.Error("unmarshal accepted invalid ring degree")
-	}
-
-	// A wild (but power-of-two) stored degree must be rejected by the
-	// MaxRingDegree bound before any NTT table is built — a decode must
-	// never be able to demand gigabytes of twiddle tables.
-	hugeN := append([]byte(nil), raw...)
-	binary.LittleEndian.PutUint64(hugeN, 1<<30)
-	if err := got.UnmarshalBinary(hugeN); err == nil {
-		t.Error("unmarshal accepted a ring degree past MaxRingDegree")
-	}
-
-	badGeometry := append([]byte(nil), raw...)
-	badGeometry[32]++ // Chunk inconsistent with what PlanMatVec chooses
-	if err := got.UnmarshalBinary(badGeometry); err == nil {
-		t.Error("unmarshal accepted inconsistent packing geometry")
-	}
-
-	zeroShape := append([]byte(nil), raw...)
-	for i := 16; i < 24; i++ {
-		zeroShape[i] = 0 // In = 0
-	}
-	if err := got.UnmarshalBinary(zeroShape); err == nil {
-		t.Error("unmarshal accepted a zero input dimension")
-	}
-}
-
 // TestEncodedMatrixRoundTrip: the full weight path — EncodeMatrix under a
 // plan, every plaintext marshaled and unmarshaled — reproduces the exact
 // NTT-domain coefficients, under both demo fields.

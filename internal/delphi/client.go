@@ -72,7 +72,7 @@ func NewClientWithShared(conn transport.MsgConn, cfg Config, shared *ClientShare
 	if shared == nil {
 		return nil, fmt.Errorf("delphi: nil shared client artifact")
 	}
-	p, err := newParty(conn, cfg, shared.params, shared.meta, shared.circuits, entropy)
+	p, err := newParty(conn, cfg, &shared.derived, entropy)
 	if err != nil {
 		return nil, err
 	}

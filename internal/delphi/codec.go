@@ -4,14 +4,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"privinf/internal/bfv"
 	"privinf/internal/bin"
-	"privinf/internal/boolcirc"
 	"privinf/internal/nn"
 )
 
@@ -23,14 +21,15 @@ import (
 // and reload artifacts instead of dropping and re-encoding them (see
 // serve.ArtifactStore).
 //
-// The encoding stores only what is expensive to rebuild — the HE parameter
-// identity (N, T), the public model metadata, the matvec plans, the
-// NTT-domain weight plaintexts, and the built ReLU circuits (deduplicated:
-// layers with equal shift share one circuit, on disk and after reload).
-// The raw model weights are NOT stored: decoding takes the source
+// The encoding stores only what is expensive to rebuild: the NTT-domain
+// weight plaintexts, behind a header of the HE parameter identity (N, T),
+// the public model metadata and a digest of the raw weights. Nothing derived
+// from the metadata is stored — decode derives the matvec plans and the
+// ReLU circuits again (derive), so a circuit change moves no byte on disk. The raw
+// model weights are NOT stored either: decoding takes the source
 // *nn.Lowered (which the registry retains for the life of a registration)
-// and verifies the stored metadata matches it, so a stale or mismatched
-// file fails cleanly instead of serving another model's weights.
+// and verifies the stored metadata and digest match it, so a stale or
+// mismatched file fails cleanly instead of serving another model's weights.
 //
 // Integrity (checksums, format versioning, truncation detection) is the
 // enclosing store's job; this codec still bounds-checks every read so a
@@ -38,7 +37,7 @@ import (
 
 // sharedModelCodecVersion is bumped whenever the SharedModel byte layout
 // changes; decode rejects any other value.
-const sharedModelCodecVersion = 1
+const sharedModelCodecVersion = 2
 
 // weightDigests memoizes modelWeightsDigest by model pointer. Models are
 // immutable once registered (the registry retains one pointer for the life
@@ -99,34 +98,21 @@ func modelWeightsDigest(m *nn.Lowered) uint64 {
 // MarshalBinary encodes the artifact for UnmarshalSharedModel.
 func (sm *SharedModel) MarshalBinary() ([]byte, error) {
 	// One allocation up front: the weight plaintexts dominate and their
-	// encoded size is exact; headers, plans and circuits get padded slack.
-	// This runs inside the registry's single-flight window, so transient
-	// copies here are paid by every session waiting on the model.
-	capacity := 1024 + len(sm.plans)*(bfv.MatVecPlanBytes+64) + 16*len(sm.meta.Dims)
+	// encoded size is exact; the header gets padded slack. This runs inside
+	// the registry's single-flight window, so transient copies here are paid
+	// by every session waiting on the model.
+	capacity := 1024 + 16*len(sm.meta.Dims)
 	for _, layer := range sm.weights {
 		capacity += 8
 		for _, pt := range layer {
 			capacity += 8 + int(pt.SizeBytes())
 		}
 	}
-	for _, c := range sm.circuits {
-		capacity += int(c.SizeBytes()) + 64
-	}
 	w := &bin.Writer{Buf: make([]byte, 0, capacity)}
 	// The metadata is redundant with the model handed to the decoder —
 	// that redundancy is the mismatch check.
-	writeHeader(w, sharedModelCodecVersion, sm.params, sm.meta)
+	writeHeader(w, sm.params, sm.meta)
 	w.U64(modelWeightsDigest(sm.model))
-
-	w.U64(uint64(len(sm.plans)))
-	for _, pl := range sm.plans {
-		raw, err := pl.MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		w.Bytes(raw)
-	}
-
 	w.U64(uint64(len(sm.weights)))
 	for _, layer := range sm.weights {
 		w.U64(uint64(len(layer)))
@@ -136,10 +122,6 @@ func (sm *SharedModel) MarshalBinary() ([]byte, error) {
 				return nil, err
 			}
 		}
-	}
-
-	if err := writeCircuits(w, sm.circuits); err != nil {
-		return nil, err
 	}
 	return w.Buf, nil
 }
@@ -156,12 +138,12 @@ func UnmarshalSharedModel(data []byte, model *nn.Lowered) (*SharedModel, error) 
 		return nil, err
 	}
 	r := bin.NewReader(data)
-	params, meta, err := readHeader(&r, sharedModelCodecVersion)
+	params, meta, err := readHeader(&r)
 	if err != nil {
 		return nil, err
 	}
 	numDims := len(meta.Dims)
-	if want := MetaOf(model); !reflect.DeepEqual(meta, want) {
+	if want := MetaOf(model); !meta.Equal(want) {
 		return nil, fmt.Errorf("delphi: codec: stored model metadata does not match the supplied model (stored %d layers over p=%d, model %d layers over p=%d)",
 			len(meta.Dims), meta.P, len(want.Dims), want.P)
 	}
@@ -177,26 +159,9 @@ func UnmarshalSharedModel(data []byte, model *nn.Lowered) (*SharedModel, error) 
 		return nil, fmt.Errorf("delphi: codec: stored weight digest %016x does not match the supplied model's %016x (stale artifact for a retrained model?)", digest, want)
 	}
 
-	numPlans := r.Count(bfv.MatVecPlanBytes)
-	if r.Err() != nil {
-		return nil, codecErr(r.Err())
-	}
-	if numPlans != numDims {
-		return nil, fmt.Errorf("delphi: codec: %d plans for %d layers", numPlans, numDims)
-	}
-	plans := make([]bfv.MatVecPlan, numPlans)
-	for i := range plans {
-		if err := plans[i].UnmarshalBinary(r.Take(bfv.MatVecPlanBytes)); err != nil {
-			return nil, err
-		}
-		if plans[i].Params.N != params.N || plans[i].Params.T != params.T {
-			return nil, fmt.Errorf("delphi: codec: plan %d params (N=%d, T=%d) != artifact params (N=%d, T=%d)",
-				i, plans[i].Params.N, plans[i].Params.T, params.N, params.T)
-		}
-		if d := meta.Dims[i]; plans[i].In != d.In || plans[i].Out != d.Out {
-			return nil, fmt.Errorf("delphi: codec: plan %d shape %dx%d != layer dim %dx%d",
-				i, plans[i].Out, plans[i].In, d.Out, d.In)
-		}
+	d, err := derive(params, meta)
+	if err != nil {
+		return nil, codecErr(err)
 	}
 
 	numWeightLayers := r.Count(8)
@@ -208,10 +173,11 @@ func UnmarshalSharedModel(data []byte, model *nn.Lowered) (*SharedModel, error) 
 	}
 	// Slice every plaintext's exact span first (counts are pinned to the
 	// plan geometry, so each record is a fixed 8+8N bytes — a stored degree
-	// other than N fails the record's own length check), then decode the
-	// records on a bounded worker pool. Decode is the load path's dominant
-	// cost and every record is independent — the mirror image of the
-	// parallel encode in bfv.EncodeMatrix.
+	// other than N fails the record's own length check) and require the
+	// payload to end there, then decode the records on a bounded worker
+	// pool. Decode is the load path's dominant cost and every record is
+	// independent — the mirror image of the parallel encode in
+	// bfv.EncodeMatrix.
 	weights := make([][]bfv.Plaintext, numWeightLayers)
 	type ptJob struct {
 		layer, idx int
@@ -223,13 +189,16 @@ func UnmarshalSharedModel(data []byte, model *nn.Lowered) (*SharedModel, error) 
 		if r.Err() != nil {
 			return nil, codecErr(r.Err())
 		}
-		if want := plans[i].NumOutputCts() * plans[i].NumInputCts(); count != want {
+		if want := d.plans[i].NumOutputCts() * d.plans[i].NumInputCts(); count != want {
 			return nil, fmt.Errorf("delphi: codec: layer %d has %d weight plaintexts, want %d", i, count, want)
 		}
 		weights[i] = make([]bfv.Plaintext, count)
 		for j := 0; j < count; j++ {
 			jobs = append(jobs, ptJob{layer: i, idx: j, raw: r.Take(8 + 8*params.N)})
 		}
+	}
+	if err := r.Done(); err != nil {
+		return nil, codecErr(err)
 	}
 	// All coefficient vectors come from one pointer-free slab: one
 	// allocation and one zeroing pass instead of len(jobs) of each, and
@@ -274,20 +243,7 @@ func UnmarshalSharedModel(data []byte, model *nn.Lowered) (*SharedModel, error) 
 		}
 	}
 
-	circuits, err := readCircuits(&r, meta.NumReLULayers())
-	if err != nil {
-		return nil, err
-	}
-
-	sm := &SharedModel{
-		params:   params,
-		meta:     meta,
-		model:    model,
-		plans:    plans,
-		weights:  weights,
-		circuits: circuits,
-		encoder:  bfv.NewEncoder(params),
-	}
+	sm := &SharedModel{derived: d, model: model, weights: weights, encoder: bfv.NewEncoder(params)}
 	sm.computeSize()
 	return sm, nil
 }
@@ -295,10 +251,10 @@ func UnmarshalSharedModel(data []byte, model *nn.Lowered) (*SharedModel, error) 
 // codecErr names this codec in a cursor failure.
 func codecErr(err error) error { return fmt.Errorf("delphi: codec: %w", err) }
 
-// writeHeader writes what both artifact codecs open with: the codec
-// version, the HE parameter identity (N, T) and the public model metadata.
-func writeHeader(w *bin.Writer, version uint64, params bfv.Params, meta ModelMeta) {
-	w.U64(version)
+// writeHeader writes what the artifact opens with: the codec version, the
+// HE parameter identity (N, T) and the public model metadata.
+func writeHeader(w *bin.Writer, params bfv.Params, meta ModelMeta) {
+	w.U64(sharedModelCodecVersion)
 	w.U64(uint64(params.N))
 	w.U64(params.T)
 	w.U64(meta.P)
@@ -314,39 +270,12 @@ func writeHeader(w *bin.Writer, version uint64, params bfv.Params, meta ModelMet
 	}
 }
 
-// writeCircuits writes the per-layer ReLU circuits both artifacts end with,
-// deduplicated by pointer: buildCircuits shares one circuit across layers
-// with equal shift, and the codec preserves that sharing.
-func writeCircuits(w *bin.Writer, circuits []*boolcirc.Circuit) error {
-	unique := make([]*boolcirc.Circuit, 0, len(circuits))
-	index := make(map[*boolcirc.Circuit]uint64, len(circuits))
-	for _, c := range circuits {
-		if _, ok := index[c]; !ok {
-			index[c] = uint64(len(unique))
-			unique = append(unique, c)
-		}
-	}
-	w.U64(uint64(len(unique)))
-	for _, c := range unique {
-		raw, err := c.MarshalBinary()
-		if err != nil {
-			return err
-		}
-		w.Blob(raw)
-	}
-	w.U64(uint64(len(circuits)))
-	for _, c := range circuits {
-		w.U64(index[c])
-	}
-	return nil
-}
-
 // readHeader reads what writeHeader wrote, rejecting any other version, HE
 // parameters that do not build, and metadata the payload cannot hold.
-func readHeader(r *bin.Reader, version uint64) (bfv.Params, ModelMeta, error) {
+func readHeader(r *bin.Reader) (bfv.Params, ModelMeta, error) {
 	var meta ModelMeta
-	if v := r.U64(); r.Err() == nil && v != version {
-		return bfv.Params{}, meta, fmt.Errorf("delphi: codec: artifact codec version %d, want %d", v, version)
+	if v := r.U64(); r.Err() == nil && v != sharedModelCodecVersion {
+		return bfv.Params{}, meta, fmt.Errorf("delphi: codec: artifact codec version %d, want %d", v, sharedModelCodecVersion)
 	}
 	n := int(r.U64())
 	t := r.U64()
@@ -372,65 +301,5 @@ func readHeader(r *bin.Reader, version uint64) (bfv.Params, ModelMeta, error) {
 	if r.Err() != nil {
 		return params, meta, codecErr(r.Err())
 	}
-	if len(meta.Dims) == 0 {
-		return params, meta, fmt.Errorf("delphi: codec: no layer dims")
-	}
-	if params.T != meta.P {
-		return params, meta, fmt.Errorf("delphi: codec: HE plaintext modulus %d != model field %d", params.T, meta.P)
-	}
 	return params, meta, nil
-}
-
-// readCircuits reads what writeCircuits wrote — it must be the payload's
-// tail — for a model of the given number of ReLU layers.
-func readCircuits(r *bin.Reader, layers int) ([]*boolcirc.Circuit, error) {
-	numUnique := r.Count(8)
-	if r.Err() != nil {
-		return nil, codecErr(r.Err())
-	}
-	if numUnique > layers+1 {
-		return nil, fmt.Errorf("delphi: codec: %d unique circuits for %d layers", numUnique, layers+1)
-	}
-	unique := make([]*boolcirc.Circuit, numUnique)
-	for i := range unique {
-		raw := r.Blob()
-		if r.Err() != nil {
-			return nil, codecErr(r.Err())
-		}
-		unique[i] = new(boolcirc.Circuit)
-		if err := unique[i].UnmarshalBinary(raw); err != nil {
-			return nil, err
-		}
-	}
-	numCircuits := r.Count(8)
-	if r.Err() != nil {
-		return nil, codecErr(r.Err())
-	}
-	if numCircuits != layers {
-		return nil, fmt.Errorf("delphi: codec: %d circuit layers, want %d", numCircuits, layers)
-	}
-	var circuits []*boolcirc.Circuit
-	if numCircuits > 0 {
-		circuits = make([]*boolcirc.Circuit, numCircuits)
-	}
-	// Only writeCircuits' own encoding is admitted: layers name table entries
-	// in first-use order and every entry is named.
-	used := 0
-	for i := range circuits {
-		idx := r.U64()
-		if idx >= uint64(numUnique) || idx > uint64(used) {
-			return nil, fmt.Errorf("delphi: codec: circuit layer %d references table entry %d of %d (%d in use)", i, idx, numUnique, used)
-		}
-		if idx == uint64(used) {
-			used++
-		}
-		circuits[i] = unique[idx]
-	}
-	if used != numUnique {
-		return nil, fmt.Errorf("delphi: codec: %d of %d table circuits unused", numUnique-used, numUnique)
-	}
-	if err := r.Done(); err != nil {
-		return nil, codecErr(err)
-	}
-	return circuits, nil
 }

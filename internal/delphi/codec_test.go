@@ -24,11 +24,11 @@ func codecModel(t *testing.T, seed int64) (*nn.Lowered, bfv.Params) {
 	return model, params
 }
 
-// TestSharedModelRoundTrip: the full artifact — params, meta, plans,
-// NTT-domain weight plaintexts, circuits — marshals and unmarshals to a
-// deep-equal value, reporting the identical resident footprint, and
-// preserves the circuit sharing buildCircuits establishes between layers
-// with equal shifts.
+// TestSharedModelRoundTrip: the artifact marshals and unmarshals to a
+// deep-equal value — params, meta and NTT-domain weight plaintexts from the
+// file, plans and circuits derived again on load — reporting the identical
+// resident footprint, and with the circuit sharing derive establishes
+// between layers with equal shifts.
 func TestSharedModelRoundTrip(t *testing.T) {
 	model, params := codecModel(t, 21)
 	sm, err := NewSharedModel(params, model)
@@ -65,11 +65,17 @@ func TestSharedModelRoundTrip(t *testing.T) {
 	if got.Params().N != sm.Params().N || got.Params().T != sm.Params().T {
 		t.Fatal("params did not round-trip")
 	}
-	// buildCircuits shares one circuit across equal-shift layers; the codec
-	// must preserve that sharing, not expand it into copies.
+	// derive shares one circuit across equal-shift layers; a reload must
+	// keep that sharing, not expand it into copies. A circuit is built once
+	// per process, so the reload holds the very circuits the build does.
 	for i := 1; i < len(sm.circuits); i++ {
 		if (sm.circuits[i] == sm.circuits[0]) != (got.circuits[i] == got.circuits[0]) {
 			t.Fatalf("circuit sharing for layer %d not preserved", i)
+		}
+	}
+	for i := range sm.circuits {
+		if got.circuits[i] != sm.circuits[i] {
+			t.Fatalf("reload built its own circuit for layer %d", i)
 		}
 	}
 }

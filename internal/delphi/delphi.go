@@ -47,6 +47,7 @@ package delphi
 import (
 	"fmt"
 	"io"
+	"math/bits"
 	"time"
 
 	"privinf/internal/bfv"
@@ -98,7 +99,9 @@ func MetaOf(m *nn.Lowered) ModelMeta {
 	}
 }
 
-// Validate checks structural consistency.
+// Validate checks structural consistency, and that every shift fits the
+// field's width: a ReLU circuit is built from the metadata, which may come
+// from a peer's welcome or a file.
 func (m ModelMeta) Validate() error {
 	if len(m.Dims) == 0 {
 		return fmt.Errorf("delphi: model has no linear layers")
@@ -112,6 +115,11 @@ func (m ModelMeta) Validate() error {
 		}
 		if i > 0 && d.In != m.Dims[i-1].Out {
 			return fmt.Errorf("delphi: layer %d in=%d != layer %d out=%d", i, d.In, i-1, m.Dims[i-1].Out)
+		}
+	}
+	for i, s := range m.Shifts {
+		if width := uint(bits.Len64(m.P - 1)); s >= width {
+			return fmt.Errorf("delphi: layer %d shift %d is not below the %d-bit field width", i, s, width)
 		}
 	}
 	return nil

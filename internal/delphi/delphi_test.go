@@ -340,6 +340,19 @@ func TestMetaValidation(t *testing.T) {
 	if err := empty.Validate(); err == nil {
 		t.Fatal("empty meta must be rejected")
 	}
+	// A shift at or past the field width would index the ReLU circuit's
+	// wires out of range; 1<<63 turns negative as an int.
+	width := uint(field.New(field.P17).Bits())
+	for _, shift := range []uint{width, 1 << 63} {
+		wide := ModelMeta{P: field.P17, Dims: []LayerDim{{In: 4, Out: 3}, {In: 3, Out: 2}}, Shifts: []uint{shift}}
+		if err := wide.Validate(); err == nil {
+			t.Fatalf("shift %d over a %d-bit field must be rejected", shift, width)
+		}
+		wide.Shifts[0] = width - 1
+		if err := wide.Validate(); err != nil {
+			t.Fatalf("shift %d over a %d-bit field rejected: %v", width-1, width, err)
+		}
+	}
 }
 
 func TestConfigFieldMismatch(t *testing.T) {

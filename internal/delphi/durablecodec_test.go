@@ -2,20 +2,13 @@ package delphi
 
 import (
 	"bytes"
-	"encoding/binary"
-	"reflect"
 	"testing"
 
-	"privinf/internal/bin"
-	"privinf/internal/field"
-	"privinf/internal/nn"
 	"privinf/internal/ot"
-	"privinf/internal/transport"
 )
 
-// Battery for the two client-side durable codecs: OTResume (the resumable
-// base-OT material a preamble caches) and ClientShared (the client model
-// artifact a preamble persists). Same contract as every other on-disk
+// Battery for the client-side durable codec, OTResume: the resumable
+// base-OT material a preamble caches. Same contract as every other on-disk
 // format here: exact round trips, and damage errors instead of panicking
 // or decoding to garbage.
 
@@ -77,147 +70,5 @@ func TestOTResumeCodecRejectsDamage(t *testing.T) {
 		if _, err := UnmarshalOTResume(raw); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
-	}
-}
-
-// TestClientSharedCodecRoundTrip: metadata, params, circuits, the
-// circuit-sharing structure and the size accounting all survive the trip;
-// plans are re-derived, not stored, so they must still be deep-equal.
-func TestClientSharedCodecRoundTrip(t *testing.T) {
-	model, params := codecModel(t, 31)
-	cs, err := NewClientShared(params, MetaOf(model))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := cs.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := UnmarshalClientShared(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cs.meta, got.meta) {
-		t.Fatalf("meta did not round-trip: %+v vs %+v", cs.meta, got.meta)
-	}
-	if got.params.N != cs.params.N || got.params.T != cs.params.T {
-		t.Fatal("params did not round-trip")
-	}
-	if !reflect.DeepEqual(cs.plans, got.plans) {
-		t.Fatal("re-derived plans differ from originals")
-	}
-	if !reflect.DeepEqual(cs.circuits, got.circuits) {
-		t.Fatal("circuits did not round-trip")
-	}
-	if got.SizeBytes() != cs.SizeBytes() {
-		t.Fatalf("reloaded artifact reports %d bytes, built one %d", got.SizeBytes(), cs.SizeBytes())
-	}
-	for i := 1; i < len(cs.circuits); i++ {
-		if (cs.circuits[i] == cs.circuits[0]) != (got.circuits[i] == got.circuits[0]) {
-			t.Fatalf("circuit sharing for layer %d not preserved", i)
-		}
-	}
-}
-
-// TestClientSharedCodecRejectsDamage: version skew, hostile parameters,
-// truncation, trailing bytes and out-of-range circuit references all
-// error cleanly.
-func TestClientSharedCodecRejectsDamage(t *testing.T) {
-	model, params := codecModel(t, 32)
-	cs, err := NewClientShared(params, MetaOf(model))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := cs.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	wrongVersion := append([]byte(nil), raw...)
-	binary.LittleEndian.PutUint64(wrongVersion, clientSharedCodecVersion+1)
-	if _, err := UnmarshalClientShared(wrongVersion); err == nil {
-		t.Error("decode accepted a wrong codec version")
-	}
-
-	// A hostile ring degree must error in parameter validation before any
-	// table allocation (2^32 would overflow the primitive-root search).
-	hostileN := append([]byte(nil), raw...)
-	binary.LittleEndian.PutUint64(hostileN[8:], 1<<32)
-	if _, err := UnmarshalClientShared(hostileN); err == nil {
-		t.Error("decode accepted a hostile ring degree")
-	}
-
-	// The payload ends with the per-layer circuit index table; pointing the
-	// last layer past the unique-circuit table must error, not index out of
-	// bounds.
-	badIndex := append([]byte(nil), raw...)
-	binary.LittleEndian.PutUint64(badIndex[len(badIndex)-8:], 999)
-	if _, err := UnmarshalClientShared(badIndex); err == nil {
-		t.Error("decode accepted an out-of-range circuit reference")
-	}
-
-	// A well-formed payload whose one layer is 0x0 must fail validation, not
-	// divide by zero laying out its matvec plan.
-	var degenerate bin.Writer
-	writeHeader(&degenerate, clientSharedCodecVersion, params, ModelMeta{P: params.T, Frac: 4, Dims: []LayerDim{{In: 0, Out: 0}}})
-	if err := writeCircuits(&degenerate, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := UnmarshalClientShared(degenerate.Buf); err == nil {
-		t.Error("decode accepted a layer with non-positive dims")
-	}
-
-	for _, cut := range []int{0, 4, 17, 100, len(raw) / 2, len(raw) - 1} {
-		if _, err := UnmarshalClientShared(raw[:cut]); err == nil {
-			t.Errorf("decode accepted payload truncated to %d bytes", cut)
-		}
-	}
-	if _, err := UnmarshalClientShared(append(append([]byte(nil), raw...), 9)); err == nil {
-		t.Error("decode accepted trailing bytes")
-	}
-}
-
-// TestClientSharedRoundTripServesInference: a decoded client artifact is
-// functionally identical — a client built on it completes a session with
-// bit-exact outputs, the in-package half of the preamble-store guarantee.
-func TestClientSharedRoundTripServesInference(t *testing.T) {
-	model, err := nn.DemoMLP(field.New(field.P20), 33)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := newSession(t, ClientGarbler, model, 0)
-	raw, err := first.client.shared.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	reloaded, err := UnmarshalClientShared(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := Config{Variant: ClientGarbler, HEParams: reloaded.params}
-	cc, sc := transport.Pipe()
-	server, err := NewServerShared(sc, cfg, first.server.shared, newSeeded(1011))
-	if err != nil {
-		t.Fatal(err)
-	}
-	client, err := NewClientWithShared(cc, cfg, reloaded, newSeeded(2012))
-	if err != nil {
-		t.Fatal(err)
-	}
-	errCh := make(chan error, 1)
-	go func() { errCh <- server.Setup() }()
-	if err := client.Setup(); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-errCh; err != nil {
-		t.Fatal(err)
-	}
-	s := &session{client: client, server: server, model: model}
-	x := randomInput(model.F, model.InputLen(), 34)
-	got, _, _, _, _ := s.inferPrivately(t, x)
-	want := model.Forward(x)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("reloaded client artifact diverged from plaintext")
 	}
 }

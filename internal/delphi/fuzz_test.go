@@ -64,34 +64,10 @@ func FuzzGCLayerPayload(f *testing.F) {
 	})
 }
 
-func FuzzClientSharedUnmarshal(f *testing.F) {
-	// A toy field and a one-gate stand-in for the ReLU circuit (the codec
-	// checks topology, not function) keep the seed a few hundred bytes, so
-	// the engine mutates the header and the index table instead of
-	// minimizing kilobytes of gates.
-	params, err := bfv.NewParams(8, 17)
-	if err != nil {
-		f.Fatal(err)
-	}
-	b := boolcirc.NewBuilder(2)
-	b.SetOutputs([]int{b.And(b.Input(0), b.Input(1))})
-	gate := b.Finish()
-	cs := &ClientShared{
-		params:   params,
-		meta:     ModelMeta{P: 17, Frac: 1, Dims: []LayerDim{{In: 3, Out: 2}, {In: 2, Out: 2}, {In: 2, Out: 1}}, Shifts: []uint{1, 1}},
-		circuits: []*boolcirc.Circuit{gate, gate},
-	}
-	raw, err := cs.MarshalBinary()
-	if err != nil {
-		f.Fatal(err)
-	}
-	bintest.FuzzRoundTrip(f, raw, func(data []byte) (encoding.BinaryMarshaler, error) { return UnmarshalClientShared(data) })
-}
-
 func FuzzSharedModelUnmarshal(f *testing.F) {
-	// A toy field and ring (N = 8, p = 17) give three plans and one 72-byte
-	// weight plaintext a layer; the one-gate stand-in for the ReLU circuit
-	// FuzzClientSharedUnmarshal uses keeps the seed under 1 KB.
+	// A toy field and ring (N = 8, p = 17) give one 72-byte weight plaintext
+	// a layer, so the seed — header, digest and weights, no circuit — stays
+	// a few hundred bytes and mutation reaches every header word.
 	params, err := bfv.NewParams(8, 17)
 	if err != nil {
 		f.Fatal(err)
@@ -110,10 +86,6 @@ func FuzzSharedModelUnmarshal(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	b := boolcirc.NewBuilder(2)
-	b.SetOutputs([]int{b.And(b.Input(0), b.Input(1))})
-	gate := b.Finish()
-	sm.circuits = []*boolcirc.Circuit{gate, gate}
 	raw, err := sm.MarshalBinary()
 	if err != nil {
 		f.Fatal(err)

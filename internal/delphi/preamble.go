@@ -5,7 +5,6 @@ import (
 
 	"privinf/internal/bfv"
 	"privinf/internal/bin"
-	"privinf/internal/boolcirc"
 	"privinf/internal/ot"
 )
 
@@ -18,55 +17,25 @@ import (
 // the same way a serving engine reuses a SharedModel.
 //
 // A ClientShared is strictly read-only after construction and therefore
-// safe for unbounded concurrent use.
+// safe for unbounded concurrent use. It holds nothing but derived state, so
+// it has no codec: a process rebuilds it from the model's metadata.
 type ClientShared struct {
-	params bfv.Params
-	meta   ModelMeta
-
-	plans    []bfv.MatVecPlan
-	circuits []*boolcirc.Circuit
-	size     uint64
+	derived
 }
 
 // NewClientShared validates the metadata against the HE parameters and
 // builds the artifact: matvec plans and ReLU circuits.
 func NewClientShared(params bfv.Params, meta ModelMeta) (*ClientShared, error) {
-	if err := meta.Validate(); err != nil {
+	d, err := derive(params, meta)
+	if err != nil {
 		return nil, err
 	}
-	if params.T != meta.P {
-		return nil, fmt.Errorf("delphi: HE plaintext modulus %d != model field %d", params.T, meta.P)
-	}
-	cs := &ClientShared{params: params, meta: meta}
-	cs.plans = make([]bfv.MatVecPlan, len(meta.Dims))
-	for i, d := range meta.Dims {
-		cs.plans[i] = bfv.PlanMatVec(params, d.Out, d.In)
-	}
-	cs.circuits = buildCircuits(meta)
-	cs.computeSize()
-	return cs, nil
+	return &ClientShared{d}, nil
 }
-
-// computeSize fills the artifact's resident-footprint accounting. Same
-// convention as SharedModel.computeSize: circuits dominate, plans count as
-// one cache line apiece.
-func (cs *ClientShared) computeSize() {
-	const planBytes = 64
-	cs.size = uint64(len(cs.plans)) * planBytes
-	for _, c := range cs.circuits {
-		cs.size += c.SizeBytes()
-	}
-}
-
-// Meta returns the public model metadata the artifact was built from.
-func (cs *ClientShared) Meta() ModelMeta { return cs.meta }
-
-// Params returns the HE parameter set the plans were laid out under.
-func (cs *ClientShared) Params() bfv.Params { return cs.params }
 
 // SizeBytes returns the artifact's resident memory footprint, the unit a
 // client-side preamble cache budgets alongside server artifacts.
-func (cs *ClientShared) SizeBytes() uint64 { return cs.size }
+func (cs *ClientShared) SizeBytes() uint64 { return cs.sizeBytes() }
 
 // Equal reports whether two model descriptions are identical — the
 // compatibility check for reusing a cached ClientShared across sessions.

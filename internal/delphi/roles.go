@@ -6,7 +6,6 @@ import (
 	"io"
 	"time"
 
-	"privinf/internal/bfv"
 	"privinf/internal/boolcirc"
 	"privinf/internal/field"
 	"privinf/internal/garble"
@@ -38,13 +37,13 @@ type party struct {
 
 // newParty checks the session parameters against the artifact's and builds
 // the shared state.
-func newParty(conn transport.MsgConn, cfg Config, params bfv.Params, meta ModelMeta, circuits []*boolcirc.Circuit, entropy io.Reader) (party, error) {
-	if cfg.HEParams.T != params.T || cfg.HEParams.N != params.N {
+func newParty(conn transport.MsgConn, cfg Config, d *derived, entropy io.Reader) (party, error) {
+	if cfg.HEParams.T != d.params.T || cfg.HEParams.N != d.params.N {
 		return party{}, fmt.Errorf("delphi: session HE params (N=%d, T=%d) != artifact params (N=%d, T=%d)",
-			cfg.HEParams.N, cfg.HEParams.T, params.N, params.T)
+			cfg.HEParams.N, cfg.HEParams.T, d.params.N, d.params.T)
 	}
-	f := field.New(meta.P)
-	return party{conn: conn, cfg: cfg, meta: meta, f: f, entropy: entropy, sharing: ss.New(f, entropy), circuits: circuits}, nil
+	f := field.New(d.meta.P)
+	return party{conn: conn, cfg: cfg, meta: d.meta, f: f, entropy: entropy, sharing: ss.New(f, entropy), circuits: d.circuits}, nil
 }
 
 // setupOT establishes the party's OT-extension role for the session. The
@@ -85,23 +84,6 @@ func (p *party) OTResume() *OTResume {
 		return &OTResume{Receiver: p.otRecv.State()}
 	}
 	return nil
-}
-
-// buildCircuits constructs the per-ReLU-layer circuits (public, so both
-// parties build the same ones); layers with equal shift share one.
-func buildCircuits(meta ModelMeta) []*boolcirc.Circuit {
-	out := make([]*boolcirc.Circuit, meta.NumReLULayers())
-	cache := map[uint]*boolcirc.Circuit{}
-	for i := range out {
-		shift := meta.Shifts[i]
-		c, ok := cache[shift]
-		if !ok {
-			c = boolcirc.BuildReLU(boolcirc.ReLUSpec{P: meta.P, Frac: shift})
-			cache[shift] = c
-		}
-		out[i] = c
-	}
-	return out
 }
 
 // gcPre is the garbled-circuit half of one buffered pre-compute. The

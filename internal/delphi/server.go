@@ -40,7 +40,7 @@ func NewServerShared(conn transport.MsgConn, cfg Config, shared *SharedModel, en
 	if shared == nil {
 		return nil, fmt.Errorf("delphi: nil shared model")
 	}
-	p, err := newParty(conn, cfg, shared.params, shared.meta, shared.circuits, entropy)
+	p, err := newParty(conn, cfg, &shared.derived, entropy)
 	if err != nil {
 		return nil, err
 	}

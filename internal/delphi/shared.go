@@ -2,11 +2,89 @@ package delphi
 
 import (
 	"fmt"
+	"sync"
 
 	"privinf/internal/bfv"
 	"privinf/internal/boolcirc"
 	"privinf/internal/nn"
 )
+
+// derived is the public half of every model artifact: what any party
+// computes from the HE parameters and ModelMeta alone — a matvec packing
+// plan per linear layer and a ReLU circuit per activation layer. Because it
+// is a function of public inputs, no codec stores it: each artifact derives
+// it again on load, so a change to the circuit or the packing needs no
+// durable format bump.
+type derived struct {
+	params   bfv.Params
+	meta     ModelMeta
+	plans    []bfv.MatVecPlan
+	circuits []*boolcirc.Circuit
+}
+
+// derive validates meta against params and lays out the plans and the
+// circuits; layers with equal shift share one circuit. meta.Validate is the
+// one check in front of BuildReLU, whichever party or file supplied meta.
+func derive(params bfv.Params, meta ModelMeta) (derived, error) {
+	if err := meta.Validate(); err != nil {
+		return derived{}, err
+	}
+	if params.T != meta.P {
+		return derived{}, fmt.Errorf("delphi: HE plaintext modulus %d != model field %d", params.T, meta.P)
+	}
+	d := derived{params: params, meta: meta, plans: make([]bfv.MatVecPlan, len(meta.Dims))}
+	for i, dim := range meta.Dims {
+		d.plans[i] = bfv.PlanMatVec(params, dim.Out, dim.In)
+	}
+	d.circuits = make([]*boolcirc.Circuit, meta.NumReLULayers())
+	for i, shift := range meta.Shifts {
+		d.circuits[i] = reluCircuit(boolcirc.ReLUSpec{P: meta.P, Frac: shift})
+	}
+	return d, nil
+}
+
+// reluCircuits holds one built circuit per ReLU spec for the whole process:
+// a circuit is an immutable function of (p, shift), so every artifact over
+// the same field shares it, and a reload after eviction builds none. Like
+// weightDigests it is cleared wholesale past maxCachedCircuits specs, which
+// bounds what a stream of peers' welcomes can make a process hold.
+var (
+	reluMu       sync.Mutex
+	reluCircuits = map[boolcirc.ReLUSpec]*boolcirc.Circuit{}
+)
+
+const maxCachedCircuits = 64
+
+func reluCircuit(spec boolcirc.ReLUSpec) *boolcirc.Circuit {
+	reluMu.Lock()
+	defer reluMu.Unlock()
+	c, ok := reluCircuits[spec]
+	if !ok {
+		if len(reluCircuits) >= maxCachedCircuits {
+			clear(reluCircuits)
+		}
+		c = boolcirc.BuildReLU(spec)
+		reluCircuits[spec] = c
+	}
+	return c
+}
+
+// sizeBytes is the derived state's resident footprint: the built circuits,
+// and one cache line per plan (a plan is a few words).
+func (d *derived) sizeBytes() uint64 {
+	const planBytes = 64
+	n := uint64(len(d.plans)) * planBytes
+	for _, c := range d.circuits {
+		n += c.SizeBytes()
+	}
+	return n
+}
+
+// Meta returns the public model metadata the artifact was built from.
+func (d *derived) Meta() ModelMeta { return d.meta }
+
+// Params returns the HE parameter set the artifact was laid out under.
+func (d *derived) Params() bfv.Params { return d.params }
 
 // SharedModel is the immutable, key-independent model artifact a server
 // needs for any number of sessions of one model under one HE parameter set:
@@ -25,15 +103,11 @@ import (
 // A SharedModel is strictly read-only after construction and therefore safe
 // for unbounded concurrent use.
 type SharedModel struct {
-	params bfv.Params
-	meta   ModelMeta
-	model  *nn.Lowered
-
-	plans    []bfv.MatVecPlan
-	weights  [][]bfv.Plaintext // [layer][outCt*numInputCts+inCt], NTT domain
-	circuits []*boolcirc.Circuit
-	encoder  *bfv.Encoder
-	size     uint64 // resident footprint, computed once at build
+	derived
+	model   *nn.Lowered
+	weights [][]bfv.Plaintext // [layer][outCt*numInputCts+inCt], NTT domain
+	encoder *bfv.Encoder
+	size    uint64 // resident footprint, computed once at build
 }
 
 // NewSharedModel validates the model against the HE parameters and builds
@@ -43,20 +117,11 @@ func NewSharedModel(params bfv.Params, model *nn.Lowered) (*SharedModel, error) 
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
-	meta := MetaOf(model)
-	if params.T != meta.P {
-		return nil, fmt.Errorf("delphi: HE plaintext modulus %d != model field %d", params.T, meta.P)
+	d, err := derive(params, MetaOf(model))
+	if err != nil {
+		return nil, err
 	}
-	sm := &SharedModel{
-		params:  params,
-		meta:    meta,
-		model:   model,
-		encoder: bfv.NewEncoder(params),
-	}
-	sm.plans = make([]bfv.MatVecPlan, len(meta.Dims))
-	for i, d := range meta.Dims {
-		sm.plans[i] = bfv.PlanMatVec(params, d.Out, d.In)
-	}
+	sm := &SharedModel{derived: d, model: model, encoder: bfv.NewEncoder(params)}
 	sm.weights = make([][]bfv.Plaintext, len(model.Linear))
 	for i, lin := range model.Linear {
 		pts := sm.plans[i].EncodeMatrix(sm.encoder, lin.W)
@@ -66,26 +131,20 @@ func NewSharedModel(params bfv.Params, model *nn.Lowered) (*SharedModel, error) 
 		}
 		sm.weights[i] = flat
 	}
-	sm.circuits = buildCircuits(meta)
 	sm.computeSize()
 	return sm, nil
 }
 
-// computeSize fills sm.size from the built artifact. The dominant terms are
-// the NTT-domain weight plaintexts and the built circuits; the plans are a
-// few words each and counted as one cache line apiece. Shared with the
-// disk codec (UnmarshalSharedModel) so a reloaded artifact reports the same
+// computeSize fills sm.size from the built artifact: the NTT-domain weight
+// plaintexts, which dominate, plus the derived state. Shared with the disk
+// codec (UnmarshalSharedModel) so a reloaded artifact reports the same
 // footprint as a freshly built one.
 func (sm *SharedModel) computeSize() {
-	const planBytes = 64
-	sm.size = uint64(len(sm.plans)) * planBytes
+	sm.size = sm.sizeBytes()
 	for _, layer := range sm.weights {
 		for _, pt := range layer {
 			sm.size += pt.SizeBytes()
 		}
-	}
-	for _, c := range sm.circuits {
-		sm.size += c.SizeBytes()
 	}
 }
 
@@ -96,15 +155,6 @@ func (sm *SharedModel) computeSize() {
 // client storage.
 func (sm *SharedModel) SizeBytes() uint64 { return sm.size }
 
-// Meta returns the public model metadata.
-func (sm *SharedModel) Meta() ModelMeta { return sm.meta }
-
-// Params returns the HE parameter set the weights are encoded under.
-func (sm *SharedModel) Params() bfv.Params { return sm.params }
-
 // Model returns the lowered model the artifact was built from. The model is
 // server-side state; it never crosses the wire.
 func (sm *SharedModel) Model() *nn.Lowered { return sm.model }
-
-// NumLayers returns the number of linear layers.
-func (sm *SharedModel) NumLayers() int { return len(sm.meta.Dims) }

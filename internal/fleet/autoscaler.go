@@ -40,21 +40,11 @@ type AutoscalerConfig struct {
 	// evenly across replicas after every resize
 	// (Engine.SetStorageBudget). 0 leaves replica budgets alone.
 	StorageSlots int
-	// ArtifactBytes is the fleet-global registry byte budget, divided
-	// evenly across replicas after every resize (Registry.SetBudget).
-	// 0 leaves registry budgets alone. Leave 0 when replicas share one
-	// registry — dividing a shared budget by the replica count would
-	// shrink it N times over.
-	ArtifactBytes int64
-	// ServiceTime optionally maps a model name to its expected online
-	// latency, used until measured online-latency telemetry exists (cold
-	// fleets). Nil models fall back to Profiles, then DefaultServiceTime.
-	ServiceTime func(model string) time.Duration
-	// Profiles optionally maps model names to cost-model scenarios; when
-	// ServiceTime is nil, a cold fleet seeds each model's expected
-	// service time from its profile's analytic online latency
-	// (Scenario.Compute().Online()) instead of DefaultServiceTime, so
-	// the first sizing decision reflects the model actually deployed.
+	// Profiles optionally maps model names to cost-model scenarios: until
+	// measured online-latency telemetry exists (a cold fleet), each model's
+	// expected service time is its profile's analytic online latency
+	// (Scenario.Compute().Online()) instead of DefaultServiceTime, so the
+	// first sizing decision reflects the model actually deployed.
 	Profiles map[string]cost.Scenario
 	// DrainTimeout bounds a scale-down drain; 0 uses DefaultDrainTimeout.
 	DrainTimeout time.Duration
@@ -111,6 +101,8 @@ type Decision struct {
 // or call Tick directly for step-by-step control (tests, benchmarks).
 type Autoscaler struct {
 	cfg AutoscalerConfig
+	// profiled is each profiled model's cold-fleet service time.
+	profiled map[string]time.Duration
 
 	// prev holds each replica's last-seen per-model online-latency
 	// histogram snapshot (Engine.OnlineLatency); a period's measurement is
@@ -151,14 +143,11 @@ func NewAutoscaler(cfg AutoscalerConfig) (*Autoscaler, error) {
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = DefaultDrainTimeout
 	}
-	if cfg.ServiceTime == nil && len(cfg.Profiles) > 0 {
-		profiled := make(map[string]time.Duration, len(cfg.Profiles))
-		for m, sc := range cfg.Profiles {
-			profiled[m] = time.Duration(sc.Compute().Online() * float64(time.Second))
-		}
-		cfg.ServiceTime = func(model string) time.Duration { return profiled[model] }
+	profiled := make(map[string]time.Duration, len(cfg.Profiles))
+	for m, sc := range cfg.Profiles {
+		profiled[m] = time.Duration(sc.Compute().Online() * float64(time.Second))
 	}
-	return &Autoscaler{cfg: cfg, prev: map[int]map[string]obs.HistogramSnapshot{}}, nil
+	return &Autoscaler{cfg: cfg, profiled: profiled, prev: map[int]map[string]obs.HistogramSnapshot{}}, nil
 }
 
 // Run executes control periods until ctx ends.
@@ -266,12 +255,10 @@ func (a *Autoscaler) measure(reps []*Replica) []ModelLoad {
 			l.ServiceP99 = w.P99()
 		}
 		if l.Service <= 0 {
-			if a.cfg.ServiceTime != nil {
-				l.Service = a.cfg.ServiceTime(l.Model)
-			}
-			if l.Service <= 0 {
-				l.Service = DefaultServiceTime
-			}
+			l.Service = a.profiled[l.Model]
+		}
+		if l.Service <= 0 {
+			l.Service = DefaultServiceTime
 		}
 		loads = append(loads, *l)
 	}
@@ -279,10 +266,10 @@ func (a *Autoscaler) measure(reps []*Replica) []ModelLoad {
 	return loads
 }
 
-// rebudget re-divides the fleet-global storage and artifact budgets evenly
-// across the current in-process replicas.
+// rebudget re-divides the fleet-global storage budget evenly across the
+// current in-process replicas.
 func (a *Autoscaler) rebudget() {
-	if a.cfg.StorageSlots == 0 && a.cfg.ArtifactBytes == 0 {
+	if a.cfg.StorageSlots == 0 {
 		return
 	}
 	reps := a.cfg.Router.Replicas()
@@ -296,14 +283,8 @@ func (a *Autoscaler) rebudget() {
 		return
 	}
 	for _, rep := range reps {
-		if rep.eng == nil {
-			continue
-		}
-		if a.cfg.StorageSlots != 0 {
+		if rep.eng != nil {
 			rep.eng.SetStorageBudget(a.cfg.StorageSlots / n)
-		}
-		if a.cfg.ArtifactBytes != 0 {
-			rep.eng.Registry().SetBudget(a.cfg.ArtifactBytes / int64(n))
 		}
 	}
 }

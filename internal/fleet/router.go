@@ -50,17 +50,15 @@ type Config struct {
 	// SpillFactor × (fleet mean + 1). Higher values favor artifact
 	// locality; 0 uses DefaultSpillFactor.
 	SpillFactor float64
-	// MaxTickets bounds the ticket→replica sticky map; 0 uses
-	// DefaultMaxTickets. Overflow drops arbitrary entries — a dropped
-	// mapping only costs the hashed route, where the ticket misses and the
-	// session falls back to full base OTs.
-	MaxTickets int
 }
 
-// Defaults for Config zero values.
 const (
+	// DefaultSpillFactor is the SpillFactor a zero Config uses.
 	DefaultSpillFactor = 2.0
-	DefaultMaxTickets  = 4096
+	// DefaultMaxTickets bounds the ticket→replica sticky map. Overflow drops
+	// arbitrary entries — a dropped mapping only costs the hashed route,
+	// where the ticket misses and the session falls back to full base OTs.
+	DefaultMaxTickets = 4096
 )
 
 // Replica is one backend serving engine under the router: an in-process
@@ -118,9 +116,6 @@ type Router struct {
 func NewRouter(cfg Config) *Router {
 	if cfg.SpillFactor <= 0 {
 		cfg.SpillFactor = DefaultSpillFactor
-	}
-	if cfg.MaxTickets <= 0 {
-		cfg.MaxTickets = DefaultMaxTickets
 	}
 	return &Router{cfg: cfg, tickets: map[string]*Replica{}, conns: map[*transport.Conn]struct{}{}, met: newRouterMetrics()}
 }
@@ -476,7 +471,7 @@ func (r *Router) learn(hello *serve.ClientHello, w *serve.WelcomeInfo, rep *Repl
 		delete(r.tickets, string(hello.Ticket))
 	}
 	if len(w.Ticket) > 0 {
-		if len(r.tickets) >= r.cfg.MaxTickets {
+		if len(r.tickets) >= DefaultMaxTickets {
 			for k := range r.tickets {
 				delete(r.tickets, k)
 				break

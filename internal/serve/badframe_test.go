@@ -80,23 +80,27 @@ func TestGarbageOpcodeInSession(t *testing.T) {
 }
 
 // TestConnectRejectsDegenerateWelcome: a server whose welcome describes a
-// layer with non-positive dims is speaking something else — Connect fails
-// with ErrBadFrame instead of dividing by zero laying out the layer's
-// matvec plan.
+// model no circuit or plan can be built for is speaking something else —
+// Connect fails with ErrBadFrame instead of dividing by zero laying out a
+// layer's matvec plan, or indexing the ReLU circuit's wires out of range.
 func TestConnectRejectsDegenerateWelcome(t *testing.T) {
-	cli, srv := transport.Pipe()
-	defer cli.Close()
-	defer srv.Close()
-	w := welcomeMsg{
-		Version: wireVersion,
-		RingN:   bfv.DefaultN,
-		Meta:    delphi.ModelMeta{P: field.P20, Frac: 4, Dims: []delphi.LayerDim{{In: 0, Out: 0}}},
-	}
-	// The pipe buffers, so the fake server can answer before it is asked.
-	if err := sendCtrl(srv, opWelcome, marshalJSON(w)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Connect(cli, nil); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("Connect error = %v, want ErrBadFrame", err)
+	for name, meta := range map[string]delphi.ModelMeta{
+		"non-positive dims": {P: field.P20, Frac: 4, Dims: []delphi.LayerDim{{In: 0, Out: 0}}},
+		"shift past the field width": {P: field.P20, Frac: 4,
+			Dims: []delphi.LayerDim{{In: 4, Out: 3}, {In: 3, Out: 2}}, Shifts: []uint{1 << 63}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			cli, srv := transport.Pipe()
+			defer cli.Close()
+			defer srv.Close()
+			w := welcomeMsg{Version: wireVersion, RingN: bfv.DefaultN, Meta: meta}
+			// The pipe buffers, so the fake server can answer before it is asked.
+			if err := sendCtrl(srv, opWelcome, marshalJSON(w)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Connect(cli, nil); !errors.Is(err, ErrBadFrame) {
+				t.Fatalf("Connect error = %v, want ErrBadFrame", err)
+			}
+		})
 	}
 }

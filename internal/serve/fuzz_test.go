@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -68,7 +70,7 @@ func FuzzPreambleUnmarshal(f *testing.F) {
 	}
 	f.Add(empty)
 
-	full := &Preamble{shared: map[string]*delphi.ClientShared{}}
+	full := NewPreamble()
 	id := make([]byte, ticketIDBytes)
 	for i := range id {
 		id[i] = byte(i)
@@ -85,11 +87,6 @@ func FuzzPreambleUnmarshal(f *testing.F) {
 	if _, err := full.freshHEKeys(params, &seqEntropy{}); err != nil {
 		f.Fatal(err)
 	}
-	cs, err := delphi.NewClientShared(params, delphi.MetaOf(model))
-	if err != nil {
-		f.Fatal(err)
-	}
-	full.shared["m"] = cs
 	fullEnc, err := full.MarshalBinary()
 	if err != nil {
 		f.Fatal(err)
@@ -97,6 +94,13 @@ func FuzzPreambleUnmarshal(f *testing.F) {
 	f.Add(fullEnc)
 	f.Add(fullEnc[:len(fullEnc)/2])
 	f.Add([]byte{})
+	// A payload written while preambles stored their cached client
+	// artifacts: the decoder reads and discards the entry.
+	old, err := os.ReadFile(filepath.Join("testdata", "cachedartifact", "client.pipre"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(old[storeHeaderBytes:])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := UnmarshalPreamble(data)

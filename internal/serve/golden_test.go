@@ -12,14 +12,19 @@ import (
 	"privinf/internal/delphi"
 	"privinf/internal/field"
 	"privinf/internal/nn"
+	"privinf/internal/ot"
 )
 
 // On-disk compatibility goldens: testdata/golden holds one file per durable
 // format (PIAF artifact, PITK ticket record, PIPB preamble), written from
-// the fixed inputs below by the three hand-written stores at commit 61793ac,
-// the last commit before they became one durableStore. The test proves no
-// byte on disk has moved since. Regenerate only for a deliberate
-// format-version bump:
+// the fixed inputs below. ticket.pitk was written by the hand-written
+// ticket store at commit 61793ac, the last commit before the three stores
+// became one durableStore. toy.piart and client.pipre were regenerated once
+// when the stores stopped persisting what a party derives from ModelMeta:
+// PIAF v2 holds no plans or circuits, and a PIPB v1 preamble no cached
+// client artifact (testdata/cachedartifact keeps the preamble as written
+// before). The test proves no byte on disk has moved since. Regenerate only
+// for a deliberate format-version bump:
 //
 //	go test ./internal/serve -run TestGoldenFiles -update
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden from the current code")
@@ -60,7 +65,7 @@ func goldenTicket(t *testing.T) ticketRecord {
 
 // goldenPreamble is a preamble populated the way a real repeat client's
 // is — ticket + OT state, a derived HE key generation, one cached client
-// artifact — from fixed inputs.
+// artifact, which is not written — from fixed inputs.
 func goldenPreamble(t *testing.T) *Preamble {
 	t.Helper()
 	params := goldenParams(t)
@@ -125,4 +130,83 @@ func TestGoldenFiles(t *testing.T) {
 	t.Run("artifact", func(t *testing.T) { checkGolden(t, "toy.piart", artifactRow()) })
 	t.Run("ticket", func(t *testing.T) { checkGolden(t, "ticket.pitk", ticketRow()) })
 	t.Run("preamble", func(t *testing.T) { checkGolden(t, "client.pipre", preambleRow()) })
+}
+
+// TestPreambleWithCachedArtifactLoads: testdata/cachedartifact/client.pipre
+// is the golden preamble as written while preambles still stored each
+// cached client artifact — the same PIPB v1 frame, with one (name,
+// artifact) entry after the keys. It loads with its ticket, OT state and HE
+// keys intact and the entry discarded, re-saves as today's golden, and
+// resumes a session, whose client artifact is rebuilt from the welcome.
+func TestPreambleWithCachedArtifactLoads(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "cachedartifact"))); err != nil {
+		t.Fatal(err)
+	}
+	ps, err := NewPreambleStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := ps.Load("client")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.shared) != 0 {
+		t.Fatalf("loaded %d cached artifacts, want the stored one discarded", len(p.shared))
+	}
+	if err := ps.Save("client", p); err != nil {
+		t.Fatal(err)
+	}
+	resaved, err := os.ReadFile(ps.Path("client"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden", "client.pipre"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resaved, golden) {
+		t.Fatalf("re-saved preamble is %d bytes and differs from the %d-byte golden", len(resaved), len(golden))
+	}
+
+	// The engine holds the ticket with a receiver state matching the
+	// fixture's sender state: seed i of the pair the sender's choice bit s_i
+	// picks is the sender's seed i; the other seed is arbitrary.
+	snd, err := p.state.Sender.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rcv := []byte{2} // receiver-only OTResume flag
+	for i := 0; i < ot.SenderStateBytes/ot.KeySize-1; i++ {
+		pair := make([]byte, 2*ot.KeySize)
+		s := int(snd[i/8] >> (i % 8) & 1)
+		copy(pair[s*ot.KeySize:], snd[(i+1)*ot.KeySize:(i+2)*ot.KeySize])
+		rcv = append(rcv, pair...)
+	}
+	rec := goldenTicket(t)
+	if rec.state, err = delphi.UnmarshalOTResume(rcv); err != nil {
+		t.Fatal(err)
+	}
+	tickets := t.TempDir()
+	ts, err := newTicketStore(tickets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ts.save(rec); err != nil {
+		t.Fatal(err)
+	}
+	art, err := delphi.NewSharedModel(goldenParams(t), goldenNet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ln := pipeEngine(t, Config{Artifact: art, Variant: delphi.ClientGarbler, TicketDir: tickets})
+	c := connectPreamble(t, ln, "", p)
+	defer c.Close()
+	if !c.Resumed() {
+		t.Fatal("connect on the fixture's ticket did not resume")
+	}
+	inferOnce(t, c, goldenNet())
+	if len(p.shared) != 1 {
+		t.Fatalf("preamble caches %d artifacts after the session, want the rebuilt one", len(p.shared))
+	}
 }

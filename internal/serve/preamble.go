@@ -19,8 +19,9 @@ import (
 //     the public-key base OTs entirely; and
 //   - per-model shared client artifacts (delphi.ClientShared: ReLU
 //     circuits + matvec plans, no secrets), the client-side analog of the
-//     server's SharedModel, built once per model and reused across all of
-//     that client's sessions; and
+//     server's SharedModel, built once per process per model from the
+//     welcome's metadata and reused across all of that client's sessions
+//     (a PreambleStore does not persist them); and
 //   - a master HE key seed plus the BFV key pair derived from it for the
 //     current ticket generation, so a resumed connect skips both the BFV
 //     keygen and the public-key flight (the server validated and discarded

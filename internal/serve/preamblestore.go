@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"privinf/internal/bfv"
 	"privinf/internal/bin"
@@ -16,7 +15,8 @@ import (
 // client, session resumption survives full process restarts of either or
 // both parties — a cold client process loads its preamble and reconnects
 // on the resumed fast path: no base OTs, no BFV keygen, no public-key
-// flight, no circuit builds.
+// flight. Circuits and plans are not stored: they are rebuilt once per
+// process per model, from the welcome's metadata.
 //
 // Files use the serve package's shared framing (see framing.go) and
 // atomic-write discipline, with typed failure sentinels: a missing file is
@@ -104,9 +104,9 @@ func (ps *PreambleStore) Forget(name string) error { return ps.ds.remove(name) }
 
 // MarshalBinary encodes a snapshot of the preamble for UnmarshalPreamble:
 // the ticket/OT-state pair, the HE master seed, derivation nonce and
-// cached key pair, and the per-model shared artifacts (sorted by name for
-// a deterministic encoding). Integrity and versioning belong to the
-// enclosing frame.
+// cached key pair, and an artifact count that is always zero — the cached
+// client artifacts are derived state (see delphi.ClientShared). Integrity
+// and versioning belong to the enclosing frame.
 func (p *Preamble) MarshalBinary() ([]byte, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -141,28 +141,16 @@ func (p *Preamble) MarshalBinary() ([]byte, error) {
 	} else {
 		w.U64(0)
 	}
-	names := make([]string, 0, len(p.shared))
-	for name := range p.shared {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	w.U64(uint64(len(names)))
-	for _, name := range names {
-		raw, err := p.shared[name].MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		w.Blob([]byte(name))
-		w.Blob(raw)
-	}
+	w.U64(0)
 	return w.Buf, nil
 }
 
 // UnmarshalPreamble decodes a payload produced by Preamble.MarshalBinary,
 // rejecting truncated fields, hostile lengths, inconsistent key material
-// and trailing bytes. A decoded preamble is immediately usable: artifacts
-// are revalidated and rebuilt through the delphi codec, and a cached key
-// pair is degree-checked against its recorded parameter set.
+// and trailing bytes. A decoded preamble is immediately usable: a cached
+// key pair is degree-checked against its recorded parameter set. The
+// (name, artifact) entries an older writer stored after the keys are read
+// and discarded; sharedFor rebuilds each artifact on its first use.
 func UnmarshalPreamble(data []byte) (*Preamble, error) {
 	r := bin.NewReader(data)
 	p := NewPreamble()
@@ -220,23 +208,9 @@ func UnmarshalPreamble(data []byte) (*Preamble, error) {
 		}
 		p.heKeys, p.heParams = &keys, params
 	}
-	for i, numShared := 0, r.Count(16); i < numShared; i++ {
-		name := r.Blob()
-		raw := r.Blob()
-		if r.Err() != nil {
-			return nil, fmt.Errorf("serve: preamble: %w", r.Err())
-		}
-		if len(name) == 0 {
-			return nil, fmt.Errorf("serve: preamble shared artifact %d has empty name", i)
-		}
-		cs, err := delphi.UnmarshalClientShared(raw)
-		if err != nil {
-			return nil, err
-		}
-		if _, dup := p.shared[string(name)]; dup {
-			return nil, fmt.Errorf("serve: preamble shared artifact %q duplicated", name)
-		}
-		p.shared[string(name)] = cs
+	for i, n := 0, r.Count(16); i < n; i++ {
+		r.Blob()
+		r.Blob()
 	}
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("serve: preamble: %w", err)

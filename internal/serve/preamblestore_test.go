@@ -5,7 +5,6 @@ import (
 
 	"privinf/internal/bfv"
 	"privinf/internal/bin"
-	"privinf/internal/delphi"
 )
 
 // seqEntropy is a deterministic entropy source for tests that exercise the
@@ -91,16 +90,6 @@ func TestUnmarshalPreambleRejectsSemanticDamage(t *testing.T) {
 			w.U64(0)
 			w.U64(1 << 40)
 		},
-		"empty artifact name": func(w *bin.Writer) {
-			w.Blob(nil)
-			w.U64(0)
-			w.Blob(nil)
-			w.U64(0)
-			w.U64(0)
-			w.U64(1)
-			w.Blob(nil)
-			w.Blob(nil)
-		},
 		"trailing bytes": func(w *bin.Writer) {
 			w.Blob(nil)
 			w.U64(0)
@@ -117,34 +106,5 @@ func TestUnmarshalPreambleRejectsSemanticDamage(t *testing.T) {
 		if _, err := UnmarshalPreamble(w.Buf); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
-	}
-}
-
-// TestUnmarshalPreambleRejectsDuplicateArtifacts: two shared artifacts
-// under the same model name cannot both win; the payload is rejected.
-func TestUnmarshalPreambleRejectsDuplicateArtifacts(t *testing.T) {
-	model := testModel(t, 151)
-	params := mustParams(t, model)
-	cs, err := delphi.NewClientShared(params, delphi.MetaOf(model))
-	if err != nil {
-		t.Fatal(err)
-	}
-	csRaw, err := cs.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var w bin.Writer
-	w.Blob(nil)
-	w.U64(0)
-	w.Blob(nil)
-	w.U64(0)
-	w.U64(0)
-	w.U64(2)
-	for i := 0; i < 2; i++ {
-		w.Blob([]byte("m"))
-		w.Blob(csRaw)
-	}
-	if _, err := UnmarshalPreamble(w.Buf); err == nil {
-		t.Fatal("duplicate artifact names accepted")
 	}
 }

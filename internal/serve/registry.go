@@ -126,18 +126,6 @@ func NewRegistryWithStore(budgetBytes int64, store *ArtifactStore) *Registry {
 // Store returns the registry's artifact store (nil when memory-only).
 func (r *Registry) Store() *ArtifactStore { return r.store }
 
-// SetBudget replaces the byte budget at runtime (<= 0 means unbounded) and
-// immediately evicts least-recently-used artifacts until the new budget
-// holds (spilling to the store when one is attached). This is the
-// autoscaler's lever for re-dividing a fleet-global storage budget across
-// replicas as the replica set grows and shrinks.
-func (r *Registry) SetBudget(budgetBytes int64) {
-	r.mu.Lock()
-	r.budget = budgetBytes
-	r.evictOver(nil)
-	r.mu.Unlock()
-}
-
 // Register adds a named model whose artifact is resolved lazily on first
 // request (and re-resolved after eviction): loaded from the store when a
 // valid file exists, built otherwise.

@@ -74,8 +74,9 @@ var (
 
 // storeFormatVersion is bumped whenever the file framing or the embedded
 // codec layout changes; readers reject any other version (the registry then
-// rebuilds and Save overwrites the stale file).
-const storeFormatVersion = 1
+// rebuilds and Save overwrites the stale file). Version 2 stopped storing
+// matvec plans and ReLU circuits.
+const storeFormatVersion = 2
 
 // storeChecksum is the payload checksum: CRC-32C over the payload bytes.
 func storeChecksum(payload []byte) uint32 {

@@ -42,8 +42,10 @@ const (
 	// bytes) instead of three of MODP-1536 elements and encrypted seed pairs
 	// (192 + 24,576 + 4,096 bytes); version 5 hashed the OT extension's
 	// ciphertexts with fixed-key AES where 4 used SHA-256. Durable state
-	// (tickets, preambles, artifacts) holds seeds, never group elements,
-	// ciphertexts or precomputed OTs, and carries across every bump.
+	// (tickets, preambles, artifacts) holds seeds, keys and encoded weights,
+	// never group elements, ciphertexts, precomputed OTs, or the circuits
+	// and plans both ends derive from the model metadata, and so carries
+	// across every bump, a circuit change included.
 	wireVersion = 7
 
 	tagData byte = 0x00
