@@ -166,9 +166,10 @@ type OfflineReport struct {
 	BytesRecv  uint64
 	// GCStoreBytes is the garbled-circuit state this party holds from the
 	// pre-compute until its online phase: stored tables, decode bits and
-	// labels, and precomputed label-OT state (a client garbler's 32 B per
-	// OT plus one offset per unit, its evaluator's pad and choice bit). A
-	// server garbler's own encodings are not counted.
+	// labels, precomputed label-OT state (a client garbler's 16 B per OT
+	// plus one offset per unit, its evaluator's 16 B key and choice bit per
+	// OT), and a server garbler's encodings (16 B per circuit input plus
+	// the offset, per unit).
 	GCStoreBytes uint64
 }
 

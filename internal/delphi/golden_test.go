@@ -76,7 +76,12 @@ func (h *hashConn) cut(variant Variant, phase string) string {
 // s2c and cg offline c2s, each 50,688 bytes shorter, 32 bytes for each AND
 // removed), and the other six lines kept every byte and digest, because the
 // label draws, the OT traffic and the output shares do not depend on the
-// gate count.
+// gate count. Wire v9 made every label OT correlated: cg offline c2s grew
+// by the t frames (16 bytes an a-label OT, 15,360 bytes), cg online c2s
+// shrank by as much (one masked label an OT instead of two), and sg offline
+// s2c kept its byte count and changed its digest (each b/r OT batch is now
+// a t and a z frame instead of a y frame); the u frames, and with them
+// both s2c lines of Client-Garbler, kept every byte and digest.
 func TestGCWireGolden(t *testing.T) {
 	model, err := nn.DemoMLP(field.New(field.P20), 7)
 	if err != nil {

@@ -112,12 +112,17 @@ type storedLayer struct {
 }
 
 // storeBytes totals the garbled-circuit state one pre-compute holds until
-// online: stored circuits and labels, and precomputed OT state. A server
-// garbler's own encodings are not counted.
+// online: stored circuits and labels, precomputed OT state, and a server
+// garbler's encodings (every input's false label and the offset, a unit).
 func (g *gcPre) storeBytes() uint64 {
 	n := g.otBytes
 	for _, l := range g.stored {
 		n += l.bytes
+	}
+	for _, layer := range g.encs {
+		for _, e := range layer {
+			n += uint64(len(e.Inputs)+1) * garble.LabelSize
+		}
 	}
 	return n
 }

@@ -45,8 +45,8 @@
 // one column: bit i%8 of byte i/8 is row i. The same order packs the choice
 // bits r, the sender's correlation bits s, and each row of the correction
 // frame u the receiver sends (kappa rows of mBytes bytes, row-major; row i is
-// t_i ⊕ PRG(k_i^1) ⊕ r, built in one pass). The sender's answer y is m pairs
-// of 16-byte ciphertexts, y_j^0 then y_j^1.
+// t_i ⊕ PRG(k_i^1) ⊕ r, built in one pass). The sender's t and z frames are
+// m 16-byte blocks each, OT j at byte 16j.
 //
 // transpose turns rows into columns on 8×8 bit tiles: one byte from each of 8
 // rows gathered into a uint64, three masked shift-xor rounds, one byte
@@ -61,32 +61,38 @@
 //
 // # Precomputed OTs
 //
-// One extension (extend, u → pads) is a random OT: the receiver ends with
-// the pad m_c = H(t_j) of its choice bit c, the sender with both pads m0 =
-// H(q_j) and m1 = H(q_j ⊕ s). Send and Receive run it on the receiver's
-// real choices and answer at once for correction bits d = 0. Precompute runs
-// it ahead of use on uniformly random choices and binds the sender's pads to
-// its pairs as x0 ⊕ m0 and x0 ⊕ m1, with x1 = x0 ⊕ delta held once per group
-// of OTs. Online, SendPrecomputed and ReceivePrecomputed exchange two frames:
-// "d", the receiver's d = a ⊕ c for its real choices a, packed like r, and
-// "z", laid out like y: x0 ⊕ m_d then x1 ⊕ m_{1−d}. No PRG, transpose or
-// hash runs online. Both kinds share the extend step, the sender's answer
-// and the receiver's open, so a chosen OT is byte for byte a random OT
-// derandomized with d = 0. A precomputed batch is used once.
+// One extension (extend: u, then t) is a correlated random OT. The receiver
+// holds the pad m_c = H(t_j) of its choice bit c, the sender both pads m0 =
+// H(q_j) and m1 = H(q_j ⊕ s) and the pair (x0, x1) it binds them to, with
+// offset Δ = x0 ⊕ x1. The sender sends "t", t_j = Δ ⊕ m0 ⊕ m1, and keeps
+// w_j = x0 ⊕ m0; the receiver folds t into its pad, K_j = m_c ⊕ c·t_j =
+// x_c ⊕ w_j. An answer to correction bits d is one frame "z", z_j = w_j ⊕
+// d_j·Δ, which the receiver opens as z_j ⊕ K_j = x_{c⊕d}. Send and Receive
+// run the extension on the receiver's real choices and answer at once for
+// d = 0: t then z, 32 bytes an OT. Precompute runs it ahead of use on
+// uniformly random choices, the t frame included; the sender keeps w and Δ
+// once per group of OTs (16 bytes an OT plus 16 a group), the receiver K
+// and c (16 bytes and a bit). Online, SendPrecomputed and ReceivePrecomputed
+// exchange "d", the receiver's d = a ⊕ c for its real choices a, packed
+// like r, and "z". No PRG, transpose or hash runs online. Both kinds share
+// the extend step, the sender's answer and the receiver's open, so a chosen
+// OT is byte for byte a random OT derandomized with d = 0. A precomputed
+// batch is used once. docs/invariants.md ("Label OT precomputation") says
+// why t may be sent before the choices exist.
 //
 // # Buffers
 //
-// A batch's buffers (slab, transposed columns, packed choice bits, the u or y
-// frame it builds) are allocated by the batch and dropped with it: a fixed
-// number of allocations a round whatever m is, none per OT. Keeping them on the
-// endpoint between batches was measured and bought 0.08 ms of an 11.2 ms
-// inference for 3 MiB (9 %) of resident set per serving process, so they
-// are not kept (docs/perf.md). None of them aliases a frame returned by
-// Recv, which belongs to the transport. Receive returns a slice the caller
-// owns — the transpose writes columns straight into it and the pads are
-// XORed in place — and Send only reads its argument; ReceivePrecomputed
-// returns the batch's own pad storage, opened in place. Neither endpoint is
-// safe for concurrent use.
+// A batch's buffers (slab, transposed columns, packed choice bits, the u or
+// z frame it builds; the sender's t frame reuses the slab) are allocated by
+// the batch and dropped with it: a fixed number of allocations a round
+// whatever m is, none per OT. Keeping them on the endpoint between batches
+// was measured and bought 0.08 ms of an 11.2 ms inference for 3 MiB (9 %)
+// of resident set per serving process, so they are not kept (docs/perf.md).
+// None of them aliases a frame returned by Recv, which belongs to the
+// transport. Receive returns a slice the caller owns — the transpose writes
+// columns straight into it and the pads are XORed in place — and Send only
+// reads its argument; ReceivePrecomputed returns the batch's own key
+// storage, opened in place. Neither endpoint is safe for concurrent use.
 //
 // # Errors
 //

@@ -20,10 +20,9 @@ const ReceiverStateBytes = KeySize * kappa * 2
 
 // MarshalBinary encodes the sender state.
 func (st *SenderState) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 0, SenderStateBytes)
-	out = append(out, st.sBlock[:]...)
-	for i := range st.seeds {
-		out = append(out, st.seeds[i][:]...)
+	out := append(make([]byte, 0, SenderStateBytes), st.sBlock[:]...)
+	for _, seed := range st.seeds {
+		out = append(out, seed[:]...)
 	}
 	return out, nil
 }
@@ -35,11 +34,9 @@ func (st *SenderState) UnmarshalBinary(data []byte) error {
 	if len(data) != SenderStateBytes {
 		return fmt.Errorf("ot: sender state is %d bytes, want %d", len(data), SenderStateBytes)
 	}
-	copy(st.sBlock[:], data[:KeySize])
-	off := KeySize
+	copy(st.sBlock[:], data)
 	for i := range st.seeds {
-		copy(st.seeds[i][:], data[off:off+KeySize])
-		off += KeySize
+		copy(st.seeds[i][:], data[KeySize*(i+1):])
 	}
 	return nil
 }
@@ -47,9 +44,8 @@ func (st *SenderState) UnmarshalBinary(data []byte) error {
 // MarshalBinary encodes the receiver state.
 func (st *ReceiverState) MarshalBinary() ([]byte, error) {
 	out := make([]byte, 0, ReceiverStateBytes)
-	for i := range st.seeds {
-		out = append(out, st.seeds[i][0][:]...)
-		out = append(out, st.seeds[i][1][:]...)
+	for _, pair := range st.seeds {
+		out = append(append(out, pair[0][:]...), pair[1][:]...)
 	}
 	return out, nil
 }
@@ -59,11 +55,9 @@ func (st *ReceiverState) UnmarshalBinary(data []byte) error {
 	if len(data) != ReceiverStateBytes {
 		return fmt.Errorf("ot: receiver state is %d bytes, want %d", len(data), ReceiverStateBytes)
 	}
-	off := 0
 	for i := range st.seeds {
-		copy(st.seeds[i][0][:], data[off:off+KeySize])
-		copy(st.seeds[i][1][:], data[off+KeySize:off+2*KeySize])
-		off += 2 * KeySize
+		copy(st.seeds[i][0][:], data[2*KeySize*i:])
+		copy(st.seeds[i][1][:], data[2*KeySize*i+KeySize:])
 	}
 	return nil
 }

@@ -48,11 +48,12 @@ func masterPair(a, b transport.MsgConn, ss *SenderState, rs *ReceiverState) (*Ex
 // TestIKNPGolden pins the extension's wire bytes on fixed base-OT states,
 // fresh (master seeds) and resumed, over batch sizes on both sides of every
 // byte and tile boundary: per batch the receiver's correction frame u, the
-// sender's ciphertext frame y and a digest of the delivered messages, each
-// line "endpoints frame bytes sha256". The u and got lines were generated by
-// the bit-at-a-time, slice-per-row implementation that preceded the tiled
-// kernel and have never changed; the y lines moved once, with the
-// extension's hash (wire v5).
+// sender's t and z frames and a digest of the delivered messages, each line
+// "endpoints frame bytes sha256". The u and got lines were generated by the
+// bit-at-a-time, slice-per-row implementation that preceded the tiled
+// kernel and have never changed. The sender's lines moved twice: with the
+// extension's hash (wire v5), and when the two-ciphertext y frame became the
+// correlated t and z frames (wire v9).
 func TestIKNPGolden(t *testing.T) {
 	ss, rs := goldenStates(t)
 	var got strings.Builder
@@ -64,9 +65,13 @@ func TestIKNPGolden(t *testing.T) {
 			for _, msg := range msgs {
 				h.Write(msg[:])
 			}
-			u, y := us.sent[i], ys.sent[i]
-			fmt.Fprintf(&got, "%s u %d %x\n%s y %d %x\n%s got %d %x\n",
-				tag, len(u), sha256.Sum256(u), tag, len(y), sha256.Sum256(y), tag, m, h.Sum(nil))
+			for _, f := range []struct {
+				name string
+				p    []byte
+			}{{"u", us.sent[i]}, {"t", ys.sent[2*i]}, {"z", ys.sent[2*i+1]}} {
+				fmt.Fprintf(&got, "%s %s %d %x\n", tag, f.name, len(f.p), sha256.Sum256(f.p))
+			}
+			fmt.Fprintf(&got, "%s got %d %x\n", tag, m, h.Sum(nil))
 		}
 	}
 	a, b := transport.Pipe()

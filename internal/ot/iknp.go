@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"privinf/internal/garble"
 	"privinf/internal/transport"
@@ -64,11 +65,11 @@ func NewExtSender(conn transport.MsgConn, src io.Reader) (*ExtSender, error) {
 // every later call returns that error and moves no bytes.
 func (s *ExtSender) Send(pairs [][2]Message) error {
 	return sticky(&s.err, len(pairs), func() error {
-		w, err := s.extend(pairs)
+		w, t, err := s.extend(pairs)
 		if err != nil {
 			return err
 		}
-		return s.conn.Send(answer(w, nil, nil, 1))
+		return s.conn.Send(answer(t, w, nil, nil, 1)) // z overwrites the sent t
 	})
 }
 
@@ -82,11 +83,11 @@ func sticky(err *error, m int, f func() error) error {
 }
 
 // SenderOTs is a batch of random OTs extended ahead of their use and bound
-// to the pairs they will transfer: OT j holds w = (x0 ⊕ m0, x1 ⊕ m1) for its
-// pair and its pads (m0, m1). The pairs come in groups of per OTs that share
-// one offset x0 ⊕ x1, kept once; under free-XOR a garbled unit's label pairs
-// are such a group, so a garbler's batch holds 32 bytes an OT plus 16 a
-// unit, and no encoding.
+// to the pairs they will transfer: OT j holds w = x0 ⊕ m0 for its pair and
+// pad m0. The pairs come in groups of per OTs that share one offset
+// x0 ⊕ x1, kept once; under free-XOR a garbled unit's label pairs are such a
+// group, so a garbler's batch holds 16 bytes an OT plus 16 a unit, and no
+// encoding.
 type SenderOTs struct {
 	w, delta []Message
 	per      int
@@ -105,19 +106,20 @@ func (s *ExtSender) Precompute(pairs [][2]Message, per int) (*SenderOTs, error) 
 	for g := range b.delta {
 		xor(&b.delta[g], &pairs[g*per][0], &pairs[g*per][1])
 	}
-	return b, sticky(&s.err, len(pairs), func() (err error) {
-		b.w, err = s.extend(pairs)
+	return b, sticky(&s.err, len(pairs), func() error {
+		w, _, err := s.extend(pairs)
+		b.w = slices.Clone(w) // w shares its array with the m1 pads
 		return err
 	})
 }
 
 // SendPrecomputed is a batch's online leg: it receives the correction bits
-// d = a ⊕ c, one per OT, and answers with the pairs masked by the pads d
-// selects. A batch is sent once: a second answer on the same pads would
-// give away both messages. Failures poison the endpoint as in Send.
+// d = a ⊕ c, one per OT, and answers z = w ⊕ d·Δ. A batch is sent once: a
+// second answer on the same pads would give away Δ, and with it both
+// messages. Failures poison the endpoint as in Send.
 func (s *ExtSender) SendPrecomputed(b *SenderOTs) error {
 	if b.spent {
-		return fmt.Errorf("ot: batch of %d OTs already sent", len(b.w)/2)
+		return fmt.Errorf("ot: batch of %d OTs already sent", len(b.w))
 	}
 	b.spent = true
 	return sticky(&s.err, len(b.w), func() error {
@@ -125,29 +127,25 @@ func (s *ExtSender) SendPrecomputed(b *SenderOTs) error {
 		if err != nil {
 			return err
 		}
-		if want := (len(b.w)/2 + 7) / 8; len(d) != want {
+		if want := (len(b.w) + 7) / 8; len(d) != want {
 			return &FrameSizeError{Frame: "d", Got: len(d), Want: want}
 		}
-		return s.conn.Send(answer(b.w, d, b.delta, b.per))
+		return s.conn.Send(answer(make([]byte, KeySize*len(b.w)), b.w, d, b.delta, b.per))
 	})
 }
 
-// answer is the sender's reply to correction bits d (nil: all zero) on pads
-// w bound to their pairs: x0 ⊕ m0 at 2j and x1 ⊕ m1 at 2j+1, which is the
-// reply to d_j = 0. Where d_j = 1 the reply is x0 ⊕ m1 then x1 ⊕ m0: the
-// two swapped, each XORed with x0 ⊕ x1 = delta[j/per].
-func answer(w []Message, d []byte, delta []Message, per int) []byte {
-	y := make([]byte, KeySize*len(w))
-	for j := 0; j < len(w)/2; j++ {
-		z0, z1 := (*Message)(y[2*KeySize*j:]), (*Message)(y[2*KeySize*j+KeySize:])
-		if d != nil && bit(d, j) {
-			xor(z0, &w[2*j+1], &delta[j/per])
-			xor(z1, &w[2*j], &delta[j/per])
+// answer writes into z and returns the sender's z frame for correction bits
+// d (nil: all zero) on pads w bound to their pairs, w_j = x0 ⊕ m0: z_j =
+// w_j ⊕ d_j·delta[j/per], with delta the pairs' offset x0 ⊕ x1.
+func answer(z []byte, w []Message, d []byte, delta []Message, per int) []byte {
+	for j := range w {
+		if zj := (*Message)(z[KeySize*j:]); d != nil && bit(d, j) {
+			xor(zj, &w[j], &delta[j/per])
 		} else {
-			*z0, *z1 = w[2*j], w[2*j+1]
+			*zj = w[j]
 		}
 	}
-	return y
+	return z
 }
 
 // xor sets *dst = *a ⊕ *b a word at a time; dst may be a or b. Pointers,
@@ -160,17 +158,19 @@ func xor(dst, a, b *Message) {
 }
 
 // extend is the sender's half of one extension of len(pairs) > 0 OTs: it
-// receives the correction matrix u and returns the pads bound to the
-// pairs, x0 ⊕ m0 for OT j at 2j and x1 ⊕ m1 at 2j+1.
-func (s *ExtSender) extend(pairs [][2]Message) ([]Message, error) {
+// receives the correction matrix u and sends the t frame, t_j = x0 ⊕ x1 ⊕
+// m0 ⊕ m1. It returns the pads bound to the pairs, w_j = x0 ⊕ m0, in the
+// lower half of an array whose upper half held the m1 pads, and the t
+// frame's buffer, which the transport has done with.
+func (s *ExtSender) extend(pairs [][2]Message) ([]Message, []byte, error) {
 	m := len(pairs)
 	mBytes := (m + 7) / 8
 	u, err := s.conn.Recv()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(u) != kappa*mBytes {
-		return nil, &FrameSizeError{Frame: "u", Got: len(u), Want: kappa * mBytes}
+		return nil, nil, &FrameSizeError{Frame: "u", Got: len(u), Want: kappa * mBytes}
 	}
 
 	// q_i = PRG(k_i) ⊕ s_i·u_i: the keystream is XORed over u_i or zeros.
@@ -183,35 +183,37 @@ func (s *ExtSender) extend(pairs [][2]Message) ([]Message, error) {
 		}
 		s.streams[i].XORKeyStream(row, row)
 	}
-	// The pads of OT j are q_j at 2j and q_j ⊕ s at 2j+1: transposed into
-	// the lower half, then spread from the top down so no q_j is overwritten
-	// before it is read.
+	// The pads of OT j are q_j at j and q_j ⊕ s at m+j. The slab is free
+	// once transposed, and t fills its first 16m bytes (kappa*mBytes ≥ 16m).
 	pads := make([]Message, 2*m)
-	transpose(pads[:m], rows, mBytes)
-	for j := m - 1; j >= 0; j-- {
-		pads[2*j] = pads[j]
-		xor(&pads[2*j+1], &pads[2*j], &s.st.sBlock)
+	m0, m1 := pads[:m], pads[m:]
+	transpose(m0, rows, mBytes)
+	for j := range m0 {
+		xor(&m1[j], &m0[j], &s.st.sBlock)
 	}
-	hashPads(&s.h, pads, s.otIndex, 2)
+	hashPads(&s.h, m0, s.otIndex)
+	hashPads(&s.h, m1, s.otIndex)
 	s.otIndex += uint64(m)
-	for j := range pairs {
-		xor(&pads[2*j], &pads[2*j], &pairs[j][0])
-		xor(&pads[2*j+1], &pads[2*j+1], &pairs[j][1])
+	t := rows[:KeySize*m]
+	for j, p := range pairs {
+		xor(&m0[j], &m0[j], &p[0])
+		xor(&m1[j], &m1[j], &p[1])
+		xor((*Message)(t[KeySize*j:]), &m0[j], &m1[j])
 	}
-	return pads, nil
+	return m0, t, s.conn.Send(t)
 }
 
 // otChunk bounds the run of tweaks hashPads builds on its stack.
 const otChunk = 256
 
 // hashPads replaces every pad with its hash, pad i under the tweak of OT
-// first + i/perOT, one HashBatch call per otChunk pads.
-func hashPads(h *garble.Hasher, pads []Message, first uint64, perOT int) {
+// first + i, one HashBatch call per otChunk pads.
+func hashPads(h *garble.Hasher, pads []Message, first uint64) {
 	var tweaks [otChunk]uint64
 	for lo := 0; lo < len(pads); lo += otChunk {
 		run := pads[lo:min(lo+otChunk, len(pads))]
 		for i := range run {
-			tweaks[i] = otTweak | (first + uint64((lo+i)/perOT))
+			tweaks[i] = otTweak | (first + uint64(lo+i))
 		}
 		h.HashBatch(run, run, tweaks[:len(run)])
 	}
@@ -247,7 +249,7 @@ func (r *ExtReceiver) Receive(choices []bool) ([]Message, error) {
 	var out []Message
 	err := sticky(&r.err, len(choices), func() (err error) {
 		if out, err = r.extend(pack(choices), len(choices)); err == nil {
-			err = r.open(out, choices, "y")
+			err = recvInto(r.conn, "z", out, nil)
 		}
 		return err
 	})
@@ -258,19 +260,19 @@ func (r *ExtReceiver) Receive(choices []bool) ([]Message, error) {
 }
 
 // ReceiverOTs is a batch of random OTs extended ahead of their use: random
-// choice bits c, packed, and the pad m_c of each OT.
+// choice bits c, packed, and the key K = m_c ⊕ c·t of each OT.
 type ReceiverOTs struct {
 	c     []byte
-	mc    []Message
+	k     []Message
 	spent bool
 }
 
 // SizeBytes reports the batch's resident footprint.
-func (b *ReceiverOTs) SizeBytes() uint64 { return uint64(len(b.mc)*KeySize + len(b.c)) }
+func (b *ReceiverOTs) SizeBytes() uint64 { return uint64(len(b.k)*KeySize + len(b.c)) }
 
 // Precompute runs m random OTs on choice bits drawn from src (nil means
-// crypto/rand), sending the u frame the sender's Precompute answers.
-// Failures poison the endpoint as in Receive.
+// crypto/rand): it sends the u frame the sender's Precompute answers with
+// its t frame. Failures poison the endpoint as in Receive.
 func (r *ExtReceiver) Precompute(m int, src io.Reader) (*ReceiverOTs, error) {
 	if src == nil {
 		src = rand.Reader
@@ -281,7 +283,7 @@ func (r *ExtReceiver) Precompute(m int, src io.Reader) (*ReceiverOTs, error) {
 	}
 	return b, sticky(&r.err, m, func() (err error) {
 		b.c[len(b.c)-1] &= 0xFF >> (7 - (m-1)%8) // no choice bits past m
-		b.mc, err = r.extend(b.c, m)
+		b.k, err = r.extend(b.c, m)
 		return err
 	})
 }
@@ -291,8 +293,8 @@ func (r *ExtReceiver) Precompute(m int, src io.Reader) (*ReceiverOTs, error) {
 // batch's own storage, which it returns. A batch is received once. Failures
 // poison the endpoint as in Receive.
 func (r *ExtReceiver) ReceivePrecomputed(b *ReceiverOTs, choices []bool) ([]Message, error) {
-	if b.spent || len(choices) != len(b.mc) {
-		return nil, fmt.Errorf("ot: %d choices for a batch of %d OTs, spent %v", len(choices), len(b.mc), b.spent)
+	if b.spent || len(choices) != len(b.k) {
+		return nil, fmt.Errorf("ot: %d choices for a batch of %d OTs, spent %v", len(choices), len(b.k), b.spent)
 	}
 	b.spent = true
 	err := sticky(&r.err, len(choices), func() error {
@@ -301,22 +303,22 @@ func (r *ExtReceiver) ReceivePrecomputed(b *ReceiverOTs, choices []bool) ([]Mess
 		if err := r.conn.Send(d); err != nil {
 			return err
 		}
-		return r.open(b.mc, choices, "z")
+		return recvInto(r.conn, "z", b.k, nil)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return b.mc, nil
+	return b.k, nil
 }
 
 // extend is the receiver's half of one extension of m > 0 OTs on the
-// packed choice bits rBits: it sends u and returns each OT's pad of the
-// chosen message, H(t_j).
+// packed choice bits rBits: it sends u, receives the sender's t frame and
+// returns each OT's key K_j = H(t_j) ⊕ r_j·t_j, which is x_r ⊕ w_j.
 func (r *ExtReceiver) extend(rBits []byte, m int) ([]Message, error) {
 	mBytes := len(rBits)
 	// t_i = PRG(k_i^0); u_i = t_i ⊕ r ⊕ PRG(k_i^1).
-	rows := make([]byte, kappa*mBytes)
-	u := make([]byte, kappa*mBytes)
+	slab := make([]byte, 2*kappa*mBytes)
+	rows, u := slab[:kappa*mBytes], slab[kappa*mBytes:]
 	for i := range r.streams0 {
 		t, ui := rows[i*mBytes:(i+1)*mBytes], u[i*mBytes:(i+1)*mBytes]
 		r.streams0[i].XORKeyStream(t, t)
@@ -326,27 +328,30 @@ func (r *ExtReceiver) extend(rBits []byte, m int) ([]Message, error) {
 	if err := r.conn.Send(u); err != nil {
 		return nil, err
 	}
-	// The pads H(t_j) are ready before the sender's answer arrives.
+	// The pads H(t_j) are ready before the sender's t frame arrives.
 	pads := make([]Message, m)
 	transpose(pads, rows, mBytes)
-	hashPads(&r.h, pads, r.otIndex, 1)
+	hashPads(&r.h, pads, r.otIndex)
 	r.otIndex += uint64(m)
-	return pads, nil
+	return pads, recvInto(r.conn, "t", pads, rBits)
 }
 
-// open receives the sender's answer to choices (frame "y" or "z") and turns
-// each OT's pad into its chosen message in place: half a_j of the answer ⊕
-// pad.
-func (r *ExtReceiver) open(pads []Message, choices []bool, frame string) error {
-	y, err := r.conn.Recv()
+// recvInto receives a frame of one Message an OT, the sender's t or z, and
+// XORs Message j into keys[j] wherever bit j of mask is set (everywhere for
+// a nil mask): the t frame into the pads of the OTs whose choice bit is 1,
+// the z frame into every key, which opens it to the chosen message.
+func recvInto(conn transport.MsgConn, frame string, keys []Message, mask []byte) error {
+	p, err := conn.Recv()
 	if err != nil {
 		return err
 	}
-	if want := 2 * KeySize * len(choices); len(y) != want {
-		return &FrameSizeError{Frame: frame, Got: len(y), Want: want}
+	if len(p) != KeySize*len(keys) {
+		return &FrameSizeError{Frame: frame, Got: len(p), Want: KeySize * len(keys)}
 	}
-	for j, c := range choices {
-		xor(&pads[j], (*Message)(y[2*KeySize*j+KeySize*b2i(c):]), &pads[j])
+	for j := range keys {
+		if mask == nil || bit(mask, j) {
+			xor(&keys[j], &keys[j], (*Message)(p[KeySize*j:]))
+		}
 	}
 	return nil
 }
@@ -355,24 +360,19 @@ func (r *ExtReceiver) open(pads []Message, choices []bool, frame string) error {
 func pack(bits []bool) []byte {
 	out := make([]byte, (len(bits)+7)/8)
 	for j, b := range bits {
-		out[j/8] |= byte(b2i(b)) << (j % 8)
+		if b {
+			out[j/8] |= 1 << (j % 8)
+		}
 	}
 	return out
 }
 
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // FrameSizeError reports a frame whose length does not fit what it carries:
-// an extension frame ("u", the receiver's correction matrix, or "y", the
-// sender's ciphertexts) against its batch, a precomputed batch's online
-// frame ("d", the receiver's correction bits, or "z", the sender's answer),
-// or a base-OT flight ("base A", one point, or "base B", kappa points). It
-// is raised before the frame is read.
+// an extension frame ("u", the receiver's correction matrix, or "t", the
+// sender's correlation) against its batch, an answer's frame ("d", the
+// receiver's correction bits, or "z", the sender's masked labels), or a
+// base-OT flight ("base A", one point, or "base B", kappa points). It is
+// raised before the frame is read.
 type FrameSizeError struct {
 	Frame     string
 	Got, Want int

@@ -2,7 +2,9 @@ package ot
 
 import (
 	"bytes"
+	"crypto/subtle"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -140,8 +142,9 @@ func kernelHash() func(uint64, Message) Message {
 // batches that grow and then shrink on the same endpoints (nothing of a
 // large batch may leak into a small one after it). The u frames and the delivered
 // messages are identical whatever the hash; with the oracle on the kernel's
-// hash the y frames are too, so either side of a kernel pair could be the
-// reference implementation.
+// hash its y frames are (z, z ⊕ t) of the kernel's t and z frames, the
+// bijection the correlated answer rests on, so either side of a kernel pair
+// could be the reference implementation.
 func TestKernelMatchesOracle(t *testing.T) {
 	s0, r0 := setupExtension(t)
 	ss, rs := s0.State(), r0.State()
@@ -181,12 +184,24 @@ func TestKernelMatchesOracle(t *testing.T) {
 				if !bytes.Equal(kr.sent[i], or.sent[i]) {
 					t.Fatalf("%s resumed=%v batch %d: u frame differs from the oracle's", h.name, nonce != nil, i)
 				}
-				if eq := bytes.Equal(ks.sent[i], os.sent[i]); eq != h.sameY {
-					t.Fatalf("%s resumed=%v batch %d: y frames equal=%v, want %v", h.name, nonce != nil, i, eq, h.sameY)
+				if eq := bytes.Equal(uncorrelate(ks.sent[2*i], ks.sent[2*i+1]), os.sent[i]); eq != h.sameY {
+					t.Fatalf("%s resumed=%v batch %d: (z, z ⊕ t) equals the oracle's y frame: %v, want %v", h.name, nonce != nil, i, eq, h.sameY)
 				}
 			}
 		}
 	}
+}
+
+// uncorrelate maps a chosen OT's t and z frames to the y frame of the
+// uncorrelated answer: y_j^0 = z_j, y_j^1 = z_j ⊕ t_j.
+func uncorrelate(tf, zf []byte) []byte {
+	var y []byte
+	for j := 0; j < len(zf); j += KeySize {
+		z := zf[j : j+KeySize]
+		y = append(append(y, z...), z...)
+		subtle.XORBytes(y[len(y)-KeySize:], z, tf[j:j+KeySize])
+	}
+	return y
 }
 
 // chanConn is a MsgConn whose only allocation is the copy of each frame it
@@ -250,12 +265,12 @@ func (c *cutConn) Recv() ([]byte, error) {
 	return p, err
 }
 
-// TestPoisonedEndpoints: a u, y, d or z frame of the wrong size — one byte
-// short, one long, empty — is a typed *FrameSizeError raised before any
-// scratch is indexed (the warm-up batch is smaller than the damaged one, so
-// nothing sized by it could hold the batch), and it poisons the endpoint:
-// every later call, empty batches included, returns the same error without
-// touching the connection.
+// TestPoisonedEndpoints: a u, t, d or z frame of the wrong size — one byte
+// short, one long, empty — in a chosen or a precomputed batch is a typed
+// *FrameSizeError raised before any scratch is indexed (the warm-up batch is
+// smaller than the damaged one, so nothing sized by it could hold the
+// batch), and it poisons the endpoint: every later call, empty batches
+// included, returns the same error without touching the connection.
 func TestPoisonedEndpoints(t *testing.T) {
 	cuts := map[string]func([]byte) []byte{
 		"one byte short": func(p []byte) []byte { return p[:len(p)-1] },
@@ -267,20 +282,26 @@ func TestPoisonedEndpoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
 	const warm, m = 40, 300
 	// Which endpoint receives each frame, and which of its received frames
-	// is the damaged batch's: a precomputed batch's sender has received both
-	// batches' u frames and the warm-up's d before it.
+	// is the damaged batch's. A chosen batch's receiver gets t and z of the
+	// warm-up first. A precomputed damaged batch follows a whole warm-up
+	// batch for its t frame; for its online frames both batches are
+	// extended first (two u and two t frames), then the warm-up's d and z.
 	frames := []struct {
 		name    string
+		pre     bool
 		bySend  bool
 		n, want int
 	}{
-		{"u", true, 2, kappa * ((m + 7) / 8)},
-		{"y", false, 2, 2 * KeySize * m},
-		{"d", true, 4, (m + 7) / 8},
-		{"z", false, 2, 2 * KeySize * m},
+		{"u", false, true, 2, kappa * ((m + 7) / 8)},
+		{"t", false, false, 3, KeySize * m},
+		{"z", false, false, 4, KeySize * m},
+		{"t", true, false, 3, KeySize * m},
+		{"d", true, true, 4, (m + 7) / 8},
+		{"z", true, false, 4, KeySize * m},
 	}
 	for name, cut := range cuts {
 		for _, fr := range frames {
+			row := fmt.Sprintf("%s %s (precomputed %v)", name, fr.name, fr.pre)
 			a, b := transport.Pipe()
 			sc, rc := &cutConn{MsgConn: a, cut: cut}, &cutConn{MsgConn: b, cut: cut}
 			if fr.bySend {
@@ -288,26 +309,32 @@ func TestPoisonedEndpoints(t *testing.T) {
 			} else {
 				rc.n = fr.n
 			}
-			s, err := ResumeSender(sc, ss, []byte(name+fr.name))
+			s, err := ResumeSender(sc, ss, []byte(row))
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := ResumeReceiver(rc, rs, []byte(name+fr.name))
+			r, err := ResumeReceiver(rc, rs, []byte(row))
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			pairs, choices := randomPairs(rng, m), randomChoices(rng, m)
 			sendErr, recvErr := make(chan error, 1), make(chan error, 1)
-			if fr.name == "u" || fr.name == "y" {
-				runBatch(t, s, r, randomPairs(rng, warm), randomChoices(rng, warm))
+			warmPairs, warmChoices := randomPairs(rng, warm), randomChoices(rng, warm)
+			switch {
+			case !fr.pre:
+				runBatch(t, s, r, warmPairs, warmChoices)
 				go func() { sendErr <- s.Send(pairs) }()
 				go func() { _, err := r.Receive(choices); recvErr <- err }()
-			} else {
-				warmPairs := randomPairs(rng, warm)
+			case fr.name == "t":
+				sw, rw := precompute(t, s, r, warmPairs, 1)
+				runPrecomputed(t, s, r, sw, rw, warmPairs, warmChoices)
+				go func() { _, err := s.Precompute(pairs, 1); sendErr <- err }()
+				go func() { _, err := r.Precompute(m, newSeeded(2)); recvErr <- err }()
+			default:
 				sw, rw := precompute(t, s, r, warmPairs, 1)
 				sb, rb := precompute(t, s, r, pairs, 2)
-				runPrecomputed(t, s, r, sw, rw, warmPairs, randomChoices(rng, warm))
+				runPrecomputed(t, s, r, sw, rw, warmPairs, warmChoices)
 				go func() { sendErr <- s.SendPrecomputed(sb) }()
 				go func() { _, err := r.ReceivePrecomputed(rb, choices); recvErr <- err }()
 			}
@@ -318,7 +345,7 @@ func TestPoisonedEndpoints(t *testing.T) {
 				first = <-sendErr
 				a.Close()
 				if err := <-recvErr; err == nil {
-					t.Fatalf("%s %s: receiver returned labels without an answer", name, fr.name)
+					t.Fatalf("%s: receiver returned labels without an answer", row)
 				}
 			} else {
 				first = <-recvErr
@@ -328,7 +355,7 @@ func TestPoisonedEndpoints(t *testing.T) {
 			}
 			var fe *FrameSizeError
 			if !errors.As(first, &fe) || fe.Frame != fr.name || fe.Want != fr.want || fe.Got == fr.want {
-				t.Fatalf("%s %s: error %v, want a FrameSizeError for %d bytes", name, fr.name, first, fr.want)
+				t.Fatalf("%s: error %v, want a FrameSizeError for %d bytes", row, first, fr.want)
 			}
 
 			sent, recvd := a.SentBytes()+b.SentBytes(), a.RecvBytes()+b.RecvBytes()
@@ -338,21 +365,21 @@ func TestPoisonedEndpoints(t *testing.T) {
 					pairs := randomPairs(rng, k)
 					_, err := s.Precompute(pairs, 1)
 					again = append(again, s.Send(pairs), err,
-						s.SendPrecomputed(&SenderOTs{w: make([]Message, 2*k), delta: offsets(pairs), per: 1}))
+						s.SendPrecomputed(&SenderOTs{w: make([]Message, k), delta: offsets(pairs), per: 1}))
 				} else {
 					_, err1 := r.Receive(randomChoices(rng, k))
 					_, err2 := r.Precompute(k, newSeeded(3))
-					_, err3 := r.ReceivePrecomputed(&ReceiverOTs{c: make([]byte, (k+7)/8), mc: make([]Message, k)}, randomChoices(rng, k))
+					_, err3 := r.ReceivePrecomputed(&ReceiverOTs{c: make([]byte, (k+7)/8), k: make([]Message, k)}, randomChoices(rng, k))
 					again = append(again, err1, err2, err3)
 				}
 				for i, err := range again {
 					if err != first {
-						t.Fatalf("%s %s: call %d on a batch of %d after the failure returned %v, want the first error", name, fr.name, i, k, err)
+						t.Fatalf("%s: call %d on a batch of %d after the failure returned %v, want the first error", row, i, k, err)
 					}
 				}
 			}
 			if a.SentBytes()+b.SentBytes() != sent || a.RecvBytes()+b.RecvBytes() != recvd {
-				t.Fatalf("%s %s: a poisoned endpoint moved bytes", name, fr.name)
+				t.Fatalf("%s: a poisoned endpoint moved bytes", row)
 			}
 		}
 	}
@@ -409,8 +436,10 @@ func runPrecomputed(t *testing.T, s *ExtSender, r *ExtReceiver, sb *SenderOTs, r
 // online deliver pairs[j][a_j] for random choices a, fresh and resumed, over
 // batch sizes on both sides of a byte boundary up to a demo-CNN layer. A
 // chosen-OT pair on the same base-OT states, run through the same batches,
-// is the oracle: the sender's z frames equal its y frames byte for byte,
-// since d = a ⊕ c selects the pads the choices a would have.
+// is the oracle, byte for byte: the t frames are equal, since t_j = Δ_j ⊕
+// m0 ⊕ m1 does not depend on which pad the choice bit selects, and the
+// z frames differ by d·t, since d = a ⊕ c swaps the two pads where a and c
+// differ.
 func TestRandomOTMatchesChosen(t *testing.T) {
 	ss, rs := goldenStates(t)
 	for _, nonce := range [][]byte{nil, []byte("random-vs-chosen")} {
@@ -442,10 +471,23 @@ func TestRandomOTMatchesChosen(t *testing.T) {
 			if !equalMessages(got, want) {
 				t.Fatalf("resumed=%v m=%d: random OT delivered other messages than chosen OT", nonce != nil, m)
 			}
-			if !bytes.Equal(pf.sent[i], cf.sent[i]) {
-				t.Fatalf("resumed=%v m=%d: z frame differs from the chosen OT's y frame", nonce != nil, m)
+			tf, zf := cf.sent[2*i], cf.sent[2*i+1]
+			if !bytes.Equal(pf.sent[2*i], tf) {
+				t.Fatalf("resumed=%v m=%d: t frame differs from the chosen OT's", nonce != nil, m)
 			}
-			if rb.SizeBytes() != uint64(KeySize*m+(m+7)/8) || sb.SizeBytes() != uint64(3*KeySize*m) {
+			d := pack(choices)
+			subtle.XORBytes(d, d, rb.c)
+			wantZ := bytes.Clone(zf)
+			for j := range m {
+				if bit(d, j) {
+					zj := wantZ[KeySize*j : KeySize*(j+1)]
+					subtle.XORBytes(zj, zj, tf[KeySize*j:])
+				}
+			}
+			if !bytes.Equal(pf.sent[2*i+1], wantZ) {
+				t.Fatalf("resumed=%v m=%d: z frame is not the chosen OT's z ⊕ d·t", nonce != nil, m)
+			}
+			if rb.SizeBytes() != uint64(KeySize*m+(m+7)/8) || sb.SizeBytes() != uint64(2*KeySize*m) {
 				t.Fatalf("m=%d: batches report %d and %d bytes", m, sb.SizeBytes(), rb.SizeBytes())
 			}
 			if err := ps.SendPrecomputed(sb); err == nil {

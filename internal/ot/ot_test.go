@@ -202,7 +202,8 @@ func TestExtensionEmptyBatch(t *testing.T) {
 
 func TestExtensionCommunicationVolume(t *testing.T) {
 	// Per OT, the receiver uploads kappa bits (16 B) and the sender sends
-	// two masked messages (32 B); this grounds the calib constants.
+	// its correlation t and one masked message z (32 B); this grounds the
+	// calib constants.
 	a, b := transport.Pipe()
 	sCh := make(chan *ExtSender, 1)
 	eCh := make(chan error, 1)

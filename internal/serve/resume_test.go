@@ -279,9 +279,11 @@ func TestPreambleVersionMismatchRejected(t *testing.T) {
 		{"preamble v5", [][]byte{preamble(5)}},
 		{"preamble v6", [][]byte{preamble(6)}},
 		{"preamble v7", [][]byte{preamble(7)}},
-		{"v5 hello inside a v8 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 5}))}},
-		{"v6 hello inside a v8 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 6}))}},
-		{"v7 hello inside a v8 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 7}))}},
+		{"preamble v8", [][]byte{preamble(8)}},
+		{"v5 hello inside a v9 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 5}))}},
+		{"v6 hello inside a v9 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 6}))}},
+		{"v7 hello inside a v9 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 7}))}},
+		{"v8 hello inside a v9 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 8}))}},
 	} {
 		conn, err := transport.Dial(ln.Addr())
 		if err != nil {

@@ -33,8 +33,12 @@ const (
 	// hellos may carry an OT resumption ticket plus a client nonce, welcomes
 	// answer with the typed resumption outcome, a fresh ticket and the server
 	// nonce, and a Resumed welcome is followed directly by protocol traffic
-	// — only full handshakes carry the HE public-key flight. Version 8 is
-	// version 7 with a smaller ReLU circuit, which both ends derive from the
+	// — only full handshakes carry the HE public-key flight. Version 9 is
+	// version 8 with every label OT correlated: the OT sender answers one
+	// 16-byte label an OT (a z frame) instead of two (a y frame), after a t
+	// frame of 16 bytes an OT sent with the extension, so Client-Garbler's
+	// online z frames halve and its offline upload grows by the t frames.
+	// Version 8 is version 7 with a smaller ReLU circuit, which both ends derive from the
 	// model metadata: 130 AND gates for P20 at shift 4 where 7 garbled 163,
 	// so every garbled layer's tables are shorter. Version 7 is
 	// version 6 with Client-Garbler's a-label OT extension moved into the
@@ -49,7 +53,7 @@ const (
 	// never group elements, ciphertexts, precomputed OTs, or the circuits
 	// and plans both ends derive from the model metadata, and so carries
 	// across every bump, a circuit change included.
-	wireVersion = 8
+	wireVersion = 9
 
 	tagData byte = 0x00
 	tagCtrl byte = 0x01

@@ -62,12 +62,12 @@ func TestRunLocalInferenceClientGarbler(t *testing.T) {
 	// The storage burden sits on the server under Client-Garbler: the
 	// circuits a Server-Garbler client stores, plus a 16-byte pad and a
 	// choice bit per precomputed label OT. The client keeps its half of
-	// those OTs: two 16-byte pads per OT and a free-XOR offset per ReLU.
+	// those OTs: one 16-byte bound pad per OT and a free-XOR offset per ReLU.
 	var server, client uint64
 	for _, l := range model.Linear[:len(model.Linear)-1] {
 		ots := uint64(l.Out() * model.F.Bits())
 		server += 16*ots + (ots+7)/8
-		client += 32*ots + 16*uint64(l.Out())
+		client += 16*ots + 16*uint64(l.Out())
 	}
 	if got, want := res.ServerOffline.GCStoreBytes, sg.ClientOffline.GCStoreBytes+server; got != want {
 		t.Errorf("Client-Garbler server stores %d bytes, want %d", got, want)
