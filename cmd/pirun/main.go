@@ -405,7 +405,6 @@ func runConnect(model *privinf.Model, name, addr string, n, reconnects int, prea
 		}
 	}
 	dial := func() *serve.Client {
-		hadTicket := p.HasTicket() // snapshot: the handshake itself may store one
 		start := time.Now()
 		c, err := serve.Dial(addr, serve.WithModel(name), serve.WithPreamble(p))
 		if err != nil {
@@ -419,8 +418,6 @@ func runConnect(model *privinf.Model, name, addr string, n, reconnects int, prea
 			tier = "resumed"
 		} else if reject != "" {
 			tier = "cold (ticket rejected: " + reject + ")"
-		} else if hadTicket {
-			tier = "artifact-warm"
 		}
 		fmt.Printf("connect (%s): %.0f ms\n", tier, time.Since(start).Seconds()*1000)
 		savePreamble()

@@ -3,28 +3,26 @@
 //
 // The paper's end-to-end characterization shows setup, not online
 // inference, dominating per-session cost; in this repo a cold connect
-// spends its time on HE keygen, 128 public-key base OTs on P-256 and
-// client-side circuit and plan construction. The preamble subsystem
-// collapses all three for repeat clients:
+// spends its time on HE keygen and 128 public-key base OTs on P-256. The
+// preamble subsystem collapses both for repeat clients:
 //
-//	cold          first ever connect: full wire handshake, HE keygen,
-//	              client artifact build, kappa base OTs. The engine issues
-//	              an OT resumption ticket on the way out.
-//	artifact-warm the client kept its shared artifacts (circuits + matvec
-//	              plans) but no ticket: base OTs run again, model
-//	              processing does not.
-//	resumed       ticket + cached seeds + derived HE keys: both sides
-//	              expand fresh OT extension streams locally and the client
-//	              reuses its cached key pair — no base OTs, no keygen, no
-//	              public-key flight — and connect cost drops to about one
-//	              round trip.
-//	durable       both processes restart: the engine reloads its tickets
-//	              from -style TicketDir persistence, the client reloads its
-//	              preamble from a PreambleStore, and the very first connect
-//	              of the new processes still takes the resumed fast path;
-//	              the client artifact, derived state, is rebuilt.
+//	cold     first ever connect: full wire handshake, HE keygen, kappa
+//	         base OTs. The engine issues an OT resumption ticket on the
+//	         way out.
+//	resumed  ticket + cached seeds + derived HE keys: both sides expand
+//	         fresh OT extension streams locally and the client reuses its
+//	         cached key pair — no base OTs, no keygen, no public-key
+//	         flight — and connect cost drops to about one round trip.
+//	durable  both processes restart: the engine reloads its tickets from
+//	         TicketDir, the client reloads its preamble from a
+//	         PreambleStore, and the very first connect of the new
+//	         processes still takes the resumed fast path.
 //
-// The example times all four tiers, proves the resumed and post-restart
+// Every session derives its plans and circuits from the welcome's model
+// metadata; the circuits come from a process-wide table, so a reconnect
+// builds none.
+//
+// The example times all three tiers, proves the resumed and post-restart
 // sessions' inferences are bit-identical to the cold session's, and prints
 // the engine's ticket-cache counters.
 //
@@ -77,7 +75,7 @@ func main() {
 			log.Fatal(err)
 		}
 		d := time.Since(start)
-		fmt.Printf("%-14s connect %8.1f ms  (resumed %v, preamble %d B)\n",
+		fmt.Printf("%-9s connect %8.1f ms  (resumed %v, preamble %d B)\n",
 			tier, d.Seconds()*1000, sess.Resumed(), p.SizeBytes())
 		return sess, d
 	}
@@ -90,27 +88,18 @@ func main() {
 	}
 	cold.Close()
 
-	// Tier 2: artifact-warm. Drop the ticket, keep the artifacts: the
-	// base OTs run again but circuits and plans are reused.
-	p.ForgetTicket()
-	warm, warmTime := connect("artifact-warm:", p)
-	if res, err := warm.Infer(x); err != nil || !res.Verified {
-		log.Fatalf("artifact-warm inference failed: %v", err)
-	}
-	warm.Close()
-
-	// Tier 3: resumed. The warm session's full handshake re-issued a
-	// ticket; this connect skips the base OTs entirely. (The client sends
-	// the last base-OT flight, so its connect returns while the engine is
-	// still deriving the ticket's seeds; the warm inference above waited for
-	// them, and a reconnect that beats them waits inside the engine.)
+	// Tier 2: resumed. The cold session's full handshake issued a ticket;
+	// this connect skips the base OTs entirely. (The client sends the last
+	// base-OT flight, so its connect returns while the engine is still
+	// deriving the ticket's seeds; the cold inference above waited for them,
+	// and a reconnect that beats them waits inside the engine.)
 	resumed, resumedTime := connect("resumed:", p)
 	resumedRes, err := resumed.Infer(x)
 	if err != nil || !resumedRes.Verified {
 		log.Fatalf("resumed inference failed: %v", err)
 	}
 	if !resumed.Resumed() {
-		log.Fatal("third connect should have resumed")
+		log.Fatal("second connect should have resumed")
 	}
 	resumed.Close()
 
@@ -118,7 +107,7 @@ func main() {
 		log.Fatal("resumed session's output diverged from the cold session's")
 	}
 
-	// Tier 4: durable. Persist the client's preamble, then "crash" both
+	// Tier 3: durable. Persist the client's preamble, then "crash" both
 	// parties: close the engine (its live tickets have been written
 	// through to TicketDir) and throw away the in-memory preamble. A new
 	// engine over the same ticket directory and a preamble reloaded from
@@ -155,8 +144,8 @@ func main() {
 
 	fmt.Printf("\nresumed and post-restart outputs bit-identical to cold output (predicted class %d), verified against plaintext\n",
 		resumedRes.Predicted)
-	fmt.Printf("speedup: resumed connect %.0fx faster than cold, %.0fx faster than artifact-warm; post-restart resumed connect %.0fx faster than cold\n",
-		float64(coldTime)/float64(resumedTime), float64(warmTime)/float64(resumedTime), float64(coldTime)/float64(durableTime))
+	fmt.Printf("speedup: resumed connect %.0fx faster than cold; post-restart resumed connect %.0fx faster than cold\n",
+		float64(coldTime)/float64(resumedTime), float64(coldTime)/float64(durableTime))
 
 	st := eng.Stats()
 	fmt.Printf("ticket cache (restarted engine): %d resident (%d B), loaded %d, resumed %d, load errors %d\n",

@@ -15,16 +15,9 @@ import (
 type Client struct {
 	party
 
-	sk      bfv.SecretKey
-	enc     *bfv.Encryptor
-	dec     *bfv.Decryptor
-	encoder *bfv.Encoder
-
-	// shared is the immutable client-side model artifact (matvec plans,
-	// ReLU circuits). It may be private to this session (NewClient) or
-	// reused across all of this client's sessions of the model
-	// (NewClientWithShared); either way the Client only reads it.
-	shared *ClientShared
+	sk  bfv.SecretKey
+	enc *bfv.Encryptor
+	dec *bfv.Decryptor
 
 	// pres is the FIFO buffer of completed pre-computes; RunOffline
 	// appends one, RunOnline consumes the oldest.
@@ -51,32 +44,20 @@ func (pre *clientPre) gcInputs() [][]uint64 {
 	return out
 }
 
-// NewClient constructs the client side with a private model artifact — the
-// convenience path for one-off sessions. Repeat clients should build the
-// artifact once with NewClientShared and use NewClientWithShared, so
-// reconnects skip the per-session plan and circuit construction. entropy
-// may be nil (crypto/rand).
+// NewClient constructs the client side for the model meta describes. The
+// matvec plans and ReLU circuits are derived from meta (the circuits come
+// from the process-wide table, so a reconnect builds none). entropy may be
+// nil (crypto/rand).
 func NewClient(conn transport.MsgConn, cfg Config, meta ModelMeta, entropy io.Reader) (*Client, error) {
-	shared, err := NewClientShared(cfg.HEParams, meta)
+	d, err := derive(cfg.HEParams, meta)
 	if err != nil {
 		return nil, err
 	}
-	return NewClientWithShared(conn, cfg, shared, entropy)
-}
-
-// NewClientWithShared constructs the client side on a pre-built client
-// artifact: no per-session plan layout or circuit building happens, so
-// session setup cost is independent of model size. entropy may be nil
-// (crypto/rand).
-func NewClientWithShared(conn transport.MsgConn, cfg Config, shared *ClientShared, entropy io.Reader) (*Client, error) {
-	if shared == nil {
-		return nil, fmt.Errorf("delphi: nil shared client artifact")
-	}
-	p, err := newParty(conn, cfg, &shared.derived, entropy)
+	p, err := newParty(conn, cfg, &d, entropy)
 	if err != nil {
 		return nil, err
 	}
-	return &Client{party: p, encoder: bfv.NewEncoder(cfg.HEParams), shared: shared}, nil
+	return &Client{party: p}, nil
 }
 
 // setupKeys obtains the session HE keys (fresh keygen, or the pair the
@@ -145,7 +126,7 @@ func (c *Client) offlineHE(pre *clientPre) error {
 	pre.r = make([][]uint64, L)
 	for i := 0; i < L; i++ {
 		pre.r[i] = c.sharing.RandomVec(c.meta.Dims[i].In)
-		for _, ct := range c.shared.plans[i].EncryptVector(c.enc, pre.r[i]) {
+		for _, ct := range c.plans[i].EncryptVector(c.enc, pre.r[i]) {
 			raw, err := ct.MarshalBinary()
 			if err != nil {
 				return err
@@ -158,7 +139,7 @@ func (c *Client) offlineHE(pre *clientPre) error {
 
 	pre.cshare = make([][]uint64, L)
 	for i := 0; i < L; i++ {
-		plan := c.shared.plans[i]
+		plan := c.plans[i]
 		cts := make([]bfv.Ciphertext, plan.NumOutputCts())
 		for oc := range cts {
 			raw, err := c.conn.Recv()

@@ -135,7 +135,7 @@ func TestSetupResumedMatchesPlaintext(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			client, err := NewClientWithShared(cc, cfg, first.client.shared, newSeeded(2006))
+			client, err := NewClient(cc, cfg, MetaOf(model), newSeeded(2006))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,42 +3,12 @@ package delphi
 import (
 	"fmt"
 
-	"privinf/internal/bfv"
 	"privinf/internal/bin"
 	"privinf/internal/ot"
 )
 
-// ClientShared is the client-side analog of SharedModel: the immutable,
-// secret-free per-model state a client needs for any number of sessions of
-// one model under one HE parameter set — the matvec packing plans and the
-// built ReLU boolean circuits. Neither depends on session keys or on the
-// weights (the plans are shape-only, the circuits public), so a repeat
-// client builds this once per model and reuses it across every session,
-// the same way a serving engine reuses a SharedModel.
-//
-// A ClientShared is strictly read-only after construction and therefore
-// safe for unbounded concurrent use. It holds nothing but derived state, so
-// it has no codec: a process rebuilds it from the model's metadata.
-type ClientShared struct {
-	derived
-}
-
-// NewClientShared validates the metadata against the HE parameters and
-// builds the artifact: matvec plans and ReLU circuits.
-func NewClientShared(params bfv.Params, meta ModelMeta) (*ClientShared, error) {
-	d, err := derive(params, meta)
-	if err != nil {
-		return nil, err
-	}
-	return &ClientShared{d}, nil
-}
-
-// SizeBytes returns the artifact's resident memory footprint, the unit a
-// client-side preamble cache budgets alongside server artifacts.
-func (cs *ClientShared) SizeBytes() uint64 { return cs.sizeBytes() }
-
-// Equal reports whether two model descriptions are identical — the
-// compatibility check for reusing a cached ClientShared across sessions.
+// Equal reports whether two model descriptions are identical — the check
+// the artifact codec makes between a stored model and its metadata.
 func (m ModelMeta) Equal(o ModelMeta) bool {
 	if m.P != o.P || m.Frac != o.Frac || len(m.Dims) != len(o.Dims) || len(m.Shifts) != len(o.Shifts) {
 		return false

@@ -6,6 +6,7 @@ import (
 	"io"
 	"time"
 
+	"privinf/internal/bfv"
 	"privinf/internal/boolcirc"
 	"privinf/internal/field"
 	"privinf/internal/garble"
@@ -29,7 +30,8 @@ type party struct {
 	f        field.Field
 	entropy  io.Reader
 	sharing  *ss.Sharing
-	circuits []*boolcirc.Circuit // per ReLU layer, from the party's model artifact
+	plans    []bfv.MatVecPlan    // per linear layer, derived from the model metadata
+	circuits []*boolcirc.Circuit // per ReLU layer, from the process-wide table
 
 	otSend *ot.ExtSender   // set on the garbler
 	otRecv *ot.ExtReceiver // set on the evaluator
@@ -43,7 +45,7 @@ func newParty(conn transport.MsgConn, cfg Config, d *derived, entropy io.Reader)
 			cfg.HEParams.N, cfg.HEParams.T, d.params.N, d.params.T)
 	}
 	f := field.New(d.meta.P)
-	return party{conn: conn, cfg: cfg, meta: d.meta, f: f, entropy: entropy, sharing: ss.New(f, entropy), circuits: d.circuits}, nil
+	return party{conn: conn, cfg: cfg, meta: d.meta, f: f, entropy: entropy, sharing: ss.New(f, entropy), plans: d.plans, circuits: d.circuits}, nil
 }
 
 // setupOT establishes the party's OT-extension role for the session. The

@@ -96,7 +96,7 @@ func (s *Server) offlineHE(pre *serverPre) error {
 	L := len(s.meta.Dims)
 	inputs := make([][]bfv.Ciphertext, L)
 	for i := 0; i < L; i++ {
-		n := s.shared.plans[i].NumInputCts()
+		n := s.plans[i].NumInputCts()
 		inputs[i] = make([]bfv.Ciphertext, n)
 		for c := 0; c < n; c++ {
 			raw, err := s.conn.Recv()
@@ -147,7 +147,7 @@ func (s *Server) offlineHE(pre *serverPre) error {
 
 // applyLayer computes E(W_i r_i - s_i) for one layer (one LPHE job).
 func (s *Server) applyLayer(i int, mask []uint64, cts []bfv.Ciphertext) []bfv.Ciphertext {
-	plan := s.shared.plans[i]
+	plan := s.plans[i]
 	nIn := plan.NumInputCts()
 	out := make([]bfv.Ciphertext, plan.NumOutputCts())
 	for oc := range out {

@@ -51,47 +51,6 @@ func BenchmarkSessionSetup(b *testing.B) {
 	})
 }
 
-// BenchmarkClientSharedSetup measures the client-side per-session model
-// cost the ClientShared artifact removes. "per-session-build" is what every
-// session used to pay: laying out the matvec plans and rebuilding the ReLU
-// circuits in NewClient. "shared-artifact" is what the 2nd..Nth session of
-// a repeat client pays: a constant-size constructor on the cached artifact.
-func BenchmarkClientSharedSetup(b *testing.B) {
-	model, err := nn.DemoCNN(field.New(field.P20), 5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	params, err := bfv.NewParams(bfv.DefaultN, model.F.P())
-	if err != nil {
-		b.Fatal(err)
-	}
-	meta := MetaOf(model)
-	cfg := Config{Variant: ClientGarbler, HEParams: params}
-	cc, _ := transport.Pipe()
-
-	b.Run("per-session-build", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := NewClient(cc, cfg, meta, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("shared-artifact", func(b *testing.B) {
-		cs, err := NewClientShared(params, meta)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := NewClientWithShared(cc, cfg, cs, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkSharedModelBuild is the one-time artifact construction cost the
 // sharing amortizes (parallel weight encode + circuit build).
 func BenchmarkSharedModelBuild(b *testing.B) {

@@ -60,11 +60,11 @@ func BenchmarkSessionConnect(b *testing.B) {
 
 // BenchmarkSessionResume measures the connect-latency tiers the session
 // preamble subsystem creates. "cold" is a full connect: wire handshake, HE
-// keygen, client artifact build, and kappa public-key base OTs on P-256.
-// "resumed" presents the ticket from a prior full handshake: both sides
-// expand cached OT seeds locally, so the base OTs — and their two network
-// flights — disappear, and the cached ClientShared replaces circuit/plan
-// construction. The acceptance bar is resumed ≥ 5× faster than cold.
+// keygen, and kappa public-key base OTs on P-256. "resumed" presents the
+// ticket from a prior full handshake: both sides expand cached OT seeds
+// locally, so the base OTs — and their two network flights — disappear,
+// and the client reuses the ticket generation's HE key pair instead of
+// running keygen. The acceptance bar is resumed ≥ 5× faster than cold.
 func BenchmarkSessionResume(b *testing.B) {
 	model := testModel(b, 5)
 	_, ln := pipeEngine(b, testConfig(model))

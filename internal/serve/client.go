@@ -67,9 +67,8 @@ type connectOptions struct {
 	Model string
 	// Preamble, when non-nil, carries the client's reusable session state:
 	// its resumption ticket rides in the hello (reconnects skip base OTs
-	// when the engine accepts it), cached shared artifacts replace circuit
-	// and plan construction, and the preamble is updated in place with
-	// whatever this handshake produces.
+	// and HE keygen when the engine accepts it), and the preamble is
+	// updated in place with whatever this handshake produces.
 	Preamble *Preamble
 	// Entropy seeds the session's randomness; nil means crypto/rand.
 	Entropy io.Reader
@@ -93,10 +92,9 @@ func WithEntropy(r io.Reader) Option {
 }
 
 // WithPreamble attaches a client's reusable session-preamble state: its
-// resumption ticket rides in the hello (reconnects skip base OTs when the
-// engine accepts it), cached shared artifacts replace circuit and plan
-// construction, and the preamble is updated in place with whatever this
-// handshake produces. A nil p is a plain cold connect.
+// resumption ticket rides in the hello (reconnects skip base OTs and HE
+// keygen when the engine accepts it), and the preamble is updated in place
+// with whatever this handshake produces. A nil p is a plain cold connect.
 func WithPreamble(p *Preamble) Option {
 	return func(o *connectOptions) { o.Preamble = p }
 }
@@ -224,18 +222,7 @@ func Connect(conn *transport.Conn, options ...Option) (*Client, error) {
 			return keys.SK, keys.PK
 		}
 	}
-	// The client-side model artifact (plans, circuits) comes from the
-	// preamble's cache when there is one, and is built for this session
-	// otherwise.
-	var cs *delphi.ClientShared
-	if opts.Preamble != nil {
-		cs, err = opts.Preamble.sharedFor(w.Model, params, w.Meta)
-	} else {
-		cs, err = delphi.NewClientShared(params, w.Meta)
-	}
-	if err == nil {
-		c.cli, err = delphi.NewClientWithShared(dataConn{c.m}, dcfg, cs, entropy)
-	}
+	c.cli, err = delphi.NewClient(dataConn{c.m}, dcfg, w.Meta, entropy)
 	switch {
 	case err != nil:
 	case w.Resumed:

@@ -64,17 +64,12 @@ func goldenTicket(t *testing.T) ticketRecord {
 }
 
 // goldenPreamble is a preamble populated the way a real repeat client's
-// is — ticket + OT state, a derived HE key generation, one cached client
-// artifact, which is not written — from fixed inputs.
+// is — ticket + OT state and a derived HE key generation — from fixed
+// inputs.
 func goldenPreamble(t *testing.T) *Preamble {
 	t.Helper()
 	params := goldenParams(t)
 	p := NewPreamble()
-	cs, err := delphi.NewClientShared(params, delphi.MetaOf(goldenNet()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.shared["toy"] = cs
 	p.storeTicket(goldenTicket(t).id, goldenTicket(t).state)
 	if _, err := p.freshHEKeys(params, &seqEntropy{}); err != nil {
 		t.Fatal(err)
@@ -137,7 +132,7 @@ func TestGoldenFiles(t *testing.T) {
 // cached client artifact — the same PIPB v1 frame, with one (name,
 // artifact) entry after the keys. It loads with its ticket, OT state and HE
 // keys intact and the entry discarded, re-saves as today's golden, and
-// resumes a session, whose client artifact is rebuilt from the welcome.
+// resumes a session, whose client derives its model state from the welcome.
 func TestPreambleWithCachedArtifactLoads(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "cachedartifact"))); err != nil {
@@ -150,9 +145,6 @@ func TestPreambleWithCachedArtifactLoads(t *testing.T) {
 	p, err := ps.Load("client")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(p.shared) != 0 {
-		t.Fatalf("loaded %d cached artifacts, want the stored one discarded", len(p.shared))
 	}
 	if err := ps.Save("client", p); err != nil {
 		t.Fatal(err)
@@ -206,7 +198,4 @@ func TestPreambleWithCachedArtifactLoads(t *testing.T) {
 		t.Fatal("connect on the fixture's ticket did not resume")
 	}
 	inferOnce(t, c, goldenNet())
-	if len(p.shared) != 1 {
-		t.Fatalf("preamble caches %d artifacts after the session, want the rebuilt one", len(p.shared))
-	}
 }

@@ -17,27 +17,24 @@ import (
 //   - the OT resumption ticket from its last full handshake, paired with
 //     the client-side seed material it resumes from, so reconnects skip
 //     the public-key base OTs entirely; and
-//   - per-model shared client artifacts (delphi.ClientShared: ReLU
-//     circuits + matvec plans, no secrets), the client-side analog of the
-//     server's SharedModel, built once per process per model from the
-//     welcome's metadata and reused across all of that client's sessions
-//     (a PreambleStore does not persist them); and
 //   - a master HE key seed plus the BFV key pair derived from it for the
 //     current ticket generation, so a resumed connect skips both the BFV
 //     keygen and the public-key flight (the server validated and discarded
 //     this pk at ticket issue — it computes only on ciphertexts).
 //
+// It holds no model state: every session derives its matvec plans and ReLU
+// circuits from the welcome's metadata (delphi.NewClient).
+//
 // Pass one Preamble (WithPreamble) to every Connect/Dial call of a logical
-// client; it is updated in place after each handshake (fresh ticket on a
-// full handshake, artifact cache fills on first use of a model). Safe for
-// concurrent use. A Preamble holds secret OT correlation material and HE
-// secret-key material — it belongs to one client and must not be shared
-// between mutually distrusting parties.
+// client; it is updated in place after each handshake (a full handshake
+// stores a fresh ticket and key generation). Safe for concurrent use. A
+// Preamble holds secret OT correlation material and HE secret-key
+// material — it belongs to one client and must not be shared between
+// mutually distrusting parties.
 type Preamble struct {
 	mu     sync.Mutex
 	ticket []byte
 	state  *delphi.OTResume
-	shared map[string]*delphi.ClientShared
 
 	// HE key reuse. heSeed is the client's long-lived 32-byte master seed,
 	// drawn once; per-generation keys are derived from it under heNonce, a
@@ -54,7 +51,7 @@ type Preamble struct {
 
 // NewPreamble returns an empty preamble.
 func NewPreamble() *Preamble {
-	return &Preamble{shared: map[string]*delphi.ClientShared{}}
+	return &Preamble{}
 }
 
 // HasTicket reports whether the preamble holds a resumption ticket.
@@ -64,30 +61,14 @@ func (p *Preamble) HasTicket() bool {
 	return len(p.ticket) > 0
 }
 
-// ForgetTicket drops the resumption ticket (and its seed material) while
-// keeping the shared artifacts — the artifact-warm tier: the next connect
-// runs full base OTs but still skips circuit and plan construction. The
-// cached HE key pair goes with the ticket (it belongs to that ticket's
-// generation); the master seed stays, so the next full handshake derives
-// the next generation instead of re-drawing entropy.
-func (p *Preamble) ForgetTicket() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.ticket, p.state = nil, nil
-	p.heKeys = nil
-}
-
-// SizeBytes reports the preamble's resident footprint: cached shared
-// artifacts plus OT seed material.
+// SizeBytes reports the preamble's resident footprint: OT seed material
+// and HE key material.
 func (p *Preamble) SizeBytes() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var n uint64
 	if p.state != nil {
 		n += uint64(p.state.SizeBytes())
-	}
-	for _, cs := range p.shared {
-		n += cs.SizeBytes()
 	}
 	n += uint64(len(p.heSeed))
 	if p.heKeys != nil {
@@ -159,24 +140,4 @@ func (p *Preamble) resumeHEKeys(params bfv.Params) (delphi.HEKeyPair, bool) {
 		return delphi.HEKeyPair{}, false
 	}
 	return *p.heKeys, true
-}
-
-// sharedFor returns the cached client artifact for a model name, building
-// and caching one when absent or when the engine's metadata for the name
-// changed (a re-registered model, or a colliding name on another engine).
-func (p *Preamble) sharedFor(model string, params bfv.Params, meta delphi.ModelMeta) (*delphi.ClientShared, error) {
-	p.mu.Lock()
-	cs, ok := p.shared[model]
-	p.mu.Unlock()
-	if ok && cs.Params().T == params.T && cs.Params().N == params.N && cs.Meta().Equal(meta) {
-		return cs, nil
-	}
-	cs, err := delphi.NewClientShared(params, meta)
-	if err != nil {
-		return nil, fmt.Errorf("serve: preamble artifact for %q: %w", model, err)
-	}
-	p.mu.Lock()
-	p.shared[model] = cs
-	p.mu.Unlock()
-	return cs, nil
 }

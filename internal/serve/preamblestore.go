@@ -104,8 +104,8 @@ func (ps *PreambleStore) Forget(name string) error { return ps.ds.remove(name) }
 
 // MarshalBinary encodes a snapshot of the preamble for UnmarshalPreamble:
 // the ticket/OT-state pair, the HE master seed, derivation nonce and
-// cached key pair, and an artifact count that is always zero — the cached
-// client artifacts are derived state (see delphi.ClientShared). Integrity
+// cached key pair, and an artifact count that is always zero — a client's
+// model state is derived from each welcome, so none is stored. Integrity
 // and versioning belong to the enclosing frame.
 func (p *Preamble) MarshalBinary() ([]byte, error) {
 	p.mu.Lock()
@@ -150,7 +150,7 @@ func (p *Preamble) MarshalBinary() ([]byte, error) {
 // and trailing bytes. A decoded preamble is immediately usable: a cached
 // key pair is degree-checked against its recorded parameter set. The
 // (name, artifact) entries an older writer stored after the keys are read
-// and discarded; sharedFor rebuilds each artifact on its first use.
+// and discarded: each session derives its model state from the welcome.
 func UnmarshalPreamble(data []byte) (*Preamble, error) {
 	r := bin.NewReader(data)
 	p := NewPreamble()

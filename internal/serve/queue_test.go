@@ -42,11 +42,7 @@ func rawSession(t *testing.T, ln *transport.PipeListener) *transport.Conn {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := delphi.NewClientShared(params, w.Meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli, err := delphi.NewClientWithShared(dataConn{m}, delphi.Config{Variant: delphi.Variant(w.Variant), HEParams: params}, cs, nil)
+	cli, err := delphi.NewClient(dataConn{m}, delphi.Config{Variant: delphi.Variant(w.Variant), HEParams: params}, w.Meta, nil)
 	if err == nil {
 		err = cli.Setup()
 	}

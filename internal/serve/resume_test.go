@@ -315,10 +315,10 @@ func TestPreambleVersionMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestPreambleSharedArtifactsAcrossModels: one preamble serves sessions on
-// several models, caching one client artifact per model, while the ticket
-// (model-independent) resumes across them.
-func TestPreambleSharedArtifactsAcrossModels(t *testing.T) {
+// TestPreambleTicketResumesAcrossModels: one preamble serves sessions on
+// several models; the ticket is model-independent, so it resumes across
+// them.
+func TestPreambleTicketResumesAcrossModels(t *testing.T) {
 	mlp := testModel(t, 67)
 	cnn, err := nn.DemoCNN(field.New(field.P20), 68)
 	if err != nil {
@@ -345,53 +345,12 @@ func TestPreambleSharedArtifactsAcrossModels(t *testing.T) {
 		t.Fatal("the ticket is model-independent; a session on another model should resume")
 	}
 	if p.SizeBytes() == 0 {
-		t.Fatal("preamble reports zero footprint after caching artifacts")
-	}
-	p.mu.Lock()
-	cachedModels := len(p.shared)
-	p.mu.Unlock()
-	if cachedModels != 2 {
-		t.Fatalf("preamble caches %d client artifacts, want 2", cachedModels)
+		t.Fatal("preamble reports zero footprint while holding a ticket")
 	}
 
 	st := eng.Stats()
 	mcnn := modelStats(t, RegistryStats{Models: st.Models}, "cnn")
 	if mcnn.Resumes != 1 {
 		t.Fatalf("cnn resume counter = %d, want 1", mcnn.Resumes)
-	}
-}
-
-// TestPreambleForgetTicketKeepsArtifacts: the artifact-warm tier — after
-// ForgetTicket the next connect runs full base OTs (no resume) but the
-// cached client artifact is still reused.
-func TestPreambleForgetTicketKeepsArtifacts(t *testing.T) {
-	_, ln := pipeEngine(t, testConfig(testModel(t, 69)))
-
-	p := NewPreamble()
-	connectPreamble(t, ln, "", p).Close()
-	p.mu.Lock()
-	before := p.shared[DefaultModelName]
-	p.mu.Unlock()
-	if before == nil {
-		t.Fatal("no client artifact cached after first session")
-	}
-
-	p.ForgetTicket()
-	if p.HasTicket() {
-		t.Fatal("ForgetTicket left a ticket behind")
-	}
-	c := connectPreamble(t, ln, "", p)
-	defer c.Close()
-	if c.Resumed() {
-		t.Fatal("connect without a ticket cannot resume")
-	}
-	p.mu.Lock()
-	after := p.shared[DefaultModelName]
-	p.mu.Unlock()
-	if after != before {
-		t.Fatal("artifact-warm connect rebuilt the cached client artifact")
-	}
-	if !p.HasTicket() {
-		t.Fatal("artifact-warm full handshake should re-issue a ticket")
 	}
 }

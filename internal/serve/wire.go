@@ -33,26 +33,18 @@ const (
 	// hellos may carry an OT resumption ticket plus a client nonce, welcomes
 	// answer with the typed resumption outcome, a fresh ticket and the server
 	// nonce, and a Resumed welcome is followed directly by protocol traffic
-	// — only full handshakes carry the HE public-key flight. Version 9 is
-	// version 8 with every label OT correlated: the OT sender answers one
-	// 16-byte label an OT (a z frame) instead of two (a y frame), after a t
-	// frame of 16 bytes an OT sent with the extension, so Client-Garbler's
-	// online z frames halve and its offline upload grows by the t frames.
-	// Version 8 is version 7 with a smaller ReLU circuit, which both ends derive from the
-	// model metadata: 130 AND gates for P20 at shift 4 where 7 garbled 163,
-	// so every garbled layer's tables are shorter. Version 7 is
-	// version 6 with Client-Garbler's a-label OT extension moved into the
-	// offline phase as random OTs (the evaluator's u frames follow the
-	// circuits), leaving online one d frame up (a bit an OT) and one z frame
-	// down per ReLU layer where 6 sent u up and y down. Version 6 had the
-	// full handshake's base OT as two flights of P-256 points (33 + 4,224
-	// bytes) instead of three of MODP-1536 elements and encrypted seed pairs
-	// (192 + 24,576 + 4,096 bytes); version 5 hashed the OT extension's
-	// ciphertexts with fixed-key AES where 4 used SHA-256. Durable state
-	// (tickets, preambles, artifacts) holds seeds, keys and encoded weights,
-	// never group elements, ciphertexts, precomputed OTs, or the circuits
-	// and plans both ends derive from the model metadata, and so carries
-	// across every bump, a circuit change included.
+	// — only full handshakes carry the HE public-key flight and the two
+	// flights of P-256 base-OT points. Every label OT is correlated: the
+	// extension carries a t frame of 16 bytes an OT and the answer is one
+	// 16-byte label an OT (a z frame); Client-Garbler runs its a-label OTs
+	// offline as random OTs, leaving one d frame up and one z frame down
+	// per ReLU layer online. Both ends derive the ReLU circuit (130 AND
+	// gates for P20 at shift 4) and the matvec plans from the model
+	// metadata. Durable state (tickets, preambles, artifacts) holds seeds,
+	// keys and encoded weights, never group elements, ciphertexts,
+	// precomputed OTs, or anything both ends derive from the model
+	// metadata, and so carries across every bump. The history of earlier
+	// versions is in CHANGES.md.
 	wireVersion = 9
 
 	tagData byte = 0x00

@@ -121,14 +121,14 @@ type LocalEngine struct {
 }
 
 // Preamble is a client's reusable session-preamble state: the OT
-// resumption ticket from its last full handshake, per-model shared client
-// artifacts (ReLU circuits + matvec plans, no secrets), and the HE key
-// material derived for the current ticket generation. Pass one to
-// LocalEngine.Connect via WithPreamble (or serve.Connect/serve.Dial via
-// serve.WithPreamble for remote engines) on every connect of a logical
+// resumption ticket from its last full handshake and the HE key material
+// derived for the current ticket generation. It holds no model state: each
+// session derives its plans and circuits from the welcome's metadata. Pass
+// one to LocalEngine.Connect via WithPreamble (or serve.Connect/serve.Dial
+// via serve.WithPreamble for remote engines) on every connect of a logical
 // client: the first session runs a full handshake and fills it, every
 // later session resumes — skipping the public-key base OTs, the BFV
-// keygen and public-key transfer, and all client-side model processing.
+// keygen and the public-key transfer.
 type Preamble = serve.Preamble
 
 // NewPreamble returns an empty session preamble.
@@ -254,8 +254,8 @@ type connectOptions struct {
 
 // WithPreamble connects through a client preamble: the session presents
 // the preamble's resumption ticket (reconnects skip base OTs when the
-// engine accepts it), reuses its cached client artifacts, and updates it
-// in place with this handshake's outcome. A nil p is a plain cold connect.
+// engine accepts it) and updates it in place with this handshake's
+// outcome. A nil p is a plain cold connect.
 func WithPreamble(p *Preamble) ConnectOption {
 	return func(o *connectOptions) { o.preamble = p }
 }
