@@ -3,6 +3,7 @@ package bfv
 import (
 	"io"
 	"math/bits"
+	"sync"
 
 	"privinf/internal/ringq"
 )
@@ -190,6 +191,11 @@ func (e *Encryptor) EncryptCoeffsBatch(msgs [][]uint64) []Ciphertext {
 type Decryptor struct {
 	params Params
 	sk     SecretKey
+
+	// rs is the coefficient-domain secret, reversed, for responses. It is
+	// built on first use, so a session that connects pays no transform.
+	rsOnce sync.Once
+	rs     []uint64
 }
 
 // NewDecryptor returns a decryptor for the given secret key.

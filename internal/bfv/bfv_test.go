@@ -1,11 +1,14 @@
 package bfv
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"privinf/internal/field"
+	"privinf/internal/ringq"
 )
 
 // testParams uses the P17 field, the default for the real-crypto protocol.
@@ -339,30 +342,53 @@ func TestMatVecPlanGeometry(t *testing.T) {
 	}
 }
 
+// TestCiphertextSerializationRoundTrip: both ciphertext records, an upload
+// and a response, survive marshal → parse bit-exactly at their fixed sizes,
+// and an upload's expanded ciphertext decrypts.
 func TestCiphertextSerializationRoundTrip(t *testing.T) {
 	p := testParams
 	rng := rand.New(rand.NewSource(28))
-	_, pk := KeyGen(p, newSeeded(29))
-	enc := NewEncryptor(p, pk, newSeeded(30))
-	ct := enc.EncryptCoeffs(randomMessage(rng, p, p.N))
+	sk, _ := KeyGen(p, newSeeded(29))
+	m := randomMessage(rng, p, p.N)
+	up := NewSeededEncryptor(p, sk, newSeeded(30)).EncryptCoeffs(m)
 
-	data, err := ct.MarshalBinary()
+	data, err := up.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) != p.CiphertextBytes() {
-		t.Fatalf("serialized size %d, want %d", len(data), p.CiphertextBytes())
+	if len(data) != SeedSize+8*p.N {
+		t.Fatalf("upload of %d bytes, want %d", len(data), SeedSize+8*p.N)
 	}
-	var ct2 Ciphertext
-	if err := ct2.UnmarshalBinary(data); err != nil {
+	got, err := p.ParseUpload(data)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range ct.c0 {
-		if ct.c0[i] != ct2.c0[i] || ct.c1[i] != ct2.c1[i] {
-			t.Fatalf("coeff %d mismatch after round trip", i)
-		}
+	if !reflect.DeepEqual(got, up) {
+		t.Fatal("upload did not round-trip")
+	}
+	if dec := NewDecryptor(p, sk).DecryptCoeffs(got.Ciphertext()); !reflect.DeepEqual(dec, m) {
+		t.Fatal("parsed upload does not decrypt to its message")
+	}
+
+	pl := PlanMatVec(p, 5, 100)
+	resp := pl.Respond(ptr(got.Ciphertext()), make([]uint64, pl.Out), 0)
+	raw, err := resp.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw) != pl.responseBytes(0) {
+		t.Fatalf("response of %d bytes, want %d", len(raw), pl.responseBytes(0))
+	}
+	back, err := pl.ParseResponse(raw, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, resp) {
+		t.Fatal("response did not round-trip")
 	}
 }
+
+func ptr[T any](v T) *T { return &v }
 
 func TestPublicKeySerializationRoundTrip(t *testing.T) {
 	p := testParams
@@ -383,14 +409,34 @@ func TestPublicKeySerializationRoundTrip(t *testing.T) {
 }
 
 func TestSerializationRejectsGarbage(t *testing.T) {
-	var ct Ciphertext
-	if err := ct.UnmarshalBinary([]byte{1, 2, 3}); err == nil {
-		t.Fatal("short buffer should fail")
+	p := testParams
+	for _, data := range [][]byte{{1, 2, 3}, make([]byte, SeedSize+8*p.N-8), make([]byte, SeedSize+8*p.N+8)} {
+		if _, err := p.ParseUpload(data); err == nil {
+			t.Fatalf("upload of %d bytes should fail", len(data))
+		}
 	}
-	bad := make([]byte, 8+16)
-	bad[0] = 200 // degree 200 but only one coefficient of data
-	if err := ct.UnmarshalBinary(bad); err == nil {
-		t.Fatal("inconsistent length should fail")
+	// A c0 coefficient ≥ q at the right length: the lazy matvec kernels
+	// assume canonical input.
+	notCanonical := make([]byte, SeedSize+8*p.N)
+	binary.LittleEndian.PutUint64(notCanonical[SeedSize+8*7:], ringq.Q)
+	if _, err := p.ParseUpload(notCanonical); err == nil {
+		t.Fatal("upload with a coefficient equal to q should fail")
+	}
+
+	pl := PlanMatVec(p, 5, 100)
+	for _, data := range [][]byte{{1, 2, 3}, make([]byte, pl.responseBytes(0)-1), make([]byte, pl.responseBytes(0)+1)} {
+		if _, err := pl.ParseResponse(data, 0); err == nil {
+			t.Fatalf("response of %d bytes should fail", len(data))
+		}
+	}
+	// 31 bits × (4096 + 5) values leave 5 padding bits in the last byte.
+	padded := make([]byte, pl.responseBytes(0))
+	padded[len(padded)-1] = 0x80
+	if _, err := pl.ParseResponse(padded, 0); err == nil {
+		t.Fatal("response with a nonzero padding bit should fail")
+	}
+	if _, err := pl.ParseResponse(padded[:0], pl.NumOutputCts()); err == nil {
+		t.Fatal("response past the product's last should fail")
 	}
 	var pk PublicKey
 	if err := pk.UnmarshalBinary(nil); err == nil {

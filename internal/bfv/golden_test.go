@@ -17,16 +17,22 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/codec.golden fro
 // TestCodecGolden pins the byte layout of every bfv wire and disk record —
 // one value of each type under a fixed seed — against digests generated
 // through the hand-written per-type codecs that preceded internal/bin.
-// Each line is "type bytes sha256".
+// Each line is "type bytes sha256". Wire v10 replaced the ciphertext
+// record with the upload and response records; the other lines kept their
+// digests.
 func TestCodecGolden(t *testing.T) {
 	p := testParams
 	sk, pk := KeyGen(p, newSeeded(41))
 	m := randomMessage(rand.New(rand.NewSource(42)), p, p.N)
+	up := NewSeededEncryptor(p, sk, newSeeded(43)).EncryptCoeffs(m)
+	pl := PlanMatVec(p, 40, 300)
+	mask := randomMessage(rand.New(rand.NewSource(44)), p, pl.Out)
 	records := []struct {
 		name string
 		v    encoding.BinaryMarshaler
 	}{
-		{"ciphertext", NewEncryptor(p, pk, newSeeded(43)).EncryptCoeffs(m)},
+		{"upload", up},
+		{"response", pl.Respond(ptr(up.Ciphertext()), mask, 0)},
 		{"plaintext", NewEncoder(p).EncodeMulNTT(m)},
 		{"secretkey", sk},
 		{"publickey", pk},

@@ -57,23 +57,33 @@ func (pl MatVecPlan) NumOutputCts() int {
 	return (pl.Out + pl.RowsPer - 1) / pl.RowsPer
 }
 
-// EncryptVector splits x (length In, values mod T) into chunk ciphertexts.
-func (pl MatVecPlan) EncryptVector(enc *Encryptor, x []uint64) []Ciphertext {
+// chunks splits x (length In) into the NumInputCts messages of the input.
+func (pl MatVecPlan) chunks(x []uint64) [][]uint64 {
 	if len(x) != pl.In {
 		panic("bfv: matvec input length mismatch")
 	}
-	chunks := make([][]uint64, pl.NumInputCts())
-	for c := range chunks {
-		lo := c * pl.Chunk
-		hi := lo + pl.Chunk
-		if hi > pl.In {
-			hi = pl.In
-		}
-		chunks[c] = x[lo:hi]
+	out := make([][]uint64, pl.NumInputCts())
+	for c := range out {
+		out[c] = x[c*pl.Chunk : min((c+1)*pl.Chunk, pl.In)]
 	}
+	return out
+}
+
+// EncryptVector splits x (length In, values mod T) into chunk ciphertexts.
+func (pl MatVecPlan) EncryptVector(enc *Encryptor, x []uint64) []Ciphertext {
 	// Batch encryption amortizes the forward NTTs across the chunks; the
 	// entropy draw order matches per-chunk EncryptCoeffs calls exactly.
-	return enc.EncryptCoeffsBatch(chunks)
+	return enc.EncryptCoeffsBatch(pl.chunks(x))
+}
+
+// EncryptUploads splits x (length In, values mod T) into chunk uploads.
+func (pl MatVecPlan) EncryptUploads(enc *SeededEncryptor, x []uint64) []Upload {
+	chunks := pl.chunks(x)
+	out := make([]Upload, len(chunks))
+	for c, m := range chunks {
+		out[c] = enc.EncryptCoeffs(m)
+	}
+	return out
 }
 
 // EncodeMatrix packs the weight matrix w (w[r][c], Out rows of In columns,
@@ -170,7 +180,7 @@ func (pl MatVecPlan) ExtractResult(decrypted [][]uint64) []uint64 {
 	for r := 0; r < pl.Out; r++ {
 		oc := r / pl.RowsPer
 		m := r % pl.RowsPer
-		out[r] = decrypted[oc][m*pl.Chunk+pl.Chunk-1]
+		out[r] = decrypted[oc][pl.slot(m)]
 	}
 	return out
 }
@@ -192,7 +202,7 @@ func (pl MatVecPlan) MaskPlaintext(e *Encoder, s []uint64, oc int) Plaintext {
 		if r >= pl.Out {
 			break
 		}
-		buf[m*pl.Chunk+pl.Chunk-1] = s[r]
+		buf[pl.slot(m)] = s[r]
 	}
 	return e.EncodeAddNTT(buf)
 }

@@ -19,12 +19,41 @@
 // (|w| ≤ 2^8) headroom exceeds 20 bits. The protocol layer restricts
 // plaintext multiplications to one level, matching DELPHI.
 //
+// Offline transport (wire v10). The protocol never computes on a ciphertext
+// after it crosses the wire, so both directions send only what decryption
+// needs. An upload is a secret-key encryption whose c1 = a is expanded by
+// AES-CTR from a fresh 16-byte seed: c0 = −a·s + Δm + e, sent as seed ‖ c0.
+// Its noise is e alone (|e| ≤ 2), far below the public-key bound above, and
+// its security is plain RLWE with a public, pseudorandom a.
+//
+// A matvec response is switched from q to 2^k before it is sent. Write the
+// coefficient-domain phase as c0 + c1·s = Δm + v + q·K for an integer
+// polynomial K, with |v| the noise. The server sends c'_i = round(2^k·c_i/q)
+// mod 2^k = 2^k·c_i/q + ε_i with |ε_i| ≤ 1/2, so
+//
+//	c'0 + c'1·s = (2^k/q)·(Δm + v) + ε0 + ε1·s   (mod 2^k)
+//	            = (2^k/T)·m + (2^k/q)·v + E,
+//	|E| ≤ |ε0| + N·|ε1|·|s|∞ + 2^k·T/q ≤ (N+1)/2 + 1/2 = (N+2)/2,
+//
+// where the last term is what Δ = ⌊q/T⌋ misses of q/T, times m < T, scaled
+// by 2^k/q; it is below 1/2 whenever 2^k·T ≤ q/2, which holds for every
+// T ≤ 2^22 at N = 4096 (k ≤ 37). The client decrypts by rounding
+// T·phase/2^k, which is correct while the total error stays under 2^k/(2T).
+// The width k is the least with 2^k ≥ 4·T·(N+2) (responseBits): then
+// |E| ≤ 2^k/(8T), under half of that budget even when every coefficient of
+// s is ±1, and the other half admits any pre-switch noise |v| < q/(4T), one
+// bit of the budget above. For N = 4096 and T = field.P20, k = 34. The
+// response carries all of c1 and c0 at the plan's read slots only, each at
+// k bits, and the client decrypts it in the coefficient domain against a
+// copy of s: Out·N word multiply-adds and no transform.
+//
 // This is a research artifact: parameters target correctness and protocol
 // shape, not a production 128-bit security review.
 package bfv
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"privinf/internal/ringq"
@@ -95,6 +124,7 @@ func (p Params) Delta() uint64 { return p.delta }
 // NTT exposes the ring transform (used by the encoders).
 func (p Params) NTT() *ringq.NTT { return p.ntt }
 
-// CiphertextBytes returns the serialized size of one ciphertext:
-// two degree-N polynomials of 8-byte coefficients plus a small header.
-func (p Params) CiphertextBytes() int { return 2*8*p.N + 8 }
+// responseBits returns k, the width a matvec response is switched to: the
+// least k with 2^k ≥ 4·T·(N+2) (see the package doc). NewParams bounds T
+// and N, so k ≤ 42.
+func (p Params) responseBits() int { return bits.Len64(4*p.T*uint64(p.N+2) - 1) }

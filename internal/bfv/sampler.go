@@ -11,9 +11,15 @@ import (
 // sampler draws the random polynomials the scheme needs from an entropy
 // source. Production callers use crypto/rand; tests inject seeded readers
 // for reproducibility.
+//
+// Each polynomial's bytes come in one read of the words it needs at least,
+// and more only when rejections leave it short. The words are consumed in
+// stream order and never past what the polynomial uses, so the output for a
+// given stream is the same as reading one word at a time: derived keys
+// re-derive bit-identically.
 type sampler struct {
 	src io.Reader
-	buf [8]byte
+	buf []byte
 }
 
 func newSampler(src io.Reader) *sampler {
@@ -23,20 +29,30 @@ func newSampler(src io.Reader) *sampler {
 	return &sampler{src: src}
 }
 
-func (s *sampler) uint64() uint64 {
-	if _, err := io.ReadFull(s.src, s.buf[:]); err != nil {
+// read returns the next n words of the stream, reusing the sampler's buffer.
+func (s *sampler) read(n int) []byte {
+	if cap(s.buf) < 8*n {
+		s.buf = make([]byte, 8*n)
+	}
+	b := s.buf[:8*n]
+	if _, err := io.ReadFull(s.src, b); err != nil {
 		// Entropy exhaustion is unrecoverable for key material.
 		panic("bfv: entropy source failed: " + err.Error())
 	}
-	return binary.LittleEndian.Uint64(s.buf[:])
+	return b
 }
 
 // uniform fills out with independent uniform values in [0, Q).
 func (s *sampler) uniform(out []uint64) {
+	b := s.read(len(out))
 	for i := range out {
 		// Rejection sampling; Q is close to 2^64 so rejections are rare.
 		for {
-			v := s.uint64()
+			if len(b) == 0 {
+				b = s.read(len(out) - i)
+			}
+			v := binary.LittleEndian.Uint64(b)
+			b = b[8:]
 			if v < ringq.Q {
 				out[i] = v
 				break
@@ -47,12 +63,18 @@ func (s *sampler) uniform(out []uint64) {
 
 // ternary fills out with values in {-1, 0, 1} mod Q, uniformly.
 func (s *sampler) ternary(out []uint64) {
+	var b []byte
 	var word uint64
 	var remaining int
 	for i := range out {
 		for {
 			if remaining == 0 {
-				word = s.uint64()
+				if len(b) == 0 {
+					// A word yields at most 32 coefficients.
+					b = s.read((len(out) - i + 31) / 32)
+				}
+				word = binary.LittleEndian.Uint64(b)
+				b = b[8:]
 				remaining = 32
 			}
 			v := word & 3
@@ -77,10 +99,11 @@ func (s *sampler) ternary(out []uint64) {
 // e = sum of eta coin pairs, giving |e| ≤ eta with variance eta/2.
 const cbdEta = 2
 
-// cbd fills out with centered-binomial errors mod Q.
+// cbd fills out with centered-binomial errors mod Q, one word each.
 func (s *sampler) cbd(out []uint64) {
+	b := s.read(len(out))
 	for i := range out {
-		bits := s.uint64()
+		bits := binary.LittleEndian.Uint64(b[8*i:])
 		var e int
 		for j := 0; j < cbdEta; j++ {
 			e += int(bits & 1)

@@ -6,11 +6,12 @@ import (
 	"privinf/internal/bin"
 )
 
-// Serialization uses a fixed little-endian layout so ciphertexts and public
-// keys can cross the client-server transport: every ring record is its
-// degree followed by one or two coefficient vectors of that degree. The
-// degree is embedded as a sanity check against parameter mismatches between
-// the two parties.
+// Serialization uses a fixed little-endian layout so keys and weight
+// plaintexts can cross the client-server transport and sit on disk: every
+// ring record is its degree followed by one or two coefficient vectors of
+// that degree. The degree is embedded as a sanity check against parameter
+// mismatches between the two parties. Ciphertexts travel only as the
+// fixed-shape records of seeded.go and response.go.
 
 // marshalPolys encodes a record of degree-len(a) vectors (b may be nil) in
 // one exact-size allocation.
@@ -32,22 +33,6 @@ func readDegree(r *bin.Reader, what string, polys int) (int, error) {
 		return 0, fmt.Errorf("bfv: %s of %d bytes is not a whole degree-%d record", what, total, n)
 	}
 	return n, nil
-}
-
-// MarshalBinary encodes the ciphertext.
-func (ct Ciphertext) MarshalBinary() ([]byte, error) { return marshalPolys(ct.c0, ct.c1) }
-
-// UnmarshalBinary decodes a ciphertext produced by MarshalBinary.
-func (ct *Ciphertext) UnmarshalBinary(data []byte) error {
-	r := bin.NewReader(data)
-	n, err := readDegree(&r, "ciphertext", 2)
-	if err != nil {
-		return err
-	}
-	ct.c0, ct.c1 = make([]uint64, n), make([]uint64, n)
-	r.U64s(ct.c0)
-	r.U64s(ct.c1)
-	return nil
 }
 
 // MarshalBinary encodes the plaintext (its coefficient vector, in whatever

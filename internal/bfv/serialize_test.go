@@ -59,10 +59,6 @@ func TestPlaintextUnmarshalRejectsDamage(t *testing.T) {
 		}
 	}
 
-	var ct Ciphertext
-	if err := ct.UnmarshalBinary(append(append([]byte(nil), overflow...), overflow...)); err == nil {
-		t.Error("ciphertext unmarshal accepted an overflowing degree")
-	}
 	var pk PublicKey
 	if err := pk.UnmarshalBinary(append(append([]byte(nil), overflow...), overflow...)); err == nil {
 		t.Error("public key unmarshal accepted an overflowing degree")

@@ -15,8 +15,7 @@ import (
 type Client struct {
 	party
 
-	sk  bfv.SecretKey
-	enc *bfv.Encryptor
+	enc *bfv.SeededEncryptor
 	dec *bfv.Decryptor
 
 	// pres is the FIFO buffer of completed pre-computes; RunOffline
@@ -69,10 +68,8 @@ func (c *Client) setupKeys() error {
 	if keyGen == nil {
 		keyGen = bfv.KeyGen
 	}
-	var pk bfv.PublicKey
-	c.sk, pk = keyGen(c.cfg.HEParams, c.entropy)
-	c.enc = bfv.NewEncryptor(c.cfg.HEParams, pk, c.entropy)
-	c.dec = bfv.NewDecryptor(c.cfg.HEParams, c.sk)
+	sk, pk := keyGen(c.cfg.HEParams, c.entropy)
+	c.installKeys(sk)
 	raw, err := pk.MarshalBinary()
 	if err != nil {
 		return err
@@ -81,6 +78,14 @@ func (c *Client) setupKeys() error {
 		return fmt.Errorf("delphi: client setup: %w", err)
 	}
 	return nil
+}
+
+// installKeys points the session's encryptor and decryptor at sk: uploads
+// are seeded secret-key encryptions, so the public key only crosses the
+// wire once, in a full handshake.
+func (c *Client) installKeys(sk bfv.SecretKey) {
+	c.enc = bfv.NewSeededEncryptor(c.cfg.HEParams, sk, c.entropy)
+	c.dec = bfv.NewDecryptor(c.cfg.HEParams, sk)
 }
 
 // Setup generates HE keys, sends the public key, and runs base-OT setup.
@@ -119,15 +124,16 @@ func (c *Client) RunOffline() (OfflineReport, error) {
 // Buffered returns the number of pre-computes ready for online inferences.
 func (c *Client) Buffered() int { return len(c.pres) }
 
-// offlineHE samples the per-layer masks r_i, sends their encryptions, and
-// decrypts the returned shares c_i = W_i r_i - s_i.
+// offlineHE samples the per-layer masks r_i, sends their seeded
+// encryptions, and decrypts the returned shares c_i = W_i r_i - s_i from
+// the responses' read slots.
 func (c *Client) offlineHE(pre *clientPre) error {
 	L := len(c.meta.Dims)
 	pre.r = make([][]uint64, L)
 	for i := 0; i < L; i++ {
 		pre.r[i] = c.sharing.RandomVec(c.meta.Dims[i].In)
-		for _, ct := range c.plans[i].EncryptVector(c.enc, pre.r[i]) {
-			raw, err := ct.MarshalBinary()
+		for _, up := range c.plans[i].EncryptUploads(c.enc, pre.r[i]) {
+			raw, err := up.MarshalBinary()
 			if err != nil {
 				return err
 			}
@@ -140,19 +146,17 @@ func (c *Client) offlineHE(pre *clientPre) error {
 	pre.cshare = make([][]uint64, L)
 	for i := 0; i < L; i++ {
 		plan := c.plans[i]
-		cts := make([]bfv.Ciphertext, plan.NumOutputCts())
-		for oc := range cts {
+		rs := make([]bfv.Response, plan.NumOutputCts())
+		for oc := range rs {
 			raw, err := c.conn.Recv()
 			if err != nil {
 				return fmt.Errorf("delphi: offline HE recv layer %d: %w", i, err)
 			}
-			if err := cts[oc].UnmarshalBinary(raw); err != nil {
-				return err
+			if rs[oc], err = plan.ParseResponse(raw, oc); err != nil {
+				return fmt.Errorf("delphi: offline HE layer %d: %w", i, err)
 			}
 		}
-		// One batch decrypt per layer: the inverse NTTs fan out instead of
-		// running per ciphertext between Recv calls.
-		pre.cshare[i] = plan.ExtractResult(c.dec.DecryptCoeffsBatch(cts))
+		pre.cshare[i] = plan.DecryptResponses(c.dec, rs)
 	}
 	return nil
 }

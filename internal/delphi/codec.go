@@ -243,7 +243,7 @@ func UnmarshalSharedModel(data []byte, model *nn.Lowered) (*SharedModel, error) 
 		}
 	}
 
-	sm := &SharedModel{derived: d, model: model, weights: weights, encoder: bfv.NewEncoder(params)}
+	sm := &SharedModel{derived: d, model: model, weights: weights}
 	sm.computeSize()
 	return sm, nil
 }

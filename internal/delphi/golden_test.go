@@ -81,7 +81,14 @@ func (h *hashConn) cut(variant Variant, phase string) string {
 // shrank by as much (one masked label an OT instead of two), and sg offline
 // s2c kept its byte count and changed its digest (each b/r OT batch is now
 // a t and a z frame instead of a y frame); the u frames, and with them
-// both s2c lines of Client-Garbler, kept every byte and digest.
+// both s2c lines of Client-Garbler, kept every byte and digest. Wire v10
+// sends seeded uploads and modulus-switched, read-slot-only responses: each
+// offline c2s line shrank by 3 × 32,760 bytes and each offline s2c line by
+// 144,161. Every online line kept its byte count; their digests moved only
+// because a seeded upload draws fewer bytes from the client's stream than a
+// public-key encryption did, which shifts every later draw (the masks r_i
+// of later layers and the garbler's label seeds). With the client's stream
+// consumed exactly as before, all four online lines kept their v9 digests.
 func TestGCWireGolden(t *testing.T) {
 	model, err := nn.DemoMLP(field.New(field.P20), 7)
 	if err != nil {

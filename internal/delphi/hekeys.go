@@ -88,9 +88,7 @@ func (c *Client) useKeys(keys HEKeyPair) error {
 	if err := keys.Validate(c.cfg.HEParams); err != nil {
 		return err
 	}
-	c.sk = keys.SK
-	c.enc = bfv.NewEncryptor(c.cfg.HEParams, keys.PK, c.entropy)
-	c.dec = bfv.NewDecryptor(c.cfg.HEParams, keys.SK)
+	c.installKeys(keys.SK)
 	return nil
 }
 

@@ -90,8 +90,9 @@ func (s *Server) RunOffline() (OfflineReport, error) {
 // Buffered returns the number of pre-computes ready for online inferences.
 func (s *Server) Buffered() int { return len(s.pres) }
 
-// offlineHE receives E(r_i) for every layer, computes E(W_i r_i - s_i)
-// (optionally layer-parallel), and returns the results.
+// offlineHE receives the seeded uploads E(r_i) for every layer, computes
+// E(W_i r_i - s_i) (optionally layer-parallel), and sends each result as a
+// response: switched to 2^k, c0 at the read slots only.
 func (s *Server) offlineHE(pre *serverPre) error {
 	L := len(s.meta.Dims)
 	inputs := make([][]bfv.Ciphertext, L)
@@ -103,14 +104,16 @@ func (s *Server) offlineHE(pre *serverPre) error {
 			if err != nil {
 				return fmt.Errorf("delphi: offline HE recv layer %d: %w", i, err)
 			}
-			if err := inputs[i][c].UnmarshalBinary(raw); err != nil {
-				return err
+			up, err := s.cfg.HEParams.ParseUpload(raw)
+			if err != nil {
+				return fmt.Errorf("delphi: offline HE layer %d: %w", i, err)
 			}
+			inputs[i][c] = up.Ciphertext()
 		}
 	}
 
 	pre.masks = make([][]uint64, L)
-	results := make([][]bfv.Ciphertext, L)
+	results := make([][]bfv.Response, L)
 	workers := s.cfg.LPHEWorkers
 	if workers < 1 {
 		workers = 1
@@ -132,8 +135,8 @@ func (s *Server) offlineHE(pre *serverPre) error {
 	wg.Wait()
 
 	for i := 0; i < L; i++ {
-		for _, ct := range results[i] {
-			raw, err := ct.MarshalBinary()
+		for _, r := range results[i] {
+			raw, err := r.MarshalBinary()
 			if err != nil {
 				return err
 			}
@@ -145,23 +148,21 @@ func (s *Server) offlineHE(pre *serverPre) error {
 	return nil
 }
 
-// applyLayer computes E(W_i r_i - s_i) for one layer (one LPHE job).
-func (s *Server) applyLayer(i int, mask []uint64, cts []bfv.Ciphertext) []bfv.Ciphertext {
+// applyLayer computes the responses E(W_i r_i - s_i) for one layer (one
+// LPHE job).
+func (s *Server) applyLayer(i int, mask []uint64, cts []bfv.Ciphertext) []bfv.Response {
 	plan := s.plans[i]
 	nIn := plan.NumInputCts()
-	out := make([]bfv.Ciphertext, plan.NumOutputCts())
+	out := make([]bfv.Response, plan.NumOutputCts())
 	for oc := range out {
 		acc := bfv.ZeroCiphertext(s.cfg.HEParams)
 		for ic := 0; ic < nIn; ic++ {
 			bfv.AccumulateMulPlain(&acc, cts[ic], s.shared.weights[i][oc*nIn+ic])
 		}
-		// One canonical pass after the lazy accumulation, before the
-		// fully-reduced mask subtraction.
+		// One canonical pass after the lazy accumulation; Respond then
+		// consumes the accumulator.
 		bfv.CanonicalizeCt(&acc)
-		// The accumulator is dead after the mask subtraction, so subtract
-		// in place rather than allocating a fresh ciphertext.
-		bfv.SubPlainInto(&acc, plan.MaskPlaintext(s.shared.encoder, mask, oc))
-		out[oc] = acc
+		out[oc] = plan.Respond(&acc, mask, oc)
 	}
 	return out
 }

@@ -106,8 +106,7 @@ type SharedModel struct {
 	derived
 	model   *nn.Lowered
 	weights [][]bfv.Plaintext // [layer][outCt*numInputCts+inCt], NTT domain
-	encoder *bfv.Encoder
-	size    uint64 // resident footprint, computed once at build
+	size    uint64            // resident footprint, computed once at build
 }
 
 // NewSharedModel validates the model against the HE parameters and builds
@@ -121,10 +120,11 @@ func NewSharedModel(params bfv.Params, model *nn.Lowered) (*SharedModel, error) 
 	if err != nil {
 		return nil, err
 	}
-	sm := &SharedModel{derived: d, model: model, encoder: bfv.NewEncoder(params)}
+	sm := &SharedModel{derived: d, model: model}
 	sm.weights = make([][]bfv.Plaintext, len(model.Linear))
+	encoder := bfv.NewEncoder(params)
 	for i, lin := range model.Linear {
-		pts := sm.plans[i].EncodeMatrix(sm.encoder, lin.W)
+		pts := sm.plans[i].EncodeMatrix(encoder, lin.W)
 		flat := make([]bfv.Plaintext, 0, len(pts)*len(pts[0]))
 		for _, row := range pts {
 			flat = append(flat, row...)

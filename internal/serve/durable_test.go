@@ -334,8 +334,9 @@ func TestTicketDirRequiresResumption(t *testing.T) {
 // extension hashes its ciphertexts, v6 the base OT that makes the seeds in
 // a full handshake, v7 the online OT, which now derandomizes random OTs
 // precomputed offline on the same seeds, v8 the ReLU circuit, which no store
-// holds, v9 the OT answer, now correlated, on the same seeds again.
-// testdata/wire4 through wire8 are what the last commit of each
+// holds, v9 the OT answer, now correlated, on the same seeds again, v10 the
+// offline HE records, which no store holds: the cached HE secret key now
+// encrypts the seeded uploads directly. testdata/wire4 through wire9 are what the last commit of each
 // release left after one cold Client-Garbler session on testModel(170): the
 // engine's ticket directory and the client's preamble file (saved with no
 // cached model artifact, which keeps the file small and makes the reconnect
@@ -344,7 +345,7 @@ func TestTicketDirRequiresResumption(t *testing.T) {
 // no base OTs, no keygen — and the inference, whose label OTs expand the
 // resumed seeds, is bit-exact.
 func TestOlderWireStateResumes(t *testing.T) {
-	for _, release := range []string{"wire4", "wire5", "wire6", "wire7", "wire8"} {
+	for _, release := range []string{"wire4", "wire5", "wire6", "wire7", "wire8", "wire9"} {
 		t.Run(release, func(t *testing.T) {
 			dir := t.TempDir() // the stores sweep and rewrite their directories
 			if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", release))); err != nil {

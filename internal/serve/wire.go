@@ -38,14 +38,17 @@ const (
 	// extension carries a t frame of 16 bytes an OT and the answer is one
 	// 16-byte label an OT (a z frame); Client-Garbler runs its a-label OTs
 	// offline as random OTs, leaving one d frame up and one z frame down
-	// per ReLU layer online. Both ends derive the ReLU circuit (130 AND
-	// gates for P20 at shift 4) and the matvec plans from the model
-	// metadata. Durable state (tickets, preambles, artifacts) holds seeds,
+	// per ReLU layer online. The offline HE leg sends seeded secret-key
+	// uploads (seed ‖ c0) up and, down, responses switched to 2^k with c0
+	// at the read slots only (k = 34 for N = 4096 and P20); the public key
+	// still crosses once, in a full handshake. Both ends derive the ReLU
+	// circuit (130 AND gates for P20 at shift 4) and the matvec plans from
+	// the model metadata. Durable state (tickets, preambles, artifacts) holds seeds,
 	// keys and encoded weights, never group elements, ciphertexts,
 	// precomputed OTs, or anything both ends derive from the model
 	// metadata, and so carries across every bump. The history of earlier
 	// versions is in CHANGES.md.
-	wireVersion = 9
+	wireVersion = 10
 
 	tagData byte = 0x00
 	tagCtrl byte = 0x01
