@@ -478,6 +478,7 @@ func runLocal(model *privinf.Model, modelName string) {
 	fmt.Printf("model: %s  (%d -> %d, %d linear layers, %d ReLUs, field p=%d)\n\n",
 		modelName, model.InputLen(), model.OutputLen(), len(model.Linear), model.NumReLUs(), model.F.P())
 
+	var diverged []string
 	for _, variant := range []delphi.Variant{privinf.ServerGarbler, privinf.ClientGarbler} {
 		res, err := privinf.RunLocalInference(model, variant, x, nil)
 		if err != nil {
@@ -494,6 +495,12 @@ func runLocal(model *privinf.Model, modelName string) {
 		fmt.Printf("  online:  client %.0f ms (sent %s, recv %s)\n\n",
 			res.ClientOnline.Duration.Seconds()*1000,
 			human(res.ClientOnline.BytesSent), human(res.ClientOnline.BytesRecv))
+		if !res.Verified {
+			diverged = append(diverged, variant.String())
+		}
+	}
+	if len(diverged) > 0 {
+		log.Fatalf("pirun: %s output diverged from plaintext inference", strings.Join(diverged, " and "))
 	}
 }
 

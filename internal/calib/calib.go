@@ -60,7 +60,10 @@ const (
 	OnlineOTCorrBytesPerReLU = FieldBits * 16 // 656 (server->client)
 	OnlineOTPairBytesPerReLU = FieldBits * 32 // 1312 (client->server)
 	// Client-Garbler offline: the garbler ships its own active input
-	// labels (2x41 per ReLU) along with the tables.
+	// labels (2x41 per ReLU) along with the tables. The paper's model pays
+	// these bytes and the figures keep them; the protocol in
+	// internal/delphi no longer does: since wire v11 the evaluator expands
+	// those labels from a 16-byte seed a layer.
 	GarblerKnownLabelBytesPerReLU = 2 * FieldBits * LabelBytes // 1312
 )
 

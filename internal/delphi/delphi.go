@@ -7,12 +7,14 @@
 // The garbled-circuit layer has exactly two roles, each written once
 // (roles.go) on the state Client and Server share:
 //
-//   - The garbler garbles every ReLU unit offline and ships tables,
-//     const-one label and decode bits (garbleAndShip). It is the OT sender.
-//     For each circuit input it either sends the active label directly —
-//     when it holds the value itself — or offers both labels by OT
-//     (offerKnown, precomputeOffer + otSendLabels) when the evaluator holds
-//     it.
+//   - The garbler garbles every ReLU unit offline and ships, per layer, a
+//     public seed, the tables and the packed decode bits (garbleAndShip).
+//     It is the OT sender. A circuit input whose value it knows when it
+//     garbles (const-one, and b and r on a client garbler) it pins to an
+//     active label expanded from the seed, so that label never travels;
+//     the a labels of a server garbler go direct online; every other
+//     input's labels it offers by OT (offerKnown, precomputeOffer +
+//     otSendLabels).
 //   - The evaluator receives and stores the circuits (receiveGC, the one
 //     payload parser) — the 18.2 KB/ReLU storage burden of Figure 3 — is
 //     the OT receiver (fetchKnown, precomputeFetch + otRecvLabels), and
@@ -27,7 +29,8 @@
 //	                       ServerGarbler (DELPHI)     ClientGarbler (§5.1)
 //	garbler, OT sender     server                     client
 //	evaluator, GC storage  client                     server
-//	b, r labels (offline)  by OT, after the circuits  direct, with the circuits
+//	const-one label        expanded from the layer seed, either variant
+//	b, r labels (offline)  by OT, after the circuits  expanded from the layer seed
 //	a labels (online)      direct, server → client    random OT offline, then
 //	                                                  d bits up, pair down
 //	ReLU output bits       client decodes, returns    server decodes, keeps

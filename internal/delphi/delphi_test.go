@@ -7,6 +7,7 @@ import (
 
 	"privinf/internal/bfv"
 	"privinf/internal/field"
+	"privinf/internal/garble"
 	"privinf/internal/nn"
 	"privinf/internal/ot"
 	"privinf/internal/transport"
@@ -242,18 +243,20 @@ func TestStorageShiftsToServer(t *testing.T) {
 	cg := newSession(t, ClientGarbler, model, 0)
 	_, cgCliOff, cgSrvOff, _, _ := cg.inferPrivately(t, xin)
 
-	// The evaluator stores every unit's tables, const-one label, decode bits
-	// and b, r labels; under Client-Garbler each party also holds its half
-	// of the a-label OTs: the evaluator a key and a choice bit per OT, the
-	// garbler one bound pad per OT and one free-XOR offset per unit. A
-	// server garbler keeps each unit's encoding (a false label per circuit
-	// input and the offset) for the a labels it sends online.
+	// The evaluator stores every layer's public seed, tables and packed
+	// decode bits, and under Server-Garbler the b and r labels it fetched
+	// by OT; under Client-Garbler each party also holds its half of the
+	// a-label OTs: the evaluator a key and a choice bit per OT, the garbler
+	// one bound pad per OT and one free-XOR offset per unit. A server
+	// garbler keeps each unit's encoding (a false label per circuit input
+	// and the offset) for the a labels it sends online.
 	width := f.Bits()
-	var circuits, evalOTs, garbleOTs, encodings uint64
+	var circuits, fetched, evalOTs, garbleOTs, encodings uint64
 	for l, circ := range cg.server.circuits {
 		units := cg.server.meta.Dims[l].Out
 		ots := units * width
-		circuits += uint64(units * gcUnitBytes(circ, 2*width))
+		circuits += uint64(gcLayerBytes(circ, units))
+		fetched += uint64(units * 2 * width * ot.KeySize)
 		evalOTs += uint64(ots*ot.KeySize + (ots+7)/8)
 		garbleOTs += uint64(ots*ot.KeySize + units*ot.KeySize)
 		encodings += uint64(units * (circ.NumInputs + 1) * ot.KeySize)
@@ -262,7 +265,7 @@ func TestStorageShiftsToServer(t *testing.T) {
 		name      string
 		got, want uint64
 	}{
-		{"SG client", sgCliOff.GCStoreBytes, circuits},
+		{"SG client", sgCliOff.GCStoreBytes, circuits + fetched},
 		{"SG server", sgSrvOff.GCStoreBytes, encodings},
 		{"CG client", cgCliOff.GCStoreBytes, garbleOTs},
 		{"CG server", cgSrvOff.GCStoreBytes, circuits + evalOTs},
@@ -501,5 +504,95 @@ func BenchmarkDelphiOnlineMLP(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestPinnedLabelsExpandFromSeed: the labels an evaluator expands from each
+// received layer's public seed are exactly the garbler's active labels of
+// const-one and, under Client-Garbler, of every unit's b and r bits; none
+// of them is a unit's offset Δ or a false label of its a input (as they
+// would be, were the public seed the secret one); and each layer's public
+// seed is fresh: distinct across layers and across two garblings on one
+// entropy stream.
+func TestPinnedLabelsExpandFromSeed(t *testing.T) {
+	model, err := nn.DemoMLP(field.New(field.P20), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := heParams(model.F.P())
+	shared, err := NewSharedModel(params, model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	width := model.F.Bits()
+	rng := rand.New(rand.NewSource(12))
+	for _, variant := range []Variant{ServerGarbler, ClientGarbler} {
+		cfg := Config{Variant: variant, HEParams: params}
+		gc, ec := transport.Pipe()
+		garbler, err := NewClient(gc, cfg, MetaOf(model), newSeeded(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		evaluator, err := NewServerShared(ec, cfg, shared, newSeeded(9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var own [][]uint64
+		if variant == ClientGarbler {
+			for l := range garbler.circuits {
+				vals := make([]uint64, 2*garbler.meta.Dims[l].Out)
+				for i := range vals {
+					vals[i] = rng.Uint64() % model.F.P()
+				}
+				own = append(own, vals)
+			}
+		}
+		seen := map[[garble.LabelSize]byte]bool{}
+		for round := 0; round < 2; round++ {
+			encs, err := garbler.garbleAndShip(own)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stored, err := evaluator.receiveGC()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pinned := garbler.pinned
+			for l, st := range stored {
+				if seen[st.seed] {
+					t.Fatalf("%v round %d layer %d: public seed reused", variant, round, l)
+				}
+				seen[st.seed] = true
+				raw := make([]byte, len(encs[l])*len(pinned)*garble.LabelSize)
+				garble.ExpandSeed(raw, st.seed)
+				active := labelsOf(raw)
+				secret := map[garble.Label]bool{}
+				for _, enc := range encs[l] {
+					secret[enc.R] = true
+					for _, lb := range enc.Inputs[1 : 1+width] {
+						secret[lb] = true
+					}
+				}
+				for _, lb := range active {
+					forced := lb
+					forced[0] |= 1 // Δ's color bit is forced to 1
+					if secret[lb] || secret[forced] {
+						t.Fatalf("%v layer %d: the public seed expands to a secret label", variant, l)
+					}
+				}
+				for u, enc := range encs[l] {
+					for k, w := range pinned {
+						v := true // const-one
+						if w != 0 {
+							i := w - 1 - width // bit i of b ‖ r
+							v = own[l][2*u+i/width]>>uint(i%width)&1 == 1
+						}
+						if enc.EncodeInput(w, v) != active[u*len(pinned)+k] {
+							t.Fatalf("%v layer %d unit %d: input %d's active label is not the one expanded from the seed", variant, l, u, w)
+						}
+					}
+				}
+			}
+		}
 	}
 }

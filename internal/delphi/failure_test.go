@@ -92,7 +92,6 @@ func TestEvaluatorRejectsMalformedGCPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	params := heParams(model.F.P())
-	width := model.F.Bits()
 	shared, err := NewSharedModel(params, model)
 	if err != nil {
 		t.Fatal(err)
@@ -100,12 +99,11 @@ func TestEvaluatorRejectsMalformedGCPayload(t *testing.T) {
 	for _, ev := range []struct {
 		name    string
 		variant Variant
-		known   int // labels the garbler ships per unit beside the circuit
 	}{
-		{"evaluator=client", ServerGarbler, 0},
-		{"evaluator=server", ClientGarbler, 2 * width},
+		{"evaluator=client", ServerGarbler},
+		{"evaluator=server", ClientGarbler},
 	} {
-		want := model.Linear[0].Out() * gcUnitBytes(shared.circuits[0], ev.known)
+		want := gcLayerBytes(shared.circuits[0], model.Linear[0].Out())
 		for _, tc := range []struct {
 			name string
 			size int
@@ -134,7 +132,7 @@ func TestEvaluatorRejectsMalformedGCPayload(t *testing.T) {
 				if err := atkConn.Send(make([]byte, tc.size)); err != nil {
 					t.Fatal(err)
 				}
-				_, err := p.receiveGC(ev.known > 0)
+				_, err := p.receiveGC()
 				if err == nil || !strings.Contains(err.Error(), "payload") {
 					t.Fatalf("want payload-size error, got %v", err)
 				}
@@ -197,17 +195,31 @@ func TestWireEncodings(t *testing.T) {
 	if _, err := decodeBits(encodeBits(bits), 100); err == nil {
 		t.Fatal("bit length mismatch must error")
 	}
+	// 3 units of a 20-bit ReLU output: 60 bits in 8 bytes, 4 of them padding.
+	// Each packing has one encoding, so a set padding bit is rejected.
+	sixty := valueBits([]uint64{0xfffff, 0x5a5a5, 0x00001}, 20)
+	packed := encodeBits(sixty)
+	if got, err := decodeBits(packed, len(sixty)); err != nil || !reflect.DeepEqual(got, sixty) {
+		t.Fatalf("60-bit round trip: %v", err)
+	}
+	for pad := 60; pad < 64; pad++ {
+		bad := append([]byte(nil), packed...)
+		bad[pad/8] ^= 1 << (pad % 8)
+		if _, err := decodeBits(bad, len(sixty)); err == nil {
+			t.Fatalf("padding bit %d set: accepted", pad)
+		}
+	}
 
 	labels := make([]garble.Label, 3)
 	labels[1][0] = 0xAB
-	gotLabels, err := decodeLabels(encodeLabels(labels), 3)
+	gotLabels, err := decodeLabels(appendLabels(nil, labels), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gotLabels[1] != labels[1] {
 		t.Fatal("label round trip")
 	}
-	if _, err := decodeLabels(encodeLabels(labels), 2); err == nil {
+	if _, err := decodeLabels(appendLabels(nil, labels), 2); err == nil {
 		t.Fatal("label length mismatch must error")
 	}
 }

@@ -14,33 +14,39 @@ import (
 )
 
 // FuzzGCLayerPayload drives the one garbled-layer decoder with
-// attacker-controlled payloads for a small public layer shape, with and
-// without the garbler's shipped labels. It must never panic, must reject
-// every length but the exact one before allocating, and on the exact length
-// must store precisely the layer: nothing a peer sends can make the
-// evaluator hold more than the public shape implies.
+// attacker-controlled payloads for a small public layer shape: 3 units of a
+// 20-bit ReLU, whose 60 decode bits leave 4 padding bits in the block's last
+// byte. It must never panic, must reject before allocating every length but
+// the exact one and every exact-length payload with a padding bit set, and
+// otherwise must store precisely the layer: nothing a peer sends can make
+// the evaluator hold more than the public shape implies, nor find two
+// encodings of one layer.
 func FuzzGCLayerPayload(f *testing.F) {
 	const units = 3
 	fld := field.New(field.P20)
-	width := fld.Bits()
 	circ := boolcirc.BuildReLU(boolcirc.ReLUSpec{P: fld.P(), Frac: 4})
-	for _, known := range []int{0, 2 * width} {
-		exact := units * gcUnitBytes(circ, known)
-		f.Add(make([]byte, exact), known > 0)
-		f.Add(make([]byte, exact-1), known > 0)
-		f.Add(make([]byte, exact+garble.LabelSize), known > 0)
+	exact := gcLayerBytes(circ, units)
+	f.Add(make([]byte, exact))
+	for _, last := range []byte{0x80, 0x10} { // the top and the lowest padding bit
+		padded := make([]byte, exact)
+		padded[exact-1] = last
+		f.Add(padded)
 	}
-	f.Add([]byte{1, 2, 3}, false)
-	f.Add([]byte(nil), true)
+	patterned := make([]byte, exact)
+	for i := range patterned {
+		patterned[i] = byte(i*29 + 7)
+	}
+	patterned[exact-1] &= 0x0F
+	f.Add(patterned)
+	f.Add(make([]byte, exact-1))
+	f.Add(make([]byte, exact+garble.LabelSize))
+	f.Add([]byte{1, 2, 3})
+	f.Add([]byte(nil))
 
-	f.Fuzz(func(t *testing.T, payload []byte, withKnown bool) {
-		known := 0
-		if withKnown {
-			known = 2 * width
-		}
-		st, err := parseGCLayer(circ, units, known, payload)
-		if len(payload) != units*gcUnitBytes(circ, known) {
-			if err == nil || st.tables != nil || st.bytes != 0 {
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		st, err := parseGCLayer(circ, units, payload)
+		if len(payload) != exact || payload[exact-1]>>4 != 0 {
+			if err == nil || st.tables != nil || st.decode != nil || st.bytes != 0 {
 				t.Fatalf("accepted or allocated for a %d-byte payload", len(payload))
 			}
 			return
@@ -48,18 +54,18 @@ func FuzzGCLayerPayload(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.bytes != uint64(len(payload)) || len(st.tables) != units || len(st.known) != units {
+		if st.bytes != uint64(len(payload)) || len(st.tables) != units || st.known != nil {
 			t.Fatalf("stored %d bytes in %d units for a %d-byte payload", st.bytes, len(st.tables), len(payload))
 		}
-		held := 0
+		held := len(st.seed) + len(st.decode)
 		for u := 0; u < units; u++ {
-			if len(st.known[u]) != known {
-				t.Fatalf("unit %d holds %d shipped labels, want %d", u, len(st.known[u]), known)
-			}
-			held += (len(st.tables[u])+1+len(st.known[u]))*garble.LabelSize + len(st.decode[u])
+			held += len(st.tables[u]) * garble.LabelSize
 		}
 		if held != len(payload) {
 			t.Fatalf("evaluator holds %d bytes for a %d-byte layer", held, len(payload))
+		}
+		if want := (units*len(circ.Outputs) + 7) / 8; len(st.decode) != want {
+			t.Fatalf("decode block %d bytes, want %d", len(st.decode), want)
 		}
 	})
 }

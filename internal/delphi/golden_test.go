@@ -89,6 +89,14 @@ func (h *hashConn) cut(variant Variant, phase string) string {
 // public-key encryption did, which shifts every later draw (the masks r_i
 // of later layers and the garbler's label seeds). With the client's stream
 // consumed exactly as before, all four online lines kept their v9 digests.
+// Wire v11 ships no label the garbler fixed before garbling: const-one, and
+// under Client-Garbler b and r, expand from a 16-byte public seed a layer,
+// and the decode bits travel packed. Only the two table-bearing lines moved,
+// by the exact count (cg offline c2s −32,296 = 48 units × (41 labels + 17.5
+// decode bytes) − 2 seeds, sg offline s2c −1,576 = 48 × (1 label + 17.5) −
+// 2 seeds); the other six kept every byte and digest, because every layer's
+// secret seed is drawn before its public one, so Δ and the a labels did not
+// move.
 func TestGCWireGolden(t *testing.T) {
 	model, err := nn.DemoMLP(field.New(field.P20), 7)
 	if err != nil {

@@ -32,6 +32,7 @@ type party struct {
 	sharing  *ss.Sharing
 	plans    []bfv.MatVecPlan    // per linear layer, derived from the model metadata
 	circuits []*boolcirc.Circuit // per ReLU layer, from the process-wide table
+	pinned   []int               // see pinnedInputs
 
 	otSend *ot.ExtSender   // set on the garbler
 	otRecv *ot.ExtReceiver // set on the evaluator
@@ -45,7 +46,8 @@ func newParty(conn transport.MsgConn, cfg Config, d *derived, entropy io.Reader)
 			cfg.HEParams.N, cfg.HEParams.T, d.params.N, d.params.T)
 	}
 	f := field.New(d.meta.P)
-	return party{conn: conn, cfg: cfg, meta: d.meta, f: f, entropy: entropy, sharing: ss.New(f, entropy), plans: d.plans, circuits: d.circuits}, nil
+	return party{conn: conn, cfg: cfg, meta: d.meta, f: f, entropy: entropy, sharing: ss.New(f, entropy), plans: d.plans, circuits: d.circuits,
+		pinned: pinnedInputs(f.Bits(), cfg.Variant == ClientGarbler)}, nil
 }
 
 // setupOT establishes the party's OT-extension role for the session. The
@@ -103,12 +105,12 @@ type gcPre struct {
 // storedLayer is what the evaluator holds per ReLU layer between phases —
 // the storage burden the paper's Figure 3 quantifies (18.2 KB/ReLU).
 type storedLayer struct {
-	tables  [][]garble.Label // per unit
-	decode  [][]byte         // per unit
-	constLb []garble.Label   // per unit: active const-one label
-	// known holds the labels of the b and r inputs, 2*width per unit:
-	// shipped with the circuit by a client garbler, fetched by offline OT
-	// from a server garbler (fetchKnown).
+	seed   [garble.LabelSize]byte // the pinned inputs' active labels expand from it
+	tables [][]garble.Label       // per unit
+	decode []byte                 // decode bits, width per unit, packed
+	// known holds the b and r labels, 2*width per unit, that a server
+	// garbler offers by offline OT (fetchKnown); a client garbler pins b
+	// and r to the seed instead, and known stays nil.
 	known [][]garble.Label
 	bytes uint64
 }
@@ -129,68 +131,86 @@ func (g *gcPre) storeBytes() uint64 {
 	return n
 }
 
-// gcUnitBytes is the wire size of one garbled unit followed by known of the
-// garbler's own active input labels.
-func gcUnitBytes(circ *boolcirc.Circuit, known int) int {
-	return garble.TableBytes(circ) + garble.LabelSize + len(circ.Outputs) + known*garble.LabelSize
+// gcLayerBytes is the wire size of one garbled layer of units: the public
+// seed, every unit's tables, and the units' decode bits packed into one
+// block.
+func gcLayerBytes(circ *boolcirc.Circuit, units int) int {
+	return garble.LabelSize + units*garble.TableBytes(circ) + (units*len(circ.Outputs)+7)/8
+}
+
+// pinnedInputs lists the circuit inputs whose values the garbler knows when
+// it garbles: const-one always, and b and r when the garbler is the client.
+// Their active labels expand from each layer's public seed, so none of them
+// crosses the wire.
+func pinnedInputs(width int, cg bool) []int {
+	pinned := make([]int, 1, 1+2*width)
+	pinned[0] = boolcirc.ConstOne
+	for w := 1 + width; cg && w < 1+3*width; w++ {
+		pinned = append(pinned, w)
+	}
+	return pinned
 }
 
 // garbleAndShip is the garbler's offline role: garble every ReLU unit and
-// send, per layer, one payload of units × (tables | const-one label |
-// decode bits | own labels). own[layer] lists the b and r values the
-// garbler already knows, unit-major; a nil own (the server garbler, whose a
-// input only exists online) ships none. Each layer's Δ and input labels are
-// AES-CTR output under a fresh 16-byte seed from the party's entropy.
+// send, per layer, one payload of public seed | units × tables | decode-bit
+// block. own[layer] lists the b and r values the garbler already knows,
+// unit-major; a nil own is the server garbler, whose a, b and r inputs it
+// does not hold. Each layer's Δ and input labels are AES-CTR output under a
+// fresh secret seed, and the pinned inputs' active labels AES-CTR output
+// under a fresh public seed; both come from the party's entropy, every
+// layer's secret seed first.
 func (p *party) garbleAndShip(own [][]uint64) ([][]garble.Encoding, error) {
-	width := p.f.Bits()
-	known := 0
-	if own != nil {
-		known = 2 * width
-	}
+	width, pinned := p.f.Bits(), p.pinned
 	src := p.entropy
 	if src == nil {
 		src = rand.Reader
 	}
-	encs := make([][]garble.Encoding, len(p.circuits))
+	L := len(p.circuits)
+	seeds := make([]byte, 2*L*garble.LabelSize) // L secret, then L public
+	if _, err := io.ReadFull(src, seeds); err != nil {
+		return nil, fmt.Errorf("delphi: GC seeds: %w", err)
+	}
+	encs := make([][]garble.Encoding, L)
 	for layer, circ := range p.circuits {
 		units := p.meta.Dims[layer].Out
-		encs[layer] = make([]garble.Encoding, units)
-		payload := make([]byte, 0, units*gcUnitBytes(circ, known))
 		bases := make([]uint64, units)
 		for u := range bases {
 			bases[u] = gateBase(layer, u)
 		}
-		var seed [garble.LabelSize]byte
-		if _, err := io.ReadFull(src, seed[:]); err != nil {
-			return nil, fmt.Errorf("delphi: GC layer %d seed: %w", layer, err)
+		secret := [garble.LabelSize]byte(seeds[layer*garble.LabelSize:])
+		public := [garble.LabelSize]byte(seeds[(L+layer)*garble.LabelSize:])
+		active := make([]byte, units*len(pinned)*garble.LabelSize)
+		garble.ExpandSeed(active, public)
+		fix := garble.Fixed{Wires: pinned, Values: make([]bool, 0, units*len(pinned)), Active: active}
+		var ownBits []bool
+		if own != nil {
+			ownBits = valueBits(own[layer], width)
 		}
-		// All units of the layer garble as one batch.
-		for u, g := range garble.GarbleBatch(circ, garble.NewPRG(seed), bases) {
-			encs[layer][u] = g.Encoding
-			payload = append(payload, encodeLabels(g.Tables)...)
-			payload = appendActive(payload, g.Encoding, boolcirc.ConstOne, 1, 1) // the wire that carries 1
-			payload = append(payload, g.DecodeBits...)
+		for u := 0; u < units; u++ {
+			fix.Values = append(fix.Values, true) // the wire that carries 1
 			if own != nil {
-				payload = appendActive(payload, g.Encoding, 1+width, width, own[layer][2*u], own[layer][2*u+1])
+				fix.Values = append(fix.Values, ownBits[u*2*width:(u+1)*2*width]...)
 			}
 		}
+
+		payload := make([]byte, 0, gcLayerBytes(circ, units))
+		payload = append(payload, public[:]...)
+		decode := make([]bool, 0, units*len(circ.Outputs))
+		encs[layer] = make([]garble.Encoding, units)
+		// All units of the layer garble as one batch.
+		for u, g := range garble.GarbleBatchFixed(circ, garble.NewPRG(secret), bases, fix) {
+			encs[layer][u] = g.Encoding
+			payload = appendLabels(payload, g.Tables)
+			for _, d := range g.DecodeBits {
+				decode = append(decode, d == 1)
+			}
+		}
+		payload = append(payload, encodeBits(decode)...)
 		if err := p.conn.Send(payload); err != nil {
 			return nil, fmt.Errorf("delphi: send GC layer %d: %w", layer, err)
 		}
 	}
 	return encs, nil
-}
-
-// appendActive appends the garbler's active labels for vals, width bits
-// each, little-endian, on consecutive circuit inputs starting at first.
-func appendActive(dst []byte, enc garble.Encoding, first, width int, vals ...uint64) []byte {
-	for i, v := range vals {
-		for k := 0; k < width; k++ {
-			lb := enc.EncodeInput(first+i*width+k, v>>uint(k)&1 == 1)
-			dst = append(dst, lb[:]...)
-		}
-	}
-	return dst
 }
 
 // sendActive is the garbler's direct-label leg: the active labels of every
@@ -199,26 +219,24 @@ func (p *party) sendActive(encs []garble.Encoding, vals []uint64) error {
 	width := p.f.Bits()
 	payload := make([]byte, 0, len(vals)*width*garble.LabelSize)
 	for u, enc := range encs {
-		payload = appendActive(payload, enc, 1, width, vals[u])
+		for k := 0; k < width; k++ {
+			lb := enc.EncodeInput(1+k, vals[u]>>uint(k)&1 == 1)
+			payload = append(payload, lb[:]...)
+		}
 	}
 	return p.conn.Send(payload)
 }
 
 // receiveGC is the evaluator's offline role: receive and store every
-// layer's garbled units. withKnown says whether the garbler ships its own
-// b and r labels along (a client garbler does).
-func (p *party) receiveGC(withKnown bool) ([]storedLayer, error) {
-	known := 0
-	if withKnown {
-		known = 2 * p.f.Bits()
-	}
+// layer's garbled units.
+func (p *party) receiveGC() ([]storedLayer, error) {
 	stored := make([]storedLayer, len(p.circuits))
 	for layer, circ := range p.circuits {
 		payload, err := p.conn.Recv()
 		if err != nil {
 			return nil, fmt.Errorf("delphi: recv GC layer %d: %w", layer, err)
 		}
-		if stored[layer], err = parseGCLayer(circ, p.meta.Dims[layer].Out, known, payload); err != nil {
+		if stored[layer], err = parseGCLayer(circ, p.meta.Dims[layer].Out, payload); err != nil {
 			return nil, fmt.Errorf("delphi: GC layer %d: %w", layer, err)
 		}
 	}
@@ -226,30 +244,25 @@ func (p *party) receiveGC(withKnown bool) ([]storedLayer, error) {
 }
 
 // parseGCLayer is the one decoder of garbleAndShip's payload. Nothing is
-// allocated before the length matches the public layer shape exactly.
-func parseGCLayer(circ *boolcirc.Circuit, units, known int, payload []byte) (storedLayer, error) {
-	if want := units * gcUnitBytes(circ, known); len(payload) != want {
+// allocated before the payload is the one encoding the public layer shape
+// admits: its exact length, and zero padding after the decode bits.
+func parseGCLayer(circ *boolcirc.Circuit, units int, payload []byte) (storedLayer, error) {
+	if want := gcLayerBytes(circ, units); len(payload) != want {
 		return storedLayer{}, fmt.Errorf("payload %d bytes, want %d", len(payload), want)
 	}
+	end := garble.LabelSize + units*garble.TableBytes(circ)
+	if err := checkBits(payload[end:], units*len(circ.Outputs)); err != nil {
+		return storedLayer{}, err
+	}
 	st := storedLayer{
-		tables:  make([][]garble.Label, units),
-		decode:  make([][]byte, units),
-		constLb: make([]garble.Label, units),
-		known:   make([][]garble.Label, units),
-		bytes:   uint64(len(payload)),
+		tables: make([][]garble.Label, units),
+		decode: append([]byte(nil), payload[end:]...),
+		bytes:  uint64(len(payload)),
 	}
-	next := func(n int) []byte {
-		head := payload[:n]
-		payload = payload[n:]
-		return head
-	}
-	for u := 0; u < units; u++ {
-		st.tables[u] = labelsOf(next(garble.TableBytes(circ)))
-		copy(st.constLb[u][:], next(garble.LabelSize))
-		st.decode[u] = append([]byte(nil), next(len(circ.Outputs))...)
-		if known > 0 {
-			st.known[u] = labelsOf(next(known * garble.LabelSize))
-		}
+	copy(st.seed[:], payload)
+	tables, per := labelsOf(payload[garble.LabelSize:end]), 2*circ.NumAND()
+	for u := range st.tables {
+		st.tables[u] = tables[u*per : (u+1)*per : (u+1)*per]
 	}
 	return st, nil
 }
@@ -257,21 +270,33 @@ func parseGCLayer(circ *boolcirc.Circuit, units, known int, payload []byte) (sto
 // evaluateLayer is the evaluator's online role: evaluate the stored units
 // of one ReLU layer on the a labels just obtained, as one batch, returning
 // the decoded output bits (the masked next-layer input), width per unit.
+// The pinned inputs' active labels are expanded from the layer's seed and
+// the decode bits unpacked here, so neither is held between phases.
 func (p *party) evaluateLayer(st storedLayer, layer int, aLabels []garble.Label) ([]bool, error) {
 	width := p.f.Bits()
 	circ := p.circuits[layer]
-	units := len(st.tables)
-	inputs := make([]garble.Label, units*circ.NumInputs)
+	n, np, nOut, units := circ.NumInputs, len(p.pinned), len(circ.Outputs), len(st.tables)
+	// One scratch buffer: the pinned labels, then the decode bits one a byte.
+	scratch := make([]byte, units*np*garble.LabelSize+units*nOut)
+	pinned, decode := scratch[:units*np*garble.LabelSize], scratch[units*np*garble.LabelSize:]
+	garble.ExpandSeed(pinned, st.seed)
+	for i := range decode {
+		decode[i] = st.decode[i/8] >> (i % 8) & 1
+	}
+	inputs := make([]garble.Label, units*n)
 	bases := make([]uint64, units)
 	for u := range bases {
-		in := inputs[u*circ.NumInputs : (u+1)*circ.NumInputs]
-		in[boolcirc.ConstOne] = st.constLb[u]
+		in := inputs[u*n : (u+1)*n]
+		if st.known != nil { // b and r, fetched by OT from a server garbler
+			copy(in[1+width:], st.known[u])
+		}
+		for k, w := range p.pinned {
+			in[w] = garble.Label(pinned[(u*np+k)*garble.LabelSize:])
+		}
 		copy(in[1:1+width], aLabels[u*width:(u+1)*width])
-		copy(in[1+width:], st.known[u])
 		bases[u] = gateBase(layer, u)
 	}
-	var ev garble.Evaluator
-	bits, err := ev.EvalBatch(circ, st.tables, st.decode, inputs, bases)
+	bits, err := garble.EvalBatch(circ, st.tables, decode, inputs, bases)
 	if err != nil {
 		return nil, fmt.Errorf("delphi: eval layer %d: %w", layer, err)
 	}
@@ -288,7 +313,7 @@ func (p *party) offlineGC(pre *gcPre, garbler bool, own [][]uint64, rep *Offline
 	if garbler {
 		pre.encs, err = p.garbleAndShip(own)
 	} else {
-		pre.stored, err = p.receiveGC(cg)
+		pre.stored, err = p.receiveGC()
 	}
 	rep.GCDuration = time.Since(start)
 	if err != nil {
@@ -353,6 +378,7 @@ func (p *party) fetchKnown(stored []storedLayer, own [][]uint64) error {
 		}
 		st := &stored[layer]
 		per := 2 * p.f.Bits()
+		st.known = make([][]garble.Label, len(st.tables))
 		for u := range st.known {
 			st.known[u] = labels[u*per : (u+1)*per]
 		}

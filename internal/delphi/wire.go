@@ -34,12 +34,12 @@ func (p *party) recvVec(want int) ([]uint64, error) {
 	return out, nil
 }
 
-func encodeLabels(ls []garble.Label) []byte {
-	out := make([]byte, 0, garble.LabelSize*len(ls))
+// appendLabels appends the labels' bytes to dst.
+func appendLabels(dst []byte, ls []garble.Label) []byte {
 	for _, l := range ls {
-		out = append(out, l[:]...)
+		dst = append(dst, l[:]...)
 	}
-	return out
+	return dst
 }
 
 func decodeLabels(data []byte, want int) ([]garble.Label, error) {
@@ -69,14 +69,27 @@ func encodeBits(bits []bool) []byte {
 }
 
 func decodeBits(data []byte, want int) ([]bool, error) {
-	if len(data) != (want+7)/8 {
-		return nil, fmt.Errorf("delphi: bit payload %d bytes, want %d", len(data), (want+7)/8)
+	if err := checkBits(data, want); err != nil {
+		return nil, err
 	}
 	out := make([]bool, want)
 	for i := range out {
 		out[i] = data[i/8]>>(uint(i)%8)&1 == 1
 	}
 	return out, nil
+}
+
+// checkBits accepts data only as encodeBits' packing of want bits: the
+// exact length and every padding bit clear, so each bit vector has one
+// encoding.
+func checkBits(data []byte, want int) error {
+	if len(data) != (want+7)/8 {
+		return fmt.Errorf("delphi: bit payload %d bytes, want %d", len(data), (want+7)/8)
+	}
+	if want%8 != 0 && data[len(data)-1]>>(want%8) != 0 {
+		return fmt.Errorf("delphi: bit payload has nonzero padding")
+	}
+	return nil
 }
 
 // gateBase returns the hash-tweak base for a ReLU unit, unique per

@@ -119,7 +119,7 @@ func Garble(c *boolcirc.Circuit, src io.Reader, gateIndexBase uint64) *Garbled {
 func (g *Garbler) GarbleInto(dst *Garbled, c *boolcirc.Circuit, src io.Reader, gateIndexBase uint64) {
 	g.rbuf = grow(g.rbuf, (1+c.NumInputs)*LabelSize)
 	readEntropy(src, g.rbuf)
-	g.garbleCore([]*Garbled{dst}, c, g.rbuf, []uint64{gateIndexBase})
+	g.garbleCore([]*Garbled{dst}, c, g.rbuf, []uint64{gateIndexBase}, Fixed{})
 }
 
 func readEntropy(src io.Reader, buf []byte) {
@@ -131,15 +131,37 @@ func readEntropy(src io.Reader, buf []byte) {
 	}
 }
 
+// Fixed pins the circuit inputs whose values the garbler knows when it
+// garbles to active labels it is given rather than draws. With n =
+// len(Wires) and j = u·n + k, input Wires[k] of unit u carries Values[j] and
+// gets the false label A ⊕ Values[j]·R, A the j-th 16-byte label of Active,
+// so its active label is A. An evaluator that can rebuild Active (delphi
+// expands it from a public seed with ExpandSeed) needs nothing shipped for
+// those inputs. Each unit still reads its full entropy slot and leaves the
+// pinned inputs' part unused, so R and the other inputs' labels are those
+// GarbleBatch draws from the same stream.
+type Fixed struct {
+	Wires  []int
+	Values []bool
+	Active []byte
+}
+
+// chunkOf returns the part of f for units [lo, hi).
+func (f Fixed) chunkOf(lo, hi int) Fixed {
+	n := len(f.Wires)
+	return Fixed{Wires: f.Wires, Values: f.Values[lo*n : hi*n], Active: f.Active[lo*n*LabelSize : hi*n*LabelSize]}
+}
+
 // garbleCore runs the half-gates pass over c for one chunk of units at once:
 // unit u has tweak base bases[u], randomness rnd[u·per:(u+1)·per] (R's bytes
-// followed by the input labels' bytes) and output dsts[u].
-func (g *Garbler) garbleCore(dsts []*Garbled, c *boolcirc.Circuit, rnd []byte, bases []uint64) {
+// followed by the input labels' bytes), the pinned inputs of fix's unit u and
+// output dsts[u].
+func (g *Garbler) garbleCore(dsts []*Garbled, c *boolcirc.Circuit, rnd []byte, bases []uint64, fix Fixed) {
 	k := len(dsts)
 	row := g.prepare(c, k, 4)
 	wires, stage, tweaks := g.wires, g.stage, g.tweaks
 	per := (1 + c.NumInputs) * LabelSize
-	nand := c.NumAND()
+	nand, nfix := c.NumAND(), len(fix.Wires)
 
 	var rs [chunk]words
 	for u, dst := range dsts {
@@ -149,6 +171,13 @@ func (g *Garbler) garbleCore(dsts []*Garbled, c *boolcirc.Circuit, rnd []byte, b
 		rs[u].lo |= 1
 		for w := 0; w < c.NumInputs; w++ {
 			copy(wires[w*row+u*LabelSize:], in[(1+w)*LabelSize:(2+w)*LabelSize])
+		}
+		for i, w := range fix.Wires {
+			l := load((*Label)(fix.Active[(u*nfix+i)*LabelSize:]))
+			if fix.Values[u*nfix+i] {
+				l = l.xor(rs[u])
+			}
+			l.store(slot(wires[w*row:], u))
 		}
 		dst.Tables = grow(dst.Tables, 2*nand)
 	}
@@ -221,6 +250,12 @@ func (g *Garbler) garbleCore(dsts []*Garbled, c *boolcirc.Circuit, rnd []byte, b
 // gateIndexBase. Per-instance outputs are independently allocated so callers
 // can retain or release them individually.
 func GarbleBatch(c *boolcirc.Circuit, src io.Reader, bases []uint64) []*Garbled {
+	return GarbleBatchFixed(c, src, bases, Fixed{})
+}
+
+// GarbleBatchFixed is GarbleBatch with the inputs fix lists pinned to its
+// active labels in every instance; fix.Wires must be circuit inputs.
+func GarbleBatchFixed(c *boolcirc.Circuit, src io.Reader, bases []uint64, fix Fixed) []*Garbled {
 	n := len(bases)
 	out := make([]*Garbled, n)
 	if n == 0 {
@@ -236,7 +271,7 @@ func GarbleBatch(c *boolcirc.Circuit, src io.Reader, bases []uint64) []*Garbled 
 		for u := lo; u < hi; u++ {
 			out[u] = &Garbled{}
 		}
-		g.garbleCore(out[lo:hi], c, buf[lo*per:hi*per], bases[lo:hi])
+		g.garbleCore(out[lo:hi], c, buf[lo*per:hi*per], bases[lo:hi], fix.chunkOf(lo, hi))
 	}
 	workers := min(runtime.GOMAXPROCS(0), chunks)
 	if workers <= 1 {
@@ -270,8 +305,9 @@ type Evaluator struct {
 	workspace
 }
 
-// evaluators serves the one-shot Eval, so callers without an Evaluator of
-// their own still pay for a key schedule and a workspace once, not per call.
+// evaluators serves the pooled Eval and EvalBatch, so callers without an
+// Evaluator of their own (delphi evaluates each layer on one) pay for a key
+// schedule and a workspace once, not per call.
 var evaluators = sync.Pool{New: func() any { return new(Evaluator) }}
 
 // Eval evaluates one garbled circuit on a pooled Evaluator.
@@ -281,22 +317,33 @@ func Eval(c *boolcirc.Circuit, tables []Label, decode []byte, inputs []Label, ga
 	return e.Eval(c, tables, decode, inputs, gateIndexBase)
 }
 
-// Eval evaluates the garbled circuit given active labels for every input
-// (including the constant-one wire, whose true label the garbler always
-// supplies). It returns the decoded output bits. It is EvalBatch on one unit.
+// EvalBatch evaluates a batch of garbled units on a pooled Evaluator.
+func EvalBatch(c *boolcirc.Circuit, tables [][]Label, decode []byte, inputs []Label, bases []uint64) ([]bool, error) {
+	e := evaluators.Get().(*Evaluator)
+	defer evaluators.Put(e)
+	return e.EvalBatch(c, tables, decode, inputs, bases)
+}
+
+// Eval evaluates the garbled circuit given active labels for every input,
+// the constant-one wire's included. It returns the decoded output bits. It
+// is EvalBatch on one unit.
 func (e *Evaluator) Eval(c *boolcirc.Circuit, tables []Label, decode []byte, inputs []Label, gateIndexBase uint64) ([]bool, error) {
-	return e.EvalBatch(c, [][]Label{tables}, [][]byte{decode}, inputs, []uint64{gateIndexBase})
+	return e.EvalBatch(c, [][]Label{tables}, decode, inputs, []uint64{gateIndexBase})
 }
 
 // EvalBatch evaluates len(bases) garbled instances of c: unit u has tables
-// tables[u], decode bits decode[u], tweak base bases[u] and active input
-// labels inputs[u·NumInputs:(u+1)·NumInputs]. It returns the decoded output
-// bits unit-major, len(c.Outputs) per unit. Every unit is checked before any
-// is evaluated, and an error names the first malformed one.
-func (e *Evaluator) EvalBatch(c *boolcirc.Circuit, tables [][]Label, decode [][]byte, inputs []Label, bases []uint64) ([]bool, error) {
+// tables[u], decode bits decode[u·nOut:(u+1)·nOut] (one byte a bit, nOut =
+// len(c.Outputs)), tweak base bases[u] and active input labels
+// inputs[u·NumInputs:(u+1)·NumInputs]. It returns the decoded output bits
+// unit-major, nOut per unit. Every unit is checked before any is
+// evaluated, and an error names the first malformed one.
+func (e *Evaluator) EvalBatch(c *boolcirc.Circuit, tables [][]Label, decode []byte, inputs []Label, bases []uint64) ([]bool, error) {
 	n, nOut := len(bases), len(c.Outputs)
-	if len(tables) != n || len(decode) != n {
-		return nil, fmt.Errorf("garble: %d units but %d tables and %d decode slices", n, len(tables), len(decode))
+	if len(tables) != n {
+		return nil, fmt.Errorf("garble: %d units but %d tables", n, len(tables))
+	}
+	if len(decode) != n*nOut {
+		return nil, fmt.Errorf("garble: got %d decode bits for %d units, want %d", len(decode), n, n*nOut)
 	}
 	if len(inputs) != n*c.NumInputs {
 		return nil, fmt.Errorf("garble: got %d input labels for %d units, want %d", len(inputs), n, n*c.NumInputs)
@@ -306,20 +353,17 @@ func (e *Evaluator) EvalBatch(c *boolcirc.Circuit, tables [][]Label, decode [][]
 		if len(tables[u]) != 2*nand {
 			return nil, fmt.Errorf("garble: unit %d: got %d table entries, want %d", u, len(tables[u]), 2*nand)
 		}
-		if len(decode[u]) != nOut {
-			return nil, fmt.Errorf("garble: unit %d: got %d decode bits, want %d", u, len(decode[u]), nOut)
-		}
 	}
 	out := make([]bool, n*nOut)
 	for lo := 0; lo < n; lo += chunk {
 		hi := min(lo+chunk, n)
-		e.evalCore(out[lo*nOut:hi*nOut], c, tables[lo:hi], decode[lo:hi], inputs[lo*c.NumInputs:hi*c.NumInputs], bases[lo:hi])
+		e.evalCore(out[lo*nOut:hi*nOut], c, tables[lo:hi], decode[lo*nOut:hi*nOut], inputs[lo*c.NumInputs:hi*c.NumInputs], bases[lo:hi])
 	}
 	return out, nil
 }
 
 // evalCore evaluates one chunk of already validated units into bits.
-func (e *Evaluator) evalCore(bits []bool, c *boolcirc.Circuit, tables [][]Label, decode [][]byte, inputs []Label, bases []uint64) {
+func (e *Evaluator) evalCore(bits []bool, c *boolcirc.Circuit, tables [][]Label, decode []byte, inputs []Label, bases []uint64) {
 	k := len(bases)
 	row := e.prepare(c, k, 2)
 	wires, stage, tweaks := e.wires, e.stage, e.tweaks
@@ -359,7 +403,7 @@ func (e *Evaluator) evalCore(bits []bool, c *boolcirc.Circuit, tables [][]Label,
 	nOut := len(c.Outputs)
 	for u := 0; u < k; u++ {
 		for i, w := range c.Outputs {
-			bits[u*nOut+i] = wires[w*row+u*LabelSize]&1^decode[u][i] == 1
+			bits[u*nOut+i] = wires[w*row+u*LabelSize]&1^decode[u*nOut+i] == 1
 		}
 	}
 }

@@ -171,23 +171,22 @@ func TestEvalInputValidation(t *testing.T) {
 
 	// EvalBatch checks every unit before it evaluates any — a fresh
 	// Evaluator still has no slab afterwards — and names the bad unit.
-	cases := map[string]func(tables [][]Label, decode [][]byte) ([][]Label, [][]byte, []Label, string){
-		"short decode": func(tb [][]Label, d [][]byte) ([][]Label, [][]byte, []Label, string) {
-			d[3] = d[3][:3]
-			return tb, d, inputs, "unit 3"
+	cases := map[string]func(tables [][]Label, decode []byte) ([][]Label, []byte, []Label, string){
+		"short decode": func(tb [][]Label, d []byte) ([][]Label, []byte, []Label, string) {
+			return tb, d[:len(d)-1], inputs, "decode bits"
 		},
-		"long tables": func(tb [][]Label, d [][]byte) ([][]Label, [][]byte, []Label, string) {
+		"long tables": func(tb [][]Label, d []byte) ([][]Label, []byte, []Label, string) {
 			tb[2] = append(tb[2][:len(tb[2]):len(tb[2])], Label{})
 			return tb, d, inputs, "unit 2"
 		},
-		"missing tables": func(tb [][]Label, d [][]byte) ([][]Label, [][]byte, []Label, string) {
+		"missing tables": func(tb [][]Label, d []byte) ([][]Label, []byte, []Label, string) {
 			tb[1] = nil
 			return tb, d, inputs, "unit 1"
 		},
-		"short inputs": func(tb [][]Label, d [][]byte) ([][]Label, [][]byte, []Label, string) {
+		"short inputs": func(tb [][]Label, d []byte) ([][]Label, []byte, []Label, string) {
 			return tb, d, inputs[:len(inputs)-1], "input labels"
 		},
-		"one unit short": func(tb [][]Label, d [][]byte) ([][]Label, [][]byte, []Label, string) {
+		"one unit short": func(tb [][]Label, d []byte) ([][]Label, []byte, []Label, string) {
 			return tb[:3], d, inputs, "units"
 		},
 	}

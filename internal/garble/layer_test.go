@@ -44,12 +44,12 @@ func activeInputs(rng *rand.Rand, c *boolcirc.Circuit, gs []*Garbled) ([][]bool,
 	return bits, flat
 }
 
-// unitTables splits garbled units into the per-unit tables and decode bits
-// EvalBatch takes.
-func unitTables(gs []*Garbled) ([][]Label, [][]byte) {
-	tables, decode := make([][]Label, len(gs)), make([][]byte, len(gs))
+// unitTables splits garbled units into the per-unit tables and the
+// unit-major decode bits EvalBatch takes.
+func unitTables(gs []*Garbled) ([][]Label, []byte) {
+	tables, decode := make([][]Label, len(gs)), []byte{}
 	for u, g := range gs {
-		tables[u], decode[u] = g.Tables, g.DecodeBits
+		tables[u], decode = g.Tables, append(decode, g.DecodeBits...)
 	}
 	return tables, decode
 }
@@ -103,7 +103,7 @@ func TestCoresMatchOracle(t *testing.T) {
 				t.Fatalf("circuit %d n=%d: %d output bits, want %d", ci, n, len(out), n*nOut)
 			}
 			for u := range got {
-				want := oracleEval(c, tables[u], decode[u], flat[u*c.NumInputs:(u+1)*c.NumInputs], bases[u])
+				want := oracleEval(c, tables[u], decode[u*nOut:(u+1)*nOut], flat[u*c.NumInputs:(u+1)*c.NumInputs], bases[u])
 				if !reflect.DeepEqual(out[u*nOut:(u+1)*nOut], want) {
 					t.Fatalf("circuit %d n=%d: EvalBatch unit %d decodes %v, the reference %v", ci, n, u, out[u*nOut:(u+1)*nOut], want)
 				}
@@ -217,4 +217,102 @@ func BenchmarkEvalLayer(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/unit")
+}
+
+// pinnedFix pins const-one and every third other input of c for n units,
+// with random values (const-one carries 1) and active labels expanded from
+// seed.
+func pinnedFix(rng *rand.Rand, c *boolcirc.Circuit, n int, seed [LabelSize]byte) Fixed {
+	fix := Fixed{Wires: []int{boolcirc.ConstOne}}
+	for w := 1; w < c.NumInputs; w += 3 {
+		fix.Wires = append(fix.Wires, w)
+	}
+	fix.Active = make([]byte, n*len(fix.Wires)*LabelSize)
+	ExpandSeed(fix.Active, seed)
+	for i := 0; i < n*len(fix.Wires); i++ {
+		fix.Values = append(fix.Values, i%len(fix.Wires) == 0 || rng.Intn(2) == 1)
+	}
+	return fix
+}
+
+// TestPinnedInputsMatchOracle: GarbleBatchFixed equals the per-unit
+// reference garbler run on the unit's entropy with each pinned input's
+// label slot replaced by active ⊕ value·R, so R and every other input's
+// label are what GarbleBatch draws; each pinned input encodes its value to
+// exactly its given active label; and EvalBatch on the pinned labels plus
+// random other inputs decodes what the reference evaluator and the plain
+// circuit do.
+func TestPinnedInputsMatchOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(75))
+	for ci, c := range oracleCircuits() {
+		per := (1 + c.NumInputs) * LabelSize
+		for _, n := range unitCounts {
+			bases := unitBases(ci, n)
+			rnd := make([]byte, n*per)
+			newSeeded(int64(ci*100 + n)).Read(rnd)
+			fix := pinnedFix(rng, c, n, [LabelSize]byte{byte(ci), byte(n)})
+			nf := len(fix.Wires)
+
+			got := GarbleBatchFixed(c, newSeeded(int64(ci*100+n)), bases, fix)
+			bits := make([][]bool, n)
+			flat := make([]Label, 0, n*c.NumInputs)
+			for u := range bases {
+				unit := append([]byte(nil), rnd[u*per:(u+1)*per]...)
+				bits[u] = make([]bool, c.NumInputs)
+				for w := range bits[u] {
+					bits[u][w] = rng.Intn(2) == 1
+				}
+				for k, w := range fix.Wires {
+					active := Label(fix.Active[(u*nf+k)*LabelSize:])
+					zero := active
+					if bits[u][w] = fix.Values[u*nf+k]; bits[u][w] {
+						zero = zero.xor(got[u].Encoding.R)
+					}
+					copy(unit[(1+w)*LabelSize:], zero[:])
+					if l := got[u].Encoding.EncodeInput(w, bits[u][w]); l != active {
+						t.Fatalf("circuit %d n=%d unit %d: pinned input %d encodes to a label other than its active one", ci, n, u, w)
+					}
+				}
+				if want := oracleGarble(c, unit, bases[u]); !garbledEqual(got[u], want) {
+					t.Fatalf("circuit %d n=%d: pinned unit %d differs from the reference", ci, n, u)
+				}
+				for w := range bits[u] {
+					flat = append(flat, got[u].Encoding.EncodeInput(w, bits[u][w]))
+				}
+			}
+
+			tables, decode := unitTables(got)
+			out, err := EvalBatch(c, tables, decode, flat, bases)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nOut := len(c.Outputs)
+			for u := range got {
+				want := oracleEval(c, tables[u], decode[u*nOut:(u+1)*nOut], flat[u*c.NumInputs:(u+1)*c.NumInputs], bases[u])
+				if !reflect.DeepEqual(out[u*nOut:(u+1)*nOut], want) || !reflect.DeepEqual(want, c.Eval(bits[u])) {
+					t.Fatalf("circuit %d n=%d unit %d: EvalBatch %v, reference %v, plain %v", ci, n, u, out[u*nOut:(u+1)*nOut], want, c.Eval(bits[u]))
+				}
+			}
+		}
+	}
+}
+
+// TestExpandSeedIsPRGStream: ExpandSeed writes NewPRG's stream over a dirty
+// destination, for lengths on and off the AES block size, and allocates
+// only the key schedule and the CTR state.
+func TestExpandSeedIsPRGStream(t *testing.T) {
+	seed := [LabelSize]byte{3, 1, 4}
+	for _, n := range []int{0, 1, 15, 16, 17, 1000, 4096} {
+		want := make([]byte, n)
+		NewPRG(seed).Read(want)
+		got := bytes.Repeat([]byte{0xA5}, n)
+		ExpandSeed(got, seed)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("n=%d: ExpandSeed differs from the PRG stream", n)
+		}
+	}
+	dst := make([]byte, 4096)
+	if n := testing.AllocsPerRun(5, func() { ExpandSeed(dst, seed) }); n > 2 {
+		t.Fatalf("ExpandSeed allocates %v times, want at most 2", n)
+	}
 }

@@ -15,13 +15,29 @@ import (
 // tests. The returned reader never fails and is not safe for concurrent
 // use.
 func NewPRG(seed [LabelSize]byte) io.Reader {
+	return &prgReader{stream: newCTR(seed)}
+}
+
+// ExpandSeed sets dst to the first len(dst) bytes of NewPRG(seed)'s stream.
+// It builds no reader, so it costs the key schedule and the CTR state and
+// nothing else: the evaluator expands a layer's public label seed with it
+// on the online path.
+func ExpandSeed(dst []byte, seed [LabelSize]byte) {
+	clear(dst)
+	newCTR(seed).XORKeyStream(dst, dst)
+}
+
+func newCTR(seed [LabelSize]byte) cipher.Stream {
 	block, err := aes.NewCipher(seed[:])
 	if err != nil {
 		panic("garble: prg init failed: " + err.Error())
 	}
-	var iv [aes.BlockSize]byte
-	return &prgReader{stream: cipher.NewCTR(block, iv[:])}
+	return cipher.NewCTR(block, zeroIV[:])
 }
+
+// zeroIV is NewPRG's IV. It is never written: a package variable, so a PRG
+// does not allocate one.
+var zeroIV [aes.BlockSize]byte
 
 type prgReader struct {
 	stream cipher.Stream

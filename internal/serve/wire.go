@@ -41,14 +41,18 @@ const (
 	// per ReLU layer online. The offline HE leg sends seeded secret-key
 	// uploads (seed ‖ c0) up and, down, responses switched to 2^k with c0
 	// at the read slots only (k = 34 for N = 4096 and P20); the public key
-	// still crosses once, in a full handshake. Both ends derive the ReLU
+	// still crosses once, in a full handshake. A garbled ReLU layer is one
+	// frame, public seed ‖ units × tables ‖ packed decode bits: the garbler
+	// ships no label of an input it knows when it garbles (const-one, and
+	// b and r under Client-Garbler), whose active labels the evaluator
+	// expands from the seed. Both ends derive the ReLU
 	// circuit (130 AND gates for P20 at shift 4) and the matvec plans from
 	// the model metadata. Durable state (tickets, preambles, artifacts) holds seeds,
 	// keys and encoded weights, never group elements, ciphertexts,
 	// precomputed OTs, or anything both ends derive from the model
 	// metadata, and so carries across every bump. The history of earlier
 	// versions is in CHANGES.md.
-	wireVersion = 10
+	wireVersion = 11
 
 	tagData byte = 0x00
 	tagCtrl byte = 0x01

@@ -60,16 +60,20 @@ func TestRunLocalInferenceClientGarbler(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The storage burden sits on the server under Client-Garbler: the
-	// circuits a Server-Garbler client stores, plus a 16-byte pad and a
-	// choice bit per precomputed label OT. The client keeps its half of
-	// those OTs: one 16-byte bound pad per OT and a free-XOR offset per ReLU.
-	var server, client uint64
+	// circuits a Server-Garbler client stores, less the b and r labels that
+	// client fetched by OT (two 16-byte labels an a-label OT's worth, which
+	// the server expands from each layer's seed instead), plus a 16-byte pad
+	// and a choice bit per precomputed label OT. The client keeps its half
+	// of those OTs: one 16-byte bound pad per OT and a free-XOR offset per
+	// ReLU.
+	var server, fetched, client uint64
 	for _, l := range model.Linear[:len(model.Linear)-1] {
 		ots := uint64(l.Out() * model.F.Bits())
 		server += 16*ots + (ots+7)/8
+		fetched += 2 * 16 * ots
 		client += 16*ots + 16*uint64(l.Out())
 	}
-	if got, want := res.ServerOffline.GCStoreBytes, sg.ClientOffline.GCStoreBytes+server; got != want {
+	if got, want := res.ServerOffline.GCStoreBytes, sg.ClientOffline.GCStoreBytes-fetched+server; got != want {
 		t.Errorf("Client-Garbler server stores %d bytes, want %d", got, want)
 	}
 	if got, want := res.ClientOffline.GCStoreBytes, client; got != want {
