@@ -195,10 +195,21 @@ func runServe(o serveOpts) {
 			maxLinear = len(model.Linear)
 		}
 	}
+	defaultModel := strings.TrimSpace(o.names[0])
+	if o.pinDefault {
+		// Pin, then build (or reload) now, so the first session never pays
+		// the cold build. Every replica shares reg, so this covers a fleet.
+		if err := reg.Pin(defaultModel); err != nil {
+			log.Fatal(err)
+		}
+		if _, err := reg.Get(defaultModel); err != nil {
+			log.Fatal(err)
+		}
+	}
 	makeEngine := func() (*serve.Engine, error) {
 		return serve.New(serve.Config{
 			Registry:         reg,
-			DefaultModel:     strings.TrimSpace(o.names[0]),
+			DefaultModel:     defaultModel,
 			Variant:          variant,
 			LPHEWorkers:      maxLinear,
 			BufferPerSession: o.buffer,
@@ -208,7 +219,6 @@ func runServe(o serveOpts) {
 			TicketTTL:        o.ticketTTL,
 			TicketBudget:     o.ticketBudget,
 			TicketDir:        o.ticketDir,
-			PinDefaultModel:  o.pinDefault,
 		})
 	}
 	if o.fleet > 1 || o.autoscale {
@@ -224,7 +234,7 @@ func runServe(o serveOpts) {
 		log.Fatal(err)
 	}
 	fmt.Printf("serving %s, models %s (default %s%s) on %s\n", variant, strings.Join(reg.Names(), ","),
-		strings.TrimSpace(o.names[0]), map[bool]string{true: ", pinned", false: ""}[o.pinDefault], ln.Addr())
+		defaultModel, map[bool]string{true: ", pinned", false: ""}[o.pinDefault], ln.Addr())
 	fmt.Printf("scheduler: buffer/session %d, storage budget %d slots, %d offline workers; registry budget %s\n",
 		o.buffer, o.budget, o.workers, humanBudget(o.registryBudget))
 	if store != nil {
@@ -270,6 +280,7 @@ func runServe(o serveOpts) {
 			}
 		case <-sig:
 			eng.Close()
+			reg.Close()
 			st := eng.Stats()
 			fmt.Printf("\nfinal: %d precomputes, %d inferences served\n", st.TotalPrecomputes, st.TotalInferences)
 			return
@@ -361,6 +372,7 @@ func runFleetServe(o serveOpts, reg *serve.Registry, store *serve.ArtifactStore,
 				}
 			}
 			router.Close()
+			reg.Close()
 			fmt.Printf("\nfinal: %d inferences served across the fleet\n", total)
 			return
 		}

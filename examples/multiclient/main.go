@@ -10,7 +10,7 @@
 // hosts the demo MLP with real cryptography, N client sessions connect over
 // TCP loopback, the background scheduler keeps every session's buffer
 // filled under a global storage budget, and each client then fires a burst
-// of inferences. It closes with the paper-scale simulation (ResNet-18 on
+// of inferences, each checked against plaintext inference. It closes with the paper-scale simulation (ResNet-18 on
 // TinyImageNet) the live engine's scheduler policy is validated against.
 //
 //	go run ./examples/multiclient
@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"log"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -38,8 +39,13 @@ func liveEngine() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	reg := serve.NewRegistry(0)
+	defer reg.Close()
+	if err := reg.Register("mlp", model); err != nil {
+		log.Fatal(err)
+	}
 	eng, err := serve.New(serve.Config{
-		Model:            model,
+		Registry:         reg,
 		Variant:          privinf.ClientGarbler,
 		LPHEWorkers:      len(model.Linear),
 		BufferPerSession: 2,
@@ -81,7 +87,9 @@ func liveEngine() {
 				if err != nil {
 					log.Fatal(err)
 				}
-				_ = out
+				if !slices.Equal(out, model.Forward(x)) {
+					log.Fatalf("client %d inference %d diverged from plaintext inference", ci, k)
+				}
 				fmt.Printf("  client %d inference %d: %4.0f ms (buffered %d)\n",
 					ci, k, time.Since(t0).Seconds()*1000, c.Buffered())
 			}

@@ -42,9 +42,14 @@ func liveStream() {
 	const requests = 6
 	const meanGapMs = 400
 
+	reg := serve.NewRegistry(0)
+	defer reg.Close()
+	if err := reg.Register("mlp", model); err != nil {
+		log.Fatal(err)
+	}
 	run := func(name string, budget int) float64 {
 		eng, err := serve.New(serve.Config{
-			Model:            model,
+			Registry:         reg,
 			Variant:          privinf.ClientGarbler,
 			LPHEWorkers:      len(model.Linear),
 			BufferPerSession: 2,

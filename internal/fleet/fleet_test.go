@@ -27,10 +27,20 @@ func testModel(t testing.TB, seed int64) *nn.Lowered {
 	return model
 }
 
+// newEngine is one replica serving model under the name "default" from a
+// registry of its own, built now and closed with the test.
 func newEngine(t testing.TB, model *nn.Lowered) *serve.Engine {
 	t.Helper()
+	reg := serve.NewRegistry(0)
+	t.Cleanup(reg.Close)
+	if err := reg.Register("default", model); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Get("default"); err != nil {
+		t.Fatal(err)
+	}
 	eng, err := serve.New(serve.Config{
-		Model:        model,
+		Registry:     reg,
 		Variant:      delphi.ClientGarbler,
 		LPHEWorkers:  len(model.Linear),
 		SetupWorkers: 1,
@@ -480,7 +490,7 @@ func TestAutoscalerColdProfileSizing(t *testing.T) {
 		Spawn:       func() (*serve.Engine, error) { return newEngine(t, model), nil },
 		MinReplicas: 1,
 		MaxReplicas: 8,
-		Profiles:    map[string]cost.Scenario{serve.DefaultModelName: profile},
+		Profiles:    map[string]cost.Scenario{"default": profile},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -495,7 +505,7 @@ func TestAutoscalerColdProfileSizing(t *testing.T) {
 	want := time.Duration(profile.Compute().Online() * float64(time.Second))
 	var got time.Duration
 	for _, l := range d.Loads {
-		if l.Model == serve.DefaultModelName {
+		if l.Model == "default" {
 			got = l.Service
 		}
 	}
@@ -507,7 +517,7 @@ func TestAutoscalerColdProfileSizing(t *testing.T) {
 	// one inference per second a model this heavy saturates every fleet
 	// size, so the planner returns MaxReplicas — where the generic
 	// DefaultServiceTime would have kept the fleet at one replica.
-	loads := []ModelLoad{{Model: serve.DefaultModelName, Arrival: 1, Service: got}}
+	loads := []ModelLoad{{Model: "default", Arrival: 1, Service: got}}
 	if n, _, _ := PlanReplicas(loads, 1, 8, DefaultTargetWait); n != 8 {
 		t.Fatalf("cold plan sized %d replicas, want 8 (saturated by profile service time)", n)
 	}

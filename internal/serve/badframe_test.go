@@ -48,7 +48,7 @@ func TestMuxBadFrameTyped(t *testing.T) {
 // ErrBadFrame text and tear the session down — the client observes the
 // server's typed complaint, not a hang or a silently eaten frame.
 func TestGarbageOpcodeInSession(t *testing.T) {
-	eng, ln := pipeEngine(t, testConfig(testModel(t, 92)))
+	eng, ln := pipeEngine(t, testConfig(t, testModel(t, 92)))
 
 	conn, err := ln.Dial()
 	if err != nil {

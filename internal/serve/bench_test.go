@@ -22,7 +22,7 @@ func BenchmarkSessionConnect(b *testing.B) {
 	model := testModel(b, 5)
 	for _, sessions := range []int{1, 8} {
 		b.Run(fmt.Sprintf("sessions=%d", sessions), func(b *testing.B) {
-			_, ln := pipeEngine(b, testConfig(model))
+			_, ln := pipeEngine(b, testConfig(b, model))
 
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -67,7 +67,7 @@ func BenchmarkSessionConnect(b *testing.B) {
 // running keygen. The acceptance bar is resumed ≥ 5× faster than cold.
 func BenchmarkSessionResume(b *testing.B) {
 	model := testModel(b, 5)
-	_, ln := pipeEngine(b, testConfig(model))
+	_, ln := pipeEngine(b, testConfig(b, model))
 	connect := func(b *testing.B, p *Preamble) *Client { return connectPreamble(b, ln, "", p) }
 
 	b.Run("cold", func(b *testing.B) {
@@ -268,7 +268,7 @@ func BenchmarkRegistrySpillReload(b *testing.B) {
 func BenchmarkSessionResumeColdProcess(b *testing.B) {
 	model := testModel(b, 5)
 	cfg := Config{
-		Model:       model,
+		Registry:    testRegistry(b, model),
 		Variant:     delphi.ClientGarbler,
 		LPHEWorkers: len(model.Linear),
 		TicketDir:   b.TempDir(),
@@ -298,6 +298,11 @@ func BenchmarkSessionResumeColdProcess(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		// A restarted process starts from an empty registry.
+		cfg.Registry = NewRegistry(0)
+		if err := cfg.Registry.Register("default", model); err != nil {
+			b.Fatal(err)
+		}
 		eng, err := New(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -317,6 +322,7 @@ func BenchmarkSessionResumeColdProcess(b *testing.B) {
 		if err := eng.Close(); err != nil {
 			b.Fatal(err)
 		}
+		cfg.Registry.Close()
 		b.StartTimer()
 	}
 }

@@ -70,7 +70,7 @@ func parsePromText(t *testing.T, body string) (types map[string]string, samples 
 func TestDebugServerMetrics(t *testing.T) {
 	model := testModel(t, 31)
 	_, ln := startEngine(t, Config{
-		Model:            model,
+		Registry:         testRegistry(t, model),
 		Variant:          delphi.ClientGarbler,
 		BufferPerSession: 1,
 		StorageBudget:    -1,

@@ -19,13 +19,15 @@ import (
 // outputs bit-identical to the pre-crash cold session. Run under -race
 // these double as the persistence paths' concurrency tests.
 
-// durableConfig is the engine config every restart test shares: same model
-// seed, same ticket directory across "restarts".
-func durableConfig(t *testing.T, dir string, seed int64) Config {
+// durableConfig is the engine config every restart test shares, and the
+// model it serves: same model seed, same ticket directory across
+// "restarts".
+func durableConfig(t *testing.T, dir string, seed int64) (Config, *nn.Lowered) {
 	t.Helper()
-	cfg := testConfig(testModel(t, seed))
+	model := testModel(t, seed)
+	cfg := testConfig(t, model)
 	cfg.TicketDir = dir
-	return cfg
+	return cfg, model
 }
 
 // inferOnce runs one inference on a fixed input through a connected client
@@ -53,8 +55,7 @@ func heGeneration(p *Preamble) (uint64, bool) {
 // with bit-identical output.
 func TestEngineRestartKeepsResumedPath(t *testing.T) {
 	dir := t.TempDir()
-	cfg := durableConfig(t, dir, 160)
-	model := cfg.Model
+	cfg, model := durableConfig(t, dir, 160)
 
 	eng1, ln1 := pipeEngine(t, cfg)
 	p := NewPreamble()
@@ -93,8 +94,7 @@ func TestEngineRestartKeepsResumedPath(t *testing.T) {
 // persisted, dropped, and reloaded from disk; the reconnect against the
 // still-running engine resumes with zero keygen and bit-identical output.
 func TestClientRestartKeepsResumedPath(t *testing.T) {
-	cfg := durableConfig(t, t.TempDir(), 161)
-	model := cfg.Model
+	cfg, model := durableConfig(t, t.TempDir(), 161)
 	_, ln := pipeEngine(t, cfg)
 
 	p := NewPreamble()
@@ -135,8 +135,7 @@ func TestClientRestartKeepsResumedPath(t *testing.T) {
 // public-key flight — with output bit-identical to the cold session's.
 func TestBothPartiesRestartResume(t *testing.T) {
 	ticketDir := t.TempDir()
-	cfg := durableConfig(t, ticketDir, 162)
-	model := cfg.Model
+	cfg, model := durableConfig(t, ticketDir, 162)
 
 	eng1, ln1 := pipeEngine(t, cfg)
 	p := NewPreamble()
@@ -188,8 +187,7 @@ func TestBothPartiesRestartResume(t *testing.T) {
 // is a read of them.
 func TestCorruptTicketFileFallsBack(t *testing.T) {
 	ticketDir := t.TempDir()
-	cfg := durableConfig(t, ticketDir, 163)
-	model := cfg.Model
+	cfg, model := durableConfig(t, ticketDir, 163)
 
 	eng1, ln1 := pipeEngine(t, cfg)
 	p := NewPreamble()
@@ -269,7 +267,8 @@ func TestExpiredTicketOnDiskSwept(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	eng, _ := pipeEngine(t, durableConfig(t, ticketDir, 164))
+	cfg, _ := durableConfig(t, ticketDir, 164)
+	eng, _ := pipeEngine(t, cfg)
 	st := eng.Stats()
 	if st.Tickets.Loaded != 0 || st.Tickets.Expired != 1 || st.Tickets.LoadErrors != 0 {
 		t.Fatalf("lapsed record: stats %+v, want expired=1 only", st.Tickets)
@@ -283,7 +282,7 @@ func TestExpiredTicketOnDiskSwept(t *testing.T) {
 // the right sentinel, and the documented fallback — NewPreamble, full
 // handshake — works against a live engine.
 func TestCorruptPreambleFallsBackFresh(t *testing.T) {
-	cfg := durableConfig(t, t.TempDir(), 165)
+	cfg, _ := durableConfig(t, t.TempDir(), 165)
 	_, ln := pipeEngine(t, cfg)
 
 	ps, err := NewPreambleStore(t.TempDir())
@@ -319,7 +318,7 @@ func TestCorruptPreambleFallsBackFresh(t *testing.T) {
 // disabled is a configuration contradiction New rejects.
 func TestTicketDirRequiresResumption(t *testing.T) {
 	_, err := New(Config{
-		Model:     testModel(t, 166),
+		Registry:  testRegistry(t, testModel(t, 166)),
 		Variant:   delphi.ClientGarbler,
 		TicketTTL: -1,
 		TicketDir: t.TempDir(),
@@ -352,7 +351,7 @@ func TestOlderWireStateResumes(t *testing.T) {
 			if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", release))); err != nil {
 				t.Fatal(err)
 			}
-			cfg := durableConfig(t, filepath.Join(dir, "tickets"), 170)
+			cfg, model := durableConfig(t, filepath.Join(dir, "tickets"), 170)
 			eng, ln := pipeEngine(t, cfg)
 			if st := eng.Stats(); st.Tickets.Loaded != 1 || st.Tickets.LoadErrors != 0 || st.Tickets.Expired != 0 {
 				t.Fatalf("engine over the %s ticket dir: %+v, want one clean load", release, st.Tickets)
@@ -377,7 +376,7 @@ func TestOlderWireStateResumes(t *testing.T) {
 			if nonceAfter, _ := heGeneration(p); nonceAfter != nonceBefore {
 				t.Fatalf("resumed connect bumped the HE nonce %d→%d: keygen ran", nonceBefore, nonceAfter)
 			}
-			inferOnce(t, c, cfg.Model)
+			inferOnce(t, c, model)
 		})
 	}
 }

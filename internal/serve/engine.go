@@ -28,20 +28,16 @@ import (
 	"time"
 
 	"privinf/internal/delphi"
-	"privinf/internal/nn"
 	"privinf/internal/transport"
 )
-
-// DefaultModelName is the registry name an engine gives a model supplied
-// through the single-model Config fields (Model / Artifact).
-const DefaultModelName = "default"
 
 // Config parameterizes an Engine.
 type Config struct {
 	// Registry holds the named models this engine serves; clients pick one
 	// by name in the handshake. Built artifacts live under the registry's
-	// byte budget with LRU eviction. Mutually exclusive with Model and
-	// Artifact. A registry may be shared by several engines.
+	// byte budget with LRU eviction. A registry may be shared by several
+	// engines; its owner closes it (Registry.Close) after closing every
+	// engine that uses it.
 	Registry *Registry
 	// DefaultModel is the name served when a client's hello does not name
 	// a model. Empty defaults to the registry's single entry when it has
@@ -49,16 +45,6 @@ type Config struct {
 	// rejected.
 	DefaultModel string
 
-	// Model is the single network to serve (the one-model configuration):
-	// the engine wraps it in a private registry under DefaultModelName.
-	// Weights stay server-side. May be nil when Artifact or Registry is set.
-	Model *nn.Lowered
-	// Artifact is an optional pre-built shared model artifact (encoded
-	// weights, matvec plans, ReLU circuits) for the one-model
-	// configuration, registered under DefaultModelName. Passing one lets
-	// several engines — or an engine and one-off local sessions — share a
-	// single encoded copy of the model.
-	Artifact *delphi.SharedModel
 	// Variant selects which party garbles (delphi.ServerGarbler or
 	// delphi.ClientGarbler).
 	Variant delphi.Variant
@@ -103,10 +89,6 @@ type Config struct {
 	// enabled (TicketTTL >= 0). Ticket files hold secret OT seed material
 	// — the directory is created 0700 and files 0600.
 	TicketDir string
-	// PinDefaultModel exempts the default model's artifact from registry
-	// LRU eviction and pre-builds it at engine construction, so the
-	// highest-traffic entry never pays the cold-build latency spike.
-	PinDefaultModel bool
 	// Entropy seeds all cryptographic randomness; nil means crypto/rand.
 	// It is locked internally so concurrent sessions may share it.
 	Entropy io.Reader
@@ -151,56 +133,17 @@ type Engine struct {
 	wg   sync.WaitGroup
 }
 
-// New validates the configuration and builds an engine around a model
-// registry. The one-model configuration (cfg.Model / cfg.Artifact) wraps
-// the model in a private registry under DefaultModelName; a multi-model
-// engine takes a caller-built cfg.Registry. Artifacts — encoded weight
-// plaintexts, matvec plans, ReLU circuits — are built once per model (a
-// pre-built cfg.Artifact or RegisterArtifact entry is reused as-is; lazy
-// entries are built on first request) and every session of that model
-// serves from the same immutable copy.
-func New(cfg Config) (_ *Engine, err error) {
+// New validates the configuration and builds an engine around the
+// caller's model registry. Artifacts — encoded weight plaintexts, matvec
+// plans, ReLU circuits — are built once per model (a RegisterArtifact
+// entry is reused as-is; lazy entries are built on first request) and
+// every session of that model serves from the same immutable copy.
+func New(cfg Config) (*Engine, error) {
 	reg := cfg.Registry
-	defaultModel := cfg.DefaultModel
-	if reg != nil {
-		if cfg.Model != nil || cfg.Artifact != nil {
-			return nil, fmt.Errorf("serve: cfg.Registry is mutually exclusive with cfg.Model/cfg.Artifact")
-		}
-		if reg.Len() == 0 {
-			return nil, fmt.Errorf("serve: empty model registry")
-		}
-	} else {
-		if cfg.Artifact != nil && cfg.Model != nil && cfg.Artifact.Model() != cfg.Model {
-			return nil, fmt.Errorf("serve: cfg.Artifact was built from a different model than cfg.Model")
-		}
-		reg = NewRegistry(0)
-		defer func() {
-			if err != nil {
-				reg.retire() // a private registry dies with the failed construction
-			}
-		}()
-		switch {
-		case cfg.Artifact != nil:
-			if err := reg.RegisterArtifact(DefaultModelName, cfg.Artifact); err != nil {
-				return nil, err
-			}
-		case cfg.Model != nil:
-			// Register lazily but build now: a one-model engine should fail
-			// fast on a bad model, and its first session should not pay the
-			// encode (preserves the pre-registry construction behavior).
-			if err := reg.Register(DefaultModelName, cfg.Model); err != nil {
-				return nil, err
-			}
-			if _, err := reg.Get(DefaultModelName); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("serve: nil model")
-		}
-		if defaultModel == "" {
-			defaultModel = DefaultModelName
-		}
+	if reg == nil || reg.Len() == 0 {
+		return nil, fmt.Errorf("serve: empty model registry")
 	}
+	defaultModel := cfg.DefaultModel
 	if defaultModel == "" {
 		if names := reg.Names(); len(names) == 1 {
 			defaultModel = names[0]
@@ -208,25 +151,12 @@ func New(cfg Config) (_ *Engine, err error) {
 	} else if !reg.Has(defaultModel) {
 		return nil, fmt.Errorf("serve: default model %q is not registered", defaultModel)
 	}
-	if cfg.PinDefaultModel {
-		if defaultModel == "" {
-			return nil, fmt.Errorf("serve: PinDefaultModel set but the engine has no default model")
-		}
-		if err := reg.Pin(defaultModel); err != nil {
-			return nil, err
-		}
-		// Warm-start: build (or reload) the pinned artifact now, so the
-		// first session never pays the ~4-orders-of-magnitude cold-build gap
-		// BenchmarkRegistryHitVsColdBuild measures.
-		if _, err := reg.Get(defaultModel); err != nil {
-			return nil, err
-		}
-	}
 	if cfg.TicketTTL < 0 && cfg.TicketDir != "" {
 		return nil, fmt.Errorf("serve: cfg.TicketDir requires resumption enabled (TicketTTL >= 0)")
 	}
 	var store *ticketStore
 	if cfg.TicketDir != "" {
+		var err error
 		if store, err = newTicketStore(cfg.TicketDir); err != nil {
 			return nil, err
 		}
@@ -423,8 +353,5 @@ func (e *Engine) Close() error {
 	// view, so /metrics keeps the engine's history and the autoscaler can
 	// cycle replicas without the view holding on to their registries.
 	e.met.retire()
-	if e.cfg.Registry == nil {
-		e.reg.retire() // the one-model configuration's private registry
-	}
 	return nil
 }

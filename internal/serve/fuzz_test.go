@@ -126,7 +126,7 @@ func FuzzClientHello(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	eng, err := New(Config{Model: model, Variant: delphi.ClientGarbler, LPHEWorkers: 2})
+	eng, err := New(Config{Registry: testRegistry(f, model), Variant: delphi.ClientGarbler, LPHEWorkers: 2})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -191,7 +191,12 @@ func TestPreambleWithCachedArtifactLoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ln := pipeEngine(t, Config{Artifact: art, Variant: delphi.ClientGarbler, TicketDir: tickets})
+	reg := NewRegistry(0)
+	t.Cleanup(reg.Close)
+	if err := reg.RegisterArtifact("default", art); err != nil {
+		t.Fatal(err)
+	}
+	_, ln := pipeEngine(t, Config{Registry: reg, Variant: delphi.ClientGarbler, TicketDir: tickets})
 	c := connectPreamble(t, ln, "", p)
 	defer c.Close()
 	if !c.Resumed() {

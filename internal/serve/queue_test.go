@@ -65,7 +65,7 @@ func queueDepth(eng *Engine) int {
 // only the one being served and the next. The peer never answers the first
 // request's offline phase, so all six stay pending.
 func TestQueueDepthCountsQueuedRequests(t *testing.T) {
-	eng, ln := pipeEngine(t, testConfig(testModel(t, 93)))
+	eng, ln := pipeEngine(t, testConfig(t, testModel(t, 93)))
 	conn := rawSession(t, ln)
 	for i := 0; i < 6; i++ {
 		if err := sendCtrl(conn, opInferReq, nil); err != nil {
@@ -85,7 +85,7 @@ func TestQueueDepthCountsQueuedRequests(t *testing.T) {
 // empty queue, with no settling time, background refills included.
 func TestQueueDepthZeroAfterInfer(t *testing.T) {
 	model := testModel(t, 94)
-	cfg := testConfig(model)
+	cfg := testConfig(t, model)
 	cfg.BufferPerSession, cfg.StorageBudget = 2, -1
 	eng, ln := pipeEngine(t, cfg)
 	c, err := dialPipe(ln)
@@ -108,7 +108,7 @@ func TestQueueDepthZeroAfterInfer(t *testing.T) {
 // joined the FIFO, or an answer would meet a head call of the other kind.
 func TestClientConcurrentCallsKeepOrder(t *testing.T) {
 	model := testModel(t, 96)
-	_, ln := pipeEngine(t, testConfig(model))
+	_, ln := pipeEngine(t, testConfig(t, model))
 	c, err := dialPipe(ln)
 	if err != nil {
 		t.Fatal(err)

@@ -67,9 +67,7 @@ type Registry struct {
 	// events is pi_registry_total{model,event} on an obs registry this
 	// artifact registry owns: N engines sharing the registry count its
 	// events once, and Stats reads the same counters /metrics exports.
-	// retire folds them into the process view; an engine calls it on Close
-	// for the private registry it built, a caller-built registry is
-	// process-lived.
+	// retire folds them into the process view; Close calls it.
 	events *obs.CounterVec
 	retire func()
 }
@@ -359,6 +357,15 @@ func (r *Registry) spill(e *regEntry, art *delphi.SharedModel) {
 // the barrier restart-sensitive callers (and tests) use before trusting
 // the store's contents or the spill counters.
 func (r *Registry) Flush() { r.disk.flush() }
+
+// Close flushes the background disk writes and retires the registry's
+// metrics: its final counts fold into the process view, which stops
+// holding the registry. The registry's owner calls it after closing every
+// engine that serves from it; events counted afterwards reach no view.
+func (r *Registry) Close() {
+	r.Flush()
+	r.retire()
+}
 
 // buildArtifact encodes one model into its shared artifact under the
 // protocol's default HE parameters.

@@ -19,7 +19,7 @@ func storeBackedRegistry(t *testing.T, dir string, budget int64, names map[strin
 	reg := NewRegistryWithStore(budget, st)
 	// Join the background spill writer before the test's TempDir is removed
 	// (cleanups run last-registered first, and dir was created before this).
-	t.Cleanup(reg.Flush)
+	t.Cleanup(reg.Close)
 	for name, seed := range names {
 		if err := reg.Register(name, testModel(t, seed)); err != nil {
 			t.Fatal(err)

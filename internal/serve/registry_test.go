@@ -10,6 +10,7 @@ import (
 	"privinf/internal/delphi"
 	"privinf/internal/field"
 	"privinf/internal/nn"
+	"privinf/internal/obs"
 	"privinf/internal/transport"
 )
 
@@ -32,6 +33,7 @@ func mlpArtifactSize(t *testing.T) int64 {
 func registryWith(t *testing.T, budget int64, names map[string]int64) *Registry {
 	t.Helper()
 	reg := NewRegistry(budget)
+	t.Cleanup(reg.Close)
 	for name, seed := range names {
 		if err := reg.Register(name, testModel(t, seed)); err != nil {
 			t.Fatal(err)
@@ -178,32 +180,40 @@ func TestRegistryPinnedSurvivesEviction(t *testing.T) {
 	}
 }
 
-// TestEnginePinDefaultModel: the engine-level wiring — the default model is
-// pinned and pre-built at construction.
-func TestEnginePinDefaultModel(t *testing.T) {
-	reg := registryWith(t, mlpArtifactSize(t), map[string]int64{"a": 107, "b": 108})
-	eng, err := New(Config{
-		Registry:        reg,
-		DefaultModel:    "a",
-		Variant:         delphi.ClientGarbler,
-		LPHEWorkers:     2,
-		PinDefaultModel: true,
-	})
-	if err != nil {
+// TestRegistryCloseRetiresMetrics: Close drains the registry's disk
+// writes and takes its counters out of the process view with their final
+// counts folded in, so events after Close reach no scrape.
+func TestRegistryCloseRetiresMetrics(t *testing.T) {
+	const name = "close-probe"
+	reg := storeBackedRegistry(t, t.TempDir(), 0, map[string]int64{name: 109})
+	if _, err := reg.Get(name); err != nil { // a miss, and a spill queued
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { eng.Close() })
-
-	st := reg.Stats()
-	a := modelStats(t, st, "a")
-	if !a.Pinned || !a.Resident || a.Misses != 1 {
-		t.Fatalf("default model after construction: %+v, want pinned, warm-built", a)
+	events := func(event string) (n float64) {
+		for _, f := range obs.Default().Gather() {
+			if f.Name != metricRegistryTotal {
+				continue
+			}
+			for _, s := range f.Samples {
+				if s.Labels[0] == name && s.Labels[1] == event {
+					n += s.Value
+				}
+			}
+		}
+		return n
 	}
-	if _, err := reg.Get("b"); err != nil { // budget pressure must skip "a"
+	reg.Close()
+	if m := modelStats(t, reg.Stats(), name); m.Spills != 1 || !m.OnDisk {
+		t.Fatalf("after Close: %+v, want the write-through flushed", m)
+	}
+	if events("miss") != 1 || events("spill") != 1 {
+		t.Fatalf("process view after Close: miss %v spill %v, want the final counts 1/1", events("miss"), events("spill"))
+	}
+	if _, err := reg.Get(name); err != nil {
 		t.Fatal(err)
 	}
-	if a := modelStats(t, reg.Stats(), "a"); !a.Resident || a.Evictions != 0 {
-		t.Fatalf("pinned default was evicted: %+v", a)
+	if hits := events("hit"); hits != 0 {
+		t.Fatalf("a hit after Close reached the process view (%v): the registry is still mounted", hits)
 	}
 }
 
@@ -351,7 +361,7 @@ func TestEngineEvictionUnderChurn(t *testing.T) {
 // gets the typed rejection, distinguishable from every other failure with
 // errors.Is.
 func TestUnknownModelHandshakeRejected(t *testing.T) {
-	eng, ln := startEngine(t, testConfig(testModel(t, 101)))
+	eng, ln := startEngine(t, testConfig(t, testModel(t, 101)))
 	_ = eng
 	_, err := Dial(ln.Addr(), WithModel("no-such-model"))
 	if !errors.Is(err, ErrUnknownModel) {
@@ -371,8 +381,8 @@ func TestUnknownModelHandshakeRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.Model() != DefaultModelName {
-		t.Fatalf("default session serves %q, want %q", c.Model(), DefaultModelName)
+	if c.Model() != "default" {
+		t.Fatalf("default session serves %q, want %q", c.Model(), "default")
 	}
 }
 
@@ -380,9 +390,9 @@ func TestUnknownModelHandshakeRejected(t *testing.T) {
 // rejected before the ticket cache sees the name, with or without a valid
 // ticket — no ticket is issued, and the peer-chosen name labels no series.
 func TestUnknownModelTouchesNoTicket(t *testing.T) {
-	eng, ln := pipeEngine(t, testConfig(testModel(t, 105)))
+	eng, ln := pipeEngine(t, testConfig(t, testModel(t, 105)))
 	p := NewPreamble()
-	connectPreamble(t, ln, DefaultModelName, p).Close()
+	connectPreamble(t, ln, "default", p).Close()
 	issued := eng.Stats().Tickets.Issued
 
 	for _, opts := range [][]Option{
@@ -422,7 +432,7 @@ func TestNoDefaultModelRejected(t *testing.T) {
 // decode failure, and the client-side error maps to ErrVersionMismatch.
 func TestWireVersionMismatchRejected(t *testing.T) {
 	_, ln := startEngine(t, Config{
-		Model:       testModel(t, 104),
+		Registry:    testRegistry(t, testModel(t, 104)),
 		Variant:     delphi.ClientGarbler,
 		LPHEWorkers: 2,
 	})

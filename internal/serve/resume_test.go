@@ -59,7 +59,7 @@ func TestSessionResumeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, ln := pipeEngine(t, testConfig(model))
+	eng, ln := pipeEngine(t, testConfig(t, model))
 
 	p := NewPreamble()
 	cold := connectPreamble(t, ln, "", p)
@@ -88,7 +88,7 @@ func TestSessionResumeRoundTrip(t *testing.T) {
 	if st.Tickets.Issued != 1 || st.Tickets.Resumed != 1 {
 		t.Fatalf("ticket stats issued=%d resumed=%d, want 1/1", st.Tickets.Issued, st.Tickets.Resumed)
 	}
-	ms := modelStats(t, RegistryStats{Models: st.Models}, DefaultModelName)
+	ms := modelStats(t, RegistryStats{Models: st.Models}, "default")
 	if ms.TicketsIssued != 1 || ms.Resumes != 1 || ms.ResumeRejects != 0 {
 		t.Fatalf("per-model ticket stats %+v, want issued=1 resumes=1 rejects=0", ms)
 	}
@@ -103,7 +103,7 @@ func TestSessionResumeRoundTrip(t *testing.T) {
 // expired_ticket outcome, the session falls back to full base OTs on the
 // same connection, and the fallback issues a fresh ticket that works.
 func TestResumeExpiredTicket(t *testing.T) {
-	eng, ln := pipeEngine(t, testConfig(testModel(t, 62)))
+	eng, ln := pipeEngine(t, testConfig(t, testModel(t, 62)))
 
 	p := NewPreamble()
 	connectPreamble(t, ln, "", p).Close()
@@ -140,7 +140,7 @@ func TestResumeExpiredTicket(t *testing.T) {
 // serves verified inferences.
 func TestResumeUnknownTicket(t *testing.T) {
 	model := testModel(t, 63)
-	eng, ln := pipeEngine(t, testConfig(model))
+	eng, ln := pipeEngine(t, testConfig(t, model))
 
 	p := NewPreamble()
 	p.mu.Lock()
@@ -164,7 +164,7 @@ func TestResumeUnknownTicket(t *testing.T) {
 // answers presented tickets with the typed resume_disabled fallback.
 func TestResumeDisabled(t *testing.T) {
 	_, ln := pipeEngine(t, Config{
-		Model:       testModel(t, 64),
+		Registry:    testRegistry(t, testModel(t, 64)),
 		Variant:     delphi.ClientGarbler,
 		LPHEWorkers: 2,
 		TicketTTL:   -1,
@@ -192,7 +192,7 @@ func TestResumeDisabled(t *testing.T) {
 // Run with -race this doubles as the cache's concurrency test.
 func TestTicketCacheEvictionUnderBudget(t *testing.T) {
 	eng, ln := pipeEngine(t, Config{
-		Model:        testModel(t, 65),
+		Registry:     testRegistry(t, testModel(t, 65)),
 		Variant:      delphi.ClientGarbler,
 		LPHEWorkers:  2,
 		TicketBudget: 1, // any real state exceeds this: only the newest survives
@@ -265,7 +265,7 @@ func TestTicketCachePrunesExpiredOnInsert(t *testing.T) {
 // hello half of the version gate lives in TestWireVersionMismatchRejected).
 func TestPreambleVersionMismatchRejected(t *testing.T) {
 	_, ln := startEngine(t, Config{
-		Model:       testModel(t, 66),
+		Registry:    testRegistry(t, testModel(t, 66)),
 		Variant:     delphi.ClientGarbler,
 		LPHEWorkers: 2,
 	})

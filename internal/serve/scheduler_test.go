@@ -22,7 +22,7 @@ func TestSchedulerMatchesSimulatorPolicy(t *testing.T) {
 	)
 	model := testModel(t, 74)
 	eng, ln := startEngine(t, Config{
-		Model:            model,
+		Registry:         testRegistry(t, model),
 		Variant:          delphi.ClientGarbler,
 		LPHEWorkers:      len(model.Linear),
 		BufferPerSession: capacity,

@@ -38,10 +38,25 @@ func startEngine(t *testing.T, cfg Config) (*Engine, transport.Listener) {
 	return eng, ln
 }
 
+// testRegistry holds model under the name "default", built now as a
+// server pre-builds its models, and is closed with the test.
+func testRegistry(t testing.TB, model *nn.Lowered) *Registry {
+	t.Helper()
+	reg := NewRegistry(0)
+	t.Cleanup(reg.Close)
+	if err := reg.Register("default", model); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Get("default"); err != nil {
+		t.Fatal(err)
+	}
+	return reg
+}
+
 // testConfig is the configuration most engine tests start from: one model,
 // Client-Garbler, full layer-parallel HE, no background refills.
-func testConfig(model *nn.Lowered) Config {
-	return Config{Model: model, Variant: delphi.ClientGarbler, LPHEWorkers: len(model.Linear)}
+func testConfig(t testing.TB, model *nn.Lowered) Config {
+	return Config{Registry: testRegistry(t, model), Variant: delphi.ClientGarbler, LPHEWorkers: len(model.Linear)}
 }
 
 // testInput is a deterministic in-range input for model, varied by salt.
@@ -93,7 +108,7 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 func TestConcurrentClientsOverTCP(t *testing.T) {
 	model := testModel(t, 71)
 	eng, ln := startEngine(t, Config{
-		Model:            model,
+		Registry:         testRegistry(t, model),
 		Variant:          delphi.ClientGarbler,
 		LPHEWorkers:      len(model.Linear),
 		BufferPerSession: 1,
@@ -144,7 +159,7 @@ func TestConcurrentClientsOverTCP(t *testing.T) {
 func TestExplicitPrecomputeAndBuffering(t *testing.T) {
 	model := testModel(t, 72)
 	eng, ln := startEngine(t, Config{
-		Model:       model,
+		Registry:    testRegistry(t, model),
 		Variant:     delphi.ServerGarbler,
 		LPHEWorkers: len(model.Linear),
 		// BufferPerSession 0: no background refills.
@@ -196,7 +211,7 @@ func TestExplicitPrecomputeAndBuffering(t *testing.T) {
 func TestNewStartsNoGoroutine(t *testing.T) {
 	model := testModel(t, 74)
 	before := runtime.NumGoroutine()
-	eng, err := New(Config{Model: model, Variant: delphi.ServerGarbler})
+	eng, err := New(Config{Registry: testRegistry(t, model), Variant: delphi.ServerGarbler})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +227,7 @@ func TestNewStartsNoGoroutine(t *testing.T) {
 func TestStorageBudgetRespected(t *testing.T) {
 	model := testModel(t, 73)
 	eng, ln := startEngine(t, Config{
-		Model:            model,
+		Registry:         testRegistry(t, model),
 		Variant:          delphi.ClientGarbler,
 		LPHEWorkers:      len(model.Linear),
 		BufferPerSession: 3,

@@ -29,14 +29,11 @@ func mustParams(t *testing.T, model *nn.Lowered) bfv.Params {
 // that the artifact is safe for concurrent reads.
 func TestConcurrentSessionsShareArtifact(t *testing.T) {
 	model := testModel(t, 81)
-	artifact, err := delphi.NewSharedModel(mustParams(t, model), model)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg := testRegistry(t, model)
 	for _, variant := range []delphi.Variant{delphi.ClientGarbler, delphi.ServerGarbler} {
 		t.Run(variant.String(), func(t *testing.T) {
 			eng, ln := pipeEngine(t, Config{
-				Artifact:    artifact,
+				Registry:    reg,
 				Variant:     variant,
 				LPHEWorkers: len(model.Linear),
 			})
@@ -80,7 +77,7 @@ func TestServerGarblerCloseDuringRefills(t *testing.T) {
 	const sessions = 3
 	model := testModel(t, 83)
 	eng, ln := pipeEngine(t, Config{
-		Model:            model,
+		Registry:         testRegistry(t, model),
 		Variant:          delphi.ServerGarbler,
 		LPHEWorkers:      len(model.Linear),
 		BufferPerSession: 2,
@@ -123,17 +120,14 @@ func TestServerGarblerCloseDuringRefills(t *testing.T) {
 	}
 }
 
-// TestArtifactSharedAcrossEngines: one PrepareModel-style artifact backs two
+// TestArtifactSharedAcrossEngines: one registry's built artifact backs two
 // independent engines, and a session on each still verifies — the artifact
 // carries no per-engine or per-session state.
 func TestArtifactSharedAcrossEngines(t *testing.T) {
 	model := testModel(t, 82)
-	artifact, err := delphi.NewSharedModel(mustParams(t, model), model)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg := testRegistry(t, model)
 	for i := 0; i < 2; i++ {
-		eng, ln := pipeEngine(t, Config{Artifact: artifact, Variant: delphi.ServerGarbler, LPHEWorkers: 2})
+		eng, ln := pipeEngine(t, Config{Registry: reg, Variant: delphi.ServerGarbler, LPHEWorkers: 2})
 		c, err := dialPipe(ln)
 		if err != nil {
 			t.Fatal(err)

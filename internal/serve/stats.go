@@ -67,7 +67,7 @@ type ModelStats struct {
 	// an eviction dropped the built artifact under byte-budget pressure.
 	Hits, Misses, Evictions uint64
 	// Pinned reports whether the artifact is exempt from LRU eviction
-	// (Registry.Pin / Config.PinDefaultModel).
+	// (Registry.Pin).
 	Pinned bool
 	// Spills, Reloads, LoadErrors and SpillErrors are the disk layer's
 	// counters for this model (see RegistryStats).

@@ -60,15 +60,15 @@ type (
 	// once and shared by any number of sessions or engines. SizeBytes
 	// reports its resident footprint, the unit a serving engine's model
 	// registry budgets when deciding LRU artifact eviction (see
-	// LocalEngineConfig.BudgetBytes).
+	// serve.NewRegistry).
 	SharedModel = delphi.SharedModel
 )
 
 // PrepareModel builds the shared model artifact for a model under the
 // protocol's default HE parameters. Encoding the weights is the dominant
-// per-model cost; do it once and pass the artifact to NewLocalSession via
-// WithArtifact (or serve.Config.Artifact) to open N sessions without
-// re-paying it.
+// per-model cost; do it once and hand the artifact to a registry
+// (serve.Registry.RegisterArtifact) that any number of engines and
+// sessions serve from without re-paying it.
 func PrepareModel(model *Model) (*SharedModel, error) {
 	params, err := bfv.NewParams(bfv.DefaultN, model.F.P())
 	if err != nil {
@@ -142,18 +142,16 @@ type InferenceResult struct {
 // pair, and verifies the result against plaintext inference. entropy may be
 // nil (crypto/rand).
 func RunLocalInference(model *Model, variant delphi.Variant, x []uint64, entropy io.Reader) (*InferenceResult, error) {
-	shared, err := PrepareModel(model)
+	eng, err := NewLocalEngine(LocalEngineConfig{
+		Models:  map[string]*Model{"default": model},
+		Variant: variant,
+		Entropy: entropy,
+	})
 	if err != nil {
 		return nil, err
 	}
-	return RunLocalInferenceShared(shared, variant, x, entropy)
-}
-
-// RunLocalInferenceShared is RunLocalInference on a pre-built model
-// artifact (PrepareModel), so repeated calls skip the per-call weight
-// encoding. entropy may be nil (crypto/rand).
-func RunLocalInferenceShared(shared *SharedModel, variant delphi.Variant, x []uint64, entropy io.Reader) (*InferenceResult, error) {
-	s, err := NewLocalSession(nil, variant, WithArtifact(shared), WithEntropy(entropy))
+	defer eng.Close()
+	s, err := eng.Connect("")
 	if err != nil {
 		return nil, err
 	}

@@ -16,108 +16,28 @@ import (
 // paper's arrival-rate analysis models.
 //
 // A Session is a single-client view onto a serving engine
-// (internal/serve): NewLocalSession spins up a private engine and connects
-// to it over an in-process pipe, through the same wire protocol a remote
-// TCP client would use. Pre-computes here are explicit (Precompute), so
-// Buffered is fully under the caller's control; a multi-client engine with
-// background refills is what cmd/pirun -serve runs.
+// (internal/serve): LocalEngine.Connect opens one over an in-process pipe,
+// through the same wire protocol a remote TCP client would use.
+// Pre-computes here are explicit (Precompute), so Buffered is fully under
+// the caller's control; a multi-client engine with background refills is
+// what cmd/pirun -serve runs.
 type Session struct {
 	engine *serve.Engine
-	// ownsEngine marks sessions whose Close tears the engine down; sessions
-	// opened through a shared LocalEngine leave it running.
-	ownsEngine bool
-	client     *serve.Client
-	model      *nn.Lowered
-}
-
-// SessionOption configures NewLocalSession.
-type SessionOption func(*sessionOptions)
-
-type sessionOptions struct {
-	artifact *SharedModel
-	entropy  io.Reader
-}
-
-// WithArtifact serves the session from a pre-built shared model artifact
-// (PrepareModel): the NTT-domain weight plaintexts and ReLU circuits are
-// reused, not re-encoded, so opening the k-th session on one artifact
-// costs O(1) model work. The model argument may then be nil (the
-// artifact's source model is used); a non-nil model must be the one the
-// artifact was built from.
-func WithArtifact(artifact *SharedModel) SessionOption {
-	return func(o *sessionOptions) { o.artifact = artifact }
-}
-
-// WithEntropy seeds the session's cryptographic randomness from r; the
-// default (and a nil r) is crypto/rand.
-func WithEntropy(r io.Reader) SessionOption {
-	return func(o *sessionOptions) { o.entropy = r }
-}
-
-// NewLocalSession starts an in-process serving engine for the model, wires
-// a client to it, and runs the handshake. By default the engine encodes
-// the model into a private shared artifact; to amortize that across
-// several sessions or engines, build the artifact once with PrepareModel
-// and pass it with WithArtifact.
-func NewLocalSession(model *Model, variant Variant, opts ...SessionOption) (*Session, error) {
-	var o sessionOptions
-	for _, opt := range opts {
-		if opt != nil {
-			opt(&o)
-		}
-	}
-	artifact := o.artifact
-	switch {
-	case artifact == nil && model == nil:
-		return nil, fmt.Errorf("privinf: nil model")
-	case artifact == nil:
-		var err error
-		if artifact, err = PrepareModel(model); err != nil {
-			return nil, err
-		}
-	case model != nil && artifact.Model() != model:
-		return nil, fmt.Errorf("privinf: WithArtifact artifact was built from a different model")
-	}
-	model = artifact.Model()
-	entropy := delphi.LockedEntropy(o.entropy)
-	eng, err := serve.New(serve.Config{
-		Artifact:    artifact,
-		Variant:     variant,
-		LPHEWorkers: len(model.Linear),
-		Entropy:     entropy,
-	})
-	if err != nil {
-		return nil, err
-	}
-	ln := transport.NewPipeListener()
-	go eng.Serve(ln)
-	conn, err := ln.Dial()
-	if err != nil {
-		eng.Close()
-		return nil, err
-	}
-	client, err := serve.Connect(conn, serve.WithEntropy(entropy))
-	if err != nil {
-		eng.Close()
-		return nil, err
-	}
-	return &Session{engine: eng, ownsEngine: true, client: client, model: model}, nil
+	client *serve.Client
+	model  *nn.Lowered
 }
 
 // LocalEngine is an in-process multi-model serving engine: several named
 // models behind one registry, sessions opened by model name over the same
-// wire protocol a remote client would use. Built artifacts (encoded
-// weights, ReLU circuits) are held under a byte budget with LRU eviction
-// and rebuilt lazily after eviction, so one process can serve more models
-// than fit in memory at once.
+// wire protocol a remote client would use. Each model's artifact (encoded
+// weights, ReLU circuits) is built on its first session and shared by
+// every later one. A byte-budgeted registry with LRU eviction is what
+// serve.NewRegistry builds for serve.New.
 type LocalEngine struct {
 	eng     *serve.Engine
 	ln      *transport.PipeListener
 	entropy io.Reader
 	models  map[string]*Model
-	// debug is the optional observability endpoint
-	// (LocalEngineConfig.DebugAddr); nil when not configured.
-	debug *serve.DebugServer
 }
 
 // Preamble is a client's reusable session-preamble state: the OT
@@ -157,21 +77,11 @@ type LocalEngineConfig struct {
 	Models map[string]*Model
 	// Variant selects which party garbles.
 	Variant Variant
-	// BudgetBytes caps the registry's resident artifact footprint (<= 0
-	// unbounded).
-	BudgetBytes int64
 	// ArtifactDir, when non-empty, backs the registry with an on-disk
 	// artifact store: encoded models persist across engine restarts
-	// (restart cost is O(load) instead of O(encode)) and LRU eviction
-	// spills to disk instead of dropping, so re-requesting an evicted
-	// model reloads rather than re-encodes. Damaged or stale files fall
-	// back to a fresh build automatically.
+	// (restart cost is O(load) instead of O(encode)). Damaged or stale
+	// files fall back to a fresh build automatically.
 	ArtifactDir string
-	// ArtifactDiskBudget caps the artifact directory's bytes (<= 0
-	// unbounded): every write sweeps least-recently-modified artifact
-	// files past it, so a rotating model population cannot grow the
-	// directory without bound. Requires ArtifactDir.
-	ArtifactDiskBudget int64
 	// TicketDir, when non-empty, persists the engine's OT resumption
 	// tickets: live tickets are written through to disk and reloaded at
 	// construction, so repeat clients stay on the resumed fast path across
@@ -181,47 +91,43 @@ type LocalEngineConfig struct {
 	TicketDir string
 	// Entropy seeds all cryptographic randomness; nil means crypto/rand.
 	Entropy io.Reader
-	// DebugAddr, when non-empty, starts a serve.DebugServer on the
-	// address: Prometheus text metrics at /metrics, a JSON snapshot at
-	// /statusz, and net/http/pprof under /debug/pprof/. Use ":0" to pick
-	// a free port (LocalEngine.DebugAddr reports the bound address). The
-	// endpoint is closed with the engine.
-	DebugAddr string
 }
 
 // NewLocalEngine starts an in-process engine serving every model in
-// cfg.Models, keyed by the names sessions will request. Built artifacts
-// (encoded weights, ReLU circuits) live under cfg.BudgetBytes with LRU
-// eviction and lazy rebuild; with cfg.ArtifactDir they are additionally
-// backed by an on-disk artifact store. Sessions open by model name with
-// Connect.
-func NewLocalEngine(cfg LocalEngineConfig) (*LocalEngine, error) {
-	models := cfg.Models
-	if len(models) == 0 {
+// cfg.Models, keyed by the names sessions will request. Each model's
+// artifact (encoded weights, ReLU circuits) is built on its first
+// request; with cfg.ArtifactDir it is also backed by an on-disk artifact
+// store. Sessions open by model name with Connect. For /metrics, start
+// serve.NewDebugServer beside it: it serves the process-wide view.
+func NewLocalEngine(cfg LocalEngineConfig) (_ *LocalEngine, err error) {
+	if len(cfg.Models) == 0 {
 		return nil, fmt.Errorf("privinf: no models to serve")
 	}
 	var store *serve.ArtifactStore
 	if cfg.ArtifactDir != "" {
-		var err error
-		if store, err = serve.NewArtifactStoreBudget(cfg.ArtifactDir, cfg.ArtifactDiskBudget); err != nil {
+		if store, err = serve.NewArtifactStoreBudget(cfg.ArtifactDir, 0); err != nil {
 			return nil, err
 		}
 	}
-	reg := serve.NewRegistryWithStore(cfg.BudgetBytes, store)
+	reg := serve.NewRegistryWithStore(0, store)
+	defer func() {
+		if err != nil {
+			reg.Close()
+		}
+	}()
 	maxLinear := 0
-	for name, m := range models {
+	kept := make(map[string]*Model, len(cfg.Models))
+	for name, m := range cfg.Models {
 		if err := reg.Register(name, m); err != nil {
 			return nil, err
 		}
-		if len(m.Linear) > maxLinear {
-			maxLinear = len(m.Linear)
-		}
+		maxLinear = max(maxLinear, len(m.Linear))
+		kept[name] = m
 	}
-	variant := cfg.Variant
 	entropy := delphi.LockedEntropy(cfg.Entropy)
 	eng, err := serve.New(serve.Config{
 		Registry:    reg,
-		Variant:     variant,
+		Variant:     cfg.Variant,
 		LPHEWorkers: maxLinear,
 		TicketDir:   cfg.TicketDir,
 		Entropy:     entropy,
@@ -229,20 +135,9 @@ func NewLocalEngine(cfg LocalEngineConfig) (*LocalEngine, error) {
 	if err != nil {
 		return nil, err
 	}
-	var dbg *serve.DebugServer
-	if cfg.DebugAddr != "" {
-		if dbg, err = serve.NewDebugServer(cfg.DebugAddr); err != nil {
-			eng.Close()
-			return nil, err
-		}
-	}
 	ln := transport.NewPipeListener()
 	go eng.Serve(ln)
-	kept := make(map[string]*Model, len(models))
-	for name, m := range models {
-		kept[name] = m
-	}
-	return &LocalEngine{eng: eng, ln: ln, entropy: entropy, models: kept, debug: dbg}, nil
+	return &LocalEngine{eng: eng, ln: ln, entropy: entropy, models: kept}, nil
 }
 
 // ConnectOption configures LocalEngine.Connect.
@@ -289,22 +184,12 @@ func (e *LocalEngine) Connect(name string, opts ...ConnectOption) (*Session, err
 // counts, buffer fill, registry hit/miss/eviction counters).
 func (e *LocalEngine) Stats() serve.Stats { return e.eng.Stats() }
 
-// DebugAddr returns the bound address of the engine's observability
-// endpoint, or "" when LocalEngineConfig.DebugAddr was not set.
-func (e *LocalEngine) DebugAddr() string {
-	if e.debug == nil {
-		return ""
-	}
-	return e.debug.Addr()
-}
-
-// Close tears down the engine, its debug endpoint, and every open
-// session.
+// Close tears down the engine and every open session, then retires the
+// engine's model registry.
 func (e *LocalEngine) Close() error {
-	if e.debug != nil {
-		e.debug.Close()
-	}
-	return e.eng.Close()
+	err := e.eng.Close()
+	e.eng.Registry().Close()
+	return err
 }
 
 // Precompute runs one offline phase, adding a pre-compute to both parties'
@@ -348,20 +233,15 @@ func (s *Session) Infer(x []uint64) (*InferenceResult, error) {
 func (s *Session) Stats() serve.Stats { return s.engine.Stats() }
 
 // Model returns the registry name of the model this session is served
-// ("default" for single-model sessions).
+// (the engine's default model when Connect named none).
 func (s *Session) Model() string { return s.client.Model() }
 
 // Resumed reports whether this session's OT setup was expanded from a
 // preamble's resumption ticket instead of running base OTs.
 func (s *Session) Resumed() bool { return s.client.Resumed() }
 
-// Close tears the session down, and with it the engine when this session
-// owns one (NewLocalSession); sessions from a shared LocalEngine leave the
-// engine running.
+// Close tears the session down; the engine and its other sessions keep
+// running.
 func (s *Session) Close() error {
-	s.client.Close()
-	if s.ownsEngine {
-		return s.engine.Close()
-	}
-	return nil
+	return s.client.Close()
 }

@@ -3,6 +3,8 @@ package privinf
 import (
 	"reflect"
 	"testing"
+
+	"privinf/internal/obs"
 )
 
 func TestSessionBufferedInference(t *testing.T) {
@@ -10,10 +12,16 @@ func TestSessionBufferedInference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := NewLocalSession(model, ClientGarbler, WithEntropy(newSeeded(10)))
+	eng, err := NewLocalEngine(LocalEngineConfig{Models: map[string]*Model{"m": model}, Variant: ClientGarbler, Entropy: newSeeded(10)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer eng.Close()
+	sess, err := eng.Connect("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
 
 	// Buffer two pre-computes ahead of any request.
 	for i := 0; i < 2; i++ {
@@ -134,8 +142,49 @@ func TestLocalEngineConnectDefaultModel(t *testing.T) {
 
 func TestSessionRejectsInvalidModel(t *testing.T) {
 	bad := &Model{}
-	if _, err := NewLocalSession(bad, ServerGarbler); err == nil {
+	if _, err := NewLocalEngine(LocalEngineConfig{Models: map[string]*Model{"bad": bad}, Variant: ServerGarbler}); err == nil {
 		t.Fatal("invalid model must be rejected")
+	}
+}
+
+// TestLocalEngineCloseRetiresRegistry: closing a LocalEngine retires the
+// registry it built from the process metrics view, so a registry event
+// after Close reaches no scrape (a closed engine's registry stays out of
+// /metrics for good).
+func TestLocalEngineCloseRetiresRegistry(t *testing.T) {
+	const name = "retire-probe"
+	model, err := NewDemoMLP(41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewLocalEngine(LocalEngineConfig{Models: map[string]*Model{name: model}, Variant: ClientGarbler})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := e.eng.Registry()
+	if _, err := reg.Get(name); err != nil { // build now, so the Get below hits
+		t.Fatal(err)
+	}
+	e.Close()
+	hits := func() (n float64) {
+		for _, f := range obs.Default().Gather() {
+			if f.Name != "pi_registry_total" {
+				continue
+			}
+			for _, s := range f.Samples {
+				if s.Labels[0] == name && s.Labels[1] == "hit" {
+					n += s.Value
+				}
+			}
+		}
+		return n
+	}
+	before := hits()
+	if _, err := reg.Get(name); err != nil {
+		t.Fatal(err)
+	}
+	if after := hits(); after != before {
+		t.Fatalf("a hit after Close moved the process view %v -> %v: the registry is still mounted", before, after)
 	}
 }
 
@@ -204,35 +253,12 @@ func TestEngineRestartServesReloadedArtifact(t *testing.T) {
 	}
 }
 
-// TestSessionWithArtifact: a session opened on a pre-built artifact (nil
-// model) serves verified inferences, and an artifact paired with a model it
-// was not built from is refused.
-func TestSessionWithArtifact(t *testing.T) {
-	model, err := NewDemoMLP(21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	artifact, err := PrepareModel(model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := NewLocalSession(nil, ClientGarbler, WithArtifact(artifact), WithEntropy(newSeeded(22)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	x := make([]uint64, model.InputLen())
-	for j := range x {
-		x[j] = uint64(j % 13)
-	}
-	if res, err := sess.Infer(x); err != nil || !res.Verified {
-		t.Fatalf("shared-session inference: verified=%v err=%v", res != nil && res.Verified, err)
-	}
-	other, err := NewDemoMLP(23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewLocalSession(other, ClientGarbler, WithArtifact(artifact)); err == nil {
-		t.Fatal("artifact accepted for a model it was not built from")
+// TestRunLocalInferenceRejectsInvalidModel: a missing or malformed model
+// fails RunLocalInference with an error, never a panic.
+func TestRunLocalInferenceRejectsInvalidModel(t *testing.T) {
+	for _, bad := range []*Model{nil, {}} {
+		if _, err := RunLocalInference(bad, ClientGarbler, make([]uint64, 64), nil); err == nil {
+			t.Fatalf("RunLocalInference(%v) accepted an invalid model", bad)
+		}
 	}
 }
