@@ -11,14 +11,17 @@
 //     public seed, the tables and the packed decode bits (garbleAndShip).
 //     It is the OT sender. A circuit input whose value it knows when it
 //     garbles (const-one, and b and r on a client garbler) it pins to an
-//     active label expanded from the seed, so that label never travels;
-//     the a labels of a server garbler go direct online; every other
-//     input's labels it offers by OT (offerKnown, precomputeOffer +
-//     otSendLabels).
+//     active label expanded from the seed, so that label never travels.
+//     A server garbler pins b and r instead to the zero pads of their
+//     OTs, whose u frame it takes before it garbles the layer and whose t
+//     frame alone, sent after it, gives the client its labels. The a
+//     labels of a server garbler go direct online; a client garbler
+//     offers them by OT (precomputeOffer + otSendLabels).
 //   - The evaluator receives and stores the circuits (receiveGC, the one
-//     payload parser) — the 18.2 KB/ReLU storage burden of Figure 3 — is
-//     the OT receiver (fetchKnown, precomputeFetch + otRecvLabels), and
-//     evaluates online (evaluateLayer).
+//     payload parser, which also runs a client's b and r OTs around each
+//     layer) — the 18.2 KB/ReLU storage burden of Figure 3 — is the OT
+//     receiver (precomputeFetch + otRecvLabels), and evaluates online
+//     (evaluateLayer).
 //
 // A ReLU unit takes a, the server's share of the layer output (known only
 // online), and b and r, the client's share c_i and next mask r_{i+1} (known
@@ -30,7 +33,7 @@
 //	garbler, OT sender     server                     client
 //	evaluator, GC storage  client                     server
 //	const-one label        expanded from the layer seed, either variant
-//	b, r labels (offline)  by OT, after the circuits  expanded from the layer seed
+//	b, r labels (offline)  OT pads: u, layer, t       expanded from the layer seed
 //	a labels (online)      direct, server → client    random OT offline, then
 //	                                                  d bits up, pair down
 //	ReLU output bits       client decodes, returns    server decodes, keeps

@@ -4,6 +4,7 @@ import (
 	"io"
 	"math/rand"
 	"testing"
+	"time"
 
 	"privinf/internal/bfv"
 	"privinf/internal/field"
@@ -192,7 +193,11 @@ func TestCNNBothVariants(t *testing.T) {
 	for _, variant := range []Variant{ServerGarbler, ClientGarbler} {
 		s := newSession(t, variant, model, 3)
 		x := randomInput(f, model.InputLen(), 5)
-		got, _, _, _, _ := s.inferPrivately(t, x)
+		got, _, srvOff, _, _ := s.inferPrivately(t, x)
+		// A server garbler keeps 21 labels a ReLU, 384 of them.
+		if variant == ServerGarbler && srvOff.GCStoreBytes != 129_024 {
+			t.Fatalf("SG server stores %d bytes for a demo-CNN pre-compute, want 129,024", srvOff.GCStoreBytes)
+		}
 		want := model.Forward(x)
 		for i := range want {
 			if got[i] != want[i] {
@@ -248,8 +253,8 @@ func TestStorageShiftsToServer(t *testing.T) {
 	// by OT; under Client-Garbler each party also holds its half of the
 	// a-label OTs: the evaluator a key and a choice bit per OT, the garbler
 	// one bound pad per OT and one free-XOR offset per unit. A server
-	// garbler keeps each unit's encoding (a false label per circuit input
-	// and the offset) for the a labels it sends online.
+	// garbler keeps of each unit's encoding what it sends online: the a
+	// inputs' false labels and the offset.
 	width := f.Bits()
 	var circuits, fetched, evalOTs, garbleOTs, encodings uint64
 	for l, circ := range cg.server.circuits {
@@ -259,7 +264,7 @@ func TestStorageShiftsToServer(t *testing.T) {
 		fetched += uint64(units * 2 * width * ot.KeySize)
 		evalOTs += uint64(ots*ot.KeySize + (ots+7)/8)
 		garbleOTs += uint64(ots*ot.KeySize + units*ot.KeySize)
-		encodings += uint64(units * (circ.NumInputs + 1) * ot.KeySize)
+		encodings += uint64(units * (width + 1) * ot.KeySize)
 	}
 	for _, c := range []struct {
 		name      string
@@ -267,6 +272,7 @@ func TestStorageShiftsToServer(t *testing.T) {
 	}{
 		{"SG client", sgCliOff.GCStoreBytes, circuits + fetched},
 		{"SG server", sgSrvOff.GCStoreBytes, encodings},
+		{"SG server, demo MLP", sgSrvOff.GCStoreBytes, 16_128},
 		{"CG client", cgCliOff.GCStoreBytes, garbleOTs},
 		{"CG server", cgSrvOff.GCStoreBytes, circuits + evalOTs},
 	} {
@@ -513,7 +519,9 @@ func BenchmarkDelphiOnlineMLP(b *testing.B) {
 // of them is a unit's offset Δ or a false label of its a input (as they
 // would be, were the public seed the secret one); and each layer's public
 // seed is fresh: distinct across layers and across two garblings on one
-// entropy stream.
+// entropy stream. Under Server-Garbler the b and r labels the evaluator
+// opens from the OTs' t frames are the garbler's active labels of its
+// values: the garbler pinned those inputs to the OTs' zero pads.
 func TestPinnedLabelsExpandFromSeed(t *testing.T) {
 	model, err := nn.DemoMLP(field.New(field.P20), 3)
 	if err != nil {
@@ -538,25 +546,45 @@ func TestPinnedLabelsExpandFromSeed(t *testing.T) {
 			t.Fatal(err)
 		}
 		var own [][]uint64
-		if variant == ClientGarbler {
-			for l := range garbler.circuits {
-				vals := make([]uint64, 2*garbler.meta.Dims[l].Out)
-				for i := range vals {
-					vals[i] = rng.Uint64() % model.F.P()
-				}
-				own = append(own, vals)
+		for l := range garbler.circuits {
+			vals := make([]uint64, 2*garbler.meta.Dims[l].Out)
+			for i := range vals {
+				vals[i] = rng.Uint64() % model.F.P()
+			}
+			own = append(own, vals)
+		}
+		garblerOwn, evaluatorOwn := own, [][]uint64(nil)
+		if variant == ServerGarbler {
+			garblerOwn, evaluatorOwn = nil, own
+			errCh := make(chan error, 1)
+			go func() { errCh <- garbler.setupOT(true, nil, nil) }()
+			if err := evaluator.setupOT(false, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-errCh; err != nil {
+				t.Fatal(err)
 			}
 		}
 		seen := map[[garble.LabelSize]byte]bool{}
 		for round := 0; round < 2; round++ {
-			encs, err := garbler.garbleAndShip(own)
+			type shipped struct {
+				encs [][]garble.Encoding
+				err  error
+			}
+			ch := make(chan shipped, 1)
+			go func() {
+				encs, err := garbler.garbleAndShip(garblerOwn, new(time.Duration))
+				ch <- shipped{encs, err}
+			}()
+			stored, err := evaluator.receiveGC(evaluatorOwn, new(time.Duration))
 			if err != nil {
 				t.Fatal(err)
 			}
-			stored, err := evaluator.receiveGC()
-			if err != nil {
-				t.Fatal(err)
+			sh := <-ch
+			if sh.err != nil {
+				t.Fatal(sh.err)
 			}
+			encs := sh.encs
 			pinned := garbler.pinned
 			for l, st := range stored {
 				if seen[st.seed] {
@@ -589,6 +617,15 @@ func TestPinnedLabelsExpandFromSeed(t *testing.T) {
 						}
 						if enc.EncodeInput(w, v) != active[u*len(pinned)+k] {
 							t.Fatalf("%v layer %d unit %d: input %d's active label is not the one expanded from the seed", variant, l, u, w)
+						}
+					}
+					if variant == ClientGarbler {
+						continue
+					}
+					for i, lb := range st.known[u] { // bit i of b ‖ r
+						v := own[l][2*u+i/width]>>uint(i%width)&1 == 1
+						if enc.EncodeInput(1+width+i, v) != lb {
+							t.Fatalf("layer %d unit %d: the OT opened another label than input %d's active one", l, u, 1+width+i)
 						}
 					}
 				}

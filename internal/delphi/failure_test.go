@@ -4,10 +4,12 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"privinf/internal/field"
 	"privinf/internal/garble"
 	"privinf/internal/nn"
+	"privinf/internal/ot"
 	"privinf/internal/transport"
 )
 
@@ -116,12 +118,20 @@ func TestEvaluatorRejectsMalformedGCPayload(t *testing.T) {
 				cfg := Config{Variant: ev.variant, HEParams: params}
 				conn, atkConn := transport.Pipe()
 				var p *party
+				var own [][]uint64
 				if ev.variant == ServerGarbler {
 					client, err := NewClient(conn, cfg, MetaOf(model), newSeeded(4))
 					if err != nil {
 						t.Fatal(err)
 					}
 					p = &client.party
+					// The client sends the layer's u frame first.
+					if p.otRecv, err = ot.ResumeReceiver(conn, &ot.ReceiverState{}, []byte("attack")); err != nil {
+						t.Fatal(err)
+					}
+					for l := range p.circuits {
+						own = append(own, make([]uint64, 2*model.Linear[l].Out()))
+					}
 				} else {
 					server, err := NewServerShared(conn, cfg, shared, newSeeded(5))
 					if err != nil {
@@ -132,7 +142,7 @@ func TestEvaluatorRejectsMalformedGCPayload(t *testing.T) {
 				if err := atkConn.Send(make([]byte, tc.size)); err != nil {
 					t.Fatal(err)
 				}
-				_, err := p.receiveGC()
+				_, err := p.receiveGC(own, new(time.Duration))
 				if err == nil || !strings.Contains(err.Error(), "payload") {
 					t.Fatalf("want payload-size error, got %v", err)
 				}

@@ -96,7 +96,13 @@ func (h *hashConn) cut(variant Variant, phase string) string {
 // decode bytes) − 2 seeds, sg offline s2c −1,576 = 48 × (1 label + 17.5) −
 // 2 seeds); the other six kept every byte and digest, because every layer's
 // secret seed is drawn before its public one, so Δ and the a labels did not
-// move.
+// move. Wire v12 pins Server-Garbler's b and r inputs to the zero pads of
+// their OTs and sends no z frame: only sg offline s2c moved, by exactly the
+// z payload it lost (−30,720 = 1,920 OTs × 16 bytes) and with a new digest,
+// since the tables are garbled on the pads and each layer's t frame now
+// follows its record. Every other line kept every byte and digest: the u
+// frames depend only on the client's choices and streams, and R and the a
+// labels are drawn from the secret seed as before.
 func TestGCWireGolden(t *testing.T) {
 	model, err := nn.DemoMLP(field.New(field.P20), 7)
 	if err != nil {

@@ -92,10 +92,11 @@ func (p *party) OTResume() *OTResume {
 
 // gcPre is the garbled-circuit half of one buffered pre-compute. The
 // evaluator keeps stored. A server garbler keeps encs, for the a labels it
-// sends direct; under Client-Garbler each party keeps instead its half of the
-// a-label OTs, one batch per ReLU layer, made offline and consumed online.
+// sends direct: a unit's a-input false labels and its Δ, nothing else. Under
+// Client-Garbler each party keeps instead its half of the a-label OTs, one
+// batch per ReLU layer, made offline and consumed online.
 type gcPre struct {
-	encs    [][]garble.Encoding // per ReLU layer, per unit
+	encs    [][]garble.Encoding // per ReLU layer, per unit: a inputs only
 	stored  []storedLayer       // per ReLU layer
 	sendOTs []*ot.SenderOTs     // per ReLU layer, on a client garbler
 	recvOTs []*ot.ReceiverOTs   // per ReLU layer, on its evaluator
@@ -109,7 +110,7 @@ type storedLayer struct {
 	tables [][]garble.Label       // per unit
 	decode []byte                 // decode bits, width per unit, packed
 	// known holds the b and r labels, 2*width per unit, that a server
-	// garbler offers by offline OT (fetchKnown); a client garbler pins b
+	// garbler transfers by offline OT (receiveGC); a client garbler pins b
 	// and r to the seed instead, and known stays nil.
 	known [][]garble.Label
 	bytes uint64
@@ -117,7 +118,7 @@ type storedLayer struct {
 
 // storeBytes totals the garbled-circuit state one pre-compute holds until
 // online: stored circuits and labels, precomputed OT state, and a server
-// garbler's encodings (every input's false label and the offset, a unit).
+// garbler's encodings (the a inputs' false labels and the offset, a unit).
 func (g *gcPre) storeBytes() uint64 {
 	n := g.otBytes
 	for _, l := range g.stored {
@@ -139,13 +140,14 @@ func gcLayerBytes(circ *boolcirc.Circuit, units int) int {
 }
 
 // pinnedInputs lists the circuit inputs whose values the garbler knows when
-// it garbles: const-one always, and b and r when the garbler is the client.
-// Their active labels expand from each layer's public seed, so none of them
-// crosses the wire.
-func pinnedInputs(width int, cg bool) []int {
+// it garbles: const-one, and b and r when seeded includes them (the client
+// garbler). Their active labels expand from each layer's public seed, so none
+// of them crosses the wire. A server garbler pins b and r too, to the zero
+// labels of their OTs (garbleAndShip), so they need no seed.
+func pinnedInputs(width int, seeded bool) []int {
 	pinned := make([]int, 1, 1+2*width)
 	pinned[0] = boolcirc.ConstOne
-	for w := 1 + width; cg && w < 1+3*width; w++ {
+	for w := 1 + width; seeded && w < 1+3*width; w++ {
 		pinned = append(pinned, w)
 	}
 	return pinned
@@ -153,14 +155,21 @@ func pinnedInputs(width int, cg bool) []int {
 
 // garbleAndShip is the garbler's offline role: garble every ReLU unit and
 // send, per layer, one payload of public seed | units × tables | decode-bit
-// block. own[layer] lists the b and r values the garbler already knows,
-// unit-major; a nil own is the server garbler, whose a, b and r inputs it
-// does not hold. Each layer's Δ and input labels are AES-CTR output under a
-// fresh secret seed, and the pinned inputs' active labels AES-CTR output
-// under a fresh public seed; both come from the party's entropy, every
-// layer's secret seed first.
-func (p *party) garbleAndShip(own [][]uint64) ([][]garble.Encoding, error) {
-	width, pinned := p.f.Bits(), p.pinned
+// block. Every input the garbler knows when it garbles is pinned: const-one
+// to a label expanded from the public seed, and b and r, whose values
+// own[layer] lists unit-major on a client garbler, likewise. A server
+// garbler (nil own) does not know b and r: per layer it first takes the
+// pads of their OTs from the client's u frame and pins each to its zero
+// pad, then sends the t frame of the OTs with the units' Δs as offsets, and
+// the client opens its labels from t alone. Each layer's Δ and input labels
+// are AES-CTR output under a fresh secret seed, and the seeded labels
+// AES-CTR output under a fresh public seed; both come from the party's
+// entropy, every layer's secret seed first. The OT legs' time is added to
+// *otTime. It returns every unit's encoding.
+func (p *party) garbleAndShip(own [][]uint64, otTime *time.Duration) ([][]garble.Encoding, error) {
+	width := p.f.Bits()
+	known, np := pinnedInputs(width, true), len(p.pinned)
+	n := len(known)
 	src := p.entropy
 	if src == nil {
 		src = rand.Reader
@@ -179,17 +188,32 @@ func (p *party) garbleAndShip(own [][]uint64) ([][]garble.Encoding, error) {
 		}
 		secret := [garble.LabelSize]byte(seeds[layer*garble.LabelSize:])
 		public := [garble.LabelSize]byte(seeds[(L+layer)*garble.LabelSize:])
-		active := make([]byte, units*len(pinned)*garble.LabelSize)
-		garble.ExpandSeed(active, public)
-		fix := garble.Fixed{Wires: pinned, Values: make([]bool, 0, units*len(pinned)), Active: active}
+		var pads *ot.SenderPads
+		if own == nil {
+			var err error
+			if err = timed(otTime, func() error { pads, err = p.otSend.ReceivePads(units * 2 * width); return err }); err != nil {
+				return nil, fmt.Errorf("delphi: label OT layer %d: %w", layer, err)
+			}
+		}
+		// Unit u's pinned inputs are known[k] at u*n + k: the np seeded
+		// ones first, then a server garbler's b and r at their zero pads.
+		fix := garble.Fixed{Wires: known, Values: make([]bool, units*n), Active: make([]byte, units*n*garble.LabelSize)}
+		seeded := make([]byte, units*np*garble.LabelSize)
+		garble.ExpandSeed(seeded, public)
 		var ownBits []bool
 		if own != nil {
 			ownBits = valueBits(own[layer], width)
 		}
 		for u := 0; u < units; u++ {
-			fix.Values = append(fix.Values, true) // the wire that carries 1
+			fix.Values[u*n] = true // the wire that carries 1
+			unit := fix.Active[u*n*garble.LabelSize : (u+1)*n*garble.LabelSize]
+			copy(unit, seeded[u*np*garble.LabelSize:(u+1)*np*garble.LabelSize])
 			if own != nil {
-				fix.Values = append(fix.Values, ownBits[u*2*width:(u+1)*2*width]...)
+				copy(fix.Values[u*n+1:(u+1)*n], ownBits[u*2*width:])
+				continue
+			}
+			for k, l := range pads.Zero()[u*2*width : (u+1)*2*width] {
+				copy(unit[(np+k)*garble.LabelSize:], l[:])
 			}
 		}
 
@@ -209,18 +233,53 @@ func (p *party) garbleAndShip(own [][]uint64) ([][]garble.Encoding, error) {
 		if err := p.conn.Send(payload); err != nil {
 			return nil, fmt.Errorf("delphi: send GC layer %d: %w", layer, err)
 		}
+		if pads != nil {
+			deltas := make([]garble.Label, units)
+			for u, enc := range encs[layer] {
+				deltas[u] = enc.R
+			}
+			if err := timed(otTime, func() error { return p.otSend.SendOffsets(pads, deltas, 2*width) }); err != nil {
+				return nil, fmt.Errorf("delphi: label OT layer %d: %w", layer, err)
+			}
+		}
 	}
 	return encs, nil
 }
 
+// timed runs f and adds its duration to *d.
+func timed(d *time.Duration, f func() error) error {
+	start := time.Now()
+	err := f()
+	*d += time.Since(start)
+	return err
+}
+
+// aInputs keeps of each unit's encoding what a server garbler needs online:
+// the a inputs' false labels, as Inputs[0:width], and Δ. One slab a layer
+// holds the labels, so the full encodings can go.
+func aInputs(encs [][]garble.Encoding, width int) [][]garble.Encoding {
+	out := make([][]garble.Encoding, len(encs))
+	for layer, units := range encs {
+		slab := make([]garble.Label, len(units)*width)
+		out[layer] = make([]garble.Encoding, len(units))
+		for u, enc := range units {
+			a := slab[u*width : (u+1)*width : (u+1)*width]
+			copy(a, enc.Inputs[1:1+width])
+			out[layer][u] = garble.Encoding{Inputs: a, R: enc.R}
+		}
+	}
+	return out
+}
+
 // sendActive is the garbler's direct-label leg: the active labels of every
-// unit's a input, for the share values the garbler itself holds.
+// unit's a input, for the share values the garbler itself holds. encs are
+// aInputs' encodings.
 func (p *party) sendActive(encs []garble.Encoding, vals []uint64) error {
 	width := p.f.Bits()
 	payload := make([]byte, 0, len(vals)*width*garble.LabelSize)
 	for u, enc := range encs {
 		for k := 0; k < width; k++ {
-			lb := enc.EncodeInput(1+k, vals[u]>>uint(k)&1 == 1)
+			lb := enc.EncodeInput(k, vals[u]>>uint(k)&1 == 1)
 			payload = append(payload, lb[:]...)
 		}
 	}
@@ -228,17 +287,41 @@ func (p *party) sendActive(encs []garble.Encoding, vals []uint64) error {
 }
 
 // receiveGC is the evaluator's offline role: receive and store every
-// layer's garbled units.
-func (p *party) receiveGC() ([]storedLayer, error) {
+// layer's garbled units. From a server garbler it also obtains, per layer,
+// the labels of the b and r values own[layer] lists, unit-major: it sends
+// the u frame of their OTs before the layer and opens the labels from the t
+// frame that follows it. The OT legs' time is added to *otTime.
+func (p *party) receiveGC(own [][]uint64, otTime *time.Duration) ([]storedLayer, error) {
+	width, sg := p.f.Bits(), p.cfg.Variant == ServerGarbler
 	stored := make([]storedLayer, len(p.circuits))
 	for layer, circ := range p.circuits {
+		var pads *ot.ReceiverPads
+		if sg {
+			var err error
+			if err = timed(otTime, func() error { pads, err = p.otRecv.SendChoices(valueBits(own[layer], width)); return err }); err != nil {
+				return nil, fmt.Errorf("delphi: label OT layer %d: %w", layer, err)
+			}
+		}
 		payload, err := p.conn.Recv()
 		if err != nil {
 			return nil, fmt.Errorf("delphi: recv GC layer %d: %w", layer, err)
 		}
-		if stored[layer], err = parseGCLayer(circ, p.meta.Dims[layer].Out, payload); err != nil {
+		st := &stored[layer]
+		if *st, err = parseGCLayer(circ, p.meta.Dims[layer].Out, payload); err != nil {
 			return nil, fmt.Errorf("delphi: GC layer %d: %w", layer, err)
 		}
+		if !sg {
+			continue
+		}
+		var labels []garble.Label
+		if err := timed(otTime, func() error { labels, err = p.otRecv.ReceiveOffsets(pads); return err }); err != nil {
+			return nil, fmt.Errorf("delphi: label OT layer %d: %w", layer, err)
+		}
+		st.known = make([][]garble.Label, len(st.tables))
+		for u := range st.known {
+			st.known[u] = labels[u*2*width : (u+1)*2*width]
+		}
+		st.bytes += uint64(len(labels) * garble.LabelSize)
 	}
 	return stored, nil
 }
@@ -304,87 +387,46 @@ func (p *party) evaluateLayer(st storedLayer, layer int, aLabels []garble.Label)
 }
 
 // offlineGC is the garbled-circuit leg of a pre-compute on either endpoint,
-// timed into rep: the circuits (garbleAndShip, receiveGC), then the label
-// OTs that run offline. own lists the client's b and r values per layer
-// (nil on the server).
+// timed into rep: the circuits (garbleAndShip, receiveGC), with
+// Server-Garbler's b and r OTs woven in, then Client-Garbler's a OTs, which
+// run offline as random OTs (precomputeOffer, precomputeFetch) and online as
+// one derandomization each (otSendLabels, otRecvLabels). own lists the
+// client's b and r values per layer (nil on the server).
 func (p *party) offlineGC(pre *gcPre, garbler bool, own [][]uint64, rep *OfflineReport) error {
 	cg, start := p.cfg.Variant == ClientGarbler, time.Now()
 	var err error
 	if garbler {
-		pre.encs, err = p.garbleAndShip(own)
+		pre.encs, err = p.garbleAndShip(own, &rep.OTDuration)
 	} else {
-		pre.stored, err = p.receiveGC()
+		pre.stored, err = p.receiveGC(own, &rep.OTDuration)
 	}
-	rep.GCDuration = time.Since(start)
-	if err != nil {
-		return err
-	}
-	start = time.Now()
 	switch {
+	case err != nil:
+		return err
 	case !cg && garbler:
-		err = p.offerKnown(pre.encs)
-	case !cg:
-		err = p.fetchKnown(pre.stored, own)
+		pre.encs = aInputs(pre.encs, p.f.Bits())
 	case garbler: // keeps the OTs bound to its labels, not the encodings
-		err = p.precomputeOffer(pre, pre.encs)
+		err = timed(&rep.OTDuration, func() error { return p.precomputeOffer(pre, pre.encs) })
 		pre.encs = nil
-	default:
-		err = p.precomputeFetch(pre)
+	case cg:
+		err = timed(&rep.OTDuration, func() error { return p.precomputeFetch(pre) })
 	}
-	rep.OTDuration = time.Since(start)
+	rep.GCDuration = time.Since(start) - rep.OTDuration
 	rep.GCStoreBytes = pre.storeBytes()
 	return err
 }
 
-// The label OTs. Server-Garbler runs its b and r OTs offline, chosen on the
-// values the client already knows (offerKnown, fetchKnown). Client-Garbler's
-// a OTs wait for a value only known online, so they run offline as random
-// OTs (precomputeOffer, precomputeFetch) and online as one derandomization
-// each (otSendLabels, otRecvLabels).
-
-// offerKnown is the server garbler's offline OT: every layer's b and r
-// labels, which a client garbler would have shipped with the circuits.
-func (p *party) offerKnown(encs [][]garble.Encoding) error {
-	width := p.f.Bits()
-	for layer := range encs {
-		if err := p.otSend.Send(labelPairs(encs[layer], 1+width, 2*width)); err != nil {
-			return fmt.Errorf("delphi: label OT layer %d: %w", layer, err)
-		}
-	}
-	return nil
-}
-
-// labelPairs lists both labels of circuit inputs [first, first+n) of every
-// unit, unit-major: what the garbler offers by OT.
-func labelPairs(encs []garble.Encoding, first, n int) [][2]garble.Label {
-	pairs := make([][2]garble.Label, 0, len(encs)*n)
+// labelPairs lists both labels of every unit's a input, width bits a unit,
+// unit-major: what a client garbler offers by OT.
+func labelPairs(encs []garble.Encoding, width int) [][2]garble.Label {
+	pairs := make([][2]garble.Label, 0, len(encs)*width)
 	for _, enc := range encs {
-		for k := first; k < first+n; k++ {
+		for k := 1; k < 1+width; k++ {
 			f0, f1 := enc.LabelPair(k)
 			pairs = append(pairs, [2]garble.Label{f0, f1})
 		}
 	}
 	return pairs
-}
-
-// fetchKnown is offerKnown's evaluator side: obtain the labels for the b
-// and r values own[layer] lists, unit-major, and store them beside the
-// circuits.
-func (p *party) fetchKnown(stored []storedLayer, own [][]uint64) error {
-	for layer := range stored {
-		labels, err := p.otRecv.Receive(valueBits(own[layer], p.f.Bits()))
-		if err != nil {
-			return fmt.Errorf("delphi: label OT layer %d: %w", layer, err)
-		}
-		st := &stored[layer]
-		per := 2 * p.f.Bits()
-		st.known = make([][]garble.Label, len(st.tables))
-		for u := range st.known {
-			st.known[u] = labels[u*per : (u+1)*per]
-		}
-		st.bytes += uint64(len(labels) * garble.LabelSize)
-	}
-	return nil
 }
 
 // precomputeOffer is the client garbler's offline half of the a OTs: per
@@ -393,7 +435,7 @@ func (p *party) fetchKnown(stored []storedLayer, own [][]uint64) error {
 func (p *party) precomputeOffer(pre *gcPre, encs [][]garble.Encoding) error {
 	width := p.f.Bits()
 	for layer := range encs {
-		b, err := p.otSend.Precompute(labelPairs(encs[layer], 1, width), width)
+		b, err := p.otSend.Precompute(labelPairs(encs[layer], width), width)
 		if err != nil {
 			return fmt.Errorf("delphi: label OT layer %d: %w", layer, err)
 		}

@@ -80,6 +80,18 @@
 // batch is used once. docs/invariants.md ("Label OT precomputation") says
 // why t may be sent before the choices exist.
 //
+// # Pads as labels
+//
+// A sender that has not yet drawn its pairs may let the pads be them:
+// ReceivePads runs the sender's half of the extension up to its pads, and
+// SendOffsets later sends t for offsets Δ alone, which transfers the pairs
+// (m0, m0 ⊕ Δ). Then w_j = 0, and the receiver's K_j = m_c ⊕ c·t_j
+// (SendChoices, then ReceiveOffsets) is already its message: no z frame. A
+// Server-Garbler garbler takes m0 as the false label of the client's b and
+// r wires, so it extends before it garbles. docs/invariants.md
+// ("OT-defined input labels") says why a pad is a valid label. A batch is
+// answered and opened once.
+//
 // # Buffers
 //
 // A batch's buffers (slab, transposed columns, packed choice bits, the u or
@@ -99,7 +111,8 @@
 // A frame of the wrong length is a *FrameSizeError, raised before anything
 // is indexed by it. Whatever the cause, the first failed call that moves
 // bytes (Send, Receive, either Precompute, SendPrecomputed,
-// ReceivePrecomputed) poisons its endpoint: the parties' streams and OT
+// ReceivePrecomputed, ReceivePads, SendOffsets, SendChoices,
+// ReceiveOffsets) poisons its endpoint: the parties' streams and OT
 // index are out of step from then on and a later batch would deliver
 // garbage labels, so every later call — empty batches included — returns
 // the first error and touches neither the connection nor the streams.

@@ -164,6 +164,23 @@ func xor(dst, a, b *Message) {
 // frame's buffer, which the transport has done with.
 func (s *ExtSender) extend(pairs [][2]Message) ([]Message, []byte, error) {
 	m := len(pairs)
+	pads, t, err := s.pads(m)
+	if err != nil {
+		return nil, nil, err
+	}
+	m0, m1 := pads[:m], pads[m:]
+	for j, p := range pairs {
+		xor(&m0[j], &m0[j], &p[0])
+		xor(&m1[j], &m1[j], &p[1])
+		xor((*Message)(t[KeySize*j:]), &m0[j], &m1[j])
+	}
+	return m0, t, s.conn.Send(t)
+}
+
+// pads receives the correction matrix u of one extension of m > 0 OTs and
+// returns the OTs' pads, m0 = H(q_j) at j and m1 = H(q_j ⊕ s) at m+j, and
+// the buffer the t frame is built in (16m bytes, never aliasing the pads).
+func (s *ExtSender) pads(m int) ([]Message, []byte, error) {
 	mBytes := (m + 7) / 8
 	u, err := s.conn.Recv()
 	if err != nil {
@@ -194,13 +211,54 @@ func (s *ExtSender) extend(pairs [][2]Message) ([]Message, []byte, error) {
 	hashPads(&s.h, m0, s.otIndex)
 	hashPads(&s.h, m1, s.otIndex)
 	s.otIndex += uint64(m)
-	t := rows[:KeySize*m]
-	for j, p := range pairs {
-		xor(&m0[j], &m0[j], &p[0])
-		xor(&m1[j], &m1[j], &p[1])
-		xor((*Message)(t[KeySize*j:]), &m0[j], &m1[j])
+	return pads, rows[:KeySize*m], nil
+}
+
+// SenderPads is one extension whose pads the sender holds before it has
+// messages to bind them to. Its zero pads m0 = H(q_j) are pseudorandom and
+// independent of everything the sender picks, so a garbler takes them as
+// its input wires' false labels: the pair (m0, m0 ⊕ Δ) then costs only the
+// t frame, t_j = Δ ⊕ m0 ⊕ m1, and the receiver opens m_c ⊕ c·t, which is
+// the label of its choice c, with no answer frame at all.
+type SenderPads struct {
+	pads  []Message // m0, then m1
+	t     []byte
+	spent bool
+}
+
+// Zero returns the batch's pads m0, one an OT, in storage the batch owns.
+func (b *SenderPads) Zero() []Message { return b.pads[:len(b.pads)/2] }
+
+// ReceivePads runs the sender's first half of m OTs: it receives the
+// receiver's u frame (SendChoices) and returns the pads. SendOffsets
+// finishes the batch. Failures poison the endpoint as in Send.
+func (s *ExtSender) ReceivePads(m int) (*SenderPads, error) {
+	b := &SenderPads{}
+	return b, sticky(&s.err, m, func() (err error) {
+		b.pads, b.t, err = s.pads(m)
+		return err
+	})
+}
+
+// SendOffsets transfers the pairs (m0_j, m0_j ⊕ delta[j/per]) of a batch
+// from ReceivePads, whose OTs j and k share an offset whenever j/per =
+// k/per: it sends t_j = delta[j/per] ⊕ m0_j ⊕ m1_j. A batch is sent once.
+// Failures poison the endpoint as in Send.
+func (s *ExtSender) SendOffsets(b *SenderPads, delta []Message, per int) error {
+	m := len(b.pads) / 2
+	if b.spent || per < 1 || len(delta) != (m+per-1)/per {
+		return fmt.Errorf("ot: %d offsets of %d OTs each for a batch of %d OTs, spent %v", len(delta), per, m, b.spent)
 	}
-	return m0, t, s.conn.Send(t)
+	b.spent = true
+	return sticky(&s.err, m, func() error {
+		m0, m1 := b.pads[:m], b.pads[m:]
+		for j := range m0 {
+			tj := (*Message)(b.t[KeySize*j:])
+			xor(tj, &m0[j], &m1[j])
+			xor(tj, tj, &delta[j/per])
+		}
+		return s.conn.Send(b.t)
+	})
 }
 
 // otChunk bounds the run of tweaks hashPads builds on its stack.
@@ -315,6 +373,16 @@ func (r *ExtReceiver) ReceivePrecomputed(b *ReceiverOTs, choices []bool) ([]Mess
 // packed choice bits rBits: it sends u, receives the sender's t frame and
 // returns each OT's key K_j = H(t_j) ⊕ r_j·t_j, which is x_r ⊕ w_j.
 func (r *ExtReceiver) extend(rBits []byte, m int) ([]Message, error) {
+	pads, err := r.sendU(rBits, m)
+	if err != nil {
+		return nil, err
+	}
+	return pads, recvInto(r.conn, "t", pads, rBits)
+}
+
+// sendU sends the u frame of one extension of m > 0 OTs on the packed
+// choice bits rBits and returns the pads H(t_j), which are m_r of each OT.
+func (r *ExtReceiver) sendU(rBits []byte, m int) ([]Message, error) {
 	mBytes := len(rBits)
 	// t_i = PRG(k_i^0); u_i = t_i ⊕ r ⊕ PRG(k_i^1).
 	slab := make([]byte, 2*kappa*mBytes)
@@ -333,7 +401,41 @@ func (r *ExtReceiver) extend(rBits []byte, m int) ([]Message, error) {
 	transpose(pads, rows, mBytes)
 	hashPads(&r.h, pads, r.otIndex)
 	r.otIndex += uint64(m)
-	return pads, recvInto(r.conn, "t", pads, rBits)
+	return pads, nil
+}
+
+// ReceiverPads is SenderPads' receiver side: the packed choice bits of one
+// extension whose u frame is sent, and the pads m_c they select.
+type ReceiverPads struct {
+	c     []byte
+	k     []Message
+	spent bool
+}
+
+// SendChoices runs the receiver's first half of len(choices) OTs: it sends
+// the u frame the sender's ReceivePads takes. ReceiveOffsets finishes the
+// batch. Failures poison the endpoint as in Receive.
+func (r *ExtReceiver) SendChoices(choices []bool) (*ReceiverPads, error) {
+	b := &ReceiverPads{c: pack(choices)}
+	return b, sticky(&r.err, len(choices), func() (err error) {
+		b.k, err = r.sendU(b.c, len(choices))
+		return err
+	})
+}
+
+// ReceiveOffsets receives the sender's t frame for a batch from SendChoices
+// and opens each OT's label, m_c ⊕ c·t, which is m0 ⊕ c·Δ of its pair, into
+// the batch's own storage, which it returns. A batch is received once.
+// Failures poison the endpoint as in Receive.
+func (r *ExtReceiver) ReceiveOffsets(b *ReceiverPads) ([]Message, error) {
+	if b.spent {
+		return nil, fmt.Errorf("ot: batch of %d OTs already received", len(b.k))
+	}
+	b.spent = true
+	if err := sticky(&r.err, len(b.k), func() error { return recvInto(r.conn, "t", b.k, b.c) }); err != nil {
+		return nil, err
+	}
+	return b.k, nil
 }
 
 // recvInto receives a frame of one Message an OT, the sender's t or z, and

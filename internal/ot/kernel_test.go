@@ -266,7 +266,8 @@ func (c *cutConn) Recv() ([]byte, error) {
 }
 
 // TestPoisonedEndpoints: a u, t, d or z frame of the wrong size — one byte
-// short, one long, empty — in a chosen or a precomputed batch is a typed
+// short, one long, empty — in a chosen, a precomputed or a pads-then-offsets
+// batch is a typed
 // *FrameSizeError raised before any scratch is indexed (the warm-up batch is
 // smaller than the damaged one, so nothing sized by it could hold the
 // batch), and it poisons the endpoint: every later call, empty batches
@@ -286,22 +287,25 @@ func TestPoisonedEndpoints(t *testing.T) {
 	// warm-up first. A precomputed damaged batch follows a whole warm-up
 	// batch for its t frame; for its online frames both batches are
 	// extended first (two u and two t frames), then the warm-up's d and z.
+	// A pads batch's u and t follow the warm-up batch's.
 	frames := []struct {
-		name    string
-		pre     bool
-		bySend  bool
-		n, want int
+		name      string
+		pre, pads bool
+		bySend    bool
+		n, want   int
 	}{
-		{"u", false, true, 2, kappa * ((m + 7) / 8)},
-		{"t", false, false, 3, KeySize * m},
-		{"z", false, false, 4, KeySize * m},
-		{"t", true, false, 3, KeySize * m},
-		{"d", true, true, 4, (m + 7) / 8},
-		{"z", true, false, 4, KeySize * m},
+		{"u", false, false, true, 2, kappa * ((m + 7) / 8)},
+		{"t", false, false, false, 3, KeySize * m},
+		{"z", false, false, false, 4, KeySize * m},
+		{"t", true, false, false, 3, KeySize * m},
+		{"d", true, false, true, 4, (m + 7) / 8},
+		{"z", true, false, false, 4, KeySize * m},
+		{"u", false, true, true, 2, kappa * ((m + 7) / 8)},
+		{"t", false, true, false, 2, KeySize * m},
 	}
 	for name, cut := range cuts {
 		for _, fr := range frames {
-			row := fmt.Sprintf("%s %s (precomputed %v)", name, fr.name, fr.pre)
+			row := fmt.Sprintf("%s %s (precomputed %v, pads %v)", name, fr.name, fr.pre, fr.pads)
 			a, b := transport.Pipe()
 			sc, rc := &cutConn{MsgConn: a, cut: cut}, &cutConn{MsgConn: b, cut: cut}
 			if fr.bySend {
@@ -322,6 +326,22 @@ func TestPoisonedEndpoints(t *testing.T) {
 			sendErr, recvErr := make(chan error, 1), make(chan error, 1)
 			warmPairs, warmChoices := randomPairs(rng, warm), randomChoices(rng, warm)
 			switch {
+			case fr.pads:
+				runPads(t, s, r, warmChoices, offsets(warmPairs), 1)
+				go func() {
+					b, err := s.ReceivePads(m)
+					if err == nil {
+						err = s.SendOffsets(b, offsets(pairs), 1)
+					}
+					sendErr <- err
+				}()
+				go func() {
+					b, err := r.SendChoices(choices)
+					if err == nil {
+						_, err = r.ReceiveOffsets(b)
+					}
+					recvErr <- err
+				}()
 			case !fr.pre:
 				runBatch(t, s, r, warmPairs, warmChoices)
 				go func() { sendErr <- s.Send(pairs) }()
@@ -364,13 +384,17 @@ func TestPoisonedEndpoints(t *testing.T) {
 				if fr.bySend {
 					pairs := randomPairs(rng, k)
 					_, err := s.Precompute(pairs, 1)
+					_, err2 := s.ReceivePads(k)
 					again = append(again, s.Send(pairs), err,
-						s.SendPrecomputed(&SenderOTs{w: make([]Message, k), delta: offsets(pairs), per: 1}))
+						s.SendPrecomputed(&SenderOTs{w: make([]Message, k), delta: offsets(pairs), per: 1}), err2,
+						s.SendOffsets(&SenderPads{pads: make([]Message, 2*k), t: make([]byte, KeySize*k)}, offsets(pairs), 1))
 				} else {
 					_, err1 := r.Receive(randomChoices(rng, k))
 					_, err2 := r.Precompute(k, newSeeded(3))
 					_, err3 := r.ReceivePrecomputed(&ReceiverOTs{c: make([]byte, (k+7)/8), k: make([]Message, k)}, randomChoices(rng, k))
-					again = append(again, err1, err2, err3)
+					_, err4 := r.SendChoices(randomChoices(rng, k))
+					_, err5 := r.ReceiveOffsets(&ReceiverPads{c: make([]byte, (k+7)/8), k: make([]Message, k)})
+					again = append(again, err1, err2, err3, err4, err5)
 				}
 				for i, err := range again {
 					if err != first {

@@ -336,7 +336,9 @@ func TestTicketDirRequiresResumption(t *testing.T) {
 // holds, v9 the OT answer, now correlated, on the same seeds again, v10 the
 // offline HE records, which no store holds: the cached HE secret key now
 // encrypts the seeded uploads directly, v11 the garbled layer record, which
-// no store holds either. testdata/wire4 through wire10 are what the last commit of each
+// no store holds either, v12 Server-Garbler's b and r OTs, which now end at
+// their t frames and expand the same seeds. testdata/wire4 through wire11
+// are what the last commit of each
 // release left after one cold Client-Garbler session on testModel(170): the
 // engine's ticket directory and the client's preamble file (saved with no
 // cached model artifact, which keeps the file small and makes the reconnect
@@ -345,7 +347,7 @@ func TestTicketDirRequiresResumption(t *testing.T) {
 // no base OTs, no keygen — and the inference, whose label OTs expand the
 // resumed seeds, is bit-exact.
 func TestOlderWireStateResumes(t *testing.T) {
-	for _, release := range []string{"wire4", "wire5", "wire6", "wire7", "wire8", "wire9", "wire10"} {
+	for _, release := range []string{"wire4", "wire5", "wire6", "wire7", "wire8", "wire9", "wire10", "wire11"} {
 		t.Run(release, func(t *testing.T) {
 			dir := t.TempDir() // the stores sweep and rewrite their directories
 			if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", release))); err != nil {

@@ -282,12 +282,14 @@ func TestPreambleVersionMismatchRejected(t *testing.T) {
 		{"preamble v8", [][]byte{preamble(8)}},
 		{"preamble v9", [][]byte{preamble(9)}},
 		{"preamble v10", [][]byte{preamble(10)}},
-		{"v5 hello inside a v11 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 5}))}},
-		{"v6 hello inside a v11 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 6}))}},
-		{"v7 hello inside a v11 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 7}))}},
-		{"v8 hello inside a v11 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 8}))}},
-		{"v9 hello inside a v11 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 9}))}},
-		{"v10 hello inside a v11 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 10}))}},
+		{"preamble v11", [][]byte{preamble(11)}},
+		{"v5 hello inside a v12 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 5}))}},
+		{"v6 hello inside a v12 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 6}))}},
+		{"v7 hello inside a v12 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 7}))}},
+		{"v8 hello inside a v12 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 8}))}},
+		{"v9 hello inside a v12 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 9}))}},
+		{"v10 hello inside a v12 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 10}))}},
+		{"v11 hello inside a v12 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 11}))}},
 	} {
 		conn, err := transport.Dial(ln.Addr())
 		if err != nil {

@@ -35,10 +35,13 @@ const (
 	// nonce, and a Resumed welcome is followed directly by protocol traffic
 	// — only full handshakes carry the HE public-key flight and the two
 	// flights of P-256 base-OT points. Every label OT is correlated: the
-	// extension carries a t frame of 16 bytes an OT and the answer is one
-	// 16-byte label an OT (a z frame); Client-Garbler runs its a-label OTs
-	// offline as random OTs, leaving one d frame up and one z frame down
-	// per ReLU layer online. The offline HE leg sends seeded secret-key
+	// extension carries a t frame of 16 bytes an OT. Server-Garbler's b
+	// and r OTs run per ReLU layer around its garbled record (u up, then
+	// the record and t down) and send nothing more: the garbler pins those
+	// inputs to the OTs' zero pads, so t alone opens the labels.
+	// Client-Garbler runs its a-label OTs offline as random OTs, leaving
+	// one d frame up and one z frame (one 16-byte label an OT) down per
+	// ReLU layer online. The offline HE leg sends seeded secret-key
 	// uploads (seed ‖ c0) up and, down, responses switched to 2^k with c0
 	// at the read slots only (k = 34 for N = 4096 and P20); the public key
 	// still crosses once, in a full handshake. A garbled ReLU layer is one
@@ -52,7 +55,7 @@ const (
 	// precomputed OTs, or anything both ends derive from the model
 	// metadata, and so carries across every bump. The history of earlier
 	// versions is in CHANGES.md.
-	wireVersion = 11
+	wireVersion = 12
 
 	tagData byte = 0x00
 	tagCtrl byte = 0x01
