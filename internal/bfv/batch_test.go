@@ -72,7 +72,7 @@ func TestDecryptCoeffsBatchMatchesSequential(t *testing.T) {
 }
 
 // TestAccumulateMulPlainMatchesReference: the lazy fused kernel plus one
-// CanonicalizeCt equals a chain of fully reduced MulPlainAddInto calls.
+// canonicalizeCt equals a chain of fully reduced MulPlainAddInto calls.
 func TestAccumulateMulPlainMatchesReference(t *testing.T) {
 	p := testParams
 	rng := rand.New(rand.NewSource(66))
@@ -93,7 +93,7 @@ func TestAccumulateMulPlainMatchesReference(t *testing.T) {
 		AccumulateMulPlain(&lazy, cts[i], pts[i])
 		MulPlainAddInto(&ref, cts[i], pts[i])
 	}
-	CanonicalizeCt(&lazy)
+	canonicalizeCt(&lazy)
 	for j := range ref.c0 {
 		if lazy.c0[j] != ref.c0[j] || lazy.c1[j] != ref.c1[j] {
 			t.Fatalf("coeff %d: lazy accumulation differs from reference", j)

@@ -13,8 +13,11 @@ type SecretKey struct {
 	s []uint64
 }
 
-// PublicKey is the pair (b, a) = (-(a·s + e), a), both in the NTT domain.
+// PublicKey is the pair (b, a) = (-(a·s + e), a), both in the NTT domain,
+// where a expands from seed: the key travels as seed ‖ b. A parsed key
+// holds no a until Expand.
 type PublicKey struct {
+	seed [SeedSize]byte
 	b, a []uint64
 }
 
@@ -46,7 +49,9 @@ func (sk SecretKey) Degree() int { return len(sk.s) }
 // zero-valued key).
 func (pk PublicKey) Degree() int { return len(pk.b) }
 
-// KeyGen generates a fresh key pair. src may be nil (crypto/rand).
+// KeyGen generates a fresh key pair. src may be nil (crypto/rand). It draws
+// s, then the seed a expands from, then e, so the stream's first words
+// give the same s whatever the key's transport form.
 func KeyGen(p Params, src io.Reader) (SecretKey, PublicKey) {
 	smp := newSampler(src)
 	n := p.N
@@ -55,21 +60,33 @@ func KeyGen(p Params, src io.Reader) (SecretKey, PublicKey) {
 	smp.ternary(s)
 	p.ntt.Forward(s)
 
-	a := make([]uint64, n)
-	smp.uniform(a) // uniform in either domain; treat as NTT-domain
-
-	e := make([]uint64, n)
+	var pk PublicKey
+	copy(pk.seed[:], smp.read(SeedSize/8))
+	e := getScratch(n)
+	defer putScratch(e)
 	smp.cbd(e)
 	p.ntt.Forward(e)
+	pk.a = make([]uint64, n)
+	expandSeed(pk.a, pk.seed)
 
 	// b = -(a*s + e)
-	b := make([]uint64, n)
-	ringq.MulInto(b, a, s)
-	ringq.AddInto(b, b, e)
-	for i := range b {
-		b[i] = ringq.Neg(b[i])
+	pk.b = make([]uint64, n)
+	ringq.MulInto(pk.b, pk.a, s)
+	ringq.AddInto(pk.b, pk.b, e)
+	for i := range pk.b {
+		pk.b[i] = ringq.Neg(pk.b[i])
 	}
-	return SecretKey{s: s}, PublicKey{b: b, a: a}
+	return SecretKey{s: s}, pk
+}
+
+// Expand returns the key with a expanded from its seed; a key that holds
+// a already is returned as is. A parsed key shares its b with the result.
+func (pk PublicKey) Expand() PublicKey {
+	if pk.a == nil {
+		pk.a = make([]uint64, len(pk.b))
+		expandSeed(pk.a, pk.seed)
+	}
+	return pk
 }
 
 // Encryptor encrypts plaintexts under a public key.
@@ -81,56 +98,7 @@ type Encryptor struct {
 
 // NewEncryptor returns an encryptor. src may be nil (crypto/rand).
 func NewEncryptor(p Params, pk PublicKey, src io.Reader) *Encryptor {
-	return &Encryptor{params: p, pk: pk, smp: newSampler(src)}
-}
-
-// EncryptCoeffs encrypts a message given as raw coefficients in [0, T).
-// len(m) may be at most N; shorter messages are zero-padded.
-func (e *Encryptor) EncryptCoeffs(m []uint64) Ciphertext {
-	p := e.params
-	n := p.N
-	if len(m) > n {
-		panic("bfv: message longer than ring degree")
-	}
-
-	// Scale message by Delta into Z_q, then move to the NTT domain. The
-	// message and noise polynomials are scratch — only c0/c1 survive — so
-	// they come from the shared buffer pool.
-	dm := getScratch(n)
-	defer putScratch(dm)
-	for i, v := range m {
-		if v >= p.T {
-			panic("bfv: message coefficient out of plaintext range")
-		}
-		dm[i] = ringq.Mul(v, p.delta)
-	}
-	p.ntt.Forward(dm)
-
-	u := getScratch(n)
-	defer putScratch(u)
-	e.smp.ternary(u)
-	p.ntt.Forward(u)
-
-	e1 := getScratch(n)
-	defer putScratch(e1)
-	e.smp.cbd(e1)
-	p.ntt.Forward(e1)
-
-	e2 := getScratch(n)
-	defer putScratch(e2)
-	e.smp.cbd(e2)
-	p.ntt.Forward(e2)
-
-	c0 := make([]uint64, n)
-	ringq.MulInto(c0, e.pk.b, u)
-	ringq.AddInto(c0, c0, e1)
-	ringq.AddInto(c0, c0, dm)
-
-	c1 := make([]uint64, n)
-	ringq.MulInto(c1, e.pk.a, u)
-	ringq.AddInto(c1, c1, e2)
-
-	return Ciphertext{c0: c0, c1: c1}
+	return &Encryptor{params: p, pk: pk.Expand(), smp: newSampler(src)}
 }
 
 // EncryptCoeffsBatch encrypts many messages at once, amortizing the
@@ -139,7 +107,8 @@ func (e *Encryptor) EncryptCoeffs(m []uint64) Ciphertext {
 // drawn message-by-message in exactly the order sequential EncryptCoeffs
 // calls would consume it (ternary u, then cbd e1, e2 per message), so the
 // output is bit-identical to encrypting each message in turn with the same
-// source.
+// source (the test file keeps that one-message EncryptCoeffs as the
+// reference).
 func (e *Encryptor) EncryptCoeffsBatch(msgs [][]uint64) []Ciphertext {
 	p := e.params
 	n := p.N
@@ -203,22 +172,6 @@ func NewDecryptor(p Params, sk SecretKey) *Decryptor {
 	return &Decryptor{params: p, sk: sk}
 }
 
-// DecryptCoeffs returns the message coefficients in [0, T).
-func (d *Decryptor) DecryptCoeffs(ct Ciphertext) []uint64 {
-	p := d.params
-	n := p.N
-
-	phase := getScratch(n)
-	defer putScratch(phase)
-	ringq.MulInto(phase, ct.c1, d.sk.s)
-	ringq.AddInto(phase, phase, ct.c0)
-	p.ntt.Inverse(phase)
-
-	out := make([]uint64, n)
-	roundPhaseToT(out, phase, p.T)
-	return out
-}
-
 // roundPhaseToT rounds a decrypted phase to message space:
 // m_i = round(T * phase_i / Q) mod T.
 func roundPhaseToT(out, phase []uint64, t uint64) {
@@ -235,7 +188,7 @@ func roundPhaseToT(out, phase []uint64, t uint64) {
 // DecryptCoeffsBatch decrypts many ciphertexts at once, computing every
 // phase first and running the inverse transforms through
 // ringq.InverseBatch. Output is bit-identical to sequential DecryptCoeffs
-// calls (decryption is deterministic).
+// calls, the test file's reference (decryption is deterministic).
 func (d *Decryptor) DecryptCoeffsBatch(cts []Ciphertext) [][]uint64 {
 	p := d.params
 	n := p.N
@@ -259,47 +212,6 @@ func (d *Decryptor) DecryptCoeffsBatch(cts []Ciphertext) [][]uint64 {
 	return out
 }
 
-// NoiseBudget returns the remaining noise budget in bits for a ciphertext
-// known to encrypt message m: log2(q/(2t)) - log2(|noise|). Decryption of a
-// single value fails when this reaches zero. Used by tests and by the
-// protocol layer's self-checks.
-func (d *Decryptor) NoiseBudget(ct Ciphertext, m []uint64) int {
-	p := d.params
-	n := p.N
-
-	phase := make([]uint64, n)
-	ringq.MulInto(phase, ct.c1, d.sk.s)
-	ringq.AddInto(phase, phase, ct.c0)
-	p.ntt.Inverse(phase)
-
-	maxNoise := uint64(0)
-	for i := range phase {
-		var mi uint64
-		if i < len(m) {
-			mi = m[i]
-		}
-		diff := ringq.Sub(phase[i], ringq.Mul(mi, p.delta))
-		// Centered magnitude.
-		if diff > ringq.Q/2 {
-			diff = ringq.Q - diff
-		}
-		if diff > maxNoise {
-			maxNoise = diff
-		}
-	}
-	limit := p.delta / 2
-	if maxNoise >= limit {
-		return 0
-	}
-	return bits.Len64(limit) - bits.Len64(maxNoise)
-}
-
-// AddCtInto accumulates b into a in place.
-func AddCtInto(a *Ciphertext, b Ciphertext) {
-	ringq.AddInto(a.c0, a.c0, b.c0)
-	ringq.AddInto(a.c1, a.c1, b.c1)
-}
-
 // SubPlainInto subtracts pt (prepared with EncodeAddNTT: Delta-scaled, NTT
 // domain) from ct in place. Used by the matvec hot path, where the
 // accumulator is dead after the subtraction.
@@ -307,32 +219,19 @@ func SubPlainInto(ct *Ciphertext, pt Plaintext) {
 	ringq.SubInto(ct.c0, ct.c0, pt.coeffs)
 }
 
-// MulPlainAddInto accumulates ct*pt into acc with fully reduced arithmetic,
-// where pt was prepared with EncodeMulNTT (centered lift, NTT domain): the
-// product decrypts to the negacyclic convolution of the two messages mod T,
-// the only multiplication the DELPHI offline phase requires. The matvec hot
-// path uses AccumulateMulPlain instead; this remains as the reference kernel
-// the lazy path is tested against.
-func MulPlainAddInto(acc *Ciphertext, ct Ciphertext, pt Plaintext) {
-	for i := range acc.c0 {
-		acc.c0[i] = ringq.Add(acc.c0[i], ringq.Mul(ct.c0[i], pt.coeffs[i]))
-		acc.c1[i] = ringq.Add(acc.c1[i], ringq.Mul(ct.c1[i], pt.coeffs[i]))
-	}
-}
-
 // AccumulateMulPlain accumulates ct*pt into acc in ringq's lazy domain —
 // the fused kernel the packed matvec evaluator spends nearly all its time
-// in. acc's residues may leave canonical form; run CanonicalizeCt once
-// after the last accumulation (Apply does this) before using acc with any
-// fully-reduced kernel. ct and pt must be canonical.
+// in. acc's residues may leave canonical form; Apply and Respond make them
+// canonical once, after the last accumulation. ct and pt must be
+// canonical.
 func AccumulateMulPlain(acc *Ciphertext, ct Ciphertext, pt Plaintext) {
 	ringq.MulAddLazyInto(acc.c0, ct.c0, pt.coeffs)
 	ringq.MulAddLazyInto(acc.c1, ct.c1, pt.coeffs)
 }
 
-// CanonicalizeCt maps a lazily accumulated ciphertext back to canonical
+// canonicalizeCt maps a lazily accumulated ciphertext back to canonical
 // residues in place.
-func CanonicalizeCt(ct *Ciphertext) {
+func canonicalizeCt(ct *Ciphertext) {
 	ringq.Canonicalize(ct.c0)
 	ringq.Canonicalize(ct.c1)
 }

@@ -2,6 +2,7 @@ package bfv
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -328,8 +329,7 @@ func TestMatVecPlanGeometry(t *testing.T) {
 		// Every result position must be a valid, distinct coefficient.
 		seen := make(map[[2]int]bool)
 		for r := 0; r < o; r++ {
-			ct, coeff := pl.ResultSlot(r)
-			pos := [2]int{ct, coeff + pl.Chunk - 1}
+			pos := [2]int{r / pl.RowsPer, pl.slot(r % pl.RowsPer)}
 			if pos[1] >= p.N || seen[pos] {
 				return false
 			}
@@ -348,7 +348,7 @@ func TestMatVecPlanGeometry(t *testing.T) {
 func TestCiphertextSerializationRoundTrip(t *testing.T) {
 	p := testParams
 	rng := rand.New(rand.NewSource(28))
-	sk, _ := KeyGen(p, newSeeded(29))
+	sk, pk := KeyGen(p, newSeeded(29))
 	m := randomMessage(rng, p, p.N)
 	up := NewSeededEncryptor(p, sk, newSeeded(30)).EncryptCoeffs(m)
 
@@ -371,7 +371,7 @@ func TestCiphertextSerializationRoundTrip(t *testing.T) {
 	}
 
 	pl := PlanMatVec(p, 5, 100)
-	resp := pl.Respond(ptr(got.Ciphertext()), make([]uint64, pl.Out), 0)
+	resp := pl.Respond(ptr(got.Ciphertext()), make([]uint64, pl.Out), 0, pk, [SeedSize]byte{1})
 	raw, err := resp.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -390,6 +390,8 @@ func TestCiphertextSerializationRoundTrip(t *testing.T) {
 
 func ptr[T any](v T) *T { return &v }
 
+// TestPublicKeySerializationRoundTrip: the key travels as seed ‖ b, and
+// the parsed key, expanded, is the key KeyGen made.
 func TestPublicKeySerializationRoundTrip(t *testing.T) {
 	p := testParams
 	_, pk := KeyGen(p, newSeeded(31))
@@ -397,14 +399,18 @@ func TestPublicKeySerializationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pk2 PublicKey
-	if err := pk2.UnmarshalBinary(data); err != nil {
+	if len(data) != SeedSize+8*p.N {
+		t.Fatalf("public key of %d bytes, want %d", len(data), SeedSize+8*p.N)
+	}
+	pk2, err := ParsePublicKey(p.N, data)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range pk.a {
-		if pk.a[i] != pk2.a[i] || pk.b[i] != pk2.b[i] {
-			t.Fatalf("coeff %d mismatch after round trip", i)
-		}
+	if pk2.a != nil {
+		t.Fatal("a parsed key expanded its a before Expand")
+	}
+	if !reflect.DeepEqual(pk2.Expand(), pk) {
+		t.Fatal("public key did not round-trip")
 	}
 }
 
@@ -438,9 +444,14 @@ func TestSerializationRejectsGarbage(t *testing.T) {
 	if _, err := pl.ParseResponse(padded[:0], pl.NumOutputCts()); err == nil {
 		t.Fatal("response past the product's last should fail")
 	}
-	var pk PublicKey
-	if err := pk.UnmarshalBinary(nil); err == nil {
-		t.Fatal("nil public key buffer should fail")
+	// The public key's parser is as strict: exact length, b below q.
+	for _, data := range [][]byte{nil, make([]byte, SeedSize+8*p.N-1), make([]byte, SeedSize+8*p.N+8)} {
+		if _, err := ParsePublicKey(p.N, data); err == nil {
+			t.Fatalf("public key of %d bytes should fail", len(data))
+		}
+	}
+	if _, err := ParsePublicKey(p.N, notCanonical); err == nil {
+		t.Fatal("public key with a coefficient equal to q should fail")
 	}
 }
 
@@ -528,4 +539,128 @@ func BenchmarkBFVMatVec(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pl.Apply(pts, cts)
 	}
+}
+
+// The kernels below are test-only references: NoiseBudget measures a
+// ciphertext's headroom, EncryptCoeffs and DecryptCoeffs are the
+// one-ciphertext operations the batched ones must equal, and AddCtInto and
+// MulPlainAddInto are the fully reduced operations the lazy matvec path is
+// checked against.
+
+// NoiseBudget returns the remaining noise budget in bits for a ciphertext
+// known to encrypt message m: log2(q/(2t)) - log2(|noise|). Decryption of a
+// single value fails when this reaches zero.
+func (d *Decryptor) NoiseBudget(ct Ciphertext, m []uint64) int {
+	p := d.params
+	n := p.N
+
+	phase := make([]uint64, n)
+	ringq.MulInto(phase, ct.c1, d.sk.s)
+	ringq.AddInto(phase, phase, ct.c0)
+	p.ntt.Inverse(phase)
+
+	maxNoise := uint64(0)
+	for i := range phase {
+		var mi uint64
+		if i < len(m) {
+			mi = m[i]
+		}
+		diff := ringq.Sub(phase[i], ringq.Mul(mi, p.delta))
+		// Centered magnitude.
+		if diff > ringq.Q/2 {
+			diff = ringq.Q - diff
+		}
+		if diff > maxNoise {
+			maxNoise = diff
+		}
+	}
+	limit := p.delta / 2
+	if maxNoise >= limit {
+		return 0
+	}
+	return bits.Len64(limit) - bits.Len64(maxNoise)
+}
+
+// AddCtInto accumulates b into a in place.
+func AddCtInto(a *Ciphertext, b Ciphertext) {
+	ringq.AddInto(a.c0, a.c0, b.c0)
+	ringq.AddInto(a.c1, a.c1, b.c1)
+}
+
+// MulPlainAddInto accumulates ct*pt into acc with fully reduced arithmetic,
+// where pt was prepared with EncodeMulNTT (centered lift, NTT domain): the
+// product decrypts to the negacyclic convolution of the two messages mod T,
+// the only multiplication the DELPHI offline phase requires. The matvec hot
+// path uses AccumulateMulPlain instead; this remains as the reference kernel
+// the lazy path is tested against.
+func MulPlainAddInto(acc *Ciphertext, ct Ciphertext, pt Plaintext) {
+	for i := range acc.c0 {
+		acc.c0[i] = ringq.Add(acc.c0[i], ringq.Mul(ct.c0[i], pt.coeffs[i]))
+		acc.c1[i] = ringq.Add(acc.c1[i], ringq.Mul(ct.c1[i], pt.coeffs[i]))
+	}
+}
+
+// EncryptCoeffs encrypts a message given as raw coefficients in [0, T).
+// len(m) may be at most N; shorter messages are zero-padded.
+func (e *Encryptor) EncryptCoeffs(m []uint64) Ciphertext {
+	p := e.params
+	n := p.N
+	if len(m) > n {
+		panic("bfv: message longer than ring degree")
+	}
+
+	// Scale message by Delta into Z_q, then move to the NTT domain. The
+	// message and noise polynomials are scratch — only c0/c1 survive — so
+	// they come from the shared buffer pool.
+	dm := getScratch(n)
+	defer putScratch(dm)
+	for i, v := range m {
+		if v >= p.T {
+			panic("bfv: message coefficient out of plaintext range")
+		}
+		dm[i] = ringq.Mul(v, p.delta)
+	}
+	p.ntt.Forward(dm)
+
+	u := getScratch(n)
+	defer putScratch(u)
+	e.smp.ternary(u)
+	p.ntt.Forward(u)
+
+	e1 := getScratch(n)
+	defer putScratch(e1)
+	e.smp.cbd(e1)
+	p.ntt.Forward(e1)
+
+	e2 := getScratch(n)
+	defer putScratch(e2)
+	e.smp.cbd(e2)
+	p.ntt.Forward(e2)
+
+	c0 := make([]uint64, n)
+	ringq.MulInto(c0, e.pk.b, u)
+	ringq.AddInto(c0, c0, e1)
+	ringq.AddInto(c0, c0, dm)
+
+	c1 := make([]uint64, n)
+	ringq.MulInto(c1, e.pk.a, u)
+	ringq.AddInto(c1, c1, e2)
+
+	return Ciphertext{c0: c0, c1: c1}
+}
+
+// DecryptCoeffs returns the message coefficients in [0, T).
+func (d *Decryptor) DecryptCoeffs(ct Ciphertext) []uint64 {
+	p := d.params
+	n := p.N
+
+	phase := getScratch(n)
+	defer putScratch(phase)
+	ringq.MulInto(phase, ct.c1, d.sk.s)
+	ringq.AddInto(phase, phase, ct.c0)
+	p.ntt.Inverse(phase)
+
+	out := make([]uint64, n)
+	roundPhaseToT(out, phase, p.T)
+	return out
 }

@@ -26,10 +26,10 @@ func FuzzUploadUnmarshal(f *testing.F) {
 }
 
 func FuzzResponseUnmarshal(f *testing.F) {
-	sk, _ := KeyGen(smallParams, newSeeded(55))
+	sk, pk := KeyGen(smallParams, newSeeded(55))
 	up := NewSeededEncryptor(smallParams, sk, newSeeded(56)).EncryptCoeffs([]uint64{4, 5, 6})
 	last := smallPlan.NumOutputCts() - 1
-	raw, err := smallPlan.Respond(ptr(up.Ciphertext()), []uint64{1, 2, 3, 4, 5}, last).MarshalBinary()
+	raw, err := smallPlan.Respond(ptr(up.Ciphertext()), []uint64{1, 2, 3, 4, 5}, last, pk, [SeedSize]byte{2}).MarshalBinary()
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -38,6 +38,8 @@ func FuzzResponseUnmarshal(f *testing.F) {
 	})
 }
 
+// FuzzPublicKeyUnmarshal fuzzes the seeded public-key record, seed ‖ b, a
+// full handshake's one key flight.
 func FuzzPublicKeyUnmarshal(f *testing.F) {
 	_, pk := KeyGen(smallParams, newSeeded(53))
 	raw, err := pk.MarshalBinary()
@@ -45,8 +47,7 @@ func FuzzPublicKeyUnmarshal(f *testing.F) {
 		f.Fatal(err)
 	}
 	bintest.FuzzRoundTrip(f, raw, func(data []byte) (encoding.BinaryMarshaler, error) {
-		pk := new(PublicKey)
-		return pk, pk.UnmarshalBinary(data)
+		return ParsePublicKey(smallParams.N, data)
 	})
 }
 
@@ -55,14 +56,14 @@ func FuzzPublicKeyUnmarshal(f *testing.F) {
 // decode it.
 func TestCiphertextCodecAllocs(t *testing.T) {
 	p := testParams
-	sk, _ := KeyGen(p, newSeeded(54))
+	sk, pk := KeyGen(p, newSeeded(54))
 	up := NewSeededEncryptor(p, sk, newSeeded(55)).EncryptCoeffs([]uint64{1, 2, 3})
 	raw, err := up.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
 	pl := PlanMatVec(p, 40, 300)
-	resp := pl.Respond(ptr(up.Ciphertext()), make([]uint64, pl.Out), 0)
+	resp := pl.Respond(ptr(up.Ciphertext()), make([]uint64, pl.Out), 0, pk, [SeedSize]byte{3})
 	rraw, err := resp.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)

@@ -19,7 +19,10 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/codec.golden fro
 // through the hand-written per-type codecs that preceded internal/bin.
 // Each line is "type bytes sha256". Wire v10 replaced the ciphertext
 // record with the upload and response records; the other lines kept their
-// digests.
+// digests. Wire v13 moved three lines: the public key is seed ‖ b, the
+// response is re-randomized, and the upload line, which until then digested
+// the upload after Respond had transformed its shared c0 in place, digests
+// the upload as sent (the bytes of which did not change).
 func TestCodecGolden(t *testing.T) {
 	p := testParams
 	sk, pk := KeyGen(p, newSeeded(41))
@@ -27,12 +30,16 @@ func TestCodecGolden(t *testing.T) {
 	up := NewSeededEncryptor(p, sk, newSeeded(43)).EncryptCoeffs(m)
 	pl := PlanMatVec(p, 40, 300)
 	mask := randomMessage(rand.New(rand.NewSource(44)), p, pl.Out)
+	// Respond consumes its ciphertext, whose c0 the upload shares: it gets
+	// a copy, so the upload line digests the upload as sent.
+	ct := up.Ciphertext()
+	ct.c0 = append([]uint64(nil), ct.c0...)
 	records := []struct {
 		name string
 		v    encoding.BinaryMarshaler
 	}{
 		{"upload", up},
-		{"response", pl.Respond(ptr(up.Ciphertext()), mask, 0)},
+		{"response", pl.Respond(&ct, mask, 0, pk, [SeedSize]byte{4})},
 		{"plaintext", NewEncoder(p).EncodeMulNTT(m)},
 		{"secretkey", sk},
 		{"publickey", pk},

@@ -31,20 +31,36 @@ type MatVecPlan struct {
 	RowsPer int // output rows packed per plaintext
 }
 
-// PlanMatVec chooses the packing for an out×in matrix under params p.
+// PlanMatVec chooses the packing for an out×in matrix under params p: of
+// the chunks 1..min(in, N), the one whose uploads and responses take the
+// fewest bytes, then the fewest ct×pt products, then the smallest chunk.
+// Both costs depend on the chunk only through the input count and the rows
+// a plaintext holds, so it visits one chunk per distinct pair: O(√N) of
+// them, cheap enough for every connect to plan its model again.
 func PlanMatVec(p Params, out, in int) MatVecPlan {
-	chunk := in
-	if chunk > p.N {
-		chunk = p.N
+	var best MatVecPlan
+	var bestBytes, bestProducts int
+	for chunk := 1; chunk <= min(in, p.N); {
+		pl := MatVecPlan{Params: p, In: in, Out: out, Chunk: chunk, RowsPer: max(1, min(p.N/chunk, out))}
+		bytes, products := pl.transportBytes(), pl.NumInputCts()*pl.NumOutputCts()
+		if best.Chunk == 0 || bytes < bestBytes || bytes == bestBytes && products < bestProducts {
+			best, bestBytes, bestProducts = pl, bytes, products
+		}
+		// The next chunk with fewer rows a plaintext or fewer input cts.
+		next := p.N/(p.N/chunk) + 1
+		if q := (in - 1) / chunk; q > 0 {
+			next = min(next, (in-1)/q+1)
+		}
+		chunk = next
 	}
-	rows := p.N / chunk
-	if rows > out {
-		rows = out
-	}
-	if rows < 1 {
-		rows = 1
-	}
-	return MatVecPlan{Params: p, In: in, Out: out, Chunk: chunk, RowsPer: rows}
+	return best
+}
+
+// transportBytes returns what one product costs on the wire: its uploads,
+// SeedSize + 8·N bytes each, and its responses.
+func (pl MatVecPlan) transportBytes() int {
+	n := pl.NumOutputCts()
+	return pl.NumInputCts()*(SeedSize+8*pl.Params.N) + (n-1)*pl.responseBytes(0) + pl.responseBytes(n-1)
 }
 
 // NumInputCts returns how many ciphertexts the input vector occupies.
@@ -167,7 +183,7 @@ func (pl MatVecPlan) Apply(pts [][]Plaintext, cts []Ciphertext) []Ciphertext {
 		for ic := range pts[oc] {
 			AccumulateMulPlain(&acc, cts[ic], pts[oc][ic])
 		}
-		CanonicalizeCt(&acc)
+		canonicalizeCt(&acc)
 		out[oc] = acc
 	}
 	return out
@@ -183,13 +199,6 @@ func (pl MatVecPlan) ExtractResult(decrypted [][]uint64) []uint64 {
 		out[r] = decrypted[oc][pl.slot(m)]
 	}
 	return out
-}
-
-// ResultSlot returns the (outputCt, coefficient) position of output row r,
-// used by the protocol layer to inject its additive mask -s at exactly the
-// read positions.
-func (pl MatVecPlan) ResultSlot(r int) (ct, coeff int) {
-	return r / pl.RowsPer, (r % pl.RowsPer) * pl.Chunk
 }
 
 // MaskPlaintext encodes a mask vector s (length Out) for output ciphertext

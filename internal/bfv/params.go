@@ -7,24 +7,13 @@
 // are required: linear layers are computed with Cheetah-style coefficient
 // packing (see matvec.go), which needs only ct×pt products and additions.
 //
-// Noise budget (single 64-bit modulus). Fresh public-key encryption noise is
-// bounded by |e1| + |u·e| + |s·e2| ≤ B + 2·N·B with ternary u, s and errors
-// bounded by B = 2·eta (centered binomial, eta = 2), i.e. about 2^14 for
-// N = 4096. A plaintext multiplication grows noise by at most N·t/2 (t the
-// plaintext modulus, centered). Decryption is correct while noise < q/(2t).
-// With t = 65537 (field.P17) the worst-case headroom is
-// 64 - 17 - 1 - (14 + 12 + 16) = -4 bits worst-case but ~+8 bits in the
-// average case (noise terms are zero-centered and concentrate around
-// sqrt(N)·sigma); with the small quantized weights real networks use
-// (|w| ≤ 2^8) headroom exceeds 20 bits. The protocol layer restricts
-// plaintext multiplications to one level, matching DELPHI.
-//
 // Offline transport (wire v10). The protocol never computes on a ciphertext
 // after it crosses the wire, so both directions send only what decryption
 // needs. An upload is a secret-key encryption whose c1 = a is expanded by
 // AES-CTR from a fresh 16-byte seed: c0 = −a·s + Δm + e, sent as seed ‖ c0.
-// Its noise is e alone (|e| ≤ 2), far below the public-key bound above, and
-// its security is plain RLWE with a public, pseudorandom a.
+// Its security is plain RLWE with a public, pseudorandom a. The public key
+// travels the same way (wire v13): KeyGen draws s, then the seed its a
+// expands from, then e, and b = −(a·s + e) is sent as seed ‖ b.
 //
 // A matvec response is switched from q to 2^k before it is sent. Write the
 // coefficient-domain phase as c0 + c1·s = Δm + v + q·K for an integer
@@ -38,14 +27,59 @@
 // where the last term is what Δ = ⌊q/T⌋ misses of q/T, times m < T, scaled
 // by 2^k/q; it is below 1/2 whenever 2^k·T ≤ q/2, which holds for every
 // T ≤ 2^22 at N = 4096 (k ≤ 37). The client decrypts by rounding
-// T·phase/2^k, which is correct while the total error stays under 2^k/(2T).
-// The width k is the least with 2^k ≥ 4·T·(N+2) (responseBits): then
-// |E| ≤ 2^k/(8T), under half of that budget even when every coefficient of
-// s is ±1, and the other half admits any pre-switch noise |v| < q/(4T), one
-// bit of the budget above. For N = 4096 and T = field.P20, k = 34. The
-// response carries all of c1 and c0 at the plan's read slots only, each at
-// k bits, and the client decrypts it in the coefficient domain against a
-// copy of s: Out·N word multiply-adds and no transform.
+// T·phase/2^k, which is correct while |(2^k/q)·v + E| < 2^k/(2T). The
+// width k is the least with 2^k ≥ 4·T·(N+2) (responseBits), so |E| ≤
+// 2^k/(8T). For N = 4096 and T = field.P20, k = 34. The response carries
+// all of c1 and c0 at the plan's read slots only, each at k bits, and the
+// client decrypts it in the coefficient domain against a copy of s: Out·N
+// word multiply-adds and no transform.
+//
+// Noise budget. A response decrypts exactly while its pre-switch noise
+// stays under A = q/(2T) − q·(N+2)/2^(k+1), the budget less the switch. Its
+// terms, with ternary s and u, centered-binomial errors |e| ≤ 2, and
+// ρ = q − Δ·T (the residue Δ misses: 121,933 ≈ 2^16.9 at P20, 1 at P17):
+//
+//   - Uploads: |e| ≤ 2.
+//
+//   - Matvec, at the read slot of row r of output ciphertext oc. The
+//     products sum to Δ·P plus the uploads' e times the centered weights,
+//     where P = W_r·x = m + T·K is the row's dot product over the integers,
+//     |K| ≤ ‖W_r‖₁, and Δ·T·K ≡ −ρ·K (mod q); subtracting the mask can
+//     wrap m once more, another ρ. The e terms run over every weight the
+//     plaintexts of oc hold, whichever input ciphertext it multiplies, so
+//
+//     |v_mat| ≤ ρ·(‖W_r‖₁ + 1) + 2·Σ_{r' in oc} ‖W_r'‖₁.
+//
+//     Splitting a row over two input ciphertexts, as the byte-minimal plans
+//     of the demo CNN's layers 0 and 1 do, adds no term: P is the same sum.
+//     There (|w| ≤ 3, ‖W_r‖₁ ≤ 21 and ≤ 304 for the seeds the tests use,
+//     128 and 32 rows a response) |v_mat| ≤ 2^21.4 and ≤ 2^25.2.
+//
+//   - Re-randomization (Respond): u·(b, a) + (e1, e2) adds
+//     v_rr = −u·e + e2·s + e1, |v_rr| ≤ 2N + 2N + 2 = 4N + 2 ≈ 2^14.
+//
+//   - Flood: uniform in [−2^f, 2^f) at each read slot, f = ⌊log2 A⌋ − 1
+//     (floodBits), so at least A/2 is left for the two terms above.
+//
+//   - Switch: |E| ≤ (N+2)/2, already taken out of A.
+//
+// So a product decrypts exactly while |v_mat| ≤ A − 2^f − (4N + 2). At
+// N = 4096 and P20: A ≈ 2^43.1, f = 42, and the matvec may reach 2^42.2,
+// 2^17 times what the demo CNN needs.
+//
+// Circuit privacy. Without re-randomization c1 of a response is Σ w·a over
+// the client's own seeded a, so the client reads W from it. Respond adds
+// u·(b, a) + (e1, e2) for a fresh ternary u: c1 becomes an RLWE sample
+// under the secret u, pseudorandom to the client even though it knows s.
+// What the client can still see is the noise of the phase at each read
+// slot, v_mat + v_rr, which depends on W; the flood hides it up to the
+// statistical distance between the uniform flood and its shift, at most
+// (|v_mat| + |v_rr|)/2^(f+1) a slot. With 2^(f+1) = 2^43 that is ≤ 2^−17.8
+// a slot on the demo CNN and ≤ 2^−11.2 summed over the 394 slots of one
+// demo-CNN pre-compute (2^−19 and 2^−13.8 on the demo MLP): about 11 bits
+// of statistical security an inference, not 40. This one-limb q has no
+// room for more: a 40-bit flood over a 2^25 matvec needs 2^66 of budget.
+// A second ringq limb, or a smaller T, is the way to 40 bits.
 //
 // This is a research artifact: parameters target correctness and protocol
 // shape, not a production 128-bit security review.
@@ -118,13 +152,21 @@ func NewParams(n int, t uint64) (Params, error) {
 	}, nil
 }
 
-// Delta returns floor(q/t).
-func (p Params) Delta() uint64 { return p.delta }
-
-// NTT exposes the ring transform (used by the encoders).
-func (p Params) NTT() *ringq.NTT { return p.ntt }
-
 // responseBits returns k, the width a matvec response is switched to: the
 // least k with 2^k ≥ 4·T·(N+2) (see the package doc). NewParams bounds T
 // and N, so k ≤ 42.
 func (p Params) responseBits() int { return bits.Len64(4*p.T*uint64(p.N+2) - 1) }
+
+// budget returns A, the pre-switch noise a response decrypts under:
+// ⌊q/(2T)⌋ less ⌈q·(N+2)/2^(k+1)⌉ (see the package doc). 2^k ≥ 4·T·(N+2)
+// keeps the switch's share under a quarter of q/(2T).
+func (p Params) budget() uint64 {
+	hi, lo := bits.Mul64(ringq.Q, uint64(p.N+2))
+	k := uint(p.responseBits()) + 1
+	return ringq.Q/(2*p.T) - (hi<<(64-k) | lo>>k) - 1
+}
+
+// floodBits returns f: a response floods each read slot with a value
+// uniform in [−2^f, 2^f), which leaves at least half the budget to the
+// matvec and the re-randomization.
+func (p Params) floodBits() int { return bits.Len64(p.budget()) - 2 }

@@ -27,21 +27,56 @@ func (pl MatVecPlan) slots(oc int) int {
 func (pl MatVecPlan) slot(m int) int { return m*pl.Chunk + pl.Chunk - 1 }
 
 // Respond turns output ciphertext oc of Apply into its response: E(W·x − s)
-// for the mask s (length Out), switched to 2^k. The two inverse NTTs run in
-// place, so ct is consumed; the mask is subtracted at the read slots in the
-// coefficient domain, with no transform.
-func (pl MatVecPlan) Respond(ct *Ciphertext, mask []uint64, oc int) Response {
+// for the mask s (length Out), re-randomized under pk, flooded at the read
+// slots and switched to 2^k (see the package doc). Its randomness expands
+// from seed. ct may be lazy, as AccumulateMulPlain leaves it, and is
+// consumed; pk must hold a (PublicKey.Expand).
+func (pl MatVecPlan) Respond(ct *Ciphertext, mask []uint64, oc int, pk PublicKey, seed [SeedSize]byte) Response {
+	rr := pl.sampleRerandomization(seed, oc)
+	defer putScratch(rr.u)
+	defer putScratch(rr.e2)
+	return pl.respond(ct, mask, oc, pk, rr)
+}
+
+// rerandomization is the randomness one response adds: u in the NTT
+// domain, e2 for all of c1, and e1 plus the flood at each read slot.
+type rerandomization struct {
+	u, e2, slotNoise []uint64
+}
+
+// sampleRerandomization expands response oc's randomness from seed: a
+// ternary u, then e2, then each read slot's e1, then its flood.
+func (pl MatVecPlan) sampleRerandomization(seed [SeedSize]byte, oc int) rerandomization {
+	p, slots := pl.Params, pl.slots(oc)
+	smp := newSampler(seedStream(seed))
+	rr := rerandomization{u: getScratch(p.N), e2: getScratch(p.N), slotNoise: make([]uint64, slots)}
+	smp.ternary(rr.u)
+	p.ntt.Forward(rr.u)
+	smp.cbd(rr.e2)
+	smp.cbd(rr.slotNoise)
+	smp.addFlood(rr.slotNoise, p.floodBits())
+	return rr
+}
+
+// respond is Respond on given randomness. u·(b, a) is added lazily and
+// the sum made canonical before the two inverse NTTs, which run in place;
+// e2 is added to all of c1, and the mask and the slot noise to c0 at the
+// read slots only, in the coefficient domain.
+func (pl MatVecPlan) respond(ct *Ciphertext, mask []uint64, oc int, pk PublicKey, rr rerandomization) Response {
 	p := pl.Params
+	ringq.MulAddLazyInto(ct.c0, rr.u, pk.b)
+	ringq.MulAddLazyInto(ct.c1, rr.u, pk.a)
+	canonicalizeCt(ct)
 	p.ntt.Inverse(ct.c0)
 	p.ntt.Inverse(ct.c1)
 	k := p.responseBits()
 	r := Response{k: k, c1: ct.c1, c0: make([]uint64, pl.slots(oc))}
 	for m := range r.c0 {
 		c := ringq.Sub(ct.c0[pl.slot(m)], ringq.Mul(mask[oc*pl.RowsPer+m], p.delta))
-		r.c0[m] = switchModulus(c, k)
+		r.c0[m] = switchModulus(ringq.Add(c, rr.slotNoise[m]), k)
 	}
 	for i, c := range r.c1 {
-		r.c1[i] = switchModulus(c, k)
+		r.c1[i] = switchModulus(ringq.Add(c, rr.e2[i]), k)
 	}
 	return r
 }

@@ -118,3 +118,12 @@ func (s *sampler) cbd(out []uint64) {
 		}
 	}
 }
+
+// addFlood adds to each of out a value uniform in [−2^f, 2^f) mod Q, one
+// word each.
+func (s *sampler) addFlood(out []uint64, f int) {
+	b := s.read(len(out))
+	for i := range out {
+		out[i] = ringq.Add(out[i], ringq.Sub(binary.LittleEndian.Uint64(b[8*i:])&(1<<(f+1)-1), 1<<f))
+	}
+}

@@ -72,13 +72,16 @@ func (u Upload) Ciphertext() Ciphertext {
 }
 
 // expandSeed fills a with the uniform NTT-domain polynomial the seed names:
-// rejection sampling over the AES-CTR keystream under the seed, zero IV.
-func expandSeed(a []uint64, seed [SeedSize]byte) {
+// rejection sampling over the seed's stream.
+func expandSeed(a []uint64, seed [SeedSize]byte) { newSampler(seedStream(seed)).uniform(a) }
+
+// seedStream returns the AES-CTR keystream under seed, zero IV.
+func seedStream(seed [SeedSize]byte) io.Reader {
 	block, err := aes.NewCipher(seed[:])
 	if err != nil {
 		panic(err) // unreachable: the key is 16 bytes
 	}
-	newSampler(keystream{cipher.NewCTR(block, make([]byte, aes.BlockSize))}).uniform(a)
+	return keystream{cipher.NewCTR(block, make([]byte, aes.BlockSize))}
 }
 
 // keystream reads a stream cipher's keystream.
@@ -91,28 +94,52 @@ func (k keystream) Read(p []byte) (int, error) {
 }
 
 // MarshalBinary encodes the upload as seed ‖ c0, SeedSize + 8·N bytes.
-func (u Upload) MarshalBinary() ([]byte, error) {
-	w := bin.Writer{Buf: make([]byte, 0, SeedSize+8*len(u.c0))}
-	w.Bytes(u.seed[:])
-	w.U64s(u.c0)
-	return w.Buf, nil
-}
+func (u Upload) MarshalBinary() ([]byte, error) { return marshalSeeded(u.seed, u.c0) }
 
 // ParseUpload decodes an upload of exactly SeedSize + 8·N bytes. A c0
 // coefficient ≥ q is rejected: the matvec kernels assume canonical input.
 func (p Params) ParseUpload(data []byte) (Upload, error) {
-	if len(data) != SeedSize+8*p.N {
-		return Upload{}, fmt.Errorf("bfv: upload of %d bytes, want %d", len(data), SeedSize+8*p.N)
+	seed, c0, err := parseSeeded(p.N, data, "upload")
+	return Upload{seed: seed, c0: c0}, err
+}
+
+// MarshalBinary encodes the public key as seed ‖ b, SeedSize + 8·N bytes.
+func (pk PublicKey) MarshalBinary() ([]byte, error) { return marshalSeeded(pk.seed, pk.b) }
+
+// ParsePublicKey decodes a degree-n public key of exactly SeedSize + 8·n
+// bytes, every b coefficient below q, for n in 1..MaxRingDegree. The key
+// holds no a until Expand.
+func ParsePublicKey(n int, data []byte) (PublicKey, error) {
+	if n < 1 || n > MaxRingDegree {
+		return PublicKey{}, fmt.Errorf("bfv: public key of degree %d", n)
+	}
+	seed, b, err := parseSeeded(n, data, "public key")
+	return PublicKey{seed: seed, b: b}, err
+}
+
+// marshalSeeded encodes a seeded record, seed ‖ poly.
+func marshalSeeded(seed [SeedSize]byte, poly []uint64) ([]byte, error) {
+	w := bin.Writer{Buf: make([]byte, 0, SeedSize+8*len(poly))}
+	w.Bytes(seed[:])
+	w.U64s(poly)
+	return w.Buf, nil
+}
+
+// parseSeeded decodes a degree-n seeded record of exactly SeedSize + 8·n
+// bytes whose every coefficient is below q.
+func parseSeeded(n int, data []byte, what string) ([SeedSize]byte, []uint64, error) {
+	var seed [SeedSize]byte
+	if len(data) != SeedSize+8*n {
+		return seed, nil, fmt.Errorf("bfv: %s of %d bytes, want %d", what, len(data), SeedSize+8*n)
 	}
 	r := bin.NewReader(data)
-	var u Upload
-	copy(u.seed[:], r.Take(SeedSize))
-	u.c0 = make([]uint64, p.N)
-	r.U64s(u.c0)
-	for i, v := range u.c0 {
+	copy(seed[:], r.Take(SeedSize))
+	poly := make([]uint64, n)
+	r.U64s(poly)
+	for i, v := range poly {
 		if v >= ringq.Q {
-			return Upload{}, fmt.Errorf("bfv: upload coefficient %d is not below q", i)
+			return seed, nil, fmt.Errorf("bfv: %s coefficient %d is not below q", what, i)
 		}
 	}
-	return u, r.Done()
+	return seed, poly, r.Done()
 }

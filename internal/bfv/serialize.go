@@ -10,26 +10,23 @@ import (
 // plaintexts can cross the client-server transport and sit on disk: every
 // ring record is its degree followed by one or two coefficient vectors of
 // that degree. The degree is embedded as a sanity check against parameter
-// mismatches between the two parties. Ciphertexts travel only as the
-// fixed-shape records of seeded.go and response.go.
+// mismatches between the two parties. Ciphertexts and the public key travel
+// only as the fixed-shape records of seeded.go and response.go.
 
-// marshalPolys encodes a record of degree-len(a) vectors (b may be nil) in
-// one exact-size allocation.
-func marshalPolys(a, b []uint64) ([]byte, error) {
-	w := bin.Writer{Buf: make([]byte, 0, 8+8*(len(a)+len(b)))}
+// marshalPoly encodes a degree-len(a) record in one exact-size allocation.
+func marshalPoly(a []uint64) ([]byte, error) {
+	w := bin.Writer{Buf: make([]byte, 0, 8+8*len(a))}
 	w.U64(uint64(len(a)))
 	w.U64s(a)
-	w.U64s(b)
 	return w.Buf, nil
 }
 
-// readDegree opens a record that must hold exactly polys vectors: the
-// stored degree has to account for every remaining byte, so a wild degree
-// cannot reach an allocation.
-func readDegree(r *bin.Reader, what string, polys int) (int, error) {
+// readDegree opens a one-vector record: the stored degree has to account
+// for every remaining byte, so a wild degree cannot reach an allocation.
+func readDegree(r *bin.Reader, what string) (int, error) {
 	total := r.Remaining()
-	n := r.Count(8 * polys)
-	if r.Err() != nil || n == 0 || r.Remaining() != 8*polys*n {
+	n := r.Count(8)
+	if r.Err() != nil || n == 0 || r.Remaining() != 8*n {
 		return 0, fmt.Errorf("bfv: %s of %d bytes is not a whole degree-%d record", what, total, n)
 	}
 	return n, nil
@@ -39,7 +36,7 @@ func readDegree(r *bin.Reader, what string, polys int) (int, error) {
 // domain it is in — the domain is a property of how the plaintext will be
 // used, not of the encoding). Model-artifact persistence serializes the
 // NTT-domain weight plaintexts this way.
-func (p Plaintext) MarshalBinary() ([]byte, error) { return marshalPolys(p.coeffs, nil) }
+func (p Plaintext) MarshalBinary() ([]byte, error) { return marshalPoly(p.coeffs) }
 
 // AppendBinary appends the MarshalBinary encoding to b and returns the
 // extended slice (encoding.BinaryAppender). Artifact serialization encodes
@@ -55,7 +52,7 @@ func (p Plaintext) AppendBinary(b []byte) ([]byte, error) {
 // UnmarshalBinary decodes a plaintext produced by MarshalBinary.
 func (p *Plaintext) UnmarshalBinary(data []byte) error {
 	r := bin.NewReader(data)
-	n, err := readDegree(&r, "plaintext", 1)
+	n, err := readDegree(&r, "plaintext")
 	if err != nil {
 		return err
 	}
@@ -69,7 +66,7 @@ func (p *Plaintext) UnmarshalBinary(data []byte) error {
 // allocation, zeroing, and GC tracking with a single slab.
 func (p *Plaintext) UnmarshalBinaryBuffer(data []byte, buf []uint64) error {
 	r := bin.NewReader(data)
-	n, err := readDegree(&r, "plaintext", 1)
+	n, err := readDegree(&r, "plaintext")
 	if err != nil {
 		return err
 	}
@@ -85,32 +82,16 @@ func (p *Plaintext) UnmarshalBinaryBuffer(data []byte, buf []uint64) error {
 // vector). A secret key at rest is key material: callers persisting one
 // (a client preamble store) own the file-permission and at-rest-protection
 // story — the codec itself is plaintext.
-func (sk SecretKey) MarshalBinary() ([]byte, error) { return marshalPolys(sk.s, nil) }
+func (sk SecretKey) MarshalBinary() ([]byte, error) { return marshalPoly(sk.s) }
 
 // UnmarshalBinary decodes a secret key produced by MarshalBinary.
 func (sk *SecretKey) UnmarshalBinary(data []byte) error {
 	r := bin.NewReader(data)
-	n, err := readDegree(&r, "secret key", 1)
+	n, err := readDegree(&r, "secret key")
 	if err != nil {
 		return err
 	}
 	sk.s = make([]uint64, n)
 	r.U64s(sk.s)
-	return nil
-}
-
-// MarshalBinary encodes the public key.
-func (pk PublicKey) MarshalBinary() ([]byte, error) { return marshalPolys(pk.b, pk.a) }
-
-// UnmarshalBinary decodes a public key produced by MarshalBinary.
-func (pk *PublicKey) UnmarshalBinary(data []byte) error {
-	r := bin.NewReader(data)
-	n, err := readDegree(&r, "public key", 2)
-	if err != nil {
-		return err
-	}
-	pk.b, pk.a = make([]uint64, n), make([]uint64, n)
-	r.U64s(pk.b)
-	r.U64s(pk.a)
 	return nil
 }

@@ -58,11 +58,6 @@ func TestPlaintextUnmarshalRejectsDamage(t *testing.T) {
 			t.Errorf("%s: unmarshal accepted damaged payload", name)
 		}
 	}
-
-	var pk PublicKey
-	if err := pk.UnmarshalBinary(append(append([]byte(nil), overflow...), overflow...)); err == nil {
-		t.Error("public key unmarshal accepted an overflowing degree")
-	}
 }
 
 // TestEncodedMatrixRoundTrip: the full weight path — EncodeMatrix under a

@@ -70,6 +70,11 @@ func (c *Client) setupKeys() error {
 	}
 	sk, pk := keyGen(c.cfg.HEParams, c.entropy)
 	c.installKeys(sk)
+	return c.sendKey(pk)
+}
+
+// sendKey sends the public key in its seeded form, seed ‖ b.
+func (c *Client) sendKey(pk bfv.PublicKey) error {
 	raw, err := pk.MarshalBinary()
 	if err != nil {
 		return err
@@ -81,8 +86,8 @@ func (c *Client) setupKeys() error {
 }
 
 // installKeys points the session's encryptor and decryptor at sk: uploads
-// are seeded secret-key encryptions, so the public key only crosses the
-// wire once, in a full handshake.
+// are seeded secret-key encryptions, and the public key crosses the wire
+// once a ticket generation, for the server's re-randomization.
 func (c *Client) installKeys(sk bfv.SecretKey) {
 	c.enc = bfv.NewSeededEncryptor(c.cfg.HEParams, sk, c.entropy)
 	c.dec = bfv.NewDecryptor(c.cfg.HEParams, sk)

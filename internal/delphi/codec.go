@@ -36,8 +36,12 @@ import (
 // hostile payload errors rather than panics.
 
 // sharedModelCodecVersion is bumped whenever the SharedModel byte layout
-// changes; decode rejects any other value.
-const sharedModelCodecVersion = 2
+// changes; decode rejects any other value. Version 3 packs weights for the
+// byte-minimal plans of bfv.PlanMatVec. A version-2 file must not load even
+// where its plaintext count matches: the demo CNN's layer 1 holds 8 under
+// either plan (8 responses × 1 upload, then 4 × 2), each packing another
+// chunk of the rows.
+const sharedModelCodecVersion = 3
 
 // weightDigests memoizes modelWeightsDigest by model pointer. Models are
 // immutable once registered (the registry retains one pointer for the life

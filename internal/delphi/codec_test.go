@@ -121,10 +121,12 @@ func TestSharedModelCodecRejectsDamage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wrongVersion := append([]byte(nil), raw...)
-	wrongVersion[0] = sharedModelCodecVersion + 1
-	if _, err := UnmarshalSharedModel(wrongVersion, model); err == nil {
-		t.Error("decode accepted a wrong codec version")
+	for _, v := range []byte{sharedModelCodecVersion - 1, sharedModelCodecVersion + 1} {
+		wrongVersion := append([]byte(nil), raw...)
+		wrongVersion[0] = v
+		if _, err := UnmarshalSharedModel(wrongVersion, model); err == nil {
+			t.Errorf("decode accepted codec version %d", v)
+		}
 	}
 
 	// A hostile ring degree (here 2^32: a power of two large enough to

@@ -102,7 +102,12 @@ func (h *hashConn) cut(variant Variant, phase string) string {
 // since the tables are garbled on the pads and each layer's t frame now
 // follows its record. Every other line kept every byte and digest: the u
 // frames depend only on the client's choices and streams, and R and the a
-// labels are drawn from the secret seed as before.
+// labels are drawn from the secret seed as before. Wire v13 kept every byte
+// count, the MLP's plans being byte-minimal already, and moved all eight
+// digests: the client's key generation draws a 16-byte seed where it drew
+// all of a, which shifts every later draw of its stream, and the server's
+// responses are re-randomized from seeds it draws before each layer's
+// product, which shifts its own.
 func TestGCWireGolden(t *testing.T) {
 	model, err := nn.DemoMLP(field.New(field.P20), 7)
 	if err != nil {

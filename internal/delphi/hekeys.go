@@ -21,12 +21,15 @@ import (
 // derives a fresh pair, so no derivation nonce is ever reused for new key
 // material (the invariant docs/invariants.md states).
 //
-// Reusing a public key across sessions is safe in the semi-honest model
-// for the same reason any public-key reuse is: semantic security rests on
-// fresh encryption randomness, which every session still draws from its
-// own entropy source. The server never needs the public key after
-// validating it (it computes on received ciphertexts only), which is what
-// lets the resumed path skip the transfer outright.
+// Reusing a key pair across sessions is safe in the semi-honest model for
+// the same reason any public-key reuse is: semantic security rests on
+// fresh randomness, which every upload and every re-randomized response
+// still draws from its session's entropy. The server needs the public key
+// for every response it re-randomizes (bfv's circuit privacy), so the
+// resumption ticket keeps it, seeded, beside the OT state: a resumed
+// connect sends no key. A ticket written before wire v13 holds none; the
+// welcome asks for it, the client sends its seeded key once (the same
+// generation, no nonce bump) and the server adds it to the ticket.
 
 // HEKeyPair is a reusable client HE key pair: the unit a preamble caches
 // and a resumed session installs instead of running keygen. SK is secret
@@ -93,27 +96,43 @@ func (c *Client) useKeys(keys HEKeyPair) error {
 }
 
 // SetupResumed is Setup for a session resumed from cached state: the HE
-// keys are a cached reusable pair (no keygen runs and the public key does
-// NOT cross the wire) and the OT streams expand from res under nonce (no
-// base OTs), so the session's only setup cost is installing the pair. The
-// peer must run the server's SetupResumed with its matching state and the
-// same nonce.
-func (c *Client) SetupResumed(res *OTResume, nonce []byte, keys HEKeyPair) error {
+// keys are a cached reusable pair (no keygen runs) and the OT streams
+// expand from res under nonce (no base OTs), so the session's only setup
+// cost is installing the pair. The public key crosses the wire only when
+// sendKey says the server's ticket holds none. The peer must run the
+// server's SetupResumed with its matching state, the same nonce, and a
+// zero key exactly when sendKey is set.
+func (c *Client) SetupResumed(res *OTResume, nonce []byte, keys HEKeyPair, sendKey bool) error {
 	if err := c.useKeys(keys); err != nil {
 		return err
 	}
 	if res == nil {
 		return fmt.Errorf("delphi: client resume: nil OT state")
 	}
+	if sendKey {
+		if err := c.sendKey(keys.PK); err != nil {
+			return err
+		}
+	}
 	return c.setupOT(c.cfg.Variant == ClientGarbler, res, nonce)
 }
 
-// SetupResumed is the server half of a resumed session: no public key is
-// received (the server computes on ciphertexts only and never needs it),
-// and OT setup expands from cached material.
-func (s *Server) SetupResumed(res *OTResume, nonce []byte) error {
+// SetupResumed is the server half of a resumed session: pk is the public
+// key the ticket holds, and OT setup expands from cached material. A zero
+// pk (a ticket from before wire v13) is received from the client instead.
+func (s *Server) SetupResumed(res *OTResume, nonce []byte, pk bfv.PublicKey) error {
 	if res == nil {
 		return fmt.Errorf("delphi: server resume: nil OT state")
+	}
+	switch pk.Degree() {
+	case 0:
+		if err := s.recvKey(); err != nil {
+			return err
+		}
+	case s.cfg.HEParams.N:
+		s.pk = pk
+	default:
+		return fmt.Errorf("delphi: server resume: public key of degree %d, ring degree %d", pk.Degree(), s.cfg.HEParams.N)
 	}
 	return s.setupOT(s.cfg.Variant == ServerGarbler, res, nonce)
 }

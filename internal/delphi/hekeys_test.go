@@ -2,6 +2,7 @@ package delphi
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"privinf/internal/bfv"
@@ -102,11 +103,12 @@ func TestHEKeyPairValidate(t *testing.T) {
 	}
 }
 
-// TestSetupResumedMatchesPlaintext: the resumed fast path —
-// cached OT material and a derived, reused HE key pair, with no keygen and
-// no public-key flight — produces inference outputs bit-identical to
-// plaintext evaluation (and therefore to every other correct session, the
-// fresh-keygen path included), in both variants.
+// TestSetupResumedMatchesPlaintext: the resumed fast path — cached OT
+// material and a derived, reused HE key pair, with no keygen — produces
+// inference outputs bit-identical to plaintext evaluation (and therefore to
+// every other correct session, the fresh-keygen path included), in both
+// variants, whether the server's ticket holds the public key (no key
+// flight) or not (the client sends it, and the server then holds it).
 func TestSetupResumedMatchesPlaintext(t *testing.T) {
 	f := field.New(field.P20)
 	model, err := nn.DemoMLP(f, 7)
@@ -115,50 +117,77 @@ func TestSetupResumedMatchesPlaintext(t *testing.T) {
 	}
 	for _, variant := range []Variant{ServerGarbler, ClientGarbler} {
 		t.Run(variant.String(), func(t *testing.T) {
-			first := newSession(t, variant, model, 0)
-			cliRes, srvRes := first.client.OTResume(), first.server.OTResume()
-			if cliRes == nil || srvRes == nil {
-				t.Fatal("OTResume returned nil after a completed Setup")
-			}
-
-			params, err := bfv.NewParams(bfv.DefaultN, model.F.P())
-			if err != nil {
-				t.Fatal(err)
-			}
-			keys, err := DeriveHEKeyPair(params, bytes.Repeat([]byte{5}, 32), 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := Config{Variant: variant, HEParams: params}
-			cc, sc := transport.Pipe()
-			server, err := NewServerShared(sc, cfg, first.server.shared, newSeeded(1005))
-			if err != nil {
-				t.Fatal(err)
-			}
-			client, err := NewClient(cc, cfg, MetaOf(model), newSeeded(2006))
-			if err != nil {
-				t.Fatal(err)
-			}
-			nonce := []byte("resume-keys-nonce")
-			errCh := make(chan error, 1)
-			go func() { errCh <- server.SetupResumed(srvRes, nonce) }()
-			if err := client.SetupResumed(cliRes, nonce, keys); err != nil {
-				t.Fatal(err)
-			}
-			if err := <-errCh; err != nil {
-				t.Fatal(err)
-			}
-
-			s := &session{client: client, server: server, model: model}
-			x := randomInput(f, model.InputLen(), 29)
-			got, _, _, _, _ := s.inferPrivately(t, x)
-			want := model.Forward(x)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("output %d: private %d, plaintext %d", i, got[i], want[i])
-				}
+			for _, sendKey := range []bool{false, true} {
+				t.Run(fmt.Sprintf("sendKey=%v", sendKey), func(t *testing.T) {
+					resumeWithTicketKey(t, variant, model, sendKey)
+				})
 			}
 		})
+	}
+}
+
+// resumeWithTicketKey resumes one session of variant on the OT state of a
+// first one and a derived key pair, the server holding the public key as a
+// ticket does (or not, when sendKey), and checks one inference.
+func resumeWithTicketKey(t *testing.T, variant Variant, model *nn.Lowered, sendKey bool) {
+	first := newSession(t, variant, model, 0)
+	cliRes, srvRes := first.client.OTResume(), first.server.OTResume()
+	if cliRes == nil || srvRes == nil {
+		t.Fatal("OTResume returned nil after a completed Setup")
+	}
+
+	params, err := bfv.NewParams(bfv.DefaultN, model.F.P())
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := DeriveHEKeyPair(params, bytes.Repeat([]byte{5}, 32), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Variant: variant, HEParams: params}
+	cc, sc := transport.Pipe()
+	server, err := NewServerShared(sc, cfg, first.server.shared, newSeeded(1005))
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := NewClient(cc, cfg, MetaOf(model), newSeeded(2006))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The ticket holds the key as it crossed the wire: seeded, a
+	// not yet expanded.
+	raw, err := keys.PK.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ticketKey, err := bfv.ParsePublicKey(params.N, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sendKey {
+		ticketKey = bfv.PublicKey{}
+	}
+	nonce := []byte("resume-keys-nonce")
+	errCh := make(chan error, 1)
+	go func() { errCh <- server.SetupResumed(srvRes, nonce, ticketKey) }()
+	if err := client.SetupResumed(cliRes, nonce, keys, sendKey); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errCh; err != nil {
+		t.Fatal(err)
+	}
+	if held, err := server.PublicKey().MarshalBinary(); err != nil || !bytes.Equal(held, raw) {
+		t.Fatalf("server holds another public key than the client's (err %v)", err)
+	}
+
+	s := &session{client: client, server: server, model: model}
+	x := randomInput(model.F, model.InputLen(), 29)
+	got, _, _, _, _ := s.inferPrivately(t, x)
+	want := model.Forward(x)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("output %d: private %d, plaintext %d", i, got[i], want[i])
+		}
 	}
 }
 
@@ -197,20 +226,20 @@ func TestSetupResumedRejectsBadState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := client.SetupResumed(senderRes, []byte("n"), wrongKeys); err == nil {
+	if err := client.SetupResumed(senderRes, []byte("n"), wrongKeys, false); err == nil {
 		t.Fatal("wrong-degree pair accepted")
 	}
-	if err := client.SetupResumed(nil, []byte("n"), goodKeys); err == nil {
+	if err := client.SetupResumed(nil, []byte("n"), goodKeys, false); err == nil {
 		t.Fatal("nil OT state accepted")
 	}
-	if err := client.SetupResumed(senderRes, nil, goodKeys); err == nil {
+	if err := client.SetupResumed(senderRes, nil, goodKeys, false); err == nil {
 		t.Fatal("empty session nonce accepted")
 	}
 	sgClient, err := NewClient(cc, Config{Variant: ServerGarbler, HEParams: params}, MetaOf(model), newSeeded(2009))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sgClient.SetupResumed(senderRes, []byte("n"), goodKeys); err == nil {
+	if err := sgClient.SetupResumed(senderRes, []byte("n"), goodKeys, false); err == nil {
 		t.Fatal("sender state accepted for a receiver role")
 	}
 
@@ -219,10 +248,13 @@ func TestSetupResumedRejectsBadState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := server.SetupResumed(nil, []byte("n")); err == nil {
+	if err := server.SetupResumed(nil, []byte("n"), goodKeys.PK); err == nil {
 		t.Fatal("server accepted nil OT state")
 	}
-	if err := server.SetupResumed(senderRes, []byte("n")); err == nil {
+	if err := server.SetupResumed(senderRes, []byte("n"), goodKeys.PK); err == nil {
 		t.Fatal("server accepted a sender state for its receiver role")
+	}
+	if err := server.SetupResumed(first.server.OTResume(), []byte("n"), wrongKeys.PK); err == nil {
+		t.Fatal("server accepted a ticket key of another ring degree")
 	}
 }

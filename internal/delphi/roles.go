@@ -50,6 +50,16 @@ func newParty(conn transport.MsgConn, cfg Config, d *derived, entropy io.Reader)
 		pinned: pinnedInputs(f.Bits(), cfg.Variant == ClientGarbler)}, nil
 }
 
+// draw fills b from the party's entropy, crypto/rand when none was injected.
+func (p *party) draw(b []byte) error {
+	src := p.entropy
+	if src == nil {
+		src = rand.Reader
+	}
+	_, err := io.ReadFull(src, b)
+	return err
+}
+
 // setupOT establishes the party's OT-extension role for the session. The
 // garbler is always the OT sender and the evaluator the receiver, whichever
 // endpoint that is under the variant, so exactly one of otSend/otRecv is set
@@ -170,13 +180,9 @@ func (p *party) garbleAndShip(own [][]uint64, otTime *time.Duration) ([][]garble
 	width := p.f.Bits()
 	known, np := pinnedInputs(width, true), len(p.pinned)
 	n := len(known)
-	src := p.entropy
-	if src == nil {
-		src = rand.Reader
-	}
 	L := len(p.circuits)
 	seeds := make([]byte, 2*L*garble.LabelSize) // L secret, then L public
-	if _, err := io.ReadFull(src, seeds); err != nil {
+	if err := p.draw(seeds); err != nil {
 		return nil, fmt.Errorf("delphi: GC seeds: %w", err)
 	}
 	encs := make([][]garble.Encoding, L)

@@ -24,6 +24,11 @@ type Server struct {
 	// appends one, RunOnline consumes the oldest. This is the pre-compute
 	// buffer the paper's storage analysis is about.
 	pres []*serverPre
+
+	// pk is the client's public key, which re-randomizes every response.
+	// It arrives seeded; its a expands on the first pre-compute, so a
+	// resumed connect does no key work.
+	pk bfv.PublicKey
 }
 
 // serverPre is one buffered pre-compute's server-side state.
@@ -47,21 +52,32 @@ func NewServerShared(conn transport.MsgConn, cfg Config, shared *SharedModel, en
 	return &Server{party: p, shared: shared}, nil
 }
 
-// Setup runs the session handshake: receives and validates the client's
-// per-session HE public key and performs base-OT setup. The model-side work
-// (weight encoding, circuit building) lives in the SharedModel artifact, so
-// Setup does no per-session model processing.
+// Setup runs the session handshake: receives the client's seeded HE public
+// key, which it keeps to re-randomize responses, and performs base-OT
+// setup. The model-side work (weight encoding, circuit building) lives in
+// the SharedModel artifact, so Setup does no per-session model processing.
 func (s *Server) Setup() error {
-	pkRaw, err := s.conn.Recv()
-	if err != nil {
-		return fmt.Errorf("delphi: server setup: %w", err)
-	}
-	var pk bfv.PublicKey
-	if err := pk.UnmarshalBinary(pkRaw); err != nil {
+	if err := s.recvKey(); err != nil {
 		return err
 	}
 	return s.setupOT(s.cfg.Variant == ServerGarbler, nil, nil)
 }
+
+// recvKey receives and strictly parses the client's seeded public key.
+func (s *Server) recvKey() error {
+	raw, err := s.conn.Recv()
+	if err != nil {
+		return fmt.Errorf("delphi: server setup: %w", err)
+	}
+	if s.pk, err = bfv.ParsePublicKey(s.cfg.HEParams.N, raw); err != nil {
+		return fmt.Errorf("delphi: server setup: %w", err)
+	}
+	return nil
+}
+
+// PublicKey returns the client's public key as this session holds it:
+// what a resumption ticket keeps for the client's later sessions.
+func (s *Server) PublicKey() bfv.PublicKey { return s.pk }
 
 // RunOffline executes the server side of one pre-compute.
 func (s *Server) RunOffline() (OfflineReport, error) {
@@ -92,9 +108,11 @@ func (s *Server) Buffered() int { return len(s.pres) }
 
 // offlineHE receives the seeded uploads E(r_i) for every layer, computes
 // E(W_i r_i - s_i) (optionally layer-parallel), and sends each result as a
-// response: switched to 2^k, c0 at the read slots only.
+// response: re-randomized under the client's key, flooded, switched to
+// 2^k, c0 at the read slots only.
 func (s *Server) offlineHE(pre *serverPre) error {
 	L := len(s.meta.Dims)
+	s.pk = s.pk.Expand()
 	inputs := make([][]bfv.Ciphertext, L)
 	for i := 0; i < L; i++ {
 		n := s.plans[i].NumInputCts()
@@ -113,6 +131,7 @@ func (s *Server) offlineHE(pre *serverPre) error {
 	}
 
 	pre.masks = make([][]uint64, L)
+	seeds := make([][]byte, L)
 	results := make([][]bfv.Response, L)
 	workers := s.cfg.LPHEWorkers
 	if workers < 1 {
@@ -121,15 +140,19 @@ func (s *Server) offlineHE(pre *serverPre) error {
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
 	for i := 0; i < L; i++ {
-		// Masks are sampled serially: the sharing's entropy source is not
-		// concurrency-safe and determinism matters for tests.
+		// Masks and response seeds are drawn serially: the entropy source
+		// is not concurrency-safe and determinism matters for tests.
 		pre.masks[i] = s.sharing.RandomVec(s.meta.Dims[i].Out)
+		seeds[i] = make([]byte, s.plans[i].NumOutputCts()*bfv.SeedSize)
+		if err := s.draw(seeds[i]); err != nil {
+			return fmt.Errorf("delphi: response seeds: %w", err)
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			results[i] = s.applyLayer(i, pre.masks[i], inputs[i])
+			results[i] = s.applyLayer(i, pre.masks[i], inputs[i], seeds[i])
 		}(i)
 	}
 	wg.Wait()
@@ -149,8 +172,8 @@ func (s *Server) offlineHE(pre *serverPre) error {
 }
 
 // applyLayer computes the responses E(W_i r_i - s_i) for one layer (one
-// LPHE job).
-func (s *Server) applyLayer(i int, mask []uint64, cts []bfv.Ciphertext) []bfv.Response {
+// LPHE job), response oc's randomness expanding from seeds' oc-th seed.
+func (s *Server) applyLayer(i int, mask []uint64, cts []bfv.Ciphertext, seeds []byte) []bfv.Response {
 	plan := s.plans[i]
 	nIn := plan.NumInputCts()
 	out := make([]bfv.Response, plan.NumOutputCts())
@@ -159,10 +182,8 @@ func (s *Server) applyLayer(i int, mask []uint64, cts []bfv.Ciphertext) []bfv.Re
 		for ic := 0; ic < nIn; ic++ {
 			bfv.AccumulateMulPlain(&acc, cts[ic], s.shared.weights[i][oc*nIn+ic])
 		}
-		// One canonical pass after the lazy accumulation; Respond then
-		// consumes the accumulator.
-		bfv.CanonicalizeCt(&acc)
-		out[oc] = plan.Respond(&acc, mask, oc)
+		// Respond takes the lazy accumulator as it is and consumes it.
+		out[oc] = plan.Respond(&acc, mask, oc, s.pk, [bfv.SeedSize]byte(seeds[oc*bfv.SeedSize:]))
 	}
 	return out
 }

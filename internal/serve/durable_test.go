@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"privinf/internal/bfv"
 	"privinf/internal/delphi"
 	"privinf/internal/nn"
 	"privinf/internal/obs"
@@ -337,17 +338,21 @@ func TestTicketDirRequiresResumption(t *testing.T) {
 // offline HE records, which no store holds: the cached HE secret key now
 // encrypts the seeded uploads directly, v11 the garbled layer record, which
 // no store holds either, v12 Server-Garbler's b and r OTs, which now end at
-// their t frames and expand the same seeds. testdata/wire4 through wire11
-// are what the last commit of each
-// release left after one cold Client-Garbler session on testModel(170): the
-// engine's ticket directory and the client's preamble file (saved with no
-// cached model artifact, which keeps the file small and makes the reconnect
-// rebuild it).
-// The current engine loads the ticket, the current client resumes on it —
-// no base OTs, no keygen — and the inference, whose label OTs expand the
-// resumed seeds, is bit-exact.
+// their t frames and expand the same seeds, v13 the public key, which a
+// ticket now holds, seeded, for re-randomizing responses. testdata/wire4
+// through wire12 are what the last commit of each release left after one
+// cold Client-Garbler session on testModel(170): the engine's ticket
+// directory and the client's preamble file (saved with no cached model
+// artifact, which keeps the file small and makes the reconnect rebuild
+// it). The current engine loads the ticket, the current client resumes on
+// it — no base OTs, no keygen: the preamble's key derives again under its
+// unchanged nonce in the seeded form, and the welcome asks for it once,
+// since the ticket holds none — and the inference, whose label OTs expand
+// the resumed seeds, is bit-exact. The key the client sent then upgrades
+// the ticket, on disk too: a restarted engine resumes the next connect
+// without asking.
 func TestOlderWireStateResumes(t *testing.T) {
-	for _, release := range []string{"wire4", "wire5", "wire6", "wire7", "wire8", "wire9", "wire10", "wire11"} {
+	for _, release := range []string{"wire4", "wire5", "wire6", "wire7", "wire8", "wire9", "wire10", "wire11", "wire12"} {
 		t.Run(release, func(t *testing.T) {
 			dir := t.TempDir() // the stores sweep and rewrite their directories
 			if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", release))); err != nil {
@@ -379,6 +384,22 @@ func TestOlderWireStateResumes(t *testing.T) {
 				t.Fatalf("resumed connect bumped the HE nonce %d→%d: keygen ran", nonceBefore, nonceAfter)
 			}
 			inferOnce(t, c, model)
+			c.Close()
+			before := eng.Stats().Tickets.Bytes
+			if err := eng.Close(); err != nil { // flushes the upgraded ticket
+				t.Fatal(err)
+			}
+
+			eng2, ln2 := pipeEngine(t, cfg)
+			if st := eng2.Stats().Tickets; st.Loaded != 1 || st.Bytes != before || before < bfv.SeedSize+8*bfv.DefaultN {
+				t.Fatalf("restart over the upgraded %s ticket: %+v, want one load of %d bytes holding the key", release, st, before)
+			}
+			c2 := connectPreamble(t, ln2, "", p)
+			defer c2.Close()
+			if resumed, code := c2.ResumeOutcome(); !resumed || code != "" {
+				t.Fatalf("second connect on %s state resumed=%v reject=%q", release, resumed, code)
+			}
+			inferOnce(t, c2, model)
 		})
 	}
 }

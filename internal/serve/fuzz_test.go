@@ -40,10 +40,17 @@ func FuzzTicketRecordUnmarshal(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	rec.key = testTicketKey(f)
+	keyed, err := marshalTicketRecord(rec)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(valid)
 	f.Add([]byte{})
 	f.Add(valid[:len(valid)/2])
 	f.Add(append(append([]byte(nil), valid...), 0))
+	f.Add(keyed)
+	f.Add(keyed[:len(keyed)-1])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := unmarshalTicketRecord(data)

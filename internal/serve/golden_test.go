@@ -19,12 +19,17 @@ import (
 // format (PIAF artifact, PITK ticket record, PIPB preamble), written from
 // the fixed inputs below. ticket.pitk was written by the hand-written
 // ticket store at commit 61793ac, the last commit before the three stores
-// became one durableStore. toy.piart and client.pipre were regenerated once
+// became one durableStore. toy.piart and client.pipre were regenerated
 // when the stores stopped persisting what a party derives from ModelMeta:
 // PIAF v2 holds no plans or circuits, and a PIPB v1 preamble no cached
 // client artifact (testdata/cachedartifact keeps the preamble as written
-// before). The test proves no byte on disk has moved since. Regenerate only
-// for a deliberate format-version bump:
+// before). Wire v13 regenerated both again: toy.piart's payload opens with
+// artifact codec version 3 (its byte 21 and checksum moved, nothing else),
+// and client.pipre stores the public key seeded, seed ‖ b, 504 bytes
+// shorter at the golden degree. ticket.pitk holds no key, and a record
+// with none is written exactly as before, so it did not move. The test
+// proves no byte on disk has moved since. Regenerate only for a deliberate
+// format-version bump:
 //
 //	go test ./internal/serve -run TestGoldenFiles -update
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden from the current code")
@@ -47,7 +52,7 @@ func goldenNet() *nn.Lowered {
 	}
 }
 
-func goldenParams(t *testing.T) bfv.Params {
+func goldenParams(t testing.TB) bfv.Params {
 	t.Helper()
 	params, err := bfv.NewParams(goldenRingN, field.P20)
 	if err != nil {
@@ -130,9 +135,11 @@ func TestGoldenFiles(t *testing.T) {
 // TestPreambleWithCachedArtifactLoads: testdata/cachedartifact/client.pipre
 // is the golden preamble as written while preambles still stored each
 // cached client artifact — the same PIPB v1 frame, with one (name,
-// artifact) entry after the keys. It loads with its ticket, OT state and HE
-// keys intact and the entry discarded, re-saves as today's golden, and
-// resumes a session, whose client derives its model state from the welcome.
+// artifact) entry after the keys, and the public key before wire v13's
+// seeded form. It loads with its ticket, OT state and secret key intact,
+// the public key derived again in seeded form and the entry discarded,
+// re-saves as today's golden, and resumes a session, whose client derives
+// its model state from the welcome.
 func TestPreambleWithCachedArtifactLoads(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "cachedartifact"))); err != nil {

@@ -19,8 +19,8 @@ import (
 //     the public-key base OTs entirely; and
 //   - a master HE key seed plus the BFV key pair derived from it for the
 //     current ticket generation, so a resumed connect skips both the BFV
-//     keygen and the public-key flight (the server validated and discarded
-//     this pk at ticket issue — it computes only on ciphertexts).
+//     keygen and the public-key flight (the server's ticket keeps this pk,
+//     which re-randomizes every response).
 //
 // It holds no model state: every session derives its matvec plans and ReLU
 // circuits from the welcome's metadata (delphi.NewClient).

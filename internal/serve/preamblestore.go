@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -145,10 +146,31 @@ func (p *Preamble) MarshalBinary() ([]byte, error) {
 	return w.Buf, nil
 }
 
+// rederiveKey returns the seeded public key of a preamble written before
+// wire v13, which stored the key as (degree ‖ b ‖ a) with a drawn from the
+// key stream: the key derives again from the master seed under the same
+// nonce, with the same s (KeyGen draws s first), and the seeded form the
+// server now keeps. A pk that is neither form, or an s that does not
+// re-derive, is refused.
+func (p *Preamble) rederiveKey(params bfv.Params, skRaw, pkRaw []byte) (bfv.PublicKey, error) {
+	if len(pkRaw) != 8+16*params.N || len(p.heSeed) == 0 {
+		return bfv.PublicKey{}, fmt.Errorf("serve: preamble public key of %d bytes is no key of degree %d", len(pkRaw), params.N)
+	}
+	keys, err := delphi.DeriveHEKeyPair(params, p.heSeed, p.heNonce)
+	if err != nil {
+		return bfv.PublicKey{}, err
+	}
+	if sk, err := keys.SK.MarshalBinary(); err != nil || !bytes.Equal(sk, skRaw) {
+		return bfv.PublicKey{}, fmt.Errorf("serve: preamble secret key does not derive from its master seed")
+	}
+	return keys.PK, nil
+}
+
 // UnmarshalPreamble decodes a payload produced by Preamble.MarshalBinary,
 // rejecting truncated fields, hostile lengths, inconsistent key material
 // and trailing bytes. A decoded preamble is immediately usable: a cached
-// key pair is degree-checked against its recorded parameter set. The
+// key pair is degree-checked against its recorded parameter set, and a
+// public key stored before wire v13 is derived again in its seeded form. The
 // (name, artifact) entries an older writer stored after the keys are read
 // and discarded: each session derives its model state from the welcome.
 func UnmarshalPreamble(data []byte) (*Preamble, error) {
@@ -200,8 +222,10 @@ func UnmarshalPreamble(data []byte) (*Preamble, error) {
 		if err := keys.SK.UnmarshalBinary(skRaw); err != nil {
 			return nil, err
 		}
-		if err := keys.PK.UnmarshalBinary(pkRaw); err != nil {
-			return nil, err
+		if keys.PK, err = bfv.ParsePublicKey(params.N, pkRaw); err != nil {
+			if keys.PK, err = p.rederiveKey(params, skRaw, pkRaw); err != nil {
+				return nil, err
+			}
 		}
 		if err := keys.Validate(params); err != nil {
 			return nil, err

@@ -5,6 +5,8 @@ import (
 
 	"privinf/internal/bfv"
 	"privinf/internal/bin"
+	"privinf/internal/delphi"
+	"privinf/internal/field"
 )
 
 // seqEntropy is a deterministic entropy source for tests that exercise the
@@ -32,6 +34,38 @@ func TestUnmarshalPreambleRejectsSemanticDamage(t *testing.T) {
 		w.Blob(nil)
 		w.U64(0)
 		w.U64(0)
+		w.U64(0)
+	}
+	// writeKeys writes a preamble of a fresh key generation whose pk blob
+	// is pkRaw.
+	writeKeys := func(w *bin.Writer, pkRaw []byte) {
+		p := NewPreamble()
+		keys, err := p.freshHEKeys(goldenParams(t), &seqEntropy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		other, err := delphi.DeriveHEKeyPair(goldenParams(t), p.heSeed, p.heNonce+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sk, err := other.SK.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pkRaw) == 8+8*goldenRingN { // a genuine sk, only the pk damaged
+			if sk, err = keys.SK.MarshalBinary(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w.Blob(nil)
+		w.U64(0)
+		w.Blob(p.heSeed)
+		w.U64(p.heNonce)
+		w.U64(1)
+		w.U64(goldenRingN)
+		w.U64(field.P20)
+		w.Blob(sk)
+		w.Blob(pkRaw)
 		w.U64(0)
 	}
 	cases := map[string]func(w *bin.Writer){
@@ -81,6 +115,15 @@ func TestUnmarshalPreambleRejectsSemanticDamage(t *testing.T) {
 			w.U64(bfv.DefaultN)
 			w.Blob(nil)
 			w.Blob(nil)
+		},
+		// A key stored before wire v13, (degree ‖ b ‖ a), is derived again
+		// from the master seed; a secret key that seed does not give is
+		// refused, as is a pk of neither form.
+		"pre-v13 key not from its seed": func(w *bin.Writer) {
+			writeKeys(w, make([]byte, 8+16*goldenRingN))
+		},
+		"pk of neither form": func(w *bin.Writer) {
+			writeKeys(w, make([]byte, 8+8*goldenRingN))
 		},
 		"hostile artifact count": func(w *bin.Writer) {
 			w.Blob(nil)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"sync"
@@ -115,6 +116,15 @@ func TestRegistryFallsBackOnDamagedStore(t *testing.T) {
 		"truncated":        func(b []byte) []byte { return b[:len(b)/3] },
 		"checksum flipped": func(b []byte) []byte { b[17] ^= 0x01; return b },
 		"wrong version":    func(b []byte) []byte { b[4] = storeFormatVersion + 3; return b },
+		// An intact frame around a payload whose codec header says 2, the
+		// version whose plans took one upload a layer: its plaintexts
+		// pack the weights for other chunks, and must not be served.
+		"codec v2 header": func(b []byte) []byte {
+			payload := b[storeHeaderBytes:]
+			binary.LittleEndian.PutUint64(payload, 2)
+			binary.LittleEndian.PutUint32(b[16:], storeChecksum(payload))
+			return b
+		},
 	}
 	for name, damage := range cases {
 		t.Run(name, func(t *testing.T) {

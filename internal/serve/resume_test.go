@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"privinf/internal/bfv"
 	"privinf/internal/delphi"
 	"privinf/internal/field"
 	"privinf/internal/nn"
@@ -239,10 +240,10 @@ func TestTicketCachePrunesExpiredOnInsert(t *testing.T) {
 	tc.now = func() time.Time { return now }
 
 	stale := tc.reserve("m")
-	tc.insert(stale, state)
+	tc.insert(stale, state, bfv.PublicKey{})
 	now = base.Add(2 * time.Minute) // past the TTL
 	fresh := tc.reserve("m")
-	tc.insert(fresh, state)
+	tc.insert(fresh, state, bfv.PublicKey{})
 
 	st := tc.stats(nil)
 	if st.Tickets != 1 {
@@ -251,10 +252,10 @@ func TestTicketCachePrunesExpiredOnInsert(t *testing.T) {
 	if st.Expired != 1 {
 		t.Fatalf("expired counter = %d, want 1 (the pruned ticket)", st.Expired)
 	}
-	if _, reject := tc.redeem(stale, "m"); reject != resumeUnknownTicket {
+	if _, _, reject := tc.redeem(stale, "m"); reject != resumeUnknownTicket {
 		t.Fatalf("pruned ticket redeems with %q, want %q (already gone)", reject, resumeUnknownTicket)
 	}
-	if got, reject := tc.redeem(fresh, "m"); got == nil || reject != "" {
+	if got, _, reject := tc.redeem(fresh, "m"); got == nil || reject != "" {
 		t.Fatalf("fresh ticket rejected with %q", reject)
 	}
 }
@@ -283,13 +284,15 @@ func TestPreambleVersionMismatchRejected(t *testing.T) {
 		{"preamble v9", [][]byte{preamble(9)}},
 		{"preamble v10", [][]byte{preamble(10)}},
 		{"preamble v11", [][]byte{preamble(11)}},
-		{"v5 hello inside a v12 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 5}))}},
-		{"v6 hello inside a v12 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 6}))}},
-		{"v7 hello inside a v12 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 7}))}},
-		{"v8 hello inside a v12 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 8}))}},
-		{"v9 hello inside a v12 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 9}))}},
-		{"v10 hello inside a v12 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 10}))}},
-		{"v11 hello inside a v12 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 11}))}},
+		{"preamble v12", [][]byte{preamble(12)}},
+		{"v5 hello inside a v13 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 5}))}},
+		{"v6 hello inside a v13 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 6}))}},
+		{"v7 hello inside a v13 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 7}))}},
+		{"v8 hello inside a v13 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 8}))}},
+		{"v9 hello inside a v13 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 9}))}},
+		{"v10 hello inside a v13 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 10}))}},
+		{"v11 hello inside a v13 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 11}))}},
+		{"v12 hello inside a v13 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 12}))}},
 	} {
 		conn, err := transport.Dial(ln.Addr())
 		if err != nil {

@@ -20,12 +20,14 @@ import (
 // testdata/stats.golden.json was written at commit 2ee280d, when every count
 // had a struct field of its own next to its obs mirror, and regenerated only
 // to drop the garbling coalescer's counters with the coalescer and when the
-// ReLU circuit shrank, which moved the artifact SizeBytes; the test
+// ReLU circuit shrank, which moved the artifact SizeBytes, and when tickets
+// began to hold the client's seeded public key (wire v13), which moved
+// Tickets.Bytes by its 32,784 bytes; the test
 // proves Stats() read from the instruments is the same view — with span
 // timing on and with obs.SetEnabled(false), which gates time.Now calls,
 // never a count. Durations and the live session's connection byte totals
 // (which carry JSON-encoded durations) are zeroed.
-// Regenerate only when the scenario or an artifact's footprint changes:
+// Regenerate only when the scenario or a footprint it reports changes:
 //
 //	go test ./internal/serve -run TestStatsGolden -update
 func TestStatsGolden(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"privinf/internal/bfv"
 	"privinf/internal/bin"
 	"privinf/internal/delphi"
 )
@@ -74,15 +75,20 @@ func newTicketStore(dir string) (*ticketStore, error) {
 }
 
 // ticketRecord is one persisted ticket: its identifier, absolute expiry,
-// and the cached OT seed material.
+// the cached OT seed material, and the client's public key (zero in a
+// record written before wire v13).
 type ticketRecord struct {
 	id      []byte
 	expires time.Time
 	state   *delphi.OTResume
+	key     bfv.PublicKey
 }
 
 // marshalTicketRecord encodes a record payload (the frame supplies
-// integrity): expiry unix-nanos, then the length-prefixed id and OT state.
+// integrity): expiry unix-nanos, then the length-prefixed id and OT state,
+// then, when the ticket holds a key, the length-prefixed seeded key, whose
+// length gives its degree. A record with no key is byte for byte what wire
+// v12 wrote, so the format version did not move.
 func marshalTicketRecord(rec ticketRecord) ([]byte, error) {
 	if rec.state == nil {
 		return nil, fmt.Errorf("serve: ticket store: nil OT state")
@@ -95,16 +101,32 @@ func marshalTicketRecord(rec ticketRecord) ([]byte, error) {
 	w.U64(uint64(rec.expires.UnixNano()))
 	w.Blob(rec.id)
 	w.Blob(raw)
+	if rec.key.Degree() > 0 {
+		key, err := rec.key.MarshalBinary()
+		if err != nil {
+			return nil, err
+		}
+		w.Blob(key)
+	}
 	return w.Buf, nil
 }
 
 // unmarshalTicketRecord decodes a record payload, rejecting truncated
-// fields, hostile lengths and trailing bytes.
+// fields, hostile lengths, a key that is not a strict seeded key, and
+// trailing bytes.
 func unmarshalTicketRecord(payload []byte) (ticketRecord, error) {
 	r := bin.NewReader(payload)
 	expires := int64(r.U64())
 	id := r.Blob()
 	raw := r.Blob()
+	var key bfv.PublicKey
+	if r.Err() == nil && r.Remaining() > 0 {
+		keyRaw := r.Blob()
+		var err error
+		if key, err = bfv.ParsePublicKey((len(keyRaw)-bfv.SeedSize)/8, keyRaw); r.Err() == nil && err != nil {
+			return ticketRecord{}, err
+		}
+	}
 	if err := r.Done(); err != nil {
 		return ticketRecord{}, fmt.Errorf("serve: ticket record: %w", err)
 	}
@@ -119,6 +141,7 @@ func unmarshalTicketRecord(payload []byte) (ticketRecord, error) {
 		id:      append([]byte(nil), id...),
 		expires: time.Unix(0, expires),
 		state:   state,
+		key:     key,
 	}, nil
 }
 

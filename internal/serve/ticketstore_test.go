@@ -2,11 +2,13 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"testing"
 	"time"
 
+	"privinf/internal/bfv"
 	"privinf/internal/delphi"
 	"privinf/internal/obs"
 	"privinf/internal/ot"
@@ -75,6 +77,39 @@ func TestTicketRecordCodecRejectsDamage(t *testing.T) {
 	if _, err := marshalTicketRecord(ticketRecord{id: shortID.id}); err == nil {
 		t.Fatal("nil OT state marshaled")
 	}
+
+	// A record with the client's key round-trips it; the key must be a
+	// whole seeded key, every b coefficient below q.
+	keyed := testTicketRecord(t, 6, time.Now())
+	keyed.key = testTicketKey(t)
+	raw, err = marshalTicketRecord(keyed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := unmarshalTicketRecord(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := rec.key.MarshalBinary(); !bytes.Equal(got, raw[len(payload)+8:]) || rec.key.Degree() != goldenRingN {
+		t.Fatal("ticket key did not round-trip")
+	}
+	partial := append([]byte(nil), raw[:len(payload)]...)
+	partial = binary.LittleEndian.AppendUint64(partial, bfv.SeedSize+4)
+	if _, err := unmarshalTicketRecord(append(partial, make([]byte, bfv.SeedSize+4)...)); err == nil {
+		t.Fatal("ticket key of a partial coefficient accepted")
+	}
+	notCanonical := append([]byte(nil), raw...)
+	binary.LittleEndian.PutUint64(notCanonical[len(notCanonical)-8:], ^uint64(0))
+	if _, err := unmarshalTicketRecord(notCanonical); err == nil {
+		t.Fatal("ticket key with a coefficient ≥ q accepted")
+	}
+}
+
+// testTicketKey is a fixed seeded public key of the golden degree.
+func testTicketKey(t testing.TB) bfv.PublicKey {
+	t.Helper()
+	_, pk := bfv.KeyGen(goldenParams(t), &seqEntropy{})
+	return pk
 }
 
 // TestTicketStoreLoadSweeps: loadAll returns only the live records and
@@ -148,7 +183,7 @@ func TestTicketCacheWriteThrough(t *testing.T) {
 	tc.attachStore(ts)
 
 	id := tc.reserve("m")
-	tc.insert(id, testOTResume(t, 13))
+	tc.insert(id, testOTResume(t, 13), bfv.PublicKey{})
 	tc.flush()
 	if _, err := os.Stat(ts.path(id)); err != nil {
 		t.Fatalf("insert did not write through: %v", err)
@@ -160,7 +195,7 @@ func TestTicketCacheWriteThrough(t *testing.T) {
 
 	// Redeem slides the expiry; the disk record must carry the slid window.
 	now = base.Add(30 * time.Second)
-	if _, reject := tc.redeem(id, "m"); reject != "" {
+	if _, _, reject := tc.redeem(id, "m"); reject != "" {
 		t.Fatalf("redeem rejected with %q", reject)
 	}
 	tc.flush()
@@ -173,7 +208,7 @@ func TestTicketCacheWriteThrough(t *testing.T) {
 	}
 
 	now = now.Add(time.Minute) // exactly the slid expiry: dead
-	if _, reject := tc.redeem(id, "m"); reject != resumeExpiredTicket {
+	if _, _, reject := tc.redeem(id, "m"); reject != resumeExpiredTicket {
 		t.Fatalf("redeem at expiry = %q, want %q", reject, resumeExpiredTicket)
 	}
 	tc.flush()
@@ -195,7 +230,7 @@ func TestTicketCacheReloadAcrossRestart(t *testing.T) {
 	tc1.attachStore(ts1)
 	state := testOTResume(t, 14)
 	id := tc1.reserve("m")
-	tc1.insert(id, state)
+	tc1.insert(id, state, bfv.PublicKey{})
 	tc1.flush()
 
 	ts2, err := newTicketStore(dir)
@@ -209,7 +244,7 @@ func TestTicketCacheReloadAcrossRestart(t *testing.T) {
 	if st.Loaded != 1 || st.LoadErrors != 0 || st.Tickets != 1 {
 		t.Fatalf("restarted cache stats %+v, want one loaded ticket", st)
 	}
-	got, reject := tc2.redeem(id, "m")
+	got, _, reject := tc2.redeem(id, "m")
 	if reject != "" {
 		t.Fatalf("reloaded ticket rejected with %q", reject)
 	}
@@ -250,7 +285,7 @@ func TestTicketCacheLoadRespectsBudget(t *testing.T) {
 	diskState := testOTResume(t, 31)
 	tc2 := testTicketCache(time.Hour, -1)
 	id := tc2.reserve("m")
-	tc2.insert(id, live)
+	tc2.insert(id, live, bfv.PublicKey{})
 	dir2 := t.TempDir()
 	ts2, err := newTicketStore(dir2)
 	if err != nil {
@@ -261,7 +296,7 @@ func TestTicketCacheLoadRespectsBudget(t *testing.T) {
 	}
 	tc2.attachStore(ts2)
 	defer tc2.flush() // so must the redeem's write-behind save
-	got, reject := tc2.redeem(id, "m")
+	got, _, reject := tc2.redeem(id, "m")
 	if reject != "" {
 		t.Fatalf("redeem rejected with %q", reject)
 	}
@@ -287,18 +322,18 @@ func TestTicketExpiryAtExactTTLBoundary(t *testing.T) {
 	tc.mu.Unlock()
 
 	id := tc.reserve("m")
-	tc.insert(id, testOTResume(t, 40))
+	tc.insert(id, testOTResume(t, 40), bfv.PublicKey{})
 
 	// One instant before the boundary: still a hit (and the hit slides the
 	// window from this now).
 	now = base.Add(time.Minute - time.Nanosecond)
-	if _, reject := tc.redeem(id, "m"); reject != "" {
+	if _, _, reject := tc.redeem(id, "m"); reject != "" {
 		t.Fatalf("redeem just inside the TTL rejected with %q", reject)
 	}
 
 	// Exactly at the slid expiry: dead, typed, and dropped.
 	now = now.Add(time.Minute)
-	if state, reject := tc.redeem(id, "m"); state != nil || reject != resumeExpiredTicket {
+	if state, _, reject := tc.redeem(id, "m"); state != nil || reject != resumeExpiredTicket {
 		t.Fatalf("redeem at t=TTL: state=%v reject=%q, want typed %q", state, reject, resumeExpiredTicket)
 	}
 	st := tc.stats(nil)
@@ -306,7 +341,7 @@ func TestTicketExpiryAtExactTTLBoundary(t *testing.T) {
 		t.Fatalf("stats %+v after boundary expiry, want expired=1 tickets=0", st)
 	}
 	// And it stays dead: the drop is permanent, not a transient reject.
-	if _, reject := tc.redeem(id, "m"); reject != resumeUnknownTicket {
+	if _, _, reject := tc.redeem(id, "m"); reject != resumeUnknownTicket {
 		t.Fatalf("second redeem = %q, want %q (entry dropped)", reject, resumeUnknownTicket)
 	}
 }
@@ -328,7 +363,7 @@ func TestRedeemWaitsForPendingTicket(t *testing.T) {
 	for i, id := range [][]byte{published, abandoned} {
 		got[i] = make(chan outcome, 1)
 		go func() {
-			st, reject := tc.redeem(id, "m")
+			st, _, reject := tc.redeem(id, "m")
 			got[i] <- outcome{st, reject}
 		}()
 	}
@@ -337,7 +372,7 @@ func TestRedeemWaitsForPendingTicket(t *testing.T) {
 		tc.flush()
 		close(flushed)
 	}()
-	tc.insert(published, state)
+	tc.insert(published, state, bfv.PublicKey{})
 	tc.settle(abandoned)
 	if o := <-got[0]; o.state != state || o.reject != "" {
 		t.Fatalf("redeem of the published ticket = %v, %q; want its state", o.state, o.reject)
