@@ -35,7 +35,7 @@
 // persists the server's tickets, -preamble-dir persists the client's
 // preamble (OT seeds, derived HE keys), so a reconnect
 // after both processes restart still takes the resumed fast path — no base
-// OTs, no keygen, no public-key transfer.
+// OTs, no keygen.
 //
 // With -fleet N (or -autoscale) the server side becomes a replicated
 // fleet: N engine replicas sharing one registry behind the fleet router

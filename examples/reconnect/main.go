@@ -11,8 +11,8 @@
 //	         way out.
 //	resumed  ticket + cached seeds + derived HE keys: both sides expand
 //	         fresh OT extension streams locally and the client reuses its
-//	         cached key pair — no base OTs, no keygen, no public-key
-//	         flight — and connect cost drops to about one round trip.
+//	         cached key pair, sending only its public key — no base OTs,
+//	         no keygen — and connect cost drops to about one round trip.
 //	durable  both processes restart: the engine reloads its tickets from
 //	         TicketDir, the client reloads its preamble from a
 //	         PreambleStore, and the very first connect of the new

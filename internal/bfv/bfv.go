@@ -51,7 +51,8 @@ func (pk PublicKey) Degree() int { return len(pk.b) }
 
 // KeyGen generates a fresh key pair. src may be nil (crypto/rand). It draws
 // s, then the seed a expands from, then e, so the stream's first words
-// give the same s whatever the key's transport form.
+// give the same s whatever the key's transport form. The public key comes
+// back seeded, as ParsePublicKey returns it: it holds no a until Expand.
 func KeyGen(p Params, src io.Reader) (SecretKey, PublicKey) {
 	smp := newSampler(src)
 	n := p.N
@@ -66,12 +67,11 @@ func KeyGen(p Params, src io.Reader) (SecretKey, PublicKey) {
 	defer putScratch(e)
 	smp.cbd(e)
 	p.ntt.Forward(e)
-	pk.a = make([]uint64, n)
-	expandSeed(pk.a, pk.seed)
 
-	// b = -(a*s + e)
+	// b = -(a*s + e), a expanded into b's own buffer.
 	pk.b = make([]uint64, n)
-	ringq.MulInto(pk.b, pk.a, s)
+	expandSeed(pk.b, pk.seed)
+	ringq.MulInto(pk.b, pk.b, s)
 	ringq.AddInto(pk.b, pk.b, e)
 	for i := range pk.b {
 		pk.b[i] = ringq.Neg(pk.b[i])
@@ -80,7 +80,7 @@ func KeyGen(p Params, src io.Reader) (SecretKey, PublicKey) {
 }
 
 // Expand returns the key with a expanded from its seed; a key that holds
-// a already is returned as is. A parsed key shares its b with the result.
+// a already is returned as is. The result shares its b with the key.
 func (pk PublicKey) Expand() PublicKey {
 	if pk.a == nil {
 		pk.a = make([]uint64, len(pk.b))

@@ -29,7 +29,7 @@ func FuzzResponseUnmarshal(f *testing.F) {
 	sk, pk := KeyGen(smallParams, newSeeded(55))
 	up := NewSeededEncryptor(smallParams, sk, newSeeded(56)).EncryptCoeffs([]uint64{4, 5, 6})
 	last := smallPlan.NumOutputCts() - 1
-	raw, err := smallPlan.Respond(ptr(up.Ciphertext()), []uint64{1, 2, 3, 4, 5}, last, pk, [SeedSize]byte{2}).MarshalBinary()
+	raw, err := smallPlan.Respond(ptr(up.Ciphertext()), []uint64{1, 2, 3, 4, 5}, last, pk.Expand(), [SeedSize]byte{2}).MarshalBinary()
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -38,8 +38,8 @@ func FuzzResponseUnmarshal(f *testing.F) {
 	})
 }
 
-// FuzzPublicKeyUnmarshal fuzzes the seeded public-key record, seed ‖ b, a
-// full handshake's one key flight.
+// FuzzPublicKeyUnmarshal fuzzes the seeded public-key record, seed ‖ b,
+// the key flight every connect sends.
 func FuzzPublicKeyUnmarshal(f *testing.F) {
 	_, pk := KeyGen(smallParams, newSeeded(53))
 	raw, err := pk.MarshalBinary()
@@ -63,7 +63,7 @@ func TestCiphertextCodecAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl := PlanMatVec(p, 40, 300)
-	resp := pl.Respond(ptr(up.Ciphertext()), make([]uint64, pl.Out), 0, pk, [SeedSize]byte{3})
+	resp := pl.Respond(ptr(up.Ciphertext()), make([]uint64, pl.Out), 0, pk.Expand(), [SeedSize]byte{3})
 	rraw, err := resp.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)

@@ -39,7 +39,7 @@ func TestCodecGolden(t *testing.T) {
 		v    encoding.BinaryMarshaler
 	}{
 		{"upload", up},
-		{"response", pl.Respond(&ct, mask, 0, pk, [SeedSize]byte{4})},
+		{"response", pl.Respond(&ct, mask, 0, pk.Expand(), [SeedSize]byte{4})},
 		{"plaintext", NewEncoder(p).EncodeMulNTT(m)},
 		{"secretkey", sk},
 		{"publickey", pk},

@@ -112,10 +112,7 @@ func (pl MatVecPlan) EncodeMatrix(e *Encoder, w [][]uint64) [][]Plaintext {
 	}
 	nOut := pl.NumOutputCts()
 	pts := make([][]Plaintext, nOut)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > nOut {
-		workers = nOut
-	}
+	workers := min(runtime.GOMAXPROCS(0), nOut)
 	if workers <= 1 {
 		for oc := 0; oc < nOut; oc++ {
 			pts[oc] = pl.encodeOutputCt(e, w, oc)
@@ -149,21 +146,11 @@ func (pl MatVecPlan) encodeOutputCt(e *Encoder, w [][]uint64, oc int) []Plaintex
 	buf := getScratch(pl.Params.N)
 	defer putScratch(buf)
 	for ic := 0; ic < nIn; ic++ {
-		if ic > 0 {
-			for i := range buf {
-				buf[i] = 0
-			}
-		}
+		clear(buf)
 		colLo := ic * pl.Chunk
-		colHi := colLo + pl.Chunk
-		if colHi > pl.In {
-			colHi = pl.In
-		}
-		for m := 0; m < pl.RowsPer; m++ {
+		colHi := min(colLo+pl.Chunk, pl.In)
+		for m := range pl.slots(oc) {
 			r := oc*pl.RowsPer + m
-			if r >= pl.Out {
-				break
-			}
 			// Reversed row m of this column chunk at offset m*Chunk.
 			for j := colLo; j < colHi; j++ {
 				buf[m*pl.Chunk+(pl.Chunk-1-(j-colLo))] = w[r][j]
@@ -206,12 +193,8 @@ func (pl MatVecPlan) ExtractResult(decrypted [][]uint64) []uint64 {
 func (pl MatVecPlan) MaskPlaintext(e *Encoder, s []uint64, oc int) Plaintext {
 	buf := getScratch(pl.Params.N)
 	defer putScratch(buf)
-	for m := 0; m < pl.RowsPer; m++ {
-		r := oc*pl.RowsPer + m
-		if r >= pl.Out {
-			break
-		}
-		buf[pl.slot(m)] = s[r]
+	for m := range pl.slots(oc) {
+		buf[pl.slot(m)] = s[oc*pl.RowsPer+m]
 	}
 	return e.EncodeAddNTT(buf)
 }

@@ -170,3 +170,8 @@ func (p Params) budget() uint64 {
 // uniform in [−2^f, 2^f), which leaves at least half the budget to the
 // matvec and the re-randomization.
 func (p Params) floodBits() int { return bits.Len64(p.budget()) - 2 }
+
+// matvecNoiseLimit returns the largest matvec noise |v_mat| (package doc)
+// a response still decrypts exactly under, after the re-randomization,
+// the flood and the switch have taken their share: A − 2^f − (4N + 2).
+func (p Params) matvecNoiseLimit() uint64 { return p.budget() - 1<<p.floodBits() - uint64(4*p.N+2) }

@@ -1,14 +1,15 @@
 package bfv
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"privinf/internal/field"
 	"privinf/internal/nn"
-	"privinf/internal/ringq"
 )
 
 // oracleBytes is what a product's uploads and responses take on the wire
@@ -81,7 +82,7 @@ func TestPlannedProductsDecrypt(t *testing.T) {
 			outs := pl.Apply(pl.EncodeMatrix(e, w), cts)
 			rs := make([]Response, len(outs))
 			for oc := range outs {
-				rs[oc] = pl.Respond(&outs[oc], mask, oc, pk, [SeedSize]byte{byte(oc)})
+				rs[oc] = pl.Respond(&outs[oc], mask, oc, pk.Expand(), [SeedSize]byte{byte(oc)})
 			}
 			got := pl.DecryptResponses(dec, rs)
 			for r := range got {
@@ -134,15 +135,13 @@ func TestDemoPlans(t *testing.T) {
 }
 
 // TestFloodHidesDemoWeights evaluates the package doc's bounds on the demo
-// models over several seeds: at every read slot the matvec noise bound
-// ρ·(‖W_r‖₁ + 1) + 2·Σ_{r' in oc} ‖W_r'‖₁ stays under matvecNoiseLimit,
-// and the flood's statistical distance, (|v_mat| + 4N + 2)/2^(f+1) a slot,
+// models over several seeds: every layer passes CheckNoise, and the
+// flood's statistical distance, (|v_mat| + 4N + 2)/2^(f+1) a slot,
 // stays under the figures the doc states: 2^−17.8 a slot and 2^−11.2 a
 // pre-compute on the CNN, 2^−19 and 2^−13.8 on the MLP.
 func TestFloodHidesDemoWeights(t *testing.T) {
 	f := field.New(field.P20)
 	p := mustParams(DefaultN, field.P20)
-	rho := ringq.Q - p.delta*p.T
 	flood := math.Ldexp(1, p.floodBits()+1)
 	for _, c := range []struct {
 		name            string
@@ -160,23 +159,12 @@ func TestFloodHidesDemoWeights(t *testing.T) {
 			var sd, worst float64
 			for l, lin := range m.Linear {
 				pl := PlanMatVec(p, lin.Out(), lin.In())
-				norms := make([]uint64, lin.Out())
-				for r, row := range lin.W {
-					for _, w := range row {
-						norms[r] += uint64(max(f.ToInt64(w), -f.ToInt64(w)))
-					}
+				norms := rowNorms(f, lin.W)
+				if err := pl.CheckNoise(norms); err != nil {
+					t.Fatalf("%s seed %d layer %d: %v", c.name, seed, l, err)
 				}
-				for r, norm := range norms {
-					oc := r / pl.RowsPer
-					var ct uint64
-					for _, n := range norms[oc*pl.RowsPer : oc*pl.RowsPer+pl.slots(oc)] {
-						ct += n
-					}
-					vmat := rho*(norm+1) + 2*ct
-					if vmat > p.matvecNoiseLimit() {
-						t.Fatalf("%s seed %d layer %d row %d: matvec noise bound %d above the limit %d", c.name, seed, l, r, vmat, p.matvecNoiseLimit())
-					}
-					slot := float64(vmat+uint64(4*p.N+2)) / flood
+				for _, vmat := range pl.noiseBounds(norms) {
+					slot := (vmat + float64(4*p.N+2)) / flood
 					sd += slot
 					worst = max(worst, slot)
 				}
@@ -190,9 +178,42 @@ func TestFloodHidesDemoWeights(t *testing.T) {
 	}
 }
 
-// matvecNoiseLimit returns the largest matvec noise |v_mat| (package doc)
-// a response still decrypts exactly under, after the re-randomization,
-// the flood and the switch have taken their share.
-func (p Params) matvecNoiseLimit() uint64 {
-	return p.budget() - 1<<p.floodBits() - uint64(4*p.N+2)
+// TestCheckNoiseRefusesHeavyRows: a 256-wide row of weights at ±(p−1)/2
+// has a matvec bound above the limit and is refused with its row, bound
+// and limit named; a zero row passes, a norm so large its bound would
+// overflow 64 bits is refused too, and so is a norm count other than Out.
+func TestCheckNoiseRefusesHeavyRows(t *testing.T) {
+	p := mustParams(DefaultN, field.P20)
+	pl := PlanMatVec(p, 2, 256)
+	heavy := uint64(256 * (field.P20 - 1) / 2)
+	err := pl.CheckNoise([]uint64{0, heavy})
+	if err == nil {
+		t.Fatal("a row of weights at ±(p−1)/2 passed the noise check")
+	}
+	bound := pl.noiseBounds([]uint64{0, heavy})[1]
+	for _, want := range []string{"row 1", fmt.Sprintf("%.0f", bound), fmt.Sprint(p.matvecNoiseLimit())} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+	if err := pl.CheckNoise([]uint64{0, 0}); err != nil {
+		t.Errorf("zero weights refused: %v", err)
+	}
+	if err := pl.CheckNoise([]uint64{0, 1 << 62}); err == nil {
+		t.Error("an overflowing bound passed the noise check")
+	}
+	if err := pl.CheckNoise([]uint64{0}); err == nil {
+		t.Error("one norm for two rows passed the noise check")
+	}
+}
+
+// rowNorms returns ‖W_r‖₁ of each row, its weights centered.
+func rowNorms(f field.Field, w [][]uint64) []uint64 {
+	norms := make([]uint64, len(w))
+	for r, row := range w {
+		for _, v := range row {
+			norms[r] += uint64(max(f.ToInt64(v), -f.ToInt64(v)))
+		}
+	}
+	return norms
 }

@@ -26,6 +26,41 @@ func (pl MatVecPlan) slots(oc int) int {
 // slot returns the coefficient row m of an output ciphertext is read from.
 func (pl MatVecPlan) slot(m int) int { return m*pl.Chunk + pl.Chunk - 1 }
 
+// CheckNoise refuses weights the noise budget cannot carry: norms[r] is
+// ‖W_r‖₁, row r's weights centered in (−T/2, T/2), and a row whose matvec
+// bound (package doc) exceeds A − 2^f − (4N + 2) could decrypt wrong. The
+// error names the row, its bound and the limit.
+func (pl MatVecPlan) CheckNoise(norms []uint64) error {
+	if len(norms) != pl.Out {
+		return fmt.Errorf("bfv: %d row norms for %d rows", len(norms), pl.Out)
+	}
+	limit := float64(pl.Params.matvecNoiseLimit())
+	for r, bound := range pl.noiseBounds(norms) {
+		if bound > limit {
+			return fmt.Errorf("bfv: row %d: matvec noise bound %.0f above the limit %.0f", r, bound, limit)
+		}
+	}
+	return nil
+}
+
+// noiseBounds returns each of the plan's Out rows' matvec noise bound,
+// ρ·(‖W_r‖₁ + 1) + 2·Σ_{r' in oc} ‖W_r'‖₁ for ρ = q − Δ·T. A float64
+// never overflows, and it is exact while the sums stay below 2^53, far
+// above any limit.
+func (pl MatVecPlan) noiseBounds(norms []uint64) []float64 {
+	rho := float64(ringq.Q - pl.Params.delta*pl.Params.T)
+	bounds := make([]float64, pl.Out)
+	for r := range bounds {
+		oc := r / pl.RowsPer
+		var ct float64
+		for _, n := range norms[oc*pl.RowsPer : oc*pl.RowsPer+pl.slots(oc)] {
+			ct += float64(n)
+		}
+		bounds[r] = rho*(float64(norms[r])+1) + 2*ct
+	}
+	return bounds
+}
+
 // Respond turns output ciphertext oc of Apply into its response: E(W·x − s)
 // for the mask s (length Out), re-randomized under pk, flooded at the read
 // slots and switched to 2^k (see the package doc). Its randomness expands

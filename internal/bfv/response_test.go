@@ -385,7 +385,7 @@ func TestResponsesHideWeights(t *testing.T) {
 	if found := attack(bare); !reflect.DeepEqual(found, w) {
 		t.Fatalf("attack on a response with no re-randomization found %v, want exactly %v", found, w)
 	}
-	r := pl.Respond(ptr(pl.Apply(pts, []Ciphertext{up.Ciphertext()})[0]), mask, 0, pk, [SeedSize]byte{7})
+	r := pl.Respond(ptr(pl.Apply(pts, []Ciphertext{up.Ciphertext()})[0]), mask, 0, pk.Expand(), [SeedSize]byte{7})
 	if found := attack(r); len(found) != 0 {
 		t.Fatalf("attack on a re-randomized response found %v", found)
 	}
@@ -424,7 +424,7 @@ func TestResponsesCarryTheFlood(t *testing.T) {
 	}
 	var widest int64
 	for s := 0; s < 64; s++ {
-		r := pl.Respond(ptr(pl.Apply(pts, []Ciphertext{up.Ciphertext()})[0]), []uint64{0}, 0, pk, [SeedSize]byte{byte(s)})
+		r := pl.Respond(ptr(pl.Apply(pts, []Ciphertext{up.Ciphertext()})[0]), []uint64{0}, 0, pk.Expand(), [SeedSize]byte{byte(s)})
 		n := noise(r)
 		if n < 0 {
 			n = -n

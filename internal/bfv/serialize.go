@@ -15,10 +15,7 @@ import (
 
 // marshalPoly encodes a degree-len(a) record in one exact-size allocation.
 func marshalPoly(a []uint64) ([]byte, error) {
-	w := bin.Writer{Buf: make([]byte, 0, 8+8*len(a))}
-	w.U64(uint64(len(a)))
-	w.U64s(a)
-	return w.Buf, nil
+	return Plaintext{coeffs: a}.AppendBinary(make([]byte, 0, 8+8*len(a)))
 }
 
 // readDegree opens a one-vector record: the stored degree has to account
@@ -49,14 +46,10 @@ func (p Plaintext) AppendBinary(b []byte) ([]byte, error) {
 	return w.Buf, nil
 }
 
-// UnmarshalBinary decodes a plaintext produced by MarshalBinary.
+// UnmarshalBinary decodes a plaintext produced by MarshalBinary into a
+// buffer of the degree a whole record of len(data) bytes has.
 func (p *Plaintext) UnmarshalBinary(data []byte) error {
-	r := bin.NewReader(data)
-	n, err := readDegree(&r, "plaintext")
-	if err != nil {
-		return err
-	}
-	return p.UnmarshalBinaryBuffer(data, make([]uint64, n))
+	return p.UnmarshalBinaryBuffer(data, make([]uint64, max(len(data)-8, 0)/8))
 }
 
 // UnmarshalBinaryBuffer is UnmarshalBinary decoding into buf — whose length

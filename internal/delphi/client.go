@@ -59,22 +59,13 @@ func NewClient(conn transport.MsgConn, cfg Config, meta ModelMeta, entropy io.Re
 	return &Client{party: p}, nil
 }
 
-// setupKeys obtains the session HE keys (fresh keygen, or the pair the
-// HEKeyGen seam supplies) and sends the public key — the key-dependent
-// setup work every full handshake pays. Resumed sessions install their
-// cached pair instead (SetupResumed).
-func (c *Client) setupKeys() error {
-	keyGen := c.cfg.HEKeyGen
-	if keyGen == nil {
-		keyGen = bfv.KeyGen
-	}
-	sk, pk := keyGen(c.cfg.HEParams, c.entropy)
-	c.installKeys(sk)
-	return c.sendKey(pk)
-}
-
-// sendKey sends the public key in its seeded form, seed ‖ b.
-func (c *Client) sendKey(pk bfv.PublicKey) error {
+// useKeys points the session's encryptor and decryptor at sk — uploads are
+// seeded secret-key encryptions — and sends pk in its seeded form, seed ‖
+// b, for the server's re-randomization. Every connect sends it: the server
+// keeps no key past its session.
+func (c *Client) useKeys(sk bfv.SecretKey, pk bfv.PublicKey) error {
+	c.enc = bfv.NewSeededEncryptor(c.cfg.HEParams, sk, c.entropy)
+	c.dec = bfv.NewDecryptor(c.cfg.HEParams, sk)
 	raw, err := pk.MarshalBinary()
 	if err != nil {
 		return err
@@ -85,17 +76,14 @@ func (c *Client) sendKey(pk bfv.PublicKey) error {
 	return nil
 }
 
-// installKeys points the session's encryptor and decryptor at sk: uploads
-// are seeded secret-key encryptions, and the public key crosses the wire
-// once a ticket generation, for the server's re-randomization.
-func (c *Client) installKeys(sk bfv.SecretKey) {
-	c.enc = bfv.NewSeededEncryptor(c.cfg.HEParams, sk, c.entropy)
-	c.dec = bfv.NewDecryptor(c.cfg.HEParams, sk)
-}
-
-// Setup generates HE keys, sends the public key, and runs base-OT setup.
+// Setup generates HE keys (or takes the pair the HEKeyGen seam supplies),
+// sends the public key, and runs base-OT setup.
 func (c *Client) Setup() error {
-	if err := c.setupKeys(); err != nil {
+	keyGen := c.cfg.HEKeyGen
+	if keyGen == nil {
+		keyGen = bfv.KeyGen
+	}
+	if err := c.useKeys(keyGen(c.cfg.HEParams, c.entropy)); err != nil {
 		return err
 	}
 	return c.setupOT(c.cfg.Variant == ClientGarbler, nil, nil)

@@ -167,6 +167,9 @@ func UnmarshalSharedModel(data []byte, model *nn.Lowered) (*SharedModel, error) 
 	if err != nil {
 		return nil, codecErr(err)
 	}
+	if err := d.checkNoise(model); err != nil {
+		return nil, err
+	}
 
 	numWeightLayers := r.Count(8)
 	if r.Err() != nil {

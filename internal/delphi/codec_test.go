@@ -3,6 +3,7 @@ package delphi
 import (
 	"encoding/binary"
 	"reflect"
+	"strings"
 	"testing"
 
 	"privinf/internal/bfv"
@@ -208,4 +209,54 @@ func runPairShared(t *testing.T, art *SharedModel, x []uint64) []uint64 {
 	}
 	out, _, _, _, _ := s.inferPrivately(t, x)
 	return out
+}
+
+// TestConstructorsRefuseNoisyWeights: a model with a 256-wide row of
+// weights at ±(p−1)/2 has a matvec noise bound past the budget, so a
+// response could decrypt wrong; NewSharedModel and UnmarshalSharedModel
+// both refuse it, naming the layer and the row. The demo CNN and MLP build
+// on every seed the bfv noise tests evaluate.
+func TestConstructorsRefuseNoisyWeights(t *testing.T) {
+	f := field.New(field.P20)
+	params := testHEParams(t)
+	heavy := func(w uint64) *nn.Lowered {
+		row := make([]uint64, 256)
+		for i := range row {
+			row[i] = w
+			if i%2 == 1 {
+				row[i] = f.Neg(w)
+			}
+		}
+		return &nn.Lowered{F: f, Linear: []nn.LinearSpec{{W: [][]uint64{make([]uint64, 256), row}, B: make([]uint64, 2)}}}
+	}
+	noisy := heavy((field.P20 - 1) / 2)
+	_, err := NewSharedModel(params, noisy)
+	if err == nil || !strings.Contains(err.Error(), "layer 0") || !strings.Contains(err.Error(), "row 1") {
+		t.Fatalf("NewSharedModel on a noisy row: %v, want a refusal naming layer 0, row 1", err)
+	}
+	// An artifact of the same shape, relabelled with the noisy model's
+	// weight digest, gets past the codec's own checks to the noise check.
+	light, err := NewSharedModel(params, heavy(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	light.model = noisy
+	data, err := light.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := UnmarshalSharedModel(data, noisy); err == nil || !strings.Contains(err.Error(), "row 1") {
+		t.Fatalf("UnmarshalSharedModel on a noisy row: %v, want a refusal naming row 1", err)
+	}
+	for _, build := range []func(field.Field, int64) (*nn.Lowered, error){nn.DemoCNN, nn.DemoMLP} {
+		for _, seed := range []int64{1, 7, 42, 61, 170} {
+			m, err := build(f, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := NewSharedModel(params, m); err != nil {
+				t.Errorf("demo model seed %d refused: %v", seed, err)
+			}
+		}
+	}
 }

@@ -157,7 +157,7 @@ type Config struct {
 	// keys, the baseline. A preamble-carrying client injects a function
 	// here that returns keys derived from its cached master seed (see
 	// DeriveHEKeyPair), so the pair a full handshake sends is the same one
-	// later resumed sessions reuse without any key flight. Server sessions
+	// later resumed sessions reuse without running keygen. Server sessions
 	// ignore the field.
 	HEKeyGen func(p bfv.Params, src io.Reader) (bfv.SecretKey, bfv.PublicKey)
 }

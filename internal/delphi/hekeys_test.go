@@ -2,7 +2,7 @@ package delphi
 
 import (
 	"bytes"
-	"fmt"
+	"reflect"
 	"testing"
 
 	"privinf/internal/bfv"
@@ -107,8 +107,8 @@ func TestHEKeyPairValidate(t *testing.T) {
 // material and a derived, reused HE key pair, with no keygen — produces
 // inference outputs bit-identical to plaintext evaluation (and therefore to
 // every other correct session, the fresh-keygen path included), in both
-// variants, whether the server's ticket holds the public key (no key
-// flight) or not (the client sends it, and the server then holds it).
+// variants. The client sends its public key, and the server holds exactly
+// that key, seeded.
 func TestSetupResumedMatchesPlaintext(t *testing.T) {
 	f := field.New(field.P20)
 	model, err := nn.DemoMLP(f, 7)
@@ -117,19 +117,15 @@ func TestSetupResumedMatchesPlaintext(t *testing.T) {
 	}
 	for _, variant := range []Variant{ServerGarbler, ClientGarbler} {
 		t.Run(variant.String(), func(t *testing.T) {
-			for _, sendKey := range []bool{false, true} {
-				t.Run(fmt.Sprintf("sendKey=%v", sendKey), func(t *testing.T) {
-					resumeWithTicketKey(t, variant, model, sendKey)
-				})
-			}
+			resumeWithKeys(t, variant, model)
 		})
 	}
 }
 
-// resumeWithTicketKey resumes one session of variant on the OT state of a
-// first one and a derived key pair, the server holding the public key as a
-// ticket does (or not, when sendKey), and checks one inference.
-func resumeWithTicketKey(t *testing.T, variant Variant, model *nn.Lowered, sendKey bool) {
+// resumeWithKeys resumes one session of variant on the OT state of a first
+// one and a derived key pair, and checks the key the server received and
+// one inference.
+func resumeWithKeys(t *testing.T, variant Variant, model *nn.Lowered) {
 	first := newSession(t, variant, model, 0)
 	cliRes, srvRes := first.client.OTResume(), first.server.OTResume()
 	if cliRes == nil || srvRes == nil {
@@ -154,30 +150,17 @@ func resumeWithTicketKey(t *testing.T, variant Variant, model *nn.Lowered, sendK
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The ticket holds the key as it crossed the wire: seeded, a
-	// not yet expanded.
-	raw, err := keys.PK.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ticketKey, err := bfv.ParsePublicKey(params.N, raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sendKey {
-		ticketKey = bfv.PublicKey{}
-	}
 	nonce := []byte("resume-keys-nonce")
 	errCh := make(chan error, 1)
-	go func() { errCh <- server.SetupResumed(srvRes, nonce, ticketKey) }()
-	if err := client.SetupResumed(cliRes, nonce, keys, sendKey); err != nil {
+	go func() { errCh <- server.SetupResumed(srvRes, nonce) }()
+	if err := client.SetupResumed(cliRes, nonce, keys); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-errCh; err != nil {
 		t.Fatal(err)
 	}
-	if held, err := server.PublicKey().MarshalBinary(); err != nil || !bytes.Equal(held, raw) {
-		t.Fatalf("server holds another public key than the client's (err %v)", err)
+	if !reflect.DeepEqual(server.pk, keys.PK) {
+		t.Fatal("server holds another public key than the client's")
 	}
 
 	s := &session{client: client, server: server, model: model}
@@ -226,20 +209,20 @@ func TestSetupResumedRejectsBadState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := client.SetupResumed(senderRes, []byte("n"), wrongKeys, false); err == nil {
+	if err := client.SetupResumed(senderRes, []byte("n"), wrongKeys); err == nil {
 		t.Fatal("wrong-degree pair accepted")
 	}
-	if err := client.SetupResumed(nil, []byte("n"), goodKeys, false); err == nil {
+	if err := client.SetupResumed(nil, []byte("n"), goodKeys); err == nil {
 		t.Fatal("nil OT state accepted")
 	}
-	if err := client.SetupResumed(senderRes, nil, goodKeys, false); err == nil {
+	if err := client.SetupResumed(senderRes, nil, goodKeys); err == nil {
 		t.Fatal("empty session nonce accepted")
 	}
 	sgClient, err := NewClient(cc, Config{Variant: ServerGarbler, HEParams: params}, MetaOf(model), newSeeded(2009))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sgClient.SetupResumed(senderRes, []byte("n"), goodKeys, false); err == nil {
+	if err := sgClient.SetupResumed(senderRes, []byte("n"), goodKeys); err == nil {
 		t.Fatal("sender state accepted for a receiver role")
 	}
 
@@ -248,13 +231,13 @@ func TestSetupResumedRejectsBadState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := server.SetupResumed(nil, []byte("n"), goodKeys.PK); err == nil {
+	if err := server.SetupResumed(nil, []byte("n")); err == nil {
 		t.Fatal("server accepted nil OT state")
 	}
-	if err := server.SetupResumed(senderRes, []byte("n"), goodKeys.PK); err == nil {
+	if err := server.SetupResumed(senderRes, []byte("n")); err == nil {
 		t.Fatal("server accepted a sender state for its receiver role")
 	}
-	if err := server.SetupResumed(first.server.OTResume(), []byte("n"), wrongKeys.PK); err == nil {
-		t.Fatal("server accepted a ticket key of another ring degree")
+	if cc.SentBytes() != 0 {
+		t.Fatalf("refused resumptions sent %d bytes", cc.SentBytes())
 	}
 }

@@ -26,8 +26,8 @@ type Server struct {
 	pres []*serverPre
 
 	// pk is the client's public key, which re-randomizes every response.
-	// It arrives seeded; its a expands on the first pre-compute, so a
-	// resumed connect does no key work.
+	// It arrives seeded on every connect; its a expands on the first
+	// pre-compute, so setup does no key work.
 	pk bfv.PublicKey
 }
 
@@ -74,10 +74,6 @@ func (s *Server) recvKey() error {
 	}
 	return nil
 }
-
-// PublicKey returns the client's public key as this session holds it:
-// what a resumption ticket keeps for the client's later sessions.
-func (s *Server) PublicKey() bfv.PublicKey { return s.pk }
 
 // RunOffline executes the server side of one pre-compute.
 func (s *Server) RunOffline() (OfflineReport, error) {

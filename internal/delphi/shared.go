@@ -109,15 +109,19 @@ type SharedModel struct {
 	size    uint64            // resident footprint, computed once at build
 }
 
-// NewSharedModel validates the model against the HE parameters and builds
-// the artifact: plans, encoded weights (the dominant cost, parallelized
-// inside bfv.EncodeMatrix), and ReLU circuits.
+// NewSharedModel validates the model against the HE parameters, refuses
+// weights the noise budget cannot carry (checkNoise), and builds the
+// artifact: plans, encoded weights (the dominant cost, parallelized inside
+// bfv.EncodeMatrix), and ReLU circuits.
 func NewSharedModel(params bfv.Params, model *nn.Lowered) (*SharedModel, error) {
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
 	d, err := derive(params, MetaOf(model))
 	if err != nil {
+		return nil, err
+	}
+	if err := d.checkNoise(model); err != nil {
 		return nil, err
 	}
 	sm := &SharedModel{derived: d, model: model}
@@ -133,6 +137,25 @@ func NewSharedModel(params bfv.Params, model *nn.Lowered) (*SharedModel, error) 
 	}
 	sm.computeSize()
 	return sm, nil
+}
+
+// checkNoise refuses a model whose weights could make a response decrypt
+// wrong: each layer's rows, by their centered L1 norms, must pass the
+// plan's bfv.MatVecPlan.CheckNoise.
+func (d *derived) checkNoise(model *nn.Lowered) error {
+	for l, lin := range model.Linear {
+		norms := make([]uint64, len(lin.W))
+		for r, row := range lin.W {
+			for _, w := range row {
+				v := model.F.ToInt64(w)
+				norms[r] += uint64(max(v, -v))
+			}
+		}
+		if err := d.plans[l].CheckNoise(norms); err != nil {
+			return fmt.Errorf("delphi: layer %d: %w", l, err)
+		}
+	}
+	return nil
 }
 
 // computeSize fills sm.size from the built artifact: the NTT-domain weight

@@ -21,11 +21,13 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/stats.golden.jso
 // testdata/stats.golden.json was written at commit 2ee280d, when the router
 // kept each count in an atomic field next to its obs mirror (and guarded
 // the two spill counts by different predicates); the test proves the
-// instrument-backed Stats() is the same view. It was regenerated three times
+// instrument-backed Stats() is the same view. It was regenerated four times
 // since: to drop a counter of the engine's deleted garbling coalescer, when
-// the ReLU circuit shrank, which moved each artifact's SizeBytes, and when
+// the ReLU circuit shrank, which moved each artifact's SizeBytes, when
 // tickets began to hold the client's seeded public key (wire v13), which
-// moved each replica's Tickets.Bytes by its 32,784 bytes. Durations are
+// moved each replica's Tickets.Bytes by its 32,784 bytes, and when they
+// stopped (wire v14), which moved it back to the OT receiver state's 4,096
+// bytes. Durations are
 // zeroed; no session is live at the snapshot. Regenerate only when the
 // scenario or a footprint it reports changes:
 //

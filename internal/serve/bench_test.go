@@ -261,7 +261,7 @@ func BenchmarkRegistrySpillReload(b *testing.B) {
 // full restart of both parties per iteration — new engine over the same
 // TicketDir (ticket reload included), preamble reloaded from its store —
 // followed by the reconnect, which must still take the resumed fast path
-// (no base OTs, no BFV keygen, no public-key flight). This is the cost of
+// (no base OTs, no BFV keygen). This is the cost of
 // "the service restarted and a repeat client came back": engine
 // construction dominates, and the delta against BenchmarkSessionResume's
 // in-process resumed tier is what persistence itself costs.

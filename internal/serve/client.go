@@ -189,12 +189,11 @@ func Connect(conn *transport.Conn, options ...Option) (*Client, error) {
 	}
 	// Settle the session's HE keys against the resumption outcome before
 	// building the endpoint. A resumed session reuses the cached pair from
-	// the ticket's generation — the server's ticket holds its public key,
-	// so neither keygen nor the key flight runs, unless the welcome says
-	// the ticket predates that (KeyWanted): then the same key is sent once.
-	// A full handshake with a preamble derives the next generation from
-	// the master seed (fresh derivation nonce) and sends its public key
-	// through the normal Setup path via Config.HEKeyGen.
+	// the ticket's generation, so no keygen runs; its public key is sent
+	// all the same, since the server keeps none past a session. A full
+	// handshake with a preamble derives the next generation from the
+	// master seed (fresh derivation nonce) and sends its public key through
+	// the normal Setup path via Config.HEKeyGen.
 	var resumeKeys delphi.HEKeyPair
 	if w.Resumed {
 		keys, ok := opts.Preamble.resumeHEKeys(params)
@@ -227,7 +226,7 @@ func Connect(conn *transport.Conn, options ...Option) (*Client, error) {
 	switch {
 	case err != nil:
 	case w.Resumed:
-		err = c.cli.SetupResumed(state, joinNonce(nonce, w.Nonce), resumeKeys, w.KeyWanted)
+		err = c.cli.SetupResumed(state, joinNonce(nonce, w.Nonce), resumeKeys)
 	default:
 		err = c.cli.Setup()
 		if err == nil && opts.Preamble != nil && len(w.Ticket) > 0 {

@@ -12,6 +12,7 @@ import (
 	"privinf/internal/delphi"
 	"privinf/internal/nn"
 	"privinf/internal/obs"
+	"privinf/internal/ot"
 )
 
 // Cross-restart battery for durable session state: each test crashes one
@@ -132,8 +133,8 @@ func TestClientRestartKeepsResumedPath(t *testing.T) {
 
 // TestBothPartiesRestartResume is the tentpole acceptance test: both
 // processes die, both reload from disk, and the very first connect of the
-// new pair completes the fast path — ticket accepted, no BFV keygen, no
-// public-key flight — with output bit-identical to the cold session's.
+// new pair completes the fast path — ticket accepted, no base OTs, no BFV
+// keygen — with output bit-identical to the cold session's.
 func TestBothPartiesRestartResume(t *testing.T) {
 	ticketDir := t.TempDir()
 	cfg, model := durableConfig(t, ticketDir, 162)
@@ -339,20 +340,21 @@ func TestTicketDirRequiresResumption(t *testing.T) {
 // encrypts the seeded uploads directly, v11 the garbled layer record, which
 // no store holds either, v12 Server-Garbler's b and r OTs, which now end at
 // their t frames and expand the same seeds, v13 the public key, which a
-// ticket now holds, seeded, for re-randomizing responses. testdata/wire4
-// through wire12 are what the last commit of each release left after one
-// cold Client-Garbler session on testModel(170): the engine's ticket
-// directory and the client's preamble file (saved with no cached model
-// artifact, which keeps the file small and makes the reconnect rebuild
-// it). The current engine loads the ticket, the current client resumes on
-// it — no base OTs, no keygen: the preamble's key derives again under its
-// unchanged nonce in the seeded form, and the welcome asks for it once,
-// since the ticket holds none — and the inference, whose label OTs expand
-// the resumed seeds, is bit-exact. The key the client sent then upgrades
-// the ticket, on disk too: a restarted engine resumes the next connect
-// without asking.
+// ticket held, seeded, for re-randomizing responses, and v14 that key
+// again, which every connect now sends, so a ticket holds OT seeds only.
+// testdata/wire4 through wire13 are what the last commit of each release
+// left after one cold Client-Garbler session on testModel(170): the
+// engine's ticket directory and the client's preamble file (saved with no
+// cached model artifact, which keeps the file small and makes the reconnect
+// rebuild it). The current engine loads the ticket — a v13 one drops the
+// key it holds — the current client resumes on it — no base OTs, no keygen:
+// the preamble's key derives again under its unchanged nonce in the seeded
+// form, and is sent — and the inference, whose label OTs expand the resumed
+// seeds, is bit-exact. Every engine over the ticket, the restarted one too,
+// holds the OT receiver state and nothing else, and the ticket is re-saved
+// without a key.
 func TestOlderWireStateResumes(t *testing.T) {
-	for _, release := range []string{"wire4", "wire5", "wire6", "wire7", "wire8", "wire9", "wire10", "wire11", "wire12"} {
+	for _, release := range []string{"wire4", "wire5", "wire6", "wire7", "wire8", "wire9", "wire10", "wire11", "wire12", "wire13"} {
 		t.Run(release, func(t *testing.T) {
 			dir := t.TempDir() // the stores sweep and rewrite their directories
 			if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", release))); err != nil {
@@ -360,8 +362,10 @@ func TestOlderWireStateResumes(t *testing.T) {
 			}
 			cfg, model := durableConfig(t, filepath.Join(dir, "tickets"), 170)
 			eng, ln := pipeEngine(t, cfg)
-			if st := eng.Stats(); st.Tickets.Loaded != 1 || st.Tickets.LoadErrors != 0 || st.Tickets.Expired != 0 {
-				t.Fatalf("engine over the %s ticket dir: %+v, want one clean load", release, st.Tickets)
+			// A Client-Garbler engine's ticket is its OT receiver state:
+			// Tickets.Bytes is that state's OTResume.SizeBytes.
+			if st := eng.Stats().Tickets; st.Loaded != 1 || st.LoadErrors != 0 || st.Expired != 0 || st.Bytes != ot.ReceiverStateBytes {
+				t.Fatalf("engine over the %s ticket dir: %+v, want one clean load of %d bytes", release, st, ot.ReceiverStateBytes)
 			}
 			ps, err := NewPreambleStore(filepath.Join(dir, "preamble"))
 			if err != nil {
@@ -385,14 +389,24 @@ func TestOlderWireStateResumes(t *testing.T) {
 			}
 			inferOnce(t, c, model)
 			c.Close()
-			before := eng.Stats().Tickets.Bytes
-			if err := eng.Close(); err != nil { // flushes the upgraded ticket
+			if err := eng.Close(); err != nil { // flushes the re-saved ticket
 				t.Fatal(err)
+			}
+			files, err := filepath.Glob(filepath.Join(dir, "tickets", "*"+ticketSuffix))
+			if err != nil || len(files) != 1 {
+				t.Fatalf("ticket dir after the resumed session: %v (err %v), want one record", files, err)
+			}
+			fi, err := os.Stat(files[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fi.Size() >= bfv.SeedSize+8*bfv.DefaultN {
+				t.Fatalf("re-saved %s ticket is %d bytes, want a record smaller than one key", release, fi.Size())
 			}
 
 			eng2, ln2 := pipeEngine(t, cfg)
-			if st := eng2.Stats().Tickets; st.Loaded != 1 || st.Bytes != before || before < bfv.SeedSize+8*bfv.DefaultN {
-				t.Fatalf("restart over the upgraded %s ticket: %+v, want one load of %d bytes holding the key", release, st, before)
+			if st := eng2.Stats().Tickets; st.Loaded != 1 || st.Bytes != ot.ReceiverStateBytes {
+				t.Fatalf("restart over the %s ticket: %+v, want one load of %d bytes", release, st, ot.ReceiverStateBytes)
 			}
 			c2 := connectPreamble(t, ln2, "", p)
 			defer c2.Close()

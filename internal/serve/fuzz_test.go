@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"privinf/internal/bfv"
+	"privinf/internal/bin"
 	"privinf/internal/delphi"
 	"privinf/internal/field"
 	"privinf/internal/nn"
@@ -32,19 +33,18 @@ func demoParams(model *nn.Lowered) (bfv.Params, error) {
 // keeps plain `go test` exercising the interesting shapes.
 
 // FuzzTicketRecordUnmarshal: arbitrary bytes never panic the record codec,
-// and any accepted payload re-encodes to exactly the input — the codec
-// admits only its own canonical encoding.
+// and any accepted payload re-encodes to exactly the input, or to the
+// input minus one trailing length-prefixed key that bfv.ParsePublicKey
+// accepts (a wire-v13 record, whose key the reader checks and drops) —
+// the codec admits only its own canonical encoding and that one legacy
+// form.
 func FuzzTicketRecordUnmarshal(f *testing.F) {
 	rec := testTicketRecord(f, 70, time.Now().Add(time.Hour))
 	valid, err := marshalTicketRecord(rec)
 	if err != nil {
 		f.Fatal(err)
 	}
-	rec.key = testTicketKey(f)
-	keyed, err := marshalTicketRecord(rec)
-	if err != nil {
-		f.Fatal(err)
-	}
+	keyed := withTicketKey(f, valid)
 	f.Add(valid)
 	f.Add([]byte{})
 	f.Add(valid[:len(valid)/2])
@@ -61,8 +61,19 @@ func FuzzTicketRecordUnmarshal(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted payload failed to re-encode: %v", err)
 		}
-		if !bytes.Equal(re, data) {
+		if bytes.Equal(re, data) {
+			return
+		}
+		if !bytes.HasPrefix(data, re) {
 			t.Fatalf("non-canonical payload accepted: %d bytes in, %d bytes re-encoded", len(data), len(re))
+		}
+		r := bin.NewReader(data[len(re):])
+		key := r.Blob()
+		if err := r.Done(); err != nil {
+			t.Fatalf("accepted payload ends in %d bytes that are no one blob: %v", len(data)-len(re), err)
+		}
+		if _, err := bfv.ParsePublicKey((len(key)-bfv.SeedSize)/8, key); err != nil {
+			t.Fatalf("accepted payload ends in a blob that is no strict key: %v", err)
 		}
 	})
 }

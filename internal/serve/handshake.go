@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 
-	"privinf/internal/bfv"
 	"privinf/internal/delphi"
 	"privinf/internal/obs"
 	"privinf/internal/transport"
@@ -96,7 +95,6 @@ func (e *Engine) handshake(conn *transport.Conn, addr string) *session {
 	// rides in the welcome) and published once setup produces its state.
 	var (
 		resume       *delphi.OTResume
-		ticketKey    bfv.PublicKey
 		resumeReject string
 		newTicket    []byte
 		serverNonce  []byte
@@ -108,7 +106,7 @@ func (e *Engine) handshake(conn *transport.Conn, addr string) *session {
 		case len(hello.Nonce) == 0:
 			resumeReject = resumeBadNonce
 		default:
-			resume, ticketKey, resumeReject = e.tickets.redeem(hello.Ticket, name)
+			resume, resumeReject = e.tickets.redeem(hello.Ticket, name)
 		}
 	}
 	if resume != nil {
@@ -151,13 +149,6 @@ func (e *Engine) handshake(conn *transport.Conn, addr string) *session {
 		sendCtrl(conn, opErr, []byte(err.Error()))
 		return nil
 	}
-	// A ticket from before wire v13 holds no public key, or one of another
-	// ring degree: the welcome asks the client to send it once, and the
-	// session's key then upgrades the ticket.
-	keyWanted := resume != nil && ticketKey.Degree() != artifact.Params().N
-	if keyWanted {
-		ticketKey = bfv.PublicKey{}
-	}
 	welcome := marshalJSON(welcomeMsg{
 		Version:      wireVersion,
 		Variant:      int(e.cfg.Variant),
@@ -165,7 +156,6 @@ func (e *Engine) handshake(conn *transport.Conn, addr string) *session {
 		Model:        name,
 		Meta:         artifact.Meta(),
 		Resumed:      resume != nil,
-		KeyWanted:    keyWanted,
 		ResumeReject: resumeReject,
 		Ticket:       newTicket,
 		Nonce:        serverNonce,
@@ -201,17 +191,14 @@ func (e *Engine) handshake(conn *transport.Conn, addr string) *session {
 	case err != nil:
 	case resume != nil:
 		// Both halves contribute to the per-session nonce, so neither party
-		// can force a stream replay on the other. A resumed client reuses
-		// the key pair whose public key the ticket holds, so no key crosses
-		// the wire here unless the welcome asked for it.
-		err = s.srv.SetupResumed(resume, joinNonce(hello.Nonce, serverNonce), ticketKey)
-		if err == nil && keyWanted {
-			e.tickets.upgrade(hello.Ticket, s.srv.PublicKey())
-		}
+		// can force a stream replay on the other. The client sends its
+		// public key here, as on a full handshake: the ticket holds OT
+		// seeds only.
+		err = s.srv.SetupResumed(resume, joinNonce(hello.Nonce, serverNonce))
 	default:
 		err = s.srv.Setup()
 		if err == nil && newTicket != nil {
-			e.tickets.insert(newTicket, s.srv.OTResume(), s.srv.PublicKey())
+			e.tickets.insert(newTicket, s.srv.OTResume())
 		}
 	}
 	if err != nil {

@@ -18,9 +18,10 @@ import (
 //     the client-side seed material it resumes from, so reconnects skip
 //     the public-key base OTs entirely; and
 //   - a master HE key seed plus the BFV key pair derived from it for the
-//     current ticket generation, so a resumed connect skips both the BFV
-//     keygen and the public-key flight (the server's ticket keeps this pk,
-//     which re-randomizes every response).
+//     current ticket generation, so a resumed connect skips the BFV keygen.
+//     It still sends the public key, which re-randomizes every response:
+//     the server keeps it for the session only, and its ticket holds OT
+//     seeds alone.
 //
 // It holds no model state: every session derives its matvec plans and ReLU
 // circuits from the welcome's metadata (delphi.NewClient).
@@ -61,8 +62,9 @@ func (p *Preamble) HasTicket() bool {
 	return len(p.ticket) > 0
 }
 
-// SizeBytes reports the preamble's resident footprint: OT seed material
-// and HE key material.
+// SizeBytes reports the preamble's resident footprint: OT seed material,
+// the master HE seed, and the key pair as held — sk, and pk seeded, seed ‖
+// b.
 func (p *Preamble) SizeBytes() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -72,8 +74,8 @@ func (p *Preamble) SizeBytes() uint64 {
 	}
 	n += uint64(len(p.heSeed))
 	if p.heKeys != nil {
-		// sk is one ring element, pk two, 8 bytes per coefficient.
-		n += uint64(p.heKeys.SK.Degree()) * 8 * 3
+		// sk and b are one ring element each, 8 bytes a coefficient.
+		n += uint64(p.heKeys.SK.Degree())*8*2 + bfv.SeedSize
 	}
 	return n
 }

@@ -15,9 +15,10 @@ import (
 // name. With both a ticket store on the engine and a preamble store on the
 // client, session resumption survives full process restarts of either or
 // both parties — a cold client process loads its preamble and reconnects
-// on the resumed fast path: no base OTs, no BFV keygen, no public-key
-// flight. Circuits and plans are not stored: they are rebuilt once per
-// process per model, from the welcome's metadata.
+// on the resumed fast path: no base OTs and no BFV keygen; the stored
+// public key crosses as on every connect. Circuits and plans are not
+// stored: they are rebuilt once per process per model, from the welcome's
+// metadata.
 //
 // Files use the serve package's shared framing (see framing.go) and
 // atomic-write discipline, with typed failure sentinels: a missing file is

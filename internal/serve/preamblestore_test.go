@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"reflect"
 	"testing"
 
 	"privinf/internal/bfv"
@@ -149,5 +150,31 @@ func TestUnmarshalPreambleRejectsSemanticDamage(t *testing.T) {
 		if _, err := UnmarshalPreamble(w.Buf); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// TestPreambleCountsWhatItHolds: after a cold Client-Garbler connect at
+// N = 4096 a preamble holds the OT sender state (2,064 B), the master HE
+// seed (32 B), sk (32,768 B) and the public key seeded, seed ‖ b (32,784
+// B): 67,648 B, and a reload of it holds and reports the same, its public
+// key included.
+func TestPreambleCountsWhatItHolds(t *testing.T) {
+	model := testModel(t, 68)
+	_, ln := pipeEngine(t, testConfig(t, model))
+	p := NewPreamble()
+	connectPreamble(t, ln, "", p).Close()
+	if got := p.SizeBytes(); got != 67648 {
+		t.Fatalf("fresh preamble reports %d bytes, want 67,648", got)
+	}
+	raw, err := p.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := UnmarshalPreamble(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.SizeBytes() != p.SizeBytes() || !reflect.DeepEqual(loaded.heKeys.PK, p.heKeys.PK) {
+		t.Fatalf("reloaded preamble reports %d bytes and holds another key form than the fresh one's %d", loaded.SizeBytes(), p.SizeBytes())
 	}
 }

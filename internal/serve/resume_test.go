@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"privinf/internal/bfv"
 	"privinf/internal/delphi"
 	"privinf/internal/field"
 	"privinf/internal/nn"
@@ -49,6 +48,40 @@ func pipeEngine(t testing.TB, cfg Config) (*Engine, *transport.PipeListener) {
 	go eng.Serve(ln)
 	t.Cleanup(func() { eng.Close() })
 	return eng, ln
+}
+
+// TestTicketHoldsOTStateOnly: a full handshake's ticket holds the engine's
+// OT seeds and no key — 4,096 B, the OT receiver state, under
+// Client-Garbler and 2,064 B, the sender state, under Server-Garbler — and
+// a resumed connect, whose client sends its key, runs bit-exact and leaves
+// the ticket as it was.
+func TestTicketHoldsOTStateOnly(t *testing.T) {
+	model := testModel(t, 67)
+	for _, c := range []struct {
+		variant delphi.Variant
+		bytes   int64
+	}{{delphi.ClientGarbler, 4096}, {delphi.ServerGarbler, 2064}} {
+		t.Run(c.variant.String(), func(t *testing.T) {
+			cfg := testConfig(t, model)
+			cfg.Variant = c.variant
+			eng, ln := pipeEngine(t, cfg)
+			p := NewPreamble()
+			connectPreamble(t, ln, "", p).Close()
+			eng.tickets.flush() // a Client-Garbler client returns before the engine's seeds exist
+			if st := eng.Stats().Tickets; st.Tickets != 1 || st.Bytes != c.bytes {
+				t.Fatalf("after one cold handshake: %d tickets of %d bytes, want 1 of %d", st.Tickets, st.Bytes, c.bytes)
+			}
+			resumed := connectPreamble(t, ln, "", p)
+			defer resumed.Close()
+			if !resumed.Resumed() {
+				t.Fatal("reconnect did not resume")
+			}
+			inferOnce(t, resumed, model)
+			if st := eng.Stats().Tickets; st.Tickets != 1 || st.Bytes != c.bytes {
+				t.Fatalf("after a resumed session: %d tickets of %d bytes, want 1 of %d", st.Tickets, st.Bytes, c.bytes)
+			}
+		})
+	}
 }
 
 // TestSessionResumeRoundTrip is the preamble subsystem's acceptance test on
@@ -240,10 +273,10 @@ func TestTicketCachePrunesExpiredOnInsert(t *testing.T) {
 	tc.now = func() time.Time { return now }
 
 	stale := tc.reserve("m")
-	tc.insert(stale, state, bfv.PublicKey{})
+	tc.insert(stale, state)
 	now = base.Add(2 * time.Minute) // past the TTL
 	fresh := tc.reserve("m")
-	tc.insert(fresh, state, bfv.PublicKey{})
+	tc.insert(fresh, state)
 
 	st := tc.stats(nil)
 	if st.Tickets != 1 {
@@ -252,10 +285,10 @@ func TestTicketCachePrunesExpiredOnInsert(t *testing.T) {
 	if st.Expired != 1 {
 		t.Fatalf("expired counter = %d, want 1 (the pruned ticket)", st.Expired)
 	}
-	if _, _, reject := tc.redeem(stale, "m"); reject != resumeUnknownTicket {
+	if _, reject := tc.redeem(stale, "m"); reject != resumeUnknownTicket {
 		t.Fatalf("pruned ticket redeems with %q, want %q (already gone)", reject, resumeUnknownTicket)
 	}
-	if got, _, reject := tc.redeem(fresh, "m"); got == nil || reject != "" {
+	if got, reject := tc.redeem(fresh, "m"); got == nil || reject != "" {
 		t.Fatalf("fresh ticket rejected with %q", reject)
 	}
 }
@@ -285,14 +318,24 @@ func TestPreambleVersionMismatchRejected(t *testing.T) {
 		{"preamble v10", [][]byte{preamble(10)}},
 		{"preamble v11", [][]byte{preamble(11)}},
 		{"preamble v12", [][]byte{preamble(12)}},
-		{"v5 hello inside a v13 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 5}))}},
-		{"v6 hello inside a v13 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 6}))}},
-		{"v7 hello inside a v13 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 7}))}},
-		{"v8 hello inside a v13 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 8}))}},
-		{"v9 hello inside a v13 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 9}))}},
-		{"v10 hello inside a v13 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 10}))}},
-		{"v11 hello inside a v13 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 11}))}},
-		{"v12 hello inside a v13 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 12}))}},
+		{"preamble v13", [][]byte{preamble(13)}},
+		{"v5 hello inside a v13 preamble", [][]byte{preamble(13), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 5}))}},
+		{"v6 hello inside a v13 preamble", [][]byte{preamble(13), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 6}))}},
+		{"v7 hello inside a v13 preamble", [][]byte{preamble(13), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 7}))}},
+		{"v8 hello inside a v13 preamble", [][]byte{preamble(13), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 8}))}},
+		{"v9 hello inside a v13 preamble", [][]byte{preamble(13), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 9}))}},
+		{"v10 hello inside a v13 preamble", [][]byte{preamble(13), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 10}))}},
+		{"v11 hello inside a v13 preamble", [][]byte{preamble(13), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 11}))}},
+		{"v12 hello inside a v13 preamble", [][]byte{preamble(13), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 12}))}},
+		{"v5 hello inside a v14 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 5}))}},
+		{"v6 hello inside a v14 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 6}))}},
+		{"v7 hello inside a v14 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 7}))}},
+		{"v8 hello inside a v14 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 8}))}},
+		{"v9 hello inside a v14 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 9}))}},
+		{"v10 hello inside a v14 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 10}))}},
+		{"v11 hello inside a v14 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 11}))}},
+		{"v12 hello inside a v14 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 12}))}},
+		{"v13 hello inside a v14 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 13}))}},
 	} {
 		conn, err := transport.Dial(ln.Addr())
 		if err != nil {

@@ -22,7 +22,8 @@ import (
 // to drop the garbling coalescer's counters with the coalescer and when the
 // ReLU circuit shrank, which moved the artifact SizeBytes, and when tickets
 // began to hold the client's seeded public key (wire v13), which moved
-// Tickets.Bytes by its 32,784 bytes; the test
+// Tickets.Bytes by its 32,784 bytes, and when they stopped (wire v14),
+// which moved it back to the OT sender state's 2,064; the test
 // proves Stats() read from the instruments is the same view — with span
 // timing on and with obs.SetEnabled(false), which gates time.Now calls,
 // never a count. Durations and the live session's connection byte totals

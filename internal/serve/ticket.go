@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"privinf/internal/bfv"
 	"privinf/internal/delphi"
 	"privinf/internal/obs"
 )
@@ -19,11 +18,9 @@ const (
 	// window, so an active client never falls off the fast path.
 	DefaultTicketTTL = 15 * time.Minute
 	// DefaultTicketBudget caps the cache's resident ticket state when
-	// Config.TicketBudget is zero. A ticket holds ~4 KiB of OT seeds and,
-	// since wire v13, the client's seeded HE public key (32,784 B at
-	// N = 4096), ~37 KB in all, so 4 MiB holds ~110 repeat clients where it
-	// held ~1,000. The default stays 4 MiB: a deployment with more repeat
-	// clients sets Config.TicketBudget.
+	// Config.TicketBudget is zero. A ticket holds OT seeds only, ≈ 4 KB
+	// under Client-Garbler (the OT receiver state) and ≈ 2 KB under
+	// Server-Garbler, so 4 MiB holds ≈ 1,000 Client-Garbler clients.
 	DefaultTicketBudget int64 = 4 << 20
 )
 
@@ -34,8 +31,7 @@ const ticketIDBytes = 16
 
 // ticketCache is the server half of the OT resumption cache: it maps
 // opaque tickets to the engine's cached base-OT seed material
-// (delphi.OTResume) and the client's HE public key, bounded by a TTL and a
-// byte budget with LRU eviction
+// (delphi.OTResume), bounded by a TTL and a byte budget with LRU eviction
 // — the same budget discipline the model registry applies to artifacts,
 // applied to per-client correlation state. All methods are safe for
 // concurrent use.
@@ -81,26 +77,13 @@ type ticketCache struct {
 	events *obs.CounterVec
 }
 
-// ticketEntry is one cached client correlation: the OT state, and the
-// client's public key, which re-randomizes its responses (zero in a ticket
-// from before wire v13 until upgrade adds it).
+// ticketEntry is one cached client correlation: its OT state, whose
+// SizeBytes is what the entry holds resident.
 type ticketEntry struct {
 	id      string
 	state   *delphi.OTResume
-	key     bfv.PublicKey
 	expires time.Time
-	size    int64
 	elem    *list.Element
-}
-
-// entrySize is what a ticket holds resident: its OT seeds and its key,
-// seed ‖ b.
-func entrySize(state *delphi.OTResume, key bfv.PublicKey) int64 {
-	size := state.SizeBytes()
-	if key.Degree() > 0 {
-		size += int64(bfv.SeedSize + 8*key.Degree())
-	}
-	return size
 }
 
 func newTicketCache(ttl time.Duration, budget int64, entropy io.Reader, events *obs.CounterVec) *ticketCache {
@@ -172,10 +155,9 @@ func (tc *ticketCache) settle(id []byte) {
 	tc.settled.Broadcast()
 }
 
-// insert publishes seed material and the client's key under a reserved
-// ticket and evicts LRU entries past the byte budget (never the one just
-// inserted).
-func (tc *ticketCache) insert(id []byte, state *delphi.OTResume, key bfv.PublicKey) {
+// insert publishes seed material under a reserved ticket and evicts LRU
+// entries past the byte budget (never the one just inserted).
+func (tc *ticketCache) insert(id []byte, state *delphi.OTResume) {
 	defer tc.settle(id)
 	if state == nil {
 		return
@@ -183,9 +165,7 @@ func (tc *ticketCache) insert(id []byte, state *delphi.OTResume, key bfv.PublicK
 	e := &ticketEntry{
 		id:      string(id),
 		state:   state,
-		key:     key,
 		expires: tc.now().Add(tc.ttl),
-		size:    entrySize(state, key),
 	}
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
@@ -193,7 +173,7 @@ func (tc *ticketCache) insert(id []byte, state *delphi.OTResume, key bfv.PublicK
 	// outlive their TTL just because the holder never reconnects and the
 	// byte budget never bites. Inserts happen at most once per full
 	// handshake, whose base OTs and HE keygen take tens of milliseconds,
-	// and the default budget holds about a hundred entries, so the scan
+	// and the default budget holds about a thousand entries, so the scan
 	// costs microseconds against that.
 	// Not-Before, not After: a ticket is dead AT its expiry instant, the
 	// same boundary redeem enforces.
@@ -211,7 +191,7 @@ func (tc *ticketCache) insert(id []byte, state *delphi.OTResume, key bfv.PublicK
 	}
 	tc.entries[e.id] = e
 	e.elem = tc.lru.PushFront(e)
-	tc.bytes += e.size
+	tc.bytes += e.state.SizeBytes()
 	tc.evictOver()
 	tc.enqueueSave(e)
 }
@@ -227,12 +207,12 @@ func (tc *ticketCache) evictOver() {
 	}
 }
 
-// redeem exchanges a presented ticket for its cached seed material and
-// key. On success it returns them, refreshes the TTL (a sliding window),
-// and bumps the LRU; otherwise it returns the typed welcome reject code.
+// redeem exchanges a presented ticket for its cached seed material. On
+// success it returns it, refreshes the TTL (a sliding window), and bumps
+// the LRU; otherwise it returns the typed welcome reject code.
 // The entry survives redemption — one ticket serves every reconnect until
 // it expires or is evicted.
-func (tc *ticketCache) redeem(id []byte, model string) (*delphi.OTResume, bfv.PublicKey, string) {
+func (tc *ticketCache) redeem(id []byte, model string) (*delphi.OTResume, string) {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
 	for tc.pending[string(id)] {
@@ -241,7 +221,7 @@ func (tc *ticketCache) redeem(id []byte, model string) (*delphi.OTResume, bfv.Pu
 	e, ok := tc.entries[string(id)]
 	if !ok {
 		tc.events.With(model, ticketUnknown).Inc()
-		return nil, bfv.PublicKey{}, resumeUnknownTicket
+		return nil, resumeUnknownTicket
 	}
 	// A ticket is dead AT its expiry instant: a lookup at exactly t = TTL
 	// is a typed expiry, not a hit. The not-Before form (rather than
@@ -251,7 +231,7 @@ func (tc *ticketCache) redeem(id []byte, model string) (*delphi.OTResume, bfv.Pu
 	if !tc.now().Before(e.expires) {
 		tc.drop(e)
 		tc.events.With(model, ticketExpired).Inc()
-		return nil, bfv.PublicKey{}, resumeExpiredTicket
+		return nil, resumeExpiredTicket
 	}
 	e.expires = tc.now().Add(tc.ttl)
 	tc.lru.MoveToFront(e.elem)
@@ -259,26 +239,7 @@ func (tc *ticketCache) redeem(id []byte, model string) (*delphi.OTResume, bfv.Pu
 	// The slid expiry is durable state: re-persist so a restart honors the
 	// refreshed window rather than the stale one on disk.
 	tc.enqueueSave(e)
-	return e.state, e.key, ""
-}
-
-// upgrade gives a live ticket the key its client sent on a resumed
-// connect, because the ticket held none it could use (one written before
-// wire v13), and persists it; the client's later connects send no key.
-func (tc *ticketCache) upgrade(id []byte, key bfv.PublicKey) {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	e, ok := tc.entries[string(id)]
-	if !ok {
-		return
-	}
-	e.key = key
-	tc.bytes -= e.size
-	e.size = entrySize(e.state, key)
-	tc.bytes += e.size
-	tc.lru.MoveToFront(e.elem)
-	tc.evictOver()
-	tc.enqueueSave(e)
+	return e.state, ""
 }
 
 // drop unlinks an entry and queues the deletion of its disk record —
@@ -287,7 +248,7 @@ func (tc *ticketCache) upgrade(id []byte, key bfv.PublicKey) {
 func (tc *ticketCache) drop(e *ticketEntry) {
 	delete(tc.entries, e.id)
 	tc.lru.Remove(e.elem)
-	tc.bytes -= e.size
+	tc.bytes -= e.state.SizeBytes()
 	if store, id := tc.store, []byte(e.id); store != nil {
 		tc.persist(func() error { return store.remove(id) })
 	}
@@ -299,7 +260,7 @@ func (tc *ticketCache) drop(e *ticketEntry) {
 // Caller holds tc.mu.
 func (tc *ticketCache) enqueueSave(e *ticketEntry) {
 	if store := tc.store; store != nil {
-		rec := ticketRecord{id: []byte(e.id), expires: e.expires, state: e.state, key: e.key}
+		rec := ticketRecord{id: []byte(e.id), expires: e.expires, state: e.state}
 		tc.persist(func() error { return store.save(rec) })
 	}
 }
@@ -357,13 +318,11 @@ func (tc *ticketCache) attachStore(ts *ticketStore) {
 		e := &ticketEntry{
 			id:      string(rec.id),
 			state:   rec.state,
-			key:     rec.key,
 			expires: rec.expires,
-			size:    entrySize(rec.state, rec.key),
 		}
 		tc.entries[e.id] = e
 		e.elem = tc.lru.PushBack(e)
-		tc.bytes += e.size
+		tc.bytes += e.state.SizeBytes()
 	}
 	tc.evictOver()
 }

@@ -75,20 +75,15 @@ func newTicketStore(dir string) (*ticketStore, error) {
 }
 
 // ticketRecord is one persisted ticket: its identifier, absolute expiry,
-// the cached OT seed material, and the client's public key (zero in a
-// record written before wire v13).
+// and the cached OT seed material.
 type ticketRecord struct {
 	id      []byte
 	expires time.Time
 	state   *delphi.OTResume
-	key     bfv.PublicKey
 }
 
 // marshalTicketRecord encodes a record payload (the frame supplies
-// integrity): expiry unix-nanos, then the length-prefixed id and OT state,
-// then, when the ticket holds a key, the length-prefixed seeded key, whose
-// length gives its degree. A record with no key is byte for byte what wire
-// v12 wrote, so the format version did not move.
+// integrity): expiry unix-nanos, then the length-prefixed id and OT state.
 func marshalTicketRecord(rec ticketRecord) ([]byte, error) {
 	if rec.state == nil {
 		return nil, fmt.Errorf("serve: ticket store: nil OT state")
@@ -101,29 +96,22 @@ func marshalTicketRecord(rec ticketRecord) ([]byte, error) {
 	w.U64(uint64(rec.expires.UnixNano()))
 	w.Blob(rec.id)
 	w.Blob(raw)
-	if rec.key.Degree() > 0 {
-		key, err := rec.key.MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		w.Blob(key)
-	}
 	return w.Buf, nil
 }
 
 // unmarshalTicketRecord decodes a record payload, rejecting truncated
-// fields, hostile lengths, a key that is not a strict seeded key, and
-// trailing bytes.
+// fields, hostile lengths and trailing bytes. A record written at wire v13
+// ends in the client's length-prefixed seeded public key: it must parse
+// strictly (bfv.ParsePublicKey, its length giving the degree) and is
+// dropped, since every connect now sends the key.
 func unmarshalTicketRecord(payload []byte) (ticketRecord, error) {
 	r := bin.NewReader(payload)
 	expires := int64(r.U64())
 	id := r.Blob()
 	raw := r.Blob()
-	var key bfv.PublicKey
 	if r.Err() == nil && r.Remaining() > 0 {
-		keyRaw := r.Blob()
-		var err error
-		if key, err = bfv.ParsePublicKey((len(keyRaw)-bfv.SeedSize)/8, keyRaw); r.Err() == nil && err != nil {
+		key := r.Blob()
+		if _, err := bfv.ParsePublicKey((len(key)-bfv.SeedSize)/8, key); r.Err() == nil && err != nil {
 			return ticketRecord{}, err
 		}
 	}
@@ -141,7 +129,6 @@ func unmarshalTicketRecord(payload []byte) (ticketRecord, error) {
 		id:      append([]byte(nil), id...),
 		expires: time.Unix(0, expires),
 		state:   state,
-		key:     key,
 	}, nil
 }
 

@@ -5,10 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"os"
+	"reflect"
 	"testing"
 	"time"
 
 	"privinf/internal/bfv"
+	"privinf/internal/bin"
 	"privinf/internal/delphi"
 	"privinf/internal/obs"
 	"privinf/internal/ot"
@@ -78,23 +80,26 @@ func TestTicketRecordCodecRejectsDamage(t *testing.T) {
 		t.Fatal("nil OT state marshaled")
 	}
 
-	// A record with the client's key round-trips it; the key must be a
-	// whole seeded key, every b coefficient below q.
-	keyed := testTicketRecord(t, 6, time.Now())
-	keyed.key = testTicketKey(t)
-	raw, err = marshalTicketRecord(keyed)
+	// A wire-v13 record ends in the client's key: it loads with its id,
+	// expiry and OT state intact and re-saves keyless. The key must still
+	// be a whole seeded key, every b coefficient below q.
+	v13 := testTicketRecord(t, 6, time.Unix(0, 1234567890))
+	keyless, err := marshalTicketRecord(v13)
 	if err != nil {
 		t.Fatal(err)
 	}
+	raw = withTicketKey(t, keyless)
 	rec, err := unmarshalTicketRecord(raw)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("keyed v13 record rejected: %v", err)
 	}
-	if got, _ := rec.key.MarshalBinary(); !bytes.Equal(got, raw[len(payload)+8:]) || rec.key.Degree() != goldenRingN {
-		t.Fatal("ticket key did not round-trip")
+	if !bytes.Equal(rec.id, v13.id) || !rec.expires.Equal(v13.expires) || !reflect.DeepEqual(rec.state, v13.state) {
+		t.Fatal("keyed v13 record lost its id, expiry or OT state")
 	}
-	partial := append([]byte(nil), raw[:len(payload)]...)
-	partial = binary.LittleEndian.AppendUint64(partial, bfv.SeedSize+4)
+	if resaved, err := marshalTicketRecord(rec); err != nil || !bytes.Equal(resaved, keyless) {
+		t.Fatalf("keyed v13 record re-saved as %d bytes, want the %d keyless ones (err %v)", len(resaved), len(keyless), err)
+	}
+	partial := binary.LittleEndian.AppendUint64(append([]byte(nil), keyless...), bfv.SeedSize+4)
 	if _, err := unmarshalTicketRecord(append(partial, make([]byte, bfv.SeedSize+4)...)); err == nil {
 		t.Fatal("ticket key of a partial coefficient accepted")
 	}
@@ -105,11 +110,18 @@ func TestTicketRecordCodecRejectsDamage(t *testing.T) {
 	}
 }
 
-// testTicketKey is a fixed seeded public key of the golden degree.
-func testTicketKey(t testing.TB) bfv.PublicKey {
+// withTicketKey appends a fixed seeded public key of the golden degree to
+// a record payload, as a wire-v13 engine wrote its tickets.
+func withTicketKey(t testing.TB, payload []byte) []byte {
 	t.Helper()
 	_, pk := bfv.KeyGen(goldenParams(t), &seqEntropy{})
-	return pk
+	key, err := pk.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := bin.Writer{Buf: append([]byte(nil), payload...)}
+	w.Blob(key)
+	return w.Buf
 }
 
 // TestTicketStoreLoadSweeps: loadAll returns only the live records and
@@ -183,7 +195,7 @@ func TestTicketCacheWriteThrough(t *testing.T) {
 	tc.attachStore(ts)
 
 	id := tc.reserve("m")
-	tc.insert(id, testOTResume(t, 13), bfv.PublicKey{})
+	tc.insert(id, testOTResume(t, 13))
 	tc.flush()
 	if _, err := os.Stat(ts.path(id)); err != nil {
 		t.Fatalf("insert did not write through: %v", err)
@@ -195,7 +207,7 @@ func TestTicketCacheWriteThrough(t *testing.T) {
 
 	// Redeem slides the expiry; the disk record must carry the slid window.
 	now = base.Add(30 * time.Second)
-	if _, _, reject := tc.redeem(id, "m"); reject != "" {
+	if _, reject := tc.redeem(id, "m"); reject != "" {
 		t.Fatalf("redeem rejected with %q", reject)
 	}
 	tc.flush()
@@ -208,7 +220,7 @@ func TestTicketCacheWriteThrough(t *testing.T) {
 	}
 
 	now = now.Add(time.Minute) // exactly the slid expiry: dead
-	if _, _, reject := tc.redeem(id, "m"); reject != resumeExpiredTicket {
+	if _, reject := tc.redeem(id, "m"); reject != resumeExpiredTicket {
 		t.Fatalf("redeem at expiry = %q, want %q", reject, resumeExpiredTicket)
 	}
 	tc.flush()
@@ -230,7 +242,7 @@ func TestTicketCacheReloadAcrossRestart(t *testing.T) {
 	tc1.attachStore(ts1)
 	state := testOTResume(t, 14)
 	id := tc1.reserve("m")
-	tc1.insert(id, state, bfv.PublicKey{})
+	tc1.insert(id, state)
 	tc1.flush()
 
 	ts2, err := newTicketStore(dir)
@@ -244,7 +256,7 @@ func TestTicketCacheReloadAcrossRestart(t *testing.T) {
 	if st.Loaded != 1 || st.LoadErrors != 0 || st.Tickets != 1 {
 		t.Fatalf("restarted cache stats %+v, want one loaded ticket", st)
 	}
-	got, _, reject := tc2.redeem(id, "m")
+	got, reject := tc2.redeem(id, "m")
 	if reject != "" {
 		t.Fatalf("reloaded ticket rejected with %q", reject)
 	}
@@ -285,7 +297,7 @@ func TestTicketCacheLoadRespectsBudget(t *testing.T) {
 	diskState := testOTResume(t, 31)
 	tc2 := testTicketCache(time.Hour, -1)
 	id := tc2.reserve("m")
-	tc2.insert(id, live, bfv.PublicKey{})
+	tc2.insert(id, live)
 	dir2 := t.TempDir()
 	ts2, err := newTicketStore(dir2)
 	if err != nil {
@@ -296,7 +308,7 @@ func TestTicketCacheLoadRespectsBudget(t *testing.T) {
 	}
 	tc2.attachStore(ts2)
 	defer tc2.flush() // so must the redeem's write-behind save
-	got, _, reject := tc2.redeem(id, "m")
+	got, reject := tc2.redeem(id, "m")
 	if reject != "" {
 		t.Fatalf("redeem rejected with %q", reject)
 	}
@@ -322,18 +334,18 @@ func TestTicketExpiryAtExactTTLBoundary(t *testing.T) {
 	tc.mu.Unlock()
 
 	id := tc.reserve("m")
-	tc.insert(id, testOTResume(t, 40), bfv.PublicKey{})
+	tc.insert(id, testOTResume(t, 40))
 
 	// One instant before the boundary: still a hit (and the hit slides the
 	// window from this now).
 	now = base.Add(time.Minute - time.Nanosecond)
-	if _, _, reject := tc.redeem(id, "m"); reject != "" {
+	if _, reject := tc.redeem(id, "m"); reject != "" {
 		t.Fatalf("redeem just inside the TTL rejected with %q", reject)
 	}
 
 	// Exactly at the slid expiry: dead, typed, and dropped.
 	now = now.Add(time.Minute)
-	if state, _, reject := tc.redeem(id, "m"); state != nil || reject != resumeExpiredTicket {
+	if state, reject := tc.redeem(id, "m"); state != nil || reject != resumeExpiredTicket {
 		t.Fatalf("redeem at t=TTL: state=%v reject=%q, want typed %q", state, reject, resumeExpiredTicket)
 	}
 	st := tc.stats(nil)
@@ -341,7 +353,7 @@ func TestTicketExpiryAtExactTTLBoundary(t *testing.T) {
 		t.Fatalf("stats %+v after boundary expiry, want expired=1 tickets=0", st)
 	}
 	// And it stays dead: the drop is permanent, not a transient reject.
-	if _, _, reject := tc.redeem(id, "m"); reject != resumeUnknownTicket {
+	if _, reject := tc.redeem(id, "m"); reject != resumeUnknownTicket {
 		t.Fatalf("second redeem = %q, want %q (entry dropped)", reject, resumeUnknownTicket)
 	}
 }
@@ -363,7 +375,7 @@ func TestRedeemWaitsForPendingTicket(t *testing.T) {
 	for i, id := range [][]byte{published, abandoned} {
 		got[i] = make(chan outcome, 1)
 		go func() {
-			st, _, reject := tc.redeem(id, "m")
+			st, reject := tc.redeem(id, "m")
 			got[i] <- outcome{st, reject}
 		}()
 	}
@@ -372,7 +384,7 @@ func TestRedeemWaitsForPendingTicket(t *testing.T) {
 		tc.flush()
 		close(flushed)
 	}()
-	tc.insert(published, state, bfv.PublicKey{})
+	tc.insert(published, state)
 	tc.settle(abandoned)
 	if o := <-got[0]; o.state != state || o.reject != "" {
 		t.Fatalf("redeem of the published ticket = %v, %q; want its state", o.state, o.reject)

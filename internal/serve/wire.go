@@ -26,39 +26,37 @@ import (
 // with data frames at any point because the demultiplexer routes the two
 // tags to separate queues.
 const (
-	// wireVersion is the one wire version both ends must speak: a
-	// connection opens with a transport.Preamble frame carrying it (gating
-	// the version before any JSON is parsed) and the hello repeats it; any
-	// other value in either place is rejected with rejectVersion. Under it,
-	// hellos may carry an OT resumption ticket plus a client nonce, welcomes
-	// answer with the typed resumption outcome, a fresh ticket and the server
-	// nonce, and a Resumed welcome is followed directly by protocol traffic
-	// — only full handshakes carry the HE public-key flight and the two
-	// flights of P-256 base-OT points, except that a welcome may ask a
-	// resumed client for the key its ticket lacks (KeyWanted). Every label OT is correlated: the
-	// extension carries a t frame of 16 bytes an OT. Server-Garbler's b
-	// and r OTs run per ReLU layer around its garbled record (u up, then
-	// the record and t down) and send nothing more: the garbler pins those
-	// inputs to the OTs' zero pads, so t alone opens the labels.
-	// Client-Garbler runs its a-label OTs offline as random OTs, leaving
-	// one d frame up and one z frame (one 16-byte label an OT) down per
-	// ReLU layer online. The offline HE leg sends seeded secret-key
-	// uploads (seed ‖ c0) up, one a chunk of the byte-minimal plan, and,
-	// down, responses re-randomized under the client's public key, flooded
-	// at the read slots and switched to 2^k with c0 at those slots only
-	// (k = 34 for N = 4096 and P20). The public key crosses seeded, seed ‖
-	// b, once a ticket generation; the ticket keeps it for resumed sessions. A garbled ReLU layer is one
-	// frame, public seed ‖ units × tables ‖ packed decode bits: the garbler
-	// ships no label of an input it knows when it garbles (const-one, and
-	// b and r under Client-Garbler), whose active labels the evaluator
-	// expands from the seed. Both ends derive the ReLU
-	// circuit (130 AND gates for P20 at shift 4) and the matvec plans from
-	// the model metadata. Durable state (tickets, preambles, artifacts) holds seeds,
-	// keys and encoded weights, never group elements, ciphertexts,
-	// precomputed OTs, or anything both ends derive from the model
-	// metadata, and so carries across every bump. The history of earlier
-	// versions is in CHANGES.md.
-	wireVersion = 13
+	// wireVersion is the one wire version both ends must speak: a connection
+	// opens with a transport.Preamble frame carrying it (gating the version
+	// before any JSON is parsed) and the hello repeats it; any other value in
+	// either place is rejected with rejectVersion. Under it, hellos may carry
+	// an OT resumption ticket plus a client nonce, welcomes answer with the
+	// typed resumption outcome, a fresh ticket and the server nonce. Every
+	// welcome is followed by the client's HE public key, and only a full
+	// handshake's then by the two flights of P-256 base-OT points. Every label
+	// OT is correlated: the extension carries a t frame of 16 bytes an OT.
+	// Server-Garbler's b and r OTs run per ReLU layer around its garbled record
+	// (u up, then the record and t down) and send nothing more: the garbler
+	// pins those inputs to the OTs' zero pads, so t alone opens the labels.
+	// Client-Garbler runs its a-label OTs offline as random OTs, leaving one d
+	// frame up and one z frame (one 16-byte label an OT) down per ReLU layer
+	// online. The offline HE leg sends seeded secret-key uploads (seed ‖ c0)
+	// up, one a chunk of the byte-minimal plan, and, down, responses
+	// re-randomized under the client's public key, flooded at the read slots
+	// and switched to 2^k with c0 at those slots only (k = 34 for N = 4096 and
+	// P20). The public key crosses seeded, seed ‖ b, on every connect, and the
+	// server keeps it for that session only: a resumption ticket holds OT seeds
+	// and nothing else. A garbled ReLU layer is one frame, public seed ‖ units
+	// × tables ‖ packed decode bits: the garbler ships no label of an input it
+	// knows when it garbles (const-one, and b and r under Client-Garbler),
+	// whose active labels the evaluator expands from the seed. Both ends derive
+	// the ReLU circuit (130 AND gates for P20 at shift 4) and the matvec plans
+	// from the model metadata. Durable state (tickets, preambles, artifacts)
+	// holds seeds, keys and encoded weights, never group elements, ciphertexts,
+	// precomputed OTs, or anything both ends derive from the model metadata,
+	// and so carries across every bump. The history of earlier versions is in
+	// CHANGES.md.
+	wireVersion = 14
 
 	tagData byte = 0x00
 	tagCtrl byte = 0x01
@@ -118,11 +116,9 @@ type helloMsg struct {
 // Resumed says whether the hello's ticket was accepted (both sides then
 // expand cached seeds instead of running base OTs), ResumeReject carries
 // the typed reason when it was not (the session falls back to the full
-// base-OT path on the same connection), KeyWanted asks a resumed client
-// for its public key because the ticket holds none (one written before
-// wire v13), Ticket is a freshly issued resumption ticket for the client's
-// next connect (full handshakes only), and Nonce is the server's half of
-// the per-session nonce.
+// base-OT path on the same connection), Ticket is a freshly issued
+// resumption ticket for the client's next connect (full handshakes only),
+// and Nonce is the server's half of the per-session nonce.
 type welcomeMsg struct {
 	Version      int              `json:"version"`
 	Variant      int              `json:"variant"`
@@ -130,7 +126,6 @@ type welcomeMsg struct {
 	Model        string           `json:"model"`
 	Meta         delphi.ModelMeta `json:"meta"`
 	Resumed      bool             `json:"resumed,omitempty"`
-	KeyWanted    bool             `json:"key_wanted,omitempty"`
 	ResumeReject string           `json:"resume_reject,omitempty"`
 	Ticket       []byte           `json:"ticket,omitempty"`
 	Nonce        []byte           `json:"nonce,omitempty"`

@@ -47,8 +47,8 @@ type LocalEngine struct {
 // one to LocalEngine.Connect via WithPreamble (or serve.Connect/serve.Dial
 // via serve.WithPreamble for remote engines) on every connect of a logical
 // client: the first session runs a full handshake and fills it, every
-// later session resumes — skipping the public-key base OTs, the BFV
-// keygen and the public-key transfer.
+// later session resumes — skipping the public-key base OTs and the BFV
+// keygen.
 type Preamble = serve.Preamble
 
 // NewPreamble returns an empty session preamble.
