@@ -117,7 +117,11 @@ func TestSetupResumedMatchesPlaintext(t *testing.T) {
 	}
 	for _, variant := range []Variant{ServerGarbler, ClientGarbler} {
 		t.Run(variant.String(), func(t *testing.T) {
-			resumeWithKeys(t, variant, model)
+			// A resumed session always sends the key; there is no
+			// sendKey=false case any more.
+			t.Run("sendKey=true", func(t *testing.T) {
+				resumeWithKeys(t, variant, model)
+			})
 		})
 	}
 }
