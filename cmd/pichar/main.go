@@ -18,26 +18,15 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "which output to print: 2, 3, 4, 5, t1, or all")
+	fig := flag.String("fig", "all", "which output to print: "+figures.Choices(figures.Characterization))
 	flag.Parse()
 
-	outputs := map[string]func() string{
-		"2":  figures.Figure2,
-		"3":  figures.Figure3,
-		"4":  figures.Figure4,
-		"5":  figures.Figure5,
-		"t1": figures.Table1,
-	}
-	if *fig == "all" {
-		for _, k := range []string{"2", "3", "4", "5", "t1"} {
-			fmt.Println(outputs[k]())
-		}
-		return
-	}
-	fn, ok := outputs[*fig]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "pichar: unknown figure %q (want 2, 3, 4, 5, t1, all)\n", *fig)
+	reports, err := figures.Select(figures.Characterization, *fig)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pichar:", err)
 		os.Exit(2)
 	}
-	fmt.Println(fn())
+	for _, r := range reports {
+		fmt.Println(r.Text(0))
+	}
 }

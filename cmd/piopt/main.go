@@ -1,11 +1,12 @@
 // Command piopt prints the paper's optimization studies: client storage
 // under Client-Garbler (Figure 8), layer-parallel HE (Figure 9), wireless
 // slot allocation (Figure 11), the future-optimization waterfall
-// (Figure 14) and the client energy analysis (§5.1).
+// (Figure 14), the client energy analysis (§5.1) and the offline schedule
+// ablation (schedules).
 //
 // Usage:
 //
-//	piopt [-fig 8|9|11|14|energy|all]
+//	piopt [-fig 8|9|11|14|energy|schedules|all]
 package main
 
 import (
@@ -17,27 +18,15 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "which output to print: 8, 9, 11, 14, energy, schedules, or all")
+	fig := flag.String("fig", "all", "which output to print: "+figures.Choices(figures.Optimization))
 	flag.Parse()
 
-	outputs := map[string]func() string{
-		"8":         figures.Figure8,
-		"9":         figures.Figure9,
-		"11":        figures.Figure11,
-		"14":        figures.Figure14,
-		"energy":    figures.EnergyTable,
-		"schedules": figures.ScheduleAblation,
-	}
-	if *fig == "all" {
-		for _, k := range []string{"8", "9", "11", "14", "energy", "schedules"} {
-			fmt.Println(outputs[k]())
-		}
-		return
-	}
-	fn, ok := outputs[*fig]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "piopt: unknown figure %q (want 8, 9, 11, 14, energy, all)\n", *fig)
+	reports, err := figures.Select(figures.Optimization, *fig)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "piopt:", err)
 		os.Exit(2)
 	}
-	fmt.Println(fn())
+	for _, r := range reports {
+		fmt.Println(r.Text(0))
+	}
 }

@@ -1,10 +1,11 @@
 // Command pisim runs the arrival-rate workload simulations (the paper's
 // §4.2 and §5.4): mean inference latency under Poisson request streams with
-// storage-constrained pre-compute buffering — Figures 7, 10, 12 and 13.
+// storage-constrained pre-compute buffering — Figures 7, 10, 12 and 13 —
+// and the shared server of §5.2's discussion (multiclient).
 //
 // Usage:
 //
-//	pisim [-fig 7|10|12|13|all] [-runs N]
+//	pisim [-fig 7|10|12|13|multiclient|all] [-runs N]
 //
 // The paper averages 50 independent 24-hour simulations per point; -runs
 // trades fidelity for speed.
@@ -19,27 +20,16 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "which output to print: 7, 10, 12, 13, multiclient, or all")
+	fig := flag.String("fig", "all", "which output to print: "+figures.Choices(figures.Workload))
 	runs := flag.Int("runs", 10, "independent 24-hour simulations per data point (paper: 50)")
 	flag.Parse()
 
-	outputs := map[string]func(int) string{
-		"7":           figures.Figure7,
-		"10":          figures.Figure10,
-		"12":          figures.Figure12,
-		"13":          figures.Figure13,
-		"multiclient": figures.MultiClientStudy,
-	}
-	if *fig == "all" {
-		for _, k := range []string{"7", "10", "12", "13", "multiclient"} {
-			fmt.Println(outputs[k](*runs))
-		}
-		return
-	}
-	fn, ok := outputs[*fig]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "pisim: unknown figure %q (want 7, 10, 12, 13, all)\n", *fig)
+	reports, err := figures.Select(figures.Workload, *fig)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pisim:", err)
 		os.Exit(2)
 	}
-	fmt.Println(fn(*runs))
+	for _, r := range reports {
+		fmt.Println(r.Text(*runs))
+	}
 }

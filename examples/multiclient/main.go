@@ -120,15 +120,15 @@ func paperScaleSim() {
 	fmt.Println("mean latency (minutes) as clients share one server, 10 runs:")
 	fmt.Printf("%-10s %-16s %-14s %s\n", "clients", "aggregate/min", "latency min", "queue min")
 	for _, n := range []int{1, 3, 9, 18} {
-		cfg := privinf.MultiClientConfig{
-			Clients:                    n,
-			PerClientCapacity:          1, // 16 GB each
-			OfflineSeconds:             rlpOffline,
-			ServerConcurrent:           privinf.EPYCServer.Cores,
-			OnlineSeconds:              online,
-			ArrivalsPerMinutePerClient: perClient,
+		cfg := privinf.WorkloadConfig{
+			Clients:           n,
+			Capacity:          1, // 16 GB each
+			OfflineSeconds:    rlpOffline,
+			MaxConcurrent:     privinf.EPYCServer.Cores,
+			OnlineSeconds:     online,
+			ArrivalsPerMinute: perClient,
 		}
-		st, err := privinf.SimulateMultiClient(cfg, 10)
+		st, err := privinf.SimulateWorkload(cfg, 10)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -63,16 +63,16 @@ func MultiClientStudy(runs int) string {
 	t.row("clients", "per-client rate", "aggregate/min", "mean latency min", "queue min")
 	for _, n := range []int{1, 3, 9} {
 		for _, denom := range []float64{180, 90} {
-			cfg := sim.MultiClientConfig{
-				Clients:                    n,
-				PerClientCapacity:          1,
-				OfflineSeconds:             rlp.Offline(),
-				ServerConcurrent:           device.EPYC.Cores,
-				OnlineSeconds:              online,
-				ArrivalsPerMinutePerClient: 1 / denom,
-				Seed:                       777,
+			cfg := sim.Config{
+				Clients:           n,
+				Capacity:          1,
+				OfflineSeconds:    rlp.Offline(),
+				MaxConcurrent:     device.EPYC.Cores,
+				OnlineSeconds:     online,
+				ArrivalsPerMinute: 1 / denom,
+				Seed:              777,
 			}
-			st, err := sim.RunManyMultiClient(cfg, runs)
+			st, err := sim.RunMany(cfg, runs)
 			if err != nil {
 				panic("figures: " + err.Error())
 			}

@@ -15,8 +15,10 @@ func TestSingleInferenceFigures(t *testing.T) {
 		contains []string
 	}{
 		{"Figure2", Figure2, []string{"2228224", "offline download"}},
-		// 509 GB is our rendering of the paper's 498 GB bar (2% off:
-		// KiB-based GC sizes; see EXPERIMENTS.md).
+		// 509 GB is our rendering of the paper's 498 GB bar, 2% above
+		// it: GC sizes are in KiB per ReLU (calib.GCBytesPerReLU), the
+		// unit that reproduces the 41 GB ResNet-18/TinyImageNet bar and
+		// §5.2's buffer counts.
 		{"Figure3", Figure3, []string{"ResNet-18", "ImageNet", "509"}},
 		{"Figure4", Figure4, []string{"HE.Eval", "GC.Garble", "TinyImageNet"}},
 		{"Figure5", Figure5, []string{"950", "download share"}},

@@ -11,35 +11,22 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from the current figures")
 
 // TestCommandGoldens pins the `-fig all` output of pichar, piopt and pisim
-// (at -runs 1 and 2) byte for byte, each built from the figure functions
-// in its command's order.
+// (at -runs 1 and 2) byte for byte.
 func TestCommandGoldens(t *testing.T) {
-	noRuns := func(fns ...func() string) []func(int) string {
-		out := make([]func(int) string, len(fns))
-		for i, fn := range fns {
-			fn := fn
-			out[i] = func(int) string { return fn() }
-		}
-		return out
-	}
-	characterization := noRuns(Figure2, Figure3, Figure4, Figure5, Table1)
-	optimization := noRuns(Figure8, Figure9, Figure11, Figure14, EnergyTable, ScheduleAblation)
-	workload := []func(int) string{Figure7, Figure10, Figure12, Figure13, MultiClientStudy}
 	cases := []struct {
-		file string
-		fns  []func(int) string
-		runs int
+		file    string
+		reports []Report
+		runs    int
 	}{
-		{"pichar", characterization, 0},
-		{"piopt", optimization, 0},
-		{"pisim_runs1", workload, 1},
-		{"pisim_runs2", workload, 2},
+		{"pichar", Characterization, 0},
+		{"piopt", Optimization, 0},
+		{"pisim_runs1", Workload, 1},
+		{"pisim_runs2", Workload, 2},
 	}
 	for _, c := range cases {
 		var b strings.Builder
-		for _, fn := range c.fns {
-			b.WriteString(fn(c.runs))
-			b.WriteByte('\n')
+		for _, r := range c.reports {
+			b.WriteString(r.Text(c.runs) + "\n")
 		}
 		path := filepath.Join("testdata", c.file+".golden")
 		if *updateGolden {

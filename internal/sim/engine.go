@@ -1,10 +1,11 @@
 // Package sim is the discrete-event simulator behind the paper's
-// arrival-rate experiments (§3, §4.2, §5): a single client and single
-// server, inference requests arriving by a Poisson process and served FIFO,
-// a client-storage-limited buffer of pre-computes refilled in the
-// background (layer-parallel or request-level parallel), and online phases
-// that consume them. It plays the role SimPy plays in the paper's artifact,
-// deterministic under a seed.
+// arrival-rate experiments (§3, §4.2, §5) and §5.2's shared server: one or
+// more clients, each with its own Poisson stream of inference requests and
+// its own client-storage-limited buffer of pre-computes, share one server
+// that runs one online phase at a time, oldest ready request first, and
+// refills the buffers in the background (layer-parallel or request-level
+// parallel, neediest client first). It plays the role SimPy plays in the
+// paper's artifact, deterministic under a seed.
 package sim
 
 import "container/heap"

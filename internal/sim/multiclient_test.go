@@ -1,47 +1,86 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"privinf/internal/cost"
 	"privinf/internal/device"
 )
 
-func mcBase() MultiClientConfig {
+func mcBase() Config {
 	s := proposedScenario()
 	rlp := s.RLPBreakdown()
-	return MultiClientConfig{
-		Clients:                    9,
-		PerClientCapacity:          1, // 16 GB each
-		OfflineSeconds:             rlp.Offline(),
-		ServerConcurrent:           device.EPYC.Cores,
-		OnlineSeconds:              s.Compute().Online(),
-		ArrivalsPerMinutePerClient: 1.0 / 360,
-		Seed:                       5,
+	return Config{
+		Clients:           9,
+		Capacity:          1, // 16 GB each
+		OfflineSeconds:    rlp.Offline(),
+		MaxConcurrent:     device.EPYC.Cores,
+		OnlineSeconds:     s.Compute().Online(),
+		ArrivalsPerMinute: 1.0 / 360,
+		Seed:              5,
 	}
 }
 
 func TestMultiClientValidation(t *testing.T) {
 	bad := mcBase()
-	bad.Clients = 0
-	if _, err := RunMultiClient(bad); err == nil {
-		t.Error("zero clients must be rejected")
+	bad.Clients = -1
+	if _, err := Run(bad); err == nil {
+		t.Error("negative clients must be rejected")
 	}
 	bad = mcBase()
-	bad.ServerConcurrent = 0
-	if _, err := RunMultiClient(bad); err == nil {
-		t.Error("zero server pipelines must be rejected")
+	bad.MaxConcurrent = -1
+	if _, err := Run(bad); err == nil {
+		t.Error("negative server pipelines must be rejected")
 	}
 	bad = mcBase()
 	bad.OfflineSeconds = 0
-	if _, err := RunMultiClient(bad); err == nil {
+	if _, err := Run(bad); err == nil {
 		t.Error("zero offline must be rejected")
+	}
+}
+
+// TestOneClientQueuesLikeFigure7 runs MultiClientStudy's workload at one
+// client and pins its latency split to the single-client simulator's before
+// the two were merged: a request's queue wait ends when it is its client's
+// oldest queued request and the server is free, so the waits behind earlier
+// requests of the same client read as queue (Figure 7's queue column), not
+// as offline.
+func TestOneClientQueuesLikeFigure7(t *testing.T) {
+	cases := []struct {
+		perMin                  float64
+		latency, queue, offline float64
+	}{
+		{1.0 / 180, 1439.5264607452484, 263.7689303414929, 1059.014822524813},
+		{1.0 / 90, 2244.1627433437693, 763.7217196970728, 1363.698315767755},
+	}
+	for _, c := range cases {
+		cfg := mcBase()
+		cfg.Clients = 1
+		cfg.Seed = 777
+		cfg.ArrivalsPerMinute = c.perMin
+		st, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"MeanLatency", st.MeanLatency, c.latency},
+			{"MeanQueueWait", st.MeanQueueWait, c.queue},
+			{"MeanOffline", st.MeanOffline, c.offline},
+		} {
+			if math.Abs(v.got-v.want) > 1e-9*v.want {
+				t.Errorf("1/%.0f per min: %s %v s, want %v s", 1/c.perMin, v.name, v.got, v.want)
+			}
+		}
 	}
 }
 
 func TestMultiClientLowRate(t *testing.T) {
 	cfg := mcBase()
-	st, err := RunManyMultiClient(cfg, 5)
+	st, err := RunMany(cfg, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +107,8 @@ func TestMultiClientMatchesPaperClaim(t *testing.T) {
 
 	perClientRate := 1.0 / 90 // each client: one request every 90 min
 	mc := mcBase()
-	mc.ArrivalsPerMinutePerClient = perClientRate
-	mcStats, err := RunManyMultiClient(mc, 5)
+	mc.ArrivalsPerMinute = perClientRate
+	mcStats, err := RunMany(mc, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +118,7 @@ func TestMultiClientMatchesPaperClaim(t *testing.T) {
 	// sustains — yet the shared-server system absorbs it because nine RLP
 	// pipelines run concurrently.
 	aggregate := float64(mc.Clients) * perClientRate
-	production := float64(mc.Clients) / rlpOffline * 60 // pre-computes per minute
+	production := mc.SustainableRatePerMinute()
 	if production < aggregate {
 		t.Fatalf("test premise broken: production %.3f/min < arrivals %.3f/min", production, aggregate)
 	}
@@ -109,11 +148,11 @@ func TestMultiClientMatchesPaperClaim(t *testing.T) {
 
 func TestMultiClientDeterministic(t *testing.T) {
 	cfg := mcBase()
-	a, err := RunMultiClient(cfg)
+	a, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunMultiClient(cfg)
+	b, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,9 +167,9 @@ func TestMultiClientFairRefill(t *testing.T) {
 	// from all clients complete.
 	cfg := mcBase()
 	cfg.Clients = 6
-	cfg.ServerConcurrent = 2
-	cfg.ArrivalsPerMinutePerClient = 1.0 / 240
-	st, err := RunMultiClient(cfg)
+	cfg.MaxConcurrent = 2
+	cfg.ArrivalsPerMinute = 1.0 / 240
+	st, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,9 @@ func (m Mode) String() string {
 	return "LPHE"
 }
 
-// Config is one workload simulation.
+// Config is one workload simulation: Clients clients, each with its own
+// pre-compute buffer and Poisson request stream, share one server that runs
+// one online phase at a time.
 type Config struct {
 	// OfflineSeconds is the duration of one background pre-compute.
 	OfflineSeconds float64
@@ -39,14 +41,17 @@ type Config struct {
 	OnDemandOfflineSeconds float64
 	// OnlineSeconds is the online-phase duration.
 	OnlineSeconds float64
-	// Capacity is the pre-compute buffer size in units of inferences
-	// (0 = the offline phase cannot be engaged).
+	// Capacity is each client's pre-compute buffer size in units of
+	// inferences (0 = the offline phase cannot be engaged).
 	Capacity int
-	// MaxConcurrent bounds simultaneous background pre-computes
-	// (1 for LPHE; min(storage slots, garbler cores) for RLP).
+	// MaxConcurrent bounds simultaneous background pre-computes across
+	// all clients (1 for LPHE; min(storage slots, garbler cores) for RLP;
+	// 0 means 1).
 	MaxConcurrent int
-	// ArrivalsPerMinute is the Poisson arrival rate.
+	// ArrivalsPerMinute is each client's Poisson arrival rate.
 	ArrivalsPerMinute float64
+	// Clients is the number of clients sharing the server (0 means 1).
+	Clients int
 	// HorizonSeconds is how long requests keep arriving (24 h default).
 	HorizonSeconds float64
 	Seed           int64
@@ -69,16 +74,25 @@ func (c Config) Validate() error {
 	if c.ArrivalsPerMinute <= 0 {
 		return fmt.Errorf("sim: arrival rate must be positive")
 	}
+	if c.Clients < 0 || c.MaxConcurrent < 0 {
+		return fmt.Errorf("sim: client and pipeline counts must not be negative")
+	}
 	return nil
 }
 
 // Stats aggregates one run (or the mean over several runs).
 type Stats struct {
-	Requests      int
-	MeanLatency   float64 // arrival -> completion, seconds
-	MeanQueueWait float64 // waiting behind earlier inferences
-	MeanOffline   float64 // waiting for / running the offline phase
-	MeanOnline    float64 // online phase (constant per config)
+	Requests    int
+	MeanLatency float64 // arrival -> completion, seconds
+	// MeanQueueWait is the wait behind earlier inferences: from arrival
+	// until the request is its own client's oldest queued request and the
+	// server is free.
+	MeanQueueWait float64
+	// MeanOffline is the rest of the wait before the online phase starts:
+	// for a pre-compute of the request's own client while other requests
+	// may be served, or the inline offline phase when Capacity == 0.
+	MeanOffline float64
+	MeanOnline  float64 // online phase (constant per config)
 	// P50Latency and P99Latency are arrival→completion quantiles in
 	// seconds, read off an obs histogram (≤6.25% relative error). The
 	// RunMany aggregates merge the runs' histograms before extracting,
@@ -100,60 +114,40 @@ func latencySnapshot(lat []float64) obs.HistogramSnapshot {
 
 type request struct {
 	arrived  float64
-	eligible float64 // reached the head of the queue with server free
+	eligible float64 // its client's oldest queued request with the server free
 	started  float64 // online phase start
 }
 
-type piState struct {
+type state struct {
 	eng *Engine
 	cfg Config
 
-	ready    int // buffered pre-computes
-	inflight int // background pre-computes in progress
-	queue    []*request
+	ready    []int        // per client: buffered pre-computes
+	inflight []int        // per client: background pre-computes in progress
+	running  int          // background pre-computes in progress, all clients
+	queues   [][]*request // per client, oldest first
 	serving  bool
 
-	samples
-}
-
-// samples collects the per-request timings of one run; both simulators
-// record into one and close the run through its stats.
-type samples struct {
 	latencies []float64
 	qwaits    []float64
 	offwaits  []float64
 }
 
-// record files a request that completes now.
-func (s *samples) record(arrived, eligible, started, now float64) {
-	s.latencies = append(s.latencies, now-arrived)
-	s.qwaits = append(s.qwaits, eligible-arrived)
-	s.offwaits = append(s.offwaits, started-eligible)
-}
+// Run executes one simulation and returns its statistics.
+func Run(cfg Config) (Stats, error) { return RunMany(cfg, 1) }
 
-// stats closes one run: the means, plus the latency histogram snapshot
-// runMany merges across seeds.
-func (s *samples) stats(onlineSeconds float64) (Stats, obs.HistogramSnapshot) {
-	out := Stats{Requests: len(s.latencies), MeanOnline: onlineSeconds}
-	if out.Requests == 0 {
-		return out, obs.HistogramSnapshot{}
-	}
-	out.MeanLatency = mean(s.latencies)
-	out.MeanQueueWait = mean(s.qwaits)
-	out.MeanOffline = mean(s.offwaits)
-	return out, latencySnapshot(s.latencies)
-}
-
-// runMany averages runs of one simulation under seeds seed, seed+stride,
-// seed+2·stride, …; the quantiles are read off the merged histogram.
-func runMany(runs int, seed, stride int64, one func(seed int64) (Stats, obs.HistogramSnapshot, error)) (Stats, error) {
+// RunMany averages runs under seeds Seed, Seed+7919, Seed+2·7919, … (the
+// paper uses 50); the quantiles are read off the merged histogram.
+func RunMany(cfg Config, runs int) (Stats, error) {
 	if runs < 1 {
 		runs = 1
 	}
 	var agg Stats
 	var merged obs.HistogramSnapshot
 	for i := 0; i < runs; i++ {
-		st, snap, err := one(seed + int64(i)*stride)
+		c := cfg
+		c.Seed = cfg.Seed + int64(i)*7919
+		st, snap, err := run(c)
 		if err != nil {
 			return Stats{}, err
 		}
@@ -174,9 +168,6 @@ func runMany(runs int, seed, stride int64, one func(seed int64) (Stats, obs.Hist
 	return agg, nil
 }
 
-// Run executes one simulation and returns its statistics.
-func Run(cfg Config) (Stats, error) { return RunMany(cfg, 1) }
-
 // run executes one simulation, returning the stats alongside the latency
 // histogram snapshot RunMany merges across seeds.
 func run(cfg Config) (Stats, obs.HistogramSnapshot, error) {
@@ -186,23 +177,38 @@ func run(cfg Config) (Stats, obs.HistogramSnapshot, error) {
 	if cfg.HorizonSeconds <= 0 {
 		cfg.HorizonSeconds = DefaultHorizon
 	}
-	if cfg.MaxConcurrent < 1 {
-		cfg.MaxConcurrent = 1
+	cfg.MaxConcurrent = max(cfg.MaxConcurrent, 1)
+	cfg.Clients = max(cfg.Clients, 1)
+	st := &state{
+		eng:      &Engine{},
+		cfg:      cfg,
+		ready:    make([]int, cfg.Clients),
+		inflight: make([]int, cfg.Clients),
+		queues:   make([][]*request, cfg.Clients),
 	}
-	st := &piState{eng: &Engine{}, cfg: cfg}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	// Pre-schedule the Poisson arrival process across the horizon.
+	// Pre-schedule each client's Poisson arrival process across the horizon.
 	meanGap := 60.0 / cfg.ArrivalsPerMinute
-	for t := rng.ExpFloat64() * meanGap; t < cfg.HorizonSeconds; t += rng.ExpFloat64() * meanGap {
-		at := t
-		st.eng.Schedule(at, func() { st.arrive() })
+	for client := 0; client < cfg.Clients; client++ {
+		for t := rng.ExpFloat64() * meanGap; t < cfg.HorizonSeconds; t += rng.ExpFloat64() * meanGap {
+			st.eng.Schedule(t, func() {
+				st.queues[client] = append(st.queues[client], &request{arrived: st.eng.Now(), eligible: -1})
+				st.serve()
+			})
+		}
 	}
 
 	st.refill()
 	st.eng.Run()
-	out, snap := st.stats(cfg.OnlineSeconds)
-	return out, snap, nil
+	out := Stats{Requests: len(st.latencies), MeanOnline: cfg.OnlineSeconds}
+	if out.Requests == 0 {
+		return out, obs.HistogramSnapshot{}, nil
+	}
+	out.MeanLatency = mean(st.latencies)
+	out.MeanQueueWait = mean(st.qwaits)
+	out.MeanOffline = mean(st.offwaits)
+	return out, latencySnapshot(st.latencies), nil
 }
 
 func mean(xs []float64) float64 {
@@ -213,73 +219,70 @@ func mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// refill starts background pre-computes while buffer space and pipeline
-// slots remain. The buffer slot is reserved at start (the client must hold
-// the GCs as they stream in).
-func (s *piState) refill() {
-	if s.cfg.Capacity == 0 {
-		return
-	}
-	for s.inflight < s.cfg.MaxConcurrent && s.ready+s.inflight < s.cfg.Capacity {
-		s.inflight++
+// refill starts background pre-computes for the neediest clients while
+// buffer space and pipeline slots remain. The buffer slot is reserved at
+// start (the client must hold the GCs as they stream in).
+func (s *state) refill() {
+	for s.running < s.cfg.MaxConcurrent {
+		c := NeediestClient(s.cfg.Capacity, s.ready, s.inflight)
+		if c < 0 {
+			return
+		}
+		s.inflight[c]++
+		s.running++
 		s.eng.Schedule(s.cfg.OfflineSeconds, func() {
-			s.inflight--
-			s.ready++
+			s.inflight[c]--
+			s.running--
+			s.ready[c]++
 			s.refill()
 			s.serve()
 		})
 	}
 }
 
-func (s *piState) arrive() {
-	r := &request{arrived: s.eng.Now(), eligible: -1}
-	s.queue = append(s.queue, r)
-	s.serve()
-}
-
-// serve advances the FIFO head if the server is free.
-func (s *piState) serve() {
-	if s.serving || len(s.queue) == 0 {
+// serve starts, if the server is free, the oldest request whose client has
+// a pre-compute ready, or with Capacity == 0 the oldest request, whose
+// offline phase then runs inline. A request waiting on its own client's
+// pre-compute does not block other clients' requests.
+func (s *state) serve() {
+	if s.serving {
 		return
 	}
-	r := s.queue[0]
-	if r.eligible < 0 {
-		r.eligible = s.eng.Now()
+	now := s.eng.Now()
+	pick := -1
+	for c, q := range s.queues {
+		if len(q) == 0 {
+			continue
+		}
+		if q[0].eligible < 0 {
+			q[0].eligible = now
+		}
+		if (s.cfg.Capacity == 0 || s.ready[c] > 0) && (pick < 0 || q[0].arrived < s.queues[pick][0].arrived) {
+			pick = c
+		}
 	}
-
-	if s.cfg.Capacity == 0 {
-		// No buffering: the full offline phase runs inline.
-		s.queue = s.queue[1:]
-		s.serving = true
-		r.started = s.eng.Now() + s.cfg.OnDemandOfflineSeconds
-		s.eng.Schedule(s.cfg.OnDemandOfflineSeconds+s.cfg.OnlineSeconds, func() { s.complete(r) })
+	if pick < 0 {
+		// Every queued client waits on a pre-compute in flight; its
+		// completion re-enters serve.
 		return
 	}
-	if s.ready == 0 {
-		// Wait for an in-flight pre-compute; its completion re-enters
-		// serve(). refill guarantees at least one is running.
-		return
-	}
-	s.ready--
-	s.queue = s.queue[1:]
+	r := s.queues[pick][0]
+	s.queues[pick] = s.queues[pick][1:]
 	s.serving = true
-	r.started = s.eng.Now()
-	s.refill() // a buffer slot was freed
-	s.eng.Schedule(s.cfg.OnlineSeconds, func() { s.complete(r) })
-}
-
-func (s *piState) complete(r *request) {
-	s.record(r.arrived, r.eligible, r.started, s.eng.Now())
-	s.serving = false
-	s.serve()
-}
-
-// RunMany averages runs with distinct seeds (the paper uses 50).
-func RunMany(cfg Config, runs int) (Stats, error) {
-	return runMany(runs, cfg.Seed, 7919, func(seed int64) (Stats, obs.HistogramSnapshot, error) {
-		c := cfg
-		c.Seed = seed
-		return run(c)
+	var inline float64
+	if s.cfg.Capacity == 0 {
+		inline = s.cfg.OnDemandOfflineSeconds
+	} else {
+		s.ready[pick]--
+		s.refill() // a buffer slot was freed
+	}
+	r.started = now + inline
+	s.eng.Schedule(inline+s.cfg.OnlineSeconds, func() {
+		s.latencies = append(s.latencies, s.eng.Now()-r.arrived)
+		s.qwaits = append(s.qwaits, r.eligible-r.arrived)
+		s.offwaits = append(s.offwaits, r.started-r.eligible)
+		s.serving = false
+		s.serve()
 	})
 }
 
@@ -317,18 +320,13 @@ func FromScenario(s cost.Scenario, clientStorageBytes int64, mode Mode, garbler 
 	}
 }
 
-// SustainableRatePerMinute returns the maximum long-run arrival rate the
-// configuration can absorb: the slower of pre-compute production and online
-// service.
+// SustainableRatePerMinute returns the maximum long-run arrival rate, all
+// clients together, the configuration can absorb: the slower of pre-compute
+// production and online service.
 func (c Config) SustainableRatePerMinute() float64 {
-	onlineRate := 60.0 / c.OnlineSeconds
 	if c.Capacity == 0 {
 		return 60.0 / (c.OnDemandOfflineSeconds + c.OnlineSeconds)
 	}
-	conc := c.MaxConcurrent
-	if conc > c.Capacity {
-		conc = c.Capacity
-	}
-	offRate := 60.0 * float64(conc) / c.OfflineSeconds
-	return math.Min(onlineRate, offRate)
+	conc := min(max(c.MaxConcurrent, 1), max(c.Clients, 1)*c.Capacity)
+	return math.Min(60.0/c.OnlineSeconds, 60.0*float64(conc)/c.OfflineSeconds)
 }

@@ -224,6 +224,11 @@ func TestSustainableRate(t *testing.T) {
 		// Capacity 2 caps concurrency at 2.
 		t.Errorf("sustainable %.4f, want %.4f", got, 60.0*2/900)
 	}
+	cfg.Clients, cfg.Capacity = 9, 1
+	if got := cfg.SustainableRatePerMinute(); math.Abs(got-60.0*4/900) > 1e-9 {
+		// Nine one-slot buffers: the four pipelines cap concurrency.
+		t.Errorf("9-client sustainable %.4f, want %.4f", got, 60.0*4/900)
+	}
 	cfg.Capacity = 0
 	if got := cfg.SustainableRatePerMinute(); math.Abs(got-60.0/1000) > 1e-9 {
 		t.Errorf("zero-capacity sustainable %.4f, want %.4f", got, 60.0/1000)

@@ -47,7 +47,9 @@ type (
 	Scenario = cost.Scenario
 	// Breakdown is a per-inference latency decomposition.
 	Breakdown = cost.Breakdown
-	// WorkloadConfig parameterizes an arrival-rate simulation.
+	// WorkloadConfig parameterizes an arrival-rate simulation: one client
+	// (Figures 7, 10, 12, 13) or, with Clients set, several small-storage
+	// clients sharing one server (§5.2's discussion).
 	WorkloadConfig = sim.Config
 	// WorkloadStats summarizes a workload simulation.
 	WorkloadStats = sim.Stats
@@ -185,18 +187,10 @@ func Dequantize(model *Model, a uint64) float64 {
 func Characterize(s Scenario) Breakdown { return s.Compute() }
 
 // SimulateWorkload runs `runs` independent 24-hour arrival-rate
-// simulations and returns the averaged statistics (Figures 7, 10, 12, 13).
+// simulations and returns the averaged statistics (Figures 7, 10, 12, 13,
+// and the shared server of §5.2 when cfg.Clients > 1).
 func SimulateWorkload(cfg WorkloadConfig, runs int) (WorkloadStats, error) {
 	return sim.RunMany(cfg, runs)
-}
-
-// MultiClientConfig parameterizes a shared-server simulation where several
-// small-storage clients are served by one machine (§5.2's discussion).
-type MultiClientConfig = sim.MultiClientConfig
-
-// SimulateMultiClient runs `runs` independent multi-client simulations.
-func SimulateMultiClient(cfg MultiClientConfig, runs int) (WorkloadStats, error) {
-	return sim.RunManyMultiClient(cfg, runs)
 }
 
 // ProposedScenario returns the paper's optimized configuration —
