@@ -108,8 +108,8 @@ func (p *party) OTResume() *OTResume {
 type gcPre struct {
 	encs    [][]garble.Encoding // per ReLU layer, per unit: a inputs only
 	stored  []storedLayer       // per ReLU layer
-	sendOTs []*ot.SenderOTs     // per ReLU layer, on a client garbler
-	recvOTs []*ot.ReceiverOTs   // per ReLU layer, on its evaluator
+	sendOTs []*ot.SenderPads    // per ReLU layer, on a client garbler
+	recvOTs []*ot.ReceiverPads  // per ReLU layer, on its evaluator
 	otBytes uint64              // the OT batches' footprint
 }
 
@@ -244,7 +244,7 @@ func (p *party) garbleAndShip(own [][]uint64, otTime *time.Duration) ([][]garble
 			for u, enc := range encs[layer] {
 				deltas[u] = enc.R
 			}
-			if err := timed(otTime, func() error { return p.otSend.SendOffsets(pads, deltas, 2*width) }); err != nil {
+			if err := timed(otTime, func() error { return p.otSend.SendOffsets(pads, nil, deltas, 2*width) }); err != nil {
 				return nil, fmt.Errorf("delphi: label OT layer %d: %w", layer, err)
 			}
 		}
@@ -422,17 +422,16 @@ func (p *party) offlineGC(pre *gcPre, garbler bool, own [][]uint64, rep *Offline
 	return err
 }
 
-// labelPairs lists both labels of every unit's a input, width bits a unit,
-// unit-major: what a client garbler offers by OT.
-func labelPairs(encs []garble.Encoding, width int) [][2]garble.Label {
-	pairs := make([][2]garble.Label, 0, len(encs)*width)
-	for _, enc := range encs {
-		for k := 1; k < 1+width; k++ {
-			f0, f1 := enc.LabelPair(k)
-			pairs = append(pairs, [2]garble.Label{f0, f1})
-		}
+// labelPairs lists the false label of every unit's a input, width bits a
+// unit, unit-major, and each unit's Δ: the pairs a client garbler offers by
+// OT.
+func labelPairs(encs []garble.Encoding, width int) (x0, deltas []garble.Label) {
+	x0, deltas = make([]garble.Label, 0, len(encs)*width), make([]garble.Label, len(encs))
+	for u, enc := range encs {
+		x0 = append(x0, enc.Inputs[1:1+width]...)
+		deltas[u] = enc.R
 	}
-	return pairs
+	return x0, deltas
 }
 
 // precomputeOffer is the client garbler's offline half of the a OTs: per
@@ -441,7 +440,11 @@ func labelPairs(encs []garble.Encoding, width int) [][2]garble.Label {
 func (p *party) precomputeOffer(pre *gcPre, encs [][]garble.Encoding) error {
 	width := p.f.Bits()
 	for layer := range encs {
-		b, err := p.otSend.Precompute(labelPairs(encs[layer], width), width)
+		x0, deltas := labelPairs(encs[layer], width)
+		b, err := p.otSend.ReceivePads(len(x0))
+		if err == nil {
+			err = p.otSend.SendOffsets(b, x0, deltas, width)
+		}
 		if err != nil {
 			return fmt.Errorf("delphi: label OT layer %d: %w", layer, err)
 		}
@@ -450,11 +453,31 @@ func (p *party) precomputeOffer(pre *gcPre, encs [][]garble.Encoding) error {
 	return nil
 }
 
+// randomBits draws m bits from the party's entropy in one ⌈m/8⌉-byte read.
+func (p *party) randomBits(m int) ([]bool, error) {
+	raw := make([]byte, (m+7)/8)
+	if err := p.draw(raw); err != nil {
+		return nil, fmt.Errorf("delphi: entropy: %w", err)
+	}
+	out := make([]bool, m)
+	for i := range out {
+		out[i] = raw[i/8]>>(i%8)&1 == 1
+	}
+	return out, nil
+}
+
 // precomputeFetch is precomputeOffer's evaluator side: per layer one batch
 // of random OTs on choice bits from the party's entropy.
 func (p *party) precomputeFetch(pre *gcPre) error {
 	for layer := range p.circuits {
-		b, err := p.otRecv.Precompute(p.meta.Dims[layer].Out*p.f.Bits(), p.entropy)
+		choices, err := p.randomBits(p.meta.Dims[layer].Out * p.f.Bits())
+		if err != nil {
+			return err
+		}
+		b, err := p.otRecv.SendChoices(choices)
+		if err == nil {
+			_, err = p.otRecv.ReceiveOffsets(b)
+		}
 		if err != nil {
 			return fmt.Errorf("delphi: label OT layer %d: %w", layer, err)
 		}
@@ -464,7 +487,7 @@ func (p *party) precomputeFetch(pre *gcPre) error {
 }
 
 // otSendLabels is the client garbler's online leg of a layer's a OTs.
-func (p *party) otSendLabels(layer int, b *ot.SenderOTs) error {
+func (p *party) otSendLabels(layer int, b *ot.SenderPads) error {
 	if err := p.otSend.SendPrecomputed(b); err != nil {
 		return fmt.Errorf("delphi: label OT layer %d: %w", layer, err)
 	}
@@ -473,7 +496,7 @@ func (p *party) otSendLabels(layer int, b *ot.SenderOTs) error {
 
 // otRecvLabels is the evaluator's online leg: obtain the active labels for
 // the bits of vals (width each, little-endian) without revealing them.
-func (p *party) otRecvLabels(layer int, b *ot.ReceiverOTs, vals []uint64) ([]garble.Label, error) {
+func (p *party) otRecvLabels(layer int, b *ot.ReceiverPads, vals []uint64) ([]garble.Label, error) {
 	labels, err := p.otRecv.ReceivePrecomputed(b, valueBits(vals, p.f.Bits()))
 	if err != nil {
 		return nil, fmt.Errorf("delphi: label OT layer %d: %w", layer, err)

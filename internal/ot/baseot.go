@@ -59,38 +59,41 @@
 // indices below 2^63, so no (input, tweak) pair the extension hashes can
 // also be a garbling query. docs/invariants.md says why that hash suffices.
 //
-// # Precomputed OTs
+// # The batch
 //
-// One extension (extend: u, then t) is a correlated random OT. The receiver
-// holds the pad m_c = H(t_j) of its choice bit c, the sender both pads m0 =
-// H(q_j) and m1 = H(q_j ⊕ s) and the pair (x0, x1) it binds them to, with
-// offset Δ = x0 ⊕ x1. The sender sends "t", t_j = Δ ⊕ m0 ⊕ m1, and keeps
-// w_j = x0 ⊕ m0; the receiver folds t into its pad, K_j = m_c ⊕ c·t_j =
-// x_c ⊕ w_j. An answer to correction bits d is one frame "z", z_j = w_j ⊕
-// d_j·Δ, which the receiver opens as z_j ⊕ K_j = x_{c⊕d}. Send and Receive
-// run the extension on the receiver's real choices and answer at once for
-// d = 0: t then z, 32 bytes an OT. Precompute runs it ahead of use on
-// uniformly random choices, the t frame included; the sender keeps w and Δ
-// once per group of OTs (16 bytes an OT plus 16 a group), the receiver K
-// and c (16 bytes and a bit). Online, SendPrecomputed and ReceivePrecomputed
-// exchange "d", the receiver's d = a ⊕ c for its real choices a, packed
-// like r, and "z". No PRG, transpose or hash runs online. Both kinds share
-// the extend step, the sender's answer and the receiver's open, so a chosen
-// OT is byte for byte a random OT derandomized with d = 0. A precomputed
-// batch is used once. docs/invariants.md ("Label OT precomputation") says
-// why t may be sent before the choices exist.
+// One extension is a correlated random OT: the receiver's u frame, then the
+// sender's t frame. The receiver holds the pad m_c = H(t_j) of its choice
+// bit c, the sender both pads m0 = H(q_j) and m1 = H(q_j ⊕ s). For pairs
+// (x0, x0 ⊕ Δ) the sender sends "t", t_j = Δ ⊕ m0 ⊕ m1, and the receiver
+// folds it into its pad, K_j = m_c ⊕ c·t_j = m0 ⊕ c·Δ: the same t whatever
+// x0 is. Each side has one batch type that walks these steps, SenderPads
+// (ReceivePads, then SendOffsets) and ReceiverPads (SendChoices, then
+// ReceiveOffsets), and SendOffsets' zero labels x0 pick what the batch
+// transfers:
 //
-// # Pads as labels
+//   - nil: the pads are the labels. The pair is (m0, m0 ⊕ Δ) and K_j is
+//     already the receiver's message, with no answer frame. A sender that
+//     has not yet drawn its pairs may so take them from the extension: a
+//     Server-Garbler garbler takes m0 as the false label of the client's b
+//     and r wires, so it extends before it garbles. docs/invariants.md
+//     ("OT-defined input labels") says why a pad is a valid label.
+//   - non-nil: the batch is bound to x0. The sender keeps w_j = x0 ⊕ m0 and
+//     Δ once per group of OTs (16 bytes an OT plus 16 a group), the
+//     receiver K_j = x_c ⊕ w_j and c (16 bytes and a bit). An answer to
+//     correction bits d is one frame "z", z_j = w_j ⊕ d_j·Δ, which the
+//     receiver opens as z_j ⊕ K_j = x_{c⊕d}. Client-Garbler runs the batch
+//     offline on uniformly random choices c; online, SendPrecomputed and
+//     ReceivePrecomputed exchange "d", the receiver's d = a ⊕ c for its real
+//     choices a, packed like r, and "z". No PRG, transpose or hash runs
+//     online. docs/invariants.md ("Label OT precomputation") says why t may
+//     be sent before the choices exist.
 //
-// A sender that has not yet drawn its pairs may let the pads be them:
-// ReceivePads runs the sender's half of the extension up to its pads, and
-// SendOffsets later sends t for offsets Δ alone, which transfers the pairs
-// (m0, m0 ⊕ Δ). Then w_j = 0, and the receiver's K_j = m_c ⊕ c·t_j
-// (SendChoices, then ReceiveOffsets) is already its message: no z frame. A
-// Server-Garbler garbler takes m0 as the false label of the client's b and
-// r wires, so it extends before it garbles. docs/invariants.md
-// ("OT-defined input labels") says why a pad is a valid label. A batch is
-// answered and opened once.
+// SendPrecomputed answers only a batch that is bound, offered and not yet
+// answered: an answer to a pads-as-labels batch, z = d·Δ, or a second
+// answer on the same pads would give Δ away, and with it both messages.
+// Send and Receive run the same steps on the receiver's real choices and
+// answer at once for d = 0: u, then t and z, 32 bytes an OT down. A chosen
+// OT is so byte for byte a random OT derandomized with d = 0.
 //
 // # Buffers
 //
@@ -103,19 +106,21 @@
 // None of them aliases a frame returned by Recv, which belongs to the
 // transport. Receive returns a slice the caller owns — the transpose writes
 // columns straight into it and the pads are XORed in place — and Send only
-// reads its argument; ReceivePrecomputed returns the batch's own key
-// storage, opened in place. Neither endpoint is safe for concurrent use.
+// reads its argument; ReceiveOffsets and ReceivePrecomputed return the
+// batch's own key storage, opened in place. Neither endpoint is safe for
+// concurrent use.
 //
 // # Errors
 //
 // A frame of the wrong length is a *FrameSizeError, raised before anything
 // is indexed by it. Whatever the cause, the first failed call that moves
-// bytes (Send, Receive, either Precompute, SendPrecomputed,
-// ReceivePrecomputed, ReceivePads, SendOffsets, SendChoices,
-// ReceiveOffsets) poisons its endpoint: the parties' streams and OT
-// index are out of step from then on and a later batch would deliver
-// garbage labels, so every later call — empty batches included — returns
-// the first error and touches neither the connection nor the streams.
+// bytes (Send, ReceivePads, SendOffsets, SendPrecomputed on the sender;
+// Receive, SendChoices, ReceiveOffsets, ReceivePrecomputed on the
+// receiver) poisons its endpoint: the parties' streams and OT index are
+// out of step from then on and a later batch would deliver garbage labels,
+// so every later call — empty batches included — returns the first error
+// and touches neither the connection nor the streams. A call a batch is
+// not ready for is refused before it moves a byte and poisons nothing.
 // Recover with a new session (ResumeSender/ResumeReceiver under a fresh
 // nonce, resume.go).
 package ot

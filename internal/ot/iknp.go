@@ -8,7 +8,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"slices"
 
 	"privinf/internal/garble"
 	"privinf/internal/transport"
@@ -60,13 +59,23 @@ func NewExtSender(conn transport.MsgConn, src io.Reader) (*ExtSender, error) {
 
 // Send transfers pairs[j][bit] for the receiver's j-th choice bit: one
 // extension whose choices the receiver embedded in u, its pads bound to the
-// pairs and answered for correction bits d = 0. The first failure poisons
-// the endpoint: the two parties' streams are out of step from then on, so
-// every later call returns that error and moves no bytes.
+// pairs and answered at once for correction bits d = 0, t then z. The first
+// failure poisons the endpoint: the two parties' streams are out of step
+// from then on, so every later call returns that error and moves no bytes.
 func (s *ExtSender) Send(pairs [][2]Message) error {
 	return sticky(&s.err, len(pairs), func() error {
-		w, t, err := s.extend(pairs)
+		m := len(pairs)
+		pads, t, err := s.pads(m)
 		if err != nil {
+			return err
+		}
+		w, m1 := pads[:m], pads[m:]
+		for j, p := range pairs {
+			xor(&w[j], &w[j], &p[0])
+			xor(&m1[j], &m1[j], &p[1])
+			xor((*Message)(t[KeySize*j:]), &w[j], &m1[j])
+		}
+		if err := s.conn.Send(t); err != nil {
 			return err
 		}
 		return s.conn.Send(answer(t, w, nil, nil, 1)) // z overwrites the sent t
@@ -80,58 +89,6 @@ func sticky(err *error, m int, f func() error) error {
 		*err = f()
 	}
 	return *err
-}
-
-// SenderOTs is a batch of random OTs extended ahead of their use and bound
-// to the pairs they will transfer: OT j holds w = x0 ⊕ m0 for its pair and
-// pad m0. The pairs come in groups of per OTs that share one offset
-// x0 ⊕ x1, kept once; under free-XOR a garbled unit's label pairs are such a
-// group, so a garbler's batch holds 16 bytes an OT plus 16 a unit, and no
-// encoding.
-type SenderOTs struct {
-	w, delta []Message
-	per      int
-	spent    bool
-}
-
-// SizeBytes reports the batch's resident footprint.
-func (b *SenderOTs) SizeBytes() uint64 { return uint64(len(b.w)+len(b.delta)) * KeySize }
-
-// Precompute runs len(pairs) random OTs, answering the receiver's
-// Precompute, and binds them to pairs, whose OTs j and k share an offset
-// whenever j/per = k/per (per ≥ 1). SendPrecomputed transfers the batch.
-// Failures poison the endpoint as in Send.
-func (s *ExtSender) Precompute(pairs [][2]Message, per int) (*SenderOTs, error) {
-	b := &SenderOTs{per: per, delta: make([]Message, (len(pairs)+per-1)/per)}
-	for g := range b.delta {
-		xor(&b.delta[g], &pairs[g*per][0], &pairs[g*per][1])
-	}
-	return b, sticky(&s.err, len(pairs), func() error {
-		w, _, err := s.extend(pairs)
-		b.w = slices.Clone(w) // w shares its array with the m1 pads
-		return err
-	})
-}
-
-// SendPrecomputed is a batch's online leg: it receives the correction bits
-// d = a ⊕ c, one per OT, and answers z = w ⊕ d·Δ. A batch is sent once: a
-// second answer on the same pads would give away Δ, and with it both
-// messages. Failures poison the endpoint as in Send.
-func (s *ExtSender) SendPrecomputed(b *SenderOTs) error {
-	if b.spent {
-		return fmt.Errorf("ot: batch of %d OTs already sent", len(b.w))
-	}
-	b.spent = true
-	return sticky(&s.err, len(b.w), func() error {
-		d, err := s.conn.Recv()
-		if err != nil {
-			return err
-		}
-		if want := (len(b.w) + 7) / 8; len(d) != want {
-			return &FrameSizeError{Frame: "d", Got: len(d), Want: want}
-		}
-		return s.conn.Send(answer(make([]byte, KeySize*len(b.w)), b.w, d, b.delta, b.per))
-	})
 }
 
 // answer writes into z and returns the sender's z frame for correction bits
@@ -155,26 +112,6 @@ func xor(dst, a, b *Message) {
 	le := binary.LittleEndian
 	le.PutUint64(dst[:8], le.Uint64(a[:8])^le.Uint64(b[:8]))
 	le.PutUint64(dst[8:], le.Uint64(a[8:])^le.Uint64(b[8:]))
-}
-
-// extend is the sender's half of one extension of len(pairs) > 0 OTs: it
-// receives the correction matrix u and sends the t frame, t_j = x0 ⊕ x1 ⊕
-// m0 ⊕ m1. It returns the pads bound to the pairs, w_j = x0 ⊕ m0, in the
-// lower half of an array whose upper half held the m1 pads, and the t
-// frame's buffer, which the transport has done with.
-func (s *ExtSender) extend(pairs [][2]Message) ([]Message, []byte, error) {
-	m := len(pairs)
-	pads, t, err := s.pads(m)
-	if err != nil {
-		return nil, nil, err
-	}
-	m0, m1 := pads[:m], pads[m:]
-	for j, p := range pairs {
-		xor(&m0[j], &m0[j], &p[0])
-		xor(&m1[j], &m1[j], &p[1])
-		xor((*Message)(t[KeySize*j:]), &m0[j], &m1[j])
-	}
-	return m0, t, s.conn.Send(t)
 }
 
 // pads receives the correction matrix u of one extension of m > 0 OTs and
@@ -214,20 +151,45 @@ func (s *ExtSender) pads(m int) ([]Message, []byte, error) {
 	return pads, rows[:KeySize*m], nil
 }
 
-// SenderPads is one extension whose pads the sender holds before it has
-// messages to bind them to. Its zero pads m0 = H(q_j) are pseudorandom and
-// independent of everything the sender picks, so a garbler takes them as
-// its input wires' false labels: the pair (m0, m0 ⊕ Δ) then costs only the
-// t frame, t_j = Δ ⊕ m0 ⊕ m1, and the receiver opens m_c ⊕ c·t, which is
-// the label of its choice c, with no answer frame at all.
+// batchState is where a batch stands; each call on it moves it one step,
+// and a call out of step is refused before it moves a byte.
+type batchState uint8
+
+const (
+	batchNew      batchState = iota // pads taken from u (sender) or u sent (receiver)
+	batchOffered                    // t sent (sender, pads as labels) or opened (receiver)
+	batchBound                      // t sent, w and Δ kept for one answer (sender)
+	batchAnswered                   // z sent or opened
+)
+
+func (s batchState) String() string { return [...]string{"new", "offered", "bound", "answered"}[s] }
+
+// SenderPads is one extension on the sender's side: the pads of the
+// receiver's u frame, then the t frame for the offsets of the pairs the
+// pads transfer, then, for a batch bound to zero labels of the sender's
+// own, one answer. Its zero pads m0 = H(q_j) are pseudorandom and
+// independent of everything the sender picks, so a garbler may take them
+// as its input wires' false labels (SendOffsets with no zero labels): the
+// pair (m0, m0 ⊕ Δ) then costs only the t frame, t_j = Δ ⊕ m0 ⊕ m1, and
+// the receiver opens m_c ⊕ c·t, which is the label of its choice c, with no
+// answer at all. Bound to zero labels x0 instead, the batch keeps w_j = x0
+// ⊕ m0 and the pairs' offsets, 16 bytes an OT plus 16 a group, for one
+// SendPrecomputed.
 type SenderPads struct {
-	pads  []Message // m0, then m1
-	t     []byte
-	spent bool
+	pads  []Message // m0, then m1; a bound batch's w alone once offered
+	t     []byte    // the t frame's buffer, until it is sent
+	delta []Message // a bound batch's offsets, one a group of per OTs
+	per   int
+	state batchState
 }
 
-// Zero returns the batch's pads m0, one an OT, in storage the batch owns.
+// Zero returns the batch's pads m0, one an OT, in storage the batch owns,
+// until SendOffsets binds the batch.
 func (b *SenderPads) Zero() []Message { return b.pads[:len(b.pads)/2] }
+
+// SizeBytes reports the batch's resident footprint: once bound and
+// offered, 16 bytes an OT plus 16 a group.
+func (b *SenderPads) SizeBytes() uint64 { return uint64(len(b.pads)+len(b.delta)) * KeySize }
 
 // ReceivePads runs the sender's first half of m OTs: it receives the
 // receiver's u frame (SendChoices) and returns the pads. SendOffsets
@@ -240,24 +202,57 @@ func (s *ExtSender) ReceivePads(m int) (*SenderPads, error) {
 	})
 }
 
-// SendOffsets transfers the pairs (m0_j, m0_j ⊕ delta[j/per]) of a batch
-// from ReceivePads, whose OTs j and k share an offset whenever j/per =
-// k/per: it sends t_j = delta[j/per] ⊕ m0_j ⊕ m1_j. A batch is sent once.
-// Failures poison the endpoint as in Send.
-func (s *ExtSender) SendOffsets(b *SenderPads, delta []Message, per int) error {
+// SendOffsets sends the t frame of a batch from ReceivePads for the pairs
+// (x0_j, x0_j ⊕ delta[j/per]), whose OTs j and k share an offset whenever
+// j/per = k/per: t_j = delta[j/per] ⊕ m0_j ⊕ m1_j. A nil x0 takes the
+// zero pads as the zero labels, and the batch is done; otherwise the batch
+// is bound to x0 and keeps w_j = x0_j ⊕ m0_j and delta, for one
+// SendPrecomputed. A batch is offered once. Failures poison the endpoint
+// as in Send.
+func (s *ExtSender) SendOffsets(b *SenderPads, x0, delta []Message, per int) error {
 	m := len(b.pads) / 2
-	if b.spent || per < 1 || len(delta) != (m+per-1)/per {
-		return fmt.Errorf("ot: %d offsets of %d OTs each for a batch of %d OTs, spent %v", len(delta), per, m, b.spent)
+	if b.state != batchNew || per < 1 || len(delta) != (m+per-1)/per || x0 != nil && len(x0) != m {
+		return fmt.Errorf("ot: %d zero labels, %d offsets of %d OTs each for a batch of %d OTs, %v", len(x0), len(delta), per, m, b.state)
 	}
-	b.spent = true
+	b.state = batchOffered
 	return sticky(&s.err, m, func() error {
-		m0, m1 := b.pads[:m], b.pads[m:]
+		m0, m1, t := b.pads[:m], b.pads[m:], b.t
 		for j := range m0 {
-			tj := (*Message)(b.t[KeySize*j:])
+			tj := (*Message)(t[KeySize*j:])
 			xor(tj, &m0[j], &m1[j])
 			xor(tj, tj, &delta[j/per])
 		}
-		return s.conn.Send(b.t)
+		if x0 != nil { // keep w and Δ alone: no m1, no t
+			w := make([]Message, m)
+			for j := range w {
+				xor(&w[j], &x0[j], &m0[j])
+			}
+			b.pads, b.delta, b.per, b.state = w, delta, per, batchBound
+		}
+		b.t = nil
+		return s.conn.Send(t)
+	})
+}
+
+// SendPrecomputed is a bound batch's answer: it receives the correction
+// bits d = a ⊕ c, one per OT, and sends z = w ⊕ d·Δ. It refuses, before it
+// moves a byte, a batch not yet offered, one whose pads are its labels (z
+// would be d·Δ and give Δ away), and one already answered (a second answer
+// on the same pads would too). Failures poison the endpoint as in Send.
+func (s *ExtSender) SendPrecomputed(b *SenderPads) error {
+	if b.state != batchBound {
+		return fmt.Errorf("ot: batch of %d OTs is %v, not bound and offered", len(b.pads), b.state)
+	}
+	b.state = batchAnswered
+	return sticky(&s.err, len(b.pads), func() error {
+		d, err := s.conn.Recv()
+		if err != nil {
+			return err
+		}
+		if want := (len(b.pads) + 7) / 8; len(d) != want {
+			return &FrameSizeError{Frame: "d", Got: len(d), Want: want}
+		}
+		return s.conn.Send(answer(make([]byte, KeySize*len(b.pads)), b.pads, d, b.delta, b.per))
 	})
 }
 
@@ -302,12 +297,16 @@ func NewExtReceiver(conn transport.MsgConn, src io.Reader) (*ExtReceiver, error)
 }
 
 // Receive obtains the message selected by each choice bit, in a slice the
-// caller owns. The first failure poisons the endpoint like ExtSender.Send.
+// caller owns: the pads of u, opened by t and then z. The first failure
+// poisons the endpoint like ExtSender.Send.
 func (r *ExtReceiver) Receive(choices []bool) ([]Message, error) {
 	var out []Message
 	err := sticky(&r.err, len(choices), func() (err error) {
-		if out, err = r.extend(pack(choices), len(choices)); err == nil {
-			err = recvInto(r.conn, "z", out, nil)
+		c := pack(choices)
+		if out, err = r.sendU(c, len(choices)); err == nil {
+			if err = recvInto(r.conn, "t", out, c); err == nil {
+				err = recvInto(r.conn, "z", out, nil)
+			}
 		}
 		return err
 	})
@@ -315,69 +314,6 @@ func (r *ExtReceiver) Receive(choices []bool) ([]Message, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// ReceiverOTs is a batch of random OTs extended ahead of their use: random
-// choice bits c, packed, and the key K = m_c ⊕ c·t of each OT.
-type ReceiverOTs struct {
-	c     []byte
-	k     []Message
-	spent bool
-}
-
-// SizeBytes reports the batch's resident footprint.
-func (b *ReceiverOTs) SizeBytes() uint64 { return uint64(len(b.k)*KeySize + len(b.c)) }
-
-// Precompute runs m random OTs on choice bits drawn from src (nil means
-// crypto/rand): it sends the u frame the sender's Precompute answers with
-// its t frame. Failures poison the endpoint as in Receive.
-func (r *ExtReceiver) Precompute(m int, src io.Reader) (*ReceiverOTs, error) {
-	if src == nil {
-		src = rand.Reader
-	}
-	b := &ReceiverOTs{c: make([]byte, (m+7)/8)}
-	if _, err := io.ReadFull(src, b.c); err != nil {
-		return nil, fmt.Errorf("ot: entropy: %w", err)
-	}
-	return b, sticky(&r.err, m, func() (err error) {
-		b.c[len(b.c)-1] &= 0xFF >> (7 - (m-1)%8) // no choice bits past m
-		b.k, err = r.extend(b.c, m)
-		return err
-	})
-}
-
-// ReceivePrecomputed is a batch's online leg: it sends d = a ⊕ c for the
-// choices a and opens the sender's answer with the stored pads, into the
-// batch's own storage, which it returns. A batch is received once. Failures
-// poison the endpoint as in Receive.
-func (r *ExtReceiver) ReceivePrecomputed(b *ReceiverOTs, choices []bool) ([]Message, error) {
-	if b.spent || len(choices) != len(b.k) {
-		return nil, fmt.Errorf("ot: %d choices for a batch of %d OTs, spent %v", len(choices), len(b.k), b.spent)
-	}
-	b.spent = true
-	err := sticky(&r.err, len(choices), func() error {
-		d := pack(choices)
-		subtle.XORBytes(d, d, b.c)
-		if err := r.conn.Send(d); err != nil {
-			return err
-		}
-		return recvInto(r.conn, "z", b.k, nil)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return b.k, nil
-}
-
-// extend is the receiver's half of one extension of m > 0 OTs on the
-// packed choice bits rBits: it sends u, receives the sender's t frame and
-// returns each OT's key K_j = H(t_j) ⊕ r_j·t_j, which is x_r ⊕ w_j.
-func (r *ExtReceiver) extend(rBits []byte, m int) ([]Message, error) {
-	pads, err := r.sendU(rBits, m)
-	if err != nil {
-		return nil, err
-	}
-	return pads, recvInto(r.conn, "t", pads, rBits)
 }
 
 // sendU sends the u frame of one extension of m > 0 OTs on the packed
@@ -404,16 +340,21 @@ func (r *ExtReceiver) sendU(rBits []byte, m int) ([]Message, error) {
 	return pads, nil
 }
 
-// ReceiverPads is SenderPads' receiver side: the packed choice bits of one
-// extension whose u frame is sent, and the pads m_c they select.
+// ReceiverPads is SenderPads' receiver side: the packed choice bits c of
+// one extension whose u frame is sent, and the pads m_c they select, then
+// the keys the t frame opens, m_c ⊕ c·t, which are x_c ⊕ w of a bound
+// batch's pairs, 16 bytes and a bit an OT.
 type ReceiverPads struct {
 	c     []byte
 	k     []Message
-	spent bool
+	state batchState
 }
 
+// SizeBytes reports the batch's resident footprint.
+func (b *ReceiverPads) SizeBytes() uint64 { return uint64(len(b.k)*KeySize + len(b.c)) }
+
 // SendChoices runs the receiver's first half of len(choices) OTs: it sends
-// the u frame the sender's ReceivePads takes. ReceiveOffsets finishes the
+// the u frame the sender's ReceivePads takes. ReceiveOffsets opens the
 // batch. Failures poison the endpoint as in Receive.
 func (r *ExtReceiver) SendChoices(choices []bool) (*ReceiverPads, error) {
 	b := &ReceiverPads{c: pack(choices)}
@@ -424,15 +365,40 @@ func (r *ExtReceiver) SendChoices(choices []bool) (*ReceiverPads, error) {
 }
 
 // ReceiveOffsets receives the sender's t frame for a batch from SendChoices
-// and opens each OT's label, m_c ⊕ c·t, which is m0 ⊕ c·Δ of its pair, into
-// the batch's own storage, which it returns. A batch is received once.
-// Failures poison the endpoint as in Receive.
+// and opens each OT's key, m_c ⊕ c·t, into the batch's own storage, which
+// it returns. Where the sender's pads are the labels, the key is the label
+// m0 ⊕ c·Δ of choice c, and the batch is done; a bound batch's keys wait
+// for ReceivePrecomputed. A batch is opened once. Failures poison the
+// endpoint as in Receive.
 func (r *ExtReceiver) ReceiveOffsets(b *ReceiverPads) ([]Message, error) {
-	if b.spent {
-		return nil, fmt.Errorf("ot: batch of %d OTs already received", len(b.k))
+	if b.state != batchNew {
+		return nil, fmt.Errorf("ot: batch of %d OTs already opened", len(b.k))
 	}
-	b.spent = true
+	b.state = batchOffered
 	if err := sticky(&r.err, len(b.k), func() error { return recvInto(r.conn, "t", b.k, b.c) }); err != nil {
+		return nil, err
+	}
+	return b.k, nil
+}
+
+// ReceivePrecomputed is an opened batch's answer: it sends d = a ⊕ c for
+// the choices a and opens the sender's z frame with the keys, into the
+// batch's own storage, which it returns: x_a of each pair. It refuses a
+// batch not yet opened or already answered. Failures poison the endpoint
+// as in Receive.
+func (r *ExtReceiver) ReceivePrecomputed(b *ReceiverPads, choices []bool) ([]Message, error) {
+	if b.state != batchOffered || len(choices) != len(b.k) {
+		return nil, fmt.Errorf("ot: %d choices for a batch of %d OTs, %v, not opened", len(choices), len(b.k), b.state)
+	}
+	b.state = batchAnswered
+	if err := sticky(&r.err, len(choices), func() error {
+		d := pack(choices)
+		subtle.XORBytes(d, d, b.c)
+		if err := r.conn.Send(d); err != nil {
+			return err
+		}
+		return recvInto(r.conn, "z", b.k, nil)
+	}); err != nil {
 		return nil, err
 	}
 	return b.k, nil

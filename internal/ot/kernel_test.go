@@ -331,7 +331,7 @@ func TestPoisonedEndpoints(t *testing.T) {
 				go func() {
 					b, err := s.ReceivePads(m)
 					if err == nil {
-						err = s.SendOffsets(b, offsets(pairs), 1)
+						err = s.SendOffsets(b, nil, offsets(pairs), 1)
 					}
 					sendErr <- err
 				}()
@@ -349,8 +349,8 @@ func TestPoisonedEndpoints(t *testing.T) {
 			case fr.name == "t":
 				sw, rw := precompute(t, s, r, warmPairs, 1)
 				runPrecomputed(t, s, r, sw, rw, warmPairs, warmChoices)
-				go func() { _, err := s.Precompute(pairs, 1); sendErr <- err }()
-				go func() { _, err := r.Precompute(m, newSeeded(2)); recvErr <- err }()
+				go func() { _, err := offer(s, pairs); sendErr <- err }()
+				go func() { _, err := openRandom(r, m, 2); recvErr <- err }()
 			default:
 				sw, rw := precompute(t, s, r, warmPairs, 1)
 				sb, rb := precompute(t, s, r, pairs, 2)
@@ -383,15 +383,15 @@ func TestPoisonedEndpoints(t *testing.T) {
 				var again []error
 				if fr.bySend {
 					pairs := randomPairs(rng, k)
-					_, err := s.Precompute(pairs, 1)
+					_, err := offer(s, pairs)
 					_, err2 := s.ReceivePads(k)
 					again = append(again, s.Send(pairs), err,
-						s.SendPrecomputed(&SenderOTs{w: make([]Message, k), delta: offsets(pairs), per: 1}), err2,
-						s.SendOffsets(&SenderPads{pads: make([]Message, 2*k), t: make([]byte, KeySize*k)}, offsets(pairs), 1))
+						s.SendPrecomputed(&SenderPads{pads: make([]Message, k), delta: offsets(pairs), per: 1, state: batchBound}), err2,
+						s.SendOffsets(&SenderPads{pads: make([]Message, 2*k), t: make([]byte, KeySize*k)}, nil, offsets(pairs), 1))
 				} else {
 					_, err1 := r.Receive(randomChoices(rng, k))
-					_, err2 := r.Precompute(k, newSeeded(3))
-					_, err3 := r.ReceivePrecomputed(&ReceiverOTs{c: make([]byte, (k+7)/8), k: make([]Message, k)}, randomChoices(rng, k))
+					_, err2 := openRandom(r, k, 3)
+					_, err3 := r.ReceivePrecomputed(&ReceiverPads{c: make([]byte, (k+7)/8), k: make([]Message, k), state: batchOffered}, randomChoices(rng, k))
 					_, err4 := r.SendChoices(randomChoices(rng, k))
 					_, err5 := r.ReceiveOffsets(&ReceiverPads{c: make([]byte, (k+7)/8), k: make([]Message, k)})
 					again = append(again, err1, err2, err3, err4, err5)
@@ -419,17 +419,47 @@ func offsets(pairs [][2]Message) []Message {
 	return delta
 }
 
+// zeroLabels lists each pair's zero message x0.
+func zeroLabels(pairs [][2]Message) []Message {
+	x0 := make([]Message, len(pairs))
+	for j, p := range pairs {
+		x0[j] = p[0]
+	}
+	return x0
+}
+
+// offer is the sender's half of a batch bound to pairs, one group an OT:
+// ReceivePads, then SendOffsets on the pairs' zero messages.
+func offer(s *ExtSender, pairs [][2]Message) (*SenderPads, error) {
+	b, err := s.ReceivePads(len(pairs))
+	if err != nil {
+		return b, err
+	}
+	return b, s.SendOffsets(b, zeroLabels(pairs), offsets(pairs), 1)
+}
+
+// openRandom is offer's receiver side on m choice bits drawn from a stream
+// seeded with seed: SendChoices, then ReceiveOffsets.
+func openRandom(r *ExtReceiver, m int, seed int64) (*ReceiverPads, error) {
+	b, err := r.SendChoices(randomChoices(rand.New(rand.NewSource(seed)), m))
+	if err != nil {
+		return b, err
+	}
+	_, err = r.ReceiveOffsets(b)
+	return b, err
+}
+
 // precompute runs one batch of random OTs bound to pairs on both endpoints,
 // the receiver's choice bits drawn from a stream seeded with seed.
-func precompute(t *testing.T, s *ExtSender, r *ExtReceiver, pairs [][2]Message, seed int64) (*SenderOTs, *ReceiverOTs) {
+func precompute(t *testing.T, s *ExtSender, r *ExtReceiver, pairs [][2]Message, seed int64) (*SenderPads, *ReceiverPads) {
 	t.Helper()
 	type res struct {
-		b   *SenderOTs
+		b   *SenderPads
 		err error
 	}
 	ch := make(chan res, 1)
-	go func() { b, err := s.Precompute(pairs, 1); ch <- res{b, err} }()
-	rb, err := r.Precompute(len(pairs), newSeeded(seed))
+	go func() { b, err := offer(s, pairs); ch <- res{b, err} }()
+	rb, err := openRandom(r, len(pairs), seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +471,7 @@ func precompute(t *testing.T, s *ExtSender, r *ExtReceiver, pairs [][2]Message, 
 }
 
 // runPrecomputed runs a batch's online legs and checks the transfer.
-func runPrecomputed(t *testing.T, s *ExtSender, r *ExtReceiver, sb *SenderOTs, rb *ReceiverOTs, pairs [][2]Message, choices []bool) []Message {
+func runPrecomputed(t *testing.T, s *ExtSender, r *ExtReceiver, sb *SenderPads, rb *ReceiverPads, pairs [][2]Message, choices []bool) []Message {
 	t.Helper()
 	errCh := make(chan error, 1)
 	go func() { errCh <- s.SendPrecomputed(sb) }()
@@ -531,7 +561,7 @@ func TestPrecomputedAllocs(t *testing.T) {
 	s, r := setupExtension(t)
 	ab, ba := make(chan []byte, 1), make(chan []byte, 1)
 	s.conn, r.conn = chanConn{in: ba, out: ab}, chanConn{in: ab, out: ba}
-	batches := make(chan *SenderOTs)
+	batches := make(chan *SenderPads)
 	errs := make(chan error)
 	go func() {
 		for b := range batches {
@@ -544,7 +574,7 @@ func TestPrecomputedAllocs(t *testing.T) {
 	var counts []float64
 	for _, m := range []int{2560, 64, 512, 2560} { // the first warms the runtime
 		// AllocsPerRun calls its function runs+1 times, each on a fresh batch.
-		sbs, rbs := make([]*SenderOTs, runs+1), make([]*ReceiverOTs, runs+1)
+		sbs, rbs := make([]*SenderPads, runs+1), make([]*ReceiverPads, runs+1)
 		for i := range sbs {
 			sbs[i], rbs[i] = precompute(t, s, r, randomPairs(rng, m), int64(i))
 		}

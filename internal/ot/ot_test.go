@@ -249,7 +249,8 @@ func TestExtensionCommunicationVolume(t *testing.T) {
 // inference: one batch per ReLU layer (256 and 128 units of 20-bit shares)
 // on one endpoint pair, the sender on a goroutine that outlives the loop so
 // allocs/op is the extension's own. Client-Garbler pays the same extension
-// offline, in Precompute; the online leg left is BenchmarkOTOnline.
+// offline, as a bound batch (SendOffsets); the online leg left is
+// BenchmarkOTOnline.
 func BenchmarkOTExtension(b *testing.B) {
 	s, r := setupExtension(b)
 	rng := rand.New(rand.NewSource(17))
@@ -310,9 +311,9 @@ func BenchmarkOTOnline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for l, m := range sizes {
 			b.StopTimer()
-			var sb *SenderOTs
-			jobs <- func() (err error) { sb, err = s.Precompute(pairs[l], 1); return }
-			rb, err := r.Precompute(m, nil)
+			var sb *SenderPads
+			jobs <- func() (err error) { sb, err = offer(s, pairs[l]); return }
+			rb, err := openRandom(r, m, int64(i))
 			if err != nil {
 				b.Fatal(err)
 			}

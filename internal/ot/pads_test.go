@@ -36,7 +36,7 @@ func runPads(t *testing.T, s *ExtSender, r *ExtReceiver, choices []bool, delta [
 	go func() {
 		b, err := s.ReceivePads(len(choices))
 		if err == nil {
-			err = s.SendOffsets(b, delta, per)
+			err = s.SendOffsets(b, nil, delta, per)
 		}
 		ch <- res{b.Zero(), err}
 	}()
@@ -126,10 +126,10 @@ func TestPadsAreChosenOTZeroLabels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ps.SendOffsets(sb, nil, 1); err != nil {
+		if err := ps.SendOffsets(sb, nil, nil, 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := ps.SendOffsets(sb, nil, 1); err == nil {
+		if err := ps.SendOffsets(sb, nil, nil, 1); err == nil {
 			t.Fatal("a spent batch was answered again")
 		}
 		rb, err := pr.SendChoices(nil)
@@ -145,9 +145,9 @@ func TestPadsAreChosenOTZeroLabels(t *testing.T) {
 	}
 }
 
-// TestSendOffsetsChecksBatch: a second t on one batch, or offsets that do
-// not cover it, is refused before anything is sent, and does not poison the
-// endpoint: the next batch runs.
+// TestSendOffsetsChecksBatch: a second t on one batch, or offsets or zero
+// labels that do not cover it, is refused before anything is sent, and does
+// not poison the endpoint: the next batch runs.
 func TestSendOffsetsChecksBatch(t *testing.T) {
 	s, r := setupExtension(t)
 	rng := rand.New(rand.NewSource(58))
@@ -161,20 +161,20 @@ func TestSendOffsetsChecksBatch(t *testing.T) {
 			return
 		}
 		for _, bad := range []struct {
-			delta []Message
-			per   int
-		}{{delta[:2], 4}, {delta, 3}, {delta, 0}, {nil, 12}} {
-			if err := s.SendOffsets(b, bad.delta, bad.per); err == nil {
+			x0, delta []Message
+			per       int
+		}{{nil, delta[:2], 4}, {nil, delta, 3}, {nil, delta, 0}, {nil, nil, 12}, {make([]Message, 11), delta, 4}} {
+			if err := s.SendOffsets(b, bad.x0, bad.delta, bad.per); err == nil {
 				errCh <- errors.New("offsets that do not cover the batch were sent")
 				return
 			}
 		}
-		if err := s.SendOffsets(b, delta, 4); err != nil {
+		if err := s.SendOffsets(b, nil, delta, 4); err != nil {
 			errCh <- err
 			return
 		}
 		sent := s.conn.SentBytes()
-		if err := s.SendOffsets(b, delta, 4); err == nil || s.conn.SentBytes() != sent {
+		if err := s.SendOffsets(b, nil, delta, 4); err == nil || s.conn.SentBytes() != sent {
 			errCh <- errors.New("a second t was sent on one batch")
 			return
 		}
@@ -194,9 +194,75 @@ func TestSendOffsetsChecksBatch(t *testing.T) {
 	runPads(t, s, r, randomChoices(rng, 20), delta, 5)
 }
 
+// TestAnswerRefusesOutOfStep: only a batch bound to zero labels and
+// offered is answered, and once. SendPrecomputed refuses a batch not yet
+// offered, a pads-as-labels batch (its answer, z = d·Δ, would give Δ
+// away) and an answered one; ReceivePrecomputed refuses an unopened batch
+// and an answered one. Each refusal comes before a byte moves and does not
+// poison the endpoint. An offered bound batch keeps w and one Δ a group:
+// no m1 half, no t buffer.
+func TestAnswerRefusesOutOfStep(t *testing.T) {
+	s, r := setupExtension(t)
+	rng := rand.New(rand.NewSource(59))
+	const m, per = 12, 4
+	pairs, delta := groupedPairs(rng, m, per)
+	choices := randomChoices(rng, m)
+	moved := func() uint64 { return s.conn.SentBytes() + r.conn.SentBytes() }
+	// both runs the sender's step on a goroutine and the receiver's here.
+	both := func(send func() error, recv func() error) {
+		t.Helper()
+		errCh := make(chan error, 1)
+		go func() { errCh <- send() }()
+		if err := recv(); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-errCh; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, x0 := range [][]Message{nil, zeroLabels(pairs)} {
+		var sb *SenderPads
+		var rb *ReceiverPads
+		both(func() (err error) { sb, err = s.ReceivePads(m); return },
+			func() (err error) { rb, err = r.SendChoices(choices); return })
+		sent := moved()
+		err1 := s.SendPrecomputed(sb)
+		_, err2 := r.ReceivePrecomputed(rb, choices)
+		if err1 == nil || err2 == nil || moved() != sent {
+			t.Fatalf("not offered: SendPrecomputed %v, ReceivePrecomputed %v, want both refused", err1, err2)
+		}
+		both(func() error { return s.SendOffsets(sb, x0, delta, per) },
+			func() error { _, err := r.ReceiveOffsets(rb); return err })
+		if x0 == nil {
+			sent = moved()
+			if err := s.SendPrecomputed(sb); err == nil || moved() != sent {
+				t.Fatalf("a pads-as-labels batch was answered: %v", err)
+			}
+			continue
+		}
+		if len(sb.pads) != m || cap(sb.pads) != m || len(sb.delta) != m/per || sb.t != nil || sb.SizeBytes() != KeySize*(m+m/per) {
+			t.Fatalf("bound batch keeps %d of %d pads, %d offsets, %d t bytes (%d B), want %d pads, %d offsets, no t",
+				len(sb.pads), cap(sb.pads), len(sb.delta), len(sb.t), sb.SizeBytes(), m, m/per)
+		}
+		var got []Message
+		both(func() error { return s.SendPrecomputed(sb) },
+			func() (err error) { got, err = r.ReceivePrecomputed(rb, choices); return })
+		checkTransfer(t, pairs, choices, got)
+		sent = moved()
+		err1 = s.SendPrecomputed(sb)
+		_, err2 = r.ReceivePrecomputed(rb, choices)
+		if err1 == nil || err2 == nil || moved() != sent {
+			t.Fatalf("answered: SendPrecomputed %v, ReceivePrecomputed %v, want both refused", err1, err2)
+		}
+	}
+	_, delta = groupedPairs(rng, 20, 5)
+	runPads(t, s, r, randomChoices(rng, 20), delta, 5)
+}
+
 // FuzzExtensionFrames feeds hostile frames — u and d to a sender, t and z to
 // a receiver — to both endpoints through three calls each, drawn from
-// every kind of batch: chosen, precomputed and pads-then-offsets. Every
+// every kind of batch: chosen, pads-as-labels, and bound-then-answered. Every
 // call returns nil or a *FrameSizeError, never panics, and after the first
 // failure every call returns that error without reading a frame.
 func FuzzExtensionFrames(f *testing.F) {
@@ -231,10 +297,10 @@ func FuzzExtensionFrames(f *testing.F) {
 				if err != nil {
 					return err
 				}
-				return s.SendOffsets(b, offsets(pairs), 1)
+				return s.SendOffsets(b, nil, offsets(pairs), 1)
 			},
 			func() error {
-				b, err := s.Precompute(pairs, 1)
+				b, err := offer(s, pairs)
 				if err != nil {
 					return err
 				}
@@ -252,7 +318,7 @@ func FuzzExtensionFrames(f *testing.F) {
 				return err
 			},
 			func() error {
-				b, err := r.Precompute(m, newSeeded(1))
+				b, err := openRandom(r, m, 1)
 				if err != nil {
 					return err
 				}
