@@ -198,9 +198,9 @@ func (c *Client) RunOnline(x []uint64) ([]uint64, OnlineReport, error) {
 			if err := c.conn.Send(encodeBits(bits)); err != nil {
 				return nil, rep, err
 			}
-		case ClientGarbler: // garbler: derandomize the server's precomputed OTs for its a labels
-			if err := c.otSendLabels(layer, pre.sendOTs[layer]); err != nil {
-				return nil, rep, err
+		case ClientGarbler: // garbler: answer the server's d bits on the layer's bound a-label OTs
+			if err := c.otSend.SendPrecomputed(pre.sendOTs[layer]); err != nil {
+				return nil, rep, fmt.Errorf("delphi: label OT layer %d: %w", layer, err)
 			}
 		}
 		layerSpan.End()

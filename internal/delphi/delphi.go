@@ -9,19 +9,20 @@
 //
 //   - The garbler garbles every ReLU unit offline and ships, per layer, a
 //     public seed, the tables and the packed decode bits (garbleAndShip).
-//     It is the OT sender. A circuit input whose value it knows when it
-//     garbles (const-one, and b and r on a client garbler) it pins to an
-//     active label expanded from the seed, so that label never travels.
-//     A server garbler pins b and r instead to the zero pads of their
-//     OTs, whose u frame it takes before it garbles the layer and whose t
-//     frame alone, sent after it, gives the client its labels. The a
-//     labels of a server garbler go direct online; a client garbler
-//     offers them by OT (precomputeOffer + otSendLabels).
+//     It is the OT sender, and each layer's label OTs run around the
+//     layer: it takes their pads from the evaluator's u frame before it
+//     garbles and sends their t frame after the record. A circuit input
+//     whose value it knows when it garbles (const-one, and b and r on a
+//     client garbler) it pins to an active label expanded from the seed,
+//     so that label never travels. A server garbler's OTs carry b and r,
+//     pinned to the OTs' zero pads, whose t frame alone gives the client
+//     its labels; its a labels go direct online. A client garbler's OTs
+//     carry the a labels, bound to them and answered online.
 //   - The evaluator receives and stores the circuits (receiveGC, the one
-//     payload parser, which also runs a client's b and r OTs around each
-//     layer) — the 18.2 KB/ReLU storage burden of Figure 3 — is the OT
-//     receiver (precomputeFetch + otRecvLabels), and evaluates online
-//     (evaluateLayer).
+//     payload parser, which also runs each layer's OTs around it) — the
+//     18.2 KB/ReLU storage burden of Figure 3 — is the OT receiver, on
+//     random choices under Client-Garbler, derandomized online, and
+//     evaluates online (evaluateLayer).
 //
 // A ReLU unit takes a, the server's share of the layer output (known only
 // online), and b and r, the client's share c_i and next mask r_{i+1} (known
@@ -33,16 +34,18 @@
 //	garbler, OT sender     server                     client
 //	evaluator, GC storage  client                     server
 //	const-one label        expanded from the layer seed, either variant
-//	b, r labels (offline)  OT pads: u, layer, t       expanded from the layer seed
-//	a labels (online)      direct, server → client    random OT offline, then
-//	                                                  d bits up, pair down
+//	label OTs (offline)    b, r: u, layer, t          a: u, layer, t
+//	b, r labels            the OTs' zero pads         expanded from the layer seed
+//	a labels (online)      direct, server → client    d bits server → client,
+//	                                                  z client → server
 //	ReLU output bits       client decodes, returns    server decodes, keeps
 //
-// The offline garbled-circuit leg of both endpoints (offlineGC) and
-// RunOnline on each are one switch on the variant whose arms pick the role
-// calls of the column above; the wire layout, the evaluator's allocation
-// behaviour and the label ordering live in the role code and so change in
-// one place for both variants.
+// The offline garbled-circuit leg of both endpoints (offlineGC) runs the
+// same role calls under either variant, and RunOnline on each is one
+// switch on the variant whose arms pick the role calls of the column
+// above; the wire layout, the evaluator's allocation behaviour and the
+// label ordering live in the role code and so change in one place for
+// both variants.
 //
 // The implementation is functional end-to-end: a Client/Server pair
 // connected by a transport.Conn produces inference outputs bit-exact with

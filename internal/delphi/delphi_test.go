@@ -521,7 +521,8 @@ func BenchmarkDelphiOnlineMLP(b *testing.B) {
 // seed is fresh: distinct across layers and across two garblings on one
 // entropy stream. Under Server-Garbler the b and r labels the evaluator
 // opens from the OTs' t frames are the garbler's active labels of its
-// values: the garbler pinned those inputs to the OTs' zero pads.
+// values: the garbler pinned those inputs to the OTs' zero pads. Both
+// variants set up OT, since either runs a layer's label OTs around it.
 func TestPinnedLabelsExpandFromSeed(t *testing.T) {
 	model, err := nn.DemoMLP(field.New(field.P20), 3)
 	if err != nil {
@@ -556,14 +557,14 @@ func TestPinnedLabelsExpandFromSeed(t *testing.T) {
 		garblerOwn, evaluatorOwn := own, [][]uint64(nil)
 		if variant == ServerGarbler {
 			garblerOwn, evaluatorOwn = nil, own
-			errCh := make(chan error, 1)
-			go func() { errCh <- garbler.setupOT(true, nil, nil) }()
-			if err := evaluator.setupOT(false, nil, nil); err != nil {
-				t.Fatal(err)
-			}
-			if err := <-errCh; err != nil {
-				t.Fatal(err)
-			}
+		}
+		errCh := make(chan error, 1)
+		go func() { errCh <- garbler.setupOT(true, nil, nil) }()
+		if err := evaluator.setupOT(false, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-errCh; err != nil {
+			t.Fatal(err)
 		}
 		seen := map[[garble.LabelSize]byte]bool{}
 		for round := 0; round < 2; round++ {
@@ -573,10 +574,10 @@ func TestPinnedLabelsExpandFromSeed(t *testing.T) {
 			}
 			ch := make(chan shipped, 1)
 			go func() {
-				encs, err := garbler.garbleAndShip(garblerOwn, new(time.Duration))
+				encs, _, err := garbler.garbleAndShip(garblerOwn, new(time.Duration))
 				ch <- shipped{encs, err}
 			}()
-			stored, err := evaluator.receiveGC(evaluatorOwn, new(time.Duration))
+			stored, _, err := evaluator.receiveGC(evaluatorOwn, new(time.Duration))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -125,10 +125,6 @@ func TestEvaluatorRejectsMalformedGCPayload(t *testing.T) {
 						t.Fatal(err)
 					}
 					p = &client.party
-					// The client sends the layer's u frame first.
-					if p.otRecv, err = ot.ResumeReceiver(conn, &ot.ReceiverState{}, []byte("attack")); err != nil {
-						t.Fatal(err)
-					}
 					for l := range p.circuits {
 						own = append(own, make([]uint64, 2*model.Linear[l].Out()))
 					}
@@ -139,10 +135,14 @@ func TestEvaluatorRejectsMalformedGCPayload(t *testing.T) {
 					}
 					p = &server.party
 				}
+				// The evaluator sends the layer's u frame first.
+				if p.otRecv, err = ot.ResumeReceiver(conn, &ot.ReceiverState{}, []byte("attack")); err != nil {
+					t.Fatal(err)
+				}
 				if err := atkConn.Send(make([]byte, tc.size)); err != nil {
 					t.Fatal(err)
 				}
-				_, err := p.receiveGC(own, new(time.Duration))
+				_, _, err := p.receiveGC(own, new(time.Duration))
 				if err == nil || !strings.Contains(err.Error(), "payload") {
 					t.Fatalf("want payload-size error, got %v", err)
 				}

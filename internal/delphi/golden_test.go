@@ -8,6 +8,7 @@ import (
 	"hash"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -107,7 +108,12 @@ func (h *hashConn) cut(variant Variant, phase string) string {
 // digests: the client's key generation draws a 16-byte seed where it drew
 // all of a, which shifts every later draw of its stream, and the server's
 // responses are re-randomized from seeds it draws before each layer's
-// product, which shifts its own.
+// product, which shifts its own. Wire v15 runs Client-Garbler's a-label
+// OTs inside the layer loop, as Server-Garbler runs its b and r OTs: each
+// layer's t frame now follows its record instead of coming after every
+// record. Only cg offline c2s moved, its digest and not its 313,544 bytes;
+// the other seven lines kept every byte and digest, because the frames
+// themselves and every party's draws are as before.
 func TestGCWireGolden(t *testing.T) {
 	model, err := nn.DemoMLP(field.New(field.P20), 7)
 	if err != nil {
@@ -143,6 +149,63 @@ func TestGCWireGolden(t *testing.T) {
 	}
 	if got.String() != string(want) {
 		t.Fatalf("GC wire streams changed (run with -update only for a deliberate wire bump)\ngot:\n%swant:\n%s", got.String(), want)
+	}
+}
+
+// frameLog records the direction and size of every frame the client sends
+// (up) and receives, in the client's program order.
+type frameLog struct {
+	transport.MsgConn
+	frames []loggedFrame
+}
+
+type loggedFrame struct {
+	up    bool
+	bytes int
+}
+
+func (f *frameLog) Send(p []byte) error {
+	f.frames = append(f.frames, loggedFrame{true, len(p)})
+	return f.MsgConn.Send(p)
+}
+
+func (f *frameLog) Recv() ([]byte, error) {
+	p, err := f.MsgConn.Recv()
+	f.frames = append(f.frames, loggedFrame{false, len(p)})
+	return p, err
+}
+
+// TestLabelOTFlightsPerLayer: both variants run each ReLU layer's label OTs
+// as one flight around the layer's record, on the demo MLP: the evaluator's
+// u (128·⌈m/8⌉ bytes), the garbler's record (gcLayerBytes), then the
+// garbler's t (16·m bytes), with m = units·2·width OTs under Server-Garbler
+// (b and r) and units·width under Client-Garbler (a). The garbled-circuit
+// leg ends the offline phase, so its frames are the last the client sees.
+func TestLabelOTFlightsPerLayer(t *testing.T) {
+	model, err := nn.DemoMLP(field.New(field.P20), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, variant := range []Variant{ServerGarbler, ClientGarbler} {
+		cc, sc := transport.Pipe()
+		log := &frameLog{MsgConn: cc}
+		s := newSessionOn(t, variant, model, 0, log, sc)
+		log.frames = nil
+		s.offline(t)
+		width, circuits := model.F.Bits(), s.client.circuits
+		garblerUp := variant == ClientGarbler
+		gc := log.frames[len(log.frames)-3*len(circuits):]
+		for l, circ := range circuits {
+			units := model.Linear[l].Out()
+			m := units * width
+			if variant == ServerGarbler {
+				m *= 2
+			}
+			want := []loggedFrame{{!garblerUp, 128 * ((m + 7) / 8)}, {garblerUp, gcLayerBytes(circ, units)}, {garblerUp, 16 * m}}
+			if got := gc[3*l : 3*l+3]; !slices.Equal(got, want) {
+				t.Errorf("%v layer %d: offline frames (up, bytes) %v, want u, record, t: %v", variant, l, got, want)
+			}
+		}
 	}
 }
 

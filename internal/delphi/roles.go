@@ -104,13 +104,12 @@ func (p *party) OTResume() *OTResume {
 // evaluator keeps stored. A server garbler keeps encs, for the a labels it
 // sends direct: a unit's a-input false labels and its Δ, nothing else. Under
 // Client-Garbler each party keeps instead its half of the a-label OTs, one
-// batch per ReLU layer, made offline and consumed online.
+// batch per ReLU layer, made offline and answered online.
 type gcPre struct {
 	encs    [][]garble.Encoding // per ReLU layer, per unit: a inputs only
 	stored  []storedLayer       // per ReLU layer
-	sendOTs []*ot.SenderPads    // per ReLU layer, on a client garbler
-	recvOTs []*ot.ReceiverPads  // per ReLU layer, on its evaluator
-	otBytes uint64              // the OT batches' footprint
+	sendOTs []*ot.SenderPads    // per ReLU layer, bound, on a client garbler
+	recvOTs []*ot.ReceiverPads  // per ReLU layer, opened, on its evaluator
 }
 
 // storedLayer is what the evaluator holds per ReLU layer between phases —
@@ -130,7 +129,13 @@ type storedLayer struct {
 // online: stored circuits and labels, precomputed OT state, and a server
 // garbler's encodings (the a inputs' false labels and the offset, a unit).
 func (g *gcPre) storeBytes() uint64 {
-	n := g.otBytes
+	var n uint64
+	for _, b := range g.sendOTs {
+		n += b.SizeBytes()
+	}
+	for _, b := range g.recvOTs {
+		n += b.SizeBytes()
+	}
 	for _, l := range g.stored {
 		n += l.bytes
 	}
@@ -165,27 +170,31 @@ func pinnedInputs(width int, seeded bool) []int {
 
 // garbleAndShip is the garbler's offline role: garble every ReLU unit and
 // send, per layer, one payload of public seed | units × tables | decode-bit
-// block. Every input the garbler knows when it garbles is pinned: const-one
-// to a label expanded from the public seed, and b and r, whose values
-// own[layer] lists unit-major on a client garbler, likewise. A server
-// garbler (nil own) does not know b and r: per layer it first takes the
-// pads of their OTs from the client's u frame and pins each to its zero
-// pad, then sends the t frame of the OTs with the units' Δs as offsets, and
-// the client opens its labels from t alone. Each layer's Δ and input labels
-// are AES-CTR output under a fresh secret seed, and the seeded labels
-// AES-CTR output under a fresh public seed; both come from the party's
-// entropy, every layer's secret seed first. The OT legs' time is added to
-// *otTime. It returns every unit's encoding.
-func (p *party) garbleAndShip(own [][]uint64, otTime *time.Duration) ([][]garble.Encoding, error) {
+// block inside the layer's label-OT flight: the pads of the evaluator's u
+// frame first, the t frame after the payload. Every input the garbler
+// knows when it garbles is pinned: const-one to a label expanded from the
+// public seed, and b and r, whose values own[layer] lists unit-major on a
+// client garbler, likewise. A client garbler's OTs carry the a inputs,
+// width a unit: it binds them to the a inputs' false labels and returns the
+// batches for their online answer. A server garbler (nil own) does not
+// know b and r, and its OTs carry them, 2·width a unit: it pins each to
+// its zero pad, and the client opens its labels from t alone. Either way
+// t's offsets are the units' Δs. Each layer's Δ and input labels are
+// AES-CTR output under a fresh secret seed, and the seeded labels AES-CTR
+// output under a fresh public seed; both come from the party's entropy,
+// every layer's secret seed first. The OT legs' time is added to *otTime.
+// It returns every unit's encoding.
+func (p *party) garbleAndShip(own [][]uint64, otTime *time.Duration) ([][]garble.Encoding, []*ot.SenderPads, error) {
 	width := p.f.Bits()
 	known, np := pinnedInputs(width, true), len(p.pinned)
 	n := len(known)
 	L := len(p.circuits)
 	seeds := make([]byte, 2*L*garble.LabelSize) // L secret, then L public
 	if err := p.draw(seeds); err != nil {
-		return nil, fmt.Errorf("delphi: GC seeds: %w", err)
+		return nil, nil, fmt.Errorf("delphi: GC seeds: %w", err)
 	}
 	encs := make([][]garble.Encoding, L)
+	var bound []*ot.SenderPads
 	for layer, circ := range p.circuits {
 		units := p.meta.Dims[layer].Out
 		bases := make([]uint64, units)
@@ -194,12 +203,14 @@ func (p *party) garbleAndShip(own [][]uint64, otTime *time.Duration) ([][]garble
 		}
 		secret := [garble.LabelSize]byte(seeds[layer*garble.LabelSize:])
 		public := [garble.LabelSize]byte(seeds[(L+layer)*garble.LabelSize:])
+		per := 2 * width // a server garbler's b and r
+		if own != nil {
+			per = width // a client garbler's a
+		}
 		var pads *ot.SenderPads
-		if own == nil {
-			var err error
-			if err = timed(otTime, func() error { pads, err = p.otSend.ReceivePads(units * 2 * width); return err }); err != nil {
-				return nil, fmt.Errorf("delphi: label OT layer %d: %w", layer, err)
-			}
+		var err error
+		if err = timed(otTime, func() error { pads, err = p.otSend.ReceivePads(units * per); return err }); err != nil {
+			return nil, nil, fmt.Errorf("delphi: label OT layer %d: %w", layer, err)
 		}
 		// Unit u's pinned inputs are known[k] at u*n + k: the np seeded
 		// ones first, then a server garbler's b and r at their zero pads.
@@ -227,9 +238,14 @@ func (p *party) garbleAndShip(own [][]uint64, otTime *time.Duration) ([][]garble
 		payload = append(payload, public[:]...)
 		decode := make([]bool, 0, units*len(circ.Outputs))
 		encs[layer] = make([]garble.Encoding, units)
+		deltas := make([]garble.Label, units)
+		var x0 []garble.Label // a client garbler's a-input false labels
 		// All units of the layer garble as one batch.
 		for u, g := range garble.GarbleBatchFixed(circ, garble.NewPRG(secret), bases, fix) {
-			encs[layer][u] = g.Encoding
+			encs[layer][u], deltas[u] = g.Encoding, g.Encoding.R
+			if own != nil {
+				x0 = append(x0, g.Encoding.Inputs[1:1+width]...)
+			}
 			payload = appendLabels(payload, g.Tables)
 			for _, d := range g.DecodeBits {
 				decode = append(decode, d == 1)
@@ -237,19 +253,16 @@ func (p *party) garbleAndShip(own [][]uint64, otTime *time.Duration) ([][]garble
 		}
 		payload = append(payload, encodeBits(decode)...)
 		if err := p.conn.Send(payload); err != nil {
-			return nil, fmt.Errorf("delphi: send GC layer %d: %w", layer, err)
+			return nil, nil, fmt.Errorf("delphi: send GC layer %d: %w", layer, err)
 		}
-		if pads != nil {
-			deltas := make([]garble.Label, units)
-			for u, enc := range encs[layer] {
-				deltas[u] = enc.R
-			}
-			if err := timed(otTime, func() error { return p.otSend.SendOffsets(pads, nil, deltas, 2*width) }); err != nil {
-				return nil, fmt.Errorf("delphi: label OT layer %d: %w", layer, err)
-			}
+		if err := timed(otTime, func() error { return p.otSend.SendOffsets(pads, x0, deltas, per) }); err != nil {
+			return nil, nil, fmt.Errorf("delphi: label OT layer %d: %w", layer, err)
+		}
+		if own != nil {
+			bound = append(bound, pads)
 		}
 	}
-	return encs, nil
+	return encs, bound, nil
 }
 
 // timed runs f and adds its duration to *d.
@@ -293,35 +306,44 @@ func (p *party) sendActive(encs []garble.Encoding, vals []uint64) error {
 }
 
 // receiveGC is the evaluator's offline role: receive and store every
-// layer's garbled units. From a server garbler it also obtains, per layer,
-// the labels of the b and r values own[layer] lists, unit-major: it sends
-// the u frame of their OTs before the layer and opens the labels from the t
-// frame that follows it. The OT legs' time is added to *otTime.
-func (p *party) receiveGC(own [][]uint64, otTime *time.Duration) ([]storedLayer, error) {
+// layer's garbled units, each inside the layer's label-OT flight: it sends
+// the u frame of the layer's OTs before the layer and opens them from the t
+// frame that follows it. From a server garbler the OTs obtain the labels of
+// the b and r values own[layer] lists, unit-major; from a client garbler
+// they are random OTs on bits from the party's entropy, one ⌈m/8⌉-byte
+// draw a layer, returned for their online answer. The OT legs' time is
+// added to *otTime.
+func (p *party) receiveGC(own [][]uint64, otTime *time.Duration) ([]storedLayer, []*ot.ReceiverPads, error) {
 	width, sg := p.f.Bits(), p.cfg.Variant == ServerGarbler
 	stored := make([]storedLayer, len(p.circuits))
+	var opened []*ot.ReceiverPads
 	for layer, circ := range p.circuits {
+		units := p.meta.Dims[layer].Out
 		var pads *ot.ReceiverPads
-		if sg {
-			var err error
-			if err = timed(otTime, func() error { pads, err = p.otRecv.SendChoices(valueBits(own[layer], width)); return err }); err != nil {
-				return nil, fmt.Errorf("delphi: label OT layer %d: %w", layer, err)
+		if err := timed(otTime, func() error {
+			choices, err := p.otChoices(own, layer)
+			if err == nil {
+				pads, err = p.otRecv.SendChoices(choices)
 			}
+			return err
+		}); err != nil {
+			return nil, nil, fmt.Errorf("delphi: label OT layer %d: %w", layer, err)
 		}
 		payload, err := p.conn.Recv()
 		if err != nil {
-			return nil, fmt.Errorf("delphi: recv GC layer %d: %w", layer, err)
+			return nil, nil, fmt.Errorf("delphi: recv GC layer %d: %w", layer, err)
 		}
 		st := &stored[layer]
-		if *st, err = parseGCLayer(circ, p.meta.Dims[layer].Out, payload); err != nil {
-			return nil, fmt.Errorf("delphi: GC layer %d: %w", layer, err)
-		}
-		if !sg {
-			continue
+		if *st, err = parseGCLayer(circ, units, payload); err != nil {
+			return nil, nil, fmt.Errorf("delphi: GC layer %d: %w", layer, err)
 		}
 		var labels []garble.Label
 		if err := timed(otTime, func() error { labels, err = p.otRecv.ReceiveOffsets(pads); return err }); err != nil {
-			return nil, fmt.Errorf("delphi: label OT layer %d: %w", layer, err)
+			return nil, nil, fmt.Errorf("delphi: label OT layer %d: %w", layer, err)
+		}
+		if !sg {
+			opened = append(opened, pads)
+			continue
 		}
 		st.known = make([][]garble.Label, len(st.tables))
 		for u := range st.known {
@@ -329,7 +351,24 @@ func (p *party) receiveGC(own [][]uint64, otTime *time.Duration) ([]storedLayer,
 		}
 		st.bytes += uint64(len(labels) * garble.LabelSize)
 	}
-	return stored, nil
+	return stored, opened, nil
+}
+
+// otChoices returns the evaluator's choice bits for a layer's label OTs:
+// the client's b and r bits under Server-Garbler, and under Client-Garbler
+// random bits from the party's entropy, one ⌈m/8⌉-byte draw.
+func (p *party) otChoices(own [][]uint64, layer int) ([]bool, error) {
+	width := p.f.Bits()
+	if p.cfg.Variant == ServerGarbler {
+		return valueBits(own[layer], width), nil
+	}
+	m := p.meta.Dims[layer].Out * width
+	raw := make([]byte, (m+7)/8)
+	if err := p.draw(raw); err != nil {
+		return nil, fmt.Errorf("entropy: %w", err)
+	}
+	raw[len(raw)-1] &= 0xFF >> (7 - (m-1)%8) // no choice bits past m
+	return decodeBits(raw, m)
 }
 
 // parseGCLayer is the one decoder of garbleAndShip's payload. Nothing is
@@ -393,113 +432,24 @@ func (p *party) evaluateLayer(st storedLayer, layer int, aLabels []garble.Label)
 }
 
 // offlineGC is the garbled-circuit leg of a pre-compute on either endpoint,
-// timed into rep: the circuits (garbleAndShip, receiveGC), with
-// Server-Garbler's b and r OTs woven in, then Client-Garbler's a OTs, which
-// run offline as random OTs (precomputeOffer, precomputeFetch) and online as
-// one derandomization each (otSendLabels, otRecvLabels). own lists the
-// client's b and r values per layer (nil on the server).
+// timed into rep: the circuits (garbleAndShip, receiveGC), each layer's
+// label OTs woven in, Server-Garbler's b and r or Client-Garbler's a,
+// which are random OTs RunOnline answers with one derandomization each
+// (SendPrecomputed, ReceivePrecomputed). own lists the client's b and r
+// values per layer (nil on the server).
 func (p *party) offlineGC(pre *gcPre, garbler bool, own [][]uint64, rep *OfflineReport) error {
-	cg, start := p.cfg.Variant == ClientGarbler, time.Now()
+	start := time.Now()
 	var err error
 	if garbler {
-		pre.encs, err = p.garbleAndShip(own, &rep.OTDuration)
+		var encs [][]garble.Encoding
+		encs, pre.sendOTs, err = p.garbleAndShip(own, &rep.OTDuration)
+		if err == nil && p.cfg.Variant == ServerGarbler { // a client garbler keeps its bound OTs instead
+			pre.encs = aInputs(encs, p.f.Bits())
+		}
 	} else {
-		pre.stored, err = p.receiveGC(own, &rep.OTDuration)
-	}
-	switch {
-	case err != nil:
-		return err
-	case !cg && garbler:
-		pre.encs = aInputs(pre.encs, p.f.Bits())
-	case garbler: // keeps the OTs bound to its labels, not the encodings
-		err = timed(&rep.OTDuration, func() error { return p.precomputeOffer(pre, pre.encs) })
-		pre.encs = nil
-	case cg:
-		err = timed(&rep.OTDuration, func() error { return p.precomputeFetch(pre) })
+		pre.stored, pre.recvOTs, err = p.receiveGC(own, &rep.OTDuration)
 	}
 	rep.GCDuration = time.Since(start) - rep.OTDuration
 	rep.GCStoreBytes = pre.storeBytes()
 	return err
-}
-
-// labelPairs lists the false label of every unit's a input, width bits a
-// unit, unit-major, and each unit's Δ: the pairs a client garbler offers by
-// OT.
-func labelPairs(encs []garble.Encoding, width int) (x0, deltas []garble.Label) {
-	x0, deltas = make([]garble.Label, 0, len(encs)*width), make([]garble.Label, len(encs))
-	for u, enc := range encs {
-		x0 = append(x0, enc.Inputs[1:1+width]...)
-		deltas[u] = enc.R
-	}
-	return x0, deltas
-}
-
-// precomputeOffer is the client garbler's offline half of the a OTs: per
-// layer one batch of random OTs bound to every unit's a-input label pairs,
-// width to a unit and all offset by its free-XOR Δ, so the encodings can go.
-func (p *party) precomputeOffer(pre *gcPre, encs [][]garble.Encoding) error {
-	width := p.f.Bits()
-	for layer := range encs {
-		x0, deltas := labelPairs(encs[layer], width)
-		b, err := p.otSend.ReceivePads(len(x0))
-		if err == nil {
-			err = p.otSend.SendOffsets(b, x0, deltas, width)
-		}
-		if err != nil {
-			return fmt.Errorf("delphi: label OT layer %d: %w", layer, err)
-		}
-		pre.sendOTs, pre.otBytes = append(pre.sendOTs, b), pre.otBytes+b.SizeBytes()
-	}
-	return nil
-}
-
-// randomBits draws m bits from the party's entropy in one ⌈m/8⌉-byte read.
-func (p *party) randomBits(m int) ([]bool, error) {
-	raw := make([]byte, (m+7)/8)
-	if err := p.draw(raw); err != nil {
-		return nil, fmt.Errorf("delphi: entropy: %w", err)
-	}
-	out := make([]bool, m)
-	for i := range out {
-		out[i] = raw[i/8]>>(i%8)&1 == 1
-	}
-	return out, nil
-}
-
-// precomputeFetch is precomputeOffer's evaluator side: per layer one batch
-// of random OTs on choice bits from the party's entropy.
-func (p *party) precomputeFetch(pre *gcPre) error {
-	for layer := range p.circuits {
-		choices, err := p.randomBits(p.meta.Dims[layer].Out * p.f.Bits())
-		if err != nil {
-			return err
-		}
-		b, err := p.otRecv.SendChoices(choices)
-		if err == nil {
-			_, err = p.otRecv.ReceiveOffsets(b)
-		}
-		if err != nil {
-			return fmt.Errorf("delphi: label OT layer %d: %w", layer, err)
-		}
-		pre.recvOTs, pre.otBytes = append(pre.recvOTs, b), pre.otBytes+b.SizeBytes()
-	}
-	return nil
-}
-
-// otSendLabels is the client garbler's online leg of a layer's a OTs.
-func (p *party) otSendLabels(layer int, b *ot.SenderPads) error {
-	if err := p.otSend.SendPrecomputed(b); err != nil {
-		return fmt.Errorf("delphi: label OT layer %d: %w", layer, err)
-	}
-	return nil
-}
-
-// otRecvLabels is the evaluator's online leg: obtain the active labels for
-// the bits of vals (width each, little-endian) without revealing them.
-func (p *party) otRecvLabels(layer int, b *ot.ReceiverPads, vals []uint64) ([]garble.Label, error) {
-	labels, err := p.otRecv.ReceivePrecomputed(b, valueBits(vals, p.f.Bits()))
-	if err != nil {
-		return nil, fmt.Errorf("delphi: label OT layer %d: %w", layer, err)
-	}
-	return labels, nil
 }

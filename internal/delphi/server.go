@@ -231,9 +231,9 @@ func (s *Server) RunOnline() (OnlineReport, error) {
 				return rep, err
 			}
 		case ClientGarbler: // evaluator: a labels come by derandomized OT, then evaluate
-			aLabels, err := s.otRecvLabels(i, pre.recvOTs[i], ys)
+			aLabels, err := s.otRecv.ReceivePrecomputed(pre.recvOTs[i], valueBits(ys, width))
 			if err != nil {
-				return rep, err
+				return rep, fmt.Errorf("delphi: label OT layer %d: %w", i, err)
 			}
 			if bits, err = s.evaluateLayer(pre.stored[i], i, aLabels); err != nil {
 				return rep, err

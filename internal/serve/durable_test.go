@@ -340,9 +340,10 @@ func TestTicketDirRequiresResumption(t *testing.T) {
 // encrypts the seeded uploads directly, v11 the garbled layer record, which
 // no store holds either, v12 Server-Garbler's b and r OTs, which now end at
 // their t frames and expand the same seeds, v13 the public key, which a
-// ticket held, seeded, for re-randomizing responses, and v14 that key
-// again, which every connect now sends, so a ticket holds OT seeds only.
-// testdata/wire4 through wire13 are what the last commit of each release
+// ticket held, seeded, for re-randomizing responses, v14 that key again,
+// which every connect now sends, so a ticket holds OT seeds only, and v15
+// where Client-Garbler's a-label OTs run, now around each garbled layer,
+// on the same seeds. testdata/wire4 through wire14 are what the last commit of each release
 // left after one cold Client-Garbler session on testModel(170): the
 // engine's ticket directory and the client's preamble file (saved with no
 // cached model artifact, which keeps the file small and makes the reconnect
@@ -354,7 +355,7 @@ func TestTicketDirRequiresResumption(t *testing.T) {
 // holds the OT receiver state and nothing else, and the ticket is re-saved
 // without a key.
 func TestOlderWireStateResumes(t *testing.T) {
-	for _, release := range []string{"wire4", "wire5", "wire6", "wire7", "wire8", "wire9", "wire10", "wire11", "wire12", "wire13"} {
+	for _, release := range []string{"wire4", "wire5", "wire6", "wire7", "wire8", "wire9", "wire10", "wire11", "wire12", "wire13", "wire14"} {
 		t.Run(release, func(t *testing.T) {
 			dir := t.TempDir() // the stores sweep and rewrite their directories
 			if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", release))); err != nil {

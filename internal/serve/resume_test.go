@@ -319,6 +319,7 @@ func TestPreambleVersionMismatchRejected(t *testing.T) {
 		{"preamble v11", [][]byte{preamble(11)}},
 		{"preamble v12", [][]byte{preamble(12)}},
 		{"preamble v13", [][]byte{preamble(13)}},
+		{"preamble v14", [][]byte{preamble(14)}},
 		{"v5 hello inside a v13 preamble", [][]byte{preamble(13), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 5}))}},
 		{"v6 hello inside a v13 preamble", [][]byte{preamble(13), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 6}))}},
 		{"v7 hello inside a v13 preamble", [][]byte{preamble(13), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 7}))}},
@@ -327,15 +328,25 @@ func TestPreambleVersionMismatchRejected(t *testing.T) {
 		{"v10 hello inside a v13 preamble", [][]byte{preamble(13), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 10}))}},
 		{"v11 hello inside a v13 preamble", [][]byte{preamble(13), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 11}))}},
 		{"v12 hello inside a v13 preamble", [][]byte{preamble(13), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 12}))}},
-		{"v5 hello inside a v14 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 5}))}},
-		{"v6 hello inside a v14 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 6}))}},
-		{"v7 hello inside a v14 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 7}))}},
-		{"v8 hello inside a v14 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 8}))}},
-		{"v9 hello inside a v14 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 9}))}},
-		{"v10 hello inside a v14 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 10}))}},
-		{"v11 hello inside a v14 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 11}))}},
-		{"v12 hello inside a v14 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 12}))}},
-		{"v13 hello inside a v14 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 13}))}},
+		{"v5 hello inside a v14 preamble", [][]byte{preamble(14), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 5}))}},
+		{"v6 hello inside a v14 preamble", [][]byte{preamble(14), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 6}))}},
+		{"v7 hello inside a v14 preamble", [][]byte{preamble(14), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 7}))}},
+		{"v8 hello inside a v14 preamble", [][]byte{preamble(14), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 8}))}},
+		{"v9 hello inside a v14 preamble", [][]byte{preamble(14), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 9}))}},
+		{"v10 hello inside a v14 preamble", [][]byte{preamble(14), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 10}))}},
+		{"v11 hello inside a v14 preamble", [][]byte{preamble(14), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 11}))}},
+		{"v12 hello inside a v14 preamble", [][]byte{preamble(14), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 12}))}},
+		{"v13 hello inside a v14 preamble", [][]byte{preamble(14), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 13}))}},
+		{"v5 hello inside a v15 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 5}))}},
+		{"v6 hello inside a v15 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 6}))}},
+		{"v7 hello inside a v15 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 7}))}},
+		{"v8 hello inside a v15 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 8}))}},
+		{"v9 hello inside a v15 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 9}))}},
+		{"v10 hello inside a v15 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 10}))}},
+		{"v11 hello inside a v15 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 11}))}},
+		{"v12 hello inside a v15 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 12}))}},
+		{"v13 hello inside a v15 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 13}))}},
+		{"v14 hello inside a v15 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 14}))}},
 	} {
 		conn, err := transport.Dial(ln.Addr())
 		if err != nil {

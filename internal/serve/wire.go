@@ -35,12 +35,13 @@ const (
 	// welcome is followed by the client's HE public key, and only a full
 	// handshake's then by the two flights of P-256 base-OT points. Every label
 	// OT is correlated: the extension carries a t frame of 16 bytes an OT.
-	// Server-Garbler's b and r OTs run per ReLU layer around its garbled record
-	// (u up, then the record and t down) and send nothing more: the garbler
-	// pins those inputs to the OTs' zero pads, so t alone opens the labels.
-	// Client-Garbler runs its a-label OTs offline as random OTs, leaving one d
-	// frame up and one z frame (one 16-byte label an OT) down per ReLU layer
-	// online. The offline HE leg sends seeded secret-key uploads (seed ‖ c0)
+	// Either variant runs a ReLU layer's label OTs around its garbled record:
+	// u from the evaluator, then the record and t from the garbler.
+	// Server-Garbler's b and r OTs send nothing more: the garbler pins those
+	// inputs to the OTs' zero pads, so t alone opens the labels.
+	// Client-Garbler's a-label OTs are random OTs, leaving one d frame down
+	// and one z frame (one 16-byte label an OT) up per ReLU layer online. The
+	// offline HE leg sends seeded secret-key uploads (seed ‖ c0)
 	// up, one a chunk of the byte-minimal plan, and, down, responses
 	// re-randomized under the client's public key, flooded at the read slots
 	// and switched to 2^k with c0 at those slots only (k = 34 for N = 4096 and
@@ -56,7 +57,7 @@ const (
 	// precomputed OTs, or anything both ends derive from the model metadata,
 	// and so carries across every bump. The history of earlier versions is in
 	// CHANGES.md.
-	wireVersion = 14
+	wireVersion = 15
 
 	tagData byte = 0x00
 	tagCtrl byte = 0x01
