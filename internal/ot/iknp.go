@@ -241,7 +241,7 @@ func (s *ExtSender) SendOffsets(b *SenderPads, x0, delta []Message, per int) err
 // on the same pads would too). Failures poison the endpoint as in Send.
 func (s *ExtSender) SendPrecomputed(b *SenderPads) error {
 	if b.state != batchBound {
-		return fmt.Errorf("ot: batch of %d OTs is %v, not bound and offered", len(b.pads), b.state)
+		return fmt.Errorf("ot: answer to a %v batch, want one bound and offered", b.state)
 	}
 	b.state = batchAnswered
 	return sticky(&s.err, len(b.pads), func() error {

@@ -194,20 +194,47 @@ func TestSendOffsetsChecksBatch(t *testing.T) {
 	runPads(t, s, r, randomChoices(rng, 20), delta, 5)
 }
 
+// cutLink is a connection that counts the frames an endpoint tries to move
+// and moves none.
+type cutLink struct {
+	transport.MsgConn
+	tries int
+}
+
+func (c *cutLink) Send([]byte) error     { c.tries++; return errors.New("cut link") }
+func (c *cutLink) Recv() ([]byte, error) { c.tries++; return nil, errors.New("cut link") }
+
 // TestAnswerRefusesOutOfStep: only a batch bound to zero labels and
 // offered is answered, and once. SendPrecomputed refuses a batch not yet
 // offered, a pads-as-labels batch (its answer, z = d·Δ, would give Δ
 // away) and an answered one; ReceivePrecomputed refuses an unopened batch
-// and an answered one. Each refusal comes before a byte moves and does not
-// poison the endpoint. An offered bound batch keeps w and one Δ a group:
-// no m1 half, no t buffer.
+// and an answered one. Each refusal comes before a frame moves and does
+// not poison the endpoint. An offered bound batch keeps w and one Δ a
+// group: no m1 half, no t buffer.
 func TestAnswerRefusesOutOfStep(t *testing.T) {
 	s, r := setupExtension(t)
 	rng := rand.New(rand.NewSource(59))
 	const m, per = 12, 4
 	pairs, delta := groupedPairs(rng, m, per)
 	choices := randomChoices(rng, m)
-	moved := func() uint64 { return s.conn.SentBytes() + r.conn.SentBytes() }
+	// refused answers sb and rb (nil: no receiver call) on endpoints cut
+	// off from the link, so a call that is not refused fails at once.
+	refused := func(what string, sb *SenderPads, rb *ReceiverPads) {
+		t.Helper()
+		sc, rc, cut := s.conn, r.conn, &cutLink{}
+		s.conn, r.conn = cut, cut
+		errs := []error{s.SendPrecomputed(sb)}
+		if rb != nil {
+			_, err := r.ReceivePrecomputed(rb, choices)
+			errs = append(errs, err)
+		}
+		s.conn, r.conn = sc, rc
+		for _, err := range errs {
+			if err == nil || cut.tries != 0 {
+				t.Fatalf("%s: answers returned %v after %d frames tried, want refusals before any", what, errs, cut.tries)
+			}
+		}
+	}
 	// both runs the sender's step on a goroutine and the receiver's here.
 	both := func(send func() error, recv func() error) {
 		t.Helper()
@@ -226,19 +253,11 @@ func TestAnswerRefusesOutOfStep(t *testing.T) {
 		var rb *ReceiverPads
 		both(func() (err error) { sb, err = s.ReceivePads(m); return },
 			func() (err error) { rb, err = r.SendChoices(choices); return })
-		sent := moved()
-		err1 := s.SendPrecomputed(sb)
-		_, err2 := r.ReceivePrecomputed(rb, choices)
-		if err1 == nil || err2 == nil || moved() != sent {
-			t.Fatalf("not offered: SendPrecomputed %v, ReceivePrecomputed %v, want both refused", err1, err2)
-		}
+		refused("not offered", sb, rb)
 		both(func() error { return s.SendOffsets(sb, x0, delta, per) },
 			func() error { _, err := r.ReceiveOffsets(rb); return err })
 		if x0 == nil {
-			sent = moved()
-			if err := s.SendPrecomputed(sb); err == nil || moved() != sent {
-				t.Fatalf("a pads-as-labels batch was answered: %v", err)
-			}
+			refused("pads as labels", sb, nil)
 			continue
 		}
 		if len(sb.pads) != m || cap(sb.pads) != m || len(sb.delta) != m/per || sb.t != nil || sb.SizeBytes() != KeySize*(m+m/per) {
@@ -249,12 +268,7 @@ func TestAnswerRefusesOutOfStep(t *testing.T) {
 		both(func() error { return s.SendPrecomputed(sb) },
 			func() (err error) { got, err = r.ReceivePrecomputed(rb, choices); return })
 		checkTransfer(t, pairs, choices, got)
-		sent = moved()
-		err1 = s.SendPrecomputed(sb)
-		_, err2 = r.ReceivePrecomputed(rb, choices)
-		if err1 == nil || err2 == nil || moved() != sent {
-			t.Fatalf("answered: SendPrecomputed %v, ReceivePrecomputed %v, want both refused", err1, err2)
-		}
+		refused("answered", sb, rb)
 	}
 	_, delta = groupedPairs(rng, 20, 5)
 	runPads(t, s, r, randomChoices(rng, 20), delta, 5)
