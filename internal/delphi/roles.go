@@ -240,6 +240,9 @@ func (p *party) garbleAndShip(own [][]uint64, otTime *time.Duration) ([][]garble
 		encs[layer] = make([]garble.Encoding, units)
 		deltas := make([]garble.Label, units)
 		var x0 []garble.Label // a client garbler's a-input false labels
+		if own != nil {
+			x0 = make([]garble.Label, 0, units*width)
+		}
 		// All units of the layer garble as one batch.
 		for u, g := range garble.GarbleBatchFixed(circ, garble.NewPRG(secret), bases, fix) {
 			encs[layer][u], deltas[u] = g.Encoding, g.Encoding.R
