@@ -221,11 +221,15 @@ func Pipe() (*Conn, *Conn) {
 	return a, b
 }
 
-// queueStream is an unbounded FIFO byte stream.
+// queueStream is an unbounded FIFO byte stream: buf[head:] is unread. The
+// room reads free is reused, so alternating writes and reads do not grow a
+// copy of the backlog: a drained buffer restarts at its front, and a write
+// that would grow the buffer first moves the backlog there.
 type queueStream struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	buf    []byte
+	head   int
 	closed bool
 }
 
@@ -241,6 +245,9 @@ func (q *queueStream) Write(p []byte) (int, error) {
 	if q.closed {
 		return 0, io.ErrClosedPipe
 	}
+	if q.head > 0 && len(q.buf)+len(p) > cap(q.buf) {
+		q.buf, q.head = q.buf[:copy(q.buf, q.buf[q.head:])], 0
+	}
 	q.buf = append(q.buf, p...)
 	q.cond.Broadcast()
 	return len(p), nil
@@ -249,14 +256,16 @@ func (q *queueStream) Write(p []byte) (int, error) {
 func (q *queueStream) Read(p []byte) (int, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.buf) == 0 && !q.closed {
+	for q.head == len(q.buf) && !q.closed {
 		q.cond.Wait()
 	}
-	if len(q.buf) == 0 {
+	if q.head == len(q.buf) {
 		return 0, io.EOF
 	}
-	n := copy(p, q.buf)
-	q.buf = q.buf[n:]
+	n := copy(p, q.buf[q.head:])
+	if q.head += n; q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
 	return n, nil
 }
 

@@ -440,3 +440,35 @@ func BenchmarkSendLargeFrame(b *testing.B) {
 		})
 	}
 }
+
+// TestPipeReusesDrainedBuffer: frames that alternate through a Pipe, one
+// always in flight, allocate only what Recv hands out: the stream reuses
+// the room its reads free instead of growing a copy of its backlog.
+func TestPipeReusesDrainedBuffer(t *testing.T) {
+	a, b := Pipe()
+	frame := make([]byte, 1<<20)
+	if err := a.Send(frame); err != nil { // the frame in flight
+		t.Fatal(err)
+	}
+	round := func() {
+		if err := a.Send(frame); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Recv(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ { // warm: the stream grows to its working size
+		round()
+	}
+	const rounds = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		round()
+	}
+	runtime.ReadMemStats(&after)
+	if perRound := (after.TotalAlloc - before.TotalAlloc) / rounds; perRound > 1<<20+64<<10 {
+		t.Fatalf("a 1 MiB round through a Pipe allocates %d bytes, want Recv's 1 MiB and little else", perRound)
+	}
+}
