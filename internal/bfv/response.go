@@ -80,15 +80,16 @@ type rerandomization struct {
 }
 
 // sampleRerandomization expands response oc's randomness from seed: a
-// ternary u, then e2, then each read slot's e1, then its flood.
+// ternary u, then e2, then each read slot's e1, both 16 coefficients a
+// word, then each slot's flood.
 func (pl MatVecPlan) sampleRerandomization(seed [SeedSize]byte, oc int) rerandomization {
 	p, slots := pl.Params, pl.slots(oc)
 	smp := newSampler(seedStream(seed))
 	rr := rerandomization{u: getScratch(p.N), e2: getScratch(p.N), slotNoise: make([]uint64, slots)}
 	smp.ternary(rr.u)
 	p.ntt.Forward(rr.u)
-	smp.cbd(rr.e2)
-	smp.cbd(rr.slotNoise)
+	smp.cbdPacked(rr.e2)
+	smp.cbdPacked(rr.slotNoise)
 	smp.addFlood(rr.slotNoise, p.floodBits())
 	return rr
 }

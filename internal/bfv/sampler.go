@@ -99,24 +99,41 @@ func (s *sampler) ternary(out []uint64) {
 // e = sum of eta coin pairs, giving |e| ≤ eta with variance eta/2.
 const cbdEta = 2
 
-// cbd fills out with centered-binomial errors mod Q, one word each.
+// cbd fills out with centered-binomial errors mod Q, one word each, of
+// which it reads the low 2·cbdEta bits. Keys and uploads draw their errors
+// here, so a derived key re-derives bit-identically.
 func (s *sampler) cbd(out []uint64) {
 	b := s.read(len(out))
 	for i := range out {
-		bits := binary.LittleEndian.Uint64(b[8*i:])
-		var e int
-		for j := 0; j < cbdEta; j++ {
-			e += int(bits & 1)
-			bits >>= 1
-			e -= int(bits & 1)
-			bits >>= 1
-		}
-		if e >= 0 {
-			out[i] = uint64(e)
-		} else {
-			out[i] = ringq.Q - uint64(-e)
-		}
+		out[i] = cbdCoeff(binary.LittleEndian.Uint64(b[8*i:]))
 	}
+}
+
+// cbdPacked is cbd on 16 coefficients a word, coefficient i on bits
+// 4(i%16) to 4(i%16)+3 of word i/16: a response's fresh noise, which no
+// one derives again, costs a sixteenth of the stream.
+func (s *sampler) cbdPacked(out []uint64) {
+	b := s.read((len(out) + 15) / 16)
+	for i := range out {
+		out[i] = cbdCoeff(binary.LittleEndian.Uint64(b[8*(i/16):]) >> (4 * (i % 16)))
+	}
+}
+
+// cbdCoeff is the centered-binomial error mod Q of the low 2·cbdEta bits
+// of bits: the sum of cbdEta coin pairs, each the first coin less the
+// second.
+func cbdCoeff(bits uint64) uint64 {
+	var e int
+	for j := 0; j < cbdEta; j++ {
+		e += int(bits & 1)
+		bits >>= 1
+		e -= int(bits & 1)
+		bits >>= 1
+	}
+	if e >= 0 {
+		return uint64(e)
+	}
+	return ringq.Q - uint64(-e)
 }
 
 // addFlood adds to each of out a value uniform in [−2^f, 2^f) mod Q, one

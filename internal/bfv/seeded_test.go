@@ -169,3 +169,33 @@ func TestExpandSeedIsAESCTR(t *testing.T) {
 		t.Fatal("expandSeed is not the AES-CTR keystream under the seed")
 	}
 }
+
+// TestPackedCBDMatchesWordCBD: the packed sampler draws the coefficients
+// the one-word-a-coefficient sampler draws from the same 4-bit groups —
+// group i in word i/16 at bits 4(i%16) for the one, in the low bits of
+// word i for the other, whose high bits it ignores — for counts on and off
+// a whole word, every group value included.
+func TestPackedCBDMatchesWordCBD(t *testing.T) {
+	rng := rand.New(rand.NewSource(90))
+	for _, n := range []int{1, 15, 16, 17, 256, 4096} {
+		groups := make([]uint64, n)
+		for i := range groups {
+			groups[i] = uint64(i % 16)
+			if i >= 16 {
+				groups[i] = uint64(rng.Intn(16))
+			}
+		}
+		words, packed := make([]byte, 8*n), make([]byte, 8*((n+15)/16))
+		for i, g := range groups {
+			binary.LittleEndian.PutUint64(words[8*i:], g|rng.Uint64()<<4)
+			w := binary.LittleEndian.Uint64(packed[8*(i/16):])
+			binary.LittleEndian.PutUint64(packed[8*(i/16):], w|g<<(4*(i%16)))
+		}
+		got, want := make([]uint64, n), make([]uint64, n)
+		newSampler(bytes.NewReader(packed)).cbdPacked(got)
+		wordSampler{bytes.NewReader(words)}.cbd(want)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d: packed coefficients differ from one-word ones", n)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"privinf/internal/bfv"
+	"privinf/internal/garble"
 	"privinf/internal/obs"
 	"privinf/internal/transport"
 )
@@ -191,7 +192,7 @@ func (c *Client) RunOnline(x []uint64) ([]uint64, OnlineReport, error) {
 			if err != nil {
 				return nil, rep, err
 			}
-			bits, err := c.evaluateLayer(pre.stored[layer], layer, aLabels)
+			bits, err := c.evaluateLayer(&pre.gcPre, layer, aLabels)
 			if err != nil {
 				return nil, rep, err
 			}
@@ -199,7 +200,10 @@ func (c *Client) RunOnline(x []uint64) ([]uint64, OnlineReport, error) {
 				return nil, rep, err
 			}
 		case ClientGarbler: // garbler: answer the server's d bits on the layer's bound a-label OTs
-			if err := c.otSend.SendPrecomputed(pre.sendOTs[layer]); err != nil {
+			// with their pads y, expanded again from the layer's secret seed
+			y := make([]byte, c.meta.Dims[layer].Out*width*garble.LabelSize)
+			garble.ExpandSeed(y, pre.seeds[layer])
+			if err := c.otSend.SendPrecomputed(pre.sendOTs[layer], y); err != nil {
 				return nil, rep, fmt.Errorf("delphi: label OT layer %d: %w", layer, err)
 			}
 		}

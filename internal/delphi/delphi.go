@@ -9,17 +9,20 @@
 //
 //   - The garbler garbles every ReLU unit offline and ships, per layer, a
 //     public seed, the tables and the packed decode bits (garbleAndShip).
-//     It is the OT sender, and each layer's label OTs run around the
-//     layer: it takes their pads from the evaluator's u frame before it
-//     garbles and sends their t frame after the record. A circuit input
-//     whose value it knows when it garbles (const-one, and b and r on a
-//     client garbler) it pins to an active label expanded from the seed,
-//     so that label never travels. A server garbler's OTs carry b and r,
-//     pinned to the OTs' zero pads, whose t frame alone gives the client
-//     its labels; its a labels go direct online. A client garbler's OTs
-//     carry the a labels, bound to them and answered online.
+//     It is the OT sender, and every unit's free-XOR offset is the OT
+//     extension's s, so each layer's label OTs are a u frame from the
+//     evaluator and nothing else: the garbler takes the OT rows before it
+//     garbles and pins the OT-carried inputs to them. Each pre-compute
+//     garbles under a hash key of its own (hashKey), since s outlives it.
+//     A circuit input whose value it knows when it garbles (const-one, and
+//     b and r on a client garbler) it pins to an active label expanded
+//     from the seed, so that label never travels. A server garbler's OTs
+//     carry b and r at its raw rows, which the client already holds as
+//     their labels; its a labels go direct online. A client garbler's OTs
+//     carry the a labels at its rows masked by one-time pads it expands
+//     again online from the layer's secret seed, and answers online.
 //   - The evaluator receives and stores the circuits (receiveGC, the one
-//     payload parser, which also runs each layer's OTs around it) — the
+//     payload parser, which also runs each layer's OTs before it) — the
 //     18.2 KB/ReLU storage burden of Figure 3 — is the OT receiver, on
 //     random choices under Client-Garbler, derandomized online, and
 //     evaluates online (evaluateLayer).
@@ -34,8 +37,8 @@
 //	garbler, OT sender     server                     client
 //	evaluator, GC storage  client                     server
 //	const-one label        expanded from the layer seed, either variant
-//	label OTs (offline)    b, r: u, layer, t          a: u, layer, t
-//	b, r labels            the OTs' zero pads         expanded from the layer seed
+//	label OTs (offline)    b, r: u, then the layer    a: u, then the layer
+//	b, r labels            the OTs' rows              expanded from the layer seed
 //	a labels (online)      direct, server → client    d bits server → client,
 //	                                                  z client → server
 //	ReLU output bits       client decodes, returns    server decodes, keeps
@@ -108,12 +111,13 @@ func MetaOf(m *nn.Lowered) ModelMeta {
 	}
 }
 
-// Validate checks structural consistency, and that every shift fits the
-// field's width: a ReLU circuit is built from the metadata, which may come
-// from a peer's welcome or a file.
+// Validate checks structural consistency, that every shift fits the
+// field's width (a ReLU circuit is built from the metadata, which may come
+// from a peer's welcome or a file), and that the ReLU units fit gateBase.
+// It allocates nothing before it refuses.
 func (m ModelMeta) Validate() error {
-	if len(m.Dims) == 0 {
-		return fmt.Errorf("delphi: model has no linear layers")
+	if len(m.Dims) == 0 || len(m.Dims) > maxReLULayers {
+		return fmt.Errorf("delphi: model has %d linear layers, want 1 to 2^19", len(m.Dims))
 	}
 	if len(m.Shifts) != len(m.Dims)-1 {
 		return fmt.Errorf("delphi: %d shifts for %d linear layers", len(m.Shifts), len(m.Dims))
@@ -124,6 +128,9 @@ func (m ModelMeta) Validate() error {
 		}
 		if i > 0 && d.In != m.Dims[i-1].Out {
 			return fmt.Errorf("delphi: layer %d in=%d != layer %d out=%d", i, d.In, i-1, m.Dims[i-1].Out)
+		}
+		if i < len(m.Dims)-1 && d.Out >= maxUnits {
+			return fmt.Errorf("delphi: ReLU layer %d has %d units, want fewer than 2^22", i, d.Out)
 		}
 	}
 	for i, s := range m.Shifts {
@@ -175,10 +182,10 @@ type OfflineReport struct {
 	BytesRecv  uint64
 	// GCStoreBytes is the garbled-circuit state this party holds from the
 	// pre-compute until its online phase: stored tables, decode bits and
-	// labels, precomputed label-OT state (a client garbler's 16 B per OT
-	// plus one offset per unit, its evaluator's 16 B key and choice bit per
-	// OT), and a server garbler's encodings (16 B per circuit input plus
-	// the offset, per unit).
+	// labels, precomputed label-OT state (a client garbler's 16-B secret
+	// seed per ReLU layer, its evaluator's 16-B row and choice bit per
+	// OT), and a server garbler's a-input false labels (16 B each; the
+	// offset is the OT extension's s, held with the base-OT state).
 	GCStoreBytes uint64
 }
 

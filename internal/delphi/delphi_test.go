@@ -1,10 +1,12 @@
 package delphi
 
 import (
+	"fmt"
 	"io"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
-	"time"
 
 	"privinf/internal/bfv"
 	"privinf/internal/field"
@@ -193,10 +195,14 @@ func TestCNNBothVariants(t *testing.T) {
 	for _, variant := range []Variant{ServerGarbler, ClientGarbler} {
 		s := newSession(t, variant, model, 3)
 		x := randomInput(f, model.InputLen(), 5)
-		got, _, srvOff, _, _ := s.inferPrivately(t, x)
-		// A server garbler keeps 21 labels a ReLU, 384 of them.
-		if variant == ServerGarbler && srvOff.GCStoreBytes != 129_024 {
-			t.Fatalf("SG server stores %d bytes for a demo-CNN pre-compute, want 129,024", srvOff.GCStoreBytes)
+		got, cliOff, srvOff, _, _ := s.inferPrivately(t, x)
+		// A server garbler keeps 20 labels a ReLU, 384 of them, and a
+		// client garbler one seed a ReLU layer.
+		if variant == ServerGarbler && srvOff.GCStoreBytes != 122_880 {
+			t.Fatalf("SG server stores %d bytes for a demo-CNN pre-compute, want 122,880", srvOff.GCStoreBytes)
+		}
+		if variant == ClientGarbler && cliOff.GCStoreBytes != 32 {
+			t.Fatalf("CG client stores %d bytes for a demo-CNN pre-compute, want 32", cliOff.GCStoreBytes)
 		}
 		want := model.Forward(x)
 		for i := range want {
@@ -251,10 +257,9 @@ func TestStorageShiftsToServer(t *testing.T) {
 	// The evaluator stores every layer's public seed, tables and packed
 	// decode bits, and under Server-Garbler the b and r labels it fetched
 	// by OT; under Client-Garbler each party also holds its half of the
-	// a-label OTs: the evaluator a key and a choice bit per OT, the garbler
-	// one bound pad per OT and one free-XOR offset per unit. A server
-	// garbler keeps of each unit's encoding what it sends online: the a
-	// inputs' false labels and the offset.
+	// a-label OTs: the evaluator a row and a choice bit per OT, the garbler
+	// one secret seed per layer. A server garbler keeps what it sends
+	// online: the a inputs' false labels; the offset is the OT's s.
 	width := f.Bits()
 	var circuits, fetched, evalOTs, garbleOTs, encodings uint64
 	for l, circ := range cg.server.circuits {
@@ -263,8 +268,8 @@ func TestStorageShiftsToServer(t *testing.T) {
 		circuits += uint64(gcLayerBytes(circ, units))
 		fetched += uint64(units * 2 * width * ot.KeySize)
 		evalOTs += uint64(ots*ot.KeySize + (ots+7)/8)
-		garbleOTs += uint64(ots*ot.KeySize + units*ot.KeySize)
-		encodings += uint64(units * (width + 1) * ot.KeySize)
+		garbleOTs += ot.KeySize
+		encodings += uint64(units * width * ot.KeySize)
 	}
 	for _, c := range []struct {
 		name      string
@@ -272,7 +277,7 @@ func TestStorageShiftsToServer(t *testing.T) {
 	}{
 		{"SG client", sgCliOff.GCStoreBytes, circuits + fetched},
 		{"SG server", sgSrvOff.GCStoreBytes, encodings},
-		{"SG server, demo MLP", sgSrvOff.GCStoreBytes, 16_128},
+		{"SG server, demo MLP", sgSrvOff.GCStoreBytes, 15_360},
 		{"CG client", cgCliOff.GCStoreBytes, garbleOTs},
 		{"CG server", cgSrvOff.GCStoreBytes, circuits + evalOTs},
 	} {
@@ -366,6 +371,53 @@ func TestMetaValidation(t *testing.T) {
 		if err := wide.Validate(); err != nil {
 			t.Fatalf("shift %d over a %d-bit field rejected: %v", width-1, width, err)
 		}
+	}
+}
+
+// TestValidateBoundsGateBase: the metadata gateBase's uniqueness rests on
+// is checked, not assumed. A ReLU layer of 2^22 units and 2^19 ReLU layers
+// are refused (the last linear layer, which has no ReLU, may be wider), and
+// a refused shape is refused before anything is built for it: NewClient
+// on a 2^22-unit layer allocates no more than its error.
+func TestValidateBoundsGateBase(t *testing.T) {
+	layers := func(n int) ModelMeta {
+		m := ModelMeta{P: field.P17, Dims: make([]LayerDim, n), Shifts: make([]uint, n-1)}
+		for i := range m.Dims {
+			m.Dims[i] = LayerDim{In: 1, Out: 1}
+		}
+		return m
+	}
+	for _, c := range []struct {
+		name string
+		meta ModelMeta
+		ok   bool
+	}{
+		{"2^22 ReLU units", ModelMeta{P: field.P17, Dims: []LayerDim{{In: 4, Out: 1 << 22}, {In: 1 << 22, Out: 2}}, Shifts: []uint{1}}, false},
+		{"2^22 - 1 ReLU units", ModelMeta{P: field.P17, Dims: []LayerDim{{In: 4, Out: 1<<22 - 1}, {In: 1<<22 - 1, Out: 2}}, Shifts: []uint{1}}, true},
+		{"2^22 outputs", ModelMeta{P: field.P17, Dims: []LayerDim{{In: 4, Out: 3}, {In: 3, Out: 1 << 22}}, Shifts: []uint{1}}, true},
+		{"2^19 ReLU layers", layers(1<<19 + 1), false},
+		{"2^19 - 1 ReLU layers", layers(1 << 19), true},
+	} {
+		if err := c.meta.Validate(); (err == nil) != c.ok {
+			t.Fatalf("%s: Validate returned %v, want ok %v", c.name, err, c.ok)
+		}
+	}
+	wide := ModelMeta{P: field.P20, Dims: []LayerDim{{In: 4, Out: 1 << 22}, {In: 1 << 22, Out: 2}}, Shifts: []uint{1}}
+	cfg := Config{Variant: ClientGarbler, HEParams: heParams(field.P20)}
+	// The fewest bytes of three tries: the runtime may allocate meanwhile.
+	least := uint64(1 << 63)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := NewClient(nil, cfg, wide, nil)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatal("NewClient accepted a 2^22-unit ReLU layer")
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least > 4<<10 {
+		t.Fatalf("NewClient refused a 2^22-unit ReLU layer after %d bytes allocated, want at most 4 KiB", least)
 	}
 }
 
@@ -513,16 +565,17 @@ func BenchmarkDelphiOnlineMLP(b *testing.B) {
 	}
 }
 
-// TestPinnedLabelsExpandFromSeed: the labels an evaluator expands from each
-// received layer's public seed are exactly the garbler's active labels of
-// const-one and, under Client-Garbler, of every unit's b and r bits; none
-// of them is a unit's offset Δ or a false label of its a input (as they
-// would be, were the public seed the secret one); and each layer's public
-// seed is fresh: distinct across layers and across two garblings on one
-// entropy stream. Under Server-Garbler the b and r labels the evaluator
-// opens from the OTs' t frames are the garbler's active labels of its
-// values: the garbler pinned those inputs to the OTs' zero pads. Both
-// variants set up OT, since either runs a layer's label OTs around it.
+// TestPinnedLabelsExpandFromSeed: every label an evaluator holds for a
+// unit is the garbler's active label of its value under offset s: the
+// ones it expands from each layer's public seed (const-one and, under
+// Client-Garbler, every unit's b and r bits), the OT rows it holds under
+// Server-Garbler (b and r, pinned to the garbler's rows), and the a labels
+// of the online leg (direct under Server-Garbler, the derandomized OT
+// under Client-Garbler), so that every unit evaluates to the circuit's
+// plaintext output on random values. No seeded label is s or an a input's
+// false label (as it would be, were the public seed the secret one), and
+// each layer's public seed is fresh: distinct across layers and across two
+// garblings on one entropy stream.
 func TestPinnedLabelsExpandFromSeed(t *testing.T) {
 	model, err := nn.DemoMLP(field.New(field.P20), 3)
 	if err != nil {
@@ -546,90 +599,148 @@ func TestPinnedLabelsExpandFromSeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var own [][]uint64
-		for l := range garbler.circuits {
-			vals := make([]uint64, 2*garbler.meta.Dims[l].Out)
-			for i := range vals {
-				vals[i] = rng.Uint64() % model.F.P()
-			}
-			own = append(own, vals)
-		}
-		garblerOwn, evaluatorOwn := own, [][]uint64(nil)
-		if variant == ServerGarbler {
-			garblerOwn, evaluatorOwn = nil, own
-		}
-		errCh := make(chan error, 1)
-		go func() { errCh <- garbler.setupOT(true, nil, nil) }()
-		if err := evaluator.setupOT(false, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := <-errCh; err != nil {
-			t.Fatal(err)
-		}
+		both(t, func() error { return garbler.setupOT(true, nil, nil) }, func() error { return evaluator.setupOT(false, nil, nil) })
+		delta := garbler.otSend.Delta()
 		seen := map[[garble.LabelSize]byte]bool{}
 		for round := 0; round < 2; round++ {
-			type shipped struct {
-				encs [][]garble.Encoding
-				err  error
+			var own [][]uint64
+			for l := range garbler.circuits {
+				vals := make([]uint64, 2*garbler.meta.Dims[l].Out)
+				for i := range vals {
+					vals[i] = rng.Uint64() % model.F.P()
+				}
+				own = append(own, vals)
 			}
-			ch := make(chan shipped, 1)
-			go func() {
-				encs, _, err := garbler.garbleAndShip(garblerOwn, new(time.Duration))
-				ch <- shipped{encs, err}
-			}()
-			stored, _, err := evaluator.receiveGC(evaluatorOwn, new(time.Duration))
-			if err != nil {
-				t.Fatal(err)
+			garblerOwn, evaluatorOwn := own, [][]uint64(nil)
+			if variant == ServerGarbler {
+				garblerOwn, evaluatorOwn = nil, own
 			}
-			sh := <-ch
-			if sh.err != nil {
-				t.Fatal(sh.err)
-			}
-			encs := sh.encs
-			pinned := garbler.pinned
-			for l, st := range stored {
+			var gpre, epre gcPre
+			both(t, func() error { return garbler.offlineGC(&gpre, true, garblerOwn, new(OfflineReport)) },
+				func() error { return evaluator.offlineGC(&epre, false, evaluatorOwn, new(OfflineReport)) })
+			for l, st := range epre.stored {
 				if seen[st.seed] {
 					t.Fatalf("%v round %d layer %d: public seed reused", variant, round, l)
 				}
 				seen[st.seed] = true
-				raw := make([]byte, len(encs[l])*len(pinned)*garble.LabelSize)
+				units := len(st.tables)
+				raw := make([]byte, units*len(garbler.pinned)*garble.LabelSize)
 				garble.ExpandSeed(raw, st.seed)
-				active := labelsOf(raw)
-				secret := map[garble.Label]bool{}
-				for _, enc := range encs[l] {
-					secret[enc.R] = true
-					for _, lb := range enc.Inputs[1 : 1+width] {
+				secret := map[garble.Label]bool{delta: true}
+				if variant == ServerGarbler {
+					for _, lb := range gpre.a[l] {
 						secret[lb] = true
 					}
 				}
-				for _, lb := range active {
-					forced := lb
-					forced[0] |= 1 // Δ's color bit is forced to 1
-					if secret[lb] || secret[forced] {
+				for _, lb := range labelsOf(raw) {
+					if secret[lb] {
 						t.Fatalf("%v layer %d: the public seed expands to a secret label", variant, l)
 					}
 				}
-				for u, enc := range encs[l] {
-					for k, w := range pinned {
-						v := true // const-one
-						if w != 0 {
-							i := w - 1 - width // bit i of b ‖ r
-							v = own[l][2*u+i/width]>>uint(i%width)&1 == 1
-						}
-						if enc.EncodeInput(w, v) != active[u*len(pinned)+k] {
-							t.Fatalf("%v layer %d unit %d: input %d's active label is not the one expanded from the seed", variant, l, u, w)
-						}
-					}
-					if variant == ClientGarbler {
-						continue
-					}
-					for i, lb := range st.known[u] { // bit i of b ‖ r
-						v := own[l][2*u+i/width]>>uint(i%width)&1 == 1
-						if enc.EncodeInput(1+width+i, v) != lb {
-							t.Fatalf("layer %d unit %d: the OT opened another label than input %d's active one", l, u, 1+width+i)
-						}
+				a := make([]uint64, units)
+				for u := range a {
+					a[u] = rng.Uint64() % model.F.P()
+				}
+				var aLabels []garble.Label
+				if variant == ServerGarbler {
+					both(t, func() error { return garbler.sendActive(gpre.a[l], a) },
+						func() (err error) { aLabels, err = recvLabels(evaluator.conn, units*width); return })
+				} else {
+					y := make([]byte, units*width*garble.LabelSize)
+					garble.ExpandSeed(y, gpre.seeds[l])
+					both(t, func() error { return garbler.otSend.SendPrecomputed(gpre.sendOTs[l], y) },
+						func() (err error) {
+							aLabels, err = evaluator.otRecv.ReceivePrecomputed(epre.recvOTs[l], valueBits(a, width))
+							return
+						})
+				}
+				got, err := evaluator.evaluateLayer(&epre, l, aLabels)
+				if err != nil {
+					t.Fatal(err)
+				}
+				circ := garbler.circuits[l]
+				for u := range a {
+					in := append([]bool{true}, valueBits([]uint64{a[u], own[l][2*u], own[l][2*u+1]}, width)...)
+					want, unit := circ.Eval(in), got[u*len(circ.Outputs):(u+1)*len(circ.Outputs)]
+					if !reflect.DeepEqual(unit, want) {
+						t.Fatalf("%v round %d layer %d unit %d: garbled output differs from the plaintext circuit's", variant, round, l, u)
 					}
 				}
+			}
+		}
+	}
+}
+
+// both runs the garbler's step f on a goroutine and the evaluator's g here.
+func both(t *testing.T, f, g func() error) {
+	t.Helper()
+	errCh := make(chan error, 1)
+	go func() { errCh <- f() }()
+	if err := g(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errCh; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// recvLabels receives one frame of n labels.
+func recvLabels(conn transport.MsgConn, n int) ([]garble.Label, error) {
+	raw, err := conn.Recv()
+	if err != nil {
+		return nil, err
+	}
+	return decodeLabels(raw, n)
+}
+
+// TestPrecomputesHashUnderOwnKeys: each pre-compute garbles under the key
+// its session nonce and index name (hashKey), and under no other: the
+// keys differ across indices and nonces, and an evaluator that keys a
+// session's second pre-compute with another index or another nonce than
+// its garbler's decodes another output, under either variant.
+func TestPrecomputesHashUnderOwnKeys(t *testing.T) {
+	seen := map[garble.Label]string{}
+	for _, k := range []struct {
+		nonce string
+		index uint64
+	}{{"", 0}, {"", 1}, {"", 1 << 32}, {"a", 0}, {"a", 1}, {"b", 0}, {"ab", 0}} {
+		var nonce []byte
+		if k.nonce != "" {
+			nonce = []byte(k.nonce)
+		}
+		h := hashKey(nonce, k.index)
+		out := h.Hash(garble.Label{}, 0)
+		if prev, dup := seen[out]; dup {
+			t.Fatalf("nonce %q index %d hashes like %s", k.nonce, k.index, prev)
+		}
+		seen[out] = fmt.Sprintf("nonce %q index %d", k.nonce, k.index)
+	}
+
+	model, err := nn.DemoMLP(field.New(field.P20), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := randomInput(model.F, model.InputLen(), 6)
+	want := model.Forward(x)
+	for _, variant := range []Variant{ServerGarbler, ClientGarbler} {
+		for _, wrong := range []string{"", "index", "nonce"} {
+			s := newSession(t, variant, model, 0)
+			evaluator := &s.client.party
+			if variant == ClientGarbler {
+				evaluator = &s.server.party
+			}
+			if wrong == "nonce" {
+				evaluator.nonce = []byte("another session")
+			}
+			s.offline(t)
+			if wrong == "index" {
+				evaluator.precomputes = 2 // the garbler's next pre-compute is its index 1
+			}
+			s.offline(t)
+			s.online(t, x)
+			got, _, _ := s.online(t, x)
+			if same := reflect.DeepEqual(got, want); same != (wrong == "") {
+				t.Fatalf("%v, evaluated under the wrong %q: output matches plaintext %v", variant, wrong, same)
 			}
 		}
 	}

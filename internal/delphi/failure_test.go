@@ -142,7 +142,7 @@ func TestEvaluatorRejectsMalformedGCPayload(t *testing.T) {
 				if err := atkConn.Send(make([]byte, tc.size)); err != nil {
 					t.Fatal(err)
 				}
-				_, _, err := p.receiveGC(own, new(time.Duration))
+				err := p.receiveGC(new(gcPre), own, new(time.Duration))
 				if err == nil || !strings.Contains(err.Error(), "payload") {
 					t.Fatalf("want payload-size error, got %v", err)
 				}

@@ -176,11 +176,12 @@ func (f *frameLog) Recv() ([]byte, error) {
 }
 
 // TestLabelOTFlightsPerLayer: both variants run each ReLU layer's label OTs
-// as one flight around the layer's record, on the demo MLP: the evaluator's
-// u (128·⌈m/8⌉ bytes), the garbler's record (gcLayerBytes), then the
-// garbler's t (16·m bytes), with m = units·2·width OTs under Server-Garbler
-// (b and r) and units·width under Client-Garbler (a). The garbled-circuit
-// leg ends the offline phase, so its frames are the last the client sees.
+// as one flight before the layer's record, on the demo MLP: the
+// evaluator's u (128·⌈m/8⌉ bytes), then the garbler's record
+// (gcLayerBytes), and no t frame, since the OT rows are the labels, with
+// m = units·2·width OTs under Server-Garbler (b and r) and units·width
+// under Client-Garbler (a). The garbled-circuit leg ends the offline
+// phase, so its frames are the last the client sees.
 func TestLabelOTFlightsPerLayer(t *testing.T) {
 	model, err := nn.DemoMLP(field.New(field.P20), 7)
 	if err != nil {
@@ -194,16 +195,16 @@ func TestLabelOTFlightsPerLayer(t *testing.T) {
 		s.offline(t)
 		width, circuits := model.F.Bits(), s.client.circuits
 		garblerUp := variant == ClientGarbler
-		gc := log.frames[len(log.frames)-3*len(circuits):]
+		gc := log.frames[len(log.frames)-2*len(circuits):]
 		for l, circ := range circuits {
 			units := model.Linear[l].Out()
 			m := units * width
 			if variant == ServerGarbler {
 				m *= 2
 			}
-			want := []loggedFrame{{!garblerUp, 128 * ((m + 7) / 8)}, {garblerUp, gcLayerBytes(circ, units)}, {garblerUp, 16 * m}}
-			if got := gc[3*l : 3*l+3]; !slices.Equal(got, want) {
-				t.Errorf("%v layer %d: offline frames (up, bytes) %v, want u, record, t: %v", variant, l, got, want)
+			want := []loggedFrame{{!garblerUp, 128 * ((m + 7) / 8)}, {garblerUp, gcLayerBytes(circ, units)}}
+			if got := gc[2*l : 2*l+2]; !slices.Equal(got, want) {
+				t.Errorf("%v layer %d: offline frames (up, bytes) %v, want u, then the record: %v", variant, l, got, want)
 			}
 		}
 	}

@@ -37,6 +37,11 @@ type OTResume struct {
 	Receiver *ot.ReceiverState
 }
 
+// Resumable reports whether the state can resume a session: a sender
+// state must have s's lsb set (ot.ErrColourBit); a receiver state always
+// can.
+func (r *OTResume) Resumable() bool { return r.Sender == nil || r.Sender.Resumable() }
+
 // SizeBytes returns the seed material's resident footprint, the unit a
 // resumption ticket cache budgets.
 func (r *OTResume) SizeBytes() int64 {

@@ -2,6 +2,9 @@ package delphi
 
 import (
 	"crypto/rand"
+	"crypto/sha256"
+	"crypto/subtle"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"time"
@@ -36,6 +39,11 @@ type party struct {
 
 	otSend *ot.ExtSender   // set on the garbler
 	otRecv *ot.ExtReceiver // set on the evaluator
+	// nonce is the session's OT nonce (nil after base OTs), and
+	// precomputes counts the session's pre-computes: the two name each
+	// pre-compute's garbling hash key (hashKey).
+	nonce       []byte
+	precomputes uint64
 }
 
 // newParty checks the session parameters against the artifact's and builds
@@ -70,6 +78,7 @@ func (p *party) draw(b []byte) error {
 // earlier session against the same peer; a state for the other role fails
 // as a nil state.
 func (p *party) setupOT(garbler bool, res *OTResume, nonce []byte) (err error) {
+	p.nonce = nonce
 	switch {
 	case garbler && res == nil:
 		p.otSend, err = ot.NewExtSender(p.conn, p.entropy)
@@ -100,16 +109,21 @@ func (p *party) OTResume() *OTResume {
 	return nil
 }
 
-// gcPre is the garbled-circuit half of one buffered pre-compute. The
-// evaluator keeps stored. A server garbler keeps encs, for the a labels it
-// sends direct: a unit's a-input false labels and its Δ, nothing else. Under
-// Client-Garbler each party keeps instead its half of the a-label OTs, one
-// batch per ReLU layer, made offline and answered online.
+// gcPre is the garbled-circuit half of one buffered pre-compute, garbled
+// under hash, a key of its own (hashKey) that is public and that each
+// party derives, so no state it stores. The evaluator keeps stored. A
+// server garbler keeps a, the a inputs' false labels it sends direct,
+// width a unit. Under Client-Garbler each party keeps instead its half of
+// the a-label OTs, one batch per ReLU layer, made offline and answered
+// online: the garbler its bound batches and each layer's secret seed, from
+// which the batch's pads y expand again.
 type gcPre struct {
-	encs    [][]garble.Encoding // per ReLU layer, per unit: a inputs only
-	stored  []storedLayer       // per ReLU layer
-	sendOTs []*ot.SenderPads    // per ReLU layer, bound, on a client garbler
-	recvOTs []*ot.ReceiverPads  // per ReLU layer, opened, on its evaluator
+	hash    garble.Hasher
+	a       [][]garble.Label         // per ReLU layer, unit-major, on a server garbler
+	seeds   [][garble.LabelSize]byte // per ReLU layer, on a client garbler
+	stored  []storedLayer            // per ReLU layer
+	sendOTs []*ot.SenderPads         // per ReLU layer, bound, on a client garbler
+	recvOTs []*ot.ReceiverPads       // per ReLU layer, on its evaluator
 }
 
 // storedLayer is what the evaluator holds per ReLU layer between phases —
@@ -118,18 +132,18 @@ type storedLayer struct {
 	seed   [garble.LabelSize]byte // the pinned inputs' active labels expand from it
 	tables [][]garble.Label       // per unit
 	decode []byte                 // decode bits, width per unit, packed
-	// known holds the b and r labels, 2*width per unit, that a server
-	// garbler transfers by offline OT (receiveGC); a client garbler pins b
-	// and r to the seed instead, and known stays nil.
-	known [][]garble.Label
+	// known holds the b and r labels, 2*width per unit, unit-major, that a
+	// server garbler transfers by offline OT (receiveGC); a client garbler
+	// pins b and r to the seed instead, and known stays nil.
+	known []garble.Label
 	bytes uint64
 }
 
 // storeBytes totals the garbled-circuit state one pre-compute holds until
-// online: stored circuits and labels, precomputed OT state, and a server
-// garbler's encodings (the a inputs' false labels and the offset, a unit).
+// online: stored circuits and labels, precomputed OT state and seeds, and
+// a server garbler's a labels.
 func (g *gcPre) storeBytes() uint64 {
-	var n uint64
+	n := uint64(len(g.seeds)) * garble.LabelSize
 	for _, b := range g.sendOTs {
 		n += b.SizeBytes()
 	}
@@ -139,12 +153,23 @@ func (g *gcPre) storeBytes() uint64 {
 	for _, l := range g.stored {
 		n += l.bytes
 	}
-	for _, layer := range g.encs {
-		for _, e := range layer {
-			n += uint64(len(e.Inputs)+1) * garble.LabelSize
-		}
+	for _, a := range g.a {
+		n += uint64(len(a)) * garble.LabelSize
 	}
 	return n
+}
+
+// hashKey is the garbling hash of a session's index-th pre-compute: AES
+// under SHA-256(tag ‖ len(nonce) ‖ nonce ‖ index) truncated to a key. The
+// garbler's offset is s, which lives as long as the base-OT state, so each
+// pre-compute hashes under a permutation of its own, and the tweaks
+// (gateBase) need only be unique within one.
+func hashKey(nonce []byte, index uint64) garble.Hasher {
+	b := append(make([]byte, 0, 64+len(nonce)), "privinf/gc-hash-key/v1"...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(nonce)))
+	b = binary.LittleEndian.AppendUint64(append(b, nonce...), index)
+	sum := sha256.Sum256(b)
+	return garble.KeyedHasher([garble.LabelSize]byte(sum[:]))
 }
 
 // gcLayerBytes is the wire size of one garbled layer of units: the public
@@ -157,8 +182,8 @@ func gcLayerBytes(circ *boolcirc.Circuit, units int) int {
 // pinnedInputs lists the circuit inputs whose values the garbler knows when
 // it garbles: const-one, and b and r when seeded includes them (the client
 // garbler). Their active labels expand from each layer's public seed, so none
-// of them crosses the wire. A server garbler pins b and r too, to the zero
-// labels of their OTs (garbleAndShip), so they need no seed.
+// of them crosses the wire. The inputs the label OTs carry are pinned too,
+// to the OTs' zero labels (garbleAndShip), so they need no seed.
 func pinnedInputs(width int, seeded bool) []int {
 	pinned := make([]int, 1, 1+2*width)
 	pinned[0] = boolcirc.ConstOne
@@ -170,31 +195,28 @@ func pinnedInputs(width int, seeded bool) []int {
 
 // garbleAndShip is the garbler's offline role: garble every ReLU unit and
 // send, per layer, one payload of public seed | units × tables | decode-bit
-// block inside the layer's label-OT flight: the pads of the evaluator's u
-// frame first, the t frame after the payload. Every input the garbler
-// knows when it garbles is pinned: const-one to a label expanded from the
-// public seed, and b and r, whose values own[layer] lists unit-major on a
-// client garbler, likewise. A client garbler's OTs carry the a inputs,
-// width a unit: it binds them to the a inputs' false labels and returns the
-// batches for their online answer. A server garbler (nil own) does not
-// know b and r, and its OTs carry them, 2·width a unit: it pins each to
-// its zero pad, and the client opens its labels from t alone. Either way
-// t's offsets are the units' Δs. Each layer's Δ and input labels are
-// AES-CTR output under a fresh secret seed, and the seeded labels AES-CTR
-// output under a fresh public seed; both come from the party's entropy,
-// every layer's secret seed first. The OT legs' time is added to *otTime.
-// It returns every unit's encoding.
-func (p *party) garbleAndShip(own [][]uint64, otTime *time.Duration) ([][]garble.Encoding, []*ot.SenderPads, error) {
-	width := p.f.Bits()
-	known, np := pinnedInputs(width, true), len(p.pinned)
-	n := len(known)
-	L := len(p.circuits)
+// block after the layer's label-OT flight, the evaluator's u frame. Every
+// unit's offset is the OT extension's s and its hash pre's (hashKey), and
+// every input the garbler knows when it garbles is pinned: const-one to a
+// label expanded from the public seed, and b and r, whose values own[layer]
+// lists unit-major on a client garbler, likewise. The OTs' inputs are
+// pinned to their zero labels. A server garbler's (nil own) carry b and r,
+// 2·width a unit, at its raw rows, which the client already holds as its
+// labels, and it keeps the a inputs' false labels. A client garbler's
+// carry a, width a unit, at q ⊕ y, y read off the front of the layer's
+// secret stream; it keeps the bound batches and the secret seeds for the
+// online answer. Each layer's remaining labels are AES-CTR output under
+// that secret seed, the seeded labels under a fresh public seed; both come
+// from the party's entropy, every layer's secret seed first. The OT legs'
+// time is added to *otTime.
+func (p *party) garbleAndShip(pre *gcPre, own [][]uint64, otTime *time.Duration) error {
+	width, sg := p.f.Bits(), own == nil
+	np, L := len(p.pinned), len(p.circuits)
 	seeds := make([]byte, 2*L*garble.LabelSize) // L secret, then L public
 	if err := p.draw(seeds); err != nil {
-		return nil, nil, fmt.Errorf("delphi: GC seeds: %w", err)
+		return fmt.Errorf("delphi: GC seeds: %w", err)
 	}
-	encs := make([][]garble.Encoding, L)
-	var bound []*ot.SenderPads
+	delta := p.otSend.Delta()
 	for layer, circ := range p.circuits {
 		units := p.meta.Dims[layer].Out
 		bases := make([]uint64, units)
@@ -203,33 +225,42 @@ func (p *party) garbleAndShip(own [][]uint64, otTime *time.Duration) ([][]garble
 		}
 		secret := [garble.LabelSize]byte(seeds[layer*garble.LabelSize:])
 		public := [garble.LabelSize]byte(seeds[(L+layer)*garble.LabelSize:])
-		per := 2 * width // a server garbler's b and r
-		if own != nil {
-			per = width // a client garbler's a
+		lo, per := 1, width // the OTs carry a client garbler's a, a server garbler's b and r
+		if sg {
+			lo, per = 1+width, 2*width
+		}
+		wires := append([]int(nil), p.pinned...)
+		for w := lo; w < lo+per; w++ {
+			wires = append(wires, w)
 		}
 		var pads *ot.SenderPads
 		var err error
 		if err = timed(otTime, func() error { pads, err = p.otSend.ReceivePads(units * per); return err }); err != nil {
-			return nil, nil, fmt.Errorf("delphi: label OT layer %d: %w", layer, err)
+			return fmt.Errorf("delphi: label OT layer %d: %w", layer, err)
 		}
-		// Unit u's pinned inputs are known[k] at u*n + k: the np seeded
-		// ones first, then a server garbler's b and r at their zero pads.
-		fix := garble.Fixed{Wires: known, Values: make([]bool, units*n), Active: make([]byte, units*n*garble.LabelSize)}
+		prg, zero := garble.NewPRG(secret), pads.Zero()
+		if !sg {
+			y := make([]byte, units*per*garble.LabelSize)
+			prg.Read(y) // never fails
+			if zero, err = pads.Bind(y); err != nil {
+				return err
+			}
+			pre.seeds, pre.sendOTs = append(pre.seeds, secret), append(pre.sendOTs, pads)
+		}
+		// Unit u's pinned inputs are wires[k] at u*n + k: the np seeded
+		// ones first, then the OTs' at their zero labels.
+		n := len(wires)
+		fix := garble.Fixed{Wires: wires, Values: make([]bool, units*n), Active: make([]byte, units*n*garble.LabelSize), R: &delta, Hash: pre.hash}
 		seeded := make([]byte, units*np*garble.LabelSize)
 		garble.ExpandSeed(seeded, public)
-		var ownBits []bool
-		if own != nil {
-			ownBits = valueBits(own[layer], width)
-		}
 		for u := 0; u < units; u++ {
 			fix.Values[u*n] = true // the wire that carries 1
+			if !sg {
+				copy(fix.Values[u*n+1:u*n+np], valueBits(own[layer][2*u:2*u+2], width))
+			}
 			unit := fix.Active[u*n*garble.LabelSize : (u+1)*n*garble.LabelSize]
 			copy(unit, seeded[u*np*garble.LabelSize:(u+1)*np*garble.LabelSize])
-			if own != nil {
-				copy(fix.Values[u*n+1:(u+1)*n], ownBits[u*2*width:])
-				continue
-			}
-			for k, l := range pads.Zero()[u*2*width : (u+1)*2*width] {
+			for k, l := range zero[u*per : (u+1)*per] {
 				copy(unit[(np+k)*garble.LabelSize:], l[:])
 			}
 		}
@@ -237,35 +268,26 @@ func (p *party) garbleAndShip(own [][]uint64, otTime *time.Duration) ([][]garble
 		payload := make([]byte, 0, gcLayerBytes(circ, units))
 		payload = append(payload, public[:]...)
 		decode := make([]bool, 0, units*len(circ.Outputs))
-		encs[layer] = make([]garble.Encoding, units)
-		deltas := make([]garble.Label, units)
-		var x0 []garble.Label // a client garbler's a-input false labels
-		if own != nil {
-			x0 = make([]garble.Label, 0, units*width)
-		}
+		var a []garble.Label // a server garbler's a-input false labels
 		// All units of the layer garble as one batch.
-		for u, g := range garble.GarbleBatchFixed(circ, garble.NewPRG(secret), bases, fix) {
-			encs[layer][u], deltas[u] = g.Encoding, g.Encoding.R
-			if own != nil {
-				x0 = append(x0, g.Encoding.Inputs[1:1+width]...)
+		for _, g := range garble.GarbleBatchFixed(circ, prg, bases, fix) {
+			if sg {
+				a = append(a, g.Encoding.Inputs[1:1+width]...)
 			}
 			payload = appendLabels(payload, g.Tables)
 			for _, d := range g.DecodeBits {
 				decode = append(decode, d == 1)
 			}
 		}
+		if sg {
+			pre.a = append(pre.a, a)
+		}
 		payload = append(payload, encodeBits(decode)...)
 		if err := p.conn.Send(payload); err != nil {
-			return nil, nil, fmt.Errorf("delphi: send GC layer %d: %w", layer, err)
-		}
-		if err := timed(otTime, func() error { return p.otSend.SendOffsets(pads, x0, deltas, per) }); err != nil {
-			return nil, nil, fmt.Errorf("delphi: label OT layer %d: %w", layer, err)
-		}
-		if own != nil {
-			bound = append(bound, pads)
+			return fmt.Errorf("delphi: send GC layer %d: %w", layer, err)
 		}
 	}
-	return encs, bound, nil
+	return nil
 }
 
 // timed runs f and adds its duration to *d.
@@ -276,50 +298,30 @@ func timed(d *time.Duration, f func() error) error {
 	return err
 }
 
-// aInputs keeps of each unit's encoding what a server garbler needs online:
-// the a inputs' false labels, as Inputs[0:width], and Δ. One slab a layer
-// holds the labels, so the full encodings can go.
-func aInputs(encs [][]garble.Encoding, width int) [][]garble.Encoding {
-	out := make([][]garble.Encoding, len(encs))
-	for layer, units := range encs {
-		slab := make([]garble.Label, len(units)*width)
-		out[layer] = make([]garble.Encoding, len(units))
-		for u, enc := range units {
-			a := slab[u*width : (u+1)*width : (u+1)*width]
-			copy(a, enc.Inputs[1:1+width])
-			out[layer][u] = garble.Encoding{Inputs: a, R: enc.R}
-		}
-	}
-	return out
-}
-
-// sendActive is the garbler's direct-label leg: the active labels of every
-// unit's a input, for the share values the garbler itself holds. encs are
-// aInputs' encodings.
-func (p *party) sendActive(encs []garble.Encoding, vals []uint64) error {
-	width := p.f.Bits()
-	payload := make([]byte, 0, len(vals)*width*garble.LabelSize)
-	for u, enc := range encs {
-		for k := 0; k < width; k++ {
-			lb := enc.EncodeInput(k, vals[u]>>uint(k)&1 == 1)
-			payload = append(payload, lb[:]...)
+// sendActive is a server garbler's direct-label leg: the active labels of
+// every unit's a input, a ⊕ v·s for the share values v the garbler itself
+// holds and a the layer's false labels.
+func (p *party) sendActive(a []garble.Label, vals []uint64) error {
+	width, delta := p.f.Bits(), p.otSend.Delta()
+	payload := appendLabels(make([]byte, 0, len(a)*garble.LabelSize), a)
+	for i := range a {
+		if lb := payload[i*garble.LabelSize:]; vals[i/width]>>uint(i%width)&1 == 1 {
+			subtle.XORBytes(lb, lb, delta[:])
 		}
 	}
 	return p.conn.Send(payload)
 }
 
 // receiveGC is the evaluator's offline role: receive and store every
-// layer's garbled units, each inside the layer's label-OT flight: it sends
-// the u frame of the layer's OTs before the layer and opens them from the t
-// frame that follows it. From a server garbler the OTs obtain the labels of
-// the b and r values own[layer] lists, unit-major; from a client garbler
-// they are random OTs on bits from the party's entropy, one ⌈m/8⌉-byte
-// draw a layer, returned for their online answer. The OT legs' time is
-// added to *otTime.
-func (p *party) receiveGC(own [][]uint64, otTime *time.Duration) ([]storedLayer, []*ot.ReceiverPads, error) {
-	width, sg := p.f.Bits(), p.cfg.Variant == ServerGarbler
-	stored := make([]storedLayer, len(p.circuits))
-	var opened []*ot.ReceiverPads
+// layer's garbled units, each after the layer's label-OT flight: it sends
+// the u frame of the layer's OTs before the layer. From a server garbler
+// the OTs carry the b and r values own[layer] lists, unit-major, and their
+// rows are those inputs' labels; from a client garbler they are random OTs
+// on bits from the party's entropy, one ⌈m/8⌉-byte draw a layer, kept for
+// their online answer. The OT legs' time is added to *otTime.
+func (p *party) receiveGC(pre *gcPre, own [][]uint64, otTime *time.Duration) error {
+	sg := p.cfg.Variant == ServerGarbler
+	pre.stored = make([]storedLayer, len(p.circuits))
 	for layer, circ := range p.circuits {
 		units := p.meta.Dims[layer].Out
 		var pads *ot.ReceiverPads
@@ -330,31 +332,24 @@ func (p *party) receiveGC(own [][]uint64, otTime *time.Duration) ([]storedLayer,
 			}
 			return err
 		}); err != nil {
-			return nil, nil, fmt.Errorf("delphi: label OT layer %d: %w", layer, err)
+			return fmt.Errorf("delphi: label OT layer %d: %w", layer, err)
 		}
 		payload, err := p.conn.Recv()
 		if err != nil {
-			return nil, nil, fmt.Errorf("delphi: recv GC layer %d: %w", layer, err)
+			return fmt.Errorf("delphi: recv GC layer %d: %w", layer, err)
 		}
-		st := &stored[layer]
+		st := &pre.stored[layer]
 		if *st, err = parseGCLayer(circ, units, payload); err != nil {
-			return nil, nil, fmt.Errorf("delphi: GC layer %d: %w", layer, err)
-		}
-		var labels []garble.Label
-		if err := timed(otTime, func() error { labels, err = p.otRecv.ReceiveOffsets(pads); return err }); err != nil {
-			return nil, nil, fmt.Errorf("delphi: label OT layer %d: %w", layer, err)
+			return fmt.Errorf("delphi: GC layer %d: %w", layer, err)
 		}
 		if !sg {
-			opened = append(opened, pads)
+			pre.recvOTs = append(pre.recvOTs, pads)
 			continue
 		}
-		st.known = make([][]garble.Label, len(st.tables))
-		for u := range st.known {
-			st.known[u] = labels[u*2*width : (u+1)*2*width]
-		}
-		st.bytes += uint64(len(labels) * garble.LabelSize)
+		st.known = pads.Rows()
+		st.bytes += uint64(len(st.known) * garble.LabelSize)
 	}
-	return stored, opened, nil
+	return nil
 }
 
 // otChoices returns the evaluator's choice bits for a layer's label OTs:
@@ -398,12 +393,14 @@ func parseGCLayer(circ *boolcirc.Circuit, units int, payload []byte) (storedLaye
 	return st, nil
 }
 
-// evaluateLayer is the evaluator's online role: evaluate the stored units
-// of one ReLU layer on the a labels just obtained, as one batch, returning
-// the decoded output bits (the masked next-layer input), width per unit.
-// The pinned inputs' active labels are expanded from the layer's seed and
-// the decode bits unpacked here, so neither is held between phases.
-func (p *party) evaluateLayer(st storedLayer, layer int, aLabels []garble.Label) ([]bool, error) {
+// evaluateLayer is the evaluator's online role: evaluate pre's stored units
+// of one ReLU layer on the a labels just obtained, as one batch under pre's
+// hash, returning the decoded output bits (the masked next-layer input),
+// width per unit. The pinned inputs' active labels are expanded from the
+// layer's seed and the decode bits unpacked here, so neither is held
+// between phases.
+func (p *party) evaluateLayer(pre *gcPre, layer int, aLabels []garble.Label) ([]bool, error) {
+	st := pre.stored[layer]
 	width := p.f.Bits()
 	circ := p.circuits[layer]
 	n, np, nOut, units := circ.NumInputs, len(p.pinned), len(circ.Outputs), len(st.tables)
@@ -419,7 +416,7 @@ func (p *party) evaluateLayer(st storedLayer, layer int, aLabels []garble.Label)
 	for u := range bases {
 		in := inputs[u*n : (u+1)*n]
 		if st.known != nil { // b and r, fetched by OT from a server garbler
-			copy(in[1+width:], st.known[u])
+			copy(in[1+width:], st.known[u*2*width:(u+1)*2*width])
 		}
 		for k, w := range p.pinned {
 			in[w] = garble.Label(pinned[(u*np+k)*garble.LabelSize:])
@@ -427,30 +424,27 @@ func (p *party) evaluateLayer(st storedLayer, layer int, aLabels []garble.Label)
 		copy(in[1:1+width], aLabels[u*width:(u+1)*width])
 		bases[u] = gateBase(layer, u)
 	}
-	bits, err := garble.EvalBatch(circ, st.tables, decode, inputs, bases)
+	bits, err := garble.EvalBatch(pre.hash, circ, st.tables, decode, inputs, bases)
 	if err != nil {
 		return nil, fmt.Errorf("delphi: eval layer %d: %w", layer, err)
 	}
 	return bits, nil
 }
 
-// offlineGC is the garbled-circuit leg of a pre-compute on either endpoint,
-// timed into rep: the circuits (garbleAndShip, receiveGC), each layer's
-// label OTs woven in, Server-Garbler's b and r or Client-Garbler's a,
-// which are random OTs RunOnline answers with one derandomization each
-// (SendPrecomputed, ReceivePrecomputed). own lists the client's b and r
-// values per layer (nil on the server).
+// offlineGC is the garbled-circuit leg of the session's next pre-compute
+// on either endpoint, timed into rep: the circuits (garbleAndShip,
+// receiveGC), each layer's label OTs woven in, Server-Garbler's b and r or
+// Client-Garbler's a, which are random OTs RunOnline answers with one
+// derandomization each (SendPrecomputed, ReceivePrecomputed). own lists the
+// client's b and r values per layer (nil on the server).
 func (p *party) offlineGC(pre *gcPre, garbler bool, own [][]uint64, rep *OfflineReport) error {
 	start := time.Now()
+	pre.hash, p.precomputes = hashKey(p.nonce, p.precomputes), p.precomputes+1
 	var err error
 	if garbler {
-		var encs [][]garble.Encoding
-		encs, pre.sendOTs, err = p.garbleAndShip(own, &rep.OTDuration)
-		if err == nil && p.cfg.Variant == ServerGarbler { // a client garbler keeps its bound OTs instead
-			pre.encs = aInputs(encs, p.f.Bits())
-		}
+		err = p.garbleAndShip(pre, own, &rep.OTDuration)
 	} else {
-		pre.stored, pre.recvOTs, err = p.receiveGC(own, &rep.OTDuration)
+		err = p.receiveGC(pre, own, &rep.OTDuration)
 	}
 	rep.GCDuration = time.Since(start) - rep.OTDuration
 	rep.GCStoreBytes = pre.storeBytes()

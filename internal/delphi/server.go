@@ -220,7 +220,7 @@ func (s *Server) RunOnline() (OnlineReport, error) {
 		var bits []bool
 		switch s.cfg.Variant {
 		case ServerGarbler: // garbler: a labels go direct, the client returns the bits
-			if err := s.sendActive(pre.encs[i], ys); err != nil {
+			if err := s.sendActive(pre.a[i], ys); err != nil {
 				return rep, err
 			}
 			bitsRaw, err := s.conn.Recv()
@@ -235,7 +235,7 @@ func (s *Server) RunOnline() (OnlineReport, error) {
 			if err != nil {
 				return rep, fmt.Errorf("delphi: label OT layer %d: %w", i, err)
 			}
-			if bits, err = s.evaluateLayer(pre.stored[i], i, aLabels); err != nil {
+			if bits, err = s.evaluateLayer(&pre.gcPre, i, aLabels); err != nil {
 				return rep, err
 			}
 		}

@@ -38,7 +38,9 @@ func derive(params bfv.Params, meta ModelMeta) (derived, error) {
 	}
 	d.circuits = make([]*boolcirc.Circuit, meta.NumReLULayers())
 	for i, shift := range meta.Shifts {
-		d.circuits[i] = reluCircuit(boolcirc.ReLUSpec{P: meta.P, Frac: shift})
+		if d.circuits[i] = reluCircuit(boolcirc.ReLUSpec{P: meta.P, Frac: shift}); 2*d.circuits[i].NumAND() >= maxTweaks {
+			return derived{}, fmt.Errorf("delphi: ReLU circuit has %d ANDs, want fewer than 2^21", d.circuits[i].NumAND())
+		}
 	}
 	return d, nil
 }

@@ -92,11 +92,17 @@ func checkBits(data []byte, want int) error {
 	return nil
 }
 
-// gateBase returns the hash-tweak base for a ReLU unit, unique per
-// (layer, unit) and identical on both parties.
+// gateBase returns the hash-tweak base for a ReLU unit, identical on both
+// parties; the garbling adds each AND gate's table index and that plus
+// one. The tweaks so made are unique within one pre-compute's hash key
+// (hashKey), with bit 63 clear, as long as a circuit has fewer than
+// maxTweaks/2 ANDs (derive), a ReLU layer fewer than maxUnits units and a
+// model fewer than maxReLULayers ReLU layers (ModelMeta.Validate).
 func gateBase(layer, unit int) uint64 {
 	return uint64(layer)<<44 | uint64(unit)<<22
 }
+
+const maxTweaks, maxUnits, maxReLULayers = 1 << 22, 1 << 22, 1 << 19
 
 // valueBits returns the little-endian width-bit decomposition of each
 // element of v, concatenated — the OT choice bits for v's labels.

@@ -15,7 +15,7 @@ import (
 const (
 	wireTagCtrl = 0x01
 	wireOpHello = 0x01
-	wireVersion = 15
+	wireVersion = 16
 )
 
 // rawHello is a hello control frame claiming the given wire version.
@@ -74,8 +74,8 @@ func TestBadOpeningSameAnswerDirectAndRouted(t *testing.T) {
 		{"empty frame", [][]byte{{}}, serve.ErrBadFrame},
 		{"garbage", [][]byte{[]byte("GET / HTTP/1.1")}, serve.ErrBadFrame},
 		{"truncated preamble", [][]byte{preamble(wireVersion)[:8]}, serve.ErrBadFrame},
-		{"garbage opcode in a v15 preamble", [][]byte{preamble(wireVersion), {wireTagCtrl, 0xEE, 'j', 'u', 'n', 'k'}}, serve.ErrBadFrame},
-		{"garbage after a v15 preamble", [][]byte{preamble(wireVersion), {0x5A}}, serve.ErrBadFrame},
+		{"garbage opcode in a v16 preamble", [][]byte{preamble(wireVersion), {wireTagCtrl, 0xEE, 'j', 'u', 'n', 'k'}}, serve.ErrBadFrame},
+		{"garbage after a v16 preamble", [][]byte{preamble(wireVersion), {0x5A}}, serve.ErrBadFrame},
 		{"preamble v3", [][]byte{preamble(3)}, serve.ErrVersionMismatch},
 		{"preamble v4", [][]byte{preamble(4)}, serve.ErrVersionMismatch},
 		{"preamble v5", [][]byte{preamble(5)}, serve.ErrVersionMismatch},
@@ -103,22 +103,41 @@ func TestBadOpeningSameAnswerDirectAndRouted(t *testing.T) {
 		// before it runs the a-label OTs, where a v15 server sends each
 		// layer's u frame first and takes the frame after the record as t.
 		{"preamble v14", [][]byte{preamble(14)}, serve.ErrVersionMismatch},
+		// v15 is the previous release: its handshake, records and HE frames
+		// are v16's, but its garbler sends a t frame after each garbled
+		// layer, which a v16 evaluator would take as the next layer's record.
+		{"preamble v15", [][]byte{preamble(15)}, serve.ErrVersionMismatch},
 		{"bare v2 hello", [][]byte{rawHello(2)}, serve.ErrVersionMismatch},
-		{"v3 hello inside a v15 preamble", [][]byte{preamble(wireVersion), rawHello(3)}, serve.ErrVersionMismatch},
-		{"v4 hello inside a v15 preamble", [][]byte{preamble(wireVersion), rawHello(4)}, serve.ErrVersionMismatch},
-		{"v5 hello inside a v15 preamble", [][]byte{preamble(wireVersion), rawHello(5)}, serve.ErrVersionMismatch},
-		{"v6 hello inside a v15 preamble", [][]byte{preamble(wireVersion), rawHello(6)}, serve.ErrVersionMismatch},
-		{"v7 hello inside a v15 preamble", [][]byte{preamble(wireVersion), rawHello(7)}, serve.ErrVersionMismatch},
-		{"v8 hello inside a v15 preamble", [][]byte{preamble(wireVersion), rawHello(8)}, serve.ErrVersionMismatch},
-		{"v9 hello inside a v15 preamble", [][]byte{preamble(wireVersion), rawHello(9)}, serve.ErrVersionMismatch},
-		{"v10 hello inside a v15 preamble", [][]byte{preamble(wireVersion), rawHello(10)}, serve.ErrVersionMismatch},
-		{"v11 hello inside a v15 preamble", [][]byte{preamble(wireVersion), rawHello(11)}, serve.ErrVersionMismatch},
-		{"v12 hello inside a v15 preamble", [][]byte{preamble(wireVersion), rawHello(12)}, serve.ErrVersionMismatch},
-		{"v13 hello inside a v15 preamble", [][]byte{preamble(wireVersion), rawHello(13)}, serve.ErrVersionMismatch},
-		{"v14 hello inside a v15 preamble", [][]byte{preamble(wireVersion), rawHello(14)}, serve.ErrVersionMismatch},
+		{"v3 hello inside a v16 preamble", [][]byte{preamble(wireVersion), rawHello(3)}, serve.ErrVersionMismatch},
+		{"v4 hello inside a v16 preamble", [][]byte{preamble(wireVersion), rawHello(4)}, serve.ErrVersionMismatch},
+		{"v5 hello inside a v16 preamble", [][]byte{preamble(wireVersion), rawHello(5)}, serve.ErrVersionMismatch},
+		{"v6 hello inside a v16 preamble", [][]byte{preamble(wireVersion), rawHello(6)}, serve.ErrVersionMismatch},
+		{"v7 hello inside a v16 preamble", [][]byte{preamble(wireVersion), rawHello(7)}, serve.ErrVersionMismatch},
+		{"v8 hello inside a v16 preamble", [][]byte{preamble(wireVersion), rawHello(8)}, serve.ErrVersionMismatch},
+		{"v9 hello inside a v16 preamble", [][]byte{preamble(wireVersion), rawHello(9)}, serve.ErrVersionMismatch},
+		{"v10 hello inside a v16 preamble", [][]byte{preamble(wireVersion), rawHello(10)}, serve.ErrVersionMismatch},
+		{"v11 hello inside a v16 preamble", [][]byte{preamble(wireVersion), rawHello(11)}, serve.ErrVersionMismatch},
+		{"v12 hello inside a v16 preamble", [][]byte{preamble(wireVersion), rawHello(12)}, serve.ErrVersionMismatch},
+		{"v13 hello inside a v16 preamble", [][]byte{preamble(wireVersion), rawHello(13)}, serve.ErrVersionMismatch},
+		{"v14 hello inside a v16 preamble", [][]byte{preamble(wireVersion), rawHello(14)}, serve.ErrVersionMismatch},
+		{"v15 hello inside a v16 preamble", [][]byte{preamble(wireVersion), rawHello(15)}, serve.ErrVersionMismatch},
 		// Older clients' openings, whatever follows the preamble: the gate
 		// answers before anything after it is read, so what a release itself
 		// rejected as a bad frame is a version mismatch here.
+		{"garbage opcode in a v15 preamble", [][]byte{preamble(15), {wireTagCtrl, 0xEE, 'j', 'u', 'n', 'k'}}, serve.ErrVersionMismatch},
+		{"garbage after a v15 preamble", [][]byte{preamble(15), {0x5A}}, serve.ErrVersionMismatch},
+		{"v3 hello inside a v15 preamble", [][]byte{preamble(15), rawHello(3)}, serve.ErrVersionMismatch},
+		{"v4 hello inside a v15 preamble", [][]byte{preamble(15), rawHello(4)}, serve.ErrVersionMismatch},
+		{"v5 hello inside a v15 preamble", [][]byte{preamble(15), rawHello(5)}, serve.ErrVersionMismatch},
+		{"v6 hello inside a v15 preamble", [][]byte{preamble(15), rawHello(6)}, serve.ErrVersionMismatch},
+		{"v7 hello inside a v15 preamble", [][]byte{preamble(15), rawHello(7)}, serve.ErrVersionMismatch},
+		{"v8 hello inside a v15 preamble", [][]byte{preamble(15), rawHello(8)}, serve.ErrVersionMismatch},
+		{"v9 hello inside a v15 preamble", [][]byte{preamble(15), rawHello(9)}, serve.ErrVersionMismatch},
+		{"v10 hello inside a v15 preamble", [][]byte{preamble(15), rawHello(10)}, serve.ErrVersionMismatch},
+		{"v11 hello inside a v15 preamble", [][]byte{preamble(15), rawHello(11)}, serve.ErrVersionMismatch},
+		{"v12 hello inside a v15 preamble", [][]byte{preamble(15), rawHello(12)}, serve.ErrVersionMismatch},
+		{"v13 hello inside a v15 preamble", [][]byte{preamble(15), rawHello(13)}, serve.ErrVersionMismatch},
+		{"v14 hello inside a v15 preamble", [][]byte{preamble(15), rawHello(14)}, serve.ErrVersionMismatch},
 		{"garbage opcode in a v14 preamble", [][]byte{preamble(14), {wireTagCtrl, 0xEE, 'j', 'u', 'n', 'k'}}, serve.ErrVersionMismatch},
 		{"garbage after a v14 preamble", [][]byte{preamble(14), {0x5A}}, serve.ErrVersionMismatch},
 		{"v3 hello inside a v14 preamble", [][]byte{preamble(14), rawHello(3)}, serve.ErrVersionMismatch},

@@ -42,12 +42,6 @@ func (e Encoding) EncodeInput(i int, v bool) Label {
 	return e.Inputs[i]
 }
 
-// LabelPair returns (false, true) labels for input i, the sender inputs
-// for oblivious transfer of the evaluator's choice bits.
-func (e Encoding) LabelPair(i int) (Label, Label) {
-	return e.Inputs[i], e.Inputs[i].xor(e.R)
-}
-
 // chunk is the number of units one pass over a gate list carries: enough for
 // the gate decode and the hash call to amortise, few enough that a ReLU's
 // slab (≈ 780 wires × 16 units × 16 bytes) stays in cache.
@@ -131,25 +125,30 @@ func readEntropy(src io.Reader, buf []byte) {
 	}
 }
 
-// Fixed pins the circuit inputs whose values the garbler knows when it
-// garbles to active labels it is given rather than draws. With n =
-// len(Wires) and j = u·n + k, input Wires[k] of unit u carries Values[j] and
-// gets the false label A ⊕ Values[j]·R, A the j-th 16-byte label of Active,
-// so its active label is A. An evaluator that can rebuild Active (delphi
-// expands it from a public seed with ExpandSeed) needs nothing shipped for
-// those inputs. Each unit still reads its full entropy slot and leaves the
-// pinned inputs' part unused, so R and the other inputs' labels are those
-// GarbleBatch draws from the same stream.
+// Fixed is what the garbler is given rather than draws. It pins the
+// circuit inputs whose values the garbler knows when it garbles to given
+// active labels: with n = len(Wires) and j = u·n + k, input Wires[k] of
+// unit u carries Values[j] and gets the false label A ⊕ Values[j]·R, A the
+// j-th 16-byte label of Active, so its active label is A. An evaluator that
+// can rebuild Active (delphi expands it from a public seed with
+// ExpandSeed) needs nothing shipped for those inputs. A non-nil R is every
+// unit's free-XOR offset, its colour bit set, and a keyed Hash (see
+// KeyedHasher) replaces the fixed-key hash: delphi gives the OT
+// extension's s and a key of the pre-compute's own. Each unit still reads
+// its full entropy slot and leaves the given parts unused, so the other
+// inputs' labels are those GarbleBatch draws from the same stream.
 type Fixed struct {
 	Wires  []int
 	Values []bool
 	Active []byte
+	R      *Label
+	Hash   Hasher
 }
 
 // chunkOf returns the part of f for units [lo, hi).
 func (f Fixed) chunkOf(lo, hi int) Fixed {
 	n := len(f.Wires)
-	return Fixed{Wires: f.Wires, Values: f.Values[lo*n : hi*n], Active: f.Active[lo*n*LabelSize : hi*n*LabelSize]}
+	return Fixed{Wires: f.Wires, Values: f.Values[lo*n : hi*n], Active: f.Active[lo*n*LabelSize : hi*n*LabelSize], R: f.R}
 }
 
 // garbleCore runs the half-gates pass over c for one chunk of units at once:
@@ -167,7 +166,11 @@ func (g *Garbler) garbleCore(dsts []*Garbled, c *boolcirc.Circuit, rnd []byte, b
 	for u, dst := range dsts {
 		in := rnd[u*per : (u+1)*per]
 		// Global offset with color bit forced to 1 (point-and-permute).
-		rs[u] = load((*Label)(in))
+		r := (*Label)(in)
+		if fix.R != nil {
+			r = fix.R
+		}
+		rs[u] = load(r)
 		rs[u].lo |= 1
 		for w := 0; w < c.NumInputs; w++ {
 			copy(wires[w*row+u*LabelSize:], in[(1+w)*LabelSize:(2+w)*LabelSize])
@@ -253,8 +256,8 @@ func GarbleBatch(c *boolcirc.Circuit, src io.Reader, bases []uint64) []*Garbled 
 	return GarbleBatchFixed(c, src, bases, Fixed{})
 }
 
-// GarbleBatchFixed is GarbleBatch with the inputs fix lists pinned to its
-// active labels in every instance; fix.Wires must be circuit inputs.
+// GarbleBatchFixed is GarbleBatch with what fix gives in place of what it
+// would draw, in every instance; fix.Wires must be circuit inputs.
 func GarbleBatchFixed(c *boolcirc.Circuit, src io.Reader, bases []uint64, fix Fixed) []*Garbled {
 	n := len(bases)
 	out := make([]*Garbled, n)
@@ -266,6 +269,7 @@ func GarbleBatchFixed(c *boolcirc.Circuit, src io.Reader, bases []uint64, fix Fi
 	readEntropy(src, buf)
 
 	chunks := (n + chunk - 1) / chunk
+	newGarbler := func() *Garbler { return &Garbler{workspace: workspace{h: fix.Hash}} }
 	run := func(g *Garbler, i int) {
 		lo, hi := i*chunk, min((i+1)*chunk, n)
 		for u := lo; u < hi; u++ {
@@ -275,7 +279,7 @@ func GarbleBatchFixed(c *boolcirc.Circuit, src io.Reader, bases []uint64, fix Fi
 	}
 	workers := min(runtime.GOMAXPROCS(0), chunks)
 	if workers <= 1 {
-		g := NewGarbler()
+		g := newGarbler()
 		for i := 0; i < chunks; i++ {
 			run(g, i)
 		}
@@ -287,7 +291,7 @@ func GarbleBatchFixed(c *boolcirc.Circuit, src io.Reader, bases []uint64, fix Fi
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			g := NewGarbler()
+			g := newGarbler()
 			for i := int(next.Add(1)) - 1; i < chunks; i = int(next.Add(1)) - 1 {
 				run(g, i)
 			}
@@ -310,17 +314,21 @@ type Evaluator struct {
 // schedule and a workspace once, not per call.
 var evaluators = sync.Pool{New: func() any { return new(Evaluator) }}
 
-// Eval evaluates one garbled circuit on a pooled Evaluator.
+// fixedHash is the fixed-key hash the pooled Eval hands its Evaluator.
+var fixedHash = NewHasher()
+
+// Eval evaluates one garbled circuit under the fixed-key hash on a pooled
+// Evaluator.
 func Eval(c *boolcirc.Circuit, tables []Label, decode []byte, inputs []Label, gateIndexBase uint64) ([]bool, error) {
-	e := evaluators.Get().(*Evaluator)
-	defer evaluators.Put(e)
-	return e.Eval(c, tables, decode, inputs, gateIndexBase)
+	return EvalBatch(fixedHash, c, [][]Label{tables}, decode, inputs, []uint64{gateIndexBase})
 }
 
-// EvalBatch evaluates a batch of garbled units on a pooled Evaluator.
-func EvalBatch(c *boolcirc.Circuit, tables [][]Label, decode []byte, inputs []Label, bases []uint64) ([]bool, error) {
+// EvalBatch evaluates a batch of garbled units under the hash h, the one
+// they were garbled under, on a pooled Evaluator.
+func EvalBatch(h Hasher, c *boolcirc.Circuit, tables [][]Label, decode []byte, inputs []Label, bases []uint64) ([]bool, error) {
 	e := evaluators.Get().(*Evaluator)
 	defer evaluators.Put(e)
+	e.h = h
 	return e.EvalBatch(c, tables, decode, inputs, bases)
 }
 

@@ -112,7 +112,7 @@ func TestFreeXOROffsetInvariant(t *testing.T) {
 	c := b.Finish()
 	g := Garble(c, newSeeded(5), 0)
 	for i := 0; i < c.NumInputs; i++ {
-		f, tr := g.Encoding.LabelPair(i)
+		f, tr := g.Encoding.EncodeInput(i, false), g.Encoding.EncodeInput(i, true)
 		if f.xor(g.Encoding.R) != tr {
 			t.Fatalf("input %d: label pair not related by R", i)
 		}

@@ -2,8 +2,12 @@
 // the two standard optimizations the paper's protocol uses (§2.1.3):
 // FreeXOR (XOR gates cost nothing) and half-gates (two 128-bit ciphertexts
 // per AND gate). Labels are 128 bits; the hash is a correlation-robust
-// construction from fixed-key AES (crypto/aes), H(x, i) = π(σ(x) ⊕ i) ⊕
-// σ(x) ⊕ i with σ a linear doubling in GF(2^128).
+// construction from AES under a public key (crypto/aes), H(x, i) = π(σ(x)
+// ⊕ i) ⊕ σ(x) ⊕ i with σ a linear doubling in GF(2^128). GarbleBatch draws
+// a per-unit offset R and, like Eval, hashes under one fixed key; a caller
+// may give both instead (Fixed.R, Fixed.Hash, EvalBatch's h), as delphi does:
+// its offset is the OT extension's s, shared by every unit the base-OT
+// state ever garbles, and its key is a pre-compute's own.
 //
 // Both cores work layer-major: a layer is many units (instances) of one
 // circuit, and the garbler and the evaluator walk the gate list once per
@@ -100,8 +104,13 @@ var fixedKey = [16]byte{
 }
 
 // NewHasher returns a Hasher keyed with the public fixed key.
-func NewHasher() Hasher {
-	block, err := aes.NewCipher(fixedKey[:])
+func NewHasher() Hasher { return KeyedHasher(fixedKey) }
+
+// KeyedHasher returns a Hasher keyed with key, a public key of its own: the
+// hash is then an independent permutation's, so hashes under distinct keys
+// need no tweak apart (delphi keys each pre-compute's garbling).
+func KeyedHasher(key [LabelSize]byte) Hasher {
+	block, err := aes.NewCipher(key[:])
 	if err != nil {
 		panic("garble: aes init failed: " + err.Error())
 	}

@@ -282,7 +282,7 @@ func TestPinnedInputsMatchOracle(t *testing.T) {
 			}
 
 			tables, decode := unitTables(got)
-			out, err := EvalBatch(c, tables, decode, flat, bases)
+			out, err := EvalBatch(fixedHash, c, tables, decode, flat, bases)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -314,5 +314,50 @@ func TestExpandSeedIsPRGStream(t *testing.T) {
 	dst := make([]byte, 4096)
 	if n := testing.AllocsPerRun(5, func() { ExpandSeed(dst, seed) }); n > 2 {
 		t.Fatalf("ExpandSeed allocates %v times, want at most 2", n)
+	}
+}
+
+// TestGivenOffsetAndKey: a layer garbled with a given offset R and a keyed
+// hash uses R as every unit's offset, colour bit kept, evaluates to the
+// plain circuit under the same key, and decodes another output under the
+// fixed key or another key. Its input labels are the ones the fixed-key
+// garbling of the same stream draws, and every unit's tables differ from
+// that garbling's: the key, not the tweak, keeps two pre-computes' hashes
+// apart.
+func TestGivenOffsetAndKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(76))
+	c := boolcirc.BuildReLU(boolcirc.ReLUSpec{P: field.P20, Frac: 6})
+	const n = 40
+	bases := unitBases(1, n)
+	var r Label
+	rng.Read(r[:])
+	r[0] |= 1
+	key := KeyedHasher([LabelSize]byte{7})
+	got := GarbleBatchFixed(c, newSeeded(77), bases, Fixed{R: &r, Hash: key})
+	plain := GarbleBatchFixed(c, newSeeded(77), bases, Fixed{R: &r})
+	bits, flat := activeInputs(rng, c, got)
+	tables, decode := unitTables(got)
+	for u, g := range got {
+		if g.Encoding.R != r || garbledEqual(g, plain[u]) || g.Encoding.Inputs[1] != plain[u].Encoding.Inputs[1] {
+			t.Fatalf("unit %d: offset %x, want the given %x, and the keyed tables, not the fixed-key ones", u, g.Encoding.R, r)
+		}
+	}
+	nOut := len(c.Outputs)
+	for _, h := range []struct {
+		name string
+		hash Hasher
+		ok   bool
+	}{{"its key", key, true}, {"the fixed key", fixedHash, false}, {"another key", KeyedHasher([LabelSize]byte{8}), false}} {
+		out, err := EvalBatch(h.hash, c, tables, decode, flat, bases)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same := true
+		for u := range got {
+			same = same && reflect.DeepEqual(out[u*nOut:(u+1)*nOut], c.Eval(bits[u]))
+		}
+		if same != h.ok {
+			t.Fatalf("evaluated under %s: every unit decodes the plain output: %v, want %v", h.name, same, h.ok)
+		}
 	}
 }

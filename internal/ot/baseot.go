@@ -43,9 +43,9 @@
 // row-major in one flat slab: row i is slab[i*mBytes:(i+1)*mBytes], column j
 // of it is bit j%8 (least significant first) of byte j/8. A Message holds
 // one column: bit i%8 of byte i/8 is row i. The same order packs the choice
-// bits r, the sender's correlation bits s, and each row of the correction
+// bits c, the sender's correlation bits s, and each row of the correction
 // frame u the receiver sends (kappa rows of mBytes bytes, row-major; row i is
-// t_i ⊕ PRG(k_i^1) ⊕ r, built in one pass). The sender's t and z frames are
+// t_i ⊕ PRG(k_i^1) ⊕ c, built in one pass). The sender's t and z frames are
 // m 16-byte blocks each, OT j at byte 16j.
 //
 // transpose turns rows into columns on 8×8 bit tiles: one byte from each of 8
@@ -53,76 +53,73 @@
 // scattered to each of 8 Messages. The column byte is the outer loop, so a
 // step reads one byte of all 128 rows and completes 8 Messages.
 //
-// The per-OT pad is H(column, tweak) with H the fixed-key-AES hash of
-// internal/garble (garble.Hasher, one held by value per endpoint) and tweak
-// the session-wide OT index with bit 63 set. Garbling tweaks are gate
-// indices below 2^63, so no (input, tweak) pair the extension hashes can
-// also be a garbling query. docs/invariants.md says why that hash suffices.
-//
 // # The batch
 //
-// One extension is a correlated random OT: the receiver's u frame, then the
-// sender's t frame. The receiver holds the pad m_c = H(t_j) of its choice
-// bit c, the sender both pads m0 = H(q_j) and m1 = H(q_j ⊕ s). For pairs
-// (x0, x0 ⊕ Δ) the sender sends "t", t_j = Δ ⊕ m0 ⊕ m1, and the receiver
-// folds it into its pad, K_j = m_c ⊕ c·t_j = m0 ⊕ c·Δ: the same t whatever
-// x0 is. Each side has one batch type that walks these steps, SenderPads
-// (ReceivePads, then SendOffsets) and ReceiverPads (SendChoices, then
-// ReceiveOffsets), and SendOffsets' zero labels x0 pick what the batch
-// transfers:
+// One extension is a correlated OT: the receiver's u frame, and nothing
+// back. The sender holds row q_j, the receiver t_j = q_j ⊕ c_j·s for its
+// choice bit c_j, and s, fixed for the life of the base-OT state, is the
+// offset of every pair: (q_j, q_j ⊕ s). NewExtSender sets the lsb of s,
+// so a garbler takes s as its free-XOR offset and the rows as labels, and
+// ResumeSender refuses a state without that bit (ErrColourBit). Each side
+// has one batch type, SenderPads (ReceivePads) and ReceiverPads
+// (SendChoices), used one of two ways:
 //
-//   - nil: the pads are the labels. The pair is (m0, m0 ⊕ Δ) and K_j is
-//     already the receiver's message, with no answer frame. A sender that
-//     has not yet drawn its pairs may so take them from the extension: a
-//     Server-Garbler garbler takes m0 as the false label of the client's b
-//     and r wires, so it extends before it garbles. docs/invariants.md
-//     ("OT-defined input labels") says why a pad is a valid label.
-//   - non-nil: the batch is bound to x0. The sender keeps w_j = x0 ⊕ m0 and
-//     Δ once per group of OTs (16 bytes an OT plus 16 a group), the
-//     receiver K_j = x_c ⊕ w_j and c (16 bytes and a bit). An answer to
-//     correction bits d is one frame "z", z_j = w_j ⊕ d_j·Δ, which the
-//     receiver opens as z_j ⊕ K_j = x_{c⊕d}. Client-Garbler runs the batch
-//     offline on uniformly random choices c; online, SendPrecomputed and
-//     ReceivePrecomputed exchange "d", the receiver's d = a ⊕ c for its real
-//     choices a, packed like r, and "z". No PRG, transpose or hash runs
-//     online. docs/invariants.md ("Label OT precomputation") says why t may
-//     be sent before the choices exist.
+//   - Rows as labels. The sender's rows are its zero labels, and the
+//     receiver's rows are the labels of its choices, with no hash and no
+//     frame past u: a Server-Garbler garbler garbles the client's b and r
+//     wires at q_j, so it extends before it garbles.
+//   - Bound (Bind), for choices that do not exist yet. The sender's zero
+//     labels become x0_j = q_j ⊕ y_j for one-time pads y it can derive
+//     again, and the batch keeps nothing; the receiver keeps t_j and c_j
+//     (16 bytes and a bit). An answer to correction bits d is one frame
+//     "z", z_j = y_j ⊕ d_j·s, which the receiver opens as t_j ⊕ z_j =
+//     x0_j ⊕ (c_j ⊕ d_j)·s. Client-Garbler runs the batch offline on
+//     uniformly random choices c; online, SendPrecomputed and
+//     ReceivePrecomputed exchange "d", the receiver's d = a ⊕ c for its
+//     real choices a, packed like c, and "z". No PRG, transpose or hash
+//     runs online on the receiver, one AES-CTR expansion of y on the
+//     sender.
 //
-// SendPrecomputed answers only a batch that is bound, offered and not yet
-// answered: an answer to a pads-as-labels batch, z = d·Δ, or a second
-// answer on the same pads would give Δ away, and with it both messages.
-// Send and Receive run the same steps on the receiver's real choices and
-// answer at once for d = 0: u, then t and z, 32 bytes an OT down. A chosen
-// OT is so byte for byte a random OT derandomized with d = 0.
+// SendPrecomputed answers only a batch that is bound and not yet
+// answered: an answer to a rows-as-labels batch, z = d·s, or a second
+// answer on the same y would give s away, and with it every label of the
+// session. docs/invariants.md ("OT-defined input labels", "Label OT
+// precomputation") says why rows that share s are labels, and why c may be
+// drawn before the choices exist.
+//
+// Send and Receive are the chosen OT on the same rows: the pads H(q_j)
+// and H(q_j ⊕ s), with H the fixed-key-AES hash of internal/garble and
+// tweak the session-wide OT index with bit 63 set, bound to the pairs by
+// a "t" frame, t_j = x0 ⊕ x1 ⊕ H(q_j) ⊕ H(q_j ⊕ s), and answered at once
+// for d = 0 by "z": u, then t and z, 32 bytes an OT down. No protocol step
+// sends one.
 //
 // # Buffers
 //
-// A batch's buffers (slab, transposed columns, packed choice bits, the u or
-// z frame it builds; the sender's t frame reuses the slab) are allocated by
-// the batch and dropped with it: a fixed number of allocations a round
+// A batch's buffers (slab, transposed rows, packed choice bits, the u or
+// z frame it builds; a chosen OT's t frame reuses the slab) are allocated
+// by the batch and dropped with it: a fixed number of allocations a round
 // whatever m is, none per OT. Keeping them on the endpoint between batches
 // was measured and bought 0.08 ms of an 11.2 ms inference for 3 MiB (9 %)
 // of resident set per serving process, so they are not kept (docs/perf.md).
 // None of them aliases a frame returned by Recv, which belongs to the
 // transport. Receive returns a slice the caller owns — the transpose writes
 // columns straight into it and the pads are XORed in place — and Send only
-// reads its argument; ReceiveOffsets and ReceivePrecomputed return the
-// batch's own key storage, opened in place. Neither endpoint is safe for
-// concurrent use.
+// reads its argument; Zero, Bind, Rows and ReceivePrecomputed return the
+// batch's own row storage. Neither endpoint is safe for concurrent use.
 //
 // # Errors
 //
 // A frame of the wrong length is a *FrameSizeError, raised before anything
 // is indexed by it. Whatever the cause, the first failed call that moves
-// bytes (Send, ReceivePads, SendOffsets, SendPrecomputed on the sender;
-// Receive, SendChoices, ReceiveOffsets, ReceivePrecomputed on the
-// receiver) poisons its endpoint: the parties' streams and OT index are
-// out of step from then on and a later batch would deliver garbage labels,
-// so every later call — empty batches included — returns the first error
-// and touches neither the connection nor the streams. A call a batch is
-// not ready for is refused before it moves a byte and poisons nothing.
-// Recover with a new session (ResumeSender/ResumeReceiver under a fresh
-// nonce, resume.go).
+// bytes (Send, ReceivePads, SendPrecomputed on the sender; Receive,
+// SendChoices, ReceivePrecomputed on the receiver) poisons its endpoint:
+// the parties' streams and OT index are out of step from then on and a
+// later batch would deliver garbage labels, so every later call — empty
+// batches included — returns the first error and touches neither the
+// connection nor the streams. A call a batch is not ready for is refused
+// before it moves a byte and poisons nothing. Recover with a new session
+// (ResumeSender/ResumeReceiver under a fresh nonce, resume.go).
 package ot
 
 //lint:file-ignore SA1019 crypto/elliptic's ScalarMult, ScalarBaseMult and Add are deprecated as low-level APIs, but they are the only standard-library P-256 point addition, which the chooser's B = bG + A needs (docs/invariants.md)

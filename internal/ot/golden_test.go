@@ -19,6 +19,11 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from th
 // ReceiverState that setupExtension produced under wire v5 (MODP base OTs),
 // written with the state codecs. They pin the extension's inputs, so the
 // IKNP golden covers the extension and not the base OT that made its seeds.
+// Their s has lsb 0 (byte 0 is 0x1e), which NewExtSender no longer makes:
+// ResumeSender refuses the sender state (ErrColourBit), so the golden's
+// resumed endpoints are built on it directly. iknp.golden runs chosen OTs
+// only and is unchanged by that; a rows-as-labels test built on these
+// states must expect the refusal.
 func goldenStates(t *testing.T) (*SenderState, *ReceiverState) {
 	t.Helper()
 	raw, err := os.ReadFile(filepath.Join("testdata", "states.bin"))
@@ -81,10 +86,7 @@ func TestIKNPGolden(t *testing.T) {
 
 	a, b = transport.Pipe()
 	ys, us = &frames{MsgConn: a}, &frames{MsgConn: b}
-	s1, err := ResumeSender(ys, ss, []byte("golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s1 := newSender(ys, ss, []byte("golden"))
 	r1, err := ResumeReceiver(us, rs, []byte("golden"))
 	if err != nil {
 		t.Fatal(err)

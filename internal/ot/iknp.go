@@ -41,7 +41,8 @@ type ExtSender struct {
 }
 
 // NewExtSender runs base-OT setup over conn. The peer must concurrently run
-// NewExtReceiver. src may be nil (crypto/rand).
+// NewExtReceiver. src may be nil (crypto/rand). The lsb of s is set: s is
+// the garbler's free-XOR offset, and that bit is its colour bit.
 func NewExtSender(conn transport.MsgConn, src io.Reader) (*ExtSender, error) {
 	if src == nil {
 		src = rand.Reader
@@ -50,6 +51,7 @@ func NewExtSender(conn transport.MsgConn, src io.Reader) (*ExtSender, error) {
 	if _, err := io.ReadFull(src, st.sBlock[:]); err != nil {
 		return nil, fmt.Errorf("ot: entropy: %w", err)
 	}
+	st.sBlock[0] |= 1
 	var err error
 	if st.seeds, err = baseReceive(conn, st.sBlock, src); err != nil {
 		return nil, fmt.Errorf("ot: extension sender base OT: %w", err)
@@ -57,19 +59,32 @@ func NewExtSender(conn transport.MsgConn, src io.Reader) (*ExtSender, error) {
 	return newSender(conn, st, nil), nil
 }
 
+// Delta returns s, the offset every OT of the session shares: the receiver
+// of OT j holds q_j ⊕ c_j·s for the sender's row q_j. A garbler takes it as
+// its free-XOR offset, so that pair (q_j, q_j ⊕ s) is a pair of labels.
+func (s *ExtSender) Delta() Message { return s.st.sBlock }
+
 // Send transfers pairs[j][bit] for the receiver's j-th choice bit: one
-// extension whose choices the receiver embedded in u, its pads bound to the
-// pairs and answered at once for correction bits d = 0, t then z. The first
-// failure poisons the endpoint: the two parties' streams are out of step
-// from then on, so every later call returns that error and moves no bytes.
+// extension whose choices the receiver embedded in u, its rows hashed into
+// the pads m0 = H(q_j) and m1 = H(q_j ⊕ s) under the OT index and bound to
+// the pairs, t then z. The first failure poisons the endpoint: the two
+// parties' streams are out of step from then on, so every later call
+// returns that error and moves no bytes.
 func (s *ExtSender) Send(pairs [][2]Message) error {
 	return sticky(&s.err, len(pairs), func() error {
-		m := len(pairs)
-		pads, t, err := s.pads(m)
+		m, first := len(pairs), s.otIndex
+		pads := make([]Message, 2*m)
+		w, m1 := pads[:m], pads[m:]
+		slab, err := s.rows(w)
 		if err != nil {
 			return err
 		}
-		w, m1 := pads[:m], pads[m:]
+		for j := range w {
+			xor(&m1[j], &w[j], &s.st.sBlock)
+		}
+		hashPads(&s.h, w, first)
+		hashPads(&s.h, m1, first)
+		t := slab[:KeySize*m] // the slab is free once transposed, and kappa*mBytes ≥ 16m
 		for j, p := range pairs {
 			xor(&w[j], &w[j], &p[0])
 			xor(&m1[j], &m1[j], &p[1])
@@ -78,7 +93,10 @@ func (s *ExtSender) Send(pairs [][2]Message) error {
 		if err := s.conn.Send(t); err != nil {
 			return err
 		}
-		return s.conn.Send(answer(t, w, nil, nil, 1)) // z overwrites the sent t
+		for j := range w { // z overwrites the sent t
+			*(*Message)(t[KeySize*j:]) = w[j]
+		}
+		return s.conn.Send(t)
 	})
 }
 
@@ -91,20 +109,6 @@ func sticky(err *error, m int, f func() error) error {
 	return *err
 }
 
-// answer writes into z and returns the sender's z frame for correction bits
-// d (nil: all zero) on pads w bound to their pairs, w_j = x0 ⊕ m0: z_j =
-// w_j ⊕ d_j·delta[j/per], with delta the pairs' offset x0 ⊕ x1.
-func answer(z []byte, w []Message, d []byte, delta []Message, per int) []byte {
-	for j := range w {
-		if zj := (*Message)(z[KeySize*j:]); d != nil && bit(d, j) {
-			xor(zj, &w[j], &delta[j/per])
-		} else {
-			*zj = w[j]
-		}
-	}
-	return z
-}
-
 // xor sets *dst = *a ⊕ *b a word at a time; dst may be a or b. Pointers,
 // not values: a 16-byte array passed and returned by value costs several
 // times the XOR.
@@ -114,41 +118,32 @@ func xor(dst, a, b *Message) {
 	le.PutUint64(dst[8:], le.Uint64(a[8:])^le.Uint64(b[8:]))
 }
 
-// pads receives the correction matrix u of one extension of m > 0 OTs and
-// returns the OTs' pads, m0 = H(q_j) at j and m1 = H(q_j ⊕ s) at m+j, and
-// the buffer the t frame is built in (16m bytes, never aliasing the pads).
-func (s *ExtSender) pads(m int) ([]Message, []byte, error) {
+// rows receives the correction matrix u of one extension of m = len(q) > 0
+// OTs, writes the sender's rows q_j into q and returns the bit-matrix slab
+// they were transposed from, free for the caller (at least 16m bytes).
+func (s *ExtSender) rows(q []Message) ([]byte, error) {
+	m := len(q)
 	mBytes := (m + 7) / 8
 	u, err := s.conn.Recv()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if len(u) != kappa*mBytes {
-		return nil, nil, &FrameSizeError{Frame: "u", Got: len(u), Want: kappa * mBytes}
+		return nil, &FrameSizeError{Frame: "u", Got: len(u), Want: kappa * mBytes}
 	}
-
 	// q_i = PRG(k_i) ⊕ s_i·u_i: the keystream is XORed over u_i or zeros.
 	// The batch's buffers are its own and never alias the frame.
-	rows := make([]byte, kappa*mBytes)
+	slab := make([]byte, kappa*mBytes)
 	for i := range s.streams {
-		row := rows[i*mBytes : (i+1)*mBytes]
+		row := slab[i*mBytes : (i+1)*mBytes]
 		if bit(s.st.sBlock[:], i) {
 			copy(row, u[i*mBytes:])
 		}
 		s.streams[i].XORKeyStream(row, row)
 	}
-	// The pads of OT j are q_j at j and q_j ⊕ s at m+j. The slab is free
-	// once transposed, and t fills its first 16m bytes (kappa*mBytes ≥ 16m).
-	pads := make([]Message, 2*m)
-	m0, m1 := pads[:m], pads[m:]
-	transpose(m0, rows, mBytes)
-	for j := range m0 {
-		xor(&m1[j], &m0[j], &s.st.sBlock)
-	}
-	hashPads(&s.h, m0, s.otIndex)
-	hashPads(&s.h, m1, s.otIndex)
+	transpose(q, slab, mBytes)
 	s.otIndex += uint64(m)
-	return pads, rows[:KeySize*m], nil
+	return slab, nil
 }
 
 // batchState is where a batch stands; each call on it moves it one step,
@@ -156,103 +151,86 @@ func (s *ExtSender) pads(m int) ([]Message, []byte, error) {
 type batchState uint8
 
 const (
-	batchNew      batchState = iota // pads taken from u (sender) or u sent (receiver)
-	batchOffered                    // t sent (sender, pads as labels) or opened (receiver)
-	batchBound                      // t sent, w and Δ kept for one answer (sender)
+	batchNew      batchState = iota // rows taken from u (sender) or u sent (receiver)
+	batchBound                      // rows handed out as zero labels q ⊕ y, one answer owed (sender)
 	batchAnswered                   // z sent or opened
 )
 
-func (s batchState) String() string { return [...]string{"new", "offered", "bound", "answered"}[s] }
+func (s batchState) String() string { return [...]string{"new", "bound", "answered"}[s] }
 
-// SenderPads is one extension on the sender's side: the pads of the
-// receiver's u frame, then the t frame for the offsets of the pairs the
-// pads transfer, then, for a batch bound to zero labels of the sender's
-// own, one answer. Its zero pads m0 = H(q_j) are pseudorandom and
-// independent of everything the sender picks, so a garbler may take them
-// as its input wires' false labels (SendOffsets with no zero labels): the
-// pair (m0, m0 ⊕ Δ) then costs only the t frame, t_j = Δ ⊕ m0 ⊕ m1, and
-// the receiver opens m_c ⊕ c·t, which is the label of its choice c, with no
-// answer at all. Bound to zero labels x0 instead, the batch keeps w_j = x0
-// ⊕ m0 and the pairs' offsets, 16 bytes an OT plus 16 a group, for one
-// SendPrecomputed.
+// SenderPads is one extension on the sender's side: its rows q_j, the zero
+// labels of pairs (q_j, q_j ⊕ s) whose receiver already holds the label of
+// its choice bit c_j, q_j ⊕ c_j·s. The rows are pseudorandom and
+// independent of everything the sender picks, so a garbler whose offset is
+// s may take them as its input wires' false labels: the pair costs the u
+// frame and nothing else. Bound to one-time pads y instead (Bind), the
+// zero labels become q_j ⊕ y_j, the batch keeps nothing but its size, and
+// it owes one answer, z_j = y_j ⊕ d_j·s, on the same y.
 type SenderPads struct {
-	pads  []Message // m0, then m1; a bound batch's w alone once offered
-	t     []byte    // the t frame's buffer, until it is sent
-	delta []Message // a bound batch's offsets, one a group of per OTs
-	per   int
+	q     []Message // the rows, until Bind hands them out
+	m     int
 	state batchState
 }
 
-// Zero returns the batch's pads m0, one an OT, in storage the batch owns,
-// until SendOffsets binds the batch.
-func (b *SenderPads) Zero() []Message { return b.pads[:len(b.pads)/2] }
+// Zero returns the batch's rows q_j, one an OT, in storage the batch owns,
+// until Bind hands them out.
+func (b *SenderPads) Zero() []Message { return b.q }
 
-// SizeBytes reports the batch's resident footprint: once bound and
-// offered, 16 bytes an OT plus 16 a group.
-func (b *SenderPads) SizeBytes() uint64 { return uint64(len(b.pads)+len(b.delta)) * KeySize }
+// SizeBytes reports the batch's resident footprint: its rows until bound,
+// nothing after.
+func (b *SenderPads) SizeBytes() uint64 { return uint64(len(b.q)) * KeySize }
 
-// ReceivePads runs the sender's first half of m OTs: it receives the
-// receiver's u frame (SendChoices) and returns the pads. SendOffsets
-// finishes the batch. Failures poison the endpoint as in Send.
+// ReceivePads runs the sender's half of m OTs: it receives the receiver's
+// u frame (SendChoices) and keeps the rows. Failures poison the endpoint
+// as in Send.
 func (s *ExtSender) ReceivePads(m int) (*SenderPads, error) {
-	b := &SenderPads{}
-	return b, sticky(&s.err, m, func() (err error) {
-		b.pads, b.t, err = s.pads(m)
-		return err
-	})
+	b := &SenderPads{q: make([]Message, m), m: m}
+	return b, sticky(&s.err, m, func() error { _, err := s.rows(b.q); return err })
 }
 
-// SendOffsets sends the t frame of a batch from ReceivePads for the pairs
-// (x0_j, x0_j ⊕ delta[j/per]), whose OTs j and k share an offset whenever
-// j/per = k/per: t_j = delta[j/per] ⊕ m0_j ⊕ m1_j. A nil x0 takes the
-// zero pads as the zero labels, and the batch is done; otherwise the batch
-// is bound to x0 and keeps w_j = x0_j ⊕ m0_j and delta, for one
-// SendPrecomputed. A batch is offered once. Failures poison the endpoint
-// as in Send.
-func (s *ExtSender) SendOffsets(b *SenderPads, x0, delta []Message, per int) error {
-	m := len(b.pads) / 2
-	if b.state != batchNew || per < 1 || len(delta) != (m+per-1)/per || x0 != nil && len(x0) != m {
-		return fmt.Errorf("ot: %d zero labels, %d offsets of %d OTs each for a batch of %d OTs, %v", len(x0), len(delta), per, m, b.state)
+// Bind turns a new batch's rows into the zero labels x0_j = q_j ⊕ y_j,
+// for pads y of 16 bytes an OT, OT j at byte 16j, and hands them to the
+// caller, who must be able to derive y again for the batch's one answer
+// (SendPrecomputed). It refuses a batch already bound or answered and pads
+// that do not cover it.
+func (b *SenderPads) Bind(y []byte) ([]Message, error) {
+	if b.state != batchNew || len(y) != KeySize*b.m {
+		return nil, fmt.Errorf("ot: %d pad bytes for a %v batch of %d OTs", len(y), b.state, b.m)
 	}
-	b.state = batchOffered
-	return sticky(&s.err, m, func() error {
-		m0, m1, t := b.pads[:m], b.pads[m:], b.t
-		for j := range m0 {
-			tj := (*Message)(t[KeySize*j:])
-			xor(tj, &m0[j], &m1[j])
-			xor(tj, tj, &delta[j/per])
-		}
-		if x0 != nil { // keep w and Δ alone: no m1, no t
-			w := make([]Message, m)
-			for j := range w {
-				xor(&w[j], &x0[j], &m0[j])
-			}
-			b.pads, b.delta, b.per, b.state = w, delta, per, batchBound
-		}
-		b.t = nil
-		return s.conn.Send(t)
-	})
+	x0 := b.q
+	for j := range x0 {
+		xor(&x0[j], &x0[j], (*Message)(y[KeySize*j:]))
+	}
+	b.q, b.state = nil, batchBound
+	return x0, nil
 }
 
 // SendPrecomputed is a bound batch's answer: it receives the correction
-// bits d = a ⊕ c, one per OT, and sends z = w ⊕ d·Δ. It refuses, before it
-// moves a byte, a batch not yet offered, one whose pads are its labels (z
-// would be d·Δ and give Δ away), and one already answered (a second answer
-// on the same pads would too). Failures poison the endpoint as in Send.
-func (s *ExtSender) SendPrecomputed(b *SenderPads) error {
-	if b.state != batchBound {
-		return fmt.Errorf("ot: answer to a %v batch, want one bound and offered", b.state)
+// bits d = a ⊕ c, one per OT, and sends z = y ⊕ d·s for the pads y the
+// batch was bound with, built over y, which the receiver opens as t ⊕ z =
+// x0 ⊕ a·s. It refuses, before it moves a byte, a batch not bound (its
+// rows are its labels, and z would be d·s and give s away), one already
+// answered (a second answer on the same y would too), and pads that do
+// not cover the batch. Failures poison the endpoint as in Send.
+func (s *ExtSender) SendPrecomputed(b *SenderPads, y []byte) error {
+	if b.state != batchBound || len(y) != KeySize*b.m {
+		return fmt.Errorf("ot: answer with %d pad bytes to a %v batch of %d OTs, want one bound", len(y), b.state, b.m)
 	}
 	b.state = batchAnswered
-	return sticky(&s.err, len(b.pads), func() error {
+	return sticky(&s.err, b.m, func() error {
 		d, err := s.conn.Recv()
 		if err != nil {
 			return err
 		}
-		if want := (len(b.pads) + 7) / 8; len(d) != want {
+		if want := (b.m + 7) / 8; len(d) != want {
 			return &FrameSizeError{Frame: "d", Got: len(d), Want: want}
 		}
-		return s.conn.Send(answer(make([]byte, KeySize*len(b.pads)), b.pads, d, b.delta, b.per))
+		for j := 0; j < b.m; j++ {
+			if zj := (*Message)(y[KeySize*j:]); bit(d, j) {
+				xor(zj, zj, &s.st.sBlock)
+			}
+		}
+		return s.conn.Send(y)
 	})
 }
 
@@ -297,13 +275,14 @@ func NewExtReceiver(conn transport.MsgConn, src io.Reader) (*ExtReceiver, error)
 }
 
 // Receive obtains the message selected by each choice bit, in a slice the
-// caller owns: the pads of u, opened by t and then z. The first failure
-// poisons the endpoint like ExtSender.Send.
+// caller owns: the rows of u hashed into the pads H(t_j), opened by t and
+// then z. The first failure poisons the endpoint like ExtSender.Send.
 func (r *ExtReceiver) Receive(choices []bool) ([]Message, error) {
 	var out []Message
 	err := sticky(&r.err, len(choices), func() (err error) {
-		c := pack(choices)
+		c, first := pack(choices), r.otIndex
 		if out, err = r.sendU(c, len(choices)); err == nil {
+			hashPads(&r.h, out, first)
 			if err = recvInto(r.conn, "t", out, c); err == nil {
 				err = recvInto(r.conn, "z", out, nil)
 			}
@@ -317,45 +296,45 @@ func (r *ExtReceiver) Receive(choices []bool) ([]Message, error) {
 }
 
 // sendU sends the u frame of one extension of m > 0 OTs on the packed
-// choice bits rBits and returns the pads H(t_j), which are m_r of each OT.
-func (r *ExtReceiver) sendU(rBits []byte, m int) ([]Message, error) {
-	mBytes := len(rBits)
-	// t_i = PRG(k_i^0); u_i = t_i ⊕ r ⊕ PRG(k_i^1).
+// choice bits c and returns the receiver's rows t_j = q_j ⊕ c_j·s.
+func (r *ExtReceiver) sendU(c []byte, m int) ([]Message, error) {
+	mBytes := len(c)
+	// t_i = PRG(k_i^0); u_i = t_i ⊕ c ⊕ PRG(k_i^1).
 	slab := make([]byte, 2*kappa*mBytes)
 	rows, u := slab[:kappa*mBytes], slab[kappa*mBytes:]
 	for i := range r.streams0 {
 		t, ui := rows[i*mBytes:(i+1)*mBytes], u[i*mBytes:(i+1)*mBytes]
 		r.streams0[i].XORKeyStream(t, t)
-		subtle.XORBytes(ui, t, rBits)
+		subtle.XORBytes(ui, t, c)
 		r.streams1[i].XORKeyStream(ui, ui)
 	}
 	if err := r.conn.Send(u); err != nil {
 		return nil, err
 	}
-	// The pads H(t_j) are ready before the sender's t frame arrives.
-	pads := make([]Message, m)
-	transpose(pads, rows, mBytes)
-	hashPads(&r.h, pads, r.otIndex)
+	out := make([]Message, m)
+	transpose(out, rows, mBytes)
 	r.otIndex += uint64(m)
-	return pads, nil
+	return out, nil
 }
 
 // ReceiverPads is SenderPads' receiver side: the packed choice bits c of
-// one extension whose u frame is sent, and the pads m_c they select, then
-// the keys the t frame opens, m_c ⊕ c·t, which are x_c ⊕ w of a bound
-// batch's pairs, 16 bytes and a bit an OT.
+// one extension whose u frame is sent, and its rows t_j = q_j ⊕ c_j·s, the
+// labels of choice c under the sender's rows, 16 bytes and a bit an OT.
 type ReceiverPads struct {
 	c     []byte
 	k     []Message
 	state batchState
 }
 
+// Rows returns the batch's rows t_j, one an OT, in storage the batch owns.
+func (b *ReceiverPads) Rows() []Message { return b.k }
+
 // SizeBytes reports the batch's resident footprint.
 func (b *ReceiverPads) SizeBytes() uint64 { return uint64(len(b.k)*KeySize + len(b.c)) }
 
-// SendChoices runs the receiver's first half of len(choices) OTs: it sends
-// the u frame the sender's ReceivePads takes. ReceiveOffsets opens the
-// batch. Failures poison the endpoint as in Receive.
+// SendChoices runs the receiver's half of len(choices) OTs: it sends the u
+// frame the sender's ReceivePads takes and keeps the rows. Failures poison
+// the endpoint as in Receive.
 func (r *ExtReceiver) SendChoices(choices []bool) (*ReceiverPads, error) {
 	b := &ReceiverPads{c: pack(choices)}
 	return b, sticky(&r.err, len(choices), func() (err error) {
@@ -364,31 +343,14 @@ func (r *ExtReceiver) SendChoices(choices []bool) (*ReceiverPads, error) {
 	})
 }
 
-// ReceiveOffsets receives the sender's t frame for a batch from SendChoices
-// and opens each OT's key, m_c ⊕ c·t, into the batch's own storage, which
-// it returns. Where the sender's pads are the labels, the key is the label
-// m0 ⊕ c·Δ of choice c, and the batch is done; a bound batch's keys wait
-// for ReceivePrecomputed. A batch is opened once. Failures poison the
-// endpoint as in Receive.
-func (r *ExtReceiver) ReceiveOffsets(b *ReceiverPads) ([]Message, error) {
-	if b.state != batchNew {
-		return nil, fmt.Errorf("ot: batch of %d OTs already opened", len(b.k))
-	}
-	b.state = batchOffered
-	if err := sticky(&r.err, len(b.k), func() error { return recvInto(r.conn, "t", b.k, b.c) }); err != nil {
-		return nil, err
-	}
-	return b.k, nil
-}
-
-// ReceivePrecomputed is an opened batch's answer: it sends d = a ⊕ c for
-// the choices a and opens the sender's z frame with the keys, into the
-// batch's own storage, which it returns: x_a of each pair. It refuses a
-// batch not yet opened or already answered. Failures poison the endpoint
-// as in Receive.
+// ReceivePrecomputed is a batch's answer: it sends d = a ⊕ c for the
+// choices a and opens the sender's z frame with the rows, into the batch's
+// own storage, which it returns: t ⊕ z = x0 ⊕ a·s, the label of a under a
+// bound batch's zero labels. It refuses a batch already answered. Failures
+// poison the endpoint as in Receive.
 func (r *ExtReceiver) ReceivePrecomputed(b *ReceiverPads, choices []bool) ([]Message, error) {
-	if b.state != batchOffered || len(choices) != len(b.k) {
-		return nil, fmt.Errorf("ot: %d choices for a batch of %d OTs, %v, not opened", len(choices), len(b.k), b.state)
+	if b.state != batchNew || len(choices) != len(b.k) {
+		return nil, fmt.Errorf("ot: %d choices for a %v batch of %d OTs", len(choices), b.state, len(b.k))
 	}
 	b.state = batchAnswered
 	if err := sticky(&r.err, len(choices), func() error {
@@ -406,8 +368,8 @@ func (r *ExtReceiver) ReceivePrecomputed(b *ReceiverPads, choices []bool) ([]Mes
 
 // recvInto receives a frame of one Message an OT, the sender's t or z, and
 // XORs Message j into keys[j] wherever bit j of mask is set (everywhere for
-// a nil mask): the t frame into the pads of the OTs whose choice bit is 1,
-// the z frame into every key, which opens it to the chosen message.
+// a nil mask): a chosen OT's t frame into the pads of the OTs whose choice
+// bit is 1, a z frame into every key, which opens it to the chosen message.
 func recvInto(conn transport.MsgConn, frame string, keys []Message, mask []byte) error {
 	p, err := conn.Recv()
 	if err != nil {
@@ -436,8 +398,8 @@ func pack(bits []bool) []byte {
 }
 
 // FrameSizeError reports a frame whose length does not fit what it carries:
-// an extension frame ("u", the receiver's correction matrix, or "t", the
-// sender's correlation) against its batch, an answer's frame ("d", the
+// an extension frame ("u", the receiver's correction matrix, or "t", a
+// chosen OT's correlation) against its batch, an answer's frame ("d", the
 // receiver's correction bits, or "z", the sender's masked labels), or a
 // base-OT flight ("base A", one point, or "base B", kappa points). It is
 // raised before the frame is read.

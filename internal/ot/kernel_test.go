@@ -266,12 +266,12 @@ func (c *cutConn) Recv() ([]byte, error) {
 }
 
 // TestPoisonedEndpoints: a u, t, d or z frame of the wrong size — one byte
-// short, one long, empty — in a chosen, a precomputed or a pads-then-offsets
-// batch is a typed
-// *FrameSizeError raised before any scratch is indexed (the warm-up batch is
-// smaller than the damaged one, so nothing sized by it could hold the
-// batch), and it poisons the endpoint: every later call, empty batches
-// included, returns the same error without touching the connection.
+// short, one long, empty — in a chosen, a rows-as-labels or an answered
+// batch is a typed *FrameSizeError raised before any scratch is indexed
+// (the warm-up batch is smaller than the damaged one, so nothing sized by
+// it could hold the batch), and it poisons the endpoint: every later call,
+// empty batches included, returns the same error without touching the
+// connection.
 func TestPoisonedEndpoints(t *testing.T) {
 	cuts := map[string]func([]byte) []byte{
 		"one byte short": func(p []byte) []byte { return p[:len(p)-1] },
@@ -284,28 +284,23 @@ func TestPoisonedEndpoints(t *testing.T) {
 	const warm, m = 40, 300
 	// Which endpoint receives each frame, and which of its received frames
 	// is the damaged batch's. A chosen batch's receiver gets t and z of the
-	// warm-up first. A precomputed damaged batch follows a whole warm-up
-	// batch for its t frame; for its online frames both batches are
-	// extended first (two u and two t frames), then the warm-up's d and z.
-	// A pads batch's u and t follow the warm-up batch's.
+	// warm-up first, and a rows batch's sender its u. An answered batch
+	// is made after the warm-up's (two u frames), whose d and z come first.
 	frames := []struct {
-		name      string
-		pre, pads bool
-		bySend    bool
-		n, want   int
+		name, kind string
+		bySend     bool
+		n, want    int
 	}{
-		{"u", false, false, true, 2, kappa * ((m + 7) / 8)},
-		{"t", false, false, false, 3, KeySize * m},
-		{"z", false, false, false, 4, KeySize * m},
-		{"t", true, false, false, 3, KeySize * m},
-		{"d", true, false, true, 4, (m + 7) / 8},
-		{"z", true, false, false, 4, KeySize * m},
-		{"u", false, true, true, 2, kappa * ((m + 7) / 8)},
-		{"t", false, true, false, 2, KeySize * m},
+		{"u", "chosen", true, 2, kappa * ((m + 7) / 8)},
+		{"t", "chosen", false, 3, KeySize * m},
+		{"z", "chosen", false, 4, KeySize * m},
+		{"u", "rows", true, 2, kappa * ((m + 7) / 8)},
+		{"d", "answered", true, 4, (m + 7) / 8},
+		{"z", "answered", false, 2, KeySize * m},
 	}
 	for name, cut := range cuts {
 		for _, fr := range frames {
-			row := fmt.Sprintf("%s %s (precomputed %v, pads %v)", name, fr.name, fr.pre, fr.pads)
+			row := fmt.Sprintf("%s %s (%s)", name, fr.name, fr.kind)
 			a, b := transport.Pipe()
 			sc, rc := &cutConn{MsgConn: a, cut: cut}, &cutConn{MsgConn: b, cut: cut}
 			if fr.bySend {
@@ -325,46 +320,29 @@ func TestPoisonedEndpoints(t *testing.T) {
 			pairs, choices := randomPairs(rng, m), randomChoices(rng, m)
 			sendErr, recvErr := make(chan error, 1), make(chan error, 1)
 			warmPairs, warmChoices := randomPairs(rng, warm), randomChoices(rng, warm)
-			switch {
-			case fr.pads:
-				runPads(t, s, r, warmChoices, offsets(warmPairs), 1)
-				go func() {
-					b, err := s.ReceivePads(m)
-					if err == nil {
-						err = s.SendOffsets(b, nil, offsets(pairs), 1)
-					}
-					sendErr <- err
-				}()
-				go func() {
-					b, err := r.SendChoices(choices)
-					if err == nil {
-						_, err = r.ReceiveOffsets(b)
-					}
-					recvErr <- err
-				}()
-			case !fr.pre:
+			switch fr.kind {
+			case "rows":
+				runRows(t, s, r, warmChoices)
+				go func() { _, err := s.ReceivePads(m); sendErr <- err }()
+				go func() { _, err := r.SendChoices(choices); recvErr <- err }()
+			case "chosen":
 				runBatch(t, s, r, warmPairs, warmChoices)
 				go func() { sendErr <- s.Send(pairs) }()
 				go func() { _, err := r.Receive(choices); recvErr <- err }()
-			case fr.name == "t":
-				sw, rw := precompute(t, s, r, warmPairs, 1)
-				runPrecomputed(t, s, r, sw, rw, warmPairs, warmChoices)
-				go func() { _, err := offer(s, pairs); sendErr <- err }()
-				go func() { _, err := openRandom(r, m, 2); recvErr <- err }()
 			default:
-				sw, rw := precompute(t, s, r, warmPairs, 1)
-				sb, rb := precompute(t, s, r, pairs, 2)
-				runPrecomputed(t, s, r, sw, rw, warmPairs, warmChoices)
-				go func() { sendErr <- s.SendPrecomputed(sb) }()
-				go func() { _, err := r.ReceivePrecomputed(rb, choices); recvErr <- err }()
+				w, bt := precompute(t, s, r, warm, 1), precompute(t, s, r, m, 2)
+				runPrecomputed(t, s, r, w, warmChoices)
+				go func() { sendErr <- s.SendPrecomputed(bt.sb, bt.y) }()
+				go func() { _, err := r.ReceivePrecomputed(bt.rb, choices); recvErr <- err }()
 			}
 			var first error
 			if fr.bySend {
-				// The sender fails and answers nothing; the receiver is
-				// released by closing the link, and is poisoned by that.
+				// The sender fails and answers nothing; a receiver that
+				// waits for an answer is released by closing the link, and
+				// is poisoned by that.
 				first = <-sendErr
 				a.Close()
-				if err := <-recvErr; err == nil {
+				if err := <-recvErr; err == nil && fr.kind != "rows" {
 					t.Fatalf("%s: receiver returned labels without an answer", row)
 				}
 			} else {
@@ -382,19 +360,15 @@ func TestPoisonedEndpoints(t *testing.T) {
 			for _, k := range []int{0, 5} {
 				var again []error
 				if fr.bySend {
-					pairs := randomPairs(rng, k)
-					_, err := offer(s, pairs)
+					_, _, err1 := offer(s, randomPads(k, 3))
 					_, err2 := s.ReceivePads(k)
-					again = append(again, s.Send(pairs), err,
-						s.SendPrecomputed(&SenderPads{pads: make([]Message, k), delta: offsets(pairs), per: 1, state: batchBound}), err2,
-						s.SendOffsets(&SenderPads{pads: make([]Message, 2*k), t: make([]byte, KeySize*k)}, nil, offsets(pairs), 1))
+					again = append(again, s.Send(randomPairs(rng, k)), err1, err2,
+						s.SendPrecomputed(&SenderPads{m: k, state: batchBound}, make([]byte, KeySize*k)))
 				} else {
 					_, err1 := r.Receive(randomChoices(rng, k))
 					_, err2 := openRandom(r, k, 3)
-					_, err3 := r.ReceivePrecomputed(&ReceiverPads{c: make([]byte, (k+7)/8), k: make([]Message, k), state: batchOffered}, randomChoices(rng, k))
-					_, err4 := r.SendChoices(randomChoices(rng, k))
-					_, err5 := r.ReceiveOffsets(&ReceiverPads{c: make([]byte, (k+7)/8), k: make([]Message, k)})
-					again = append(again, err1, err2, err3, err4, err5)
+					_, err3 := r.ReceivePrecomputed(&ReceiverPads{c: make([]byte, (k+7)/8), k: make([]Message, k)}, randomChoices(rng, k))
+					again = append(again, err1, err2, err3)
 				}
 				for i, err := range again {
 					if err != first {
@@ -409,146 +383,165 @@ func TestPoisonedEndpoints(t *testing.T) {
 	}
 }
 
-// offsets lists each pair's offset x0 ⊕ x1, the one group per OT that
-// unrelated random pairs need.
-func offsets(pairs [][2]Message) []Message {
-	delta := make([]Message, len(pairs))
-	for j, p := range pairs {
-		xor(&delta[j], &p[0], &p[1])
-	}
-	return delta
+// randomPads draws m one-time pads, 16 bytes each, from a stream seeded
+// with seed.
+func randomPads(m int, seed int64) []byte {
+	y := make([]byte, KeySize*m)
+	rand.New(rand.NewSource(seed)).Read(y)
+	return y
 }
 
-// zeroLabels lists each pair's zero message x0.
-func zeroLabels(pairs [][2]Message) []Message {
-	x0 := make([]Message, len(pairs))
-	for j, p := range pairs {
-		x0[j] = p[0]
-	}
-	return x0
-}
-
-// offer is the sender's half of a batch bound to pairs, one group an OT:
-// ReceivePads, then SendOffsets on the pairs' zero messages.
-func offer(s *ExtSender, pairs [][2]Message) (*SenderPads, error) {
-	b, err := s.ReceivePads(len(pairs))
+// offer is the sender's half of a bound batch: ReceivePads, then Bind on
+// the pads y. It returns the batch and its zero labels.
+func offer(s *ExtSender, y []byte) (*SenderPads, []Message, error) {
+	b, err := s.ReceivePads(len(y) / KeySize)
 	if err != nil {
-		return b, err
+		return b, nil, err
 	}
-	return b, s.SendOffsets(b, zeroLabels(pairs), offsets(pairs), 1)
+	x0, err := b.Bind(y)
+	return b, x0, err
 }
 
 // openRandom is offer's receiver side on m choice bits drawn from a stream
-// seeded with seed: SendChoices, then ReceiveOffsets.
+// seeded with seed.
 func openRandom(r *ExtReceiver, m int, seed int64) (*ReceiverPads, error) {
-	b, err := r.SendChoices(randomChoices(rand.New(rand.NewSource(seed)), m))
-	if err != nil {
-		return b, err
-	}
-	_, err = r.ReceiveOffsets(b)
-	return b, err
+	return r.SendChoices(randomChoices(rand.New(rand.NewSource(seed)), m))
 }
 
-// precompute runs one batch of random OTs bound to pairs on both endpoints,
-// the receiver's choice bits drawn from a stream seeded with seed.
-func precompute(t *testing.T, s *ExtSender, r *ExtReceiver, pairs [][2]Message, seed int64) (*SenderPads, *ReceiverPads) {
+// boundBatch is one bound batch on both endpoints: the sender's batch, its
+// pads and zero labels, and the receiver's batch.
+type boundBatch struct {
+	sb *SenderPads
+	y  []byte
+	x0 []Message
+	rb *ReceiverPads
+}
+
+// precompute runs one bound batch of m random OTs on both endpoints, its
+// pads and the receiver's choice bits drawn from streams seeded with seed.
+func precompute(t *testing.T, s *ExtSender, r *ExtReceiver, m int, seed int64) boundBatch {
 	t.Helper()
+	y := randomPads(m, seed)
 	type res struct {
 		b   *SenderPads
+		x0  []Message
 		err error
 	}
 	ch := make(chan res, 1)
-	go func() { b, err := offer(s, pairs); ch <- res{b, err} }()
-	rb, err := openRandom(r, len(pairs), seed)
+	go func() { b, x0, err := offer(s, y); ch <- res{b, x0, err} }()
+	rb, err := openRandom(r, m, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb := <-ch
-	if sb.err != nil {
-		t.Fatal(sb.err)
+	sr := <-ch
+	if sr.err != nil {
+		t.Fatal(sr.err)
 	}
-	return sb.b, rb
+	return boundBatch{sb: sr.b, y: y, x0: sr.x0, rb: rb}
 }
 
-// runPrecomputed runs a batch's online legs and checks the transfer.
-func runPrecomputed(t *testing.T, s *ExtSender, r *ExtReceiver, sb *SenderPads, rb *ReceiverPads, pairs [][2]Message, choices []bool) []Message {
+// runPrecomputed runs a bound batch's online legs for the choices a on a
+// copy of its pads, which the answer overwrites, and checks that the
+// receiver opens x0 ⊕ a·s.
+func runPrecomputed(t *testing.T, s *ExtSender, r *ExtReceiver, bt boundBatch, choices []bool) []Message {
 	t.Helper()
 	errCh := make(chan error, 1)
-	go func() { errCh <- s.SendPrecomputed(sb) }()
-	got, err := r.ReceivePrecomputed(rb, choices)
+	go func() { errCh <- s.SendPrecomputed(bt.sb, bytes.Clone(bt.y)) }()
+	got, err := r.ReceivePrecomputed(bt.rb, choices)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := <-errCh; err != nil {
 		t.Fatal(err)
 	}
-	checkTransfer(t, pairs, choices, got)
+	checkLabels(t, s.Delta(), bt.x0, choices, got)
 	return got
 }
 
-// TestRandomOTMatchesChosen: random OTs made ahead of use and derandomized
-// online deliver pairs[j][a_j] for random choices a, fresh and resumed, over
-// batch sizes on both sides of a byte boundary up to a demo-CNN layer. A
-// chosen-OT pair on the same base-OT states, run through the same batches,
-// is the oracle, byte for byte: the t frames are equal, since t_j = Δ_j ⊕
-// m0 ⊕ m1 does not depend on which pad the choice bit selects, and the
-// z frames differ by d·t, since d = a ⊕ c swaps the two pads where a and c
-// differ.
-func TestRandomOTMatchesChosen(t *testing.T) {
-	ss, rs := goldenStates(t)
-	for _, nonce := range [][]byte{nil, []byte("random-vs-chosen")} {
-		pair := func() (*ExtSender, *ExtReceiver, *frames) {
-			a, b := transport.Pipe()
-			fa := &frames{MsgConn: a}
-			if nonce == nil {
-				s, r := masterPair(fa, b, ss, rs)
-				return s, r, fa
-			}
-			s, err := ResumeSender(fa, ss, nonce)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r, err := ResumeReceiver(b, rs, nonce)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s, r, fa
+// checkLabels checks that got[j] is the label x0_j ⊕ c_j·delta of every
+// choice c_j.
+func checkLabels(t *testing.T, delta Message, x0 []Message, choices []bool, got []Message) {
+	t.Helper()
+	for j, c := range choices {
+		want := x0[j]
+		if c {
+			xor(&want, &want, &delta)
 		}
-		cs, cr, cf := pair()
-		ps, pr, pf := pair()
+		if got[j] != want {
+			t.Fatalf("OT %d of %d (choice %v): got another label than x0 ⊕ c·s", j, len(choices), c)
+		}
+	}
+}
+
+// TestRandomOTMatchesChosen: random OTs made ahead of use, bound to pads y
+// and derandomized online deliver x0 ⊕ a·s for random choices a, fresh and
+// resumed, over batch sizes on both sides of a byte boundary up to a
+// demo-CNN layer. A chosen-OT pair on the same base-OT state, run through
+// the same batches on the random OTs' choices c, is the oracle: the u
+// frames are equal, the chosen OT's
+// pad m0 = z_j ⊕ x_j^0 is the hash of the random OT's row x0 ⊕ y under the
+// same OT index, and the z frame is y ⊕ d·s for d = a ⊕ c. A bound sender
+// batch keeps nothing, and each batch is answered once.
+func TestRandomOTMatchesChosen(t *testing.T) {
+	s0, r0 := setupExtension(t)
+	ss, rs := s0.State(), r0.State()
+	h := kernelHash()
+	for _, nonce := range [][]byte{nil, []byte("random-vs-chosen")} {
+		pair := func() (*ExtSender, *ExtReceiver, *frames, *frames) {
+			a, b := transport.Pipe()
+			fa, fb := &frames{MsgConn: a}, &frames{MsgConn: b}
+			if nonce == nil {
+				s, r := masterPair(fa, fb, ss, rs)
+				return s, r, fa, fb
+			}
+			s, r := resumePair(t, ss, rs, nonce)
+			s.conn, r.conn = fa, fb
+			return s, r, fa, fb
+		}
+		cs, cr, csf, crf := pair()
+		ps, pr, psf, prf := pair()
 		rng := rand.New(rand.NewSource(55))
+		var index uint64
 		for i, m := range []int{1, 7, 8, 9, 2560, 5120} {
-			pairs, choices := randomPairs(rng, m), randomChoices(rng, m)
-			want := runBatch(t, cs, cr, pairs, choices)
-			sb, rb := precompute(t, ps, pr, pairs, int64(i))
-			got := runPrecomputed(t, ps, pr, sb, rb, pairs, choices)
-			if !equalMessages(got, want) {
-				t.Fatalf("resumed=%v m=%d: random OT delivered other messages than chosen OT", nonce != nil, m)
+			// The chosen OT runs on the random OT's choices c; a is online's.
+			pairs, c, choices := randomPairs(rng, m), randomChoices(rand.New(rand.NewSource(int64(i))), m), randomChoices(rng, m)
+			runBatch(t, cs, cr, pairs, c)
+			bt := precompute(t, ps, pr, m, int64(i))
+			if bt.sb.SizeBytes() != 0 || bt.rb.SizeBytes() != uint64(KeySize*m+(m+7)/8) {
+				t.Fatalf("m=%d: bound batches report %d and %d bytes", m, bt.sb.SizeBytes(), bt.rb.SizeBytes())
 			}
-			tf, zf := cf.sent[2*i], cf.sent[2*i+1]
-			if !bytes.Equal(pf.sent[2*i], tf) {
-				t.Fatalf("resumed=%v m=%d: t frame differs from the chosen OT's", nonce != nil, m)
+			runPrecomputed(t, ps, pr, bt, choices)
+			if !bytes.Equal(prf.sent[2*i], crf.sent[i]) {
+				t.Fatalf("resumed=%v m=%d: u frame differs from the chosen OT's", nonce != nil, m)
 			}
+			zf := csf.sent[2*i+1]
 			d := pack(choices)
-			subtle.XORBytes(d, d, rb.c)
-			wantZ := bytes.Clone(zf)
+			subtle.XORBytes(d, d, bt.rb.c)
+			delta := ps.Delta()
 			for j := range m {
-				if bit(d, j) {
-					zj := wantZ[KeySize*j : KeySize*(j+1)]
-					subtle.XORBytes(zj, zj, tf[KeySize*j:])
+				var q, m0, z Message
+				xor(&q, &bt.x0[j], (*Message)(bt.y[KeySize*j:]))
+				xor(&m0, (*Message)(zf[KeySize*j:]), &pairs[j][0])
+				if h(index+uint64(j), q) != m0 {
+					t.Fatalf("resumed=%v m=%d OT %d: the row is not the chosen OT's pad before the hash", nonce != nil, m, j)
+				}
+				if z = *(*Message)(bt.y[KeySize*j:]); bit(d, j) {
+					xor(&z, &z, &delta)
+				}
+				if z != *(*Message)(psf.sent[i][KeySize*j:]) {
+					t.Fatalf("resumed=%v m=%d OT %d: z is not y ⊕ d·s", nonce != nil, m, j)
 				}
 			}
-			if !bytes.Equal(pf.sent[2*i+1], wantZ) {
-				t.Fatalf("resumed=%v m=%d: z frame is not the chosen OT's z ⊕ d·t", nonce != nil, m)
-			}
-			if rb.SizeBytes() != uint64(KeySize*m+(m+7)/8) || sb.SizeBytes() != uint64(2*KeySize*m) {
-				t.Fatalf("m=%d: batches report %d and %d bytes", m, sb.SizeBytes(), rb.SizeBytes())
-			}
-			if err := ps.SendPrecomputed(sb); err == nil {
-				t.Fatalf("m=%d: a spent batch was sent again: %v", m, err)
-			}
-			if _, err := pr.ReceivePrecomputed(rb, choices); err == nil {
-				t.Fatalf("m=%d: a spent batch was received again: %v", m, err)
+			index += uint64(m)
+			// Spent batches, on a link that refuses every frame, so a second
+			// answer that is not refused fails at once.
+			cut, sc, rc := &cutLink{}, ps.conn, pr.conn
+			ps.conn, pr.conn = cut, cut
+			errS := ps.SendPrecomputed(bt.sb, bt.y)
+			_, errR := pr.ReceivePrecomputed(bt.rb, choices)
+			ps.conn, pr.conn = sc, rc
+			if errS == nil || errR == nil || cut.tries != 0 {
+				t.Fatalf("m=%d: a spent batch was answered again: %v, %v after %d frames tried", m, errS, errR, cut.tries)
 			}
 		}
 	}
@@ -561,11 +554,11 @@ func TestPrecomputedAllocs(t *testing.T) {
 	s, r := setupExtension(t)
 	ab, ba := make(chan []byte, 1), make(chan []byte, 1)
 	s.conn, r.conn = chanConn{in: ba, out: ab}, chanConn{in: ab, out: ba}
-	batches := make(chan *SenderPads)
+	batches := make(chan boundBatch)
 	errs := make(chan error)
 	go func() {
-		for b := range batches {
-			errs <- s.SendPrecomputed(b)
+		for bt := range batches {
+			errs <- s.SendPrecomputed(bt.sb, bt.y)
 		}
 	}()
 	defer close(batches)
@@ -574,14 +567,14 @@ func TestPrecomputedAllocs(t *testing.T) {
 	var counts []float64
 	for _, m := range []int{2560, 64, 512, 2560} { // the first warms the runtime
 		// AllocsPerRun calls its function runs+1 times, each on a fresh batch.
-		sbs, rbs := make([]*SenderPads, runs+1), make([]*ReceiverPads, runs+1)
-		for i := range sbs {
-			sbs[i], rbs[i] = precompute(t, s, r, randomPairs(rng, m), int64(i))
+		bts := make([]boundBatch, runs+1)
+		for i := range bts {
+			bts[i] = precompute(t, s, r, m, int64(i))
 		}
 		choices, i := randomChoices(rng, m), 0
 		counts = append(counts, testing.AllocsPerRun(runs, func() {
-			batches <- sbs[i]
-			if _, err := r.ReceivePrecomputed(rbs[i], choices); err != nil {
+			batches <- bts[i]
+			if _, err := r.ReceivePrecomputed(bts[i].rb, choices); err != nil {
 				t.Error(err)
 			}
 			if err := <-errs; err != nil {

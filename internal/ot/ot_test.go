@@ -249,7 +249,7 @@ func TestExtensionCommunicationVolume(t *testing.T) {
 // inference: one batch per ReLU layer (256 and 128 units of 20-bit shares)
 // on one endpoint pair, the sender on a goroutine that outlives the loop so
 // allocs/op is the extension's own. Client-Garbler pays the same extension
-// offline, as a bound batch (SendOffsets); the online leg left is
+// offline, as a bound batch with no frame past u; the online leg left is
 // BenchmarkOTOnline.
 func BenchmarkOTExtension(b *testing.B) {
 	s, r := setupExtension(b)
@@ -294,9 +294,9 @@ func BenchmarkOTOnline(b *testing.B) {
 	s, r := setupExtension(b)
 	rng := rand.New(rand.NewSource(21))
 	sizes := []int{5120, 2560}
-	pairs, choices := make([][][2]Message, len(sizes)), make([][]bool, len(sizes))
+	pads, choices := make([][]byte, len(sizes)), make([][]bool, len(sizes))
 	for l, m := range sizes {
-		pairs[l], choices[l] = randomPairs(rng, m), randomChoices(rng, m)
+		pads[l], choices[l] = randomPads(m, int64(l)), randomChoices(rng, m)
 	}
 	jobs := make(chan func() error)
 	errs := make(chan error)
@@ -312,7 +312,7 @@ func BenchmarkOTOnline(b *testing.B) {
 		for l, m := range sizes {
 			b.StopTimer()
 			var sb *SenderPads
-			jobs <- func() (err error) { sb, err = offer(s, pairs[l]); return }
+			jobs <- func() (err error) { sb, _, err = offer(s, pads[l]); return }
 			rb, err := openRandom(r, m, int64(i))
 			if err != nil {
 				b.Fatal(err)
@@ -321,7 +321,7 @@ func BenchmarkOTOnline(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.StartTimer()
-			jobs <- func() error { return s.SendPrecomputed(sb) }
+			jobs <- func() error { return s.SendPrecomputed(sb, pads[l]) }
 			if _, err := r.ReceivePrecomputed(rb, choices[l]); err != nil {
 				b.Fatal(err)
 			}

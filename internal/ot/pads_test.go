@@ -9,24 +9,10 @@ import (
 	"privinf/internal/transport"
 )
 
-// groupedPairs draws one random offset for every per OTs and random zero
-// messages: the pairs a garbler's units offer, (x0, x0 ⊕ Δ_{j/per}).
-func groupedPairs(rng *rand.Rand, m, per int) ([][2]Message, []Message) {
-	delta := make([]Message, (m+per-1)/per)
-	for g := range delta {
-		rng.Read(delta[g][:])
-	}
-	pairs := randomPairs(rng, m)
-	for j := range pairs {
-		xor(&pairs[j][1], &pairs[j][0], &delta[j/per])
-	}
-	return pairs, delta
-}
-
-// runPads runs one pads-then-offsets batch on both endpoints: the receiver
-// sends u, the sender takes its pads and answers t for the offsets delta.
-// It returns the sender's zero pads and the receiver's opened labels.
-func runPads(t *testing.T, s *ExtSender, r *ExtReceiver, choices []bool, delta []Message, per int) ([]Message, []Message) {
+// runRows runs one rows-as-labels batch on both endpoints: the receiver
+// sends u and the sender takes its rows. It returns the sender's zero
+// labels and the receiver's rows.
+func runRows(t *testing.T, s *ExtSender, r *ExtReceiver, choices []bool) ([]Message, []Message) {
 	t.Helper()
 	type res struct {
 		zero []Message
@@ -35,16 +21,9 @@ func runPads(t *testing.T, s *ExtSender, r *ExtReceiver, choices []bool, delta [
 	ch := make(chan res, 1)
 	go func() {
 		b, err := s.ReceivePads(len(choices))
-		if err == nil {
-			err = s.SendOffsets(b, nil, delta, per)
-		}
 		ch <- res{b.Zero(), err}
 	}()
 	rb, err := r.SendChoices(choices)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := r.ReceiveOffsets(rb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,19 +31,26 @@ func runPads(t *testing.T, s *ExtSender, r *ExtReceiver, choices []bool, delta [
 	if sr.err != nil {
 		t.Fatal(sr.err)
 	}
-	return sr.zero, got
+	return sr.zero, rb.Rows()
 }
 
-// TestPadsAreChosenOTZeroLabels: a pads-then-offsets batch is a chosen OT
-// of the pairs (m0, m0 ⊕ Δ) with the answer left out, byte for byte. A
-// chosen-OT pair on the same base-OT states, run through the same batches
-// on pairs with the same offsets, is the oracle, fresh and resumed: the u
-// frames are equal, the t frames are equal (t_j = Δ ⊕ m0 ⊕ m1 whatever the
-// zero message), the sender's zero label equals the chosen OT's pad m0 =
-// z_j ⊕ x0, and the receiver opens m0 ⊕ c·Δ for both values of its choice
-// c, with no z frame. A batch is answered and opened once.
+// TestPadsAreChosenOTZeroLabels: a rows-as-labels batch is the chosen OT
+// on the same choices before its hash, byte for byte. A chosen-OT pair on
+// the same base-OT state, run through batches of the same sizes, is the
+// oracle, fresh and resumed: the u frames are equal, the sender sends
+// nothing, its zero label q_j hashes under the OT index to the chosen OT's
+// pad m0 = z_j ⊕ x_j^0, and the receiver holds q_j ⊕ c·s for both values
+// of its choice c. The committed states.bin cannot be resumed for it: its
+// s has lsb 0 (byte 0 is 0x1e), so ResumeSender refuses it.
 func TestPadsAreChosenOTZeroLabels(t *testing.T) {
-	ss, rs := goldenStates(t)
+	if gs, _ := goldenStates(t); gs.Resumable() {
+		t.Fatal("states.bin's s has its lsb set")
+	} else if _, err := ResumeSender(&cutLink{}, gs, []byte("rows")); !errors.Is(err, ErrColourBit) {
+		t.Fatalf("resuming states.bin's sender: %v, want ErrColourBit", err)
+	}
+	s0, r0 := setupExtension(t)
+	ss, rs := s0.State(), r0.State()
+	h := kernelHash()
 	for _, nonce := range [][]byte{nil, []byte("pads-vs-chosen")} {
 		pair := func() (*ExtSender, *ExtReceiver, *frames, *frames) {
 			a, b := transport.Pipe()
@@ -73,125 +59,88 @@ func TestPadsAreChosenOTZeroLabels(t *testing.T) {
 				s, r := masterPair(fa, fb, ss, rs)
 				return s, r, fa, fb
 			}
-			s, err := ResumeSender(fa, ss, nonce)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r, err := ResumeReceiver(fb, rs, nonce)
-			if err != nil {
-				t.Fatal(err)
-			}
+			s, r := resumePair(t, ss, rs, nonce)
+			s.conn, r.conn = fa, fb
 			return s, r, fa, fb
 		}
 		cs, cr, csf, crf := pair()
 		ps, pr, psf, prf := pair()
 		rng := rand.New(rand.NewSource(57))
+		var index uint64
 		for i, bc := range []struct {
-			m, per int
-			fill   int // -1: random choices, else every choice is fill == 1
-		}{{1, 1, 1}, {9, 3, -1}, {40, 40, 0}, {40, 40, 1}, {130, 1, -1}, {5120, 40, -1}} {
+			m    int
+			fill int // -1: random choices, else every choice is fill == 1
+		}{{1, 1}, {9, -1}, {40, 0}, {40, 1}, {130, -1}, {5120, -1}} {
 			choices := randomChoices(rng, bc.m)
 			for j := range choices {
 				if bc.fill >= 0 {
 					choices[j] = bc.fill == 1
 				}
 			}
-			pairs, delta := groupedPairs(rng, bc.m, bc.per)
+			pairs := randomPairs(rng, bc.m)
 			runBatch(t, cs, cr, pairs, choices)
-			zero, got := runPads(t, ps, pr, choices, delta, bc.per)
+			zero, got := runRows(t, ps, pr, choices)
 
 			if !bytes.Equal(prf.sent[i], crf.sent[i]) {
 				t.Fatalf("resumed=%v m=%d: u frame differs from the chosen OT's", nonce != nil, bc.m)
 			}
-			tf, zf := csf.sent[2*i], csf.sent[2*i+1]
-			if len(psf.sent) != i+1 || !bytes.Equal(psf.sent[i], tf) {
-				t.Fatalf("resumed=%v m=%d: sender's frames are not the chosen OT's t frame alone", nonce != nil, bc.m)
+			if len(psf.sent) != 0 {
+				t.Fatalf("resumed=%v m=%d: the sender sent %d frames, want none", nonce != nil, bc.m, len(psf.sent))
 			}
-			for j, c := range choices {
-				var m0, want Message
+			zf := csf.sent[2*i+1]
+			for j := range choices {
+				var m0 Message
 				xor(&m0, (*Message)(zf[KeySize*j:]), &pairs[j][0])
-				if zero[j] != m0 {
-					t.Fatalf("resumed=%v m=%d OT %d: zero label is not the pad m0", nonce != nil, bc.m, j)
-				}
-				want = m0
-				if c {
-					xor(&want, &m0, &delta[j/bc.per])
-				}
-				if got[j] != want {
-					t.Fatalf("resumed=%v m=%d OT %d (choice %v): opened another label than m0 ⊕ c·Δ", nonce != nil, bc.m, j, c)
+				if h(index+uint64(j), zero[j]) != m0 {
+					t.Fatalf("resumed=%v m=%d OT %d: zero label is not the chosen OT's pad m0 before the hash", nonce != nil, bc.m, j)
 				}
 			}
-		}
-		sb, err := ps.ReceivePads(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ps.SendOffsets(sb, nil, nil, 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := ps.SendOffsets(sb, nil, nil, 1); err == nil {
-			t.Fatal("a spent batch was answered again")
-		}
-		rb, err := pr.SendChoices(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := pr.ReceiveOffsets(rb); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := pr.ReceiveOffsets(rb); err == nil {
-			t.Fatal("a spent batch was opened again")
+			checkLabels(t, ps.Delta(), zero, choices, got)
+			index += uint64(bc.m)
 		}
 	}
 }
 
-// TestSendOffsetsChecksBatch: a second t on one batch, or offsets or zero
-// labels that do not cover it, is refused before anything is sent, and does
-// not poison the endpoint: the next batch runs.
-func TestSendOffsetsChecksBatch(t *testing.T) {
+// TestBindChecksBatch: pads that do not cover a batch, or a second Bind, are
+// refused, and the refusal poisons nothing: the batch binds once after a
+// refusal, and the next batch runs.
+func TestBindChecksBatch(t *testing.T) {
 	s, r := setupExtension(t)
 	rng := rand.New(rand.NewSource(58))
-	choices := randomChoices(rng, 12)
-	_, delta := groupedPairs(rng, 12, 4)
+	const m = 12
 	errCh := make(chan error, 1)
 	go func() {
-		b, err := s.ReceivePads(12)
+		b, err := s.ReceivePads(m)
 		if err != nil {
 			errCh <- err
 			return
 		}
-		for _, bad := range []struct {
-			x0, delta []Message
-			per       int
-		}{{nil, delta[:2], 4}, {nil, delta, 3}, {nil, delta, 0}, {nil, nil, 12}, {make([]Message, 11), delta, 4}} {
-			if err := s.SendOffsets(b, bad.x0, bad.delta, bad.per); err == nil {
-				errCh <- errors.New("offsets that do not cover the batch were sent")
+		for _, y := range [][]byte{nil, randomPads(m-1, 1), randomPads(m+1, 1), randomPads(m, 1)[1:]} {
+			if _, err := b.Bind(y); err == nil {
+				errCh <- errors.New("pads that do not cover the batch were bound")
 				return
 			}
 		}
-		if err := s.SendOffsets(b, nil, delta, 4); err != nil {
-			errCh <- err
+		if x0, err := b.Bind(randomPads(m, 1)); err != nil || len(x0) != m || b.Zero() != nil {
+			errCh <- errors.New("a batch did not bind, or kept its rows")
 			return
 		}
-		sent := s.conn.SentBytes()
-		if err := s.SendOffsets(b, nil, delta, 4); err == nil || s.conn.SentBytes() != sent {
-			errCh <- errors.New("a second t was sent on one batch")
+		if _, err := b.Bind(randomPads(m, 1)); err == nil {
+			errCh <- errors.New("a batch was bound twice")
 			return
 		}
 		errCh <- nil
 	}()
-	rb, err := r.SendChoices(choices)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.ReceiveOffsets(rb); err != nil {
+	if _, err := r.SendChoices(randomChoices(rng, m)); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-errCh; err != nil {
 		t.Fatal(err)
 	}
-	_, delta = groupedPairs(rng, 20, 5)
-	runPads(t, s, r, randomChoices(rng, 20), delta, 5)
+	zero, got := runRows(t, s, r, randomChoices(rng, 20))
+	if len(zero) != 20 || len(got) != 20 {
+		t.Fatal("the batch after the refusals did not run")
+	}
 }
 
 // cutLink is a connection that counts the frames an endpoint tries to move
@@ -204,81 +153,66 @@ type cutLink struct {
 func (c *cutLink) Send([]byte) error     { c.tries++; return errors.New("cut link") }
 func (c *cutLink) Recv() ([]byte, error) { c.tries++; return nil, errors.New("cut link") }
 
-// TestAnswerRefusesOutOfStep: only a batch bound to zero labels and
-// offered is answered, and once. SendPrecomputed refuses a batch not yet
-// offered, a pads-as-labels batch (its answer, z = d·Δ, would give Δ
-// away) and an answered one; ReceivePrecomputed refuses an unopened batch
-// and an answered one. Each refusal comes before a frame moves and does
-// not poison the endpoint. An offered bound batch keeps w and one Δ a
-// group: no m1 half, no t buffer.
+// TestAnswerRefusesOutOfStep: only a bound batch is answered, once, on
+// pads that cover it. SendPrecomputed refuses a batch whose rows are its
+// labels (its answer, z = d·s, would give s away), an answered one and
+// pads of the wrong length; ReceivePrecomputed refuses an answered batch
+// and choices of the wrong length. Each refusal comes before a frame
+// moves and does not poison the endpoint. A bound sender batch keeps
+// nothing.
 func TestAnswerRefusesOutOfStep(t *testing.T) {
 	s, r := setupExtension(t)
 	rng := rand.New(rand.NewSource(59))
-	const m, per = 12, 4
-	pairs, delta := groupedPairs(rng, m, per)
+	const m = 12
 	choices := randomChoices(rng, m)
-	// refused answers sb and rb (nil: no receiver call) on endpoints cut
-	// off from the link, so a call that is not refused fails at once.
-	refused := func(what string, sb *SenderPads, rb *ReceiverPads) {
+	// refused runs each call on endpoints cut off from the link, so a call
+	// that is not refused fails at once.
+	refused := func(what string, calls ...func() error) {
 		t.Helper()
 		sc, rc, cut := s.conn, r.conn, &cutLink{}
 		s.conn, r.conn = cut, cut
-		errs := []error{s.SendPrecomputed(sb)}
-		if rb != nil {
-			_, err := r.ReceivePrecomputed(rb, choices)
-			errs = append(errs, err)
-		}
-		s.conn, r.conn = sc, rc
-		for _, err := range errs {
-			if err == nil || cut.tries != 0 {
-				t.Fatalf("%s: answers returned %v after %d frames tried, want refusals before any", what, errs, cut.tries)
+		defer func() { s.conn, r.conn = sc, rc }()
+		for i, call := range calls {
+			if err := call(); err == nil || cut.tries != 0 {
+				t.Fatalf("%s: call %d returned %v after %d frames tried, want a refusal before any", what, i, err, cut.tries)
 			}
 		}
 	}
-	// both runs the sender's step on a goroutine and the receiver's here.
-	both := func(send func() error, recv func() error) {
-		t.Helper()
-		errCh := make(chan error, 1)
-		go func() { errCh <- send() }()
-		if err := recv(); err != nil {
-			t.Fatal(err)
-		}
-		if err := <-errCh; err != nil {
-			t.Fatal(err)
-		}
-	}
 
-	for _, x0 := range [][]Message{nil, zeroLabels(pairs)} {
-		var sb *SenderPads
-		var rb *ReceiverPads
-		both(func() (err error) { sb, err = s.ReceivePads(m); return },
-			func() (err error) { rb, err = r.SendChoices(choices); return })
-		refused("not offered", sb, rb)
-		both(func() error { return s.SendOffsets(sb, x0, delta, per) },
-			func() error { _, err := r.ReceiveOffsets(rb); return err })
-		if x0 == nil {
-			refused("pads as labels", sb, nil)
-			continue
-		}
-		if len(sb.pads) != m || cap(sb.pads) != m || len(sb.delta) != m/per || sb.t != nil || sb.SizeBytes() != KeySize*(m+m/per) {
-			t.Fatalf("bound batch keeps %d of %d pads, %d offsets, %d t bytes (%d B), want %d pads, %d offsets, no t",
-				len(sb.pads), cap(sb.pads), len(sb.delta), len(sb.t), sb.SizeBytes(), m, m/per)
-		}
-		var got []Message
-		both(func() error { return s.SendPrecomputed(sb) },
-			func() (err error) { got, err = r.ReceivePrecomputed(rb, choices); return })
-		checkTransfer(t, pairs, choices, got)
-		refused("answered", sb, rb)
+	type res struct {
+		b   *SenderPads
+		err error
 	}
-	_, delta = groupedPairs(rng, 20, 5)
-	runPads(t, s, r, randomChoices(rng, 20), delta, 5)
+	ch := make(chan res, 1)
+	go func() { b, err := s.ReceivePads(m); ch <- res{b, err} }()
+	if _, err := r.SendChoices(choices); err != nil {
+		t.Fatal(err)
+	}
+	sr := <-ch
+	if sr.err != nil {
+		t.Fatal(sr.err)
+	}
+	refused("rows as labels", func() error { return s.SendPrecomputed(sr.b, randomPads(m, 1)) })
+
+	bt := precompute(t, s, r, m, 2)
+	if bt.sb.SizeBytes() != 0 || bt.sb.Zero() != nil {
+		t.Fatalf("a bound batch keeps %d bytes", bt.sb.SizeBytes())
+	}
+	refused("short pads or choices",
+		func() error { return s.SendPrecomputed(bt.sb, bt.y[KeySize:]) },
+		func() error { _, err := r.ReceivePrecomputed(bt.rb, choices[1:]); return err })
+	runPrecomputed(t, s, r, bt, choices)
+	refused("answered",
+		func() error { return s.SendPrecomputed(bt.sb, bt.y) },
+		func() error { _, err := r.ReceivePrecomputed(bt.rb, choices); return err })
+	runPrecomputed(t, s, r, precompute(t, s, r, 20, 3), randomChoices(rng, 20))
 }
 
 // FuzzExtensionFrames feeds hostile frames — u and d to a sender, t and z to
 // a receiver — to both endpoints through three calls each, drawn from
-// every kind of batch: chosen, pads-as-labels, and bound-then-answered. Every
-// call returns nil or a *FrameSizeError, never panics, and after the first
-// failure every call returns that error without reading a frame.
+// every kind of batch: chosen, rows-as-labels, and bound-then-answered.
+// Every call returns nil or a *FrameSizeError, never panics, and after the
+// first failure every call returns that error without reading a frame.
 func FuzzExtensionFrames(f *testing.F) {
 	for _, m := range []int{1, 9, 40} {
 		mBytes := (m + 7) / 8
@@ -302,35 +236,23 @@ func FuzzExtensionFrames(f *testing.F) {
 			return &scripted{script: []func([][]byte) []byte{frame(a), frame(b), frame(b), frame(b), frame(b), frame(b)}}
 		}
 		sc, rc := script(), script()
-		s := newSender(sc, &SenderState{}, []byte("fuzz"))
+		s := newSender(sc, &SenderState{sBlock: Message{1}}, []byte("fuzz"))
 		r := newReceiver(rc, &ReceiverState{}, []byte("fuzz"))
 		sendOps := []func() error{
 			func() error { return s.Send(pairs) },
+			func() error { _, err := s.ReceivePads(m); return err },
 			func() error {
-				b, err := s.ReceivePads(m)
+				y := make([]byte, KeySize*m)
+				b, _, err := offer(s, y)
 				if err != nil {
 					return err
 				}
-				return s.SendOffsets(b, nil, offsets(pairs), 1)
-			},
-			func() error {
-				b, err := offer(s, pairs)
-				if err != nil {
-					return err
-				}
-				return s.SendPrecomputed(b)
+				return s.SendPrecomputed(b, y)
 			},
 		}
 		recvOps := []func() error{
 			func() error { _, err := r.Receive(choices); return err },
-			func() error {
-				b, err := r.SendChoices(choices)
-				if err != nil {
-					return err
-				}
-				_, err = r.ReceiveOffsets(b)
-				return err
-			},
+			func() error { _, err := r.SendChoices(choices); return err },
 			func() error {
 				b, err := openRandom(r, m, 1)
 				if err != nil {

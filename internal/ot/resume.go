@@ -2,6 +2,7 @@ package ot
 
 import (
 	"crypto/sha256"
+	"errors"
 	"fmt"
 
 	"privinf/internal/garble"
@@ -22,8 +23,9 @@ import (
 // extension is built for — the base-OT correlation (s and the seed
 // pairing) is long-lived, only the symmetric expansion is per-session.
 // Reusing s across sessions is safe in the semi-honest model: s never
-// leaves the sender, and the correlation-robust hash breaks the
-// correlation before any label leaves the extension.
+// leaves the sender, and it is the garbler's free-XOR offset for as long
+// as the state lives, which docs/invariants.md ("OT-defined input labels")
+// argues.
 
 // SenderState is the extension sender's cached base-OT outcome: the secret
 // correlation bits and the kappa seeds it received as base-OT chooser. It
@@ -78,14 +80,28 @@ func deriveSeed(master Message, nonce []byte) Message {
 	return out
 }
 
+// ErrColourBit is ResumeSender's refusal of a state whose s has lsb 0:
+// NewExtSender has set that bit since s became the garbler's free-XOR
+// offset, whose colour bit it is, so such a state predates that and must
+// be replaced by a full setup.
+var ErrColourBit = errors.New("ot: resume sender: s has lsb 0, so it cannot be a free-XOR offset")
+
+// Resumable reports whether ResumeSender takes the state: whether the lsb
+// of s is set.
+func (st *SenderState) Resumable() bool { return st.sBlock[0]&1 == 1 }
+
 // ResumeSender reconstructs an extension sender from cached base-OT
 // material without any network traffic: the per-session streams are
 // expanded locally from nonce-derived seeds. The peer must resume the
 // matching ReceiverState under the same nonce, and the nonce must be
-// unique per resumed session (reuse would replay identical streams).
+// unique per resumed session (reuse would replay identical streams). A
+// state that is not Resumable is refused with ErrColourBit.
 func ResumeSender(conn transport.MsgConn, st *SenderState, nonce []byte) (*ExtSender, error) {
 	if st == nil || len(nonce) == 0 {
 		return nil, fmt.Errorf("ot: resume sender: nil state or empty session nonce")
+	}
+	if !st.Resumable() {
+		return nil, ErrColourBit
 	}
 	return newSender(conn, st, nonce), nil
 }

@@ -1,6 +1,7 @@
 package ot
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -145,5 +146,42 @@ func TestResumeStateSizes(t *testing.T) {
 	}
 	if got := r0.State().SizeBytes(); got != KeySize*kappa*2 {
 		t.Fatalf("receiver state size %d, want %d", got, KeySize*kappa*2)
+	}
+}
+
+// TestNewExtSenderSetsColourBit: a full setup's s has its lsb set whatever
+// the entropy's first byte, so it is a free-XOR offset, and its state
+// resumes; the same state with that bit cleared is refused with
+// ErrColourBit before anything is built.
+func TestNewExtSenderSetsColourBit(t *testing.T) {
+	even := false
+	for seed := int64(30); seed < 34; seed++ {
+		var first [1]byte
+		newSeeded(seed).Read(first[:])
+		even = even || first[0]&1 == 0
+		a, b := transport.Pipe()
+		errCh := make(chan error, 1)
+		go func() { _, err := NewExtReceiver(b, newSeeded(seed+100)); errCh <- err }()
+		s, err := NewExtSender(a, newSeeded(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := <-errCh; err != nil {
+			t.Fatal(err)
+		}
+		st := s.State()
+		if d := s.Delta(); d[0]&1 != 1 || !st.Resumable() {
+			t.Fatalf("seed %d: s = %x has lsb 0", seed, d)
+		}
+		if _, err := ResumeSender(a, st, []byte("n")); err != nil {
+			t.Fatal(err)
+		}
+		st.sBlock[0] &^= 1
+		if _, err := ResumeSender(a, st, []byte("n")); !errors.Is(err, ErrColourBit) {
+			t.Fatalf("seed %d: resuming an s with lsb 0: %v, want ErrColourBit", seed, err)
+		}
+	}
+	if !even {
+		t.Fatal("no seed drew an even first byte, so no s needed its lsb set")
 	}
 }

@@ -136,6 +136,11 @@ func Connect(conn *transport.Conn, options ...Option) (*Client, error) {
 	if opts.Preamble != nil {
 		ticket, state = opts.Preamble.ticketSnapshot()
 	}
+	if state != nil && !state.Resumable() {
+		// A sender state from before wire v16 cannot resume: connect cold,
+		// and the full handshake replaces it.
+		ticket, state = nil, nil
+	}
 	// The client's injected entropy covers the resumption nonce too — the
 	// nonce seeds the per-session OT stream derivation, so it is as secret
 	// as the rest of the client's randomness.

@@ -341,21 +341,27 @@ func TestTicketDirRequiresResumption(t *testing.T) {
 // no store holds either, v12 Server-Garbler's b and r OTs, which now end at
 // their t frames and expand the same seeds, v13 the public key, which a
 // ticket held, seeded, for re-randomizing responses, v14 that key again,
-// which every connect now sends, so a ticket holds OT seeds only, and v15
+// which every connect now sends, so a ticket holds OT seeds only, v15
 // where Client-Garbler's a-label OTs run, now around each garbled layer,
-// on the same seeds. testdata/wire4 through wire14 are what the last commit of each release
-// left after one cold Client-Garbler session on testModel(170): the
-// engine's ticket directory and the client's preamble file (saved with no
-// cached model artifact, which keeps the file small and makes the reconnect
-// rebuild it). The current engine loads the ticket — a v13 one drops the
-// key it holds — the current client resumes on it — no base OTs, no keygen:
-// the preamble's key derives again under its unchanged nonce in the seeded
-// form, and is sent — and the inference, whose label OTs expand the resumed
-// seeds, is bit-exact. Every engine over the ticket, the restarted one too,
-// holds the OT receiver state and nothing else, and the ticket is re-saved
-// without a key.
+// on the same seeds, and v16 the label OTs' rows, now the labels under the
+// offset s. testdata/wire4 through wire15 are what the last commit of
+// each release left after one cold Client-Garbler session on
+// testModel(170): the engine's ticket directory and the client's preamble
+// file (saved with no cached model artifact, which keeps the file small
+// and makes the reconnect rebuild it). The current engine loads the ticket
+// — a v13 one drops the key it holds. Since v16, s must have its lsb set
+// to be the garbler's offset, and a state whose s has lsb 0 (wire4, wire9
+// and wire12–15) resumes nothing: its client connects without the ticket,
+// runs one full handshake on the same connection and holds a fresh ticket
+// and state, on which the next connect resumes. On every other state the
+// current client resumes — no base OTs, no keygen: the preamble's key
+// derives again under its unchanged nonce in the seeded form, and is sent.
+// Either way the inference is bit-exact, every engine over the tickets,
+// the restarted one too, holds OT receiver states and nothing else, and
+// each ticket saved during the test holds no key.
 func TestOlderWireStateResumes(t *testing.T) {
-	for _, release := range []string{"wire4", "wire5", "wire6", "wire7", "wire8", "wire9", "wire10", "wire11", "wire12", "wire13", "wire14"} {
+	lsb0 := map[string]bool{"wire4": true, "wire9": true, "wire12": true, "wire13": true, "wire14": true, "wire15": true}
+	for _, release := range []string{"wire4", "wire5", "wire6", "wire7", "wire8", "wire9", "wire10", "wire11", "wire12", "wire13", "wire14", "wire15"} {
 		t.Run(release, func(t *testing.T) {
 			dir := t.TempDir() // the stores sweep and rewrite their directories
 			if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", release))); err != nil {
@@ -376,38 +382,49 @@ func TestOlderWireStateResumes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if _, st := p.ticketSnapshot(); st.Resumable() == lsb0[release] {
+				t.Fatalf("%s preamble's sender state: resumable %v, want %v", release, st.Resumable(), !lsb0[release])
+			}
 			nonceBefore, hadKeys := heGeneration(p)
 			if !hadKeys {
 				t.Fatalf("%s preamble carries no HE key generation", release)
 			}
 			c := connectPreamble(t, ln, "", p)
 			defer c.Close()
-			if resumed, code := c.ResumeOutcome(); !resumed || code != "" {
-				t.Fatalf("connect on %s state resumed=%v reject=%q, want clean resume", release, resumed, code)
-			}
-			if nonceAfter, _ := heGeneration(p); nonceAfter != nonceBefore {
-				t.Fatalf("resumed connect bumped the HE nonce %d→%d: keygen ran", nonceBefore, nonceAfter)
+			resumed, code := c.ResumeOutcome()
+			nonceAfter, _ := heGeneration(p)
+			if resumed == lsb0[release] || code != "" || (nonceAfter == nonceBefore) == lsb0[release] {
+				t.Fatalf("connect on %s state resumed=%v reject=%q, HE nonce %d→%d; want a resume with no keygen on a state with s's lsb set, else a full handshake", release, resumed, code, nonceBefore, nonceAfter)
 			}
 			inferOnce(t, c, model)
 			c.Close()
-			if err := eng.Close(); err != nil { // flushes the re-saved ticket
+			if err := eng.Close(); err != nil { // flushes the saved tickets
 				t.Fatal(err)
+			}
+			tickets := 1
+			if lsb0[release] { // the full handshake's ticket joins the unused old one
+				tickets = 2
 			}
 			files, err := filepath.Glob(filepath.Join(dir, "tickets", "*"+ticketSuffix))
-			if err != nil || len(files) != 1 {
-				t.Fatalf("ticket dir after the resumed session: %v (err %v), want one record", files, err)
+			if err != nil || len(files) != tickets {
+				t.Fatalf("ticket dir after the session: %v (err %v), want %d records", files, err, tickets)
 			}
-			fi, err := os.Stat(files[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fi.Size() >= bfv.SeedSize+8*bfv.DefaultN {
-				t.Fatalf("re-saved %s ticket is %d bytes, want a record smaller than one key", release, fi.Size())
+			for _, f := range files {
+				if _, err := os.Stat(filepath.Join("testdata", release, "tickets", filepath.Base(f))); err == nil && lsb0[release] {
+					continue // the old ticket, never redeemed, is never saved again
+				}
+				fi, err := os.Stat(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fi.Size() >= bfv.SeedSize+8*bfv.DefaultN {
+					t.Fatalf("%s ticket record is %d bytes, want a record smaller than one key", release, fi.Size())
+				}
 			}
 
 			eng2, ln2 := pipeEngine(t, cfg)
-			if st := eng2.Stats().Tickets; st.Loaded != 1 || st.Bytes != ot.ReceiverStateBytes {
-				t.Fatalf("restart over the %s ticket: %+v, want one load of %d bytes", release, st, ot.ReceiverStateBytes)
+			if st := eng2.Stats().Tickets; st.Loaded != uint64(tickets) || st.Bytes != int64(tickets)*ot.ReceiverStateBytes {
+				t.Fatalf("restart over the %s tickets: %+v, want %d loads of %d bytes", release, st, tickets, ot.ReceiverStateBytes)
 			}
 			c2 := connectPreamble(t, ln2, "", p)
 			defer c2.Close()

@@ -138,8 +138,11 @@ func TestGoldenFiles(t *testing.T) {
 // artifact) entry after the keys, and the public key before wire v13's
 // seeded form. It loads with its ticket, OT state and secret key intact,
 // the public key derived again in seeded form and the entry discarded,
-// re-saves as today's golden, and resumes a session, whose client derives
-// its model state from the welcome.
+// re-saves as today's golden, and serves a session, whose client derives
+// its model state from the welcome. Its OT sender state's s has lsb 0, so
+// since wire v16 that session is a full handshake on the same connection
+// (the engine holds the matching ticket all the same), and the next
+// connect resumes on the state it left.
 func TestPreambleWithCachedArtifactLoads(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "cachedartifact"))); err != nil {
@@ -206,8 +209,14 @@ func TestPreambleWithCachedArtifactLoads(t *testing.T) {
 	_, ln := pipeEngine(t, Config{Registry: reg, Variant: delphi.ClientGarbler, TicketDir: tickets})
 	c := connectPreamble(t, ln, "", p)
 	defer c.Close()
-	if !c.Resumed() {
-		t.Fatal("connect on the fixture's ticket did not resume")
+	if resumed, code := c.ResumeOutcome(); resumed || code != "" {
+		t.Fatalf("connect on the fixture's lsb-0 state resumed=%v reject=%q, want a full handshake", resumed, code)
 	}
 	inferOnce(t, c, goldenNet())
+	c2 := connectPreamble(t, ln, "", p)
+	defer c2.Close()
+	if !c2.Resumed() {
+		t.Fatal("connect after the full handshake did not resume")
+	}
+	inferOnce(t, c2, goldenNet())
 }

@@ -84,6 +84,49 @@ func TestTicketHoldsOTStateOnly(t *testing.T) {
 	}
 }
 
+// TestServerGarblerRefusesColourBit: a Server-Garbler engine whose ticket
+// holds an OT sender state with s's lsb 0 refuses it at redeem with the
+// typed colour_bit code and drops it; the session falls back to a full
+// handshake on the same connection, runs bit-exact, and its fresh ticket
+// resumes the next connect.
+func TestServerGarblerRefusesColourBit(t *testing.T) {
+	model := testModel(t, 68)
+	cfg := testConfig(t, model)
+	cfg.Variant = delphi.ServerGarbler
+	eng, ln := pipeEngine(t, cfg)
+	p := NewPreamble()
+	connectPreamble(t, ln, "", p).Close()
+	eng.tickets.flush()
+	id, _ := p.ticketSnapshot()
+	eng.tickets.mu.Lock()
+	e := eng.tickets.entries[string(id)]
+	raw, err := e.state.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[1] &^= 1 // the flags byte, then s
+	if e.state, err = delphi.UnmarshalOTResume(raw); err != nil {
+		t.Fatal(err)
+	}
+	eng.tickets.mu.Unlock()
+
+	c := connectPreamble(t, ln, "", p)
+	defer c.Close()
+	if resumed, code := c.ResumeOutcome(); resumed || code != resumeColourBit {
+		t.Fatalf("connect on an lsb-0 sender state resumed=%v reject=%q, want a %q refusal", resumed, code, resumeColourBit)
+	}
+	inferOnce(t, c, model)
+	if _, reject := eng.tickets.redeem(id, ""); reject != resumeUnknownTicket {
+		t.Fatalf("the refused ticket redeems with %q, want it dropped", reject)
+	}
+	c2 := connectPreamble(t, ln, "", p)
+	defer c2.Close()
+	if resumed, code := c2.ResumeOutcome(); !resumed || code != "" {
+		t.Fatalf("connect on the fresh ticket resumed=%v reject=%q", resumed, code)
+	}
+	inferOnce(t, c2, model)
+}
+
 // TestSessionResumeRoundTrip is the preamble subsystem's acceptance test on
 // the demo CNN: a cold session's full handshake issues a ticket, the
 // reconnect resumes from it (no base OTs), and the resumed session's
@@ -320,6 +363,7 @@ func TestPreambleVersionMismatchRejected(t *testing.T) {
 		{"preamble v12", [][]byte{preamble(12)}},
 		{"preamble v13", [][]byte{preamble(13)}},
 		{"preamble v14", [][]byte{preamble(14)}},
+		{"preamble v15", [][]byte{preamble(15)}},
 		{"v5 hello inside a v13 preamble", [][]byte{preamble(13), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 5}))}},
 		{"v6 hello inside a v13 preamble", [][]byte{preamble(13), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 6}))}},
 		{"v7 hello inside a v13 preamble", [][]byte{preamble(13), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 7}))}},
@@ -337,16 +381,27 @@ func TestPreambleVersionMismatchRejected(t *testing.T) {
 		{"v11 hello inside a v14 preamble", [][]byte{preamble(14), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 11}))}},
 		{"v12 hello inside a v14 preamble", [][]byte{preamble(14), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 12}))}},
 		{"v13 hello inside a v14 preamble", [][]byte{preamble(14), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 13}))}},
-		{"v5 hello inside a v15 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 5}))}},
-		{"v6 hello inside a v15 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 6}))}},
-		{"v7 hello inside a v15 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 7}))}},
-		{"v8 hello inside a v15 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 8}))}},
-		{"v9 hello inside a v15 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 9}))}},
-		{"v10 hello inside a v15 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 10}))}},
-		{"v11 hello inside a v15 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 11}))}},
-		{"v12 hello inside a v15 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 12}))}},
-		{"v13 hello inside a v15 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 13}))}},
-		{"v14 hello inside a v15 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 14}))}},
+		{"v5 hello inside a v15 preamble", [][]byte{preamble(15), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 5}))}},
+		{"v6 hello inside a v15 preamble", [][]byte{preamble(15), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 6}))}},
+		{"v7 hello inside a v15 preamble", [][]byte{preamble(15), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 7}))}},
+		{"v8 hello inside a v15 preamble", [][]byte{preamble(15), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 8}))}},
+		{"v9 hello inside a v15 preamble", [][]byte{preamble(15), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 9}))}},
+		{"v10 hello inside a v15 preamble", [][]byte{preamble(15), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 10}))}},
+		{"v11 hello inside a v15 preamble", [][]byte{preamble(15), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 11}))}},
+		{"v12 hello inside a v15 preamble", [][]byte{preamble(15), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 12}))}},
+		{"v13 hello inside a v15 preamble", [][]byte{preamble(15), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 13}))}},
+		{"v14 hello inside a v15 preamble", [][]byte{preamble(15), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 14}))}},
+		{"v5 hello inside a v16 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 5}))}},
+		{"v6 hello inside a v16 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 6}))}},
+		{"v7 hello inside a v16 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 7}))}},
+		{"v8 hello inside a v16 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 8}))}},
+		{"v9 hello inside a v16 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 9}))}},
+		{"v10 hello inside a v16 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 10}))}},
+		{"v11 hello inside a v16 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 11}))}},
+		{"v12 hello inside a v16 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 12}))}},
+		{"v13 hello inside a v16 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 13}))}},
+		{"v14 hello inside a v16 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 14}))}},
+		{"v15 hello inside a v16 preamble", [][]byte{preamble(wireVersion), ctrlFrame(opHello, marshalJSON(helloMsg{Version: 15}))}},
 	} {
 		conn, err := transport.Dial(ln.Addr())
 		if err != nil {

@@ -233,6 +233,12 @@ func (tc *ticketCache) redeem(id []byte, model string) (*delphi.OTResume, string
 		tc.events.With(model, ticketExpired).Inc()
 		return nil, resumeExpiredTicket
 	}
+	// A state that cannot resume is as dead as a lapsed one.
+	if !e.state.Resumable() {
+		tc.drop(e)
+		tc.events.With(model, ticketExpired).Inc()
+		return nil, resumeColourBit
+	}
 	e.expires = tc.now().Add(tc.ttl)
 	tc.lru.MoveToFront(e.elem)
 	tc.events.With(model, ticketResumed).Inc()

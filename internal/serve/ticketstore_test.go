@@ -33,6 +33,22 @@ func testOTResume(t testing.TB, seed byte) *delphi.OTResume {
 	return res
 }
 
+// liveOTResume is testOTResume with s's lsb set, as a full handshake has
+// made every sender state since wire v16, so that redeem takes it.
+func liveOTResume(t testing.TB, seed byte) *delphi.OTResume {
+	t.Helper()
+	raw, err := testOTResume(t, seed).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[1] |= 1 // the flags byte, then s
+	res, err := delphi.UnmarshalOTResume(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // testTicketRecord builds a record with a deterministic id derived from
 // seed.
 func testTicketRecord(t testing.TB, seed byte, expires time.Time) ticketRecord {
@@ -195,7 +211,7 @@ func TestTicketCacheWriteThrough(t *testing.T) {
 	tc.attachStore(ts)
 
 	id := tc.reserve("m")
-	tc.insert(id, testOTResume(t, 13))
+	tc.insert(id, liveOTResume(t, 13))
 	tc.flush()
 	if _, err := os.Stat(ts.path(id)); err != nil {
 		t.Fatalf("insert did not write through: %v", err)

@@ -33,14 +33,19 @@ const (
 	// an OT resumption ticket plus a client nonce, welcomes answer with the
 	// typed resumption outcome, a fresh ticket and the server nonce. Every
 	// welcome is followed by the client's HE public key, and only a full
-	// handshake's then by the two flights of P-256 base-OT points. Every label
-	// OT is correlated: the extension carries a t frame of 16 bytes an OT.
-	// Either variant runs a ReLU layer's label OTs around its garbled record:
-	// u from the evaluator, then the record and t from the garbler.
-	// Server-Garbler's b and r OTs send nothing more: the garbler pins those
-	// inputs to the OTs' zero pads, so t alone opens the labels.
-	// Client-Garbler's a-label OTs are random OTs, leaving one d frame down
-	// and one z frame (one 16-byte label an OT) up per ReLU layer online. The
+	// handshake's then by the two flights of P-256 base-OT points. The OT
+	// extension's s is the garbler's free-XOR offset for the life of its
+	// base-OT state, so a label OT's rows are its labels and it sends only
+	// the evaluator's u frame: either variant runs a ReLU layer's label OTs
+	// as u from the evaluator, then the garbled record from the garbler, and
+	// each pre-compute garbles under a hash key of its own. Server-Garbler's
+	// b and r OTs send nothing more: the garbler pins those inputs to its
+	// rows, which the client already holds as its labels. Client-Garbler's
+	// a-label OTs are random OTs, leaving one d frame down and one z frame
+	// (one 16-byte label an OT) up per ReLU layer online. A sender state
+	// whose s has lsb 0 predates v16 and resumes nothing: a Client-Garbler
+	// client connects without its ticket, and a Server-Garbler engine
+	// refuses the ticket (resumeColourBit) and runs a full handshake. The
 	// offline HE leg sends seeded secret-key uploads (seed ‖ c0)
 	// up, one a chunk of the byte-minimal plan, and, down, responses
 	// re-randomized under the client's public key, flooded at the read slots
@@ -57,7 +62,7 @@ const (
 	// precomputed OTs, or anything both ends derive from the model metadata,
 	// and so carries across every bump. The history of earlier versions is in
 	// CHANGES.md.
-	wireVersion = 15
+	wireVersion = 16
 
 	tagData byte = 0x00
 	tagCtrl byte = 0x01
@@ -159,6 +164,10 @@ const (
 	resumeBadNonce = "bad_nonce"
 	// resumeDisabled: the engine runs with resumption turned off.
 	resumeDisabled = "resume_disabled"
+	// resumeColourBit: the ticket's OT sender state has an s with lsb 0,
+	// which cannot be the free-XOR offset it must be since wire v16; the
+	// ticket is dropped, and the full handshake issues one that resumes.
+	resumeColourBit = "colour_bit"
 )
 
 // rejectMsg is a typed handshake rejection: a stable machine-readable code

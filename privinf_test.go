@@ -63,15 +63,15 @@ func TestRunLocalInferenceClientGarbler(t *testing.T) {
 	// circuits a Server-Garbler client stores, less the b and r labels that
 	// client fetched by OT (two 16-byte labels an a-label OT's worth, which
 	// the server expands from each layer's seed instead), plus a 16-byte pad
-	// and a choice bit per precomputed label OT. The client keeps its half
-	// of those OTs: one 16-byte bound pad per OT and a free-XOR offset per
-	// ReLU.
+	// and a choice bit per precomputed label OT. The client keeps of its
+	// half of those OTs one 16-byte secret seed per ReLU layer, from which
+	// its answer's pads expand again.
 	var server, fetched, client uint64
 	for _, l := range model.Linear[:len(model.Linear)-1] {
 		ots := uint64(l.Out() * model.F.Bits())
 		server += 16*ots + (ots+7)/8
 		fetched += 2 * 16 * ots
-		client += 16*ots + 16*uint64(l.Out())
+		client += 16
 	}
 	if got, want := res.ServerOffline.GCStoreBytes, sg.ClientOffline.GCStoreBytes-fetched+server; got != want {
 		t.Errorf("Client-Garbler server stores %d bytes, want %d", got, want)
