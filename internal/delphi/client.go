@@ -188,11 +188,10 @@ func (c *Client) RunOnline(x []uint64) ([]uint64, OnlineReport, error) {
 			if err != nil {
 				return nil, rep, err
 			}
-			aLabels, err := decodeLabels(raw, c.meta.Dims[layer].Out*width)
-			if err != nil {
-				return nil, rep, err
+			if want := c.meta.Dims[layer].Out * width * garble.LabelSize; len(raw) != want {
+				return nil, rep, fmt.Errorf("delphi: label payload %d bytes, want %d", len(raw), want)
 			}
-			bits, err := c.evaluateLayer(&pre.gcPre, layer, aLabels)
+			bits, err := c.evaluateLayer(&pre.gcPre, layer, nil, raw)
 			if err != nil {
 				return nil, rep, err
 			}

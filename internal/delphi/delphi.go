@@ -8,7 +8,9 @@
 // (roles.go) on the state Client and Server share:
 //
 //   - The garbler garbles every ReLU unit offline and ships, per layer, a
-//     public seed, the tables and the packed decode bits (garbleAndShip).
+//     public seed, the tables and the packed decode bits (garbleAndShip),
+//     garbling into the one payload it sends, so it never holds a layer's
+//     tables anywhere else.
 //     It is the OT sender, and every unit's free-XOR offset is the OT
 //     extension's s, so each layer's label OTs are a u frame from the
 //     evaluator and nothing else: the garbler takes the OT rows before it
@@ -21,11 +23,16 @@
 //     their labels; its a labels go direct online. A client garbler's OTs
 //     carry the a labels at its rows masked by one-time pads it expands
 //     again online from the layer's secret seed, and answers online.
-//   - The evaluator receives and stores the circuits (receiveGC, the one
-//     payload parser, which also runs each layer's OTs before it) — the
-//     18.2 KB/ReLU storage burden of Figure 3 — is the OT receiver, on
-//     random choices under Client-Garbler, derandomized online, and
-//     evaluates online (evaluateLayer).
+//   - The evaluator receives and stores the circuits (receiveGC, which
+//     also runs each layer's OTs before it, and parseGCLayer, the one
+//     payload parser) — the 18.2 KB/ReLU storage burden of Figure 3 — is
+//     the OT receiver, on random choices under Client-Garbler,
+//     derandomized online, and evaluates online (evaluateLayer). What it
+//     holds between the phases is each layer's frame as received, once
+//     parsed, and under Server-Garbler the b and r labels its OTs gave; it
+//     evaluates from the frame, reading the tables where they lie, and
+//     copies none of them. A Server-Garbler client likewise evaluates on
+//     the a labels where the server's online frame holds them.
 //
 // A ReLU unit takes a, the server's share of the layer output (known only
 // online), and b and r, the client's share c_i and next mask r_{i+1} (known

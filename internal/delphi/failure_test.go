@@ -1,6 +1,7 @@
 package delphi
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -219,18 +220,28 @@ func TestWireEncodings(t *testing.T) {
 			t.Fatalf("padding bit %d set: accepted", pad)
 		}
 	}
+}
 
-	labels := make([]garble.Label, 3)
-	labels[1][0] = 0xAB
-	gotLabels, err := decodeLabels(appendLabels(nil, labels), 3)
+// TestClientChecksALabelFrame: a Server-Garbler client evaluates straight
+// from the server's a-label frame once its length is checked: a frame a
+// label short or a byte long is refused before anything is evaluated.
+func TestClientChecksALabelFrame(t *testing.T) {
+	model, err := nn.DemoMLP(field.New(field.P20), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotLabels[1] != labels[1] {
-		t.Fatal("label round trip")
-	}
-	if _, err := decodeLabels(appendLabels(nil, labels), 2); err == nil {
-		t.Fatal("label length mismatch must error")
+	x := randomInput(model.F, model.InputLen(), 4)
+	want := model.Linear[0].Out() * model.F.Bits() * garble.LabelSize
+	for _, size := range []int{want - garble.LabelSize, want + 1} {
+		s := newSession(t, ServerGarbler, model, 0)
+		s.offline(t)
+		if err := s.server.conn.Send(make([]byte, size)); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := s.client.RunOnline(x)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("label payload %d bytes, want %d", size, want)) {
+			t.Fatalf("%d-byte a-label frame: error %v, want a label payload size error", size, err)
+		}
 	}
 }
 

@@ -1,8 +1,10 @@
 package delphi
 
 import (
+	"bytes"
 	"encoding"
 	"testing"
+	"time"
 
 	"privinf/internal/bfv"
 	"privinf/internal/bin/bintest"
@@ -11,16 +13,20 @@ import (
 	"privinf/internal/garble"
 	"privinf/internal/nn"
 	"privinf/internal/ot"
+	"privinf/internal/transport"
 )
 
-// FuzzGCLayerPayload drives the one garbled-layer decoder with
-// attacker-controlled payloads for a small public layer shape: 3 units of a
-// 20-bit ReLU, whose 60 decode bits leave 4 padding bits in the block's last
-// byte. It must never panic, must reject before allocating every length but
-// the exact one and every exact-length payload with a padding bit set, and
-// otherwise must store precisely the layer: nothing a peer sends can make
-// the evaluator hold more than the public shape implies, nor find two
-// encodings of one layer.
+// FuzzGCLayerPayload drives the evaluator's store of a garbled layer —
+// receiveGC and its one parser, parseGCLayer — with attacker-controlled
+// payloads for a small public layer shape: 3 units of a 20-bit ReLU, whose
+// 60 decode bits leave 4 padding bits in the block's last byte. It must
+// never panic, must refuse every length but the exact one and every
+// exact-length payload with a padding bit set and hold nothing for it, and
+// otherwise must hold the payload in place: the received frame is the
+// store, byte for byte, the tables and decode block the parser gives are
+// views into it, and the bytes held are the payload's, no more. Nothing a
+// peer sends can make the evaluator hold more than the public shape
+// implies, nor find two encodings of one layer.
 func FuzzGCLayerPayload(f *testing.F) {
 	const units = 3
 	fld := field.New(field.P20)
@@ -44,28 +50,43 @@ func FuzzGCLayerPayload(f *testing.F) {
 	f.Add([]byte(nil))
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		st, err := parseGCLayer(circ, units, payload)
+		conn, peer := transport.Pipe()
+		p := &party{conn: conn, f: fld, cfg: Config{Variant: ClientGarbler},
+			meta: ModelMeta{Dims: []LayerDim{{Out: units}}}, circuits: []*boolcirc.Circuit{circ}}
+		var err error
+		if p.otRecv, err = ot.ResumeReceiver(conn, &ot.ReceiverState{}, []byte("fuzz")); err != nil {
+			t.Fatal(err)
+		}
+		if err := peer.Send(payload); err != nil {
+			t.Fatal(err)
+		}
+		pre := new(gcPre)
+		err = p.receiveGC(pre, nil, new(time.Duration))
+		st := pre.stored[0]
 		if len(payload) != exact || payload[exact-1]>>4 != 0 {
-			if err == nil || st.tables != nil || st.decode != nil || st.bytes != 0 {
-				t.Fatalf("accepted or allocated for a %d-byte payload", len(payload))
+			if err == nil || st.frame != nil || pre.storeBytes() != 0 {
+				t.Fatalf("accepted or held a %d-byte payload", len(payload))
 			}
 			return
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.bytes != uint64(len(payload)) || len(st.tables) != units || st.known != nil {
-			t.Fatalf("stored %d bytes in %d units for a %d-byte payload", st.bytes, len(st.tables), len(payload))
+		if !bytes.Equal(st.frame, payload) || st.known != nil {
+			t.Fatalf("stored a frame other than the %d-byte payload", len(payload))
 		}
-		held := len(st.seed) + len(st.decode)
-		for u := 0; u < units; u++ {
-			held += len(st.tables[u]) * garble.LabelSize
-		}
-		if held != len(payload) {
+		if held := pre.storeBytes() - pre.recvOTs[0].SizeBytes(); held != uint64(len(payload)) {
 			t.Fatalf("evaluator holds %d bytes for a %d-byte layer", held, len(payload))
 		}
-		if want := (units*len(circ.Outputs) + 7) / 8; len(st.decode) != want {
-			t.Fatalf("decode block %d bytes, want %d", len(st.decode), want)
+		l, err := parseGCLayer(circ, units, st.frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (units*len(circ.Outputs) + 7) / 8; len(l.Decode) != want || len(l.Tables) != units*garble.TableBytes(circ) {
+			t.Fatalf("%d table and %d decode bytes, want %d and %d", len(l.Tables), len(l.Decode), units*garble.TableBytes(circ), want)
+		}
+		if &l.Tables[0] != &st.frame[garble.LabelSize] || &l.Decode[0] != &st.frame[exact-len(l.Decode)] {
+			t.Fatal("the tables or the decode block are not views into the stored frame")
 		}
 	})
 }

@@ -113,13 +113,13 @@ func (p *party) OTResume() *OTResume {
 // under hash, a key of its own (hashKey) that is public and that each
 // party derives, so no state it stores. The evaluator keeps stored. A
 // server garbler keeps a, the a inputs' false labels it sends direct,
-// width a unit. Under Client-Garbler each party keeps instead its half of
-// the a-label OTs, one batch per ReLU layer, made offline and answered
-// online: the garbler its bound batches and each layer's secret seed, from
-// which the batch's pads y expand again.
+// width a unit: the entropy its garbling read. Under Client-Garbler each
+// party keeps instead its half of the a-label OTs, one batch per ReLU
+// layer, made offline and answered online: the garbler its bound batches
+// and each layer's secret seed, from which the batch's pads y expand again.
 type gcPre struct {
 	hash    garble.Hasher
-	a       [][]garble.Label         // per ReLU layer, unit-major, on a server garbler
+	a       [][]byte                 // per ReLU layer, unit-major labels, on a server garbler
 	seeds   [][garble.LabelSize]byte // per ReLU layer, on a client garbler
 	stored  []storedLayer            // per ReLU layer
 	sendOTs []*ot.SenderPads         // per ReLU layer, bound, on a client garbler
@@ -129,14 +129,14 @@ type gcPre struct {
 // storedLayer is what the evaluator holds per ReLU layer between phases —
 // the storage burden the paper's Figure 3 quantifies (18.2 KB/ReLU).
 type storedLayer struct {
-	seed   [garble.LabelSize]byte // the pinned inputs' active labels expand from it
-	tables [][]garble.Label       // per unit
-	decode []byte                 // decode bits, width per unit, packed
+	// frame is the layer as it was received, public seed ‖ tables ‖ decode
+	// block, once parseGCLayer accepted it: the store is the frame, not a
+	// copy, and evaluateLayer evaluates from it.
+	frame []byte
 	// known holds the b and r labels, 2*width per unit, unit-major, that a
 	// server garbler transfers by offline OT (receiveGC); a client garbler
 	// pins b and r to the seed instead, and known stays nil.
 	known []garble.Label
-	bytes uint64
 }
 
 // storeBytes totals the garbled-circuit state one pre-compute holds until
@@ -151,10 +151,10 @@ func (g *gcPre) storeBytes() uint64 {
 		n += b.SizeBytes()
 	}
 	for _, l := range g.stored {
-		n += l.bytes
+		n += uint64(len(l.frame) + len(l.known)*garble.LabelSize)
 	}
 	for _, a := range g.a {
-		n += uint64(len(a)) * garble.LabelSize
+		n += uint64(len(a))
 	}
 	return n
 }
@@ -195,20 +195,23 @@ func pinnedInputs(width int, seeded bool) []int {
 
 // garbleAndShip is the garbler's offline role: garble every ReLU unit and
 // send, per layer, one payload of public seed | units × tables | decode-bit
-// block after the layer's label-OT flight, the evaluator's u frame. Every
-// unit's offset is the OT extension's s and its hash pre's (hashKey), and
-// every input the garbler knows when it garbles is pinned: const-one to a
-// label expanded from the public seed, and b and r, whose values own[layer]
-// lists unit-major on a client garbler, likewise. The OTs' inputs are
-// pinned to their zero labels. A server garbler's (nil own) carry b and r,
-// 2·width a unit, at its raw rows, which the client already holds as its
-// labels, and it keeps the a inputs' false labels. A client garbler's
-// carry a, width a unit, at q ⊕ y, y read off the front of the layer's
-// secret stream; it keeps the bound batches and the secret seeds for the
-// online answer. Each layer's remaining labels are AES-CTR output under
-// that secret seed, the seeded labels under a fresh public seed; both come
-// from the party's entropy, every layer's secret seed first. The OT legs'
-// time is added to *otTime.
+// block after the layer's label-OT flight, the evaluator's u frame. The
+// payload is allocated once, and the garbling writes the tables and the
+// decode bits straight into it. Every unit's offset is the OT extension's
+// s and its hash pre's (hashKey), and every input the garbler knows when
+// it garbles is pinned: const-one to a label expanded from the public
+// seed, and b and r, whose values own[layer] lists unit-major on a client
+// garbler, likewise. The OTs' inputs are pinned to their zero labels. A
+// server garbler's (nil own) carry b and r, 2·width a unit, at its raw
+// rows, which the client already holds as its labels; the a inputs are
+// the only ones its garbling draws labels for, and it keeps those false
+// labels. A client garbler's carry a, width a unit, at q ⊕ y, y read off
+// the front of the layer's secret stream; it keeps the bound batches and
+// the secret seeds for the online answer, and its garbling draws nothing.
+// Each layer's drawn labels are AES-CTR output under that secret seed, the
+// seeded labels under a fresh public seed; both come from the party's
+// entropy, every layer's secret seed first. The OT legs' time is added to
+// *otTime.
 func (p *party) garbleAndShip(pre *gcPre, own [][]uint64, otTime *time.Duration) error {
 	width, sg := p.f.Bits(), own == nil
 	np, L := len(p.pinned), len(p.circuits)
@@ -265,24 +268,14 @@ func (p *party) garbleAndShip(pre *gcPre, own [][]uint64, otTime *time.Duration)
 			}
 		}
 
-		payload := make([]byte, 0, gcLayerBytes(circ, units))
-		payload = append(payload, public[:]...)
-		decode := make([]bool, 0, units*len(circ.Outputs))
-		var a []garble.Label // a server garbler's a-input false labels
-		// All units of the layer garble as one batch.
-		for _, g := range garble.GarbleBatchFixed(circ, prg, bases, fix) {
-			if sg {
-				a = append(a, g.Encoding.Inputs[1:1+width]...)
-			}
-			payload = appendLabels(payload, g.Tables)
-			for _, d := range g.DecodeBits {
-				decode = append(decode, d == 1)
-			}
-		}
+		// All units of the layer garble as one batch, into the payload.
+		payload := make([]byte, gcLayerBytes(circ, units))
+		copy(payload, public[:])
+		end := garble.LabelSize + units*garble.TableBytes(circ)
+		drawn := garble.GarbleBatchFixed(circ, prg, bases, fix, garble.Layer{Tables: payload[garble.LabelSize:end], Decode: payload[end:]})
 		if sg {
-			pre.a = append(pre.a, a)
+			pre.a = append(pre.a, drawn)
 		}
-		payload = append(payload, encodeBits(decode)...)
 		if err := p.conn.Send(payload); err != nil {
 			return fmt.Errorf("delphi: send GC layer %d: %w", layer, err)
 		}
@@ -300,16 +293,16 @@ func timed(d *time.Duration, f func() error) error {
 
 // sendActive is a server garbler's direct-label leg: the active labels of
 // every unit's a input, a ⊕ v·s for the share values v the garbler itself
-// holds and a the layer's false labels.
-func (p *party) sendActive(a []garble.Label, vals []uint64) error {
+// holds and a the layer's false labels. It turns a into those labels in
+// place and sends it: a pre-compute's a labels serve one inference.
+func (p *party) sendActive(a []byte, vals []uint64) error {
 	width, delta := p.f.Bits(), p.otSend.Delta()
-	payload := appendLabels(make([]byte, 0, len(a)*garble.LabelSize), a)
-	for i := range a {
-		if lb := payload[i*garble.LabelSize:]; vals[i/width]>>uint(i%width)&1 == 1 {
-			subtle.XORBytes(lb, lb, delta[:])
+	for i := 0; i < len(a)/garble.LabelSize; i++ {
+		if vals[i/width]>>uint(i%width)&1 == 1 {
+			subtle.XORBytes(a[i*garble.LabelSize:], a[i*garble.LabelSize:], delta[:])
 		}
 	}
-	return p.conn.Send(payload)
+	return p.conn.Send(a)
 }
 
 // receiveGC is the evaluator's offline role: receive and store every
@@ -338,16 +331,17 @@ func (p *party) receiveGC(pre *gcPre, own [][]uint64, otTime *time.Duration) err
 		if err != nil {
 			return fmt.Errorf("delphi: recv GC layer %d: %w", layer, err)
 		}
-		st := &pre.stored[layer]
-		if *st, err = parseGCLayer(circ, units, payload); err != nil {
+		if _, err := parseGCLayer(circ, units, payload); err != nil {
 			return fmt.Errorf("delphi: GC layer %d: %w", layer, err)
 		}
+		st := &pre.stored[layer]
+		//lint:allow frameretain the checked layer frame is the evaluator's store; no later Recv reuses its memory (docs/invariants.md)
+		st.frame = payload
 		if !sg {
 			pre.recvOTs = append(pre.recvOTs, pads)
 			continue
 		}
 		st.known = pads.Rows()
-		st.bytes += uint64(len(st.known) * garble.LabelSize)
 	}
 	return nil
 }
@@ -369,48 +363,39 @@ func (p *party) otChoices(own [][]uint64, layer int) ([]bool, error) {
 	return decodeBits(raw, m)
 }
 
-// parseGCLayer is the one decoder of garbleAndShip's payload. Nothing is
-// allocated before the payload is the one encoding the public layer shape
-// admits: its exact length, and zero padding after the decode bits.
-func parseGCLayer(circ *boolcirc.Circuit, units int, payload []byte) (storedLayer, error) {
+// parseGCLayer is the one decoder of garbleAndShip's payload. It accepts
+// only the one encoding the public layer shape admits, its exact length
+// and zero padding after the decode bits, and returns the units as views
+// into the payload, whose first 16 bytes are the public seed: it copies
+// and allocates nothing.
+func parseGCLayer(circ *boolcirc.Circuit, units int, payload []byte) (garble.Layer, error) {
 	if want := gcLayerBytes(circ, units); len(payload) != want {
-		return storedLayer{}, fmt.Errorf("payload %d bytes, want %d", len(payload), want)
+		return garble.Layer{}, fmt.Errorf("payload %d bytes, want %d", len(payload), want)
 	}
 	end := garble.LabelSize + units*garble.TableBytes(circ)
 	if err := checkBits(payload[end:], units*len(circ.Outputs)); err != nil {
-		return storedLayer{}, err
+		return garble.Layer{}, err
 	}
-	st := storedLayer{
-		tables: make([][]garble.Label, units),
-		decode: append([]byte(nil), payload[end:]...),
-		bytes:  uint64(len(payload)),
-	}
-	copy(st.seed[:], payload)
-	tables, per := labelsOf(payload[garble.LabelSize:end]), 2*circ.NumAND()
-	for u := range st.tables {
-		st.tables[u] = tables[u*per : (u+1)*per : (u+1)*per]
-	}
-	return st, nil
+	return garble.Layer{Tables: payload[garble.LabelSize:end], Decode: payload[end:]}, nil
 }
 
 // evaluateLayer is the evaluator's online role: evaluate pre's stored units
 // of one ReLU layer on the a labels just obtained, as one batch under pre's
 // hash, returning the decoded output bits (the masked next-layer input),
-// width per unit. The pinned inputs' active labels are expanded from the
-// layer's seed and the decode bits unpacked here, so neither is held
-// between phases.
-func (p *party) evaluateLayer(pre *gcPre, layer int, aLabels []garble.Label) ([]bool, error) {
-	st := pre.stored[layer]
-	width := p.f.Bits()
-	circ := p.circuits[layer]
-	n, np, nOut, units := circ.NumInputs, len(p.pinned), len(circ.Outputs), len(st.tables)
-	// One scratch buffer: the pinned labels, then the decode bits one a byte.
-	scratch := make([]byte, units*np*garble.LabelSize+units*nOut)
-	pinned, decode := scratch[:units*np*garble.LabelSize], scratch[units*np*garble.LabelSize:]
-	garble.ExpandSeed(pinned, st.seed)
-	for i := range decode {
-		decode[i] = st.decode[i/8] >> (i % 8) & 1
+// width per unit. The a labels, width a unit, unit-major, are aLabels (from
+// the label OTs) or, when aLabels is nil, the bytes of aFrame (sent
+// direct, its length checked). The tables and decode bits are read where
+// the stored frame holds them; the pinned inputs' active labels are
+// expanded from its seed here, so they are not held between phases.
+func (p *party) evaluateLayer(pre *gcPre, layer int, aLabels []garble.Label, aFrame []byte) ([]bool, error) {
+	st, circ, units := pre.stored[layer], p.circuits[layer], p.meta.Dims[layer].Out
+	l, err := parseGCLayer(circ, units, st.frame)
+	if err != nil {
+		return nil, fmt.Errorf("delphi: eval layer %d: %w", layer, err)
 	}
+	width, n, np := p.f.Bits(), circ.NumInputs, len(p.pinned)
+	pinned := make([]byte, units*np*garble.LabelSize)
+	garble.ExpandSeed(pinned, [garble.LabelSize]byte(st.frame))
 	inputs := make([]garble.Label, units*n)
 	bases := make([]uint64, units)
 	for u := range bases {
@@ -421,10 +406,16 @@ func (p *party) evaluateLayer(pre *gcPre, layer int, aLabels []garble.Label) ([]
 		for k, w := range p.pinned {
 			in[w] = garble.Label(pinned[(u*np+k)*garble.LabelSize:])
 		}
-		copy(in[1:1+width], aLabels[u*width:(u+1)*width])
+		for k := 0; k < width; k++ {
+			if i := u*width + k; aLabels != nil {
+				in[1+k] = aLabels[i]
+			} else {
+				in[1+k] = garble.Label(aFrame[i*garble.LabelSize:])
+			}
+		}
 		bases[u] = gateBase(layer, u)
 	}
-	bits, err := garble.EvalBatch(pre.hash, circ, st.tables, decode, inputs, bases)
+	bits, err := garble.EvalBatch(pre.hash, circ, l, inputs, bases)
 	if err != nil {
 		return nil, fmt.Errorf("delphi: eval layer %d: %w", layer, err)
 	}

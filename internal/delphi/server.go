@@ -235,7 +235,7 @@ func (s *Server) RunOnline() (OnlineReport, error) {
 			if err != nil {
 				return rep, fmt.Errorf("delphi: label OT layer %d: %w", i, err)
 			}
-			if bits, err = s.evaluateLayer(&pre.gcPre, i, aLabels); err != nil {
+			if bits, err = s.evaluateLayer(&pre.gcPre, i, aLabels, nil); err != nil {
 				return rep, err
 			}
 		}

@@ -5,7 +5,6 @@ import (
 
 	"privinf/internal/bin"
 	"privinf/internal/boolcirc"
-	"privinf/internal/garble"
 )
 
 // Wire encodings for protocol messages: field vectors as 8-byte words,
@@ -32,30 +31,6 @@ func (p *party) recvVec(want int) ([]uint64, error) {
 		return nil, fmt.Errorf("delphi: vector payload %d bytes, want %d: %w", len(raw), 8*want, err)
 	}
 	return out, nil
-}
-
-// appendLabels appends the labels' bytes to dst.
-func appendLabels(dst []byte, ls []garble.Label) []byte {
-	for _, l := range ls {
-		dst = append(dst, l[:]...)
-	}
-	return dst
-}
-
-func decodeLabels(data []byte, want int) ([]garble.Label, error) {
-	if len(data) != garble.LabelSize*want {
-		return nil, fmt.Errorf("delphi: label payload %d bytes, want %d", len(data), garble.LabelSize*want)
-	}
-	return labelsOf(data), nil
-}
-
-// labelsOf copies the whole labels in data out of the wire buffer.
-func labelsOf(data []byte) []garble.Label {
-	out := make([]garble.Label, len(data)/garble.LabelSize)
-	for i := range out {
-		copy(out[i][:], data[i*garble.LabelSize:])
-	}
-	return out
 }
 
 func encodeBits(bits []bool) []byte {

@@ -44,7 +44,7 @@ func TestGarbleIntoMatchesGarble(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		circs = append(circs, randomCircuit(rng, 1+rng.Intn(8), 1+rng.Intn(50)))
 	}
-	g := NewGarbler()
+	g := new(Garbler)
 	dst := &Garbled{}
 	for i, c := range circs {
 		seed := int64(1000 + i)
@@ -207,8 +207,9 @@ func TestEvaluatorReuse(t *testing.T) {
 	small := randomCircuit(rng, 6, 40)
 	var ev Evaluator
 	for trial, c := range []*boolcirc.Circuit{big, small, big, small, big} {
-		base := uint64(trial) << 32
-		g := Garble(c, newSeeded(int64(61+trial)), base)
+		bases := []uint64{uint64(trial) << 32}
+		g := Garble(c, newSeeded(int64(61+trial)), bases[0])
+		l := flatLayer([]*Garbled{g})
 		inputs := make([]Label, c.NumInputs)
 		for i := range inputs {
 			inputs[i] = g.Encoding.EncodeInput(i, i == boolcirc.ConstOne || rng.Intn(2) == 1)
@@ -216,19 +217,19 @@ func TestEvaluatorReuse(t *testing.T) {
 		for i := range ev.wires {
 			ev.wires[i] = 0xFF
 		}
-		got, err := ev.Eval(c, g.Tables, g.DecodeBits, inputs, base)
+		got, err := ev.EvalBatch(c, l, inputs, bases)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := new(Evaluator).Eval(c, g.Tables, g.DecodeBits, inputs, base)
+		want, err := new(Evaluator).EvalBatch(c, l, inputs, bases)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: reused evaluator decoded %v, a fresh one %v", trial, got, want)
 		}
-		if n := testing.AllocsPerRun(5, func() { ev.Eval(c, g.Tables, g.DecodeBits, inputs, base) }); trial > 0 && n > 1 {
-			t.Fatalf("trial %d: warm Eval allocates %v times, want at most 1", trial, n)
+		if n := testing.AllocsPerRun(5, func() { ev.EvalBatch(c, l, inputs, bases) }); trial > 0 && n > 1 {
+			t.Fatalf("trial %d: warm EvalBatch allocates %v times, want at most 1", trial, n)
 		}
 	}
 }

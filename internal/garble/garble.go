@@ -12,9 +12,10 @@ import (
 	"privinf/internal/boolcirc"
 )
 
-// Garbled holds everything the garbler produces for one circuit instance.
-// The evaluator receives Tables and DecodeBits (via Garbled.Transferable);
-// Encoding stays with the garbler for input encoding and OT.
+// Garbled is one garbled circuit instance in per-unit form, the form
+// GarbleBatch and GarbleInto give: Tables and DecodeBits are what the
+// evaluator receives; Encoding stays with the garbler for input encoding
+// and OT.
 type Garbled struct {
 	// Tables holds two ciphertexts per AND gate, in gate order.
 	Tables []Label
@@ -36,15 +37,34 @@ type Encoding struct {
 
 // EncodeInput returns the active label for input wire i carrying bit v.
 func (e Encoding) EncodeInput(i int, v bool) Label {
+	l := e.Inputs[i]
 	if v {
-		return e.Inputs[i].xor(e.R)
+		load(&l).xor(load(&e.R)).store(&l)
 	}
-	return e.Inputs[i]
+	return l
+}
+
+// Layer is a batch of garbled units of one circuit, flat, as it travels:
+// Tables holds unit u's tables at u·TableBytes(c), and Decode the units'
+// decode bits, unit-major, packed eight a byte, least significant bit
+// first — output i of unit u is bit u·len(c.Outputs) + i. GarbleBatchFixed
+// writes a Layer and EvalBatch reads one; both take each slice at exactly
+// the size of their units, and neither keeps it.
+type Layer struct {
+	Tables, Decode []byte
+}
+
+// decodeBit returns unit u's decode bit for output i of c.
+func (l Layer) decodeBit(c *boolcirc.Circuit, u, i int) byte {
+	j := u*len(c.Outputs) + i
+	return l.Decode[j/8] >> (j % 8) & 1
 }
 
 // chunk is the number of units one pass over a gate list carries: enough for
 // the gate decode and the hash call to amortise, few enough that a ReLU's
-// slab (≈ 780 wires × 16 units × 16 bytes) stays in cache.
+// slab (≈ 780 wires × 16 units × 16 bytes) stays in cache. A multiple of 8,
+// so that each chunk's packed decode bits start on a byte of their own and
+// concurrent chunks never write one byte.
 const chunk = 16
 
 // workspace is the scratch of one pass: the hasher, the wire-major label slab
@@ -83,26 +103,16 @@ func grow[T any](s []T, n int) []T {
 // slot returns unit u's label in a slab row.
 func slot(row []byte, u int) *Label { return (*Label)(row[u*LabelSize:]) }
 
-// Garbler garbles circuits through reusable scratch (the workspace and a
-// bulk-entropy buffer), so repeated garbling allocates nothing beyond each
-// instance's retained outputs — and nothing at all via GarbleInto when the
-// destination is reused. The zero value is ready; a Garbler is not safe for
-// concurrent use, and GarbleBatch gives each worker its own.
+// Garbler garbles circuits through reusable scratch (the workspace, the pin
+// mask and a buffer for one unit's entropy and flat output), so repeated
+// garbling allocates nothing beyond each instance's retained outputs — and
+// nothing at all via GarbleInto when the destination is reused. The zero
+// value is ready; a Garbler is not safe for concurrent use, and GarbleBatch
+// gives each worker its own.
 type Garbler struct {
 	workspace
+	pin  []bool
 	rbuf []byte
-}
-
-// NewGarbler returns a Garbler.
-func NewGarbler() *Garbler { return new(Garbler) }
-
-// Garble garbles the circuit. src supplies label randomness (nil means
-// crypto/rand). gateIndexBase offsets the hash tweak so that multiple
-// circuit instances garbled under one session never reuse a tweak.
-func Garble(c *boolcirc.Circuit, src io.Reader, gateIndexBase uint64) *Garbled {
-	dst := &Garbled{}
-	NewGarbler().GarbleInto(dst, c, src, gateIndexBase)
-	return dst
 }
 
 // GarbleInto garbles c into dst, reusing dst's existing storage when its
@@ -111,9 +121,32 @@ func Garble(c *boolcirc.Circuit, src io.Reader, gateIndexBase uint64) *Garbled {
 // the entropy read is (1 + NumInputs)×16 bytes, R first, then one label per
 // input wire.
 func (g *Garbler) GarbleInto(dst *Garbled, c *boolcirc.Circuit, src io.Reader, gateIndexBase uint64) {
-	g.rbuf = grow(g.rbuf, (1+c.NumInputs)*LabelSize)
-	readEntropy(src, g.rbuf)
-	g.garbleCore([]*Garbled{dst}, c, g.rbuf, []uint64{gateIndexBase}, Fixed{})
+	per, tb := (1+c.NumInputs)*LabelSize, TableBytes(c)
+	g.rbuf = grow(g.rbuf, per+tb+(len(c.Outputs)+7)/8)
+	readEntropy(src, g.rbuf[:per])
+	l := Layer{Tables: g.rbuf[per : per+tb], Decode: g.rbuf[per+tb:]}
+	g.garbleCore(l, c, g.rbuf[:per], []uint64{gateIndexBase}, Fixed{}, 0, 1)
+	dst.set(c, l, 0, g.rbuf[:per])
+}
+
+// set makes g unit u of l, a unit garbled on entropy rnd with nothing
+// fixed: R's bytes, then every input's false label.
+func (g *Garbled) set(c *boolcirc.Circuit, l Layer, u int, rnd []byte) {
+	tb := TableBytes(c)
+	g.Tables = grow(g.Tables, tb/LabelSize)
+	for t := range g.Tables {
+		g.Tables[t] = Label(l.Tables[u*tb+t*LabelSize:])
+	}
+	g.DecodeBits = grow(g.DecodeBits, len(c.Outputs))
+	for i := range g.DecodeBits {
+		g.DecodeBits[i] = l.decodeBit(c, u, i)
+	}
+	g.Encoding.Inputs = grow(g.Encoding.Inputs, c.NumInputs)
+	for w := range g.Encoding.Inputs {
+		g.Encoding.Inputs[w] = Label(rnd[(1+w)*LabelSize:])
+	}
+	g.Encoding.R = Label(rnd)
+	g.Encoding.R[0] |= 1
 }
 
 func readEntropy(src io.Reader, buf []byte) {
@@ -134,9 +167,9 @@ func readEntropy(src io.Reader, buf []byte) {
 // ExpandSeed) needs nothing shipped for those inputs. A non-nil R is every
 // unit's free-XOR offset, its colour bit set, and a keyed Hash (see
 // KeyedHasher) replaces the fixed-key hash: delphi gives the OT
-// extension's s and a key of the pre-compute's own. Each unit still reads
-// its full entropy slot and leaves the given parts unused, so the other
-// inputs' labels are those GarbleBatch draws from the same stream.
+// extension's s and a key of the pre-compute's own. A unit reads from the
+// entropy source only what it is not given (see GarbleBatchFixed): a unit
+// whose R and inputs are all given reads nothing.
 type Fixed struct {
 	Wires  []int
 	Values []bool
@@ -145,44 +178,43 @@ type Fixed struct {
 	Hash   Hasher
 }
 
-// chunkOf returns the part of f for units [lo, hi).
-func (f Fixed) chunkOf(lo, hi int) Fixed {
-	n := len(f.Wires)
-	return Fixed{Wires: f.Wires, Values: f.Values[lo*n : hi*n], Active: f.Active[lo*n*LabelSize : hi*n*LabelSize], R: f.R}
-}
-
-// garbleCore runs the half-gates pass over c for one chunk of units at once:
-// unit u has tweak base bases[u], randomness rnd[u·per:(u+1)·per] (R's bytes
-// followed by the input labels' bytes), the pinned inputs of fix's unit u and
-// output dsts[u].
-func (g *Garbler) garbleCore(dsts []*Garbled, c *boolcirc.Circuit, rnd []byte, bases []uint64, fix Fixed) {
-	k := len(dsts)
+// garbleCore runs the half-gates pass over c for units [lo, hi) of a batch
+// at once: unit u has tweak base bases[u], randomness rnd[u·per:(u+1)·per]
+// (what GarbleBatchFixed draws), the pinned inputs of fix's unit u, and
+// output unit u of dst. Every slice is the whole batch's.
+func (g *Garbler) garbleCore(dst Layer, c *boolcirc.Circuit, rnd []byte, bases []uint64, fix Fixed, lo, hi int) {
+	k := hi - lo
 	row := g.prepare(c, k, 4)
 	wires, stage, tweaks := g.wires, g.stage, g.tweaks
-	per := (1 + c.NumInputs) * LabelSize
-	nand, nfix := c.NumAND(), len(fix.Wires)
+	per, nfix, tb := len(rnd)/len(bases), len(fix.Wires), TableBytes(c)
+	g.pin = grow(g.pin, c.NumInputs)
+	clear(g.pin)
+	for _, w := range fix.Wires {
+		g.pin[w] = true
+	}
 
 	var rs [chunk]words
-	for u, dst := range dsts {
-		in := rnd[u*per : (u+1)*per]
+	for u := 0; u < k; u++ {
+		in, j := rnd[(lo+u)*per:(lo+u+1)*per], lo+u
 		// Global offset with color bit forced to 1 (point-and-permute).
-		r := (*Label)(in)
 		if fix.R != nil {
-			r = fix.R
+			rs[u] = load(fix.R)
+		} else {
+			rs[u], in = load((*Label)(in)), in[LabelSize:]
 		}
-		rs[u] = load(r)
 		rs[u].lo |= 1
 		for w := 0; w < c.NumInputs; w++ {
-			copy(wires[w*row+u*LabelSize:], in[(1+w)*LabelSize:(2+w)*LabelSize])
+			if !g.pin[w] {
+				*slot(wires[w*row:], u), in = Label(in), in[LabelSize:]
+			}
 		}
 		for i, w := range fix.Wires {
-			l := load((*Label)(fix.Active[(u*nfix+i)*LabelSize:]))
-			if fix.Values[u*nfix+i] {
+			l := load((*Label)(fix.Active[(j*nfix+i)*LabelSize:]))
+			if fix.Values[j*nfix+i] {
 				l = l.xor(rs[u])
 			}
 			l.store(slot(wires[w*row:], u))
 		}
-		dst.Tables = grow(dst.Tables, 2*nand)
 	}
 
 	t := 0 // table index of the next AND gate, and its tweak offset
@@ -202,11 +234,12 @@ func (g *Garbler) garbleCore(dsts []*Garbled, c *boolcirc.Circuit, rnd []byte, b
 				a0.xor(rs[u]).store(&stage[4*u+1])
 				b0.store(&stage[4*u+2])
 				b0.xor(rs[u]).store(&stage[4*u+3])
-				j0 := bases[u] + uint64(t)
+				j0 := bases[lo+u] + uint64(t)
 				tweaks[4*u], tweaks[4*u+1], tweaks[4*u+2], tweaks[4*u+3] = j0, j0, j0+1, j0+1
 			}
 			g.h.HashBatch(stage, stage, tweaks)
-			for u, dst := range dsts {
+			o := lo*tb + t*LabelSize // unit u's entry t lies at o + u·tb
+			for u := 0; u < k; u, o = u+1, o+tb {
 				a0, b0 := load(slot(a, u)), load(slot(b, u))
 				pa, pb := a0.colorMask(), b0.colorMask()
 				ha0, ha1 := load(&stage[4*u]), load(&stage[4*u+1])
@@ -219,8 +252,9 @@ func (g *Garbler) garbleCore(dsts []*Garbled, c *boolcirc.Circuit, rnd []byte, b
 				// H(b0), or H(b1) when b0's color is set.
 				te := hb0.xor(hb1).xor(a0)
 				we := hb0.xor(hb0.xor(hb1).and(pb))
-				tg.store(&dst.Tables[t])
-				te.store(&dst.Tables[t+1])
+				tab := dst.Tables[o : o+2*LabelSize : o+2*LabelSize]
+				tg.store((*Label)(tab))
+				te.store((*Label)(tab[LabelSize:]))
 				wg.xor(we).store(slot(out, u))
 			}
 			t += 2
@@ -229,18 +263,15 @@ func (g *Garbler) garbleCore(dsts []*Garbled, c *boolcirc.Circuit, rnd []byte, b
 		}
 	}
 
-	// dst owns its decode bits and encoding; the slab is scratch the next
-	// chunk overwrites.
-	for u, dst := range dsts {
-		dst.DecodeBits = grow(dst.DecodeBits, len(c.Outputs))
+	// The chunk's decode bits fill bytes of their own (see chunk); the slab
+	// is scratch the next chunk overwrites.
+	nOut := len(c.Outputs)
+	clear(dst.Decode[lo*nOut/8 : (hi*nOut+7)/8])
+	for u := 0; u < k; u++ {
 		for i, w := range c.Outputs {
-			dst.DecodeBits[i] = wires[w*row+u*LabelSize] & 1
+			j := (lo+u)*nOut + i
+			dst.Decode[j/8] |= wires[w*row+u*LabelSize] & 1 << (j % 8)
 		}
-		dst.Encoding.Inputs = grow(dst.Encoding.Inputs, c.NumInputs)
-		for w := range dst.Encoding.Inputs {
-			dst.Encoding.Inputs[w] = *slot(wires[w*row:], u)
-		}
-		rs[u].store(&dst.Encoding.R)
 	}
 }
 
@@ -248,62 +279,62 @@ func (g *Garbler) garbleCore(dsts []*Garbled, c *boolcirc.Circuit, rnd []byte, b
 // the instance entropy is drawn from src with one bulk read (in the exact
 // order sequential Garble calls would consume it, so outputs are
 // bit-identical to garbling each instance in turn on the same stream), and
-// the instances are garbled a chunk at a time, the chunks fanned out across a
-// worker pool with one Garbler per worker. bases[i] is instance i's
-// gateIndexBase. Per-instance outputs are independently allocated so callers
-// can retain or release them individually.
+// the instances are garbled as GarbleBatchFixed garbles them, then copied
+// out one by one. bases[i] is instance i's gateIndexBase. Per-instance
+// outputs are independently allocated so callers can retain or release
+// them individually.
 func GarbleBatch(c *boolcirc.Circuit, src io.Reader, bases []uint64) []*Garbled {
-	return GarbleBatchFixed(c, src, bases, Fixed{})
+	n, per := len(bases), (1+c.NumInputs)*LabelSize
+	l := Layer{Tables: make([]byte, n*TableBytes(c)), Decode: make([]byte, (n*len(c.Outputs)+7)/8)}
+	rnd := GarbleBatchFixed(c, src, bases, Fixed{}, l)
+	out := make([]*Garbled, n)
+	for u := range out {
+		out[u] = new(Garbled)
+		out[u].set(c, l, u, rnd[u*per:(u+1)*per])
+	}
+	return out
 }
 
-// GarbleBatchFixed is GarbleBatch with what fix gives in place of what it
-// would draw, in every instance; fix.Wires must be circuit inputs.
-func GarbleBatchFixed(c *boolcirc.Circuit, src io.Reader, bases []uint64, fix Fixed) []*Garbled {
-	n := len(bases)
-	out := make([]*Garbled, n)
-	if n == 0 {
-		return out
+// GarbleBatchFixed garbles len(bases) units of c into dst, unit u under
+// tweak base bases[u], with what fix gives in place of what it would draw;
+// fix.Wires must be distinct circuit inputs, and dst's slices exactly the
+// size of len(bases) units. The units' entropy is one bulk read from src
+// (nil means crypto/rand), unit-major, and a unit reads only what fix does
+// not give: R's 16 bytes unless fix.R is set, then, in wire order, the
+// false label of every input fix does not pin. With nothing given that is
+// GarbleInto's read. It returns what it read, so a caller that keeps the
+// unpinned inputs' false labels takes them from there; the tables and
+// decode bits go to dst and nowhere else. The units are garbled a chunk at
+// a time, the chunks fanned out across a worker pool with one Garbler per
+// worker.
+func GarbleBatchFixed(c *boolcirc.Circuit, src io.Reader, bases []uint64, fix Fixed, dst Layer) []byte {
+	n, per := len(bases), c.NumInputs-len(fix.Wires)
+	if fix.R == nil {
+		per++
 	}
-	per := (1 + c.NumInputs) * LabelSize
-	buf := make([]byte, n*per)
-	readEntropy(src, buf)
-
+	rnd := make([]byte, n*per*LabelSize)
+	readEntropy(src, rnd)
 	chunks := (n + chunk - 1) / chunk
-	newGarbler := func() *Garbler { return &Garbler{workspace: workspace{h: fix.Hash}} }
-	run := func(g *Garbler, i int) {
-		lo, hi := i*chunk, min((i+1)*chunk, n)
-		for u := lo; u < hi; u++ {
-			out[u] = &Garbled{}
-		}
-		g.garbleCore(out[lo:hi], c, buf[lo*per:hi*per], bases[lo:hi], fix.chunkOf(lo, hi))
-	}
 	workers := min(runtime.GOMAXPROCS(0), chunks)
-	if workers <= 1 {
-		g := newGarbler()
-		for i := 0; i < chunks; i++ {
-			run(g, i)
-		}
-		return out
-	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			g := newGarbler()
+			g := &Garbler{workspace: workspace{h: fix.Hash}}
 			for i := int(next.Add(1)) - 1; i < chunks; i = int(next.Add(1)) - 1 {
-				run(g, i)
+				g.garbleCore(dst, c, rnd, bases, fix, i*chunk, min((i+1)*chunk, n))
 			}
 		}()
 	}
 	wg.Wait()
-	return out
+	return rnd
 }
 
 // Evaluator evaluates garbled circuits through a reusable workspace that
-// grows to the largest chunk seen, so a warm Eval or EvalBatch allocates only
-// the bits it returns. The zero value is ready; an Evaluator is not safe for
+// grows to the largest chunk seen, so a warm EvalBatch allocates only the
+// bits it returns. The zero value is ready; an Evaluator is not safe for
 // concurrent use.
 type Evaluator struct {
 	workspace
@@ -317,67 +348,61 @@ var evaluators = sync.Pool{New: func() any { return new(Evaluator) }}
 // fixedHash is the fixed-key hash the pooled Eval hands its Evaluator.
 var fixedHash = NewHasher()
 
-// Eval evaluates one garbled circuit under the fixed-key hash on a pooled
-// Evaluator.
+// Eval evaluates one garbled circuit under the fixed-key hash, given active
+// labels for every input, the constant-one wire's included, and the tables
+// and decode bits (one a byte) in per-unit form. It returns the decoded
+// output bits. It is EvalBatch on one unit, laid out flat first.
 func Eval(c *boolcirc.Circuit, tables []Label, decode []byte, inputs []Label, gateIndexBase uint64) ([]bool, error) {
-	return EvalBatch(fixedHash, c, [][]Label{tables}, decode, inputs, []uint64{gateIndexBase})
+	if len(decode) != len(c.Outputs) {
+		return nil, fmt.Errorf("garble: got %d decode bits, want %d", len(decode), len(c.Outputs))
+	}
+	l := Layer{Tables: make([]byte, 0, len(tables)*LabelSize), Decode: make([]byte, (len(decode)+7)/8)}
+	for _, t := range tables {
+		l.Tables = append(l.Tables, t[:]...)
+	}
+	for i, d := range decode {
+		l.Decode[i/8] |= d & 1 << (i % 8)
+	}
+	return EvalBatch(fixedHash, c, l, inputs, []uint64{gateIndexBase})
 }
 
 // EvalBatch evaluates a batch of garbled units under the hash h, the one
 // they were garbled under, on a pooled Evaluator.
-func EvalBatch(h Hasher, c *boolcirc.Circuit, tables [][]Label, decode []byte, inputs []Label, bases []uint64) ([]bool, error) {
+func EvalBatch(h Hasher, c *boolcirc.Circuit, l Layer, inputs []Label, bases []uint64) ([]bool, error) {
 	e := evaluators.Get().(*Evaluator)
 	defer evaluators.Put(e)
 	e.h = h
-	return e.EvalBatch(c, tables, decode, inputs, bases)
+	return e.EvalBatch(c, l, inputs, bases)
 }
 
-// Eval evaluates the garbled circuit given active labels for every input,
-// the constant-one wire's included. It returns the decoded output bits. It
-// is EvalBatch on one unit.
-func (e *Evaluator) Eval(c *boolcirc.Circuit, tables []Label, decode []byte, inputs []Label, gateIndexBase uint64) ([]bool, error) {
-	return e.EvalBatch(c, [][]Label{tables}, decode, inputs, []uint64{gateIndexBase})
-}
-
-// EvalBatch evaluates len(bases) garbled instances of c: unit u has tables
-// tables[u], decode bits decode[u·nOut:(u+1)·nOut] (one byte a bit, nOut =
-// len(c.Outputs)), tweak base bases[u] and active input labels
-// inputs[u·NumInputs:(u+1)·NumInputs]. It returns the decoded output bits
-// unit-major, nOut per unit. Every unit is checked before any is
-// evaluated, and an error names the first malformed one.
-func (e *Evaluator) EvalBatch(c *boolcirc.Circuit, tables [][]Label, decode []byte, inputs []Label, bases []uint64) ([]bool, error) {
-	n, nOut := len(bases), len(c.Outputs)
-	if len(tables) != n {
-		return nil, fmt.Errorf("garble: %d units but %d tables", n, len(tables))
-	}
-	if len(decode) != n*nOut {
-		return nil, fmt.Errorf("garble: got %d decode bits for %d units, want %d", len(decode), n, n*nOut)
-	}
-	if len(inputs) != n*c.NumInputs {
-		return nil, fmt.Errorf("garble: got %d input labels for %d units, want %d", len(inputs), n, n*c.NumInputs)
-	}
-	nand := c.NumAND()
-	for u := 0; u < n; u++ {
-		if len(tables[u]) != 2*nand {
-			return nil, fmt.Errorf("garble: unit %d: got %d table entries, want %d", u, len(tables[u]), 2*nand)
-		}
+// EvalBatch evaluates len(bases) garbled units of c, laid out in l: unit u
+// has tweak base bases[u] and active input labels
+// inputs[u·NumInputs:(u+1)·NumInputs]. It reads the tables where l holds
+// them and copies none. It returns the decoded output bits unit-major,
+// len(c.Outputs) per unit. The batch's sizes are checked before any unit
+// is evaluated.
+func (e *Evaluator) EvalBatch(c *boolcirc.Circuit, l Layer, inputs []Label, bases []uint64) ([]bool, error) {
+	n, nOut, tb := len(bases), len(c.Outputs), TableBytes(c)
+	if len(l.Tables) != n*tb || len(l.Decode) != (n*nOut+7)/8 || len(inputs) != n*c.NumInputs {
+		return nil, fmt.Errorf("garble: %d units take %d table bytes, %d decode bytes and %d input labels; got %d, %d and %d",
+			n, n*tb, (n*nOut+7)/8, n*c.NumInputs, len(l.Tables), len(l.Decode), len(inputs))
 	}
 	out := make([]bool, n*nOut)
 	for lo := 0; lo < n; lo += chunk {
-		hi := min(lo+chunk, n)
-		e.evalCore(out[lo*nOut:hi*nOut], c, tables[lo:hi], decode[lo*nOut:hi*nOut], inputs[lo*c.NumInputs:hi*c.NumInputs], bases[lo:hi])
+		e.evalCore(out, c, l, inputs, bases, lo, min(lo+chunk, n))
 	}
 	return out, nil
 }
 
-// evalCore evaluates one chunk of already validated units into bits.
-func (e *Evaluator) evalCore(bits []bool, c *boolcirc.Circuit, tables [][]Label, decode []byte, inputs []Label, bases []uint64) {
-	k := len(bases)
+// evalCore evaluates units [lo, hi) of an already validated batch into
+// bits; every slice is the whole batch's.
+func (e *Evaluator) evalCore(bits []bool, c *boolcirc.Circuit, l Layer, inputs []Label, bases []uint64, lo, hi int) {
+	k, tb := hi-lo, TableBytes(c)
 	row := e.prepare(c, k, 2)
 	wires, stage, tweaks := e.wires, e.stage, e.tweaks
 	for u := 0; u < k; u++ {
-		for w, l := range inputs[u*c.NumInputs : (u+1)*c.NumInputs] {
-			*slot(wires[w*row:], u) = l
+		for w, in := range inputs[(lo+u)*c.NumInputs : (lo+u+1)*c.NumInputs] {
+			*slot(wires[w*row:], u) = in
 		}
 	}
 
@@ -393,13 +418,15 @@ func (e *Evaluator) evalCore(bits []bool, c *boolcirc.Circuit, tables [][]Label,
 			for u := 0; u < k; u++ {
 				load(slot(a, u)).store(&stage[2*u])
 				load(slot(b, u)).store(&stage[2*u+1])
-				j0 := bases[u] + uint64(t)
+				j0 := bases[lo+u] + uint64(t)
 				tweaks[2*u], tweaks[2*u+1] = j0, j0+1
 			}
 			e.h.HashBatch(stage, stage, tweaks)
-			for u := 0; u < k; u++ {
+			o := lo*tb + t*LabelSize // unit u's entry t lies at o + u·tb
+			for u := 0; u < k; u, o = u+1, o+tb {
 				la, lb := load(slot(a, u)), load(slot(b, u))
-				tg, te := load(&tables[u][t]), load(&tables[u][t+1])
+				tab := l.Tables[o : o+2*LabelSize : o+2*LabelSize]
+				tg, te := load((*Label)(tab)), load((*Label)(tab[LabelSize:]))
 				wg := load(&stage[2*u]).xor(tg.and(la.colorMask()))
 				we := load(&stage[2*u+1]).xor(te.xor(la).and(lb.colorMask()))
 				wg.xor(we).store(slot(out, u))
@@ -408,10 +435,9 @@ func (e *Evaluator) evalCore(bits []bool, c *boolcirc.Circuit, tables [][]Label,
 		}
 	}
 
-	nOut := len(c.Outputs)
 	for u := 0; u < k; u++ {
 		for i, w := range c.Outputs {
-			bits[u*nOut+i] = wires[w*row+u*LabelSize]&1^decode[u*nOut+i] == 1
+			bits[(lo+u)*len(c.Outputs)+i] = wires[w*row+u*LabelSize]&1^l.decodeBit(c, lo+u, i) == 1
 		}
 	}
 }

@@ -2,6 +2,7 @@ package garble
 
 import (
 	"encoding/binary"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -22,6 +23,14 @@ func (s *seededReader) Read(p []byte) (int, error) {
 		p[i] = byte(s.rng.Intn(256))
 	}
 	return len(p), nil
+}
+
+// Garble garbles one instance of c on a fresh Garbler: GarbleInto's
+// per-unit form, which the tests below take as their garbling.
+func Garble(c *boolcirc.Circuit, src io.Reader, gateIndexBase uint64) *Garbled {
+	dst := &Garbled{}
+	new(Garbler).GarbleInto(dst, c, src, gateIndexBase)
+	return dst
 }
 
 // garbleAndEval garbles c, encodes the given user inputs directly (as if
@@ -169,40 +178,40 @@ func TestEvalInputValidation(t *testing.T) {
 		}
 	}
 
-	// EvalBatch checks every unit before it evaluates any — a fresh
-	// Evaluator still has no slab afterwards — and names the bad unit.
-	cases := map[string]func(tables [][]Label, decode []byte) ([][]Label, []byte, []Label, string){
-		"short decode": func(tb [][]Label, d []byte) ([][]Label, []byte, []Label, string) {
-			return tb, d[:len(d)-1], inputs, "decode bits"
+	// EvalBatch checks the batch's sizes before it evaluates any unit — a
+	// fresh Evaluator still has no slab afterwards.
+	cases := map[string]func(l Layer) (Layer, []Label, []uint64){
+		"short decode": func(l Layer) (Layer, []Label, []uint64) {
+			l.Decode = l.Decode[:len(l.Decode)-1]
+			return l, inputs, bases
 		},
-		"long tables": func(tb [][]Label, d []byte) ([][]Label, []byte, []Label, string) {
-			tb[2] = append(tb[2][:len(tb[2]):len(tb[2])], Label{})
-			return tb, d, inputs, "unit 2"
+		"long tables": func(l Layer) (Layer, []Label, []uint64) {
+			l.Tables = append(l.Tables, make([]byte, LabelSize)...)
+			return l, inputs, bases
 		},
-		"missing tables": func(tb [][]Label, d []byte) ([][]Label, []byte, []Label, string) {
-			tb[1] = nil
-			return tb, d, inputs, "unit 1"
+		"missing tables": func(l Layer) (Layer, []Label, []uint64) {
+			l.Tables = l.Tables[:len(l.Tables)-TableBytes(relu)]
+			return l, inputs, bases
 		},
-		"short inputs": func(tb [][]Label, d []byte) ([][]Label, []byte, []Label, string) {
-			return tb, d, inputs[:len(inputs)-1], "input labels"
+		"short inputs": func(l Layer) (Layer, []Label, []uint64) {
+			return l, inputs[:len(inputs)-1], bases
 		},
-		"one unit short": func(tb [][]Label, d []byte) ([][]Label, []byte, []Label, string) {
-			return tb[:3], d, inputs, "units"
+		"one unit short": func(l Layer) (Layer, []Label, []uint64) {
+			return l, inputs, bases[:3]
 		},
 	}
 	for name, damage := range cases {
-		tables, decode, in, want := damage(unitTables(gs))
+		l, in, bs := damage(flatLayer(gs))
 		var ev Evaluator
-		_, err := ev.EvalBatch(relu, tables, decode, in, bases)
-		if err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("%s: error %v, want one naming %q", name, err, want)
+		_, err := ev.EvalBatch(relu, l, in, bs)
+		if err == nil || !strings.Contains(err.Error(), "units take") {
+			t.Fatalf("%s: error %v, want one naming the batch's sizes", name, err)
 		}
 		if ev.wires != nil {
 			t.Fatalf("%s: evaluation started before the batch was validated", name)
 		}
 	}
-	tables, decode := unitTables(gs)
-	if _, err := new(Evaluator).EvalBatch(relu, tables, decode, inputs, bases); err != nil {
+	if _, err := new(Evaluator).EvalBatch(relu, flatLayer(gs), inputs, bases); err != nil {
 		t.Fatalf("undamaged batch: %v", err)
 	}
 }
@@ -281,7 +290,7 @@ func BenchmarkGarbleReLU(b *testing.B) {
 	spec := boolcirc.ReLUSpec{P: field.P20, Frac: 6}
 	c := boolcirc.BuildReLU(spec)
 	src := newSeeded(12)
-	g := NewGarbler()
+	g := new(Garbler)
 	dst := &Garbled{}
 	g.GarbleInto(dst, c, src, 0) // warm dst capacity
 	b.ReportAllocs()

@@ -18,6 +18,15 @@
 // hashes them with one Hasher.HashBatch call. Tweaks, entropy order and
 // therefore tables, decode bits and encodings are those of garbling the units
 // one at a time.
+//
+// The cores take and give a layer flat, in the bytes it travels in (Layer):
+// the garbler writes every unit's tables and its packed decode bits where
+// the caller points it, a frame it is about to send, and the evaluator reads
+// them where they lie, the frame it received, through (*Label)(b[i:]) views.
+// Neither copies a table. Each unit reads only the entropy it uses: a label
+// for each input the caller does not pin (Fixed), and R unless given, so a
+// garbler that is given everything reads nothing. GarbleBatch, GarbleInto
+// and Eval keep the per-unit form (Garbled) on top of the flat cores.
 package garble
 
 import (
@@ -33,16 +42,6 @@ const LabelSize = 16
 // Label is a 128-bit wire label. The least-significant bit of byte 0 is the
 // point-and-permute color bit.
 type Label [LabelSize]byte
-
-// xor returns a ⊕ b.
-func (a Label) xor(b Label) Label {
-	var out Label
-	load(&a).xor(load(&b)).store(&out)
-	return out
-}
-
-// color returns the point-and-permute bit.
-func (a Label) color() byte { return a[0] & 1 }
 
 // words is a label as two little-endian 64-bit words; lo holds bytes 0–7 and
 // so the color bit. The cores and the hash compute on words, read from and

@@ -2,6 +2,7 @@ package garble
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -44,12 +45,41 @@ func activeInputs(rng *rand.Rand, c *boolcirc.Circuit, gs []*Garbled) ([][]bool,
 	return bits, flat
 }
 
-// unitTables splits garbled units into the per-unit tables and the
-// unit-major decode bits EvalBatch takes.
-func unitTables(gs []*Garbled) ([][]Label, []byte) {
-	tables, decode := make([][]Label, len(gs)), []byte{}
-	for u, g := range gs {
-		tables[u], decode = g.Tables, append(decode, g.DecodeBits...)
+// flatLayer lays garbled units out as the Layer EvalBatch takes: tables
+// back to back, decode bits packed eight a byte.
+func flatLayer(gs []*Garbled) Layer {
+	var l Layer
+	var bits []byte
+	for _, g := range gs {
+		for _, t := range g.Tables {
+			l.Tables = append(l.Tables, t[:]...)
+		}
+		bits = append(bits, g.DecodeBits...)
+	}
+	l.Decode = make([]byte, (len(bits)+7)/8)
+	for i, b := range bits {
+		l.Decode[i/8] |= b << (i % 8)
+	}
+	return l
+}
+
+// newLayer returns a zeroed Layer for n units of c.
+func newLayer(c *boolcirc.Circuit, n int) Layer {
+	return Layer{Tables: make([]byte, n*TableBytes(c)), Decode: make([]byte, (n*len(c.Outputs)+7)/8)}
+}
+
+// unitOf reads unit u of l back into per-unit tables and decode bits, one a
+// byte.
+func unitOf(c *boolcirc.Circuit, l Layer, u int) ([]Label, []byte) {
+	tb, nOut := TableBytes(c), len(c.Outputs)
+	tables := make([]Label, tb/LabelSize)
+	for t := range tables {
+		tables[t] = Label(l.Tables[u*tb+t*LabelSize:])
+	}
+	decode := make([]byte, nOut)
+	for i := range decode {
+		j := u*nOut + i
+		decode[i] = l.Decode[j/8] >> (j % 8) & 1
 	}
 	return tables, decode
 }
@@ -78,7 +108,7 @@ func TestCoresMatchOracle(t *testing.T) {
 			newSeeded(int64(ci*100 + n)).Read(rnd)
 
 			got := GarbleBatch(c, newSeeded(int64(ci*100+n)), bases)
-			g := NewGarbler()
+			g := new(Garbler)
 			into := &Garbled{}
 			for u := range bases {
 				want := oracleGarble(c, rnd[u*per:(u+1)*per], bases[u])
@@ -92,9 +122,8 @@ func TestCoresMatchOracle(t *testing.T) {
 			}
 
 			bits, flat := activeInputs(rng, c, got)
-			tables, decode := unitTables(got)
 			var ev Evaluator
-			out, err := ev.EvalBatch(c, tables, decode, flat, bases)
+			out, err := ev.EvalBatch(c, flatLayer(got), flat, bases)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,7 +132,7 @@ func TestCoresMatchOracle(t *testing.T) {
 				t.Fatalf("circuit %d n=%d: %d output bits, want %d", ci, n, len(out), n*nOut)
 			}
 			for u := range got {
-				want := oracleEval(c, tables[u], decode[u*nOut:(u+1)*nOut], flat[u*c.NumInputs:(u+1)*c.NumInputs], bases[u])
+				want := oracleEval(c, got[u].Tables, got[u].DecodeBits, flat[u*c.NumInputs:(u+1)*c.NumInputs], bases[u])
 				if !reflect.DeepEqual(out[u*nOut:(u+1)*nOut], want) {
 					t.Fatalf("circuit %d n=%d: EvalBatch unit %d decodes %v, the reference %v", ci, n, u, out[u*nOut:(u+1)*nOut], want)
 				}
@@ -164,9 +193,9 @@ func TestEvalBatchAllocs(t *testing.T) {
 		bases := unitBases(0, n)
 		gs := GarbleBatch(c, newSeeded(int64(n)), bases)
 		_, flat := activeInputs(rng, c, gs)
-		tables, decode := unitTables(gs)
+		l := flatLayer(gs)
 		counts = append(counts, testing.AllocsPerRun(5, func() {
-			if _, err := ev.EvalBatch(c, tables, decode, flat, bases); err != nil {
+			if _, err := ev.EvalBatch(c, l, flat, bases); err != nil {
 				t.Fatal(err)
 			}
 		}))
@@ -182,7 +211,7 @@ func TestEvalBatchAllocs(t *testing.T) {
 // destination reused, allocates nothing.
 func TestGarbleIntoAllocs(t *testing.T) {
 	c := boolcirc.BuildReLU(boolcirc.ReLUSpec{P: field.P20, Frac: 6})
-	g, dst := NewGarbler(), &Garbled{}
+	g, dst := new(Garbler), &Garbled{}
 	src := NewPRG([LabelSize]byte{1})
 	g.GarbleInto(dst, c, src, 0)
 	if n := testing.AllocsPerRun(5, func() { g.GarbleInto(dst, c, src, 0) }); n != 0 {
@@ -207,12 +236,12 @@ func BenchmarkEvalLayer(b *testing.B) {
 	bases := unitBases(0, n)
 	gs := GarbleBatch(c, NewPRG([LabelSize]byte{2}), bases)
 	_, flat := activeInputs(rand.New(rand.NewSource(74)), c, gs)
-	tables, decode := unitTables(gs)
+	l := flatLayer(gs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var ev Evaluator // one per layer, as delphi holds it
-		if _, err := ev.EvalBatch(c, tables, decode, flat, bases); err != nil {
+		if _, err := ev.EvalBatch(c, l, flat, bases); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -235,65 +264,129 @@ func pinnedFix(rng *rand.Rand, c *boolcirc.Circuit, n int, seed [LabelSize]byte)
 	return fix
 }
 
-// TestPinnedInputsMatchOracle: GarbleBatchFixed equals the per-unit
-// reference garbler run on the unit's entropy with each pinned input's
-// label slot replaced by active ⊕ value·R, so R and every other input's
-// label are what GarbleBatch draws; each pinned input encodes its value to
-// exactly its given active label; and EvalBatch on the pinned labels plus
-// random other inputs decodes what the reference evaluator and the plain
-// circuit do.
+// TestPinnedInputsMatchOracle: GarbleBatchFixed reads a unit's R and then,
+// in wire order, a label for each input it does not pin, and returns what it
+// read; its tables and decode bits equal the per-unit reference garbler's
+// on the slot that layout implies — R, then every input's false label, a
+// pinned input's being its active label ⊕ value·R and the others' the
+// unit's next entropy label — and EvalBatch on the pinned inputs' given
+// active labels plus random other inputs decodes what the reference
+// evaluator and the plain circuit do.
 func TestPinnedInputsMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	for ci, c := range oracleCircuits() {
-		per := (1 + c.NumInputs) * LabelSize
 		for _, n := range unitCounts {
 			bases := unitBases(ci, n)
-			rnd := make([]byte, n*per)
-			newSeeded(int64(ci*100 + n)).Read(rnd)
 			fix := pinnedFix(rng, c, n, [LabelSize]byte{byte(ci), byte(n)})
 			nf := len(fix.Wires)
+			pinned := map[int]int{}
+			for k, w := range fix.Wires {
+				pinned[w] = k
+			}
+			per := (1 + c.NumInputs - nf) * LabelSize
+			rnd := make([]byte, n*per)
+			newSeeded(int64(ci*100 + n)).Read(rnd)
 
-			got := GarbleBatchFixed(c, newSeeded(int64(ci*100+n)), bases, fix)
+			l := newLayer(c, n)
+			if read := GarbleBatchFixed(c, newSeeded(int64(ci*100+n)), bases, fix, l); !bytes.Equal(read, rnd) {
+				t.Fatalf("circuit %d n=%d: read %d entropy bytes, want the %d of R and the unpinned labels", ci, n, len(read), len(rnd))
+			}
 			bits := make([][]bool, n)
 			flat := make([]Label, 0, n*c.NumInputs)
 			for u := range bases {
-				unit := append([]byte(nil), rnd[u*per:(u+1)*per]...)
+				src := rnd[u*per : (u+1)*per]
+				r := Label(src)
+				r[0] |= 1
+				unit, next := append([]byte(nil), src[:LabelSize]...), src[LabelSize:]
 				bits[u] = make([]bool, c.NumInputs)
 				for w := range bits[u] {
-					bits[u][w] = rng.Intn(2) == 1
-				}
-				for k, w := range fix.Wires {
-					active := Label(fix.Active[(u*nf+k)*LabelSize:])
-					zero := active
-					if bits[u][w] = fix.Values[u*nf+k]; bits[u][w] {
-						zero = zero.xor(got[u].Encoding.R)
+					var zero, active Label
+					if k, ok := pinned[w]; ok {
+						active, bits[u][w] = Label(fix.Active[(u*nf+k)*LabelSize:]), fix.Values[u*nf+k]
+						if zero = active; bits[u][w] {
+							zero = zero.xor(r)
+						}
+					} else {
+						zero, next, bits[u][w] = Label(next), next[LabelSize:], rng.Intn(2) == 1
+						if active = zero; bits[u][w] {
+							active = active.xor(r)
+						}
 					}
-					copy(unit[(1+w)*LabelSize:], zero[:])
-					if l := got[u].Encoding.EncodeInput(w, bits[u][w]); l != active {
-						t.Fatalf("circuit %d n=%d unit %d: pinned input %d encodes to a label other than its active one", ci, n, u, w)
-					}
+					unit = append(unit, zero[:]...)
+					flat = append(flat, active)
 				}
-				if want := oracleGarble(c, unit, bases[u]); !garbledEqual(got[u], want) {
+				want := oracleGarble(c, unit, bases[u])
+				if tables, decode := unitOf(c, l, u); !reflect.DeepEqual(tables, want.Tables) || !bytes.Equal(decode, want.DecodeBits) {
 					t.Fatalf("circuit %d n=%d: pinned unit %d differs from the reference", ci, n, u)
-				}
-				for w := range bits[u] {
-					flat = append(flat, got[u].Encoding.EncodeInput(w, bits[u][w]))
 				}
 			}
 
-			tables, decode := unitTables(got)
-			out, err := EvalBatch(fixedHash, c, tables, decode, flat, bases)
+			out, err := EvalBatch(fixedHash, c, l, flat, bases)
 			if err != nil {
 				t.Fatal(err)
 			}
 			nOut := len(c.Outputs)
-			for u := range got {
-				want := oracleEval(c, tables[u], decode[u*nOut:(u+1)*nOut], flat[u*c.NumInputs:(u+1)*c.NumInputs], bases[u])
+			for u := range bases {
+				tables, decode := unitOf(c, l, u)
+				want := oracleEval(c, tables, decode, flat[u*c.NumInputs:(u+1)*c.NumInputs], bases[u])
 				if !reflect.DeepEqual(out[u*nOut:(u+1)*nOut], want) || !reflect.DeepEqual(want, c.Eval(bits[u])) {
 					t.Fatalf("circuit %d n=%d unit %d: EvalBatch %v, reference %v, plain %v", ci, n, u, out[u*nOut:(u+1)*nOut], want, c.Eval(bits[u]))
 				}
 			}
 		}
+	}
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// TestGarblerReadsOnlyWhatItUses: a unit reads entropy only for what it is
+// not given. On the demo CNN's ReLU (20-bit shares) with R given, as delphi
+// garbles: a Client-Garbler layer pins every input (const-one, b and r to
+// the seed, a to the OT rows) and reads nothing; a Server-Garbler layer
+// pins const-one, b and r and reads a's 20 labels, 320 B a unit. With
+// nothing given, GarbleBatchFixed, GarbleBatch and GarbleInto read R and
+// every input's label, (1 + NumInputs)·16 B a unit.
+func TestGarblerReadsOnlyWhatItUses(t *testing.T) {
+	c, units := demoCNNLayer(t)
+	width := (c.NumInputs - 1) / 3
+	r := Label{1}
+	all := make([]int, c.NumInputs)
+	for w := range all {
+		all[w] = w
+	}
+	full := (1 + c.NumInputs) * LabelSize
+	for _, tc := range []struct {
+		name string
+		fix  Fixed
+		per  int
+	}{
+		{"client garbler", Fixed{Wires: all, R: &r}, 0},
+		{"server garbler", Fixed{Wires: append([]int{boolcirc.ConstOne}, all[1+width:]...), R: &r}, 320},
+		{"nothing given", Fixed{}, full},
+	} {
+		nf := len(tc.fix.Wires)
+		tc.fix.Values, tc.fix.Active = make([]bool, units*nf), make([]byte, units*nf*LabelSize)
+		src := &countingReader{r: NewPRG([LabelSize]byte{9})}
+		read := GarbleBatchFixed(c, src, unitBases(0, units), tc.fix, newLayer(c, units))
+		if src.n != units*tc.per || len(read) != src.n {
+			t.Fatalf("%s: %d units read %d entropy bytes and returned %d, want %d a unit", tc.name, units, src.n, len(read), tc.per)
+		}
+	}
+	src := &countingReader{r: NewPRG([LabelSize]byte{9})}
+	GarbleBatch(c, src, unitBases(0, 3))
+	new(Garbler).GarbleInto(new(Garbled), c, src, 0)
+	if src.n != 4*full {
+		t.Fatalf("GarbleBatch of 3 units and one GarbleInto read %d bytes, want %d", src.n, 4*full)
 	}
 }
 
@@ -333,27 +426,35 @@ func TestGivenOffsetAndKey(t *testing.T) {
 	rng.Read(r[:])
 	r[0] |= 1
 	key := KeyedHasher([LabelSize]byte{7})
-	got := GarbleBatchFixed(c, newSeeded(77), bases, Fixed{R: &r, Hash: key})
-	plain := GarbleBatchFixed(c, newSeeded(77), bases, Fixed{R: &r})
-	bits, flat := activeInputs(rng, c, got)
-	tables, decode := unitTables(got)
-	for u, g := range got {
-		if g.Encoding.R != r || garbledEqual(g, plain[u]) || g.Encoding.Inputs[1] != plain[u].Encoding.Inputs[1] {
-			t.Fatalf("unit %d: offset %x, want the given %x, and the keyed tables, not the fixed-key ones", u, g.Encoding.R, r)
+	got, plain := newLayer(c, n), newLayer(c, n)
+	read := GarbleBatchFixed(c, newSeeded(77), bases, Fixed{R: &r, Hash: key}, got)
+	if plainRead := GarbleBatchFixed(c, newSeeded(77), bases, Fixed{R: &r}, plain); !bytes.Equal(read, plainRead) || len(read) != n*c.NumInputs*LabelSize {
+		t.Fatalf("read %d and %d entropy bytes, want the same %d: every input's label and no R", len(read), len(plainRead), n*c.NumInputs*LabelSize)
+	}
+	gs := make([]*Garbled, n)
+	tb := TableBytes(c)
+	for u := range gs {
+		gs[u] = &Garbled{Encoding: Encoding{R: r}}
+		for w := 0; w < c.NumInputs; w++ {
+			gs[u].Encoding.Inputs = append(gs[u].Encoding.Inputs, Label(read[(u*c.NumInputs+w)*LabelSize:]))
+		}
+		if bytes.Equal(got.Tables[u*tb:(u+1)*tb], plain.Tables[u*tb:(u+1)*tb]) {
+			t.Fatalf("unit %d: the keyed tables equal the fixed-key ones", u)
 		}
 	}
+	bits, flat := activeInputs(rng, c, gs)
 	nOut := len(c.Outputs)
 	for _, h := range []struct {
 		name string
 		hash Hasher
 		ok   bool
 	}{{"its key", key, true}, {"the fixed key", fixedHash, false}, {"another key", KeyedHasher([LabelSize]byte{8}), false}} {
-		out, err := EvalBatch(h.hash, c, tables, decode, flat, bases)
+		out, err := EvalBatch(h.hash, c, got, flat, bases)
 		if err != nil {
 			t.Fatal(err)
 		}
 		same := true
-		for u := range got {
+		for u := range gs {
 			same = same && reflect.DeepEqual(out[u*nOut:(u+1)*nOut], c.Eval(bits[u]))
 		}
 		if same != h.ok {

@@ -12,8 +12,19 @@ import (
 // cores, kept as the reference the property tests compare against: one unit
 // at a time, one Label per wire, and a one-block hash call for each of an AND
 // gate's four (garble) or two (evaluate) hashes. oracleHasher is that hash
-// verbatim, σ included, so the reference shares no code with HashBatch; the
-// Label.xor it calls is the one primitive both sides use.
+// verbatim, σ included, so the reference shares no code with HashBatch;
+// Label.xor and Label.color are the reference's own, on the words the cores
+// use.
+
+// xor returns a ⊕ b.
+func (a Label) xor(b Label) Label {
+	var out Label
+	load(&a).xor(load(&b)).store(&out)
+	return out
+}
+
+// color returns the point-and-permute bit.
+func (a Label) color() byte { return a[0] & 1 }
 
 type oracleHasher struct {
 	block   cipher.Block

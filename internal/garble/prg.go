@@ -46,9 +46,7 @@ type prgReader struct {
 func (r *prgReader) Read(p []byte) (int, error) {
 	// XORKeyStream over a zeroed buffer yields the raw keystream; callers
 	// may hand us dirty scratch, so clear it first.
-	for i := range p {
-		p[i] = 0
-	}
+	clear(p)
 	r.stream.XORKeyStream(p, p)
 	return len(p), nil
 }
