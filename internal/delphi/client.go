@@ -77,17 +77,11 @@ func (c *Client) useKeys(sk bfv.SecretKey, pk bfv.PublicKey) error {
 	return nil
 }
 
-// Setup generates HE keys (or takes the pair the HEKeyGen seam supplies),
-// sends the public key, and runs base-OT setup.
+// Setup generates fresh HE keys from the session's entropy, sends the
+// public key, and runs base-OT setup: SetupKeys on a new pair.
 func (c *Client) Setup() error {
-	keyGen := c.cfg.HEKeyGen
-	if keyGen == nil {
-		keyGen = bfv.KeyGen
-	}
-	if err := c.useKeys(keyGen(c.cfg.HEParams, c.entropy)); err != nil {
-		return err
-	}
-	return c.setupOT(c.cfg.Variant == ClientGarbler, nil, nil)
+	sk, pk := bfv.KeyGen(c.cfg.HEParams, c.entropy)
+	return c.SetupKeys(HEKeyPair{SK: sk, PK: pk}, nil, nil)
 }
 
 // RunOffline executes the client side of one pre-compute.

@@ -21,8 +21,11 @@
 //     from the seed, so that label never travels. A server garbler's OTs
 //     carry b and r at its raw rows, which the client already holds as
 //     their labels; its a labels go direct online. A client garbler's OTs
-//     carry the a labels at its rows masked by one-time pads it expands
-//     again online from the layer's secret seed, and answers online.
+//     carry the a labels at its rows masked by one-time pads, and it
+//     answers them online. Either way the a side's labels, the server
+//     garbler's false labels or the client garbler's pads, are the front
+//     of the layer's secret AES-CTR stream: the garbler keeps that 16-byte
+//     seed of each layer and expands them again online.
 //   - The evaluator receives and stores the circuits (receiveGC, which
 //     also runs each layer's OTs before it, and parseGCLayer, the one
 //     payload parser) — the 18.2 KB/ReLU storage burden of Figure 3 — is
@@ -30,9 +33,10 @@
 //     derandomized online, and evaluates online (evaluateLayer). What it
 //     holds between the phases is each layer's frame as received, once
 //     parsed, and under Server-Garbler the b and r labels its OTs gave; it
-//     evaluates from the frame, reading the tables where they lie, and
-//     copies none of them. A Server-Garbler client likewise evaluates on
-//     the a labels where the server's online frame holds them.
+//     evaluates from the frame, reading the tables where they lie, copying
+//     none of them, and reading the seeded labels off the frame's seed a
+//     unit at a time. A Server-Garbler client likewise evaluates on the a
+//     labels where the server's online frame holds them.
 //
 // A ReLU unit takes a, the server's share of the layer output (known only
 // online), and b and r, the client's share c_i and next mask r_{i+1} (known
@@ -65,7 +69,6 @@ package delphi
 
 import (
 	"fmt"
-	"io"
 	"math/bits"
 	"time"
 
@@ -169,14 +172,6 @@ type Config struct {
 	// layers sequentially (the baseline); len(Dims) gives full
 	// layer-parallel HE (§5.2).
 	LPHEWorkers int
-	// HEKeyGen generates (or returns) the client's session HE key pair.
-	// nil means bfv.KeyGen on the session's entropy — fresh per-session
-	// keys, the baseline. A preamble-carrying client injects a function
-	// here that returns keys derived from its cached master seed (see
-	// DeriveHEKeyPair), so the pair a full handshake sends is the same one
-	// later resumed sessions reuse without running keygen. Server sessions
-	// ignore the field.
-	HEKeyGen func(p bfv.Params, src io.Reader) (bfv.SecretKey, bfv.PublicKey)
 }
 
 // OfflineReport summarizes one offline (pre-compute) phase.
@@ -188,11 +183,11 @@ type OfflineReport struct {
 	BytesSent  uint64
 	BytesRecv  uint64
 	// GCStoreBytes is the garbled-circuit state this party holds from the
-	// pre-compute until its online phase: stored tables, decode bits and
-	// labels, precomputed label-OT state (a client garbler's 16-B secret
-	// seed per ReLU layer, its evaluator's 16-B row and choice bit per
-	// OT), and a server garbler's a-input false labels (16 B each; the
-	// offset is the OT extension's s, held with the base-OT state).
+	// pre-compute until its online phase: on the evaluator the stored
+	// tables, decode bits and labels, and under Client-Garbler its 16-B
+	// row and choice bit per label OT; on either garbler the 16-B secret
+	// seed per ReLU layer its a side's labels expand from (the offset is
+	// the OT extension's s, held with the base-OT state).
 	GCStoreBytes uint64
 }
 

@@ -80,20 +80,25 @@ func DeriveHEKeyPair(p bfv.Params, seed []byte, nonce uint64) (HEKeyPair, error)
 	return HEKeyPair{SK: sk, PK: pk}, nil
 }
 
-// SetupResumed is Setup for a session resumed from cached state: the HE
-// keys are a cached reusable pair (no keygen runs), and the OT streams
-// expand from res under nonce (no base OTs). The expansion sends nothing,
-// so a bad pair or state fails before any traffic; then the public key is
-// sent, as on a full handshake. The peer must run the server's
-// SetupResumed with its matching state and the same nonce.
-func (c *Client) SetupResumed(res *OTResume, nonce []byte, keys HEKeyPair) error {
+// SetupKeys is Setup on a given key pair, a preamble's fresh or cached
+// one, so no keygen runs. With a nil res it sends the public key and runs
+// the base OTs, as Setup does (nonce is unused). Otherwise the session
+// resumes: the OT streams expand from res under nonce, which sends
+// nothing, so a bad pair or state fails before any traffic, and then the
+// public key is sent, as on a full handshake. The peer must run the
+// server's SetupResumed with its matching state and the same nonce.
+func (c *Client) SetupKeys(keys HEKeyPair, res *OTResume, nonce []byte) error {
 	if err := keys.Validate(c.cfg.HEParams); err != nil {
 		return err
 	}
+	garbler := c.cfg.Variant == ClientGarbler
 	if res == nil {
-		return fmt.Errorf("delphi: client resume: nil OT state")
+		if err := c.useKeys(keys.SK, keys.PK); err != nil {
+			return err
+		}
+		return c.setupOT(garbler, nil, nil)
 	}
-	if err := c.setupOT(c.cfg.Variant == ClientGarbler, res, nonce); err != nil {
+	if err := c.setupOT(garbler, res, nonce); err != nil {
 		return err
 	}
 	return c.useKeys(keys.SK, keys.PK)

@@ -157,7 +157,7 @@ func resumeWithKeys(t *testing.T, variant Variant, model *nn.Lowered) {
 	nonce := []byte("resume-keys-nonce")
 	errCh := make(chan error, 1)
 	go func() { errCh <- server.SetupResumed(srvRes, nonce) }()
-	if err := client.SetupResumed(cliRes, nonce, keys); err != nil {
+	if err := client.SetupKeys(keys, cliRes, nonce); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-errCh; err != nil {
@@ -178,10 +178,11 @@ func resumeWithKeys(t *testing.T, variant Variant, model *nn.Lowered) {
 	}
 }
 
-// TestSetupResumedRejectsBadState: a mismatched key pair, a nil OT state and
-// a state for the wrong role (a sender state under a variant that makes
-// this party the receiver) all fail before any protocol traffic.
-func TestSetupResumedRejectsBadState(t *testing.T) {
+// TestSetupKeysRejectsBadState: a mismatched key pair, an empty session
+// nonce and a state for the wrong role (a sender state under a variant
+// that makes this party the receiver) all fail before any protocol
+// traffic: the key goes out only after the resume state has expanded.
+func TestSetupKeysRejectsBadState(t *testing.T) {
 	params := testHEParams(t)
 	smaller, err := bfv.NewParams(params.N/2, params.T)
 	if err != nil {
@@ -213,20 +214,17 @@ func TestSetupResumedRejectsBadState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := client.SetupResumed(senderRes, []byte("n"), wrongKeys); err == nil {
+	if err := client.SetupKeys(wrongKeys, senderRes, []byte("n")); err == nil {
 		t.Fatal("wrong-degree pair accepted")
 	}
-	if err := client.SetupResumed(nil, []byte("n"), goodKeys); err == nil {
-		t.Fatal("nil OT state accepted")
-	}
-	if err := client.SetupResumed(senderRes, nil, goodKeys); err == nil {
+	if err := client.SetupKeys(goodKeys, senderRes, nil); err == nil {
 		t.Fatal("empty session nonce accepted")
 	}
 	sgClient, err := NewClient(cc, Config{Variant: ServerGarbler, HEParams: params}, MetaOf(model), newSeeded(2009))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sgClient.SetupResumed(senderRes, []byte("n"), goodKeys); err == nil {
+	if err := sgClient.SetupKeys(goodKeys, senderRes, []byte("n")); err == nil {
 		t.Fatal("sender state accepted for a receiver role")
 	}
 

@@ -111,16 +111,15 @@ func (p *party) OTResume() *OTResume {
 
 // gcPre is the garbled-circuit half of one buffered pre-compute, garbled
 // under hash, a key of its own (hashKey) that is public and that each
-// party derives, so no state it stores. The evaluator keeps stored. A
-// server garbler keeps a, the a inputs' false labels it sends direct,
-// width a unit: the entropy its garbling read. Under Client-Garbler each
-// party keeps instead its half of the a-label OTs, one batch per ReLU
-// layer, made offline and answered online: the garbler its bound batches
-// and each layer's secret seed, from which the batch's pads y expand again.
+// party derives, so no state it stores. The evaluator keeps stored. The
+// garbler keeps each layer's secret seed, from which the labels of the
+// layer's a inputs expand again online: a server garbler's a-input false
+// labels, sent direct, and a client garbler's pads y, with which it
+// answers the bound a-label OT batches it keeps too. Under Client-Garbler
+// the evaluator keeps its half of those OTs, one batch per ReLU layer.
 type gcPre struct {
 	hash    garble.Hasher
-	a       [][]byte                 // per ReLU layer, unit-major labels, on a server garbler
-	seeds   [][garble.LabelSize]byte // per ReLU layer, on a client garbler
+	seeds   [][garble.LabelSize]byte // per ReLU layer, on the garbler
 	stored  []storedLayer            // per ReLU layer
 	sendOTs []*ot.SenderPads         // per ReLU layer, bound, on a client garbler
 	recvOTs []*ot.ReceiverPads       // per ReLU layer, on its evaluator
@@ -140,8 +139,7 @@ type storedLayer struct {
 }
 
 // storeBytes totals the garbled-circuit state one pre-compute holds until
-// online: stored circuits and labels, precomputed OT state and seeds, and
-// a server garbler's a labels.
+// online: stored circuits and labels, precomputed OT state and seeds.
 func (g *gcPre) storeBytes() uint64 {
 	n := uint64(len(g.seeds)) * garble.LabelSize
 	for _, b := range g.sendOTs {
@@ -152,9 +150,6 @@ func (g *gcPre) storeBytes() uint64 {
 	}
 	for _, l := range g.stored {
 		n += uint64(len(l.frame) + len(l.known)*garble.LabelSize)
-	}
-	for _, a := range g.a {
-		n += uint64(len(a))
 	}
 	return n
 }
@@ -199,17 +194,17 @@ func pinnedInputs(width int, seeded bool) []int {
 // payload is allocated once, and the garbling writes the tables and the
 // decode bits straight into it. Every unit's offset is the OT extension's
 // s and its hash pre's (hashKey), and every input the garbler knows when
-// it garbles is pinned: const-one to a label expanded from the public
-// seed, and b and r, whose values own[layer] lists unit-major on a client
+// it garbles is pinned: const-one to a label read off the layer's public
+// stream, and b and r, whose values own[layer] lists unit-major on a client
 // garbler, likewise. The OTs' inputs are pinned to their zero labels. A
 // server garbler's (nil own) carry b and r, 2·width a unit, at its raw
 // rows, which the client already holds as its labels; the a inputs are
-// the only ones its garbling draws labels for, and it keeps those false
-// labels. A client garbler's carry a, width a unit, at q ⊕ y, y read off
-// the front of the layer's secret stream; it keeps the bound batches and
-// the secret seeds for the online answer, and its garbling draws nothing.
-// Each layer's drawn labels are AES-CTR output under that secret seed, the
-// seeded labels under a fresh public seed; both come from the party's
+// the only ones its garbling draws labels for. A client garbler's carry a,
+// width a unit, at q ⊕ y; it keeps the bound batches, and its garbling
+// draws nothing. Either way the a side's labels, the false labels or the
+// pads y, are the first units·width·16 B of the layer's secret AES-CTR
+// stream, so the garbler keeps only each layer's secret seed and expands
+// them again online. Both seeds of a layer are fresh from the party's
 // entropy, every layer's secret seed first. The OT legs' time is added to
 // *otTime.
 func (p *party) garbleAndShip(pre *gcPre, own [][]uint64, otTime *time.Duration) error {
@@ -228,6 +223,7 @@ func (p *party) garbleAndShip(pre *gcPre, own [][]uint64, otTime *time.Duration)
 		}
 		secret := [garble.LabelSize]byte(seeds[layer*garble.LabelSize:])
 		public := [garble.LabelSize]byte(seeds[(L+layer)*garble.LabelSize:])
+		pre.seeds = append(pre.seeds, secret)
 		lo, per := 1, width // the OTs carry a client garbler's a, a server garbler's b and r
 		if sg {
 			lo, per = 1+width, 2*width
@@ -248,21 +244,21 @@ func (p *party) garbleAndShip(pre *gcPre, own [][]uint64, otTime *time.Duration)
 			if zero, err = pads.Bind(y); err != nil {
 				return err
 			}
-			pre.seeds, pre.sendOTs = append(pre.seeds, secret), append(pre.sendOTs, pads)
+			pre.sendOTs = append(pre.sendOTs, pads)
 		}
 		// Unit u's pinned inputs are wires[k] at u*n + k: the np seeded
-		// ones first, then the OTs' at their zero labels.
+		// ones first, read off the public stream, then the OTs' at their
+		// zero labels.
 		n := len(wires)
 		fix := garble.Fixed{Wires: wires, Values: make([]bool, units*n), Active: make([]byte, units*n*garble.LabelSize), R: &delta, Hash: pre.hash}
-		seeded := make([]byte, units*np*garble.LabelSize)
-		garble.ExpandSeed(seeded, public)
+		seeded := garble.NewPRG(public)
 		for u := 0; u < units; u++ {
 			fix.Values[u*n] = true // the wire that carries 1
 			if !sg {
 				copy(fix.Values[u*n+1:u*n+np], valueBits(own[layer][2*u:2*u+2], width))
 			}
 			unit := fix.Active[u*n*garble.LabelSize : (u+1)*n*garble.LabelSize]
-			copy(unit, seeded[u*np*garble.LabelSize:(u+1)*np*garble.LabelSize])
+			seeded.Read(unit[:np*garble.LabelSize]) // never fails
 			for k, l := range zero[u*per : (u+1)*per] {
 				copy(unit[(np+k)*garble.LabelSize:], l[:])
 			}
@@ -272,10 +268,7 @@ func (p *party) garbleAndShip(pre *gcPre, own [][]uint64, otTime *time.Duration)
 		payload := make([]byte, gcLayerBytes(circ, units))
 		copy(payload, public[:])
 		end := garble.LabelSize + units*garble.TableBytes(circ)
-		drawn := garble.GarbleBatchFixed(circ, prg, bases, fix, garble.Layer{Tables: payload[garble.LabelSize:end], Decode: payload[end:]})
-		if sg {
-			pre.a = append(pre.a, drawn)
-		}
+		garble.GarbleBatchFixed(circ, prg, bases, fix, garble.Layer{Tables: payload[garble.LabelSize:end], Decode: payload[end:]})
 		if err := p.conn.Send(payload); err != nil {
 			return fmt.Errorf("delphi: send GC layer %d: %w", layer, err)
 		}
@@ -293,10 +286,12 @@ func timed(d *time.Duration, f func() error) error {
 
 // sendActive is a server garbler's direct-label leg: the active labels of
 // every unit's a input, a ⊕ v·s for the share values v the garbler itself
-// holds and a the layer's false labels. It turns a into those labels in
-// place and sends it: a pre-compute's a labels serve one inference.
-func (p *party) sendActive(a []byte, vals []uint64) error {
+// holds and a the layer's false labels, which it expands again from the
+// layer's secret seed: they are the front of the stream its garbling read.
+func (p *party) sendActive(seed [garble.LabelSize]byte, vals []uint64) error {
 	width, delta := p.f.Bits(), p.otSend.Delta()
+	a := make([]byte, len(vals)*width*garble.LabelSize)
+	garble.ExpandSeed(a, seed)
 	for i := 0; i < len(a)/garble.LabelSize; i++ {
 		if vals[i/width]>>uint(i%width)&1 == 1 {
 			subtle.XORBytes(a[i*garble.LabelSize:], a[i*garble.LabelSize:], delta[:])
@@ -385,8 +380,9 @@ func parseGCLayer(circ *boolcirc.Circuit, units int, payload []byte) (garble.Lay
 // width per unit. The a labels, width a unit, unit-major, are aLabels (from
 // the label OTs) or, when aLabels is nil, the bytes of aFrame (sent
 // direct, its length checked). The tables and decode bits are read where
-// the stored frame holds them; the pinned inputs' active labels are
-// expanded from its seed here, so they are not held between phases.
+// the stored frame holds them; the pinned inputs' active labels are read
+// off its seed's stream a unit at a time as the unit's inputs fill, so
+// they are neither held between phases nor staged for the layer.
 func (p *party) evaluateLayer(pre *gcPre, layer int, aLabels []garble.Label, aFrame []byte) ([]bool, error) {
 	st, circ, units := pre.stored[layer], p.circuits[layer], p.meta.Dims[layer].Out
 	l, err := parseGCLayer(circ, units, st.frame)
@@ -394,8 +390,7 @@ func (p *party) evaluateLayer(pre *gcPre, layer int, aLabels []garble.Label, aFr
 		return nil, fmt.Errorf("delphi: eval layer %d: %w", layer, err)
 	}
 	width, n, np := p.f.Bits(), circ.NumInputs, len(p.pinned)
-	pinned := make([]byte, units*np*garble.LabelSize)
-	garble.ExpandSeed(pinned, [garble.LabelSize]byte(st.frame))
+	seeded, pinned := garble.NewPRG([garble.LabelSize]byte(st.frame)), make([]byte, np*garble.LabelSize)
 	inputs := make([]garble.Label, units*n)
 	bases := make([]uint64, units)
 	for u := range bases {
@@ -403,8 +398,9 @@ func (p *party) evaluateLayer(pre *gcPre, layer int, aLabels []garble.Label, aFr
 		if st.known != nil { // b and r, fetched by OT from a server garbler
 			copy(in[1+width:], st.known[u*2*width:(u+1)*2*width])
 		}
+		seeded.Read(pinned) // never fails
 		for k, w := range p.pinned {
-			in[w] = garble.Label(pinned[(u*np+k)*garble.LabelSize:])
+			in[w] = garble.Label(pinned[k*garble.LabelSize:])
 		}
 		for k := 0; k < width; k++ {
 			if i := u*width + k; aLabels != nil {

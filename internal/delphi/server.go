@@ -220,7 +220,7 @@ func (s *Server) RunOnline() (OnlineReport, error) {
 		var bits []bool
 		switch s.cfg.Variant {
 		case ServerGarbler: // garbler: a labels go direct, the client returns the bits
-			if err := s.sendActive(pre.a[i], ys); err != nil {
+			if err := s.sendActive(pre.seeds[i], ys); err != nil {
 				return rep, err
 			}
 			bitsRaw, err := s.conn.Recv()

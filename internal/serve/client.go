@@ -197,15 +197,18 @@ func Connect(conn *transport.Conn, options ...Option) (*Client, error) {
 	// the ticket's generation, so no keygen runs; its public key is sent
 	// all the same, since the server keeps none past a session. A full
 	// handshake with a preamble derives the next generation from the
-	// master seed (fresh derivation nonce) and sends its public key through
-	// the normal Setup path via Config.HEKeyGen.
-	var resumeKeys delphi.HEKeyPair
-	if w.Resumed {
-		keys, ok := opts.Preamble.resumeHEKeys(params)
-		if !ok {
+	// master seed (fresh derivation nonce); one without runs keygen.
+	var keys delphi.HEKeyPair
+	switch {
+	case w.Resumed:
+		var ok bool
+		if keys, ok = opts.Preamble.resumeHEKeys(params); !ok {
 			return nil, fmt.Errorf("serve: server resumed a ticket this client holds no HE keys for")
 		}
-		resumeKeys = keys
+	case opts.Preamble != nil:
+		if keys, err = opts.Preamble.freshHEKeys(params, entropy); err != nil {
+			return nil, err
+		}
 	}
 
 	c := &Client{
@@ -217,24 +220,16 @@ func Connect(conn *transport.Conn, options ...Option) (*Client, error) {
 		resumeReject: w.ResumeReject,
 		loopDone:     make(chan struct{}),
 	}
-	dcfg := delphi.Config{Variant: c.variant, HEParams: params}
-	if opts.Preamble != nil && !w.Resumed {
-		keys, err := opts.Preamble.freshHEKeys(params, entropy)
-		if err != nil {
-			return nil, err
-		}
-		dcfg.HEKeyGen = func(bfv.Params, io.Reader) (bfv.SecretKey, bfv.PublicKey) {
-			return keys.SK, keys.PK
-		}
-	}
-	c.cli, err = delphi.NewClient(dataConn{c.m}, dcfg, w.Meta, entropy)
+	c.cli, err = delphi.NewClient(dataConn{c.m}, delphi.Config{Variant: c.variant, HEParams: params}, w.Meta, entropy)
 	switch {
 	case err != nil:
 	case w.Resumed:
-		err = c.cli.SetupResumed(state, joinNonce(nonce, w.Nonce), resumeKeys)
-	default:
+		err = c.cli.SetupKeys(keys, state, joinNonce(nonce, w.Nonce))
+	case opts.Preamble == nil:
 		err = c.cli.Setup()
-		if err == nil && opts.Preamble != nil && len(w.Ticket) > 0 {
+	default:
+		err = c.cli.SetupKeys(keys, nil, nil)
+		if err == nil && len(w.Ticket) > 0 {
 			opts.Preamble.storeTicket(w.Ticket, c.cli.OTResume())
 		}
 	}
