@@ -33,7 +33,7 @@
 // through a session preamble, printing the cold vs resumed connect times.
 // Resumption can be made restart-durable on both ends: -ticket-dir
 // persists the server's tickets, -preamble-dir persists the client's
-// preamble (OT seeds, derived HE keys), so a reconnect
+// preamble (OT seeds, HE key pair), so a reconnect
 // after both processes restart still takes the resumed fast path — no base
 // OTs, no keygen.
 //

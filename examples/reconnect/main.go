@@ -9,7 +9,7 @@
 //	cold     first ever connect: full wire handshake, HE keygen, kappa
 //	         base OTs. The engine issues an OT resumption ticket on the
 //	         way out.
-//	resumed  ticket + cached seeds + derived HE keys: both sides expand
+//	resumed  ticket + cached seeds + held HE keys: both sides expand
 //	         fresh OT extension streams locally and the client reuses its
 //	         cached key pair, sending only its public key — no base OTs,
 //	         no keygen — and connect cost drops to about one round trip.

@@ -60,28 +60,27 @@ func NewClient(conn transport.MsgConn, cfg Config, meta ModelMeta, entropy io.Re
 	return &Client{party: p}, nil
 }
 
-// useKeys points the session's encryptor and decryptor at sk — uploads are
-// seeded secret-key encryptions — and sends pk in its seeded form, seed ‖
-// b, for the server's re-randomization. Every connect sends it: the server
+// useKeys points the session's encryptor and decryptor at the pair's sk —
+// uploads are seeded secret-key encryptions — and sends its pk, seed ‖ b,
+// for the server's re-randomization. Every connect sends it: the server
 // keeps no key past its session.
-func (c *Client) useKeys(sk bfv.SecretKey, pk bfv.PublicKey) error {
-	c.enc = bfv.NewSeededEncryptor(c.cfg.HEParams, sk, c.entropy)
-	c.dec = bfv.NewDecryptor(c.cfg.HEParams, sk)
-	raw, err := pk.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	if err := c.conn.Send(raw); err != nil {
+func (c *Client) useKeys(keys HEKeyPair) error {
+	c.enc = bfv.NewSeededEncryptor(c.cfg.HEParams, keys.SK, c.entropy)
+	c.dec = bfv.NewDecryptor(c.cfg.HEParams, keys.SK)
+	if err := c.conn.Send(keys.PK); err != nil {
 		return fmt.Errorf("delphi: client setup: %w", err)
 	}
 	return nil
 }
 
-// Setup generates fresh HE keys from the session's entropy, sends the
+// Setup draws a fresh HE key pair from the session's entropy, sends the
 // public key, and runs base-OT setup: SetupKeys on a new pair.
 func (c *Client) Setup() error {
-	sk, pk := bfv.KeyGen(c.cfg.HEParams, c.entropy)
-	return c.SetupKeys(HEKeyPair{SK: sk, PK: pk}, nil, nil)
+	keys, err := NewHEKeyPair(c.cfg.HEParams, c.entropy)
+	if err != nil {
+		return err
+	}
+	return c.SetupKeys(keys, nil, nil)
 }
 
 // RunOffline executes the client side of one pre-compute.
@@ -162,7 +161,7 @@ func (c *Client) RunOnline(x []uint64) ([]uint64, OnlineReport, error) {
 		return nil, rep, fmt.Errorf("delphi: no pre-compute buffered; run the offline phase first")
 	}
 	pre := c.pres[0]
-	c.pres = c.pres[1:]
+	c.pres[0], c.pres = nil, c.pres[1:]
 	start := time.Now()
 	sent0, recv0 := c.conn.SentBytes(), c.conn.RecvBytes()
 

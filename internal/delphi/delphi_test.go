@@ -269,6 +269,32 @@ func TestMultipleInferencesPerSession(t *testing.T) {
 	}
 }
 
+// TestRunOnlineDropsConsumedPreCompute: RunOnline clears the FIFO slot of
+// the pre-compute it consumes, on each endpoint, so the consumed state
+// (secret seeds, masks, an evaluator's stored frames) is not kept
+// reachable from the buffer's backing array until the next append.
+func TestRunOnlineDropsConsumedPreCompute(t *testing.T) {
+	f := field.New(field.P20)
+	model, err := nn.DemoMLP(f, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newSession(t, ClientGarbler, model, 0)
+	s.offline(t)
+	s.offline(t)
+	cliPres, srvPres := s.client.pres, s.server.pres
+	s.online(t, randomInput(f, model.InputLen(), 100))
+	if cliPres[0] != nil {
+		t.Error("client RunOnline left its consumed pre-compute in the FIFO's backing array")
+	}
+	if srvPres[0] != nil {
+		t.Error("server RunOnline left its consumed pre-compute in the FIFO's backing array")
+	}
+	if s.client.Buffered() != 1 || s.server.Buffered() != 1 || cliPres[1] == nil || srvPres[1] == nil {
+		t.Fatal("RunOnline consumed more than the oldest pre-compute")
+	}
+}
+
 func TestStorageShiftsToServer(t *testing.T) {
 	// The Client-Garbler protocol's whole point (§5.1): GC storage moves
 	// from client to server, and what the client keeps instead — its

@@ -2,7 +2,6 @@ package delphi
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 
 	"privinf/internal/bfv"
@@ -20,72 +19,17 @@ func testHEParams(t *testing.T) bfv.Params {
 	return params
 }
 
-func keyPairBytes(t *testing.T, kp HEKeyPair) ([]byte, []byte) {
-	t.Helper()
-	sk, err := kp.SK.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pk, err := kp.PK.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sk, pk
-}
-
-// TestDeriveHEKeyPairDeterministic: the same (seed, params, nonce) always
-// derives the bit-identical pair — the property that lets a persisted
-// preamble re-derive its keys after a restart — while distinct nonces and
-// distinct seeds derive distinct pairs.
-func TestDeriveHEKeyPairDeterministic(t *testing.T) {
-	params := testHEParams(t)
-	seed := bytes.Repeat([]byte{0x42}, 32)
-
-	a, err := DeriveHEKeyPair(params, seed, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := DeriveHEKeyPair(params, seed, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aSK, aPK := keyPairBytes(t, a)
-	bSK, bPK := keyPairBytes(t, b)
-	if !bytes.Equal(aSK, bSK) || !bytes.Equal(aPK, bPK) {
-		t.Fatal("same (seed, nonce) derived different pairs")
-	}
-
-	c, err := DeriveHEKeyPair(params, seed, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cSK, _ := keyPairBytes(t, c)
-	if bytes.Equal(aSK, cSK) {
-		t.Fatal("distinct nonces derived the same secret key")
-	}
-
-	otherSeed := bytes.Repeat([]byte{0x43}, 32)
-	d, err := DeriveHEKeyPair(params, otherSeed, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dSK, _ := keyPairBytes(t, d)
-	if bytes.Equal(aSK, dSK) {
-		t.Fatal("distinct seeds derived the same secret key")
-	}
-
-	if _, err := DeriveHEKeyPair(params, nil, 1); err == nil {
-		t.Fatal("empty master seed accepted")
-	}
-}
-
-// TestHEKeyPairValidate: a pair derived under one ring degree is rejected
-// against another — the degree check a session runs before installing
-// cached or deserialized keys.
+// TestHEKeyPairValidate: a pair drawn under one ring degree is rejected
+// against another — the check a session runs before installing a held or
+// deserialized pair — and its public key is the seeded form every connect
+// sends.
 func TestHEKeyPairValidate(t *testing.T) {
 	params := testHEParams(t)
-	kp, err := DeriveHEKeyPair(params, bytes.Repeat([]byte{9}, 32), 1)
+	kp, err := NewHEKeyPair(params, newSeeded(9))
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bfv.ParsePublicKey(params.N, kp.PK); err != nil {
 		t.Fatal(err)
 	}
 	if err := kp.Validate(params); err != nil {
@@ -101,10 +45,13 @@ func TestHEKeyPairValidate(t *testing.T) {
 	if err := (HEKeyPair{}).Validate(params); err == nil {
 		t.Fatal("zero pair validated")
 	}
+	if err := (HEKeyPair{SK: kp.SK, PK: kp.PK[1:]}).Validate(params); err == nil {
+		t.Fatal("pair with a short public key validated")
+	}
 }
 
 // TestSetupResumedMatchesPlaintext: the resumed fast path — cached OT
-// material and a derived, reused HE key pair, with no keygen — produces
+// material and a reused HE key pair, with no keygen — produces
 // inference outputs bit-identical to plaintext evaluation (and therefore to
 // every other correct session, the fresh-keygen path included), in both
 // variants. The client sends its public key, and the server holds exactly
@@ -127,7 +74,7 @@ func TestSetupResumedMatchesPlaintext(t *testing.T) {
 }
 
 // resumeWithKeys resumes one session of variant on the OT state of a first
-// one and a derived key pair, and checks the key the server received and
+// one and a held key pair, and checks the key the server received and
 // one inference.
 func resumeWithKeys(t *testing.T, variant Variant, model *nn.Lowered) {
 	first := newSession(t, variant, model, 0)
@@ -140,7 +87,7 @@ func resumeWithKeys(t *testing.T, variant Variant, model *nn.Lowered) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys, err := DeriveHEKeyPair(params, bytes.Repeat([]byte{5}, 32), 1)
+	keys, err := NewHEKeyPair(params, newSeeded(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +110,7 @@ func resumeWithKeys(t *testing.T, variant Variant, model *nn.Lowered) {
 	if err := <-errCh; err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(server.pk, keys.PK) {
+	if pk, err := server.pk.MarshalBinary(); err != nil || !bytes.Equal(pk, keys.PK) {
 		t.Fatal("server holds another public key than the client's")
 	}
 
@@ -188,11 +135,11 @@ func TestSetupKeysRejectsBadState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrongKeys, err := DeriveHEKeyPair(smaller, bytes.Repeat([]byte{3}, 32), 1)
+	wrongKeys, err := NewHEKeyPair(smaller, newSeeded(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	goodKeys, err := DeriveHEKeyPair(params, bytes.Repeat([]byte{3}, 32), 2)
+	goodKeys, err := NewHEKeyPair(params, newSeeded(4))
 	if err != nil {
 		t.Fatal(err)
 	}

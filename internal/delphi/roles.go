@@ -98,7 +98,7 @@ func (p *party) setupOT(garbler bool, res *OTResume, nonce []byte) (err error) {
 // OTResume exports the party's resumable base-OT material after a
 // successful setup (nil before). Cache it — the client beside the
 // server's resumption ticket, the server under that ticket — and pass it
-// to SetupResumed on the next session.
+// to the next session's Client.SetupKeys or Server.SetupResumed.
 func (p *party) OTResume() *OTResume {
 	switch {
 	case p.otSend != nil:

@@ -194,7 +194,7 @@ func (s *Server) RunOnline() (OnlineReport, error) {
 		return rep, fmt.Errorf("delphi: no pre-compute buffered; run the offline phase first")
 	}
 	pre := s.pres[0]
-	s.pres = s.pres[1:]
+	s.pres[0], s.pres = nil, s.pres[1:]
 
 	d, err := s.recvVec(s.meta.Dims[0].In)
 	if err != nil {

@@ -63,7 +63,7 @@ func BenchmarkSessionConnect(b *testing.B) {
 // keygen, and kappa public-key base OTs on P-256. "resumed" presents the
 // ticket from a prior full handshake: both sides expand cached OT seeds
 // locally, so the base OTs — and their two network flights — disappear,
-// and the client reuses the ticket generation's HE key pair instead of
+// and the client reuses its preamble's HE key pair instead of
 // running keygen. The acceptance bar is resumed ≥ 5× faster than cold.
 func BenchmarkSessionResume(b *testing.B) {
 	model := testModel(b, 5)

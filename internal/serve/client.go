@@ -192,23 +192,12 @@ func Connect(conn *transport.Conn, options ...Option) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Settle the session's HE keys against the resumption outcome before
-	// building the endpoint. A resumed session reuses the cached pair from
-	// the ticket's generation, so no keygen runs; its public key is sent
-	// all the same, since the server keeps none past a session. A full
-	// handshake with a preamble derives the next generation from the
-	// master seed (fresh derivation nonce); one without runs keygen.
-	var keys delphi.HEKeyPair
-	switch {
-	case w.Resumed:
-		var ok bool
-		if keys, ok = opts.Preamble.resumeHEKeys(params); !ok {
-			return nil, fmt.Errorf("serve: server resumed a ticket this client holds no HE keys for")
-		}
-	case opts.Preamble != nil:
-		if keys, err = opts.Preamble.freshHEKeys(params, entropy); err != nil {
-			return nil, err
-		}
+	// A resumed session reuses the preamble's key pair, so no keygen runs;
+	// its public key is sent all the same, since the server keeps none past
+	// a session. Any other session draws a fresh pair.
+	keys, err := opts.Preamble.sessionKeys(params, entropy, w.Resumed)
+	if err != nil {
+		return nil, err
 	}
 
 	c := &Client{
@@ -220,18 +209,17 @@ func Connect(conn *transport.Conn, options ...Option) (*Client, error) {
 		resumeReject: w.ResumeReject,
 		loopDone:     make(chan struct{}),
 	}
+	var res *delphi.OTResume
+	var sessionNonce []byte
+	if w.Resumed {
+		res, sessionNonce = state, joinNonce(nonce, w.Nonce)
+	}
 	c.cli, err = delphi.NewClient(dataConn{c.m}, delphi.Config{Variant: c.variant, HEParams: params}, w.Meta, entropy)
-	switch {
-	case err != nil:
-	case w.Resumed:
-		err = c.cli.SetupKeys(keys, state, joinNonce(nonce, w.Nonce))
-	case opts.Preamble == nil:
-		err = c.cli.Setup()
-	default:
-		err = c.cli.SetupKeys(keys, nil, nil)
-		if err == nil && len(w.Ticket) > 0 {
-			opts.Preamble.storeTicket(w.Ticket, c.cli.OTResume())
-		}
+	if err == nil {
+		err = c.cli.SetupKeys(keys, res, sessionNonce)
+	}
+	if err == nil && !w.Resumed {
+		opts.Preamble.storeTicket(w.Ticket, c.cli.OTResume())
 	}
 	if err != nil {
 		c.m.close(err)

@@ -42,13 +42,12 @@ func inferOnce(t *testing.T, c *Client, model *nn.Lowered) {
 	}
 }
 
-// heGeneration snapshots the preamble's HE derivation state: the nonce
-// and whether a derived pair is cached. A resumed connect must leave the
-// nonce untouched — a bump means keygen ran.
-func heGeneration(p *Preamble) (uint64, bool) {
+// heGeneration returns the preamble's held HE key pair. A resumed connect
+// must leave it the same pointer — a new one means keygen ran.
+func heGeneration(p *Preamble) *delphi.HEKeyPair {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.heNonce, p.heKeys != nil
+	return p.heKeys
 }
 
 // TestEngineRestartKeepsResumedPath: server-only crash. The restarted
@@ -74,17 +73,17 @@ func TestEngineRestartKeepsResumedPath(t *testing.T) {
 		t.Fatalf("restarted engine loaded %d tickets (%d errors), want 1 clean",
 			st.Tickets.Loaded, st.Tickets.LoadErrors)
 	}
-	nonceBefore, hadKeys := heGeneration(p)
-	if !hadKeys {
-		t.Fatal("cold handshake cached no HE key generation")
+	keysBefore := heGeneration(p)
+	if keysBefore == nil {
+		t.Fatal("cold handshake left the preamble no HE key pair")
 	}
 	c := connectPreamble(t, ln2, "", p)
 	defer c.Close()
 	if resumed, code := c.ResumeOutcome(); !resumed || code != "" {
 		t.Fatalf("post-restart connect resumed=%v reject=%q, want clean resume", resumed, code)
 	}
-	if nonceAfter, _ := heGeneration(p); nonceAfter != nonceBefore {
-		t.Fatalf("resumed connect bumped the HE nonce %d→%d: keygen ran", nonceBefore, nonceAfter)
+	if heGeneration(p) != keysBefore {
+		t.Fatal("resumed connect replaced the held HE key pair: keygen ran")
 	}
 	inferOnce(t, c, model)
 	if st := eng2.Stats(); st.Tickets.Resumed != 1 {
@@ -116,17 +115,17 @@ func TestClientRestartKeepsResumedPath(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	nonceBefore, hadKeys := heGeneration(p2)
-	if !hadKeys {
-		t.Fatal("reloaded preamble carries no HE key generation")
+	keysBefore := heGeneration(p2)
+	if keysBefore == nil {
+		t.Fatal("reloaded preamble carries no HE key pair")
 	}
 	c := connectPreamble(t, ln, "", p2)
 	defer c.Close()
 	if !c.Resumed() {
 		t.Fatal("reconnect from a reloaded preamble should resume")
 	}
-	if nonceAfter, _ := heGeneration(p2); nonceAfter != nonceBefore {
-		t.Fatal("resumed connect from disk state re-derived HE keys")
+	if heGeneration(p2) != keysBefore {
+		t.Fatal("resumed connect from disk state drew new HE keys")
 	}
 	inferOnce(t, c, model)
 }
@@ -162,17 +161,17 @@ func TestBothPartiesRestartResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nonceBefore, hadKeys := heGeneration(p2)
-	if !hadKeys {
-		t.Fatal("reloaded preamble carries no HE key generation")
+	keysBefore := heGeneration(p2)
+	if keysBefore == nil {
+		t.Fatal("reloaded preamble carries no HE key pair")
 	}
 	c := connectPreamble(t, ln2, "", p2)
 	defer c.Close()
 	if resumed, code := c.ResumeOutcome(); !resumed || code != "" {
 		t.Fatalf("double-restart connect resumed=%v reject=%q, want clean resume", resumed, code)
 	}
-	if nonceAfter, _ := heGeneration(p2); nonceAfter != nonceBefore {
-		t.Fatal("double-restart resumed connect re-derived HE keys")
+	if heGeneration(p2) != keysBefore {
+		t.Fatal("double-restart resumed connect drew new HE keys")
 	}
 	inferOnce(t, c, model)
 	st := eng2.Stats()
@@ -354,13 +353,18 @@ func TestTicketDirRequiresResumption(t *testing.T) {
 // and wire12–15) resumes nothing: its client connects without the ticket,
 // runs one full handshake on the same connection and holds a fresh ticket
 // and state, on which the next connect resumes. On every other state the
-// current client resumes — no base OTs, no keygen: the preamble's key
-// derives again under its unchanged nonce in the seeded form, and is sent.
-// Either way the inference is bit-exact, every engine over the tickets,
-// the restarted one too, holds OT receiver states and nothing else, and
-// each ticket saved during the test holds no key.
+// current client resumes with no base OTs. A preamble written before v13
+// (wire4–wire12) holds its public key unseeded, (degree ‖ b ‖ a), and
+// loads with no key pair; wire13–wire15 load with theirs. The first
+// connect draws a pair exactly when the state cannot resume or the
+// preamble loaded none, and the connect after the engine's restart
+// resumes with no keygen on every release. Either way the inference is
+// bit-exact, every engine over the tickets, the restarted one too, holds
+// OT receiver states and nothing else, and each ticket saved during the
+// test holds no key.
 func TestOlderWireStateResumes(t *testing.T) {
 	lsb0 := map[string]bool{"wire4": true, "wire9": true, "wire12": true, "wire13": true, "wire14": true, "wire15": true}
+	seeded := map[string]bool{"wire13": true, "wire14": true, "wire15": true}
 	for _, release := range []string{"wire4", "wire5", "wire6", "wire7", "wire8", "wire9", "wire10", "wire11", "wire12", "wire13", "wire14", "wire15"} {
 		t.Run(release, func(t *testing.T) {
 			dir := t.TempDir() // the stores sweep and rewrite their directories
@@ -385,16 +389,16 @@ func TestOlderWireStateResumes(t *testing.T) {
 			if _, st := p.ticketSnapshot(); st.Resumable() == lsb0[release] {
 				t.Fatalf("%s preamble's sender state: resumable %v, want %v", release, st.Resumable(), !lsb0[release])
 			}
-			nonceBefore, hadKeys := heGeneration(p)
-			if !hadKeys {
-				t.Fatalf("%s preamble carries no HE key generation", release)
+			keysBefore := heGeneration(p)
+			if (keysBefore != nil) != seeded[release] {
+				t.Fatalf("%s preamble loaded with a key pair: %v, want %v", release, keysBefore != nil, seeded[release])
 			}
 			c := connectPreamble(t, ln, "", p)
 			defer c.Close()
 			resumed, code := c.ResumeOutcome()
-			nonceAfter, _ := heGeneration(p)
-			if resumed == lsb0[release] || code != "" || (nonceAfter == nonceBefore) == lsb0[release] {
-				t.Fatalf("connect on %s state resumed=%v reject=%q, HE nonce %d→%d; want a resume with no keygen on a state with s's lsb set, else a full handshake", release, resumed, code, nonceBefore, nonceAfter)
+			drew := heGeneration(p) != keysBefore
+			if resumed == lsb0[release] || code != "" || drew != (lsb0[release] || keysBefore == nil) {
+				t.Fatalf("connect on %s state resumed=%v reject=%q drew keys=%v; want a resume on a state with s's lsb set, else a full handshake, and keygen exactly when the connect is a full handshake or no pair loaded", release, resumed, code, drew)
 			}
 			inferOnce(t, c, model)
 			c.Close()
@@ -426,10 +430,11 @@ func TestOlderWireStateResumes(t *testing.T) {
 			if st := eng2.Stats().Tickets; st.Loaded != uint64(tickets) || st.Bytes != int64(tickets)*ot.ReceiverStateBytes {
 				t.Fatalf("restart over the %s tickets: %+v, want %d loads of %d bytes", release, st, tickets, ot.ReceiverStateBytes)
 			}
+			keysBefore = heGeneration(p)
 			c2 := connectPreamble(t, ln2, "", p)
 			defer c2.Close()
-			if resumed, code := c2.ResumeOutcome(); !resumed || code != "" {
-				t.Fatalf("second connect on %s state resumed=%v reject=%q", release, resumed, code)
+			if resumed, code := c2.ResumeOutcome(); !resumed || code != "" || heGeneration(p) != keysBefore {
+				t.Fatalf("second connect on %s state resumed=%v reject=%q drew keys=%v, want a resume with no keygen", release, resumed, code, heGeneration(p) != keysBefore)
 			}
 			inferOnce(t, c2, model)
 		})

@@ -102,7 +102,7 @@ func FuzzPreambleUnmarshal(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if _, err := full.freshHEKeys(params, &seqEntropy{}); err != nil {
+	if _, err := full.sessionKeys(params, &seqEntropy{}, false); err != nil {
 		f.Fatal(err)
 	}
 	fullEnc, err := full.MarshalBinary()
@@ -112,13 +112,16 @@ func FuzzPreambleUnmarshal(f *testing.F) {
 	f.Add(fullEnc)
 	f.Add(fullEnc[:len(fullEnc)/2])
 	f.Add([]byte{})
-	// A payload written while preambles stored their cached client
-	// artifacts: the decoder reads and discards the entry.
-	old, err := os.ReadFile(filepath.Join("testdata", "cachedartifact", "client.pipre"))
-	if err != nil {
-		f.Fatal(err)
+	// Payloads of older writers: one that stored a cached client artifact,
+	// whose entry the decoder reads and discards, and one that stored a
+	// master HE seed, which it discards too.
+	for _, dir := range []string{"cachedartifact", "masterseed"} {
+		old, err := os.ReadFile(filepath.Join("testdata", dir, "client.pipre"))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(old[storeHeaderBytes:])
 	}
-	f.Add(old[storeHeaderBytes:])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := UnmarshalPreamble(data)

@@ -5,10 +5,12 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"privinf/internal/bfv"
+	"privinf/internal/bin"
 	"privinf/internal/delphi"
 	"privinf/internal/field"
 	"privinf/internal/nn"
@@ -27,8 +29,12 @@ import (
 // artifact codec version 3 (its byte 21 and checksum moved, nothing else),
 // and client.pipre stores the public key seeded, seed ‖ b, 504 bytes
 // shorter at the golden degree. ticket.pitk holds no key, and a record
-// with none is written exactly as before, so it did not move. The test
-// proves no byte on disk has moved since. Regenerate only for a deliberate
+// with none is written exactly as before, so it did not move. client.pipre
+// was regenerated once more, with no format change, when preambles stopped
+// holding a master HE seed: the fixed input's pair is now drawn straight
+// from the entropy, and the seed field is written empty, 32 bytes shorter
+// (testdata/masterseed keeps the file as written before). The test proves
+// no byte on disk has moved since. Regenerate only for a deliberate
 // format-version bump:
 //
 //	go test ./internal/serve -run TestGoldenFiles -update
@@ -69,14 +75,14 @@ func goldenTicket(t *testing.T) ticketRecord {
 }
 
 // goldenPreamble is a preamble populated the way a real repeat client's
-// is — ticket + OT state and a derived HE key generation — from fixed
-// inputs.
+// is — ticket + OT state and the HE key pair of its full handshake — from
+// fixed inputs.
 func goldenPreamble(t *testing.T) *Preamble {
 	t.Helper()
 	params := goldenParams(t)
 	p := NewPreamble()
 	p.storeTicket(goldenTicket(t).id, goldenTicket(t).state)
-	if _, err := p.freshHEKeys(params, &seqEntropy{}); err != nil {
+	if _, err := p.sessionKeys(params, &seqEntropy{}, false); err != nil {
 		t.Fatal(err)
 	}
 	return p
@@ -132,17 +138,75 @@ func TestGoldenFiles(t *testing.T) {
 	t.Run("preamble", func(t *testing.T) { checkGolden(t, "client.pipre", preambleRow()) })
 }
 
+// TestPreambleWithMasterSeedLoads: testdata/masterseed/client.pipre is the
+// golden preamble as written while preambles held a master HE seed and its
+// derivation nonce — the same PIPB v1 frame and layout. It loads with its
+// ticket, OT state and key pair intact, the seed and nonce discarded, and
+// re-saves exactly the seed's 32 bytes shorter.
+func TestPreambleWithMasterSeedLoads(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "masterseed"))); err != nil {
+		t.Fatal(err)
+	}
+	ps, err := NewPreambleStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := ps.Load("client")
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(ps.Path("client"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := bin.NewReader(old[storeHeaderBytes:])
+	ticketRaw := r.Blob()
+	r.U64() // OT-state flag
+	stateRaw := r.Blob()
+	seed, nonce := r.Blob(), r.U64()
+	r.U64() // HE-keys flag
+	r.U64() // N
+	r.U64() // T
+	skRaw, pkRaw := r.Blob(), r.Blob()
+	if r.Err() != nil || len(seed) != preambleSeedBytes || nonce == 0 {
+		t.Fatalf("the fixture holds no master seed and nonce (err %v)", r.Err())
+	}
+	ticket, state := p.ticketSnapshot()
+	if st, err := state.MarshalBinary(); err != nil || !bytes.Equal(ticket, ticketRaw) || !bytes.Equal(st, stateRaw) {
+		t.Fatal("the fixture's ticket or OT state did not load intact")
+	}
+	keys := heGeneration(p)
+	if keys == nil {
+		t.Fatal("the fixture loaded with no key pair")
+	}
+	if sk, err := keys.SK.MarshalBinary(); err != nil || !bytes.Equal(sk, skRaw) || !bytes.Equal(keys.PK, pkRaw) || p.heParams.N != goldenRingN || p.heParams.T != field.P20 {
+		t.Fatal("the fixture's key pair did not load intact")
+	}
+	if err := ps.Save("client", p); err != nil {
+		t.Fatal(err)
+	}
+	resaved, err := os.ReadFile(ps.Path("client"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resaved) != len(old)-preambleSeedBytes {
+		t.Fatalf("re-saved preamble is %d bytes, want the fixture's %d less the %d-byte seed", len(resaved), len(old), preambleSeedBytes)
+	}
+}
+
 // TestPreambleWithCachedArtifactLoads: testdata/cachedartifact/client.pipre
 // is the golden preamble as written while preambles still stored each
 // cached client artifact — the same PIPB v1 frame, with one (name,
 // artifact) entry after the keys, and the public key before wire v13's
-// seeded form. It loads with its ticket, OT state and secret key intact,
-// the public key derived again in seeded form and the entry discarded,
-// re-saves as today's golden, and serves a session, whose client derives
-// its model state from the welcome. Its OT sender state's s has lsb 0, so
-// since wire v16 that session is a full handshake on the same connection
-// (the engine holds the matching ticket all the same), and the next
-// connect resumes on the state it left.
+// seeded form. It loads with its ticket and OT state intact and the entry
+// discarded; its key pair, whose public key is of the older form, is
+// dropped, not derived again. It serves a session, whose client derives
+// its model state from the welcome and draws a key pair. Its OT sender
+// state's s has lsb 0, so since wire v16 that session is a full handshake
+// on the same connection (the engine holds the matching ticket all the
+// same), and the next connect resumes on the state it left, with no
+// keygen.
 func TestPreambleWithCachedArtifactLoads(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "cachedartifact"))); err != nil {
@@ -156,19 +220,10 @@ func TestPreambleWithCachedArtifactLoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ps.Save("client", p); err != nil {
-		t.Fatal(err)
-	}
-	resaved, err := os.ReadFile(ps.Path("client"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden, err := os.ReadFile(filepath.Join("testdata", "golden", "client.pipre"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(resaved, golden) {
-		t.Fatalf("re-saved preamble is %d bytes and differs from the %d-byte golden", len(resaved), len(golden))
+	want := goldenPreamble(t)
+	ticket, state := p.ticketSnapshot()
+	if !bytes.Equal(ticket, want.ticket) || !reflect.DeepEqual(state, want.state) || heGeneration(p) != nil {
+		t.Fatal("the fixture loaded without its ticket and OT state, or with its pre-v13 key pair")
 	}
 
 	// The engine holds the ticket with a receiver state matching the
@@ -213,10 +268,11 @@ func TestPreambleWithCachedArtifactLoads(t *testing.T) {
 		t.Fatalf("connect on the fixture's lsb-0 state resumed=%v reject=%q, want a full handshake", resumed, code)
 	}
 	inferOnce(t, c, goldenNet())
+	keys := heGeneration(p)
 	c2 := connectPreamble(t, ln, "", p)
 	defer c2.Close()
-	if !c2.Resumed() {
-		t.Fatal("connect after the full handshake did not resume")
+	if !c2.Resumed() || heGeneration(p) != keys {
+		t.Fatal("connect after the full handshake did not resume, or drew new keys")
 	}
 	inferOnce(t, c2, goldenNet())
 }

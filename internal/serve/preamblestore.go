@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 
@@ -26,8 +25,8 @@ import (
 // ErrPreambleCorrupt, a version-skewed one ErrPreambleVersion. Every
 // failure mode falls back to NewPreamble and a full handshake.
 //
-// A persisted preamble holds the client's HE master seed, secret key and
-// OT correlation seeds in plaintext. Files are created 0600 in a 0700
+// A persisted preamble holds the client's HE secret key and OT
+// correlation seeds in plaintext. Files are created 0600 in a 0700
 // directory; protecting the directory beyond filesystem permissions
 // (encryption at rest) is the deployment's responsibility — see
 // docs/invariants.md.
@@ -84,7 +83,7 @@ func (ps *PreambleStore) Path(name string) string { return ps.ds.path(name) }
 
 // Save atomically persists a snapshot of the preamble under name,
 // replacing any previous version. Call it after a successful connect (the
-// handshake may have refreshed the ticket or derived new keys).
+// handshake may have refreshed the ticket or drawn new keys).
 func (ps *PreambleStore) Save(name string, p *Preamble) error {
 	if p == nil {
 		return fmt.Errorf("serve: preamble store: nil preamble %q", name)
@@ -105,10 +104,12 @@ func (ps *PreambleStore) Load(name string) (*Preamble, error) {
 func (ps *PreambleStore) Forget(name string) error { return ps.ds.remove(name) }
 
 // MarshalBinary encodes a snapshot of the preamble for UnmarshalPreamble:
-// the ticket/OT-state pair, the HE master seed, derivation nonce and
-// cached key pair, and an artifact count that is always zero — a client's
-// model state is derived from each welcome, so none is stored. Integrity
-// and versioning belong to the enclosing frame.
+// the ticket/OT-state pair, the held key pair, and an artifact count that
+// is always zero — a client's model state is derived from each welcome, so
+// none is stored. Where older writers put a master HE seed and its
+// derivation nonce it writes an empty seed and a zero nonce, so older
+// readers still load the file. Integrity and versioning belong to the
+// enclosing frame.
 func (p *Preamble) MarshalBinary() ([]byte, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -124,8 +125,8 @@ func (p *Preamble) MarshalBinary() ([]byte, error) {
 	} else {
 		w.U64(0)
 	}
-	w.Blob(p.heSeed)
-	w.U64(p.heNonce)
+	w.Blob(nil) // master seed
+	w.U64(0)    // derivation nonce
 	if p.heKeys != nil {
 		w.U64(1)
 		w.U64(uint64(p.heParams.N))
@@ -134,12 +135,8 @@ func (p *Preamble) MarshalBinary() ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		pk, err := p.heKeys.PK.MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
 		w.Blob(sk)
-		w.Blob(pk)
+		w.Blob(p.heKeys.PK)
 	} else {
 		w.U64(0)
 	}
@@ -147,33 +144,20 @@ func (p *Preamble) MarshalBinary() ([]byte, error) {
 	return w.Buf, nil
 }
 
-// rederiveKey returns the seeded public key of a preamble written before
-// wire v13, which stored the key as (degree ‖ b ‖ a) with a drawn from the
-// key stream: the key derives again from the master seed under the same
-// nonce, with the same s (KeyGen draws s first), and the seeded form the
-// server now keeps. A pk that is neither form, or an s that does not
-// re-derive, is refused.
-func (p *Preamble) rederiveKey(params bfv.Params, skRaw, pkRaw []byte) (bfv.PublicKey, error) {
-	if len(pkRaw) != 8+16*params.N || len(p.heSeed) == 0 {
-		return bfv.PublicKey{}, fmt.Errorf("serve: preamble public key of %d bytes is no key of degree %d", len(pkRaw), params.N)
-	}
-	keys, err := delphi.DeriveHEKeyPair(params, p.heSeed, p.heNonce)
-	if err != nil {
-		return bfv.PublicKey{}, err
-	}
-	if sk, err := keys.SK.MarshalBinary(); err != nil || !bytes.Equal(sk, skRaw) {
-		return bfv.PublicKey{}, fmt.Errorf("serve: preamble secret key does not derive from its master seed")
-	}
-	return keys.PK, nil
-}
+// preambleSeedBytes is the length of the master HE seed preambles written
+// before the key pair was held as drawn: a stored seed is empty or this
+// long, and is discarded on load.
+const preambleSeedBytes = 32
 
 // UnmarshalPreamble decodes a payload produced by Preamble.MarshalBinary,
 // rejecting truncated fields, hostile lengths, inconsistent key material
-// and trailing bytes. A decoded preamble is immediately usable: a cached
-// key pair is degree-checked against its recorded parameter set, and a
-// public key stored before wire v13 is derived again in its seeded form. The
-// (name, artifact) entries an older writer stored after the keys are read
-// and discarded: each session derives its model state from the welcome.
+// and trailing bytes. A decoded preamble is immediately usable: a held key
+// pair is checked against its recorded parameter set. An older writer's
+// master seed and nonce are read and discarded, and so is a pair whose
+// public key predates wire v13's seeded form, (degree ‖ b ‖ a): the next
+// connect draws a fresh pair. The (name, artifact) entries an older writer
+// stored after the keys are read and discarded too: each session derives
+// its model state from the welcome.
 func UnmarshalPreamble(data []byte) (*Preamble, error) {
 	r := bin.NewReader(data)
 	p := NewPreamble()
@@ -197,13 +181,10 @@ func UnmarshalPreamble(data []byte) (*Preamble, error) {
 		}
 		p.state = state
 	}
-	if seed := r.Blob(); len(seed) > 0 {
-		if r.Err() == nil && len(seed) != heSeedBytes {
-			return nil, fmt.Errorf("serve: preamble HE seed is %d bytes, want %d", len(seed), heSeedBytes)
-		}
-		p.heSeed = append([]byte(nil), seed...)
+	if seed := r.Blob(); len(seed) != 0 && len(seed) != preambleSeedBytes {
+		return nil, fmt.Errorf("serve: preamble HE seed is %d bytes, want %d", len(seed), preambleSeedBytes)
 	}
-	p.heNonce = r.U64()
+	r.U64() // derivation nonce
 	if hasKeys := r.U64(); r.Err() == nil && hasKeys != 0 {
 		if hasKeys != 1 {
 			return nil, fmt.Errorf("serve: preamble HE-keys flag %d", hasKeys)
@@ -219,19 +200,20 @@ func UnmarshalPreamble(data []byte) (*Preamble, error) {
 		if err != nil {
 			return nil, fmt.Errorf("serve: preamble HE params: %w", err)
 		}
-		var keys delphi.HEKeyPair
+		keys := delphi.HEKeyPair{PK: append([]byte(nil), pkRaw...)}
 		if err := keys.SK.UnmarshalBinary(skRaw); err != nil {
 			return nil, err
 		}
-		if keys.PK, err = bfv.ParsePublicKey(params.N, pkRaw); err != nil {
-			if keys.PK, err = p.rederiveKey(params, skRaw, pkRaw); err != nil {
+		_, err = bfv.ParsePublicKey(params.N, pkRaw)
+		switch {
+		case err == nil:
+			if err := keys.Validate(params); err != nil {
 				return nil, err
 			}
+			p.heKeys, p.heParams = &keys, params
+		case len(pkRaw) != 8+16*params.N: // not the pre-v13 form either
+			return nil, fmt.Errorf("serve: preamble: %w", err)
 		}
-		if err := keys.Validate(params); err != nil {
-			return nil, err
-		}
-		p.heKeys, p.heParams = &keys, params
 	}
 	for i, n := 0, r.Count(16); i < n; i++ {
 		r.Blob()

@@ -472,3 +472,35 @@ func TestPreambleTicketResumesAcrossModels(t *testing.T) {
 		t.Fatalf("cnn resume counter = %d, want 1", mcnn.Resumes)
 	}
 }
+
+// TestPreambleTicketResumesAcrossFields: the ticket resumes on a model over
+// another plaintext field too. The preamble's key pair is under the first
+// model's parameters, so the resumed session draws a pair of its own
+// rather than failing, and infers bit-exact.
+func TestPreambleTicketResumesAcrossFields(t *testing.T) {
+	p20 := testModel(t, 67)
+	p17, err := nn.DemoMLP(field.New(field.P17), 68)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry(0)
+	t.Cleanup(reg.Close)
+	if err := reg.Register("p20", p20); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Register("p17", p17); err != nil {
+		t.Fatal(err)
+	}
+	_, ln := pipeEngine(t, Config{Registry: reg, Variant: delphi.ClientGarbler, LPHEWorkers: 2})
+
+	p := NewPreamble()
+	cold := connectPreamble(t, ln, "p20", p)
+	inferOnce(t, cold, p20)
+	cold.Close()
+	c := connectPreamble(t, ln, "p17", p)
+	defer c.Close()
+	if !c.Resumed() {
+		t.Fatal("the ticket is model-independent; a session on a model over another field should resume")
+	}
+	inferOnce(t, c, p17)
+}

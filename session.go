@@ -41,8 +41,8 @@ type LocalEngine struct {
 }
 
 // Preamble is a client's reusable session-preamble state: the OT
-// resumption ticket from its last full handshake and the HE key material
-// derived for the current ticket generation. It holds no model state: each
+// resumption ticket from its last full handshake and the HE key pair its
+// last keygen drew. It holds no model state: each
 // session derives its plans and circuits from the welcome's metadata. Pass
 // one to LocalEngine.Connect via WithPreamble (or serve.Connect/serve.Dial
 // via serve.WithPreamble for remote engines) on every connect of a logical
